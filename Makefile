@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover bench bench-report bench-smoke cluster-smoke ingest-smoke experiments examples fuzz clean
+.PHONY: all build vet test test-race cover loc bench bench-report bench-smoke cluster-smoke ingest-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -21,6 +21,15 @@ test-race:
 
 cover:
 	$(GO) test -cover ./...
+
+# Non-blank, non-comment, non-test Go lines per package for the packages the
+# execution path runs through — run it at two commits to check a "this PR
+# shrinks the code" claim.
+loc:
+	@total=0; for p in server shard cluster; do \
+		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | grep -vcE '^[[:space:]]*(//.*)?$$'); \
+		printf '%-18s %5d\n' internal/$$p $$n; total=$$((total+n)); \
+	done; printf '%-18s %5d\n' total $$total
 
 # The testing.B series (one family per paper artifact; see bench_test.go).
 bench:

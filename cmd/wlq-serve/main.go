@@ -54,6 +54,7 @@ import (
 	"wlq"
 	"wlq/internal/cluster"
 	"wlq/internal/server"
+	"wlq/internal/shard"
 	"wlq/internal/wal"
 )
 
@@ -211,12 +212,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Workers:       urls,
 			HashReplicas:  *hashReplicas,
 			WorkerTimeout: *workerTimeout,
-			MaxAttempts:   *workerAttempts,
 			HedgeAfter:    *hedgeAfter,
 			// The breaker flags tune whichever failure-domain tier is active:
 			// in-process shards on a single node, workers on a coordinator.
-			BreakerThreshold:        *breakerThreshold,
-			BreakerCooldown:         *breakerCooldown,
+			RetryPolicy: shard.RetryPolicy{
+				MaxAttempts:      *workerAttempts,
+				BreakerThreshold: *breakerThreshold,
+				BreakerCooldown:  *breakerCooldown,
+			},
 			DisableTracePropagation: !*tracePropagation,
 			MaxTraceSpans:           *maxTraceSpans,
 		}

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -52,18 +51,10 @@ type Config struct {
 	// WorkerTimeout deadlines each worker request attempt
 	// (0 = DefaultWorkerTimeout).
 	WorkerTimeout time.Duration
-	// MaxAttempts caps request attempts per worker per query, the first try
-	// included (0 = DefaultMaxAttempts).
-	MaxAttempts int
-	// Backoff schedules the delay between a worker's attempts (zero value =
-	// shard backoff defaults: 10ms base, 2x growth, 1s cap, 20% jitter).
-	Backoff shard.Backoff
-	// BreakerThreshold opens a worker's circuit breaker after this many
-	// consecutive failed attempts (0 = shard.DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open delay
-	// (0 = shard.DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
+	// RetryPolicy governs each worker's request attempts, backoff and circuit
+	// breaker — the same policy struct the in-process shard executor takes.
+	// A zero MaxAttempts means DefaultMaxAttempts.
+	shard.RetryPolicy
 	// HedgeAfter, when positive, duplicates a worker request that has not
 	// answered within the delay and takes whichever response lands first —
 	// straggler insurance against a slow connection or a stalled accept
@@ -75,11 +66,6 @@ type Config struct {
 	// here to fail, slow or blackhole exact requests without killing
 	// processes.
 	Transport http.RoundTripper
-	// Sleep waits between attempts (nil = time.Sleep); tests inject a
-	// recording no-op.
-	Sleep func(time.Duration)
-	// Rand draws the backoff jitter uniform in [0,1) (nil = math/rand).
-	Rand func() float64
 	// DisableTracePropagation turns off distributed tracing: no traceparent
 	// header on worker requests, no span subtrees or cost tables in worker
 	// responses. The zero value propagates whenever the query carries an
@@ -98,33 +84,25 @@ func (c Config) withDefaults() Config {
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = DefaultWorkerTimeout
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
+	c.RetryPolicy = c.RetryPolicy.WithDefaults(DefaultMaxAttempts)
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
 	if c.MaxTraceSpans <= 0 {
 		c.MaxTraceSpans = DefaultMaxTraceSpans
 	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	if c.Rand == nil {
-		c.Rand = rand.Float64
-	}
 	return c
 }
 
 // workerState is one worker's long-lived coordinator-side state: the
-// circuit breaker accumulating failure history across queries, and the
-// latest health-probe verdict.
+// circuit breaker accumulating failure history across queries, the
+// request-duration histogram, and the latest health-probe verdict.
 type workerState struct {
 	name    string
 	breaker *shard.Breaker
+	hist    *obs.Histogram
 
 	mu       sync.Mutex
-	probed   bool // at least one probe has run
 	healthy  bool
 	probeErr string
 }
@@ -155,7 +133,7 @@ type Coordinator struct {
 	ring    *Ring
 	client  *http.Client
 	workers []*workerState
-	hists   map[string]*durationHist
+	scatter shard.Scatter
 
 	fanouts        atomic.Uint64
 	workerRequests atomic.Uint64
@@ -183,14 +161,13 @@ func New(cfg Config) (*Coordinator, error) {
 		seen[w] = true
 	}
 	workers := make([]*workerState, len(cfg.Workers))
-	hists := make(map[string]*durationHist, len(cfg.Workers))
 	for i, name := range cfg.Workers {
 		workers[i] = &workerState{
 			name:    name,
 			breaker: shard.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			hist:    obs.NewHistogram(DurationBucketsUS),
 			healthy: true, // optimistic until a probe or request says otherwise
 		}
-		hists[name] = newDurationHist()
 	}
 	return &Coordinator{
 		cfg:  cfg,
@@ -199,7 +176,7 @@ func New(cfg Config) (*Coordinator, error) {
 		// client, so hedges and probes can choose their own.
 		client:  &http.Client{Transport: cfg.Transport},
 		workers: workers,
-		hists:   hists,
+		scatter: shard.Scatter{RetryPolicy: cfg.RetryPolicy, Retryable: retryableErr},
 	}, nil
 }
 
@@ -219,8 +196,9 @@ func (c *Coordinator) Stats() Stats {
 	}
 }
 
-// Fanout summarizes one distributed execution for the flight recorder and
-// the response-side accounting.
+// Fanout summarizes one distributed execution: the fleet-level counts plus
+// structured per-worker detail. Its JSON form is what the flight recorder
+// stores and serves for a distributed capture.
 type Fanout struct {
 	// Workers is the number of workers owning at least one wid this query.
 	Workers int `json:"workers"`
@@ -229,26 +207,25 @@ type Fanout struct {
 	// after exhausting attempts; Skipped those excluded by an open breaker.
 	Attempted int `json:"attempted"`
 	Succeeded int `json:"succeeded"`
-	Failed    int `json:"failed"`
-	Skipped   int `json:"skipped"`
+	Failed    int `json:"failed,omitempty"`
+	Skipped   int `json:"skipped,omitempty"`
 	// Hedged counts straggler requests duplicated; Retries re-attempts;
 	// HedgeWins hedges whose duplicate answered first.
-	Hedged    int `json:"hedged"`
-	Retries   int `json:"retries"`
-	HedgeWins int `json:"hedge_wins"`
-	// PerWorker details every worker contacted (or breaker-skipped) this
-	// query, in fleet order.
-	PerWorker []WorkerCall `json:"per_worker,omitempty"`
+	Hedged    int `json:"hedged,omitempty"`
+	Retries   int `json:"retries,omitempty"`
+	HedgeWins int `json:"hedge_wins,omitempty"`
 	// TraceID is the propagated cross-process trace id ("" when the query
 	// was untraced or propagation is disabled).
 	TraceID string `json:"trace_id,omitempty"`
+	// PerWorker details every worker contacted (or breaker-skipped) this
+	// query, in fleet order.
+	PerWorker []WorkerCall `json:"per_worker,omitempty"`
 	// CostTable is the fleet-wide Lemma 1 table: the per-worker tables of
 	// every merged answer summed row-by-row (nil when untraced).
 	CostTable []obs.CostRow `json:"-"`
 }
 
-// WorkerCall is one worker's outcome within a single distributed query —
-// the structured per-worker detail the flight recorder captures.
+// WorkerCall is one worker's outcome within a single distributed query.
 type WorkerCall struct {
 	// Worker is the worker base URL; WIDs how many wids it owned.
 	Worker string `json:"worker"`
@@ -259,8 +236,8 @@ type WorkerCall struct {
 	// after backoff; Hedges duplicated straggler requests; HedgeWon whether
 	// a hedge's answer was the one used.
 	Attempts int  `json:"attempts"`
-	Retries  int  `json:"retries"`
-	Hedges   int  `json:"hedges"`
+	Retries  int  `json:"retries,omitempty"`
+	Hedges   int  `json:"hedges,omitempty"`
 	HedgeWon bool `json:"hedge_won,omitempty"`
 	// BreakerSkip marks a worker excluded without any request by an open
 	// circuit breaker.
@@ -288,65 +265,24 @@ type ExecOptions struct {
 	Budget resilience.Budget
 }
 
-// workerResult is one worker's terminal outcome within a query.
-type workerResult struct {
-	incs      []incident.Incident
-	instances int
-	attempts  int
-	retries   int
-	hedges    int
-	hedgeWin  bool
-	err       error
-	skipped   bool
-	elapsedUS int64
-	spanCount int
-	costTable []obs.CostRow
-}
-
-// Execute evaluates the plan across the worker fleet: each worker owning
-// wids gets one request (with retries, hedging and breaker admission) and
-// the surviving answers merge through incident.NewSet's normalization —
-// byte-identical to a single-node evaluation when every worker answers.
+// Execute evaluates the plan across the worker fleet on the shared
+// partition driver (shard.Scatter): each worker owning wids is one part,
+// attempted through call — one request plus an optional hedge — under the
+// driver's breaker admission and retry loop, and the surviving answers
+// merge through incident.NewSet's normalization — byte-identical to a
+// single-node evaluation when every worker answers.
 //
-// The returned error is non-nil only when the whole query is lost (context
-// cancelled, or no worker produced an answer). Otherwise the Completeness
-// documents coverage exactly as the in-process executor does, with each
-// excluded worker's wid set named by envelope and exact ranges.
+// The error and Completeness contract is shard.Merge's, with each excluded
+// worker's wid set named by envelope and exact ranges.
+//
+// Everything done for a worker is recorded under its "worker <url>" span:
+// a queue-wait span (launch + admission + marshal before the first transport
+// write), sibling transport spans per request with attempt/hedge
+// annotations, and the driver's backoff and breaker-skip spans. The winning
+// response's own span subtree is grafted under the transport span that
+// carried it.
 func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *shard.Completeness, Fanout, error) {
 	c.fanouts.Add(1)
-	assignments := c.ring.Assignments(opts.WIDs)
-	// Active workers: those owning at least one wid. Idle workers are not
-	// contacted and not counted as shards.
-	type active struct {
-		wi   int
-		wids []uint64
-	}
-	var fleet []active
-	for wi, wids := range assignments {
-		if len(wids) > 0 {
-			fleet = append(fleet, active{wi: wi, wids: wids})
-		}
-	}
-	comp := &shard.Completeness{Shards: len(fleet)}
-	fan := Fanout{Workers: len(fleet)}
-	if len(fleet) == 0 {
-		comp.Complete = true
-		if qs != nil {
-			qs.Workers = 1
-		}
-		return &incident.Set{}, comp, fan, nil
-	}
-
-	req := WorkerQueryRequest{
-		Log:      logName,
-		Plan:     plan.String(),
-		Ring:     c.ring.Workers(),
-		Replicas: c.ring.Replicas(),
-		Strategy: opts.Strategy,
-		Limit:    opts.Limit,
-		Budget:   ToBudgetDoc(opts.Budget.Slice(len(fleet))),
-	}
-
 	// Distributed tracing: mint (or reuse) the query's trace id and ask
 	// workers to return their span trees and cost tables. The id travels on
 	// a traceparent header per request; the request body only carries the
@@ -355,217 +291,139 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	traceID := ""
 	if tr != nil && !c.cfg.DisableTracePropagation {
 		traceID = tr.ID()
-		req.Trace = true
-		req.MaxTraceSpans = c.cfg.MaxTraceSpans
 	}
-	fan.TraceID = traceID
 	scatter := tr.StartSpan("scatter")
-	scatter.SetAttr("workers", len(fleet))
 	if traceID != "" {
 		scatter.SetAttr("trace_id", traceID)
 	}
 
-	results := make([]workerResult, len(fleet))
-	var wg sync.WaitGroup
-	for i, a := range fleet {
-		wg.Add(1)
-		go func(i int, a active) {
-			defer wg.Done()
-			results[i] = c.runWorker(ctx, scatter, traceID, a.wi, req, len(a.wids))
-		}(i, a)
+	// One part per worker owning at least one wid. Idle workers are not
+	// contacted and not counted as shards.
+	var (
+		parts      []shard.Part
+		queueWaits []*obs.Span
+	)
+	for wi, wids := range c.ring.Assignments(opts.WIDs) {
+		if len(wids) == 0 {
+			continue
+		}
+		w := c.workers[wi]
+		wsp := scatter.StartChild("worker " + w.name)
+		wsp.SetAttr("wids", len(wids))
+		parts = append(parts, shard.Part{
+			Shard:   shard.Shard{ID: wi, WIDs: wids, MinWID: wids[0], MaxWID: wids[len(wids)-1]},
+			Worker:  w.name,
+			Breaker: w.breaker,
+			Span:    wsp,
+		})
+		queueWaits = append(queueWaits, wsp.StartChild("queue-wait"))
 	}
-	wg.Wait()
+	scatter.SetAttr("workers", len(parts))
+
+	req := WorkerQueryRequest{
+		Log:      logName,
+		Plan:     plan.String(),
+		Ring:     c.ring.Workers(),
+		Replicas: c.ring.Replicas(),
+		Strategy: opts.Strategy,
+		Limit:    opts.Limit,
+		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
+	}
+	if traceID != "" {
+		req.Trace = true
+		req.MaxTraceSpans = c.cfg.MaxTraceSpans
+	}
+	// Each part's goroutine writes only its own slot of calls and tables.
+	calls := make([]WorkerCall, len(parts))
+	tables := make([][]obs.CostRow, len(parts))
+	attempt := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+		wreq := req
+		wreq.Self = parts[i].Worker
+		body, err := json.Marshal(wreq)
+		queueWaits[i].End() // idempotent; the first attempt ends the queue wait
+		if err != nil {
+			return nil, 0, nonRetryable(fmt.Errorf("encode worker request: %w", err))
+		}
+		resp, err := c.attempt(ctx, parts[i], n, traceID, body, &calls[i])
+		if err != nil {
+			return nil, 0, err
+		}
+		tables[i] = resp.CostTable
+		return ToIncidents(resp.Incidents), resp.Instances, nil
+	}
+	results := c.scatter.Gather(ctx, parts, attempt)
 	scatter.End()
 
 	msp := tr.StartSpan("merge")
 	defer msp.End()
-	var (
-		merged    []incident.Incident
-		firstErr  error
-		instances int
-		tables    [][]obs.CostRow
-	)
-	fan.PerWorker = make([]WorkerCall, 0, len(fleet))
+	set, comp, err := shard.Merge(ctx, parts, results, qs)
+	c.workerRetries.Add(uint64(comp.Retries))
+	c.workersSkipped.Add(uint64(comp.Skipped))
+	fan := Fanout{
+		Workers:   len(parts),
+		Attempted: comp.Attempted,
+		Succeeded: comp.Succeeded,
+		Failed:    comp.Failed,
+		Skipped:   comp.Skipped,
+		Retries:   comp.Retries,
+		PerWorker: calls,
+		TraceID:   traceID,
+	}
+	incidents := 0
 	for i, r := range results {
-		a := fleet[i]
-		comp.Retries += r.retries
-		fan.Retries += r.retries
-		fan.Hedged += r.hedges
-		if r.hedgeWin {
+		call := &calls[i]
+		call.Worker, call.WIDs = parts[i].Worker, len(parts[i].WIDs)
+		call.Attempts, call.Retries, call.BreakerSkip = r.Attempts, r.Retries, r.Skipped
+		call.Incidents = len(r.Incidents)
+		incidents += call.Incidents
+		fan.Hedged += call.Hedges
+		if call.HedgeWon {
 			fan.HedgeWins++
 		}
-		call := WorkerCall{
-			Worker:      c.workers[a.wi].name,
-			WIDs:        len(a.wids),
-			Attempts:    r.attempts,
-			Retries:     r.retries,
-			Hedges:      r.hedges,
-			HedgeWon:    r.hedgeWin,
-			BreakerSkip: r.skipped,
-			ElapsedUS:   r.elapsedUS,
-			Incidents:   len(r.incs),
-			TraceSpans:  r.spanCount,
+		call.Status = r.Status()
+		if r.Err != nil {
+			call.Error = r.Err.Error()
 		}
-		switch {
-		case r.skipped:
-			call.Status = "skipped"
-			call.Error = r.err.Error()
-			comp.Skipped++
-			fan.Skipped++
-			comp.ExcludedWIDs += len(a.wids)
-			comp.Failures = append(comp.Failures, c.outcome(a.wi, a.wids, r))
-		case r.err != nil:
-			call.Status = "failed"
-			call.Error = r.err.Error()
-			comp.Attempted++
-			fan.Attempted++
-			comp.Failed++
-			fan.Failed++
-			comp.ExcludedWIDs += len(a.wids)
-			comp.Failures = append(comp.Failures, c.outcome(a.wi, a.wids, r))
-			if firstErr == nil {
-				firstErr = fmt.Errorf("worker %s: %w", c.workers[a.wi].name, r.err)
-			}
-		default:
-			call.Status = "ok"
-			comp.Attempted++
-			fan.Attempted++
-			comp.Succeeded++
-			fan.Succeeded++
-			merged = append(merged, r.incs...)
-			instances += r.instances
-			if len(r.costTable) > 0 {
-				tables = append(tables, r.costTable)
-			}
-		}
-		fan.PerWorker = append(fan.PerWorker, call)
 	}
-	// Only merged answers feed the fleet table: a failed worker's partial
-	// measurements would skew the measured-vs-predicted comparison.
+	// Only merged answers feed the fleet table (a part's slot is filled on
+	// success alone): a failed worker's partial measurements would skew the
+	// measured-vs-predicted comparison.
 	fan.CostTable = obs.AggregateCostTables(tables...)
-	comp.Complete = comp.Succeeded == comp.Shards
 	msp.SetAttr("workers_merged", comp.Succeeded)
-	msp.SetAttr("incidents", len(merged))
-	if qs != nil {
-		qs.Workers = len(fleet)
-		qs.Shards = len(fleet)
-		qs.ShardsFailed = comp.Failed + comp.Skipped
-		qs.ShardRetries = comp.Retries
-		qs.Instances += instances
-		qs.Incidents += len(merged)
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, comp, fan, err
-	}
-	if comp.Succeeded == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
-		}
-		return nil, comp, fan, firstErr
-	}
-	// Consistent hashing scatters wids across workers, so the concatenation
-	// is interleaved; NewSet performs the real merge (normalize + sort),
-	// exactly as the in-process executor does under PolicyHash.
-	return incident.NewSet(merged...), comp, fan, nil
+	msp.SetAttr("incidents", incidents)
+	return set, comp, fan, err
 }
 
-// runWorker drives one worker through breaker admission, the retry loop and
-// hedging. Everything the coordinator does for the worker is recorded as
-// spans under a per-worker span: a queue-wait span (goroutine scheduling +
-// admission + marshal before the first transport write), sibling transport
-// spans per request with attempt/hedge annotations, backoff spans between
-// retries, and a breaker-skip span when the breaker rejects the worker
-// outright. The winning response's own span subtree is grafted under the
-// transport span that carried it.
-func (c *Coordinator) runWorker(ctx context.Context, parent *obs.Span, traceID string, wi int, req WorkerQueryRequest, assigned int) workerResult {
-	w := c.workers[wi]
-	wsp := parent.StartChild("worker " + w.name)
-	defer wsp.End()
-	wsp.SetAttr("wids", assigned)
-	qw := wsp.StartChild("queue-wait")
-	if !w.breaker.Allow() {
-		qw.End()
-		c.workersSkipped.Add(1)
-		sk := wsp.StartChild("breaker-skip")
-		sk.SetAttr("breaker", "open")
-		sk.End()
-		wsp.SetAttr("status", "skipped")
-		return workerResult{
-			skipped: true,
-			err:     fmt.Errorf("circuit breaker open for worker %s", w.name),
-		}
-	}
-	req.Self = w.name
-	body, err := json.Marshal(req)
+// attempt is the coordinator's shard.Transport: one call against the part's
+// worker, the ring-view and trace-id cross-checks on its reply, and the
+// graft of the reply's span subtree. Hedge and reply detail lands on call.
+func (c *Coordinator) attempt(ctx context.Context, part shard.Part, n int, traceID string, body []byte, call *WorkerCall) (*WorkerQueryResponse, error) {
+	resp, winner, err := c.call(ctx, part.Span, n, traceID, c.workers[part.ID], body, call)
 	if err != nil {
-		qw.End()
-		wsp.SetAttr("status", "failed")
-		return workerResult{attempts: 1, err: fmt.Errorf("encode worker request: %w", err)}
+		return nil, err
 	}
-	var res workerResult
-	for attempt := 1; ; attempt++ {
-		res.attempts = attempt
-		qw.End() // idempotent; first attempt ends the queue wait
-
-		resp, winner, hedged, hedgeWon, err := c.call(ctx, wsp, attempt, traceID, w.name, body)
-		if hedged {
-			res.hedges++
-		}
-		if hedgeWon {
-			res.hedgeWin = true
-		}
-		if err == nil && resp.WIDsOwned != assigned {
-			// The worker's ring view disagrees with ours: merging its answer
-			// would silently mis-cover the log. Deterministic, so never retried.
-			err = nonRetryable(fmt.Errorf(
-				"ring mismatch: worker evaluated %d wids, coordinator assigned %d (membership or replica skew)",
-				resp.WIDsOwned, assigned))
-			winner.SetAttr("error", err.Error())
-			resp = nil
-		}
-		if err == nil {
-			winner.SetAttr("incidents", len(resp.Incidents))
-			if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
-				// Same spirit as the WIDsOwned echo: the worker answered under
-				// a different trace context than we sent. Annotate, keep the
-				// answer (trace skew is an observability fault, not a data one).
-				winner.SetAttr("trace_id_mismatch", resp.TraceID)
-			}
-			if resp.Spans != nil {
-				res.spanCount = obs.CountSpans(resp.Spans)
-				obs.Graft(winner, resp.Spans, winner.StartUS)
-			}
-			w.breaker.Success()
-			res.incs = ToIncidents(resp.Incidents)
-			res.instances = resp.Instances
-			res.elapsedUS = resp.ElapsedUS
-			res.costTable = resp.CostTable
-			res.err = nil
-			wsp.SetAttr("status", "ok")
-			return res
-		}
-		res.err = err
-		wsp.SetAttr("status", "failed")
-		wsp.SetAttr("error", err.Error())
-		// The parent context dying is not a worker fault: don't trip the
-		// breaker for it, and don't retry into a cancelled query.
-		if ctx.Err() != nil {
-			return res
-		}
-		w.breaker.Failure()
-		if !retryableErr(err) || attempt >= c.cfg.MaxAttempts || !w.breaker.Allow() {
-			return res
-		}
-		res.retries++
-		c.workerRetries.Add(1)
-		delay := c.cfg.Backoff.Delay(attempt, c.cfg.Rand())
-		bsp := wsp.StartChild("backoff")
-		bsp.SetAttr("delay_ms", delay.Milliseconds())
-		bsp.SetAttr("next_attempt", attempt+1)
-		c.cfg.Sleep(delay)
-		bsp.End()
+	if resp.WIDsOwned != len(part.WIDs) {
+		// The worker's ring view disagrees with ours: merging its answer
+		// would silently mis-cover the log. Deterministic, so never retried.
+		err = nonRetryable(fmt.Errorf(
+			"ring mismatch: worker evaluated %d wids, coordinator assigned %d (membership or replica skew)",
+			resp.WIDsOwned, len(part.WIDs)))
+		winner.SetAttr("error", err.Error())
+		return nil, err
 	}
+	winner.SetAttr("incidents", len(resp.Incidents))
+	if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
+		// Same spirit as the WIDsOwned echo: the worker answered under
+		// a different trace context than we sent. Annotate, keep the
+		// answer (trace skew is an observability fault, not a data one).
+		winner.SetAttr("trace_id_mismatch", resp.TraceID)
+	}
+	if resp.Spans != nil {
+		call.TraceSpans = obs.CountSpans(resp.Spans)
+		obs.Graft(winner, resp.Spans, winner.StartUS)
+	}
+	call.ElapsedUS = resp.ElapsedUS
+	return resp, nil
 }
 
 // call performs one attempt against a worker: the primary request, plus —
@@ -574,10 +432,10 @@ func (c *Coordinator) runWorker(ctx context.Context, parent *obs.Span, traceID s
 // covers primary and hedge together. Primary and hedge each get their own
 // transport span under wsp (siblings, annotated attempt/hedge); the span
 // of the request whose result is used is returned so the caller can graft
-// the worker's subtree under it. All span writes happen before call
-// returns — abandoned requests' spans are closed here, never from their
-// still-running goroutines.
-func (c *Coordinator) call(ctx context.Context, wsp *obs.Span, attempt int, traceID, worker string, body []byte) (resp *WorkerQueryResponse, winner *obs.Span, hedged, hedgeWon bool, err error) {
+// the worker's subtree under it, and hedging is noted on wc. All span
+// writes happen before call returns — abandoned requests' spans are closed
+// here, never from their still-running goroutines.
+func (c *Coordinator) call(ctx context.Context, wsp *obs.Span, attempt int, traceID string, worker *workerState, body []byte, wc *WorkerCall) (resp *WorkerQueryResponse, winner *obs.Span, err error) {
 	actx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
 	defer cancel()
 
@@ -646,23 +504,23 @@ func (c *Coordinator) call(ctx context.Context, wsp *obs.Span, attempt int, trac
 			ended[spanOf] = true
 			if r.err == nil {
 				if r.hedge {
-					hedgeWon = true
+					wc.HedgeWon = true
 					c.hedgeWins.Add(1)
 				}
 				abandon()
-				return r.resp, spanOf, hedged, hedgeWon, nil
+				return r.resp, spanOf, nil
 			}
 			if firstErr == nil {
 				firstErr = r.err
 				firstErrSpan = spanOf
 			}
 			if outstanding == 0 {
-				return nil, firstErrSpan, hedged, false, firstErr
+				return nil, firstErrSpan, firstErr
 			}
 			// The other request (hedge or primary) is still out; wait for it.
 		case <-hedgeC:
 			hedgeC = nil
-			hedged = true
+			wc.Hedges++
 			c.hedges.Add(1)
 			outstanding++
 			hedgeSpan = launch(true)
@@ -674,18 +532,18 @@ func (c *Coordinator) call(ctx context.Context, wsp *obs.Span, attempt int, trac
 // traceparent value, when non-empty, propagates the distributed trace
 // context. Request duration feeds the per-worker latency histogram either
 // way.
-func (c *Coordinator) post(ctx context.Context, worker string, body []byte, traceparent string) (*WorkerQueryResponse, error) {
+func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte, traceparent string) (_ *WorkerQueryResponse, err error) {
 	c.workerRequests.Add(1)
 	start := time.Now()
 	defer func() {
-		if h := c.hists[worker]; h != nil {
-			h.observe(time.Since(start))
+		worker.hist.Observe(time.Since(start))
+		if err != nil {
+			c.workerFailures.Add(1)
 		}
 	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		strings.TrimSuffix(worker, "/")+"/v1/worker/query", bytes.NewReader(body))
+		strings.TrimSuffix(worker.name, "/")+"/v1/worker/query", bytes.NewReader(body))
 	if err != nil {
-		c.workerFailures.Add(1)
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
@@ -694,12 +552,10 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte, trac
 	}
 	httpResp, err := c.client.Do(req)
 	if err != nil {
-		c.workerFailures.Add(1)
 		return nil, err
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		c.workerFailures.Add(1)
 		raw, _ := io.ReadAll(io.LimitReader(httpResp.Body, 64<<10))
 		var ed WorkerErrorDoc
 		msg := strings.TrimSpace(string(raw))
@@ -710,26 +566,9 @@ func (c *Coordinator) post(ctx context.Context, worker string, body []byte, trac
 	}
 	var wr WorkerQueryResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&wr); err != nil {
-		c.workerFailures.Add(1)
 		return nil, fmt.Errorf("decode worker response: %w", err)
 	}
 	return &wr, nil
-}
-
-// outcome renders one excluded worker's ShardOutcome. The envelope bounds
-// the scattered owned set; Ranges names the exact runs when compact enough.
-func (c *Coordinator) outcome(wi int, wids []uint64, r workerResult) shard.ShardOutcome {
-	return shard.ShardOutcome{
-		Shard:    wi,
-		WIDMin:   wids[0],
-		WIDMax:   wids[len(wids)-1],
-		WIDs:     len(wids),
-		Attempts: r.attempts,
-		Cause:    r.err.Error(),
-		Skipped:  r.skipped,
-		Worker:   c.workers[wi].name,
-		Ranges:   shard.RangesOf(wids),
-	}
 }
 
 // WorkerHTTPError is a worker reply with a non-200 status.
@@ -804,7 +643,7 @@ func (c *Coordinator) Lost() []string {
 	var lost []string
 	for _, w := range c.workers {
 		w.mu.Lock()
-		unhealthy := w.probed && !w.healthy
+		unhealthy := !w.healthy // true until a probe says otherwise
 		w.mu.Unlock()
 		if unhealthy || w.breaker.State() != shard.BreakerClosed {
 			lost = append(lost, w.name)
@@ -837,7 +676,6 @@ func (c *Coordinator) ProbeOnce(ctx context.Context) int {
 			defer wg.Done()
 			err := c.probe(ctx, w.name)
 			w.mu.Lock()
-			w.probed = true
 			w.healthy = err == nil
 			if err != nil {
 				w.probeErr = err.Error()

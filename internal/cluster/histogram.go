@@ -1,43 +1,14 @@
 package cluster
 
-import (
-	"sync/atomic"
-	"time"
-)
-
-// Per-worker request-duration histograms backing the
-// wlq_worker_query_duration_seconds metric. Buckets are fixed at
-// construction so observation is a single atomic increment on the hot
-// path; the server renders them as cumulative Prometheus buckets.
+// Per-worker request-duration histograms (obs.Histogram) backing the
+// wlq_worker_query_duration_seconds metric; the server renders them as
+// cumulative Prometheus buckets.
 
 // DurationBucketsUS are the per-worker histogram bucket upper bounds in
 // microseconds (an overflow bucket catches everything beyond the last).
 var DurationBucketsUS = []int64{
 	1_000, 5_000, 10_000, 25_000, 50_000, 100_000,
 	250_000, 500_000, 1_000_000, 2_500_000, 5_000_000,
-}
-
-// durationHist is one worker's request-duration histogram.
-type durationHist struct {
-	buckets []atomic.Uint64 // len(DurationBucketsUS)+1, last = overflow
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func newDurationHist() *durationHist {
-	return &durationHist{buckets: make([]atomic.Uint64, len(DurationBucketsUS)+1)}
-}
-
-// observe records one request round trip.
-func (h *durationHist) observe(d time.Duration) {
-	us := int64(d / time.Microsecond)
-	i := 0
-	for i < len(DurationBucketsUS) && us > DurationBucketsUS[i] {
-		i++
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
 }
 
 // WorkerDurations is one worker's histogram snapshot: raw (non-cumulative)
@@ -54,17 +25,8 @@ type WorkerDurations struct {
 func (c *Coordinator) Durations() []WorkerDurations {
 	out := make([]WorkerDurations, 0, len(c.workers))
 	for _, w := range c.workers {
-		h := c.hists[w.name]
-		s := WorkerDurations{
-			Worker:  w.name,
-			Buckets: make([]uint64, len(h.buckets)),
-			Count:   h.count.Load(),
-			SumUS:   h.sumUS.Load(),
-		}
-		for i := range h.buckets {
-			s.Buckets[i] = h.buckets[i].Load()
-		}
-		out = append(out, s)
+		h := w.hist.Snapshot()
+		out = append(out, WorkerDurations{Worker: w.name, Buckets: h.Buckets, Count: h.Count, SumUS: h.SumUS})
 	}
 	return out
 }

@@ -33,7 +33,11 @@
 package cluster
 
 import (
+	"hash/fnv"
 	"sort"
+	"strconv"
+
+	"wlq/internal/shard"
 )
 
 // DefaultHashReplicas is the virtual-node count per worker on the ring.
@@ -41,37 +45,6 @@ import (
 // a larger (still tiny) ring; 64 keeps the per-worker load within a few
 // percent of even for realistic worker counts.
 const DefaultHashReplicas = 64
-
-// fnv1a is FNV-1a over arbitrary bytes. Deliberately not maphash: placement
-// must be stable across processes and restarts, so a worker can recompute
-// the wid set the coordinator assigned it from the membership list alone.
-func fnv1a(data []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
-}
-
-// hashWID hashes a workflow instance id for ring placement (FNV-1a over the
-// id's little-endian bytes, matching internal/shard's stable hashing).
-func hashWID(wid uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= wid >> (8 * i) & 0xff
-		h *= prime64
-	}
-	return h
-}
 
 // ringPoint is one virtual node: a position on the hash circle owned by a
 // worker (indexed into the membership slice).
@@ -103,14 +76,20 @@ func NewRing(workers []string, replicas int) *Ring {
 		replicas: replicas,
 		points:   make([]ringPoint, 0, len(workers)*replicas),
 	}
+	// Virtual nodes hash with FNV-1a like the wids (shard.HashWID).
+	// Deliberately not maphash: placement must be stable across processes and
+	// restarts, so a worker can recompute the wid set the coordinator
+	// assigned it from the membership list alone.
+	// One hasher and one buffer for the whole ring: workers rebuild it per
+	// request.
+	h := fnv.New64a()
 	buf := make([]byte, 0, 80)
 	for wi, name := range r.workers {
 		for i := 0; i < replicas; i++ {
-			buf = buf[:0]
-			buf = append(buf, name...)
-			buf = append(buf, '#')
-			buf = appendUint(buf, uint64(i))
-			r.points = append(r.points, ringPoint{hash: fnv1a(buf), worker: wi})
+			buf = strconv.AppendUint(append(append(buf[:0], name...), '#'), uint64(i), 10)
+			h.Reset()
+			h.Write(buf)
+			r.points = append(r.points, ringPoint{hash: h.Sum64(), worker: wi})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool {
@@ -122,21 +101,6 @@ func NewRing(workers []string, replicas int) *Ring {
 		return r.workers[r.points[i].worker] < r.workers[r.points[j].worker]
 	})
 	return r
-}
-
-// appendUint appends the decimal digits of v.
-func appendUint(b []byte, v uint64) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
 }
 
 // Workers returns the membership list (callers must not modify it).
@@ -151,7 +115,7 @@ func (r *Ring) Owner(wid uint64) int {
 	if len(r.points) == 0 {
 		return -1
 	}
-	h := hashWID(wid)
+	h := shard.HashWID(wid)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0 // wrap

@@ -69,7 +69,7 @@ func runSharded(w io.Writer, quick bool) error {
 
 	rows := [][]string{{"failure domains", "outcome", "incidents", "wids covered"}}
 	for _, n := range []int{1, 8} {
-		x := shard.NewExecutor(ix, shard.Config{Shards: n, MaxAttempts: 1})
+		x := shard.NewExecutor(ix, shard.Config{Shards: n, RetryPolicy: shard.RetryPolicy{MaxAttempts: 1}})
 		set, comp, err := x.Execute(ctx, p, eval.Options{}, nil)
 		outcome := "complete"
 		switch {

@@ -20,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"wlq/internal/cluster"
 	"wlq/internal/obs"
 	"wlq/internal/shard"
 )
@@ -89,59 +90,9 @@ type Capture struct {
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
 	// Completeness reports shard coverage for sharded executions.
 	Completeness *shard.Completeness `json:"completeness,omitempty"`
-	// Workers summarizes the cluster fan-out for distributed executions
-	// (nil for local ones).
-	Workers *WorkerSummary `json:"workers,omitempty"`
-}
-
-// WorkerSummary is the distributed fan-out of one capture: the fleet-level
-// counts plus structured per-worker detail. Mirrors cluster.Fanout without
-// importing it (flightrec stays a leaf below the cluster tier).
-type WorkerSummary struct {
-	// Workers is the number of workers owning wids this query.
-	Workers int `json:"workers"`
-	// Attempted/Succeeded/Failed/Skipped count workers by terminal outcome
-	// (Skipped = excluded by an open circuit breaker without a request).
-	Attempted int `json:"attempted"`
-	Succeeded int `json:"succeeded"`
-	Failed    int `json:"failed,omitempty"`
-	Skipped   int `json:"skipped,omitempty"`
-	// Hedged counts duplicated straggler requests; Retries re-attempts;
-	// HedgeWins hedges whose duplicate answered first.
-	Hedged    int `json:"hedged,omitempty"`
-	Retries   int `json:"retries,omitempty"`
-	HedgeWins int `json:"hedge_wins,omitempty"`
-	// TraceID is the propagated cross-process trace id, when the query was
-	// traced end-to-end.
-	TraceID string `json:"trace_id,omitempty"`
-	// PerWorker details every worker the query touched, in fleet order.
-	PerWorker []WorkerDetail `json:"per_worker,omitempty"`
-}
-
-// WorkerDetail is one worker's outcome within a captured distributed query
-// (mirrors cluster.WorkerCall).
-type WorkerDetail struct {
-	// Worker is the worker base URL; WIDs how many wids it owned.
-	Worker string `json:"worker"`
-	WIDs   int    `json:"wids"`
-	// Status is "ok", "failed", or "skipped" (breaker).
-	Status string `json:"status"`
-	// Attempts counts requests sent (hedges excluded); Retries re-attempts;
-	// Hedges duplicated straggler requests; HedgeWon whether a hedge's
-	// answer was used; BreakerSkip an exclusion by an open breaker.
-	Attempts    int  `json:"attempts"`
-	Retries     int  `json:"retries,omitempty"`
-	Hedges      int  `json:"hedges,omitempty"`
-	HedgeWon    bool `json:"hedge_won,omitempty"`
-	BreakerSkip bool `json:"breaker_skip,omitempty"`
-	// ElapsedUS is the worker-reported evaluation wall time (0 on failure).
-	ElapsedUS int64 `json:"elapsed_us"`
-	// Incidents is the worker's contribution to the merged answer;
-	// TraceSpans the size of its returned span subtree.
-	Incidents  int `json:"incidents"`
-	TraceSpans int `json:"trace_spans,omitempty"`
-	// Error is the terminal failure, when Status != "ok".
-	Error string `json:"error,omitempty"`
+	// Workers is the cluster fan-out of a distributed execution — fleet-level
+	// counts plus structured per-worker detail (nil for local ones).
+	Workers *cluster.Fanout `json:"workers,omitempty"`
 }
 
 // Notable reports whether the capture earns a slot in the notable ring:

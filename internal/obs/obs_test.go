@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
@@ -191,5 +193,21 @@ func TestQueryTraceJSONAndRender(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("render output missing %q:\n%s", want, text)
 		}
+	}
+}
+
+func TestHistogramBucketPlacement(t *testing.T) {
+	h := NewHistogram([]int64{10, 100})
+	// On a bound lands in that bucket (Prometheus "le"); past the last bound
+	// lands in the overflow slot.
+	for _, us := range []int64{0, 10, 11, 100, 101, 5000} {
+		h.Observe(time.Duration(us) * time.Microsecond)
+	}
+	s := h.Snapshot()
+	if want := []uint64{2, 2, 2}; !reflect.DeepEqual(s.Buckets, want) {
+		t.Errorf("buckets = %v, want %v", s.Buckets, want)
+	}
+	if s.Count != 6 || s.SumUS != 5222 {
+		t.Errorf("count/sum = %d/%d, want 6/5222", s.Count, s.SumUS)
 	}
 }

@@ -6,11 +6,10 @@ import (
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
-	"wlq/internal/core/rewrite"
 )
 
-// cacheEntry is one cached query: the compiled plan (the optimized pattern
-// plus the rewrite trace that produced it) and the materialized result set.
+// cacheEntry is one cached query: the compiled plan (the optimized pattern)
+// and the materialized result set.
 // A static log's index is immutable, so its cached results stay valid for
 // the lifetime of the loaded log and are only ever displaced by LRU
 // pressure. Under live ingestion (Config.Ingest) the backend grows, and
@@ -20,9 +19,8 @@ import (
 // Entries are shared between concurrent readers and must be treated as
 // read-only: the incident set and the plan are never mutated after insert.
 type cacheEntry struct {
-	plan  pattern.Node
-	trace rewrite.Trace
-	set   *incident.Set
+	plan pattern.Node
+	set  *incident.Set
 	// log and atoms are the delta-invalidation tags (see above); atoms is
 	// nil for entries cached before ingestion was a concern, which the
 	// sweep conservatively treats as always-stale.

@@ -399,7 +399,12 @@ func TestChaosMetricsCountFaults(t *testing.T) {
 		Budget:   resilience.Budget{MaxComparisons: 5000},
 	}, 4, 200)
 	eval.SetEvalHook(faultinject.PanicOnNth(1, "fault"))
-	postQuery(t, h, `{"log":"chaos","query":"A . B"}`, nil) // panic -> 500
+	// The panic request is a bare atom: it charges no comparisons, so only
+	// the panic can fail it. With an operator ("A . B") under the naive
+	// strategy a sibling eval goroutine could trip the 5000-comparison
+	// budget while the panicking one was still capturing its stack, win
+	// EvalParallelCtx's first-error slot, and turn the 500 into a second 422.
+	postQuery(t, h, `{"log":"chaos","query":"A"}`, nil) // panic -> 500
 	eval.SetEvalHook(nil)
 	postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil) // budget -> 422
 

@@ -64,8 +64,8 @@ func newClusterFixture(t *testing.T, n int, name string, l *wlog.Log, mut func(*
 		f.urls = append(f.urls, ts.URL)
 	}
 	ccfg := cluster.Config{
-		Workers: f.urls,
-		Sleep:   func(time.Duration) {},
+		Workers:     f.urls,
+		RetryPolicy: shard.RetryPolicy{Sleep: func(time.Duration) {}},
 	}
 	if mut != nil {
 		mut(&ccfg)
@@ -157,8 +157,8 @@ func heaviestOwner(workers []string) string {
 // digestOf reduces a 200 response to the fields that define the answer.
 func digestOf(resp queryResponse) string {
 	b, _ := json.Marshal(struct {
-		Count     int           `json:"count"`
-		Incidents []incidentDoc `json:"incidents"`
+		Count     int                   `json:"count"`
+		Incidents []cluster.IncidentDoc `json:"incidents"`
 	}{resp.Count, resp.Incidents})
 	return string(b)
 }

@@ -54,7 +54,7 @@ func (s *Server) openIngest(name string, l *wlog.Log) (*ingest.Coordinator, wal.
 				s.metrics.ingestInvalidations.Add(n)
 			}
 		},
-		ObserveFsync: s.metrics.fsyncHist.observe,
+		ObserveFsync: s.metrics.fsyncHist.Observe,
 	})
 }
 
@@ -254,7 +254,8 @@ func (s *Server) ingestMetrics() *ingestMetricsDoc {
 	doc := &ingestMetricsDoc{
 		CacheInvalidations: s.metrics.ingestInvalidations.Load(),
 	}
-	_, doc.FsyncCount, doc.FsyncSumUS = s.metrics.fsyncHist.snapshot()
+	fsync := s.metrics.fsyncHist.Snapshot()
+	doc.FsyncCount, doc.FsyncSumUS = fsync.Count, fsync.SumUS
 	for _, e := range coords {
 		st := e.live.Stats()
 		doc.Accepted += st.Accepted

@@ -11,8 +11,7 @@ import (
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
-	"wlq/internal/flightrec"
-	"wlq/internal/resilience"
+	"wlq/internal/obs"
 )
 
 // metrics holds the service counters exported at GET /metrics. Counters are
@@ -77,7 +76,7 @@ type metrics struct {
 	// ingestInvalidations counts cache entries dropped by the per-append
 	// delta sweep, and fsyncHist is the WAL fsync latency histogram.
 	ingestInvalidations atomic.Uint64
-	fsyncHist           fsyncHistogram
+	fsyncHist           *obs.Histogram
 
 	// Per-operator totals, indexed by pattern.Op (1..4), folded in from
 	// each evaluated query's eval.Meter: the measured record-level
@@ -86,11 +85,15 @@ type metrics struct {
 	opOutputs     [5]atomic.Uint64
 
 	lat  latencyRing
-	hist latencyHist
+	hist *obs.Histogram
 }
 
 func newMetrics() *metrics {
-	return &metrics{start: time.Now()}
+	return &metrics{
+		start:     time.Now(),
+		fsyncHist: obs.NewHistogram(fsyncBucketsUS),
+		hist:      obs.NewHistogram(latencyBucketsUS),
+	}
 }
 
 // observeLatency records one request's wall-clock latency in both the
@@ -99,7 +102,7 @@ func newMetrics() *metrics {
 // biased toward successful queries.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.lat.observe(d)
-	m.hist.observe(d)
+	m.hist.Observe(d)
 }
 
 // recordMeter folds one query's per-node measurements into the service-wide
@@ -127,71 +130,21 @@ func (m *metrics) operatorTotals() (comparisons, outputs map[string]uint64) {
 	return comparisons, outputs
 }
 
-// latencyBucketsUS are the histogram upper bounds in microseconds (plus an
-// implicit +Inf overflow bucket): 100µs to 10s, roughly logarithmic — the
-// span between a cached lookup and the default request timeout.
-var latencyBucketsUS = [...]int64{
+// latencyBucketsUS are the request-latency histogram upper bounds in
+// microseconds (plus an implicit +Inf overflow bucket): 100µs to 10s,
+// roughly logarithmic — the span between a cached lookup and the default
+// request timeout.
+var latencyBucketsUS = []int64{
 	100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000,
 	100000, 250000, 500000, 1000000, 2500000, 5000000, 10000000,
-}
-
-// latencyHist is a fixed-bucket latency histogram in the Prometheus style:
-// per-bucket counts (cumulated at exposition time), a running sum and a
-// count, all atomic.
-type latencyHist struct {
-	buckets [len(latencyBucketsUS) + 1]atomic.Uint64 // last slot = +Inf
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	us := d.Microseconds()
-	i := sort.Search(len(latencyBucketsUS), func(i int) bool { return latencyBucketsUS[i] >= us })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
-// snapshot returns the per-bucket counts (not yet cumulative), the total
-// count and the latency sum.
-func (h *latencyHist) snapshot() (buckets []uint64, count uint64, sumUS int64) {
-	buckets = make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.count.Load(), h.sumUS.Load()
 }
 
 // fsyncBucketsUS are the WAL fsync duration histogram bounds in
 // microseconds (plus an implicit +Inf bucket): 10µs — a page-cache sync on
 // fast NVMe or tmpfs — up to 1s, where the disk is the ingest bottleneck.
-var fsyncBucketsUS = [...]int64{
+var fsyncBucketsUS = []int64{
 	10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000,
 	25000, 50000, 100000, 250000, 500000, 1000000,
-}
-
-// fsyncHistogram is latencyHist over the fsync bucket bounds: per-bucket
-// counts (cumulated at exposition time), a running sum and a count.
-type fsyncHistogram struct {
-	buckets [len(fsyncBucketsUS) + 1]atomic.Uint64 // last slot = +Inf
-	count   atomic.Uint64
-	sumUS   atomic.Int64
-}
-
-func (h *fsyncHistogram) observe(d time.Duration) {
-	us := d.Microseconds()
-	i := sort.Search(len(fsyncBucketsUS), func(i int) bool { return fsyncBucketsUS[i] >= us })
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumUS.Add(us)
-}
-
-func (h *fsyncHistogram) snapshot() (buckets []uint64, count uint64, sumUS int64) {
-	buckets = make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		buckets[i] = h.buckets[i].Load()
-	}
-	return buckets, h.count.Load(), h.sumUS.Load()
 }
 
 // latencyRing is a fixed-size ring of the most recent query latencies, in
@@ -325,16 +278,10 @@ type clusterMetricsDoc struct {
 	Workers            int      `json:"workers,omitempty"`
 	WorkersLost        []string `json:"workers_lost,omitempty"`
 	WorkerBreakersOpen int      `json:"worker_breakers_open"`
-	// ClusterQueries counts queries fanned out; the remaining coordinator
-	// counters mirror cluster.Stats.
+	// ClusterQueries counts queries fanned out; the coordinator's own
+	// fan-out counters follow (zero on a pure worker).
 	ClusterQueries uint64 `json:"cluster_queries"`
-	Fanouts        uint64 `json:"fanouts"`
-	WorkerRequests uint64 `json:"worker_requests"`
-	WorkerFailures uint64 `json:"worker_failures"`
-	WorkerRetries  uint64 `json:"worker_retries"`
-	Hedges         uint64 `json:"hedges"`
-	HedgeWins      uint64 `json:"hedge_wins"`
-	WorkersSkipped uint64 `json:"workers_skipped"`
+	cluster.Stats
 	// WorkerHealth is each worker's probe verdict and breaker state.
 	WorkerHealth []cluster.WorkerHealth `json:"worker_health,omitempty"`
 	// WorkerDurations is each worker's request-duration histogram (the
@@ -366,28 +313,33 @@ func (s *Server) clusterMetrics() *clusterMetricsDoc {
 		doc.Role = "worker"
 	}
 	if s.coord != nil {
-		st := s.coord.Stats()
+		doc.Stats = s.coord.Stats()
 		doc.Workers = len(s.coord.Ring().Workers())
 		doc.WorkersLost = s.coord.Lost()
 		doc.WorkerBreakersOpen = s.coord.OpenBreakers()
-		doc.Fanouts = st.Fanouts
-		doc.WorkerRequests = st.WorkerRequests
-		doc.WorkerFailures = st.WorkerFailures
-		doc.WorkerRetries = st.WorkerRetries
-		doc.Hedges = st.Hedges
-		doc.HedgeWins = st.HedgeWins
-		doc.WorkersSkipped = st.WorkersSkipped
 		doc.WorkerHealth = s.coord.Health()
 		doc.WorkerDurations = s.coord.Durations()
 	}
 	return doc
 }
 
-// snapshot assembles the metrics document. workersPerQuery is the resolved
-// per-query worker count; breakersOpen is the live count of not-closed
-// per-shard circuit breakers; logs, cache and admission supply their own
-// gauges; cl is the cluster section (nil off-cluster).
-func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpen int, cache *lru, adm *resilience.Admission, flight *flightrec.Recorder, backend string, cl *clusterMetricsDoc, ing *ingestMetricsDoc) metricsDoc {
+// metricsSnapshot assembles the metrics document both renderers (JSON and
+// Prometheus text) expose: the counters plus the gauges the logs, cache,
+// admission controller, flight recorder, shard breakers, cluster tier and
+// ingest tier supply.
+func (s *Server) metricsSnapshot() metricsDoc {
+	s.mu.RLock()
+	logsLoaded, quarantined := len(s.logs), len(s.quarantine)
+	// The "poisoned shards" gauge: not-closed circuit breakers across every
+	// loaded log's shard executor.
+	breakersOpen := 0
+	for _, e := range s.logs {
+		if e.shardex != nil {
+			breakersOpen += e.shardex.OpenBreakers()
+		}
+	}
+	s.mu.RUnlock()
+	m, cache, adm, flight := s.metrics, s.cache, s.admission, s.flight
 	count, p50, p95, p99, max := m.lat.percentiles()
 	capacity := runtime.GOMAXPROCS(0)
 	busy := m.busyWorkers.Load()
@@ -398,7 +350,7 @@ func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpe
 	opComparisons, opOutputs := m.operatorTotals()
 	return metricsDoc{
 		UptimeSeconds:       time.Since(m.start).Seconds(),
-		Backend:             backend,
+		Backend:             s.backendName(),
 		LogsLoaded:          logsLoaded,
 		QueriesTotal:        m.queriesTotal.Load(),
 		QueryErrors:         m.queryErrors.Load(),
@@ -425,12 +377,12 @@ func (m *metrics) snapshot(logsLoaded, quarantined, workersPerQuery, breakersOpe
 		PartialResults:      m.partialResults.Load(),
 		WIDsExcluded:        m.widsExcluded.Load(),
 		BreakersOpen:        breakersOpen,
-		Cluster:             cl,
-		Ingest:              ing,
+		Cluster:             s.clusterMetrics(),
+		Ingest:              s.ingestMetrics(),
 		AdmissionCapacity:   adm.Capacity(),
 		AdmissionInFlight:   adm.InFlight(),
 		InflightQueries:     m.inflight.Load(),
-		WorkersPerQuery:     workersPerQuery,
+		WorkersPerQuery:     s.cfg.Workers,
 		BusyWorkers:         busy,
 		WorkerCapacity:      capacity,
 		WorkerUtilization:   util,

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"wlq/internal/cluster"
+	"wlq/internal/obs"
 )
 
 // Prometheus text exposition (format version 0.0.4) for GET
@@ -37,12 +38,30 @@ func counter(v uint64) []promSample {
 	return []promSample{{value: strconv.FormatUint(v, 10)}}
 }
 
+// writeHistogram emits one histogram series (after a sample-less writeFamily
+// for its HELP/TYPE header): cumulative buckets with bounds in seconds, then
+// sum and count. labels is the series' rendered label list without braces
+// (`worker="w1"`), empty for an unlabeled series.
+func writeHistogram(w io.Writer, name, labels string, h obs.HistogramSnapshot) {
+	seconds := func(us int64) string { return strconv.FormatFloat(float64(us)/1e6, 'g', -1, 64) }
+	prefix, braced := "", ""
+	if labels != "" {
+		prefix, braced = labels+",", "{"+labels+"}"
+	}
+	var cum uint64
+	for i, le := range h.BoundsUS {
+		cum += h.Buckets[i]
+		fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", name, prefix, seconds(le), cum)
+	}
+	cum += h.Buckets[len(h.Buckets)-1]
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, prefix, cum)
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, braced, seconds(h.SumUS))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, h.Count)
+}
+
 // writePrometheus emits the full exposition document.
 func (s *Server) writePrometheus(w http.ResponseWriter) {
-	s.mu.RLock()
-	loaded, quarantined := len(s.logs), len(s.quarantine)
-	s.mu.RUnlock()
-	doc := s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(), s.cache, s.admission, s.flight, s.backendName(), s.clusterMetrics(), s.ingestMetrics())
+	doc := s.metricsSnapshot()
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 
@@ -176,20 +195,11 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		// Per-worker request-duration histogram: one labeled series per
 		// worker, cumulative buckets in seconds.
 		if len(cl.WorkerDurations) > 0 {
-			fmt.Fprintf(w, "# HELP wlq_worker_query_duration_seconds Coordinator-observed worker request round-trip time, per worker.\n")
-			fmt.Fprintf(w, "# TYPE wlq_worker_query_duration_seconds histogram\n")
+			writeFamily(w, "wlq_worker_query_duration_seconds",
+				"Coordinator-observed worker request round-trip time, per worker.", "histogram")
 			for _, wd := range cl.WorkerDurations {
-				var cum uint64
-				for i, le := range cluster.DurationBucketsUS {
-					cum += wd.Buckets[i]
-					fmt.Fprintf(w, "wlq_worker_query_duration_seconds_bucket{worker=%q,le=%q} %d\n",
-						wd.Worker, strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64), cum)
-				}
-				cum += wd.Buckets[len(wd.Buckets)-1]
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_bucket{worker=%q,le=\"+Inf\"} %d\n", wd.Worker, cum)
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_sum{worker=%q} %s\n",
-					wd.Worker, strconv.FormatFloat(float64(wd.SumUS)/1e6, 'g', -1, 64))
-				fmt.Fprintf(w, "wlq_worker_query_duration_seconds_count{worker=%q} %d\n", wd.Worker, wd.Count)
+				writeHistogram(w, "wlq_worker_query_duration_seconds", "worker="+strconv.Quote(wd.Worker),
+					obs.HistogramSnapshot{BoundsUS: cluster.DurationBucketsUS, Buckets: wd.Buckets, Count: wd.Count, SumUS: wd.SumUS})
 			}
 		}
 	}
@@ -234,21 +244,8 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 			writeFamily(w, "wlq_ingest_queue_depth", "Per-log append requests currently admitted.", "gauge", depth...)
 			writeFamily(w, "wlq_ingest_queue_capacity", "Per-log append admission bound (0 = unlimited).", "gauge", capy...)
 		}
-		// WAL fsync latency histogram: cumulative buckets in seconds.
-		fb, fcount, fsum := s.metrics.fsyncHist.snapshot()
-		fmt.Fprintf(w, "# HELP wlq_ingest_fsync_duration_seconds WAL fsync latency.\n")
-		fmt.Fprintf(w, "# TYPE wlq_ingest_fsync_duration_seconds histogram\n")
-		var fcum uint64
-		for i, le := range fsyncBucketsUS {
-			fcum += fb[i]
-			fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_bucket{le=%q} %d\n",
-				strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64), fcum)
-		}
-		fcum += fb[len(fb)-1]
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_bucket{le=\"+Inf\"} %d\n", fcum)
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_sum %s\n",
-			strconv.FormatFloat(float64(fsum)/1e6, 'g', -1, 64))
-		fmt.Fprintf(w, "wlq_ingest_fsync_duration_seconds_count %d\n", fcount)
+		writeFamily(w, "wlq_ingest_fsync_duration_seconds", "WAL fsync latency.", "histogram")
+		writeHistogram(w, "wlq_ingest_fsync_duration_seconds", "", s.metrics.fsyncHist.Snapshot())
 	}
 
 	// Per-operator Lemma 1 accounting, labeled by operator name.
@@ -265,25 +262,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	writeFamily(w, "wlq_operator_outputs_total",
 		"Incidents produced per operator.", "counter", outs...)
 
-	// Request latency histogram: cumulative buckets in seconds.
-	buckets, count, sumUS := s.metrics.hist.snapshot()
-	samples := make([]promSample, 0, len(buckets)+2)
-	var cum uint64
-	for i, le := range latencyBucketsUS {
-		cum += buckets[i]
-		samples = append(samples, promSample{
-			labels: fmt.Sprintf(`{le="%s"}`, strconv.FormatFloat(float64(le)/1e6, 'g', -1, 64)),
-			value:  strconv.FormatUint(cum, 10),
-		})
-	}
-	cum += buckets[len(buckets)-1]
-	samples = append(samples, promSample{labels: `{le="+Inf"}`, value: strconv.FormatUint(cum, 10)})
-	fmt.Fprintf(w, "# HELP wlq_query_duration_seconds Request latency, all paths (success, error, timeout).\n")
-	fmt.Fprintf(w, "# TYPE wlq_query_duration_seconds histogram\n")
-	for _, sm := range samples {
-		fmt.Fprintf(w, "wlq_query_duration_seconds_bucket%s %s\n", sm.labels, sm.value)
-	}
-	fmt.Fprintf(w, "wlq_query_duration_seconds_sum %s\n",
-		strconv.FormatFloat(float64(sumUS)/1e6, 'g', -1, 64))
-	fmt.Fprintf(w, "wlq_query_duration_seconds_count %d\n", count)
+	writeFamily(w, "wlq_query_duration_seconds", "Request latency, all paths (success, error, timeout).", "histogram")
+	writeHistogram(w, "wlq_query_duration_seconds", "", s.metrics.hist.Snapshot())
 }

@@ -1,0 +1,748 @@
+package server
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	mrand "math/rand"
+	"net/http"
+	"strconv"
+	"time"
+
+	"wlq/internal/cluster"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
+	"wlq/internal/core/pattern"
+	"wlq/internal/core/rewrite"
+	"wlq/internal/flightrec"
+	"wlq/internal/obs"
+	"wlq/internal/resilience"
+	"wlq/internal/shard"
+)
+
+// POST /v1/query as a pipeline of named stages over one per-request value:
+//
+//	admit → decode → plan → execute → respond
+//
+// admit sheds load; decode validates the body and resolves the log; plan
+// parses, canonicalizes, probes the result cache, rewrites and applies the
+// cost ceiling; execute runs the plan on the executor the log was bound to
+// at load time and settles what the outcome may feed (statistics, cache);
+// respond encodes the answer. A stage that cannot continue writes the
+// error response itself and returns false. POST /v1/worker/query
+// (worker.go) reuses admit, the execute stage and the error table.
+
+// queryRequest is the POST /v1/query body.
+type queryRequest struct {
+	// Log names the loaded log to query (optional when one log is loaded).
+	Log string `json:"log"`
+	// Query is the incident-pattern query text.
+	Query string `json:"query"`
+	// Mode selects the answer shape: "incidents" (default), "exists",
+	// "count", or "instances".
+	Mode string `json:"mode,omitempty"`
+	// Strategy overrides the join implementation: "merge" or "naive".
+	Strategy string `json:"strategy,omitempty"`
+	// NoOptimize evaluates the pattern exactly as written, bypassing both
+	// the Theorem 2–5 rewriter and the cache.
+	NoOptimize bool `json:"no_optimize,omitempty"`
+	// Limit caps (best effort) incidents per operator per instance.
+	// Results depend on it, so it is part of the cache key.
+	Limit int `json:"limit,omitempty"`
+	// Workers overrides the per-query parallelism (capped by the server's
+	// configured value).
+	Workers int `json:"workers,omitempty"`
+	// MaxResults truncates the incidents array in the response (the full
+	// set is still computed and cached); 0 returns everything.
+	MaxResults int `json:"max_results,omitempty"`
+	// TimeoutMS lowers the per-request timeout; it cannot raise it above
+	// the server's configured value.
+	TimeoutMS int `json:"timeout_ms,omitempty"`
+	// Trace enables execution tracing: the response carries the span tree
+	// and the per-operator Lemma 1 cost table. Traced queries bypass the
+	// result cache (a cached result has no fresh evaluation to measure).
+	Trace bool `json:"trace,omitempty"`
+	// Partial opts into degraded mode on a sharded server: when shards are
+	// lost to faults, accept the surviving shards' incidents as a 206
+	// response with a completeness object instead of a 502. Ignored when
+	// the server does not shard (results are then always complete).
+	Partial bool `json:"partial,omitempty"`
+}
+
+// queryResponse is the POST /v1/query result.
+type queryResponse struct {
+	Log       string                `json:"log"`
+	Query     string                `json:"query"`
+	Canonical string                `json:"canonical"`
+	Plan      string                `json:"plan"`
+	Strategy  string                `json:"strategy"`
+	Mode      string                `json:"mode"`
+	Cached    bool                  `json:"cached"`
+	ElapsedUS int64                 `json:"elapsed_us"`
+	Count     int                   `json:"count"`
+	Exists    bool                  `json:"exists"`
+	Instances []uint64              `json:"instances,omitempty"`
+	Incidents []cluster.IncidentDoc `json:"incidents,omitempty"`
+	Truncated bool                  `json:"truncated,omitempty"`
+	// Trace is present when the request set "trace": true — the span tree
+	// and per-operator cost table of this evaluation.
+	Trace *obs.QueryTrace `json:"trace,omitempty"`
+	// Partial is true when shards were lost and the result covers only the
+	// surviving wid ranges (HTTP 206; requires "partial": true in the
+	// request). Completeness is present on every sharded evaluation and
+	// says exactly which wid ranges the result covers.
+	Partial      bool                `json:"partial,omitempty"`
+	Completeness *shard.Completeness `json:"completeness,omitempty"`
+}
+
+// executor is how one log's queries are evaluated. bindExecutor picks it
+// once per log generation — the only place the cluster / sharded /
+// in-process decision is made — so the request path never asks which tier
+// it is on.
+type executor struct {
+	// goroutines is how many goroutines of this process evaluate one query
+	// that asked for the given parallelism (0 = no preference): what the
+	// query holds on the busy_workers gauge while it runs.
+	goroutines func(requested int) int
+	// run evaluates the plan; workers is goroutines' answer.
+	run func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int) execution
+}
+
+// execution is the one outcome type of the execute stage, whichever tier
+// ran the plan.
+type execution struct {
+	set   *incident.Set
+	err   error
+	stats eval.QueryStats
+	// comp is the coverage of a partitioned run (nil when unsharded).
+	comp *shard.Completeness
+	// fan is a distributed run's fan-out (nil for a local one): the
+	// per-worker summary, the fleet-aggregated Lemma 1 table (workers
+	// measured, coordinator summed) and the propagated trace id.
+	fan *cluster.Fanout
+}
+
+// bindExecutor builds the entry's executor (and, for sharded service, its
+// long-lived shard executor) from the server config.
+func (s *Server) bindExecutor(e *logEntry) {
+	switch {
+	case s.coord != nil:
+		// Distributed execution: the coordinator fans the optimized plan out
+		// to the workers owning wids (consistent hash placement) and merges
+		// their answers; a lost worker degrades the result to a partial
+		// instead of failing the query, under the same completeness contract
+		// as in-process shards. The failure domains are the workers, so
+		// in-process shards on top would partition twice for no added
+		// isolation, and nothing evaluates locally.
+		e.exec = executor{
+			goroutines: func(int) int { return 0 },
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int) (x execution) {
+				s.metrics.clusterQueries.Add(1)
+				x.fan = new(cluster.Fanout)
+				x.set, x.comp, *x.fan, x.err = s.coord.Execute(ctx, e.name, plan, cluster.ExecOptions{
+					WIDs:     e.ix.WIDs(),
+					Strategy: opts.Strategy.String(),
+					Limit:    opts.Limit,
+					Budget:   opts.Budget,
+				}, &x.stats)
+				return x
+			},
+		}
+	case s.cfg.Shards != 0 && e.live == nil:
+		// Sharded execution: each shard is its own failure domain with a
+		// budget slice, retry loop and circuit breaker; a lost shard yields a
+		// partial result instead of a failed query. (A live log's wid-range
+		// partition would go stale with the first append, so it stays on the
+		// single-domain path.)
+		e.shardex = shard.NewExecutor(e.ix, shard.Config{
+			Shards: max(s.cfg.Shards, 0), // negative = GOMAXPROCS, shard.Partition's 0
+			RetryPolicy: shard.RetryPolicy{
+				MaxAttempts:      s.cfg.ShardAttempts,
+				BreakerThreshold: s.cfg.BreakerThreshold,
+				BreakerCooldown:  s.cfg.BreakerCooldown,
+			},
+		})
+		e.exec = executor{
+			goroutines: func(int) int { return e.shardex.Shards() },
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int) (x execution) {
+				s.metrics.shardedQueries.Add(1)
+				x.set, x.comp, x.err = e.shardex.Execute(ctx, plan, opts, &x.stats)
+				s.metrics.shardRetries.Add(uint64(x.comp.Retries))
+				s.metrics.shardsFailed.Add(uint64(x.comp.Failed))
+				s.metrics.shardsSkipped.Add(uint64(x.comp.Skipped))
+				return x
+			},
+		}
+	default:
+		e.exec = executor{
+			// Mirrors eval's worker resolution so the gauge matches what
+			// EvalParallelCtx actually spawns: the configured (or lower
+			// requested) count, capped by the instance count.
+			goroutines: func(requested int) int {
+				w := s.cfg.Workers
+				if requested > 0 && requested < w {
+					w = requested
+				}
+				return max(min(w, len(e.ix.WIDs())), 1)
+			},
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int) (x execution) {
+				x.set, x.err = eval.New(e.ix, opts).EvalParallelCtx(ctx, plan, workers, &x.stats)
+				return x
+			},
+		}
+	}
+}
+
+// execute is the evaluation stage of both query endpoints: it holds the
+// busy-worker gauge up by the run's local parallelism for as long as the
+// run evaluates, and accounts the instances it covered.
+func (s *Server) execute(local int, run func() execution) execution {
+	s.metrics.busyWorkers.Add(int64(local))
+	defer s.metrics.busyWorkers.Add(int64(-local))
+	x := run()
+	s.metrics.instancesEvaluated.Add(uint64(x.stats.Instances))
+	return x
+}
+
+// admit is the first stage of both query endpoints. Admission control
+// sheds immediately rather than queue behind a saturated worker pool — a
+// bounded, fast 429 beats an unbounded, slow 504 (clients can back off;
+// goodput is preserved under overload). On false the Retry-After header is
+// set and the returned document is the 429 body; on true the caller owes
+// s.admission.Release.
+func (s *Server) admit(w http.ResponseWriter, who string) (errorDoc, bool) {
+	if s.admission.TryAcquire() {
+		return errorDoc{}, true
+	}
+	s.metrics.queriesShed.Add(1)
+	retry := retryAfterSeconds(s.admission.RetryAfter())
+	w.Header().Set("Retry-After", strconv.Itoa(retry))
+	return errorDoc{
+		Error: fmt.Sprintf("%s saturated: %d queries in flight (limit %d)",
+			who, s.admission.InFlight(), s.admission.Capacity()),
+		RetryAfterSeconds: retry,
+	}, false
+}
+
+// evalFailure is the one evaluation-error → HTTP status table, shared by
+// /v1/query and /v1/worker/query. It counts the failure class, logs a
+// recovered panic, and returns the capture status, the HTTP code and the
+// error body. fleetLost marks a distributed run that failed although the
+// client is still there: every wid-holding worker failed or was skipped by
+// its breaker (a single lost worker degrades to a partial instead).
+func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, logName, query string) (flightrec.Status, int, errorDoc) {
+	var be *resilience.BudgetError
+	var pe *resilience.PanicError
+	switch {
+	case errors.As(err, &be):
+		// Deterministic: a coordinator must not retry a worker's 422.
+		s.metrics.budgetAborts.Add(1)
+		return flightrec.StatusBudget, http.StatusUnprocessableEntity, errorDoc{
+			Error:           fmt.Sprintf("query aborted: %v", be),
+			BudgetDimension: be.Dimension,
+			BudgetLimit:     be.Limit,
+			BudgetMeasured:  be.Measured,
+		}
+	case errors.As(err, &pe):
+		s.metrics.panicsRecovered.Add(1)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error("panic recovered in evaluation",
+				"incident_id", pe.IncidentID,
+				"log", logName,
+				"query", query,
+				"panic", fmt.Sprint(pe.Value),
+				"stack", string(pe.Stack),
+			)
+		}
+		return flightrec.StatusPanic, http.StatusInternalServerError, errorDoc{
+			Error:      "evaluation fault; the query was isolated and the service keeps serving",
+			IncidentID: pe.IncidentID,
+		}
+	case fleetLost:
+		// 502: the upstreams failed us.
+		return flightrec.StatusError, http.StatusBadGateway, errorDoc{
+			Error: fmt.Sprintf("cluster evaluation failed: %v", err),
+		}
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.queryTimeouts.Add(1)
+		return flightrec.StatusTimeout, http.StatusGatewayTimeout, errorDoc{
+			Error: fmt.Sprintf("query exceeded the %v evaluation timeout", timeout),
+		}
+	default:
+		return flightrec.StatusError, http.StatusInternalServerError, errorDoc{
+			Error: fmt.Sprintf("evaluation aborted: %v", err),
+		}
+	}
+}
+
+// queryRun carries one POST /v1/query request through the stages.
+type queryRun struct {
+	s       *Server
+	w       http.ResponseWriter
+	started time.Time
+
+	// Set by decode.
+	req      queryRequest
+	mode     string
+	strategy eval.Strategy
+	entry    *logEntry
+	// capture is the request's flight-recorder record, filled in as the
+	// stages learn things and recorded by finish on every exit path.
+	capture flightrec.Capture
+	// trace is created before parsing so the parse span covers it. With the
+	// flight recorder on, EVERY execution is traced internally — the capture
+	// carries the span tree and cost table whether or not the client asked
+	// for them — but only an explicit "trace": true puts the trace in the
+	// response (and bypasses the result cache to guarantee fresh
+	// measurements; the internal trace does not change caching semantics).
+	// Nil when neither wants one.
+	trace *obs.Trace
+
+	// Set by plan (with capture.Canonical): the cache identity, the
+	// selectivities that ranked the plan, and the answer — cached, or with
+	// its set still to be filled by execute.
+	cacheKey  string
+	cacheable bool
+	sel       rewrite.Selectivities
+	answer    *cacheEntry
+	cached    bool
+}
+
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	s.metrics.queriesTotal.Add(1)
+	if doc, ok := s.admit(w, "server"); !ok {
+		writeJSON(w, http.StatusTooManyRequests, doc)
+		return
+	}
+	defer s.admission.Release()
+	s.metrics.inflight.Add(1)
+	defer s.metrics.inflight.Add(-1)
+
+	q := &queryRun{s: s, w: w, started: time.Now()}
+	defer q.finish()
+	if !q.decode(r) {
+		return
+	}
+	// A live log's backend mutates under appends; freeze it for the whole
+	// request — planning, evaluation, AND the cache put. Holding the read
+	// lock across the put closes the stale-entry race: an append can only
+	// take the write lock (and so run its delta invalidation) after this
+	// request's result — computed from the pre-append view — is already in
+	// the cache, where the invalidation sweep will find it.
+	if q.entry.live != nil {
+		mon := q.entry.live.Monitor()
+		mon.RLock()
+		defer mon.RUnlock()
+		q.capture.IngestLSN = mon.LastLSNLocked()
+	}
+	if !q.plan() {
+		return
+	}
+	if !q.cached && !q.execute(r.Context()) {
+		return
+	}
+	q.respond()
+}
+
+// finish runs on EVERY exit path — parse errors, timeouts and evaluation
+// failures included — so the latency percentiles and histogram are not
+// survivorship-biased toward successful queries. The slow-query log rides
+// on the same hook, and so does the flight recorder: every exit path with a
+// known query text lands in it (slow and failed executions additionally
+// earn a slot in its notable ring).
+func (q *queryRun) finish() {
+	s := q.s
+	elapsed := time.Since(q.started)
+	s.metrics.observeLatency(elapsed)
+	slow := s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery
+	if slow {
+		s.metrics.slowQueries.Add(1)
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Warn("slow query",
+				"query", q.req.Query,
+				"log", q.req.Log,
+				"duration_ms", float64(elapsed.Microseconds())/1000,
+				"threshold_ms", float64(s.cfg.SlowQuery.Microseconds())/1000,
+			)
+		}
+	}
+	if s.flight != nil && q.req.Query != "" {
+		q.capture.Time = time.Now()
+		q.capture.Query = q.req.Query
+		q.capture.Backend = s.backendName()
+		q.capture.ElapsedUS = elapsed.Microseconds()
+		q.capture.Slow = slow
+		s.flight.Record(q.capture)
+	}
+}
+
+// fail stamps the outcome on the capture (finish records it) and writes the
+// error response. It returns false so a stage can return q.fail(...).
+func (q *queryRun) fail(st flightrec.Status, code int, doc errorDoc) bool {
+	q.capture.Status, q.capture.HTTPStatus, q.capture.Error = st, code, doc.Error
+	if doc.IncidentID != "" {
+		q.capture.Error += " (incident " + doc.IncidentID + ")"
+	}
+	writeJSON(q.w, code, doc)
+	return false
+}
+
+// reject fails a request that cannot be evaluated as asked.
+func (q *queryRun) reject(code int, format string, args ...any) bool {
+	q.s.metrics.queryErrors.Add(1)
+	return q.fail(flightrec.StatusError, code, errorDoc{Error: fmt.Sprintf(format, args...)})
+}
+
+// decode reads and validates the request body and resolves the log.
+func (q *queryRun) decode(r *http.Request) bool {
+	s := q.s
+	r.Body = http.MaxBytesReader(q.w, r.Body, s.cfg.MaxBodyBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&q.req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return q.reject(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		}
+		return q.reject(http.StatusBadRequest, "malformed request: %v", err)
+	}
+	if q.req.Query == "" {
+		return q.reject(http.StatusBadRequest, "missing query")
+	}
+	q.mode = q.req.Mode
+	switch q.mode {
+	case "":
+		q.mode = "incidents"
+	case "incidents", "exists", "count", "instances":
+	default:
+		return q.reject(http.StatusBadRequest,
+			"unknown mode %q (want incidents, exists, count or instances)", q.mode)
+	}
+	var err error
+	if q.strategy, err = parseStrategy(q.req.Strategy, s.cfg.Strategy); err != nil {
+		return q.reject(http.StatusBadRequest, "%v", err)
+	}
+	if q.req.Limit < 0 || q.req.Workers < 0 || q.req.MaxResults < 0 || q.req.TimeoutMS < 0 {
+		return q.reject(http.StatusBadRequest, "limit, workers, max_results and timeout_ms must be >= 0")
+	}
+	if q.entry, err = s.lookup(q.req.Log); err != nil {
+		return q.reject(http.StatusNotFound, "%v", err)
+	}
+	q.capture.Log = q.entry.name
+	q.capture.Generation = q.entry.gen
+	q.capture.Sharded = q.entry.shardex != nil
+	if q.req.Trace || s.flight != nil {
+		q.trace = obs.NewTrace("query")
+	}
+	return true
+}
+
+// plan parses and canonicalizes the query, probes the result cache and, on
+// a miss, rewrites the pattern and holds it to the cost ceiling.
+func (q *queryRun) plan() bool {
+	s, entry := q.s, q.entry
+	sp := q.trace.StartSpan("parse")
+	p, err := pattern.Parse(q.req.Query)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+		sp.End()
+		return q.reject(http.StatusBadRequest, "parse error: %v", err)
+	}
+	sp.SetAttr("pattern", p.String())
+	sp.SetAttr("atoms", len(pattern.Atoms(p)))
+	sp.SetAttr("operators", pattern.Operators(p))
+	sp.End()
+
+	sp = q.trace.StartSpan("canonicalize")
+	q.capture.Canonical = pattern.CanonicalKey(p)
+	sp.SetAttr("key", q.capture.Canonical)
+	sp.End()
+
+	// The reload generation is part of the key, so a hot reload makes every
+	// pre-reload entry unreachable (LRU pressure ages them out) without an
+	// invalidation sweep.
+	q.cacheKey = fmt.Sprintf("%s\x00gen=%d\x00%s\x00limit=%d", entry.name, entry.gen, q.capture.Canonical, q.req.Limit)
+	// Traced queries bypass the result cache: a cached result carries no
+	// fresh evaluation to measure, so a hit would return an empty or stale
+	// cost table.
+	q.cacheable = !q.req.NoOptimize && !q.req.Trace
+	if q.cacheable {
+		if q.answer, q.cached = s.cache.get(q.cacheKey); q.cached {
+			s.metrics.cacheHits.Add(1)
+			q.capture.Cached = true
+			q.capture.Plan = q.answer.plan.String()
+			// A cache hit ran no evaluation: the capture's trace carries the
+			// parse/canonicalize spans but no eval spans or cost table.
+			q.capture.Trace = q.queryTrace(q.answer.plan, nil, "")
+			return true
+		}
+		s.metrics.cacheMisses.Add(1)
+	}
+
+	q.sel = s.selectivitiesFor(entry.name)
+	q.capture.Planner = plannerName(q.sel)
+	plan := pattern.Node(p)
+	if !q.req.NoOptimize {
+		sp = q.trace.StartSpan("rewrite")
+		var rt rewrite.Trace
+		plan, rt = rewrite.ExplainWith(p, entry.ix, q.sel)
+		obs.RewriteSpans(sp, rt)
+		sp.End()
+		if q.sel.Measured() {
+			s.metrics.adaptivePlans.Add(1)
+		} else {
+			s.metrics.staticPlans.Add(1)
+		}
+	}
+	q.capture.Plan = plan.String()
+
+	// Pre-flight admission: the cost model prices the plan the service
+	// will actually run, so queries predicted to blow past the ceiling
+	// are rejected before they consume a single worker.
+	if ceiling := s.cfg.MaxPredictedCost; ceiling > 0 {
+		if predicted := rewrite.NewEstimatorWith(entry.ix, q.sel).Cost(plan); predicted > ceiling {
+			s.metrics.costRejected.Add(1)
+			return q.fail(flightrec.StatusError, http.StatusUnprocessableEntity, errorDoc{
+				Error: fmt.Sprintf(
+					"query rejected before evaluation: predicted cost %.3g exceeds the ceiling %.3g (tighten the pattern, or raise -max-predicted-cost)",
+					predicted, ceiling),
+				PredictedCost: predicted,
+				CostCeiling:   ceiling,
+			})
+		}
+	}
+	// The log name and the plan's atoms tag the entry for delta
+	// invalidation under live ingestion: an append drops exactly the
+	// entries whose answers could include the new record.
+	q.answer = &cacheEntry{plan: plan, log: entry.name, atoms: pattern.Atoms(plan)}
+	return true
+}
+
+// queryTrace closes the request's trace and assembles its QueryTrace — the
+// one place a query's trace document is built. Nil without a trace. A
+// non-empty traceID marks a stitched distributed trace: every locally
+// recorded span gets coordinator attribution; grafted subtrees keep the
+// worker stamp they arrived with.
+func (q *queryRun) queryTrace(plan pattern.Node, costTable []obs.CostRow, traceID string) *obs.QueryTrace {
+	if q.trace == nil {
+		return nil
+	}
+	q.trace.End()
+	if traceID != "" {
+		obs.StampWorker(q.trace.Root(), "coordinator")
+	}
+	return &obs.QueryTrace{
+		Query:     q.req.Query,
+		Plan:      plan.String(),
+		Strategy:  q.strategy.String(),
+		TraceID:   traceID,
+		Spans:     q.trace.Root(),
+		CostTable: costTable,
+	}
+}
+
+// execute runs the plan on the log's executor, maps a failure to its
+// response, and settles what a success may feed: the statistics registry
+// and the result cache.
+func (q *queryRun) execute(ctx context.Context) bool {
+	s, entry, plan := q.s, q.entry, q.answer.plan
+	meter := eval.NewMeter(plan)
+	opts := eval.Options{Strategy: q.strategy, Limit: q.req.Limit, Meter: meter, Budget: s.cfg.Budget}
+	timeout := s.timeout(q.req.TimeoutMS)
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	ctx = obs.WithTrace(ctx, q.trace)
+
+	sp := q.trace.StartSpan("eval")
+	workers := entry.exec.goroutines(q.req.Workers)
+	x := s.execute(workers, func() execution { return entry.exec.run(ctx, plan, opts, workers) })
+	s.metrics.recordMeter(meter)
+	// A partitioned run's coverage goes on the capture whatever the outcome.
+	q.capture.Completeness, q.capture.Workers = x.comp, x.fan
+	if x.comp != nil {
+		s.metrics.widsExcluded.Add(uint64(x.comp.ExcludedWIDs))
+	}
+	if x.err != nil {
+		sp.SetAttr("error", x.err.Error())
+	} else {
+		sp.SetAttr("strategy", q.strategy.String())
+		sp.SetAttr("workers", x.stats.Workers)
+		sp.SetAttr("instances", x.stats.Instances)
+		sp.SetAttr("incidents", x.stats.Incidents)
+		obs.EvalSpansWith(sp, plan, meter, q.sel)
+	}
+	sp.End()
+	// The trace is assembled on success and failure alike: a failed
+	// evaluation's capture still carries the partial cost table — every
+	// operator that completed before the abort is accounted, which is
+	// usually exactly what explains the failure. On a distributed run the
+	// workers measured and the local meter is empty, so the fleet table
+	// stands in (it reflects only merged, complete worker answers).
+	var fleetTable []obs.CostRow
+	traceID := ""
+	if x.fan != nil {
+		fleetTable, traceID = x.fan.CostTable, x.fan.TraceID
+	}
+	costTable := fleetTable
+	if len(costTable) == 0 && q.trace != nil {
+		costTable = obs.CostTableWith(plan, meter, q.sel)
+	}
+	q.capture.Trace = q.queryTrace(plan, costTable, traceID)
+
+	// Every failure below returns before the statistics flush and the cache
+	// put: a timeout, budget abort, fault or rejected partial never poisons
+	// either (see TestCacheNotPoisoned*).
+	if x.err != nil {
+		st, code, doc := s.evalFailure(x.err, x.fan != nil && ctx.Err() == nil, timeout, entry.name, q.req.Query)
+		switch {
+		case st == flightrec.StatusBudget:
+			// The partial cost table shows the client where the budget went.
+			doc.CostTable = obs.CostTableWith(plan, meter, q.sel)
+		case st == flightrec.StatusError:
+			s.metrics.queryErrors.Add(1)
+			if code == http.StatusBadGateway {
+				// The completeness names exactly what was lost.
+				doc.Completeness = x.comp
+			}
+		}
+		return q.fail(st, code, doc)
+	}
+	complete := x.comp == nil || x.comp.Complete
+	if !complete {
+		s.metrics.partialResults.Add(1)
+		// Strict mode: an incomplete result the client did not opt into is a
+		// 502 (the upstream shards failed us), carrying the completeness
+		// object so the caller sees what degraded mode would have returned.
+		if !q.req.Partial {
+			s.metrics.queryErrors.Add(1)
+			return q.fail(flightrec.StatusPartial, http.StatusBadGateway, errorDoc{
+				Error: fmt.Sprintf(
+					"partial result: %d of %d shards lost (%d wids excluded); set \"partial\": true to accept degraded results",
+					x.comp.Failed+x.comp.Skipped, x.comp.Shards, x.comp.ExcludedWIDs),
+				Completeness: x.comp,
+			})
+		}
+	}
+	q.answer.set = x.set
+	if !complete {
+		// A partial result feeds neither statistics nor cache: its truncated
+		// output counts would read as selectivity and poison later plans,
+		// and a later query must not be served an excluded wid range's
+		// absence as if it were evaluated truth (the shards may well recover
+		// before the entry would age out).
+		return true
+	}
+	// Statistics hygiene: only a complete, successful evaluation feeds the
+	// selectivity registry. Distributed runs obey the same contract with a
+	// deferred flush: workers never flush their own registries (they cannot
+	// know the query's final disposition); they carry their measurements
+	// back in the wire cost table, and only here — where a degraded 206 is
+	// distinguishable from a complete answer — does the fleet table feed the
+	// registry.
+	if reg := s.statsFor(entry.name); reg != nil {
+		measured := meter.Snapshot()
+		if x.fan != nil {
+			measured = nodeStatsFromCostRows(plan, fleetTable)
+		}
+		if len(measured) > 0 {
+			reg.ObserveMeter(measured)
+			s.saveStats(entry.name)
+		}
+	}
+	if q.cacheable {
+		s.cache.put(q.cacheKey, q.answer)
+	}
+	return true
+}
+
+// respond encodes the answer in the requested mode.
+func (q *queryRun) respond() {
+	set, comp := q.answer.set, q.capture.Completeness
+	resp := queryResponse{
+		Log:          q.entry.name,
+		Query:        q.req.Query,
+		Canonical:    q.capture.Canonical,
+		Plan:         q.answer.plan.String(),
+		Strategy:     q.strategy.String(),
+		Mode:         q.mode,
+		Cached:       q.cached,
+		Count:        set.Len(),
+		Exists:       set.Len() > 0,
+		Completeness: comp,
+		Partial:      comp != nil && !comp.Complete,
+	}
+	if q.req.Trace {
+		// The internal always-on trace (flight recorder) is on the capture;
+		// the response carries it only when explicitly requested.
+		resp.Trace = q.capture.Trace
+	}
+	switch q.mode {
+	case "instances":
+		resp.Instances = set.WIDs()
+	case "incidents":
+		incs := set.Incidents()
+		if q.req.MaxResults > 0 && len(incs) > q.req.MaxResults {
+			incs = incs[:q.req.MaxResults]
+			resp.Truncated = true
+		}
+		resp.Incidents = cluster.FromIncidents(incs)
+		q.s.metrics.incidentsReturned.Add(uint64(len(incs)))
+	}
+	resp.ElapsedUS = time.Since(q.started).Microseconds()
+	q.capture.Status, q.capture.HTTPStatus = flightrec.StatusOK, http.StatusOK
+	if resp.Partial {
+		// 206: a well-formed answer covering only part of the log, as the
+		// request's "partial": true accepted.
+		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
+	}
+	writeJSON(q.w, q.capture.HTTPStatus, resp)
+}
+
+// plannerName labels which cost model ranked a plan, for captures and the
+// adaptive/static plan counters.
+func plannerName(sel rewrite.Selectivities) string {
+	if sel.Measured() {
+		return "adaptive"
+	}
+	return "static"
+}
+
+// retryAfterSeconds converts an advisory retry delay to the whole-second
+// Retry-After value. The delay is rounded UP (a sub-second hint must not
+// truncate to "retry immediately", which under saturation synchronizes
+// every shed client into a retry stampede), floored at 1 second, and
+// spread with up to one second of jitter so a burst of simultaneous 429s
+// does not come back as a burst of simultaneous retries.
+func retryAfterSeconds(d time.Duration) int {
+	secs := int((d + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	return secs + mrand.Intn(2)
+}
+
+// timeout resolves the effective per-request timeout: the configured bound,
+// lowered (never raised) by the request's timeout_ms.
+func (s *Server) timeout(requestMS int) time.Duration {
+	t := s.cfg.Timeout
+	if requestMS > 0 {
+		if rt := time.Duration(requestMS) * time.Millisecond; rt < t {
+			t = rt
+		}
+	}
+	return t
+}
+
+func parseStrategy(name string, fallback eval.Strategy) (eval.Strategy, error) {
+	switch name {
+	case "":
+		return fallback, nil
+	case "merge":
+		return eval.StrategyMerge, nil
+	case "naive":
+		return eval.StrategyNaive, nil
+	default:
+		return 0, fmt.Errorf("unknown strategy %q (want merge or naive)", name)
+	}
+}

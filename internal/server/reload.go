@@ -93,6 +93,18 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 
 	res := ReloadResult{Reloaded: []string{}}
 	fresh := make(map[string]*logEntry, len(targets))
+	// quarantine records a failed reload; the log keeps serving its last-good
+	// state.
+	quarantine := func(t target, msg string, err error) {
+		s.metrics.logReloadFailures.Add(1)
+		if res.Quarantined == nil {
+			res.Quarantined = make(map[string]string)
+		}
+		res.Quarantined[t.name] = err.Error()
+		if s.cfg.Logger != nil {
+			s.cfg.Logger.Error(msg, "log", t.name, "source", t.source, "error", err)
+		}
+	}
 	for _, t := range targets {
 		l, err := s.cfg.Loader(t.source)
 		if err == nil && l == nil {
@@ -106,15 +118,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 			err = l.Validate()
 		}
 		if err != nil {
-			s.metrics.logReloadFailures.Add(1)
-			if res.Quarantined == nil {
-				res.Quarantined = make(map[string]string)
-			}
-			res.Quarantined[t.name] = err.Error()
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Error("log reload failed; serving last-good snapshot",
-					"log", t.name, "source", t.source, "error", err)
-			}
+			quarantine(t, "log reload failed; serving last-good snapshot", err)
 			continue
 		}
 		e := &logEntry{
@@ -132,26 +136,18 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 			// cannot legally follow — quarantines the log; the coordinator
 			// and the served entry are left untouched.
 			if err := t.live.Rebase(l); err != nil {
-				s.metrics.logReloadFailures.Add(1)
-				if res.Quarantined == nil {
-					res.Quarantined = make(map[string]string)
-				}
-				res.Quarantined[t.name] = err.Error()
-				if s.cfg.Logger != nil {
-					s.cfg.Logger.Error("log reload conflicts with its WAL; serving last-good state",
-						"log", t.name, "source", t.source, "error", err)
-				}
+				quarantine(t, "log reload conflicts with its WAL; serving last-good state", err)
 				continue
 			}
 			e.live = t.live
 			e.ix = t.live.Monitor().Source()
 		} else {
 			e.ix = s.newBackend(l)
-			// The shard executor is rebuilt with the backend: the new partition
-			// matches the new log, and breaker history bound to stale wid ranges
-			// is discarded with them.
-			e.shardex = s.newShardExecutor(e.ix)
 		}
+		// The executor (and its shard executor) is rebuilt with the backend:
+		// the new partition matches the new log, and breaker history bound to
+		// stale wid ranges is discarded with them.
+		s.bindExecutor(e)
 		fresh[t.name] = e
 		res.Reloaded = append(res.Reloaded, t.name)
 	}

@@ -25,19 +25,16 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	mrand "math/rand"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
-	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
 	"wlq/internal/flightrec"
@@ -227,6 +224,9 @@ type logEntry struct {
 	// It lives as long as the entry, so per-shard circuit-breaker history
 	// persists across queries; a reload replaces it together with the index.
 	shardex *shard.Executor
+	// exec is how the entry's queries run (bindExecutor): chosen with the
+	// backend, once per log generation.
+	exec executor
 	// live is the log's durable ingest coordinator (nil unless
 	// Config.Ingest). Unlike the rest of the entry it is long-lived shared
 	// state: a hot reload rebases the SAME coordinator onto the fresh
@@ -348,6 +348,18 @@ func (s *Server) statsFor(name string) *stats.Registry {
 	return nil
 }
 
+// selectivitiesFor returns what the cost model ranks a log's plans with: its
+// measured selectivities when a statistics registry is attached (the
+// adaptive cost model), the Lemma 1 model constants otherwise. Either way
+// the rewrite laws applied are identical — answers cannot change, only
+// plan shape.
+func (s *Server) selectivitiesFor(name string) rewrite.Selectivities {
+	if reg := s.statsFor(name); reg != nil {
+		return reg.Selectivities()
+	}
+	return rewrite.ModelSelectivities()
+}
+
 // saveStats persists a log's registry to its snapshot path, if it has one.
 // Failures are logged, not fatal: statistics are an optimization, and the
 // next successful query retries the write.
@@ -411,8 +423,8 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 		}
 	} else {
 		e.ix = s.newBackend(l)
-		e.shardex = s.newShardExecutor(e.ix)
 	}
+	s.bindExecutor(e)
 	if s.cfg.Adaptive {
 		path := s.cfg.StatsFile
 		if path == "" {
@@ -444,40 +456,6 @@ func (s *Server) newBackend(l *wlog.Log) eval.Source {
 		return colstore.Build(l)
 	}
 	return eval.NewIndex(l)
-}
-
-// newShardExecutor builds a log's sharded executor from the server config,
-// or nil when sharded execution is disabled.
-func (s *Server) newShardExecutor(ix eval.Source) *shard.Executor {
-	// A coordinator's failure domains are the workers; in-process shards on
-	// top would partition twice for no added isolation.
-	if s.cfg.Shards == 0 || s.coord != nil {
-		return nil
-	}
-	n := s.cfg.Shards
-	if n < 0 {
-		n = 0 // shard.Partition resolves 0 to GOMAXPROCS
-	}
-	return shard.NewExecutor(ix, shard.Config{
-		Shards:           n,
-		MaxAttempts:      s.cfg.ShardAttempts,
-		BreakerThreshold: s.cfg.BreakerThreshold,
-		BreakerCooldown:  s.cfg.BreakerCooldown,
-	})
-}
-
-// openBreakers sums the not-closed circuit breakers across every loaded
-// log's shard executor — the "poisoned shards" gauge at /metrics.
-func (s *Server) openBreakers() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	open := 0
-	for _, e := range s.logs {
-		if e.shardex != nil {
-			open += e.shardex.OpenBreakers()
-		}
-	}
-	return open
 }
 
 // lookup resolves a log name; a single loaded log may be addressed with an
@@ -654,662 +632,6 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
-// queryRequest is the POST /v1/query body.
-type queryRequest struct {
-	// Log names the loaded log to query (optional when one log is loaded).
-	Log string `json:"log"`
-	// Query is the incident-pattern query text.
-	Query string `json:"query"`
-	// Mode selects the answer shape: "incidents" (default), "exists",
-	// "count", or "instances".
-	Mode string `json:"mode,omitempty"`
-	// Strategy overrides the join implementation: "merge" or "naive".
-	Strategy string `json:"strategy,omitempty"`
-	// NoOptimize evaluates the pattern exactly as written, bypassing both
-	// the Theorem 2–5 rewriter and the cache.
-	NoOptimize bool `json:"no_optimize,omitempty"`
-	// Limit caps (best effort) incidents per operator per instance.
-	// Results depend on it, so it is part of the cache key.
-	Limit int `json:"limit,omitempty"`
-	// Workers overrides the per-query parallelism (capped by the server's
-	// configured value).
-	Workers int `json:"workers,omitempty"`
-	// MaxResults truncates the incidents array in the response (the full
-	// set is still computed and cached); 0 returns everything.
-	MaxResults int `json:"max_results,omitempty"`
-	// TimeoutMS lowers the per-request timeout; it cannot raise it above
-	// the server's configured value.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Trace enables execution tracing: the response carries the span tree
-	// and the per-operator Lemma 1 cost table. Traced queries bypass the
-	// result cache (a cached result has no fresh evaluation to measure).
-	Trace bool `json:"trace,omitempty"`
-	// Partial opts into degraded mode on a sharded server: when shards are
-	// lost to faults, accept the surviving shards' incidents as a 206
-	// response with a completeness object instead of a 502. Ignored when
-	// the server does not shard (results are then always complete).
-	Partial bool `json:"partial,omitempty"`
-}
-
-// incidentDoc is the wire form of one incident.
-type incidentDoc struct {
-	WID  uint64   `json:"wid"`
-	Seqs []uint64 `json:"seqs"`
-}
-
-// queryResponse is the POST /v1/query result.
-type queryResponse struct {
-	Log       string        `json:"log"`
-	Query     string        `json:"query"`
-	Canonical string        `json:"canonical"`
-	Plan      string        `json:"plan"`
-	Strategy  string        `json:"strategy"`
-	Mode      string        `json:"mode"`
-	Cached    bool          `json:"cached"`
-	ElapsedUS int64         `json:"elapsed_us"`
-	Count     int           `json:"count"`
-	Exists    bool          `json:"exists"`
-	Instances []uint64      `json:"instances,omitempty"`
-	Incidents []incidentDoc `json:"incidents,omitempty"`
-	Truncated bool          `json:"truncated,omitempty"`
-	// Trace is present when the request set "trace": true — the span tree
-	// and per-operator cost table of this evaluation.
-	Trace *obs.QueryTrace `json:"trace,omitempty"`
-	// Partial is true when shards were lost and the result covers only the
-	// surviving wid ranges (HTTP 206; requires "partial": true in the
-	// request). Completeness is present on every sharded evaluation and
-	// says exactly which wid ranges the result covers.
-	Partial      bool                `json:"partial,omitempty"`
-	Completeness *shard.Completeness `json:"completeness,omitempty"`
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.queriesTotal.Add(1)
-	// Admission control: shed immediately rather than queue behind a
-	// saturated worker pool — a bounded, fast 429 beats an unbounded, slow
-	// 504 (clients can back off; goodput is preserved under overload).
-	if !s.admission.TryAcquire() {
-		s.metrics.queriesShed.Add(1)
-		retry := retryAfterSeconds(s.admission.RetryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, errorDoc{
-			Error: fmt.Sprintf("server saturated: %d queries in flight (limit %d)",
-				s.admission.InFlight(), s.admission.Capacity()),
-			RetryAfterSeconds: retry,
-		})
-		return
-	}
-	defer s.admission.Release()
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
-	started := time.Now()
-
-	// Latency is observed on EVERY exit path — parse errors, timeouts and
-	// evaluation failures included — so the percentiles and the histogram
-	// are not survivorship-biased toward successful queries. The slow-query
-	// log rides on the same hook, and so does the flight recorder: every
-	// exit path with a known query text lands in it (slow and failed
-	// executions additionally earn a slot in its notable ring).
-	var req queryRequest
-	var capture flightrec.Capture
-	defer func() {
-		elapsed := time.Since(started)
-		s.metrics.observeLatency(elapsed)
-		slow := s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery
-		if slow {
-			s.metrics.slowQueries.Add(1)
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Warn("slow query",
-					"query", req.Query,
-					"log", req.Log,
-					"duration_ms", float64(elapsed.Microseconds())/1000,
-					"threshold_ms", float64(s.cfg.SlowQuery.Microseconds())/1000,
-				)
-			}
-		}
-		if s.flight != nil && req.Query != "" {
-			capture.Time = time.Now()
-			capture.Query = req.Query
-			capture.Backend = s.backendName()
-			capture.ElapsedUS = elapsed.Microseconds()
-			capture.Slow = slow
-			if capture.Status == "" {
-				capture.Status = flightrec.StatusOK
-				capture.HTTPStatus = http.StatusOK
-			}
-			s.flight.Record(capture)
-		}
-	}()
-	// capFail stamps the capture's outcome on an error exit; the deferred
-	// hook above records it.
-	capFail := func(st flightrec.Status, code int, msg string) {
-		capture.Status = st
-		capture.HTTPStatus = code
-		capture.Error = msg
-	}
-
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.metrics.queryErrors.Add(1)
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		s.metrics.queryErrors.Add(1)
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
-		return
-	}
-	if req.Query == "" {
-		s.metrics.queryErrors.Add(1)
-		writeError(w, http.StatusBadRequest, "missing query")
-		return
-	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "incidents"
-	}
-	switch mode {
-	case "incidents", "exists", "count", "instances":
-	default:
-		s.metrics.queryErrors.Add(1)
-		capFail(flightrec.StatusError, http.StatusBadRequest, "unknown mode "+mode)
-		writeError(w, http.StatusBadRequest,
-			"unknown mode %q (want incidents, exists, count or instances)", mode)
-		return
-	}
-	strategy, err := parseStrategy(req.Strategy, s.cfg.Strategy)
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		capFail(flightrec.StatusError, http.StatusBadRequest, err.Error())
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Limit < 0 || req.Workers < 0 || req.MaxResults < 0 || req.TimeoutMS < 0 {
-		s.metrics.queryErrors.Add(1)
-		capFail(flightrec.StatusError, http.StatusBadRequest, "negative request parameter")
-		writeError(w, http.StatusBadRequest, "limit, workers, max_results and timeout_ms must be >= 0")
-		return
-	}
-	entry, err := s.lookup(req.Log)
-	if err != nil {
-		s.metrics.queryErrors.Add(1)
-		capFail(flightrec.StatusError, http.StatusNotFound, err.Error())
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	capture.Log = entry.name
-	capture.Generation = entry.gen
-	capture.Sharded = entry.shardex != nil
-	// A live log's backend mutates under appends; freeze it for the whole
-	// request — planning, evaluation, AND the cache put. Holding the read
-	// lock across the put closes the stale-entry race: an append can only
-	// take the write lock (and so run its delta invalidation) after this
-	// request's result — computed from the pre-append view — is already in
-	// the cache, where the invalidation sweep will find it.
-	if entry.live != nil {
-		mon := entry.live.Monitor()
-		mon.RLock()
-		defer mon.RUnlock()
-		capture.IngestLSN = mon.LastLSNLocked()
-	}
-
-	// The trace is created before parsing so the parse span covers it. With
-	// the flight recorder on, EVERY execution is traced internally — the
-	// capture carries the span tree and cost table whether or not the client
-	// asked for them — but only an explicit "trace": true puts the trace in
-	// the response (and bypasses the result cache to guarantee fresh
-	// measurements; the internal trace does not change caching semantics).
-	var qtr *obs.Trace
-	if req.Trace || s.flight != nil {
-		qtr = obs.NewTrace("query")
-	}
-
-	sp := qtr.StartSpan("parse")
-	p, err := pattern.Parse(req.Query)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		s.metrics.queryErrors.Add(1)
-		capFail(flightrec.StatusError, http.StatusBadRequest, "parse error: "+err.Error())
-		writeError(w, http.StatusBadRequest, "parse error: %v", err)
-		return
-	}
-	sp.SetAttr("pattern", p.String())
-	sp.SetAttr("atoms", len(pattern.Atoms(p)))
-	sp.SetAttr("operators", pattern.Operators(p))
-	sp.End()
-
-	sp = qtr.StartSpan("canonicalize")
-	canonical := pattern.CanonicalKey(p)
-	sp.SetAttr("key", canonical)
-	sp.End()
-	capture.Canonical = canonical
-
-	// The reload generation is part of the key, so a hot reload makes every
-	// pre-reload entry unreachable (LRU pressure ages them out) without an
-	// invalidation sweep.
-	cacheKey := fmt.Sprintf("%s\x00gen=%d\x00%s\x00limit=%d", entry.name, entry.gen, canonical, req.Limit)
-	// Traced queries bypass the result cache: a cached result carries no
-	// fresh evaluation to measure, so a hit would return an empty or stale
-	// cost table.
-	cacheable := !req.NoOptimize && !req.Trace
-
-	var (
-		ce         *cacheEntry
-		cached     bool
-		queryTrace *obs.QueryTrace
-		comp       *shard.Completeness // non-nil iff the query ran sharded
-	)
-	if cacheable {
-		ce, cached = s.cache.get(cacheKey)
-	}
-	if cached {
-		s.metrics.cacheHits.Add(1)
-		capture.Cached = true
-		capture.Plan = ce.plan.String()
-		if qtr != nil {
-			// A cache hit ran no evaluation: the capture's trace carries the
-			// parse/canonicalize spans but no eval spans or cost table.
-			qtr.End()
-			capture.Trace = &obs.QueryTrace{
-				Query:    req.Query,
-				Plan:     ce.plan.String(),
-				Strategy: strategy.String(),
-				Spans:    qtr.Root(),
-			}
-		}
-	} else {
-		if cacheable {
-			s.metrics.cacheMisses.Add(1)
-		}
-		// The adaptive cost model: rank plans with the log's measured
-		// selectivities when a statistics registry is attached, the Lemma 1
-		// model constants otherwise. Either way the rewrite laws applied are
-		// identical — answers cannot change, only plan shape.
-		sel := rewrite.ModelSelectivities()
-		if reg := s.statsFor(entry.name); reg != nil {
-			sel = reg.Selectivities()
-		}
-		capture.Planner = plannerName(sel)
-		plan := pattern.Node(p)
-		var trace rewrite.Trace
-		if req.NoOptimize {
-			trace = rewrite.Trace{Input: p, Output: p}
-		} else {
-			sp = qtr.StartSpan("rewrite")
-			plan, trace = rewrite.ExplainWith(p, entry.ix, sel)
-			obs.RewriteSpans(sp, trace)
-			sp.End()
-			if sel.Measured() {
-				s.metrics.adaptivePlans.Add(1)
-			} else {
-				s.metrics.staticPlans.Add(1)
-			}
-		}
-		capture.Plan = plan.String()
-
-		// Pre-flight admission: the cost model prices the plan the service
-		// will actually run, so queries predicted to blow past the ceiling
-		// are rejected before they consume a single worker.
-		if s.cfg.MaxPredictedCost > 0 {
-			predicted := rewrite.NewEstimatorWith(entry.ix, sel).Cost(plan)
-			if predicted > s.cfg.MaxPredictedCost {
-				s.metrics.costRejected.Add(1)
-				capFail(flightrec.StatusError, http.StatusUnprocessableEntity,
-					fmt.Sprintf("predicted cost %.3g exceeds ceiling %.3g", predicted, s.cfg.MaxPredictedCost))
-				writeJSON(w, http.StatusUnprocessableEntity, errorDoc{
-					Error: fmt.Sprintf(
-						"query rejected before evaluation: predicted cost %.3g exceeds the ceiling %.3g (tighten the pattern, or raise -max-predicted-cost)",
-						predicted, s.cfg.MaxPredictedCost),
-					PredictedCost: predicted,
-					CostCeiling:   s.cfg.MaxPredictedCost,
-				})
-				return
-			}
-		}
-
-		meter := eval.NewMeter(plan)
-		opts := eval.Options{Strategy: strategy, Limit: req.Limit, Meter: meter, Budget: s.cfg.Budget}
-		workers := s.resolveWorkers(req.Workers, entry.ix)
-		ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMS))
-		defer cancel()
-		if qtr != nil {
-			ctx = obs.WithTrace(ctx, qtr)
-		}
-
-		sp = qtr.StartSpan("eval")
-		var qs eval.QueryStats
-		var set *incident.Set
-		// Distributed runs fill these from the fan-out: the fleet-aggregated
-		// Lemma 1 table (workers measured, coordinator sums) and the
-		// propagated trace id.
-		var fleetTable []obs.CostRow
-		var distTraceID string
-		if s.coord != nil {
-			// Distributed execution: the coordinator fans the optimized plan
-			// out to the workers owning wids (consistent hash placement) and
-			// merges their answers; a lost worker degrades the result to a
-			// partial instead of failing the query, under the same
-			// completeness contract as in-process shards.
-			s.metrics.clusterQueries.Add(1)
-			var fan cluster.Fanout
-			set, comp, fan, err = s.coord.Execute(ctx, entry.name, plan, cluster.ExecOptions{
-				WIDs:     entry.ix.WIDs(),
-				Strategy: strategy.String(),
-				Limit:    req.Limit,
-				Budget:   s.cfg.Budget,
-			}, &qs)
-			capture.Workers = workerSummaryOf(fan)
-			fleetTable = fan.CostTable
-			distTraceID = fan.TraceID
-			if comp != nil {
-				s.metrics.widsExcluded.Add(uint64(comp.ExcludedWIDs))
-			}
-		} else if entry.shardex != nil {
-			// Sharded execution: each shard is its own failure domain with a
-			// budget slice, retry loop and circuit breaker; a lost shard
-			// yields a partial result instead of a failed query.
-			s.metrics.shardedQueries.Add(1)
-			set, comp, err = entry.shardex.Execute(ctx, plan, opts, &qs)
-			s.metrics.shardRetries.Add(uint64(qs.ShardRetries))
-			if comp != nil {
-				s.metrics.shardsFailed.Add(uint64(comp.Failed))
-				s.metrics.shardsSkipped.Add(uint64(comp.Skipped))
-				s.metrics.widsExcluded.Add(uint64(comp.ExcludedWIDs))
-			}
-		} else {
-			ev := eval.New(entry.ix, opts)
-			s.metrics.busyWorkers.Add(int64(workers))
-			set, err = ev.EvalParallelCtx(ctx, plan, workers, &qs)
-			s.metrics.busyWorkers.Add(int64(-workers))
-		}
-		s.metrics.instancesEvaluated.Add(uint64(qs.Instances))
-		s.metrics.recordMeter(meter)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
-			// Error paths return before cache.put: a timeout, budget abort
-			// or fault never poisons the result cache (see TestCacheNotPoisoned*).
-			// The capture of a failed evaluation still carries the partial
-			// cost table: every operator that completed before the abort is
-			// accounted, which is usually exactly what explains the failure.
-			qtr.End()
-			if qtr != nil {
-				ct := obs.CostTableWith(plan, meter, sel)
-				if len(fleetTable) > 0 {
-					// Distributed: the workers measured; the local meter is
-					// empty. A degraded run's fleet table still reflects only
-					// the merged (complete) worker answers.
-					ct = fleetTable
-				}
-				if distTraceID != "" {
-					obs.StampWorker(qtr.Root(), "coordinator")
-				}
-				capture.Trace = &obs.QueryTrace{
-					Query:     req.Query,
-					Plan:      plan.String(),
-					Strategy:  strategy.String(),
-					TraceID:   distTraceID,
-					Spans:     qtr.Root(),
-					CostTable: ct,
-				}
-			}
-			var be *resilience.BudgetError
-			var pe *resilience.PanicError
-			switch {
-			case errors.As(err, &be):
-				// 422 with the partial cost table: every operator that
-				// completed before the abort is accounted, so the client
-				// sees where the budget went.
-				s.metrics.budgetAborts.Add(1)
-				capFail(flightrec.StatusBudget, http.StatusUnprocessableEntity, be.Error())
-				writeJSON(w, http.StatusUnprocessableEntity, errorDoc{
-					Error:           fmt.Sprintf("query aborted: %v", be),
-					BudgetDimension: be.Dimension,
-					BudgetLimit:     be.Limit,
-					BudgetMeasured:  be.Measured,
-					CostTable:       obs.CostTableWith(plan, meter, sel),
-				})
-			case errors.As(err, &pe):
-				s.metrics.panicsRecovered.Add(1)
-				if s.cfg.Logger != nil {
-					s.cfg.Logger.Error("panic recovered in evaluation",
-						"incident_id", pe.IncidentID,
-						"query", req.Query,
-						"panic", fmt.Sprint(pe.Value),
-						"stack", string(pe.Stack),
-					)
-				}
-				capFail(flightrec.StatusPanic, http.StatusInternalServerError,
-					"evaluation fault (incident "+pe.IncidentID+")")
-				writeJSON(w, http.StatusInternalServerError, errorDoc{
-					Error:      "evaluation fault; the query was isolated and the service keeps serving",
-					IncidentID: pe.IncidentID,
-				})
-			case s.coord != nil && ctx.Err() == nil:
-				// Whole-fleet loss: every shard-holding worker failed or was
-				// skipped by its breaker (single-worker losses degrade to a
-				// partial above, not an error). 502: the upstreams failed us.
-				// The completeness names exactly what was lost.
-				s.metrics.queryErrors.Add(1)
-				capFail(flightrec.StatusError, http.StatusBadGateway,
-					"cluster evaluation failed: "+err.Error())
-				capture.Completeness = comp
-				writeJSON(w, http.StatusBadGateway, errorDoc{
-					Error:        fmt.Sprintf("cluster evaluation failed: %v", err),
-					Completeness: comp,
-				})
-			case errors.Is(err, context.DeadlineExceeded):
-				s.metrics.queryTimeouts.Add(1)
-				capFail(flightrec.StatusTimeout, http.StatusGatewayTimeout,
-					fmt.Sprintf("query exceeded the %v evaluation timeout", s.timeout(req.TimeoutMS)))
-				writeError(w, http.StatusGatewayTimeout,
-					"query exceeded the %v evaluation timeout", s.timeout(req.TimeoutMS))
-			default:
-				s.metrics.queryErrors.Add(1)
-				capFail(flightrec.StatusError, http.StatusInternalServerError, err.Error())
-				writeError(w, http.StatusInternalServerError, "evaluation aborted: %v", err)
-			}
-			return
-		}
-		sp.SetAttr("strategy", strategy.String())
-		sp.SetAttr("workers", qs.Workers)
-		sp.SetAttr("instances", qs.Instances)
-		sp.SetAttr("incidents", qs.Incidents)
-		obs.EvalSpansWith(sp, plan, meter, sel)
-		sp.End()
-		qtr.End()
-		if qtr != nil {
-			// Built whenever an internal trace exists (flight recorder on or
-			// trace requested); attached to the response only on request.
-			ct := obs.CostTableWith(plan, meter, sel)
-			if len(fleetTable) > 0 {
-				ct = fleetTable
-			}
-			if distTraceID != "" {
-				// Every locally recorded span of a stitched distributed trace
-				// gets coordinator attribution; grafted subtrees keep the
-				// worker stamp they arrived with.
-				obs.StampWorker(qtr.Root(), "coordinator")
-			}
-			queryTrace = &obs.QueryTrace{
-				Query:     req.Query,
-				Plan:      plan.String(),
-				Strategy:  strategy.String(),
-				TraceID:   distTraceID,
-				Spans:     qtr.Root(),
-				CostTable: ct,
-			}
-			capture.Trace = queryTrace
-		}
-		// Strict mode: an incomplete result the client did not opt into is a
-		// 502 (the upstream shards failed us), carrying the completeness
-		// object so the caller sees what degraded mode would have returned.
-		if comp != nil && !comp.Complete {
-			s.metrics.partialResults.Add(1)
-			if !req.Partial {
-				s.metrics.queryErrors.Add(1)
-				capFail(flightrec.StatusPartial, http.StatusBadGateway,
-					fmt.Sprintf("partial result rejected: %d of %d shards lost", comp.Failed+comp.Skipped, comp.Shards))
-				capture.Completeness = comp
-				writeJSON(w, http.StatusBadGateway, errorDoc{
-					Error: fmt.Sprintf(
-						"partial result: %d of %d shards lost (%d wids excluded); set \"partial\": true to accept degraded results",
-						comp.Failed+comp.Skipped, comp.Shards, comp.ExcludedWIDs),
-					Completeness: comp,
-				})
-				return
-			}
-		}
-		// Statistics hygiene: only a complete, successful evaluation feeds
-		// the selectivity registry. Partial results (lost shards), budget
-		// aborts, panics and timeouts all exited above — their truncated
-		// output counts would read as selectivity and poison later plans.
-		// Distributed runs obey the same contract with a deferred flush:
-		// workers never flush their own registries (they cannot know the
-		// query's final disposition); they carry their measurements back in
-		// the wire cost table, and only here — where a degraded 206 is
-		// distinguishable from a complete answer — does the fleet table feed
-		// the registry.
-		if reg := s.statsFor(entry.name); reg != nil && (comp == nil || comp.Complete) {
-			if s.coord == nil {
-				meter.Flush(reg)
-				s.saveStats(entry.name)
-			} else if ns := nodeStatsFromCostRows(plan, fleetTable); ns != nil {
-				reg.ObserveMeter(ns)
-				s.saveStats(entry.name)
-			}
-		}
-		// The log name and the plan's atoms tag the entry for delta
-		// invalidation under live ingestion: an append drops exactly the
-		// entries whose answers could include the new record.
-		ce = &cacheEntry{plan: plan, trace: trace, set: set,
-			log: entry.name, atoms: pattern.Atoms(plan)}
-		// A partial result is never cached: a later query must not be served
-		// an excluded wid range's absence as if it were evaluated truth, and
-		// the shards may well recover before the entry would age out.
-		if cacheable && (comp == nil || comp.Complete) {
-			s.cache.put(cacheKey, ce)
-		}
-	}
-
-	resp := queryResponse{
-		Log:       entry.name,
-		Query:     req.Query,
-		Canonical: canonical,
-		Plan:      ce.plan.String(),
-		Strategy:  strategy.String(),
-		Mode:      mode,
-		Cached:    cached,
-		Count:     ce.set.Len(),
-		Exists:    ce.set.Len() > 0,
-	}
-	if req.Trace {
-		// The internal always-on trace (flight recorder) is captured above;
-		// the response carries it only when explicitly requested.
-		resp.Trace = queryTrace
-	}
-	resp.Completeness = comp
-	resp.Partial = comp != nil && !comp.Complete
-	switch mode {
-	case "instances":
-		resp.Instances = ce.set.WIDs()
-	case "incidents":
-		incs := ce.set.Incidents()
-		if req.MaxResults > 0 && len(incs) > req.MaxResults {
-			incs = incs[:req.MaxResults]
-			resp.Truncated = true
-		}
-		docs := make([]incidentDoc, len(incs))
-		for i, inc := range incs {
-			docs[i] = incidentDoc{WID: inc.WID(), Seqs: inc.Seqs()}
-		}
-		resp.Incidents = docs
-		s.metrics.incidentsReturned.Add(uint64(len(docs)))
-	}
-	resp.ElapsedUS = time.Since(started).Microseconds()
-	code := http.StatusOK
-	capture.Status = flightrec.StatusOK
-	if resp.Partial {
-		// 206: a well-formed answer covering only part of the log, as the
-		// request's "partial": true accepted.
-		code = http.StatusPartialContent
-		capture.Status = flightrec.StatusPartial
-	}
-	capture.HTTPStatus = code
-	capture.Completeness = comp
-	writeJSON(w, code, resp)
-}
-
-// plannerName labels which cost model ranked a plan, for captures and the
-// adaptive/static plan counters.
-func plannerName(sel rewrite.Selectivities) string {
-	if sel.Measured() {
-		return "adaptive"
-	}
-	return "static"
-}
-
-// retryAfterSeconds converts an advisory retry delay to the whole-second
-// Retry-After value. The delay is rounded UP (a sub-second hint must not
-// truncate to "retry immediately", which under saturation synchronizes
-// every shed client into a retry stampede), floored at 1 second, and
-// spread with up to one second of jitter so a burst of simultaneous 429s
-// does not come back as a burst of simultaneous retries.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs + mrand.Intn(2)
-}
-
-// timeout resolves the effective per-request timeout: the configured bound,
-// lowered (never raised) by the request's timeout_ms.
-func (s *Server) timeout(requestMS int) time.Duration {
-	t := s.cfg.Timeout
-	if requestMS > 0 {
-		if rt := time.Duration(requestMS) * time.Millisecond; rt < t {
-			t = rt
-		}
-	}
-	return t
-}
-
-// resolveWorkers mirrors eval's worker resolution so the busy-worker gauge
-// matches what EvalParallelCtx actually spawns: the configured (or lower
-// requested) count, capped by the instance count.
-func (s *Server) resolveWorkers(requested int, ix eval.Source) int {
-	w := s.cfg.Workers
-	if requested > 0 && requested < w {
-		w = requested
-	}
-	if n := len(ix.WIDs()); w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-func parseStrategy(name string, fallback eval.Strategy) (eval.Strategy, error) {
-	switch name {
-	case "":
-		return fallback, nil
-	case "merge":
-		return eval.StrategyMerge, nil
-	case "naive":
-		return eval.StrategyNaive, nil
-	default:
-		return 0, fmt.Errorf("unknown strategy %q (want merge or naive)", name)
-	}
-}
-
 // estimateDoc is the wire form of a rewrite.Estimate.
 type estimateDoc struct {
 	Cost            float64 `json:"cost"`
@@ -1387,10 +709,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	sel := rewrite.ModelSelectivities()
-	if reg := s.statsFor(entry.name); reg != nil {
-		sel = reg.Selectivities()
-	}
+	sel := s.selectivitiesFor(entry.name)
 	// The estimator reads activity counts off the backend; freeze a live
 	// log's backend against appends for the duration.
 	if entry.live != nil {
@@ -1520,10 +839,5 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"unknown format %q (want json or prometheus)", format)
 		return
 	}
-	s.mu.RLock()
-	loaded, quarantined := len(s.logs), len(s.quarantine)
-	s.mu.RUnlock()
-	writeJSON(w, http.StatusOK,
-		s.metrics.snapshot(loaded, quarantined, s.cfg.Workers, s.openBreakers(),
-			s.cache, s.admission, s.flight, s.backendName(), s.clusterMetrics(), s.ingestMetrics()))
+	writeJSON(w, http.StatusOK, s.metricsSnapshot())
 }

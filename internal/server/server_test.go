@@ -453,6 +453,56 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
+// TestShardedBusyWorkersGauge holds one shard inside evaluation and scrapes
+// /metrics meanwhile: a sharded query keeps one goroutine per shard busy, and
+// the gauge must say so (it used to move only on the unsharded path).
+func TestShardedBusyWorkersGauge(t *testing.T) {
+	log, err := wlq.ClinicLog(40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	s := New(Config{Shards: shards})
+	if err := s.AddLog("clinic", "clinic:40:3", log); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	eval.SetEvalHook(func(uint64) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	defer eval.SetEvalHook(nil)
+
+	done := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/query",
+			strings.NewReader(`{"log":"clinic","query":"GetRefer -> SeeDoctor"}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		done <- rec.Code
+	}()
+	<-entered
+	var m metricsDoc
+	getJSON(t, h, "/metrics", &m)
+	if m.BusyWorkers != shards {
+		t.Errorf("busy_workers = %d while a sharded query evaluates, want %d", m.BusyWorkers, shards)
+	}
+	close(release)
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("held query finished with %d", code)
+	}
+	getJSON(t, h, "/metrics", &m)
+	if m.BusyWorkers != 0 {
+		t.Errorf("busy_workers = %d after the query returned, want 0", m.BusyWorkers)
+	}
+}
+
 func TestServedResultsMatchEngineAcrossStrategies(t *testing.T) {
 	// Acceptance: wlq-serve answers match cmd/wlq (the Engine) on the same
 	// log/pattern, for both strategies, with and without the cache.

@@ -3,18 +3,14 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/obs"
-	"wlq/internal/resilience"
 )
 
 // The worker side of the cluster tier (Config.WorkerMode): one endpoint,
@@ -31,43 +27,35 @@ import (
 // span tree and cost table back, but the measurements are the
 // coordinator's to act on.
 
-// decodeJSON decodes a wire document. Unknown fields are tolerated: during
-// a rolling upgrade the coordinator and workers may briefly speak adjacent
-// protocol versions, and rejecting a new optional field would turn every
-// deploy into an outage.
-func decodeJSON(r io.Reader, v any) error {
-	return json.NewDecoder(r).Decode(v)
-}
-
 // handleWorkerQuery serves one shard-holding worker's part of a distributed
-// query.
+// query: the query pipeline's admit stage, a prepare stage in place of
+// decode and plan (the plan arrives optimized), then the shared execute
+// stage and error table.
 func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	s.metrics.workerQueries.Add(1)
-	// The shared admission controller protects worker capacity too; a shed
-	// request is a 429, which the coordinator classifies as retryable.
-	if !s.admission.TryAcquire() {
-		s.metrics.queriesShed.Add(1)
+	// Every failure is a worker error envelope; the coordinator classifies a
+	// 5xx or 429 as retryable, anything else as deterministic.
+	fail := func(code int, doc errorDoc) {
 		s.metrics.workerQueryErrors.Add(1)
-		retry := retryAfterSeconds(s.admission.RetryAfter())
-		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		writeJSON(w, http.StatusTooManyRequests, cluster.WorkerErrorDoc{
-			Error: fmt.Sprintf("worker saturated: %d queries in flight (limit %d)",
-				s.admission.InFlight(), s.admission.Capacity()),
+		writeJSON(w, code, cluster.WorkerErrorDoc{
+			Error: doc.Error, BudgetDimension: doc.BudgetDimension, IncidentID: doc.IncidentID,
 		})
+	}
+	// The shared admission controller protects worker capacity too.
+	if doc, ok := s.admit(w, "worker"); !ok {
+		fail(http.StatusTooManyRequests, doc)
 		return
 	}
 	defer s.admission.Release()
 	started := time.Now()
 
-	fail := func(code int, doc cluster.WorkerErrorDoc) {
-		s.metrics.workerQueryErrors.Add(1)
-		writeJSON(w, code, doc)
-	}
-
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// Unknown fields are tolerated: during a rolling upgrade the coordinator
+	// and workers may briefly speak adjacent protocol versions, and rejecting
+	// a new optional field would turn every deploy into an outage.
 	var req cluster.WorkerQueryRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		fail(http.StatusBadRequest, cluster.WorkerErrorDoc{Error: "malformed worker request: " + err.Error()})
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		fail(http.StatusBadRequest, errorDoc{Error: "malformed worker request: " + err.Error()})
 		return
 	}
 	// Distributed tracing: when the coordinator asks, run the evaluation
@@ -91,17 +79,17 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	prep := tr.StartSpan("prepare")
 	entry, err := s.lookup(req.Log)
 	if err != nil {
-		fail(http.StatusNotFound, cluster.WorkerErrorDoc{Error: err.Error()})
+		fail(http.StatusNotFound, errorDoc{Error: err.Error()})
 		return
 	}
 	p, err := pattern.Parse(req.Plan)
 	if err != nil {
-		fail(http.StatusBadRequest, cluster.WorkerErrorDoc{Error: "bad plan: " + err.Error()})
+		fail(http.StatusBadRequest, errorDoc{Error: "bad plan: " + err.Error()})
 		return
 	}
 	strategy, err := parseStrategy(req.Strategy, s.cfg.Strategy)
 	if err != nil {
-		fail(http.StatusBadRequest, cluster.WorkerErrorDoc{Error: err.Error()})
+		fail(http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
 	if tr != nil {
@@ -114,9 +102,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	ring := cluster.NewRing(req.Ring, req.Replicas)
 	self := ring.WorkerIndex(req.Self)
 	if self < 0 {
-		fail(http.StatusBadRequest, cluster.WorkerErrorDoc{
-			Error: fmt.Sprintf("self %q not in ring membership", req.Self),
-		})
+		fail(http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("self %q not in ring membership", req.Self)})
 		return
 	}
 	owned := ring.OwnedWIDs(entry.ix.WIDs(), self)
@@ -127,59 +113,29 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
 	opts := eval.Options{Strategy: strategy, Limit: req.Limit, Meter: meter, Budget: req.Budget.Budget()}
-	var qs eval.QueryStats
 	esp := tr.StartSpan("eval")
-	set, err := eval.New(entry.ix, opts).EvalWIDsCtx(ctx, p, owned, &qs)
+	// One goroutine evaluates the owned wids serially: the fleet is the
+	// query's parallelism, as shards are an in-process executor's.
+	x := s.execute(1, func() (x execution) {
+		x.set, x.err = eval.New(entry.ix, opts).EvalWIDsCtx(ctx, p, owned, &x.stats)
+		return x
+	})
 	esp.End()
-	if err != nil {
-		var be *resilience.BudgetError
-		var pe *resilience.PanicError
-		switch {
-		case errors.As(err, &be):
-			// Deterministic: the coordinator must not retry a budget abort.
-			s.metrics.budgetAborts.Add(1)
-			fail(http.StatusUnprocessableEntity, cluster.WorkerErrorDoc{
-				Error:           fmt.Sprintf("worker budget exceeded: %v", be),
-				BudgetDimension: be.Dimension,
-			})
-		case errors.As(err, &pe):
-			s.metrics.panicsRecovered.Add(1)
-			if s.cfg.Logger != nil {
-				s.cfg.Logger.Error("panic recovered in worker evaluation",
-					"incident_id", pe.IncidentID,
-					"log", entry.name,
-					"plan", req.Plan,
-					"panic", fmt.Sprint(pe.Value),
-					"stack", string(pe.Stack),
-				)
-			}
-			fail(http.StatusInternalServerError, cluster.WorkerErrorDoc{
-				Error:      "worker evaluation fault",
-				IncidentID: pe.IncidentID,
-			})
-		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.queryTimeouts.Add(1)
-			fail(http.StatusGatewayTimeout, cluster.WorkerErrorDoc{
-				Error: fmt.Sprintf("worker evaluation exceeded the %v timeout", s.cfg.Timeout),
-			})
-		default:
-			fail(http.StatusInternalServerError, cluster.WorkerErrorDoc{
-				Error: "worker evaluation aborted: " + err.Error(),
-			})
-		}
+	if x.err != nil {
+		_, code, doc := s.evalFailure(x.err, false, s.cfg.Timeout, entry.name, req.Plan)
+		fail(code, doc)
 		return
 	}
-	s.metrics.instancesEvaluated.Add(uint64(qs.Instances))
 	resp := cluster.WorkerQueryResponse{
 		Worker:    req.Self,
 		WIDsOwned: len(owned),
-		Instances: qs.Instances,
-		Incidents: cluster.FromIncidents(set.Incidents()),
+		Instances: x.stats.Instances,
+		Incidents: cluster.FromIncidents(x.set.Incidents()),
 		ElapsedUS: time.Since(started).Microseconds(),
 	}
 	if tr != nil {
 		obs.EvalSpans(esp, p, meter)
-		esp.SetAttr("instances", qs.Instances)
+		esp.SetAttr("instances", x.stats.Instances)
 		esp.SetAttr("incidents", len(resp.Incidents))
 		tr.End()
 		root := tr.Root()

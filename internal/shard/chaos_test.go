@@ -56,12 +56,14 @@ func detCfg(shards int) (Config, *[]time.Duration) {
 	)
 	cfg := Config{
 		Shards: shards,
-		Sleep: func(d time.Duration) {
-			mu.Lock()
-			slept = append(slept, d)
-			mu.Unlock()
+		RetryPolicy: RetryPolicy{
+			Sleep: func(d time.Duration) {
+				mu.Lock()
+				slept = append(slept, d)
+				mu.Unlock()
+			},
+			Rand: func() float64 { return 0.5 }, // jitter factor exactly 1
 		},
-		Rand: func() float64 { return 0.5 }, // jitter factor exactly 1
 	}
 	return cfg, &slept
 }

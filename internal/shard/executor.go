@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"sync"
 	"time"
 
 	"wlq/internal/core/eval"
@@ -28,38 +26,11 @@ type Config struct {
 	Shards int
 	// Policy assigns wids to shards (default PolicyRange).
 	Policy Policy
-	// MaxAttempts caps evaluation attempts per shard per query, the first
-	// try included (0 = DefaultMaxAttempts).
-	MaxAttempts int
-	// Backoff schedules the delay between a shard's attempts.
-	Backoff Backoff
-	// BreakerThreshold opens a shard's breaker after this many consecutive
-	// failed attempts (0 = DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is the open → half-open delay (0 = DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
+	// RetryPolicy governs each shard's attempts, backoff and breaker.
+	RetryPolicy
 	// ShardTimeout, when positive, deadlines each shard attempt
 	// independently of the query context's deadline.
 	ShardTimeout time.Duration
-	// Sleep waits between attempts (nil = time.Sleep). Tests inject a
-	// recording no-op so backoff is asserted, not waited for.
-	Sleep func(time.Duration)
-	// Rand draws the jitter uniform in [0,1) (nil = math/rand.Float64).
-	Rand func() float64
-}
-
-// withDefaults resolves zero fields.
-func (c Config) withDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = DefaultMaxAttempts
-	}
-	if c.Sleep == nil {
-		c.Sleep = time.Sleep
-	}
-	if c.Rand == nil {
-		c.Rand = rand.Float64
-	}
-	return c
 }
 
 // ShardOutcome describes one shard excluded from a query's result: which
@@ -162,34 +133,39 @@ type Completeness struct {
 // what lets a persistently poisoned shard be skipped instead of re-probed
 // by every request.
 type Executor struct {
-	src      eval.Source
-	cfg      Config
-	shards   []Shard
-	breakers []*Breaker
+	src          eval.Source
+	shardTimeout time.Duration
+	parts        []Part
+	scatter      Scatter
 }
 
 // NewExecutor partitions the backend's instances and creates the per-shard
 // breakers. The backend must be immutable for the executor's lifetime (the
 // same contract EvalParallel relies on).
 func NewExecutor(src eval.Source, cfg Config) *Executor {
-	cfg = cfg.withDefaults()
+	policy := cfg.RetryPolicy.WithDefaults(DefaultMaxAttempts)
 	shards := Partition(src.WIDs(), cfg.Shards, cfg.Policy)
-	breakers := make([]*Breaker, len(shards))
-	for i := range breakers {
-		breakers[i] = NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
+	parts := make([]Part, len(shards))
+	for i, sh := range shards {
+		parts[i] = Part{Shard: sh, Breaker: NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)}
 	}
-	return &Executor{src: src, cfg: cfg, shards: shards, breakers: breakers}
+	return &Executor{
+		src:          src,
+		shardTimeout: cfg.ShardTimeout,
+		parts:        parts,
+		scatter:      Scatter{RetryPolicy: policy, Retryable: Retryable},
+	}
 }
 
-// Shards returns the partition (callers must not modify it).
-func (x *Executor) Shards() []Shard { return x.shards }
+// Shards returns the number of failure domains the log partitioned into.
+func (x *Executor) Shards() int { return len(x.parts) }
 
 // OpenBreakers counts shards whose breaker is not closed — the live
 // "poisoned shards" gauge exported at /metrics.
 func (x *Executor) OpenBreakers() int {
 	open := 0
-	for _, b := range x.breakers {
-		if b.State() != BreakerClosed {
+	for _, p := range x.parts {
+		if p.Breaker.State() != BreakerClosed {
 			open++
 		}
 	}
@@ -205,175 +181,38 @@ func Retryable(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// sliceBudget divides the query budget across n shards; the arithmetic
-// lives on resilience.Budget so the cluster coordinator shares it.
-func sliceBudget(b resilience.Budget, n int) resilience.Budget {
-	return b.Slice(n)
-}
-
-// shardResult is one shard's terminal outcome within a query.
-type shardResult struct {
-	set      *incident.Set
-	stats    eval.QueryStats
-	attempts int
-	retries  int
-	err      error // nil on success
-	skipped  bool  // breaker refused; no attempt ran
-}
-
 // Execute evaluates p across all shards concurrently, each in its own
-// failure domain, and merges the surviving shards' incidents.
+// failure domain, and merges the surviving shards' incidents (see Merge for
+// the error and completeness contract).
 //
 // opts configures the underlying evaluation exactly as eval.New, except
 // that opts.Budget is sliced per shard (work dimensions divided evenly;
 // wall time shared). A non-nil opts.Meter aggregates across shards — the
 // node counters are atomic.
-//
-// The returned error is non-nil only when the whole query is lost: the
-// context was cancelled, or no shard produced a result. Otherwise Execute
-// returns the merged set with a Completeness describing coverage; callers
-// choose whether an incomplete result is an answer (degraded mode) or an
-// error (strict mode). With no faults the merged set equals the unsharded
-// evaluator's output exactly.
 func (x *Executor) Execute(ctx context.Context, p pattern.Node, opts eval.Options, stats *eval.QueryStats) (*incident.Set, *Completeness, error) {
-	comp := &Completeness{Shards: len(x.shards)}
-	if len(x.shards) == 0 {
-		comp.Complete = true
-		if stats != nil {
-			stats.Workers = 1
-		}
-		return &incident.Set{}, comp, nil
-	}
-
-	opts.Budget = sliceBudget(opts.Budget, len(x.shards))
-	tr := obs.FromContext(ctx)
-	results := make([]shardResult, len(x.shards))
-	var wg sync.WaitGroup
-	for i := range x.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i] = x.runShard(ctx, tr, p, opts, i)
-		}(i)
-	}
-	wg.Wait()
-
-	// Fold outcomes into the completeness contract and the merged set.
-	var (
-		merged   []incident.Incident
-		firstErr error
-	)
-	for i, r := range results {
-		comp.Retries += r.retries
-		switch {
-		case r.skipped:
-			comp.Skipped++
-			comp.ExcludedWIDs += len(x.shards[i].WIDs)
-			comp.Failures = append(comp.Failures, x.outcome(i, r))
-		case r.err != nil:
-			comp.Attempted++
-			comp.Failed++
-			comp.ExcludedWIDs += len(x.shards[i].WIDs)
-			comp.Failures = append(comp.Failures, x.outcome(i, r))
-			if firstErr == nil {
-				firstErr = r.err
-			}
-		default:
-			comp.Attempted++
-			comp.Succeeded++
-			merged = append(merged, r.set.Incidents()...)
-			if stats != nil {
-				stats.Instances += r.stats.Instances
-				stats.Incidents += r.stats.Incidents
-			}
-		}
-	}
-	comp.Complete = comp.Succeeded == comp.Shards
-	if stats != nil {
-		stats.Workers = len(x.shards)
-		stats.Shards = len(x.shards)
-		stats.ShardsFailed = comp.Failed + comp.Skipped
-		stats.ShardRetries = comp.Retries
-	}
-
-	if err := ctx.Err(); err != nil {
-		return nil, comp, err
-	}
-	if comp.Succeeded == 0 {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("all %d shards skipped by open circuit breakers", comp.Shards)
-		}
-		return nil, comp, firstErr
-	}
-	// Under PolicyRange the shard ranges are disjoint and ascending and each
-	// shard's set is canonical, so the concatenation is already sorted;
-	// NewSet's normalize pass is then a cheap verification. Under PolicyHash
-	// it performs the real merge.
-	return incident.NewSet(merged...), comp, nil
-}
-
-// runShard drives one shard through breaker admission and the retry loop.
-func (x *Executor) runShard(ctx context.Context, tr *obs.Trace, p pattern.Node, opts eval.Options, i int) shardResult {
-	sh := x.shards[i]
-	br := x.breakers[i]
-	if !br.Allow() {
-		return shardResult{
-			skipped: true,
-			err:     fmt.Errorf("circuit breaker open for shard %d (%s)", sh.ID, sh.RangeString()),
-		}
-	}
+	opts.Budget = opts.Budget.Slice(len(x.parts))
 	ev := eval.New(x.src, opts)
-	var res shardResult
-	for attempt := 1; ; attempt++ {
-		res.attempts = attempt
-		sp := tr.StartSpan(fmt.Sprintf("shard %d attempt %d", sh.ID, attempt))
+	tr := obs.FromContext(ctx)
+	attempt := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+		sh := x.parts[i].Shard
+		sp := tr.StartSpan(fmt.Sprintf("shard %d attempt %d", sh.ID, n))
+		defer sp.End()
 		sp.SetAttr("wid_min", sh.MinWID)
 		sp.SetAttr("wid_max", sh.MaxWID)
 		sp.SetAttr("wids", len(sh.WIDs))
-
-		actx := ctx
-		cancel := func() {}
-		if x.cfg.ShardTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, x.cfg.ShardTimeout)
+		if x.shardTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, x.shardTimeout)
+			defer cancel()
 		}
 		var st eval.QueryStats
-		set, err := ev.EvalWIDsCtx(actx, p, sh.WIDs, &st)
-		cancel()
-
-		if err == nil {
-			sp.SetAttr("incidents", st.Incidents)
-			sp.End()
-			br.Success()
-			res.set, res.stats, res.err = set, st, nil
-			return res
+		set, err := ev.EvalWIDsCtx(ctx, p, sh.WIDs, &st)
+		if err != nil {
+			sp.SetAttr("error", err.Error())
+			return nil, 0, err
 		}
-		sp.SetAttr("error", err.Error())
-		sp.End()
-		res.err = err
-		// The parent context dying is not a shard fault: don't trip the
-		// breaker for it, and don't retry into a cancelled query.
-		if ctx.Err() != nil {
-			return res
-		}
-		br.Failure()
-		if !Retryable(err) || attempt >= x.cfg.MaxAttempts || !br.Allow() {
-			return res
-		}
-		res.retries++
-		x.cfg.Sleep(x.cfg.Backoff.Delay(attempt, x.cfg.Rand()))
+		sp.SetAttr("incidents", st.Incidents)
+		return set.Incidents(), st.Instances, nil
 	}
-}
-
-// outcome renders one excluded shard's ShardOutcome.
-func (x *Executor) outcome(i int, r shardResult) ShardOutcome {
-	sh := x.shards[i]
-	return ShardOutcome{
-		Shard:    sh.ID,
-		WIDMin:   sh.MinWID,
-		WIDMax:   sh.MaxWID,
-		WIDs:     len(sh.WIDs),
-		Attempts: r.attempts,
-		Cause:    r.err.Error(),
-		Skipped:  r.skipped,
-	}
+	return Merge(ctx, x.parts, x.scatter.Gather(ctx, x.parts, attempt), stats)
 }

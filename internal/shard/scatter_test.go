@@ -1,0 +1,291 @@
+package shard
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
+)
+
+// The driver's own suite: a scripted fake transport and the recording
+// Sleep / fixed Rand seams, so every decision of the breaker-admit →
+// attempt → classify → backoff → retry loop and of the Completeness fold is
+// asserted without evaluating a pattern or opening a socket. Each scenario
+// runs once with in-process parts and once with remote-style parts (a
+// Worker name): the loop is the same code for both tiers, and only the
+// rendering of a lost part differs.
+
+var (
+	errTransient = errors.New("transient fault")
+	errFatal     = errors.New("deterministic fault")
+)
+
+// scriptedPart is one part of a scenario: its wids, how its breaker starts,
+// and the error each successive attempt returns (attempts past the script
+// succeed with one incident per wid).
+type scriptedPart struct {
+	wids      []uint64
+	tripped   bool // the breaker is already open when the query starts
+	threshold int  // breaker threshold (0 = default 5)
+	errs      []error
+}
+
+type wantPart struct {
+	attempts, retries int
+	skipped, failed   bool
+	breaker           BreakerState
+}
+
+func TestShardScatter(t *testing.T) {
+	cases := []struct {
+		name        string
+		parts       []scriptedPart
+		maxAttempts int
+		// cancelOn, when positive, cancels the query context inside that
+		// attempt of part 0, which then returns the context's error.
+		cancelOn int
+		want     []wantPart
+		slept    int    // backoff delays recorded
+		errLike  string // substring of the returned error ("" = nil)
+		complete bool
+	}{
+		{
+			name:        "first-try success",
+			parts:       []scriptedPart{{wids: []uint64{1, 2}}, {wids: []uint64{3}}},
+			maxAttempts: 3,
+			want:        []wantPart{{attempts: 1}, {attempts: 1}},
+			complete:    true,
+		},
+		{
+			name:        "retry then success",
+			parts:       []scriptedPart{{wids: []uint64{1, 2}, errs: []error{errTransient}}, {wids: []uint64{3}}},
+			maxAttempts: 3,
+			want:        []wantPart{{attempts: 2, retries: 1}, {attempts: 1}},
+			slept:       1,
+			complete:    true,
+		},
+		{
+			name:        "non-retryable error excludes the part after one attempt",
+			parts:       []scriptedPart{{wids: []uint64{1, 2}}, {wids: []uint64{3, 5}, errs: []error{errFatal}}},
+			maxAttempts: 3,
+			want:        []wantPart{{attempts: 1}, {attempts: 1, failed: true}},
+		},
+		{
+			name:        "attempts exhausted",
+			parts:       []scriptedPart{{wids: []uint64{1}}, {wids: []uint64{2}, errs: []error{errTransient, errTransient}}},
+			maxAttempts: 2,
+			want:        []wantPart{{attempts: 1}, {attempts: 2, retries: 1, failed: true}},
+			slept:       1,
+		},
+		{
+			name:        "breaker already open skips the part",
+			parts:       []scriptedPart{{wids: []uint64{1, 2}}, {wids: []uint64{3}, tripped: true}},
+			maxAttempts: 3,
+			want:        []wantPart{{attempts: 1}, {skipped: true, breaker: BreakerOpen}},
+		},
+		{
+			name: "breaker opening mid-loop stops retries",
+			parts: []scriptedPart{{wids: []uint64{1}}, {wids: []uint64{2}, threshold: 2,
+				errs: []error{errTransient, errTransient, errTransient, errTransient}}},
+			maxAttempts: 5,
+			want:        []wantPart{{attempts: 1}, {attempts: 2, retries: 1, failed: true, breaker: BreakerOpen}},
+			slept:       1,
+		},
+		{
+			// Threshold 1: a single charged failure would open the breaker.
+			name:        "cancelled parent context is not the part's fault",
+			parts:       []scriptedPart{{wids: []uint64{1}, threshold: 1}},
+			maxAttempts: 3,
+			cancelOn:    1,
+			want:        []wantPart{{attempts: 1, failed: true, breaker: BreakerClosed}},
+			errLike:     "context canceled",
+		},
+		{
+			name:        "every part skipped",
+			parts:       []scriptedPart{{wids: []uint64{1}, tripped: true}, {wids: []uint64{2}, tripped: true}},
+			maxAttempts: 3,
+			want:        []wantPart{{skipped: true, breaker: BreakerOpen}, {skipped: true, breaker: BreakerOpen}},
+			errLike:     "skipped by open circuit breakers",
+		},
+		{
+			name:        "every part failed returns the first failure",
+			parts:       []scriptedPart{{wids: []uint64{1}, errs: []error{errFatal}}, {wids: []uint64{2}, errs: []error{errFatal}}},
+			maxAttempts: 3,
+			want:        []wantPart{{attempts: 1, failed: true}, {attempts: 1, failed: true}},
+			errLike:     errFatal.Error(),
+		},
+	}
+	for _, tc := range cases {
+		for _, worker := range []string{"", "http://w"} {
+			tier := "in-process"
+			if worker != "" {
+				tier = "remote"
+			}
+			t.Run(tc.name+"/"+tier, func(t *testing.T) {
+				var (
+					mu    sync.Mutex
+					slept []time.Duration
+				)
+				sc := &Scatter{
+					RetryPolicy: RetryPolicy{
+						MaxAttempts: tc.maxAttempts,
+						Sleep: func(d time.Duration) {
+							mu.Lock()
+							slept = append(slept, d)
+							mu.Unlock()
+						},
+						Rand: func() float64 { return 0.5 }, // jitter factor exactly 1
+					},
+					Retryable: func(err error) bool { return errors.Is(err, errTransient) },
+				}
+				parts := make([]Part, len(tc.parts))
+				for i, sp := range tc.parts {
+					parts[i] = Part{
+						Shard:   Shard{ID: i, WIDs: sp.wids, MinWID: sp.wids[0], MaxWID: sp.wids[len(sp.wids)-1]},
+						Breaker: NewBreaker(sp.threshold, time.Hour),
+					}
+					if worker != "" {
+						parts[i].Worker = worker + string(rune('0'+i))
+					}
+					if sp.tripped {
+						for parts[i].Breaker.State() == BreakerClosed {
+							parts[i].Breaker.Failure()
+						}
+					}
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				transport := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+					if i == 0 && n == tc.cancelOn {
+						cancel()
+						return nil, 0, ctx.Err()
+					}
+					if script := tc.parts[i].errs; n <= len(script) {
+						return nil, 0, script[n-1]
+					}
+					var incs []incident.Incident
+					for _, wid := range parts[i].WIDs {
+						incs = append(incs, incident.Singleton(wid, 1))
+					}
+					return incs, len(incs), nil
+				}
+
+				results := sc.Gather(ctx, parts, transport)
+				var stats eval.QueryStats
+				set, comp, err := Merge(ctx, parts, results, &stats)
+
+				if tc.errLike == "" && err != nil {
+					t.Fatalf("err = %v, want nil", err)
+				}
+				if tc.errLike != "" && (err == nil || !strings.Contains(err.Error(), tc.errLike)) {
+					t.Fatalf("err = %v, want one containing %q", err, tc.errLike)
+				}
+				if len(slept) != tc.slept {
+					t.Errorf("backoff delays = %v, want %d of them", slept, tc.slept)
+				}
+				for _, d := range slept {
+					if d != DefaultBackoffBase {
+						t.Errorf("backoff delay %v, want the %v base (first retry, jitter factor 1)", d, DefaultBackoffBase)
+					}
+				}
+				var wantSet []incident.Incident
+				wantComp := Completeness{Shards: len(parts)}
+				failures := 0
+				for i, w := range tc.want {
+					r := results[i]
+					if r.Attempts != w.attempts || r.Retries != w.retries || r.Skipped != w.skipped || (r.Err != nil) != (w.failed || w.skipped) {
+						t.Errorf("part %d: attempts=%d retries=%d skipped=%v err=%v, want %+v", i, r.Attempts, r.Retries, r.Skipped, r.Err, w)
+					}
+					if st := parts[i].Breaker.State(); st != w.breaker {
+						t.Errorf("part %d: breaker %v, want %v", i, st, w.breaker)
+					}
+					wantComp.Retries += w.retries
+					switch {
+					case w.skipped:
+						wantComp.Skipped++
+					case w.failed:
+						wantComp.Attempted++
+						wantComp.Failed++
+					default:
+						wantComp.Attempted++
+						wantComp.Succeeded++
+						for _, wid := range parts[i].WIDs {
+							wantSet = append(wantSet, incident.Singleton(wid, 1))
+						}
+						continue
+					}
+					wantComp.ExcludedWIDs += len(parts[i].WIDs)
+					// The excluded part is named: id, envelope, attempts, cause —
+					// and, for a remote part, its owner and exact wid runs.
+					f := comp.Failures[failures]
+					failures++
+					if f.Shard != i || f.WIDMin != parts[i].MinWID || f.WIDMax != parts[i].MaxWID || f.WIDs != len(parts[i].WIDs) ||
+						f.Attempts != w.attempts || f.Skipped != w.skipped || f.Cause != r.Err.Error() || f.Worker != parts[i].Worker {
+						t.Errorf("failure %+v does not describe part %d (%+v)", f, i, w)
+					}
+					if wantRanges := worker != "" && len(RangesOf(parts[i].WIDs)) > 0; (len(f.Ranges) > 0) != wantRanges {
+						t.Errorf("part %d: failure ranges %v (remote=%v, wids %v)", i, f.Ranges, worker != "", parts[i].WIDs)
+					}
+				}
+				wantComp.Complete = tc.complete
+				got := *comp
+				got.Failures = nil
+				if !reflect.DeepEqual(got, wantComp) || len(comp.Failures) != failures {
+					t.Errorf("completeness = %+v (%d failures), want %+v (%d failures)", got, len(comp.Failures), wantComp, failures)
+				}
+				if stats.Shards != len(parts) || stats.ShardsFailed != wantComp.Failed+wantComp.Skipped || stats.ShardRetries != wantComp.Retries {
+					t.Errorf("stats = %+v, want shards=%d failed=%d retries=%d", stats, len(parts), wantComp.Failed+wantComp.Skipped, wantComp.Retries)
+				}
+				if err == nil {
+					if want := incident.NewSet(wantSet...); !set.Equal(want) {
+						t.Errorf("merged set %s, want %s", set, want)
+					}
+					if stats.Incidents != len(wantSet) || stats.Instances != len(wantSet) {
+						t.Errorf("stats incidents/instances = %d/%d, want %d", stats.Incidents, stats.Instances, len(wantSet))
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestShardScatterHashPartsMergeLikeOnePart: wids scattered over hash-placed
+// parts interleave, and Merge's normalization must restore the canonical
+// order a single part produces.
+func TestShardScatterHashPartsMergeLikeOnePart(t *testing.T) {
+	wids := seqWIDs(40)
+	transportFor := func(parts []Part) Transport {
+		return func(_ context.Context, i, _ int) ([]incident.Incident, int, error) {
+			var incs []incident.Incident
+			for _, wid := range parts[i].WIDs {
+				incs = append(incs, incident.New(wid, 1, 3), incident.New(wid, 2, 3))
+			}
+			return incs, len(parts[i].WIDs), nil
+		}
+	}
+	run := func(n int, policy Policy) *incident.Set {
+		sc := &Scatter{RetryPolicy: RetryPolicy{}.WithDefaults(1), Retryable: Retryable}
+		var parts []Part
+		for _, sh := range Partition(wids, n, policy) {
+			parts = append(parts, Part{Shard: sh, Breaker: NewBreaker(0, 0)})
+		}
+		ctx := context.Background()
+		set, comp, err := Merge(ctx, parts, sc.Gather(ctx, parts, transportFor(parts)), nil)
+		if err != nil || !comp.Complete || comp.Shards != len(parts) {
+			t.Fatalf("%d %v parts: err=%v completeness=%+v", n, policy, err, comp)
+		}
+		return set
+	}
+	one := run(1, PolicyRange)
+	for _, n := range []int{3, 7} {
+		if hashed := run(n, PolicyHash); !hashed.Equal(one) || hashed.String() != one.String() {
+			t.Errorf("%d hash-placed parts merge to a different set than one part", n)
+		}
+	}
+}

@@ -97,10 +97,11 @@ func (s Shard) RangeString() string {
 	return fmt.Sprintf("wids %d–%d", s.MinWID, s.MaxWID)
 }
 
-// hashWID is FNV-1a over the wid's little-endian bytes. Deliberately not
-// maphash: the partition must be stable across processes, so operators can
-// correlate a shard id (and its excluded wids) across restarts and replicas.
-func hashWID(wid uint64) uint64 {
+// HashWID is FNV-1a over the wid's little-endian bytes. Deliberately not
+// maphash: placement must be stable across processes, so operators can
+// correlate a shard id (and its excluded wids) across restarts and replicas,
+// and the cluster ring's coordinator and workers agree on who owns a wid.
+func HashWID(wid uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -132,7 +133,7 @@ func Partition(wids []uint64, n int, policy Policy) []Shard {
 	switch policy {
 	case PolicyHash:
 		for _, wid := range wids {
-			i := int(hashWID(wid) % uint64(n))
+			i := int(HashWID(wid) % uint64(n))
 			buckets[i] = append(buckets[i], wid)
 		}
 	default: // PolicyRange
