@@ -22,40 +22,34 @@ test-race:
 cover:
 	$(GO) test -cover ./...
 
-# Non-blank, non-comment, non-test Go lines per package for the packages the
-# execution path runs through — run it at two commits to check a "this PR
+# Non-blank, non-comment, non-test Go lines for every package of the module,
+# one row each plus a total — run it at two commits to check a "this PR
 # shrinks the code" claim.
 loc:
-	@total=0; for p in server shard cluster; do \
-		n=$$(cat $$(ls internal/$$p/*.go | grep -v _test.go) | grep -vcE '^[[:space:]]*(//.*)?$$'); \
-		printf '%-18s %5d\n' internal/$$p $$n; total=$$((total+n)); \
-	done; printf '%-18s %5d\n' total $$total
+	@total=0; for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		files=$$(ls $$d/*.go | grep -v _test.go); [ -n "$$files" ] || continue; \
+		n=$$(cat $$files | grep -vcE '^[[:space:]]*(//.*)?$$'); \
+		printf '%-28s %6d\n' .$${d#$(CURDIR)} $$n; total=$$((total+n)); \
+	done; printf '%-28s %6d\n' total $$total
 
 # The testing.B series (one family per paper artifact; see bench_test.go).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the checked-in BENCH_*.json run summaries (both backends plus
-# the adaptive cost model, full size) and print the comparisons. Run on an
-# otherwise idle machine.
+# Regenerate the checked-in BENCH_*.json run summaries (both backends, full
+# size) and print the comparison. Run on an otherwise idle machine.
 bench-report:
 	$(GO) run ./cmd/wlq-bench -suite -backend row -json BENCH_baseline.json
 	$(GO) run ./cmd/wlq-bench -suite -backend columnar -json BENCH_columnar.json
-	$(GO) run ./cmd/wlq-bench -suite -backend columnar -adaptive -json BENCH_adaptive.json
 	$(GO) run ./cmd/wlq-bench -compare BENCH_baseline.json,BENCH_columnar.json
-	$(GO) run ./cmd/wlq-bench -compare BENCH_columnar.json,BENCH_adaptive.json
 
-# Fast answer check: run the suite on a small log for both backends, with
-# and without the adaptive cost model, and fail if any answer digests
-# diverge from the row-backend static baseline. CI runs this on every push.
+# Fast answer check: run the suite on a small log for both backends and fail
+# if any answer digest diverges from the row-backend baseline. CI runs this
+# on every push.
 bench-smoke:
 	$(GO) run ./cmd/wlq-bench -suite -quick -backend row -json /tmp/wlq-bench-row.json
 	$(GO) run ./cmd/wlq-bench -suite -quick -backend columnar -json /tmp/wlq-bench-columnar.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend row -adaptive -json /tmp/wlq-bench-row-adaptive.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend columnar -adaptive -json /tmp/wlq-bench-columnar-adaptive.json
 	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-columnar.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-row-adaptive.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-columnar-adaptive.json
 
 # Multi-process cluster smoke: coordinator + 3 workers on loopback, one
 # killed mid-run (206 + completeness), rejoined (digest-equal 200). CI runs

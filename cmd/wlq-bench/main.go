@@ -46,7 +46,6 @@ func run(args []string, out io.Writer) error {
 
 		suite     = fs.Bool("suite", false, "run the backend bench suite instead of the experiments")
 		backend   = fs.String("backend", "row", "with -suite: storage backend, row or columnar")
-		adaptive  = fs.Bool("adaptive", false, "with -suite: rank plans with measured selectivities fed back from earlier benches")
 		jsonPath  = fs.String("json", "", "with -suite: write the machine-readable run summary to this path")
 		instances = fs.Int("instances", 1500, "with -suite: clinic log size (workflow instances)")
 		seed      = fs.Int64("seed", 42, "with -suite: clinic log generation seed")
@@ -67,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		if *quick {
 			n = 150
 		}
-		return runSuite(out, *backend, *jsonPath, n, *seed, *adaptive)
+		return runSuite(out, *backend, *jsonPath, n, *seed)
 	}
 	if *list {
 		rows := [][]string{{"id", "name", "reproduces"}}

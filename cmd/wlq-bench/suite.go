@@ -46,11 +46,8 @@ var suiteBenches = []struct {
 }
 
 // runSuite measures every suite query on one backend and writes the report
-// (and a human-readable table to out). With adaptive, a fresh statistics
-// registry rides along: the warm-up run of each bench feeds it measured
-// selectivities, so later benches may be planned adaptively — the digest
-// gate proves answers stay identical either way.
-func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64, adaptive bool) error {
+// (and a human-readable table to out).
+func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64) error {
 	var opts []wlq.Option
 	switch backend {
 	case "row":
@@ -59,18 +56,13 @@ func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64
 	default:
 		return fmt.Errorf("unknown backend %q (want row or columnar)", backend)
 	}
-	label := backend
-	if adaptive {
-		opts = append(opts, wlq.WithStats(wlq.NewStatsRegistry()))
-		label += "+adaptive"
-	}
 	log, err := wlq.ClinicLog(instances, seed)
 	if err != nil {
 		return err
 	}
 	engine := wlq.NewEngine(log, opts...)
 
-	report := benchkit.NewReport(label, benchkit.LogMeta{
+	report := benchkit.NewReport(backend, benchkit.LogMeta{
 		Source:     "clinic",
 		Instances:  instances,
 		Records:    log.Len(),
@@ -145,7 +137,7 @@ func runSuite(out io.Writer, backend, jsonPath string, instances int, seed int64
 	report.Finalize()
 
 	fmt.Fprintf(out, "== backend suite: %s (clinic instances=%d seed=%d records=%d) ==\n",
-		label, instances, seed, log.Len())
+		backend, instances, seed, log.Len())
 	fmt.Fprint(out, benchkit.Align(rows))
 	fmt.Fprintf(out, "combined answer digest: %s\n", report.Digest)
 	if jsonPath != "" {

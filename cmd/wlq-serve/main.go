@@ -97,10 +97,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		slow       = fs.Duration("slow-query", 500*time.Millisecond, "warn about queries slower than this (0 disables)")
 		flightSize = fs.Int("flight-recorder-size", server.DefaultFlightRecorderSize,
 			"query flight recorder capacity per ring (recent + notable); 0 or negative disables GET /v1/queries")
-		adaptive = fs.Bool("adaptive", false,
-			"rank plans with measured selectivities aggregated from successful queries (persisted per log as <log>.stats.json)")
-		statsFile = fs.String("stats-file", "",
-			"with -adaptive and exactly one -log: override the selectivity statistics snapshot path")
 		pprofOn = fs.Bool("pprof", true, "expose the GET /debug/pprof/* profiling handlers")
 		logJSON = fs.Bool("log-json", false, "emit request logs as JSON instead of text")
 		noLog   = fs.Bool("no-request-log", false, "disable structured request logging")
@@ -163,14 +159,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if len(logs) == 0 {
 		fs.Usage()
 		return errors.New("missing -log (repeat it to serve several logs)")
-	}
-	if *statsFile != "" {
-		if !*adaptive {
-			return errors.New("-stats-file requires -adaptive")
-		}
-		if len(logs) != 1 {
-			return errors.New("-stats-file requires exactly one -log (per-log defaults apply otherwise)")
-		}
 	}
 
 	// Live ingestion. Validated here, like the cluster flags, so a bad
@@ -245,8 +233,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
 		Columnar:         *columnar,
-		Adaptive:         *adaptive,
-		StatsFile:        *statsFile,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,

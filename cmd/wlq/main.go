@@ -60,8 +60,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		trace       = fs.Bool("trace", false, "print the execution trace (span tree and Lemma 1 cost table) to stderr")
 		shards      = fs.Int("shards", 0, "evaluate in this many isolated wid-range failure domains (0 = off, -1 = GOMAXPROCS)")
 		partial     = fs.Bool("partial", false, "with -shards: accept a partial result when shards fail, printing what was excluded")
-		adaptive    = fs.Bool("adaptive", false, "rank plans with measured selectivities persisted across runs (see -stats-file)")
-		statsFile   = fs.String("stats-file", "", "with -adaptive: selectivity statistics snapshot path (default: <log>.stats.json next to the log file)")
 		stats       = fs.Bool("stats", false, "print log statistics and exit (no query needed)")
 		dfg         = fs.Bool("dfg", false, "print the directly-follows graph and exit (no query needed)")
 		conform     = fs.String("conform", "", "check every instance against this model (orders, loans, helpdesk) and exit")
@@ -125,39 +123,8 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	if b := (wlq.Budget{MaxComparisons: *maxComp, MaxWallTime: *timeout}); !b.IsZero() {
 		opts = append(opts, wlq.WithBudget(b))
 	}
-	if *statsFile != "" && !*adaptive {
-		return fmt.Errorf("-stats-file requires -adaptive")
-	}
-	var (
-		registry  *wlq.StatsRegistry
-		statsPath string
-	)
-	if *adaptive {
-		statsPath = *statsFile
-		if statsPath == "" {
-			statsPath = wlq.StatsPathFor(*logSpec)
-		}
-		if statsPath == "" {
-			registry = wlq.NewStatsRegistry() // generated log: in-memory only
-		} else if registry, err = wlq.LoadStats(statsPath); err != nil {
-			return fmt.Errorf("load stats: %w", err)
-		}
-		opts = append(opts, wlq.WithStats(registry))
-	}
-	// saveStats persists measured selectivities for the next run; called
-	// only after a successful evaluation (the registry never sees failed or
-	// partial queries, so any snapshot is safe to write).
-	saveStats := func() error {
-		if registry == nil || statsPath == "" {
-			return nil
-		}
-		return wlq.SaveStats(registry, statsPath)
-	}
 	if *interactive {
-		if err := repl(wlq.NewEngine(log, opts...), stdin, out); err != nil {
-			return err
-		}
-		return saveStats()
+		return repl(wlq.NewEngine(log, opts...), stdin, out)
 	}
 	if *query == "" {
 		fs.Usage()
@@ -269,7 +236,7 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 			}
 		}
 	}
-	return saveStats()
+	return nil
 }
 
 // loadLog resolves the -log flag; wlq.OpenLog implements the spec syntax

@@ -107,22 +107,24 @@ type workerState struct {
 	probeErr string
 }
 
-// Stats is a snapshot of the coordinator's fan-out counters.
+// Stats is a snapshot of the coordinator's fan-out counters. The prom and
+// help tags declare each counter's Prometheus family for the server's
+// /metrics renderer, which embeds this struct in its metrics document.
 type Stats struct {
 	// Fanouts counts distributed query executions.
 	Fanouts uint64 `json:"fanouts"`
 	// WorkerRequests counts HTTP requests issued to workers (hedges and
 	// retries included); WorkerFailures those that errored.
-	WorkerRequests uint64 `json:"worker_requests"`
-	WorkerFailures uint64 `json:"worker_failures"`
+	WorkerRequests uint64 `json:"worker_requests" prom:"wlq_cluster_worker_requests_total" help:"HTTP requests issued to workers (retries and hedges included)."`
+	WorkerFailures uint64 `json:"worker_failures" prom:"wlq_cluster_worker_failures_total" help:"Worker requests that failed (transport error or non-200)."`
 	// WorkerRetries counts re-attempts after backoff.
-	WorkerRetries uint64 `json:"worker_retries"`
+	WorkerRetries uint64 `json:"worker_retries" prom:"wlq_cluster_worker_retries_total" help:"Worker request re-attempts (after backoff)."`
 	// Hedges counts duplicated straggler requests; HedgeWins those whose
 	// duplicate answered first.
-	Hedges    uint64 `json:"hedges"`
-	HedgeWins uint64 `json:"hedge_wins"`
+	Hedges    uint64 `json:"hedges" prom:"wlq_cluster_hedges_total" help:"Straggler worker requests duplicated (hedging)."`
+	HedgeWins uint64 `json:"hedge_wins" prom:"wlq_cluster_hedge_wins_total" help:"Hedged requests whose duplicate answered first."`
 	// WorkersSkipped counts per-query worker exclusions by an open breaker.
-	WorkersSkipped uint64 `json:"workers_skipped"`
+	WorkersSkipped uint64 `json:"workers_skipped" prom:"wlq_cluster_workers_skipped_total" help:"Per-query worker exclusions by an open circuit breaker."`
 }
 
 // Coordinator fans queries out to the worker fleet and merges the answers.

@@ -108,11 +108,7 @@ type WorkerQueryResponse struct {
 	// Present only when the request asked for tracing.
 	Spans *obs.Span `json:"spans,omitempty"`
 	// CostTable is the worker's per-operator Lemma 1 measured-vs-predicted
-	// table, which the coordinator aggregates fleet-wide. The worker does
-	// NOT flush these measurements into its own statistics registry — the
-	// final disposition (complete vs degraded-206) is only known at the
-	// coordinator, whose hygiene gate decides whether the fleet table feeds
-	// the adaptive cost model.
+	// table, which the coordinator aggregates fleet-wide.
 	CostTable []obs.CostRow `json:"cost_table,omitempty"`
 }
 

@@ -78,7 +78,6 @@ type NodeMetrics struct {
 	memoHits    atomic.Uint64 // evaluations answered from the sub-pattern memo
 	leftInputs  atomic.Uint64 // Σ n1 over instance evaluations
 	rightInputs atomic.Uint64 // Σ n2 over instance evaluations
-	pairs       atomic.Uint64 // Σ n1·n2 over instance evaluations
 	comparisons atomic.Uint64 // measured record-level comparisons
 	outputs     atomic.Uint64 // incidents produced (post-normalize)
 	predicted   atomic.Uint64 // Σ Lemma 1 bound, from the actual n1, n2
@@ -108,7 +107,6 @@ func (nm *NodeMetrics) recordOp(n1, n2 int, comparisons uint64, outputs int) {
 	nm.evals.Add(1)
 	nm.leftInputs.Add(uint64(n1))
 	nm.rightInputs.Add(uint64(n2))
-	nm.pairs.Add(uint64(n1) * uint64(n2))
 	nm.comparisons.Add(comparisons)
 	nm.outputs.Add(uint64(outputs))
 	nm.predicted.Add(predictedBound(nm.op, uint64(n1), uint64(n2), nm.k1, nm.k2))
@@ -143,11 +141,6 @@ type NodeStats struct {
 	Evals, MemoHits uint64
 	// LeftInputs, RightInputs are Σ n1 and Σ n2 across instance evaluations.
 	LeftInputs, RightInputs uint64
-	// Pairs is Σ n1·n2 across instance evaluations — the denominator of the
-	// node's observed selectivity (Outputs / Pairs). Kept separately from
-	// LeftInputs·RightInputs, which would over-count: the product of sums is
-	// not the sum of products.
-	Pairs uint64
 	// Comparisons is the measured record-level comparison work; Outputs the
 	// incidents produced.
 	Comparisons, Outputs uint64
@@ -177,34 +170,12 @@ func (m *Meter) Snapshot() []NodeStats {
 			MemoHits:    nm.memoHits.Load(),
 			LeftInputs:  nm.leftInputs.Load(),
 			RightInputs: nm.rightInputs.Load(),
-			Pairs:       nm.pairs.Load(),
 			Comparisons: nm.comparisons.Load(),
 			Outputs:     nm.outputs.Load(),
 			Predicted:   nm.predicted.Load(),
 		})
 	}
 	return out
-}
-
-// MeterSink consumes the per-node stats of a finished metered evaluation.
-// internal/stats implements it to fold measured operator selectivities and
-// atom match rates into the per-log statistics registry; the seam lives here
-// so eval does not import the registry.
-type MeterSink interface {
-	ObserveMeter(stats []NodeStats)
-}
-
-// Flush hands the meter's snapshot to sink. Both a nil meter and a nil sink
-// are valid no-ops, so callers can flush unconditionally on the success path
-// without caring whether metering or statistics collection is enabled.
-// Callers are responsible for flushing only evaluations whose results are
-// complete — partial, budget-tripped, or panicked runs would poison the
-// observed selectivities with truncated outputs.
-func (m *Meter) Flush(sink MeterSink) {
-	if m == nil || sink == nil {
-		return
-	}
-	sink.ObserveMeter(m.Snapshot())
 }
 
 // TotalComparisons sums measured comparisons over all operator nodes.

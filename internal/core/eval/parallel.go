@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sort"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
+	"wlq/internal/resilience"
 )
 
 // Incidents never span workflow instances (Definition 4 requires one wid),
@@ -54,8 +56,11 @@ func (e *Evaluator) EvalParallel(p pattern.Node, workers int) *incident.Set {
 // trips, the partial result is discarded and the error returned. Worker
 // panics do not escape: each instance evaluation runs under an isolation
 // boundary (safeEvalWID) that converts a panic into a *resilience.PanicError
-// so one poisoned query cannot take the process down. stats, when non-nil,
-// is filled in before returning — on both the success and the failure path.
+// so one poisoned query cannot take the process down. When several workers
+// fail, or one fails while ctx is cancelled, the error returned is the
+// highest-ranked one (errRank), not whichever lost the race. stats, when
+// non-nil, is filled in before returning — on both the success and the
+// failure path.
 func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers int, stats *QueryStats) (*incident.Set, error) {
 	wids := e.src.WIDs()
 	if workers <= 0 {
@@ -79,11 +84,15 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 		wg        sync.WaitGroup
 		done      int64 // instances completed, across workers
 		cancelled atomic.Bool
-		errOnce   sync.Once
-		evalErr   error // first worker error; read after wg.Wait
+		errMu     sync.Mutex
+		evalErr   error // highest-ranked failure; read after wg.Wait
 	)
 	fail := func(err error) {
-		errOnce.Do(func() { evalErr = err })
+		errMu.Lock()
+		if evalErr == nil || errRank(err) > errRank(evalErr) {
+			evalErr = err
+		}
+		errMu.Unlock()
 		cancelled.Store(true)
 	}
 	ctxDone := ctx.Done()
@@ -131,7 +140,7 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 		stats.Incidents = total
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		fail(err)
 	}
 	if evalErr != nil {
 		return nil, evalErr
@@ -144,6 +153,25 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 		flat = append(flat, r...)
 	}
 	return setFromSorted(flat), nil
+}
+
+// errRank orders the failures one parallel evaluation can collect, so which
+// one the caller sees does not depend on goroutine scheduling: a panic is a
+// bug that must surface, a budget trip is a verdict on the query, a
+// cancellation only says the caller stopped waiting.
+func errRank(err error) int {
+	var pe *resilience.PanicError
+	var be *resilience.BudgetError
+	switch {
+	case errors.As(err, &pe):
+		return 3
+	case errors.As(err, &be):
+		return 2
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		return 1
+	default:
+		return 0
+	}
 }
 
 // EvalWIDsCtx evaluates p over exactly the given workflow instances — the

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wlq/internal/core/pattern"
+	"wlq/internal/resilience"
 )
 
 func TestEvalParallelCtxStats(t *testing.T) {
@@ -75,5 +76,38 @@ func TestEvalParallelCtxDeadline(t *testing.T) {
 	_, err := e.EvalParallelCtx(ctx, pattern.MustParse("A"), 2, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestEvalParallelCtxReportsHighestRankedError: when one instance panics
+// while its siblings trip the comparison budget, the caller always sees the
+// panic — not whichever worker reported first. The hook holds the siblings
+// back until the panicking instance has been entered, so both failures
+// happen on every run and only their reporting order varies (a panic's
+// stack capture usually loses to a one-comparison budget trip). Run with
+// -count=200.
+func TestEvalParallelCtxReportsHighestRankedError(t *testing.T) {
+	traces := make([][]string, 8)
+	for i := range traces {
+		traces[i] = []string{"A", "A", "B", "B"}
+	}
+	e := New(NewIndex(buildLog(t, traces...)), Options{
+		Strategy: StrategyNaive,
+		Budget:   resilience.Budget{MaxComparisons: 1},
+	})
+	entered := make(chan struct{})
+	SetEvalHook(func(wid uint64) {
+		if wid == 1 { // first instance of the first worker's chunk
+			close(entered)
+			panic("injected fault")
+		}
+		<-entered
+	})
+	defer SetEvalHook(nil)
+
+	_, err := e.EvalParallelCtx(context.Background(), pattern.MustParse("A -> B"), 4, nil)
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want the *resilience.PanicError", err)
 	}
 }

@@ -51,27 +51,15 @@ type Estimator struct {
 	sel   Selectivities
 }
 
-// NewEstimator builds an estimator using the model's assumed selectivity
-// constants; stats may not be nil.
+// NewEstimator builds an estimator over the model's selectivity constants;
+// stats may not be nil.
 func NewEstimator(stats Stats) *Estimator {
-	return NewEstimatorWith(stats, ModelSelectivities())
-}
-
-// NewEstimatorWith builds an estimator with explicit selectivities — the
-// seam through which measured per-log statistics (internal/stats) replace
-// the assumed constants. Zero-valued selectivity fields fall back to the
-// model constants, so a partially-measured Selectivities is safe.
-func NewEstimatorWith(stats Stats, sel Selectivities) *Estimator {
 	inst := float64(len(stats.WIDs()))
 	if inst < 1 {
 		inst = 1
 	}
-	return &Estimator{stats: stats, inst: inst, sel: sel.withDefaults()}
+	return &Estimator{stats: stats, inst: inst, sel: ModelSelectivities()}
 }
-
-// Selectivities returns the (defaulted) selectivities the estimator ranks
-// plans with.
-func (e *Estimator) Selectivities() Selectivities { return e.sel }
 
 // Estimate returns the estimate for a pattern.
 func (e *Estimator) Estimate(p pattern.Node) Estimate {
@@ -105,9 +93,8 @@ func (e *Estimator) Estimate(p pattern.Node) Estimate {
 //	⊗    : join cost n1·n2·min(k1,k2)
 //	⊕    : join cost n1·n2·(k1+k2)
 //
-// Output cardinalities use the estimator's selectivities (assumed constants
-// or measured values); ⊗ outputs at most n1+n2 (the union), the others at
-// most n1·n2.
+// Output cardinalities use the estimator's selectivities; ⊗ outputs at most
+// n1+n2 (the union), the others at most n1·n2.
 func (e *Estimator) Combine(op pattern.Op, l, r Estimate) Estimate {
 	n1, n2 := l.Card, r.Card
 	k1, k2 := float64(l.Atoms), float64(r.Atoms)

@@ -21,8 +21,7 @@ type Trace struct {
 	// and the estimated cost bracket of the pass that applied it.
 	Details []Step
 	// Selectivities records the per-operator selectivities the run ranked
-	// plans with, each tagged with its source (assumed constant or measured
-	// from the statistics registry).
+	// plans with.
 	Selectivities Selectivities
 }
 
@@ -30,17 +29,10 @@ type Trace struct {
 func (t Trace) Changed() bool { return !pattern.Equal(t.Input, t.Output) }
 
 // Explain optimizes p exactly as Optimize does and returns the optimized
-// pattern together with the full trace, using the model's assumed constants.
+// pattern together with the full trace.
 func Explain(p pattern.Node, stats Stats) (pattern.Node, Trace) {
-	return ExplainWith(p, stats, ModelSelectivities())
-}
-
-// ExplainWith is Explain with explicit selectivities: the trace's estimates
-// and optimization decisions all use sel, and the trace records which source
-// (assumed or measured) supplied each operator's value.
-func ExplainWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, Trace) {
-	est := NewEstimatorWith(stats, sel)
-	out, ex := OptimizeWith(p, stats, sel)
+	est := NewEstimator(stats)
+	out, ex := Optimize(p, stats)
 	return out, Trace{
 		Input:         pattern.Clone(p),
 		Output:        out,
@@ -48,7 +40,7 @@ func ExplainWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, 
 		After:         est.Estimate(out),
 		Steps:         ex.Steps,
 		Details:       ex.Details,
-		Selectivities: est.Selectivities(),
+		Selectivities: est.sel,
 	}
 }
 
@@ -68,94 +60,49 @@ type Selectivities struct {
 	Consecutive float64
 	Sequential  float64
 	Parallel    float64
-
-	// The *Source fields name where each value came from:
-	// SelectivityAssumed (the model constant) or SelectivityMeasured (the
-	// per-log statistics registry). An empty source reads as assumed.
-	GuardSource       string
-	ConsecutiveSource string
-	SequentialSource  string
-	ParallelSource    string
 }
 
-// Selectivity provenance labels.
-const (
-	// SelectivityAssumed marks a value taken from the model's constants.
-	SelectivityAssumed = "assumed"
-	// SelectivityMeasured marks a value derived from observed evaluations
-	// via the statistics registry.
-	SelectivityMeasured = "measured"
-)
-
-// ModelSelectivities returns the constants the estimator uses by default,
-// every source tagged assumed.
+// ModelSelectivities returns the constants the estimator ranks plans with.
 func ModelSelectivities() Selectivities {
 	return Selectivities{
-		Guard:             guardSelectivity,
-		Consecutive:       consecutiveSelectivity,
-		Sequential:        sequentialSelectivity,
-		Parallel:          parallelSelectivity,
-		GuardSource:       SelectivityAssumed,
-		ConsecutiveSource: SelectivityAssumed,
-		SequentialSource:  SelectivityAssumed,
-		ParallelSource:    SelectivityAssumed,
+		Guard:       guardSelectivity,
+		Consecutive: consecutiveSelectivity,
+		Sequential:  sequentialSelectivity,
+		Parallel:    parallelSelectivity,
 	}
 }
 
 // withDefaults fills zero-valued fields with the model constants so a
-// partially-populated Selectivities (only some operators measured) is safe
-// to rank plans with.
+// partially-populated Selectivities is safe to rank plans with.
 func (s Selectivities) withDefaults() Selectivities {
 	m := ModelSelectivities()
 	if s.Guard <= 0 {
-		s.Guard, s.GuardSource = m.Guard, SelectivityAssumed
+		s.Guard = m.Guard
 	}
 	if s.Consecutive <= 0 {
-		s.Consecutive, s.ConsecutiveSource = m.Consecutive, SelectivityAssumed
+		s.Consecutive = m.Consecutive
 	}
 	if s.Sequential <= 0 {
-		s.Sequential, s.SequentialSource = m.Sequential, SelectivityAssumed
+		s.Sequential = m.Sequential
 	}
 	if s.Parallel <= 0 {
-		s.Parallel, s.ParallelSource = m.Parallel, SelectivityAssumed
-	}
-	if s.GuardSource == "" {
-		s.GuardSource = SelectivityAssumed
-	}
-	if s.ConsecutiveSource == "" {
-		s.ConsecutiveSource = SelectivityAssumed
-	}
-	if s.SequentialSource == "" {
-		s.SequentialSource = SelectivityAssumed
-	}
-	if s.ParallelSource == "" {
-		s.ParallelSource = SelectivityAssumed
+		s.Parallel = m.Parallel
 	}
 	return s
 }
 
-// ForOp returns the selectivity and its source for one operator. Choice has
-// no selectivity constant (its output is n1+n2 exactly); ForOp returns
-// (0, "") for it and for unknown operators.
-func (s Selectivities) ForOp(op pattern.Op) (float64, string) {
-	s = s.withDefaults()
+// ForOp returns the selectivity of one operator. Choice has no selectivity
+// constant (its output is n1+n2 exactly); ForOp returns 0 for it and for
+// unknown operators.
+func (s Selectivities) ForOp(op pattern.Op) float64 {
 	switch op {
 	case pattern.OpConsecutive:
-		return s.Consecutive, s.ConsecutiveSource
+		return s.Consecutive
 	case pattern.OpSequential:
-		return s.Sequential, s.SequentialSource
+		return s.Sequential
 	case pattern.OpParallel:
-		return s.Parallel, s.ParallelSource
+		return s.Parallel
 	default:
-		return 0, ""
+		return 0
 	}
-}
-
-// Measured reports whether any value came from measurement rather than the
-// model constants — i.e. whether a plan ranked with s is an adaptive plan.
-func (s Selectivities) Measured() bool {
-	return s.GuardSource == SelectivityMeasured ||
-		s.ConsecutiveSource == SelectivityMeasured ||
-		s.SequentialSource == SelectivityMeasured ||
-		s.ParallelSource == SelectivityMeasured
 }

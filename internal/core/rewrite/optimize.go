@@ -60,11 +60,14 @@ func Optimize(p pattern.Node, stats Stats) (pattern.Node, Explanation) {
 }
 
 // OptimizeWith is Optimize with explicit selectivities: every cost the
-// passes compare is estimated with sel instead of the model constants, so
-// measured statistics can change which bracketing and operand order win.
-// The rewrite laws applied are identical — only the ranking differs.
+// passes compare is estimated with sel (zero fields read as the model
+// constants), so different numbers can change which bracketing and operand
+// order win. The rewrite laws applied are identical — only the ranking
+// differs. It is the seam the tests and the layer benchmark use to show the
+// ranking responds to its inputs.
 func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, Explanation) {
-	est := NewEstimatorWith(stats, sel)
+	est := NewEstimator(stats)
+	est.sel = sel.withDefaults()
 	ex := Explanation{Before: est.Cost(p)}
 	out := pattern.Clone(p)
 

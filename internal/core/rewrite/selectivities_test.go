@@ -7,50 +7,36 @@ import (
 )
 
 func TestWithDefaultsFillsZeroValues(t *testing.T) {
-	got := Selectivities{Sequential: 0.9, SequentialSource: SelectivityMeasured}.withDefaults()
+	got := Selectivities{Sequential: 0.9}.withDefaults()
 	m := ModelSelectivities()
-	if got.Sequential != 0.9 || got.SequentialSource != SelectivityMeasured {
-		t.Fatalf("measured field overwritten: %+v", got)
+	if got.Sequential != 0.9 {
+		t.Fatalf("set field overwritten: %+v", got)
 	}
 	if got.Guard != m.Guard || got.Consecutive != m.Consecutive || got.Parallel != m.Parallel {
 		t.Fatalf("zero fields not defaulted: %+v", got)
-	}
-	if got.GuardSource != SelectivityAssumed || got.ConsecutiveSource != SelectivityAssumed ||
-		got.ParallelSource != SelectivityAssumed {
-		t.Fatalf("defaulted fields not tagged assumed: %+v", got)
 	}
 }
 
 func TestForOp(t *testing.T) {
 	sel := ModelSelectivities()
-	sel.Sequential, sel.SequentialSource = 0.8, SelectivityMeasured
-	if v, src := sel.ForOp(pattern.OpSequential); v != 0.8 || src != SelectivityMeasured {
-		t.Fatalf("sequential: %v/%s", v, src)
+	sel.Sequential = 0.8
+	if v := sel.ForOp(pattern.OpSequential); v != 0.8 {
+		t.Fatalf("sequential: %v", v)
 	}
-	if v, src := sel.ForOp(pattern.OpConsecutive); v != sel.Consecutive || src != SelectivityAssumed {
-		t.Fatalf("consecutive: %v/%s", v, src)
+	if v := sel.ForOp(pattern.OpConsecutive); v != sel.Consecutive {
+		t.Fatalf("consecutive: %v", v)
 	}
 	// Choice's output is n1+n2 exactly — no selectivity to report.
-	if v, src := sel.ForOp(pattern.OpChoice); v != 0 || src != "" {
-		t.Fatalf("choice: %v/%q, want 0/\"\"", v, src)
-	}
-}
-
-func TestMeasured(t *testing.T) {
-	if ModelSelectivities().Measured() {
-		t.Fatal("model constants must not read as measured")
-	}
-	sel := ModelSelectivities()
-	sel.ParallelSource = SelectivityMeasured
-	if !sel.Measured() {
-		t.Fatal("one measured source must flip Measured()")
+	if v := sel.ForOp(pattern.OpChoice); v != 0 {
+		t.Fatalf("choice: %v, want 0", v)
 	}
 }
 
 func TestEstimatorWithScalesCardinality(t *testing.T) {
 	stats := UniformStats{PerActivity: 100, Instances: 10}
-	hi := NewEstimatorWith(stats, Selectivities{Sequential: 1.0, SequentialSource: SelectivityMeasured})
-	lo := NewEstimator(stats) // assumed 0.25
+	hi := NewEstimator(stats)
+	hi.sel.Sequential = 1.0
+	lo := NewEstimator(stats) // model constant 0.25
 	p := pattern.MustParse("A -> B")
 	if h, l := hi.Estimate(p).Card, lo.Estimate(p).Card; h != 4*l {
 		t.Fatalf("sequential card with sel 1.0 = %g, want 4x the 0.25-model %g", h, l)
@@ -80,12 +66,12 @@ func (s skewStats) WIDs() []uint64 {
 	return wids
 }
 
-// TestOptimizeWithPlanFlip pins the tentpole behavior: the same query over
-// the same statistics yields different plans under assumed vs measured
-// selectivities. The ⊕ chain is reordered smallest-card first; (A -> B)'s
-// card is sel·16 per instance, so it sorts between the E (card 3) and F
-// (card 5) atoms under the 0.25 constant but after both under a measured
-// selectivity of 1.0, moving the join against the composite operand last.
+// TestOptimizeWithPlanFlip shows the ranking follows its Selectivities: the
+// same query over the same statistics yields different plans under different
+// numbers. The ⊕ chain is reordered smallest-card first; (A -> B)'s card is
+// sel·16 per instance, so it sorts between the E (card 3) and F (card 5)
+// atoms under the 0.25 constant but after both under a selectivity of 1.0,
+// moving the join against the composite operand last.
 func TestOptimizeWithPlanFlip(t *testing.T) {
 	stats := skewStats{
 		counts: map[string]int{"A": 40, "B": 40, "E": 30, "F": 50},
@@ -94,41 +80,30 @@ func TestOptimizeWithPlanFlip(t *testing.T) {
 	q := pattern.MustParse("E & (A -> B) & F")
 
 	static, _ := Optimize(q, stats)
-	adaptive, _ := OptimizeWith(q, stats, Selectivities{
-		Sequential:       1.0,
-		SequentialSource: SelectivityMeasured,
-	})
+	flipped, _ := OptimizeWith(q, stats, Selectivities{Sequential: 1.0})
 
 	wantStatic := pattern.MustParse("(E & (A -> B)) & F")
-	wantAdaptive := pattern.MustParse("(E & F) & (A -> B)")
+	wantFlipped := pattern.MustParse("(E & F) & (A -> B)")
 	if !pattern.Equal(static, wantStatic) {
 		t.Errorf("static plan = %q, want %q", static, wantStatic)
 	}
-	if !pattern.Equal(adaptive, wantAdaptive) {
-		t.Errorf("adaptive plan = %q, want %q", adaptive, wantAdaptive)
+	if !pattern.Equal(flipped, wantFlipped) {
+		t.Errorf("plan under sequential=1.0 = %q, want %q", flipped, wantFlipped)
 	}
-	if pattern.Equal(static, adaptive) {
-		t.Fatal("measured selectivities did not change the plan")
+	if pattern.Equal(static, flipped) {
+		t.Fatal("different selectivities did not change the plan")
 	}
 	// Both plans are AC-equivalent — same answers, different evaluation order.
-	if !EquivalentModuloAC(static, adaptive) {
+	if !EquivalentModuloAC(static, flipped) {
 		t.Fatal("plans must stay equivalent modulo Theorems 2-3")
 	}
 }
 
+// TestExplainWithReportsSelectivities: Explain's trace carries the
+// selectivities the plan was ranked with — the model constants.
 func TestExplainWithReportsSelectivities(t *testing.T) {
-	stats := UniformStats{}
-	sel := ModelSelectivities()
-	sel.Sequential, sel.SequentialSource = 0.9, SelectivityMeasured
-	_, tr := ExplainWith(pattern.MustParse("A -> B"), stats, sel)
-	if tr.Selectivities.Sequential != 0.9 || tr.Selectivities.SequentialSource != SelectivityMeasured {
-		t.Fatalf("trace selectivities = %+v", tr.Selectivities)
-	}
-	if !tr.Selectivities.Measured() {
-		t.Fatal("trace must read as adaptive")
-	}
-	_, static := Explain(pattern.MustParse("A -> B"), stats)
-	if static.Selectivities.Measured() {
-		t.Fatal("default Explain must report assumed selectivities")
+	_, tr := Explain(pattern.MustParse("A -> B"), UniformStats{})
+	if tr.Selectivities != ModelSelectivities() {
+		t.Fatalf("trace selectivities = %+v, want the model constants", tr.Selectivities)
 	}
 }

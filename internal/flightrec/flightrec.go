@@ -68,9 +68,6 @@ type Capture struct {
 	Canonical string `json:"canonical,omitempty"`
 	// Plan is the optimized pattern the evaluator ran.
 	Plan string `json:"plan,omitempty"`
-	// Planner records which cost model ranked the plan: "adaptive"
-	// (measured selectivities) or "static" (model constants).
-	Planner string `json:"planner,omitempty"`
 	// Status classifies the outcome; HTTPStatus is the code returned.
 	Status     Status `json:"status"`
 	HTTPStatus int    `json:"http_status,omitempty"`

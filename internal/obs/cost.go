@@ -44,17 +44,11 @@ type CostRow struct {
 	// repeated-sub-pattern memo without join work.
 	Evals    uint64 `json:"evals"`
 	MemoHits uint64 `json:"memo_hits,omitempty"`
-	// Pairs is Σ n1·n2 across instance evaluations (operator rows only) —
-	// the denominator the statistics registry needs to recover operator
-	// selectivities from a table shipped across the wire.
-	Pairs uint64 `json:"pairs,omitempty"`
 	// Selectivity is the output-cardinality fraction the cost model charged
-	// this node with, and SelectivitySource whether it was an assumed
-	// constant or measured from the statistics registry. Present on
-	// selective rows only: ⊙/≺/⊕ operators and guarded atoms — choice has
-	// no selectivity constant, unguarded atoms no guard factor.
-	Selectivity       float64 `json:"selectivity,omitempty"`
-	SelectivitySource string  `json:"selectivity_source,omitempty"`
+	// this node with. Present on selective rows only: ⊙/≺/⊕ operators and
+	// guarded atoms — choice has no selectivity constant, unguarded atoms no
+	// guard factor.
+	Selectivity float64 `json:"selectivity,omitempty"`
 }
 
 // boundFormula names the Lemma 1 bound an operator is charged under.
@@ -88,15 +82,9 @@ func nodeDepths(plan pattern.Node) map[pattern.Node]int {
 
 // CostTable assembles the measured-vs-predicted table for a metered plan,
 // rows in pre-order of the plan tree, with selectivity columns from the
-// model's assumed constants.
+// cost model's constants.
 func CostTable(plan pattern.Node, m *eval.Meter) []CostRow {
-	return CostTableWith(plan, m, rewrite.ModelSelectivities())
-}
-
-// CostTableWith is CostTable with explicit selectivities: each selective
-// row (⊙/≺/⊕ operators, guarded atoms) reports the value the cost model
-// charged it with and whether that value was assumed or measured.
-func CostTableWith(plan pattern.Node, m *eval.Meter, sel rewrite.Selectivities) []CostRow {
+	sel := rewrite.ModelSelectivities()
 	depths := nodeDepths(plan)
 	stats := m.Snapshot()
 	rows := make([]CostRow, 0, len(stats))
@@ -114,34 +102,19 @@ func CostTableWith(plan pattern.Node, m *eval.Meter, sel rewrite.Selectivities) 
 			row.Op = "atom"
 			row.Bound = "n (index scan)"
 			if a, ok := st.Node.(*pattern.Atom); ok && len(a.Guards) > 0 {
-				row.Selectivity, row.SelectivitySource = guardSelectivity(sel)
+				row.Selectivity = sel.Guard
 			}
 		} else {
 			row.Op = st.Op.Name()
 			row.Symbol = st.Op.Symbol()
 			row.K1, row.K2 = st.K1, st.K2
 			row.N1, row.N2 = st.LeftInputs, st.RightInputs
-			row.Pairs = st.Pairs
 			row.Bound = boundFormula(st.Op)
-			row.Selectivity, row.SelectivitySource = sel.ForOp(st.Op)
+			row.Selectivity = sel.ForOp(st.Op)
 		}
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// guardSelectivity returns the guard factor and source of a Selectivities,
-// defaulted.
-func guardSelectivity(sel rewrite.Selectivities) (float64, string) {
-	m := rewrite.ModelSelectivities()
-	v, src := sel.Guard, sel.GuardSource
-	if v <= 0 {
-		v, src = m.Guard, rewrite.SelectivityAssumed
-	}
-	if src == "" {
-		src = rewrite.SelectivityAssumed
-	}
-	return v, src
 }
 
 // EvalSpans appends to parent a span subtree mirroring the plan's incident
@@ -150,16 +123,10 @@ func guardSelectivity(sel rewrite.Selectivities) (float64, string) {
 // the per-operator accounting, not wall-clock timing — evaluation wall
 // clock lives on the parent span.
 func EvalSpans(parent *Span, plan pattern.Node, m *eval.Meter) {
-	EvalSpansWith(parent, plan, m, rewrite.ModelSelectivities())
-}
-
-// EvalSpansWith is EvalSpans with explicit selectivities: selective operator
-// spans additionally carry selectivity / selectivity_source attributes so a
-// captured trace shows which cost-model values ranked the plan.
-func EvalSpansWith(parent *Span, plan pattern.Node, m *eval.Meter, sel rewrite.Selectivities) {
 	if parent == nil || m == nil {
 		return
 	}
+	sel := rewrite.ModelSelectivities()
 	stats := make(map[pattern.Node]eval.NodeStats, len(m.Snapshot()))
 	for _, st := range m.Snapshot() {
 		stats[st.Node] = st
@@ -191,9 +158,8 @@ func EvalSpansWith(parent *Span, plan pattern.Node, m *eval.Meter, sel rewrite.S
 			child.SetAttr("k1", st.K1)
 			child.SetAttr("k2", st.K2)
 			child.SetAttr("bound", boundFormula(st.Op))
-			if v, src := sel.ForOp(st.Op); src != "" {
+			if v := sel.ForOp(st.Op); v > 0 {
 				child.SetAttr("selectivity", v)
-				child.SetAttr("selectivity_source", src)
 			}
 		}
 		if b, ok := n.(*pattern.Binary); ok {
@@ -216,9 +182,6 @@ func RewriteSpans(sp *Span, tr rewrite.Trace) {
 	sp.SetAttr("input", tr.Input.String())
 	sp.SetAttr("output", tr.Output.String())
 	sp.SetAttr("changed", tr.Changed())
-	if tr.Selectivities.Measured() {
-		sp.SetAttr("adaptive", true)
-	}
 	sp.SetAttr("cost_before", tr.Before.Cost)
 	sp.SetAttr("cost_after", tr.After.Cost)
 	sp.SetAttr("card_before", tr.Before.Card)

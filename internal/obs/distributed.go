@@ -191,7 +191,6 @@ func AggregateCostTables(tables ...[]CostRow) []CostRow {
 			out[i].Predicted += t[i].Predicted
 			out[i].Evals += t[i].Evals
 			out[i].MemoHits += t[i].MemoHits
-			out[i].Pairs += t[i].Pairs
 		}
 	}
 	return out

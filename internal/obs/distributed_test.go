@@ -190,7 +190,7 @@ func TestAggregateCostTablesSumsAlignedRows(t *testing.T) {
 		return []CostRow{
 			{Node: "A -> B", Op: "sequential", N1: 10 * scale, N2: 20 * scale,
 				Comparisons: 30 * scale, Outputs: 5 * scale, Predicted: 200 * scale,
-				Evals: 2 * scale, MemoHits: scale, Pairs: 200 * scale, K1: 1, K2: 1},
+				Evals: 2 * scale, MemoHits: scale, K1: 1, K2: 1},
 			{Node: "A", Op: "atom", Comparisons: 10 * scale, Outputs: 10 * scale,
 				Evals: 2 * scale},
 			{Node: "B", Op: "atom", Comparisons: 20 * scale, Outputs: 20 * scale,
@@ -203,7 +203,7 @@ func TestAggregateCostTablesSumsAlignedRows(t *testing.T) {
 	}
 	top := got[0]
 	if top.N1 != 40 || top.N2 != 80 || top.Comparisons != 120 || top.Outputs != 20 ||
-		top.Predicted != 800 || top.Evals != 8 || top.MemoHits != 4 || top.Pairs != 800 {
+		top.Predicted != 800 || top.Evals != 8 || top.MemoHits != 4 {
 		t.Fatalf("summed row = %+v", top)
 	}
 	// Shape columns come from the first table, not the sum.

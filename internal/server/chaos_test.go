@@ -400,10 +400,9 @@ func TestChaosMetricsCountFaults(t *testing.T) {
 	}, 4, 200)
 	eval.SetEvalHook(faultinject.PanicOnNth(1, "fault"))
 	// The panic request is a bare atom: it charges no comparisons, so only
-	// the panic can fail it. With an operator ("A . B") under the naive
-	// strategy a sibling eval goroutine could trip the 5000-comparison
-	// budget while the panicking one was still capturing its stack, win
-	// EvalParallelCtx's first-error slot, and turn the 500 into a second 422.
+	// the panic can fail it. (With an operator a sibling eval goroutine could
+	// trip the budget as well; EvalParallelCtx would still report the panic —
+	// eval.errRank — but this test counts faults, not their ranking.)
 	postQuery(t, h, `{"log":"chaos","query":"A"}`, nil) // panic -> 500
 	eval.SetEvalHook(nil)
 	postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil) // budget -> 422

@@ -454,35 +454,30 @@ func TestClusterWorkerTraceEndpoint(t *testing.T) {
 	})
 }
 
-// TestClusterDegradedRunDoesNotFeedStats: the PR 6 hygiene contract across
-// the wire. Workers never flush their registries; the coordinator feeds the
-// fleet table to its registry only when the merge is complete — a degraded
-// 206 must leave the adaptive model untouched.
+// TestClusterDegradedRunDoesNotFeedStats: a complete distributed run is
+// counted complete and a degraded 206 is counted partial — the disposition
+// is only known at the coordinator, where the merge happens.
 func TestClusterDegradedRunDoesNotFeedStats(t *testing.T) {
 	l := chaosLog(t, 16, 2)
 	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
 		c.MaxAttempts = 1
 		c.WorkerTimeout = 2 * time.Second
 	}, func(c *Config) {
-		c.Adaptive = true
 		c.CacheSize = -1
 	})
 	h := f.coord.Handler()
-	reg := f.coord.statsFor("chaos")
-	if reg == nil {
-		t.Fatal("adaptive coordinator has no stats registry")
+	partials := func() uint64 {
+		var m metricsDoc
+		getJSON(t, h, "/metrics", &m)
+		return m.PartialResults
 	}
 
-	// A complete distributed run feeds the registry exactly once, via the
-	// fleet table (the coordinator ran no local evaluation to flush).
 	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","partial":true}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("healthy status %d: %s", rec.Code, rec.Body)
 	}
-	if got := reg.Queries(); got != 1 {
-		t.Fatalf("registry observed %d queries after a complete run, want 1", got)
+	if got := partials(); got != 0 {
+		t.Fatalf("partial_results = %d after a complete run, want 0", got)
 	}
-	// Workers kept their own registries out of it (worker mode never
-	// creates one, but the invariant worth pinning is the count here).
 
 	wids := make([]uint64, 16)
 	for i := range wids {
@@ -495,8 +490,8 @@ func TestClusterDegradedRunDoesNotFeedStats(t *testing.T) {
 	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","partial":true}`, nil); rec.Code != http.StatusPartialContent {
 		t.Fatalf("degraded status %d, want 206: %s", rec.Code, rec.Body)
 	}
-	if got := reg.Queries(); got != 1 {
-		t.Fatalf("degraded 206 polluted the registry: %d queries observed, want still 1", got)
+	if got := partials(); got != 1 {
+		t.Fatalf("partial_results = %d after a degraded 206, want 1", got)
 	}
 }
 

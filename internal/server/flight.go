@@ -26,7 +26,6 @@ type captureSummary struct {
 	Backend    string           `json:"backend,omitempty"`
 	Query      string           `json:"query"`
 	Plan       string           `json:"plan,omitempty"`
-	Planner    string           `json:"planner,omitempty"`
 	Status     flightrec.Status `json:"status"`
 	HTTPStatus int              `json:"http_status,omitempty"`
 	Error      string           `json:"error,omitempty"`
@@ -56,7 +55,6 @@ func summarize(c *flightrec.Capture) captureSummary {
 		Backend:    c.Backend,
 		Query:      c.Query,
 		Plan:       c.Plan,
-		Planner:    c.Planner,
 		Status:     c.Status,
 		HTTPStatus: c.HTTPStatus,
 		Error:      c.Error,

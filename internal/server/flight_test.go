@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,15 +12,13 @@ import (
 
 	"wlq"
 	"wlq/internal/core/eval"
-	"wlq/internal/core/pattern"
 	"wlq/internal/faultinject"
 	"wlq/internal/resilience"
-	"wlq/internal/stats"
 	"wlq/internal/wlog"
 )
 
-// Flight-recorder and adaptive cost-model suite. The Chaos-named tests ride
-// the fault-injection seams and run under the CI race step.
+// Flight-recorder suite. The Chaos-named tests ride the fault-injection seams
+// and run under the CI race step.
 
 // listCaptures fetches GET /v1/queries with the given query string.
 func listCaptures(t *testing.T, h http.Handler, params string) flightListDoc {
@@ -112,8 +109,7 @@ func TestFlightRecorderCapturesParseError(t *testing.T) {
 
 func TestFlightRecorderCapturesBudgetAbortAndKeepsRegistryClean(t *testing.T) {
 	s := newTestServer(t, Config{
-		Adaptive: true,
-		Budget:   resilience.Budget{MaxComparisons: 1},
+		Budget: resilience.Budget{MaxComparisons: 1},
 	})
 	h := s.Handler()
 	rec := postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
@@ -124,14 +120,14 @@ func TestFlightRecorderCapturesBudgetAbortAndKeepsRegistryClean(t *testing.T) {
 	if doc.Count != 1 {
 		t.Fatalf("budget captures = %d, want 1", doc.Count)
 	}
-	// Hygiene: the aborted evaluation must not feed the statistics registry.
-	if n := s.statsFor("fig3").Queries(); n != 0 {
-		t.Fatalf("budget-tripped query fed the registry: %d queries", n)
+	// Hygiene: the aborted evaluation's truncated answer must not be cached.
+	if n := s.cache.len(); n != 0 {
+		t.Fatalf("budget-tripped query entered the cache: %d entries", n)
 	}
 }
 
 func TestChaosFlightRecorderCapturesPanicAndKeepsRegistryClean(t *testing.T) {
-	s := New(Config{Adaptive: true})
+	s := New(Config{})
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 8, 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +146,13 @@ func TestChaosFlightRecorderCapturesPanicAndKeepsRegistryClean(t *testing.T) {
 	if !doc.Queries[0].HasTrace {
 		t.Fatal("panic capture lost its partial trace")
 	}
-	if n := s.statsFor("chaos").Queries(); n != 0 {
-		t.Fatalf("panicked query fed the registry: %d queries", n)
+	if n := s.cache.len(); n != 0 {
+		t.Fatalf("panicked query entered the cache: %d entries", n)
 	}
 }
 
 func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
-	cfg := Config{Adaptive: true, Shards: 4, ShardAttempts: 1}
+	cfg := Config{Shards: 4, ShardAttempts: 1}
 	s := New(cfg)
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 16, 3)); err != nil {
 		t.Fatal(err)
@@ -180,10 +176,15 @@ func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
 	if !doc.Queries[0].Sharded {
 		t.Fatal("partial capture not marked sharded")
 	}
-	// Hygiene: a result missing a wid range under-reports outputs; it must
-	// never enter the selectivity registry.
-	if n := s.statsFor("chaos").Queries(); n != 0 {
-		t.Fatalf("partial query fed the registry: %d queries", n)
+	// Hygiene: a result missing a wid range is neither cached nor counted
+	// complete.
+	if n := s.cache.len(); n != 0 {
+		t.Fatalf("partial result entered the cache: %d entries", n)
+	}
+	var m metricsDoc
+	getJSON(t, h, "/metrics", &m)
+	if m.PartialResults != 1 {
+		t.Fatalf("partial_results = %d, want 1", m.PartialResults)
 	}
 }
 
@@ -220,56 +221,20 @@ func TestFlightListValidation(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStatsPersistAcrossServers runs warm-up queries on an adaptive
-// server, then builds a second server over the same stats file and checks
-// the measured statistics were loaded back.
-func TestAdaptiveStatsPersistAcrossServers(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "fig3.stats.json")
-	cfg := Config{Adaptive: true, StatsFile: path}
-
-	s := newTestServer(t, cfg)
-	h := s.Handler()
-	for _, q := range []string{
-		"GetRefer -> SeeDoctor",
-		"SeeDoctor -> PayTreatment",
-		"UpdateRefer -> GetReimburse",
-	} {
-		if rec := postQuery(t, h, fmt.Sprintf(`{"log":"fig3","query":%q}`, q), nil); rec.Code != http.StatusOK {
-			t.Fatalf("warmup %q status %d: %s", q, rec.Code, rec.Body)
-		}
-	}
-	want := s.statsFor("fig3").Queries()
-	if want == 0 {
-		t.Fatal("successful queries did not feed the registry")
-	}
-
-	s2 := newTestServer(t, cfg)
-	if got := s2.statsFor("fig3").Queries(); got != want {
-		t.Fatalf("second server loaded %d queries of statistics, want %d", got, want)
-	}
-}
-
 // fig3Loader reloads the built-in Figure 3 log, for hot-reload tests.
 func fig3Loader(string) (*wlog.Log, error) { return wlq.ClinicFig3(), nil }
 
-// TestAdaptiveStatsSurviveReload checks the registry is not reset by a hot
-// reload, and that captures carry the new generation afterwards.
-func TestAdaptiveStatsSurviveReload(t *testing.T) {
-	s := New(Config{Adaptive: true, Loader: fig3Loader})
+// TestFlightCaptureCarriesReloadGeneration: captures from before and after a
+// hot reload coexist in the recorder, told apart by their generation.
+func TestFlightCaptureCarriesReloadGeneration(t *testing.T) {
+	s := New(Config{Loader: fig3Loader})
 	if err := s.AddLog("fig3", "builtin:fig3", wlq.ClinicFig3()); err != nil {
 		t.Fatal(err)
 	}
 	h := s.Handler()
 	postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
-	before := s.statsFor("fig3").Queries()
-	if before == 0 {
-		t.Fatal("query did not feed the registry")
-	}
 	if _, err := s.ReloadLogs(); err != nil {
 		t.Fatal(err)
-	}
-	if after := s.statsFor("fig3").Queries(); after != before {
-		t.Fatalf("reload reset the registry: %d -> %d", before, after)
 	}
 	// A post-reload execution carries the bumped generation.
 	postQuery(t, h, `{"log":"fig3","query":"SeeDoctor -> PayTreatment"}`, nil)
@@ -283,10 +248,10 @@ func TestAdaptiveStatsSurviveReload(t *testing.T) {
 }
 
 // TestChaosFlightRecorderConcurrentWithReload hammers queries, capture reads
-// and hot reloads concurrently; run under -race it proves the recorder and
-// registry survive reload without locking up or mixing state.
+// and hot reloads concurrently; run under -race it proves the recorder
+// survives reload without locking up or mixing state.
 func TestChaosFlightRecorderConcurrentWithReload(t *testing.T) {
-	s := New(Config{Adaptive: true, Loader: fig3Loader})
+	s := New(Config{Loader: fig3Loader})
 	if err := s.AddLog("fig3", "builtin:fig3", wlq.ClinicFig3()); err != nil {
 		t.Fatal(err)
 	}
@@ -326,9 +291,6 @@ func TestChaosFlightRecorderConcurrentWithReload(t *testing.T) {
 	if s.flight.Captured() == 0 {
 		t.Fatal("no captures recorded")
 	}
-	if s.statsFor("fig3").Queries() == 0 {
-		t.Fatal("no queries fed the registry")
-	}
 }
 
 func TestMetricsBackendAndFlightFamilies(t *testing.T) {
@@ -340,7 +302,7 @@ func TestMetricsBackendAndFlightFamilies(t *testing.T) {
 		{false, `wlq_storage_backend{backend="row"} 1`, `wlq_storage_backend{backend="columnar"} 1`},
 		{true, `wlq_storage_backend{backend="columnar"} 1`, `wlq_storage_backend{backend="row"} 1`},
 	} {
-		s := newTestServer(t, Config{Columnar: tc.columnar, Adaptive: true})
+		s := newTestServer(t, Config{Columnar: tc.columnar})
 		h := s.Handler()
 		postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
 		rec := getJSON(t, h, "/metrics?format=prometheus", nil)
@@ -354,51 +316,15 @@ func TestMetricsBackendAndFlightFamilies(t *testing.T) {
 		for _, family := range []string{
 			"wlq_flightrec_captured_total 1",
 			"wlq_flightrec_entries 1",
-			"wlq_adaptive_plans_total",
-			"wlq_static_plans_total",
 		} {
 			if !strings.Contains(body, family) {
 				t.Errorf("columnar=%v: missing family %q in exposition", tc.columnar, family)
 			}
 		}
-	}
-}
-
-func TestAdaptiveAndStaticPlanCounters(t *testing.T) {
-	s := newTestServer(t, Config{Adaptive: true})
-	h := s.Handler()
-	// First query: empty registry, static ranking.
-	postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
-	var doc metricsDoc
-	getJSON(t, h, "/metrics", &doc)
-	if doc.StaticPlans != 1 || doc.AdaptivePlans != 0 {
-		t.Fatalf("after first query: adaptive=%d static=%d, want 0/1", doc.AdaptivePlans, doc.StaticPlans)
-	}
-	// Feed the registry past its evidence threshold, then plan a new query
-	// (a cache miss, so the rewriter actually runs).
-	seedRegistry(t, s.statsFor("fig3"))
-	postQuery(t, h, `{"log":"fig3","query":"SeeDoctor -> PayTreatment"}`, nil)
-	getJSON(t, h, "/metrics", &doc)
-	if doc.AdaptivePlans != 1 {
-		t.Fatalf("after measured registry: adaptive=%d, want 1", doc.AdaptivePlans)
-	}
-	if doc.Backend != "row" {
-		t.Fatalf("metrics backend = %q, want row", doc.Backend)
-	}
-}
-
-// seedRegistry pushes synthetic sequential-operator evidence past the
-// registry's threshold so its selectivities read as measured.
-func seedRegistry(t *testing.T, reg *stats.Registry) {
-	t.Helper()
-	reg.ObserveMeter([]eval.NodeStats{{
-		Node:    pattern.MustParse("A -> B"),
-		Op:      pattern.OpSequential,
-		Evals:   1,
-		Pairs:   stats.MinOperatorPairs,
-		Outputs: stats.MinOperatorPairs / 2,
-	}})
-	if !reg.Selectivities().Measured() {
-		t.Fatal("seeded registry still reads as assumed")
+		var doc metricsDoc
+		getJSON(t, h, "/metrics", &doc)
+		if want := map[bool]string{false: "row", true: "columnar"}[tc.columnar]; doc.Backend != want {
+			t.Errorf("columnar=%v: JSON metrics backend = %q, want %q", tc.columnar, doc.Backend, want)
+		}
 	}
 }

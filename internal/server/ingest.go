@@ -11,6 +11,7 @@ import (
 
 	"wlq/internal/ingest"
 	"wlq/internal/logio"
+	"wlq/internal/obs"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
@@ -217,24 +218,26 @@ type ingestLogDoc struct {
 // ingestMetricsDoc is the ingest section of the metrics document:
 // coordinator and WAL counters aggregated across live logs at scrape time
 // (the same assembled-at-scrape pattern as the cluster section), plus the
-// server-owned delta-invalidation counter and the fsync latency histogram's
-// scalar summary (the full histogram is Prometheus-only).
+// server-owned delta-invalidation counter and the WAL fsync latency
+// histogram (JSON carries its scalar summary, Prometheus the buckets).
+// Emitted only when Config.Ingest is on. Tags as on metricsDoc.
 type ingestMetricsDoc struct {
-	Accepted           uint64         `json:"accepted"`
-	Rejected           uint64         `json:"rejected"`
-	Shed               uint64         `json:"shed"`
-	Replayed           uint64         `json:"replayed"`
-	Deduped            uint64         `json:"deduped"`
-	WALAppends         uint64         `json:"wal_appends"`
-	WALBytes           uint64         `json:"wal_bytes"`
-	WALFsyncs          uint64         `json:"wal_fsyncs"`
-	WALRotations       uint64         `json:"wal_rotations"`
-	WALSegments        int            `json:"wal_segments"`
-	WALTornBytes       int64          `json:"wal_torn_bytes"`
-	CacheInvalidations uint64         `json:"cache_invalidations"`
-	FsyncCount         uint64         `json:"fsync_count"`
-	FsyncSumUS         int64          `json:"fsync_sum_us"`
-	Logs               []ingestLogDoc `json:"logs,omitempty"`
+	Accepted           uint64                `json:"accepted" prom:"wlq_ingest_appends_total" help:"Records durably appended and applied."`
+	Rejected           uint64                `json:"rejected" prom:"wlq_ingest_rejected_total" help:"Appends rejected for violating the log discipline (422)."`
+	Shed               uint64                `json:"shed" prom:"wlq_ingest_shed_total" help:"Appends shed by apply-queue backpressure (429)."`
+	Replayed           uint64                `json:"replayed" prom:"wlq_ingest_replayed_total" help:"WAL records replayed into the index at startup or reload."`
+	Deduped            uint64                `json:"deduped" prom:"wlq_ingest_deduped_total" help:"WAL records skipped on replay as already in the snapshot."`
+	WALAppends         uint64                `json:"wal_appends"`
+	WALBytes           uint64                `json:"wal_bytes" prom:"wlq_ingest_wal_bytes_total" help:"Framed bytes written to WAL segments."`
+	WALFsyncs          uint64                `json:"wal_fsyncs" prom:"wlq_ingest_wal_fsyncs_total" help:"Explicit WAL fsyncs issued."`
+	WALRotations       uint64                `json:"wal_rotations" prom:"wlq_ingest_wal_rotations_total" help:"WAL segment rotations."`
+	WALSegments        int                   `json:"wal_segments" prom:"wlq_ingest_wal_segments" help:"Live WAL segment files across logs."`
+	WALTornBytes       int64                 `json:"wal_torn_bytes" prom:"wlq_ingest_wal_torn_bytes_total" help:"Bytes truncated as torn tails by recovery scans."`
+	CacheInvalidations uint64                `json:"cache_invalidations" prom:"wlq_ingest_cache_invalidations_total" help:"Cached results dropped by the per-append delta sweep."`
+	FsyncCount         uint64                `json:"fsync_count"`
+	FsyncSumUS         int64                 `json:"fsync_sum_us"`
+	FsyncDuration      obs.HistogramSnapshot `json:"-" prom:"wlq_ingest_fsync_duration_seconds" help:"WAL fsync latency."`
+	Logs               []ingestLogDoc        `json:"logs,omitempty"`
 }
 
 // ingestMetrics assembles the ingest section, or nil when live ingestion is
@@ -254,8 +257,8 @@ func (s *Server) ingestMetrics() *ingestMetricsDoc {
 	doc := &ingestMetricsDoc{
 		CacheInvalidations: s.metrics.ingestInvalidations.Load(),
 	}
-	fsync := s.metrics.fsyncHist.Snapshot()
-	doc.FsyncCount, doc.FsyncSumUS = fsync.Count, fsync.SumUS
+	doc.FsyncDuration = s.metrics.fsyncHist.Snapshot()
+	doc.FsyncCount, doc.FsyncSumUS = doc.FsyncDuration.Count, doc.FsyncDuration.SumUS
 	for _, e := range coords {
 		st := e.live.Stats()
 		doc.Accepted += st.Accepted

@@ -45,12 +45,6 @@ type metrics struct {
 	// pass (single-flight) instead of starting their own.
 	coalescedReloads atomic.Uint64
 
-	// Adaptive cost-model counters: plans ranked with measured selectivities
-	// from the statistics registry versus the static model constants (a
-	// registry below its evidence thresholds still ranks statically).
-	adaptivePlans atomic.Uint64
-	staticPlans   atomic.Uint64
-
 	// Sharded-execution counters (zero unless Config.Shards is set): queries
 	// run shard-by-shard, per-shard retry attempts, shards excluded after
 	// exhausting retries, shards skipped by an open circuit breaker, results
@@ -117,13 +111,17 @@ func (m *metrics) recordMeter(mt *eval.Meter) {
 	}
 }
 
+// meteredOps are the operators the per-operator totals are kept for, in the
+// order both renderers list them.
+var meteredOps = []pattern.Op{
+	pattern.OpConsecutive, pattern.OpSequential, pattern.OpChoice, pattern.OpParallel,
+}
+
 // operatorTotals snapshots the per-operator counters keyed by operator name.
 func (m *metrics) operatorTotals() (comparisons, outputs map[string]uint64) {
-	comparisons = make(map[string]uint64, 4)
-	outputs = make(map[string]uint64, 4)
-	for _, op := range []pattern.Op{
-		pattern.OpConsecutive, pattern.OpSequential, pattern.OpChoice, pattern.OpParallel,
-	} {
+	comparisons = make(map[string]uint64, len(meteredOps))
+	outputs = make(map[string]uint64, len(meteredOps))
+	for _, op := range meteredOps {
 		comparisons[op.Name()] = m.opComparisons[op].Load()
 		outputs[op.Name()] = m.opOutputs[op].Load()
 	}
@@ -206,59 +204,66 @@ type latencyDoc struct {
 	Max   int64  `json:"max_us"`
 }
 
-// metricsDoc is the full GET /metrics response.
+// metricsDoc is the full GET /metrics response and the one declaration of
+// every metric: the json tag is the key in the JSON document, the prom and
+// help tags the family the Prometheus renderer (prometheus.go) emits for the
+// same field — a counter when the family name ends in _total, a gauge
+// otherwise, a histogram for an obs.HistogramSnapshot. A field without a
+// prom tag is JSON-only; the few families derived from non-scalar fields
+// (backend, workers_lost, worker_health, worker_durations, ingest logs, the
+// per-operator maps) are rendered by hand in prometheus.go.
 type metricsDoc struct {
-	UptimeSeconds      float64 `json:"uptime_seconds"`
+	UptimeSeconds      float64 `json:"uptime_seconds" prom:"wlq_uptime_seconds" help:"Seconds since the service started."`
 	Backend            string  `json:"backend"`
-	LogsLoaded         int     `json:"logs_loaded"`
-	QueriesTotal       uint64  `json:"queries_total"`
-	QueryErrors        uint64  `json:"query_errors"`
-	QueryTimeouts      uint64  `json:"query_timeouts"`
-	CacheHits          uint64  `json:"cache_hits"`
-	CacheMisses        uint64  `json:"cache_misses"`
-	CacheEntries       int     `json:"cache_entries"`
-	CacheEvictions     uint64  `json:"cache_evictions"`
-	IncidentsReturned  uint64  `json:"incidents_returned"`
-	InstancesEvaluated uint64  `json:"instances_evaluated"`
-	SlowQueries        uint64  `json:"slow_queries"`
-	QueriesShed        uint64  `json:"queries_shed"`
-	PanicsRecovered    uint64  `json:"panics_recovered"`
-	BudgetAborts       uint64  `json:"budget_aborts"`
-	CostRejected       uint64  `json:"cost_rejected"`
-	LogReloads         uint64  `json:"log_reloads"`
-	LogReloadFailures  uint64  `json:"log_reload_failures"`
-	CoalescedReloads   uint64  `json:"coalesced_reloads"`
-	LogsQuarantined    int     `json:"logs_quarantined"`
-	ShardedQueries     uint64  `json:"sharded_queries"`
-	ShardRetries       uint64  `json:"shard_retries"`
-	ShardsFailed       uint64  `json:"shards_failed"`
-	ShardsSkipped      uint64  `json:"shards_skipped"`
-	PartialResults     uint64  `json:"partial_results"`
-	WIDsExcluded       uint64  `json:"wids_excluded"`
-	BreakersOpen       int     `json:"breakers_open"`
+	LogsLoaded         int     `json:"logs_loaded" prom:"wlq_logs_loaded" help:"Workflow logs loaded and indexed."`
+	QueriesTotal       uint64  `json:"queries_total" prom:"wlq_queries_total" help:"Queries received on POST /v1/query."`
+	QueryErrors        uint64  `json:"query_errors" prom:"wlq_query_errors_total" help:"Queries rejected or failed."`
+	QueryTimeouts      uint64  `json:"query_timeouts" prom:"wlq_query_timeouts_total" help:"Queries aborted by the evaluation timeout."`
+	CacheHits          uint64  `json:"cache_hits" prom:"wlq_cache_hits_total" help:"Result-cache hits."`
+	CacheMisses        uint64  `json:"cache_misses" prom:"wlq_cache_misses_total" help:"Result-cache misses."`
+	CacheEntries       int     `json:"cache_entries" prom:"wlq_cache_entries" help:"Result-cache entries resident."`
+	CacheEvictions     uint64  `json:"cache_evictions" prom:"wlq_cache_evictions_total" help:"Result-cache entries displaced by LRU pressure."`
+	IncidentsReturned  uint64  `json:"incidents_returned" prom:"wlq_incidents_returned_total" help:"Incidents returned in query responses."`
+	InstancesEvaluated uint64  `json:"instances_evaluated" prom:"wlq_instances_evaluated_total" help:"Workflow instances evaluated."`
+	SlowQueries        uint64  `json:"slow_queries" prom:"wlq_slow_queries_total" help:"Queries slower than the slow-query threshold."`
+	QueriesShed        uint64  `json:"queries_shed" prom:"wlq_queries_shed_total" help:"Queries shed by admission control (429)."`
+	PanicsRecovered    uint64  `json:"panics_recovered" prom:"wlq_panics_recovered_total" help:"Panics converted to errors (handler or eval worker)."`
+	BudgetAborts       uint64  `json:"budget_aborts" prom:"wlq_budget_aborts_total" help:"Evaluations aborted by a query budget (422)."`
+	CostRejected       uint64  `json:"cost_rejected" prom:"wlq_cost_rejected_total" help:"Queries rejected by the pre-flight cost ceiling (422)."`
+	LogReloads         uint64  `json:"log_reloads" prom:"wlq_log_reloads_total" help:"Successful per-log hot reloads."`
+	LogReloadFailures  uint64  `json:"log_reload_failures" prom:"wlq_log_reload_failures_total" help:"Hot reloads that quarantined a log."`
+	CoalescedReloads   uint64  `json:"coalesced_reloads" prom:"wlq_coalesced_reloads_total" help:"Reload requests coalesced into an in-progress pass."`
+	LogsQuarantined    int     `json:"logs_quarantined" prom:"wlq_logs_quarantined" help:"Logs serving a last-good snapshot after a failed reload."`
+	ShardedQueries     uint64  `json:"sharded_queries" prom:"wlq_sharded_queries_total" help:"Queries evaluated shard-by-shard in isolated failure domains."`
+	ShardRetries       uint64  `json:"shard_retries" prom:"wlq_shard_retries_total" help:"Per-shard evaluation re-attempts (after backoff)."`
+	ShardsFailed       uint64  `json:"shards_failed" prom:"wlq_shards_failed_total" help:"Shards excluded from results after exhausting retries."`
+	ShardsSkipped      uint64  `json:"shards_skipped" prom:"wlq_shards_skipped_total" help:"Shards excluded by an open circuit breaker (no attempt)."`
+	PartialResults     uint64  `json:"partial_results" prom:"wlq_partial_results_total" help:"Queries whose result excluded at least one shard."`
+	WIDsExcluded       uint64  `json:"wids_excluded" prom:"wlq_wids_excluded_total" help:"Workflow instances excluded from partial results."`
+	BreakersOpen       int     `json:"breakers_open" prom:"wlq_shard_breakers_open" help:"Per-shard circuit breakers currently open or half-open."`
 	// Cluster is the distributed-tier section (nil on a single-node server
 	// that is not in worker mode).
 	Cluster *clusterMetricsDoc `json:"cluster,omitempty"`
 	// Ingest is the durable live-ingestion section (nil unless
 	// Config.Ingest): coordinator, WAL and delta-invalidation counters.
 	Ingest            *ingestMetricsDoc `json:"ingest,omitempty"`
-	AdmissionCapacity int               `json:"admission_capacity"`
-	AdmissionInFlight int               `json:"admission_in_flight"`
-	InflightQueries   int64             `json:"inflight_queries"`
+	AdmissionCapacity int               `json:"admission_capacity" prom:"wlq_admission_capacity" help:"Admission controller in-flight query bound (0 = unlimited)."`
+	AdmissionInFlight int               `json:"admission_in_flight" prom:"wlq_admission_in_flight" help:"Queries currently admitted."`
+	InflightQueries   int64             `json:"inflight_queries" prom:"wlq_inflight_queries" help:"Queries currently being served."`
 	WorkersPerQuery   int               `json:"workers_per_query"`
-	BusyWorkers       int64             `json:"busy_workers"`
-	WorkerCapacity    int               `json:"worker_capacity"`
-	WorkerUtilization float64           `json:"worker_utilization"`
+	BusyWorkers       int64             `json:"busy_workers" prom:"wlq_busy_workers" help:"Evaluation workers currently running."`
+	WorkerCapacity    int               `json:"worker_capacity" prom:"wlq_worker_capacity" help:"Evaluation worker capacity (GOMAXPROCS)."`
+	WorkerUtilization float64           `json:"worker_utilization" prom:"wlq_worker_utilization" help:"Busy workers over capacity."`
 	// Flight-recorder gauges: captures recorded over the service lifetime
 	// and captures currently resident in the rings.
-	FlightCaptured uint64 `json:"flightrec_captured"`
-	FlightEntries  int    `json:"flightrec_entries"`
-	// Adaptive cost-model counters: plans ranked with measured vs assumed
-	// selectivities.
-	AdaptivePlans uint64 `json:"adaptive_plans"`
-	StaticPlans   uint64 `json:"static_plans"`
+	FlightCaptured uint64 `json:"flightrec_captured" prom:"wlq_flightrec_captured_total" help:"Query executions captured by the flight recorder."`
+	FlightEntries  int    `json:"flightrec_entries" prom:"wlq_flightrec_entries" help:"Captures currently resident in the flight-recorder rings."`
 
-	Latency latencyDoc `json:"latency"`
+	// Latency is the exact-percentile view of the last 1,024 requests;
+	// QueryDuration the lifetime histogram of the same observations
+	// (Prometheus-only).
+	Latency       latencyDoc            `json:"latency"`
+	QueryDuration obs.HistogramSnapshot `json:"-" prom:"wlq_query_duration_seconds" help:"Request latency, all paths (success, error, timeout)."`
 	// OperatorComparisons and OperatorOutputs are the service-lifetime
 	// per-operator totals measured by the evaluator (Lemma 1 accounting).
 	OperatorComparisons map[string]uint64 `json:"operator_comparisons"`
@@ -268,19 +273,20 @@ type metricsDoc struct {
 // clusterMetricsDoc is the distributed-tier section of the metrics
 // document: coordinator-side fan-out counters (merged from
 // cluster.Coordinator.Stats at scrape time) and worker-side served-request
-// counters.
+// counters. Emitted only on cluster members so single-node scrapes stay
+// compact.
 type clusterMetricsDoc struct {
 	// Role is "coordinator", "worker", or "coordinator+worker".
 	Role string `json:"role"`
 	// Workers is the configured fleet size; WorkersLost the workers
 	// currently probe-unhealthy or breaker-tripped; WorkerBreakersOpen the
 	// count of not-closed per-worker breakers.
-	Workers            int      `json:"workers,omitempty"`
+	Workers            int      `json:"workers,omitempty" prom:"wlq_cluster_workers" help:"Workers in the configured fleet."`
 	WorkersLost        []string `json:"workers_lost,omitempty"`
 	WorkerBreakersOpen int      `json:"worker_breakers_open"`
 	// ClusterQueries counts queries fanned out; the coordinator's own
 	// fan-out counters follow (zero on a pure worker).
-	ClusterQueries uint64 `json:"cluster_queries"`
+	ClusterQueries uint64 `json:"cluster_queries" prom:"wlq_cluster_queries_total" help:"Queries fanned out across the worker fleet."`
 	cluster.Stats
 	// WorkerHealth is each worker's probe verdict and breaker state.
 	WorkerHealth []cluster.WorkerHealth `json:"worker_health,omitempty"`
@@ -289,8 +295,8 @@ type clusterMetricsDoc struct {
 	WorkerDurations []cluster.WorkerDurations `json:"worker_durations,omitempty"`
 	// WorkerQueriesServed/WorkerQueryErrors count worker-mode requests this
 	// instance served (and failed) as an upstream.
-	WorkerQueriesServed uint64 `json:"worker_queries_served"`
-	WorkerQueryErrors   uint64 `json:"worker_query_errors"`
+	WorkerQueriesServed uint64 `json:"worker_queries_served" prom:"wlq_worker_queries_total" help:"Worker-mode requests served by this instance."`
+	WorkerQueryErrors   uint64 `json:"worker_query_errors" prom:"wlq_worker_query_errors_total" help:"Worker-mode requests this instance failed."`
 }
 
 // clusterMetrics assembles the cluster section, or nil when this instance
@@ -388,9 +394,8 @@ func (s *Server) metricsSnapshot() metricsDoc {
 		WorkerUtilization:   util,
 		FlightCaptured:      flight.Captured(),
 		FlightEntries:       flight.Len(),
-		AdaptivePlans:       m.adaptivePlans.Load(),
-		StaticPlans:         m.staticPlans.Load(),
 		Latency:             latencyDoc{Count: count, P50: p50, P95: p95, P99: p99, Max: max},
+		QueryDuration:       m.hist.Snapshot(),
 		OperatorComparisons: opComparisons,
 		OperatorOutputs:     opOutputs,
 	}

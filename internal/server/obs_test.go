@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wlq"
 )
 
 // TestQueryTraceResponse: "trace": true returns the span tree and a cost
@@ -102,14 +104,24 @@ func TestHealthzAndReadyz(t *testing.T) {
 	}
 }
 
-// promLine matches one exposition sample: name, optional labels, value.
-var promLine = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? [0-9eE.+-]+$`)
+// promLine matches one exposition sample: name, optional labels (values
+// escaped per the text format: only \\, \" and \n after a backslash, no bare
+// quote), value.
+var promLine = regexp.MustCompile(
+	`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{` + promLabel + `(,` + promLabel + `)*\})? [0-9eE.+-]+$`)
+
+const promLabel = `[a-zA-Z_][a-zA-Z0-9_]*="([^"\\\n]|\\[\\"n])*"`
 
 // TestPrometheusExposition is the CI smoke test for the text exposition:
 // every line parses, TYPE/HELP appear exactly once per family, and the
 // expected families are present.
 func TestPrometheusExposition(t *testing.T) {
-	s := newTestServer(t, Config{})
+	// An ingest server, so the exposition carries log-name labels; one log's
+	// name needs every escape the text format defines.
+	s, _ := newIngestServer(t, Config{})
+	if err := s.AddLog("a\"b\\c\nd", "builtin:fig3", wlq.ClinicFig3()); err != nil {
+		t.Fatal(err)
+	}
 	h := s.Handler()
 	postQuery(t, h, `{"log":"fig3","query":"UpdateRefer -> GetReimburse"}`, nil)
 	postQuery(t, h, `{"log":"fig3","query":"broken ->"}`, nil) // error path
@@ -174,6 +186,9 @@ func TestPrometheusExposition(t *testing.T) {
 		if !strings.HasPrefix(name, "wlq_") {
 			t.Errorf("sample %s lacks the wlq_ prefix", name)
 		}
+	}
+	if want := `wlq_ingest_last_lsn{log="a\"b\\c\nd"} `; !strings.Contains(rec.Body.String(), want) {
+		t.Errorf("exposition lacks the escaped log label %q", want)
 	}
 	if samples["wlq_operator_comparisons_total"] != 4 {
 		t.Errorf("operator comparisons has %d samples, want 4 (one per operator)",

@@ -28,9 +28,9 @@ import (
 // admit sheds load; decode validates the body and resolves the log; plan
 // parses, canonicalizes, probes the result cache, rewrites and applies the
 // cost ceiling; execute runs the plan on the executor the log was bound to
-// at load time and settles what the outcome may feed (statistics, cache);
-// respond encodes the answer. A stage that cannot continue writes the
-// error response itself and returns false. POST /v1/worker/query
+// at load time and settles whether the outcome may be cached; respond
+// encodes the answer. A stage that cannot continue writes the error
+// response itself and returns false. POST /v1/worker/query
 // (worker.go) reuses admit, the execute stage and the error table.
 
 // queryRequest is the POST /v1/query body.
@@ -299,12 +299,10 @@ type queryRun struct {
 	// Nil when neither wants one.
 	trace *obs.Trace
 
-	// Set by plan (with capture.Canonical): the cache identity, the
-	// selectivities that ranked the plan, and the answer — cached, or with
-	// its set still to be filled by execute.
+	// Set by plan (with capture.Canonical): the cache identity and the
+	// answer — cached, or with its set still to be filled by execute.
 	cacheKey  string
 	cacheable bool
-	sel       rewrite.Selectivities
 	answer    *cacheEntry
 	cached    bool
 }
@@ -480,20 +478,13 @@ func (q *queryRun) plan() bool {
 		s.metrics.cacheMisses.Add(1)
 	}
 
-	q.sel = s.selectivitiesFor(entry.name)
-	q.capture.Planner = plannerName(q.sel)
 	plan := pattern.Node(p)
 	if !q.req.NoOptimize {
 		sp = q.trace.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.ExplainWith(p, entry.ix, q.sel)
+		plan, rt = rewrite.Explain(p, entry.ix)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
-		if q.sel.Measured() {
-			s.metrics.adaptivePlans.Add(1)
-		} else {
-			s.metrics.staticPlans.Add(1)
-		}
 	}
 	q.capture.Plan = plan.String()
 
@@ -501,7 +492,7 @@ func (q *queryRun) plan() bool {
 	// will actually run, so queries predicted to blow past the ceiling
 	// are rejected before they consume a single worker.
 	if ceiling := s.cfg.MaxPredictedCost; ceiling > 0 {
-		if predicted := rewrite.NewEstimatorWith(entry.ix, q.sel).Cost(plan); predicted > ceiling {
+		if predicted := rewrite.NewEstimator(entry.ix).Cost(plan); predicted > ceiling {
 			s.metrics.costRejected.Add(1)
 			return q.fail(flightrec.StatusError, http.StatusUnprocessableEntity, errorDoc{
 				Error: fmt.Sprintf(
@@ -543,8 +534,7 @@ func (q *queryRun) queryTrace(plan pattern.Node, costTable []obs.CostRow, traceI
 }
 
 // execute runs the plan on the log's executor, maps a failure to its
-// response, and settles what a success may feed: the statistics registry
-// and the result cache.
+// response, and settles whether a success may enter the result cache.
 func (q *queryRun) execute(ctx context.Context) bool {
 	s, entry, plan := q.s, q.entry, q.answer.plan
 	meter := eval.NewMeter(plan)
@@ -570,7 +560,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("workers", x.stats.Workers)
 		sp.SetAttr("instances", x.stats.Instances)
 		sp.SetAttr("incidents", x.stats.Incidents)
-		obs.EvalSpansWith(sp, plan, meter, q.sel)
+		obs.EvalSpans(sp, plan, meter)
 	}
 	sp.End()
 	// The trace is assembled on success and failure alike: a failed
@@ -579,26 +569,25 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	// usually exactly what explains the failure. On a distributed run the
 	// workers measured and the local meter is empty, so the fleet table
 	// stands in (it reflects only merged, complete worker answers).
-	var fleetTable []obs.CostRow
+	var costTable []obs.CostRow
 	traceID := ""
 	if x.fan != nil {
-		fleetTable, traceID = x.fan.CostTable, x.fan.TraceID
+		costTable, traceID = x.fan.CostTable, x.fan.TraceID
 	}
-	costTable := fleetTable
 	if len(costTable) == 0 && q.trace != nil {
-		costTable = obs.CostTableWith(plan, meter, q.sel)
+		costTable = obs.CostTable(plan, meter)
 	}
 	q.capture.Trace = q.queryTrace(plan, costTable, traceID)
 
-	// Every failure below returns before the statistics flush and the cache
-	// put: a timeout, budget abort, fault or rejected partial never poisons
-	// either (see TestCacheNotPoisoned*).
+	// Every failure below returns before the cache put: a timeout, budget
+	// abort, fault or rejected partial never poisons it (see
+	// TestCacheNotPoisoned*).
 	if x.err != nil {
 		st, code, doc := s.evalFailure(x.err, x.fan != nil && ctx.Err() == nil, timeout, entry.name, q.req.Query)
 		switch {
 		case st == flightrec.StatusBudget:
 			// The partial cost table shows the client where the budget went.
-			doc.CostTable = obs.CostTableWith(plan, meter, q.sel)
+			doc.CostTable = obs.CostTable(plan, meter)
 		case st == flightrec.StatusError:
 			s.metrics.queryErrors.Add(1)
 			if code == http.StatusBadGateway {
@@ -625,32 +614,10 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		}
 	}
 	q.answer.set = x.set
-	if !complete {
-		// A partial result feeds neither statistics nor cache: its truncated
-		// output counts would read as selectivity and poison later plans,
-		// and a later query must not be served an excluded wid range's
-		// absence as if it were evaluated truth (the shards may well recover
-		// before the entry would age out).
-		return true
-	}
-	// Statistics hygiene: only a complete, successful evaluation feeds the
-	// selectivity registry. Distributed runs obey the same contract with a
-	// deferred flush: workers never flush their own registries (they cannot
-	// know the query's final disposition); they carry their measurements
-	// back in the wire cost table, and only here — where a degraded 206 is
-	// distinguishable from a complete answer — does the fleet table feed the
-	// registry.
-	if reg := s.statsFor(entry.name); reg != nil {
-		measured := meter.Snapshot()
-		if x.fan != nil {
-			measured = nodeStatsFromCostRows(plan, fleetTable)
-		}
-		if len(measured) > 0 {
-			reg.ObserveMeter(measured)
-			s.saveStats(entry.name)
-		}
-	}
-	if q.cacheable {
+	// A partial result is never cached: a later query must not be served an
+	// excluded wid range's absence as if it were evaluated truth (the shards
+	// may well recover before the entry would age out).
+	if complete && q.cacheable {
 		s.cache.put(q.cacheKey, q.answer)
 	}
 	return true
@@ -697,15 +664,6 @@ func (q *queryRun) respond() {
 		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
 	}
 	writeJSON(q.w, q.capture.HTTPStatus, resp)
-}
-
-// plannerName labels which cost model ranked a plan, for captures and the
-// adaptive/static plan counters.
-func plannerName(sel rewrite.Selectivities) string {
-	if sel.Measured() {
-		return "adaptive"
-	}
-	return "static"
 }
 
 // retryAfterSeconds converts an advisory retry delay to the whole-second

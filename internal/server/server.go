@@ -42,7 +42,6 @@ import (
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
 	"wlq/internal/shard"
-	"wlq/internal/stats"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
@@ -149,17 +148,6 @@ type Config struct {
 	// (0 = cluster.DefaultProbeInterval; negative disables probing, for
 	// tests that drive ProbeOnce deterministically).
 	ProbeInterval time.Duration
-	// Adaptive enables the measured-selectivity cost model: each log gets a
-	// statistics registry fed by successful complete evaluations, and the
-	// optimizer ranks plans with the measured operator selectivities once
-	// enough evidence accumulates (the Lemma 1 model constants until then).
-	// Registries persist as <source>.stats.json next to file-backed logs
-	// (see StatsFile) and survive hot reloads in memory regardless.
-	Adaptive bool
-	// StatsFile overrides the statistics snapshot path. Only meaningful
-	// with Adaptive and a single log (every log would share the one file);
-	// cmd/wlq-serve enforces that. Empty means the per-source default.
-	StatsFile string
 	// Ingest enables durable live ingestion: every registered log accepts
 	// POST /v1/logs/{name}/append, each accepted record is written to a
 	// per-log write-ahead log before it touches the in-memory index, and
@@ -260,13 +248,6 @@ type Server struct {
 	// distinguished by their generation field.
 	flight *flightrec.Recorder
 
-	// stats maps log name -> statistics registry state (nil map entries
-	// never occur; the map itself is empty unless Config.Adaptive). Guarded
-	// by mu. Registries are NOT rebuilt on hot reload: measured behavior is
-	// a property of the log's workload, and the snapshot on disk is the
-	// authority across restarts.
-	stats map[string]*logStats
-
 	// reloadMu guards reloadCall, the single-flight slot for ReloadLogs:
 	// concurrent reload requests (SIGHUP racing POST /v1/reload) join the
 	// in-progress pass instead of starting their own.
@@ -311,7 +292,6 @@ func New(cfg Config) *Server {
 		metrics:    newMetrics(),
 		coord:      coord,
 		flight:     flight,
-		stats:      make(map[string]*logStats),
 	}
 }
 
@@ -328,51 +308,6 @@ func (s *Server) StartClusterProbing(ctx context.Context) {
 		return
 	}
 	s.coord.StartProbing(ctx, s.cfg.ProbeInterval)
-}
-
-// logStats is one log's adaptive cost-model state: the registry and the
-// snapshot path it persists to ("" = in-memory only, for generated logs).
-type logStats struct {
-	reg  *stats.Registry
-	path string
-}
-
-// statsFor returns a log's statistics registry, or nil when the adaptive
-// cost model is off (or the log is unknown).
-func (s *Server) statsFor(name string) *stats.Registry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if ls, ok := s.stats[name]; ok {
-		return ls.reg
-	}
-	return nil
-}
-
-// selectivitiesFor returns what the cost model ranks a log's plans with: its
-// measured selectivities when a statistics registry is attached (the
-// adaptive cost model), the Lemma 1 model constants otherwise. Either way
-// the rewrite laws applied are identical — answers cannot change, only
-// plan shape.
-func (s *Server) selectivitiesFor(name string) rewrite.Selectivities {
-	if reg := s.statsFor(name); reg != nil {
-		return reg.Selectivities()
-	}
-	return rewrite.ModelSelectivities()
-}
-
-// saveStats persists a log's registry to its snapshot path, if it has one.
-// Failures are logged, not fatal: statistics are an optimization, and the
-// next successful query retries the write.
-func (s *Server) saveStats(name string) {
-	s.mu.RLock()
-	ls := s.stats[name]
-	s.mu.RUnlock()
-	if ls == nil || ls.path == "" {
-		return
-	}
-	if err := ls.reg.Save(ls.path); err != nil && s.cfg.Logger != nil {
-		s.cfg.Logger.Error("stats snapshot write failed", "log", name, "path", ls.path, "error", err)
-	}
 }
 
 // backendName names the configured storage backend for captures and metrics.
@@ -425,26 +360,6 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 		e.ix = s.newBackend(l)
 	}
 	s.bindExecutor(e)
-	if s.cfg.Adaptive {
-		path := s.cfg.StatsFile
-		if path == "" {
-			path = stats.PathFor(source)
-		}
-		reg := stats.New()
-		if path != "" {
-			loaded, err := stats.Load(path)
-			if err != nil {
-				// A corrupt snapshot must not silently discard accumulated
-				// statistics; the operator decides (delete the file, or fix it).
-				if e.live != nil {
-					e.live.Close()
-				}
-				return fmt.Errorf("server: log %q: %w", name, err)
-			}
-			reg = loaded
-		}
-		s.stats[name] = &logStats{reg: reg, path: path}
-	}
 	s.logs[name] = e
 	s.names = append(s.names, name)
 	return nil
@@ -643,37 +558,14 @@ func toEstimateDoc(e rewrite.Estimate) estimateDoc {
 	return estimateDoc{Cost: e.Cost, CardPerInstance: e.Card, Atoms: e.Atoms}
 }
 
-// selectivityDoc surfaces the cost model's selectivities with their
-// provenance: each value is either the assumed model constant or a measured
-// value from the log's statistics registry (adaptive cost model). See
+// selectivityDoc surfaces the cost model's assumed selectivity constants,
+// so a client can judge how much to trust a reported estimate. See
 // rewrite.ModelSelectivities and docs/OPERATIONS.md.
 type selectivityDoc struct {
 	Guard       float64 `json:"guard"`
 	Consecutive float64 `json:"consecutive"`
 	Sequential  float64 `json:"sequential"`
 	Parallel    float64 `json:"parallel"`
-	// The *Source fields are "assumed" or "measured", per value.
-	GuardSource       string `json:"guard_source,omitempty"`
-	ConsecutiveSource string `json:"consecutive_source,omitempty"`
-	SequentialSource  string `json:"sequential_source,omitempty"`
-	ParallelSource    string `json:"parallel_source,omitempty"`
-	// Adaptive is true when at least one value is measured — the plan the
-	// explain describes is the adaptive planner's choice.
-	Adaptive bool `json:"adaptive,omitempty"`
-}
-
-func toSelectivityDoc(sel rewrite.Selectivities) selectivityDoc {
-	return selectivityDoc{
-		Guard:             sel.Guard,
-		Consecutive:       sel.Consecutive,
-		Sequential:        sel.Sequential,
-		Parallel:          sel.Parallel,
-		GuardSource:       sel.GuardSource,
-		ConsecutiveSource: sel.ConsecutiveSource,
-		SequentialSource:  sel.SequentialSource,
-		ParallelSource:    sel.ParallelSource,
-		Adaptive:          sel.Measured(),
-	}
 }
 
 // explainResponse is the GET /v1/explain result.
@@ -709,7 +601,6 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	sel := s.selectivitiesFor(entry.name)
 	// The estimator reads activity counts off the backend; freeze a live
 	// log's backend against appends for the duration.
 	if entry.live != nil {
@@ -717,7 +608,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		mon.RLock()
 		defer mon.RUnlock()
 	}
-	opt, trace := rewrite.ExplainWith(p, entry.ix, sel)
+	opt, trace := rewrite.Explain(p, entry.ix)
 	steps := trace.Steps
 	if steps == nil {
 		steps = []string{}
@@ -735,7 +626,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		After:         toEstimateDoc(trace.After),
 		Strategy:      s.cfg.Strategy.String(),
 		Workers:       s.cfg.Workers,
-		Selectivities: toSelectivityDoc(trace.Selectivities),
+		Selectivities: selectivityDoc(trace.Selectivities),
 	})
 }
 
@@ -754,9 +645,6 @@ type logDoc struct {
 	// ReloadError is set while the log is quarantined: the last reload
 	// failed and this entry is the retained last-good snapshot.
 	ReloadError string `json:"reload_error,omitempty"`
-	// AdaptiveQueries counts the complete evaluations folded into the log's
-	// statistics registry (absent when the adaptive cost model is off).
-	AdaptiveQueries uint64 `json:"adaptive_queries,omitempty"`
 	// Live marks a log accepting durable appends; IngestLSN is then its
 	// applied high-water mark (the lsn an appender last saw acknowledged).
 	Live      bool   `json:"live,omitempty"`
@@ -784,13 +672,12 @@ func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 	docs := make([]logDoc, len(entries))
 	for i, e := range entries {
 		docs[i] = logDoc{
-			Name:            e.name,
-			Source:          e.source,
-			Valid:           e.valid,
-			Error:           e.reason,
-			Generation:      e.gen,
-			ReloadError:     reloadErrs[e.name],
-			AdaptiveQueries: s.statsFor(e.name).Queries(),
+			Name:        e.name,
+			Source:      e.source,
+			Valid:       e.valid,
+			Error:       e.reason,
+			Generation:  e.gen,
+			ReloadError: reloadErrs[e.name],
 		}
 		if e.live != nil {
 			// Live counts come off the monitor, not the startup snapshot:

@@ -60,10 +60,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	// Distributed tracing: when the coordinator asks, run the evaluation
 	// under an obs.Trace adopting the propagated trace id and return the
-	// span tree + Lemma 1 cost table in the response. The worker does NOT
-	// flush the meter into its own statistics registry — only the
-	// coordinator knows the query's final disposition (complete vs degraded
-	// 206), so the PR 6 hygiene gate must run there, over the fleet table.
+	// span tree + Lemma 1 cost table in the response.
 	var (
 		tr    *obs.Trace
 		meter *eval.Meter

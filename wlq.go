@@ -51,7 +51,6 @@ import (
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
 	"wlq/internal/shard"
-	"wlq/internal/stats"
 	"wlq/internal/stream"
 	"wlq/internal/wlog"
 )
@@ -255,7 +254,6 @@ type Engine struct {
 	limit    int
 	budget   Budget
 	columnar bool
-	stats    *stats.Registry
 }
 
 // Option configures an Engine.
@@ -295,38 +293,6 @@ func WithColumnar() Option {
 	return func(e *Engine) { e.columnar = true }
 }
 
-// StatsRegistry accumulates per-log evaluation statistics — activity match
-// counts and observed operator selectivities — and derives the measured
-// selectivities the adaptive cost model ranks plans with. See WithStats and
-// docs/OBSERVABILITY.md.
-type StatsRegistry = stats.Registry
-
-// NewStatsRegistry returns an empty statistics registry.
-func NewStatsRegistry() *StatsRegistry { return stats.New() }
-
-// LoadStats reads a statistics snapshot from path. A missing file yields an
-// empty registry; a corrupt or schema-mismatched file is an error.
-func LoadStats(path string) (*StatsRegistry, error) { return stats.Load(path) }
-
-// SaveStats writes the registry's snapshot atomically to path.
-func SaveStats(reg *StatsRegistry, path string) error { return reg.Save(path) }
-
-// StatsPathFor returns the default statistics snapshot path for a -log spec
-// (the log path plus ".stats.json"), or "" for synthetic specs like "fig3"
-// or "clinic:1500:42" that have no file to sit next to.
-func StatsPathFor(spec string) string { return stats.PathFor(spec) }
-
-// WithStats attaches a statistics registry, turning on the adaptive cost
-// model: queries are metered, successful complete evaluations feed the
-// registry, and the optimizer ranks plans with the measured selectivities
-// once enough evidence accumulates (the model constants until then).
-// Partial, budget-tripped, and failed evaluations never contribute. The
-// registry may be shared across engines over the same log and is safe for
-// concurrent use; nil is allowed and leaves the engine fully static.
-func WithStats(reg *StatsRegistry) Option {
-	return func(e *Engine) { e.stats = reg }
-}
-
 // NewEngine indexes the log and returns a query engine. The storage
 // backend is built after the options are applied, so WithColumnar controls
 // which representation is constructed.
@@ -350,20 +316,6 @@ func NewEngine(l *Log, opts ...Option) *Engine {
 // Log returns the engine's log.
 func (e *Engine) Log() *Log { return e.log }
 
-// Stats returns the attached statistics registry, or nil when the engine is
-// static.
-func (e *Engine) Stats() *StatsRegistry { return e.stats }
-
-// selectivities returns the cost-model selectivities for this engine's
-// queries: measured values from the registry when attached and warmed, the
-// model constants otherwise.
-func (e *Engine) selectivities() rewrite.Selectivities {
-	if e.stats != nil {
-		return e.stats.Selectivities()
-	}
-	return rewrite.ModelSelectivities()
-}
-
 // prepare parses and (optionally) optimizes a query.
 func (e *Engine) prepare(query string) (Pattern, error) {
 	p, err := pattern.Parse(query)
@@ -375,7 +327,7 @@ func (e *Engine) prepare(query string) (Pattern, error) {
 
 func (e *Engine) preparePattern(p Pattern) Pattern {
 	if e.optimize {
-		p, _ = rewrite.OptimizeWith(p, e.src, e.selectivities())
+		p, _ = rewrite.Optimize(p, e.src)
 	}
 	return p
 }
@@ -385,28 +337,13 @@ func (e *Engine) evaluator() *eval.Evaluator {
 }
 
 // evalSet evaluates a prepared plan, routing through the budget-enforcing
-// path when a budget is set (the plain Eval has no error channel). With a
-// statistics registry attached the evaluation is metered and — only on
-// success, so truncated runs never bias the registry — flushed into it.
+// path when a budget is set (the plain Eval has no error channel).
 func (e *Engine) evalSet(p Pattern) (*IncidentSet, error) {
-	var meter *eval.Meter
-	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
-	if e.stats != nil {
-		meter = eval.NewMeter(p)
-		opts.Meter = meter
-	}
-	ev := eval.New(e.src, opts)
+	ev := e.evaluator()
 	if !e.budget.IsZero() {
-		set, err := ev.EvalParallelCtx(context.Background(), p, 1, nil)
-		if err != nil {
-			return nil, err
-		}
-		meter.Flush(e.stats)
-		return set, nil
+		return ev.EvalParallelCtx(context.Background(), p, 1, nil)
 	}
-	set := ev.Eval(p)
-	meter.Flush(e.stats)
-	return set, nil
+	return ev.Eval(p), nil
 }
 
 // Query evaluates a textual query and returns its incident set incL(p).
@@ -443,19 +380,7 @@ func (e *Engine) QuerySharded(ctx context.Context, query string, shards int) (*I
 		return nil, nil, err
 	}
 	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
-	var meter *eval.Meter
-	if e.stats != nil {
-		meter = eval.NewMeter(p)
-		opts.Meter = meter
-	}
-	x := shard.NewExecutor(e.src, shard.Config{Shards: shards})
-	set, comp, err := x.Execute(ctx, p, opts, nil)
-	// Only a fully complete sharded answer feeds the registry: excluded
-	// shards mean under-counted outputs, which would read as selectivity.
-	if err == nil && comp != nil && comp.Complete {
-		meter.Flush(e.stats)
-	}
-	return set, comp, err
+	return shard.NewExecutor(e.src, shard.Config{Shards: shards}).Execute(ctx, p, opts, nil)
 }
 
 // Exists reports whether any incident of the query exists, short-circuiting
@@ -648,12 +573,11 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("key", pattern.CanonicalKey(p))
 	sp.End()
 
-	sel := e.selectivities()
 	plan := pattern.Node(p)
 	if e.optimize {
 		sp = tr.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.ExplainWith(p, e.src, sel)
+		plan, rt = rewrite.Explain(p, e.src)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
@@ -672,17 +596,16 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("workers", qs.Workers)
 	sp.SetAttr("instances", qs.Instances)
 	sp.SetAttr("incidents", qs.Incidents)
-	obs.EvalSpansWith(sp, plan, meter, sel)
+	obs.EvalSpans(sp, plan, meter)
 	sp.End()
 	tr.End()
-	meter.Flush(e.stats)
 
 	return set, &obs.QueryTrace{
 		Query:     query,
 		Plan:      plan.String(),
 		Strategy:  e.strategy.String(),
 		Spans:     tr.Root(),
-		CostTable: obs.CostTableWith(plan, meter, sel),
+		CostTable: obs.CostTable(plan, meter),
 	}, nil
 }
 
@@ -693,27 +616,18 @@ func (e *Engine) Explain(query string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	sel := e.selectivities()
 	out := "query:     " + p.String() + "\n"
 	out += "paper form: " + pattern.Pretty(p) + "\n"
 	out += "incident tree:\n" + pattern.TreeString(p)
 	if e.optimize {
-		opt, ex := rewrite.OptimizeWith(p, e.src, sel)
+		opt, ex := rewrite.Optimize(p, e.src)
 		if !pattern.Equal(p, opt) {
 			out += "optimized: " + opt.String() + "\n"
 		}
 		out += "plan:      " + ex.String() + "\n"
 	} else {
-		est := rewrite.NewEstimatorWith(e.src, sel)
+		est := rewrite.NewEstimator(e.src)
 		out += fmt.Sprintf("plan:      estimated cost %.4g (optimizer off)\n", est.Cost(p))
-	}
-	if e.stats != nil {
-		out += fmt.Sprintf("cost model: adaptive (measured=%v; consecutive=%.4g %s, sequential=%.4g %s, parallel=%.4g %s, guard=%.4g %s)\n",
-			sel.Measured(),
-			sel.Consecutive, sel.ConsecutiveSource,
-			sel.Sequential, sel.SequentialSource,
-			sel.Parallel, sel.ParallelSource,
-			sel.Guard, sel.GuardSource)
 	}
 	return out, nil
 }
