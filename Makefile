@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover loc bench bench-report bench-smoke cluster-smoke ingest-smoke experiments examples fuzz clean
+.PHONY: all build vet test test-race cover loc bench cluster-smoke ingest-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -36,21 +36,6 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Regenerate the checked-in BENCH_*.json run summaries (both backends, full
-# size) and print the comparison. Run on an otherwise idle machine.
-bench-report:
-	$(GO) run ./cmd/wlq-bench -suite -backend row -json BENCH_baseline.json
-	$(GO) run ./cmd/wlq-bench -suite -backend columnar -json BENCH_columnar.json
-	$(GO) run ./cmd/wlq-bench -compare BENCH_baseline.json,BENCH_columnar.json
-
-# Fast answer check: run the suite on a small log for both backends and fail
-# if any answer digest diverges from the row-backend baseline. CI runs this
-# on every push.
-bench-smoke:
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend row -json /tmp/wlq-bench-row.json
-	$(GO) run ./cmd/wlq-bench -suite -quick -backend columnar -json /tmp/wlq-bench-columnar.json
-	$(GO) run ./cmd/wlq-bench -compare /tmp/wlq-bench-row.json,/tmp/wlq-bench-columnar.json
-
 # Multi-process cluster smoke: coordinator + 3 workers on loopback, one
 # killed mid-run (206 + completeness), rejoined (digest-equal 200). CI runs
 # this on every push.
@@ -77,12 +62,13 @@ examples:
 	$(GO) run ./examples/audit
 	$(GO) run ./examples/monitor
 
-# Short fuzzing pass over the parsers and codecs.
+# Short fuzzing pass over the parsers, the codecs and the columnar store.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
 	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/
+	$(GO) test -fuzz=FuzzStoreMatchesIndex -fuzztime=30s ./internal/colstore/
 
 clean:
 	$(GO) clean ./...

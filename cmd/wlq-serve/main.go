@@ -85,14 +85,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var logs logFlags
 	fs.Var(&logs, "log", "log to serve, \"<spec>\" or \"<name>=<spec>\" (repeatable)")
 	var (
-		addr     = fs.String("addr", ":8080", "listen address")
-		workers  = fs.Int("workers", 0, "evaluation workers per query (0 = GOMAXPROCS)")
-		cache    = fs.Int("cache", server.DefaultCacheSize, "plan/result cache entries (negative disables)")
-		timeout  = fs.Duration("timeout", server.DefaultTimeout, "per-request evaluation timeout")
-		maxBody  = fs.Int64("max-body", server.DefaultMaxBody, "request body size limit in bytes")
-		naive    = fs.Bool("naive", false, "default to the paper's verbatim Algorithm 1 joins")
-		columnar = fs.Bool("columnar", false,
-			"build every loaded log's backend as the columnar store (interned activities, posting lists)")
+		addr       = fs.String("addr", ":8080", "listen address")
+		workers    = fs.Int("workers", 0, "evaluation workers per query (0 = GOMAXPROCS)")
+		cache      = fs.Int("cache", server.DefaultCacheSize, "plan/result cache entries (negative disables)")
+		timeout    = fs.Duration("timeout", server.DefaultTimeout, "per-request evaluation timeout")
+		maxBody    = fs.Int64("max-body", server.DefaultMaxBody, "request body size limit in bytes")
+		naive      = fs.Bool("naive", false, "default to the paper's verbatim Algorithm 1 joins")
 		drain      = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain window")
 		slow       = fs.Duration("slow-query", 500*time.Millisecond, "warn about queries slower than this (0 disables)")
 		flightSize = fs.Int("flight-recorder-size", server.DefaultFlightRecorderSize,
@@ -232,7 +230,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ShardAttempts:    *shardAttempts,
 		BreakerThreshold: *breakerThreshold,
 		BreakerCooldown:  *breakerCooldown,
-		Columnar:         *columnar,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,

@@ -52,7 +52,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		groupBy     = fs.String("group-by", "", "group incident counts by this attribute")
 		groupScope  = fs.String("group-scope", "incident", "attribute lookup scope for -group-by: incident or instance")
 		naive       = fs.Bool("naive", false, "use the paper's verbatim Algorithm 1 joins")
-		columnar    = fs.Bool("columnar", false, "use the columnar storage backend (interned activities, posting lists)")
 		noOpt       = fs.Bool("no-optimize", false, "disable the Theorem 2-5 query optimizer")
 		limit       = fs.Int("limit", 0, "best-effort cap on incidents per operator per instance (0 = unlimited)")
 		maxComp     = fs.Uint64("max-comparisons", 0, "abort a query after this many record comparisons (0 = unlimited)")
@@ -110,9 +109,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	var opts []wlq.Option
 	if *naive {
 		opts = append(opts, wlq.WithStrategy(wlq.StrategyNaive))
-	}
-	if *columnar {
-		opts = append(opts, wlq.WithColumnar())
 	}
 	if *noOpt {
 		opts = append(opts, wlq.WithoutOptimizer())

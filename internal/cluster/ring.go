@@ -9,7 +9,7 @@
 //
 // Definition 4 makes incident semantics strictly per-instance, so the
 // distribution is exact: no cross-worker joins exist, and each worker
-// evaluates its owned wid set against its local backend (row or columnar)
+// evaluates its owned wid set against its local copy of the log
 // independently. What the network tier adds over in-process shards is real
 // failure independence — a worker process can die, hang, or partition
 // without taking the coordinator's process down — paid for with the full

@@ -15,8 +15,9 @@ import (
 // The cross-backend equivalence suite: for every operator, with and without
 // the rewriter, sharded and unsharded, the columnar backend's incident sets
 // must be identical (same incidents, same normalized order) to the row
-// backend's. Run under -race in CI, this is the proof that -columnar is a
-// physical switch, never a semantic one.
+// backend's. Run under -race in CI, this is the proof that serving an
+// immutable log from the Store and a live one from the Index is a physical
+// choice, never a semantic one.
 
 var equivalenceQueries = []string{
 	// Each operator alone, and each in composition.

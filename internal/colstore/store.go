@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"wlq/internal/core/eval"
@@ -69,59 +71,87 @@ func Build(l *wlog.Log) *Store { return build(l, maxDenseCells) }
 // build is Build with an explicit dense-layout budget (tests force the
 // sparse layout by passing 0).
 func build(l *wlog.Log, denseCells uint64) *Store {
-	recs := l.Records()
-	// Group by instance, is-lsn ascending within each (stable on lsn order,
-	// though valid logs are already grouped-consistent: is-lsn order agrees
-	// with lsn order inside an instance).
-	sort.SliceStable(recs, func(i, j int) bool {
-		if recs[i].WID != recs[j].WID {
-			return recs[i].WID < recs[j].WID
-		}
-		return recs[i].Seq < recs[j].Seq
-	})
-
+	n := l.Len()
 	s := &Store{
 		syms:   NewSymbolTable(),
-		recs:   recs,
-		actCol: make([]int32, len(recs)),
+		recs:   make([]wlog.Record, n),
+		actCol: make([]int32, n),
 		widIdx: make(map[uint64]int32),
 	}
 
-	// wid offset ranges + interned activity column.
-	for k, r := range recs {
-		if len(s.widList) == 0 || s.widList[len(s.widList)-1] != r.WID {
-			s.widIdx[r.WID] = int32(len(s.widList))
-			s.widList = append(s.widList, r.WID)
-			s.widOff = append(s.widOff, int32(k))
-		}
-		s.actCol[k] = s.syms.Intern(r.Activity)
+	// Group by instance with a stable counting placement — count per wid,
+	// prefix-sum over ascending wids, place in log order: a log arrives in
+	// lsn order, which inside an instance is is-lsn order, so nothing needs
+	// comparing.
+	count := make(map[uint64]int32)
+	for i := 0; i < n; i++ {
+		count[l.Record(i).WID]++
 	}
-	s.widOff = append(s.widOff, int32(len(recs)))
+	s.widList = make([]uint64, 0, len(count))
+	for wid := range count {
+		s.widList = append(s.widList, wid)
+	}
+	slices.Sort(s.widList)
+	s.widOff = make([]int32, len(s.widList)+1)
+	for w, wid := range s.widList {
+		s.widIdx[wid] = int32(w)
+		s.widOff[w+1] = s.widOff[w] + count[wid]
+	}
+	next := slices.Clone(s.widOff[:len(s.widList)])
+	for i := 0; i < n; i++ {
+		r := l.Record(i)
+		w := s.widIdx[r.WID]
+		s.recs[next[w]] = r
+		next[w]++
+	}
+	// An unchecked log may still list an instance out of is-lsn order; only
+	// such an instance is sorted (stably, as the placement was).
+	for w := range s.widList {
+		inst := s.recs[s.widOff[w]:s.widOff[w+1]]
+		if !slices.IsSortedFunc(inst, bySeq) {
+			slices.SortStableFunc(inst, bySeq)
+		}
+	}
+
+	// Interned activity column, and each activity's occurrence count to
+	// size its posting list once.
+	var actCount []int
+	for k := range s.recs {
+		sym := s.syms.Intern(s.recs[k].Activity)
+		s.actCol[k] = sym
+		if int(sym) == len(actCount) {
+			actCount = append(actCount, 0)
+		}
+		actCount[sym]++
+	}
 
 	// Posting lists: one pass over the grouped records extends each symbol's
 	// list in (wid, is-lsn) order, which is exactly the sorted order the
 	// evaluator's merge joins require.
-	s.post = make([]posting, s.syms.Len())
-	if cells := uint64(s.syms.Len()) * uint64(len(s.widList)+1); cells <= denseCells {
-		// Dense layout: per-symbol offset rows indexed by wid position.
-		// off[w+1] is each symbol's running occurrence count through
-		// instance w, so off[w]:off[w+1] is instance w's group in seqs.
-		counts := make([]int32, s.syms.Len())
-		for i := range s.post {
+	s.post = make([]posting, len(actCount))
+	dense := uint64(len(s.post))*uint64(len(s.widList)+1) <= denseCells
+	for i := range s.post {
+		s.post[i].seqs = make([]uint64, 0, actCount[i])
+		if dense {
 			s.post[i].off = make([]int32, len(s.widList)+1)
 		}
+	}
+	if dense {
+		// Per-symbol offset rows indexed by wid position: off[w+1] is the
+		// symbol's running occurrence count through instance w, so
+		// off[w]:off[w+1] is instance w's group in seqs.
 		for w := range s.widList {
 			for k := s.widOff[w]; k < s.widOff[w+1]; k++ {
-				sym := s.actCol[k]
-				s.post[sym].seqs = append(s.post[sym].seqs, recs[k].Seq)
-				counts[sym]++
+				p := &s.post[s.actCol[k]]
+				p.seqs = append(p.seqs, s.recs[k].Seq)
 			}
 			for i := range s.post {
-				s.post[i].off[w+1] = counts[i]
+				s.post[i].off[w+1] = int32(len(s.post[i].seqs))
 			}
 		}
 	} else {
-		for k, r := range recs {
+		for k := range s.recs {
+			r := &s.recs[k]
 			p := &s.post[s.actCol[k]]
 			if len(p.wids) == 0 || p.wids[len(p.wids)-1] != r.WID {
 				p.wids = append(p.wids, r.WID)
@@ -138,6 +168,8 @@ func build(l *wlog.Log, denseCells uint64) *Store {
 	sort.Strings(s.names)
 	return s
 }
+
+func bySeq(a, b wlog.Record) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // WIDs returns the instance ids, ascending. Callers must not modify the
 // returned slice.

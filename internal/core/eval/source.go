@@ -4,15 +4,18 @@ import "wlq/internal/wlog"
 
 // Source is the log-access contract the evaluator runs over — the seam
 // between the query algorithms (Algorithms 1–3) and the physical storage
-// layout. Two implementations exist:
+// layout. Two implementations exist, and what the log is picks between
+// them (docs/STORAGE.md):
 //
 //   - *Index (this package): the row backend — per-instance []wlog.Record
 //     slices plus a per-(instance, activity) map of is-lsn lists, built by
 //     NewIndex. This is the access structure Algorithm 2 calls
-//     LogRecordsDict.
+//     LogRecordsDict; it is appendable, so it serves live logs, and the
+//     naive oracle runs over it.
 //   - *colstore.Store: the columnar backend — interned activity symbols,
 //     parallel wid/lsn/activity columns with per-instance offset ranges,
-//     and a sorted posting list per activity. See docs/STORAGE.md.
+//     and a sorted posting list per activity. Immutable, so it serves every
+//     log that is a snapshot.
 //
 // Both backends answer every method identically for the same log (the
 // cross-backend equivalence suite in internal/colstore enforces this), so

@@ -22,16 +22,11 @@ import (
 	"sync"
 	"time"
 
-	"wlq/internal/colstore"
-	"wlq/internal/core/eval"
 	"wlq/internal/resilience"
 	"wlq/internal/stream"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
-
-// The live columnar backend must keep satisfying the Monitor's seam.
-var _ stream.Backend = (*colstore.LiveStore)(nil)
 
 // ErrBusy reports apply-queue saturation: more appenders are waiting than
 // the configured queue depth. The HTTP layer maps it to 429 + Retry-After.
@@ -64,9 +59,6 @@ type Config struct {
 	// not yet applied) before new ones are shed with ErrBusy. 0 or negative
 	// means unlimited.
 	Queue int
-	// Columnar selects the colstore.LiveStore backend instead of the row
-	// backend, mirroring the server's -columnar switch.
-	Columnar bool
 	// OnApply, when non-nil, is called after each record is durably logged
 	// and applied — the server's delta cache-invalidation hook. It runs
 	// outside the monitor's locks but inside the coordinator's serial
@@ -123,7 +115,7 @@ type Coordinator struct {
 // semantics — torn tails truncated, corruption refused — are the WAL's; see
 // that package and docs/DURABILITY.md.
 func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
-	mon, err := newMonitor(base, cfg.Columnar)
+	mon, err := newMonitor(base)
 	if err != nil {
 		return nil, wal.Recovery{}, err
 	}
@@ -152,15 +144,9 @@ func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
 	return c, rec, nil
 }
 
-// newMonitor loads the base snapshot into a fresh backend.
-func newMonitor(base *wlog.Log, columnar bool) (*stream.Monitor, error) {
-	var backend stream.Backend
-	if columnar {
-		backend = colstore.NewLiveStore()
-	} else {
-		backend = eval.NewEmptyIndex()
-	}
-	mon := stream.NewMonitorOn(nil, backend)
+// newMonitor loads the base snapshot into a fresh appendable index.
+func newMonitor(base *wlog.Log) (*stream.Monitor, error) {
+	mon := stream.NewMonitor(nil)
 	if base != nil {
 		if err := mon.IngestLog(base); err != nil {
 			return nil, fmt.Errorf("ingest: base snapshot violates the log discipline: %w", err)
@@ -237,7 +223,7 @@ func (c *Coordinator) Append(r wlog.Record) (uint64, error) {
 // coordinator is left unchanged and the error names the first conflicting
 // record; the server quarantines the log in that case.
 func (c *Coordinator) Rebase(base *wlog.Log) error {
-	mon, err := newMonitor(base, c.cfg.Columnar)
+	mon, err := newMonitor(base)
 	if err != nil {
 		return err
 	}

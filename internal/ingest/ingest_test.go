@@ -4,6 +4,9 @@ import (
 	"errors"
 	"testing"
 
+	"wlq/internal/core/eval"
+	"wlq/internal/core/pattern"
+	"wlq/internal/gen"
 	"wlq/internal/stream"
 	"wlq/internal/wlog"
 )
@@ -35,31 +38,46 @@ func openEmpty(t *testing.T, dir string, cfg Config) *Coordinator {
 	return c
 }
 
+// TestAppendAssignsAndAppliesLSN appends a generated log record by record
+// and requires the live monitor's answers — the incrementally maintained
+// index — to equal naive Algorithm 1 over the index built in one shot.
 func TestAppendAssignsAndAppliesLSN(t *testing.T) {
-	for _, columnar := range []bool{false, true} {
-		c := openEmpty(t, t.TempDir(), Config{Columnar: columnar})
-		defer c.Close()
-		for i, r := range sampleStream() {
-			r.LSN = 0 // server-assigned
-			lsn, err := c.Append(r)
-			if err != nil {
-				t.Fatalf("columnar=%v Append %d: %v", columnar, i, err)
-			}
-			if lsn != uint64(i+1) {
-				t.Fatalf("columnar=%v assigned lsn %d, want %d", columnar, lsn, i+1)
-			}
+	c := openEmpty(t, t.TempDir(), Config{})
+	defer c.Close()
+	l := gen.MustRandomLog(gen.LogParams{
+		Instances: 12, MeanLength: 12, Skew: 1.1, CompleteFraction: 0.6, Seed: 5,
+	})
+	for i := 0; i < l.Len(); i++ {
+		r := l.Record(i)
+		r.LSN = 0 // server-assigned
+		lsn, err := c.Append(r)
+		if err != nil {
+			t.Fatalf("Append %d: %v", i, err)
 		}
-		set, err := c.Monitor().Query("CheckIn -> SeeDoctor")
+		if lsn != uint64(i+1) {
+			t.Fatalf("assigned lsn %d, want %d", lsn, i+1)
+		}
+	}
+	oracle := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
+	for _, q := range []string{
+		"Act00 . Act01",
+		"Act00 -> Act02",
+		"(Act00 | Act01) & Act02",
+		"!Act00 . Act01",
+		"START . Act00",
+		"Act00 -> END",
+	} {
+		got, err := c.Monitor().Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if set.Len() != 1 {
-			t.Fatalf("columnar=%v query over appended records: %s", columnar, set)
+		if want := oracle.Eval(pattern.MustParse(q)); !got.Equal(want) {
+			t.Errorf("%q over appended records:\ngot:  %s\nwant: %s", q, got, want)
 		}
-		st := c.Stats()
-		if st.Accepted != 7 || st.LastLSN != 7 || st.WAL.Appends != 7 {
-			t.Fatalf("stats = %+v", st)
-		}
+	}
+	n := uint64(l.Len())
+	if st := c.Stats(); st.Accepted != n || st.LastLSN != n || st.WAL.Appends != n {
+		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -48,100 +48,79 @@ func findSpans(s *obs.Span, pred func(*obs.Span) bool) []*obs.Span {
 // traced distributed query returns ONE stitched trace — worker attribution
 // on every span, grafted worker subtrees under the transport spans that
 // carried them, a fleet-aggregated cost table honoring the Lemma 1 bound —
-// and the answer stays digest-identical to single-node across fleet sizes
-// and storage backends.
+// and the answer is naive Algorithm 1's across fleet sizes (the workers
+// evaluate over the columnar store: the traced-over-columnar check).
 func TestClusterDistributedTraceStitched(t *testing.T) {
 	l := clusterEquivalenceLogs()["uniform"]
-	baseline := New(Config{})
-	if err := baseline.AddLog("eq", "builtin:eq", l); err != nil {
-		t.Fatal(err)
-	}
-	const body = `{"log":"eq","query":"(Act00 . Act01) -> Act02","strategy":"naive","trace":true}`
-	var want queryResponse
-	if rec := postQuery(t, baseline.Handler(), body, &want); rec.Code != http.StatusOK {
-		t.Fatalf("baseline status %d: %s", rec.Code, rec.Body)
-	}
+	const q = "(Act00 . Act01) -> Act02"
+	body := fmt.Sprintf(`{"log":"eq","query":%q,"strategy":"naive","trace":true}`, q)
+	want := oracleDigest(l, q)
 
-	for _, columnar := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 4} {
-			name := fmt.Sprintf("%dw/columnar=%v", workers, columnar)
-			var f clusterFixture
-			for i := 0; i < workers; i++ {
-				s := New(Config{WorkerMode: true, FlightRecorderSize: -1, Columnar: columnar})
-				if err := s.AddLog("eq", "builtin:eq", l); err != nil {
-					t.Fatal(err)
-				}
-				ts := httptest.NewServer(s.Handler())
-				t.Cleanup(ts.Close)
-				f.urls = append(f.urls, ts.URL)
-			}
-			coord := New(Config{Cluster: &cluster.Config{Workers: f.urls}, ProbeInterval: -1})
-			if err := coord.AddLog("eq", "builtin:eq", l); err != nil {
-				t.Fatal(err)
-			}
+	for _, workers := range []int{1, 2, 4} {
+		name := fmt.Sprintf("%dw", workers)
+		coord := newClusterFixture(t, workers, "eq", l, nil, nil).coord
 
-			var got queryResponse
-			if rec := postQuery(t, coord.Handler(), body, &got); rec.Code != http.StatusOK {
-				t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
-			}
-			if digestOf(got) != digestOf(want) {
-				t.Fatalf("%s: traced cluster answer diverges from single-node", name)
-			}
-			tr := got.Trace
-			if tr == nil || tr.Spans == nil {
-				t.Fatalf("%s: no stitched trace in the response", name)
-			}
-			if len(tr.TraceID) != 32 {
-				t.Fatalf("%s: trace id %q, want 32 hex chars", name, tr.TraceID)
-			}
+		var got queryResponse
+		if rec := postQuery(t, coord.Handler(), body, &got); rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		if digestOf(got) != want {
+			t.Fatalf("%s: traced cluster answer diverges from naive Algorithm 1", name)
+		}
+		tr := got.Trace
+		if tr == nil || tr.Spans == nil {
+			t.Fatalf("%s: no stitched trace in the response", name)
+		}
+		if len(tr.TraceID) != 32 {
+			t.Fatalf("%s: trace id %q, want 32 hex chars", name, tr.TraceID)
+		}
 
-			// Every span of the stitched tree is attributed to a process.
-			workerSet := make(map[string]bool)
-			walkSpans(tr.Spans, func(sp *obs.Span) {
-				if sp.Worker == "" {
-					t.Fatalf("%s: span %q has no worker attribution", name, sp.Name)
-				}
-				workerSet[sp.Worker] = true
-			})
-			if !workerSet["coordinator"] {
-				t.Fatalf("%s: no coordinator-attributed spans in %v", name, workerSet)
+		// Every span of the stitched tree is attributed to a process.
+		workerSet := make(map[string]bool)
+		walkSpans(tr.Spans, func(sp *obs.Span) {
+			if sp.Worker == "" {
+				t.Fatalf("%s: span %q has no worker attribution", name, sp.Name)
 			}
+			workerSet[sp.Worker] = true
+		})
+		if !workerSet["coordinator"] {
+			t.Fatalf("%s: no coordinator-attributed spans in %v", name, workerSet)
+		}
 
-			// Each contacted worker's subtree is grafted in, rooted at its
-			// "worker" span, carrying the propagated trace id.
-			grafted := findSpans(tr.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" })
-			if len(grafted) == 0 {
-				t.Fatalf("%s: no grafted worker subtrees", name)
+		// Each contacted worker's subtree is grafted in, rooted at its
+		// "worker" span, carrying the propagated trace id.
+		grafted := findSpans(tr.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" })
+		if len(grafted) == 0 {
+			t.Fatalf("%s: no grafted worker subtrees", name)
+		}
+		for _, g := range grafted {
+			if !strings.HasPrefix(g.Worker, "http://") {
+				t.Fatalf("%s: grafted subtree attributed to %q, want a worker URL", name, g.Worker)
 			}
-			for _, g := range grafted {
-				if !strings.HasPrefix(g.Worker, "http://") {
-					t.Fatalf("%s: grafted subtree attributed to %q, want a worker URL", name, g.Worker)
-				}
-				if got := g.Attrs["trace_id"]; got != tr.TraceID {
-					t.Fatalf("%s: worker subtree ran under trace %v, coordinator sent %s", name, got, tr.TraceID)
-				}
-				if g.Attrs["parent_span_id"] == "" {
-					t.Fatalf("%s: worker subtree has no parent span id", name)
-				}
+			if got := g.Attrs["trace_id"]; got != tr.TraceID {
+				t.Fatalf("%s: worker subtree ran under trace %v, coordinator sent %s", name, got, tr.TraceID)
 			}
+			if g.Attrs["parent_span_id"] == "" {
+				t.Fatalf("%s: worker subtree has no parent span id", name)
+			}
+		}
 
-			// Coordinator-side stages of the fan-out are spans too.
-			for _, stage := range []string{"scatter", "merge", "transport", "queue-wait"} {
-				if len(findSpans(tr.Spans, func(sp *obs.Span) bool { return sp.Name == stage })) == 0 {
-					t.Fatalf("%s: stitched trace missing the %q stage", name, stage)
-				}
+		// Coordinator-side stages of the fan-out are spans too.
+		for _, stage := range []string{"scatter", "merge", "transport", "queue-wait"} {
+			if len(findSpans(tr.Spans, func(sp *obs.Span) bool { return sp.Name == stage })) == 0 {
+				t.Fatalf("%s: stitched trace missing the %q stage", name, stage)
 			}
+		}
 
-			// The cost table is the fleet aggregate; under naive every
-			// operator row keeps measured ≤ predicted end to end.
-			if len(tr.CostTable) == 0 {
-				t.Fatalf("%s: no fleet cost table", name)
-			}
-			for _, row := range tr.CostTable {
-				if row.Op != "atom" && row.Comparisons > row.Predicted {
-					t.Errorf("%s: %s: fleet measured %d > predicted %d under naive",
-						name, row.Node, row.Comparisons, row.Predicted)
-				}
+		// The cost table is the fleet aggregate; under naive every
+		// operator row keeps measured ≤ predicted end to end.
+		if len(tr.CostTable) == 0 {
+			t.Fatalf("%s: no fleet cost table", name)
+		}
+		for _, row := range tr.CostTable {
+			if row.Op != "atom" && row.Comparisons > row.Predicted {
+				t.Errorf("%s: %s: fleet measured %d > predicted %d under naive",
+					name, row.Node, row.Comparisons, row.Predicted)
 			}
 		}
 	}

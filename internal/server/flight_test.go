@@ -293,38 +293,44 @@ func TestChaosFlightRecorderConcurrentWithReload(t *testing.T) {
 	}
 }
 
+// TestMetricsBackendAndFlightFamilies: the backend gauge names the layout
+// that serves — columnar for static logs, the appendable row index under
+// Config.Ingest.
 func TestMetricsBackendAndFlightFamilies(t *testing.T) {
+	static := newTestServer(t, Config{})
+	live, _ := newIngestServer(t, Config{})
 	for _, tc := range []struct {
-		columnar bool
-		want     string
-		not      string
+		s         *Server
+		want, not string
 	}{
-		{false, `wlq_storage_backend{backend="row"} 1`, `wlq_storage_backend{backend="columnar"} 1`},
-		{true, `wlq_storage_backend{backend="columnar"} 1`, `wlq_storage_backend{backend="row"} 1`},
+		{static, "columnar", "row"},
+		{live, "row", "columnar"},
 	} {
-		s := newTestServer(t, Config{Columnar: tc.columnar})
-		h := s.Handler()
+		h := tc.s.Handler()
 		postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
 		rec := getJSON(t, h, "/metrics?format=prometheus", nil)
 		body := rec.Body.String()
-		if !strings.Contains(body, tc.want) {
-			t.Errorf("columnar=%v: missing %q", tc.columnar, tc.want)
+		if sample := fmt.Sprintf("wlq_storage_backend{backend=%q} 1", tc.want); !strings.Contains(body, sample) {
+			t.Errorf("%s: missing %q", tc.want, sample)
 		}
-		if strings.Contains(body, tc.not) {
-			t.Errorf("columnar=%v: unexpected %q", tc.columnar, tc.not)
+		if sample := fmt.Sprintf("wlq_storage_backend{backend=%q} 1", tc.not); strings.Contains(body, sample) {
+			t.Errorf("%s: unexpected %q", tc.want, sample)
 		}
 		for _, family := range []string{
 			"wlq_flightrec_captured_total 1",
 			"wlq_flightrec_entries 1",
 		} {
 			if !strings.Contains(body, family) {
-				t.Errorf("columnar=%v: missing family %q in exposition", tc.columnar, family)
+				t.Errorf("%s: missing family %q in exposition", tc.want, family)
 			}
 		}
 		var doc metricsDoc
 		getJSON(t, h, "/metrics", &doc)
-		if want := map[bool]string{false: "row", true: "columnar"}[tc.columnar]; doc.Backend != want {
-			t.Errorf("columnar=%v: JSON metrics backend = %q, want %q", tc.columnar, doc.Backend, want)
+		if doc.Backend != tc.want {
+			t.Errorf("JSON metrics backend = %q, want %q", doc.Backend, tc.want)
+		}
+		if caps := listCaptures(t, h, "").Queries; len(caps) != 1 || caps[0].Backend != tc.want {
+			t.Errorf("%s: capture backend = %+v", tc.want, caps)
 		}
 	}
 }

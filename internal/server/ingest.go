@@ -43,7 +43,6 @@ func (s *Server) openIngest(name string, l *wlog.Log) (*ingest.Coordinator, wal.
 		FsyncInterval: s.cfg.FsyncInterval,
 		SegmentBytes:  s.cfg.WALSegmentBytes,
 		Queue:         queue,
-		Columnar:      s.cfg.Columnar,
 		// Delta cache invalidation, the live twin of the generation-keyed
 		// reload scheme: each accepted append drops exactly the cached
 		// entries whose atom sets could match the new record. Runs in lsn

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sort"
 
+	"wlq/internal/colstore"
 	"wlq/internal/ingest"
 )
 
@@ -142,7 +143,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 			e.live = t.live
 			e.ix = t.live.Monitor().Source()
 		} else {
-			e.ix = s.newBackend(l)
+			e.ix = colstore.Build(l)
 		}
 		// The executor (and its shard executor) is rebuilt with the backend:
 		// the new partition matches the new log, and breaker history bound to

@@ -122,11 +122,6 @@ type Config struct {
 	// BreakerCooldown is a tripped breaker's open → half-open delay
 	// (0 = shard.DefaultBreakerCooldown).
 	BreakerCooldown time.Duration
-	// Columnar, when true, builds every loaded (and reloaded) log's
-	// backend as the columnar internal/colstore store instead of the row
-	// index: interned activity symbols and per-activity posting lists.
-	// Answers are identical on either backend; see docs/STORAGE.md.
-	Columnar bool
 	// FlightRecorderSize is the query flight recorder's per-ring capacity:
 	// the recorder keeps that many recent executions plus that many notable
 	// (slow or failed) ones. 0 means DefaultFlightRecorderSize; negative
@@ -196,8 +191,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// logEntry is one loaded (generation of a) log with its prebuilt backend
-// (row index or columnar store, per Config.Columnar). An entry is
+// logEntry is one loaded (generation of a) log with its prebuilt backend:
+// the columnar store for an immutable snapshot, the ingest monitor's
+// appendable index for a live log (docs/STORAGE.md). An entry is
 // immutable: hot reload replaces the pointer wholesale, so in-flight
 // queries keep the consistent snapshot they resolved at lookup time.
 type logEntry struct {
@@ -310,12 +306,14 @@ func (s *Server) StartClusterProbing(ctx context.Context) {
 	s.coord.StartProbing(ctx, s.cfg.ProbeInterval)
 }
 
-// backendName names the configured storage backend for captures and metrics.
+// backendName names the layout that serves this server's logs, for
+// captures and metrics: live logs are answered from the appendable row
+// index, immutable snapshots from the columnar store.
 func (s *Server) backendName() string {
-	if s.cfg.Columnar {
-		return "columnar"
+	if s.cfg.Ingest {
+		return "row"
 	}
-	return "row"
+	return "columnar"
 }
 
 // AddLog registers a log under a name and builds its index. source is a
@@ -357,20 +355,12 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 				"segments", rec.Segments, "torn_bytes", rec.TornBytes)
 		}
 	} else {
-		e.ix = s.newBackend(l)
+		e.ix = colstore.Build(l)
 	}
 	s.bindExecutor(e)
 	s.logs[name] = e
 	s.names = append(s.names, name)
 	return nil
-}
-
-// newBackend builds the configured storage backend for a log.
-func (s *Server) newBackend(l *wlog.Log) eval.Source {
-	if s.cfg.Columnar {
-		return colstore.Build(l)
-	}
-	return eval.NewIndex(l)
 }
 
 // lookup resolves a log name; a single loaded log may be addressed with an

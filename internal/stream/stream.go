@@ -29,16 +29,6 @@ import (
 	"wlq/internal/wlog"
 )
 
-// Backend is the incrementally-maintained index a Monitor appends to: an
-// eval.Source that also supports Algorithm 2 maintenance one record at a
-// time. eval.Index is the row backend; colstore.LiveStore is the
-// columnar-symbol backend. Append must only be called while the Monitor's
-// write lock is held (the Monitor guarantees this).
-type Backend interface {
-	eval.Source
-	Append(r wlog.Record)
-}
-
 // Alert reports a watch firing: the named pattern gained its first incident
 // in some workflow instance.
 type Alert struct {
@@ -88,8 +78,10 @@ type watch struct {
 // Monitor incrementally evaluates watches over an append-only log.
 // Safe for concurrent use; see the package comment for the lock contract.
 type Monitor struct {
-	mu      sync.RWMutex
-	backend Backend
+	mu sync.RWMutex
+	// backend is the Algorithm 2 index, maintained one record at a time;
+	// Append is only called while the write lock is held.
+	backend *eval.Index
 	ev      *eval.Evaluator
 	handler Handler
 	watches []*watch
@@ -100,17 +92,17 @@ type Monitor struct {
 	alerts  int
 }
 
-// NewMonitor creates a Monitor over a fresh row backend (eval.Index),
-// delivering alerts to handler (which may be nil when only the Alerts
-// counter and FiredInstances are wanted).
+// NewMonitor creates a Monitor over an empty index, delivering alerts to
+// handler (which may be nil when only the Alerts counter and
+// FiredInstances are wanted).
 func NewMonitor(handler Handler) *Monitor {
 	return NewMonitorOn(handler, eval.NewEmptyIndex())
 }
 
-// NewMonitorOn creates a Monitor over an existing backend — typically one
+// NewMonitorOn creates a Monitor over an existing index — typically one
 // pre-loaded from a base snapshot, so live appends continue where the
-// snapshot ends. nextLSN picks up after the backend's newest record.
-func NewMonitorOn(handler Handler, backend Backend) *Monitor {
+// snapshot ends. nextLSN picks up after the index's newest record.
+func NewMonitorOn(handler Handler, backend *eval.Index) *Monitor {
 	next := uint64(1)
 	nextSeq := make(map[uint64]uint64)
 	ended := make(map[uint64]struct{})

@@ -248,12 +248,11 @@ func ClinicLogTimed(instances int, seed int64) (*Log, error) {
 // concurrent use: all state is immutable after construction.
 type Engine struct {
 	log      *Log
-	src      eval.Source
+	src      *colstore.Store
 	strategy Strategy
 	optimize bool
 	limit    int
 	budget   Budget
-	columnar bool
 }
 
 // Option configures an Engine.
@@ -284,31 +283,18 @@ func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
 
-// WithColumnar selects the columnar storage backend (internal/colstore):
-// interned activity symbols and per-activity posting lists instead of the
-// row-oriented per-instance maps. Answers are identical on either backend
-// (enforced by the cross-backend equivalence suite); the trade-off is
-// purely physical — see docs/STORAGE.md.
-func WithColumnar() Option {
-	return func(e *Engine) { e.columnar = true }
-}
-
-// NewEngine indexes the log and returns a query engine. The storage
-// backend is built after the options are applied, so WithColumnar controls
-// which representation is constructed.
+// NewEngine indexes the log and returns a query engine. A Log is an
+// immutable snapshot, so it is served from the columnar store
+// (internal/colstore; see docs/STORAGE.md).
 func NewEngine(l *Log, opts ...Option) *Engine {
 	e := &Engine{
 		log:      l,
+		src:      colstore.Build(l),
 		strategy: StrategyMerge,
 		optimize: true,
 	}
 	for _, opt := range opts {
 		opt(e)
-	}
-	if e.columnar {
-		e.src = colstore.Build(l)
-	} else {
-		e.src = eval.NewIndex(l)
 	}
 	return e
 }

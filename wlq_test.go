@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"wlq"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/pattern"
 )
 
 func TestEngineOnFig3(t *testing.T) {
@@ -409,49 +411,43 @@ func TestDurationsThroughFacade(t *testing.T) {
 	}
 }
 
+// TestEngineColumnarEquivalent: the engine answers from the columnar store;
+// every answer must be naive Algorithm 1's over the row index.
 func TestEngineColumnarEquivalent(t *testing.T) {
 	log, err := wlq.ClinicLog(60, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := wlq.NewEngine(log)
-	col := wlq.NewEngine(log, wlq.WithColumnar())
+	e := wlq.NewEngine(log)
+	oracle := eval.New(eval.NewIndex(log), eval.Options{Strategy: eval.StrategyNaive})
 	for _, q := range []string{
 		"GetRefer . CheckIn",
 		"(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)",
 		"UpdateRefer & TakeTreatment",
 		"!SeeDoctor . END",
 	} {
-		a, err := row.Query(q)
+		want := oracle.Eval(pattern.MustParse(q))
+		got, err := e.Query(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := col.Query(q)
+		if !got.Equal(want) {
+			t.Errorf("engine disagrees with the oracle on %q:\noracle: %s\nengine: %s", q, want, got)
+		}
+		n, err := e.Count(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !a.Equal(b) {
-			t.Errorf("columnar engine disagrees on %q:\nrow:      %s\ncolumnar: %s", q, a, b)
+		if n != want.Len() {
+			t.Errorf("Count(%q) = %d, oracle %d", q, n, want.Len())
 		}
-		rc, err := row.Count(q)
+		// The sharded path over the columnar store.
+		sharded, _, err := e.QuerySharded(context.Background(), q, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := col.Count(q)
-		if err != nil {
-			t.Fatal(err)
+		if !sharded.Equal(want) {
+			t.Errorf("sharded engine disagrees with the oracle on %q", q)
 		}
-		if rc != cc {
-			t.Errorf("columnar Count disagrees on %q: row %d, columnar %d", q, rc, cc)
-		}
-	}
-	// The sharded path over the columnar backend.
-	a, _, err := col.QuerySharded(context.Background(), "UpdateRefer & TakeTreatment", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := row.Query("UpdateRefer & TakeTreatment")
-	if !a.Equal(b) {
-		t.Error("sharded columnar result differs from row result")
 	}
 }
