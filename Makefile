@@ -69,6 +69,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/
 	$(GO) test -fuzz=FuzzStoreMatchesIndex -fuzztime=30s ./internal/colstore/
+	$(GO) test -fuzz=FuzzIncidentCodec -fuzztime=30s -run XXX ./internal/cluster/
 
 clean:
 	$(GO) clean ./...

@@ -271,7 +271,7 @@ type ExecOptions struct {
 // partition driver (shard.Scatter): each worker owning wids is one part,
 // attempted through call — one request plus an optional hedge — under the
 // driver's breaker admission and retry loop, and the surviving answers
-// merge through incident.NewSet's normalization — byte-identical to a
+// merge through shard.Merge's k-way merge — byte-identical to a
 // single-node evaluation when every worker answers.
 //
 // The error and Completeness contract is shard.Merge's, with each excluded
@@ -351,7 +351,7 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 			return nil, 0, err
 		}
 		tables[i] = resp.CostTable
-		return ToIncidents(resp.Incidents), resp.Instances, nil
+		return resp.Incidents, resp.Instances, nil
 	}
 	results := c.scatter.Gather(ctx, parts, attempt)
 	scatter.End()
@@ -568,7 +568,13 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte
 	}
 	var wr WorkerQueryResponse
 	if err := json.NewDecoder(httpResp.Body).Decode(&wr); err != nil {
-		return nil, fmt.Errorf("decode worker response: %w", err)
+		err = fmt.Errorf("decode worker response: %w", err)
+		if errors.Is(err, ErrMalformedIncidents) {
+			// A complete reply that is not an incident list: asking again
+			// gets the same bytes.
+			err = nonRetryable(err)
+		}
+		return nil, err
 	}
 	return &wr, nil
 }

@@ -9,6 +9,7 @@
 package incident
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -40,6 +41,23 @@ func New(wid uint64, seqs ...uint64) Incident {
 		}
 	}
 	return Incident{wid: wid, seqs: s}
+}
+
+// FromSorted builds an incident that adopts seqs as its is-lsn values: no
+// copy, no sort. It is the constructor for data arriving from outside the
+// process (a decoded wire reply), so a violation of Definition 4's
+// invariants — seqs empty, or not strictly increasing — is an error, not a
+// panic. The caller must not retain seqs.
+func FromSorted(wid uint64, seqs []uint64) (Incident, error) {
+	if len(seqs) == 0 {
+		return Incident{}, errors.New("empty incident")
+	}
+	for i := 1; i < len(seqs); i++ {
+		if seqs[i] <= seqs[i-1] {
+			return Incident{}, fmt.Errorf("is-lsn %d after %d: not strictly increasing", seqs[i], seqs[i-1])
+		}
+	}
+	return Incident{wid: wid, seqs: seqs}, nil
 }
 
 // Singleton builds the one-record incident for an atomic pattern match.

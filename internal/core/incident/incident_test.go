@@ -397,3 +397,55 @@ func TestSetAlgebraProperty(t *testing.T) {
 		}
 	}
 }
+
+func TestFromSorted(t *testing.T) {
+	seqs := []uint64{2, 5, 9}
+	o, err := FromSorted(7, seqs)
+	if err != nil || !o.Equal(New(7, 9, 2, 5)) {
+		t.Fatalf("FromSorted = %v, %v", o, err)
+	}
+	for _, bad := range [][]uint64{nil, {}, {3, 3}, {5, 2}, {1, 2, 2}} {
+		if o, err := FromSorted(1, bad); err == nil {
+			t.Errorf("FromSorted(%v) = %v, want an error", bad, o)
+		}
+	}
+}
+
+// TestMergeSortedIsNewSet: however canonical runs are cut out of a set —
+// disjoint ranges, interleaved wids, overlapping copies, empty runs — their
+// merge is the set NewSet builds from all of them.
+func TestMergeSortedIsNewSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		var all []Incident
+		for n := rng.Intn(60); n > 0; n-- {
+			a := uint64(rng.Intn(6) + 1)
+			all = append(all, New(uint64(rng.Intn(8)+1), a, a+uint64(rng.Intn(4)+1)))
+		}
+		k := rng.Intn(5) + 1
+		runs := make([][]Incident, k)
+		for _, inc := range all {
+			switch round % 3 {
+			case 0: // by wid range: the runs concatenate
+				runs[int(inc.WID())*k/9] = append(runs[int(inc.WID())*k/9], inc)
+			case 1: // by wid hash: the runs interleave
+				runs[int(inc.WID())%k] = append(runs[int(inc.WID())%k], inc)
+			default: // anywhere, sometimes twice: the runs overlap
+				for copies := 1 + rng.Intn(3)/2; copies > 0; copies-- {
+					i := rng.Intn(k)
+					runs[i] = append(runs[i], inc)
+				}
+			}
+		}
+		for i := range runs {
+			runs[i] = NewSet(runs[i]...).Incidents()
+		}
+		got, want := MergeSorted(runs...), NewSet(all...)
+		if !got.Equal(want) || got.String() != want.String() {
+			t.Fatalf("round %d: MergeSorted(%v) = %v, want %v", round, runs, got, want)
+		}
+	}
+	if got := MergeSorted(); got.Len() != 0 {
+		t.Fatalf("MergeSorted() = %v", got)
+	}
+}

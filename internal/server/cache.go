@@ -3,7 +3,9 @@ package server
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
+	"wlq/internal/cluster"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 )
@@ -17,15 +19,35 @@ import (
 // plan's atom set tag exactly which appends could change its answer.
 //
 // Entries are shared between concurrent readers and must be treated as
-// read-only: the incident set and the plan are never mutated after insert.
+// read-only: the incident set, the plan and the encoded incidents are never
+// mutated after insert.
 type cacheEntry struct {
 	plan pattern.Node
-	set  *incident.Set
+	// planText is plan.String(), which every response and capture carries.
+	planText string
+	set      *incident.Set
 	// log and atoms are the delta-invalidation tags (see above); atoms is
 	// nil for entries cached before ingestion was a concern, which the
 	// sweep conservatively treats as always-stale.
 	log   string
 	atoms []*pattern.Atom
+
+	// incidents is the set in wire form (cluster.AppendIncidents), built by
+	// the first response that needs it and shared by every later one;
+	// incidentsLen is its length once built, for the cache_body_bytes gauge.
+	incidentsOnce sync.Once
+	incidents     []byte
+	incidentsLen  atomic.Int64
+}
+
+// incidentsJSON returns the whole set as the "incidents" array of a query
+// response. Callers must not modify it.
+func (e *cacheEntry) incidentsJSON() []byte {
+	e.incidentsOnce.Do(func() {
+		e.incidents = cluster.AppendIncidents(nil, e.set.Incidents())
+		e.incidentsLen.Store(int64(len(e.incidents)))
+	})
+	return e.incidents
 }
 
 // staleForActivity decides whether appending a record with the given
@@ -135,6 +157,21 @@ func (c *lru) invalidateActivity(logName, act string) uint64 {
 		dropped++
 	}
 	return dropped
+}
+
+// bodyBytes returns the bytes of encoded incidents the resident entries hold
+// (entries no incidents-mode response has asked for yet hold none).
+func (c *lru) bodyBytes() int64 {
+	if c == nil {
+		return 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var n int64
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		n += el.Value.(*lruItem).entry.incidentsLen.Load()
+	}
+	return n
 }
 
 // len returns the current number of entries.

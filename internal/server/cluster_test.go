@@ -157,8 +157,8 @@ func heaviestOwner(workers []string) string {
 // digestOf reduces a 200 response to the fields that define the answer.
 func digestOf(resp queryResponse) string {
 	b, _ := json.Marshal(struct {
-		Count     int                   `json:"count"`
-		Incidents []cluster.IncidentDoc `json:"incidents"`
+		Count     int           `json:"count"`
+		Incidents []incidentDoc `json:"incidents"`
 	}{resp.Count, resp.Incidents})
 	return string(b)
 }
@@ -576,8 +576,8 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 			t.Fatal("no incidents from the owned wids (A -> B matches every instance)")
 		}
 		for _, inc := range resp.Incidents {
-			if !ownedSet[inc.WID] {
-				t.Fatalf("incident from unowned wid %d", inc.WID)
+			if !ownedSet[inc.WID()] {
+				t.Fatalf("incident from unowned wid %d", inc.WID())
 			}
 		}
 	})

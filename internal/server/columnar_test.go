@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"wlq"
-	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/wlog"
@@ -19,9 +18,10 @@ import (
 func oracleDigest(l *wlog.Log, q string) string {
 	ev := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
 	set := ev.Eval(pattern.MustParse(q))
-	resp := queryResponse{Count: set.Len()}
+	var resp queryResponse
+	resp.Count = set.Len()
 	if set.Len() > 0 { // the wire form omits an empty list
-		resp.Incidents = cluster.FromIncidents(set.Incidents())
+		resp.Incidents = incidentDocs(set.Incidents())
 	}
 	return digestOf(resp)
 }

@@ -27,6 +27,7 @@ type metrics struct {
 	cacheHits          atomic.Uint64
 	cacheMisses        atomic.Uint64
 	incidentsReturned  atomic.Uint64
+	responseBytes      atomic.Uint64
 	instancesEvaluated atomic.Uint64
 	slowQueries        atomic.Uint64
 	inflight           atomic.Int64
@@ -223,7 +224,9 @@ type metricsDoc struct {
 	CacheMisses        uint64  `json:"cache_misses" prom:"wlq_cache_misses_total" help:"Result-cache misses."`
 	CacheEntries       int     `json:"cache_entries" prom:"wlq_cache_entries" help:"Result-cache entries resident."`
 	CacheEvictions     uint64  `json:"cache_evictions" prom:"wlq_cache_evictions_total" help:"Result-cache entries displaced by LRU pressure."`
+	CacheBodyBytes     int64   `json:"cache_body_bytes" prom:"wlq_cache_body_bytes" help:"Bytes of encoded incidents held by result-cache entries."`
 	IncidentsReturned  uint64  `json:"incidents_returned" prom:"wlq_incidents_returned_total" help:"Incidents returned in query responses."`
+	ResponseBytes      uint64  `json:"response_bytes_total" prom:"wlq_response_bytes_total" help:"Body bytes of the answers written by POST /v1/query."`
 	InstancesEvaluated uint64  `json:"instances_evaluated" prom:"wlq_instances_evaluated_total" help:"Workflow instances evaluated."`
 	SlowQueries        uint64  `json:"slow_queries" prom:"wlq_slow_queries_total" help:"Queries slower than the slow-query threshold."`
 	QueriesShed        uint64  `json:"queries_shed" prom:"wlq_queries_shed_total" help:"Queries shed by admission control (429)."`
@@ -365,7 +368,9 @@ func (s *Server) metricsSnapshot() metricsDoc {
 		CacheMisses:         m.cacheMisses.Load(),
 		CacheEntries:        cache.len(),
 		CacheEvictions:      cache.evicted(),
+		CacheBodyBytes:      cache.bodyBytes(),
 		IncidentsReturned:   m.incidentsReturned.Load(),
+		ResponseBytes:       m.responseBytes.Load(),
 		InstancesEvaluated:  m.instancesEvaluated.Load(),
 		SlowQueries:         m.slowQueries.Load(),
 		QueriesShed:         m.queriesShed.Load(),

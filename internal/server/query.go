@@ -8,6 +8,7 @@ import (
 	mrand "math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"wlq/internal/cluster"
@@ -70,21 +71,31 @@ type queryRequest struct {
 	Partial bool `json:"partial,omitempty"`
 }
 
-// queryResponse is the POST /v1/query result.
-type queryResponse struct {
-	Log       string                `json:"log"`
-	Query     string                `json:"query"`
-	Canonical string                `json:"canonical"`
-	Plan      string                `json:"plan"`
-	Strategy  string                `json:"strategy"`
-	Mode      string                `json:"mode"`
-	Cached    bool                  `json:"cached"`
-	ElapsedUS int64                 `json:"elapsed_us"`
-	Count     int                   `json:"count"`
-	Exists    bool                  `json:"exists"`
-	Instances []uint64              `json:"instances,omitempty"`
-	Incidents []cluster.IncidentDoc `json:"incidents,omitempty"`
-	Truncated bool                  `json:"truncated,omitempty"`
+// The POST /v1/query result is one JSON object: queryHead's members, then
+// the answer array of the mode — "instances" (wids) or "incidents" (the
+// cluster incident codec), omitted when empty or when the mode has none —
+// then queryTail's. respond writes it in exactly those three pieces, so an
+// incidents array that is already encoded (the cache holds it) is never
+// encoded again; count, exists and elapsed_us stay ahead of the array, where
+// a client that only wants them can stop reading.
+
+// queryHead is the part of the result ahead of the answer array.
+type queryHead struct {
+	Log       string `json:"log"`
+	Query     string `json:"query"`
+	Canonical string `json:"canonical"`
+	Plan      string `json:"plan"`
+	Strategy  string `json:"strategy"`
+	Mode      string `json:"mode"`
+	Cached    bool   `json:"cached"`
+	ElapsedUS int64  `json:"elapsed_us"`
+	Count     int    `json:"count"`
+	Exists    bool   `json:"exists"`
+}
+
+// queryTail is the part of the result after the answer array.
+type queryTail struct {
+	Truncated bool `json:"truncated,omitempty"`
 	// Trace is present when the request set "trace": true — the span tree
 	// and per-operator cost table of this evaluation.
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
@@ -457,10 +468,7 @@ func (q *queryRun) plan() bool {
 	sp.SetAttr("key", q.capture.Canonical)
 	sp.End()
 
-	// The reload generation is part of the key, so a hot reload makes every
-	// pre-reload entry unreachable (LRU pressure ages them out) without an
-	// invalidation sweep.
-	q.cacheKey = fmt.Sprintf("%s\x00gen=%d\x00%s\x00limit=%d", entry.name, entry.gen, q.capture.Canonical, q.req.Limit)
+	q.cacheKey = cacheKey(entry.name, entry.gen, q.capture.Canonical, q.req.Limit)
 	// Traced queries bypass the result cache: a cached result carries no
 	// fresh evaluation to measure, so a hit would return an empty or stale
 	// cost table.
@@ -469,10 +477,10 @@ func (q *queryRun) plan() bool {
 		if q.answer, q.cached = s.cache.get(q.cacheKey); q.cached {
 			s.metrics.cacheHits.Add(1)
 			q.capture.Cached = true
-			q.capture.Plan = q.answer.plan.String()
+			q.capture.Plan = q.answer.planText
 			// A cache hit ran no evaluation: the capture's trace carries the
 			// parse/canonicalize spans but no eval spans or cost table.
-			q.capture.Trace = q.queryTrace(q.answer.plan, nil, "")
+			q.capture.Trace = q.queryTrace(nil, "")
 			return true
 		}
 		s.metrics.cacheMisses.Add(1)
@@ -486,7 +494,11 @@ func (q *queryRun) plan() bool {
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
-	q.capture.Plan = plan.String()
+	// The log name and the plan's atoms tag the entry for delta
+	// invalidation under live ingestion: an append drops exactly the
+	// entries whose answers could include the new record.
+	q.answer = &cacheEntry{plan: plan, planText: plan.String(), log: entry.name, atoms: pattern.Atoms(plan)}
+	q.capture.Plan = q.answer.planText
 
 	// Pre-flight admission: the cost model prices the plan the service
 	// will actually run, so queries predicted to blow past the ceiling
@@ -503,11 +515,24 @@ func (q *queryRun) plan() bool {
 			})
 		}
 	}
-	// The log name and the plan's atoms tag the entry for delta
-	// invalidation under live ingestion: an append drops exactly the
-	// entries whose answers could include the new record.
-	q.answer = &cacheEntry{plan: plan, log: entry.name, atoms: pattern.Atoms(plan)}
 	return true
+}
+
+// cacheKey is the result cache's identity of an answer. The reload
+// generation is part of it, so a hot reload makes every pre-reload entry
+// unreachable (LRU pressure ages them out) without an invalidation sweep;
+// limit is too, because answers depend on it.
+func cacheKey(log string, gen uint64, canonical string, limit int) string {
+	var b strings.Builder
+	b.Grow(len(log) + len(canonical) + 40)
+	b.WriteString(log)
+	b.WriteString("\x00gen=")
+	b.WriteString(strconv.FormatUint(gen, 10))
+	b.WriteByte(0)
+	b.WriteString(canonical)
+	b.WriteString("\x00limit=")
+	b.WriteString(strconv.Itoa(limit))
+	return b.String()
 }
 
 // queryTrace closes the request's trace and assembles its QueryTrace — the
@@ -515,7 +540,7 @@ func (q *queryRun) plan() bool {
 // non-empty traceID marks a stitched distributed trace: every locally
 // recorded span gets coordinator attribution; grafted subtrees keep the
 // worker stamp they arrived with.
-func (q *queryRun) queryTrace(plan pattern.Node, costTable []obs.CostRow, traceID string) *obs.QueryTrace {
+func (q *queryRun) queryTrace(costTable []obs.CostRow, traceID string) *obs.QueryTrace {
 	if q.trace == nil {
 		return nil
 	}
@@ -525,7 +550,7 @@ func (q *queryRun) queryTrace(plan pattern.Node, costTable []obs.CostRow, traceI
 	}
 	return &obs.QueryTrace{
 		Query:     q.req.Query,
-		Plan:      plan.String(),
+		Plan:      q.answer.planText,
 		Strategy:  q.strategy.String(),
 		TraceID:   traceID,
 		Spans:     q.trace.Root(),
@@ -577,7 +602,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	if len(costTable) == 0 && q.trace != nil {
 		costTable = obs.CostTable(plan, meter)
 	}
-	q.capture.Trace = q.queryTrace(plan, costTable, traceID)
+	q.capture.Trace = q.queryTrace(costTable, traceID)
 
 	// Every failure below returns before the cache put: a timeout, budget
 	// abort, fault or rejected partial never poisons it (see
@@ -623,47 +648,69 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	return true
 }
 
-// respond encodes the answer in the requested mode.
+// respond writes the answer in the requested mode: head, answer array, tail
+// (see queryHead). An untruncated incidents array is the entry's shared
+// encoding — built by whichever response needs it first, the miss that
+// filled the entry or a later hit — so a cache hit encodes only the head.
 func (q *queryRun) respond() {
 	set, comp := q.answer.set, q.capture.Completeness
-	resp := queryResponse{
-		Log:          q.entry.name,
-		Query:        q.req.Query,
-		Canonical:    q.capture.Canonical,
-		Plan:         q.answer.plan.String(),
-		Strategy:     q.strategy.String(),
-		Mode:         q.mode,
-		Cached:       q.cached,
-		Count:        set.Len(),
-		Exists:       set.Len() > 0,
-		Completeness: comp,
-		Partial:      comp != nil && !comp.Complete,
+	head := queryHead{
+		Log:       q.entry.name,
+		Query:     q.req.Query,
+		Canonical: q.capture.Canonical,
+		Plan:      q.answer.planText,
+		Strategy:  q.strategy.String(),
+		Mode:      q.mode,
+		Cached:    q.cached,
+		Count:     set.Len(),
+		Exists:    set.Len() > 0,
 	}
+	tail := queryTail{Completeness: comp, Partial: comp != nil && !comp.Complete}
 	if q.req.Trace {
 		// The internal always-on trace (flight recorder) is on the capture;
 		// the response carries it only when explicitly requested.
-		resp.Trace = q.capture.Trace
+		tail.Trace = q.capture.Trace
 	}
-	switch q.mode {
-	case "instances":
-		resp.Instances = set.WIDs()
-	case "incidents":
-		incs := set.Incidents()
-		if q.req.MaxResults > 0 && len(incs) > q.req.MaxResults {
-			incs = incs[:q.req.MaxResults]
-			resp.Truncated = true
+	var (
+		key   string
+		array []byte
+	)
+	switch {
+	case head.Count == 0:
+		// An empty answer has no array in either mode.
+	case q.mode == "instances":
+		key, array = "instances", appendUints(nil, set.WIDs())
+	case q.mode == "incidents":
+		key = "incidents"
+		n := head.Count
+		if q.req.MaxResults > 0 && n > q.req.MaxResults {
+			n, tail.Truncated = q.req.MaxResults, true
+			array = cluster.AppendIncidents(nil, set.Incidents()[:n])
+		} else {
+			array = q.answer.incidentsJSON()
 		}
-		resp.Incidents = cluster.FromIncidents(incs)
-		q.s.metrics.incidentsReturned.Add(uint64(len(incs)))
+		q.s.metrics.incidentsReturned.Add(uint64(n))
 	}
-	resp.ElapsedUS = time.Since(q.started).Microseconds()
+	head.ElapsedUS = time.Since(q.started).Microseconds()
 	q.capture.Status, q.capture.HTTPStatus = flightrec.StatusOK, http.StatusOK
-	if resp.Partial {
+	if tail.Partial {
 		// 206: a well-formed answer covering only part of the log, as the
 		// request's "partial": true accepted.
 		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
 	}
-	writeJSON(q.w, q.capture.HTTPStatus, resp)
+	q.s.metrics.responseBytes.Add(uint64(writeSpliced(q.w, q.capture.HTTPStatus, head, key, array, tail)))
+}
+
+// appendUints appends vs as a JSON array of numbers.
+func appendUints(dst []byte, vs []uint64) []byte {
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, v, 10)
+	}
+	return append(dst, ']')
 }
 
 // retryAfterSeconds converts an advisory retry delay to the whole-second

@@ -29,6 +29,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -525,12 +526,67 @@ type errorDoc struct {
 	LastLSN  uint64 `json:"last_lsn,omitempty"`
 }
 
+// writeJSON answers with v as one line of compact JSON (`| jq .` is the
+// pretty-printer). The body is encoded before the status is committed, so a
+// value that does not encode is a 500 with an error document, not a 200
+// with a torn body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		code, body = http.StatusInternalServerError, encodeFailure(err)
+	}
+	writeBody(w, code, append(body, '\n'))
+}
+
+// encodeFailure is the error document for a response that did not encode.
+func encodeFailure(err error) []byte {
+	body, _ := json.Marshal(errorDoc{Error: "encode response: " + err.Error()})
+	return body
+}
+
+// writeSpliced answers with the JSON object made of head's members, then
+// "key": array, then tail's members — the document encoding/json writes for
+// a struct declaring them in that order, except that array is already JSON
+// and is written as it stands, not encoded again. head must have members;
+// an empty key (and a nil array) leaves the array out. It returns the
+// body's length.
+func writeSpliced(w http.ResponseWriter, code int, head any, key string, array []byte, tail any) int {
+	h, err := json.Marshal(head)
+	var t []byte
+	if err == nil {
+		t, err = json.Marshal(tail)
+	}
+	if err != nil {
+		return writeBody(w, http.StatusInternalServerError, append(encodeFailure(err), '\n'))
+	}
+	h = h[:len(h)-1] // reopen the object
+	if key != "" {
+		h = append(append(append(h, `,"`...), key...), `":`...)
+	}
+	if len(t) > len("{}") {
+		t[0] = ',' // tail's members follow
+	} else {
+		t = t[1:]
+	}
+	return writeBody(w, code, h, array, append(t, '\n'))
+}
+
+// writeBody commits a response: the status, the Content-Length of the
+// pieces, and the pieces in order. It returns that length.
+func writeBody(w http.ResponseWriter, code int, pieces ...[]byte) int {
+	n := 0
+	for _, p := range pieces {
+		n += len(p)
+	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // the status line is already out; nothing to recover
+	for _, p := range pieces {
+		if len(p) > 0 {
+			w.Write(p) // a failed write is a client that went away
+		}
+	}
+	return n
 }
 
 func writeError(w http.ResponseWriter, code int, format string, args ...any) {

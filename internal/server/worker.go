@@ -123,17 +123,13 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(code, doc)
 		return
 	}
-	resp := cluster.WorkerQueryResponse{
-		Worker:    req.Self,
-		WIDsOwned: len(owned),
-		Instances: x.stats.Instances,
-		Incidents: cluster.FromIncidents(x.set.Incidents()),
-		ElapsedUS: time.Since(started).Microseconds(),
-	}
+	head := cluster.WorkerReplyHead{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances}
+	incidents := cluster.AppendIncidents(nil, x.set.Incidents())
+	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
 		obs.EvalSpans(esp, p, meter)
 		esp.SetAttr("instances", x.stats.Instances)
-		esp.SetAttr("incidents", len(resp.Incidents))
+		esp.SetAttr("incidents", x.set.Len())
 		tr.End()
 		root := tr.Root()
 		obs.StampWorker(root, req.Self)
@@ -142,9 +138,9 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 			max = cluster.DefaultMaxTraceSpans
 		}
 		obs.CapSpans(root, max)
-		resp.TraceID = tr.ID()
-		resp.Spans = root
-		resp.CostTable = obs.CostTable(p, meter)
+		tail.TraceID = tr.ID()
+		tail.Spans = root
+		tail.CostTable = obs.CostTable(p, meter)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeSpliced(w, http.StatusOK, head, "incidents", incidents, tail)
 }

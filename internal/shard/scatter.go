@@ -83,7 +83,8 @@ func (p Part) name() string {
 // Transport makes one evaluation attempt (1-based) on parts[part] — an
 // in-process EvalWIDsCtx call for the executor, an HTTP round trip for the
 // cluster coordinator — and returns the restriction of incL(p) to the
-// part's wids and the number of workflow instances evaluated. It is called
+// part's wids, in canonical order (Merge relies on it), and the number of
+// workflow instances evaluated. It is called
 // from the part's own goroutine, never concurrently for the same part.
 type Transport func(ctx context.Context, part, attempt int) (incs []incident.Incident, instances int, err error)
 
@@ -196,7 +197,7 @@ func (s *Scatter) runPart(ctx context.Context, p Part, i int, attempt Transport)
 func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.QueryStats) (*incident.Set, *Completeness, error) {
 	comp := &Completeness{Shards: len(parts)}
 	var (
-		merged   []incident.Incident
+		runs     [][]incident.Incident
 		firstErr error
 	)
 	for i, r := range results {
@@ -205,7 +206,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 		if r.Err == nil {
 			comp.Attempted++
 			comp.Succeeded++
-			merged = append(merged, r.Incidents...)
+			runs = append(runs, r.Incidents)
 			if stats != nil {
 				stats.Instances += r.Instances
 				stats.Incidents += len(r.Incidents)
@@ -259,9 +260,8 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 		}
 		return nil, comp, firstErr
 	}
-	// Range shards are disjoint, ascending and individually canonical, so
-	// their concatenation is already sorted and NewSet's normalize pass is a
-	// cheap verification. Hash and ring placement interleave wids; there it
-	// performs the real merge.
-	return incident.NewSet(merged...), comp, nil
+	// Every part's answer is canonical on its own, so the union is a k-way
+	// merge, not a sort: range shards are disjoint and ascending and simply
+	// concatenate; hash and ring placement interleave wids and merge.
+	return incident.MergeSorted(runs...), comp, nil
 }

@@ -44,9 +44,9 @@ const (
 	// excludes one describable wid interval.
 	PolicyRange Policy = iota
 	// PolicyHash assigns wids by hash, spreading hot instances across
-	// shards at the cost of interleaved ranges (the merged result is
-	// re-normalized, and an excluded "range" is a scattered set reported
-	// by its min/max envelope).
+	// shards at the cost of interleaved ranges (the shard results are
+	// merged, not concatenated, and an excluded "range" is a scattered set
+	// reported by its min/max envelope).
 	PolicyHash
 )
 
