@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"wlq/internal/core/incident"
-	"wlq/internal/core/pattern"
 	"wlq/internal/resilience"
 )
 
@@ -29,9 +28,10 @@ import (
 // a budgetAbort, which safeEvalWID converts back into the *BudgetError at
 // the instance boundary. The panic never escapes the evaluator.
 //
-// Budgets are enforced on the context-aware paths (EvalParallelCtx and the
-// serial path under it); the plain Eval/Exists/EvalInstance entry points
-// have no error channel and ignore Options.Budget.
+// Every entry point runs the same scan (parallel.go), so every one enforces
+// Options.Budget; those without an error result panic with the *BudgetError,
+// which is why a caller that sets a budget uses the error-returning forms
+// (EvalParallelCtx, EvalWIDsCtx, ExistsCtx, CountCtx).
 
 // budgetAbort is the internal panic payload carrying the typed error.
 type budgetAbort struct {
@@ -142,16 +142,8 @@ func (bs *budgetState) addResult(incs []incident.Incident) error {
 	return nil
 }
 
-// Comparisons returns the comparison work charged so far (test hook).
-func (bs *budgetState) Comparisons() uint64 {
-	if bs == nil {
-		return 0
-	}
-	return bs.comparisons.Load()
-}
-
-// evalHook, when set, is called once per instance evaluation on the
-// context-aware paths, before any join work for that instance. It is a
+// evalHook, when set, is called once per instance evaluation, before any
+// join work for that instance. It is a
 // deterministic fault-injection seam: internal/faultinject builds hooks
 // that panic on the Nth call or stall, and the chaos tests assert the
 // service degrades instead of dying. Production code never sets it; the
@@ -173,7 +165,7 @@ func SetEvalHook(h func(wid uint64)) {
 // genuine bug, or an injected fault — becomes a *resilience.PanicError with
 // an incident id and the captured stack. One poisoned instance evaluation
 // fails one query; the process, and the other queries in flight, keep going.
-func (e *Evaluator) safeEvalWID(p pattern.Node, wid uint64, bs *budgetState) (incs []incident.Incident, err error) {
+func (e *Evaluator) safeEvalWID(prog program, vals [][]incident.Incident, wid uint64, bs *budgetState) (incs []incident.Incident, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -186,5 +178,5 @@ func (e *Evaluator) safeEvalWID(p pattern.Node, wid uint64, bs *budgetState) (in
 	if h := evalHook.Load(); h != nil {
 		(*h)(wid)
 	}
-	return e.evalWID(p, wid, bs), nil
+	return e.evalInstance(prog, vals, wid, bs), nil
 }

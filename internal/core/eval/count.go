@@ -1,8 +1,10 @@
 package eval
 
 import (
+	"context"
 	"sort"
 
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/predicate"
 )
@@ -15,29 +17,39 @@ import (
 
 // Count returns |incL(p)|.
 func (e *Evaluator) Count(p pattern.Node) int {
+	return must(e.CountCtx(context.Background(), p))
+}
+
+// CountCtx is Count under ctx, Options.Budget and panic isolation. Those
+// guard the evaluating fallback; the arithmetic fast path produces no
+// incident for a budget to bound and does O(n log n) work per instance.
+func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
 	if b, ok := p.(*pattern.Binary); ok {
 		la, lok := b.Left.(*pattern.Atom)
 		ra, rok := b.Right.(*pattern.Atom)
 		if lok && rok && e.opts.Limit == 0 {
+			l, r := e.leaf(la), e.leaf(ra)
 			total := 0
 			for _, wid := range e.src.WIDs() {
-				total += e.countAtomicPair(b.Op, la, ra, wid)
+				total += countAtomicPair(b.Op, e.atomSeqs(&l, wid), e.atomSeqs(&r, wid))
 			}
-			return total
+			return total, nil
 		}
 	}
-	total := 0
-	for _, wid := range e.src.WIDs() {
-		total += len(e.evalWID(p, wid, nil))
-	}
-	return total
+	total := 0 // one goroutine: the visitor needs no synchronisation
+	err := e.scan(ctx, p, e.src.WIDs(), 1, nil, func(_ int, incs []incident.Incident) bool {
+		total += len(incs)
+		return true
+	})
+	return total, err
 }
 
 // atomSeqs returns the sorted is-lsn list matching the atom in the
 // instance (guards applied).
-func (e *Evaluator) atomSeqs(a *pattern.Atom, wid uint64) []uint64 {
+func (e *Evaluator) atomSeqs(st *step, wid uint64) []uint64 {
+	a := st.atom
 	if !a.Negated && len(a.Guards) == 0 {
-		return e.atomPostings(a, wid)
+		return e.postings(st, wid)
 	}
 	var out []uint64
 	for _, rec := range e.src.Instance(wid) {
@@ -53,10 +65,8 @@ func (e *Evaluator) atomSeqs(a *pattern.Atom, wid uint64) []uint64 {
 }
 
 // countAtomicPair computes |incL(a1 op a2)| within one instance from the
-// two position lists.
-func (e *Evaluator) countAtomicPair(op pattern.Op, a1, a2 *pattern.Atom, wid uint64) int {
-	s1 := e.atomSeqs(a1, wid)
-	s2 := e.atomSeqs(a2, wid)
+// two atoms' position lists.
+func countAtomicPair(op pattern.Op, s1, s2 []uint64) int {
 	switch op {
 	case pattern.OpConsecutive:
 		// Pairs with s+1 present in s2.
@@ -78,14 +88,14 @@ func (e *Evaluator) countAtomicPair(op pattern.Op, a1, a2 *pattern.Atom, wid uin
 		return count
 	case pattern.OpChoice:
 		// |S1 ∪ S2| over singletons: union of the position sets.
-		return len(unionCount(s1, s2))
+		return len(s1) + len(s2) - intersectLen(s1, s2)
 	case pattern.OpParallel:
 		// Unordered pairs {x, y}, x ≠ y, x matching a1 and y matching a2.
 		// Ordered qualifying pairs: n1·n2 minus the |I| same-record pairs
 		// (I = positions matching both atoms). Each unordered pair with
 		// BOTH elements in I arises from two ordered pairs; subtract the
 		// C(|I|, 2) duplicates.
-		inter := len(intersectCount(s1, s2))
+		inter := intersectLen(s1, s2)
 		ordered := len(s1)*len(s2) - inter
 		return ordered - inter*(inter-1)/2
 	default:
@@ -93,33 +103,9 @@ func (e *Evaluator) countAtomicPair(op pattern.Op, a1, a2 *pattern.Atom, wid uin
 	}
 }
 
-// unionCount merges two sorted lists, returning the union.
-func unionCount(a, b []uint64) []uint64 {
-	out := make([]uint64, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
-// intersectCount intersects two sorted lists.
-func intersectCount(a, b []uint64) []uint64 {
-	var out []uint64
-	i, j := 0, 0
+// intersectLen counts the positions two sorted lists share.
+func intersectLen(a, b []uint64) int {
+	n, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
 		case a[i] < b[j]:
@@ -127,10 +113,10 @@ func intersectCount(a, b []uint64) []uint64 {
 		case a[i] > b[j]:
 			j++
 		default:
-			out = append(out, a[i])
+			n++
 			i++
 			j++
 		}
 	}
-	return out
+	return n
 }

@@ -1,0 +1,244 @@
+package eval_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"wlq/internal/clinic"
+	"wlq/internal/colstore"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
+	"wlq/internal/core/pattern"
+	"wlq/internal/gen"
+	"wlq/internal/predicate"
+	"wlq/internal/wlog"
+)
+
+// assertEntryPointsAgree holds every way of asking the evaluator — each
+// under both join strategies, with and without a meter, over the row index
+// and the columnar store — to one answer: naive Algorithm 1 over the row
+// index, every incident of which must also pass the independent
+// Definition 4 check.
+func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node) {
+	t.Helper()
+	ctx := context.Background()
+	ix := eval.NewIndex(l)
+	oracle := eval.New(ix, eval.Options{Strategy: eval.StrategyNaive})
+	want := oracle.Eval(p)
+	for _, o := range want.Incidents() {
+		if !oracle.Verify(p, o) {
+			t.Fatalf("%s: %v is not an incident by Definition 4", p, o)
+		}
+	}
+	for name, src := range map[string]eval.Source{"index": ix, "colstore": colstore.Build(l)} {
+		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+			for _, metered := range []bool{false, true} {
+				opts := eval.Options{Strategy: strat}
+				if metered {
+					opts.Meter = eval.NewMeter(p)
+				}
+				e := eval.New(src, opts)
+				same := func(entry string, got *incident.Set, err error) {
+					t.Helper()
+					if err != nil || !got.Equal(want) {
+						t.Fatalf("%s/%v/meter=%v: %s(%s) = %s, %v\noracle: %s", name, strat, metered, entry, p, got, err, want)
+					}
+				}
+				same("Eval", e.Eval(p), nil)
+				wids := src.WIDs()
+				for _, workers := range []int{1, 2, 8} {
+					var qs eval.QueryStats
+					got, err := e.EvalParallelCtx(ctx, p, workers, &qs)
+					same("EvalParallelCtx", got, err)
+					if qs.Instances != len(wids) || qs.Incidents != want.Len() {
+						t.Fatalf("%s/%v: %d workers: stats %+v, want %d instances, %d incidents", name, strat, workers, qs, len(wids), want.Len())
+					}
+				}
+				var thirds, single [][]incident.Incident
+				for lo := 0; lo < len(wids); lo += len(wids)/3 + 1 {
+					part, err := e.EvalWIDsCtx(ctx, p, wids[lo:min(lo+len(wids)/3+1, len(wids))], nil)
+					if err != nil {
+						t.Fatalf("%s/%v: EvalWIDsCtx(%s): %v", name, strat, p, err)
+					}
+					thirds = append(thirds, part.Incidents())
+				}
+				same("EvalWIDsCtx over a 3-way split", incident.MergeSorted(thirds...), nil)
+				for _, wid := range wids {
+					single = append(single, e.EvalInstance(p, wid).Incidents())
+				}
+				same("EvalInstance per wid", incident.MergeSorted(single...), nil)
+
+				n, err := e.CountCtx(ctx, p)
+				if err != nil || n != want.Len() || e.Count(p) != n {
+					t.Fatalf("%s/%v: CountCtx(%s) = %d, %v; Count = %d; oracle has %d", name, strat, p, n, err, e.Count(p), want.Len())
+				}
+				ex, err := e.ExistsCtx(ctx, p)
+				if err != nil || ex != (want.Len() > 0) || e.Exists(p) != ex || e.ExistsParallel(p, 4) != ex {
+					t.Fatalf("%s/%v: ExistsCtx(%s) = %v, %v; oracle has %d", name, strat, p, ex, err, want.Len())
+				}
+			}
+		}
+	}
+}
+
+// clinicGuards are conditions some records of a generated clinic log meet
+// and some do not.
+var clinicGuards = []string{"balance>2000", "year>=2017", "in.referState=active", "receipt1?", `hospital!="Public Hospital"`}
+
+// FuzzEntryPointsAgree: a seed picks a random log and a random pattern (all
+// four operators, negated atoms, an absent activity, the boundary records);
+// odd seeds use a generated clinic log instead, whose records carry
+// attributes, and guard some atoms.
+func FuzzEntryPointsAgree(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		alphabet := gen.Alphabet(2 + rng.Intn(6))
+		l, err := gen.RandomLog(gen.LogParams{
+			Instances:        1 + rng.Intn(12),
+			MeanLength:       1 + rng.Intn(10),
+			Alphabet:         alphabet,
+			Skew:             rng.Float64() * 1.5,
+			CompleteFraction: 0.1 + 0.9*rng.Float64(),
+			Seed:             seed,
+		})
+		if seed%2 != 0 {
+			alphabet = []string{clinic.ActGetRefer, clinic.ActCheckIn, clinic.ActSeeDoctor, clinic.ActPayTreatment, clinic.ActGetReimburse}
+			l, err = clinic.Generate(1+rng.Intn(12), seed)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := gen.RandomPattern(rng, gen.PatternParams{
+			Operators:  rng.Intn(5),
+			Alphabet:   append(alphabet, "NoSuchActivity", "START", "END"),
+			NegateProb: 0.25,
+		})
+		if seed%2 != 0 {
+			for _, a := range pattern.Atoms(p) {
+				if rng.Intn(3) == 0 {
+					g, err := predicate.Parse(clinicGuards[rng.Intn(len(clinicGuards))])
+					if err != nil {
+						t.Fatal(err)
+					}
+					a.Guards = append(a.Guards, g)
+				}
+			}
+		}
+		assertEntryPointsAgree(t, l, p)
+	})
+}
+
+// TestEntryPointsAgreeOnRepeatedSubPatterns: plans in which the merge
+// strategy answers a second occurrence from the first.
+func TestEntryPointsAgreeOnRepeatedSubPatterns(t *testing.T) {
+	l, err := clinic.Generate(20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"(GetRefer -> SeeDoctor) | (GetRefer -> PayTreatment)",
+		"(SeeDoctor . PayTreatment) & (SeeDoctor . PayTreatment)",
+		"SeeDoctor | SeeDoctor",
+		"(GetRefer[balance>2000] -> !SeeDoctor) | (GetRefer[balance>2000] -> CheckIn)",
+	} {
+		assertEntryPointsAgree(t, l, pattern.MustParse(q))
+		assertEntryPointsAgree(t, clinic.Fig3(), pattern.MustParse(q))
+	}
+}
+
+// TestAllocsPerInstance: with the plan numbered once per query, what an
+// evaluation allocates per instance is its incidents — no printed form, no
+// memo — and a repeated half costs a slice header, not a second rendering.
+func TestAllocsPerInstance(t *testing.T) {
+	l, err := clinic.Generate(500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	perInstance := func(q string) float64 {
+		p := pattern.MustParse(q)
+		e := eval.New(cs, eval.Options{Meter: eval.NewMeter(p)})
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := e.EvalParallelCtx(context.Background(), p, 1, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs / float64(len(cs.WIDs()))
+	}
+	once := perInstance("GetRefer -> GetReimburse")
+	twice := perInstance("(GetRefer -> GetReimburse) | (GetRefer -> GetReimburse)")
+	t.Logf("allocations per instance: P %.2f, (P) | (P) %.2f", once, twice)
+	if once > 8 {
+		t.Errorf("GetRefer -> GetReimburse allocates %.2f objects per instance, want at most 8", once)
+	}
+	if twice > once+2 {
+		t.Errorf("(P) | (P) allocates %.2f objects per instance, want at most 2 more than P's %.2f", twice, once)
+	}
+}
+
+// TestEveryEntryPointCallsTheFaultHook: Exists and Count run the same
+// guarded scan as the context-aware entry points.
+func TestEveryEntryPointCallsTheFaultHook(t *testing.T) {
+	e := eval.New(eval.NewIndex(clinic.Fig3()), eval.Options{})
+	p := pattern.MustParse("GetReimburse -> GetRefer") // no incident: nothing stops the scan early
+	calls := 0
+	eval.SetEvalHook(func(uint64) { calls++ })
+	defer eval.SetEvalHook(nil)
+	e.Exists(p)
+	if calls != 3 {
+		t.Errorf("Exists called the hook %d times over 3 instances", calls)
+	}
+	calls = 0
+	e.Count(pattern.MustParse("GetReimburse -> GetRefer -> CheckIn")) // three atoms: the evaluating fallback
+	if calls != 3 {
+		t.Errorf("Count called the hook %d times over 3 instances", calls)
+	}
+}
+
+// TestExistsCtxStopsAtTheFirstMatch: every Figure 3 instance has a GetRefer,
+// so only the first is evaluated.
+func TestExistsCtxStopsAtTheFirstMatch(t *testing.T) {
+	e := eval.New(eval.NewIndex(clinic.Fig3()), eval.Options{})
+	evaluated := 0
+	eval.SetEvalHook(func(uint64) { evaluated++ })
+	defer eval.SetEvalHook(nil)
+	ok, err := e.ExistsCtx(context.Background(), pattern.MustParse("GetRefer"))
+	if err != nil || !ok || evaluated != 1 {
+		t.Errorf("ExistsCtx = %v, %v after %d of 3 instances; want true after 1", ok, err, evaluated)
+	}
+}
+
+var sinkSet *incident.Set
+
+// BenchmarkEvalServed is the served evaluation path in process: the
+// columnar store, meter on, 2 workers. Before/after numbers in CHANGES.md
+// come from `go test -bench EvalServed -benchtime 100x`.
+func BenchmarkEvalServed(b *testing.B) {
+	l, err := clinic.Generate(5000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	for _, q := range []string{
+		"GetRefer",
+		"GetRefer -> GetReimburse",
+		"SeeDoctor . PayTreatment",
+		"(GetRefer -> SeeDoctor) | (GetRefer -> PayTreatment)",
+	} {
+		p := pattern.MustParse(q)
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set, err := eval.New(cs, eval.Options{Meter: eval.NewMeter(p)}).EvalParallelCtx(context.Background(), p, 2, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkSet = set
+			}
+		})
+	}
+}

@@ -1,8 +1,8 @@
 package eval
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -51,10 +51,10 @@ type Options struct {
 	Meter *Meter
 	// Budget, when non-zero, caps the evaluation's comparison work,
 	// produced incidents, wall time and result size; a tripped limit aborts
-	// with an error wrapping resilience.ErrBudgetExceeded. Enforced on the
-	// context-aware paths (EvalParallelCtx and the serial path beneath it);
-	// the plain Eval/Exists/EvalInstance entry points have no error channel
-	// and ignore it. See internal/core/eval/budget.go for check cadence.
+	// with an error wrapping resilience.ErrBudgetExceeded. Every entry point
+	// enforces it; the ones without an error result (Eval, EvalParallel,
+	// EvalInstance, Exists, Count) panic with that error, so hand a budget
+	// to the error-returning forms. See budget.go for the check cadence.
 	Budget resilience.Budget
 }
 
@@ -62,23 +62,12 @@ type Options struct {
 // Algorithm 2: atomic patterns are answered from the backend (row index or
 // columnar posting lists), composite patterns by post-order traversal of
 // the pattern tree, instance by instance (incidents never span workflow
-// instances).
+// instances). It holds no per-query state: every entry point compiles the
+// pattern it is handed into a program that lives for that call.
 type Evaluator struct {
 	src  Source
 	sym  SymbolicSource // non-nil when src interns activity symbols
 	opts Options
-	// atomSyms caches ResolveActivity per atom node (plan nodes are stable
-	// pointers), so a symbolic backend hashes each activity name once per
-	// plan instead of once per (atom, instance) probe. sync.Map: the read
-	// path after warmup is a lock-free pointer-keyed load, safe under
-	// EvalParallel's shared-evaluator workers.
-	atomSyms sync.Map // *pattern.Atom -> atomSym
-}
-
-// atomSym is one memoized symbol resolution.
-type atomSym struct {
-	sym int32
-	ok  bool
 }
 
 // New creates an Evaluator over a log backend: the row *Index, or any other
@@ -96,88 +85,135 @@ func (e *Evaluator) Source() Source { return e.src }
 
 // Eval computes incL(p): every incident of the pattern in the log.
 func (e *Evaluator) Eval(p pattern.Node) *incident.Set {
-	set := &incident.Set{}
-	for _, wid := range e.src.WIDs() {
-		set.Add(e.evalWID(p, wid, nil)...)
-	}
-	set.Normalize()
-	return set
+	return must(e.EvalParallelCtx(context.Background(), p, 1, nil))
 }
 
 // EvalInstance computes the incidents of p within a single workflow
 // instance.
 func (e *Evaluator) EvalInstance(p pattern.Node, wid uint64) *incident.Set {
-	return incident.NewSet(e.evalWID(p, wid, nil)...)
+	return must(e.EvalWIDsCtx(context.Background(), p, []uint64{wid}, nil))
 }
 
-// Exists reports whether incL(p) is non-empty, short-circuiting across
-// workflow instances: evaluation stops at the first instance containing an
-// incident. This answers the paper's yes/no queries ("are there any
-// students who ...") without enumerating every match.
-func (e *Evaluator) Exists(p pattern.Node) bool {
-	for _, wid := range e.src.WIDs() {
-		if len(e.evalWID(p, wid, nil)) > 0 {
-			return true
-		}
+// must is how the entry points without an error result report a failed
+// scan: with context.Background() and no Options.Budget that is a panic
+// inside one instance's evaluation, re-raised here with its captured stack.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
 	}
-	return false
+	return v
 }
 
-// evalWID is the post-order incident-tree evaluation of Algorithm 2,
-// restricted to one workflow instance. The returned slice is normalized.
-//
-// Under StrategyMerge, structurally repeated sub-patterns — common after
-// Theorem 5 rewrites, or in queries like (A -> B) | (A -> C) where the atom
-// A recurs — are evaluated once per instance via a memo keyed on the
-// pattern's printed form (printing is injective on the AST; see the parser
-// round-trip tests). StrategyNaive stays verbatim Algorithm 1: no caching,
-// so the Lemma 1 benchmarks measure the published join work.
-func (e *Evaluator) evalWID(p pattern.Node, wid uint64, bs *budgetState) []incident.Incident {
-	if e.opts.Strategy == StrategyNaive {
-		return e.evalNode(p, wid, nil, bs)
+// program is the incident tree of one query (Algorithm 3), built once per
+// call: the plan's nodes in the order Algorithm 2's post-order traversal
+// evaluates them — children before parent, left before right — so that
+// evaluating an instance is one pass over the slice and everything that
+// identifies a node (operands, symbol, meter slot, repeated sub-pattern) is
+// decided here and not again per instance.
+type program []step
+
+// step is one node of a program.
+type step struct {
+	atom        *pattern.Atom // the leaf; nil on an operator
+	op          pattern.Op
+	left, right int // an operator's operand steps
+	// alias, when not negative, is the first earlier step with the same
+	// printed form: this occurrence's subtree is not in the program, and it
+	// is answered from that step's value (StrategyMerge only).
+	alias int
+	// sym is the atom's activity resolved on a symbolic backend, once per
+	// query, so the per-instance probe is an integer-keyed posting-list
+	// lookup; hasSym is false when the activity never occurs in the log.
+	sym    int32
+	hasSym bool
+	nm     *NodeMetrics // the node's meter slot; nil when unmetered
+}
+
+// leaf is the step of an atomic pattern.
+func (e *Evaluator) leaf(a *pattern.Atom) step {
+	st := step{atom: a, alias: -1}
+	if e.sym != nil {
+		st.sym, st.hasSym = e.sym.ResolveActivity(a.Activity)
 	}
-	return e.evalNode(p, wid, make(map[string][]incident.Incident), bs)
+	return st
 }
 
-func (e *Evaluator) evalNode(p pattern.Node, wid uint64, memo map[string][]incident.Incident, bs *budgetState) []incident.Incident {
-	var memoKey string
-	if memo != nil {
-		memoKey = p.String()
-		if cached, ok := memo[memoKey]; ok {
-			if nm := e.opts.Meter.node(p); nm != nil {
-				nm.recordMemoHit()
+// compile numbers the plan. Under StrategyMerge, structurally repeated
+// sub-patterns — common after Theorem 5 rewrites, or in queries like
+// (A -> B) | (A -> C) where the atom A recurs — become aliases of their
+// first occurrence; printing is injective on the AST (see the parser
+// round-trip tests), so the printed form decides equality. StrategyNaive
+// stays verbatim Algorithm 1: no sharing, so the Lemma 1 benchmarks measure
+// the published join work.
+func (e *Evaluator) compile(p pattern.Node) program {
+	var (
+		prog program
+		seen map[string]int // printed form -> step
+		pre  int            // pre-order position: the meter's slot order
+	)
+	if e.opts.Strategy != StrategyNaive {
+		seen = make(map[string]int)
+	}
+	var emit func(n pattern.Node) int
+	emit = func(n pattern.Node) int {
+		nm := e.opts.Meter.slot(pre, n)
+		var key string
+		if seen != nil {
+			key = n.String()
+			if first, ok := seen[key]; ok {
+				pre += pattern.Size(n)
+				prog = append(prog, step{alias: first, nm: nm})
+				return len(prog) - 1
 			}
-			return cached
 		}
+		pre++
+		var st step
+		switch n := n.(type) {
+		case *pattern.Atom:
+			st = e.leaf(n)
+		case *pattern.Binary:
+			st = step{op: n.Op, alias: -1, left: emit(n.Left), right: emit(n.Right)}
+		default:
+			panic(fmt.Sprintf("eval: unknown pattern node %T", n))
+		}
+		st.nm = nm
+		prog = append(prog, st)
+		if seen != nil {
+			seen[key] = len(prog) - 1
+		}
+		return len(prog) - 1
 	}
-	var out []incident.Incident
-	switch p := p.(type) {
-	case *pattern.Atom:
-		out = e.evalAtom(p, wid)
-	case *pattern.Binary:
-		left := e.evalNode(p.Left, wid, memo, bs)
-		right := e.evalNode(p.Right, wid, memo, bs)
-		nm := e.opts.Meter.node(p)
-		if nm != nil || bs != nil {
+	emit(p)
+	return prog
+}
+
+// evalInstance is Algorithm 2 restricted to one workflow instance: one pass
+// over the program, each step's normalized incidents written to vals (one
+// slot per step, reused from instance to instance). It returns the root's.
+func (e *Evaluator) evalInstance(prog program, vals [][]incident.Incident, wid uint64, bs *budgetState) []incident.Incident {
+	for i := range prog {
+		st := &prog[i]
+		switch {
+		case st.alias >= 0:
+			st.nm.recordMemoHit()
+			vals[i] = vals[st.alias]
+		case st.atom != nil:
+			vals[i] = e.evalAtom(st, wid)
+		case st.nm == nil && bs == nil:
+			vals[i] = e.applyOp(st.op, vals[st.left], vals[st.right], nil)
+		default:
+			left, right := vals[st.left], vals[st.right]
 			cnt := opCount{bs: bs}
-			out = e.applyOp(p.Op, left, right, &cnt)
-			if nm != nil {
-				nm.recordOp(len(left), len(right), cnt.comparisons, len(out))
-			}
+			out := e.applyOp(st.op, left, right, &cnt)
+			st.nm.recordOp(len(left), len(right), cnt.comparisons, len(out))
 			// Budget checks come after the meter update so an abort's
 			// partial cost table includes every completed operator.
 			cnt.flushBudget()
 			bs.addOutputs(len(out))
-		} else {
-			out = e.applyOp(p.Op, left, right, nil)
+			vals[i] = out
 		}
-	default:
-		panic(fmt.Sprintf("eval: unknown pattern node %T", p))
 	}
-	if memo != nil {
-		memo[memoKey] = out
-	}
-	return out
+	return vals[len(prog)-1]
 }
 
 // applyOp dispatches OPERATOR-EVAL to the configured join family. cnt, when
@@ -214,26 +250,16 @@ func (e *Evaluator) applyOp(op pattern.Op, left, right []incident.Incident, cnt 
 	}
 }
 
-// atomPostings answers an atom's is-lsn list from the backend. On a symbolic
-// backend the activity name is resolved to its interned symbol once per
-// plan (memoized per atom node) and each per-instance probe is an
-// integer-keyed posting-list lookup; the row backend probes its per-wid
-// string-keyed map directly.
-func (e *Evaluator) atomPostings(a *pattern.Atom, wid uint64) []uint64 {
+// postings answers an atom's is-lsn list from the backend: by symbol on a
+// symbolic backend, by name from the row backend's per-wid map.
+func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
 	if e.sym == nil {
-		return e.src.ActivitySeqs(wid, a.Activity)
+		return e.src.ActivitySeqs(wid, st.atom.Activity)
 	}
-	var as atomSym
-	if v, ok := e.atomSyms.Load(a); ok {
-		as = v.(atomSym)
-	} else {
-		as.sym, as.ok = e.sym.ResolveActivity(a.Activity)
-		e.atomSyms.Store(a, as)
-	}
-	if !as.ok {
+	if !st.hasSym {
 		return nil // activity absent from the log
 	}
-	return e.sym.ActivitySeqsSym(wid, as.sym)
+	return e.sym.ActivitySeqsSym(wid, st.sym)
 }
 
 // evalAtom answers an atomic pattern from the backend: for a positive
@@ -241,13 +267,14 @@ func (e *Evaluator) atomPostings(a *pattern.Atom, wid uint64) []uint64 {
 // complement within the instance (valid logs have dense is-lsn 1..n, so the
 // complement is computed by a linear merge, not a scan of record contents).
 // Guards, when present, filter the matching records (extension).
-func (e *Evaluator) evalAtom(a *pattern.Atom, wid uint64) []incident.Incident {
+func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
+	a := st.atom
 	var seqs []uint64
 	if !a.Negated {
-		seqs = e.atomPostings(a, wid)
+		seqs = e.postings(st, wid)
 	} else {
 		n := uint64(e.src.InstanceLen(wid))
-		excluded := e.atomPostings(a, wid)
+		excluded := e.postings(st, wid)
 		seqs = make([]uint64, 0, int(n)-len(excluded))
 		j := 0
 		for s := uint64(1); s <= n; s++ {
@@ -271,9 +298,7 @@ func (e *Evaluator) evalAtom(a *pattern.Atom, wid uint64) []incident.Incident {
 			break
 		}
 	}
-	if nm := e.opts.Meter.node(a); nm != nil {
-		nm.recordAtom(len(seqs), len(out))
-	}
+	st.nm.recordAtom(len(seqs), len(out))
 	return out
 }
 

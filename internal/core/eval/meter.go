@@ -21,24 +21,28 @@ import (
 // predicted cost table (surfaced by internal/obs and the query service).
 //
 // Counters are atomic: the meter is shared by the workers of a parallel
-// evaluation without locks. The overhead per operator application is one
-// map lookup and a handful of atomic adds, negligible next to the join.
+// evaluation without locks. The overhead per operator application is a
+// handful of atomic adds, negligible next to the join.
 
 // Meter collects per-node evaluation metrics for one plan. Build it with
-// NewMeter over the exact pattern tree passed to the evaluator (nodes are
-// keyed by identity) and hand it to the evaluator via Options.Meter. A nil
-// *Meter is valid and disables metering.
+// NewMeter over the exact pattern tree passed to the evaluator (a slot
+// meters the node it was built for, by identity) and hand it to the
+// evaluator via Options.Meter. A nil *Meter is valid and disables metering.
 type Meter struct {
-	nodes map[pattern.Node]*NodeMetrics
-	order []pattern.Node // pre-order, for stable reporting
+	order []pattern.Node // the plan in pre-order
+	slots []NodeMetrics  // slots[i] meters order[i]
 }
 
 // NewMeter allocates metrics storage for every node of the plan.
 func NewMeter(p pattern.Node) *Meter {
-	m := &Meter{nodes: make(map[pattern.Node]*NodeMetrics, pattern.Size(p))}
-	var walk func(n pattern.Node)
-	walk = func(n pattern.Node) {
-		nm := &NodeMetrics{}
+	m := &Meter{}
+	pattern.Walk(p, func(n pattern.Node) bool {
+		m.order = append(m.order, n)
+		return true
+	})
+	m.slots = make([]NodeMetrics, len(m.order))
+	for i, n := range m.order {
+		nm := &m.slots[i]
 		if b, ok := n.(*pattern.Binary); ok {
 			nm.op = b.Op
 			nm.k1 = len(pattern.Atoms(b.Left))
@@ -46,24 +50,17 @@ func NewMeter(p pattern.Node) *Meter {
 		} else {
 			nm.atom = true
 		}
-		m.nodes[n] = nm
-		m.order = append(m.order, n)
-		if b, ok := n.(*pattern.Binary); ok {
-			walk(b.Left)
-			walk(b.Right)
-		}
 	}
-	walk(p)
 	return m
 }
 
-// node returns the metrics slot for a plan node, or nil when the meter is
-// nil or the node is not part of the metered plan.
-func (m *Meter) node(p pattern.Node) *NodeMetrics {
-	if m == nil {
+// slot returns the metrics slot of the plan node n at pre-order position i,
+// or nil when the meter is nil or was built over a different tree.
+func (m *Meter) slot(i int, n pattern.Node) *NodeMetrics {
+	if m == nil || i >= len(m.order) || m.order[i] != n {
 		return nil
 	}
-	return m.nodes[p]
+	return &m.slots[i]
 }
 
 // NodeMetrics accumulates the measured work of one plan node across all
@@ -102,8 +99,12 @@ func predictedBound(op pattern.Op, n1, n2 uint64, k1, k2 int) uint64 {
 	}
 }
 
-// recordOp accumulates one operator application over one instance.
+// recordOp accumulates one operator application over one instance. Like
+// the other record methods it is a no-op on a nil slot.
 func (nm *NodeMetrics) recordOp(n1, n2 int, comparisons uint64, outputs int) {
+	if nm == nil {
+		return
+	}
 	nm.evals.Add(1)
 	nm.leftInputs.Add(uint64(n1))
 	nm.rightInputs.Add(uint64(n2))
@@ -117,15 +118,22 @@ func (nm *NodeMetrics) recordOp(n1, n2 int, comparisons uint64, outputs int) {
 // which is also the predicted bound for an atom), outputs the matches kept
 // after guards.
 func (nm *NodeMetrics) recordAtom(candidates, outputs int) {
+	if nm == nil {
+		return
+	}
 	nm.evals.Add(1)
 	nm.comparisons.Add(uint64(candidates))
 	nm.outputs.Add(uint64(outputs))
 	nm.predicted.Add(uint64(candidates))
 }
 
-// recordMemoHit notes an evaluation answered from the sub-pattern memo
-// (no join work was performed; no other counter moves).
-func (nm *NodeMetrics) recordMemoHit() { nm.memoHits.Add(1) }
+// recordMemoHit notes an evaluation answered from an earlier occurrence of
+// the same sub-pattern (no join work was performed; no other counter moves).
+func (nm *NodeMetrics) recordMemoHit() {
+	if nm != nil {
+		nm.memoHits.Add(1)
+	}
+}
 
 // NodeStats is a point-in-time copy of one node's metrics.
 type NodeStats struct {
@@ -158,8 +166,8 @@ func (m *Meter) Snapshot() []NodeStats {
 		return nil
 	}
 	out := make([]NodeStats, 0, len(m.order))
-	for _, n := range m.order {
-		nm := m.nodes[n]
+	for i, n := range m.order {
+		nm := &m.slots[i]
 		out = append(out, NodeStats{
 			Node:        n,
 			Atom:        nm.atom,

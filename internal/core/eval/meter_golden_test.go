@@ -1,0 +1,77 @@
+package eval_test
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"wlq/internal/clinic"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/pattern"
+	"wlq/internal/wlog"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata golden files from the current output")
+
+// meterGoldenPlans: two with repeated sub-patterns (an atom, a whole
+// subtree), a right-deep chain, a guarded and a negated atom, and two plain
+// shapes.
+var meterGoldenPlans = []string{
+	"GetRefer -> GetReimburse",
+	"(GetRefer -> SeeDoctor) | (GetRefer -> PayTreatment)",
+	"(SeeDoctor . PayTreatment) & (SeeDoctor . PayTreatment)",
+	"GetRefer -> (CheckIn -> (SeeDoctor -> PayTreatment))",
+	"GetRefer[balance>1000] -> !SeeDoctor",
+	"(GetRefer | CheckIn) & (SeeDoctor . PayTreatment)",
+}
+
+// TestMeterSnapshotGolden pins the per-node accounting — evals, memo hits,
+// operand sizes, comparisons, outputs, the Lemma 1 prediction, in pre-order
+// — to what the evaluator reported before plan nodes were numbered at
+// compile time (the golden file was generated at that commit). Regenerate
+// with `go test ./internal/core/eval -run TestMeterSnapshotGolden -update`.
+func TestMeterSnapshotGolden(t *testing.T) {
+	generated, err := clinic.Generate(50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	for _, lg := range []struct {
+		name string
+		log  *wlog.Log
+	}{{"fig3", clinic.Fig3()}, {"clinic:50:1", generated}} {
+		ix := eval.NewIndex(lg.log)
+		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+			for _, q := range meterGoldenPlans {
+				p := pattern.MustParse(q)
+				m := eval.NewMeter(p)
+				eval.New(ix, eval.Options{Strategy: strat, Meter: m}).Eval(p)
+				fmt.Fprintf(&got, "# %s %v %s\n", lg.name, strat, q)
+				for _, st := range m.Snapshot() {
+					fmt.Fprintf(&got, "%s\tatom=%v op=%v k=%d,%d evals=%d memo=%d n=%d,%d cmp=%d out=%d pred=%d\n",
+						st.Node, st.Atom, st.Op, st.K1, st.K2, st.Evals, st.MemoHits,
+						st.LeftInputs, st.RightInputs, st.Comparisons, st.Outputs, st.Predicted)
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "meter_snapshot.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("meter snapshot differs from %s\ngot:\n%s", path, got.Bytes())
+	}
+}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 
 	"wlq/internal/core/incident"
@@ -31,17 +32,15 @@ import (
 // set semantics for incL(p) (Definition 4 makes incident sets true sets;
 // the parallel operator can produce one union from several pairs).
 func normalize(incs []incident.Incident) []incident.Incident {
-	if len(incs) <= 1 {
+	increasing := true // a join that emits in canonical order has nothing to sort
+	for i := 1; i < len(incs) && increasing; i++ {
+		increasing = incs[i-1].Compare(incs[i]) < 0
+	}
+	if increasing {
 		return incs
 	}
-	sort.Slice(incs, func(i, j int) bool { return incs[i].Compare(incs[j]) < 0 })
-	out := incs[:1]
-	for _, o := range incs[1:] {
-		if o.Compare(out[len(out)-1]) != 0 {
-			out = append(out, o)
-		}
-	}
-	return out
+	slices.SortFunc(incs, incident.Incident.Compare)
+	return slices.CompactFunc(incs, incident.Incident.Equal)
 }
 
 // minLen is the cost unit of one incident-against-incident test: comparing

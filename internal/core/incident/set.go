@@ -1,6 +1,7 @@
 package incident
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,20 +28,32 @@ func NewSet(incidents ...Incident) *Set {
 // MergeSorted builds the union of runs that are each already in canonical
 // order and duplicate-free — a Set's Incidents, or the answers of the parts
 // of a partitioned evaluation — with a k-way merge instead of NewSet's sort:
-// at most one Compare per incident plus one pass over the run heads per
-// stretch taken from a run, so runs that follow one another (range shards)
-// concatenate and interleaved ones (hash and ring placement) merge. The runs
-// are not modified.
+// runs that follow one another (the instances of one evaluation, range
+// shards) are concatenated after one Compare per run; interleaved ones (ring
+// placement) cost at most one Compare per incident plus one pass over the
+// run heads per stretch taken from a run. The runs are not modified.
 func MergeSorted(runs ...[]Incident) *Set {
 	total := 0
+	inOrder := true // each run starts after the one before it ends
 	live := make([][]Incident, 0, len(runs))
 	for _, r := range runs {
-		if len(r) > 0 {
-			live = append(live, r)
-			total += len(r)
+		if len(r) == 0 {
+			continue
 		}
+		if len(live) > 0 {
+			prev := live[len(live)-1]
+			inOrder = inOrder && prev[len(prev)-1].Compare(r[0]) < 0
+		}
+		live = append(live, r)
+		total += len(r)
 	}
 	out := make([]Incident, 0, total)
+	if inOrder {
+		for _, r := range live {
+			out = append(out, r...)
+		}
+		return &Set{incidents: out, normalized: true}
+	}
 	for len(live) > 0 {
 		// lo is the run with the smallest head, bound the smallest head among
 		// the others: everything of lo below bound is next in canonical order.
@@ -93,16 +106,8 @@ func (s *Set) Normalize() {
 	if s.normalized {
 		return
 	}
-	sort.Slice(s.incidents, func(i, j int) bool {
-		return s.incidents[i].Compare(s.incidents[j]) < 0
-	})
-	out := s.incidents[:0]
-	for i, inc := range s.incidents {
-		if i == 0 || inc.Compare(s.incidents[i-1]) != 0 {
-			out = append(out, inc)
-		}
-	}
-	s.incidents = out
+	slices.SortFunc(s.incidents, Incident.Compare)
+	s.incidents = slices.CompactFunc(s.incidents, Incident.Equal)
 	s.normalized = true
 }
 

@@ -65,33 +65,21 @@ func boundFormula(op pattern.Op) string {
 	}
 }
 
-// nodeDepths maps every node of the plan to its depth, root = 0.
-func nodeDepths(plan pattern.Node) map[pattern.Node]int {
-	depths := make(map[pattern.Node]int)
-	var walk func(n pattern.Node, d int)
-	walk = func(n pattern.Node, d int) {
-		depths[n] = d
-		if b, ok := n.(*pattern.Binary); ok {
-			walk(b.Left, d+1)
-			walk(b.Right, d+1)
-		}
-	}
-	walk(plan, 0)
-	return depths
-}
-
 // CostTable assembles the measured-vs-predicted table for a metered plan,
-// rows in pre-order of the plan tree, with selectivity columns from the
-// cost model's constants.
-func CostTable(plan pattern.Node, m *eval.Meter) []CostRow {
+// rows in pre-order of the plan tree (the order Meter.Snapshot reports, from
+// which each row's depth follows), with selectivity columns from the cost
+// model's constants.
+func CostTable(m *eval.Meter) []CostRow {
 	sel := rewrite.ModelSelectivities()
-	depths := nodeDepths(plan)
 	stats := m.Snapshot()
 	rows := make([]CostRow, 0, len(stats))
+	depths := []int{0} // depths of the subtrees still to come, nearest last
 	for _, st := range stats {
+		depth := depths[len(depths)-1]
+		depths = depths[:len(depths)-1]
 		row := CostRow{
 			Node:        st.Node.String(),
-			Depth:       depths[st.Node],
+			Depth:       depth,
 			Evals:       st.Evals,
 			MemoHits:    st.MemoHits,
 			Comparisons: st.Comparisons,
@@ -105,6 +93,7 @@ func CostTable(plan pattern.Node, m *eval.Meter) []CostRow {
 				row.Selectivity = sel.Guard
 			}
 		} else {
+			depths = append(depths, depth+1, depth+1)
 			row.Op = st.Op.Name()
 			row.Symbol = st.Op.Symbol()
 			row.K1, row.K2 = st.K1, st.K2
@@ -117,34 +106,30 @@ func CostTable(plan pattern.Node, m *eval.Meter) []CostRow {
 	return rows
 }
 
-// EvalSpans appends to parent a span subtree mirroring the plan's incident
-// tree, one span per node, annotated with the node's meter counters. The
-// spans are synthetic (built after evaluation, durations 0); their value is
-// the per-operator accounting, not wall-clock timing — evaluation wall
-// clock lives on the parent span.
-func EvalSpans(parent *Span, plan pattern.Node, m *eval.Meter) {
+// EvalSpans appends to parent a span subtree mirroring the metered plan's
+// incident tree, one span per node, annotated with the node's meter
+// counters. The spans are synthetic (built after evaluation, durations 0);
+// their value is the per-operator accounting, not wall-clock timing —
+// evaluation wall clock lives on the parent span.
+func EvalSpans(parent *Span, m *eval.Meter) {
 	if parent == nil || m == nil {
 		return
 	}
 	sel := rewrite.ModelSelectivities()
-	stats := make(map[pattern.Node]eval.NodeStats, len(m.Snapshot()))
-	for _, st := range m.Snapshot() {
-		stats[st.Node] = st
-	}
-	var rec func(sp *Span, n pattern.Node)
-	rec = func(sp *Span, n pattern.Node) {
-		st, ok := stats[n]
-		if !ok {
-			return
-		}
+	stats := m.Snapshot()
+	// rec consumes one subtree off the front of the pre-order stats.
+	var rec func(sp *Span)
+	rec = func(sp *Span) {
+		st := stats[0]
+		stats = stats[1:]
 		var label string
 		if st.Atom {
-			label = "atom " + n.String()
+			label = "atom " + st.Node.String()
 		} else {
 			label = fmt.Sprintf("%s %s", st.Op.Symbol(), st.Op.Name())
 		}
 		child := sp.StartChild(label)
-		child.SetAttr("node", n.String())
+		child.SetAttr("node", st.Node.String())
 		child.SetAttr("evals", st.Evals)
 		child.SetAttr("comparisons", st.Comparisons)
 		child.SetAttr("outputs", st.Outputs)
@@ -161,14 +146,12 @@ func EvalSpans(parent *Span, plan pattern.Node, m *eval.Meter) {
 			if v := sel.ForOp(st.Op); v > 0 {
 				child.SetAttr("selectivity", v)
 			}
-		}
-		if b, ok := n.(*pattern.Binary); ok {
-			rec(child, b.Left)
-			rec(child, b.Right)
+			rec(child)
+			rec(child)
 		}
 		child.End()
 	}
-	rec(parent, plan)
+	rec(parent)
 }
 
 // RewriteSpans annotates sp with the optimizer trace: input/output forms

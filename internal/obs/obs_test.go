@@ -85,7 +85,7 @@ func traceFixture(t *testing.T, query string) (pattern.Node, *eval.Meter) {
 
 func TestCostTableShape(t *testing.T) {
 	p, m := traceFixture(t, "(A -> B) | (C & D)")
-	rows := CostTable(p, m)
+	rows := CostTable(m)
 	if len(rows) != pattern.Size(p) {
 		t.Fatalf("%d rows, want one per node (%d)", len(rows), pattern.Size(p))
 	}
@@ -112,7 +112,7 @@ func TestEvalSpansMirrorPlan(t *testing.T) {
 	p, m := traceFixture(t, "(A -> B) | (C & D)")
 	tr := NewTrace("q")
 	sp := tr.StartSpan("eval")
-	EvalSpans(sp, p, m)
+	EvalSpans(sp, m)
 	sp.End()
 
 	var count func(s *Span) int
@@ -163,7 +163,7 @@ func TestQueryTraceJSONAndRender(t *testing.T) {
 	p, m := traceFixture(t, "A . B")
 	tr := NewTrace("q")
 	sp := tr.StartSpan("eval")
-	EvalSpans(sp, p, m)
+	EvalSpans(sp, m)
 	sp.End()
 	tr.End()
 	qt := &QueryTrace{
@@ -171,7 +171,7 @@ func TestQueryTraceJSONAndRender(t *testing.T) {
 		Plan:      p.String(),
 		Strategy:  "naive",
 		Spans:     tr.Root(),
-		CostTable: CostTable(p, m),
+		CostTable: CostTable(m),
 	}
 
 	raw, err := json.Marshal(qt)

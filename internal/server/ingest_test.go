@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wlq"
 	"wlq/internal/flightrec"
@@ -452,4 +453,63 @@ func TestIngestConfigErrors(t *testing.T) {
 		}
 	}()
 	New(Config{Ingest: true, WorkerMode: true})
+}
+
+// blockedWriter is a client that has stopped reading: the first Write of the
+// response body parks until released.
+type blockedWriter struct {
+	*httptest.ResponseRecorder
+	writing chan struct{} // closed when the body write has begun
+	release chan struct{}
+	once    sync.Once
+}
+
+func (w *blockedWriter) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.writing) })
+	<-w.release
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestSlowReaderDoesNotStallAppends: the live monitor's read lock covers
+// planning, evaluation and the cache put, not the response write — while a
+// query's body is stuck on a client that is not reading, an append to the
+// same log is still acknowledged.
+func TestSlowReaderDoesNotStallAppends(t *testing.T) {
+	s, _ := newIngestServer(t, Config{})
+	h := s.Handler()
+
+	w := &blockedWriter{
+		ResponseRecorder: httptest.NewRecorder(),
+		writing:          make(chan struct{}),
+		release:          make(chan struct{}),
+	}
+	queryDone := make(chan struct{})
+	go func() {
+		defer close(queryDone)
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query",
+			strings.NewReader(`{"log":"fig3","query":"GetRefer -> CheckIn"}`)))
+	}()
+	<-w.writing
+
+	appended := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/logs/fig3/append",
+			strings.NewReader(`{"lsn":21,"wid":3,"seq":3,"act":"CheckIn"}`))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		appended <- rec.Code
+	}()
+	select {
+	case code := <-appended:
+		if code != http.StatusOK {
+			t.Errorf("append beside a blocked response: status %d", code)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("append waited for a query whose client has stopped reading")
+	}
+	close(w.release)
+	<-queryDone
+	if w.Code != http.StatusOK {
+		t.Errorf("blocked query: status %d: %s", w.Code, w.Body)
+	}
 }

@@ -333,25 +333,28 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !q.decode(r) {
 		return
 	}
-	// A live log's backend mutates under appends; freeze it for the whole
-	// request — planning, evaluation, AND the cache put. Holding the read
-	// lock across the put closes the stale-entry race: an append can only
-	// take the write lock (and so run its delta invalidation) after this
-	// request's result — computed from the pre-append view — is already in
-	// the cache, where the invalidation sweep will find it.
+	if q.answerFrozen(r.Context()) {
+		q.respond()
+	}
+}
+
+// answerFrozen runs plan and, on a cache miss, execute. A live log's backend
+// mutates under appends, so it is frozen for planning, evaluation AND the
+// cache put: holding the read lock across the put closes the stale-entry
+// race — an append can only take the write lock (and so run its delta
+// invalidation) after this request's result, computed from the pre-append
+// view, is already in the cache, where the invalidation sweep will find it.
+// The lock is gone before respond writes the body: the answer it reads is
+// immutable, and a client that stops reading must not hold up the appender
+// (and, queued behind the appender, every other query).
+func (q *queryRun) answerFrozen(ctx context.Context) bool {
 	if q.entry.live != nil {
 		mon := q.entry.live.Monitor()
 		mon.RLock()
 		defer mon.RUnlock()
 		q.capture.IngestLSN = mon.LastLSNLocked()
 	}
-	if !q.plan() {
-		return
-	}
-	if !q.cached && !q.execute(r.Context()) {
-		return
-	}
-	q.respond()
+	return q.plan() && (q.cached || q.execute(ctx))
 }
 
 // finish runs on EVERY exit path — parse errors, timeouts and evaluation
@@ -585,7 +588,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("workers", x.stats.Workers)
 		sp.SetAttr("instances", x.stats.Instances)
 		sp.SetAttr("incidents", x.stats.Incidents)
-		obs.EvalSpans(sp, plan, meter)
+		obs.EvalSpans(sp, meter)
 	}
 	sp.End()
 	// The trace is assembled on success and failure alike: a failed
@@ -600,7 +603,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		costTable, traceID = x.fan.CostTable, x.fan.TraceID
 	}
 	if len(costTable) == 0 && q.trace != nil {
-		costTable = obs.CostTable(plan, meter)
+		costTable = obs.CostTable(meter)
 	}
 	q.capture.Trace = q.queryTrace(costTable, traceID)
 
@@ -612,7 +615,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		switch {
 		case st == flightrec.StatusBudget:
 			// The partial cost table shows the client where the budget went.
-			doc.CostTable = obs.CostTable(plan, meter)
+			doc.CostTable = obs.CostTable(meter)
 		case st == flightrec.StatusError:
 			s.metrics.queryErrors.Add(1)
 			if code == http.StatusBadGateway {

@@ -127,7 +127,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	incidents := cluster.AppendIncidents(nil, x.set.Incidents())
 	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
-		obs.EvalSpans(esp, p, meter)
+		obs.EvalSpans(esp, meter)
 		esp.SetAttr("instances", x.stats.Instances)
 		esp.SetAttr("incidents", x.set.Len())
 		tr.End()
@@ -140,7 +140,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		obs.CapSpans(root, max)
 		tail.TraceID = tr.ID()
 		tail.Spans = root
-		tail.CostTable = obs.CostTable(p, meter)
+		tail.CostTable = obs.CostTable(meter)
 	}
 	writeSpliced(w, http.StatusOK, head, "incidents", incidents, tail)
 }

@@ -17,7 +17,7 @@ import (
 
 // buildLog builds one workflow instance per entry of pairs, instance i
 // holding pairs[i] interleaved A/B activity pairs. Builder wids are
-// sequential from 1, so with PolicyRange and 4 shards over 16 instances the
+// sequential from 1, so with 4 shards over 16 instances the
 // shards are exactly wids 1–4, 5–8, 9–12, 13–16.
 func buildLog(t *testing.T, pairs []int) *wlog.Log {
 	t.Helper()
@@ -93,42 +93,37 @@ func filterBelow(s *incident.Set, cut uint64) *incident.Set {
 }
 
 // TestShardChaosEqualUnsharded is the no-fault half of the acceptance
-// criterion: for all four operators and both policies, the sharded result
-// is byte-identical to the single-domain evaluator's.
+// criterion: for all four operators, the sharded result is byte-identical
+// to the single-domain evaluator's.
 func TestShardChaosEqualUnsharded(t *testing.T) {
 	ix := eval.NewIndex(buildLog(t, uniformPairs(16, 3)))
-	queries := []string{"A . B", "A -> B", "A | B", "A & B"}
-	for _, policy := range []Policy{PolicyRange, PolicyHash} {
-		for _, q := range queries {
-			p := pattern.MustParse(q)
-			want, err := eval.New(ix, eval.Options{}).EvalParallelCtx(context.Background(), p, 1, nil)
-			if err != nil {
-				t.Fatalf("%s: unsharded eval: %v", q, err)
-			}
-			cfg, _ := detCfg(4)
-			cfg.Policy = policy
-			x := NewExecutor(ix, cfg)
-			var stats eval.QueryStats
-			got, comp, err := x.Execute(context.Background(), p, eval.Options{}, &stats)
-			if err != nil {
-				t.Fatalf("%s/%v: sharded eval: %v", q, policy, err)
-			}
-			if !comp.Complete || comp.Succeeded != 4 || comp.Failed != 0 || comp.Skipped != 0 {
-				t.Fatalf("%s/%v: completeness = %+v, want 4/4 complete", q, policy, comp)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("%s/%v: sharded result differs from unsharded:\n got %s\nwant %s",
-					q, policy, got, want)
-			}
-			if got.String() != want.String() {
-				t.Fatalf("%s/%v: sharded rendering differs from unsharded", q, policy)
-			}
-			if stats.Shards != 4 || stats.ShardsFailed != 0 || stats.ShardRetries != 0 {
-				t.Fatalf("%s/%v: stats = %+v, want 4 clean shards", q, policy, stats)
-			}
-			if want.Len() > 0 && stats.Incidents != want.Len() {
-				t.Fatalf("%s/%v: stats.Incidents = %d, want %d", q, policy, stats.Incidents, want.Len())
-			}
+	for _, q := range []string{"A . B", "A -> B", "A | B", "A & B"} {
+		p := pattern.MustParse(q)
+		want, err := eval.New(ix, eval.Options{}).EvalParallelCtx(context.Background(), p, 1, nil)
+		if err != nil {
+			t.Fatalf("%s: unsharded eval: %v", q, err)
+		}
+		cfg, _ := detCfg(4)
+		x := NewExecutor(ix, cfg)
+		var stats eval.QueryStats
+		got, comp, err := x.Execute(context.Background(), p, eval.Options{}, &stats)
+		if err != nil {
+			t.Fatalf("%s: sharded eval: %v", q, err)
+		}
+		if !comp.Complete || comp.Succeeded != 4 || comp.Failed != 0 || comp.Skipped != 0 {
+			t.Fatalf("%s: completeness = %+v, want 4/4 complete", q, comp)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: sharded result differs from unsharded:\n got %s\nwant %s", q, got, want)
+		}
+		if got.String() != want.String() {
+			t.Fatalf("%s: sharded rendering differs from unsharded", q)
+		}
+		if stats.Shards != 4 || stats.ShardsFailed != 0 || stats.ShardRetries != 0 {
+			t.Fatalf("%s: stats = %+v, want 4 clean shards", q, stats)
+		}
+		if want.Len() > 0 && stats.Incidents != want.Len() {
+			t.Fatalf("%s: stats.Incidents = %d, want %d", q, stats.Incidents, want.Len())
 		}
 	}
 }

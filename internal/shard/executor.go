@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
@@ -24,13 +23,8 @@ type Config struct {
 	// Shards is the number of failure domains (0 = GOMAXPROCS; the actual
 	// count is capped by the instance count).
 	Shards int
-	// Policy assigns wids to shards (default PolicyRange).
-	Policy Policy
 	// RetryPolicy governs each shard's attempts, backoff and breaker.
 	RetryPolicy
-	// ShardTimeout, when positive, deadlines each shard attempt
-	// independently of the query context's deadline.
-	ShardTimeout time.Duration
 }
 
 // ShardOutcome describes one shard excluded from a query's result: which
@@ -38,9 +32,9 @@ type Config struct {
 type ShardOutcome struct {
 	// Shard is the shard id.
 	Shard int `json:"shard"`
-	// WIDMin/WIDMax bound the excluded wids; under PolicyRange the whole
-	// interval is excluded, under PolicyHash it is the envelope of the
-	// scattered members.
+	// WIDMin/WIDMax bound the excluded wids: the whole interval for a range
+	// shard, the envelope of the scattered members for a ring part (see
+	// Ranges).
 	WIDMin uint64 `json:"wid_min"`
 	WIDMax uint64 `json:"wid_max"`
 	// WIDs is the number of workflow instances excluded.
@@ -133,10 +127,9 @@ type Completeness struct {
 // what lets a persistently poisoned shard be skipped instead of re-probed
 // by every request.
 type Executor struct {
-	src          eval.Source
-	shardTimeout time.Duration
-	parts        []Part
-	scatter      Scatter
+	src     eval.Source
+	parts   []Part
+	scatter Scatter
 }
 
 // NewExecutor partitions the backend's instances and creates the per-shard
@@ -144,16 +137,15 @@ type Executor struct {
 // same contract EvalParallel relies on).
 func NewExecutor(src eval.Source, cfg Config) *Executor {
 	policy := cfg.RetryPolicy.WithDefaults(DefaultMaxAttempts)
-	shards := Partition(src.WIDs(), cfg.Shards, cfg.Policy)
+	shards := Partition(src.WIDs(), cfg.Shards)
 	parts := make([]Part, len(shards))
 	for i, sh := range shards {
 		parts[i] = Part{Shard: sh, Breaker: NewBreaker(policy.BreakerThreshold, policy.BreakerCooldown)}
 	}
 	return &Executor{
-		src:          src,
-		shardTimeout: cfg.ShardTimeout,
-		parts:        parts,
-		scatter:      Scatter{RetryPolicy: policy, Retryable: Retryable},
+		src:     src,
+		parts:   parts,
+		scatter: Scatter{RetryPolicy: policy, Retryable: Retryable},
 	}
 }
 
@@ -200,11 +192,6 @@ func (x *Executor) Execute(ctx context.Context, p pattern.Node, opts eval.Option
 		sp.SetAttr("wid_min", sh.MinWID)
 		sp.SetAttr("wid_max", sh.MaxWID)
 		sp.SetAttr("wids", len(sh.WIDs))
-		if x.shardTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, x.shardTimeout)
-			defer cancel()
-		}
 		var st eval.QueryStats
 		set, err := ev.EvalWIDsCtx(ctx, p, sh.WIDs, &st)
 		if err != nil {

@@ -256,8 +256,8 @@ func TestShardScatter(t *testing.T) {
 }
 
 // TestShardScatterHashPartsMergeLikeOnePart: wids scattered over hash-placed
-// parts interleave, and Merge's normalization must restore the canonical
-// order a single part produces.
+// parts — what the cluster ring produces — interleave, and Merge's
+// normalization must restore the canonical order a single part produces.
 func TestShardScatterHashPartsMergeLikeOnePart(t *testing.T) {
 	wids := seqWIDs(40)
 	transportFor := func(parts []Part) Transport {
@@ -269,22 +269,30 @@ func TestShardScatterHashPartsMergeLikeOnePart(t *testing.T) {
 			return incs, len(parts[i].WIDs), nil
 		}
 	}
-	run := func(n int, policy Policy) *incident.Set {
+	run := func(n int) *incident.Set {
 		sc := &Scatter{RetryPolicy: RetryPolicy{}.WithDefaults(1), Retryable: Retryable}
+		placed := make([][]uint64, n)
+		for _, wid := range wids {
+			i := HashWID(wid) % uint64(n)
+			placed[i] = append(placed[i], wid)
+		}
 		var parts []Part
-		for _, sh := range Partition(wids, n, policy) {
-			parts = append(parts, Part{Shard: sh, Breaker: NewBreaker(0, 0)})
+		for _, b := range placed {
+			if len(b) > 0 {
+				sh := Shard{ID: len(parts), WIDs: b, MinWID: b[0], MaxWID: b[len(b)-1]}
+				parts = append(parts, Part{Shard: sh, Breaker: NewBreaker(0, 0)})
+			}
 		}
 		ctx := context.Background()
 		set, comp, err := Merge(ctx, parts, sc.Gather(ctx, parts, transportFor(parts)), nil)
 		if err != nil || !comp.Complete || comp.Shards != len(parts) {
-			t.Fatalf("%d %v parts: err=%v completeness=%+v", n, policy, err, comp)
+			t.Fatalf("%d parts: err=%v completeness=%+v", n, err, comp)
 		}
 		return set
 	}
-	one := run(1, PolicyRange)
+	one := run(1)
 	for _, n := range []int{3, 7} {
-		if hashed := run(n, PolicyHash); !hashed.Equal(one) || hashed.String() != one.String() {
+		if hashed := run(n); !hashed.Equal(one) || hashed.String() != one.String() {
 			t.Errorf("%d hash-placed parts merge to a different set than one part", n)
 		}
 	}

@@ -1,6 +1,7 @@
-// Package shard partitions a workflow log's instances into wid shards and
-// evaluates incident-pattern queries shard by shard, each shard in its own
-// failure domain.
+// Package shard partitions a workflow log's instances into shards of
+// contiguous wid ranges — the one placement; there is no policy to pick —
+// and evaluates incident-pattern queries shard by shard, each shard in its
+// own failure domain.
 //
 // The decomposition is exact, not approximate: Definition 4 makes incident
 // semantics strictly per-instance — an incident's wid is a single workflow
@@ -19,9 +20,9 @@
 //     across shards; wall time shared, since shards run concurrently);
 //   - panic isolation reusing the eval worker boundary, so one poisoned
 //     instance fails one shard, not the process;
-//   - a per-shard deadline, retry with capped exponential backoff and
-//     jitter for retryable faults, and a circuit breaker that stops
-//     retrying a persistently poisoned shard.
+//   - retry with capped exponential backoff and jitter for retryable
+//     faults, and a circuit breaker that stops retrying a persistently
+//     poisoned shard.
 //
 // Everything time-dependent rides the resilience clock seam and the
 // Config.Sleep/Config.Rand seams, so backoff and breaker transitions are
@@ -33,56 +34,15 @@ import (
 	"runtime"
 )
 
-// Policy selects how wids are assigned to shards.
-type Policy int
-
-// Partitioning policies.
-const (
-	// PolicyRange assigns contiguous wid ranges to shards (the default).
-	// Range shards keep the global incident order: concatenating shard
-	// results in shard order is already canonical, and a failed shard
-	// excludes one describable wid interval.
-	PolicyRange Policy = iota
-	// PolicyHash assigns wids by hash, spreading hot instances across
-	// shards at the cost of interleaved ranges (the shard results are
-	// merged, not concatenated, and an excluded "range" is a scattered set
-	// reported by its min/max envelope).
-	PolicyHash
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case PolicyRange:
-		return "range"
-	case PolicyHash:
-		return "hash"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
-// ParsePolicy resolves a policy name as accepted by CLI flags.
-func ParsePolicy(name string) (Policy, error) {
-	switch name {
-	case "", "range":
-		return PolicyRange, nil
-	case "hash":
-		return PolicyHash, nil
-	default:
-		return 0, fmt.Errorf("unknown shard policy %q (want range or hash)", name)
-	}
-}
-
 // Shard is one partition of a log's workflow instances.
 type Shard struct {
 	// ID is the shard's index, 0-based.
 	ID int
 	// WIDs are the member instance ids, ascending.
 	WIDs []uint64
-	// MinWID and MaxWID bound the members. Under PolicyRange the shard
-	// owns the whole interval; under PolicyHash the interval is only an
-	// envelope around the scattered members.
+	// MinWID and MaxWID bound the members. A shard of Partition owns the
+	// whole interval; for the scattered members of a cluster ring's part the
+	// interval is only an envelope.
 	MinWID, MaxWID uint64
 }
 
@@ -114,12 +74,13 @@ func HashWID(wid uint64) uint64 {
 	return h
 }
 
-// Partition splits wids into at most n shards under the policy; n <= 0
-// means GOMAXPROCS. Empty shards are dropped, so the result may have fewer
-// than n entries (never more); each returned shard's WIDs are ascending.
-// The input slice is not modified and must be ascending (eval.Index.WIDs
-// guarantees it).
-func Partition(wids []uint64, n int, policy Policy) []Shard {
+// Partition splits wids into at most n shards of contiguous wid ranges;
+// n <= 0 means GOMAXPROCS. Range shards keep the global incident order —
+// concatenating shard results in shard order is already canonical — and a
+// failed shard excludes one describable wid interval. The result may have
+// fewer than n entries (never more, none empty). The input slice is not
+// modified and must be ascending (eval.Index.WIDs guarantees it).
+func Partition(wids []uint64, n int) []Shard {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -129,37 +90,15 @@ func Partition(wids []uint64, n int, policy Policy) []Shard {
 	if n == 0 {
 		return nil
 	}
-	buckets := make([][]uint64, n)
-	switch policy {
-	case PolicyHash:
-		for _, wid := range wids {
-			i := int(HashWID(wid) % uint64(n))
-			buckets[i] = append(buckets[i], wid)
-		}
-	default: // PolicyRange
-		chunk := (len(wids) + n - 1) / n
-		for i := 0; i < n; i++ {
-			lo := i * chunk
-			if lo >= len(wids) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(wids) {
-				hi = len(wids)
-			}
-			buckets[i] = wids[lo:hi:hi]
-		}
-	}
+	chunk := (len(wids) + n - 1) / n
 	shards := make([]Shard, 0, n)
-	for _, b := range buckets {
-		if len(b) == 0 {
-			continue
-		}
+	for lo := 0; lo < len(wids); lo += chunk {
+		hi := min(lo+chunk, len(wids))
 		shards = append(shards, Shard{
 			ID:     len(shards),
-			WIDs:   b,
-			MinWID: b[0],
-			MaxWID: b[len(b)-1],
+			WIDs:   wids[lo:hi:hi],
+			MinWID: wids[lo],
+			MaxWID: wids[hi-1],
 		})
 	}
 	return shards

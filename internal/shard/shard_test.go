@@ -57,7 +57,7 @@ func coverage(t *testing.T, wids []uint64, shards []Shard) {
 
 func TestShardPartitionRange(t *testing.T) {
 	wids := seqWIDs(10)
-	shards := Partition(wids, 4, PolicyRange)
+	shards := Partition(wids, 4)
 	if len(shards) != 4 {
 		t.Fatalf("got %d shards, want 4", len(shards))
 	}
@@ -77,44 +77,19 @@ func TestShardPartitionRange(t *testing.T) {
 	}
 }
 
-func TestShardPartitionHash(t *testing.T) {
-	wids := seqWIDs(100)
-	shards := Partition(wids, 4, PolicyHash)
-	coverage(t, wids, shards)
-	if len(shards) < 2 {
-		t.Fatalf("hash partition of 100 wids into 4 produced %d shards; want spread", len(shards))
-	}
-	// Deterministic across calls (and, because the hash is FNV-1a over the
-	// wid bytes, across processes — no per-process seed).
-	again := Partition(wids, 4, PolicyHash)
-	if len(again) != len(shards) {
-		t.Fatalf("hash partition not deterministic: %d vs %d shards", len(again), len(shards))
-	}
-	for i := range shards {
-		if len(again[i].WIDs) != len(shards[i].WIDs) {
-			t.Fatalf("hash partition not deterministic at shard %d", i)
-		}
-		for j := range shards[i].WIDs {
-			if again[i].WIDs[j] != shards[i].WIDs[j] {
-				t.Fatalf("hash partition not deterministic at shard %d member %d", i, j)
-			}
-		}
-	}
-}
-
 func TestShardPartitionEdgeCases(t *testing.T) {
-	if got := Partition(nil, 4, PolicyRange); got != nil {
+	if got := Partition(nil, 4); got != nil {
 		t.Errorf("Partition(nil) = %v, want nil", got)
 	}
 	// More shards than wids: one wid per shard, no empties.
-	shards := Partition(seqWIDs(3), 8, PolicyRange)
+	shards := Partition(seqWIDs(3), 8)
 	if len(shards) != 3 {
 		t.Errorf("Partition(3 wids, 8) produced %d shards, want 3", len(shards))
 	}
 	coverage(t, seqWIDs(3), shards)
 	// n <= 0 defaults to GOMAXPROCS (still capped by the wid count).
 	wids := seqWIDs(1000)
-	shards = Partition(wids, 0, PolicyRange)
+	shards = Partition(wids, 0)
 	want := runtime.GOMAXPROCS(0)
 	if want > 1000 {
 		want = 1000
@@ -124,7 +99,7 @@ func TestShardPartitionEdgeCases(t *testing.T) {
 	}
 	coverage(t, wids, shards)
 	// Single shard is the degenerate whole-log domain.
-	shards = Partition(seqWIDs(5), 1, PolicyHash)
+	shards = Partition(seqWIDs(5), 1)
 	if len(shards) != 1 || len(shards[0].WIDs) != 5 {
 		t.Errorf("Partition(n=1) = %+v, want one shard of 5", shards)
 	}
@@ -142,34 +117,6 @@ func TestShardRangeString(t *testing.T) {
 	for _, c := range cases {
 		if got := c.sh.RangeString(); got != c.want {
 			t.Errorf("RangeString() = %q, want %q", got, c.want)
-		}
-	}
-}
-
-func TestShardParsePolicy(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Policy
-		ok   bool
-	}{
-		{"", PolicyRange, true},
-		{"range", PolicyRange, true},
-		{"hash", PolicyHash, true},
-		{"banana", 0, false},
-	}
-	for _, c := range cases {
-		got, err := ParsePolicy(c.in)
-		if c.ok != (err == nil) {
-			t.Errorf("ParsePolicy(%q) err = %v, want ok=%v", c.in, err, c.ok)
-			continue
-		}
-		if c.ok && got != c.want {
-			t.Errorf("ParsePolicy(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	for _, p := range []Policy{PolicyRange, PolicyHash} {
-		if rt, err := ParsePolicy(p.String()); err != nil || rt != p {
-			t.Errorf("ParsePolicy(%v.String()) = %v, %v; want round-trip", p, rt, err)
 		}
 	}
 }

@@ -276,9 +276,11 @@ func WithLimit(n int) Option {
 }
 
 // WithBudget caps each query's evaluation resources; a tripped limit aborts
-// the query with an error wrapping ErrBudgetExceeded. Enforced by Query,
-// QueryPattern and QueryTraced (the entry points with an error channel);
-// Exists and Count are unaffected.
+// the query with an error wrapping ErrBudgetExceeded. Every evaluating
+// method enforces it — Query, QueryTraced, QuerySharded, Exists, Count and
+// what is built on them; QueryPattern, which has no error result, returns a
+// nil set. Count of a two-atom pattern is arithmetic over position lists:
+// it produces no incidents and is not charged.
 func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
@@ -322,14 +324,9 @@ func (e *Engine) evaluator() *eval.Evaluator {
 	return eval.New(e.src, eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget})
 }
 
-// evalSet evaluates a prepared plan, routing through the budget-enforcing
-// path when a budget is set (the plain Eval has no error channel).
+// evalSet evaluates a prepared plan on the calling goroutine.
 func (e *Engine) evalSet(p Pattern) (*IncidentSet, error) {
-	ev := e.evaluator()
-	if !e.budget.IsZero() {
-		return ev.EvalParallelCtx(context.Background(), p, 1, nil)
-	}
-	return ev.Eval(p), nil
+	return e.evaluator().EvalParallelCtx(context.Background(), p, 1, nil)
 }
 
 // Query evaluates a textual query and returns its incident set incL(p).
@@ -376,7 +373,7 @@ func (e *Engine) Exists(query string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return e.evaluator().Exists(p), nil
+	return e.evaluator().ExistsCtx(context.Background(), p)
 }
 
 // Count returns |incL(p)| for the query.
@@ -385,7 +382,7 @@ func (e *Engine) Count(query string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return e.evaluator().Count(p), nil
+	return e.evaluator().CountCtx(context.Background(), p)
 }
 
 // GroupByAttr evaluates the query and counts its incidents grouped by the
@@ -582,7 +579,7 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("workers", qs.Workers)
 	sp.SetAttr("instances", qs.Instances)
 	sp.SetAttr("incidents", qs.Incidents)
-	obs.EvalSpans(sp, plan, meter)
+	obs.EvalSpans(sp, meter)
 	sp.End()
 	tr.End()
 
@@ -591,7 +588,7 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 		Plan:      plan.String(),
 		Strategy:  e.strategy.String(),
 		Spans:     tr.Root(),
-		CostTable: obs.CostTable(plan, meter),
+		CostTable: obs.CostTable(meter),
 	}, nil
 }
 

@@ -2,6 +2,7 @@ package wlq_test
 
 import (
 	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,6 +68,25 @@ func TestEngineExistsCount(t *testing.T) {
 	n, err := e.Count("SeeDoctor")
 	if err != nil || n != 4 {
 		t.Errorf("Count(SeeDoctor) = %d, %v; want 4", n, err)
+	}
+}
+
+// TestEngineBudgetCoversExistsAndCount: WithBudget holds on every evaluating
+// method, not only on Query.
+func TestEngineBudgetCoversExistsAndCount(t *testing.T) {
+	l, err := wlq.ClinicLog(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := wlq.NewEngine(l, wlq.WithBudget(wlq.Budget{MaxComparisons: 1}))
+	if ok, err := e.Exists("GetReimburse -> GetRefer"); !errors.Is(err, wlq.ErrBudgetExceeded) {
+		t.Errorf("Exists under a 1-comparison budget = %v, %v; want ErrBudgetExceeded", ok, err)
+	}
+	if n, err := e.Count("GetRefer -> SeeDoctor -> GetReimburse"); !errors.Is(err, wlq.ErrBudgetExceeded) {
+		t.Errorf("Count under a 1-comparison budget = %d, %v; want ErrBudgetExceeded", n, err)
+	}
+	if _, err := e.Query("GetRefer -> GetReimburse"); !errors.Is(err, wlq.ErrBudgetExceeded) {
+		t.Errorf("Query under a 1-comparison budget: %v; want ErrBudgetExceeded", err)
 	}
 }
 
