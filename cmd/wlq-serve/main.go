@@ -13,8 +13,9 @@
 //	                                                                   (cluster coordinator)
 //
 // In cluster mode every node loads the same -log specs; the coordinator
-// places workflow instances on workers by consistent hash and fans each
-// query out to the owners (see docs/OPERATIONS.md, "Cluster deployment").
+// gives each worker one contiguous wid range of the log, in -cluster-workers
+// order, and fans each query out to them (see docs/OPERATIONS.md, "Cluster
+// deployment").
 //
 // Each -log flag (repeatable) is either a bare log specification — file
 // path, "fig3", "clinic:<instances>:<seed>", "model:<name>:<instances>:<seed>"
@@ -111,11 +112,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"pre-flight ceiling on the plan's Lemma 1 cost estimate; costlier queries are rejected with 422 before evaluation (0 disables)")
 
 		worker = fs.Bool("worker", false,
-			"serve as a cluster worker: expose POST /v1/worker/query evaluating coordinator-shipped plans against this node's ring-assigned wids")
+			"serve as a cluster worker: expose POST /v1/worker/query evaluating coordinator-shipped plans against the wid range each request names")
 		clusterWorkers = fs.String("cluster-workers", "",
 			"comma-separated worker base URLs; non-empty runs this instance as a cluster coordinator fanning every query out to the fleet")
-		hashReplicas = fs.Int("hash-replicas", 0,
-			"virtual nodes per worker on the consistent-hash placement ring (0 = default 64; must match across the fleet)")
 		workerTimeout = fs.Duration("worker-timeout", 0,
 			"coordinator's per-attempt deadline for one worker request (0 = default 5s)")
 		workerAttempts = fs.Int("worker-attempts", 0,
@@ -196,7 +195,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		clusterCfg = &cluster.Config{
 			Workers:       urls,
-			HashReplicas:  *hashReplicas,
 			WorkerTimeout: *workerTimeout,
 			HedgeAfter:    *hedgeAfter,
 			// The breaker flags tune whichever failure-domain tier is active:
@@ -275,8 +273,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	// Coordinator role: probe the fleet in the background so /readyz reports
 	// lost workers without waiting for a query to trip a breaker.
 	if clusterCfg != nil {
-		fmt.Fprintf(out, "coordinating %d workers (hash replicas %d)\n",
-			len(clusterCfg.Workers), srv.Coordinator().Ring().Replicas())
+		fmt.Fprintf(out, "coordinating %d workers (range placement)\n", len(clusterCfg.Workers))
 		srv.StartClusterProbing(ctx)
 	}
 	if *worker {

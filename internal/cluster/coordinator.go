@@ -1,3 +1,35 @@
+// Package cluster promotes the internal/shard failure-domain boundary to
+// the network: a coordinator splits a log's workflow instances into one
+// contiguous wid range per worker node (shard.Partition — the same placement
+// the in-process executor uses), fans each query out over HTTP, and
+// concatenates the per-worker answers in range order — so a distributed
+// evaluation is digest-identical to a single-node one, and a lost worker
+// degrades the answer (a 206 with a Completeness document naming the missing
+// wid interval) instead of failing it.
+//
+// Definition 4 makes incident semantics strictly per-instance, so the
+// distribution is exact: no cross-worker joins exist, and each worker
+// evaluates the wids of its interval against its local copy of the log
+// independently. What the network tier adds over in-process shards is real
+// failure independence — a worker process can die, hang, or partition
+// without taking the coordinator's process down — paid for with the full
+// set of network-robustness machinery:
+//
+//   - per-worker attempt timeouts and capped-exponential retry with jitter
+//     (reusing shard.Backoff);
+//   - per-worker circuit breakers (shard.Breaker on the resilience clock
+//     seam) so a dead node is skipped, not re-dialed by every query;
+//   - hedged requests: a straggling worker gets a duplicate request after
+//     a configurable delay, and the first answer wins;
+//   - periodic health probing that feeds the coordinator's /readyz;
+//   - per-worker budget slices (resilience.Budget.Slice) so one slow
+//     worker cannot spend the whole query's allowance.
+//
+// Placement needs no agreement beyond the request itself: every worker loads
+// the whole log, the coordinator sends each one the closed interval
+// [wid_min, wid_max] of its part, and the worker echoes how many instances
+// of its own copy lie inside it — a copy that differs from the
+// coordinator's anywhere in the interval is caught by the count.
 package cluster
 
 import (
@@ -42,12 +74,9 @@ const (
 // Config tunes a coordinator. Workers is required; every other zero field
 // resolves to a sensible default.
 type Config struct {
-	// Workers are the worker base URLs (e.g. "http://10.0.0.7:8080"). The
-	// URLs are also the ring identities: placement depends on nothing else.
+	// Workers are the worker base URLs (e.g. "http://10.0.0.7:8080"). Their
+	// order is the placement: the i-th worker evaluates the i-th wid range.
 	Workers []string
-	// HashReplicas is the virtual-node count per worker on the consistent
-	// hash ring (0 = DefaultHashReplicas).
-	HashReplicas int
 	// WorkerTimeout deadlines each worker request attempt
 	// (0 = DefaultWorkerTimeout).
 	WorkerTimeout time.Duration
@@ -58,8 +87,9 @@ type Config struct {
 	// HedgeAfter, when positive, duplicates a worker request that has not
 	// answered within the delay and takes whichever response lands first —
 	// straggler insurance against a slow connection or a stalled accept
-	// queue. The hedge goes to the same worker (wids live on exactly one
-	// node), so it cannot help a node that is down, only one that is slow.
+	// queue. The hedge goes to the same worker (a wid range is placed on
+	// exactly one node), so it cannot help a node that is down, only one that
+	// is slow.
 	HedgeAfter time.Duration
 	// Transport is the HTTP transport for worker requests (nil =
 	// http.DefaultTransport). Chaos suites inject faultinject.FlakyRoundTripper
@@ -78,9 +108,6 @@ type Config struct {
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
-	if c.HashReplicas <= 0 {
-		c.HashReplicas = DefaultHashReplicas
-	}
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = DefaultWorkerTimeout
 	}
@@ -132,7 +159,6 @@ type Stats struct {
 // breakers and health state persist across queries.
 type Coordinator struct {
 	cfg     Config
-	ring    *Ring
 	client  *http.Client
 	workers []*workerState
 	scatter shard.Scatter
@@ -172,8 +198,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 	}
 	return &Coordinator{
-		cfg:  cfg,
-		ring: NewRing(cfg.Workers, cfg.HashReplicas),
+		cfg: cfg,
 		// The per-attempt deadline rides the request context, not the
 		// client, so hedges and probes can choose their own.
 		client:  &http.Client{Transport: cfg.Transport},
@@ -181,9 +206,6 @@ func New(cfg Config) (*Coordinator, error) {
 		scatter: shard.Scatter{RetryPolicy: cfg.RetryPolicy, Retryable: retryableErr},
 	}, nil
 }
-
-// Ring returns the placement ring.
-func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Stats snapshots the fan-out counters.
 func (c *Coordinator) Stats() Stats {
@@ -257,7 +279,7 @@ type WorkerCall struct {
 // ExecOptions parameterizes one distributed execution.
 type ExecOptions struct {
 	// WIDs is the full ascending wid list of the log (the coordinator's
-	// local backend supplies it; placement partitions it over the ring).
+	// local backend supplies it; placement partitions it over the fleet).
 	WIDs []uint64
 	// Strategy optionally names the join implementation for the workers.
 	Strategy string
@@ -268,14 +290,14 @@ type ExecOptions struct {
 }
 
 // Execute evaluates the plan across the worker fleet on the shared
-// partition driver (shard.Scatter): each worker owning wids is one part,
-// attempted through call — one request plus an optional hedge — under the
-// driver's breaker admission and retry loop, and the surviving answers
-// merge through shard.Merge's k-way merge — byte-identical to a
-// single-node evaluation when every worker answers.
+// partition driver (shard.Scatter): part i of shard.Partition(opts.WIDs,
+// fleet size) goes to worker i, attempted through call — one request plus an
+// optional hedge — under the driver's breaker admission and retry loop, and
+// the surviving answers concatenate through shard.Merge — byte-identical to
+// a single-node evaluation when every worker answers.
 //
 // The error and Completeness contract is shard.Merge's, with each excluded
-// worker's wid set named by envelope and exact ranges.
+// worker's part named by its exact wid interval.
 //
 // Everything done for a worker is recorded under its "worker <url>" span:
 // a queue-wait span (launch + admission + marshal before the first transport
@@ -299,34 +321,23 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 		scatter.SetAttr("trace_id", traceID)
 	}
 
-	// One part per worker owning at least one wid. Idle workers are not
-	// contacted and not counted as shards.
-	var (
-		parts      []shard.Part
-		queueWaits []*obs.Span
-	)
-	for wi, wids := range c.ring.Assignments(opts.WIDs) {
-		if len(wids) == 0 {
-			continue
-		}
-		w := c.workers[wi]
+	// Part i goes to worker i. A log with fewer wids than workers leaves the
+	// tail of the fleet idle: not contacted, not counted as shards.
+	shards := shard.Partition(opts.WIDs, len(c.workers))
+	parts := make([]shard.Part, len(shards))
+	queueWaits := make([]*obs.Span, len(shards))
+	for i, sh := range shards {
+		w := c.workers[i]
 		wsp := scatter.StartChild("worker " + w.name)
-		wsp.SetAttr("wids", len(wids))
-		parts = append(parts, shard.Part{
-			Shard:   shard.Shard{ID: wi, WIDs: wids, MinWID: wids[0], MaxWID: wids[len(wids)-1]},
-			Worker:  w.name,
-			Breaker: w.breaker,
-			Span:    wsp,
-		})
-		queueWaits = append(queueWaits, wsp.StartChild("queue-wait"))
+		wsp.SetAttr("wids", len(sh.WIDs))
+		parts[i] = shard.Part{Shard: sh, Worker: w.name, Breaker: w.breaker, Span: wsp}
+		queueWaits[i] = wsp.StartChild("queue-wait")
 	}
 	scatter.SetAttr("workers", len(parts))
 
 	req := WorkerQueryRequest{
 		Log:      logName,
 		Plan:     plan.String(),
-		Ring:     c.ring.Workers(),
-		Replicas: c.ring.Replicas(),
 		Strategy: opts.Strategy,
 		Limit:    opts.Limit,
 		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
@@ -341,6 +352,7 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	attempt := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
 		wreq := req
 		wreq.Self = parts[i].Worker
+		wreq.WIDMin, wreq.WIDMax = &parts[i].MinWID, &parts[i].MaxWID
 		body, err := json.Marshal(wreq)
 		queueWaits[i].End() // idempotent; the first attempt ends the queue wait
 		if err != nil {
@@ -397,19 +409,17 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 }
 
 // attempt is the coordinator's shard.Transport: one call against the part's
-// worker, the ring-view and trace-id cross-checks on its reply, and the
+// worker, the placement and trace-id cross-checks on its reply, and the
 // graft of the reply's span subtree. Hedge and reply detail lands on call.
 func (c *Coordinator) attempt(ctx context.Context, part shard.Part, n int, traceID string, body []byte, call *WorkerCall) (*WorkerQueryResponse, error) {
 	resp, winner, err := c.call(ctx, part.Span, n, traceID, c.workers[part.ID], body, call)
 	if err != nil {
 		return nil, err
 	}
-	if resp.WIDsOwned != len(part.WIDs) {
-		// The worker's ring view disagrees with ours: merging its answer
-		// would silently mis-cover the log. Deterministic, so never retried.
-		err = nonRetryable(fmt.Errorf(
-			"ring mismatch: worker evaluated %d wids, coordinator assigned %d (membership or replica skew)",
-			resp.WIDsOwned, len(part.WIDs)))
+	if err := checkPlacement(part, resp); err != nil {
+		// Deterministic — the same request gets the same reply — so never
+		// retried.
+		err = nonRetryable(err)
 		winner.SetAttr("error", err.Error())
 		return nil, err
 	}
@@ -426,6 +436,26 @@ func (c *Coordinator) attempt(ctx context.Context, part shard.Part, n int, trace
 	}
 	call.ElapsedUS = resp.ElapsedUS
 	return resp, nil
+}
+
+// checkPlacement cross-checks a reply against the part it answers. The
+// member count catches a worker whose copy of the log differs from the
+// coordinator's inside the interval: merging its answer would silently
+// mis-cover the log. The two end incidents (the list is in canonical order,
+// the decoder saw to that) catch incidents from outside the interval, which
+// shard.Merge's concatenation would otherwise put out of order.
+func checkPlacement(part shard.Part, resp *WorkerQueryResponse) error {
+	if resp.WIDsOwned != len(part.WIDs) {
+		return fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
+			resp.WIDsOwned, part.MinWID, part.MaxWID, len(part.WIDs))
+	}
+	if n := len(resp.Incidents); n > 0 {
+		if lo, hi := resp.Incidents[0].WID(), resp.Incidents[n-1].WID(); lo < part.MinWID || hi > part.MaxWID {
+			return fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
+				ErrMalformedIncidents, lo, hi, part.MinWID, part.MaxWID)
+		}
+	}
+	return nil
 }
 
 // call performs one attempt against a worker: the primary request, plus —
@@ -601,7 +631,7 @@ func nonRetryable(err error) error { return &nonRetryableError{err: err} }
 
 // retryableErr classifies a worker attempt failure. Transport-level errors
 // (refused, reset, attempt timeout) and 5xx/429 replies are transient and
-// worth a backed-off retry; 4xx replies and ring mismatches are
+// worth a backed-off retry; 4xx replies and placement mismatches are
 // deterministic — the same request would fail the same way.
 func retryableErr(err error) bool {
 	var nr *nonRetryableError

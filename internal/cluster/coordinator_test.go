@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,8 +20,34 @@ import (
 	"wlq/internal/shard"
 )
 
+func testWIDs(n int) []uint64 {
+	wids := make([]uint64, n)
+	for i := range wids {
+		wids[i] = uint64(i + 1)
+	}
+	return wids
+}
+
+// ownedWIDs is a worker's side of placement: the members of its copy of the
+// log inside the request's interval.
+func ownedWIDs(wids []uint64, req WorkerQueryRequest) []uint64 {
+	var owned []uint64
+	for _, wid := range wids {
+		if wid >= *req.WIDMin && wid <= *req.WIDMax {
+			owned = append(owned, wid)
+		}
+	}
+	return owned
+}
+
+// replyBody is a well-formed worker reply around the given incidents array.
+func replyBody(req WorkerQueryRequest, owned int, incidents string) string {
+	return fmt.Sprintf(`{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":%s,"elapsed_us":1}`,
+		req.Self, owned, owned, incidents)
+}
+
 // fakeWorker answers POST /v1/worker/query with a well-formed envelope —
-// the ring echo the coordinator cross-checks included — around whatever
+// the member count the coordinator cross-checks included — around whatever
 // incidents(owned) returns, and counts the requests it served.
 func fakeWorker(t *testing.T, wids []uint64, incidents func(owned []uint64) string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
@@ -30,10 +59,8 @@ func fakeWorker(t *testing.T, wids []uint64, incidents func(owned []uint64) stri
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		ring := NewRing(req.Ring, req.Replicas)
-		owned := ring.OwnedWIDs(wids, ring.WorkerIndex(req.Self))
-		fmt.Fprintf(w, `{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":%s,"elapsed_us":1}`,
-			req.Self, len(owned), len(owned), incidents(owned))
+		owned := ownedWIDs(wids, req)
+		io.WriteString(w, replyBody(req, len(owned), incidents(owned)))
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &served
@@ -68,19 +95,16 @@ func TestMalformedWorkerReplyLosesThePart(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			asn := c.Ring().Assignments(wids)
-			if len(asn[0]) == 0 || len(asn[1]) == 0 {
-				t.Skip("degenerate ring layout: one worker owns every wid")
-			}
+			asn := shard.Partition(wids, 2)
 			set, comp, fan, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
 			if err != nil {
 				t.Fatalf("one malformed reply failed the whole query: %v", err)
 			}
-			if set.Len() != len(asn[0]) {
-				t.Errorf("merged %d incidents, the good worker sent %d", set.Len(), len(asn[0]))
+			if set.Len() != len(asn[0].WIDs) {
+				t.Errorf("merged %d incidents, the good worker sent %d", set.Len(), len(asn[0].WIDs))
 			}
-			if comp.Complete || comp.Failed != 1 || comp.ExcludedWIDs != len(asn[1]) || len(comp.Failures) != 1 {
-				t.Fatalf("completeness = %+v, want exactly the bad worker's %d wids lost", comp, len(asn[1]))
+			if comp.Complete || comp.Failed != 1 || comp.ExcludedWIDs != len(asn[1].WIDs) || len(comp.Failures) != 1 {
+				t.Fatalf("completeness = %+v, want exactly the bad worker's %d wids lost", comp, len(asn[1].WIDs))
 			}
 			lost := comp.Failures[0]
 			if lost.Worker != bad.URL || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
@@ -112,5 +136,178 @@ func TestCoordinatorReadsAnIndentedReply(t *testing.T) {
 	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
 	if err != nil || !comp.Complete || set.Len() != len(wids) {
 		t.Fatalf("set %v, completeness %+v, err %v", set, comp, err)
+	}
+}
+
+// stubFleet is a worker fleet behind cluster.Config.Transport, no sockets:
+// every worker holds wids and answers one incident per member of the
+// requested interval, after tamper has had its way with the raw request and
+// the answer.
+type stubFleet struct {
+	wids   []uint64
+	tamper func(raw []byte, req WorkerQueryRequest, incs []incident.Incident)
+}
+
+func (f stubFleet) RoundTrip(r *http.Request) (*http.Response, error) {
+	raw, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	var req WorkerQueryRequest
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return nil, err
+	}
+	owned := ownedWIDs(f.wids, req)
+	incs := make([]incident.Incident, len(owned))
+	for i, wid := range owned {
+		incs[i] = incident.New(wid, 1, 2)
+	}
+	f.tamper(raw, req, incs)
+	body := replyBody(req, len(owned), string(AppendIncidents(nil, incs)))
+	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(body))}, nil
+}
+
+// TestClusterReplyOutsideIntervalLosesThePart: shard.Merge concatenates the
+// parts' answers, so a 200 whose incidents — canonical, and under an honest
+// member count — reach outside the part's interval would come out mis-ordered
+// or twice. The coordinator's end-incident check turns it into a malformed
+// reply instead: the part is lost and named by its exact interval, unretried.
+func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
+	wids := testWIDs(64)
+	const bad = "http://w2"
+	// Each swaps an end incident for one just past that end: still canonical,
+	// still one per member.
+	for name, stray := range map[string]func(WorkerQueryRequest, []incident.Incident){
+		"below": func(req WorkerQueryRequest, incs []incident.Incident) {
+			incs[0] = incident.New(*req.WIDMin-1, 1, 2)
+		},
+		"above": func(req WorkerQueryRequest, incs []incident.Incident) {
+			incs[len(incs)-1] = incident.New(*req.WIDMax+1, 1, 2)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var badServed atomic.Int64
+			c, err := New(Config{
+				Workers:     []string{"http://w1", bad, "http://w3"},
+				RetryPolicy: shard.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+				Transport: stubFleet{wids, func(_ []byte, req WorkerQueryRequest, incs []incident.Incident) {
+					if req.Self == bad {
+						badServed.Add(1)
+						stray(req, incs)
+					}
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			set, comp, fan, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
+			if err != nil {
+				t.Fatalf("one stray reply failed the whole query: %v", err)
+			}
+			part := shard.Partition(wids, 3)[1]
+			if comp.Complete || comp.Failed != 1 || comp.ExcludedWIDs != len(part.WIDs) || len(comp.Failures) != 1 {
+				t.Fatalf("completeness = %+v, want exactly the stray worker's part lost", comp)
+			}
+			lost := comp.Failures[0]
+			if lost.Worker != bad || lost.WIDMin != part.MinWID || lost.WIDMax != part.MaxWID || lost.WIDs != len(part.WIDs) {
+				t.Errorf("lost part = %+v, want %s with wids %d–%d", lost, bad, part.MinWID, part.MaxWID)
+			}
+			if !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+				t.Errorf("cause %q does not call the reply malformed", lost.Cause)
+			}
+			if lost.Attempts != 1 || badServed.Load() != 1 || fan.Retries != 0 {
+				t.Errorf("stray reply was retried: attempts %d, requests served %d, retries %d",
+					lost.Attempts, badServed.Load(), fan.Retries)
+			}
+			// What was merged is the other two parts, in canonical order.
+			want := append(append([]uint64(nil), wids[:part.MinWID-1]...), wids[part.MaxWID:]...)
+			if got := set.WIDs(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("merged wids %v, want %v", got, want)
+			}
+		})
+	}
+}
+
+// TestClusterWorkerRequestCarriesTheInterval: the wire names a part by its
+// closed interval — over a gapped numbering, the part's own first and last
+// member — and by nothing else: no membership list, no replica count.
+func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
+	wids := []uint64{3, 4, 9, 20, 21}
+	var mu sync.Mutex
+	bodies := make(map[string]map[string]any)
+	c, err := New(Config{
+		Workers: []string{"http://w1", "http://w2"},
+		Transport: stubFleet{wids, func(raw []byte, req WorkerQueryRequest, _ []incident.Incident) {
+			var doc map[string]any
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			bodies[req.Self] = doc
+			mu.Unlock()
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
+	if err != nil || !comp.Complete || set.Len() != len(wids) {
+		t.Fatalf("set %v, completeness %+v, err %v", set, comp, err)
+	}
+	for worker, want := range map[string][2]float64{"http://w1": {3, 9}, "http://w2": {20, 21}} {
+		b := bodies[worker]
+		if b["wid_min"] != want[0] || b["wid_max"] != want[1] {
+			t.Errorf("%s asked for %v–%v, want %v–%v", worker, b["wid_min"], b["wid_max"], want[0], want[1])
+		}
+		for _, gone := range []string{"ring", "replicas"} {
+			if _, ok := b[gone]; ok {
+				t.Errorf("%s request still carries %q", worker, gone)
+			}
+		}
+	}
+}
+
+func TestClusterRetryableClassification(t *testing.T) {
+	cases := []struct {
+		err  error
+		want bool
+	}{
+		{&WorkerHTTPError{Status: http.StatusInternalServerError}, true},
+		{&WorkerHTTPError{Status: http.StatusBadGateway}, true},
+		{&WorkerHTTPError{Status: http.StatusGatewayTimeout}, true},
+		{&WorkerHTTPError{Status: http.StatusTooManyRequests}, true},
+		// Deterministic replies: retrying re-fails identically.
+		{&WorkerHTTPError{Status: http.StatusBadRequest}, false},
+		{&WorkerHTTPError{Status: http.StatusNotFound}, false},
+		{&WorkerHTTPError{Status: http.StatusUnprocessableEntity}, false},
+		{nonRetryable(errors.New("placement mismatch")), false},
+		// Transport-level failures are transient by default.
+		{errors.New("connection refused"), true},
+		{fmt.Errorf("wrapped: %w", &WorkerHTTPError{Status: 503}), true},
+		{fmt.Errorf("wrapped: %w", nonRetryable(errors.New("x"))), false},
+	}
+	for _, tc := range cases {
+		if got := retryableErr(tc.err); got != tc.want {
+			t.Errorf("retryableErr(%v) = %v, want %v", tc.err, got, tc.want)
+		}
+	}
+}
+
+func TestClusterNewValidation(t *testing.T) {
+	if _, err := New(Config{}); err == nil {
+		t.Fatal("New with no workers succeeded")
+	}
+	if _, err := New(Config{Workers: []string{"http://w1", "http://w1"}}); err == nil {
+		t.Fatal("New with duplicate workers succeeded")
+	}
+	if _, err := New(Config{Workers: []string{"http://w1", ""}}); err == nil {
+		t.Fatal("New with empty worker URL succeeded")
+	}
+	c, err := New(Config{Workers: []string{"http://w1", "http://w2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(c.Health()); got != 2 {
+		t.Fatalf("fleet has %d workers, want 2", got)
 	}
 }

@@ -21,13 +21,13 @@ import (
 // The request carries the optimized plan TEXT (the coordinator has already
 // run the Theorem 2–5 rewriter; workers evaluate the plan verbatim, so every
 // worker runs the same plan and the merged answer is digest-identical to a
-// single-node evaluation of that plan) plus the ring parameters — the full
-// membership list, the replica count, and the receiver's own name. The
-// worker recomputes its owned wid set from those, which keeps requests O(1)
-// in log size and makes placement self-verifying: the response echoes the
-// owned-wid count, and a coordinator seeing a different count knows the
-// ring views diverged and treats the answer as a worker fault rather than
-// silently merging a mis-partitioned result.
+// single-node evaluation of that plan) plus the part's placement — the
+// closed wid interval to evaluate and the receiver's own name. The worker
+// evaluates the instances of its own copy of the log inside the interval,
+// which keeps requests O(1) in log size and makes placement self-verifying:
+// the response echoes how many instances that was, and a coordinator seeing
+// a different count knows the worker's copy diverged and treats the answer
+// as a worker fault rather than silently merging a mis-covered result.
 
 // WorkerQueryRequest is the POST /v1/worker/query body.
 type WorkerQueryRequest struct {
@@ -36,12 +36,14 @@ type WorkerQueryRequest struct {
 	Log string `json:"log"`
 	// Plan is the optimized pattern text, evaluated verbatim (no rewrite).
 	Plan string `json:"plan"`
-	// Ring is the full worker membership (names, i.e. base URLs); Replicas
-	// the virtual-node count; Self the receiving worker's own name. The
-	// worker evaluates exactly the wids NewRing(Ring, Replicas) assigns Self.
-	Ring     []string `json:"ring"`
-	Replicas int      `json:"replicas"`
-	Self     string   `json:"self"`
+	// WIDMin and WIDMax are the closed wid interval of the receiver's part.
+	// Both are required and WIDMin <= WIDMax: a worker refuses a request
+	// lacking either rather than reading it as "evaluate everything".
+	WIDMin *uint64 `json:"wid_min"`
+	WIDMax *uint64 `json:"wid_max"`
+	// Self is the receiving worker's own name (its base URL), echoed in the
+	// reply and stamped on its trace spans.
+	Self string `json:"self"`
 	// Strategy optionally overrides the join implementation ("merge"/"naive").
 	Strategy string `json:"strategy,omitempty"`
 	// Limit is the per-operator per-instance incident cap (0 = none).
@@ -103,8 +105,9 @@ type WorkerQueryResponse struct {
 type WorkerReplyHead struct {
 	// Worker echoes the Self the worker evaluated as.
 	Worker string `json:"worker"`
-	// WIDsOwned is how many wids the worker's ring view assigned it — the
-	// coordinator cross-checks this against its own assignment.
+	// WIDsOwned is how many instances of the worker's copy of the log lie
+	// inside the requested interval — the coordinator cross-checks this
+	// against its own part.
 	WIDsOwned int `json:"wids_owned"`
 	// Instances is the number of workflow instances actually evaluated.
 	Instances int `json:"instances"`

@@ -412,7 +412,8 @@ func TestFromSorted(t *testing.T) {
 }
 
 // TestMergeSortedIsNewSet: however canonical runs are cut out of a set —
-// disjoint ranges, interleaved wids, overlapping copies, empty runs — their
+// disjoint ranges (the precondition: they concatenate), interleaved wids or
+// overlapping copies (it is broken: the sort takes over), empty runs — their
 // merge is the set NewSet builds from all of them.
 func TestMergeSortedIsNewSet(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -428,7 +429,7 @@ func TestMergeSortedIsNewSet(t *testing.T) {
 			switch round % 3 {
 			case 0: // by wid range: the runs concatenate
 				runs[int(inc.WID())*k/9] = append(runs[int(inc.WID())*k/9], inc)
-			case 1: // by wid hash: the runs interleave
+			case 1: // by wid residue: the runs interleave
 				runs[int(inc.WID())%k] = append(runs[int(inc.WID())%k], inc)
 			default: // anywhere, sometimes twice: the runs overlap
 				for copies := 1 + rng.Intn(3)/2; copies > 0; copies-- {

@@ -26,71 +26,27 @@ func NewSet(incidents ...Incident) *Set {
 }
 
 // MergeSorted builds the union of runs that are each already in canonical
-// order and duplicate-free — a Set's Incidents, or the answers of the parts
-// of a partitioned evaluation — with a k-way merge instead of NewSet's sort:
-// runs that follow one another (the instances of one evaluation, range
-// shards) are concatenated after one Compare per run; interleaved ones (ring
-// placement) cost at most one Compare per incident plus one pass over the
-// run heads per stretch taken from a run. The runs are not modified.
+// order and duplicate-free and that follow one another — the instances of
+// one evaluation, the contiguous wid ranges of a partitioned one — by
+// concatenating them after one Compare per run. Runs that do not follow one
+// another are still merged correctly, by NewSet's sort. The runs are not
+// modified.
 func MergeSorted(runs ...[]Incident) *Set {
 	total := 0
-	inOrder := true // each run starts after the one before it ends
-	live := make([][]Incident, 0, len(runs))
 	for _, r := range runs {
-		if len(r) == 0 {
-			continue
-		}
-		if len(live) > 0 {
-			prev := live[len(live)-1]
-			inOrder = inOrder && prev[len(prev)-1].Compare(r[0]) < 0
-		}
-		live = append(live, r)
 		total += len(r)
 	}
 	out := make([]Incident, 0, total)
-	if inOrder {
-		for _, r := range live {
-			out = append(out, r...)
+	inOrder := true // each run starts after the one before it ends
+	for _, r := range runs {
+		if len(r) > 0 && len(out) > 0 {
+			inOrder = inOrder && out[len(out)-1].Compare(r[0]) < 0
 		}
-		return &Set{incidents: out, normalized: true}
+		out = append(out, r...)
 	}
-	for len(live) > 0 {
-		// lo is the run with the smallest head, bound the smallest head among
-		// the others: everything of lo below bound is next in canonical order.
-		lo := 0
-		for i := 1; i < len(live); i++ {
-			if live[i][0].Compare(live[lo][0]) < 0 {
-				lo = i
-			}
-		}
-		r := live[lo]
-		n := len(r) // how much of r to take: all of the last run standing
-		if len(live) > 1 {
-			bound := -1
-			for i := range live {
-				if i != lo && (bound < 0 || live[i][0].Compare(live[bound][0]) < 0) {
-					bound = i
-				}
-			}
-			n = 1
-			for n < len(r) && r[n].Compare(live[bound][0]) < 0 {
-				n++
-			}
-		}
-		// A head equal to the last incident written is the same incident in
-		// another run.
-		if len(out) > 0 && r[0].Compare(out[len(out)-1]) == 0 {
-			out = append(out, r[1:n]...)
-		} else {
-			out = append(out, r[:n]...)
-		}
-		if n < len(r) {
-			live[lo] = r[n:]
-		} else {
-			live = append(live[:lo], live[lo+1:]...)
-		}
-	}
-	return &Set{incidents: out, normalized: true}
+	s := &Set{incidents: out, normalized: inOrder}
+	s.Normalize()
+	return s
 }
 
 // Add appends incidents without normalizing (cheap during evaluation inner

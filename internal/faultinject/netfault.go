@@ -38,7 +38,7 @@ type FlakyRoundTripper struct {
 	// RerouteTo, when non-empty, redirects EVERY matching request to this
 	// base URL (scheme://host) instead of the original. It models a stale
 	// membership list / DNS pointing at the wrong node: the receiver answers
-	// as itself and the coordinator's ring cross-check must catch it.
+	// as itself, from its own copy of the log.
 	RerouteTo string
 }
 

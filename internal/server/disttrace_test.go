@@ -135,7 +135,7 @@ func TestClusterTraceStableAcrossRetry(t *testing.T) {
 	var flaky faultinject.FlakyRoundTripper
 	var victim string
 	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
-		victim = heaviestOwner(c.Workers)
+		victim = c.Workers[0]
 		flaky = faultinject.FlakyRoundTripper{Match: victim, FailOn: faultinject.OnNthCall(1)}
 		c.Transport = &flaky
 		c.MaxAttempts = 2
@@ -196,7 +196,7 @@ func TestClusterTraceHedgeSiblingSpans(t *testing.T) {
 	var flaky faultinject.FlakyRoundTripper
 	var victim string
 	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
-		victim = heaviestOwner(c.Workers)
+		victim = c.Workers[0]
 		flaky = faultinject.FlakyRoundTripper{Match: victim, BlackholeOn: faultinject.OnNthCall(1)}
 		c.Transport = &flaky
 		c.HedgeAfter = 10 * time.Millisecond
@@ -253,29 +253,14 @@ func TestClusterTraceHedgeSiblingSpans(t *testing.T) {
 	}
 }
 
-// TestClusterTraceRingMismatchExcluded: a stale worker (ring view disagrees
-// with the coordinator's) is excluded from the merge, but the trace survives
-// — same trace id, surviving workers' subtrees grafted, and the stale
-// worker's span annotated with the mismatch.
-func TestClusterTraceRingMismatchExcluded(t *testing.T) {
+// TestClusterTraceStaleWorkerExcluded: a stale worker (its copy of the log
+// is short of the coordinator's inside its interval) is excluded from the
+// merge, but the trace survives — same trace id, surviving workers' subtrees
+// grafted, and the stale worker's span annotated with the mismatch.
+func TestClusterTraceStaleWorkerExcluded(t *testing.T) {
 	fresh := chaosLog(t, 16, 2)
-	wids := make([]uint64, 16)
-	for i := range wids {
-		wids[i] = uint64(i + 1)
-	}
 	f := newClusterFixture(t, 2, "chaos", fresh, nil, nil)
-	ring := f.coord.Coordinator().Ring()
-	victimIdx, assigned := pickVictim(t, ring, wids)
-	staleSize := 0
-	for j := 1; j < 16; j++ {
-		if len(ring.OwnedWIDs(wids[:j], victimIdx)) != len(assigned) {
-			staleSize = j
-			break
-		}
-	}
-	if staleSize == 0 {
-		t.Fatal("fixture: no stale log size produces a detectable skew")
-	}
+	const victimIdx, staleSize = 1, 15
 	staleSrv := New(Config{WorkerMode: true, FlightRecorderSize: -1})
 	if err := staleSrv.AddLog("chaos", "builtin:stale", chaosLog(t, staleSize, 2)); err != nil {
 		t.Fatal(err)
@@ -316,10 +301,10 @@ func TestClusterTraceRingMismatchExcluded(t *testing.T) {
 	// The mismatch is named on the stale worker's span.
 	mismatched := findSpans(resp.Trace.Spans, func(sp *obs.Span) bool {
 		e, _ := sp.Attrs["error"].(string)
-		return strings.Contains(e, "ring mismatch")
+		return strings.Contains(e, "placement mismatch")
 	})
 	if len(mismatched) == 0 {
-		t.Fatal("no span names the ring mismatch")
+		t.Fatal("no span names the placement mismatch")
 	}
 }
 
@@ -359,8 +344,9 @@ func TestClusterWorkerTraceEndpoint(t *testing.T) {
 	s, _ := startWorker(t, "chaos", l)
 	h := s.Handler()
 	const self = "http://w1"
+	lo, hi := uint64(1), uint64(8)
 	base := cluster.WorkerQueryRequest{
-		Log: "chaos", Plan: "A -> B", Ring: []string{self, "http://w2"}, Replicas: 64,
+		Log: "chaos", Plan: "A -> B", WIDMin: &lo, WIDMax: &hi,
 		Self: self, Strategy: "naive", Trace: true,
 	}
 	post := func(t *testing.T, req cluster.WorkerQueryRequest, traceparent string) cluster.WorkerQueryResponse {
@@ -458,11 +444,7 @@ func TestClusterDegradedRunDoesNotFeedStats(t *testing.T) {
 		t.Fatalf("partial_results = %d after a complete run, want 0", got)
 	}
 
-	wids := make([]uint64, 16)
-	for i := range wids {
-		wids[i] = uint64(i + 1)
-	}
-	victim, _ := pickVictim(t, f.coord.Coordinator().Ring(), wids)
+	const victim = 1
 	f.workers[victim].CloseClientConnections()
 	f.workers[victim].Close()
 
@@ -485,7 +467,7 @@ func TestClusterFlightWorkerFilter(t *testing.T) {
 	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil); rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	contacted := heaviestOwner(f.urls)
+	contacted := f.urls[0]
 
 	var doc flightListDoc
 	getJSON(t, h, "/v1/queries?worker="+url.QueryEscape(contacted), &doc)
@@ -543,7 +525,7 @@ func TestClusterWorkerDurationHistogram(t *testing.T) {
 	h := f.coord.Handler()
 	postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil)
 
-	contacted := heaviestOwner(f.urls)
+	contacted := f.urls[0]
 	var total uint64
 	for _, wd := range f.coord.Coordinator().Durations() {
 		if len(wd.Buckets) != len(cluster.DurationBucketsUS)+1 {

@@ -323,10 +323,10 @@ func (s *Server) clusterMetrics() *clusterMetricsDoc {
 	}
 	if s.coord != nil {
 		doc.Stats = s.coord.Stats()
-		doc.Workers = len(s.coord.Ring().Workers())
 		doc.WorkersLost = s.coord.Lost()
 		doc.WorkerBreakersOpen = s.coord.OpenBreakers()
 		doc.WorkerHealth = s.coord.Health()
+		doc.Workers = len(doc.WorkerHealth)
 		doc.WorkerDurations = s.coord.Durations()
 	}
 	return doc

@@ -3,8 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"wlq/internal/cluster"
@@ -18,7 +18,7 @@ import (
 //	POST /v1/worker/query
 //
 // evaluating the coordinator's already-optimized plan verbatim against the
-// wids this worker's ring view assigns it, on its local backend. Workers do
+// wids of its local backend inside the interval the request names. Workers do
 // not rewrite, cache, record flights, or flush statistics for coordinator
 // traffic — the coordinator owns the query lifecycle; a worker is a remote
 // failure domain with an evaluator, deliberately as thin as an in-process
@@ -92,17 +92,21 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		meter = eval.NewMeter(p)
 	}
-	// Placement is self-derived: the ring parameters in the request rebuild
-	// the coordinator's ring bit-for-bit (FNV-1a, stable across processes),
-	// and this worker evaluates exactly the wids that ring assigns it. The
-	// response echoes the owned count so the coordinator can detect skew.
-	ring := cluster.NewRing(req.Ring, req.Replicas)
-	self := ring.WorkerIndex(req.Self)
-	if self < 0 {
-		fail(http.StatusBadRequest, errorDoc{Error: fmt.Sprintf("self %q not in ring membership", req.Self)})
+	// A request without its interval must not read as "evaluate everything".
+	if req.WIDMin == nil || req.WIDMax == nil || *req.WIDMin > *req.WIDMax {
+		fail(http.StatusBadRequest, errorDoc{Error: "worker request needs wid_min <= wid_max"})
 		return
 	}
-	owned := ring.OwnedWIDs(entry.ix.WIDs(), self)
+	// This worker's part is the slice of its own ascending wid list inside
+	// the interval. The response echoes the member count so the coordinator
+	// can tell a copy of the log that differs from its own.
+	wids := entry.ix.WIDs()
+	lo, _ := slices.BinarySearch(wids, *req.WIDMin)
+	hi, found := slices.BinarySearch(wids, *req.WIDMax)
+	if found {
+		hi++
+	}
+	owned := wids[lo:hi]
 	prep.SetAttr("wids_owned", len(owned))
 	prep.End()
 

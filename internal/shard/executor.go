@@ -32,9 +32,8 @@ type Config struct {
 type ShardOutcome struct {
 	// Shard is the shard id.
 	Shard int `json:"shard"`
-	// WIDMin/WIDMax bound the excluded wids: the whole interval for a range
-	// shard, the envelope of the scattered members for a ring part (see
-	// Ranges).
+	// WIDMin/WIDMax are the excluded closed wid interval: every instance of
+	// the log inside it is missing from the result, none outside it.
 	WIDMin uint64 `json:"wid_min"`
 	WIDMax uint64 `json:"wid_max"`
 	// WIDs is the number of workflow instances excluded.
@@ -50,47 +49,6 @@ type ShardOutcome struct {
 	// Worker names the remote node that owned the shard, for distributed
 	// execution (internal/cluster); empty for in-process shards.
 	Worker string `json:"worker,omitempty"`
-	// Ranges lists the exact excluded wid runs when the excluded set is
-	// scattered (hash placement) and the envelope alone would overstate the
-	// loss. Empty when WIDMin–WIDMax already is the exact interval.
-	Ranges []WIDRange `json:"wid_ranges,omitempty"`
-}
-
-// WIDRange is one contiguous run of workflow instance ids, inclusive.
-type WIDRange struct {
-	Min uint64 `json:"min"`
-	Max uint64 `json:"max"`
-}
-
-// MaxOutcomeRanges caps ShardOutcome.Ranges: past this many runs the exact
-// enumeration stops paying for itself in a completeness document, and the
-// envelope plus the wid count carries the information.
-const MaxOutcomeRanges = 64
-
-// RangesOf run-length-encodes an ascending wid slice into inclusive ranges.
-// It returns nil when the encoding would exceed MaxOutcomeRanges runs (the
-// caller falls back to the min/max envelope) or when the slice is a single
-// contiguous run already described by the envelope.
-func RangesOf(wids []uint64) []WIDRange {
-	if len(wids) == 0 {
-		return nil
-	}
-	ranges := []WIDRange{{Min: wids[0], Max: wids[0]}}
-	for _, wid := range wids[1:] {
-		last := &ranges[len(ranges)-1]
-		if wid == last.Max+1 {
-			last.Max = wid
-			continue
-		}
-		if len(ranges) == MaxOutcomeRanges {
-			return nil
-		}
-		ranges = append(ranges, WIDRange{Min: wid, Max: wid})
-	}
-	if len(ranges) == 1 {
-		return nil // the envelope is already exact
-	}
-	return ranges
 }
 
 // Completeness is the partial-result contract: exactly which slices of the

@@ -59,9 +59,7 @@ type Part struct {
 	// Shard is the wid set; its ID is reported as ShardOutcome.Shard.
 	Shard
 	// Worker names the remote node owning the part; empty for an in-process
-	// shard. A lost remote part reports its exact wid runs
-	// (ShardOutcome.Ranges): ring placement scatters wids, so the min/max
-	// envelope alone would overstate the loss.
+	// shard.
 	Worker string
 	// Breaker admits or refuses the part's attempts.
 	Breaker *Breaker
@@ -223,7 +221,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 			}
 		}
 		comp.ExcludedWIDs += len(p.WIDs)
-		out := ShardOutcome{
+		comp.Failures = append(comp.Failures, ShardOutcome{
 			Shard:    p.ID,
 			WIDMin:   p.MinWID,
 			WIDMax:   p.MaxWID,
@@ -232,11 +230,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 			Cause:    r.Err.Error(),
 			Skipped:  r.Skipped,
 			Worker:   p.Worker,
-		}
-		if p.Worker != "" {
-			out.Ranges = RangesOf(p.WIDs)
-		}
-		comp.Failures = append(comp.Failures, out)
+		})
 	}
 	comp.Complete = comp.Succeeded == comp.Shards
 	if stats != nil {
@@ -260,8 +254,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 		}
 		return nil, comp, firstErr
 	}
-	// Every part's answer is canonical on its own, so the union is a k-way
-	// merge, not a sort: range shards are disjoint and ascending and simply
-	// concatenate; hash and ring placement interleave wids and merge.
+	// Every part's answer is canonical on its own and parts are contiguous wid
+	// ranges in ascending order, so the union is a concatenation, not a sort.
 	return incident.MergeSorted(runs...), comp, nil
 }

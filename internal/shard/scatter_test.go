@@ -221,16 +221,13 @@ func TestShardScatter(t *testing.T) {
 						continue
 					}
 					wantComp.ExcludedWIDs += len(parts[i].WIDs)
-					// The excluded part is named: id, envelope, attempts, cause —
-					// and, for a remote part, its owner and exact wid runs.
+					// The excluded part is named: id, interval, attempts, cause —
+					// and, for a remote part, its owner.
 					f := comp.Failures[failures]
 					failures++
 					if f.Shard != i || f.WIDMin != parts[i].MinWID || f.WIDMax != parts[i].MaxWID || f.WIDs != len(parts[i].WIDs) ||
 						f.Attempts != w.attempts || f.Skipped != w.skipped || f.Cause != r.Err.Error() || f.Worker != parts[i].Worker {
 						t.Errorf("failure %+v does not describe part %d (%+v)", f, i, w)
-					}
-					if wantRanges := worker != "" && len(RangesOf(parts[i].WIDs)) > 0; (len(f.Ranges) > 0) != wantRanges {
-						t.Errorf("part %d: failure ranges %v (remote=%v, wids %v)", i, f.Ranges, worker != "", parts[i].WIDs)
 					}
 				}
 				wantComp.Complete = tc.complete
@@ -251,49 +248,6 @@ func TestShardScatter(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestShardScatterHashPartsMergeLikeOnePart: wids scattered over hash-placed
-// parts — what the cluster ring produces — interleave, and Merge's
-// normalization must restore the canonical order a single part produces.
-func TestShardScatterHashPartsMergeLikeOnePart(t *testing.T) {
-	wids := seqWIDs(40)
-	transportFor := func(parts []Part) Transport {
-		return func(_ context.Context, i, _ int) ([]incident.Incident, int, error) {
-			var incs []incident.Incident
-			for _, wid := range parts[i].WIDs {
-				incs = append(incs, incident.New(wid, 1, 3), incident.New(wid, 2, 3))
-			}
-			return incs, len(parts[i].WIDs), nil
-		}
-	}
-	run := func(n int) *incident.Set {
-		sc := &Scatter{RetryPolicy: RetryPolicy{}.WithDefaults(1), Retryable: Retryable}
-		placed := make([][]uint64, n)
-		for _, wid := range wids {
-			i := HashWID(wid) % uint64(n)
-			placed[i] = append(placed[i], wid)
-		}
-		var parts []Part
-		for _, b := range placed {
-			if len(b) > 0 {
-				sh := Shard{ID: len(parts), WIDs: b, MinWID: b[0], MaxWID: b[len(b)-1]}
-				parts = append(parts, Part{Shard: sh, Breaker: NewBreaker(0, 0)})
-			}
-		}
-		ctx := context.Background()
-		set, comp, err := Merge(ctx, parts, sc.Gather(ctx, parts, transportFor(parts)), nil)
-		if err != nil || !comp.Complete || comp.Shards != len(parts) {
-			t.Fatalf("%d parts: err=%v completeness=%+v", n, err, comp)
-		}
-		return set
-	}
-	one := run(1)
-	for _, n := range []int{3, 7} {
-		if hashed := run(n); !hashed.Equal(one) || hashed.String() != one.String() {
-			t.Errorf("%d hash-placed parts merge to a different set than one part", n)
 		}
 	}
 }

@@ -40,9 +40,8 @@ type Shard struct {
 	ID int
 	// WIDs are the member instance ids, ascending.
 	WIDs []uint64
-	// MinWID and MaxWID bound the members. A shard of Partition owns the
-	// whole interval; for the scattered members of a cluster ring's part the
-	// interval is only an envelope.
+	// MinWID and MaxWID bound the members: the shard owns every instance of
+	// the log inside the closed interval.
 	MinWID, MaxWID uint64
 }
 
@@ -55,23 +54,6 @@ func (s Shard) RangeString() string {
 		return fmt.Sprintf("wid %d", s.MinWID)
 	}
 	return fmt.Sprintf("wids %d–%d", s.MinWID, s.MaxWID)
-}
-
-// HashWID is FNV-1a over the wid's little-endian bytes. Deliberately not
-// maphash: placement must be stable across processes, so operators can
-// correlate a shard id (and its excluded wids) across restarts and replicas,
-// and the cluster ring's coordinator and workers agree on who owns a wid.
-func HashWID(wid uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < 8; i++ {
-		h ^= wid >> (8 * i) & 0xff
-		h *= prime64
-	}
-	return h
 }
 
 // Partition splits wids into at most n shards of contiguous wid ranges;

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 )
@@ -118,35 +117,5 @@ func TestShardRangeString(t *testing.T) {
 		if got := c.sh.RangeString(); got != c.want {
 			t.Errorf("RangeString() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestRangesOf(t *testing.T) {
-	cases := []struct {
-		name string
-		wids []uint64
-		want []WIDRange
-	}{
-		{"empty", nil, nil},
-		{"single contiguous run is the envelope", []uint64{3, 4, 5, 6}, nil},
-		{"single wid", []uint64{9}, nil},
-		{"two runs", []uint64{1, 2, 5, 6, 7},
-			[]WIDRange{{Min: 1, Max: 2}, {Min: 5, Max: 7}}},
-		{"scattered", []uint64{1, 3, 5},
-			[]WIDRange{{Min: 1, Max: 1}, {Min: 3, Max: 3}, {Min: 5, Max: 5}}},
-	}
-	for _, tc := range cases {
-		if got := RangesOf(tc.wids); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: RangesOf(%v) = %v, want %v", tc.name, tc.wids, got, tc.want)
-		}
-	}
-	// Past MaxOutcomeRanges runs the exact encoding stops paying for itself:
-	// fall back to the envelope (nil).
-	var sparse []uint64
-	for i := 0; i < MaxOutcomeRanges+1; i++ {
-		sparse = append(sparse, uint64(i*2))
-	}
-	if got := RangesOf(sparse); got != nil {
-		t.Errorf("RangesOf(%d runs) = %d ranges, want nil", len(sparse), len(got))
 	}
 }

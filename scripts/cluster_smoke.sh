@@ -82,6 +82,8 @@ pids+=($!)
 for port in "$W1_PORT" "$W2_PORT" "$W3_PORT" "$COORD_PORT" "$SINGLE_PORT"; do
   wait_ready "http://127.0.0.1:$port"
 done
+grep -q "coordinating 3 workers (range placement)" "$workdir/coordinator.log" \
+  || die "coordinator startup line does not report the fleet and its placement: $(cat "$workdir/coordinator.log")"
 
 say "healthy fleet: answer must match the single-node reference"
 code=$(post "http://127.0.0.1:$SINGLE_PORT" "$workdir/single.json")
@@ -106,8 +108,14 @@ fails = comp.get("failures") or sys.exit("no failures named")
 victim = sys.argv[2]
 assert any(f.get("worker") == victim for f in fails), f"victim {victim} not named in {fails}"
 assert comp["excluded_wids"] > 0, "no wids reported excluded"
+# Range placement: a lost worker is one exact closed interval, no run list.
+for f in fails:
+    assert f["wid_min"] <= f["wid_max"], f"inverted interval in {f}"
+    assert "wid_ranges" not in f, f"failure still carries wid_ranges: {f}"
+covered, excluded = sum(f["wids"] for f in fails), comp["excluded_wids"]
+assert covered == excluded, f"failures cover {covered} wids, excluded_wids says {excluded}"
 ' "$workdir/degraded.json" "http://127.0.0.1:$W2_PORT"
-say "degraded 206 names the lost worker and its wid ranges"
+say "degraded 206 names the lost worker and its exact wid interval"
 
 say "flight capture of the kill must carry stitched spans from the survivors"
 curl -fsS "http://127.0.0.1:$COORD_PORT/v1/queries?status=partial&worker=http://127.0.0.1:$W2_PORT" \
