@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race cover loc bench cluster-smoke ingest-smoke experiments examples fuzz clean
+.PHONY: all build vet test test-race cover loc unreached bench cluster-smoke ingest-smoke experiments examples fuzz clean
 
 all: build vet test
 
@@ -31,6 +31,13 @@ loc:
 		n=$$(cat $$files | grep -vcE '^[[:space:]]*(//.*)?$$'); \
 		printf '%-28s %6d\n' .$${d#$(CURDIR)} $$n; total=$$((total+n)); \
 	done; printf '%-28s %6d\n' total $$total
+
+# Package-level declarations no binary can reach (roots: every main and init,
+# the root package's exported API and the methods of the types it aliases;
+# tests are not roots). Prints one line per finding and fails on any; the
+# script's allow-list names what stays for the tests' sake, with the reason.
+unreached:
+	$(GO) run scripts/unreached.go
 
 # The testing.B series (one family per paper artifact; see bench_test.go).
 bench:

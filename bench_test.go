@@ -40,7 +40,7 @@ func BenchmarkConsecutiveScaling(b *testing.B) {
 		l := gen.Alternating([]string{"A", "B"}, rounds)
 		ix := eval.NewIndex(l)
 		p := pattern.MustParse("A . B")
-		b.Run("n="+gen.SeqString(rounds), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", rounds), func(b *testing.B) {
 			evalN(b, ix, p, eval.StrategyNaive)
 		})
 	}
@@ -53,7 +53,7 @@ func BenchmarkSequentialScaling(b *testing.B) {
 		l := gen.Blocks("A", n, "B", n)
 		ix := eval.NewIndex(l)
 		p := pattern.MustParse("A -> B")
-		b.Run("n="+gen.SeqString(n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			evalN(b, ix, p, eval.StrategyNaive)
 		})
 	}
@@ -79,7 +79,7 @@ func BenchmarkParallelScaling(b *testing.B) {
 		l := gen.Blocks("A", n, "B", n)
 		ix := eval.NewIndex(l)
 		p := pattern.MustParse("A & B")
-		b.Run("n="+gen.SeqString(n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			evalN(b, ix, p, eval.StrategyNaive)
 		})
 	}

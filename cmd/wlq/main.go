@@ -53,7 +53,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		groupScope  = fs.String("group-scope", "incident", "attribute lookup scope for -group-by: incident or instance")
 		naive       = fs.Bool("naive", false, "use the paper's verbatim Algorithm 1 joins")
 		noOpt       = fs.Bool("no-optimize", false, "disable the Theorem 2-5 query optimizer")
-		limit       = fs.Int("limit", 0, "best-effort cap on incidents per operator per instance (0 = unlimited)")
 		maxComp     = fs.Uint64("max-comparisons", 0, "abort a query after this many record comparisons (0 = unlimited)")
 		timeout     = fs.Duration("timeout", 0, "abort a query after this much wall time, e.g. 5s (0 = unlimited)")
 		trace       = fs.Bool("trace", false, "print the execution trace (span tree and Lemma 1 cost table) to stderr")
@@ -112,9 +111,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 	}
 	if *noOpt {
 		opts = append(opts, wlq.WithoutOptimizer())
-	}
-	if *limit > 0 {
-		opts = append(opts, wlq.WithLimit(*limit))
 	}
 	if b := (wlq.Budget{MaxComparisons: *maxComp, MaxWallTime: *timeout}); !b.IsZero() {
 		opts = append(opts, wlq.WithBudget(b))

@@ -97,14 +97,6 @@ func TestStrategiesAgreeViaCLI(t *testing.T) {
 	}
 }
 
-func TestLimitFlag(t *testing.T) {
-	full := runOK(t, "-log", "clinic:10:3", "-q", "!X & !Y", "-count")
-	limited := runOK(t, "-log", "clinic:10:3", "-q", "!X & !Y", "-count", "-limit", "2")
-	if full == limited {
-		t.Errorf("limit had no effect: %q vs %q", full, limited)
-	}
-}
-
 func TestFileLoading(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log.jsonl")
@@ -140,6 +132,10 @@ func TestErrorPaths(t *testing.T) {
 	}
 	for _, args := range tests {
 		runErr(t, args...)
+	}
+	// There is no per-operator cap: the budget flags are the bounds.
+	if err := runErr(t, "-log", "fig3", "-q", "A", "-limit", "1"); !strings.Contains(err.Error(), "-limit") {
+		t.Errorf("-limit: %v, want an unknown-flag error naming it", err)
 	}
 }
 

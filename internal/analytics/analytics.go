@@ -83,16 +83,6 @@ func GroupBy(set *incident.Set, key KeyFunc) *Report {
 	return r
 }
 
-// CountByInstance returns, per workflow instance id, how many incidents the
-// set contains for it.
-func CountByInstance(set *incident.Set) map[uint64]int {
-	out := make(map[uint64]int)
-	for _, inc := range set.Incidents() {
-		out[inc.WID()]++
-	}
-	return out
-}
-
 // DistinctInstances counts the workflow instances with at least one
 // incident — the paper's "how many students …" reading, where each
 // instance is one student's referral.
@@ -141,41 +131,6 @@ func ByInstanceAttr(ix eval.Source, attr string) KeyFunc {
 	}
 }
 
-// ByActivityOf returns a KeyFunc keyed on the activity name of the
-// incident's i-th record (0-based, in is-lsn order).
-func ByActivityOf(ix eval.Source, i int) KeyFunc {
-	return func(inc incident.Incident) (string, bool) {
-		seqs := inc.Seqs()
-		if i < 0 || i >= len(seqs) {
-			return "", false
-		}
-		rec, ok := ix.Record(inc.WID(), seqs[i])
-		if !ok {
-			return "", false
-		}
-		return rec.Activity, true
-	}
-}
-
-// Span returns the is-lsn distance last(o) - first(o) of an incident: a
-// simple duration proxy in a model without timestamps.
-func Span(inc incident.Incident) uint64 {
-	return inc.Last() - inc.First()
-}
-
-// MeanSpan returns the average span across the set (0 for an empty set).
-func MeanSpan(set *incident.Set) float64 {
-	n := set.Len()
-	if n == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, inc := range set.Incidents() {
-		total += float64(Span(inc))
-	}
-	return total / float64(n)
-}
-
 // Records materializes an incident back into its log records, in is-lsn
 // order, for display.
 func Records(ix eval.Source, inc incident.Incident) []wlog.Record {
@@ -186,17 +141,4 @@ func Records(ix eval.Source, inc incident.Incident) []wlog.Record {
 		}
 	}
 	return out
-}
-
-// WithinSpan returns the subset of incidents whose is-lsn span
-// (last - first) is at most maxSpan — a "within N steps" window over the
-// paper's purely ordinal time model.
-func WithinSpan(set *incident.Set, maxSpan uint64) *incident.Set {
-	var kept []incident.Incident
-	for _, inc := range set.Incidents() {
-		if Span(inc) <= maxSpan {
-			kept = append(kept, inc)
-		}
-	}
-	return incident.NewSet(kept...)
 }

@@ -93,46 +93,12 @@ func TestGroupByExcludesKeylessIncidents(t *testing.T) {
 	}
 }
 
-func TestCountByInstanceAndDistinct(t *testing.T) {
+func TestDistinctInstances(t *testing.T) {
 	set := incident.NewSet(
 		incident.New(1, 2), incident.New(1, 4), incident.New(3, 2),
 	)
-	counts := CountByInstance(set)
-	if counts[1] != 2 || counts[3] != 1 || len(counts) != 2 {
-		t.Errorf("CountByInstance = %v", counts)
-	}
 	if got := DistinctInstances(set); got != 2 {
 		t.Errorf("DistinctInstances = %d, want 2", got)
-	}
-}
-
-func TestByActivityOf(t *testing.T) {
-	ix := eval.NewIndex(clinic.Fig3())
-	set := eval.EvalSet(ix, pattern.MustParse("SeeDoctor . PayTreatment"))
-	first := GroupBy(set, ByActivityOf(ix, 0))
-	if first.Count("SeeDoctor") != set.Len() {
-		t.Errorf("first-record activities = %s", first)
-	}
-	second := GroupBy(set, ByActivityOf(ix, 1))
-	if second.Count("PayTreatment") != set.Len() {
-		t.Errorf("second-record activities = %s", second)
-	}
-	outOfRange := GroupBy(set, ByActivityOf(ix, 5))
-	if outOfRange.Total() != 0 {
-		t.Errorf("out-of-range index grouped: %s", outOfRange)
-	}
-}
-
-func TestSpanAndMeanSpan(t *testing.T) {
-	if Span(incident.New(1, 3, 9)) != 6 {
-		t.Errorf("Span = %d", Span(incident.New(1, 3, 9)))
-	}
-	set := incident.NewSet(incident.New(1, 1, 3), incident.New(1, 2, 8))
-	if got := MeanSpan(set); got != 4 {
-		t.Errorf("MeanSpan = %g, want 4", got)
-	}
-	if got := MeanSpan(incident.NewSet()); got != 0 {
-		t.Errorf("MeanSpan(empty) = %g", got)
 	}
 }
 
@@ -171,24 +137,5 @@ func TestClinicAnomalyReport(t *testing.T) {
 		if !strings.Contains(key, "Hospital") {
 			t.Errorf("unexpected hospital key %q", key)
 		}
-	}
-}
-
-func TestWithinSpan(t *testing.T) {
-	set := incident.NewSet(
-		incident.New(1, 2, 3), // span 1
-		incident.New(1, 2, 9), // span 7
-		incident.New(2, 4),    // span 0
-	)
-	got := WithinSpan(set, 1)
-	want := incident.NewSet(incident.New(1, 2, 3), incident.New(2, 4))
-	if !got.Equal(want) {
-		t.Errorf("WithinSpan = %s, want %s", got, want)
-	}
-	if WithinSpan(set, 0).Len() != 1 {
-		t.Errorf("WithinSpan(0) = %s", WithinSpan(set, 0))
-	}
-	if !WithinSpan(set, 100).Equal(set) {
-		t.Error("WithinSpan(100) should keep everything")
 	}
 }

@@ -91,29 +91,3 @@ func Durations(ix eval.Source, set *incident.Set) DurationStats {
 	}
 	return st
 }
-
-// ByDurationBucket returns a KeyFunc grouping incidents by their duration,
-// bucketed to multiples of the given width (e.g. time.Hour buckets "2h0m0s
-// ≤ d < 3h0m0s" under key "2h0m0s"). Incidents without timestamps are
-// excluded.
-func ByDurationBucket(ix eval.Source, width time.Duration) KeyFunc {
-	return func(inc incident.Incident) (string, bool) {
-		d, ok := Duration(ix, inc)
-		if !ok || width <= 0 {
-			return "", false
-		}
-		return d.Truncate(width).String(), true
-	}
-}
-
-// WithinDuration returns the subset of incidents whose wall-clock span is
-// at most max. Incidents without usable timestamps are excluded.
-func WithinDuration(ix eval.Source, set *incident.Set, max time.Duration) *incident.Set {
-	var kept []incident.Incident
-	for _, inc := range set.Incidents() {
-		if d, ok := Duration(ix, inc); ok && d <= max {
-			kept = append(kept, inc)
-		}
-	}
-	return incident.NewSet(kept...)
-}

@@ -86,12 +86,6 @@ func TestDurationsOnStampedLog(t *testing.T) {
 	if st.Min < 0 || st.Mean <= 0 || st.Max < st.Mean || st.Mean < st.Min {
 		t.Errorf("implausible stats: %+v", st)
 	}
-
-	// Bucketing groups every counted incident.
-	report := GroupBy(set, ByDurationBucket(ix, time.Hour))
-	if report.Total() != st.Counted {
-		t.Errorf("bucket total %d != counted %d", report.Total(), st.Counted)
-	}
 }
 
 func TestDurationsWithoutTimestamps(t *testing.T) {
@@ -134,27 +128,5 @@ func TestDurationsLargeSumNoOverflow(t *testing.T) {
 	}
 	if st.Mean <= 0 {
 		t.Errorf("century span came out non-positive: %v", st.Mean)
-	}
-}
-
-func TestWithinDuration(t *testing.T) {
-	l := stampedLog(t)
-	ix := eval.NewIndex(l)
-	set := eval.EvalSet(ix, pattern.MustParse("GetRefer -> GetReimburse"))
-	st := Durations(ix, set)
-	fast := WithinDuration(ix, set, st.Mean)
-	if fast.Len() == 0 || fast.Len() >= set.Len() {
-		t.Errorf("WithinDuration(mean) kept %d of %d", fast.Len(), set.Len())
-	}
-	for _, inc := range fast.Incidents() {
-		if d, ok := Duration(ix, inc); !ok || d > st.Mean {
-			t.Errorf("incident %s exceeds the cutoff", inc)
-		}
-	}
-	// Unstamped incidents are excluded, not kept.
-	plain := eval.NewIndex(clinic.Fig3())
-	unstamped := eval.EvalSet(plain, pattern.MustParse("SeeDoctor"))
-	if got := WithinDuration(plain, unstamped, time.Hour); got.Len() != 0 {
-		t.Errorf("unstamped incidents kept: %s", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wlq/internal/clinic"
-	"wlq/internal/enact"
 	"wlq/internal/wlog"
 )
 
@@ -34,15 +33,27 @@ func TestProfileFig3(t *testing.T) {
 }
 
 func TestProfileSerialLog(t *testing.T) {
-	l, err := enact.RunTraces([]string{"A"}, []string{"B"})
-	if err != nil {
-		t.Fatal(err)
+	// Two one-activity instances, interleaved round-robin.
+	var b wlog.Builder
+	w1, w2 := b.Start(), b.Start()
+	for _, step := range []struct {
+		wid uint64
+		act string
+	}{{w1, "A"}, {w2, "B"}} {
+		if err := b.Emit(step.wid, step.act, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p := ProfileLog(l)
+	for _, wid := range []uint64{w1, w2} {
+		if err := b.End(wid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p := ProfileLog(b.MustBuild())
 	if p.Completed != 2 {
 		t.Errorf("Completed = %d", p.Completed)
 	}
-	// RunTraces interleaves round-robin, so switches are high.
+	// Every record switches instance.
 	if p.Switches == 0 {
 		t.Error("round-robin log reported as serial")
 	}

@@ -180,32 +180,3 @@ func Align(rows [][]string) string {
 	}
 	return sb.String()
 }
-
-// Comparison is a two-series table (e.g. naive vs merge) over shared xs.
-type Comparison struct {
-	Name   string
-	XLabel string
-	ALabel string
-	BLabel string
-	Xs     []float64
-	ATimes []time.Duration
-	BTimes []time.Duration
-}
-
-// Table renders the comparison with a speedup column.
-func (c Comparison) Table() string {
-	rows := [][]string{{c.XLabel, c.ALabel, c.BLabel, "speedup"}}
-	for i, x := range c.Xs {
-		speedup := "-"
-		if i < len(c.ATimes) && i < len(c.BTimes) && c.BTimes[i] > 0 {
-			speedup = fmt.Sprintf("%.2fx", float64(c.ATimes[i])/float64(c.BTimes[i]))
-		}
-		rows = append(rows, []string{
-			formatX(x), c.ATimes[i].String(), c.BTimes[i].String(), speedup,
-		})
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "== %s ==\n", c.Name)
-	sb.WriteString(Align(rows))
-	return sb.String()
-}

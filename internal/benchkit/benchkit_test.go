@@ -105,22 +105,6 @@ func TestAlign(t *testing.T) {
 	}
 }
 
-func TestComparisonTable(t *testing.T) {
-	c := Comparison{
-		Name: "naive vs merge", XLabel: "n",
-		ALabel: "naive", BLabel: "merge",
-		Xs:     []float64{100},
-		ATimes: []time.Duration{10 * time.Millisecond},
-		BTimes: []time.Duration{2 * time.Millisecond},
-	}
-	got := c.Table()
-	for _, want := range []string{"naive vs merge", "5.00x", "10ms", "2ms"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("Comparison.Table missing %q:\n%s", want, got)
-		}
-	}
-}
-
 func TestFormatX(t *testing.T) {
 	if formatX(100) != "100" {
 		t.Errorf("formatX(100) = %q", formatX(100))

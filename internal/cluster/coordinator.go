@@ -283,8 +283,6 @@ type ExecOptions struct {
 	WIDs []uint64
 	// Strategy optionally names the join implementation for the workers.
 	Strategy string
-	// Limit is the per-operator per-instance incident cap.
-	Limit int
 	// Budget is the whole query's budget; it is sliced per active worker.
 	Budget resilience.Budget
 }
@@ -339,7 +337,6 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 		Log:      logName,
 		Plan:     plan.String(),
 		Strategy: opts.Strategy,
-		Limit:    opts.Limit,
 		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
 	}
 	if traceID != "" {

@@ -230,7 +230,8 @@ func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
 
 // TestClusterWorkerRequestCarriesTheInterval: the wire names a part by its
 // closed interval — over a gapped numbering, the part's own first and last
-// member — and by nothing else: no membership list, no replica count.
+// member — and by nothing else: no membership list, no replica count, no
+// per-operator cap.
 func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 	wids := []uint64{3, 4, 9, 20, 21}
 	var mu sync.Mutex
@@ -259,7 +260,7 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 		if b["wid_min"] != want[0] || b["wid_max"] != want[1] {
 			t.Errorf("%s asked for %v–%v, want %v–%v", worker, b["wid_min"], b["wid_max"], want[0], want[1])
 		}
-		for _, gone := range []string{"ring", "replicas"} {
+		for _, gone := range []string{"ring", "replicas", "limit"} {
 			if _, ok := b[gone]; ok {
 				t.Errorf("%s request still carries %q", worker, gone)
 			}

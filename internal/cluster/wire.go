@@ -46,8 +46,6 @@ type WorkerQueryRequest struct {
 	Self string `json:"self"`
 	// Strategy optionally overrides the join implementation ("merge"/"naive").
 	Strategy string `json:"strategy,omitempty"`
-	// Limit is the per-operator per-instance incident cap (0 = none).
-	Limit int `json:"limit,omitempty"`
 	// Budget is this worker's slice of the query budget.
 	Budget BudgetDoc `json:"budget,omitempty"`
 	// Trace asks the worker to run its evaluation under an obs.Trace and

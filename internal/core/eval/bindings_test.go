@@ -81,8 +81,8 @@ func TestBindingsAgreeWithVerify(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		l := b.MustBuild()
-		e := New(NewIndex(l), Options{})
+		ix := NewIndex(b.MustBuild())
+		e := New(ix, Options{})
 		p := randomPattern(rng, 3, alphabet)
 		for _, inc := range e.Eval(p).Incidents() {
 			bindings, ok := e.Bindings(p, inc)
@@ -106,7 +106,7 @@ func TestBindingsAgreeWithVerify(t *testing.T) {
 			// Every bound atom must individually match its record.
 			atoms := pattern.Atoms(p)
 			for idx, seq := range bindings {
-				rec, ok := e.Source().Record(inc.WID(), seq)
+				rec, ok := ix.Record(inc.WID(), seq)
 				if !ok {
 					t.Fatalf("trial %d: bound record missing", trial)
 				}

@@ -20,17 +20,26 @@ func (e *Evaluator) Count(p pattern.Node) int {
 	return must(e.CountCtx(context.Background(), p))
 }
 
-// CountCtx is Count under ctx, Options.Budget and panic isolation. Those
-// guard the evaluating fallback; the arithmetic fast path produces no
-// incident for a budget to bound and does O(n log n) work per instance.
+// CountCtx is Count under ctx, Options.Budget and panic isolation, all three
+// through scan on the evaluating fallback. The arithmetic fast path produces
+// no incident and tallies no comparison for a budget to bound (O(n log n)
+// work per instance), so it checks ctx and, of the budget, wall time — once
+// per instance, as scan does.
 func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
 	if b, ok := p.(*pattern.Binary); ok {
 		la, lok := b.Left.(*pattern.Atom)
 		ra, rok := b.Right.(*pattern.Atom)
-		if lok && rok && e.opts.Limit == 0 {
+		if lok && rok {
 			l, r := e.leaf(la), e.leaf(ra)
+			bs := newBudgetState(e.opts.Budget)
 			total := 0
 			for _, wid := range e.src.WIDs() {
+				if err := ctx.Err(); err != nil {
+					return 0, err
+				}
+				if err := bs.wallTimeErr(); err != nil {
+					return 0, err
+				}
 				total += countAtomicPair(b.Op, e.atomSeqs(&l, wid), e.atomSeqs(&r, wid))
 			}
 			return total, nil

@@ -1,11 +1,15 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
 	"wlq/internal/core/pattern"
 	"wlq/internal/gen"
+	"wlq/internal/resilience"
 	"wlq/internal/wlog"
 )
 
@@ -76,18 +80,33 @@ func TestCountFallsBackForComposites(t *testing.T) {
 	}
 }
 
-func TestCountRespectsLimitFallback(t *testing.T) {
-	// With a Limit, Count must reflect the capped evaluation, not the
-	// arithmetic total.
-	acts := make([]string, 30)
-	for i := range acts {
-		acts[i] = "A"
+// TestCountFastPathIsGuarded: the two-atom arithmetic path checks ctx and
+// the wall-time budget once per instance, like every other entry point.
+func TestCountFastPathIsGuarded(t *testing.T) {
+	ix := NewIndex(buildLog(t, []string{"A", "B"}, []string{"A", "B"}))
+	p := pattern.MustParse("A -> B")
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if n, err := New(ix, Options{}).CountCtx(ctx, p); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled ctx: CountCtx = %d, %v; want context.Canceled", n, err)
 	}
-	l := buildLog(t, acts)
-	e := New(NewIndex(l), Options{Limit: 5})
-	p := pattern.MustParse("A -> A")
-	if got := e.Count(p); got > 5 {
-		t.Errorf("limited Count = %d, want ≤ 5", got)
+
+	// The clock jumps an hour after the budget state reads its start time.
+	base := time.Date(2026, 8, 6, 9, 0, 0, 0, time.UTC)
+	calls := 0
+	resilience.SetClock(func() time.Time {
+		calls++
+		if calls == 1 {
+			return base
+		}
+		return base.Add(time.Hour)
+	})
+	defer resilience.SetClock(nil)
+	e := New(ix, Options{Budget: resilience.Budget{MaxWallTime: time.Second}})
+	var be *resilience.BudgetError
+	if n, err := e.CountCtx(context.Background(), p); !errors.As(err, &be) || be.Dimension != resilience.DimWallTime {
+		t.Errorf("expired wall time: CountCtx = %d, %v; want wall-time budget error", n, err)
 	}
 }
 

@@ -74,7 +74,7 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node) {
 					t.Fatalf("%s/%v: CountCtx(%s) = %d, %v; Count = %d; oracle has %d", name, strat, p, n, err, e.Count(p), want.Len())
 				}
 				ex, err := e.ExistsCtx(ctx, p)
-				if err != nil || ex != (want.Len() > 0) || e.Exists(p) != ex || e.ExistsParallel(p, 4) != ex {
+				if err != nil || ex != (want.Len() > 0) || e.Exists(p) != ex {
 					t.Fatalf("%s/%v: ExistsCtx(%s) = %v, %v; oracle has %d", name, strat, p, ex, err, want.Len())
 				}
 			}

@@ -40,10 +40,6 @@ type Options struct {
 	// Strategy selects the join implementation; the zero value means
 	// StrategyMerge (the better default; benchmarks opt into naive).
 	Strategy Strategy
-	// Limit, when positive, caps (best effort) the number of incidents each
-	// operator produces per workflow instance. It is a safety valve against
-	// the O(m^k) worst case of Theorem 1, not an exact top-k.
-	Limit int
 	// Meter, when non-nil, attributes measured comparison work and the
 	// Lemma 1 predicted bounds to the nodes of the evaluated plan. It must
 	// be built (NewMeter) over the same pattern tree passed to Eval — nodes
@@ -79,9 +75,6 @@ func New(src Source, opts Options) *Evaluator {
 	sym, _ := src.(SymbolicSource)
 	return &Evaluator{src: src, sym: sym, opts: opts}
 }
-
-// Source returns the evaluator's backend.
-func (e *Evaluator) Source() Source { return e.src }
 
 // Eval computes incL(p): every incident of the pattern in the log.
 func (e *Evaluator) Eval(p pattern.Node) *incident.Set {
@@ -227,24 +220,24 @@ func (e *Evaluator) applyOp(op pattern.Op, left, right []incident.Incident, cnt 
 	switch op {
 	case pattern.OpConsecutive:
 		if naive {
-			return naiveConsecutive(left, right, e.opts.Limit, cnt)
+			return naiveConsecutive(left, right, cnt)
 		}
-		return mergeConsecutive(left, right, e.opts.Limit, cnt)
+		return mergeConsecutive(left, right, cnt)
 	case pattern.OpSequential:
 		if naive {
-			return naiveSequential(left, right, e.opts.Limit, cnt)
+			return naiveSequential(left, right, cnt)
 		}
-		return mergeSequential(left, right, e.opts.Limit, cnt)
+		return mergeSequential(left, right, cnt)
 	case pattern.OpChoice:
 		if naive {
-			return naiveChoice(left, right, e.opts.Limit, cnt)
+			return naiveChoice(left, right, cnt)
 		}
-		return mergeChoice(left, right, e.opts.Limit, cnt)
+		return mergeChoice(left, right, cnt)
 	case pattern.OpParallel:
 		if naive {
-			return naiveParallel(left, right, e.opts.Limit, cnt)
+			return naiveParallel(left, right, cnt)
 		}
-		return mergeParallel(left, right, e.opts.Limit, cnt)
+		return mergeParallel(left, right, cnt)
 	default:
 		panic(fmt.Sprintf("eval: unknown operator %v", op))
 	}
@@ -294,9 +287,6 @@ func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
 			}
 		}
 		out = append(out, incident.Singleton(wid, s))
-		if limited(out, e.opts.Limit) {
-			break
-		}
 	}
 	st.nm.recordAtom(len(seqs), len(out))
 	return out

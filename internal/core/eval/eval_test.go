@@ -243,24 +243,6 @@ func TestEvalInstance(t *testing.T) {
 	wantSet(t, got, incident.New(2, 2, 3))
 }
 
-func TestLimitCapsResults(t *testing.T) {
-	// Pattern !Z & !Z on a longer instance explodes quadratically; Limit
-	// keeps the result bounded.
-	acts := make([]string, 30)
-	for i := range acts {
-		acts[i] = "A"
-	}
-	l := buildLog(t, acts)
-	ix := NewIndex(l)
-	for _, s := range []Strategy{StrategyNaive, StrategyMerge} {
-		e := New(ix, Options{Strategy: s, Limit: 10})
-		got := e.Eval(pattern.MustParse("!Z & !Z"))
-		if got.Len() == 0 || got.Len() > 10 {
-			t.Errorf("%v: Len = %d, want 1..10", s, got.Len())
-		}
-	}
-}
-
 func TestEvalSetConvenience(t *testing.T) {
 	got := EvalSet(NewIndex(abab(t)), pattern.MustParse("A . B"))
 	wantSet(t, got, incident.New(1, 2, 3), incident.New(1, 4, 5))

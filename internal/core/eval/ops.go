@@ -54,16 +54,13 @@ func minLen(o1, o2 incident.Incident) uint64 {
 
 // naiveConsecutive is CONSECUTIVE-EVAL of Algorithm 1: all pairs (o1, o2)
 // with last(o1)+1 = first(o2).
-func naiveConsecutive(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func naiveConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(1)
 			if o1.Last()+1 == o2.First() {
 				out = append(out, o1.Concat(o2))
-				if limited(out, limit) {
-					return normalize(out)
-				}
 			}
 		}
 	}
@@ -72,16 +69,13 @@ func naiveConsecutive(inc1, inc2 []incident.Incident, limit int, cnt *opCount) [
 
 // naiveSequential is SEQUENTIAL-EVAL of Algorithm 1: all pairs (o1, o2)
 // with last(o1) < first(o2).
-func naiveSequential(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func naiveSequential(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(1)
 			if o1.Last() < o2.First() {
 				out = append(out, o1.Concat(o2))
-				if limited(out, limit) {
-					return normalize(out)
-				}
 			}
 		}
 	}
@@ -92,7 +86,7 @@ func naiveSequential(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []
 // incident sets. The published algorithm performs a pairwise duplicate scan
 // (O(n1·n2·min(k1,k2))); we reproduce that join shape here for the ablation
 // benchmarks, with mergeChoice providing the linear merge.
-func naiveChoice(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func naiveChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	out := make([]incident.Incident, 0, len(inc1)+len(inc2))
 	out = append(out, inc1...)
 	for _, o2 := range inc2 {
@@ -107,25 +101,19 @@ func naiveChoice(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []inci
 		if !dup {
 			out = append(out, o2)
 		}
-		if limited(out, limit) {
-			break
-		}
 	}
 	return normalize(out)
 }
 
 // naiveParallel is PARALLEL-EVAL of Algorithm 1: all unions o1 ∪ o2 of
 // record-disjoint pairs.
-func naiveParallel(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func naiveParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(uint64(o1.Len() + o2.Len()))
 			if u, ok := o1.Union(o2); ok {
 				out = append(out, u)
-				if limited(out, limit) {
-					return normalize(out)
-				}
 			}
 		}
 	}
@@ -135,7 +123,7 @@ func naiveParallel(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []in
 // mergeConsecutive exploits sortedness: for each o1, the o2 candidates are
 // exactly the contiguous run of incidents with first(o2) = last(o1)+1,
 // located by binary search. O(n1·log n2 + output).
-func mergeConsecutive(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func mergeConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		want := o1.Last() + 1
@@ -146,9 +134,6 @@ func mergeConsecutive(inc1, inc2 []incident.Incident, limit int, cnt *opCount) [
 				break
 			}
 			out = append(out, o1.Concat(inc2[i]))
-			if limited(out, limit) {
-				return normalize(out)
-			}
 		}
 	}
 	return normalize(out)
@@ -157,29 +142,23 @@ func mergeConsecutive(inc1, inc2 []incident.Incident, limit int, cnt *opCount) [
 // mergeSequential exploits sortedness: for each o1, every o2 from the first
 // index with first(o2) > last(o1) onward qualifies. The scan cost is
 // O(n1·log n2) plus the (unavoidable) output size.
-func mergeSequential(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func mergeSequential(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		lo := o1.Last()
 		i := sort.Search(len(inc2), func(i int) bool { cnt.add(1); return inc2[i].First() > lo })
 		for ; i < len(inc2); i++ {
 			out = append(out, o1.Concat(inc2[i]))
-			if limited(out, limit) {
-				return normalize(out)
-			}
 		}
 	}
 	return normalize(out)
 }
 
 // mergeChoice unions two already-normalized lists with a linear merge.
-func mergeChoice(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func mergeChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	out := make([]incident.Incident, 0, len(inc1)+len(inc2))
 	i, j := 0, 0
 	for i < len(inc1) && j < len(inc2) {
-		if limited(out, limit) {
-			return out
-		}
 		cnt.add(minLen(inc1[i], inc2[j]))
 		switch c := inc1[i].Compare(inc2[j]); {
 		case c < 0:
@@ -194,20 +173,15 @@ func mergeChoice(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []inci
 			j++
 		}
 	}
-	for ; i < len(inc1) && !limited(out, limit); i++ {
-		out = append(out, inc1[i])
-	}
-	for ; j < len(inc2) && !limited(out, limit); j++ {
-		out = append(out, inc2[j])
-	}
-	return out
+	out = append(out, inc1[i:]...)
+	return append(out, inc2[j:]...)
 }
 
 // mergeParallel keeps the pair loop (disjointness is not monotone in the
 // sort order) but skips the per-record disjointness scan whenever the two
 // incidents' [first, last] ranges do not overlap, which is the common case
 // on realistic logs.
-func mergeParallel(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []incident.Incident {
+func mergeParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	var out []incident.Incident
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
@@ -229,15 +203,7 @@ func mergeParallel(inc1, inc2 []incident.Incident, limit int, cnt *opCount) []in
 				}
 				out = append(out, u)
 			}
-			if limited(out, limit) {
-				return normalize(out)
-			}
 		}
 	}
 	return normalize(out)
-}
-
-// limited reports whether the best-effort result cap has been reached.
-func limited(out []incident.Incident, limit int) bool {
-	return limit > 0 && len(out) >= limit
 }

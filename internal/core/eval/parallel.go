@@ -94,24 +94,12 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	return e.exists(ctx, p, 1)
-}
-
-// ExistsParallel is Exists with a parallel scan over instances; the first
-// worker to find an incident stops the others.
-func (e *Evaluator) ExistsParallel(p pattern.Node, workers int) bool {
-	return must(e.exists(context.Background(), p, workers))
-}
-
-func (e *Evaluator) exists(ctx context.Context, p pattern.Node, workers int) (bool, error) {
-	var found atomic.Bool
-	err := e.scan(ctx, p, e.src.WIDs(), workers, nil, func(_ int, incs []incident.Incident) bool {
-		if len(incs) > 0 {
-			found.Store(true)
-		}
-		return len(incs) == 0
+	found := false // one goroutine: the visitor needs no synchronisation
+	err := e.scan(ctx, p, e.src.WIDs(), 1, nil, func(_ int, incs []incident.Incident) bool {
+		found = len(incs) > 0
+		return !found
 	})
-	return found.Load(), err
+	return found, err
 }
 
 // scan is the one loop over workflow instances behind every entry point.

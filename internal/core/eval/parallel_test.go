@@ -36,9 +36,9 @@ func TestEvalParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d workers=%d: parallel differs on %s:\nserial: %s\npar:    %s",
 					trial, workers, p, serial, par)
 			}
-			if e.ExistsParallel(p, workers) != (serial.Len() > 0) {
-				t.Fatalf("trial %d workers=%d: ExistsParallel wrong for %s", trial, workers, p)
-			}
+		}
+		if e.Exists(p) != (serial.Len() > 0) {
+			t.Fatalf("trial %d: Exists wrong for %s", trial, p)
 		}
 	}
 }
@@ -50,8 +50,8 @@ func TestEvalParallelEmptyPatternResult(t *testing.T) {
 	if got := e.EvalParallel(p, 4); got.Len() != 0 {
 		t.Errorf("EvalParallel = %s, want empty", got)
 	}
-	if e.ExistsParallel(p, 4) {
-		t.Error("ExistsParallel = true on empty result")
+	if e.Exists(p) {
+		t.Error("Exists = true on empty result")
 	}
 }
 
@@ -65,8 +65,8 @@ func TestEvalParallelManyInstances(t *testing.T) {
 	l := buildLog(t, traces...)
 	e := New(NewIndex(l), Options{})
 	p := pattern.MustParse("A . B")
-	if !e.ExistsParallel(p, 4) {
-		t.Error("ExistsParallel = false")
+	if !e.Exists(p) {
+		t.Error("Exists = false")
 	}
 	set := e.EvalParallel(p, 4)
 	if set.Len() != 64 {

@@ -17,7 +17,6 @@ package pattern
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"wlq/internal/predicate"
@@ -316,18 +315,6 @@ func Operators(n Node) int {
 	return count
 }
 
-// Depth returns the height of the AST (1 for an atom).
-func Depth(n Node) int {
-	if b, ok := n.(*Binary); ok {
-		l, r := Depth(b.Left), Depth(b.Right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return 1
-}
-
 // Atoms returns the atomic patterns in left-to-right order.
 func Atoms(n Node) []*Atom {
 	var atoms []*Atom
@@ -338,49 +325,4 @@ func Atoms(n Node) []*Atom {
 		return true
 	})
 	return atoms
-}
-
-// ActivityMultiset returns the multiset of activity names occurring in the
-// pattern (Section 3.1 uses this to decide whether a choice needs duplicate
-// elimination). Negated atoms contribute their name tagged with "¬".
-func ActivityMultiset(n Node) map[string]int {
-	m := make(map[string]int)
-	for _, a := range Atoms(n) {
-		key := a.Activity
-		if a.Negated {
-			key = "¬" + key
-		}
-		m[key]++
-	}
-	return m
-}
-
-// SameActivityMultiset reports whether two patterns contain identical
-// activity multisets.
-func SameActivityMultiset(a, b Node) bool {
-	ma, mb := ActivityMultiset(a), ActivityMultiset(b)
-	if len(ma) != len(mb) {
-		return false
-	}
-	for k, v := range ma {
-		if mb[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Activities returns the distinct (non-negated tag) activity names in
-// sorted order.
-func Activities(n Node) []string {
-	seen := make(map[string]struct{})
-	for _, a := range Atoms(n) {
-		seen[a.Activity] = struct{}{}
-	}
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

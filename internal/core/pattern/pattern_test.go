@@ -1,7 +1,6 @@
 package pattern
 
 import (
-	"strings"
 	"testing"
 
 	"wlq/internal/predicate"
@@ -163,7 +162,7 @@ func TestEqual(t *testing.T) {
 }
 
 func TestMetrics(t *testing.T) {
-	// ((A -> B) | (!A & C)) — 4 atoms, 3 operators, depth 3.
+	// ((A -> B) | (!A & C)) — 4 atoms, 3 operators.
 	p := Choice(
 		Sequential(NewAtom("A"), NewAtom("B")),
 		Parallel(NewNegAtom("A"), NewAtom("C")),
@@ -174,39 +173,10 @@ func TestMetrics(t *testing.T) {
 	if got := Operators(p); got != 3 {
 		t.Errorf("Operators = %d, want 3", got)
 	}
-	if got := Depth(p); got != 3 {
-		t.Errorf("Depth = %d, want 3", got)
-	}
-	if got := Depth(NewAtom("A")); got != 1 {
-		t.Errorf("Depth(atom) = %d, want 1", got)
-	}
 
 	atoms := Atoms(p)
 	if len(atoms) != 4 || atoms[0].Activity != "A" || atoms[3].Activity != "C" {
 		t.Errorf("Atoms = %v", atoms)
-	}
-
-	ms := ActivityMultiset(p)
-	if ms["A"] != 1 || ms["¬A"] != 1 || ms["B"] != 1 || ms["C"] != 1 {
-		t.Errorf("ActivityMultiset = %v", ms)
-	}
-
-	acts := Activities(p)
-	if strings.Join(acts, ",") != "A,B,C" {
-		t.Errorf("Activities = %v", acts)
-	}
-}
-
-func TestSameActivityMultiset(t *testing.T) {
-	a := Sequential(NewAtom("A"), NewAtom("B"))
-	b := Consecutive(NewAtom("B"), NewAtom("A"))
-	c := Sequential(NewAtom("A"), NewAtom("A"))
-	d := Sequential(NewAtom("A"), NewNegAtom("B"))
-	if !SameActivityMultiset(a, b) {
-		t.Error("same multisets reported different")
-	}
-	if SameActivityMultiset(a, c) || SameActivityMultiset(a, d) {
-		t.Error("different multisets reported same")
 	}
 }
 

@@ -9,33 +9,21 @@ import (
 	"wlq/internal/core/pattern"
 )
 
+// TestChoiceIdempotentLaw: p ⊗ p ≡ p — incL(p1 ⊗ p2) is a set union
+// (Definition 4) — which is what lets the optimizer drop a repeated choice
+// operand; ⊕ has no such law and must keep its duplicates.
 func TestChoiceIdempotentLaw(t *testing.T) {
-	laws := DerivedLaws()
-	if len(laws) != 1 || laws[0].Name != "idempotent(⊗)" {
-		t.Fatalf("DerivedLaws = %v", laws)
-	}
-	law := laws[0]
-
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 40; trial++ {
 		p := randomPattern(rng, 3)
-		lhs := law.LHS(p, nil, nil)
-		rhs, ok := law.Apply(lhs)
-		if !ok {
-			t.Fatalf("idempotence did not fire on %s", lhs)
+		lhs := &pattern.Binary{Op: pattern.OpChoice, Left: p, Right: pattern.Clone(p)}
+		l := randomLog(t, rng)
+		checkEquivalent(t, l, lhs, p, "idempotent(⊗)")
+		out, _ := Optimize(lhs, UniformStats{})
+		if pattern.Operators(out) > pattern.Operators(p) {
+			t.Fatalf("Optimize(%s) = %s kept the duplicate operand", lhs, out)
 		}
-		if !pattern.Equal(rhs, p) {
-			t.Fatalf("p ⊗ p rewrote to %s, want %s", rhs, p)
-		}
-		checkEquivalent(t, randomLog(t, rng), lhs, rhs, law.Name)
-	}
-
-	// Must not fire on distinct operands.
-	if _, ok := law.Apply(pattern.MustParse("A | B")); ok {
-		t.Error("idempotence fired on A | B")
-	}
-	if _, ok := law.Apply(pattern.MustParse("A & A")); ok {
-		t.Error("idempotence fired on A & A (parallel is NOT idempotent)")
+		checkEquivalent(t, l, lhs, out, "Optimize of p ⊗ p")
 	}
 }
 

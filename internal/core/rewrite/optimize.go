@@ -293,23 +293,3 @@ func rebuildCommutative(op pattern.Op, operands []pattern.Node, est *Estimator) 
 		Theorem: "Theorems 2, 3",
 	}
 }
-
-// Canonicalize rewrites p into a canonical representative of its
-// syntactic-equivalence class under associativity (Theorem 2) and
-// commutativity (Theorem 3): associative chains are flattened and rebuilt
-// left-deep, and the operand lists of commutative chains are sorted by
-// their printed form. Patterns equal under those laws canonicalize
-// identically (Theorem 4/5 equalities are not normalized). It delegates to
-// pattern.Canonical, which also backs the query service's cache keys.
-func Canonicalize(p pattern.Node) pattern.Node {
-	return pattern.Canonical(p)
-}
-
-// EquivalentModuloAC reports whether two patterns are provably equivalent
-// using associativity (Theorem 2) and commutativity (Theorem 3) alone: both
-// canonicalize to the same tree. It is sound but incomplete — equivalences
-// that need Theorem 4, Theorem 5 or Definition 4 reasoning (e.g.
-// distributed vs. factored forms) are not detected.
-func EquivalentModuloAC(p, q pattern.Node) bool {
-	return pattern.Equal(Canonicalize(p), Canonicalize(q))
-}

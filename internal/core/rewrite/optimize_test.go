@@ -144,7 +144,7 @@ func TestCanonicalizeCommutative(t *testing.T) {
 	a := pattern.MustParse("(C | A) | B")
 	b := pattern.MustParse("B | (C | A)")
 	c := pattern.MustParse("A | (B | C)")
-	ca, cb, cc := Canonicalize(a), Canonicalize(b), Canonicalize(c)
+	ca, cb, cc := pattern.Canonical(a), pattern.Canonical(b), pattern.Canonical(c)
 	if !pattern.Equal(ca, cb) || !pattern.Equal(cb, cc) {
 		t.Errorf("canonical forms differ: %s / %s / %s", ca, cb, cc)
 	}
@@ -156,7 +156,7 @@ func TestCanonicalizeCommutative(t *testing.T) {
 
 func TestCanonicalizeNonCommutativePreservesOrder(t *testing.T) {
 	a := pattern.MustParse("C -> (A -> B)")
-	got := Canonicalize(a)
+	got := pattern.Canonical(a)
 	want := pattern.MustParse("(C -> A) -> B")
 	if !pattern.Equal(got, want) {
 		t.Errorf("canonical = %s, want %s", got, want)
@@ -172,8 +172,8 @@ func TestCanonicalizeIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 100; trial++ {
 		p := randomPattern(rng, 4)
-		once := Canonicalize(p)
-		twice := Canonicalize(once)
+		once := pattern.Canonical(p)
+		twice := pattern.Canonical(once)
 		if !pattern.Equal(once, twice) {
 			t.Fatalf("not idempotent on %s: %s vs %s", p, once, twice)
 		}
@@ -186,7 +186,7 @@ func TestCanonicalizePreservesSemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 100; trial++ {
 		p := randomPattern(rng, 4)
-		checkEquivalent(t, randomLog(t, rng), p, Canonicalize(p), "Canonicalize")
+		checkEquivalent(t, randomLog(t, rng), p, pattern.Canonical(p), "pattern.Canonical")
 	}
 }
 
@@ -199,8 +199,8 @@ func TestEquivalentModuloAC(t *testing.T) {
 	}
 	for _, pair := range yes {
 		p, q := pattern.MustParse(pair[0]), pattern.MustParse(pair[1])
-		if !EquivalentModuloAC(p, q) {
-			t.Errorf("EquivalentModuloAC(%s, %s) = false", p, q)
+		if pattern.CanonicalKey(p) != pattern.CanonicalKey(q) {
+			t.Errorf("%s and %s: canonical keys differ", p, q)
 		}
 	}
 	no := [][2]string{
@@ -213,8 +213,8 @@ func TestEquivalentModuloAC(t *testing.T) {
 	}
 	for _, pair := range no {
 		p, q := pattern.MustParse(pair[0]), pattern.MustParse(pair[1])
-		if EquivalentModuloAC(p, q) {
-			t.Errorf("EquivalentModuloAC(%s, %s) = true", p, q)
+		if pattern.CanonicalKey(p) == pattern.CanonicalKey(q) {
+			t.Errorf("%s and %s: same canonical key", p, q)
 		}
 	}
 	// Soundness at scale: random commuted/rebracketed variants.
@@ -230,7 +230,7 @@ func TestEquivalentModuloAC(t *testing.T) {
 				variant, _ = ApplyEverywhere(variant, assocRight(op))
 			}
 		}
-		if !EquivalentModuloAC(p, variant) {
+		if pattern.CanonicalKey(p) != pattern.CanonicalKey(variant) {
 			t.Fatalf("trial %d: AC variant not recognized:\n%s\n%s", trial, p, variant)
 		}
 	}

@@ -10,7 +10,6 @@
 package enact
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -252,41 +251,4 @@ func Run(m *workflow.Model, cfg Config) (*wlog.Log, error) {
 		return nil, fmt.Errorf("enact: internal error: %w", err)
 	}
 	return log, nil
-}
-
-// ErrEmptyTrace is reported by RunTraces for an instance with no activities.
-var ErrEmptyTrace = errors.New("enact: empty trace")
-
-// RunTraces builds a log directly from explicit per-instance activity
-// traces (no model, no data effects), interleaved round-robin. It is the
-// workhorse for constructing precisely shaped logs in tests and benchmarks.
-func RunTraces(traces ...[]string) (*wlog.Log, error) {
-	var b wlog.Builder
-	wids := make([]uint64, len(traces))
-	for i, tr := range traces {
-		if len(tr) == 0 {
-			return nil, fmt.Errorf("%w: instance %d", ErrEmptyTrace, i)
-		}
-		wids[i] = b.Start()
-	}
-	for step := 0; ; step++ {
-		emitted := false
-		for i, tr := range traces {
-			if step < len(tr) {
-				if err := b.Emit(wids[i], tr[step], nil, nil); err != nil {
-					return nil, err
-				}
-				emitted = true
-			}
-		}
-		if !emitted {
-			break
-		}
-	}
-	for _, wid := range wids {
-		if err := b.End(wid); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build()
 }

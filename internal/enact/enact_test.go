@@ -2,7 +2,6 @@ package enact
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"wlq/internal/wlog"
@@ -202,26 +201,5 @@ func TestRoundRobinInterleaves(t *testing.T) {
 		if !r.IsStart() || r.WID != uint64(i+1) {
 			t.Errorf("record %d = %v, want START of wid %d", i, r, i+1)
 		}
-	}
-}
-
-func TestRunTraces(t *testing.T) {
-	l, err := RunTraces([]string{"A", "B"}, []string{"C"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	var acts []string
-	for _, r := range l.Records() {
-		acts = append(acts, r.Activity)
-	}
-	want := "START,START,A,C,B,END,END"
-	if got := strings.Join(acts, ","); got != want {
-		t.Errorf("trace order = %s, want %s", got, want)
-	}
-	if _, err := RunTraces([]string{"A"}, nil); err == nil {
-		t.Error("RunTraces with empty trace: want error")
 	}
 }

@@ -135,12 +135,3 @@ func TestChoose(t *testing.T) {
 		}
 	}
 }
-
-func TestEvalLimited(t *testing.T) {
-	// A deep chain that would produce C(30,5) ≈ 142k incidents unlimited;
-	// the cap keeps it tiny.
-	got := evalLimited(5, 30, 4)
-	if got == 0 || got > 5 {
-		t.Errorf("evalLimited = %d, want 1..5", got)
-	}
-}

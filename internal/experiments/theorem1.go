@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"wlq/internal/benchkit"
-	"wlq/internal/core/eval"
 	"wlq/internal/gen"
 )
 
@@ -70,13 +69,4 @@ func choose(n, k int) float64 {
 		out *= float64(n-i) / float64(i+1)
 	}
 	return math.Round(out)
-}
-
-// evalLimited is available for exploratory runs of deeper chains where the
-// full output would not fit in memory: it caps per-operator results.
-func evalLimited(ixLimit int, m, k int) int {
-	l := gen.WorstCaseLog(m)
-	p := gen.WorstCasePattern(k)
-	ix := eval.NewIndex(l)
-	return eval.New(ix, eval.Options{Strategy: eval.StrategyNaive, Limit: ixLimit}).Eval(p).Len()
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strconv"
 
 	"wlq/internal/core/pattern"
 	"wlq/internal/wlog"
@@ -261,16 +260,4 @@ func RandomPattern(rng *rand.Rand, p PatternParams) pattern.Node {
 		}
 	}
 	return build(p.Operators)
-}
-
-// SeqString renders n as a compact label for benchmark names, e.g. "1e3".
-func SeqString(n int) string {
-	switch {
-	case n >= 1000000 && n%1000000 == 0:
-		return strconv.Itoa(n/1000000) + "e6"
-	case n >= 1000 && n%1000 == 0:
-		return strconv.Itoa(n/1000) + "e3"
-	default:
-		return strconv.Itoa(n)
-	}
 }

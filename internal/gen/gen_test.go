@@ -194,14 +194,3 @@ func TestRandomPatternOpWeights(t *testing.T) {
 		})
 	}
 }
-
-func TestSeqString(t *testing.T) {
-	tests := map[int]string{
-		7: "7", 1000: "1e3", 25000: "25e3", 2000000: "2e6", 1500: "1500",
-	}
-	for n, want := range tests {
-		if got := SeqString(n); got != want {
-			t.Errorf("SeqString(%d) = %q, want %q", n, got, want)
-		}
-	}
-}

@@ -273,8 +273,5 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// Sync forces outstanding WAL frames to disk (graceful-shutdown path).
-func (c *Coordinator) Sync() error { return c.w.Sync() }
-
 // Close syncs and closes the WAL. The monitor stays readable.
 func (c *Coordinator) Close() error { return c.w.Close() }

@@ -16,9 +16,9 @@
 //   - Admission bounds in-flight queries; requests beyond capacity are shed
 //     immediately (HTTP 429 + Retry-After at the service layer) instead of
 //     queueing behind a saturated worker pool.
-//   - RecoverAsError converts a panicking evaluation into a *PanicError
-//     carrying a short incident id and the stack, so one poisoned query
-//     kills one request, not the process.
+//   - PanicError is what a panicking evaluation is converted into at the
+//     evaluator's isolation boundary: a short incident id and the stack, so
+//     one poisoned query kills one request, not the process.
 //
 // The package is a leaf: it depends only on the standard library, so every
 // layer (eval, server, the CLIs) can share the same Budget type without
@@ -252,19 +252,6 @@ func (e *PanicError) Error() string {
 // the current stack.
 func NewPanicError(value any) *PanicError {
 	return &PanicError{IncidentID: NewIncidentID(), Value: value, Stack: debug.Stack()}
-}
-
-// RecoverAsError converts an in-flight panic into a *PanicError stored in
-// *err, leaving *err alone when there is no panic. Use as
-//
-//	defer resilience.RecoverAsError(&err)
-//
-// at any boundary where one request's failure must not take down its
-// siblings.
-func RecoverAsError(err *error) {
-	if r := recover(); r != nil {
-		*err = NewPanicError(r)
-	}
 }
 
 // NewIncidentID returns a short random hex id for correlating recovered

@@ -105,12 +105,8 @@ func TestAdmissionConcurrent(t *testing.T) {
 	}
 }
 
-func TestRecoverAsError(t *testing.T) {
-	run := func() (err error) {
-		defer RecoverAsError(&err)
-		panic("kaboom")
-	}
-	err := run()
+func TestNewPanicError(t *testing.T) {
+	var err error = NewPanicError("kaboom")
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PanicError, got %T: %v", err, err)
@@ -123,14 +119,6 @@ func TestRecoverAsError(t *testing.T) {
 	}
 	if len(pe.Stack) == 0 {
 		t.Fatal("stack not captured")
-	}
-	// No panic: err untouched.
-	clean := func() (err error) {
-		defer RecoverAsError(&err)
-		return nil
-	}
-	if err := clean(); err != nil {
-		t.Fatalf("clean path produced %v", err)
 	}
 }
 

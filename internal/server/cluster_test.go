@@ -595,6 +595,25 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 			t.Fatalf("incidents %v do not span exactly wids 5–12", resp.Incidents)
 		}
 	})
+	t.Run("an old coordinator's limit is tolerated and ignored", func(t *testing.T) {
+		// The worker endpoint accepts unknown fields (rolling upgrades); a
+		// per-operator cap is one, and the answer is incL(p).
+		body := `{"log":"chaos","plan":"A -> B","wid_min":5,"wid_max":12,"self":"http://w1","limit":1}`
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(body)))
+		var resp cluster.WorkerQueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, err %v: %s", rec.Code, err, rec.Body)
+		}
+		oracle := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
+		want, err := oracle.EvalWIDsCtx(context.Background(), pattern.MustParse("A -> B"), []uint64{5, 6, 7, 8, 9, 10, 11, 12}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !incident.MergeSorted(resp.Incidents).Equal(want) {
+			t.Fatalf("worker answered %d incidents, naive Algorithm 1 has %d", len(resp.Incidents), want.Len())
+		}
+	})
 	t.Run("an interval past the log is empty, not an error", func(t *testing.T) {
 		req := base
 		req.WIDMin, req.WIDMax = u64(17), u64(99)

@@ -334,11 +334,14 @@ func TestReloadConflictQuarantinesLiveLog(t *testing.T) {
 	// The reloaded snapshot omits wid 3 entirely, so the WAL's appended
 	// wid-3 record cannot legally follow it: the log must quarantine and
 	// keep serving the last-good live state.
-	conflicting, err := wlog.FilterInstances(wlq.ClinicFig3(),
-		func(records []wlog.Record) bool { return records[0].WID != 3 })
-	if err != nil {
-		t.Fatal(err)
+	var kept []wlog.Record
+	for _, r := range wlq.ClinicFig3().Records() {
+		if r.WID != 3 {
+			r.LSN = uint64(len(kept) + 1)
+			kept = append(kept, r)
+		}
 	}
+	conflicting := wlog.MustNew(kept)
 	s, _ := newIngestServer(t, Config{
 		Loader: func(string) (*wlog.Log, error) { return conflicting, nil },
 	})

@@ -48,9 +48,6 @@ type queryRequest struct {
 	// NoOptimize evaluates the pattern exactly as written, bypassing both
 	// the Theorem 2–5 rewriter and the cache.
 	NoOptimize bool `json:"no_optimize,omitempty"`
-	// Limit caps (best effort) incidents per operator per instance.
-	// Results depend on it, so it is part of the cache key.
-	Limit int `json:"limit,omitempty"`
 	// Workers overrides the per-query parallelism (capped by the server's
 	// configured value).
 	Workers int `json:"workers,omitempty"`
@@ -154,7 +151,6 @@ func (s *Server) bindExecutor(e *logEntry) {
 				x.set, x.comp, *x.fan, x.err = s.coord.Execute(ctx, e.name, plan, cluster.ExecOptions{
 					WIDs:     e.ix.WIDs(),
 					Strategy: opts.Strategy.String(),
-					Limit:    opts.Limit,
 					Budget:   opts.Budget,
 				}, &x.stats)
 				return x
@@ -435,8 +431,8 @@ func (q *queryRun) decode(r *http.Request) bool {
 	if q.strategy, err = parseStrategy(q.req.Strategy, s.cfg.Strategy); err != nil {
 		return q.reject(http.StatusBadRequest, "%v", err)
 	}
-	if q.req.Limit < 0 || q.req.Workers < 0 || q.req.MaxResults < 0 || q.req.TimeoutMS < 0 {
-		return q.reject(http.StatusBadRequest, "limit, workers, max_results and timeout_ms must be >= 0")
+	if q.req.Workers < 0 || q.req.MaxResults < 0 || q.req.TimeoutMS < 0 {
+		return q.reject(http.StatusBadRequest, "workers, max_results and timeout_ms must be >= 0")
 	}
 	if q.entry, err = s.lookup(q.req.Log); err != nil {
 		return q.reject(http.StatusNotFound, "%v", err)
@@ -471,7 +467,7 @@ func (q *queryRun) plan() bool {
 	sp.SetAttr("key", q.capture.Canonical)
 	sp.End()
 
-	q.cacheKey = cacheKey(entry.name, entry.gen, q.capture.Canonical, q.req.Limit)
+	q.cacheKey = cacheKey(entry.name, entry.gen, q.capture.Canonical)
 	// Traced queries bypass the result cache: a cached result carries no
 	// fresh evaluation to measure, so a hit would return an empty or stale
 	// cost table.
@@ -523,18 +519,15 @@ func (q *queryRun) plan() bool {
 
 // cacheKey is the result cache's identity of an answer. The reload
 // generation is part of it, so a hot reload makes every pre-reload entry
-// unreachable (LRU pressure ages them out) without an invalidation sweep;
-// limit is too, because answers depend on it.
-func cacheKey(log string, gen uint64, canonical string, limit int) string {
+// unreachable (LRU pressure ages them out) without an invalidation sweep.
+func cacheKey(log string, gen uint64, canonical string) string {
 	var b strings.Builder
-	b.Grow(len(log) + len(canonical) + 40)
+	b.Grow(len(log) + len(canonical) + 26)
 	b.WriteString(log)
 	b.WriteString("\x00gen=")
 	b.WriteString(strconv.FormatUint(gen, 10))
 	b.WriteByte(0)
 	b.WriteString(canonical)
-	b.WriteString("\x00limit=")
-	b.WriteString(strconv.Itoa(limit))
 	return b.String()
 }
 
@@ -566,7 +559,7 @@ func (q *queryRun) queryTrace(costTable []obs.CostRow, traceID string) *obs.Quer
 func (q *queryRun) execute(ctx context.Context) bool {
 	s, entry, plan := q.s, q.entry, q.answer.plan
 	meter := eval.NewMeter(plan)
-	opts := eval.Options{Strategy: q.strategy, Limit: q.req.Limit, Meter: meter, Budget: s.cfg.Budget}
+	opts := eval.Options{Strategy: q.strategy, Meter: meter, Budget: s.cfg.Budget}
 	timeout := s.timeout(q.req.TimeoutMS)
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()

@@ -125,7 +125,6 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		e := &logEntry{
 			name:   t.name,
 			source: t.source,
-			log:    l,
 			valid:  true,
 		}
 		if t.live != nil {

@@ -15,8 +15,9 @@
 //
 // The Index is immutable after load, so concurrent queries share it without
 // locks and cached result sets never need invalidation. The result cache is
-// an LRU keyed on (log, canonicalized pattern, limit): queries equal modulo
-// associativity and commutativity (Theorems 2–3) share one entry.
+// an LRU keyed on (log, reload generation, canonicalized pattern): queries
+// equal modulo associativity and commutativity (Theorems 2–3) share one
+// entry.
 package server
 
 import (
@@ -200,7 +201,6 @@ func (c Config) withDefaults() Config {
 type logEntry struct {
 	name   string
 	source string
-	log    *wlog.Log
 	ix     eval.Source
 	valid  bool
 	reason string // validation error text when !valid
@@ -333,7 +333,7 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 	if _, dup := s.logs[name]; dup {
 		return fmt.Errorf("server: duplicate log name %q", name)
 	}
-	e := &logEntry{name: name, source: source, log: l, valid: true}
+	e := &logEntry{name: name, source: source, valid: true}
 	if err := l.Validate(); err != nil {
 		e.valid, e.reason = false, err.Error()
 	}
@@ -725,40 +725,31 @@ func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 			Generation:  e.gen,
 			ReloadError: reloadErrs[e.name],
 		}
-		if e.live != nil {
-			// Live counts come off the monitor, not the startup snapshot:
-			// the snapshot does not know about appended records.
-			mon := e.live.Monitor()
-			mon.RLock()
-			src := mon.Source()
-			wids := src.WIDs()
-			complete := 0
-			for _, wid := range wids {
-				if recs := src.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
-					complete++
-				}
-			}
-			docs[i].Records = src.TotalRecords()
-			docs[i].Instances = len(wids)
-			docs[i].CompleteInstances = complete
-			docs[i].Activities = len(src.Activities())
-			docs[i].Live = true
-			docs[i].IngestLSN = mon.LastLSNLocked()
-			mon.RUnlock()
-			continue
-		}
-		complete := 0
-		for _, wid := range e.log.WIDs() {
-			if e.log.InstanceComplete(wid) {
-				complete++
-			}
-		}
-		docs[i].Records = e.log.Len()
-		docs[i].Instances = len(e.log.WIDs())
-		docs[i].CompleteInstances = complete
-		docs[i].Activities = len(e.ix.Activities())
+		e.inventory(&docs[i])
 	}
 	writeJSON(w, http.StatusOK, logsResponse{Logs: docs})
+}
+
+// inventory fills in the counts of a /v1/logs row from the served index in
+// one pass over its instances — for a live log under the monitor's read
+// lock, so appended records are counted and the watermark matches them.
+func (e *logEntry) inventory(doc *logDoc) {
+	if e.live != nil {
+		mon := e.live.Monitor()
+		mon.RLock()
+		defer mon.RUnlock()
+		doc.Live = true
+		doc.IngestLSN = mon.LastLSNLocked()
+	}
+	wids := e.ix.WIDs()
+	for _, wid := range wids {
+		if recs := e.ix.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
+			doc.CompleteInstances++
+		}
+	}
+	doc.Records = e.ix.TotalRecords()
+	doc.Instances = len(wids)
+	doc.Activities = len(e.ix.Activities())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -13,6 +13,8 @@ import (
 
 	"wlq"
 	"wlq/internal/core/eval"
+	"wlq/internal/gen"
+	"wlq/internal/wlog"
 )
 
 // newTestServer serves the paper's Figure 3 log under the name "fig3".
@@ -129,7 +131,8 @@ func TestQueryErrors(t *testing.T) {
 		{"unknown log", `{"log":"nope","query":"A"}`, http.StatusNotFound},
 		{"bad mode", `{"log":"fig3","query":"A","mode":"wat"}`, http.StatusBadRequest},
 		{"bad strategy", `{"log":"fig3","query":"A","strategy":"quantum"}`, http.StatusBadRequest},
-		{"negative limit", `{"log":"fig3","query":"A","limit":-1}`, http.StatusBadRequest},
+		// No per-operator cap: an unknown field, named in the error.
+		{"limit", `{"query":"A","limit":1}`, http.StatusBadRequest},
 		{"unknown field", `{"log":"fig3","query":"A","frobnicate":1}`, http.StatusBadRequest},
 		{"not json", `hello`, http.StatusBadRequest},
 	}
@@ -142,6 +145,9 @@ func TestQueryErrors(t *testing.T) {
 			var e errorDoc
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
 				t.Errorf("error body not a JSON error envelope: %s", rec.Body)
+			}
+			if tt.name == "limit" && !strings.Contains(e.Error, `"limit"`) {
+				t.Errorf("error %q does not name the field", e.Error)
 			}
 		})
 	}
@@ -216,20 +222,6 @@ func TestQueryCacheHit(t *testing.T) {
 	}
 	if m.CacheEntries != 1 {
 		t.Errorf("cache_entries = %d, want 1", m.CacheEntries)
-	}
-}
-
-func TestQueryLimitPartitionsCache(t *testing.T) {
-	s := newTestServer(t, Config{})
-	h := s.Handler()
-	var unlimited, limited queryResponse
-	postQuery(t, h, `{"log":"fig3","query":"GetRefer | SeeDoctor"}`, &unlimited)
-	postQuery(t, h, `{"log":"fig3","query":"GetRefer | SeeDoctor","limit":1}`, &limited)
-	if limited.Cached {
-		t.Fatal("limited query must not reuse the unlimited entry")
-	}
-	if limited.Count >= unlimited.Count {
-		t.Fatalf("limit=1 returned %d incidents, unlimited %d", limited.Count, unlimited.Count)
 	}
 }
 
@@ -363,6 +355,71 @@ func TestLogsInventory(t *testing.T) {
 	clinic := resp.Logs[0]
 	if clinic.Instances != 5 || clinic.Activities == 0 {
 		t.Errorf("clinic inventory wrong: %+v", clinic)
+	}
+}
+
+// TestLogsInventoryStaticAndLiveAgree: there is one inventory path — the
+// same log served from the columnar store and under -ingest reports the same
+// counts, field by field, and they are the log's own.
+func TestLogsInventoryStaticAndLiveAgree(t *testing.T) {
+	logs := map[string]*wlog.Log{
+		"fig3": wlq.ClinicFig3(), // wid 3 is stalled: an incomplete instance
+		"generated": gen.MustRandomLog(gen.LogParams{
+			Instances: 25, MeanLength: 12, CompleteFraction: 0.6, Seed: 3,
+		}),
+	}
+	for name, l := range logs {
+		live := New(Config{Ingest: true, WALDir: t.TempDir()})
+		t.Cleanup(func() { live.Close() })
+		var rows [2]logDoc
+		for i, s := range []*Server{New(Config{}), live} {
+			if err := s.AddLog(name, "builtin:"+name, l); err != nil {
+				t.Fatal(err)
+			}
+			var resp logsResponse
+			getJSON(t, s.Handler(), "/v1/logs", &resp)
+			if len(resp.Logs) != 1 {
+				t.Fatalf("%s: %d logs listed, want 1", name, len(resp.Logs))
+			}
+			rows[i] = resp.Logs[0]
+		}
+		static, lv := rows[0], rows[1]
+		if !lv.Live || lv.IngestLSN != uint64(l.Len()) {
+			t.Errorf("%s: live row %+v, want live at lsn %d", name, lv, l.Len())
+		}
+		lv.Live, lv.IngestLSN = false, 0
+		if static != lv {
+			t.Errorf("%s: static and live inventories differ\nstatic: %+v\n  live: %+v", name, static, lv)
+		}
+		want := logDoc{
+			Name: name, Source: "builtin:" + name, Valid: true,
+			Records: l.Len(), Instances: len(l.WIDs()), Activities: len(l.Activities()),
+		}
+		for _, wid := range l.WIDs() {
+			if l.InstanceComplete(wid) {
+				want.CompleteInstances++
+			}
+		}
+		if want.CompleteInstances == want.Instances {
+			t.Fatalf("%s: fixture has no incomplete instance", name)
+		}
+		if static != want {
+			t.Errorf("%s: inventory %+v, want %+v", name, static, want)
+		}
+	}
+}
+
+// BenchmarkLogsInventory prices GET /v1/logs on the benchmark's log size.
+func BenchmarkLogsInventory(b *testing.B) {
+	h := clinicServer(b, Config{}, 5000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/logs", nil))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("%d: %s", rec.Code, rec.Body)
+		}
 	}
 }
 

@@ -113,7 +113,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
-	opts := eval.Options{Strategy: strategy, Limit: req.Limit, Meter: meter, Budget: req.Budget.Budget()}
+	opts := eval.Options{Strategy: strategy, Meter: meter, Budget: req.Budget.Budget()}
 	esp := tr.StartSpan("eval")
 	// One goroutine evaluates the owned wids serially: the fleet is the
 	// query's parallelism, as shards are an in-process executor's.

@@ -570,14 +570,6 @@ func (w *WAL) Replay(fn func(wlog.Record) error) error {
 	return nil
 }
 
-// LastLSN returns the lsn of the newest record the WAL holds (recovered or
-// appended; 0 when empty).
-func (w *WAL) LastLSN() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastLSN
-}
-
 // Stats snapshots the write-side counters.
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()

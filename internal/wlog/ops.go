@@ -1,174 +1,6 @@
 package wlog
 
-import (
-	"fmt"
-	"sort"
-)
-
-// This file provides whole-log transformations. Every operation returns a
-// new valid Log (renumbering lsn/is-lsn as needed) and leaves its inputs
-// untouched. Operations that renumber is-lsn change which records are
-// "consecutive", which affects the ⊙ operator's semantics on the result;
-// each function documents whether it renumbers.
-
-// Merge combines several logs into one. Workflow instances are kept intact
-// and reidentified (wids are renumbered to avoid collisions, in input
-// order); records are interleaved round-robin across the input logs,
-// preserving each input's internal order. is-lsn values are preserved
-// (instances are copied whole), so pattern semantics within an instance are
-// unchanged.
-func Merge(logs ...*Log) (*Log, error) {
-	var out []Record
-	nextWID := uint64(1)
-	var cursors [][]Record
-	for _, l := range logs {
-		widMap := make(map[uint64]uint64)
-		records := l.Records()
-		renumbered := make([]Record, 0, len(records))
-		for _, r := range records {
-			mapped, ok := widMap[r.WID]
-			if !ok {
-				mapped = nextWID
-				widMap[r.WID] = mapped
-				nextWID++
-			}
-			r.WID = mapped
-			renumbered = append(renumbered, r)
-		}
-		cursors = append(cursors, renumbered)
-	}
-	for {
-		emitted := false
-		for i := range cursors {
-			if len(cursors[i]) > 0 {
-				r := cursors[i][0]
-				cursors[i] = cursors[i][1:]
-				r.LSN = uint64(len(out) + 1)
-				out = append(out, r)
-				emitted = true
-			}
-		}
-		if !emitted {
-			break
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("wlog: Merge of no records")
-	}
-	return New(out)
-}
-
-// InstancePredicate selects workflow instances by their full record slice
-// (in is-lsn order).
-type InstancePredicate func(records []Record) bool
-
-// FilterInstances keeps only the instances satisfying pred, renumbering
-// lsn densely but preserving wid and is-lsn values (instances are kept
-// whole, so per-instance pattern semantics are unchanged).
-func FilterInstances(l *Log, pred InstancePredicate) (*Log, error) {
-	keep := make(map[uint64]bool)
-	for _, wid := range l.WIDs() {
-		if pred(l.Instance(wid)) {
-			keep[wid] = true
-		}
-	}
-	var out []Record
-	for _, r := range l.Records() {
-		if keep[r.WID] {
-			r.LSN = uint64(len(out) + 1)
-			out = append(out, r)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("wlog: FilterInstances removed every instance")
-	}
-	return New(out)
-}
-
-// HasActivity returns a predicate selecting instances that executed the
-// activity at least once.
-func HasActivity(activity string) InstancePredicate {
-	return func(records []Record) bool {
-		for _, r := range records {
-			if r.Activity == activity {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// Completed returns a predicate selecting instances with an END record.
-func Completed() InstancePredicate {
-	return func(records []Record) bool {
-		return len(records) > 0 && records[len(records)-1].IsEnd()
-	}
-}
-
-// Project keeps only records whose activity is in the given set (START and
-// END records are always kept so the result satisfies Definition 2), then
-// renumbers both lsn and is-lsn densely.
-//
-// Renumbering is-lsn makes surviving records of one instance consecutive:
-// a ⊙ pattern on the projection means "adjacent among the projected
-// activities", which is precisely the useful reading (e.g. project to
-// {Pay, Ship} and ask Pay ⊙ Ship: "no projected activity between them").
-// Sequential, choice and parallel semantics are unaffected by renumbering.
-func Project(l *Log, activities ...string) (*Log, error) {
-	keep := make(map[string]bool, len(activities))
-	for _, a := range activities {
-		keep[a] = true
-	}
-	nextSeq := make(map[uint64]uint64)
-	var out []Record
-	for _, r := range l.Records() {
-		if !keep[r.Activity] && !r.IsStart() && !r.IsEnd() {
-			continue
-		}
-		if nextSeq[r.WID] == 0 {
-			nextSeq[r.WID] = 1
-		}
-		r.LSN = uint64(len(out) + 1)
-		r.Seq = nextSeq[r.WID]
-		nextSeq[r.WID]++
-		out = append(out, r)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("wlog: Project removed every record")
-	}
-	return New(out)
-}
-
-// Prefix returns the valid log consisting of the first n records (in lsn
-// order). A prefix of a valid log is always valid: lsns stay dense and
-// every instance's records remain an initial segment.
-func Prefix(l *Log, n int) (*Log, error) {
-	if n < 1 || n > l.Len() {
-		return nil, fmt.Errorf("wlog: Prefix length %d outside [1, %d]", n, l.Len())
-	}
-	return New(l.Records()[:n])
-}
-
-// SplitInstances partitions the log into one single-instance log per
-// workflow instance, keyed by wid. Each split log renumbers lsn densely
-// but keeps is-lsn, so per-instance queries evaluate identically.
-func SplitInstances(l *Log) (map[uint64]*Log, error) {
-	out := make(map[uint64]*Log)
-	for _, wid := range l.WIDs() {
-		records := l.Instance(wid)
-		renumbered := make([]Record, len(records))
-		for i, r := range records {
-			r.LSN = uint64(i + 1)
-			renumbered[i] = r
-		}
-		sub, err := New(renumbered)
-		if err != nil {
-			return nil, fmt.Errorf("wid %d: %w", wid, err)
-		}
-		out[wid] = sub
-	}
-	return out, nil
-}
+import "sort"
 
 // ActivityHistogram counts records per activity name, descending by count
 // (ties broken by name).

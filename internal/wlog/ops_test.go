@@ -29,140 +29,6 @@ func opsLog(t *testing.T) *Log {
 	return b.MustBuild()
 }
 
-func TestMerge(t *testing.T) {
-	a := opsLog(t)
-	b := opsLog(t)
-	m, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged log invalid: %v", err)
-	}
-	if got := len(m.WIDs()); got != 4 {
-		t.Errorf("merged instances = %d, want 4", got)
-	}
-	if m.Len() != a.Len()+b.Len() {
-		t.Errorf("merged Len = %d, want %d", m.Len(), a.Len()+b.Len())
-	}
-	// Inputs untouched.
-	if len(a.WIDs()) != 2 || a.Record(0).LSN != 1 {
-		t.Error("Merge mutated an input")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("Merge of nothing: want error")
-	}
-}
-
-func TestMergePreservesInstanceOrder(t *testing.T) {
-	m, err := Merge(opsLog(t), opsLog(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, wid := range m.WIDs() {
-		inst := m.Instance(wid)
-		for i, r := range inst {
-			if r.Seq != uint64(i+1) {
-				t.Fatalf("wid %d: is-lsn sequence broken: %v", wid, inst)
-			}
-		}
-	}
-}
-
-func TestFilterInstances(t *testing.T) {
-	l := opsLog(t)
-	complete, err := FilterInstances(l, Completed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := complete.WIDs(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Completed filter kept %v", got)
-	}
-	withC, err := FilterInstances(l, HasActivity("C"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := withC.WIDs(); len(got) != 1 || got[0] != 2 {
-		t.Errorf("HasActivity(C) kept %v", got)
-	}
-	if _, err := FilterInstances(l, HasActivity("nope")); err == nil {
-		t.Error("filter to nothing: want error")
-	}
-	if err := withC.Validate(); err != nil {
-		t.Errorf("filtered log invalid: %v", err)
-	}
-}
-
-func TestProject(t *testing.T) {
-	l := opsLog(t)
-	p, err := Project(l, "B")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatalf("projected log invalid: %v", err)
-	}
-	// wid 1: START B END; wid 2: START B.
-	inst1 := p.Instance(1)
-	if len(inst1) != 3 || inst1[1].Activity != "B" || inst1[1].Seq != 2 {
-		t.Errorf("Instance(1) = %v", inst1)
-	}
-	inst2 := p.Instance(2)
-	if len(inst2) != 2 || inst2[1].Activity != "B" {
-		t.Errorf("Instance(2) = %v", inst2)
-	}
-	if _, err := Project(l); err != nil {
-		t.Errorf("Project to just START/END should still be a valid log: %v", err)
-	}
-}
-
-func TestPrefix(t *testing.T) {
-	l := opsLog(t)
-	for n := 1; n <= l.Len(); n++ {
-		p, err := Prefix(l, n)
-		if err != nil {
-			t.Fatalf("Prefix(%d): %v", n, err)
-		}
-		if err := p.Validate(); err != nil {
-			t.Fatalf("Prefix(%d) invalid: %v", n, err)
-		}
-		if p.Len() != n {
-			t.Fatalf("Prefix(%d).Len = %d", n, p.Len())
-		}
-	}
-	if _, err := Prefix(l, 0); err == nil {
-		t.Error("Prefix(0): want error")
-	}
-	if _, err := Prefix(l, l.Len()+1); err == nil {
-		t.Error("Prefix beyond end: want error")
-	}
-}
-
-func TestSplitInstances(t *testing.T) {
-	l := opsLog(t)
-	parts, err := SplitInstances(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(parts) != 2 {
-		t.Fatalf("parts = %d", len(parts))
-	}
-	for wid, sub := range parts {
-		if err := sub.Validate(); err != nil {
-			t.Errorf("wid %d: invalid: %v", wid, err)
-		}
-		if got := sub.WIDs(); len(got) != 1 || got[0] != wid {
-			t.Errorf("wid %d: WIDs = %v", wid, got)
-		}
-		// is-lsn preserved from the original.
-		for i, r := range sub.Records() {
-			if r.Seq != uint64(i+1) {
-				t.Errorf("wid %d: is-lsn not dense: %v", wid, sub.Records())
-			}
-		}
-	}
-}
-
 func TestActivityHistogram(t *testing.T) {
 	h := ActivityHistogram(opsLog(t))
 	// START×2, B×2, A×1, C×1, END×1 — descending by count, ties by name.

@@ -251,7 +251,6 @@ type Engine struct {
 	src      *colstore.Store
 	strategy Strategy
 	optimize bool
-	limit    int
 	budget   Budget
 }
 
@@ -269,18 +268,13 @@ func WithoutOptimizer() Option {
 	return func(e *Engine) { e.optimize = false }
 }
 
-// WithLimit caps (best effort) the number of incidents produced per
-// operator per instance — a safety valve for worst-case queries.
-func WithLimit(n int) Option {
-	return func(e *Engine) { e.limit = n }
-}
-
 // WithBudget caps each query's evaluation resources; a tripped limit aborts
 // the query with an error wrapping ErrBudgetExceeded. Every evaluating
 // method enforces it — Query, QueryTraced, QuerySharded, Exists, Count and
 // what is built on them; QueryPattern, which has no error result, returns a
 // nil set. Count of a two-atom pattern is arithmetic over position lists:
-// it produces no incidents and is not charged.
+// it produces no incidents or comparisons to charge, so of the budget only
+// MaxWallTime applies to it.
 func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
@@ -321,7 +315,7 @@ func (e *Engine) preparePattern(p Pattern) Pattern {
 }
 
 func (e *Engine) evaluator() *eval.Evaluator {
-	return eval.New(e.src, eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget})
+	return eval.New(e.src, eval.Options{Strategy: e.strategy, Budget: e.budget})
 }
 
 // evalSet evaluates a prepared plan on the calling goroutine.
@@ -362,7 +356,7 @@ func (e *Engine) QuerySharded(ctx context.Context, query string, shards int) (*I
 	if err != nil {
 		return nil, nil, err
 	}
-	opts := eval.Options{Strategy: e.strategy, Limit: e.limit, Budget: e.budget}
+	opts := eval.Options{Strategy: e.strategy, Budget: e.budget}
 	return shard.NewExecutor(e.src, shard.Config{Shards: shards}).Execute(ctx, p, opts, nil)
 }
 
@@ -567,7 +561,7 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 
 	meter := eval.NewMeter(plan)
 	sp = tr.StartSpan("eval")
-	ev := eval.New(e.src, eval.Options{Strategy: e.strategy, Limit: e.limit, Meter: meter, Budget: e.budget})
+	ev := eval.New(e.src, eval.Options{Strategy: e.strategy, Meter: meter, Budget: e.budget})
 	var qs eval.QueryStats
 	set, err := ev.EvalParallelCtx(ctx, plan, 0, &qs)
 	if err != nil {

@@ -123,27 +123,6 @@ func TestEngineOptionsEquivalent(t *testing.T) {
 	}
 }
 
-func TestEngineLimit(t *testing.T) {
-	log, err := wlq.ClinicLog(20, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := wlq.NewEngine(log, wlq.WithLimit(3))
-	set, err := e.Query("!X & !Y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Limit is per operator per instance; the global set may hold up to
-	// 3 × instances. It must be well below the unlimited count.
-	unlimited, err := wlq.NewEngine(log).Query("!X & !Y")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if set.Len() >= unlimited.Len() {
-		t.Errorf("limit had no effect: %d vs %d", set.Len(), unlimited.Len())
-	}
-}
-
 func TestEngineGroupBy(t *testing.T) {
 	log, err := wlq.ClinicLog(150, 9)
 	if err != nil {
