@@ -268,8 +268,9 @@ type WorkerCall struct {
 	BreakerSkip bool `json:"breaker_skip,omitempty"`
 	// ElapsedUS is the worker-reported evaluation wall time (0 on failure).
 	ElapsedUS int64 `json:"elapsed_us"`
-	// Incidents is how many incidents the worker contributed; TraceSpans
-	// how many spans its returned subtree carried.
+	// Incidents is how many incidents the worker's part of the answer has
+	// (counted, not shipped, unless the query asked for incidents);
+	// TraceSpans how many spans its returned subtree carried.
 	Incidents  int `json:"incidents"`
 	TraceSpans int `json:"trace_spans,omitempty"`
 	// Error is the terminal failure, when Status != "ok".
@@ -287,12 +288,20 @@ type ExecOptions struct {
 	Budget resilience.Budget
 }
 
-// Execute evaluates the plan across the worker fleet on the shared
+// Execute evaluates the plan across the worker fleet and returns incL(p):
+// Answer in the eval.ShapeIncidents shape.
+func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *shard.Completeness, Fanout, error) {
+	a, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
+	return a.Set, comp, fan, err
+}
+
+// Answer evaluates the plan across the worker fleet on the shared
 // partition driver (shard.Scatter): part i of shard.Partition(opts.WIDs,
 // fleet size) goes to worker i, attempted through call — one request plus an
-// optional hedge — under the driver's breaker admission and retry loop, and
-// the surviving answers concatenate through shard.Merge — byte-identical to
-// a single-node evaluation when every worker answers.
+// optional hedge — under the driver's breaker admission and retry loop. The
+// request carries the shape as its mode, every worker answers in it, and the
+// surviving answers add up and concatenate through shard.Merge — equal to a
+// single-node evaluation when every worker answers.
 //
 // The error and Completeness contract is shard.Merge's, with each excluded
 // worker's part named by its exact wid interval.
@@ -303,7 +312,7 @@ type ExecOptions struct {
 // annotations, and the driver's backoff and breaker-skip spans. The winning
 // response's own span subtree is grafted under the transport span that
 // carried it.
-func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *shard.Completeness, Fanout, error) {
+func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (eval.Answer, *shard.Completeness, Fanout, error) {
 	c.fanouts.Add(1)
 	// Distributed tracing: mint (or reuse) the query's trace id and ask
 	// workers to return their span trees and cost tables. The id travels on
@@ -336,6 +345,7 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	req := WorkerQueryRequest{
 		Log:      logName,
 		Plan:     plan.String(),
+		Mode:     shape.String(),
 		Strategy: opts.Strategy,
 		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
 	}
@@ -346,28 +356,28 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	// Each part's goroutine writes only its own slot of calls and tables.
 	calls := make([]WorkerCall, len(parts))
 	tables := make([][]obs.CostRow, len(parts))
-	attempt := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+	attempt := func(ctx context.Context, i, n int) (shard.PartAnswer, error) {
 		wreq := req
 		wreq.Self = parts[i].Worker
 		wreq.WIDMin, wreq.WIDMax = &parts[i].MinWID, &parts[i].MaxWID
 		body, err := json.Marshal(wreq)
 		queueWaits[i].End() // idempotent; the first attempt ends the queue wait
 		if err != nil {
-			return nil, 0, nonRetryable(fmt.Errorf("encode worker request: %w", err))
+			return shard.PartAnswer{}, nonRetryable(fmt.Errorf("encode worker request: %w", err))
 		}
-		resp, err := c.attempt(ctx, parts[i], n, traceID, body, &calls[i])
+		resp, count, err := c.attempt(ctx, parts[i], shape, n, traceID, body, &calls[i])
 		if err != nil {
-			return nil, 0, err
+			return shard.PartAnswer{}, err
 		}
 		tables[i] = resp.CostTable
-		return resp.Incidents, resp.Instances, nil
+		return shard.PartAnswer{Count: count, WIDs: resp.WIDs, Incidents: resp.Incidents, Instances: resp.Instances}, nil
 	}
 	results := c.scatter.Gather(ctx, parts, attempt)
 	scatter.End()
 
 	msp := tr.StartSpan("merge")
 	defer msp.End()
-	set, comp, err := shard.Merge(ctx, parts, results, qs)
+	ans, comp, err := shard.Merge(ctx, parts, results, shape, qs)
 	c.workerRetries.Add(uint64(comp.Retries))
 	c.workersSkipped.Add(uint64(comp.Skipped))
 	fan := Fanout{
@@ -385,7 +395,7 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 		call := &calls[i]
 		call.Worker, call.WIDs = parts[i].Worker, len(parts[i].WIDs)
 		call.Attempts, call.Retries, call.BreakerSkip = r.Attempts, r.Retries, r.Skipped
-		call.Incidents = len(r.Incidents)
+		call.Incidents = r.Count
 		incidents += call.Incidents
 		fan.Hedged += call.Hedges
 		if call.HedgeWon {
@@ -402,25 +412,26 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	fan.CostTable = obs.AggregateCostTables(tables...)
 	msp.SetAttr("workers_merged", comp.Succeeded)
 	msp.SetAttr("incidents", incidents)
-	return set, comp, fan, err
+	return ans, comp, fan, err
 }
 
 // attempt is the coordinator's shard.Transport: one call against the part's
-// worker, the placement and trace-id cross-checks on its reply, and the
-// graft of the reply's span subtree. Hedge and reply detail lands on call.
-func (c *Coordinator) attempt(ctx context.Context, part shard.Part, n int, traceID string, body []byte, call *WorkerCall) (*WorkerQueryResponse, error) {
+// worker, the shape, placement and trace-id cross-checks on its reply, and
+// the graft of the reply's span subtree. Hedge and reply detail lands on
+// call. count is the number of incidents the reply stands for.
+func (c *Coordinator) attempt(ctx context.Context, part shard.Part, shape eval.Shape, n int, traceID string, body []byte, call *WorkerCall) (resp *WorkerQueryResponse, count int, err error) {
 	resp, winner, err := c.call(ctx, part.Span, n, traceID, c.workers[part.ID], body, call)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	if err := checkPlacement(part, resp); err != nil {
+	if count, err = checkReply(part, shape, resp); err != nil {
 		// Deterministic — the same request gets the same reply — so never
 		// retried.
 		err = nonRetryable(err)
 		winner.SetAttr("error", err.Error())
-		return nil, err
+		return nil, 0, err
 	}
-	winner.SetAttr("incidents", len(resp.Incidents))
+	winner.SetAttr("incidents", count)
 	if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
 		// Same spirit as the WIDsOwned echo: the worker answered under
 		// a different trace context than we sent. Annotate, keep the
@@ -432,27 +443,53 @@ func (c *Coordinator) attempt(ctx context.Context, part shard.Part, n int, trace
 		obs.Graft(winner, resp.Spans, winner.StartUS)
 	}
 	call.ElapsedUS = resp.ElapsedUS
-	return resp, nil
+	return resp, count, nil
 }
 
-// checkPlacement cross-checks a reply against the part it answers. The
-// member count catches a worker whose copy of the log differs from the
-// coordinator's inside the interval: merging its answer would silently
-// mis-cover the log. The two end incidents (the list is in canonical order,
-// the decoder saw to that) catch incidents from outside the interval, which
-// shard.Merge's concatenation would otherwise put out of order.
-func checkPlacement(part shard.Part, resp *WorkerQueryResponse) error {
+// checkReply cross-checks a reply against the part and the shape it
+// answers, and returns the number of incidents it reports. The member count catches a worker whose copy of the log differs
+// from the coordinator's inside the interval: merging its answer would
+// silently mis-cover the log. A summary shape must come with its count — a
+// worker from before the request's mode field ignores it and sends
+// incidents, which this coordinator would have to decode and reduce for
+// every part of every query; its part is lost instead, so upgrade workers
+// first. The two ends of the answer list (incidents are in canonical order,
+// the decoder saw to that; wids must be ascending) catch answers from
+// outside the interval, which shard.Merge's concatenation would otherwise
+// put out of order.
+func checkReply(part shard.Part, shape eval.Shape, resp *WorkerQueryResponse) (count int, err error) {
 	if resp.WIDsOwned != len(part.WIDs) {
-		return fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
+		return 0, fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
 			resp.WIDsOwned, part.MinWID, part.MaxWID, len(part.WIDs))
 	}
-	if n := len(resp.Incidents); n > 0 {
-		if lo, hi := resp.Incidents[0].WID(), resp.Incidents[n-1].WID(); lo < part.MinWID || hi > part.MaxWID {
-			return fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
-				ErrMalformedIncidents, lo, hi, part.MinWID, part.MaxWID)
+	lo, hi := part.MinWID, part.MaxWID // an empty answer lies inside any interval
+	if shape == eval.ShapeIncidents {
+		count = len(resp.Incidents)
+		if count > 0 {
+			lo, hi = resp.Incidents[0].WID(), resp.Incidents[count-1].WID()
+		}
+	} else {
+		if resp.Count == nil {
+			return 0, fmt.Errorf("mode mismatch: the reply to a %q request has no count (a worker from before the mode field?)", shape)
+		}
+		count = *resp.Count
+		for i, wid := range resp.WIDs {
+			if i > 0 && resp.WIDs[i-1] >= wid {
+				return 0, fmt.Errorf("%w: wids %d, %d not ascending", ErrMalformedIncidents, resp.WIDs[i-1], wid)
+			}
+		}
+		if n := len(resp.WIDs); n > 0 {
+			lo, hi = resp.WIDs[0], resp.WIDs[n-1]
+		}
+		if shape == eval.ShapeInstances && (count < len(resp.WIDs) || (count > 0) != (len(resp.WIDs) > 0)) {
+			return 0, fmt.Errorf("%w: %d incidents over %d wids", ErrMalformedIncidents, count, len(resp.WIDs))
 		}
 	}
-	return nil
+	if lo < part.MinWID || hi > part.MaxWID {
+		return 0, fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
+			ErrMalformedIncidents, lo, hi, part.MinWID, part.MaxWID)
+	}
+	return count, nil
 }
 
 // call performs one attempt against a worker: the primary request, plus —

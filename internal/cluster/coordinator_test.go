@@ -9,12 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/shard"
@@ -40,10 +42,27 @@ func ownedWIDs(wids []uint64, req WorkerQueryRequest) []uint64 {
 	return owned
 }
 
-// replyBody is a well-formed worker reply around the given incidents array.
+// replyBody is a well-formed worker reply to an incidents-mode request,
+// around the given incidents array.
 func replyBody(req WorkerQueryRequest, owned int, incidents string) string {
 	return fmt.Sprintf(`{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":%s,"elapsed_us":1}`,
 		req.Self, owned, owned, incidents)
+}
+
+// shapedReplyBody is the reply in the request's mode: the incidents, or
+// their number with, in mode "instances", the wids they lie in.
+func shapedReplyBody(req WorkerQueryRequest, owned int, incs []incident.Incident) string {
+	array := ""
+	switch req.Mode {
+	case "count":
+	case "instances":
+		wids, _ := json.Marshal(append([]uint64{}, incident.MergeSorted(incs).WIDs()...))
+		array = `,"wids":` + string(wids)
+	default:
+		return replyBody(req, owned, string(AppendIncidents(nil, incs)))
+	}
+	return fmt.Sprintf(`{"worker":%q,"wids_owned":%d,"instances":%d,"count":%d%s,"elapsed_us":1}`,
+		req.Self, owned, owned, len(incs), array)
 }
 
 // fakeWorker answers POST /v1/worker/query with a well-formed envelope —
@@ -140,12 +159,14 @@ func TestCoordinatorReadsAnIndentedReply(t *testing.T) {
 }
 
 // stubFleet is a worker fleet behind cluster.Config.Transport, no sockets:
-// every worker holds wids and answers one incident per member of the
-// requested interval, after tamper has had its way with the raw request and
-// the answer.
+// every worker holds wids and answers, in the request's mode, one incident
+// per member of the requested interval, after tamper has had its way with
+// the raw request and the answer. replies, when non-nil, records each
+// worker's reply body.
 type stubFleet struct {
-	wids   []uint64
-	tamper func(raw []byte, req WorkerQueryRequest, incs []incident.Incident)
+	wids    []uint64
+	tamper  func(raw []byte, req WorkerQueryRequest, incs []incident.Incident)
+	replies *sync.Map
 }
 
 func (f stubFleet) RoundTrip(r *http.Request) (*http.Response, error) {
@@ -163,7 +184,10 @@ func (f stubFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 		incs[i] = incident.New(wid, 1, 2)
 	}
 	f.tamper(raw, req, incs)
-	body := replyBody(req, len(owned), string(AppendIncidents(nil, incs)))
+	body := shapedReplyBody(req, len(owned), incs)
+	if f.replies != nil {
+		f.replies.Store(req.Self, body)
+	}
 	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(body))}, nil
 }
 
@@ -195,7 +219,7 @@ func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
 						badServed.Add(1)
 						stray(req, incs)
 					}
-				}},
+				}, nil},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -236,6 +260,7 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 	wids := []uint64{3, 4, 9, 20, 21}
 	var mu sync.Mutex
 	bodies := make(map[string]map[string]any)
+	var replies sync.Map
 	c, err := New(Config{
 		Workers: []string{"http://w1", "http://w2"},
 		Transport: stubFleet{wids, func(raw []byte, req WorkerQueryRequest, _ []incident.Incident) {
@@ -246,25 +271,103 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 			mu.Lock()
 			bodies[req.Self] = doc
 			mu.Unlock()
-		}},
+		}, &replies},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
+	plan := pattern.MustParse("A -> B")
+	set, comp, _, err := c.Execute(context.Background(), "log", plan, ExecOptions{WIDs: wids}, nil)
 	if err != nil || !comp.Complete || set.Len() != len(wids) {
 		t.Fatalf("set %v, completeness %+v, err %v", set, comp, err)
 	}
 	for worker, want := range map[string][2]float64{"http://w1": {3, 9}, "http://w2": {20, 21}} {
 		b := bodies[worker]
-		if b["wid_min"] != want[0] || b["wid_max"] != want[1] {
-			t.Errorf("%s asked for %v–%v, want %v–%v", worker, b["wid_min"], b["wid_max"], want[0], want[1])
+		if b["wid_min"] != want[0] || b["wid_max"] != want[1] || b["mode"] != "incidents" {
+			t.Errorf("%s asked for %v–%v in mode %v, want %v–%v in mode incidents", worker, b["wid_min"], b["wid_max"], b["mode"], want[0], want[1])
 		}
 		for _, gone := range []string{"ring", "replicas", "limit"} {
 			if _, ok := b[gone]; ok {
 				t.Errorf("%s request still carries %q", worker, gone)
 			}
 		}
+	}
+
+	// The mode rides the wire, and a summary comes back as one: a count
+	// reply carries a number and no array, an instances reply wids and no
+	// incident, and the coordinator adds and concatenates them.
+	for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
+		var qs eval.QueryStats
+		a, comp, fan, err := c.Answer(context.Background(), "log", plan, shape, ExecOptions{WIDs: wids}, &qs)
+		if err != nil || !comp.Complete || a.Count != len(wids) || a.Set != nil || qs.Incidents != len(wids) {
+			t.Fatalf("%v: answer %+v, completeness %+v, stats %+v, err %v", shape, a, comp, qs, err)
+		}
+		if shape == eval.ShapeInstances && !slices.Equal(a.WIDs, wids) {
+			t.Errorf("merged wids %v, want %v", a.WIDs, wids)
+		}
+		if shape == eval.ShapeCount && a.WIDs != nil {
+			t.Errorf("a count came with wids %v", a.WIDs)
+		}
+		for i, worker := range []string{"http://w1", "http://w2"} {
+			if got := bodies[worker]["mode"]; got != shape.String() {
+				t.Errorf("%s was asked in mode %v, want %v", worker, got, shape)
+			}
+			reply, _ := replies.Load(worker)
+			if body := reply.(string); strings.Contains(body, "incidents") || strings.Contains(body, `"wids":`) != (shape == eval.ShapeInstances) || len(body) > 400 {
+				t.Errorf("%s answered a %v request with %s", worker, shape, body)
+			}
+			if fan.PerWorker[i].Incidents != []int{3, 2}[i] {
+				t.Errorf("%s: call reports %d incidents", worker, fan.PerWorker[i].Incidents)
+			}
+		}
+	}
+}
+
+// TestClusterReplyInAnotherModeLosesThePart: a worker from before the mode
+// field answers a count request with incidents and no count. Its part is
+// lost, unretried, under the completeness contract — never decoded into a
+// count the coordinator made up.
+func TestClusterReplyInAnotherModeLosesThePart(t *testing.T) {
+	wids := testWIDs(12)
+	old, oldServed := fakeWorker(t, wids, func(owned []uint64) string {
+		incs := make([]incident.Incident, len(owned))
+		for i, wid := range owned {
+			incs[i] = incident.New(wid, 1, 2)
+		}
+		return string(AppendIncidents(nil, incs))
+	})
+	current := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req WorkerQueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		owned := ownedWIDs(wids, req)
+		incs := make([]incident.Incident, len(owned))
+		for i, wid := range owned {
+			incs[i] = incident.New(wid, 1, 2)
+		}
+		io.WriteString(w, shapedReplyBody(req, len(owned), incs))
+	}))
+	t.Cleanup(current.Close)
+	c, err := New(Config{
+		Workers:     []string{current.URL, old.URL},
+		RetryPolicy: shard.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, comp, _, err := c.Answer(context.Background(), "log", pattern.MustParse("A -> B"), eval.ShapeCount, ExecOptions{WIDs: wids}, nil)
+	if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 {
+		t.Fatalf("answer %+v, completeness %+v, err %v; want the current worker's 6 and one part lost", a, comp, err)
+	}
+	if lost := comp.Failures[0]; lost.Worker != old.URL || lost.Attempts != 1 || oldServed.Load() != 1 || !strings.Contains(lost.Cause, "mode") {
+		t.Errorf("lost part %+v after %d requests, want the old worker's, once, naming the mode", lost, oldServed.Load())
+	}
+	// The same fleet still answers an incidents request whole.
+	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
+	if err != nil || !comp.Complete || set.Len() != len(wids) {
+		t.Fatalf("incidents: set %v, completeness %+v, err %v", set, comp, err)
 	}
 }
 

@@ -44,6 +44,11 @@ type WorkerQueryRequest struct {
 	// Self is the receiving worker's own name (its base URL), echoed in the
 	// reply and stamped on its trace spans.
 	Self string `json:"self"`
+	// Mode is the shape of the answer wanted (eval.Shape by name): "count"
+	// for the number of incidents alone, "instances" for that and the wids
+	// having one, "incidents" — or nothing, as a coordinator from before the
+	// field sends — for the incidents themselves.
+	Mode string `json:"mode,omitempty"`
 	// Strategy optionally overrides the join implementation ("merge"/"naive").
 	Strategy string `json:"strategy,omitempty"`
 	// Budget is this worker's slice of the query budget.
@@ -88,18 +93,21 @@ func (d BudgetDoc) Budget() resilience.Budget {
 
 // WorkerQueryResponse is the POST /v1/worker/query success body as the
 // coordinator decodes it. A worker writes the same object in three pieces —
-// WorkerReplyHead, the incidents through AppendIncidents, WorkerReplyTail —
-// because the array is nearly all of the reply and json.Marshal of this
-// struct, which re-scans what a Marshaler returns, takes six times as long
-// as the codec alone (BenchmarkIncidentCodec: document vs append).
+// WorkerReplyHead, the answer array of the request's mode, WorkerReplyTail —
+// because an incidents array is nearly all of its reply and json.Marshal of
+// this struct, which re-scans what a Marshaler returns, takes six times as
+// long as the codec alone (BenchmarkIncidentCodec: document vs append).
 type WorkerQueryResponse struct {
 	WorkerReplyHead
-	// Incidents are the worker's wid-local answers, in canonical order.
+	// Incidents, in mode "incidents", are the worker's wid-local answers in
+	// canonical order (AppendIncidents); WIDs, in mode "instances", the wids
+	// among its part that have one, ascending. Mode "count" has no array.
 	Incidents Incidents `json:"incidents"`
+	WIDs      []uint64  `json:"wids"`
 	WorkerReplyTail
 }
 
-// WorkerReplyHead is the part of the reply ahead of the incidents.
+// WorkerReplyHead is the part of the reply ahead of the answer array.
 type WorkerReplyHead struct {
 	// Worker echoes the Self the worker evaluated as.
 	Worker string `json:"worker"`
@@ -109,6 +117,11 @@ type WorkerReplyHead struct {
 	WIDsOwned int `json:"wids_owned"`
 	// Instances is the number of workflow instances actually evaluated.
 	Instances int `json:"instances"`
+	// Count is the number of incidents in the part, present in the modes
+	// "count" and "instances" (in "incidents" it is the array's length). Its
+	// absence is how a coordinator tells a worker that does not know the
+	// request's mode field and answered with incidents regardless.
+	Count *int `json:"count,omitempty"`
 }
 
 // WorkerReplyTail is the part of the reply after the incidents.

@@ -25,13 +25,15 @@ import (
 //
 // Deep inside a join there is no error return path (Algorithm 1's loops
 // produce slices, not errors), so a tripped limit aborts by panicking with
-// a budgetAbort, which safeEvalWID converts back into the *BudgetError at
+// a budgetAbort, which safeInstance converts back into the *BudgetError at
 // the instance boundary. The panic never escapes the evaluator.
 //
 // Every entry point runs the same scan (parallel.go), so every one enforces
 // Options.Budget; those without an error result panic with the *BudgetError,
 // which is why a caller that sets a budget uses the error-returning forms
-// (EvalParallelCtx, EvalWIDsCtx, ExistsCtx, CountCtx).
+// (AnswerCtx, EvalParallelCtx, EvalWIDsCtx, ExistsCtx, CountCtx). A counted
+// instance (count.go) produces no incident, so of the four dimensions the
+// comparisons its summary joins tally and the wall time bound it.
 
 // budgetAbort is the internal panic payload carrying the typed error.
 type budgetAbort struct {
@@ -160,23 +162,28 @@ func SetEvalHook(h func(wid uint64)) {
 	evalHook.Store(&h)
 }
 
-// safeEvalWID evaluates one instance under the worker isolation boundary:
+// safeInstance evaluates one instance — counting it when handed a counter,
+// enumerating its incidents otherwise — under the worker isolation boundary:
 // a budgetAbort panic becomes its typed *BudgetError, any other panic — a
 // genuine bug, or an injected fault — becomes a *resilience.PanicError with
 // an incident id and the captured stack. One poisoned instance evaluation
 // fails one query; the process, and the other queries in flight, keep going.
-func (e *Evaluator) safeEvalWID(prog program, vals [][]incident.Incident, wid uint64, bs *budgetState) (incs []incident.Incident, err error) {
+func (e *Evaluator) safeInstance(prog program, vals [][]incident.Incident, ctr *counter, wid uint64, bs *budgetState) (n int, incs []incident.Incident, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
 		case budgetAbort:
-			incs, err = nil, r.err
+			n, incs, err = 0, nil, r.err
 		default:
-			incs, err = nil, resilience.NewPanicError(r)
+			n, incs, err = 0, nil, resilience.NewPanicError(r)
 		}
 	}()
 	if h := evalHook.Load(); h != nil {
 		(*h)(wid)
 	}
-	return e.evalInstance(prog, vals, wid, bs), nil
+	if ctr != nil {
+		return e.countInstance(ctr, wid, bs), nil, nil
+	}
+	incs = e.evalInstance(prog, vals, wid, bs)
+	return len(incs), incs, nil
 }

@@ -13,9 +13,10 @@ import (
 	"wlq/internal/wlog"
 )
 
-// TestCountFastPathMatchesEval: for every atomic-pair shape (the fast
-// path), Count must equal Eval().Len() on randomized logs — including the
-// tricky parallel dedup case where both atoms match shared records.
+// TestCountFastPathMatchesEval: for every atomic-pair shape (counted by the
+// closed formulas of countAtomicPair), Count must equal Eval().Len() on
+// randomized logs — including the tricky parallel dedup case where both
+// atoms match shared records.
 func TestCountFastPathMatchesEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	alphabet := []string{"A", "B"}
@@ -80,8 +81,8 @@ func TestCountFallsBackForComposites(t *testing.T) {
 	}
 }
 
-// TestCountFastPathIsGuarded: the two-atom arithmetic path checks ctx and
-// the wall-time budget once per instance, like every other entry point.
+// TestCountFastPathIsGuarded: a counted plan checks ctx and the wall-time
+// budget once per instance, like every other entry point.
 func TestCountFastPathIsGuarded(t *testing.T) {
 	ix := NewIndex(buildLog(t, []string{"A", "B"}, []string{"A", "B"}))
 	p := pattern.MustParse("A -> B")

@@ -3,6 +3,7 @@ package eval_test
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wlq/internal/clinic"
@@ -10,6 +11,7 @@ import (
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
+	"wlq/internal/core/rewrite"
 	"wlq/internal/gen"
 	"wlq/internal/predicate"
 	"wlq/internal/wlog"
@@ -72,6 +74,19 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node) {
 				n, err := e.CountCtx(ctx, p)
 				if err != nil || n != want.Len() || e.Count(p) != n {
 					t.Fatalf("%s/%v: CountCtx(%s) = %d, %v; Count = %d; oracle has %d", name, strat, p, n, err, e.Count(p), want.Len())
+				}
+				// The cheaper shapes, counted where the plan allows and folded
+				// over the enumeration where not, summarise the same set.
+				for _, workers := range []int{1, 3} {
+					var qs eval.QueryStats
+					a, err := e.AnswerCtx(ctx, p, wids, workers, eval.ShapeCount, &qs)
+					if err != nil || a.Count != want.Len() || a.WIDs != nil || a.Set != nil || qs.Instances != len(wids) || qs.Incidents != want.Len() {
+						t.Fatalf("%s/%v/meter=%v: %d workers: count shape of %s = %+v, %v, stats %+v; oracle has %d", name, strat, metered, workers, p, a, err, qs, want.Len())
+					}
+					a, err = e.AnswerCtx(ctx, p, wids, workers, eval.ShapeInstances, nil)
+					if err != nil || a.Count != want.Len() || !slices.Equal(a.WIDs, want.WIDs()) || a.Set != nil {
+						t.Fatalf("%s/%v/meter=%v: %d workers: instances shape of %s = %+v, %v; oracle has %d over %v", name, strat, metered, workers, p, a, err, want.Len(), want.WIDs())
+					}
 				}
 				ex, err := e.ExistsCtx(ctx, p)
 				if err != nil || ex != (want.Len() > 0) || e.Exists(p) != ex {
@@ -147,6 +162,157 @@ func TestEntryPointsAgreeOnRepeatedSubPatterns(t *testing.T) {
 	} {
 		assertEntryPointsAgree(t, l, pattern.MustParse(q))
 		assertEntryPointsAgree(t, clinic.Fig3(), pattern.MustParse(q))
+	}
+}
+
+// TestEntryPointsAgreeOnCountedShapes: the plans the counter has a case
+// for — each end of a summarised step kept or dropped, a repeated
+// sub-pattern read from both sides, record-sharing ⊕ operands, negated,
+// guarded, absent and boundary atoms — and the ones it must leave to the
+// enumeration, on logs where operands overlap as much as they can.
+func TestEntryPointsAgreeOnCountedShapes(t *testing.T) {
+	abc := eval.NewIndex(traceLog(t, []string{"A", "B", "C"}))
+	if p := pattern.MustParse(mixedSizes); eval.Counted(p, eval.ShapeCount, eval.StrategyMerge) {
+		t.Errorf("%s is counted", p)
+	} else if pairs, incidents := 3, eval.New(abc, eval.Options{}).Count(p); incidents != 2 {
+		// {1,2,3} arises as A+(B->C) and as (A->B)+C.
+		t.Errorf("%s on A B C: %d incidents, want 2 (from %d qualifying pairs)", p, incidents, pairs)
+	}
+	for name, l := range countedShapeLogs(t) {
+		for _, q := range countedShapeQueries {
+			t.Run(name+"/"+q, func(t *testing.T) { assertEntryPointsAgree(t, l, pattern.MustParse(q)) })
+		}
+	}
+}
+
+func countedShapeLogs(t *testing.T) map[string]*wlog.Log {
+	return map[string]*wlog.Log{
+		"abc":     traceLog(t, []string{"A", "B", "C"}),
+		"mixed":   traceLog(t, []string{"A", "B", "A", "C", "B", "A", "C", "C"}, []string{"B", "A"}, []string{"C"}, []string{"A", "A", "B", "B"}),
+		"one act": gen.WorstCaseLog(7),
+		"fig3":    clinic.Fig3(),
+	}
+}
+
+var countedShapeQueries = []string{
+	mixedSizes,
+	"A & A", "A & (A | B)", "(A | B) & (B | C)", "!A -> !A", "!A . !A", "NoSuchActivity . A", "START -> END",
+	"A -> B -> C", "A -> (B -> C)", "(A . B) . C", "A . (B . C)", "(A -> B) . (B -> C)",
+	// A summarised step read from both ends, and one repeated in both roles.
+	"A -> ((A -> B) -> C)", "(A -> (B -> C)) -> C", "A . ((B -> A) . C)", "(A -> B) -> (A -> B)",
+	"((A -> B) -> C) -> (A -> (A -> B))", "(A -> B) . (A -> B)", "(A | B) -> (A | B) -> (A | B)",
+	// ⊕ under an order operator: incidents {x, y} by min and max.
+	"(A & B) -> C", "C . (A & B)", "(A & A) -> (A & A)", "A -> ((A & (A | B)) -> C)", "(!A & !B) . !C",
+	// Uncountable: ⊗ and ⊕ over multi-record operands, and anything above.
+	"(A -> B) | (B -> C)", "(A -> B) & C", "((A -> B) | (A . B)) -> C", "A -> ((A -> B) & (B -> C))",
+	"t -> t", "t & t", "(t -> t) -> (t -> t)", "t . (t -> t) . t", "(t & t) -> t",
+	"GetRefer[balance>2000] -> (CheckIn -> SeeDoctor[year>=2017])", "!SeeDoctor[receipt1?] -> END",
+}
+
+// TestCountedMeterMatchesEnumerated: a counted run meters every step with the
+// operand sizes, outputs and Lemma 1 bound the enumeration records — so cost
+// tables and operator counters mean the same in every mode — and with the
+// comparisons its own joins made.
+func TestCountedMeterMatchesEnumerated(t *testing.T) {
+	for name, l := range countedShapeLogs(t) {
+		src := colstore.Build(l)
+		for _, q := range countedShapeQueries {
+			p := pattern.MustParse(q)
+			if !eval.Counted(p, eval.ShapeCount, eval.StrategyMerge) {
+				continue
+			}
+			snapshot := func(shape eval.Shape, workers int) []eval.NodeStats {
+				m := eval.NewMeter(p)
+				if _, err := eval.New(src, eval.Options{Meter: m}).AnswerCtx(context.Background(), p, src.WIDs(), workers, shape, nil); err != nil {
+					t.Fatal(err)
+				}
+				return m.Snapshot()
+			}
+			want := snapshot(eval.ShapeIncidents, 1)
+			for _, workers := range []int{1, 3} {
+				got := snapshot(eval.ShapeCount, workers)
+				for i := range want {
+					g, w := got[i], want[i]
+					if !g.Atom {
+						if g.Comparisons == 0 && w.Comparisons > 0 {
+							t.Errorf("%s/%s: node %s joined %d × %d incidents in no comparison", name, q, g.Node, g.LeftInputs, g.RightInputs)
+						}
+						g.Comparisons, w.Comparisons = 0, 0
+					}
+					if g != w {
+						t.Errorf("%s/%s, %d workers: node %s metered\n counted:    %+v\n enumerated: %+v", name, q, workers, g.Node, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// benchPool is bench/'s query set Q (first spellings).
+var benchPool = []string{
+	"SeeDoctor", "GetReimburse", "!SeeDoctor", "CheckIn . SeeDoctor", "SeeDoctor -> PayTreatment",
+	"GetRefer | GetReimburse", "UpdateRefer & TakeTreatment", "GetRefer -> (SeeDoctor -> PayTreatment)",
+	"(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)", "START -> END", "NoSuchActivity -> SeeDoctor",
+	"UpdateRefer & (TakeTreatment | GetReimburse)",
+}
+
+// TestBenchPoolPlansAreCounted: every plan the benchmark's schedule sends in
+// count, exists and instances mode is answered without an incident — the
+// choice of sequences only as the optimizer rewrites it (Theorem 5).
+func TestBenchPoolPlansAreCounted(t *testing.T) {
+	l, err := clinic.Generate(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := eval.NewIndex(l)
+	for _, q := range benchPool {
+		plan, _ := rewrite.Explain(pattern.MustParse(q), ix)
+		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
+			if !eval.Counted(plan, shape, eval.StrategyMerge) {
+				t.Errorf("%s (plan %s): %v answer is enumerated", q, plan, shape)
+			}
+			if eval.Counted(plan, shape, eval.StrategyNaive) {
+				t.Errorf("%s: counted under the naive strategy", q)
+			}
+		}
+		if eval.Counted(plan, eval.ShapeIncidents, eval.StrategyMerge) {
+			t.Errorf("%s: an incidents answer cannot be counted", q)
+		}
+	}
+	if q := pattern.MustParse(benchPool[8]); eval.Counted(q, eval.ShapeCount, eval.StrategyMerge) {
+		t.Errorf("%s as written (⊗ over sequences) is counted", q)
+	}
+}
+
+// TestCountedAnswersBuildNoIncident: what a counted answer allocates is the
+// goroutine's scratch, whatever the size of the answer — 10 times the
+// instances, 10 times the incidents, the same allocations.
+func TestCountedAnswersBuildNoIncident(t *testing.T) {
+	allocs := func(n int, q string, shape eval.Shape) (float64, int) {
+		l, err := clinic.Generate(n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := colstore.Build(l)
+		p := pattern.MustParse(q)
+		count := 0
+		return testing.AllocsPerRun(5, func() {
+			a, err := eval.New(cs, eval.Options{Meter: eval.NewMeter(p)}).AnswerCtx(context.Background(), p, cs.WIDs(), 1, shape, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			count = a.Count
+		}), count
+	}
+	for _, q := range []string{"SeeDoctor -> PayTreatment", "GetRefer -> (SeeDoctor -> PayTreatment)", "UpdateRefer & (TakeTreatment | GetReimburse)", "!SeeDoctor"} {
+		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
+			small, nSmall := allocs(100, q, shape)
+			large, nLarge := allocs(1000, q, shape)
+			t.Logf("%s %v: %d incidents %.0f allocs, %d incidents %.0f allocs", q, shape, nSmall, small, nLarge, large)
+			if nLarge < 5*nSmall || large > small+8 {
+				t.Errorf("%s %v: %.0f allocations for %d incidents, %.0f for %d: it grows with the answer", q, shape, small, nSmall, large, nLarge)
+			}
+		}
 	}
 }
 
@@ -240,5 +406,37 @@ func BenchmarkEvalServed(b *testing.B) {
 				sinkSet = set
 			}
 		})
+	}
+}
+
+var sinkCount int
+
+// BenchmarkCountShapes prices a count over bench/'s twelve plans on the
+// benchmark's log, served-style (columnar store, meter on, 2 workers): as the
+// counter answers it, and as the fold over the enumeration that the naive
+// strategy and uncountable plans get.
+func BenchmarkCountShapes(b *testing.B) {
+	l, err := clinic.Generate(5000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	for _, q := range benchPool {
+		plan, _ := rewrite.Explain(pattern.MustParse(q), cs)
+		for _, c := range []struct {
+			name  string
+			shape eval.Shape
+		}{{"counted", eval.ShapeCount}, {"enumerated", eval.ShapeIncidents}} {
+			b.Run(c.name+"/"+q, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					a, err := eval.New(cs, eval.Options{Meter: eval.NewMeter(plan)}).AnswerCtx(context.Background(), plan, cs.WIDs(), 2, c.shape, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					sinkCount = a.Count
+				}
+			})
+		}
 	}
 }

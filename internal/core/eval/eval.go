@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -120,6 +121,11 @@ type step struct {
 	sym    int32
 	hasSym bool
 	nm     *NodeMetrics // the node's meter slot; nil when unmetered
+	// class and need are the counter's view of the step (count.go): how its
+	// incidents in one instance are summarised, and which ends of them the
+	// steps that consume it read.
+	class class
+	need  uint8
 }
 
 // leaf is the step of an atomic pattern.
@@ -177,6 +183,7 @@ func (e *Evaluator) compile(p pattern.Node) program {
 		return len(prog) - 1
 	}
 	emit(p)
+	prog.classify()
 	return prog
 }
 
@@ -255,20 +262,20 @@ func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
 	return e.sym.ActivitySeqsSym(wid, st.sym)
 }
 
-// evalAtom answers an atomic pattern from the backend: for a positive
-// pattern the is-lsn list of the activity; for a negated pattern the
-// complement within the instance (valid logs have dense is-lsn 1..n, so the
-// complement is computed by a linear merge, not a scan of record contents).
-// Guards, when present, filter the matching records (extension).
-func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
+// atomSeqs answers an atomic pattern from the backend as the ascending
+// is-lsn list of the instance's matching records: for a positive pattern the
+// activity's posting list; for a negated pattern its complement within the
+// instance (valid logs have dense is-lsn 1..n, so the complement is a linear
+// merge, not a scan of record contents). Guards, when present, filter the
+// matching records (extension) — the only case that touches a record.
+// candidates is the number of positions the guards were put to. The list is
+// the backend's own slice or lives in *buf, which is reused.
+func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64, candidates int) {
 	a := st.atom
-	var seqs []uint64
-	if !a.Negated {
-		seqs = e.postings(st, wid)
-	} else {
-		n := uint64(e.src.InstanceLen(wid))
-		excluded := e.postings(st, wid)
-		seqs = make([]uint64, 0, int(n)-len(excluded))
+	seqs = e.postings(st, wid)
+	if a.Negated {
+		excluded, n := seqs, uint64(e.src.InstanceLen(wid))
+		seqs = slices.Grow((*buf)[:0], int(n)-len(excluded))
 		j := 0
 		for s := uint64(1); s <= n; s++ {
 			if j < len(excluded) && excluded[j] == s {
@@ -277,18 +284,32 @@ func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
 			}
 			seqs = append(seqs, s)
 		}
+		*buf = seqs
 	}
-	out := make([]incident.Incident, 0, len(seqs))
-	for _, s := range seqs {
-		if len(a.Guards) > 0 {
-			rec, ok := e.src.Record(wid, s)
-			if !ok || !predicate.MatchAll(a.Guards, rec) {
-				continue
+	candidates = len(seqs)
+	if len(a.Guards) > 0 {
+		// Filtering a complement in place is safe: the write index never
+		// passes the read index (and a buffer that holds it needs no growing).
+		kept := slices.Grow((*buf)[:0], len(seqs))
+		for _, s := range seqs {
+			if rec, ok := e.src.Record(wid, s); ok && predicate.MatchAll(a.Guards, rec) {
+				kept = append(kept, s)
 			}
 		}
-		out = append(out, incident.Singleton(wid, s))
+		seqs, *buf = kept, kept
 	}
-	st.nm.recordAtom(len(seqs), len(out))
+	return seqs, candidates
+}
+
+// evalAtom wraps an atom's matching records as singleton incidents.
+func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
+	var buf []uint64
+	seqs, candidates := e.atomSeqs(st, wid, &buf)
+	out := make([]incident.Incident, len(seqs))
+	for i, s := range seqs {
+		out[i] = incident.Singleton(wid, s)
+	}
+	st.nm.recordAtom(candidates, len(out))
 	return out
 }
 

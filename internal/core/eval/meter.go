@@ -135,6 +135,46 @@ func (nm *NodeMetrics) recordMemoHit() {
 	}
 }
 
+// nodeTally is a node's counters as plain integers: what one goroutine's
+// counted instances (count.go) add to the node, folded into the atomic
+// counters once per chunk instead of seven atomic adds per step per instance.
+type nodeTally struct {
+	evals, memoHits, leftInputs, rightInputs, comparisons, outputs, predicted uint64
+}
+
+// recordOp is NodeMetrics.recordOp into the tally.
+func (t *nodeTally) recordOp(nm *NodeMetrics, n1, n2, comparisons, outputs uint64) {
+	t.evals++
+	t.leftInputs += n1
+	t.rightInputs += n2
+	t.comparisons += comparisons
+	t.outputs += outputs
+	t.predicted += predictedBound(nm.op, n1, n2, nm.k1, nm.k2)
+}
+
+// recordAtom is NodeMetrics.recordAtom into the tally.
+func (t *nodeTally) recordAtom(candidates, outputs int) {
+	t.evals++
+	t.comparisons += uint64(candidates)
+	t.outputs += uint64(outputs)
+	t.predicted += uint64(candidates)
+}
+
+// add folds a tally into the node's counters and clears it.
+func (nm *NodeMetrics) add(t *nodeTally) {
+	if nm == nil {
+		return
+	}
+	nm.evals.Add(t.evals)
+	nm.memoHits.Add(t.memoHits)
+	nm.leftInputs.Add(t.leftInputs)
+	nm.rightInputs.Add(t.rightInputs)
+	nm.comparisons.Add(t.comparisons)
+	nm.outputs.Add(t.outputs)
+	nm.predicted.Add(t.predicted)
+	*t = nodeTally{}
+}
+
 // NodeStats is a point-in-time copy of one node's metrics.
 type NodeStats struct {
 	// Node is the plan node the stats belong to.

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,11 +15,63 @@ import (
 
 // Incidents never span workflow instances (Definition 4 requires one wid),
 // so incL(p) decomposes as a disjoint union over instances and the
-// per-instance evaluations are embarrassingly parallel. Every entry point
-// is a fold over one scan of the instances (scan, below): EvalParallel keeps
-// each instance's incidents and concatenates them, Exists stops at the first
-// non-empty instance, Count sums lengths. The answer does not depend on the
-// number of goroutines.
+// per-instance evaluations are embarrassingly parallel. Every entry point is
+// a fold over one scan of the instances (scan, below), in the shape the
+// caller asked for: the incident set keeps each instance's incidents and
+// concatenates them, the instance list keeps the wids that had any, the
+// count only sums, and Exists stops at the first non-empty instance. The
+// answer does not depend on the number of goroutines.
+
+// Shape is what an evaluation is asked to produce. The shapes are ordered
+// richest first: an answer in one shape yields the answer in every later one.
+type Shape int
+
+const (
+	// ShapeIncidents is incL(p) itself, the zero value.
+	ShapeIncidents Shape = iota
+	// ShapeInstances is the workflow instances with an incident, ascending,
+	// and |incL(p)|.
+	ShapeInstances
+	// ShapeCount is |incL(p)| alone.
+	ShapeCount
+)
+
+// String names the shape as the query service's modes and the worker wire do.
+func (s Shape) String() string {
+	switch s {
+	case ShapeIncidents:
+		return "incidents"
+	case ShapeInstances:
+		return "instances"
+	case ShapeCount:
+		return "count"
+	default:
+		return fmt.Sprintf("Shape(%d)", int(s))
+	}
+}
+
+// ParseShape is the inverse of String; the empty name is ShapeIncidents.
+func ParseShape(name string) (Shape, error) {
+	for _, s := range []Shape{ShapeIncidents, ShapeInstances, ShapeCount} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	if name == "" {
+		return ShapeIncidents, nil
+	}
+	return 0, fmt.Errorf("unknown mode %q (want incidents, instances or count)", name)
+}
+
+// Answer is incL(p) in the shape asked for. A cheaper shape can be read off a
+// richer one (Set.WIDs, len(WIDs) > 0), never the reverse.
+type Answer struct {
+	// Count is |incL(p)|, in every shape.
+	Count int
+	// WIDs is set under ShapeInstances; Set under ShapeIncidents.
+	WIDs []uint64
+	Set  *incident.Set
+}
 
 // QueryStats collects per-query evaluation statistics. Pass a zero value to
 // EvalParallelCtx and read it after the call returns; the query service
@@ -29,7 +82,8 @@ type QueryStats struct {
 	// Instances is the number of workflow instances evaluated. On a
 	// cancelled query it counts the instances finished before the cancel.
 	Instances int
-	// Incidents is the number of incidents produced across all instances.
+	// Incidents is the number of incidents of the answer across all
+	// instances, whether they were produced or only counted.
 	Incidents int
 
 	// Sharded-execution accounting, filled by internal/shard when the query
@@ -55,33 +109,73 @@ func (e *Evaluator) EvalParallel(p pattern.Node, workers int) *incident.Set {
 // is discarded and the error returned. stats, when non-nil, is filled in
 // before returning — on both the success and the failure path.
 func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers int, stats *QueryStats) (*incident.Set, error) {
-	return e.collect(ctx, p, e.src.WIDs(), workers, stats)
+	a, err := e.AnswerCtx(ctx, p, e.src.WIDs(), workers, ShapeIncidents, stats)
+	return a.Set, err
 }
 
-// EvalWIDsCtx evaluates p over exactly the given workflow instances — the
-// per-shard entry point of internal/shard and the cluster worker's — with
-// the same cancellation, budget enforcement (a fresh budget state per call)
-// and panic isolation as EvalParallelCtx. Evaluation is serial: a sharded
-// execution gets its parallelism from concurrent shards, not from workers
-// within one. The returned set is exactly the restriction of incL(p) to the
-// given wids.
+// EvalWIDsCtx evaluates p over exactly the given workflow instances with the
+// same cancellation, budget enforcement (a fresh budget state per call) and
+// panic isolation as EvalParallelCtx, serially. The returned set is exactly
+// the restriction of incL(p) to the given wids.
 func (e *Evaluator) EvalWIDsCtx(ctx context.Context, p pattern.Node, wids []uint64, stats *QueryStats) (*incident.Set, error) {
-	return e.collect(ctx, p, wids, 1, stats)
+	a, err := e.AnswerCtx(ctx, p, wids, 1, ShapeIncidents, stats)
+	return a.Set, err
 }
 
-// collect keeps every instance's incidents. Each instance's slice is
-// normalized, so with ascending wids their concatenation is already
-// canonical and MergeSorted only copies.
-func (e *Evaluator) collect(ctx context.Context, p pattern.Node, wids []uint64, workers int, stats *QueryStats) (*incident.Set, error) {
-	results := make([][]incident.Incident, len(wids))
-	err := e.scan(ctx, p, wids, workers, stats, func(i int, incs []incident.Incident) bool {
-		results[i] = incs
-		return true
-	})
-	if err != nil {
-		return nil, err
+// AnswerCtx evaluates p over exactly the given workflow instances (ascending)
+// and answers in the given shape — the entry point of the query service, of
+// the per-shard executor and of the cluster worker, and the one the others
+// wrap. A sharded execution gets its parallelism from concurrent shards and
+// passes workers = 1.
+func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
+	var (
+		visit   func(i, n int, incs []incident.Incident) bool
+		results [][]incident.Incident // ShapeIncidents: per instance
+		hit     []bool                // ShapeInstances: per instance
+	)
+	switch shape {
+	case ShapeIncidents:
+		results = make([][]incident.Incident, len(wids))
+		visit = func(i, _ int, incs []incident.Incident) bool { results[i] = incs; return true }
+	case ShapeInstances:
+		hit = make([]bool, len(wids))
+		visit = func(i, n int, _ []incident.Incident) bool { hit[i] = n > 0; return true }
 	}
-	return incident.MergeSorted(results...), nil
+	count, err := e.scan(ctx, p, wids, workers, shape, stats, visit)
+	if err != nil {
+		return Answer{}, err
+	}
+	a := Answer{Count: count}
+	switch shape {
+	case ShapeIncidents:
+		// Each instance's slice is normalized, so with ascending wids their
+		// concatenation is already canonical and MergeSorted only copies.
+		a.Set = incident.MergeSorted(results...)
+	case ShapeInstances:
+		n := 0
+		for _, h := range hit {
+			if h {
+				n++
+			}
+		}
+		a.WIDs = make([]uint64, 0, n)
+		for i, h := range hit {
+			if h {
+				a.WIDs = append(a.WIDs, wids[i])
+			}
+		}
+	}
+	return a, nil
+}
+
+// Count returns |incL(p)|.
+func (e *Evaluator) Count(p pattern.Node) int {
+	return must(e.CountCtx(context.Background(), p))
+}
+
+// CountCtx is Count under ctx, Options.Budget and panic isolation.
+func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
+	return e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil)
 }
 
 // Exists reports whether incL(p) is non-empty, short-circuiting across
@@ -94,70 +188,81 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	found := false // one goroutine: the visitor needs no synchronisation
-	err := e.scan(ctx, p, e.src.WIDs(), 1, nil, func(_ int, incs []incident.Incident) bool {
-		found = len(incs) > 0
-		return !found
-	})
-	return found, err
+	n, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int, _ []incident.Incident) bool { return n == 0 })
+	return n > 0, err
 }
 
 // scan is the one loop over workflow instances behind every entry point.
 // It compiles p, then evaluates it on the given wids in contiguous chunks,
 // one per goroutine, on up to workers goroutines (0 means GOMAXPROCS; one
-// runs on the caller's). Before each instance it checks ctx and calls the
-// fault hook; the evaluation runs under the safeEvalWID isolation boundary,
-// so a panic becomes a *resilience.PanicError and one poisoned query cannot
-// take the process down; budget limits are checked inside the joins at the
+// runs on the caller's). Where the shape needs no incident and the program
+// is countable (count.go), an instance is counted; otherwise its incidents
+// are enumerated. Before each instance it checks ctx and calls the fault
+// hook; the evaluation runs under the safeInstance isolation boundary, so a
+// panic becomes a *resilience.PanicError and one poisoned query cannot take
+// the process down; budget limits are checked inside the joins at the
 // resilience.CheckInterval stride and, with the result size, as each
 // instance's incidents are charged to the budget state the goroutines
-// share. visit then receives the incidents of wids[i]; it is called from
+// share. visit, when non-nil, then receives the number of incidents of
+// wids[i] and, when they were enumerated, the incidents; it is called from
 // every goroutine (for distinct i) and ends the scan early, without error,
 // by returning false. The first failure stops every goroutine; when several
 // fail, or one fails while ctx is cancelled, the error returned is the
-// highest-ranked (errRank), not whichever lost the race. stats, when
-// non-nil, counts the instances whose incidents were produced before the
-// scan ended.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, stats *QueryStats, visit func(i int, incs []incident.Incident) bool) error {
+// highest-ranked (errRank), not whichever lost the race. scan returns the
+// number of incidents of the instances it covered; stats, when non-nil,
+// counts those instances too.
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int, incs []incident.Incident) bool) (int, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = max(1, min(workers, len(wids)))
 	prog := e.compile(p)
+	counted := prog.counted(shape, e.opts.Strategy)
 	bs := newBudgetState(e.opts.Budget)
 	ctxDone := ctx.Done()
 	var stop atomic.Bool
 
-	// chunk is what one goroutine did: instances and incidents produced,
+	// chunk is what one goroutine did: instances covered, their incidents,
 	// and the failure that ended it.
 	type chunk struct {
 		instances, incidents int
 		err                  error
 	}
-	one := func(vals [][]incident.Incident, wid uint64) ([]incident.Incident, error) {
+	one := func(vals [][]incident.Incident, ctr *counter, wid uint64) (int, []incident.Incident, error) {
 		select {
 		case <-ctxDone:
-			return nil, ctx.Err()
+			return 0, nil, ctx.Err()
 		default:
 		}
-		incs, err := e.safeEvalWID(prog, vals, wid, bs)
+		n, incs, err := e.safeInstance(prog, vals, ctr, wid, bs)
 		if err != nil {
-			return nil, err
+			return 0, nil, err
 		}
-		return incs, bs.addResult(incs)
+		return n, incs, bs.addResult(incs)
 	}
 	run := func(lo, hi int) (c chunk) {
-		vals := make([][]incident.Incident, len(prog))
+		var (
+			vals [][]incident.Incident
+			ctr  *counter
+		)
+		if counted {
+			ctr = newCounter(prog)
+			// Also when the chunk ends in a failure: an abort's partial cost
+			// table includes every completed operator.
+			defer ctr.flush()
+		} else {
+			vals = make([][]incident.Incident, len(prog))
+		}
 		for i := lo; i < hi && !stop.Load(); i++ {
-			incs, err := one(vals, wids[i])
+			n, incs, err := one(vals, ctr, wids[i])
 			if err != nil {
 				c.err = err
 				stop.Store(true)
 				break
 			}
 			c.instances++
-			c.incidents += len(incs)
-			if !visit(i, incs) {
+			c.incidents += n
+			if visit != nil && !visit(i, n, incs) {
 				stop.Store(true)
 			}
 		}
@@ -195,7 +300,7 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	return total.err
+	return total.incidents, total.err
 }
 
 // errRank orders the failures one scan can collect, so which one the caller

@@ -6,12 +6,16 @@ import (
 	"sync/atomic"
 
 	"wlq/internal/cluster"
-	"wlq/internal/core/incident"
+	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 )
 
 // cacheEntry is one cached query: the compiled plan (the optimized pattern)
-// and the materialized result set.
+// and its answer in the richest shape a request has computed so far — the
+// count always, the instance list or the incident set only once a request
+// asked for them. An entry serves every request whose shape can be read off
+// what it holds (serves); a request it cannot serve is a miss, which
+// evaluates in the shape asked for and puts a richer entry in its place.
 // A static log's index is immutable, so its cached results stay valid for
 // the lifetime of the loaded log and are only ever displaced by LRU
 // pressure. Under live ingestion (Config.Ingest) the backend grows, and
@@ -19,13 +23,14 @@ import (
 // plan's atom set tag exactly which appends could change its answer.
 //
 // Entries are shared between concurrent readers and must be treated as
-// read-only: the incident set, the plan and the encoded incidents are never
+// read-only: the answer, the plan and the encoded incidents are never
 // mutated after insert.
 type cacheEntry struct {
 	plan pattern.Node
 	// planText is plan.String(), which every response and capture carries.
 	planText string
-	set      *incident.Set
+	shape    eval.Shape
+	answer   eval.Answer
 	// log and atoms are the delta-invalidation tags (see above); atoms is
 	// nil for entries cached before ingestion was a concern, which the
 	// sweep conservatively treats as always-stale.
@@ -40,11 +45,24 @@ type cacheEntry struct {
 	incidentsLen  atomic.Int64
 }
 
+// serves reports whether the entry holds what a request of the given shape
+// needs: shapes are ordered richest first, and a cheap one derives from a
+// rich one, never the reverse.
+func (e *cacheEntry) serves(shape eval.Shape) bool { return e.shape <= shape }
+
+// instances returns the wids with an incident, ascending.
+func (e *cacheEntry) instances() []uint64 {
+	if e.answer.Set != nil {
+		return e.answer.Set.WIDs()
+	}
+	return e.answer.WIDs
+}
+
 // incidentsJSON returns the whole set as the "incidents" array of a query
 // response. Callers must not modify it.
 func (e *cacheEntry) incidentsJSON() []byte {
 	e.incidentsOnce.Do(func() {
-		e.incidents = cluster.AppendIncidents(nil, e.set.Incidents())
+		e.incidents = cluster.AppendIncidents(nil, e.answer.Set.Incidents())
 		e.incidentsLen.Store(int64(len(e.incidents)))
 	})
 	return e.incidents

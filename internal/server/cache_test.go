@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 )
 
 func entry(n int) *cacheEntry {
-	return &cacheEntry{set: incident.NewSet(incident.Singleton(uint64(n), 1))}
+	return &cacheEntry{answer: eval.Answer{Count: 1, Set: incident.NewSet(incident.Singleton(uint64(n), 1))}}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -45,7 +46,7 @@ func TestLRURefreshSameKey(t *testing.T) {
 		t.Fatalf("len = %d after double insert of one key, want 1", c.len())
 	}
 	e, ok := c.get("a")
-	if !ok || e.set.At(0).WID() != 2 {
+	if !ok || e.answer.Set.At(0).WID() != 2 {
 		t.Fatal("refresh did not replace the entry")
 	}
 }

@@ -595,6 +595,36 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 			t.Fatalf("incidents %v do not span exactly wids 5–12", resp.Incidents)
 		}
 	})
+	t.Run("answers in the request's mode", func(t *testing.T) {
+		want := oracleSet(l, "A -> B").FilterWID // by wid, below
+		n := 0
+		for wid := uint64(5); wid <= 12; wid++ {
+			n += want(wid).Len()
+		}
+		for mode, array := range map[string]string{"count": "", "instances": "wids"} {
+			req := base
+			req.Mode = mode
+			rec := post(t, req)
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s: status %d, err %v: %s", mode, rec.Code, err, rec.Body)
+			}
+			if string(doc["count"]) != fmt.Sprint(n) || doc["incidents"] != nil || (doc["wids"] != nil) != (array != "") {
+				t.Errorf("%s reply %s, want count %d and only the %q array", mode, rec.Body, n, array)
+			}
+			if mode == "count" && rec.Body.Len() >= 400 {
+				t.Errorf("a count reply of %d bytes", rec.Body.Len())
+			}
+			if mode == "instances" && string(doc["wids"]) != "[5,6,7,8,9,10,11,12]" {
+				t.Errorf("wids %s, want the eight of 5–12", doc["wids"])
+			}
+		}
+		req := base
+		req.Mode = "exists"
+		if rec := post(t, req); rec.Code != http.StatusBadRequest {
+			t.Errorf("unknown mode: status %d, want 400: %s", rec.Code, rec.Body)
+		}
+	})
 	t.Run("an old coordinator's limit is tolerated and ignored", func(t *testing.T) {
 		// The worker endpoint accepts unknown fields (rolling upgrades); a
 		// per-operator cap is one, and the answer is incL(p).

@@ -1,13 +1,9 @@
 package server
 
 import (
-	"fmt"
-	"net/http"
 	"testing"
 
 	"wlq"
-	"wlq/internal/core/eval"
-	"wlq/internal/core/pattern"
 	"wlq/internal/wlog"
 )
 
@@ -16,31 +12,13 @@ import (
 // digestOf. A static server answers from colstore.Store, so equality here
 // is the served half of the Store ≡ Index equivalence suite.
 func oracleDigest(l *wlog.Log, q string) string {
-	ev := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
-	set := ev.Eval(pattern.MustParse(q))
+	set := oracleSet(l, q)
 	var resp queryResponse
 	resp.Count = set.Len()
 	if set.Len() > 0 { // the wire form omits an empty list
 		resp.Incidents = incidentDocs(set.Incidents())
 	}
 	return digestOf(resp)
-}
-
-// assertServedMatchesOracle posts each query and requires the oracle's
-// count and incidents.
-func assertServedMatchesOracle(t *testing.T, h http.Handler, name string, l *wlog.Log, queries []string) {
-	t.Helper()
-	for _, q := range queries {
-		var got queryResponse
-		body := fmt.Sprintf(`{"log":%q,"query":%q}`, name, q)
-		if rec := postQuery(t, h, body, &got); rec.Code != http.StatusOK {
-			t.Fatalf("%q: status %d: %s", q, rec.Code, rec.Body)
-		}
-		if want := oracleDigest(l, q); digestOf(got) != want {
-			t.Errorf("%q: served answer diverges from naive Algorithm 1\nserved: %s\noracle: %s",
-				q, digestOf(got), want)
-		}
-	}
 }
 
 var fig3Queries = []string{

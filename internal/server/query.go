@@ -13,7 +13,6 @@ import (
 
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
-	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
 	"wlq/internal/flightrec"
@@ -51,8 +50,9 @@ type queryRequest struct {
 	// Workers overrides the per-query parallelism (capped by the server's
 	// configured value).
 	Workers int `json:"workers,omitempty"`
-	// MaxResults truncates the incidents array in the response (the full
-	// set is still computed and cached); 0 returns everything.
+	// MaxResults truncates the incidents array of an "incidents" response
+	// (the full set is still computed and cached; the other modes have no
+	// array to truncate and compute no set); 0 returns everything.
 	MaxResults int `json:"max_results,omitempty"`
 	// TimeoutMS lowers the per-request timeout; it cannot raise it above
 	// the server's configured value.
@@ -113,16 +113,18 @@ type executor struct {
 	// that asked for the given parallelism (0 = no preference): what the
 	// query holds on the busy_workers gauge while it runs.
 	goroutines func(requested int) int
-	// run evaluates the plan; workers is goroutines' answer.
-	run func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int) execution
+	// run evaluates the plan and answers in the given shape; workers is
+	// goroutines' answer.
+	run func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) execution
 }
 
 // execution is the one outcome type of the execute stage, whichever tier
 // ran the plan.
 type execution struct {
-	set   *incident.Set
-	err   error
-	stats eval.QueryStats
+	// answer is incL(plan) in the shape the run was asked for.
+	answer eval.Answer
+	err    error
+	stats  eval.QueryStats
 	// comp is the coverage of a partitioned run (nil when unsharded).
 	comp *shard.Completeness
 	// fan is a distributed run's fan-out (nil for a local one): the
@@ -137,18 +139,18 @@ func (s *Server) bindExecutor(e *logEntry) {
 	switch {
 	case s.coord != nil:
 		// Distributed execution: the coordinator fans the optimized plan out
-		// to the workers owning wids (consistent hash placement) and merges
-		// their answers; a lost worker degrades the result to a partial
+		// to the workers, one contiguous wid interval each, and merges their
+		// answers; a lost worker degrades the result to a partial
 		// instead of failing the query, under the same completeness contract
 		// as in-process shards. The failure domains are the workers, so
 		// in-process shards on top would partition twice for no added
 		// isolation, and nothing evaluates locally.
 		e.exec = executor{
 			goroutines: func(int) int { return 0 },
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int) (x execution) {
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.clusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
-				x.set, x.comp, *x.fan, x.err = s.coord.Execute(ctx, e.name, plan, cluster.ExecOptions{
+				x.answer, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
 					WIDs:     e.ix.WIDs(),
 					Strategy: opts.Strategy.String(),
 					Budget:   opts.Budget,
@@ -172,9 +174,9 @@ func (s *Server) bindExecutor(e *logEntry) {
 		})
 		e.exec = executor{
 			goroutines: func(int) int { return e.shardex.Shards() },
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int) (x execution) {
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.shardedQueries.Add(1)
-				x.set, x.comp, x.err = e.shardex.Execute(ctx, plan, opts, &x.stats)
+				x.answer, x.comp, x.err = e.shardex.Answer(ctx, plan, opts, shape, &x.stats)
 				s.metrics.shardRetries.Add(uint64(x.comp.Retries))
 				s.metrics.shardsFailed.Add(uint64(x.comp.Failed))
 				s.metrics.shardsSkipped.Add(uint64(x.comp.Skipped))
@@ -184,7 +186,7 @@ func (s *Server) bindExecutor(e *logEntry) {
 	default:
 		e.exec = executor{
 			// Mirrors eval's worker resolution so the gauge matches what
-			// EvalParallelCtx actually spawns: the configured (or lower
+			// AnswerCtx actually spawns: the configured (or lower
 			// requested) count, capped by the instance count.
 			goroutines: func(requested int) int {
 				w := s.cfg.Workers
@@ -193,8 +195,8 @@ func (s *Server) bindExecutor(e *logEntry) {
 				}
 				return max(min(w, len(e.ix.WIDs())), 1)
 			},
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int) (x execution) {
-				x.set, x.err = eval.New(e.ix, opts).EvalParallelCtx(ctx, plan, workers, &x.stats)
+			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
+				x.answer, x.err = eval.New(e.ix, opts).AnswerCtx(ctx, plan, e.ix.WIDs(), workers, shape, &x.stats)
 				return x
 			},
 		}
@@ -290,8 +292,12 @@ type queryRun struct {
 	started time.Time
 
 	// Set by decode.
-	req      queryRequest
-	mode     string
+	req  queryRequest
+	mode string
+	// shape is what the mode needs evaluated: the incident set, the instance
+	// list, or — for count and exists, which every response carries — the
+	// count alone.
+	shape    eval.Shape
 	strategy eval.Strategy
 	entry    *logEntry
 	// capture is the request's flight-recorder record, filled in as the
@@ -307,7 +313,7 @@ type queryRun struct {
 	trace *obs.Trace
 
 	// Set by plan (with capture.Canonical): the cache identity and the
-	// answer — cached, or with its set still to be filled by execute.
+	// answer — cached, or still to be filled in by execute.
 	cacheKey  string
 	cacheable bool
 	answer    *cacheEntry
@@ -420,9 +426,14 @@ func (q *queryRun) decode(r *http.Request) bool {
 	}
 	q.mode = q.req.Mode
 	switch q.mode {
-	case "":
+	case "", "incidents":
 		q.mode = "incidents"
-	case "incidents", "exists", "count", "instances":
+	case "instances":
+		q.shape = eval.ShapeInstances
+	case "count", "exists":
+		// A served exists is the count path: the response reports an exact
+		// count in every mode.
+		q.shape = eval.ShapeCount
 	default:
 		return q.reject(http.StatusBadRequest,
 			"unknown mode %q (want incidents, exists, count or instances)", q.mode)
@@ -473,7 +484,10 @@ func (q *queryRun) plan() bool {
 	// cost table.
 	q.cacheable = !q.req.NoOptimize && !q.req.Trace
 	if q.cacheable {
-		if q.answer, q.cached = s.cache.get(q.cacheKey); q.cached {
+		// An entry that holds less than the mode needs (a count, asked for
+		// its incidents) is a miss: execute replaces it with a richer one.
+		if e, ok := s.cache.get(q.cacheKey); ok && e.serves(q.shape) {
+			q.answer, q.cached = e, true
 			s.metrics.cacheHits.Add(1)
 			q.capture.Cached = true
 			q.capture.Plan = q.answer.planText
@@ -496,7 +510,7 @@ func (q *queryRun) plan() bool {
 	// The log name and the plan's atoms tag the entry for delta
 	// invalidation under live ingestion: an append drops exactly the
 	// entries whose answers could include the new record.
-	q.answer = &cacheEntry{plan: plan, planText: plan.String(), log: entry.name, atoms: pattern.Atoms(plan)}
+	q.answer = &cacheEntry{plan: plan, planText: plan.String(), shape: q.shape, log: entry.name, atoms: pattern.Atoms(plan)}
 	q.capture.Plan = q.answer.planText
 
 	// Pre-flight admission: the cost model prices the plan the service
@@ -567,7 +581,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 
 	sp := q.trace.StartSpan("eval")
 	workers := entry.exec.goroutines(q.req.Workers)
-	x := s.execute(workers, func() execution { return entry.exec.run(ctx, plan, opts, workers) })
+	x := s.execute(workers, func() execution { return entry.exec.run(ctx, plan, opts, workers, q.shape) })
 	s.metrics.recordMeter(meter)
 	// A partitioned run's coverage goes on the capture whatever the outcome.
 	q.capture.Completeness, q.capture.Workers = x.comp, x.fan
@@ -581,6 +595,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("workers", x.stats.Workers)
 		sp.SetAttr("instances", x.stats.Instances)
 		sp.SetAttr("incidents", x.stats.Incidents)
+		sp.SetAttr("answer", answerPath(plan, q.shape, q.strategy))
 		obs.EvalSpans(sp, meter)
 	}
 	sp.End()
@@ -634,7 +649,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 			})
 		}
 	}
-	q.answer.set = x.set
+	q.answer.answer = x.answer
 	// A partial result is never cached: a later query must not be served an
 	// excluded wid range's absence as if it were evaluated truth (the shards
 	// may well recover before the entry would age out).
@@ -649,7 +664,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 // encoding — built by whichever response needs it first, the miss that
 // filled the entry or a later hit — so a cache hit encodes only the head.
 func (q *queryRun) respond() {
-	set, comp := q.answer.set, q.capture.Completeness
+	answer, comp := q.answer.answer, q.capture.Completeness
 	head := queryHead{
 		Log:       q.entry.name,
 		Query:     q.req.Query,
@@ -658,8 +673,8 @@ func (q *queryRun) respond() {
 		Strategy:  q.strategy.String(),
 		Mode:      q.mode,
 		Cached:    q.cached,
-		Count:     set.Len(),
-		Exists:    set.Len() > 0,
+		Count:     answer.Count,
+		Exists:    answer.Count > 0,
 	}
 	tail := queryTail{Completeness: comp, Partial: comp != nil && !comp.Complete}
 	if q.req.Trace {
@@ -675,13 +690,13 @@ func (q *queryRun) respond() {
 	case head.Count == 0:
 		// An empty answer has no array in either mode.
 	case q.mode == "instances":
-		key, array = "instances", appendUints(nil, set.WIDs())
+		key, array = "instances", appendUints(nil, q.answer.instances())
 	case q.mode == "incidents":
 		key = "incidents"
 		n := head.Count
 		if q.req.MaxResults > 0 && n > q.req.MaxResults {
 			n, tail.Truncated = q.req.MaxResults, true
-			array = cluster.AppendIncidents(nil, set.Incidents()[:n])
+			array = cluster.AppendIncidents(nil, answer.Set.Incidents()[:n])
 		} else {
 			array = q.answer.incidentsJSON()
 		}
@@ -695,6 +710,15 @@ func (q *queryRun) respond() {
 		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
 	}
 	q.s.metrics.responseBytes.Add(uint64(writeSpliced(q.w, q.capture.HTTPStatus, head, key, array, tail)))
+}
+
+// answerPath names how the evaluator arrives at an answer of the shape: by
+// counting from position lists, or by enumerating incidents.
+func answerPath(plan pattern.Node, shape eval.Shape, strategy eval.Strategy) string {
+	if eval.Counted(plan, shape, strategy) {
+		return "counted"
+	}
+	return "enumerated"
 }
 
 // appendUints appends vs as a JSON array of numbers.

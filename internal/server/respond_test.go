@@ -249,9 +249,10 @@ var elapsedRE = regexp.MustCompile(`"elapsed_us":\d+`)
 func TestCacheHitsShareOneBody(t *testing.T) {
 	h := clinicServer(t, Config{}, 300)
 	body := `{"query":"GetRefer | GetReimburse"}`
-	// The miss is count mode, so the entry is cached without its encoding
-	// and the hits below are the first to ask for it.
-	if rec := serveQuery(h, `{"query":"GetRefer | GetReimburse","mode":"count"}`); rec.Code != http.StatusOK {
+	// The miss answers truncated, which encodes only what it returns, so the
+	// entry is cached with its set but without the shared encoding and the
+	// hits below are the first to ask for it.
+	if rec := serveQuery(h, `{"query":"GetRefer | GetReimburse","max_results":1}`); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up: %d: %s", rec.Code, rec.Body)
 	}
 	bodies := make([][]byte, 32)
@@ -311,6 +312,43 @@ func TestCacheHitAllocsDoNotGrowWithAnswer(t *testing.T) {
 	}
 }
 
+// TestSummaryMissAllocsDoNotGrowWithAnswer: a count, exists or instances
+// miss on a countable plan builds no incident, so what it allocates — the
+// request, the plan, each goroutine's scratch, and for instances the wid list
+// as it doubles — does not scale with the answer: ten times the log, ten
+// times the incidents, about the same allocations.
+func TestSummaryMissAllocsDoNotGrowWithAnswer(t *testing.T) {
+	small, large := clinicServer(t, Config{CacheSize: -1}, 300), clinicServer(t, Config{CacheSize: -1}, 3000)
+	for _, query := range []string{"SeeDoctor -> PayTreatment", "GetRefer -> (SeeDoctor -> PayTreatment)", "UpdateRefer & (TakeTreatment | GetReimburse)"} {
+		for _, mode := range []string{"count", "exists", "instances"} {
+			body := fmt.Sprintf(`{"query":%q,"mode":%q}`, query, mode)
+			allocs := func(h http.Handler) (float64, int) {
+				var doc queryResponse
+				if rec := postQuery(t, h, body, &doc); rec.Code != http.StatusOK {
+					t.Fatalf("%s: %d: %s", query, rec.Code, rec.Body)
+				}
+				w := &discardResponse{header: make(http.Header)}
+				return testing.AllocsPerRun(20, func() {
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+				}), doc.Count
+			}
+			aSmall, nSmall := allocs(small)
+			aLarge, nLarge := allocs(large)
+			if nLarge < 5*nSmall {
+				t.Fatalf("%s: answers of %d and %d incidents do not tell growth apart", query, nSmall, nLarge)
+			}
+			t.Logf("%s %s: %d incidents %.0f allocs/miss, %d incidents %.0f allocs/miss", query, mode, nSmall, aSmall, nLarge, aLarge)
+			// Scratch buffers double up to the longest instance met, so a longer
+			// log may grow them once or twice more; an incident per answer would
+			// be thousands.
+			if aLarge > aSmall*1.1 {
+				t.Errorf("%s %s: a miss on %d incidents allocates %.0f times, on %d incidents %.0f: it grows with the answer",
+					query, mode, nSmall, aSmall, nLarge, aLarge)
+			}
+		}
+	}
+}
+
 // discardResponse is a ResponseWriter that counts and drops the body.
 type discardResponse struct {
 	header http.Header
@@ -323,17 +361,22 @@ func (d *discardResponse) Write(p []byte) (int, error) { d.n += len(p); return l
 
 // BenchmarkRespond prices a served query on bench/'s eight hot-mix patterns
 // over the benchmark's log size, as a cache hit (parse, canonical key, the
-// shared body) and as a miss (cache off: plus evaluation and the encoding),
-// with the body size as bytes/op.
+// shared body) and as a miss (cache off: plus evaluation and the encoding)
+// in each shape an answer is evaluated in, with the body size as bytes/op.
 func BenchmarkRespond(b *testing.B) {
 	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{{"hit", Config{}}, {"miss", Config{CacheSize: -1}}} {
+		name, mode string
+		cfg        Config
+	}{
+		{"hit", "incidents", Config{}},
+		{"miss", "incidents", Config{CacheSize: -1}},
+		{"miss-count", "count", Config{CacheSize: -1}},
+		{"miss-instances", "instances", Config{CacheSize: -1}},
+	} {
 		h := clinicServer(b, c.cfg, 5000)
 		for _, q := range hotMixQueries {
 			b.Run(c.name+"/"+q, func(b *testing.B) {
-				body := fmt.Sprintf(`{"query":%q}`, q)
+				body := fmt.Sprintf(`{"query":%q,"mode":%q}`, q, c.mode)
 				if rec := serveQuery(h, body); rec.Code != http.StatusOK {
 					b.Fatalf("%d: %s", rec.Code, rec.Body)
 				}

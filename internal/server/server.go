@@ -614,7 +614,10 @@ type selectivityDoc struct {
 	Parallel    float64 `json:"parallel"`
 }
 
-// explainResponse is the GET /v1/explain result.
+// explainResponse is the GET /v1/explain result. Answer is how a count,
+// exists or instances request for the plan is computed under Strategy:
+// "counted" from position lists, no incident built, or "enumerated" like an
+// incidents request (eval.Counted).
 type explainResponse struct {
 	Log           string         `json:"log"`
 	Query         string         `json:"query"`
@@ -627,6 +630,7 @@ type explainResponse struct {
 	Before        estimateDoc    `json:"before"`
 	After         estimateDoc    `json:"after"`
 	Strategy      string         `json:"strategy"`
+	Answer        string         `json:"answer"`
 	Workers       int            `json:"workers"`
 	Selectivities selectivityDoc `json:"selectivities"`
 }
@@ -671,6 +675,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Before:        toEstimateDoc(trace.Before),
 		After:         toEstimateDoc(trace.After),
 		Strategy:      s.cfg.Strategy.String(),
+		Answer:        answerPath(opt, eval.ShapeCount, s.cfg.Strategy),
 		Workers:       s.cfg.Workers,
 		Selectivities: selectivityDoc(trace.Selectivities),
 	})

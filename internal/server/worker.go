@@ -18,7 +18,9 @@ import (
 //	POST /v1/worker/query
 //
 // evaluating the coordinator's already-optimized plan verbatim against the
-// wids of its local backend inside the interval the request names. Workers do
+// wids of its local backend inside the interval the request names, and
+// answering in the request's mode: the incidents, the wids that have one, or
+// only how many there are. Workers do
 // not rewrite, cache, record flights, or flush statistics for coordinator
 // traffic — the coordinator owns the query lifecycle; a worker is a remote
 // failure domain with an evaluator, deliberately as thin as an in-process
@@ -89,6 +91,11 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
+	shape, err := eval.ParseShape(req.Mode)
+	if err != nil {
+		fail(http.StatusBadRequest, errorDoc{Error: err.Error()})
+		return
+	}
 	if tr != nil {
 		meter = eval.NewMeter(p)
 	}
@@ -118,7 +125,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// One goroutine evaluates the owned wids serially: the fleet is the
 	// query's parallelism, as shards are an in-process executor's.
 	x := s.execute(1, func() (x execution) {
-		x.set, x.err = eval.New(entry.ix, opts).EvalWIDsCtx(ctx, p, owned, &x.stats)
+		x.answer, x.err = eval.New(entry.ix, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
 		return x
 	})
 	esp.End()
@@ -127,13 +134,28 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(code, doc)
 		return
 	}
+	// The answer array of the mode; a count has none, and says so in the head
+	// (as does an instance list — see cluster.WorkerReplyHead.Count).
 	head := cluster.WorkerReplyHead{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances}
-	incidents := cluster.AppendIncidents(nil, x.set.Incidents())
+	var (
+		key   string
+		array []byte
+	)
+	switch shape {
+	case eval.ShapeIncidents:
+		key, array = "incidents", cluster.AppendIncidents(nil, x.answer.Set.Incidents())
+	case eval.ShapeInstances:
+		key, array = "wids", appendUints(nil, x.answer.WIDs)
+	}
+	if shape != eval.ShapeIncidents {
+		head.Count = &x.answer.Count
+	}
 	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
 		obs.EvalSpans(esp, meter)
 		esp.SetAttr("instances", x.stats.Instances)
-		esp.SetAttr("incidents", x.set.Len())
+		esp.SetAttr("incidents", x.answer.Count)
+		esp.SetAttr("answer", answerPath(p, shape, strategy))
 		tr.End()
 		root := tr.Root()
 		obs.StampWorker(root, req.Self)
@@ -146,5 +168,5 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		tail.Spans = root
 		tail.CostTable = obs.CostTable(meter)
 	}
-	writeSpliced(w, http.StatusOK, head, "incidents", incidents, tail)
+	writeSpliced(w, http.StatusOK, head, key, array, tail)
 }

@@ -131,19 +131,26 @@ func Retryable(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// Execute evaluates p across all shards concurrently, each in its own
-// failure domain, and merges the surviving shards' incidents (see Merge for
-// the error and completeness contract).
+// Execute evaluates p across all shards and returns incL(p): Answer in the
+// eval.ShapeIncidents shape.
+func (x *Executor) Execute(ctx context.Context, p pattern.Node, opts eval.Options, stats *eval.QueryStats) (*incident.Set, *Completeness, error) {
+	a, comp, err := x.Answer(ctx, p, opts, eval.ShapeIncidents, stats)
+	return a.Set, comp, err
+}
+
+// Answer evaluates p across all shards concurrently, each in its own
+// failure domain, and merges the surviving shards' answers of the given
+// shape (see Merge for the error and completeness contract).
 //
 // opts configures the underlying evaluation exactly as eval.New, except
 // that opts.Budget is sliced per shard (work dimensions divided evenly;
 // wall time shared). A non-nil opts.Meter aggregates across shards — the
 // node counters are atomic.
-func (x *Executor) Execute(ctx context.Context, p pattern.Node, opts eval.Options, stats *eval.QueryStats) (*incident.Set, *Completeness, error) {
+func (x *Executor) Answer(ctx context.Context, p pattern.Node, opts eval.Options, shape eval.Shape, stats *eval.QueryStats) (eval.Answer, *Completeness, error) {
 	opts.Budget = opts.Budget.Slice(len(x.parts))
 	ev := eval.New(x.src, opts)
 	tr := obs.FromContext(ctx)
-	attempt := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+	attempt := func(ctx context.Context, i, n int) (PartAnswer, error) {
 		sh := x.parts[i].Shard
 		sp := tr.StartSpan(fmt.Sprintf("shard %d attempt %d", sh.ID, n))
 		defer sp.End()
@@ -151,13 +158,17 @@ func (x *Executor) Execute(ctx context.Context, p pattern.Node, opts eval.Option
 		sp.SetAttr("wid_max", sh.MaxWID)
 		sp.SetAttr("wids", len(sh.WIDs))
 		var st eval.QueryStats
-		set, err := ev.EvalWIDsCtx(ctx, p, sh.WIDs, &st)
+		a, err := ev.AnswerCtx(ctx, p, sh.WIDs, 1, shape, &st)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
-			return nil, 0, err
+			return PartAnswer{}, err
 		}
-		sp.SetAttr("incidents", st.Incidents)
-		return set.Incidents(), st.Instances, nil
+		sp.SetAttr("incidents", a.Count)
+		pa := PartAnswer{Count: a.Count, WIDs: a.WIDs, Instances: st.Instances}
+		if a.Set != nil {
+			pa.Incidents = a.Set.Incidents()
+		}
+		return pa, nil
 	}
-	return Merge(ctx, x.parts, x.scatter.Gather(ctx, x.parts, attempt), stats)
+	return Merge(ctx, x.parts, x.scatter.Gather(ctx, x.parts, attempt), shape, stats)
 }

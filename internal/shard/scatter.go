@@ -79,19 +79,29 @@ func (p Part) name() string {
 }
 
 // Transport makes one evaluation attempt (1-based) on parts[part] — an
-// in-process EvalWIDsCtx call for the executor, an HTTP round trip for the
+// in-process AnswerCtx call for the executor, an HTTP round trip for the
 // cluster coordinator — and returns the restriction of incL(p) to the
-// part's wids, in canonical order (Merge relies on it), and the number of
-// workflow instances evaluated. It is called
-// from the part's own goroutine, never concurrently for the same part.
-type Transport func(ctx context.Context, part, attempt int) (incs []incident.Incident, instances int, err error)
+// part's wids in the shape the query asked for. It is called from the part's
+// own goroutine, never concurrently for the same part.
+type Transport func(ctx context.Context, part, attempt int) (PartAnswer, error)
+
+// PartAnswer is one part's answer.
+type PartAnswer struct {
+	// Count is the number of incidents in the part, in every shape.
+	Count int
+	// WIDs, under eval.ShapeInstances, are the part's instances that have
+	// one, ascending; Incidents, under eval.ShapeIncidents, the incidents in
+	// canonical order. Merge relies on both orders.
+	WIDs      []uint64
+	Incidents []incident.Incident
+	// Instances is the number of workflow instances evaluated.
+	Instances int
+}
 
 // PartResult is one part's terminal outcome within a query.
 type PartResult struct {
-	// Incidents and Instances are the transport's answer (zero unless Err is
-	// nil).
-	Incidents []incident.Incident
-	Instances int
+	// PartAnswer is the transport's answer (zero unless Err is nil).
+	PartAnswer
 	// Attempts counts transport calls (0 when the breaker skipped the part);
 	// Retries those after the first.
 	Attempts int
@@ -117,7 +127,7 @@ func (r PartResult) Status() string {
 // Scatter is the partition driver both fan-out tiers run on: it launches
 // every part concurrently, drives each through breaker admission and the
 // retry/backoff loop (Gather), and folds the outcomes into the merged
-// incident set and its Completeness (Merge). The tiers differ only in
+// answer and its Completeness (Merge). The tiers differ only in
 // their Transport and in which errors they call retryable.
 type Scatter struct {
 	// RetryPolicy must be resolved (WithDefaults).
@@ -159,7 +169,7 @@ func (s *Scatter) runPart(ctx context.Context, p Part, i int, attempt Transport)
 	}
 	for n := 1; ; n++ {
 		res.Attempts = n
-		res.Incidents, res.Instances, res.Err = attempt(ctx, i, n)
+		res.PartAnswer, res.Err = attempt(ctx, i, n)
 		if res.Err == nil {
 			p.Breaker.Success()
 			return res
@@ -184,17 +194,20 @@ func (s *Scatter) runPart(ctx context.Context, p Part, i int, attempt Transport)
 }
 
 // Merge folds gathered outcomes into the completeness contract and the
-// merged incident set. stats, when non-nil, receives the fan-out
-// accounting.
+// merged answer of the given shape: counts add up, and — parts being
+// contiguous wid ranges in ascending order, each answered in order — wid
+// lists and incident lists concatenate. stats, when non-nil, receives the
+// fan-out accounting.
 //
 // The returned error is non-nil only when the whole query is lost: the
 // context was cancelled, or no part produced an answer. Otherwise callers
 // choose whether an incomplete result is an answer (degraded mode) or an
-// error (strict mode). With no faults the merged set equals the
-// unpartitioned evaluator's output exactly.
-func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.QueryStats) (*incident.Set, *Completeness, error) {
+// error (strict mode). With no faults the merged answer equals the
+// unpartitioned evaluator's exactly.
+func Merge(ctx context.Context, parts []Part, results []PartResult, shape eval.Shape, stats *eval.QueryStats) (eval.Answer, *Completeness, error) {
 	comp := &Completeness{Shards: len(parts)}
 	var (
+		ans      eval.Answer
 		runs     [][]incident.Incident
 		firstErr error
 	)
@@ -204,10 +217,12 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 		if r.Err == nil {
 			comp.Attempted++
 			comp.Succeeded++
+			ans.Count += r.Count
+			ans.WIDs = append(ans.WIDs, r.WIDs...)
 			runs = append(runs, r.Incidents)
 			if stats != nil {
 				stats.Instances += r.Instances
-				stats.Incidents += len(r.Incidents)
+				stats.Incidents += r.Count
 			}
 			continue
 		}
@@ -242,7 +257,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 	}
 
 	if err := ctx.Err(); err != nil {
-		return nil, comp, err
+		return eval.Answer{}, comp, err
 	}
 	if comp.Succeeded == 0 && len(parts) > 0 {
 		if firstErr == nil {
@@ -252,9 +267,12 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, stats *eval.
 			}
 			firstErr = fmt.Errorf("all %d %s skipped by open circuit breakers", comp.Shards, noun)
 		}
-		return nil, comp, firstErr
+		return eval.Answer{}, comp, firstErr
 	}
-	// Every part's answer is canonical on its own and parts are contiguous wid
-	// ranges in ascending order, so the union is a concatenation, not a sort.
-	return incident.MergeSorted(runs...), comp, nil
+	if shape == eval.ShapeIncidents {
+		// Every part's answer is canonical on its own, so the union is a
+		// concatenation, not a sort.
+		ans.Set = incident.MergeSorted(runs...)
+	}
+	return ans, comp, nil
 }

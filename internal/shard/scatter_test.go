@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -161,24 +162,27 @@ func TestShardScatter(t *testing.T) {
 				}
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				transport := func(ctx context.Context, i, n int) ([]incident.Incident, int, error) {
+				// Every part answers in all three shapes at once, so one gather
+				// feeds a Merge per shape.
+				transport := func(ctx context.Context, i, n int) (PartAnswer, error) {
 					if i == 0 && n == tc.cancelOn {
 						cancel()
-						return nil, 0, ctx.Err()
+						return PartAnswer{}, ctx.Err()
 					}
 					if script := tc.parts[i].errs; n <= len(script) {
-						return nil, 0, script[n-1]
+						return PartAnswer{}, script[n-1]
 					}
 					var incs []incident.Incident
 					for _, wid := range parts[i].WIDs {
 						incs = append(incs, incident.Singleton(wid, 1))
 					}
-					return incs, len(incs), nil
+					return PartAnswer{Count: len(incs), WIDs: parts[i].WIDs, Incidents: incs, Instances: len(incs)}, nil
 				}
 
 				results := sc.Gather(ctx, parts, transport)
 				var stats eval.QueryStats
-				set, comp, err := Merge(ctx, parts, results, &stats)
+				ans, comp, err := Merge(ctx, parts, results, eval.ShapeIncidents, &stats)
+				set := ans.Set
 
 				if tc.errLike == "" && err != nil {
 					t.Fatalf("err = %v, want nil", err)
@@ -245,6 +249,17 @@ func TestShardScatter(t *testing.T) {
 					}
 					if stats.Incidents != len(wantSet) || stats.Instances != len(wantSet) {
 						t.Errorf("stats incidents/instances = %d/%d, want %d", stats.Incidents, stats.Instances, len(wantSet))
+					}
+					// The cheaper shapes of the same outcomes: the surviving
+					// parts' sum and concatenation, under the same completeness.
+					for _, shape := range []eval.Shape{eval.ShapeInstances, eval.ShapeCount} {
+						a, c, err := Merge(ctx, parts, results, shape, nil)
+						if err != nil || a.Count != len(wantSet) || a.Set != nil || !reflect.DeepEqual(c, comp) {
+							t.Errorf("%v: merged %+v, %v, completeness %+v; want count %d under %+v", shape, a, err, c, len(wantSet), comp)
+						}
+						if shape == eval.ShapeInstances && !slices.Equal(a.WIDs, set.WIDs()) {
+							t.Errorf("merged wids %v, want %v", a.WIDs, set.WIDs())
+						}
 					}
 				}
 			})

@@ -60,9 +60,18 @@ print(json.dumps({"count": doc["count"], "incidents": doc.get("incidents")}, sor
 ' "$1"
 }
 
-post() { # url outfile -> status code on stdout
+post() { # url outfile [mode] -> status code on stdout
   curl -sS -o "$2" -w '%{http_code}' -H 'Content-Type: application/json' \
-    -d "$QUERY" "$1/v1/query"
+    -d "${QUERY%\}},\"mode\":\"${3:-incidents}\"}" "$1/v1/query"
+}
+
+# summary extracts what a count or instances answer says.
+summary() { # file
+  python3 -c '
+import json, sys
+doc = json.load(open(sys.argv[1]))
+print(json.dumps({k: doc.get(k) for k in ("mode", "count", "exists", "instances", "incidents")}, sort_keys=True))
+' "$1"
 }
 
 say "starting 3 workers + coordinator + single-node reference"
@@ -92,6 +101,18 @@ code=$(post "http://127.0.0.1:$COORD_PORT" "$workdir/healthy.json")
 [ "$code" = 200 ] || die "healthy cluster query returned $code (want 200): $(cat "$workdir/healthy.json")"
 [ "$(digest "$workdir/single.json")" = "$(digest "$workdir/healthy.json")" ] \
   || die "healthy cluster answer diverges from single-node"
+
+# The mode travels to the workers: each answers a count with one number and an
+# instances request with its wids, and the coordinator adds and concatenates.
+for mode in count instances; do
+  code=$(post "http://127.0.0.1:$SINGLE_PORT" "$workdir/single-$mode.json" "$mode")
+  [ "$code" = 200 ] || die "single-node $mode query returned $code"
+  code=$(post "http://127.0.0.1:$COORD_PORT" "$workdir/healthy-$mode.json" "$mode")
+  [ "$code" = 200 ] || die "healthy cluster $mode query returned $code: $(cat "$workdir/healthy-$mode.json")"
+  [ "$(summary "$workdir/single-$mode.json")" = "$(summary "$workdir/healthy-$mode.json")" ] \
+    || die "cluster $mode answer $(summary "$workdir/healthy-$mode.json") diverges from single-node $(summary "$workdir/single-$mode.json")"
+done
+say "count and instances answers match the single-node reference"
 
 say "killing worker 2 (port $W2_PORT)"
 kill -9 "${pids[1]}"
@@ -152,6 +173,20 @@ assert grafted, "no surviving worker subtree grafted into the trace"
 assert all(s["worker"] != victim for s in grafted), "the dead worker contributed a subtree"
 ' "$workdir/capture.json" "http://127.0.0.1:$W2_PORT"
 say "capture carries the victim as failed and worker-attributed spans from the survivors"
+
+# After the capture check, which reads the latest partial capture: this second
+# degraded query finds the breaker open and the victim skipped, a 206 all the same.
+code=$(post "http://127.0.0.1:$COORD_PORT" "$workdir/degraded-count.json" count)
+[ "$code" = 206 ] || die "degraded count query returned $code (want 206): $(cat "$workdir/degraded-count.json")"
+python3 -c '
+import json, sys
+full, part, incidents = (json.load(open(f)) for f in sys.argv[1:4])
+n = part["count"]
+assert n <= full["count"], f"degraded count {n} exceeds the full {full}"
+assert n == incidents["count"], f"degraded count {n} differs from the degraded incidents answer"
+assert "incidents" not in part and part.get("partial") is True, "degraded count is not a partial summary"
+' "$workdir/single-count.json" "$workdir/degraded-count.json" "$workdir/degraded.json"
+say "degraded count is the surviving workers' sum, no more than the full count"
 
 say "waiting for /readyz to report the loss"
 for i in $(seq 1 30); do

@@ -272,9 +272,11 @@ func WithoutOptimizer() Option {
 // the query with an error wrapping ErrBudgetExceeded. Every evaluating
 // method enforces it — Query, QueryTraced, QuerySharded, Exists, Count and
 // what is built on them; QueryPattern, which has no error result, returns a
-// nil set. Count of a two-atom pattern is arithmetic over position lists:
-// it produces no incidents or comparisons to charge, so of the budget only
-// MaxWallTime applies to it.
+// nil set. Count and Exists of most plans are arithmetic over position lists
+// (every plan but ⊗ or ⊕ over multi-record operands): they produce no
+// incident, so of the budget MaxComparisons — the probes and pair tests of
+// the summary joins — and MaxWallTime apply to them; MaxOutputs and
+// MaxResultBytes have nothing to bound.
 func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
