@@ -141,14 +141,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		ingestQueue = fs.Int("ingest-queue", 0,
 			"pending appends admitted per log before backpressure sheds with 429 (0 = default 256)")
 
-		shards = fs.Int("shards", 0,
-			"evaluate each query across this many isolated wid-range failure domains with per-shard retries and circuit breakers; a lost shard degrades the result instead of failing it (0 = off, negative = GOMAXPROCS)")
-		shardAttempts = fs.Int("shard-attempts", 0,
-			"evaluation attempts per shard before it is excluded from the result (0 = default 3)")
 		breakerThreshold = fs.Int("breaker-threshold", 0,
-			"consecutive shard failures that open its circuit breaker (0 = default 5)")
+			"coordinator: consecutive failures of a worker that open its circuit breaker (0 = default 5)")
 		breakerCooldown = fs.Duration("breaker-cooldown", 0,
-			"how long an open shard breaker waits before admitting a probe (0 = default 30s)")
+			"coordinator: how long an open worker breaker waits before admitting a probe (0 = default 30s)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -197,8 +193,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Workers:       urls,
 			WorkerTimeout: *workerTimeout,
 			HedgeAfter:    *hedgeAfter,
-			// The breaker flags tune whichever failure-domain tier is active:
-			// in-process shards on a single node, workers on a coordinator.
 			RetryPolicy: shard.RetryPolicy{
 				MaxAttempts:      *workerAttempts,
 				BreakerThreshold: *breakerThreshold,
@@ -224,10 +218,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		},
 		MaxPredictedCost: *maxCost,
 		Loader:           wlq.OpenLog,
-		Shards:           *shards,
-		ShardAttempts:    *shardAttempts,
-		BreakerThreshold: *breakerThreshold,
-		BreakerCooldown:  *breakerCooldown,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,

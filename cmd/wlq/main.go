@@ -56,8 +56,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 		maxComp     = fs.Uint64("max-comparisons", 0, "abort a query after this many record comparisons (0 = unlimited)")
 		timeout     = fs.Duration("timeout", 0, "abort a query after this much wall time, e.g. 5s (0 = unlimited)")
 		trace       = fs.Bool("trace", false, "print the execution trace (span tree and Lemma 1 cost table) to stderr")
-		shards      = fs.Int("shards", 0, "evaluate in this many isolated wid-range failure domains (0 = off, -1 = GOMAXPROCS)")
-		partial     = fs.Bool("partial", false, "with -shards: accept a partial result when shards fail, printing what was excluded")
 		stats       = fs.Bool("stats", false, "print log statistics and exit (no query needed)")
 		dfg         = fs.Bool("dfg", false, "print the directly-follows graph and exit (no query needed)")
 		conform     = fs.String("conform", "", "check every instance against this model (orders, loans, helpdesk) and exit")
@@ -163,37 +161,6 @@ func run(args []string, stdin io.Reader, out io.Writer) error {
 			return err
 		}
 		fmt.Fprint(out, report)
-	case *shards != 0:
-		if *trace {
-			return fmt.Errorf("-shards and -trace are mutually exclusive")
-		}
-		set, comp, err := engine.QuerySharded(context.Background(), *query, *shards)
-		if err != nil {
-			return err
-		}
-		if !comp.Complete && !*partial {
-			return fmt.Errorf("incomplete result: %d of %d shards lost (%d wids excluded; %s) — re-run with -partial to accept it",
-				comp.Failed+comp.Skipped, comp.Shards, comp.ExcludedWIDs, comp.Failures[0].Cause)
-		}
-		fmt.Fprintf(out, "%d incident(s)\n", set.Len())
-		for _, inc := range set.Incidents() {
-			fmt.Fprintln(out, " ", inc)
-			if *records {
-				for _, rec := range engine.IncidentRecords(inc) {
-					fmt.Fprintln(out, "   ", rec)
-				}
-			}
-		}
-		if comp.Complete {
-			fmt.Fprintf(out, "complete: all %d shard(s) evaluated\n", comp.Shards)
-		} else {
-			fmt.Fprintf(out, "PARTIAL: %d of %d shard(s) in result, %d wid(s) excluded\n",
-				comp.Succeeded, comp.Shards, comp.ExcludedWIDs)
-			for _, f := range comp.Failures {
-				fmt.Fprintf(out, "  shard %d (wids %d-%d, %d wids): %s\n",
-					f.Shard, f.WIDMin, f.WIDMax, f.WIDs, f.Cause)
-			}
-		}
 	default:
 		var set *wlq.IncidentSet
 		if *trace {

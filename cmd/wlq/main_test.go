@@ -309,29 +309,13 @@ func TestTraceFlag(t *testing.T) {
 	}
 }
 
+// TestShardsFlag: the in-process shard tier is gone, and with it -shards and
+// -partial; an evaluation is all or nothing on the command line.
 func TestShardsFlag(t *testing.T) {
-	// The sharded result matches the single-domain one exactly.
-	want := runOK(t, "-log", "clinic:40:7", "-q", "UpdateRefer -> GetReimburse")
-	got := runOK(t, "-log", "clinic:40:7", "-q", "UpdateRefer -> GetReimburse", "-shards", "4")
-	if !strings.HasPrefix(got, want[:strings.Index(want, "\n")]) {
-		t.Errorf("sharded incident count differs:\n%s\nvs\n%s", got, want)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(want), "\n") {
-		if !strings.Contains(got, line) {
-			t.Errorf("sharded output missing %q:\n%s", line, got)
+	for _, flag := range [][]string{{"-shards", "4"}, {"-partial"}} {
+		err := runErr(t, append([]string{"-log", "fig3", "-q", "SeeDoctor"}, flag...)...)
+		if !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
+			t.Errorf("%s: err = %v, want an unknown-flag error", flag[0], err)
 		}
-	}
-	if !strings.Contains(got, "complete: all 4 shard(s) evaluated") {
-		t.Errorf("missing completeness summary:\n%s", got)
-	}
-	// -shards -1 means GOMAXPROCS; still complete.
-	got = runOK(t, "-log", "fig3", "-q", "SeeDoctor", "-shards", "-1", "-partial")
-	if !strings.Contains(got, "complete:") {
-		t.Errorf("-shards -1 output:\n%s", got)
-	}
-	// -shards and -trace are mutually exclusive.
-	err := runErr(t, "-log", "fig3", "-q", "SeeDoctor", "-shards", "2", "-trace")
-	if !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Errorf("err = %v", err)
 	}
 }

@@ -1,19 +1,18 @@
-// Package cluster promotes the internal/shard failure-domain boundary to
-// the network: a coordinator splits a log's workflow instances into one
-// contiguous wid range per worker node (shard.Partition — the same placement
-// the in-process executor uses), fans each query out over HTTP, and
-// concatenates the per-worker answers in range order — so a distributed
-// evaluation is digest-identical to a single-node one, and a lost worker
-// degrades the answer (a 206 with a Completeness document naming the missing
-// wid interval) instead of failing it.
+// Package cluster takes the per-instance failure domains of a single node
+// to the network: a coordinator splits a log's workflow instances into one
+// contiguous wid range per worker node (shard.Partition), fans each query
+// out over HTTP, and concatenates the per-worker answers in range order — so
+// a distributed evaluation is digest-identical to a single-node one, and a
+// lost worker degrades the answer (a 206 with a Completeness document naming
+// the missing wid interval) instead of failing it.
 //
 // Definition 4 makes incident semantics strictly per-instance, so the
 // distribution is exact: no cross-worker joins exist, and each worker
 // evaluates the wids of its interval against its local copy of the log
-// independently. What the network tier adds over in-process shards is real
-// failure independence — a worker process can die, hang, or partition
-// without taking the coordinator's process down — paid for with the full
-// set of network-robustness machinery:
+// independently. What the network tier adds over one node is real failure
+// independence — a worker process can die, hang, or partition without
+// taking the coordinator's process down — paid for with the full set of
+// network-robustness machinery:
 //
 //   - per-worker attempt timeouts and capped-exponential retry with jitter
 //     (reusing shard.Backoff);
@@ -23,7 +22,9 @@
 //     a configurable delay, and the first answer wins;
 //   - periodic health probing that feeds the coordinator's /readyz;
 //   - per-worker budget slices (resilience.Budget.Slice) so one slow
-//     worker cannot spend the whole query's allowance.
+//     worker cannot spend the whole query's allowance; a worker that trips
+//     its slice fails the whole query with the budget error (a 422, even
+//     where one node holding the whole budget would have answered).
 //
 // Placement needs no agreement beyond the request itself: every worker loads
 // the whole log, the coordinator sends each one the closed interval
@@ -58,9 +59,8 @@ const (
 	// DefaultWorkerTimeout bounds one worker request attempt.
 	DefaultWorkerTimeout = 5 * time.Second
 	// DefaultMaxAttempts is the request attempt cap per worker per query
-	// (1 initial try + retries). Networks fail transiently far more often
-	// than in-process evaluation does, but each retry holds the client's
-	// latency budget, so the default stays low.
+	// (1 initial try + retries). Networks fail transiently, but each retry
+	// holds the client's latency budget, so the default stays low.
 	DefaultMaxAttempts = 2
 	// DefaultProbeInterval paces the background worker health probes.
 	DefaultProbeInterval = 5 * time.Second
@@ -81,8 +81,7 @@ type Config struct {
 	// (0 = DefaultWorkerTimeout).
 	WorkerTimeout time.Duration
 	// RetryPolicy governs each worker's request attempts, backoff and circuit
-	// breaker — the same policy struct the in-process shard executor takes.
-	// A zero MaxAttempts means DefaultMaxAttempts.
+	// breaker. A zero MaxAttempts means DefaultMaxAttempts.
 	shard.RetryPolicy
 	// HedgeAfter, when positive, duplicates a worker request that has not
 	// answered within the delay and takes whichever response lands first —
@@ -304,7 +303,9 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 // single-node evaluation when every worker answers.
 //
 // The error and Completeness contract is shard.Merge's, with each excluded
-// worker's part named by its exact wid interval.
+// worker's part named by its exact wid interval — except that a worker's
+// budget trip (a 422 reply) fails the whole query with the worker's
+// *resilience.BudgetError, in strict and partial mode alike.
 //
 // Everything done for a worker is recorded under its "worker <url>" span:
 // a queue-wait span (launch + admission + marshal before the first transport
@@ -378,6 +379,15 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	msp := tr.StartSpan("merge")
 	defer msp.End()
 	ans, comp, err := shard.Merge(ctx, parts, results, shape, qs)
+	// A budget trip on one worker is a verdict on the query, not a lost part:
+	// the query fails with it, so a trip is never a shorter answer.
+	for _, r := range results {
+		var be *resilience.BudgetError
+		if errors.As(r.Err, &be) {
+			ans, err = eval.Answer{}, be
+			break
+		}
+	}
 	c.workerRetries.Add(uint64(comp.Retries))
 	c.workersSkipped.Add(uint64(comp.Skipped))
 	fan := Fanout{
@@ -627,6 +637,11 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte
 		msg := strings.TrimSpace(string(raw))
 		if json.Unmarshal(raw, &ed) == nil && ed.Error != "" {
 			msg = ed.Error
+		}
+		if httpResp.StatusCode == http.StatusUnprocessableEntity && ed.BudgetDimension != "" {
+			// The worker's budget trip, rebuilt: deterministic, and the verdict
+			// on the whole query (Answer).
+			return nil, nonRetryable(&resilience.BudgetError{Dimension: ed.BudgetDimension, Limit: ed.BudgetLimit, Measured: ed.BudgetMeasured})
 		}
 		return nil, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
 	}

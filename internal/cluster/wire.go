@@ -405,8 +405,12 @@ func (d *incidentDecoder) list() ([]incident.Incident, error) {
 // WorkerErrorDoc is the worker's error envelope (any non-200 status).
 type WorkerErrorDoc struct {
 	Error string `json:"error"`
-	// BudgetDimension is set on a 422 budget abort.
+	// BudgetDimension, BudgetLimit and BudgetMeasured are set on a 422
+	// budget abort: the worker's resilience.BudgetError, which the
+	// coordinator rebuilds and fails the whole query with.
 	BudgetDimension string `json:"budget_dimension,omitempty"`
+	BudgetLimit     uint64 `json:"budget_limit,omitempty"`
+	BudgetMeasured  uint64 `json:"budget_measured,omitempty"`
 	// IncidentID correlates a worker-side recovered panic (500).
 	IncidentID string `json:"incident_id,omitempty"`
 }

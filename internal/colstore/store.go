@@ -36,8 +36,8 @@ const maxDenseCells = 1 << 22
 // Store is the columnar backend. All slices are laid out at Build time and
 // never mutated afterwards: a Store is an immutable snapshot, exactly like
 // the row eval.Index it can replace behind the eval.Source seam, so the
-// result cache, shard executor, and hot-reload generation machinery treat
-// the two backends identically.
+// result cache and hot-reload generation machinery treat the two backends
+// identically.
 //
 // Record storage: recs holds every record grouped by workflow instance and
 // sorted by is-lsn within each group; widOff[i]:widOff[i+1] delimits

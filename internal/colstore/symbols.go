@@ -8,8 +8,8 @@
 // The package implements eval.Source and eval.SymbolicSource; the
 // cross-backend equivalence suite in this package proves its answers are
 // byte-identical to the row backend's (eval.Index) for every operator,
-// with and without rewriting, sharded and unsharded. See docs/STORAGE.md
-// for the layout and its invariants.
+// with and without rewriting, scanned serially and in chunks. See
+// docs/STORAGE.md for the layout and its invariants.
 package colstore
 
 // SymbolTable interns activity names into dense int32 symbols. Symbols are

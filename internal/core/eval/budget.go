@@ -167,7 +167,8 @@ func SetEvalHook(h func(wid uint64)) {
 // a budgetAbort panic becomes its typed *BudgetError, any other panic — a
 // genuine bug, or an injected fault — becomes a *resilience.PanicError with
 // an incident id and the captured stack. One poisoned instance evaluation
-// fails one query; the process, and the other queries in flight, keep going.
+// excludes that instance from one answer; the rest of the scan, the process,
+// and the other queries in flight keep going.
 func (e *Evaluator) safeInstance(prog program, vals [][]incident.Incident, ctr *counter, wid uint64, bs *budgetState) (n int, incs []incident.Incident, err error) {
 	defer func() {
 		switch r := recover().(type) {

@@ -39,13 +39,15 @@ var entryPoints = []entryPoint{
 		_, err := e.ExistsCtx(ctx, p)
 		return err
 	}},
+	// AnswerCtx excludes a panicking instance instead of failing; read
+	// strictly, the exclusion is the panic.
 	{"AnswerCtx/instances", func(ctx context.Context, e *eval.Evaluator, src eval.Source, p pattern.Node, stats *eval.QueryStats) error {
-		_, err := e.AnswerCtx(ctx, p, src.WIDs(), 1, eval.ShapeInstances, stats)
-		return err
+		a, err := e.AnswerCtx(ctx, p, src.WIDs(), 1, eval.ShapeInstances, stats)
+		return a.Strict(err)
 	}},
 	{"AnswerCtx/count", func(ctx context.Context, e *eval.Evaluator, src eval.Source, p pattern.Node, stats *eval.QueryStats) error {
-		_, err := e.AnswerCtx(ctx, p, src.WIDs(), 1, eval.ShapeCount, stats)
-		return err
+		a, err := e.AnswerCtx(ctx, p, src.WIDs(), 1, eval.ShapeCount, stats)
+		return a.Strict(err)
 	}},
 }
 

@@ -2,8 +2,11 @@ package eval_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 
 	"wlq/internal/clinic"
@@ -14,6 +17,7 @@ import (
 	"wlq/internal/core/rewrite"
 	"wlq/internal/gen"
 	"wlq/internal/predicate"
+	"wlq/internal/resilience"
 	"wlq/internal/wlog"
 )
 
@@ -21,8 +25,9 @@ import (
 // under both join strategies, with and without a meter, over the row index
 // and the columnar store — to one answer: naive Algorithm 1 over the row
 // index, every incident of which must also pass the independent
-// Definition 4 check.
-func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node) {
+// Definition 4 check. Then it poisons the given instances
+// (assertExclusions).
+func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned []uint64) {
 	t.Helper()
 	ctx := context.Background()
 	ix := eval.NewIndex(l)
@@ -95,6 +100,219 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node) {
 			}
 		}
 	}
+	assertExclusions(t, l, p, want, poisoned)
+}
+
+// poisonedSource makes the evaluation of chosen instances panic halfway:
+// at the k-th posting-list lookup of the instance, after the steps before it
+// have written their scratch. The eval fault hook, called once before each
+// instance, restarts the instance's lookup count (and panics itself for the
+// instances poisoned that way).
+type poisonedSource struct {
+	eval.Source
+	lookups map[uint64]*atomic.Int32 // every wid's lookups so far
+	panicAt map[uint64]int32         // the mid-instance poisoned wids' k
+	hook    map[uint64]bool          // the wids the hook itself poisons
+}
+
+// symbolicPoisonedSource is a poisonedSource over a symbolic backend.
+type symbolicPoisonedSource struct {
+	*poisonedSource
+	sym eval.SymbolicSource
+}
+
+func (s *poisonedSource) lookup(wid uint64) {
+	if n := s.lookups[wid].Add(1); n == s.panicAt[wid] {
+		panic(fmt.Sprintf("injected fault at lookup %d of wid %d", n, wid))
+	}
+}
+
+func (s *poisonedSource) ActivitySeqs(wid uint64, act string) []uint64 {
+	s.lookup(wid)
+	return s.Source.ActivitySeqs(wid, act)
+}
+
+func (s symbolicPoisonedSource) ResolveActivity(name string) (int32, bool) {
+	return s.sym.ResolveActivity(name)
+}
+
+func (s symbolicPoisonedSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
+	s.lookup(wid)
+	return s.sym.ActivitySeqsSym(wid, sym)
+}
+
+// evalHook is the fault hook the source needs installed.
+func (s *poisonedSource) evalHook(wid uint64) {
+	s.lookups[wid].Store(0)
+	if s.hook[wid] {
+		panic(fmt.Sprintf("injected fault before wid %d", wid))
+	}
+}
+
+// poison wraps src so that the given instances panic: every other one
+// halfway through its evaluation under strategy — found by counting its
+// lookups in a clean run — and the rest, and any that looks nothing up, in
+// the hook.
+func poison(t *testing.T, src eval.Source, strategy eval.Strategy, p pattern.Node, poisoned []uint64) (eval.Source, *poisonedSource) {
+	t.Helper()
+	ps := &poisonedSource{Source: src, lookups: make(map[uint64]*atomic.Int32), panicAt: make(map[uint64]int32), hook: make(map[uint64]bool)}
+	for _, wid := range src.WIDs() {
+		ps.lookups[wid] = new(atomic.Int32)
+	}
+	var wrapped eval.Source = ps
+	if sym, ok := src.(eval.SymbolicSource); ok {
+		wrapped = symbolicPoisonedSource{ps, sym}
+	}
+	eval.SetEvalHook(ps.evalHook)
+	eval.New(wrapped, eval.Options{Strategy: strategy}).AnswerCtx(context.Background(), p, src.WIDs(), 1, eval.ShapeIncidents, nil)
+	eval.SetEvalHook(nil)
+	for i, wid := range poisoned {
+		if n := ps.lookups[wid].Load(); i%2 == 0 && n > 0 {
+			ps.panicAt[wid] = n/2 + 1
+		} else {
+			ps.hook[wid] = true
+		}
+	}
+	return wrapped, ps
+}
+
+// assertExclusions: with the given instances poisoned, every shape of
+// AnswerCtx — both strategies, both backends, one goroutine or three —
+// excludes exactly them and answers naive Algorithm 1 restricted to the
+// others, so no excluded instance's half-written scratch leaks into the next
+// instance's answer; every all-or-nothing entry point fails with the panic;
+// and a cancelled context still fails the evaluation instead of excluding.
+func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.Set, poisoned []uint64) {
+	t.Helper()
+	ctx := context.Background()
+	isPoisoned := make(map[uint64]bool)
+	for _, wid := range poisoned {
+		isPoisoned[wid] = true
+	}
+	var kept []incident.Incident
+	for _, o := range want.Incidents() {
+		if !isPoisoned[o.WID()] {
+			kept = append(kept, o)
+		}
+	}
+	rest := incident.NewSet(kept...)
+	// ExistsCtx stops at the first instance with an incident: it fails only
+	// when a poisoned instance comes first.
+	existsFails := len(poisoned) > 0 && (want.Len() == 0 || poisoned[0] <= want.Incidents()[0].WID())
+	defer eval.SetEvalHook(nil)
+	for name, base := range backends(l) {
+		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+			src, ps := poison(t, base, strat, p, poisoned)
+			eval.SetEvalHook(ps.evalHook)
+			e := eval.New(src, eval.Options{Strategy: strat})
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("%s/%v, %s poisoned in %v: %s", name, strat, p, poisoned, fmt.Sprintf(format, args...))
+			}
+			for _, workers := range []int{1, 3} {
+				for _, shape := range []eval.Shape{eval.ShapeIncidents, eval.ShapeInstances, eval.ShapeCount} {
+					a, err := e.AnswerCtx(ctx, p, src.WIDs(), workers, shape, nil)
+					var excluded []uint64
+					for _, x := range a.Excluded {
+						if x.Err == nil || x.Err.IncidentID == "" {
+							fail("%d workers, %v: exclusion %+v without its panic", workers, shape, x)
+						}
+						excluded = append(excluded, x.WID)
+					}
+					if err != nil || !slices.Equal(excluded, poisoned) {
+						fail("%d workers, %v: excluded %v, err %v", workers, shape, excluded, err)
+					}
+					if a.Count != rest.Len() ||
+						shape == eval.ShapeIncidents && !a.Set.Equal(rest) ||
+						shape == eval.ShapeInstances && !slices.Equal(a.WIDs, rest.WIDs()) {
+						fail("%d workers, %v: answer %+v; naive Algorithm 1 over the rest: %s", workers, shape, a, rest)
+					}
+				}
+				if len(poisoned) == 0 {
+					continue
+				}
+				var pe *resilience.PanicError
+				if set, err := e.EvalParallelCtx(ctx, p, workers, nil); !errors.As(err, &pe) || set != nil {
+					fail("%d workers: EvalParallelCtx = %v, %v; want the panic", workers, set, err)
+				}
+			}
+			if len(poisoned) > 0 {
+				var pe *resilience.PanicError
+				if _, err := e.EvalWIDsCtx(ctx, p, src.WIDs(), nil); !errors.As(err, &pe) {
+					fail("EvalWIDsCtx: err = %v, want the panic", err)
+				}
+				if _, err := e.CountCtx(ctx, p); !errors.As(err, &pe) {
+					fail("CountCtx: err = %v, want the panic", err)
+				}
+				if ok, err := e.ExistsCtx(ctx, p); errors.As(err, &pe) != existsFails || err == nil && !ok {
+					fail("ExistsCtx = %v, %v; want the panic: %v", ok, err, existsFails)
+				}
+				for entry, call := range map[string]func(){"Eval": func() { e.Eval(p) }, "Count": func() { e.Count(p) }} {
+					func() {
+						defer func() {
+							if r, _ := recover().(*resilience.PanicError); r == nil {
+								fail("%s did not panic with the *resilience.PanicError", entry)
+							}
+						}()
+						call()
+					}()
+				}
+			}
+			cancelled, cancel := context.WithCancel(ctx)
+			cancel()
+			if a, err := e.AnswerCtx(cancelled, p, src.WIDs(), 3, eval.ShapeIncidents, nil); !errors.Is(err, context.Canceled) || a.Excluded != nil {
+				fail("cancelled: %+v, %v; want context.Canceled and no exclusion", a, err)
+			}
+			eval.SetEvalHook(nil)
+		}
+	}
+}
+
+// everyThird is a poisoned subset for the fixed tests: the instances at
+// positions 1, 4, 7, … of the log — or its only one.
+func everyThird(l *wlog.Log) []uint64 {
+	wids := l.WIDs()
+	if len(wids) == 1 {
+		return wids
+	}
+	var out []uint64
+	for i := 1; i < len(wids); i += 3 {
+		out = append(out, wids[i])
+	}
+	return out
+}
+
+// TestExclusionsNeverMaskATrip: a comparison-budget trip on the Theorem 1
+// adversary fails the evaluation in every shape, however many goroutines
+// scan and although another instance panicked first — a trip is never a
+// shorter answer.
+func TestExclusionsNeverMaskATrip(t *testing.T) {
+	tt := make([]string, 24)
+	for i := range tt {
+		tt[i] = gen.WorstCaseActivity
+	}
+	l := traceLog(t, tt, tt, tt, tt)
+	first := l.WIDs()[0]
+	eval.SetEvalHook(func(wid uint64) {
+		if wid == first {
+			panic("injected fault")
+		}
+	})
+	defer eval.SetEvalHook(nil)
+	for name, src := range backends(l) {
+		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+			e := eval.New(src, eval.Options{Strategy: strat, Budget: resilience.Budget{MaxComparisons: 64}})
+			for _, workers := range []int{1, 3} {
+				for _, shape := range []eval.Shape{eval.ShapeIncidents, eval.ShapeInstances, eval.ShapeCount} {
+					a, err := e.AnswerCtx(context.Background(), gen.WorstCasePattern(3), src.WIDs(), workers, shape, nil)
+					var be *resilience.BudgetError
+					if !errors.As(err, &be) || be.Dimension != resilience.DimComparisons || a.Excluded != nil {
+						t.Errorf("%s/%v, %d workers, %v: %+v, %v; want the comparisons trip and no answer", name, strat, workers, shape, a, err)
+					}
+				}
+			}
+		}
+	}
 }
 
 // clinicGuards are conditions some records of a generated clinic log meet
@@ -143,7 +361,14 @@ func FuzzEntryPointsAgree(f *testing.F) {
 				}
 			}
 		}
-		assertEntryPointsAgree(t, l, p)
+		// A random subset of the instances is poisoned.
+		var poisoned []uint64
+		for _, wid := range l.WIDs() {
+			if rng.Intn(3) == 0 {
+				poisoned = append(poisoned, wid)
+			}
+		}
+		assertEntryPointsAgree(t, l, p, poisoned)
 	})
 }
 
@@ -160,8 +385,8 @@ func TestEntryPointsAgreeOnRepeatedSubPatterns(t *testing.T) {
 		"SeeDoctor | SeeDoctor",
 		"(GetRefer[balance>2000] -> !SeeDoctor) | (GetRefer[balance>2000] -> CheckIn)",
 	} {
-		assertEntryPointsAgree(t, l, pattern.MustParse(q))
-		assertEntryPointsAgree(t, clinic.Fig3(), pattern.MustParse(q))
+		assertEntryPointsAgree(t, l, pattern.MustParse(q), everyThird(l))
+		assertEntryPointsAgree(t, clinic.Fig3(), pattern.MustParse(q), everyThird(clinic.Fig3()))
 	}
 }
 
@@ -180,7 +405,7 @@ func TestEntryPointsAgreeOnCountedShapes(t *testing.T) {
 	}
 	for name, l := range countedShapeLogs(t) {
 		for _, q := range countedShapeQueries {
-			t.Run(name+"/"+q, func(t *testing.T) { assertEntryPointsAgree(t, l, pattern.MustParse(q)) })
+			t.Run(name+"/"+q, func(t *testing.T) { assertEntryPointsAgree(t, l, pattern.MustParse(q), everyThird(l)) })
 		}
 	}
 }

@@ -21,6 +21,13 @@ import (
 // concatenates them, the instance list keeps the wids that had any, the
 // count only sums, and Exists stops at the first non-empty instance. The
 // answer does not depend on the number of goroutines.
+//
+// The same decomposition makes each instance its own failure domain: an
+// instance whose evaluation panics is excluded and named in the answer, and
+// the answer is incL(p) restricted to the other instances. AnswerCtx hands
+// the exclusions to its caller, which decides whether a partial answer is an
+// answer; every other entry point answers all or nothing and fails with the
+// first excluded instance's panic.
 
 // Shape is what an evaluation is asked to produce. The shapes are ordered
 // richest first: an answer in one shape yields the answer in every later one.
@@ -63,14 +70,34 @@ func ParseShape(name string) (Shape, error) {
 	return 0, fmt.Errorf("unknown mode %q (want incidents, instances or count)", name)
 }
 
-// Answer is incL(p) in the shape asked for. A cheaper shape can be read off a
-// richer one (Set.WIDs, len(WIDs) > 0), never the reverse.
+// Answer is incL(p) in the shape asked for, restricted to the instances not
+// excluded. A cheaper shape can be read off a richer one (Set.WIDs,
+// len(WIDs) > 0), never the reverse.
 type Answer struct {
 	// Count is |incL(p)|, in every shape.
 	Count int
 	// WIDs is set under ShapeInstances; Set under ShapeIncidents.
 	WIDs []uint64
 	Set  *incident.Set
+	// Excluded are the instances whose evaluation panicked, ascending by wid:
+	// nothing of theirs is in the answer.
+	Excluded []Exclusion
+}
+
+// Exclusion is one workflow instance left out of an answer, with the panic
+// its evaluation was stopped by.
+type Exclusion struct {
+	WID uint64
+	Err *resilience.PanicError
+}
+
+// Strict is err as a caller that accepts no partial answer sees it: when err
+// is nil and an instance was excluded, the first excluded instance's panic.
+func (a Answer) Strict(err error) error {
+	if err == nil && len(a.Excluded) > 0 {
+		return a.Excluded[0].Err
+	}
+	return err
 }
 
 // QueryStats collects per-query evaluation statistics. Pass a zero value to
@@ -79,22 +106,13 @@ type Answer struct {
 type QueryStats struct {
 	// Workers is the number of goroutines actually used (1 = serial path).
 	Workers int
-	// Instances is the number of workflow instances evaluated. On a
-	// cancelled query it counts the instances finished before the cancel.
+	// Instances is the number of workflow instances evaluated, excluded ones
+	// not included. On a cancelled query it counts the instances finished
+	// before the cancel.
 	Instances int
 	// Incidents is the number of incidents of the answer across all
 	// instances, whether they were produced or only counted.
 	Incidents int
-
-	// Sharded-execution accounting, filled by internal/shard when the query
-	// runs under the sharded executor (zero on the single-domain paths).
-	// Shards is the number of failure domains the log was partitioned into;
-	// ShardsFailed counts shards excluded from the result (failed after
-	// retries, or skipped by an open circuit breaker); ShardRetries counts
-	// re-attempts across all shards.
-	Shards       int
-	ShardsFailed int
-	ShardRetries int
 }
 
 // EvalParallel computes incL(p) using up to workers goroutines (0 means
@@ -109,8 +127,7 @@ func (e *Evaluator) EvalParallel(p pattern.Node, workers int) *incident.Set {
 // is discarded and the error returned. stats, when non-nil, is filled in
 // before returning — on both the success and the failure path.
 func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers int, stats *QueryStats) (*incident.Set, error) {
-	a, err := e.AnswerCtx(ctx, p, e.src.WIDs(), workers, ShapeIncidents, stats)
-	return a.Set, err
+	return e.evalSet(ctx, p, e.src.WIDs(), workers, stats)
 }
 
 // EvalWIDsCtx evaluates p over exactly the given workflow instances with the
@@ -118,15 +135,15 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 // panic isolation as EvalParallelCtx, serially. The returned set is exactly
 // the restriction of incL(p) to the given wids.
 func (e *Evaluator) EvalWIDsCtx(ctx context.Context, p pattern.Node, wids []uint64, stats *QueryStats) (*incident.Set, error) {
-	a, err := e.AnswerCtx(ctx, p, wids, 1, ShapeIncidents, stats)
-	return a.Set, err
+	return e.evalSet(ctx, p, wids, 1, stats)
 }
 
 // AnswerCtx evaluates p over exactly the given workflow instances (ascending)
-// and answers in the given shape — the entry point of the query service, of
-// the per-shard executor and of the cluster worker, and the one the others
-// wrap. A sharded execution gets its parallelism from concurrent shards and
-// passes workers = 1.
+// and answers in the given shape — the entry point of the query service and
+// of the cluster worker, and the one the others wrap. An instance whose
+// evaluation panics is excluded (Answer.Excluded) and the scan goes on; a
+// cancelled ctx or a tripped budget fails the whole evaluation, never
+// excludes.
 func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
 	var (
 		visit   func(i, n int, incs []incident.Incident) bool
@@ -141,11 +158,10 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 		hit = make([]bool, len(wids))
 		visit = func(i, n int, _ []incident.Incident) bool { hit[i] = n > 0; return true }
 	}
-	count, err := e.scan(ctx, p, wids, workers, shape, stats, visit)
+	a, err := e.scan(ctx, p, wids, workers, shape, stats, visit)
 	if err != nil {
 		return Answer{}, err
 	}
-	a := Answer{Count: count}
 	switch shape {
 	case ShapeIncidents:
 		// Each instance's slice is normalized, so with ascending wids their
@@ -168,6 +184,16 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 	return a, nil
 }
 
+// evalSet is AnswerCtx in the incidents shape, all or nothing: what
+// EvalParallelCtx and EvalWIDsCtx return.
+func (e *Evaluator) evalSet(ctx context.Context, p pattern.Node, wids []uint64, workers int, stats *QueryStats) (*incident.Set, error) {
+	a, err := e.AnswerCtx(ctx, p, wids, workers, ShapeIncidents, stats)
+	if err = a.Strict(err); err != nil {
+		return nil, err
+	}
+	return a.Set, nil
+}
+
 // Count returns |incL(p)|.
 func (e *Evaluator) Count(p pattern.Node) int {
 	return must(e.CountCtx(context.Background(), p))
@@ -175,7 +201,8 @@ func (e *Evaluator) Count(p pattern.Node) int {
 
 // CountCtx is Count under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
-	return e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil)
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil)
+	return a.Count, a.Strict(err)
 }
 
 // Exists reports whether incL(p) is non-empty, short-circuiting across
@@ -188,8 +215,8 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	n, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int, _ []incident.Incident) bool { return n == 0 })
-	return n > 0, err
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int, _ []incident.Incident) bool { return n == 0 })
+	return a.Count > 0, a.Strict(err)
 }
 
 // scan is the one loop over workflow instances behind every entry point.
@@ -199,19 +226,20 @@ func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error)
 // is countable (count.go), an instance is counted; otherwise its incidents
 // are enumerated. Before each instance it checks ctx and calls the fault
 // hook; the evaluation runs under the safeInstance isolation boundary, so a
-// panic becomes a *resilience.PanicError and one poisoned query cannot take
-// the process down; budget limits are checked inside the joins at the
-// resilience.CheckInterval stride and, with the result size, as each
-// instance's incidents are charged to the budget state the goroutines
-// share. visit, when non-nil, then receives the number of incidents of
-// wids[i] and, when they were enumerated, the incidents; it is called from
-// every goroutine (for distinct i) and ends the scan early, without error,
-// by returning false. The first failure stops every goroutine; when several
-// fail, or one fails while ctx is cancelled, the error returned is the
-// highest-ranked (errRank), not whichever lost the race. scan returns the
-// number of incidents of the instances it covered; stats, when non-nil,
-// counts those instances too.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int, incs []incident.Incident) bool) (int, error) {
+// panic becomes a *resilience.PanicError that excludes the instance, and the
+// scan goes on with the next one; budget limits are checked inside the joins
+// at the resilience.CheckInterval stride and, with the result size, as each
+// instance's incidents are charged to the budget state the goroutines share.
+// visit, when non-nil, then receives the number of incidents of wids[i] and,
+// when they were enumerated, the incidents; it is called from every
+// goroutine (for distinct i), never for an excluded instance, and ends the
+// scan early, without error, by returning false. A budget trip or a
+// cancelled ctx stops every goroutine and fails the scan; when both happen,
+// the error returned is the higher-ranked (errRank), not whichever lost the
+// race. scan answers with the number of incidents of the instances it
+// covered and the instances it excluded, ascending; stats, when non-nil,
+// counts the covered instances too.
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int, incs []incident.Incident) bool) (Answer, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -223,9 +251,10 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	var stop atomic.Bool
 
 	// chunk is what one goroutine did: instances covered, their incidents,
-	// and the failure that ended it.
+	// the instances excluded, and the failure that ended it.
 	type chunk struct {
 		instances, incidents int
+		excluded             []Exclusion
 		err                  error
 	}
 	one := func(vals [][]incident.Incident, ctr *counter, wid uint64) (int, []incident.Incident, error) {
@@ -253,9 +282,18 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		} else {
 			vals = make([][]incident.Incident, len(prog))
 		}
+		// After a panic the scratch (vals, ctr) holds whatever the excluded
+		// instance left in it. Nothing of that is read again: an instance's
+		// pass writes every step's value before a later step reads it (the
+		// program is in post-order), and the buffers behind the values are
+		// reused from their start.
 		for i := lo; i < hi && !stop.Load(); i++ {
 			n, incs, err := one(vals, ctr, wids[i])
 			if err != nil {
+				if pe, ok := err.(*resilience.PanicError); ok {
+					c.excluded = append(c.excluded, Exclusion{WID: wids[i], Err: pe})
+					continue
+				}
 				c.err = err
 				stop.Store(true)
 				break
@@ -287,10 +325,13 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		wg.Wait()
 	}
 
+	// Chunks are contiguous and in wid order, so their exclusions concatenate
+	// in wid order.
 	var total chunk
 	for _, c := range chunks {
 		total.instances += c.instances
 		total.incidents += c.incidents
+		total.excluded = append(total.excluded, c.excluded...)
 		if c.err != nil && (total.err == nil || errRank(c.err) > errRank(total.err)) {
 			total.err = c.err
 		}
@@ -300,19 +341,15 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	return total.incidents, total.err
+	return Answer{Count: total.incidents, Excluded: total.excluded}, total.err
 }
 
 // errRank orders the failures one scan can collect, so which one the caller
-// sees does not depend on goroutine scheduling: a panic is a bug that must
-// surface, a budget trip is a verdict on the query, a cancellation only
-// says the caller stopped waiting.
+// sees does not depend on goroutine scheduling: a budget trip is a verdict on
+// the query, a cancellation only says the caller stopped waiting.
 func errRank(err error) int {
-	var pe *resilience.PanicError
 	var be *resilience.BudgetError
 	switch {
-	case errors.As(err, &pe):
-		return 3
 	case errors.As(err, &be):
 		return 2
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):

@@ -80,12 +80,11 @@ func TestEvalParallelCtxDeadline(t *testing.T) {
 }
 
 // TestEvalParallelCtxReportsHighestRankedError: when one instance panics
-// while its siblings trip the comparison budget, the caller always sees the
-// panic — not whichever worker reported first. The hook holds the siblings
-// back until the panicking instance has been entered, so both failures
-// happen on every run and only their reporting order varies (a panic's
-// stack capture usually loses to a one-comparison budget trip). Run with
-// -count=200.
+// while its siblings trip the comparison budget, the caller sees the budget
+// error — the panic only excludes its instance, and a trip is never turned
+// into a shorter answer. The hook holds the siblings back until the
+// panicking instance has been entered, so both failures happen on every run
+// and only their order varies. Run with -count=200.
 func TestEvalParallelCtxReportsHighestRankedError(t *testing.T) {
 	traces := make([][]string, 8)
 	for i := range traces {
@@ -95,19 +94,20 @@ func TestEvalParallelCtxReportsHighestRankedError(t *testing.T) {
 		Strategy: StrategyNaive,
 		Budget:   resilience.Budget{MaxComparisons: 1},
 	})
-	entered := make(chan struct{})
-	SetEvalHook(func(wid uint64) {
-		if wid == 1 { // first instance of the first worker's chunk
-			close(entered)
-			panic("injected fault")
-		}
-		<-entered
-	})
 	defer SetEvalHook(nil)
-
-	_, err := e.EvalParallelCtx(context.Background(), pattern.MustParse("A -> B"), 4, nil)
-	var pe *resilience.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want the *resilience.PanicError", err)
+	for _, shape := range []Shape{ShapeIncidents, ShapeCount} {
+		entered := make(chan struct{})
+		SetEvalHook(func(wid uint64) {
+			if wid == 1 { // first instance of the first worker's chunk
+				close(entered)
+				panic("injected fault")
+			}
+			<-entered
+		})
+		a, err := e.AnswerCtx(context.Background(), pattern.MustParse("A -> B"), e.src.WIDs(), 4, shape, nil)
+		var be *resilience.BudgetError
+		if !errors.As(err, &be) || a.Excluded != nil {
+			t.Fatalf("%v: answer %+v, err = %v; want the *resilience.BudgetError and no answer", shape, a, err)
+		}
 	}
 }

@@ -22,7 +22,7 @@ import "wlq/internal/wlog"
 // the choice is purely physical: throughput and memory, never answers.
 //
 // A Source must be immutable while an Evaluator reads it — the same
-// contract EvalParallel, the result cache and the shard executor rely on.
+// contract EvalParallel and the result cache rely on.
 type Source interface {
 	// WIDs returns the workflow instance ids present, ascending. Callers
 	// must not modify the returned slice.

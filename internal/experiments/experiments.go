@@ -42,7 +42,7 @@ func All() []Experiment {
 		{ID: "E10", Name: "analytics", Paper: "Section 1 (motivating queries)", Run: runAnalytics},
 		{ID: "E11", Name: "parallel-eval", Paper: "Definition 4 (instance decomposition; extension)", Run: runParallelEval},
 		{ID: "E12", Name: "monitor", Paper: "Figure 2 (runtime monitoring; extension)", Run: runMonitor},
-		{ID: "E13", Name: "sharded-eval", Paper: "Definition 4 (shard failure domains; extension)", Run: runSharded},
+		{ID: "E13", Name: "sharded-eval", Paper: "Definition 4 (per-instance failure domains; extension)", Run: runSharded},
 	}
 }
 

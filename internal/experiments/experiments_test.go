@@ -99,9 +99,10 @@ func TestIncidentTreeOutput(t *testing.T) {
 	}
 }
 
-// TestShardedEvalExperiment pins E13's two claims: sharding is answer-
-// preserving at every shard count, and under an injected fault the single
-// failure domain loses the query while eight domains degrade gracefully.
+// TestShardedEvalExperiment pins E13's two claims: splitting the scan is
+// answer-preserving at every goroutine count, and under an injected fault a
+// strict caller loses the query while a partial one keeps the other seven
+// eighths of the 80 instances and names the poisoned ten exactly.
 func TestShardedEvalExperiment(t *testing.T) {
 	var buf bytes.Buffer
 	if err := runSharded(&buf, true); err != nil {
@@ -109,9 +110,10 @@ func TestShardedEvalExperiment(t *testing.T) {
 	}
 	out := buf.String()
 	for _, want := range []string{
-		"query lost",      // 1 failure domain: the fault takes everything
-		"partial (7/8",    // 8 domains: only the poisoned shard is excluded
-		"fault isolation", // the comparison table rendered
+		"query lost",       // strict: the fault takes everything
+		"partial (70/80)",  // partial: only the poisoned instances are excluded
+		"10 (exact: true)", // ... and they are named exactly
+		"fault isolation",  // the comparison table rendered
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("E13 output missing %q:\n%s", want, out)

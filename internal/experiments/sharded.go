@@ -8,18 +8,18 @@ import (
 	"wlq/internal/benchkit"
 	"wlq/internal/clinic"
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
-	"wlq/internal/shard"
 )
 
-// runSharded (E13) measures shard-per-wid execution: because incidents never
-// span workflow instances (Definition 4), the log partitions into wid-range
-// shards that evaluate as isolated failure domains. Two claims are checked:
-// the partition is free — the merged sharded result equals the single-domain
-// result at every shard count — and it buys fault isolation: a fault that
-// costs a single-domain evaluation the whole query costs a sharded one only
-// the poisoned wid range, with the rest returned as a graceful partial
-// result.
+// runSharded (E13) measures the per-instance failure domains of the
+// evaluator's one scan: because incidents never span workflow instances
+// (Definition 4), the log splits into contiguous wid chunks, one per
+// goroutine, and every instance is evaluated under its own isolation
+// boundary. Two claims are checked: the split is free — the answer equals
+// the serial one at every goroutine count — and it buys fault isolation: a
+// fault that costs an all-or-nothing (strict) caller the whole query costs a
+// partial one only the poisoned instances, which the answer names exactly.
 func runSharded(w io.Writer, quick bool) error {
 	instances := 400
 	if quick {
@@ -31,65 +31,71 @@ func runSharded(w io.Writer, quick bool) error {
 	}
 	ix := eval.NewIndex(l)
 	e := eval.New(ix, eval.Options{})
-	// The E11 per-instance-quadratic query, so each shard carries real work.
+	// The E11 per-instance-quadratic query, so each chunk carries real work.
 	p := pattern.MustParse("(!A & !B) -> GetReimburse")
 	serialSet := e.Eval(p)
 	ctx := context.Background()
+	wids := ix.WIDs()
 
-	shardCounts := []float64{1, 2, 4, 8}
 	sw := benchkit.Run(
-		fmt.Sprintf("sharded evaluation, %d instances", instances),
-		"shards", shardCounts,
+		fmt.Sprintf("scan in failure domains, %d instances", instances),
+		"workers", []float64{1, 2, 4, 8},
 		func(v float64) (func(), map[string]float64) {
-			x := shard.NewExecutor(ix, shard.Config{Shards: int(v)})
-			set, comp, err := x.Execute(ctx, p, eval.Options{}, nil)
+			a, err := e.AnswerCtx(ctx, p, wids, int(v), eval.ShapeIncidents, nil)
 			same := 0.0
-			if err == nil && comp.Complete && set.Equal(serialSet) {
+			if err == nil && len(a.Excluded) == 0 && a.Set.Equal(serialSet) {
 				same = 1
 			}
-			return func() { x.Execute(ctx, p, eval.Options{}, nil) },
+			return func() { e.AnswerCtx(ctx, p, wids, int(v), eval.ShapeIncidents, nil) },
 				map[string]float64{"|incL|": float64(serialSet.Len()), "equal": same}
 		})
 	fmt.Fprint(w, sw.Table())
-	fmt.Fprintln(w, "expected: equal=1 everywhere — sharding never changes the answer; the")
-	fmt.Fprintln(w, "per-shard overhead (goroutine, breaker check, budget slice) stays small")
+	fmt.Fprintln(w, "expected: equal=1 everywhere — splitting the scan never changes the")
+	fmt.Fprintln(w, "answer; the per-instance boundary (a deferred recover) stays cheap")
 	fmt.Fprintln(w)
 
 	// Fault isolation: poison the last eighth of the wid space with a
-	// persistent panic and run the same query as one failure domain versus
-	// eight. One domain loses everything; eight lose one shard.
-	wids := l.WIDs()
-	cut := wids[len(wids)-len(wids)/8]
+	// persistent panic and read one evaluation both ways. Strict loses the
+	// query; partial keeps the other seven eighths and names the rest.
+	poisoned := wids[len(wids)-len(wids)/8:]
+	cut := poisoned[0]
+	var kept []incident.Incident
+	for _, o := range serialSet.Incidents() {
+		if o.WID() < cut {
+			kept = append(kept, o)
+		}
+	}
+	want := incident.NewSet(kept...)
 	eval.SetEvalHook(func(wid uint64) {
 		if wid >= cut {
 			panic("injected fault")
 		}
 	})
 	defer eval.SetEvalHook(nil)
-
-	rows := [][]string{{"failure domains", "outcome", "incidents", "wids covered"}}
-	for _, n := range []int{1, 8} {
-		x := shard.NewExecutor(ix, shard.Config{Shards: n, RetryPolicy: shard.RetryPolicy{MaxAttempts: 1}})
-		set, comp, err := x.Execute(ctx, p, eval.Options{}, nil)
-		outcome := "complete"
-		switch {
-		case err != nil:
-			outcome = "query lost"
-		case !comp.Complete:
-			outcome = fmt.Sprintf("partial (%d/%d shards)", comp.Succeeded, comp.Shards)
-		}
-		incidents := 0
-		if set != nil {
-			incidents = set.Len()
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(n), outcome, fmt.Sprint(incidents),
-			fmt.Sprintf("%d/%d", len(wids)-comp.ExcludedWIDs, len(wids)),
-		})
+	a, err := e.AnswerCtx(ctx, p, wids, 4, eval.ShapeIncidents, nil)
+	if err != nil {
+		return err
+	}
+	exact := len(a.Excluded) == len(poisoned)
+	for i, x := range a.Excluded {
+		exact = exact && x.WID == poisoned[i]
+	}
+	strict := "complete"
+	if a.Strict(nil) != nil {
+		strict = "query lost"
+	}
+	covered := len(wids) - len(a.Excluded)
+	rows := [][]string{
+		{"mode", "outcome", "incidents", "wids covered", "wids excluded", "equal"},
+		{"strict", strict, "0", fmt.Sprintf("0/%d", len(wids)), "-", "-"},
+		{"partial", fmt.Sprintf("partial (%d/%d)", covered, len(wids)), fmt.Sprint(a.Set.Len()),
+			fmt.Sprintf("%d/%d", covered, len(wids)), fmt.Sprintf("%d (exact: %v)", len(a.Excluded), exact),
+			fmt.Sprint(a.Set.Equal(want))},
 	}
 	fmt.Fprintf(w, "== fault isolation: persistent panic in wids ≥ %d ==\n", cut)
 	fmt.Fprint(w, benchkit.Align(rows))
-	fmt.Fprintln(w, "expected: one domain loses the query outright; eight domains return the")
-	fmt.Fprintln(w, "seven clean shards' incidents and name the excluded wid range")
+	fmt.Fprintln(w, "expected: strict loses the query outright; partial returns the other")
+	fmt.Fprintln(w, "instances' incidents (equal: the serial answer restricted to them) and")
+	fmt.Fprintln(w, "names exactly the poisoned wids")
 	return nil
 }

@@ -34,7 +34,8 @@ type Status string
 const (
 	// StatusOK is a successful, complete answer.
 	StatusOK Status = "ok"
-	// StatusPartial is a sharded answer with failed shards (HTTP 206).
+	// StatusPartial is an answer that excluded wids (HTTP 206), or its
+	// strict-mode refusal on a coordinator (HTTP 502).
 	StatusPartial Status = "partial"
 	// StatusBudget is a query stopped by its resource budget (HTTP 422).
 	StatusBudget Status = "budget"
@@ -80,12 +81,11 @@ type Capture struct {
 	// Cached marks answers served from the result cache (no evaluation ran,
 	// so Trace carries no eval spans).
 	Cached bool `json:"cached,omitempty"`
-	// Sharded marks executions routed through the shard executor.
-	Sharded bool `json:"sharded,omitempty"`
 	// Trace is the full observability trace — span tree and cost table —
 	// captured whether or not the client requested one.
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
-	// Completeness reports shard coverage for sharded executions.
+	// Completeness reports the coverage of a partial or distributed
+	// execution.
 	Completeness *shard.Completeness `json:"completeness,omitempty"`
 	// Workers is the cluster fan-out of a distributed execution — fleet-level
 	// counts plus structured per-worker detail (nil for local ones).

@@ -72,8 +72,7 @@ func (b Budget) IsZero() bool {
 }
 
 // Slice divides the budget's work dimensions evenly across n concurrent
-// failure domains (in-process shards, or cluster workers), rounding up so n
-// slices always cover the whole budget. Wall time is NOT divided: the
+// cluster workers, rounding up so n slices always cover the whole budget. Wall time is NOT divided: the
 // domains run concurrently, so each inherits the full wall-clock allowance.
 // n <= 1 returns the budget unchanged.
 func (b Budget) Slice(n int) Budget {

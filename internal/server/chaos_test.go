@@ -19,8 +19,9 @@ import (
 // Chaos suite: deterministic faults injected through the production seams
 // (eval.SetEvalHook, resilience.SetClock, Config.Loader), asserting graceful
 // degradation — the right status code, a live health probe, and a clean
-// cache — rather than mere survival. Run with the race detector: the CI
-// chaos step is `go test -race -run 'Chaos|Fault|Shard' ./...`.
+// cache — rather than mere survival. Run with the race detector; the CI
+// chaos steps (.github/workflows/ci.yml) select these tests by the Chaos and
+// Fault in their names.
 
 // chaosLog builds a log heavy enough to trip small budgets: each instance
 // interleaves n As and Bs, so "A -> B" performs ~n² comparisons per instance.
@@ -401,8 +402,9 @@ func TestChaosMetricsCountFaults(t *testing.T) {
 	eval.SetEvalHook(faultinject.PanicOnNth(1, "fault"))
 	// The panic request is a bare atom: it charges no comparisons, so only
 	// the panic can fail it. (With an operator a sibling eval goroutine could
-	// trip the budget as well; EvalParallelCtx would still report the panic —
-	// eval.errRank — but this test counts faults, not their ranking.)
+	// trip the budget as well, and the trip would fail the query — a panic
+	// only excludes its instance — but this test counts faults, not their
+	// ranking.)
 	postQuery(t, h, `{"log":"chaos","query":"A"}`, nil) // panic -> 500
 	eval.SetEvalHook(nil)
 	postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil) // budget -> 422

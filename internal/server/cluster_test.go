@@ -26,8 +26,9 @@ import (
 // Distributed chaos and equivalence suite. Workers are real worker-mode
 // Servers behind real loopback listeners (the coordinator speaks HTTP, not
 // handlers), so every fault here — a killed process, a flaky transport, a
-// blackholed request — exercises the same code paths production does. Part
-// of the CI chaos step: `go test -race -run 'Chaos|Fault|Shard|Cluster' ./...`.
+// blackholed request — exercises the same code paths production does. The
+// CI chaos steps (.github/workflows/ci.yml) select these tests by the Chaos,
+// Fault and Cluster in their names.
 
 // startWorker serves l under the given name on a worker-mode Server bound to
 // a real loopback address.
@@ -215,8 +216,8 @@ func TestClusterPlacementDifferential(t *testing.T) {
 						}
 						if fo.Worker != f.urls[victim] || lo != lost.MinWID || hi != lost.MaxWID ||
 							fo.WIDs != members || comp.ExcludedWIDs != members {
-							t.Fatalf("%s: failure %+v with %d excluded wids; the log has %d in that interval, the victim's part is %s",
-								name, fo, comp.ExcludedWIDs, members, lost.RangeString())
+							t.Fatalf("%s: failure %+v with %d excluded wids; the log has %d in that interval, the victim's part is wids %d–%d",
+								name, fo, comp.ExcludedWIDs, members, lost.MinWID, lost.MaxWID)
 						}
 					}
 					var surviving []incident.Incident
@@ -441,6 +442,58 @@ func TestClusterChaosPartialResultNeverCached(t *testing.T) {
 	postQuery(t, h, query, &again)
 	if !again.Cached {
 		t.Fatal("complete post-heal result was not cached")
+	}
+}
+
+// TestClusterChaosBudgetTripIs422: a budget trip on one worker fails the
+// whole query with the worker's budget error — a 422 naming the dimension,
+// strict or partial — never a lost part and a shorter answer. Wids 1–8 hold
+// one A/B pair each and wids 9–16 twenty, so "A -> B" produces 8 + 8·210 =
+// 1688 incidents: within a 3000-output budget on one node, over the 1500 of
+// it the second of two workers gets.
+func TestClusterChaosBudgetTripIs422(t *testing.T) {
+	var b wlog.Builder
+	for i := 0; i < 16; i++ {
+		pairs := 20
+		if i < 8 {
+			pairs = 1
+		}
+		wid := b.Start()
+		for j := 0; j < pairs; j++ {
+			if err := b.Emit(wid, "A", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Emit(wid, "B", nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l := b.MustBuild()
+	budget := resilience.Budget{MaxOutputs: 3000}
+
+	var whole queryResponse
+	single := serverOver(t, Config{Budget: budget}, "skew", l).Handler()
+	if rec := postQuery(t, single, `{"query":"A -> B"}`, &whole); rec.Code != http.StatusOK || whole.Count != 1688 {
+		t.Fatalf("single node: status %d, count %d; want 200 and 1688: %s", rec.Code, whole.Count, rec.Body)
+	}
+
+	h := newClusterFixture(t, 2, "skew", l, nil, func(c *Config) { c.Budget = budget }).coord.Handler()
+	// More trips than the default breaker threshold: a worker that answers
+	// with a trip is healthy, so its breaker stays closed.
+	for i := 0; i < 2*shard.DefaultBreakerThreshold; i++ {
+		body := []string{`{"query":"A -> B"}`, `{"query":"A -> B","partial":true}`}[i%2]
+		rec := postQuery(t, h, body, nil)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422: %s", body, rec.Code, rec.Body)
+		}
+		doc := decodeError(t, rec)
+		if doc.BudgetDimension != resilience.DimOutputs || doc.BudgetLimit != 1500 || doc.BudgetMeasured <= 1500 || doc.Completeness != nil {
+			t.Fatalf("%s: 422 envelope %s; want the worker's outputs trip over its 1500 and no completeness", body, rec.Body)
+		}
+	}
+	var light queryResponse
+	if rec := postQuery(t, h, `{"query":"A . B"}`, &light); rec.Code != http.StatusOK || light.Count != 8+8*20 {
+		t.Fatalf("a query within budget after the trips: status %d, count %d; want 200 and 168: %s", rec.Code, light.Count, rec.Body)
 	}
 }
 

@@ -15,14 +15,13 @@ import (
 	"wlq/internal/core/pattern"
 	"wlq/internal/gen"
 	"wlq/internal/logio"
-	"wlq/internal/shard"
 	"wlq/internal/wlog"
 )
 
-// The served differential: whatever tier answers — a single node, in-process
-// shards, a cluster, a live log between appends, the cache in any state — and
-// whichever mode is asked, the response is held to one oracle, naive
-// Algorithm 1 over the row index.
+// The served differential: whatever tier answers — a single node, a cluster,
+// a live log between appends, the cache in any state, a request that accepts
+// a partial answer — and whichever mode is asked, the response is held to one
+// oracle, naive Algorithm 1 over the row index.
 
 // oracleSet is naive Algorithm 1's incL(q) over l.
 func oracleSet(l *wlog.Log, q string) *incident.Set {
@@ -57,16 +56,16 @@ func assertAnswerMatches(t *testing.T, q, mode string, got queryResponse, want *
 
 // assertServedMatchesOracle posts each query in every mode — the i-th query
 // starting from the i-th mode, so that with the cache on every order of
-// richer-after-cheaper and cheaper-after-richer comes up — and requires the
-// oracle's answer.
-func assertServedMatchesOracle(t *testing.T, h http.Handler, name string, l *wlog.Log, queries []string) {
+// richer-after-cheaper and cheaper-after-richer comes up — with the further
+// request members extra, and requires the oracle's answer in a 200.
+func assertServedMatchesOracle(t *testing.T, h http.Handler, extra, name string, l *wlog.Log, queries []string) {
 	t.Helper()
 	for i, q := range queries {
 		want := oracleSet(l, q)
 		for j := range answerModes {
 			mode := answerModes[(i+j)%len(answerModes)]
 			var got queryResponse
-			body := fmt.Sprintf(`{"log":%q,"query":%q,"mode":%q}`, name, q, mode)
+			body := fmt.Sprintf(`{"log":%q,"query":%q,"mode":%q%s}`, name, q, mode, extra)
 			if rec := postQuery(t, h, body, &got); rec.Code != http.StatusOK {
 				t.Fatalf("%q %s: status %d: %s", q, mode, rec.Code, rec.Body)
 			}
@@ -123,52 +122,73 @@ func serverOver(t *testing.T, cfg Config, name string, l *wlog.Log) *Server {
 
 // TestServedModesMatchOracle: generated log × generated pattern × every mode
 // on every tier, with the result cache on (so most answers after a query's
-// first are derived from an entry, or replace one) and off.
+// first are derived from an entry, or replace one) and off; "shards 3" is a
+// single node scanning in three chunks and accepting a partial answer, which
+// with no fault changes nothing.
 func TestServedModesMatchOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		l, queries := generatedCase(t, seed)
-		tiers := map[string]func() http.Handler{
-			"single":       func() http.Handler { return serverOver(t, Config{}, "gen", l).Handler() },
-			"single/naive": func() http.Handler { return serverOver(t, Config{Strategy: eval.StrategyNaive}, "gen", l).Handler() },
-			"cache off":    func() http.Handler { return serverOver(t, Config{CacheSize: -1}, "gen", l).Handler() },
-			"shards 3":     func() http.Handler { return serverOver(t, Config{Shards: 3}, "gen", l).Handler() },
-			"2 workers":    func() http.Handler { return newClusterFixture(t, 2, "gen", l, nil, nil).coord.Handler() },
-			"2 workers/cache off": func() http.Handler {
+		single := func(cfg Config) func() http.Handler {
+			return func() http.Handler { return serverOver(t, cfg, "gen", l).Handler() }
+		}
+		tiers := map[string]struct {
+			handler func() http.Handler
+			extra   string
+		}{
+			"single":       {single(Config{}), ""},
+			"single/naive": {single(Config{Strategy: eval.StrategyNaive}), ""},
+			"cache off":    {single(Config{CacheSize: -1}), ""},
+			"shards 3":     {single(Config{Workers: 3}), `,"partial":true`},
+			"2 workers":    {func() http.Handler { return newClusterFixture(t, 2, "gen", l, nil, nil).coord.Handler() }, ""},
+			"2 workers/cache off": {func() http.Handler {
 				return newClusterFixture(t, 2, "gen", l, nil, func(c *Config) { c.CacheSize = -1 }).coord.Handler()
-			},
+			}, ""},
 		}
 		for name, tier := range tiers {
 			t.Run(fmt.Sprintf("seed %d/%s", seed, name), func(t *testing.T) {
-				assertServedMatchesOracle(t, tier(), "gen", l, queries)
+				assertServedMatchesOracle(t, tier.handler(), tier.extra, "gen", l, queries)
 			})
 		}
 
 		// A live log: the same questions of a prefix, then — record by record
 		// through the append endpoint, delta invalidation deciding what the
-		// cache keeps — of the whole.
+		// cache keeps — of the whole, each time also accepting a partial
+		// answer.
 		t.Run(fmt.Sprintf("seed %d/live", seed), func(t *testing.T) {
-			records := l.Records()
-			base, err := wlog.New(records[:len(records)/2])
-			if err != nil {
-				t.Fatal(err)
-			}
+			base, rest := splitLog(t, l)
 			h := serverOver(t, Config{Ingest: true, WALDir: t.TempDir()}, "gen", base).Handler()
-			assertServedMatchesOracle(t, h, "gen", base, queries)
-			var batch bytes.Buffer
-			for _, r := range records[len(records)/2:] {
-				line, err := logio.EncodeRecord(r)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batch.Write(line)
-				batch.WriteByte('\n')
+			for _, extra := range []string{"", `,"partial":true`} {
+				assertServedMatchesOracle(t, h, extra, "gen", base, queries)
 			}
-			if rec := postAppend(t, h, "gen", batch.String(), nil); rec.Code != http.StatusOK {
+			if rec := postAppend(t, h, "gen", rest, nil); rec.Code != http.StatusOK {
 				t.Fatalf("append: %d: %s", rec.Code, rec.Body)
 			}
-			assertServedMatchesOracle(t, h, "gen", l, queries)
+			for _, extra := range []string{"", `,"partial":true`} {
+				assertServedMatchesOracle(t, h, extra, "gen", l, queries)
+			}
 		})
 	}
+}
+
+// splitLog cuts l at half its records: the prefix as a log, the rest as an
+// append body.
+func splitLog(t *testing.T, l *wlog.Log) (*wlog.Log, string) {
+	t.Helper()
+	records := l.Records()
+	base, err := wlog.New(records[:len(records)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch bytes.Buffer
+	for _, r := range records[len(records)/2:] {
+		line, err := logio.EncodeRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch.Write(line)
+		batch.WriteByte('\n')
+	}
+	return base, batch.String()
 }
 
 // TestCacheServesOnlyWhatItHolds: one entry per query, holding the richest
@@ -218,28 +238,36 @@ func TestCacheServesOnlyWhatItHolds(t *testing.T) {
 	}
 }
 
-// TestPartialAnswersSumTheSurvivingParts: with one part lost and "partial":
-// true, every mode answers 206 with the surviving parts' sum and
+// TestPartialAnswersSumTheSurvivingParts: with part of the log lost and
+// "partial": true, every mode answers 206 with the surviving parts' sum and
 // concatenation — the oracle restricted to the wids outside the excluded
-// interval — under the same completeness object.
+// intervals — under the same completeness object: instances poisoned on a
+// single node, static or live before and after an append, and a dead worker
+// on a cluster.
 func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 	l, queries := generatedCase(t, 5)
+	base, rest := splitLog(t, l)
 	// The fault hook below is process-wide: the oracle runs before it is set.
-	whole := make(map[string]*incident.Set)
+	whole, prefix := make(map[string]*incident.Set), make(map[string]*incident.Set)
 	for _, q := range queries {
-		whole[q] = oracleSet(l, q)
+		whole[q], prefix[q] = oracleSet(l, q), oracleSet(base, q)
 	}
-	surviving := func(q string, lost queryTail) *incident.Set {
-		f := lost.Completeness.Failures[0]
+	surviving := func(oracle *incident.Set, lost queryTail) *incident.Set {
 		var kept []incident.Incident
-		for _, o := range whole[q].Incidents() {
-			if o.WID() < f.WIDMin || o.WID() > f.WIDMax {
+		for _, o := range oracle.Incidents() {
+			in := false
+			for _, f := range lost.Completeness.Failures {
+				in = in || o.WID() >= f.WIDMin && o.WID() <= f.WIDMax
+			}
+			if !in {
 				kept = append(kept, o)
 			}
 		}
 		return incident.NewSet(kept...)
 	}
-	check := func(t *testing.T, h http.Handler) {
+	// check asks every query in every mode; failures is the number of
+	// excluded intervals each answer must name.
+	check := func(t *testing.T, h http.Handler, oracle map[string]*incident.Set, failures int) {
 		t.Helper()
 		for _, q := range queries {
 			var completeness string
@@ -253,10 +281,10 @@ func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 					t.Fatal(err)
 				}
-				if !got.Partial || got.Completeness == nil || len(got.Completeness.Failures) != 1 || got.Cached {
+				if !got.Partial || got.Completeness == nil || len(got.Completeness.Failures) != failures || got.Cached {
 					t.Fatalf("%q %s: partial=%v cached=%v completeness %+v", q, mode, got.Partial, got.Cached, got.Completeness)
 				}
-				assertAnswerMatches(t, q, mode, got, surviving(q, got.queryTail))
+				assertAnswerMatches(t, q, mode, got, surviving(oracle[q], got.queryTail))
 				doc := maskVolatile([]byte(fmt.Sprintf("%+v", *got.Completeness)))
 				if completeness == "" {
 					completeness = doc
@@ -266,21 +294,47 @@ func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 			}
 		}
 	}
-	t.Run("shards", func(t *testing.T) {
-		lostFrom := shard.Partition(l.WIDs(), 3)[2].MinWID
+	// Poison the prefix's second, third and last instances and the log's
+	// last one, so that the live log's append touches poisoned instances as
+	// well as clean ones. An answer names one failure per run of poisoned
+	// instances adjacent in the log it was asked of.
+	bw, wids := base.WIDs(), l.WIDs()
+	poisoned := map[uint64]bool{bw[1]: true, bw[2]: true, bw[len(bw)-1]: true, wids[len(wids)-1]: true}
+	runs := func(wids []uint64) (n int) {
+		for i, w := range wids {
+			if poisoned[w] && (i == 0 || !poisoned[wids[i-1]]) {
+				n++
+			}
+		}
+		return n
+	}
+	poison := func(t *testing.T) {
 		eval.SetEvalHook(func(wid uint64) {
-			if wid >= lostFrom {
-				panic("injected shard fault")
+			if poisoned[wid] {
+				panic("injected instance fault")
 			}
 		})
-		defer eval.SetEvalHook(nil)
-		check(t, serverOver(t, Config{Shards: 3, ShardAttempts: 1, BreakerThreshold: 1000}, "gen", l).Handler())
+		t.Cleanup(func() { eval.SetEvalHook(nil) })
+	}
+	t.Run("shards", func(t *testing.T) {
+		// A single node scanning in three chunks.
+		poison(t)
+		check(t, serverOver(t, Config{Workers: 3}, "gen", l).Handler(), whole, runs(wids))
+	})
+	t.Run("live", func(t *testing.T) {
+		h := serverOver(t, Config{Ingest: true, WALDir: t.TempDir()}, "gen", base).Handler()
+		poison(t)
+		check(t, h, prefix, runs(bw))
+		if rec := postAppend(t, h, "gen", rest, nil); rec.Code != http.StatusOK {
+			t.Fatalf("append: %d: %s", rec.Code, rec.Body)
+		}
+		check(t, h, whole, runs(wids))
 	})
 	t.Run("workers", func(t *testing.T) {
 		// One attempt and a breaker that stays shut: every request meets the
 		// dead worker the same way.
 		f := newClusterFixture(t, 2, "gen", l, func(c *cluster.Config) { c.MaxAttempts, c.BreakerThreshold = 1, 1000 }, nil)
 		f.workers[1].Close()
-		check(t, f.coord.Handler())
+		check(t, f.coord.Handler(), whole, 1)
 	})
 }

@@ -32,7 +32,6 @@ type captureSummary struct {
 	ElapsedUS  int64            `json:"elapsed_us"`
 	Slow       bool             `json:"slow,omitempty"`
 	Cached     bool             `json:"cached,omitempty"`
-	Sharded    bool             `json:"sharded,omitempty"`
 	HasTrace   bool             `json:"has_trace"`
 	// Workers lists each worker's elapsed/status for distributed captures,
 	// so a slow or lost worker is findable without opening the full trace.
@@ -61,7 +60,6 @@ func summarize(c *flightrec.Capture) captureSummary {
 		ElapsedUS:  c.ElapsedUS,
 		Slow:       c.Slow,
 		Cached:     c.Cached,
-		Sharded:    c.Sharded,
 		HasTrace:   c.Trace != nil,
 	}
 	if c.Workers != nil {

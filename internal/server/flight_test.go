@@ -152,18 +152,9 @@ func TestChaosFlightRecorderCapturesPanicAndKeepsRegistryClean(t *testing.T) {
 }
 
 func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
-	cfg := Config{Shards: 4, ShardAttempts: 1}
-	s := New(cfg)
-	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 16, 3)); err != nil {
-		t.Fatal(err)
-	}
+	s := shardedChaosServer(t)
 	h := s.Handler()
-	eval.SetEvalHook(func(wid uint64) {
-		if wid >= 13 {
-			panic("injected shard fault")
-		}
-	})
-	defer eval.SetEvalHook(nil)
+	poisonWIDs(t, 13, 14, 15, 16)
 	rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","partial":true}`, nil)
 	if rec.Code != http.StatusPartialContent {
 		t.Fatalf("degraded partial status %d, want 206: %s", rec.Code, rec.Body)
@@ -173,8 +164,8 @@ func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
 	if doc.Count != 1 {
 		t.Fatalf("partial captures = %d, want 1", doc.Count)
 	}
-	if !doc.Queries[0].Sharded {
-		t.Fatal("partial capture not marked sharded")
+	if doc.Queries[0].HTTPStatus != http.StatusPartialContent {
+		t.Fatalf("partial capture recorded HTTP %d, want 206", doc.Queries[0].HTTPStatus)
 	}
 	// Hygiene: a result missing a wid range is neither cached nor counted
 	// complete.

@@ -20,8 +20,8 @@ import (
 // the answer came about. Regenerate with
 // `go test ./internal/server -run Golden -update`.
 
-// elapsedRE (respond_test.go) masks the one timing in a response; a lost
-// shard's cause names a random incident id.
+// elapsedRE (respond_test.go) masks the one timing in a response; an
+// excluded instance's cause names a random incident id.
 var incidentIDRE = regexp.MustCompile(`incident [0-9A-Za-z-]+`)
 
 func maskVolatile(body []byte) string {
@@ -89,16 +89,16 @@ func TestQueryResponseGoldens(t *testing.T) {
 	ask("truncated/incidents", h, fmt.Sprintf(`{"query":%q,"max_results":2}`, several), http.StatusOK)
 	ask("truncated hit/incidents", h, fmt.Sprintf(`{"query":%q,"max_results":2}`, several), http.StatusOK)
 
-	// One shard per instance, wid 3's lost on its only attempt.
+	// Wid 3's evaluation panics: the partial answer excludes it.
 	eval.SetEvalHook(func(wid uint64) {
 		if wid == 3 {
-			panic("injected shard fault")
+			panic("injected instance fault")
 		}
 	})
 	defer eval.SetEvalHook(nil)
-	sharded := newTestServer(t, Config{Shards: 3, ShardAttempts: 1}).Handler()
+	h = newTestServer(t, Config{}).Handler()
 	for _, mode := range answerModes {
-		ask("partial/"+mode, sharded, fmt.Sprintf(`{"query":%q,"mode":%q,"partial":true}`, several, mode), http.StatusPartialContent)
+		ask("partial/"+mode, h, fmt.Sprintf(`{"query":%q,"mode":%q,"partial":true}`, several, mode), http.StatusPartialContent)
 	}
 	checkGolden(t, "testdata/query_responses.golden", names, bodies)
 }

@@ -46,14 +46,9 @@ type metrics struct {
 	// pass (single-flight) instead of starting their own.
 	coalescedReloads atomic.Uint64
 
-	// Sharded-execution counters (zero unless Config.Shards is set): queries
-	// run shard-by-shard, per-shard retry attempts, shards excluded after
-	// exhausting retries, shards skipped by an open circuit breaker, results
-	// returned incomplete, and workflow instances those results excluded.
-	shardedQueries atomic.Uint64
-	shardRetries   atomic.Uint64
-	shardsFailed   atomic.Uint64
-	shardsSkipped  atomic.Uint64
+	// Partial-answer counters: results returned incomplete (or refused in
+	// strict mode on a coordinator), and the workflow instances partial
+	// answers excluded.
 	partialResults atomic.Uint64
 	widsExcluded   atomic.Uint64
 
@@ -237,13 +232,8 @@ type metricsDoc struct {
 	LogReloadFailures  uint64  `json:"log_reload_failures" prom:"wlq_log_reload_failures_total" help:"Hot reloads that quarantined a log."`
 	CoalescedReloads   uint64  `json:"coalesced_reloads" prom:"wlq_coalesced_reloads_total" help:"Reload requests coalesced into an in-progress pass."`
 	LogsQuarantined    int     `json:"logs_quarantined" prom:"wlq_logs_quarantined" help:"Logs serving a last-good snapshot after a failed reload."`
-	ShardedQueries     uint64  `json:"sharded_queries" prom:"wlq_sharded_queries_total" help:"Queries evaluated shard-by-shard in isolated failure domains."`
-	ShardRetries       uint64  `json:"shard_retries" prom:"wlq_shard_retries_total" help:"Per-shard evaluation re-attempts (after backoff)."`
-	ShardsFailed       uint64  `json:"shards_failed" prom:"wlq_shards_failed_total" help:"Shards excluded from results after exhausting retries."`
-	ShardsSkipped      uint64  `json:"shards_skipped" prom:"wlq_shards_skipped_total" help:"Shards excluded by an open circuit breaker (no attempt)."`
 	PartialResults     uint64  `json:"partial_results" prom:"wlq_partial_results_total" help:"Queries whose result excluded at least one shard."`
 	WIDsExcluded       uint64  `json:"wids_excluded" prom:"wlq_wids_excluded_total" help:"Workflow instances excluded from partial results."`
-	BreakersOpen       int     `json:"breakers_open" prom:"wlq_shard_breakers_open" help:"Per-shard circuit breakers currently open or half-open."`
 	// Cluster is the distributed-tier section (nil on a single-node server
 	// that is not in worker mode).
 	Cluster *clusterMetricsDoc `json:"cluster,omitempty"`
@@ -334,19 +324,11 @@ func (s *Server) clusterMetrics() *clusterMetricsDoc {
 
 // metricsSnapshot assembles the metrics document both renderers (JSON and
 // Prometheus text) expose: the counters plus the gauges the logs, cache,
-// admission controller, flight recorder, shard breakers, cluster tier and
-// ingest tier supply.
+// admission controller, flight recorder, cluster tier and ingest tier
+// supply.
 func (s *Server) metricsSnapshot() metricsDoc {
 	s.mu.RLock()
 	logsLoaded, quarantined := len(s.logs), len(s.quarantine)
-	// The "poisoned shards" gauge: not-closed circuit breakers across every
-	// loaded log's shard executor.
-	breakersOpen := 0
-	for _, e := range s.logs {
-		if e.shardex != nil {
-			breakersOpen += e.shardex.OpenBreakers()
-		}
-	}
 	s.mu.RUnlock()
 	m, cache, adm, flight := s.metrics, s.cache, s.admission, s.flight
 	count, p50, p95, p99, max := m.lat.percentiles()
@@ -381,13 +363,8 @@ func (s *Server) metricsSnapshot() metricsDoc {
 		LogReloadFailures:   m.logReloadFailures.Load(),
 		CoalescedReloads:    m.coalescedReloads.Load(),
 		LogsQuarantined:     quarantined,
-		ShardedQueries:      m.shardedQueries.Load(),
-		ShardRetries:        m.shardRetries.Load(),
-		ShardsFailed:        m.shardsFailed.Load(),
-		ShardsSkipped:       m.shardsSkipped.Load(),
 		PartialResults:      m.partialResults.Load(),
 		WIDsExcluded:        m.widsExcluded.Load(),
-		BreakersOpen:        breakersOpen,
 		Cluster:             s.clusterMetrics(),
 		Ingest:              s.ingestMetrics(),
 		AdmissionCapacity:   adm.Capacity(),

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	mrand "math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -61,10 +62,10 @@ type queryRequest struct {
 	// and the per-operator Lemma 1 cost table. Traced queries bypass the
 	// result cache (a cached result has no fresh evaluation to measure).
 	Trace bool `json:"trace,omitempty"`
-	// Partial opts into degraded mode on a sharded server: when shards are
-	// lost to faults, accept the surviving shards' incidents as a 206
-	// response with a completeness object instead of a 502. Ignored when
-	// the server does not shard (results are then always complete).
+	// Partial opts into degraded mode: when instances (or, on a cluster
+	// coordinator, workers' parts) are lost to faults, accept the answer over
+	// the rest as a 206 response whose completeness object names the excluded
+	// wids, instead of a 500 (a 502 on a coordinator).
 	Partial bool `json:"partial,omitempty"`
 }
 
@@ -96,18 +97,17 @@ type queryTail struct {
 	// Trace is present when the request set "trace": true — the span tree
 	// and per-operator cost table of this evaluation.
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
-	// Partial is true when shards were lost and the result covers only the
-	// surviving wid ranges (HTTP 206; requires "partial": true in the
-	// request). Completeness is present on every sharded evaluation and
+	// Partial is true when wids were lost and the result covers only the
+	// rest (HTTP 206; requires "partial": true in the request). Completeness
+	// is present on a partial answer and on every cluster evaluation, and
 	// says exactly which wid ranges the result covers.
 	Partial      bool                `json:"partial,omitempty"`
 	Completeness *shard.Completeness `json:"completeness,omitempty"`
 }
 
 // executor is how one log's queries are evaluated. bindExecutor picks it
-// once per log generation — the only place the cluster / sharded /
-// in-process decision is made — so the request path never asks which tier
-// it is on.
+// once per log generation — the only place the cluster / local decision is
+// made — so the request path never asks which tier it is on.
 type executor struct {
 	// goroutines is how many goroutines of this process evaluate one query
 	// that asked for the given parallelism (0 = no preference): what the
@@ -125,7 +125,8 @@ type execution struct {
 	answer eval.Answer
 	err    error
 	stats  eval.QueryStats
-	// comp is the coverage of a partitioned run (nil when unsharded).
+	// comp is the coverage of a cluster run, or of a local one that excluded
+	// instances under "partial": true (nil otherwise).
 	comp *shard.Completeness
 	// fan is a distributed run's fan-out (nil for a local one): the
 	// per-worker summary, the fleet-aggregated Lemma 1 table (workers
@@ -133,18 +134,14 @@ type execution struct {
 	fan *cluster.Fanout
 }
 
-// bindExecutor builds the entry's executor (and, for sharded service, its
-// long-lived shard executor) from the server config.
+// bindExecutor builds the entry's executor from the server config.
 func (s *Server) bindExecutor(e *logEntry) {
-	switch {
-	case s.coord != nil:
+	if s.coord != nil {
 		// Distributed execution: the coordinator fans the optimized plan out
 		// to the workers, one contiguous wid interval each, and merges their
-		// answers; a lost worker degrades the result to a partial
-		// instead of failing the query, under the same completeness contract
-		// as in-process shards. The failure domains are the workers, so
-		// in-process shards on top would partition twice for no added
-		// isolation, and nothing evaluates locally.
+		// answers; a lost worker degrades the result to a partial instead of
+		// failing the query. The failure domains are the workers, and nothing
+		// evaluates locally.
 		e.exec = executor{
 			goroutines: func(int) int { return 0 },
 			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
@@ -158,48 +155,26 @@ func (s *Server) bindExecutor(e *logEntry) {
 				return x
 			},
 		}
-	case s.cfg.Shards != 0 && e.live == nil:
-		// Sharded execution: each shard is its own failure domain with a
-		// budget slice, retry loop and circuit breaker; a lost shard yields a
-		// partial result instead of a failed query. (A live log's wid-range
-		// partition would go stale with the first append, so it stays on the
-		// single-domain path.)
-		e.shardex = shard.NewExecutor(e.ix, shard.Config{
-			Shards: max(s.cfg.Shards, 0), // negative = GOMAXPROCS, shard.Partition's 0
-			RetryPolicy: shard.RetryPolicy{
-				MaxAttempts:      s.cfg.ShardAttempts,
-				BreakerThreshold: s.cfg.BreakerThreshold,
-				BreakerCooldown:  s.cfg.BreakerCooldown,
-			},
-		})
-		e.exec = executor{
-			goroutines: func(int) int { return e.shardex.Shards() },
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
-				s.metrics.shardedQueries.Add(1)
-				x.answer, x.comp, x.err = e.shardex.Answer(ctx, plan, opts, shape, &x.stats)
-				s.metrics.shardRetries.Add(uint64(x.comp.Retries))
-				s.metrics.shardsFailed.Add(uint64(x.comp.Failed))
-				s.metrics.shardsSkipped.Add(uint64(x.comp.Skipped))
-				return x
-			},
-		}
-	default:
-		e.exec = executor{
-			// Mirrors eval's worker resolution so the gauge matches what
-			// AnswerCtx actually spawns: the configured (or lower
-			// requested) count, capped by the instance count.
-			goroutines: func(requested int) int {
-				w := s.cfg.Workers
-				if requested > 0 && requested < w {
-					w = requested
-				}
-				return max(min(w, len(e.ix.WIDs())), 1)
-			},
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
-				x.answer, x.err = eval.New(e.ix, opts).AnswerCtx(ctx, plan, e.ix.WIDs(), workers, shape, &x.stats)
-				return x
-			},
-		}
+		return
+	}
+	// Local execution: every instance is its own failure domain, and the
+	// answer names the ones a panic excluded (execute settles whether that
+	// is a partial answer or a failure).
+	e.exec = executor{
+		// Mirrors eval's worker resolution so the gauge matches what
+		// AnswerCtx actually spawns: the configured (or lower requested)
+		// count, capped by the instance count.
+		goroutines: func(requested int) int {
+			w := s.cfg.Workers
+			if requested > 0 && requested < w {
+				w = requested
+			}
+			return max(min(w, len(e.ix.WIDs())), 1)
+		},
+		run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
+			x.answer, x.err = eval.New(e.ix, opts).AnswerCtx(ctx, plan, e.ix.WIDs(), workers, shape, &x.stats)
+			return x
+		},
 	}
 }
 
@@ -254,16 +229,7 @@ func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, l
 			BudgetMeasured:  be.Measured,
 		}
 	case errors.As(err, &pe):
-		s.metrics.panicsRecovered.Add(1)
-		if s.cfg.Logger != nil {
-			s.cfg.Logger.Error("panic recovered in evaluation",
-				"incident_id", pe.IncidentID,
-				"log", logName,
-				"query", query,
-				"panic", fmt.Sprint(pe.Value),
-				"stack", string(pe.Stack),
-			)
-		}
+		s.recordPanic(pe, logName, query)
 		return flightrec.StatusPanic, http.StatusInternalServerError, errorDoc{
 			Error:      "evaluation fault; the query was isolated and the service keeps serving",
 			IncidentID: pe.IncidentID,
@@ -282,6 +248,21 @@ func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, l
 		return flightrec.StatusError, http.StatusInternalServerError, errorDoc{
 			Error: fmt.Sprintf("evaluation aborted: %v", err),
 		}
+	}
+}
+
+// recordPanic counts and logs a panic recovered in an evaluation, with the
+// stack its incident id correlates.
+func (s *Server) recordPanic(pe *resilience.PanicError, logName, query string) {
+	s.metrics.panicsRecovered.Add(1)
+	if s.cfg.Logger != nil {
+		s.cfg.Logger.Error("panic recovered in evaluation",
+			"incident_id", pe.IncidentID,
+			"log", logName,
+			"query", query,
+			"panic", fmt.Sprint(pe.Value),
+			"stack", string(pe.Stack),
+		)
 	}
 }
 
@@ -450,7 +431,6 @@ func (q *queryRun) decode(r *http.Request) bool {
 	}
 	q.capture.Log = q.entry.name
 	q.capture.Generation = q.entry.gen
-	q.capture.Sharded = q.entry.shardex != nil
 	if q.req.Trace || s.flight != nil {
 		q.trace = obs.NewTrace("query")
 	}
@@ -583,6 +563,19 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	workers := entry.exec.goroutines(q.req.Workers)
 	x := s.execute(workers, func() execution { return entry.exec.run(ctx, plan, opts, workers, q.shape) })
 	s.metrics.recordMeter(meter)
+	if ex := x.answer.Excluded; len(ex) > 0 && x.err == nil {
+		// A local run excluded instances. Strict, the first one's panic fails
+		// the query (a 500, as any panic does); partial, the answer stands
+		// over the rest and names exactly what it left out.
+		if !q.req.Partial {
+			x.err = ex[0].Err
+		} else {
+			for _, e := range ex {
+				s.recordPanic(e.Err, entry.name, q.req.Query)
+			}
+			x.comp = excludedCompleteness(entry.ix.WIDs(), ex)
+		}
+	}
 	// A partitioned run's coverage goes on the capture whatever the outcome.
 	q.capture.Completeness, q.capture.Workers = x.comp, x.fan
 	if x.comp != nil {
@@ -636,14 +629,15 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	complete := x.comp == nil || x.comp.Complete
 	if !complete {
 		s.metrics.partialResults.Add(1)
-		// Strict mode: an incomplete result the client did not opt into is a
-		// 502 (the upstream shards failed us), carrying the completeness
-		// object so the caller sees what degraded mode would have returned.
+		// Strict mode on a coordinator: an incomplete result the client did
+		// not opt into is a 502 (the upstream workers failed us), carrying the
+		// completeness object so the caller sees what degraded mode would have
+		// returned.
 		if !q.req.Partial {
 			s.metrics.queryErrors.Add(1)
 			return q.fail(flightrec.StatusPartial, http.StatusBadGateway, errorDoc{
 				Error: fmt.Sprintf(
-					"partial result: %d of %d shards lost (%d wids excluded); set \"partial\": true to accept degraded results",
+					"partial result: %d of %d workers lost (%d wids excluded); set \"partial\": true to accept degraded results",
 					x.comp.Failed+x.comp.Skipped, x.comp.Shards, x.comp.ExcludedWIDs),
 				Completeness: x.comp,
 			})
@@ -651,8 +645,8 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	}
 	q.answer.answer = x.answer
 	// A partial result is never cached: a later query must not be served an
-	// excluded wid range's absence as if it were evaluated truth (the shards
-	// may well recover before the entry would age out).
+	// excluded wid range's absence as if it were evaluated truth (the fault
+	// may well be gone before the entry would age out).
 	if complete && q.cacheable {
 		s.cache.put(q.cacheKey, q.answer)
 	}
@@ -710,6 +704,30 @@ func (q *queryRun) respond() {
 		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
 	}
 	q.s.metrics.responseBytes.Add(uint64(writeSpliced(q.w, q.capture.HTTPStatus, head, key, array, tail)))
+}
+
+// excludedCompleteness is the coverage of a local answer that left the given
+// instances out (ascending, all in wids): every instance is a failure domain,
+// and each maximal run of excluded instances adjacent in the log is one
+// failure, named by its exact wids and the panic of its first instance.
+func excludedCompleteness(wids []uint64, ex []eval.Exclusion) *shard.Completeness {
+	c := &shard.Completeness{
+		Shards:       len(wids),
+		Attempted:    len(wids),
+		Succeeded:    len(wids) - len(ex),
+		Failed:       len(ex),
+		ExcludedWIDs: len(ex),
+	}
+	for j := 0; j < len(ex); {
+		i, _ := slices.BinarySearch(wids, ex[j].WID)
+		f := shard.ShardOutcome{Shard: i, WIDMin: ex[j].WID, WIDMax: ex[j].WID, WIDs: 1, Attempts: 1, Cause: ex[j].Err.Error()}
+		for j++; j < len(ex) && i+f.WIDs < len(wids) && wids[i+f.WIDs] == ex[j].WID; j++ {
+			f.WIDMax = ex[j].WID
+			f.WIDs++
+		}
+		c.Failures = append(c.Failures, f)
+	}
+	return c
 }
 
 // answerPath names how the evaluator arrives at an answer of the shape: by

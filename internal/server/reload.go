@@ -144,9 +144,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		} else {
 			e.ix = colstore.Build(l)
 		}
-		// The executor (and its shard executor) is rebuilt with the backend:
-		// the new partition matches the new log, and breaker history bound to
-		// stale wid ranges is discarded with them.
+		// The executor is rebuilt with the backend, so it reads the new log.
 		s.bindExecutor(e)
 		fresh[t.name] = e
 		res.Reloaded = append(res.Reloaded, t.name)

@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"wlq"
-	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 )
 
@@ -100,18 +99,13 @@ func TestResponseDocumentEquivalence(t *testing.T) {
 		{name: "cache off", handler: plain(Config{CacheSize: -1}), query: several, code: 200},
 		{name: "miss", handler: plain(Config{}), query: several, code: 200},
 		{name: "hit", handler: plain(Config{}), query: several, warm: true, code: 200},
-		{name: "sharded miss", handler: func(t *testing.T) http.Handler { return shardedChaosServer(t, Config{}).Handler() },
-			query: "A -> B", code: 200, want: []string{"completeness"}},
-		{name: "sharded hit", handler: func(t *testing.T) http.Handler { return shardedChaosServer(t, Config{}).Handler() },
+		{name: "sharded miss", handler: func(t *testing.T) http.Handler { return shardedChaosServer(t).Handler() },
+			query: "A -> B", code: 200},
+		{name: "sharded hit", handler: func(t *testing.T) http.Handler { return shardedChaosServer(t).Handler() },
 			query: "A -> B", warm: true, code: 200},
 		{name: "sharded partial", handler: func(t *testing.T) http.Handler {
-			eval.SetEvalHook(func(wid uint64) {
-				if wid >= 13 {
-					panic("injected shard fault")
-				}
-			})
-			t.Cleanup(func() { eval.SetEvalHook(nil) })
-			return shardedChaosServer(t, Config{}).Handler()
+			poisonWIDs(t, 3, 13, 14)
+			return shardedChaosServer(t).Handler()
 		}, query: "A -> B", extra: `,"partial":true`, code: 206, want: []string{"partial", "completeness"}},
 	}
 	for _, sc := range scenarios {

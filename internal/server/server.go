@@ -106,24 +106,6 @@ type Config struct {
 	// and SIGHUP in cmd/wlq-serve). Nil disables reloading. The CLI passes
 	// wlq.OpenLog.
 	Loader func(spec string) (*wlog.Log, error)
-	// Shards, when non-zero, evaluates every query shard-by-shard: the log
-	// is partitioned into this many wid-range failure domains (negative =
-	// GOMAXPROCS), each with its own budget slice, panic isolation, retry
-	// loop and circuit breaker. A shard lost to a persistent fault is
-	// excluded from the result instead of failing the query; the response
-	// reports coverage via its completeness object (partial results are 206
-	// when the request opts in with "partial": true, 502 otherwise).
-	// 0 disables sharding (the single-domain paths).
-	Shards int
-	// ShardAttempts caps evaluation attempts per shard per query
-	// (0 = shard.DefaultMaxAttempts).
-	ShardAttempts int
-	// BreakerThreshold opens a shard's circuit breaker after this many
-	// consecutive failures (0 = shard.DefaultBreakerThreshold).
-	BreakerThreshold int
-	// BreakerCooldown is a tripped breaker's open → half-open delay
-	// (0 = shard.DefaultBreakerCooldown).
-	BreakerCooldown time.Duration
 	// FlightRecorderSize is the query flight recorder's per-ring capacity:
 	// the recorder keeps that many recent executions plus that many notable
 	// (slow or failed) ones. 0 means DefaultFlightRecorderSize; negative
@@ -136,10 +118,10 @@ type Config struct {
 	WorkerMode bool
 	// Cluster, when non-nil, runs this server as a cluster coordinator:
 	// every query fans out over HTTP to the configured workers and the
-	// answers merge through the same completeness contract as in-process
-	// shards. Takes precedence over Shards (the network tier IS the shard
-	// tier then). Set it via cmd/wlq-serve's -workers flag or directly in
-	// tests; cluster.Config.Transport is the fault-injection seam.
+	// answers merge under the completeness contract a single node's partial
+	// answers use too. Set it via cmd/wlq-serve's -cluster-workers flag or
+	// directly in tests; cluster.Config.Transport is the fault-injection
+	// seam.
 	Cluster *cluster.Config
 	// ProbeInterval paces the coordinator's background worker health probes
 	// (0 = cluster.DefaultProbeInterval; negative disables probing, for
@@ -150,9 +132,8 @@ type Config struct {
 	// per-log write-ahead log before it touches the in-memory index, and
 	// startup/reload replay the WAL so acknowledged records survive a
 	// process kill. Incompatible with WorkerMode and Cluster (a live log's
-	// contents would silently diverge across the fleet); live logs also
-	// bypass the in-process shard executor, whose wid-range partition is
-	// computed once per (re)load. See docs/DURABILITY.md.
+	// contents would silently diverge across the fleet). See
+	// docs/DURABILITY.md.
 	Ingest bool
 	// WALDir is the root directory for WAL segments; each log gets its own
 	// subdirectory named after (a sanitized form of) the log name. Required
@@ -205,10 +186,6 @@ type logEntry struct {
 	valid  bool
 	reason string // validation error text when !valid
 	gen    uint64 // reload generation; part of the result-cache key
-	// shardex is the log's sharded executor (nil when Config.Shards is 0).
-	// It lives as long as the entry, so per-shard circuit-breaker history
-	// persists across queries; a reload replaces it together with the index.
-	shardex *shard.Executor
 	// exec is how the entry's queries run (bindExecutor): chosen with the
 	// backend, once per log generation.
 	exec executor
@@ -235,8 +212,8 @@ type Server struct {
 	metrics    *metrics
 
 	// coord is the cluster coordinator (nil for single-node service). It is
-	// long-lived shared state like the shard executors: per-worker breakers
-	// and health verdicts persist across queries and hot reloads.
+	// long-lived shared state: per-worker breakers and health verdicts
+	// persist across queries and hot reloads.
 	coord *cluster.Coordinator
 
 	// flight is the query flight recorder (nil when disabled by a negative
@@ -512,9 +489,9 @@ type errorDoc struct {
 	PredictedCost     float64       `json:"predicted_cost,omitempty"`
 	CostCeiling       float64       `json:"cost_ceiling,omitempty"`
 	CostTable         []obs.CostRow `json:"cost_table,omitempty"`
-	// Completeness accompanies a 502 strict-mode rejection of a partial
-	// result: what the result would have covered had the client opted into
-	// degraded mode with "partial": true.
+	// Completeness accompanies a coordinator's 502 strict-mode rejection of
+	// a partial result: what the result would have covered had the client
+	// opted into degraded mode with "partial": true.
 	Completeness *shard.Completeness `json:"completeness,omitempty"`
 	// Append failures (POST /v1/logs/{name}/append): Record names the
 	// offending record (422 discipline rejection, or the unpersisted record

@@ -510,16 +510,16 @@ func TestConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestShardedBusyWorkersGauge holds one shard inside evaluation and scrapes
-// /metrics meanwhile: a sharded query keeps one goroutine per shard busy, and
-// the gauge must say so (it used to move only on the unsharded path).
+// TestShardedBusyWorkersGauge holds one instance inside evaluation and
+// scrapes /metrics meanwhile: a query whose scan is sharded into chunks keeps
+// one goroutine per chunk busy, and the gauge must say so.
 func TestShardedBusyWorkersGauge(t *testing.T) {
 	log, err := wlq.ClinicLog(40, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const shards = 4
-	s := New(Config{Shards: shards})
+	const workers = 4
+	s := New(Config{Workers: workers})
 	if err := s.AddLog("clinic", "clinic:40:3", log); err != nil {
 		t.Fatal(err)
 	}
@@ -547,8 +547,8 @@ func TestShardedBusyWorkersGauge(t *testing.T) {
 	<-entered
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.BusyWorkers != shards {
-		t.Errorf("busy_workers = %d while a sharded query evaluates, want %d", m.BusyWorkers, shards)
+	if m.BusyWorkers != workers {
+		t.Errorf("busy_workers = %d while a query evaluates, want %d", m.BusyWorkers, workers)
 	}
 	close(release)
 	if code := <-done; code != http.StatusOK {

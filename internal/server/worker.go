@@ -20,16 +20,15 @@ import (
 // evaluating the coordinator's already-optimized plan verbatim against the
 // wids of its local backend inside the interval the request names, and
 // answering in the request's mode: the incidents, the wids that have one, or
-// only how many there are. Workers do
-// not rewrite, cache, record flights, or flush statistics for coordinator
-// traffic — the coordinator owns the query lifecycle; a worker is a remote
-// failure domain with an evaluator, deliberately as thin as an in-process
-// shard. When the request asks for tracing the worker does run an
-// obs.Trace (under the coordinator's propagated trace id) and ships the
-// span tree and cost table back, but the measurements are the
-// coordinator's to act on.
+// only how many there are. Workers do not rewrite, cache, record flights, or
+// flush statistics for coordinator traffic — the coordinator owns the query
+// lifecycle; a worker is a remote failure domain with an evaluator,
+// deliberately thin. When the request asks for tracing the worker does run
+// an obs.Trace (under the coordinator's propagated trace id) and ships the
+// span tree and cost table back, but the measurements are the coordinator's
+// to act on.
 
-// handleWorkerQuery serves one shard-holding worker's part of a distributed
+// handleWorkerQuery serves one worker's part of a distributed
 // query: the query pipeline's admit stage, a prepare stage in place of
 // decode and plan (the plan arrives optimized), then the shared execute
 // stage and error table.
@@ -40,7 +39,11 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	fail := func(code int, doc errorDoc) {
 		s.metrics.workerQueryErrors.Add(1)
 		writeJSON(w, code, cluster.WorkerErrorDoc{
-			Error: doc.Error, BudgetDimension: doc.BudgetDimension, IncidentID: doc.IncidentID,
+			Error:           doc.Error,
+			BudgetDimension: doc.BudgetDimension,
+			BudgetLimit:     doc.BudgetLimit,
+			BudgetMeasured:  doc.BudgetMeasured,
+			IncidentID:      doc.IncidentID,
 		})
 	}
 	// The shared admission controller protects worker capacity too.
@@ -123,9 +126,11 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	opts := eval.Options{Strategy: strategy, Meter: meter, Budget: req.Budget.Budget()}
 	esp := tr.StartSpan("eval")
 	// One goroutine evaluates the owned wids serially: the fleet is the
-	// query's parallelism, as shards are an in-process executor's.
+	// query's parallelism. A worker answers all or nothing — an excluded
+	// instance fails its part, which the coordinator retries or reports lost.
 	x := s.execute(1, func() (x execution) {
 		x.answer, x.err = eval.New(entry.ix, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
+		x.err = x.answer.Strict(x.err)
 		return x
 	})
 	esp.End()

@@ -17,8 +17,8 @@ const (
 //
 // with u drawn uniformly from [0,1). The cap applies to the raw exponential
 // term, so the jittered delay stays within ±Jitter of Max once the schedule
-// saturates. Jitter matters under correlated failure: when every shard of
-// every in-flight query retries a recovering dependency, uniform spread is
+// saturates. Jitter matters under correlated failure: when every part of
+// every in-flight query retries a recovering worker, uniform spread is
 // the difference between a ramp and a thundering herd.
 type Backoff struct {
 	// Base is the delay before the first retry (0 = DefaultBackoffBase).

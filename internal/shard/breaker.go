@@ -41,16 +41,16 @@ func (s BreakerState) String() string {
 	}
 }
 
-// Breaker is a per-shard circuit breaker: after threshold consecutive
-// failures it opens and refuses work, so a persistently poisoned shard is
+// Breaker is a per-worker circuit breaker: after threshold consecutive
+// failures it opens and refuses work, so a persistently failing worker is
 // skipped (and reported in Completeness) instead of retried forever; after
 // the cooldown one half-open probe is admitted, and its outcome either
 // closes the breaker or re-opens it for another cooldown.
 //
 // The breaker reads time through resilience.Now, so open → half-open
 // transitions are deterministic under the test clock seam. All methods are
-// safe for concurrent use: breakers outlive single queries (the executor
-// keeps one per shard across calls), so concurrent queries share them.
+// safe for concurrent use: breakers outlive single queries (the coordinator
+// keeps one per worker across calls), so concurrent queries share them.
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int

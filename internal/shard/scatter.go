@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -10,16 +11,15 @@ import (
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/obs"
+	"wlq/internal/resilience"
 )
 
-// RetryPolicy is the retry/breaker policy of a scattered query, shared by
-// the in-process executor (Config) and the cluster coordinator
-// (cluster.Config): how often a part is attempted, how long to wait in
-// between, and when its circuit breaker gives up on it.
+// RetryPolicy is the retry/breaker policy of a scattered query
+// (cluster.Config embeds it): how often a part is attempted, how long to
+// wait in between, and when its circuit breaker gives up on it.
 type RetryPolicy struct {
 	// MaxAttempts caps attempts per part per query, the first try included
-	// (0 = the tier's default: DefaultMaxAttempts here,
-	// cluster.DefaultMaxAttempts on the network tier).
+	// (0 = cluster.DefaultMaxAttempts).
 	MaxAttempts int
 	// Backoff schedules the delay between a part's attempts (zero value =
 	// 10ms base, 2x growth, 1s cap, 20% jitter).
@@ -36,9 +36,9 @@ type RetryPolicy struct {
 	Rand func() float64
 }
 
-// WithDefaults resolves zero fields; defaultAttempts is the tier's attempt
-// cap for a zero MaxAttempts. The breaker fields keep their zeros —
-// NewBreaker resolves those.
+// WithDefaults resolves zero fields; defaultAttempts is the attempt cap for
+// a zero MaxAttempts (cluster.DefaultMaxAttempts). The breaker fields keep
+// their zeros — NewBreaker resolves those.
 func (p RetryPolicy) WithDefaults(defaultAttempts int) RetryPolicy {
 	if p.MaxAttempts <= 0 {
 		p.MaxAttempts = defaultAttempts
@@ -53,13 +53,12 @@ func (p RetryPolicy) WithDefaults(defaultAttempts int) RetryPolicy {
 }
 
 // Part is one partition of a scattered query: a wid set evaluated as a
-// unit, with the circuit breaker that remembers its failures across
-// queries.
+// unit by one worker, with the circuit breaker that remembers its failures
+// across queries.
 type Part struct {
 	// Shard is the wid set; its ID is reported as ShardOutcome.Shard.
 	Shard
-	// Worker names the remote node owning the part; empty for an in-process
-	// shard.
+	// Worker names the worker owning the part.
 	Worker string
 	// Breaker admits or refuses the part's attempts.
 	Breaker *Breaker
@@ -70,19 +69,10 @@ type Part struct {
 	Span *obs.Span
 }
 
-// name renders the part for error causes.
-func (p Part) name() string {
-	if p.Worker != "" {
-		return "worker " + p.Worker
-	}
-	return fmt.Sprintf("shard %d (%s)", p.ID, p.RangeString())
-}
-
-// Transport makes one evaluation attempt (1-based) on parts[part] — an
-// in-process AnswerCtx call for the executor, an HTTP round trip for the
-// cluster coordinator — and returns the restriction of incL(p) to the
-// part's wids in the shape the query asked for. It is called from the part's
-// own goroutine, never concurrently for the same part.
+// Transport makes one evaluation attempt (1-based) on parts[part] — an HTTP
+// round trip to the part's worker — and returns the restriction of incL(p)
+// to the part's wids in the shape the query asked for. It is called from the
+// part's own goroutine, never concurrently for the same part.
 type Transport func(ctx context.Context, part, attempt int) (PartAnswer, error)
 
 // PartAnswer is one part's answer.
@@ -124,11 +114,10 @@ func (r PartResult) Status() string {
 	}
 }
 
-// Scatter is the partition driver both fan-out tiers run on: it launches
-// every part concurrently, drives each through breaker admission and the
-// retry/backoff loop (Gather), and folds the outcomes into the merged
-// answer and its Completeness (Merge). The tiers differ only in
-// their Transport and in which errors they call retryable.
+// Scatter is the partition driver the cluster coordinator runs on: it
+// launches every part concurrently, drives each through breaker admission
+// and the retry/backoff loop (Gather), and folds the outcomes into the
+// merged answer and its Completeness (Merge).
 type Scatter struct {
 	// RetryPolicy must be resolved (WithDefaults).
 	RetryPolicy
@@ -165,12 +154,15 @@ func (s *Scatter) runPart(ctx context.Context, p Part, i int, attempt Transport)
 		sk := p.Span.StartChild("breaker-skip")
 		sk.SetAttr("breaker", "open")
 		sk.End()
-		return PartResult{Skipped: true, Err: fmt.Errorf("circuit breaker open for %s", p.name())}
+		return PartResult{Skipped: true, Err: fmt.Errorf("circuit breaker open for worker %s", p.Worker)}
 	}
 	for n := 1; ; n++ {
 		res.Attempts = n
 		res.PartAnswer, res.Err = attempt(ctx, i, n)
-		if res.Err == nil {
+		// A budget trip is an answer too: the part is healthy, the query is
+		// over budget, and no retry would change that.
+		var be *resilience.BudgetError
+		if res.Err == nil || errors.As(res.Err, &be) {
 			p.Breaker.Success()
 			return res
 		}
@@ -193,11 +185,63 @@ func (s *Scatter) runPart(ctx context.Context, p Part, i int, attempt Transport)
 	}
 }
 
+// ShardOutcome describes one wid range excluded from a query's result: which
+// wids are missing, how hard the service tried, and why it gave up.
+type ShardOutcome struct {
+	// Shard is the failure domain's id: the part's index on a cluster, the
+	// position of the range's first instance in the log on a single node.
+	Shard int `json:"shard"`
+	// WIDMin/WIDMax are the excluded closed wid interval: every instance of
+	// the log inside it is missing from the result, none outside it.
+	WIDMin uint64 `json:"wid_min"`
+	WIDMax uint64 `json:"wid_max"`
+	// WIDs is the number of workflow instances excluded.
+	WIDs int `json:"wids"`
+	// Attempts is how many evaluation attempts were made (0 when the
+	// circuit breaker skipped the part outright).
+	Attempts int `json:"attempts"`
+	// Cause is the final error in human-readable form.
+	Cause string `json:"cause"`
+	// Skipped is true when an open circuit breaker excluded the part
+	// without any attempt this query.
+	Skipped bool `json:"skipped,omitempty"`
+	// Worker names the worker that owned the part (empty on a single node).
+	Worker string `json:"worker,omitempty"`
+}
+
+// Completeness is the partial-result contract: exactly which slices of the
+// log an answer covers. A Complete answer is byte-identical to a fault-free
+// single-node evaluation's; an incomplete one names every excluded wid
+// range and its cause, so "no incidents in wids 40–60" is distinguishable
+// from "wids 40–60 were never evaluated".
+type Completeness struct {
+	// Complete is true when every failure domain answered.
+	Complete bool `json:"complete"`
+	// Shards is the number of failure domains: the cluster's parts, or a
+	// single node's instances.
+	Shards int `json:"shards"`
+	// Attempted counts domains on which at least one attempt ran.
+	Attempted int `json:"shards_attempted"`
+	// Succeeded counts domains whose incidents are in the answer.
+	Succeeded int `json:"shards_succeeded"`
+	// Failed counts domains excluded after exhausting their attempts.
+	Failed int `json:"shards_failed"`
+	// Skipped counts parts excluded by an open circuit breaker.
+	Skipped int `json:"shards_skipped"`
+	// Retries counts re-attempts across all parts.
+	Retries int `json:"retries"`
+	// ExcludedWIDs is the total number of workflow instances not covered
+	// by the result.
+	ExcludedWIDs int `json:"excluded_wids"`
+	// Failures details every excluded wid range, ascending.
+	Failures []ShardOutcome `json:"failures,omitempty"`
+}
+
 // Merge folds gathered outcomes into the completeness contract and the
 // merged answer of the given shape: counts add up, and — parts being
 // contiguous wid ranges in ascending order, each answered in order — wid
 // lists and incident lists concatenate. stats, when non-nil, receives the
-// fan-out accounting.
+// instances and incidents of the merged answer.
 //
 // The returned error is non-nil only when the whole query is lost: the
 // context was cancelled, or no part produced an answer. Otherwise callers
@@ -232,7 +276,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, shape eval.S
 			comp.Attempted++
 			comp.Failed++
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", p.name(), r.Err)
+				firstErr = fmt.Errorf("worker %s: %w", p.Worker, r.Err)
 			}
 		}
 		comp.ExcludedWIDs += len(p.WIDs)
@@ -251,9 +295,6 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, shape eval.S
 	if stats != nil {
 		// An empty log has no parts and is answered on the caller's goroutine.
 		stats.Workers = max(len(parts), 1)
-		stats.Shards = len(parts)
-		stats.ShardsFailed = comp.Failed + comp.Skipped
-		stats.ShardRetries = comp.Retries
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -261,11 +302,7 @@ func Merge(ctx context.Context, parts []Part, results []PartResult, shape eval.S
 	}
 	if comp.Succeeded == 0 && len(parts) > 0 {
 		if firstErr == nil {
-			noun := "shards"
-			if parts[0].Worker != "" {
-				noun = "workers"
-			}
-			firstErr = fmt.Errorf("all %d %s skipped by open circuit breakers", comp.Shards, noun)
+			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
 		}
 		return eval.Answer{}, comp, firstErr
 	}

@@ -1,38 +1,27 @@
-// Package shard partitions a workflow log's instances into shards of
+// Package shard is the partition loop of the cluster coordinator
+// (internal/cluster): it splits a log's workflow instances into parts of
 // contiguous wid ranges — the one placement; there is no policy to pick —
-// and evaluates incident-pattern queries shard by shard, each shard in its
-// own failure domain.
+// drives each part's attempts through a circuit breaker and a capped,
+// jittered backoff (Scatter), and folds the outcomes into one answer and the
+// Completeness document that names every wid range left out (Merge).
 //
 // The decomposition is exact, not approximate: Definition 4 makes incident
 // semantics strictly per-instance — an incident's wid is a single workflow
-// id — so a log partitioned by wid evaluates with zero cross-shard joins
-// and the merged result is byte-identical to the unsharded evaluator's
+// id — so a log partitioned by wid evaluates with zero cross-part joins
+// and the merged result is byte-identical to the unpartitioned evaluator's
 // (the same property MapReduce-style log analysis and partitioned-stream
-// recovery exploit). What sharding buys on top of parallelism is blast-
-// radius control: a panic, budget trip or pathological instance in one
-// slice of the log degrades that slice only, and the query still answers
-// from the surviving N−1 shards, with Completeness metadata naming exactly
-// which wid ranges are missing and why.
-//
-// The failure-domain machinery per shard:
-//
-//   - a budget slice split from the query budget (work dimensions divided
-//     across shards; wall time shared, since shards run concurrently);
-//   - panic isolation reusing the eval worker boundary, so one poisoned
-//     instance fails one shard, not the process;
-//   - retry with capped exponential backoff and jitter for retryable
-//     faults, and a circuit breaker that stops retrying a persistently
-//     poisoned shard.
+// recovery exploit). On one node every instance is already its own failure
+// domain (eval's scan excludes an instance whose evaluation panics); across
+// nodes a part is a worker process, whose faults — a crash, a hang, a lost
+// connection — are transient, which is what the retries and breakers are
+// for.
 //
 // Everything time-dependent rides the resilience clock seam and the
-// Config.Sleep/Config.Rand seams, so backoff and breaker transitions are
-// deterministically testable without sleeping.
+// RetryPolicy.Sleep/RetryPolicy.Rand seams, so backoff and breaker
+// transitions are deterministically testable without sleeping.
 package shard
 
-import (
-	"fmt"
-	"runtime"
-)
+import "runtime"
 
 // Shard is one partition of a log's workflow instances.
 type Shard struct {
@@ -43,17 +32,6 @@ type Shard struct {
 	// MinWID and MaxWID bound the members: the shard owns every instance of
 	// the log inside the closed interval.
 	MinWID, MaxWID uint64
-}
-
-// RangeString renders the shard's wid coverage for error causes and logs.
-func (s Shard) RangeString() string {
-	if len(s.WIDs) == 0 {
-		return "∅"
-	}
-	if s.MinWID == s.MaxWID {
-		return fmt.Sprintf("wid %d", s.MinWID)
-	}
-	return fmt.Sprintf("wids %d–%d", s.MinWID, s.MaxWID)
 }
 
 // Partition splits wids into at most n shards of contiguous wid ranges;

@@ -103,19 +103,3 @@ func TestShardPartitionEdgeCases(t *testing.T) {
 		t.Errorf("Partition(n=1) = %+v, want one shard of 5", shards)
 	}
 }
-
-func TestShardRangeString(t *testing.T) {
-	cases := []struct {
-		sh   Shard
-		want string
-	}{
-		{Shard{MinWID: 7, MaxWID: 7, WIDs: []uint64{7}}, "wid 7"},
-		{Shard{MinWID: 3, MaxWID: 9, WIDs: []uint64{3, 9}}, "wids 3–9"},
-		{Shard{}, "∅"},
-	}
-	for _, c := range cases {
-		if got := c.sh.RangeString(); got != c.want {
-			t.Errorf("RangeString() = %q, want %q", got, c.want)
-		}
-	}
-}

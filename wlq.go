@@ -50,7 +50,6 @@ import (
 	"wlq/internal/models"
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
-	"wlq/internal/shard"
 	"wlq/internal/stream"
 	"wlq/internal/wlog"
 )
@@ -85,11 +84,6 @@ type (
 	// incidents, wall time, result bytes); zero fields are unlimited. See
 	// WithBudget and docs/RESILIENCE.md.
 	Budget = resilience.Budget
-	// Completeness describes exactly which slices of the log a sharded
-	// query's result covers; see QuerySharded and docs/RESILIENCE.md.
-	Completeness = shard.Completeness
-	// ShardOutcome details one shard excluded from a sharded query's result.
-	ShardOutcome = shard.ShardOutcome
 )
 
 // ErrBudgetExceeded is the sentinel matched (via errors.Is) by every
@@ -270,9 +264,9 @@ func WithoutOptimizer() Option {
 
 // WithBudget caps each query's evaluation resources; a tripped limit aborts
 // the query with an error wrapping ErrBudgetExceeded. Every evaluating
-// method enforces it — Query, QueryTraced, QuerySharded, Exists, Count and
-// what is built on them; QueryPattern, which has no error result, returns a
-// nil set. Count and Exists of most plans are arithmetic over position lists
+// method enforces it — Query, QueryTraced, Exists, Count and what is built
+// on them; QueryPattern, which has no error result, returns a nil set.
+// Count and Exists of most plans are arithmetic over position lists
 // (every plan but ⊗ or ⊕ over multi-record operands): they produce no
 // incident, so of the budget MaxComparisons — the probes and pair tests of
 // the summary joins — and MaxWallTime apply to them; MaxOutputs and
@@ -339,27 +333,6 @@ func (e *Engine) Query(query string) (*IncidentSet, error) {
 func (e *Engine) QueryPattern(p Pattern) *IncidentSet {
 	set, _ := e.evalSet(e.preparePattern(p))
 	return set
-}
-
-// QuerySharded evaluates a textual query with the log partitioned into n
-// wid-range shards (n <= 0 means GOMAXPROCS), each an isolated failure
-// domain: a shard that panics or exhausts its slice of the engine's budget
-// is excluded from the result instead of failing the whole query. The
-// returned Completeness says exactly which wid ranges the result covers;
-// with no faults it is Complete and the set equals Query's output exactly.
-// An error is returned only when the query as a whole is lost (parse error,
-// cancelled context, or zero surviving shards).
-//
-// Each call builds a fresh one-shot executor, so circuit-breaker history
-// does not persist across calls; long-lived breaker state is a property of
-// the query service (wlq-serve), which keeps one executor per loaded log.
-func (e *Engine) QuerySharded(ctx context.Context, query string, shards int) (*IncidentSet, *Completeness, error) {
-	p, err := e.prepare(query)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts := eval.Options{Strategy: e.strategy, Budget: e.budget}
-	return shard.NewExecutor(e.src, shard.Config{Shards: shards}).Execute(ctx, p, opts, nil)
 }
 
 // Exists reports whether any incident of the query exists, short-circuiting

@@ -1,7 +1,6 @@
 package wlq_test
 
 import (
-	"context"
 	"errors"
 	"path/filepath"
 	"strings"
@@ -439,14 +438,6 @@ func TestEngineColumnarEquivalent(t *testing.T) {
 		}
 		if n != want.Len() {
 			t.Errorf("Count(%q) = %d, oracle %d", q, n, want.Len())
-		}
-		// The sharded path over the columnar store.
-		sharded, _, err := e.QuerySharded(context.Background(), q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sharded.Equal(want) {
-			t.Errorf("sharded engine disagrees with the oracle on %q", q)
 		}
 	}
 }
