@@ -55,7 +55,6 @@ import (
 	"wlq"
 	"wlq/internal/cluster"
 	"wlq/internal/server"
-	"wlq/internal/shard"
 	"wlq/internal/wal"
 )
 
@@ -119,14 +118,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"coordinator's per-attempt deadline for one worker request (0 = default 5s)")
 		workerAttempts = fs.Int("worker-attempts", 0,
 			"coordinator's request attempts per worker per query, first try included (0 = default 2)")
-		hedgeAfter = fs.Duration("hedge-after", 0,
-			"duplicate a worker request that has not answered within this delay and take the first response (0 disables hedging)")
 		probeInterval = fs.Duration("probe-interval", 0,
 			"coordinator's worker health-probe period feeding /readyz (0 = default 5s)")
-		tracePropagation = fs.Bool("trace-propagation", true,
-			"propagate a traceparent trace context on every worker request and stitch the returned span trees into one distributed trace (coordinator only)")
-		maxTraceSpans = fs.Int("max-trace-spans", 0,
-			"cap on the span subtree each worker may return on a traced query; oversized trees are pruned and annotated (0 = default 2048)")
 
 		ingestOn = fs.Bool("ingest", false,
 			"accept live appends on POST /v1/logs/{name}/append, made durable through a per-log write-ahead log before they are applied or acknowledged (requires -wal-dir; incompatible with -worker and -cluster-workers)")
@@ -190,16 +183,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return errors.New("-cluster-workers: no worker URLs")
 		}
 		clusterCfg = &cluster.Config{
-			Workers:       urls,
-			WorkerTimeout: *workerTimeout,
-			HedgeAfter:    *hedgeAfter,
-			RetryPolicy: shard.RetryPolicy{
-				MaxAttempts:      *workerAttempts,
-				BreakerThreshold: *breakerThreshold,
-				BreakerCooldown:  *breakerCooldown,
-			},
-			DisableTracePropagation: !*tracePropagation,
-			MaxTraceSpans:           *maxTraceSpans,
+			Workers:          urls,
+			WorkerTimeout:    *workerTimeout,
+			MaxAttempts:      *workerAttempts,
+			BreakerThreshold: *breakerThreshold,
+			BreakerCooldown:  *breakerCooldown,
 		}
 	}
 

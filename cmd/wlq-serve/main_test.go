@@ -68,8 +68,9 @@ func TestRunArgErrors(t *testing.T) {
 	if err := run(ctx, []string{"-log", "fig3", "-addr", "999.999.999.999:1"}, &buf); err == nil {
 		t.Error("run with an unlistenable address succeeded")
 	}
-	// The in-process shard tier is gone, and its flags with it.
-	for _, flag := range []string{"-shards", "-shard-attempts"} {
+	// The in-process shard tier is gone, and its flags with it; so are
+	// request hedging and the trace knobs only one value of was in use.
+	for _, flag := range []string{"-shards", "-shard-attempts", "-hedge-after", "-trace-propagation", "-max-trace-spans"} {
 		err := run(ctx, []string{"-log", "fig3", flag, "2"}, &buf)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
 			t.Errorf("%s: err = %v, want an unknown-flag error", flag, err)

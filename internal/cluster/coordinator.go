@@ -1,8 +1,8 @@
 // Package cluster takes the per-instance failure domains of a single node
 // to the network: a coordinator splits a log's workflow instances into one
-// contiguous wid range per worker node (shard.Partition), fans each query
-// out over HTTP, and concatenates the per-worker answers in range order — so
-// a distributed evaluation is digest-identical to a single-node one, and a
+// contiguous wid range per worker node (Partition), fans each query out over
+// HTTP, and concatenates the per-worker answers in range order — so a
+// distributed evaluation is digest-identical to a single-node one, and a
 // lost worker degrades the answer (a 206 with a Completeness document naming
 // the missing wid interval) instead of failing it.
 //
@@ -11,15 +11,12 @@
 // evaluates the wids of its interval against its local copy of the log
 // independently. What the network tier adds over one node is real failure
 // independence — a worker process can die, hang, or partition without
-// taking the coordinator's process down — paid for with the full set of
+// taking the coordinator's process down — paid for with the
 // network-robustness machinery:
 //
-//   - per-worker attempt timeouts and capped-exponential retry with jitter
-//     (reusing shard.Backoff);
-//   - per-worker circuit breakers (shard.Breaker on the resilience clock
-//     seam) so a dead node is skipped, not re-dialed by every query;
-//   - hedged requests: a straggling worker gets a duplicate request after
-//     a configurable delay, and the first answer wins;
+//   - per-worker attempt timeouts and capped-exponential retry with jitter;
+//   - per-worker circuit breakers (Breaker, on the resilience clock seam) so
+//     a dead node is skipped, not re-dialed by every query;
 //   - periodic health probing that feeds the coordinator's /readyz;
 //   - per-worker budget slices (resilience.Budget.Slice) so one slow
 //     worker cannot spend the whole query's allowance; a worker that trips
@@ -40,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strings"
 	"sync"
@@ -51,7 +49,6 @@ import (
 	"wlq/internal/core/pattern"
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
-	"wlq/internal/shard"
 )
 
 // Coordinator defaults.
@@ -80,42 +77,37 @@ type Config struct {
 	// WorkerTimeout deadlines each worker request attempt
 	// (0 = DefaultWorkerTimeout).
 	WorkerTimeout time.Duration
-	// RetryPolicy governs each worker's request attempts, backoff and circuit
-	// breaker. A zero MaxAttempts means DefaultMaxAttempts.
-	shard.RetryPolicy
-	// HedgeAfter, when positive, duplicates a worker request that has not
-	// answered within the delay and takes whichever response lands first —
-	// straggler insurance against a slow connection or a stalled accept
-	// queue. The hedge goes to the same worker (a wid range is placed on
-	// exactly one node), so it cannot help a node that is down, only one that
-	// is slow.
-	HedgeAfter time.Duration
+	// MaxAttempts caps a worker's request attempts per query, the first try
+	// included (0 = DefaultMaxAttempts).
+	MaxAttempts int
+	// BreakerThreshold opens a worker's circuit breaker after this many
+	// consecutive failed attempts (0 = DefaultBreakerThreshold).
+	BreakerThreshold int
+	// BreakerCooldown is the open → half-open delay (0 = DefaultBreakerCooldown).
+	BreakerCooldown time.Duration
 	// Transport is the HTTP transport for worker requests (nil =
 	// http.DefaultTransport). Chaos suites inject faultinject.FlakyRoundTripper
 	// here to fail, slow or blackhole exact requests without killing
 	// processes.
 	Transport http.RoundTripper
-	// DisableTracePropagation turns off distributed tracing: no traceparent
-	// header on worker requests, no span subtrees or cost tables in worker
-	// responses. The zero value propagates whenever the query carries an
-	// obs.Trace.
-	DisableTracePropagation bool
-	// MaxTraceSpans caps the span subtree each worker may return
-	// (0 = DefaultMaxTraceSpans).
-	MaxTraceSpans int
+	// Sleep waits out the backoff between attempts (nil = time.Sleep). Tests
+	// inject a recording no-op so backoff is asserted, not waited for.
+	Sleep func(time.Duration)
 }
 
-// withDefaults resolves zero fields.
+// withDefaults resolves zero fields; NewBreaker resolves the breaker's.
 func (c Config) withDefaults() Config {
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = DefaultWorkerTimeout
 	}
-	c.RetryPolicy = c.RetryPolicy.WithDefaults(DefaultMaxAttempts)
+	if c.MaxAttempts <= 0 {
+		c.MaxAttempts = DefaultMaxAttempts
+	}
 	if c.Transport == nil {
 		c.Transport = http.DefaultTransport
 	}
-	if c.MaxTraceSpans <= 0 {
-		c.MaxTraceSpans = DefaultMaxTraceSpans
+	if c.Sleep == nil {
+		c.Sleep = time.Sleep
 	}
 	return c
 }
@@ -125,7 +117,7 @@ func (c Config) withDefaults() Config {
 // request-duration histogram, and the latest health-probe verdict.
 type workerState struct {
 	name    string
-	breaker *shard.Breaker
+	breaker *Breaker
 	hist    *obs.Histogram
 
 	mu       sync.Mutex
@@ -139,16 +131,12 @@ type workerState struct {
 type Stats struct {
 	// Fanouts counts distributed query executions.
 	Fanouts uint64 `json:"fanouts"`
-	// WorkerRequests counts HTTP requests issued to workers (hedges and
-	// retries included); WorkerFailures those that errored.
-	WorkerRequests uint64 `json:"worker_requests" prom:"wlq_cluster_worker_requests_total" help:"HTTP requests issued to workers (retries and hedges included)."`
+	// WorkerRequests counts HTTP requests issued to workers (retries
+	// included); WorkerFailures those that errored.
+	WorkerRequests uint64 `json:"worker_requests" prom:"wlq_cluster_worker_requests_total" help:"HTTP requests issued to workers (retries included)."`
 	WorkerFailures uint64 `json:"worker_failures" prom:"wlq_cluster_worker_failures_total" help:"Worker requests that failed (transport error or non-200)."`
 	// WorkerRetries counts re-attempts after backoff.
 	WorkerRetries uint64 `json:"worker_retries" prom:"wlq_cluster_worker_retries_total" help:"Worker request re-attempts (after backoff)."`
-	// Hedges counts duplicated straggler requests; HedgeWins those whose
-	// duplicate answered first.
-	Hedges    uint64 `json:"hedges" prom:"wlq_cluster_hedges_total" help:"Straggler worker requests duplicated (hedging)."`
-	HedgeWins uint64 `json:"hedge_wins" prom:"wlq_cluster_hedge_wins_total" help:"Hedged requests whose duplicate answered first."`
 	// WorkersSkipped counts per-query worker exclusions by an open breaker.
 	WorkersSkipped uint64 `json:"workers_skipped" prom:"wlq_cluster_workers_skipped_total" help:"Per-query worker exclusions by an open circuit breaker."`
 }
@@ -160,14 +148,11 @@ type Coordinator struct {
 	cfg     Config
 	client  *http.Client
 	workers []*workerState
-	scatter shard.Scatter
 
 	fanouts        atomic.Uint64
 	workerRequests atomic.Uint64
 	workerFailures atomic.Uint64
 	workerRetries  atomic.Uint64
-	hedges         atomic.Uint64
-	hedgeWins      atomic.Uint64
 	workersSkipped atomic.Uint64
 }
 
@@ -191,7 +176,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for i, name := range cfg.Workers {
 		workers[i] = &workerState{
 			name:    name,
-			breaker: shard.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+			breaker: NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 			hist:    obs.NewHistogram(DurationBucketsUS),
 			healthy: true, // optimistic until a probe or request says otherwise
 		}
@@ -199,10 +184,9 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{
 		cfg: cfg,
 		// The per-attempt deadline rides the request context, not the
-		// client, so hedges and probes can choose their own.
+		// client, so attempts and probes can choose their own.
 		client:  &http.Client{Transport: cfg.Transport},
 		workers: workers,
-		scatter: shard.Scatter{RetryPolicy: cfg.RetryPolicy, Retryable: retryableErr},
 	}, nil
 }
 
@@ -213,8 +197,6 @@ func (c *Coordinator) Stats() Stats {
 		WorkerRequests: c.workerRequests.Load(),
 		WorkerFailures: c.workerFailures.Load(),
 		WorkerRetries:  c.workerRetries.Load(),
-		Hedges:         c.hedges.Load(),
-		HedgeWins:      c.hedgeWins.Load(),
 		WorkersSkipped: c.workersSkipped.Load(),
 	}
 }
@@ -232,13 +214,10 @@ type Fanout struct {
 	Succeeded int `json:"succeeded"`
 	Failed    int `json:"failed,omitempty"`
 	Skipped   int `json:"skipped,omitempty"`
-	// Hedged counts straggler requests duplicated; Retries re-attempts;
-	// HedgeWins hedges whose duplicate answered first.
-	Hedged    int `json:"hedged,omitempty"`
-	Retries   int `json:"retries,omitempty"`
-	HedgeWins int `json:"hedge_wins,omitempty"`
+	// Retries counts re-attempts.
+	Retries int `json:"retries,omitempty"`
 	// TraceID is the propagated cross-process trace id ("" when the query
-	// was untraced or propagation is disabled).
+	// was untraced).
 	TraceID string `json:"trace_id,omitempty"`
 	// PerWorker details every worker contacted (or breaker-skipped) this
 	// query, in fleet order.
@@ -255,13 +234,9 @@ type WorkerCall struct {
 	WIDs   int    `json:"wids"`
 	// Status is "ok", "failed", or "skipped" (breaker).
 	Status string `json:"status"`
-	// Attempts counts requests sent (hedges excluded); Retries re-attempts
-	// after backoff; Hedges duplicated straggler requests; HedgeWon whether
-	// a hedge's answer was the one used.
-	Attempts int  `json:"attempts"`
-	Retries  int  `json:"retries,omitempty"`
-	Hedges   int  `json:"hedges,omitempty"`
-	HedgeWon bool `json:"hedge_won,omitempty"`
+	// Attempts counts requests sent; Retries re-attempts after backoff.
+	Attempts int `json:"attempts"`
+	Retries  int `json:"retries,omitempty"`
 	// BreakerSkip marks a worker excluded without any request by an open
 	// circuit breaker.
 	BreakerSkip bool `json:"breaker_skip,omitempty"`
@@ -289,39 +264,68 @@ type ExecOptions struct {
 
 // Execute evaluates the plan across the worker fleet and returns incL(p):
 // Answer in the eval.ShapeIncidents shape.
-func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *shard.Completeness, Fanout, error) {
+func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *Completeness, Fanout, error) {
 	a, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
 	return a.Set, comp, fan, err
 }
 
-// Answer evaluates the plan across the worker fleet on the shared
-// partition driver (shard.Scatter): part i of shard.Partition(opts.WIDs,
-// fleet size) goes to worker i, attempted through call — one request plus an
-// optional hedge — under the driver's breaker admission and retry loop. The
-// request carries the shape as its mode, every worker answers in it, and the
-// surviving answers add up and concatenate through shard.Merge — equal to a
-// single-node evaluation when every worker answers.
+// partResult is one part's terminal outcome within a query.
+type partResult struct {
+	// resp is the accepted reply (nil unless err is nil); count the number
+	// of incidents it stands for.
+	resp  *WorkerQueryResponse
+	count int
+	// attempts counts requests sent (0 when the breaker skipped the part);
+	// retries those after the first.
+	attempts, retries int
+	// skipped is true when the open breaker refused the part outright.
+	skipped bool
+	// err is the final failure.
+	err error
+}
+
+// status names the outcome: "ok", "failed", or "skipped" (breaker).
+func (r partResult) status() string {
+	switch {
+	case r.skipped:
+		return "skipped"
+	case r.err != nil:
+		return "failed"
+	default:
+		return "ok"
+	}
+}
+
+// Answer evaluates the plan across the worker fleet: part i of
+// Partition(opts.WIDs, fleet size) goes to worker i, each part on its own
+// goroutine through breaker admission and the retry loop (runPart). The
+// request carries the shape as its mode, every worker answers in it, and
+// the surviving answers add up and concatenate — parts being contiguous wid
+// ranges in ascending order, each answered in order — equal to a
+// single-node evaluation when every worker answers. qs, when non-nil,
+// receives the instances and incidents of the merged answer.
 //
-// The error and Completeness contract is shard.Merge's, with each excluded
-// worker's part named by its exact wid interval — except that a worker's
-// budget trip (a 422 reply) fails the whole query with the worker's
-// *resilience.BudgetError, in strict and partial mode alike.
+// The returned error is non-nil only when the whole query is lost: the
+// context was cancelled, no part produced an answer, or a worker tripped
+// its budget slice (a 422 reply), which fails the query with the worker's
+// *resilience.BudgetError in strict and partial mode alike. Otherwise the
+// Completeness names each excluded worker's part by its exact wid interval,
+// and callers choose whether an incomplete result is an answer (degraded
+// mode) or an error (strict mode).
 //
 // Everything done for a worker is recorded under its "worker <url>" span:
 // a queue-wait span (launch + admission + marshal before the first transport
-// write), sibling transport spans per request with attempt/hedge
-// annotations, and the driver's backoff and breaker-skip spans. The winning
-// response's own span subtree is grafted under the transport span that
-// carried it.
-func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (eval.Answer, *shard.Completeness, Fanout, error) {
+// write), one transport span per attempt, and the backoff and breaker-skip
+// spans. The accepted reply's own span subtree is grafted under the
+// transport span that carried it.
+func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (eval.Answer, *Completeness, Fanout, error) {
 	c.fanouts.Add(1)
-	// Distributed tracing: mint (or reuse) the query's trace id and ask
-	// workers to return their span trees and cost tables. The id travels on
-	// a traceparent header per request; the request body only carries the
-	// enable flag and the subtree cap.
+	// Distributed tracing: a traced query's id travels on a traceparent
+	// header per request, and workers return their span trees and cost
+	// tables; the request body only carries the enable flag and the cap.
 	tr := obs.FromContext(ctx)
 	traceID := ""
-	if tr != nil && !c.cfg.DisableTracePropagation {
+	if tr != nil {
 		traceID = tr.ID()
 	}
 	scatter := tr.StartSpan("scatter")
@@ -331,18 +335,8 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 
 	// Part i goes to worker i. A log with fewer wids than workers leaves the
 	// tail of the fleet idle: not contacted, not counted as shards.
-	shards := shard.Partition(opts.WIDs, len(c.workers))
-	parts := make([]shard.Part, len(shards))
-	queueWaits := make([]*obs.Span, len(shards))
-	for i, sh := range shards {
-		w := c.workers[i]
-		wsp := scatter.StartChild("worker " + w.name)
-		wsp.SetAttr("wids", len(sh.WIDs))
-		parts[i] = shard.Part{Shard: sh, Worker: w.name, Breaker: w.breaker, Span: wsp}
-		queueWaits[i] = wsp.StartChild("queue-wait")
-	}
+	parts := Partition(opts.WIDs, len(c.workers))
 	scatter.SetAttr("workers", len(parts))
-
 	req := WorkerQueryRequest{
 		Log:      logName,
 		Plan:     plan.String(),
@@ -352,41 +346,88 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	}
 	if traceID != "" {
 		req.Trace = true
-		req.MaxTraceSpans = c.cfg.MaxTraceSpans
+		req.MaxTraceSpans = DefaultMaxTraceSpans
 	}
-	// Each part's goroutine writes only its own slot of calls and tables.
-	calls := make([]WorkerCall, len(parts))
-	tables := make([][]obs.CostRow, len(parts))
-	attempt := func(ctx context.Context, i, n int) (shard.PartAnswer, error) {
-		wreq := req
-		wreq.Self = parts[i].Worker
-		wreq.WIDMin, wreq.WIDMax = &parts[i].MinWID, &parts[i].MaxWID
-		body, err := json.Marshal(wreq)
-		queueWaits[i].End() // idempotent; the first attempt ends the queue wait
-		if err != nil {
-			return shard.PartAnswer{}, nonRetryable(fmt.Errorf("encode worker request: %w", err))
-		}
-		resp, count, err := c.attempt(ctx, parts[i], shape, n, traceID, body, &calls[i])
-		if err != nil {
-			return shard.PartAnswer{}, err
-		}
-		tables[i] = resp.CostTable
-		return shard.PartAnswer{Count: count, WIDs: resp.WIDs, Incidents: resp.Incidents, Instances: resp.Instances}, nil
+	// Each part's goroutine writes only its own slot.
+	results := make([]partResult, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wsp := scatter.StartChild("worker " + c.workers[i].name)
+		wsp.SetAttr("wids", len(p.WIDs))
+		queueWait := wsp.StartChild("queue-wait")
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = c.runPart(ctx, parts[i], shape, req, traceID, wsp, queueWait)
+		}(i)
 	}
-	results := c.scatter.Gather(ctx, parts, attempt)
+	wg.Wait()
 	scatter.End()
 
 	msp := tr.StartSpan("merge")
 	defer msp.End()
-	ans, comp, err := shard.Merge(ctx, parts, results, shape, qs)
-	// A budget trip on one worker is a verdict on the query, not a lost part:
-	// the query fails with it, so a trip is never a shorter answer.
-	for _, r := range results {
-		var be *resilience.BudgetError
-		if errors.As(r.Err, &be) {
-			ans, err = eval.Answer{}, be
-			break
+	comp := &Completeness{Shards: len(parts)}
+	calls := make([]WorkerCall, len(parts))
+	var (
+		ans       eval.Answer
+		runs      [][]incident.Incident
+		tables    [][]obs.CostRow
+		firstErr  error
+		budgetErr *resilience.BudgetError
+	)
+	for i, r := range results {
+		p, worker := parts[i], c.workers[i].name
+		call := WorkerCall{Worker: worker, WIDs: len(p.WIDs), Status: r.status(),
+			Attempts: r.attempts, Retries: r.retries, BreakerSkip: r.skipped, Incidents: r.count}
+		comp.Retries += r.retries
+		switch {
+		case r.err == nil:
+			comp.Attempted++
+			comp.Succeeded++
+			ans.Count += r.count
+			ans.WIDs = append(ans.WIDs, r.resp.WIDs...)
+			runs = append(runs, r.resp.Incidents)
+			// Only merged answers feed the fleet table: a failed worker's
+			// partial measurements would skew the measured-vs-predicted
+			// comparison.
+			tables = append(tables, r.resp.CostTable)
+			call.ElapsedUS, call.TraceSpans = r.resp.ElapsedUS, obs.CountSpans(r.resp.Spans)
+			if qs != nil {
+				qs.Instances += r.resp.Instances
+				qs.Incidents += r.count
+			}
+		case r.skipped:
+			comp.Skipped++
+		default:
+			comp.Attempted++
+			comp.Failed++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("worker %s: %w", worker, r.err)
+			}
+			if budgetErr == nil {
+				errors.As(r.err, &budgetErr)
+			}
 		}
+		if r.err != nil {
+			call.Error = r.err.Error()
+			comp.ExcludedWIDs += len(p.WIDs)
+			comp.Failures = append(comp.Failures, ShardOutcome{
+				Shard:    p.ID,
+				WIDMin:   p.MinWID,
+				WIDMax:   p.MaxWID,
+				WIDs:     len(p.WIDs),
+				Attempts: r.attempts,
+				Cause:    call.Error,
+				Skipped:  r.skipped,
+				Worker:   worker,
+			})
+		}
+		calls[i] = call
+	}
+	comp.Complete = comp.Succeeded == comp.Shards
+	if qs != nil {
+		// An empty log has no parts and is answered on the caller's goroutine.
+		qs.Workers = max(len(parts), 1)
 	}
 	c.workerRetries.Add(uint64(comp.Retries))
 	c.workersSkipped.Add(uint64(comp.Skipped))
@@ -397,82 +438,176 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		Failed:    comp.Failed,
 		Skipped:   comp.Skipped,
 		Retries:   comp.Retries,
-		PerWorker: calls,
 		TraceID:   traceID,
+		PerWorker: calls,
+		CostTable: obs.AggregateCostTables(tables...),
 	}
-	incidents := 0
-	for i, r := range results {
-		call := &calls[i]
-		call.Worker, call.WIDs = parts[i].Worker, len(parts[i].WIDs)
-		call.Attempts, call.Retries, call.BreakerSkip = r.Attempts, r.Retries, r.Skipped
-		call.Incidents = r.Count
-		incidents += call.Incidents
-		fan.Hedged += call.Hedges
-		if call.HedgeWon {
-			fan.HedgeWins++
-		}
-		call.Status = r.Status()
-		if r.Err != nil {
-			call.Error = r.Err.Error()
-		}
-	}
-	// Only merged answers feed the fleet table (a part's slot is filled on
-	// success alone): a failed worker's partial measurements would skew the
-	// measured-vs-predicted comparison.
-	fan.CostTable = obs.AggregateCostTables(tables...)
 	msp.SetAttr("workers_merged", comp.Succeeded)
-	msp.SetAttr("incidents", incidents)
-	return ans, comp, fan, err
+	msp.SetAttr("incidents", ans.Count)
+
+	switch {
+	case budgetErr != nil:
+		// A budget trip on one worker is a verdict on the query, not a lost
+		// part: the query fails with it, so a trip is never a shorter answer.
+		return eval.Answer{}, comp, fan, budgetErr
+	case ctx.Err() != nil:
+		return eval.Answer{}, comp, fan, ctx.Err()
+	case comp.Succeeded == 0 && len(parts) > 0:
+		if firstErr == nil {
+			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
+		}
+		return eval.Answer{}, comp, fan, firstErr
+	}
+	if shape == eval.ShapeIncidents {
+		// Every part's answer is canonical on its own, so the union is a
+		// concatenation, not a sort.
+		ans.Set = incident.MergeSorted(runs...)
+	}
+	return ans, comp, fan, nil
 }
 
-// attempt is the coordinator's shard.Transport: one call against the part's
-// worker, the shape, placement and trace-id cross-checks on its reply, and
-// the graft of the reply's span subtree. Hedge and reply detail lands on
-// call. count is the number of incidents the reply stands for.
-func (c *Coordinator) attempt(ctx context.Context, part shard.Part, shape eval.Shape, n int, traceID string, body []byte, call *WorkerCall) (resp *WorkerQueryResponse, count int, err error) {
-	resp, winner, err := c.call(ctx, part.Span, n, traceID, c.workers[part.ID], body, call)
+// runPart drives one part to its terminal outcome: breaker admission, then
+// attempts, with a backed-off retry after each retryable failure while
+// attempts remain and the breaker still admits. It stamps the outcome on
+// wsp, the part's span, and ends it.
+func (c *Coordinator) runPart(ctx context.Context, p Part, shape eval.Shape, req WorkerQueryRequest, traceID string, wsp, queueWait *obs.Span) (r partResult) {
+	w := c.workers[p.ID]
+	defer func() {
+		wsp.SetAttr("status", r.status())
+		if r.err != nil && !r.skipped {
+			wsp.SetAttr("error", r.err.Error())
+		}
+		wsp.End()
+	}()
+	if !w.breaker.Allow() {
+		sk := wsp.StartChild("breaker-skip")
+		sk.SetAttr("breaker", "open")
+		sk.End()
+		return partResult{skipped: true, err: fmt.Errorf("circuit breaker open for worker %s", w.name)}
+	}
+	req.Self = w.name
+	req.WIDMin, req.WIDMax = &p.MinWID, &p.MaxWID
+	body, err := json.Marshal(req)
+	queueWait.End()
 	if err != nil {
+		return partResult{err: fmt.Errorf("encode worker request: %w", err)}
+	}
+	for n := 1; ; n++ {
+		r.attempts = n
+		r.resp, r.count, r.err = c.attempt(ctx, p, shape, n, traceID, body, wsp)
+		// A budget trip is an answer too: the worker is healthy, the query is
+		// over budget, and no retry would change that.
+		var be *resilience.BudgetError
+		if r.err == nil || errors.As(r.err, &be) {
+			w.breaker.Success()
+			return r
+		}
+		// The query's context dying is not the worker's fault: don't charge
+		// the breaker for it, and don't retry into a cancelled query — but
+		// hand a half-open probe back, or the breaker would refuse the worker
+		// from then on.
+		if ctx.Err() != nil {
+			w.breaker.Abandon()
+			return r
+		}
+		w.breaker.Failure()
+		if !retryableErr(r.err) || n >= c.cfg.MaxAttempts || !w.breaker.Allow() {
+			return r
+		}
+		r.retries++
+		d := delay(n, rand.Float64())
+		bsp := wsp.StartChild("backoff")
+		bsp.SetAttr("delay_ms", d.Milliseconds())
+		bsp.SetAttr("next_attempt", n+1)
+		c.cfg.Sleep(d)
+		bsp.End()
+	}
+}
+
+// The backoff schedule between a part's attempts: capped exponential, 2x
+// per attempt, with proportional jitter.
+const (
+	backoffBase   = 10 * time.Millisecond
+	backoffMax    = time.Second
+	backoffJitter = 0.2
+)
+
+// delay returns the backoff before retry attempt (1-based),
+//
+//	min(backoffBase·2^(attempt−1), backoffMax) · (1 + backoffJitter·(2u−1)),
+//
+// with u the jitter draw in [0,1). The cap applies to the raw exponential
+// term, so the jittered delay stays within ±backoffJitter of backoffMax once
+// the schedule saturates. Jitter matters under correlated failure: when
+// every part of every in-flight query retries a recovering worker, uniform
+// spread is the difference between a ramp and a thundering herd.
+func delay(attempt int, u float64) time.Duration {
+	raw := backoffBase
+	for i := 1; i < attempt && raw < backoffMax; i++ {
+		raw *= 2
+	}
+	return time.Duration(float64(min(raw, backoffMax)) * (1 + backoffJitter*(2*u-1)))
+}
+
+// attempt sends attempt n of the part's request to its worker under the
+// per-attempt timeout, with one transport span under wsp, then runs the
+// shape, placement and trace-id cross-checks on the reply and grafts the
+// reply's span subtree under the transport span. count is the number of
+// incidents the reply stands for.
+func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n int, traceID string, body []byte, wsp *obs.Span) (resp *WorkerQueryResponse, count int, err error) {
+	sp := wsp.StartChild("transport")
+	sp.SetAttr("attempt", n)
+	header := ""
+	if traceID != "" {
+		spanID := obs.NewSpanID()
+		sp.SetAttr("span_id", spanID)
+		header = obs.FormatTraceparent(traceID, spanID)
+	}
+	actx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
+	resp, err = c.post(actx, c.workers[p.ID], body, header)
+	cancel()
+	sp.End()
+	if err == nil {
+		if count, err = checkReply(p, shape, resp); err != nil {
+			// Deterministic — the same request gets the same reply — so never
+			// retried.
+			err = nonRetryable(err)
+		}
+	}
+	if err != nil {
+		sp.SetAttr("error", err.Error())
 		return nil, 0, err
 	}
-	if count, err = checkReply(part, shape, resp); err != nil {
-		// Deterministic — the same request gets the same reply — so never
-		// retried.
-		err = nonRetryable(err)
-		winner.SetAttr("error", err.Error())
-		return nil, 0, err
+	sp.SetAttr("incidents", count)
+	if traceID != "" {
+		if resp.TraceID != "" && resp.TraceID != traceID {
+			// Same spirit as the WIDsOwned echo: the worker answered under
+			// a different trace context than we sent. Annotate, keep the
+			// answer (trace skew is an observability fault, not a data one).
+			sp.SetAttr("trace_id_mismatch", resp.TraceID)
+		}
+		obs.Graft(sp, resp.Spans, sp.StartUS)
 	}
-	winner.SetAttr("incidents", count)
-	if traceID != "" && resp.TraceID != "" && resp.TraceID != traceID {
-		// Same spirit as the WIDsOwned echo: the worker answered under
-		// a different trace context than we sent. Annotate, keep the
-		// answer (trace skew is an observability fault, not a data one).
-		winner.SetAttr("trace_id_mismatch", resp.TraceID)
-	}
-	if resp.Spans != nil {
-		call.TraceSpans = obs.CountSpans(resp.Spans)
-		obs.Graft(winner, resp.Spans, winner.StartUS)
-	}
-	call.ElapsedUS = resp.ElapsedUS
 	return resp, count, nil
 }
 
 // checkReply cross-checks a reply against the part and the shape it
-// answers, and returns the number of incidents it reports. The member count catches a worker whose copy of the log differs
-// from the coordinator's inside the interval: merging its answer would
-// silently mis-cover the log. A summary shape must come with its count — a
-// worker from before the request's mode field ignores it and sends
-// incidents, which this coordinator would have to decode and reduce for
-// every part of every query; its part is lost instead, so upgrade workers
-// first. The two ends of the answer list (incidents are in canonical order,
-// the decoder saw to that; wids must be ascending) catch answers from
-// outside the interval, which shard.Merge's concatenation would otherwise
-// put out of order.
-func checkReply(part shard.Part, shape eval.Shape, resp *WorkerQueryResponse) (count int, err error) {
-	if resp.WIDsOwned != len(part.WIDs) {
+// answers, and returns the number of incidents it reports. The member count
+// catches a worker whose copy of the log differs from the coordinator's
+// inside the interval: merging its answer would silently mis-cover the log.
+// A summary shape must come with its count — a worker from before the
+// request's mode field ignores it and sends incidents, which this
+// coordinator would have to decode and reduce for every part of every
+// query; its part is lost instead, so upgrade workers first. The two ends
+// of the answer list (incidents are in canonical order, the decoder saw to
+// that; wids must be ascending) catch answers from outside the interval,
+// which the merge's concatenation would otherwise put out of order.
+func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse) (count int, err error) {
+	if resp.WIDsOwned != len(p.WIDs) {
 		return 0, fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
-			resp.WIDsOwned, part.MinWID, part.MaxWID, len(part.WIDs))
+			resp.WIDsOwned, p.MinWID, p.MaxWID, len(p.WIDs))
 	}
-	lo, hi := part.MinWID, part.MaxWID // an empty answer lies inside any interval
+	lo, hi := p.MinWID, p.MaxWID // an empty answer lies inside any interval
 	if shape == eval.ShapeIncidents {
 		count = len(resp.Incidents)
 		if count > 0 {
@@ -495,113 +630,11 @@ func checkReply(part shard.Part, shape eval.Shape, resp *WorkerQueryResponse) (c
 			return 0, fmt.Errorf("%w: %d incidents over %d wids", ErrMalformedIncidents, count, len(resp.WIDs))
 		}
 	}
-	if lo < part.MinWID || hi > part.MaxWID {
+	if lo < p.MinWID || hi > p.MaxWID {
 		return 0, fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
-			ErrMalformedIncidents, lo, hi, part.MinWID, part.MaxWID)
+			ErrMalformedIncidents, lo, hi, p.MinWID, p.MaxWID)
 	}
 	return count, nil
-}
-
-// call performs one attempt against a worker: the primary request, plus —
-// when HedgeAfter is set and the primary has not answered in time — one
-// duplicate, with whichever lands first winning. The per-attempt timeout
-// covers primary and hedge together. Primary and hedge each get their own
-// transport span under wsp (siblings, annotated attempt/hedge); the span
-// of the request whose result is used is returned so the caller can graft
-// the worker's subtree under it, and hedging is noted on wc. All span
-// writes happen before call returns — abandoned requests' spans are closed
-// here, never from their still-running goroutines.
-func (c *Coordinator) call(ctx context.Context, wsp *obs.Span, attempt int, traceID string, worker *workerState, body []byte, wc *WorkerCall) (resp *WorkerQueryResponse, winner *obs.Span, err error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-	defer cancel()
-
-	type result struct {
-		resp  *WorkerQueryResponse
-		err   error
-		hedge bool
-	}
-	ch := make(chan result, 2)
-	var primarySpan, hedgeSpan *obs.Span
-	launch := func(isHedge bool) *obs.Span {
-		sp := wsp.StartChild("transport")
-		sp.SetAttr("attempt", attempt)
-		header := ""
-		if traceID != "" {
-			spanID := obs.NewSpanID()
-			sp.SetAttr("span_id", spanID)
-			header = obs.FormatTraceparent(traceID, spanID)
-		}
-		if isHedge {
-			sp.SetAttr("hedge", true)
-		}
-		go func() {
-			r, err := c.post(actx, worker, body, header)
-			ch <- result{resp: r, err: err, hedge: isHedge}
-		}()
-		return sp
-	}
-	primarySpan = launch(false)
-	ended := make(map[*obs.Span]bool, 2)
-	// abandon closes the span of a request still in flight when we stop
-	// waiting for it (the other request already won); its goroutine will
-	// drain into the buffered channel without touching the span again.
-	abandon := func() {
-		for _, sp := range []*obs.Span{primarySpan, hedgeSpan} {
-			if sp != nil && !ended[sp] {
-				sp.SetAttr("abandoned", true)
-				sp.End()
-			}
-		}
-	}
-
-	var hedgeTimer *time.Timer
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeAfter > 0 {
-		hedgeTimer = time.NewTimer(c.cfg.HedgeAfter)
-		defer hedgeTimer.Stop()
-		hedgeC = hedgeTimer.C
-	}
-
-	outstanding := 1
-	var firstErr error
-	firstErrSpan := primarySpan
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			spanOf := primarySpan
-			if r.hedge {
-				spanOf = hedgeSpan
-			}
-			if r.err != nil {
-				spanOf.SetAttr("error", r.err.Error())
-			}
-			spanOf.End()
-			ended[spanOf] = true
-			if r.err == nil {
-				if r.hedge {
-					wc.HedgeWon = true
-					c.hedgeWins.Add(1)
-				}
-				abandon()
-				return r.resp, spanOf, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-				firstErrSpan = spanOf
-			}
-			if outstanding == 0 {
-				return nil, firstErrSpan, firstErr
-			}
-			// The other request (hedge or primary) is still out; wait for it.
-		case <-hedgeC:
-			hedgeC = nil
-			wc.Hedges++
-			c.hedges.Add(1)
-			outstanding++
-			hedgeSpan = launch(true)
-		}
-	}
 }
 
 // post issues one HTTP request to a worker and decodes the reply. The
@@ -732,7 +765,7 @@ func (c *Coordinator) Lost() []string {
 		w.mu.Lock()
 		unhealthy := !w.healthy // true until a probe says otherwise
 		w.mu.Unlock()
-		if unhealthy || w.breaker.State() != shard.BreakerClosed {
+		if unhealthy || w.breaker.State() != BreakerClosed {
 			lost = append(lost, w.name)
 		}
 	}
@@ -743,7 +776,7 @@ func (c *Coordinator) Lost() []string {
 func (c *Coordinator) OpenBreakers() int {
 	open := 0
 	for _, w := range c.workers {
-		if w.breaker.State() != shard.BreakerClosed {
+		if w.breaker.State() != BreakerClosed {
 			open++
 		}
 	}

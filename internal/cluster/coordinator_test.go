@@ -19,7 +19,6 @@ import (
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
-	"wlq/internal/shard"
 )
 
 func testWIDs(n int) []uint64 {
@@ -109,12 +108,12 @@ func TestMalformedWorkerReplyLosesThePart(t *testing.T) {
 			})
 			c, err := New(Config{
 				Workers:     []string{good.URL, bad.URL},
-				RetryPolicy: shard.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+				MaxAttempts: 3, Sleep: func(time.Duration) {},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			asn := shard.Partition(wids, 2)
+			asn := Partition(wids, 2)
 			set, comp, fan, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
 			if err != nil {
 				t.Fatalf("one malformed reply failed the whole query: %v", err)
@@ -191,7 +190,7 @@ func (f stubFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 	return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(body))}, nil
 }
 
-// TestClusterReplyOutsideIntervalLosesThePart: shard.Merge concatenates the
+// TestClusterReplyOutsideIntervalLosesThePart: the merge concatenates the
 // parts' answers, so a 200 whose incidents — canonical, and under an honest
 // member count — reach outside the part's interval would come out mis-ordered
 // or twice. The coordinator's end-incident check turns it into a malformed
@@ -213,7 +212,7 @@ func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
 			var badServed atomic.Int64
 			c, err := New(Config{
 				Workers:     []string{"http://w1", bad, "http://w3"},
-				RetryPolicy: shard.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+				MaxAttempts: 3, Sleep: func(time.Duration) {},
 				Transport: stubFleet{wids, func(_ []byte, req WorkerQueryRequest, incs []incident.Incident) {
 					if req.Self == bad {
 						badServed.Add(1)
@@ -228,7 +227,7 @@ func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("one stray reply failed the whole query: %v", err)
 			}
-			part := shard.Partition(wids, 3)[1]
+			part := Partition(wids, 3)[1]
 			if comp.Complete || comp.Failed != 1 || comp.ExcludedWIDs != len(part.WIDs) || len(comp.Failures) != 1 {
 				t.Fatalf("completeness = %+v, want exactly the stray worker's part lost", comp)
 			}
@@ -352,7 +351,7 @@ func TestClusterReplyInAnotherModeLosesThePart(t *testing.T) {
 	t.Cleanup(current.Close)
 	c, err := New(Config{
 		Workers:     []string{current.URL, old.URL},
-		RetryPolicy: shard.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}},
+		MaxAttempts: 3, Sleep: func(time.Duration) {},
 	})
 	if err != nil {
 		t.Fatal(err)

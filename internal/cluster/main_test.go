@@ -11,9 +11,8 @@ import (
 )
 
 // TestMain fails the package when its tests leave goroutines of this module
-// running: an abandoned hedge, a probe loop nobody cancelled, a part's
-// goroutine the gather did not wait for. The race detector finds none of
-// those.
+// running: a probe loop nobody cancelled, a part's goroutine the fan-out
+// did not wait for. The race detector finds none of those.
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if leaked := leakedGoroutines(); code == 0 && len(leaked) > 0 {
@@ -25,8 +24,7 @@ func TestMain(m *testing.M) {
 
 // leakedGoroutines returns the stacks of the goroutines, other than the
 // caller's, that are still inside this module's code. Goroutines on their way
-// out — a request draining into its buffered channel after its attempt
-// returned — get two seconds to finish.
+// out get two seconds to finish.
 func leakedGoroutines() []string {
 	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
 	var leaked []string

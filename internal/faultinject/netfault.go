@@ -32,8 +32,8 @@ type FlakyRoundTripper struct {
 	FailOn *NthCall
 	// BlackholeOn makes the matching request hang until its context is
 	// cancelled, then return the context error: a partitioned peer. The
-	// caller's attempt timeout (or hedge) is what ends it, exactly as on a
-	// real network.
+	// caller's attempt timeout is what ends it, exactly as on a real
+	// network.
 	BlackholeOn *NthCall
 	// RerouteTo, when non-empty, redirects EVERY matching request to this
 	// base URL (scheme://host) instead of the original. It models a stale

@@ -22,7 +22,6 @@ import (
 
 	"wlq/internal/cluster"
 	"wlq/internal/obs"
-	"wlq/internal/shard"
 )
 
 // DefaultSize is the per-ring capacity used when a size of 0 is requested.
@@ -86,7 +85,7 @@ type Capture struct {
 	Trace *obs.QueryTrace `json:"trace,omitempty"`
 	// Completeness reports the coverage of a partial or distributed
 	// execution.
-	Completeness *shard.Completeness `json:"completeness,omitempty"`
+	Completeness *cluster.Completeness `json:"completeness,omitempty"`
 	// Workers is the cluster fan-out of a distributed execution — fleet-level
 	// counts plus structured per-worker detail (nil for local ones).
 	Workers *cluster.Fanout `json:"workers,omitempty"`

@@ -15,10 +15,10 @@ import (
 //
 // The coordinator mints a trace id once per query and sends
 // "00-<trace-id>-<span-id>-01" on every worker request (a fresh span id
-// per attempt/hedge, the same trace id throughout). Workers adopt the
-// propagated trace id, run their usual span tree under it, and return the
-// serialized tree; the coordinator grafts each returned subtree under the
-// local span that issued the winning request.
+// per attempt, the same trace id throughout). Workers adopt the propagated
+// trace id, run their usual span tree under it, and return the serialized
+// tree; the coordinator grafts each returned subtree under the local span
+// that issued the accepted request.
 
 // TraceparentHeader is the HTTP header carrying the propagated trace
 // context on coordinator→worker requests.

@@ -19,7 +19,6 @@ import (
 	"wlq/internal/flightrec"
 	"wlq/internal/gen"
 	"wlq/internal/resilience"
-	"wlq/internal/shard"
 	"wlq/internal/wlog"
 )
 
@@ -53,7 +52,7 @@ type clusterFixture struct {
 }
 
 // newClusterFixture builds the fleet. mut, when non-nil, adjusts the
-// coordinator's cluster config (transport faults, hedging, attempt caps)
+// coordinator's cluster config (transport faults, timeouts, attempt caps)
 // after the worker URLs are filled in; coordMut adjusts the coordinator's
 // server config. Backoff sleeps are disabled by default — chaos tests
 // assert behavior, not wall-clock delays.
@@ -66,10 +65,7 @@ func newClusterFixture(t *testing.T, n int, name string, l *wlog.Log, mut func(*
 		f.workers = append(f.workers, ts)
 		f.urls = append(f.urls, ts.URL)
 	}
-	ccfg := cluster.Config{
-		Workers:     f.urls,
-		RetryPolicy: shard.RetryPolicy{Sleep: func(time.Duration) {}},
-	}
+	ccfg := cluster.Config{Workers: f.urls, Sleep: func(time.Duration) {}}
 	if mut != nil {
 		mut(&ccfg)
 	}
@@ -187,7 +183,7 @@ func TestClusterPlacementDifferential(t *testing.T) {
 			}, func(c *Config) { c.CacheSize = -1 })
 			// pass asks every query and holds the answer to the oracle's outside
 			// lost, the part that must be named missing (nil: none, a 200).
-			pass := func(lost *shard.Shard) {
+			pass := func(lost *cluster.Part) {
 				for _, q := range clusterEquivalenceQueries {
 					name := fmt.Sprintf("%s/%dw/lost=%v/%s", logName, workers, lost != nil, q)
 					var got queryResponse
@@ -244,7 +240,7 @@ func TestClusterPlacementDifferential(t *testing.T) {
 			f.workers[victim].CloseClientConnections()
 			f.workers[victim].Close()
 			// With fewer than two wids the victim was idle and nothing is lost.
-			if parts := shard.Partition(l.WIDs(), workers); len(parts) > victim {
+			if parts := cluster.Partition(l.WIDs(), workers); len(parts) > victim {
 				pass(&parts[victim])
 			} else {
 				pass(nil)
@@ -283,7 +279,7 @@ func TestClusterChaosWorkerKilledAcceptance(t *testing.T) {
 	// interval the completeness must name.
 	const victimIdx, activeShards = 2, 4
 	victim := f.urls[victimIdx]
-	assigned := shard.Partition(l.WIDs(), activeShards)[victimIdx].WIDs
+	assigned := cluster.Partition(l.WIDs(), activeShards)[victimIdx].WIDs
 
 	f.workers[victimIdx].CloseClientConnections()
 	f.workers[victimIdx].Close()
@@ -480,7 +476,7 @@ func TestClusterChaosBudgetTripIs422(t *testing.T) {
 	h := newClusterFixture(t, 2, "skew", l, nil, func(c *Config) { c.Budget = budget }).coord.Handler()
 	// More trips than the default breaker threshold: a worker that answers
 	// with a trip is healthy, so its breaker stays closed.
-	for i := 0; i < 2*shard.DefaultBreakerThreshold; i++ {
+	for i := 0; i < 2*cluster.DefaultBreakerThreshold; i++ {
 		body := []string{`{"query":"A -> B"}`, `{"query":"A -> B","partial":true}`}[i%2]
 		rec := postQuery(t, h, body, nil)
 		if rec.Code != http.StatusUnprocessableEntity {
@@ -524,33 +520,74 @@ func TestClusterFaultTransportErrorRetried(t *testing.T) {
 	}
 }
 
-// TestClusterFaultHedgedRequestRescuesStraggler: a blackholed primary (the
-// request goes out, nothing comes back) is rescued by the hedge without
-// waiting for the attempt timeout.
-func TestClusterFaultHedgedRequestRescuesStraggler(t *testing.T) {
+// TestClusterFaultTimedOutAttemptRetried: a blackholed first attempt (the
+// request goes out, nothing comes back) is ended by the per-attempt timeout,
+// and the retry answers: a complete 200 with one retry.
+func TestClusterFaultTimedOutAttemptRetried(t *testing.T) {
 	l := chaosLog(t, 16, 2)
 	var flaky faultinject.FlakyRoundTripper
 	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
 		flaky = faultinject.FlakyRoundTripper{Match: c.Workers[0], BlackholeOn: faultinject.OnNthCall(1)}
 		c.Transport = &flaky
-		c.HedgeAfter = 10 * time.Millisecond
-		c.WorkerTimeout = 30 * time.Second // the hedge, not the timeout, must end the wait
+		c.WorkerTimeout = 100 * time.Millisecond
 	}, nil)
-	start := time.Now()
 	var resp queryResponse
 	rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"A -> B"}`, &resp)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200 via hedge: %s", rec.Code, rec.Body)
+		t.Fatalf("status %d, want 200 after the retry: %s", rec.Code, rec.Body)
+	}
+	if resp.Completeness == nil || !resp.Completeness.Complete || resp.Completeness.Retries != 1 {
+		t.Fatalf("completeness %+v, want complete after one retry", resp.Completeness)
+	}
+	if got := f.coord.Coordinator().Stats().WorkerRetries; got != 1 {
+		t.Fatalf("worker retries = %d, want exactly 1", got)
+	}
+}
+
+// TestClusterFaultCancelledProbeHandedBack: a worker's half-open probe whose
+// query times out before the worker answers says nothing about the worker,
+// so the breaker must not wait for its outcome forever. After the timed-out
+// probe, the next query reaches the worker and answers 200, and /readyz is
+// ready again.
+func TestClusterFaultCancelledProbeHandedBack(t *testing.T) {
+	l := chaosLog(t, 16, 2)
+	var victim string
+	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
+		victim = c.Workers[1]
+		// The victim's first request fails, which opens its breaker; its
+		// second — the half-open probe — hangs until the query gives up.
+		// (A request FailOn fires on never reaches the BlackholeOn count, so
+		// the blackhole's first call is the second request.)
+		c.Transport = &faultinject.FlakyRoundTripper{Match: victim,
+			FailOn: faultinject.OnNthCall(1), BlackholeOn: faultinject.OnNthCall(1)}
+		c.MaxAttempts = 1
+		c.BreakerThreshold = 1
+	}, func(c *Config) { c.CacheSize = -1 })
+	h := f.coord.Handler()
+
+	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, nil); rec.Code != http.StatusBadGateway {
+		t.Fatalf("failed worker: status %d, want 502: %s", rec.Code, rec.Body)
+	}
+	// Past the cooldown, the next query carries the probe, and its 50ms
+	// budget runs out while the worker stays silent.
+	resilience.SetClock(func() time.Time { return time.Now().Add(time.Hour) })
+	defer resilience.SetClock(nil)
+	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","timeout_ms":50}`, nil); rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("timed-out probe: status %d, want 504: %s", rec.Code, rec.Body)
+	}
+
+	var resp queryResponse
+	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B"}`, &resp); rec.Code != http.StatusOK {
+		t.Fatalf("after the timed-out probe: status %d, want 200 (the worker is healthy): %s", rec.Code, rec.Body)
 	}
 	if resp.Completeness == nil || !resp.Completeness.Complete {
-		t.Fatalf("hedged result not complete: %+v", resp.Completeness)
+		t.Fatalf("completeness %+v, want complete", resp.Completeness)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("hedge did not rescue the straggler: query took %v", elapsed)
-	}
-	st := f.coord.Coordinator().Stats()
-	if st.Hedges < 1 || st.HedgeWins < 1 {
-		t.Fatalf("hedges=%d hedge_wins=%d, want at least one winning hedge", st.Hedges, st.HedgeWins)
+	f.coord.Coordinator().ProbeOnce(context.Background())
+	var ready map[string]any
+	getJSON(t, h, "/readyz", &ready)
+	if ready["status"] != "ready" {
+		t.Fatalf("readyz %v, want ready once the worker answered", ready)
 	}
 }
 

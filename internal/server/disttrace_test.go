@@ -188,68 +188,48 @@ func TestClusterTraceStableAcrossRetry(t *testing.T) {
 	}
 }
 
-// TestClusterTraceHedgeSiblingSpans: a hedged straggler shows up as two
-// sibling transport spans under the worker — the abandoned primary and the
-// winning hedge — and the per-worker capture detail records the hedge win.
-func TestClusterTraceHedgeSiblingSpans(t *testing.T) {
+// TestClusterTraceTimedOutAttemptSiblingSpans: an attempt ended by the
+// per-attempt timeout and its retry show up as two sibling transport spans
+// under the worker — attempt 1 with the deadline error, attempt 2 with the
+// worker's subtree grafted under it.
+func TestClusterTraceTimedOutAttemptSiblingSpans(t *testing.T) {
 	l := chaosLog(t, 16, 2)
-	var flaky faultinject.FlakyRoundTripper
 	var victim string
 	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
 		victim = c.Workers[0]
-		flaky = faultinject.FlakyRoundTripper{Match: victim, BlackholeOn: faultinject.OnNthCall(1)}
-		c.Transport = &flaky
-		c.HedgeAfter = 10 * time.Millisecond
-		c.WorkerTimeout = 30 * time.Second
+		c.Transport = &faultinject.FlakyRoundTripper{Match: victim, BlackholeOn: faultinject.OnNthCall(1)}
+		c.WorkerTimeout = 100 * time.Millisecond
 	}, nil)
 
 	var resp queryResponse
 	rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"A -> B","trace":true}`, &resp)
 	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d, want 200 via hedge: %s", rec.Code, rec.Body)
+		t.Fatalf("status %d, want 200 after the retry: %s", rec.Code, rec.Body)
 	}
 	wspans := findSpans(resp.Trace.Spans, func(sp *obs.Span) bool { return sp.Name == "worker "+victim })
 	if len(wspans) != 1 {
-		t.Fatalf("%d spans for the hedged worker, want 1", len(wspans))
+		t.Fatalf("%d spans for the blackholed worker, want 1", len(wspans))
 	}
-	transports := findSpans(wspans[0], func(sp *obs.Span) bool { return sp.Name == "transport" })
+	var transports []*obs.Span
+	for _, sp := range wspans[0].Children {
+		if sp.Name == "transport" {
+			transports = append(transports, sp)
+		}
+	}
 	if len(transports) != 2 {
-		t.Fatalf("%d transport spans, want the primary + hedge pair", len(transports))
+		t.Fatalf("%d sibling transport spans, want the timed-out attempt + its retry", len(transports))
 	}
-	var hedge, primary *obs.Span
-	for _, sp := range transports {
-		if sp.Attrs["hedge"] == true {
-			hedge = sp
-		} else {
-			primary = sp
-		}
+	first, second := transports[0], transports[1]
+	if e, _ := first.Attrs["error"].(string); first.Attrs["attempt"] != 1.0 || !strings.Contains(e, "deadline exceeded") {
+		t.Fatalf("first transport span %v, want attempt 1 with a deadline error", first.Attrs)
 	}
-	if hedge == nil || primary == nil {
-		t.Fatal("transport pair is not one primary + one hedge")
+	if second.Attrs["attempt"] != 2.0 || second.Attrs["error"] != nil {
+		t.Fatalf("second transport span %v, want attempt 2 without an error", second.Attrs)
 	}
-	if primary.Attrs["abandoned"] != true {
-		t.Fatal("blackholed primary not marked abandoned")
-	}
-	// The worker subtree is grafted under the hedge — the span whose
-	// response was actually used.
-	if len(findSpans(hedge, func(sp *obs.Span) bool { return sp.Name == "worker" })) != 1 {
-		t.Fatal("worker subtree not grafted under the winning hedge")
-	}
-	flights := f.coord.flight.List(flightrec.Filter{})
-	if len(flights) != 1 || flights[0].Workers == nil {
-		t.Fatal("no capture with worker detail")
-	}
-	won := false
-	for _, d := range flights[0].Workers.PerWorker {
-		if d.Worker == victim {
-			won = d.HedgeWon && d.Hedges == 1
-		}
-	}
-	if !won {
-		t.Fatalf("per-worker detail does not record the hedge win: %+v", flights[0].Workers.PerWorker)
-	}
-	if flights[0].Workers.HedgeWins != 1 {
-		t.Fatalf("capture hedge_wins = %d, want 1", flights[0].Workers.HedgeWins)
+	// The worker subtree is grafted under the attempt whose reply was used.
+	if len(findSpans(first, func(sp *obs.Span) bool { return sp.Name == "worker" })) != 0 ||
+		len(findSpans(second, func(sp *obs.Span) bool { return sp.Name == "worker" })) != 1 {
+		t.Fatal("worker subtree not grafted under the second attempt alone")
 	}
 }
 
@@ -308,29 +288,34 @@ func TestClusterTraceStaleWorkerExcluded(t *testing.T) {
 	}
 }
 
-// TestClusterTraceSubtreeCapEnforced: the coordinator's span budget rides
-// the wire, workers prune their trees to it, and the truncation is declared
-// on the subtree root rather than silently absorbed.
+// TestClusterTraceSubtreeCapEnforced: the span budget rides the worker
+// request, the worker prunes its tree to it, and the truncation is declared
+// on the subtree root rather than silently absorbed. A request without the
+// budget gets DefaultMaxTraceSpans, far above this plan's tree.
 func TestClusterTraceSubtreeCapEnforced(t *testing.T) {
-	l := chaosLog(t, 16, 2)
-	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
-		c.MaxTraceSpans = 3
-	}, nil)
-	var resp queryResponse
-	rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"(A -> B) | (B -> C)","trace":true}`, &resp)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	s, _ := startWorker(t, "chaos", chaosLog(t, 16, 2))
+	lo, hi := uint64(1), uint64(16)
+	req := cluster.WorkerQueryRequest{
+		Log: "chaos", Plan: "(A -> B) | (B -> C)", WIDMin: &lo, WIDMax: &hi, Self: "http://w1", Trace: true,
 	}
-	grafted := findSpans(resp.Trace.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" })
-	if len(grafted) == 0 {
-		t.Fatal("no grafted worker subtrees")
-	}
-	for _, g := range grafted {
-		if n := obs.CountSpans(g); n > 3 {
-			t.Fatalf("worker subtree has %d spans, cap is 3", n)
+	for _, max := range []int{3, 0} {
+		req.MaxTraceSpans = max
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.Attrs["truncated_spans"] == nil {
-			t.Fatal("capped subtree does not declare its truncation")
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(string(body))))
+		var resp cluster.WorkerQueryResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("max_trace_spans %d: status %d, err %v: %s", max, rec.Code, err, rec.Body)
+		}
+		n, truncated := obs.CountSpans(resp.Spans), resp.Spans.Attrs["truncated_spans"] != nil
+		if max > 0 && (n > max || !truncated) {
+			t.Fatalf("worker subtree has %d spans (truncation declared: %v), cap is %d", n, truncated, max)
+		}
+		if max == 0 && (n <= 3 || truncated) {
+			t.Fatalf("uncapped request: %d spans, truncation declared: %v; want the whole tree", n, truncated)
 		}
 	}
 }

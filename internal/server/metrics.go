@@ -53,7 +53,7 @@ type metrics struct {
 	widsExcluded   atomic.Uint64
 
 	// Cluster counters. clusterQueries counts queries fanned out by the
-	// coordinator (the fan-out detail — requests, retries, hedges, skips —
+	// coordinator (the fan-out detail — requests, retries, skips —
 	// lives on cluster.Coordinator and is merged in at scrape time);
 	// workerQueries/workerQueryErrors count this instance's served worker-
 	// mode requests.
@@ -232,7 +232,7 @@ type metricsDoc struct {
 	LogReloadFailures  uint64  `json:"log_reload_failures" prom:"wlq_log_reload_failures_total" help:"Hot reloads that quarantined a log."`
 	CoalescedReloads   uint64  `json:"coalesced_reloads" prom:"wlq_coalesced_reloads_total" help:"Reload requests coalesced into an in-progress pass."`
 	LogsQuarantined    int     `json:"logs_quarantined" prom:"wlq_logs_quarantined" help:"Logs serving a last-good snapshot after a failed reload."`
-	PartialResults     uint64  `json:"partial_results" prom:"wlq_partial_results_total" help:"Queries whose result excluded at least one shard."`
+	PartialResults     uint64  `json:"partial_results" prom:"wlq_partial_results_total" help:"Queries whose result excluded at least one instance or worker part."`
 	WIDsExcluded       uint64  `json:"wids_excluded" prom:"wlq_wids_excluded_total" help:"Workflow instances excluded from partial results."`
 	// Cluster is the distributed-tier section (nil on a single-node server
 	// that is not in worker mode).

@@ -9,7 +9,6 @@ import (
 
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
-	"wlq/internal/shard"
 )
 
 // Partial answers on a single node: every workflow instance is its own
@@ -96,7 +95,7 @@ func TestChaosShardFaultDegradedModeIs206(t *testing.T) {
 	if c.Shards != 16 || c.Attempted != 16 || c.Succeeded != 12 || c.Failed != 4 || c.ExcludedWIDs != 4 || c.Skipped != 0 || c.Retries != 0 {
 		t.Fatalf("completeness = %+v, want 12 of 16 instances with 4 excluded", c)
 	}
-	want := []shard.ShardOutcome{
+	want := []cluster.ShardOutcome{
 		{Shard: 2, WIDMin: 3, WIDMax: 4, WIDs: 2, Attempts: 1},
 		{Shard: 8, WIDMin: 9, WIDMax: 9, WIDs: 1, Attempts: 1},
 		{Shard: 15, WIDMin: 16, WIDMax: 16, WIDs: 1, Attempts: 1},

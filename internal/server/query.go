@@ -19,7 +19,6 @@ import (
 	"wlq/internal/flightrec"
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
-	"wlq/internal/shard"
 )
 
 // POST /v1/query as a pipeline of named stages over one per-request value:
@@ -101,8 +100,8 @@ type queryTail struct {
 	// rest (HTTP 206; requires "partial": true in the request). Completeness
 	// is present on a partial answer and on every cluster evaluation, and
 	// says exactly which wid ranges the result covers.
-	Partial      bool                `json:"partial,omitempty"`
-	Completeness *shard.Completeness `json:"completeness,omitempty"`
+	Partial      bool                  `json:"partial,omitempty"`
+	Completeness *cluster.Completeness `json:"completeness,omitempty"`
 }
 
 // executor is how one log's queries are evaluated. bindExecutor picks it
@@ -127,7 +126,7 @@ type execution struct {
 	stats  eval.QueryStats
 	// comp is the coverage of a cluster run, or of a local one that excluded
 	// instances under "partial": true (nil otherwise).
-	comp *shard.Completeness
+	comp *cluster.Completeness
 	// fan is a distributed run's fan-out (nil for a local one): the
 	// per-worker summary, the fleet-aggregated Lemma 1 table (workers
 	// measured, coordinator summed) and the propagated trace id.
@@ -710,8 +709,8 @@ func (q *queryRun) respond() {
 // instances out (ascending, all in wids): every instance is a failure domain,
 // and each maximal run of excluded instances adjacent in the log is one
 // failure, named by its exact wids and the panic of its first instance.
-func excludedCompleteness(wids []uint64, ex []eval.Exclusion) *shard.Completeness {
-	c := &shard.Completeness{
+func excludedCompleteness(wids []uint64, ex []eval.Exclusion) *cluster.Completeness {
+	c := &cluster.Completeness{
 		Shards:       len(wids),
 		Attempted:    len(wids),
 		Succeeded:    len(wids) - len(ex),
@@ -720,7 +719,7 @@ func excludedCompleteness(wids []uint64, ex []eval.Exclusion) *shard.Completenes
 	}
 	for j := 0; j < len(ex); {
 		i, _ := slices.BinarySearch(wids, ex[j].WID)
-		f := shard.ShardOutcome{Shard: i, WIDMin: ex[j].WID, WIDMax: ex[j].WID, WIDs: 1, Attempts: 1, Cause: ex[j].Err.Error()}
+		f := cluster.ShardOutcome{Shard: i, WIDMin: ex[j].WID, WIDMax: ex[j].WID, WIDs: 1, Attempts: 1, Cause: ex[j].Err.Error()}
 		for j++; j < len(ex) && i+f.WIDs < len(wids) && wids[i+f.WIDs] == ex[j].WID; j++ {
 			f.WIDMax = ex[j].WID
 			f.WIDs++

@@ -1,6 +1,7 @@
 // Package server implements wlq-serve: a long-running HTTP query service
-// over workflow logs. It loads logs once at startup, builds the per-wid
-// eval.Index for each, and serves pattern queries with plan/result caching.
+// over workflow logs. It loads logs at startup, builds each one's backend —
+// the columnar store for a snapshot, the ingest monitor for a live log — and
+// serves pattern queries with plan/result caching.
 //
 // Endpoints:
 //
@@ -13,11 +14,12 @@
 //	GET  /readyz      readiness probe (503 until a log is loaded)
 //	GET  /debug/pprof profiling handlers (Config.EnablePprof)
 //
-// The Index is immutable after load, so concurrent queries share it without
-// locks and cached result sets never need invalidation. The result cache is
-// an LRU keyed on (log, reload generation, canonicalized pattern): queries
-// equal modulo associativity and commutativity (Theorems 2–3) share one
-// entry.
+// A snapshot is immutable after load, so concurrent queries share it without
+// locks and its cached results stay valid until a reload starts a new
+// generation; a live log's cached results are dropped by the appends that
+// could change them. The result cache is an LRU keyed on (log, reload
+// generation, canonicalized pattern): queries equal modulo associativity and
+// commutativity (Theorems 2–3) share one entry.
 package server
 
 import (
@@ -43,7 +45,6 @@ import (
 	"wlq/internal/ingest"
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
-	"wlq/internal/shard"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
@@ -492,7 +493,7 @@ type errorDoc struct {
 	// Completeness accompanies a coordinator's 502 strict-mode rejection of
 	// a partial result: what the result would have covered had the client
 	// opted into degraded mode with "partial": true.
-	Completeness *shard.Completeness `json:"completeness,omitempty"`
+	Completeness *cluster.Completeness `json:"completeness,omitempty"`
 	// Append failures (POST /v1/logs/{name}/append): Record names the
 	// offending record (422 discipline rejection, or the unpersisted record
 	// of a durability failure); Accepted counts the records of the same
