@@ -12,11 +12,9 @@ import (
 )
 
 // The cross-backend equivalence suite: for every operator, with and without
-// the rewriter, scanned serially and in chunks, the columnar backend's
-// incident sets must be identical (same incidents, same normalized order) to
-// the row backend's. Run under -race in CI, this is the proof that serving an
-// immutable log from the Store and a live one from the Index is a physical
-// choice, never a semantic one.
+// the rewriter, scanned serially and in chunks, the served store's incident
+// sets must be identical (same incidents, same normalized order) to those of
+// the oracle's row index, whose storage shares nothing with the store's.
 
 var equivalenceQueries = []string{
 	// Each operator alone, and each in composition.

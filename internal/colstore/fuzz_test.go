@@ -1,41 +1,79 @@
 package colstore
 
 import (
+	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/gen"
 	"wlq/internal/wlog"
 )
 
-// assertStoreMatchesOracle holds both Store layouts (dense, and sparse as
-// forced by a zero dense budget), under both join strategies and in every
-// answer mode, to naive Algorithm 1 over the row index.
-func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
+// assertAnswers holds a store, under both join strategies and in every
+// answer shape, to the oracle's incident set.
+func assertAnswers(t *testing.T, name string, cs *Store, p pattern.Node, want *incident.Set) {
 	t.Helper()
-	want := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive}).Eval(p)
-	for layout, cs := range map[string]*Store{"dense": Build(l), "sparse": build(l, 0)} {
-		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
-			ev := eval.New(cs, eval.Options{Strategy: strat})
-			if got := ev.Eval(p); !got.Equal(want) {
-				t.Fatalf("%s/%v: %s\nstore:  %s\noracle: %s", layout, strat, p, got, want)
+	for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+		ev := eval.New(cs, eval.Options{Strategy: strat})
+		for _, shape := range []eval.Shape{eval.ShapeIncidents, eval.ShapeInstances, eval.ShapeCount} {
+			a, err := ev.AnswerCtx(context.Background(), p, cs.WIDs(), 2, shape, nil)
+			if err != nil || a.Count != want.Len() ||
+				shape == eval.ShapeIncidents && !a.Set.Equal(want) ||
+				shape == eval.ShapeInstances && !slices.Equal(a.WIDs, want.WIDs()) {
+				t.Fatalf("%s/%v/%v: %s = %+v, %v\noracle: %s", name, strat, shape, p, a, err, want)
 			}
-			if n := ev.Count(p); n != want.Len() {
-				t.Fatalf("%s/%v: Count(%s) = %d, oracle has %d incidents", layout, strat, p, n, want.Len())
-			}
-			if ex := ev.Exists(p); ex != (want.Len() > 0) {
-				t.Fatalf("%s/%v: Exists(%s) = %v, oracle has %d incidents", layout, strat, p, ex, want.Len())
-			}
+		}
+		if ex := ev.Exists(p); ex != (want.Len() > 0) {
+			t.Fatalf("%s/%v: Exists(%s) = %v, oracle has %d incidents", name, strat, p, ex, want.Len())
 		}
 	}
 }
 
-// FuzzStoreMatchesIndex is the differential check behind serving immutable
-// logs from the Store: a seed picks a random log and a random pattern (all
-// four operators, negated atoms), and every even seed also runs the
-// Theorem 1 adversarial pair.
+// assertStoreMatchesOracle holds every way of building a Store — in bulk,
+// appended record by record from empty, and appended onto a bulk-built
+// prefix, each in both posting layouts — to naive Algorithm 1 over the
+// oracle's index. The version taken half way must answer for the first half
+// while and after a writer appends the rest to it.
+func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
+	t.Helper()
+	oracle := func(l *wlog.Log) *incident.Set {
+		return eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive}).Eval(p)
+	}
+	recs := l.Records()
+	mid := len(recs) / 2
+	want, wantMid := oracle(l), oracle(wlog.MustNew(recs[:mid]))
+	for layout, empty := range map[string]*Store{"dense": {}, "sparse": {sparse: true}} {
+		grown, half := empty, empty.Append(recs[:mid]...)
+		for _, r := range recs[:mid] {
+			grown = grown.Append(r)
+		}
+		halfway := grown
+		rest := make(chan [2]*Store, 1)
+		go func() {
+			a, b := halfway, half
+			for _, r := range recs[mid:] {
+				a, b = a.Append(r), b.Append(r)
+			}
+			rest <- [2]*Store{a, b}
+		}()
+		assertAnswers(t, layout+"/halfway", halfway, p, wantMid)
+		done := <-rest
+		assertAnswers(t, layout+"/bulk", empty.Append(recs...), p, want)
+		assertAnswers(t, layout+"/appended", done[0], p, want)
+		assertAnswers(t, layout+"/prefix+appended", done[1], p, want)
+		assertAnswers(t, layout+"/halfway after the rest", halfway, p, wantMid)
+		assertAnswers(t, layout+"/prefix after the rest", half, p, wantMid)
+	}
+}
+
+// FuzzStoreMatchesIndex is the differential check behind serving every log
+// from the Store: a seed picks a random log and a random pattern (all four
+// operators, negated atoms), and every even seed also runs the Theorem 1
+// adversarial pair.
 func FuzzStoreMatchesIndex(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)

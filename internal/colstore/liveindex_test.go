@@ -8,24 +8,23 @@ import (
 	"wlq/internal/wlog"
 )
 
-// grownIndex feeds l to an empty index one record at a time — the layout a
-// live log is served from.
-func grownIndex(l *wlog.Log) *eval.Index {
-	ix := eval.NewEmptyIndex()
+// grownStore appends l to an empty store one record at a time, keeping only
+// the newest version — the way a live log grows.
+func grownStore(l *wlog.Log) *Store {
+	s := new(Store)
 	for i := 0; i < l.Len(); i++ {
-		ix.Append(l.Record(i))
+		s = s.Append(l.Record(i))
 	}
-	return ix
+	return s
 }
 
-// The index as live ingestion grows it must answer every query as naive
-// Algorithm 1 over the bulk-built index does (TestCrossBackendEquivalence
-// holds the Store to the same matrix): incremental Algorithm 2 maintenance
-// changes nothing.
+// The store as live ingestion grows it must answer every query as naive
+// Algorithm 1 over the oracle's index does (TestCrossBackendEquivalence holds
+// the bulk-built store to the same matrix): appending changes nothing.
 func TestLiveIndexEquivalence(t *testing.T) {
 	for logName, l := range equivalenceLogs(t) {
 		oracle := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
-		live := grownIndex(l)
+		live := grownStore(l)
 		for _, q := range equivalenceQueries {
 			for _, rewritten := range []bool{false, true} {
 				name := logName + "/" + q
@@ -39,7 +38,7 @@ func TestLiveIndexEquivalence(t *testing.T) {
 						p, _ = rewrite.Optimize(p, live)
 					}
 					if got := eval.New(live, eval.Options{}).Eval(p); !got.Equal(want) {
-						t.Fatalf("grown index diverges from the oracle:\noracle: %s\nlive:   %s", want, got)
+						t.Fatalf("grown store diverges from the oracle:\noracle: %s\nlive:   %s", want, got)
 					}
 				})
 			}
@@ -47,12 +46,12 @@ func TestLiveIndexEquivalence(t *testing.T) {
 	}
 }
 
-// The grown index must report the same records, probes and planner
-// statistics as the batch build, or a plan would differ live vs. reloaded.
+// The grown store must report the same records, probes and planner
+// statistics as the oracle's index, or a plan would differ live vs. reloaded.
 func TestLiveIndexSourceMethods(t *testing.T) {
 	for logName, l := range equivalenceLogs(t) {
 		t.Run(logName, func(t *testing.T) {
-			assertSourcesAgree(t, grownIndex(l), Build(l), l)
+			assertSourcesAgree(t, eval.NewIndex(l), grownStore(l), l)
 		})
 	}
 }

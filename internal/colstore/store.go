@@ -2,171 +2,237 @@ package colstore
 
 import (
 	"cmp"
+	"maps"
 	"slices"
-	"sort"
 
 	"wlq/internal/core/eval"
 	"wlq/internal/wlog"
 )
 
-// posting is one activity's occurrence index. seqs holds the activity's
-// is-lsn values grouped per instance (ascending within each group); the
-// offsets delimiting each instance's group come in two layouts:
+// Store is the served log layout. Activity names are interned into dense
+// symbols; each workflow instance holds its records in is-lsn order and, per
+// symbol, the ascending is-lsn values of the records carrying it; a wid
+// directory reaches the instances.
 //
-//   - dense: off has one entry per instance in the log (len = |WIDs|+1,
-//     indexed by wid position), so a probe is pure array indexing — O(1).
-//     Instances without the activity have an empty range.
-//   - sparse: wids lists only the instances where the activity occurs and
-//     off runs parallel to it (len = len(wids)+1); a probe binary-searches
-//     wids — O(log n). Used when the dense layout's |activities|·|WIDs|
-//     offset matrix would blow memory (huge alphabets over many instances).
+// A Store is an immutable version of a log. Append returns a new version that
+// shares everything the appended records leave alone: it rebuilds only the
+// instances they extend, the directory when one of them opens a wid, and the
+// symbol table when one carries a new activity. So a reader that holds a
+// version reads it without a lock while a writer appends (copy on write), and
+// Build is the same construction over a whole log, carving each column of
+// every instance from one allocation.
 //
-// Build picks one layout per store (dense iff wids==nil in every posting).
-type posting struct {
-	wids []uint64 // nil in the dense layout
-	off  []int32
-	seqs []uint64
-}
-
-// maxDenseCells caps the dense layout's total offset entries
-// (|activities| · (|WIDs|+1)); beyond it Build switches every posting to
-// the sparse layout. 4M int32 cells ≈ 16 MB.
-const maxDenseCells = 1 << 22
-
-// Store is the columnar backend. All slices are laid out at Build time and
-// never mutated afterwards: a Store is an immutable snapshot, exactly like
-// the row eval.Index it can replace behind the eval.Source seam, so the
-// result cache and hot-reload generation machinery treat the two backends
-// identically.
-//
-// Record storage: recs holds every record grouped by workflow instance and
-// sorted by is-lsn within each group; widOff[i]:widOff[i+1] delimits
-// instance widList[i]. actCol is the parallel interned-activity column (the
-// symbol of recs[k].Activity at actCol[k]) — evaluation loops that only
-// need activity identity compare int32s, never strings.
+// The zero Store is the empty log.
 type Store struct {
-	syms    *SymbolTable
-	recs    []wlog.Record
-	actCol  []int32
-	widList []uint64
-	widOff  []int32
+	syms    SymbolTable
+	names   []string // distinct activity names, sorted
+	widList []uint64 // ascending
 	widIdx  map[uint64]int32
-	post    []posting // indexed by activity symbol
-	names   []string  // distinct activity names, sorted
+	insts   []*instance // parallel to widList
+	stats   []symStat   // indexed by symbol
+	total   int
+	lastLSN uint64
+	origin  *Origin
+	// sparse puts every instance in the sparse posting layout, so tests can
+	// check it on logs whose alphabet would not need it.
+	sparse bool
 }
 
-// Store satisfies the evaluator's backend seam, including the symbolic fast
-// path. (It also satisfies rewrite.Stats structurally — ActivityCount,
-// TotalRecords, WIDs — so the optimizer's selectivity estimates work
-// unchanged over either backend.)
-var (
-	_ eval.Source         = (*Store)(nil)
-	_ eval.SymbolicSource = (*Store)(nil)
-)
+// Origin identifies a history of versions: Build, or the first Append to an
+// empty store, starts one, and every later Append continues its receiver's.
+// A writer that appends only to its newest version, as stream.Monitor does,
+// gives every lsn of a history one content.
+type Origin struct{ _ byte }
 
-// Build constructs the columnar representation of a log. The log's records
-// are copied; l is not retained.
-func Build(l *wlog.Log) *Store { return build(l, maxDenseCells) }
+// symStat is one symbol's share of the log: how many records carry it, and
+// the newest lsn among them.
+type symStat struct {
+	count   int
+	lastLSN uint64
+}
 
-// build is Build with an explicit dense-layout budget (tests force the
-// sparse layout by passing 0).
-func build(l *wlog.Log, denseCells uint64) *Store {
-	n := l.Len()
-	s := &Store{
-		syms:   NewSymbolTable(),
-		recs:   make([]wlog.Record, n),
-		actCol: make([]int32, n),
-		widIdx: make(map[uint64]int32),
-	}
+// instance is one workflow instance of a version: recs in is-lsn order, and
+// seqs, their is-lsn values grouped by activity symbol (ascending within a
+// group). The group bounds come in one of two layouts:
+//
+//   - dense (syms nil): off[sym]:off[sym+1] is symbol sym's group, for every
+//     symbol up to the instance's largest, so a probe is two loads.
+//   - sparse: syms lists the instance's distinct symbols, ascending, and
+//     off[i]:off[i+1] is syms[i]'s group; a probe binary-searches syms.
+//
+// An instance is dense while its largest symbol is below denseSlack plus
+// twice its record count, so its offsets cost at most 8 bytes per record and
+// a constant per instance whatever the size of the alphabet. Past that bound
+// (a huge alphabet) the sparse row is the only one whose size follows the
+// instance's own records.
+type instance struct {
+	recs []wlog.Record
+	seqs []uint64
+	off  []int32
+	syms []int32
+}
 
-	// Group by instance with a stable counting placement — count per wid,
-	// prefix-sum over ascending wids, place in log order: a log arrives in
-	// lsn order, which inside an instance is is-lsn order, so nothing needs
-	// comparing.
-	count := make(map[uint64]int32)
-	for i := 0; i < n; i++ {
-		count[l.Record(i).WID]++
-	}
-	s.widList = make([]uint64, 0, len(count))
-	for wid := range count {
-		s.widList = append(s.widList, wid)
-	}
-	slices.Sort(s.widList)
-	s.widOff = make([]int32, len(s.widList)+1)
-	for w, wid := range s.widList {
-		s.widIdx[wid] = int32(w)
-		s.widOff[w+1] = s.widOff[w] + count[wid]
-	}
-	next := slices.Clone(s.widOff[:len(s.widList)])
-	for i := 0; i < n; i++ {
-		r := l.Record(i)
-		w := s.widIdx[r.WID]
-		s.recs[next[w]] = r
-		next[w]++
-	}
-	// An unchecked log may still list an instance out of is-lsn order; only
-	// such an instance is sorted (stably, as the placement was).
-	for w := range s.widList {
-		inst := s.recs[s.widOff[w]:s.widOff[w+1]]
-		if !slices.IsSortedFunc(inst, bySeq) {
-			slices.SortStableFunc(inst, bySeq)
-		}
-	}
+const denseSlack = 32
 
-	// Interned activity column, and each activity's occurrence count to
-	// size its posting list once.
-	var actCount []int
-	for k := range s.recs {
-		sym := s.syms.Intern(s.recs[k].Activity)
-		s.actCol[k] = sym
-		if int(sym) == len(actCount) {
-			actCount = append(actCount, 0)
-		}
-		actCount[sym]++
-	}
+// Store satisfies the evaluator's backend seam. (It also satisfies
+// rewrite.Stats structurally — ActivityCount, TotalRecords, WIDs — for the
+// optimizer's selectivity estimates.)
+var _ eval.Source = (*Store)(nil)
 
-	// Posting lists: one pass over the grouped records extends each symbol's
-	// list in (wid, is-lsn) order, which is exactly the sorted order the
-	// evaluator's merge joins require.
-	s.post = make([]posting, len(actCount))
-	dense := uint64(len(s.post))*uint64(len(s.widList)+1) <= denseCells
-	for i := range s.post {
-		s.post[i].seqs = make([]uint64, 0, actCount[i])
-		if dense {
-			s.post[i].off = make([]int32, len(s.widList)+1)
-		}
+// Build constructs the store of a log. The log's records are copied; l is not
+// retained.
+func Build(l *wlog.Log) *Store { return new(Store).Append(l.Records()...) }
+
+// Append returns a new version holding the receiver's records and recs. The
+// receiver, and every slice it has handed out, stays as it is. Within an
+// instance recs follow its existing records in the order given; an instance
+// left out of is-lsn order (an unchecked log) is sorted, stably.
+func (s *Store) Append(recs ...wlog.Record) *Store {
+	if len(recs) == 0 {
+		return s
 	}
-	if dense {
-		// Per-symbol offset rows indexed by wid position: off[w+1] is the
-		// symbol's running occurrence count through instance w, so
-		// off[w]:off[w+1] is instance w's group in seqs.
-		for w := range s.widList {
-			for k := s.widOff[w]; k < s.widOff[w+1]; k++ {
-				p := &s.post[s.actCol[k]]
-				p.seqs = append(p.seqs, s.recs[k].Seq)
+	ns := *s
+	if ns.origin == nil {
+		ns.origin = new(Origin)
+	}
+	ns.total += len(recs)
+	ns.stats = slices.Clone(s.stats)
+	for _, r := range recs {
+		sym, ok := ns.syms.Resolve(r.Activity)
+		if !ok {
+			if ns.syms.Len() == s.syms.Len() { // the first new activity: copy on write
+				ns.syms = SymbolTable{names: slices.Clip(s.syms.names), ids: maps.Clone(s.syms.ids)}
 			}
-			for i := range s.post {
-				s.post[i].off[w+1] = int32(len(s.post[i].seqs))
-			}
+			sym = ns.syms.Intern(r.Activity)
+			ns.stats = append(ns.stats, symStat{})
 		}
+		ns.stats[sym].count++
+		ns.stats[sym].lastLSN = max(ns.stats[sym].lastLSN, r.LSN)
+		ns.lastLSN = max(ns.lastLSN, r.LSN)
+	}
+	if ns.syms.Len() > s.syms.Len() {
+		ns.names = slices.Clone(ns.syms.names)
+		slices.Sort(ns.names)
+	}
+
+	// Each touched instance is rebuilt once, from its old records followed
+	// by its new ones in the order given: all lays the instances side by
+	// side, bounds[i]:bounds[i+1] the i-th touched one's.
+	at := make(map[uint64]int) // wid -> position in touched
+	var touched []uint64
+	bounds := []int{0}
+	for _, r := range recs {
+		i, ok := at[r.WID]
+		if !ok {
+			i = len(touched)
+			at[r.WID] = i
+			touched = append(touched, r.WID)
+			bounds = append(bounds, s.InstanceLen(r.WID))
+		}
+		bounds[i+1]++
+	}
+	for i := 1; i < len(bounds); i++ {
+		bounds[i] += bounds[i-1]
+	}
+	all := make([]wlog.Record, bounds[len(touched)])
+	next := make([]int, len(touched))
+	for i, wid := range touched {
+		next[i] = bounds[i] + copy(all[bounds[i]:], s.Instance(wid))
+	}
+	for _, r := range recs {
+		i := at[r.WID]
+		all[next[i]] = r
+		next[i]++
+	}
+	built := ns.index(all, bounds)
+
+	// The directory: a copy with the touched instances in place; when a wid
+	// is new, the wid list and index are rebuilt too.
+	ns.widList = slices.Clip(s.widList)
+	for _, wid := range touched {
+		if _, ok := s.widIdx[wid]; !ok {
+			ns.widList = append(ns.widList, wid)
+		}
+	}
+	if len(ns.widList) == len(s.widList) {
+		ns.insts = slices.Clone(s.insts)
 	} else {
-		for k := range s.recs {
-			r := &s.recs[k]
-			p := &s.post[s.actCol[k]]
-			if len(p.wids) == 0 || p.wids[len(p.wids)-1] != r.WID {
-				p.wids = append(p.wids, r.WID)
-				p.off = append(p.off, int32(len(p.seqs)))
+		slices.Sort(ns.widList)
+		ns.widIdx = make(map[uint64]int32, len(ns.widList))
+		ns.insts = make([]*instance, len(ns.widList))
+		for w, wid := range ns.widList {
+			ns.widIdx[wid] = int32(w)
+			if old, ok := s.widIdx[wid]; ok {
+				ns.insts[w] = s.insts[old]
 			}
-			p.seqs = append(p.seqs, r.Seq)
-		}
-		for i := range s.post {
-			s.post[i].off = append(s.post[i].off, int32(len(s.post[i].seqs)))
 		}
 	}
+	for i, wid := range touched {
+		ns.insts[ns.widIdx[wid]] = &built[i]
+	}
+	return &ns
+}
 
-	s.names = append(s.names, s.syms.names...)
-	sort.Strings(s.names)
-	return s
+// index builds the instances whose records are all[bounds[i]:bounds[i+1]],
+// sorting any out of is-lsn order. Their records, is-lsn groups and offset
+// rows are carved from one allocation each.
+func (s *Store) index(all []wlog.Record, bounds []int) []instance {
+	built := make([]instance, len(bounds)-1)
+	sym := make([]int32, len(all)) // each record's activity symbol
+	rows, cells := make([]int, len(built)), 0
+	for i := range built {
+		lo, hi := bounds[i], bounds[i+1]
+		in, ys := &built[i], sym[lo:hi]
+		in.recs = all[lo:hi:hi]
+		if !slices.IsSortedFunc(in.recs, bySeq) {
+			slices.SortStableFunc(in.recs, bySeq)
+		}
+		for k, r := range in.recs {
+			ys[k], _ = s.syms.Resolve(r.Activity)
+		}
+		rows[i] = int(slices.Max(ys)) + 1
+		if s.sparse || rows[i] > denseSlack+2*len(ys) {
+			in.syms = slices.Clone(ys)
+			slices.Sort(in.syms)
+			in.syms = slices.Clip(slices.Compact(in.syms))
+			rows[i] = len(in.syms)
+		}
+		cells += rows[i] + 1
+	}
+	seqs, off := make([]uint64, len(all)), make([]int32, cells)
+	for i := range built {
+		lo, hi := bounds[i], bounds[i+1]
+		in, ys := &built[i], sym[lo:hi]
+		in.seqs = seqs[lo:hi:hi]
+		in.off, off = off[:rows[i]+1:rows[i]+1], off[rows[i]+1:]
+		// A counting sort by symbol: count each group into the slot after
+		// it, sum to group starts, place each is-lsn at its group's cursor
+		// (which leaves every cursor at the next group's start), shift back.
+		for _, y := range ys {
+			in.off[in.slot(y)+1]++
+		}
+		for j := 1; j < len(in.off); j++ {
+			in.off[j] += in.off[j-1]
+		}
+		for k, r := range in.recs {
+			j := in.slot(ys[k])
+			in.seqs[in.off[j]] = r.Seq
+			in.off[j]++
+		}
+		copy(in.off[1:], in.off)
+		in.off[0] = 0
+	}
+	return built
+}
+
+// slot is the row position of a symbol: for a sparse row, where it is or
+// would be.
+func (in *instance) slot(sym int32) int {
+	if in.syms == nil {
+		return int(sym)
+	}
+	i, _ := slices.BinarySearch(in.syms, sym)
+	return i
 }
 
 func bySeq(a, b wlog.Record) int { return cmp.Compare(a.Seq, b.Seq) }
@@ -177,49 +243,25 @@ func (s *Store) WIDs() []uint64 { return s.widList }
 
 // InstanceLen returns the number of records of the instance (0 when the wid
 // is absent).
-func (s *Store) InstanceLen(wid uint64) int {
-	i, ok := s.widIdx[wid]
-	if !ok {
-		return 0
-	}
-	return int(s.widOff[i+1] - s.widOff[i])
-}
+func (s *Store) InstanceLen(wid uint64) int { return len(s.Instance(wid)) }
 
-// Instance returns the instance's records in is-lsn order — a zero-copy
-// slice of the record column. Callers must not modify it.
+// Instance returns the instance's records in is-lsn order, nil when the wid
+// is absent. Callers must not modify it.
 func (s *Store) Instance(wid uint64) []wlog.Record {
-	i, ok := s.widIdx[wid]
-	if !ok {
-		return nil
+	if w, ok := s.widIdx[wid]; ok {
+		return s.insts[w].recs
 	}
-	return s.recs[s.widOff[i]:s.widOff[i+1]]
+	return nil
 }
 
-// Record returns the instance's record with the given is-lsn. Valid logs
-// have dense is-lsn 1..n per instance, so the common case is a direct
-// offset; a binary search covers unchecked logs with gaps.
+// Record returns the instance's record with the given is-lsn.
 func (s *Store) Record(wid, seq uint64) (wlog.Record, bool) {
 	inst := s.Instance(wid)
-	if seq >= 1 && seq <= uint64(len(inst)) {
-		if r := inst[seq-1]; r.Seq == seq {
-			return r, true
-		}
-	}
-	j := sort.Search(len(inst), func(i int) bool { return inst[i].Seq >= seq })
-	if j < len(inst) && inst[j].Seq == seq {
-		return inst[j], true
-	}
-	return wlog.Record{}, false
-}
-
-// ActivitySeqs returns the is-lsn values (ascending) of the instance's
-// records carrying the activity. Callers must not modify the result.
-func (s *Store) ActivitySeqs(wid uint64, act string) []uint64 {
-	sym, ok := s.syms.Resolve(act)
+	i, ok := slices.BinarySearchFunc(inst, seq, func(r wlog.Record, seq uint64) int { return cmp.Compare(r.Seq, seq) })
 	if !ok {
-		return nil
+		return wlog.Record{}, false
 	}
-	return s.ActivitySeqsSym(wid, sym)
+	return inst[i], true
 }
 
 // ResolveActivity maps an activity name to its interned symbol.
@@ -227,50 +269,49 @@ func (s *Store) ResolveActivity(name string) (int32, bool) {
 	return s.syms.Resolve(name)
 }
 
-// ActivitySeqsSym is the symbolic fast path: a zero-copy slice of the
-// activity's is-lsn group for the instance — O(1) array indexing in the
-// dense posting layout, O(log n) binary search in the sparse one. No
-// allocation, no string comparison either way.
+// ActivitySeqsSym returns the is-lsn values (ascending) of the instance's
+// records carrying the symbol: a zero-copy slice of its group, by two loads
+// in the dense layout and a binary search in the sparse one. Callers must not
+// modify it.
 func (s *Store) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
-	if sym < 0 || int(sym) >= len(s.post) {
+	w, ok := s.widIdx[wid]
+	if !ok {
 		return nil
 	}
-	p := &s.post[sym]
-	if p.wids == nil { // dense: off is indexed by wid position
-		w, ok := s.widIdx[wid]
-		if !ok {
-			return nil
-		}
-		if lo, hi := p.off[w], p.off[w+1]; lo < hi {
-			return p.seqs[lo:hi]
-		}
+	in := s.insts[w]
+	i := in.slot(sym)
+	if uint(i) >= uint(len(in.off)-1) || in.syms != nil && in.syms[i] != sym {
 		return nil
 	}
-	i := sort.Search(len(p.wids), func(i int) bool { return p.wids[i] >= wid })
-	if i == len(p.wids) || p.wids[i] != wid {
-		return nil
-	}
-	return p.seqs[p.off[i]:p.off[i+1]]
+	return in.seqs[in.off[i]:in.off[i+1]]
 }
 
 // ActivityCount returns the total number of records (across all instances)
-// carrying the activity — the optimizer's selectivity statistic, answered
-// here in O(1) from the posting list length.
-func (s *Store) ActivityCount(act string) int {
-	sym, ok := s.syms.Resolve(act)
-	if !ok {
-		return 0
+// carrying the activity — the optimizer's selectivity statistic.
+func (s *Store) ActivityCount(act string) int { return s.stat(act).count }
+
+// ActivityLastLSN returns the newest lsn of a record carrying the activity
+// (0 when none does): with LastLSN, what tells a reader whether records
+// appended after some lsn include the activity.
+func (s *Store) ActivityLastLSN(act string) uint64 { return s.stat(act).lastLSN }
+
+func (s *Store) stat(act string) symStat {
+	if sym, ok := s.syms.Resolve(act); ok {
+		return s.stats[sym]
 	}
-	return len(s.post[sym].seqs)
+	return symStat{}
 }
 
+// Origin returns the history the version belongs to (nil for an empty store
+// never appended to).
+func (s *Store) Origin() *Origin { return s.origin }
+
+// LastLSN returns the newest lsn in the version (0 when empty).
+func (s *Store) LastLSN() uint64 { return s.lastLSN }
+
 // TotalRecords returns m = |L|.
-func (s *Store) TotalRecords() int { return len(s.recs) }
+func (s *Store) TotalRecords() int { return s.total }
 
 // Activities returns the distinct activity names, sorted. Callers must not
 // modify the returned slice.
 func (s *Store) Activities() []string { return s.names }
-
-// Symbols exposes the symbol table (read-only after Build) for diagnostics
-// and tests.
-func (s *Store) Symbols() *SymbolTable { return s.syms }

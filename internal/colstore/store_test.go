@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 )
 
 func TestSymbolTableBasics(t *testing.T) {
-	st := NewSymbolTable()
+	st := new(SymbolTable)
 	a := st.Intern("A")
 	b := st.Intern("B")
 	if a == b {
@@ -33,7 +34,7 @@ func TestSymbolTableBasics(t *testing.T) {
 }
 
 func TestSymbolTableEmptyAndDuplicateNames(t *testing.T) {
-	st := NewSymbolTable()
+	st := new(SymbolTable)
 	empty := st.Intern("")
 	if got := st.Intern(""); got != empty {
 		t.Errorf("empty name interned twice to %d and %d", empty, got)
@@ -136,12 +137,33 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 			}
 		}
 		for _, act := range acts {
-			rs, css := ix.ActivitySeqs(wid, act), cs.ActivitySeqs(wid, act)
-			if len(rs) != len(css) || (len(rs) > 0 && !reflect.DeepEqual(rs, css)) {
-				t.Errorf("ActivitySeqs(%d,%q): row %v, columnar %v", wid, act, rs, css)
+			if rs, css := seqsOf(ix, wid, act), seqsOf(cs, wid, act); len(rs) != len(css) || (len(rs) > 0 && !reflect.DeepEqual(rs, css)) {
+				t.Errorf("postings(%d,%q): row %v, columnar %v", wid, act, rs, css)
 			}
 		}
 	}
+	// The watermarks the result cache reads, against the log itself.
+	last := make(map[string]uint64)
+	for _, r := range l.Records() {
+		last[r.Activity] = max(last[r.Activity], r.LSN)
+	}
+	if n := l.Len(); n > 0 && cs.LastLSN() != l.Record(n-1).LSN {
+		t.Errorf("LastLSN = %d, log ends at %d", cs.LastLSN(), l.Record(n-1).LSN)
+	}
+	for _, act := range acts {
+		if got := cs.ActivityLastLSN(act); got != last[act] {
+			t.Errorf("ActivityLastLSN(%q) = %d, want %d", act, got, last[act])
+		}
+	}
+}
+
+// seqsOf is the source's posting list of the activity in the instance.
+func seqsOf(src eval.Source, wid uint64, act string) []uint64 {
+	sym, ok := src.ResolveActivity(act)
+	if !ok {
+		return nil
+	}
+	return src.ActivitySeqsSym(wid, sym)
 }
 
 func TestSymbolicLookups(t *testing.T) {
@@ -159,7 +181,7 @@ func TestSymbolicLookups(t *testing.T) {
 	if got := cs.ActivitySeqsSym(1, -1); got != nil {
 		t.Errorf("ActivitySeqsSym on negative symbol = %v, want nil", got)
 	}
-	if got := cs.ActivitySeqsSym(1, int32(cs.Symbols().Len())); got != nil {
+	if got := cs.ActivitySeqsSym(1, int32(len(cs.Activities()))); got != nil {
 		t.Errorf("ActivitySeqsSym on out-of-range symbol = %v, want nil", got)
 	}
 	if _, ok := cs.ResolveActivity("Z"); ok {
@@ -215,23 +237,43 @@ func TestStoreOverImportedLogs(t *testing.T) {
 	}
 }
 
-// TestSparsePostingLayout forces the binary-search layout (dense budget 0)
-// and requires answers identical to the dense layout and the row index.
+// TestSparsePostingLayout forces the binary-search layout on every instance
+// and requires answers identical to the dense layout and the row index; and
+// over a huge alphabet, the instances whose symbols outrun their records
+// must choose the sparse layout themselves.
 func TestSparsePostingLayout(t *testing.T) {
 	l := gen.MustRandomLog(gen.LogParams{Instances: 30, MeanLength: 25, Skew: 1.0, Seed: 13})
-	sparse := build(l, 0)
-	for i := range sparse.post {
-		if sparse.post[i].wids == nil {
-			t.Fatal("dense posting built despite a zero dense-cell budget")
+	sparse := (&Store{sparse: true}).Append(l.Records()...)
+	for _, in := range sparse.insts {
+		if in.syms == nil {
+			t.Fatal("dense row built in a store forced sparse")
 		}
 	}
 	assertSourcesAgree(t, eval.NewIndex(l), sparse, l)
 	dense := Build(l)
 	for _, wid := range dense.WIDs() {
 		for _, act := range dense.Activities() {
-			if !reflect.DeepEqual(dense.ActivitySeqs(wid, act), sparse.ActivitySeqs(wid, act)) {
-				t.Fatalf("layouts disagree on ActivitySeqs(%d, %q)", wid, act)
+			if !slices.Equal(seqsOf(dense, wid, act), seqsOf(sparse, wid, act)) {
+				t.Fatalf("layouts disagree on the postings of (%d, %q)", wid, act)
 			}
 		}
 	}
+
+	wide := gen.MustRandomLog(gen.LogParams{Instances: 40, MeanLength: 3, Alphabet: gen.Alphabet(400), Seed: 17})
+	cs := Build(wide)
+	chose := 0
+	for _, in := range cs.insts {
+		if in.syms != nil {
+			if top := int(slices.Max(in.syms)); top < denseSlack+2*len(in.recs) {
+				t.Fatalf("sparse row for an instance of %d records whose largest symbol is %d", len(in.recs), top)
+			}
+			chose++
+		} else if len(in.off) > denseSlack+2*len(in.recs)+1 {
+			t.Fatalf("dense row of %d offsets for an instance of %d records", len(in.off), len(in.recs))
+		}
+	}
+	if chose == 0 {
+		t.Fatal("no instance of a 400-activity log chose the sparse layout")
+	}
+	assertSourcesAgree(t, eval.NewIndex(wide), cs, wide)
 }

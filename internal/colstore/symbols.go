@@ -1,29 +1,25 @@
-// Package colstore is the columnar log backend: an immutable,
-// query-optimized representation of a workflow log built once at load (or
-// reload) time. Activity names are interned into dense int32 symbols,
-// records live in parallel wid/is-lsn/activity columns with per-instance
-// offset ranges, and every activity carries a sorted posting list so an
-// atomic pattern is answered in O(log n + k) with zero allocation.
+// Package colstore is the one served log layout: snapshots are built into it
+// in bulk at load (or reload) time, and live logs grow it one version per
+// append, copy on write, so readers never lock. Activity names are interned
+// into dense int32 symbols, and each workflow instance carries its records
+// and a sorted posting list per symbol, so an atomic pattern is answered
+// with zero allocation.
 //
-// The package implements eval.Source and eval.SymbolicSource; the
-// cross-backend equivalence suite in this package proves its answers are
-// byte-identical to the row backend's (eval.Index) for every operator,
-// with and without rewriting, scanned serially and in chunks. See
-// docs/STORAGE.md for the layout and its invariants.
+// The package implements eval.Source; the equivalence suite in this package
+// holds a store built in bulk and one appended record by record to naive
+// Algorithm 1 over eval.Index, for every operator, with and without
+// rewriting, scanned serially and in chunks. See docs/STORAGE.md for the
+// layout and its invariants.
 package colstore
 
 // SymbolTable interns activity names into dense int32 symbols. Symbols are
-// assigned in first-intern order, starting at 0; the table is append-only
-// and, once a Store is built, never mutated again (lookups after build are
-// read-only and therefore safe for concurrent use).
+// assigned in first-intern order, starting at 0; the zero table is empty. A
+// store's table is never interned into once the store is built: a version
+// that brings a new activity gets a copy, so lookups are safe for concurrent
+// use.
 type SymbolTable struct {
 	names []string
 	ids   map[string]int32
-}
-
-// NewSymbolTable returns an empty table.
-func NewSymbolTable() *SymbolTable {
-	return &SymbolTable{ids: make(map[string]int32)}
 }
 
 // Intern returns the symbol for name, assigning the next dense id on first
@@ -31,6 +27,9 @@ func NewSymbolTable() *SymbolTable {
 func (t *SymbolTable) Intern(name string) int32 {
 	if id, ok := t.ids[name]; ok {
 		return id
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]int32)
 	}
 	id := int32(len(t.names))
 	t.names = append(t.names, name)

@@ -115,30 +115,11 @@ type poisonedSource struct {
 	hook    map[uint64]bool          // the wids the hook itself poisons
 }
 
-// symbolicPoisonedSource is a poisonedSource over a symbolic backend.
-type symbolicPoisonedSource struct {
-	*poisonedSource
-	sym eval.SymbolicSource
-}
-
-func (s *poisonedSource) lookup(wid uint64) {
+func (s *poisonedSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
 	if n := s.lookups[wid].Add(1); n == s.panicAt[wid] {
 		panic(fmt.Sprintf("injected fault at lookup %d of wid %d", n, wid))
 	}
-}
-
-func (s *poisonedSource) ActivitySeqs(wid uint64, act string) []uint64 {
-	s.lookup(wid)
-	return s.Source.ActivitySeqs(wid, act)
-}
-
-func (s symbolicPoisonedSource) ResolveActivity(name string) (int32, bool) {
-	return s.sym.ResolveActivity(name)
-}
-
-func (s symbolicPoisonedSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
-	s.lookup(wid)
-	return s.sym.ActivitySeqsSym(wid, sym)
+	return s.Source.ActivitySeqsSym(wid, sym)
 }
 
 // evalHook is the fault hook the source needs installed.
@@ -153,18 +134,14 @@ func (s *poisonedSource) evalHook(wid uint64) {
 // halfway through its evaluation under strategy — found by counting its
 // lookups in a clean run — and the rest, and any that looks nothing up, in
 // the hook.
-func poison(t *testing.T, src eval.Source, strategy eval.Strategy, p pattern.Node, poisoned []uint64) (eval.Source, *poisonedSource) {
+func poison(t *testing.T, src eval.Source, strategy eval.Strategy, p pattern.Node, poisoned []uint64) *poisonedSource {
 	t.Helper()
 	ps := &poisonedSource{Source: src, lookups: make(map[uint64]*atomic.Int32), panicAt: make(map[uint64]int32), hook: make(map[uint64]bool)}
 	for _, wid := range src.WIDs() {
 		ps.lookups[wid] = new(atomic.Int32)
 	}
-	var wrapped eval.Source = ps
-	if sym, ok := src.(eval.SymbolicSource); ok {
-		wrapped = symbolicPoisonedSource{ps, sym}
-	}
 	eval.SetEvalHook(ps.evalHook)
-	eval.New(wrapped, eval.Options{Strategy: strategy}).AnswerCtx(context.Background(), p, src.WIDs(), 1, eval.ShapeIncidents, nil)
+	eval.New(ps, eval.Options{Strategy: strategy}).AnswerCtx(context.Background(), p, src.WIDs(), 1, eval.ShapeIncidents, nil)
 	eval.SetEvalHook(nil)
 	for i, wid := range poisoned {
 		if n := ps.lookups[wid].Load(); i%2 == 0 && n > 0 {
@@ -173,7 +150,7 @@ func poison(t *testing.T, src eval.Source, strategy eval.Strategy, p pattern.Nod
 			ps.hook[wid] = true
 		}
 	}
-	return wrapped, ps
+	return ps
 }
 
 // assertExclusions: with the given instances poisoned, every shape of
@@ -202,8 +179,8 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 	defer eval.SetEvalHook(nil)
 	for name, base := range backends(l) {
 		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
-			src, ps := poison(t, base, strat, p, poisoned)
-			eval.SetEvalHook(ps.evalHook)
+			src := poison(t, base, strat, p, poisoned)
+			eval.SetEvalHook(src.evalHook)
 			e := eval.New(src, eval.Options{Strategy: strat})
 			fail := func(format string, args ...any) {
 				t.Helper()

@@ -56,25 +56,23 @@ type Options struct {
 }
 
 // Evaluator computes incident sets incL(p) over an indexed log, per
-// Algorithm 2: atomic patterns are answered from the backend (row index or
-// columnar posting lists), composite patterns by post-order traversal of
-// the pattern tree, instance by instance (incidents never span workflow
-// instances). It holds no per-query state: every entry point compiles the
-// pattern it is handed into a program that lives for that call.
+// Algorithm 2: atomic patterns are answered from the source's posting lists,
+// composite patterns by post-order traversal of the pattern tree, instance
+// by instance (incidents never span workflow instances). It holds no
+// per-query state: every entry point compiles the pattern it is handed into
+// a program that lives for that call.
 type Evaluator struct {
 	src  Source
-	sym  SymbolicSource // non-nil when src interns activity symbols
 	opts Options
 }
 
-// New creates an Evaluator over a log backend: the row *Index, or any other
-// Source implementation such as the columnar internal/colstore.Store.
+// New creates an Evaluator over a log source: the served
+// internal/colstore.Store, or the oracle's *Index.
 func New(src Source, opts Options) *Evaluator {
 	if opts.Strategy == 0 {
 		opts.Strategy = StrategyMerge
 	}
-	sym, _ := src.(SymbolicSource)
-	return &Evaluator{src: src, sym: sym, opts: opts}
+	return &Evaluator{src: src, opts: opts}
 }
 
 // Eval computes incL(p): every incident of the pattern in the log.
@@ -115,9 +113,9 @@ type step struct {
 	// printed form: this occurrence's subtree is not in the program, and it
 	// is answered from that step's value (StrategyMerge only).
 	alias int
-	// sym is the atom's activity resolved on a symbolic backend, once per
-	// query, so the per-instance probe is an integer-keyed posting-list
-	// lookup; hasSym is false when the activity never occurs in the log.
+	// sym is the atom's activity resolved once per query, so the
+	// per-instance probe is an integer-keyed posting-list lookup; hasSym is
+	// false when the activity never occurs in the log.
 	sym    int32
 	hasSym bool
 	nm     *NodeMetrics // the node's meter slot; nil when unmetered
@@ -131,8 +129,8 @@ type step struct {
 // leaf is the step of an atomic pattern.
 func (e *Evaluator) leaf(a *pattern.Atom) step {
 	st := step{atom: a, alias: -1}
-	if e.sym != nil {
-		st.sym, st.hasSym = e.sym.ResolveActivity(a.Activity)
+	if e.src != nil { // nil when Counted only classifies the plan
+		st.sym, st.hasSym = e.src.ResolveActivity(a.Activity)
 	}
 	return st
 }
@@ -250,16 +248,12 @@ func (e *Evaluator) applyOp(op pattern.Op, left, right []incident.Incident, cnt 
 	}
 }
 
-// postings answers an atom's is-lsn list from the backend: by symbol on a
-// symbolic backend, by name from the row backend's per-wid map.
+// postings answers an atom's is-lsn list from the source, by symbol.
 func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
-	if e.sym == nil {
-		return e.src.ActivitySeqs(wid, st.atom.Activity)
-	}
 	if !st.hasSym {
 		return nil // activity absent from the log
 	}
-	return e.sym.ActivitySeqsSym(wid, st.sym)
+	return e.src.ActivitySeqsSym(wid, st.sym)
 }
 
 // atomSeqs answers an atomic pattern from the backend as the ascending

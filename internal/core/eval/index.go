@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"slices"
 	"sort"
 
 	"wlq/internal/wlog"
@@ -18,18 +19,18 @@ import (
 // Section 3.2). It also keeps global activity frequencies for the
 // cost-based optimizer.
 //
-// An Index is safe for concurrent readers; Append must not run concurrently
-// with reads (internal/stream serializes ingestion).
+// An Index is immutable once built and safe for concurrent readers. It is
+// the naive oracle's storage: nothing is served from it.
 type Index struct {
 	wids     []uint64
 	inst     map[uint64][]wlog.Record
 	actSeqs  map[uint64]map[string][]uint64
 	actCount map[string]int
+	names    []string // distinct activities, sorted; a symbol is a position
 	total    int
 }
 
-// NewEmptyIndex creates an index with no records, for incremental use
-// via Append.
+// NewEmptyIndex creates an index with no records.
 func NewEmptyIndex() *Index {
 	return &Index{
 		inst:     make(map[uint64][]wlog.Record),
@@ -76,18 +77,10 @@ func (ix *Index) sortAll() {
 			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		}
 	}
-}
-
-// Append adds one record incrementally, maintaining all order invariants.
-// Records of one instance must arrive in ascending is-lsn order (the log
-// discipline of Definition 2); instance ids may arrive in any order.
-func (ix *Index) Append(r wlog.Record) {
-	ix.append(r)
-	// A new wid may break the sorted wid list; restore by insertion (logs
-	// usually open instances in ascending wid order, making this O(1)).
-	for i := len(ix.wids) - 1; i > 0 && ix.wids[i-1] > ix.wids[i]; i-- {
-		ix.wids[i-1], ix.wids[i] = ix.wids[i], ix.wids[i-1]
+	for name := range ix.actCount {
+		ix.names = append(ix.names, name)
 	}
+	sort.Strings(ix.names)
 }
 
 // WIDs returns the workflow instance ids present, in ascending order.
@@ -130,6 +123,19 @@ func (ix *Index) ActivitySeqs(wid uint64, act string) []uint64 {
 	return byAct[act]
 }
 
+// ResolveActivity maps an activity name to its position among the sorted
+// activity names.
+func (ix *Index) ResolveActivity(name string) (int32, bool) {
+	i := sort.SearchStrings(ix.names, name)
+	return int32(i), i < len(ix.names) && ix.names[i] == name
+}
+
+// ActivitySeqsSym is ActivitySeqs of the activity with the symbol, answered
+// from the per-instance map by name.
+func (ix *Index) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
+	return ix.ActivitySeqs(wid, ix.names[sym])
+}
+
 // ActivityCount returns the total number of records (across all instances)
 // carrying the activity name. Used by the optimizer's cost model.
 func (ix *Index) ActivityCount(act string) int { return ix.actCount[act] }
@@ -138,11 +144,4 @@ func (ix *Index) ActivityCount(act string) int { return ix.actCount[act] }
 func (ix *Index) TotalRecords() int { return ix.total }
 
 // Activities returns the distinct activity names, sorted.
-func (ix *Index) Activities() []string {
-	names := make([]string, 0, len(ix.actCount))
-	for name := range ix.actCount {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func (ix *Index) Activities() []string { return slices.Clone(ix.names) }

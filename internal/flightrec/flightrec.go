@@ -60,9 +60,6 @@ type Capture struct {
 	// time (0 for static logs): under live ingestion the generation alone
 	// no longer pins the data a capture saw, the watermark does.
 	IngestLSN uint64 `json:"ingest_lsn,omitempty"`
-	// Backend is the storage layout that served the query: "columnar" for
-	// an immutable log, "row" for a live (appendable) one.
-	Backend string `json:"backend,omitempty"`
 	// Query is the pattern as submitted; Canonical its cache key form.
 	Query     string `json:"query"`
 	Canonical string `json:"canonical,omitempty"`

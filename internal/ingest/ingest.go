@@ -1,12 +1,12 @@
 // Package ingest coordinates durable live ingestion: every append is
 // serialized through a write-ahead log (internal/wal) before it touches the
-// in-memory index, so a record the server has acknowledged survives a
-// process kill and is replayed into the index on restart.
+// in-memory store, so a record the server has acknowledged survives a
+// process kill and is replayed into the store on restart.
 //
 // The ordering invariant is WAL-then-apply: a record reaches the
 // stream.Monitor only after its frame is in the WAL (and, under
 // wal.PolicyAlways, fsynced). A crash can therefore leave the WAL ahead of
-// the index — never behind — and recovery closes the gap by replaying the
+// the store — never behind — and recovery closes the gap by replaying the
 // WAL over the base snapshot, skipping records the snapshot already holds
 // (idempotent by lsn, which Definition 2 makes globally unique and dense).
 //
@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"wlq/internal/resilience"
@@ -59,11 +60,6 @@ type Config struct {
 	// not yet applied) before new ones are shed with ErrBusy. 0 or negative
 	// means unlimited.
 	Queue int
-	// OnApply, when non-nil, is called after each record is durably logged
-	// and applied — the server's delta cache-invalidation hook. It runs
-	// outside the monitor's locks but inside the coordinator's serial
-	// section, so calls arrive in lsn order.
-	OnApply func(r wlog.Record)
 	// OpenFile, Hook and ObserveFsync pass through to wal.Options (fault
 	// injection and metrics seams).
 	OpenFile     func(path string) (wal.File, error)
@@ -94,19 +90,20 @@ type Stats struct {
 }
 
 // Coordinator serializes appends through the WAL into a live Monitor.
-// Safe for concurrent use.
+// Safe for concurrent use. Reads never wait on an append: the monitor is
+// published through an atomic pointer, and the counters are atomic.
 type Coordinator struct {
 	cfg Config
 	adm *resilience.Admission
 
-	mu  sync.Mutex // serializes WAL-then-apply; held across both
+	mu  sync.Mutex // serializes WAL-then-apply, and Rebase; held across both
 	w   *wal.WAL
-	mon *stream.Monitor
+	mon atomic.Pointer[stream.Monitor]
 
-	accepted uint64
-	rejected uint64
-	replayed uint64
-	deduped  uint64
+	accepted atomic.Uint64
+	rejected atomic.Uint64
+	replayed atomic.Uint64
+	deduped  atomic.Uint64
 }
 
 // Open builds the live monitor from the base snapshot (which must satisfy
@@ -131,7 +128,7 @@ func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
 	if err != nil {
 		return nil, wal.Recovery{}, err
 	}
-	c := &Coordinator{cfg: cfg, w: w, mon: mon}
+	c := &Coordinator{cfg: cfg, w: w}
 	if cfg.Queue > 0 {
 		c.adm = resilience.NewAdmission(cfg.Queue)
 	}
@@ -140,11 +137,13 @@ func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
 		w.Close()
 		return nil, wal.Recovery{}, err
 	}
-	c.replayed, c.deduped = applied, skipped
+	c.replayed.Store(applied)
+	c.deduped.Store(skipped)
+	c.mon.Store(mon)
 	return c, rec, nil
 }
 
-// newMonitor loads the base snapshot into a fresh appendable index.
+// newMonitor loads the base snapshot into a fresh monitor.
 func newMonitor(base *wlog.Log) (*stream.Monitor, error) {
 	mon := stream.NewMonitor(nil)
 	if base != nil {
@@ -155,26 +154,32 @@ func newMonitor(base *wlog.Log) (*stream.Monitor, error) {
 	return mon, nil
 }
 
-// replayInto applies WAL records beyond the monitor's high-water lsn.
-// Records at or below it are duplicates of the snapshot (or of a previous
-// replay pass interrupted mid-apply) and are skipped — lsn identifies a
-// record globally, so (wid, lsn) dedup reduces to lsn dedup. A WAL record
-// past the watermark that the monitor refuses is a real conflict (the base
-// snapshot changed shape underneath the WAL); replay stops there with an
-// error naming the record.
+// replayInto applies WAL records beyond the monitor's high-water lsn, as one
+// version. Records at or below it are duplicates of the snapshot (or of a
+// previous replay pass interrupted mid-apply) and are skipped — lsn
+// identifies a record globally, so (wid, lsn) dedup reduces to lsn dedup. A
+// WAL record past the watermark that the monitor refuses is a real conflict
+// (the base snapshot changed shape underneath the WAL); replay stops there
+// with an error naming the record.
 func replayInto(mon *stream.Monitor, w *wal.WAL) (applied, skipped uint64, err error) {
+	base := mon.LastLSN()
+	var recs []wlog.Record
 	err = w.Replay(func(r wlog.Record) error {
-		if r.LSN <= mon.LastLSN() {
+		if r.LSN <= base {
 			skipped++
-			return nil
+		} else {
+			recs = append(recs, r)
 		}
-		if err := mon.Ingest(r); err != nil {
-			return fmt.Errorf("ingest: wal replay conflicts with base snapshot at record %s: %w", r, err)
-		}
-		applied++
 		return nil
 	})
-	return applied, skipped, err
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := mon.Ingest(recs...); err != nil {
+		r := recs[mon.LastLSN()-base]
+		return 0, 0, fmt.Errorf("ingest: wal replay conflicts with base snapshot at record %s: %w", r, err)
+	}
+	return uint64(len(recs)), skipped, nil
 }
 
 // Append validates, durably logs, and applies one record, returning its
@@ -192,11 +197,12 @@ func (c *Coordinator) Append(r wlog.Record) (uint64, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	mon := c.Monitor()
 	if r.LSN == 0 {
-		r.LSN = c.mon.LastLSN() + 1
+		r.LSN = mon.LastLSN() + 1
 	}
-	if err := c.mon.Validate(r); err != nil {
-		c.rejected++
+	if err := mon.Validate(r); err != nil {
+		c.rejected.Add(1)
 		return 0, &RejectError{Record: r, Err: err}
 	}
 	if err := c.w.Append(r); err != nil {
@@ -206,19 +212,17 @@ func (c *Coordinator) Append(r wlog.Record) (uint64, error) {
 	// the coordinator lock this cannot fail, but belt-and-braces: a failure
 	// here leaves the record in the WAL, where restart replay would apply
 	// it — so surface it loudly rather than silently diverge.
-	if err := c.mon.Ingest(r); err != nil {
+	if err := mon.Ingest(r); err != nil {
 		return 0, fmt.Errorf("ingest: wal accepted but apply failed for %s: %w", r, err)
 	}
-	c.accepted++
-	if c.cfg.OnApply != nil {
-		c.cfg.OnApply(r)
-	}
+	c.accepted.Add(1)
 	return r.LSN, nil
 }
 
-// Rebase swaps in a monitor rebuilt from a freshly reloaded base snapshot,
-// then replays the WAL on top (dedup-skipping) — the hot-reload-vs-append
-// fix: durable appends survive a reload instead of being silently dropped.
+// Rebase swaps in a monitor rebuilt from a freshly reloaded base snapshot
+// with the WAL replayed on top (dedup-skipping), publishing it with one
+// pointer store — the hot-reload-vs-append fix: durable appends survive a
+// reload instead of being silently dropped.
 // On conflict (the new snapshot is incompatible with the WAL's records) the
 // coordinator is left unchanged and the error names the first conflicting
 // record; the server quarantines the log in that case.
@@ -233,18 +237,15 @@ func (c *Coordinator) Rebase(base *wlog.Log) error {
 	if err != nil {
 		return err
 	}
-	c.mon = mon
-	c.replayed, c.deduped = applied, skipped
+	c.replayed.Store(applied)
+	c.deduped.Store(skipped)
+	c.mon.Store(mon)
 	return nil
 }
 
-// Monitor returns the live monitor. The query path freezes it with
-// RLock/RUnlock while planning and evaluating.
-func (c *Coordinator) Monitor() *stream.Monitor {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.mon
-}
+// Monitor returns the live monitor: one atomic load, which never waits on
+// an append in flight.
+func (c *Coordinator) Monitor() *stream.Monitor { return c.mon.Load() }
 
 // LastLSN returns the applied high-water mark.
 func (c *Coordinator) LastLSN() uint64 { return c.Monitor().LastLSN() }
@@ -255,14 +256,12 @@ func (c *Coordinator) Admission() *resilience.Admission { return c.adm }
 
 // Stats snapshots the counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	st := Stats{
-		Accepted: c.accepted,
-		Rejected: c.rejected,
-		Replayed: c.replayed,
-		Deduped:  c.deduped,
-		LastLSN:  c.mon.LastLSN(),
+		Accepted: c.accepted.Load(),
+		Rejected: c.rejected.Load(),
+		Replayed: c.replayed.Load(),
+		Deduped:  c.deduped.Load(),
+		LastLSN:  c.LastLSN(),
 		WAL:      c.w.Stats(),
 	}
 	if c.adm != nil {

@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
@@ -282,22 +284,56 @@ func TestBackpressureShedsWithErrBusy(t *testing.T) {
 	}
 }
 
-func TestOnApplyRunsPerAcceptedRecord(t *testing.T) {
-	var applied []uint64
-	cfg := Config{OnApply: func(r wlog.Record) { applied = append(applied, r.LSN) }}
-	c := openEmpty(t, t.TempDir(), cfg)
+// TestReadsDoNotWaitOnFsync: while an append holds the coordinator's lock
+// in a stalled fsync, the watermark and a query over the monitor's pinned
+// store answer at once, from the version before the append.
+func TestReadsDoNotWaitOnFsync(t *testing.T) {
+	syncing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	c := openEmpty(t, t.TempDir(), Config{Hook: func(point string) {
+		if point == "sync:before" {
+			once.Do(func() { close(syncing); <-release })
+		}
+	}})
 	defer c.Close()
-	if _, err := c.Append(mk(0, 1, 1, "START")); err != nil {
+	appended := make(chan error, 1)
+	go func() {
+		_, err := c.Append(mk(1, 1, 1, "START"))
+		appended <- err
+	}()
+	<-syncing
+
+	type view struct {
+		lsn    uint64
+		starts int
+	}
+	read := make(chan view, 1)
+	go func() {
+		set, err := c.Monitor().Query("START")
+		if err != nil {
+			t.Error(err)
+		}
+		read <- view{c.LastLSN(), set.Len()}
+	}()
+	waited := false
+	select {
+	case v := <-read:
+		if v != (view{}) {
+			t.Errorf("read beside a stalled fsync saw %+v, want the empty version", v)
+		}
+	case <-time.After(500 * time.Millisecond):
+		waited = true
+		t.Error("the watermark and a query waited on an append's fsync")
+	}
+	close(release)
+	if err := <-appended; err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Append(mk(0, 1, 5, "A")); err == nil { // rejected
-		t.Fatal("bad record accepted")
+	if waited {
+		<-read
 	}
-	if _, err := c.Append(mk(0, 1, 2, "A")); err != nil {
-		t.Fatal(err)
-	}
-	if len(applied) != 2 || applied[0] != 1 || applied[1] != 2 {
-		t.Fatalf("OnApply saw %v, want [1 2]", applied)
+	if c.LastLSN() != 1 {
+		t.Fatalf("after the fsync: lsn %d, want 1", c.LastLSN())
 	}
 }
 

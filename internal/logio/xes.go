@@ -86,7 +86,7 @@ func ImportXES(r io.Reader, opts XESOptions) (*wlog.Log, error) {
 				if a.Key == conceptName {
 					// Trim surrounding whitespace so the activity name is
 					// identical no matter which importer produced it (CSV
-					// already trims) — the row and columnar backends intern
+					// already trims) — the store and the oracle's index key
 					// by exact string and must never disagree on identity.
 					activity = strings.TrimSpace(a.Value)
 					continue

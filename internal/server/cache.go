@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"wlq/internal/cluster"
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 )
@@ -16,11 +17,12 @@ import (
 // asked for them. An entry serves every request whose shape can be read off
 // what it holds (serves); a request it cannot serve is a miss, which
 // evaluates in the shape asked for and puts a richer entry in its place.
-// A static log's index is immutable, so its cached results stay valid for
-// the lifetime of the loaded log and are only ever displaced by LRU
-// pressure. Under live ingestion (Config.Ingest) the backend grows, and
-// each append runs a delta invalidation sweep: the entry's log name and the
-// plan's atom set tag exactly which appends could change its answer.
+//
+// An entry also records the store version it was computed from: its origin
+// (a rebase starts a new one) and its lsn. A snapshot never gains a record,
+// so its entries stay valid until LRU pressure displaces them. A live log's
+// entry answers a later version of the same origin only while no record
+// appended in between can match one of the plan's atoms (get).
 //
 // Entries are shared between concurrent readers and must be treated as
 // read-only: the answer, the plan and the encoded incidents are never
@@ -31,11 +33,9 @@ type cacheEntry struct {
 	planText string
 	shape    eval.Shape
 	answer   eval.Answer
-	// log and atoms are the delta-invalidation tags (see above); atoms is
-	// nil for entries cached before ingestion was a concern, which the
-	// sweep conservatively treats as always-stale.
-	log   string
-	atoms []*pattern.Atom
+	atoms    []*pattern.Atom
+	origin   *colstore.Origin
+	lsn      uint64
 
 	// incidents is the set in wire form (cluster.AppendIncidents), built by
 	// the first response that needs it and shared by every later one;
@@ -68,6 +68,18 @@ func (e *cacheEntry) incidentsJSON() []byte {
 	return e.incidents
 }
 
+// staleAt reports whether a record src holds beyond the entry's lsn can have
+// changed its answer: whether one of them carries an activity that
+// staleForActivity finds relevant.
+func (e *cacheEntry) staleAt(src *colstore.Store) bool {
+	for _, act := range src.Activities() {
+		if src.ActivityLastLSN(act) > e.lsn && e.staleForActivity(act) {
+			return true
+		}
+	}
+	return false
+}
+
 // staleForActivity decides whether appending a record with the given
 // activity could change the entry's answer. A positive atom matches only
 // its own activity, so the append is relevant iff it IS that activity; a
@@ -77,9 +89,6 @@ func (e *cacheEntry) incidentsJSON() []byte {
 // incident involving the record can form (incidents are per-instance
 // compositions of atom matches) and the cached answer is still exact.
 func (e *cacheEntry) staleForActivity(act string) bool {
-	if e.atoms == nil {
-		return true
-	}
 	for _, a := range e.atoms {
 		if a.Negated != (a.Activity == act) {
 			return true
@@ -113,19 +122,33 @@ func newLRU(max int) *lru {
 	return &lru{max: max, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// get returns the entry for key, promoting it to most recently used.
-func (c *lru) get(key string) (*cacheEntry, bool) {
+// get returns the entry for key if it answers a request that reads version
+// at, promoting it to most recently used. It does when it was computed from
+// at's origin, at or before at's lsn, and is not staleAt it. An entry from a
+// later version is a miss and stays; any other that does not answer is
+// dropped, and stale reports it.
+func (c *lru) get(key string, at *colstore.Store) (e *cacheEntry, ok, stale bool) {
 	if c == nil {
-		return nil, false
+		return nil, false, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
 	if !ok {
-		return nil, false
+		return nil, false, false
+	}
+	e = el.Value.(*lruItem).entry
+	lsn := at.LastLSN()
+	if e.origin == at.Origin() && e.lsn > lsn {
+		return nil, false, false
+	}
+	if e.origin != at.Origin() || e.lsn < lsn && e.staleAt(at) {
+		c.ll.Remove(el)
+		delete(c.items, key)
+		return nil, false, true
 	}
 	c.ll.MoveToFront(el)
-	return el.Value.(*lruItem).entry, true
+	return e, true, false
 }
 
 // put inserts or refreshes key, evicting the least recently used entry
@@ -148,33 +171,6 @@ func (c *lru) put(key string, e *cacheEntry) {
 		delete(c.items, oldest.Value.(*lruItem).key)
 		c.evictions++
 	}
-}
-
-// invalidateActivity drops every entry of the named log whose answer could
-// include a newly appended record with the given activity (the delta sweep
-// run on each accepted append; see cacheEntry.staleForActivity). Entries of
-// other logs, and entries whose atom set cannot match the new record, are
-// untouched — repeated appends of irrelevant activities leave the cache
-// warm. Returns how many entries were dropped.
-func (c *lru) invalidateActivity(logName, act string) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var dropped uint64
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		it := el.Value.(*lruItem)
-		if it.entry.log != logName || !it.entry.staleForActivity(act) {
-			continue
-		}
-		c.ll.Remove(el)
-		delete(c.items, it.key)
-		dropped++
-	}
-	return dropped
 }
 
 // bodyBytes returns the bytes of encoded incidents the resident entries hold

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"testing"
 
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 )
+
+// snapshot is the version of a log that never gains a record.
+var snapshot = new(colstore.Store)
 
 func entry(n int) *cacheEntry {
 	return &cacheEntry{answer: eval.Answer{Count: 1, Set: incident.NewSet(incident.Singleton(uint64(n), 1))}}
@@ -16,18 +20,18 @@ func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
 	c.put("a", entry(1))
 	c.put("b", entry(2))
-	if _, ok := c.get("a"); !ok {
+	if _, ok, _ := c.get("a", snapshot); !ok {
 		t.Fatal("a missing before capacity reached")
 	}
 	// "a" was just used, so inserting "c" must evict "b".
 	c.put("c", entry(3))
-	if _, ok := c.get("b"); ok {
+	if _, ok, _ := c.get("b", snapshot); ok {
 		t.Error("b not evicted as least recently used")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok, _ := c.get("a", snapshot); !ok {
 		t.Error("a evicted despite recent use")
 	}
-	if _, ok := c.get("c"); !ok {
+	if _, ok, _ := c.get("c", snapshot); !ok {
 		t.Error("c missing after insert")
 	}
 	if c.len() != 2 {
@@ -45,7 +49,7 @@ func TestLRURefreshSameKey(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatalf("len = %d after double insert of one key, want 1", c.len())
 	}
-	e, ok := c.get("a")
+	e, ok, _ := c.get("a", snapshot)
 	if !ok || e.answer.Set.At(0).WID() != 2 {
 		t.Fatal("refresh did not replace the entry")
 	}
@@ -54,7 +58,7 @@ func TestLRURefreshSameKey(t *testing.T) {
 func TestLRUDisabled(t *testing.T) {
 	for _, c := range []*lru{newLRU(0), newLRU(-5), nil} {
 		c.put("a", entry(1))
-		if _, ok := c.get("a"); ok {
+		if _, ok, _ := c.get("a", snapshot); ok {
 			t.Error("disabled cache returned a hit")
 		}
 		if c.len() != 0 || c.evicted() != 0 {
@@ -76,7 +80,7 @@ func TestLRUManyKeysBounded(t *testing.T) {
 	}
 	// The most recent 8 keys survive.
 	for i := 92; i < 100; i++ {
-		if _, ok := c.get(fmt.Sprintf("k%d", i)); !ok {
+		if _, ok, _ := c.get(fmt.Sprintf("k%d", i), snapshot); !ok {
 			t.Errorf("recent key k%d evicted", i)
 		}
 	}

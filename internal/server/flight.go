@@ -23,7 +23,6 @@ type captureSummary struct {
 	Time       time.Time        `json:"time"`
 	Log        string           `json:"log,omitempty"`
 	Generation uint64           `json:"generation"`
-	Backend    string           `json:"backend,omitempty"`
 	Query      string           `json:"query"`
 	Plan       string           `json:"plan,omitempty"`
 	Status     flightrec.Status `json:"status"`
@@ -51,7 +50,6 @@ func summarize(c *flightrec.Capture) captureSummary {
 		Time:       c.Time,
 		Log:        c.Log,
 		Generation: c.Generation,
-		Backend:    c.Backend,
 		Query:      c.Query,
 		Plan:       c.Plan,
 		Status:     c.Status,

@@ -284,44 +284,31 @@ func TestChaosFlightRecorderConcurrentWithReload(t *testing.T) {
 	}
 }
 
-// TestMetricsBackendAndFlightFamilies: the backend gauge names the layout
-// that serves — columnar for static logs, the appendable row index under
-// Config.Ingest.
+// TestMetricsBackendAndFlightFamilies: static and live logs are served from
+// one layout, so no backend is named anywhere — not in the exposition, the
+// JSON metrics or a capture — and both expose the flight-recorder families.
 func TestMetricsBackendAndFlightFamilies(t *testing.T) {
 	static := newTestServer(t, Config{})
 	live, _ := newIngestServer(t, Config{})
-	for _, tc := range []struct {
-		s         *Server
-		want, not string
-	}{
-		{static, "columnar", "row"},
-		{live, "row", "columnar"},
-	} {
-		h := tc.s.Handler()
+	for name, s := range map[string]*Server{"static": static, "live": live} {
+		h := s.Handler()
 		postQuery(t, h, `{"log":"fig3","query":"GetRefer -> SeeDoctor"}`, nil)
-		rec := getJSON(t, h, "/metrics?format=prometheus", nil)
-		body := rec.Body.String()
-		if sample := fmt.Sprintf("wlq_storage_backend{backend=%q} 1", tc.want); !strings.Contains(body, sample) {
-			t.Errorf("%s: missing %q", tc.want, sample)
-		}
-		if sample := fmt.Sprintf("wlq_storage_backend{backend=%q} 1", tc.not); strings.Contains(body, sample) {
-			t.Errorf("%s: unexpected %q", tc.want, sample)
+		body := getJSON(t, h, "/metrics?format=prometheus", nil).Body.String()
+		if strings.Contains(body, "wlq_storage_backend") {
+			t.Errorf("%s: exposition still names a storage backend", name)
 		}
 		for _, family := range []string{
 			"wlq_flightrec_captured_total 1",
 			"wlq_flightrec_entries 1",
 		} {
 			if !strings.Contains(body, family) {
-				t.Errorf("%s: missing family %q in exposition", tc.want, family)
+				t.Errorf("%s: missing family %q in exposition", name, family)
 			}
 		}
-		var doc metricsDoc
-		getJSON(t, h, "/metrics", &doc)
-		if doc.Backend != tc.want {
-			t.Errorf("JSON metrics backend = %q, want %q", doc.Backend, tc.want)
-		}
-		if caps := listCaptures(t, h, "").Queries; len(caps) != 1 || caps[0].Backend != tc.want {
-			t.Errorf("%s: capture backend = %+v", tc.want, caps)
+		for _, path := range []string{"/metrics", "/v1/queries"} {
+			if body := getJSON(t, h, path, nil).Body.String(); strings.Contains(body, `"backend"`) {
+				t.Errorf("%s: %s still carries a backend key: %s", name, path, body)
+			}
 		}
 	}
 }

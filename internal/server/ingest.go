@@ -17,9 +17,9 @@ import (
 )
 
 // Live ingestion: POST /v1/logs/{name}/append writes records through a
-// per-log write-ahead log into the live index (internal/ingest owns the
-// WAL-then-apply ordering; this file owns the HTTP surface and the delta
-// cache invalidation). See docs/DURABILITY.md.
+// per-log write-ahead log into the live store (internal/ingest owns the
+// WAL-then-apply ordering; this file owns the HTTP surface). See
+// docs/DURABILITY.md.
 
 // DefaultIngestQueue is the per-log append admission bound when
 // Config.IngestQueue is 0: deep enough that bursty appenders rarely see
@@ -43,18 +43,7 @@ func (s *Server) openIngest(name string, l *wlog.Log) (*ingest.Coordinator, wal.
 		FsyncInterval: s.cfg.FsyncInterval,
 		SegmentBytes:  s.cfg.WALSegmentBytes,
 		Queue:         queue,
-		// Delta cache invalidation, the live twin of the generation-keyed
-		// reload scheme: each accepted append drops exactly the cached
-		// entries whose atom sets could match the new record. Runs in lsn
-		// order after the monitor's write lock is released, so it strictly
-		// follows any cache put of a result computed from the pre-append
-		// view (the query path holds the monitor's read lock across its put).
-		OnApply: func(r wlog.Record) {
-			if n := s.cache.invalidateActivity(name, r.Activity); n > 0 {
-				s.metrics.ingestInvalidations.Add(n)
-			}
-		},
-		ObserveFsync: s.metrics.fsyncHist.Observe,
+		ObserveFsync:  s.metrics.fsyncHist.Observe,
 	})
 }
 
@@ -217,7 +206,7 @@ type ingestLogDoc struct {
 // ingestMetricsDoc is the ingest section of the metrics document:
 // coordinator and WAL counters aggregated across live logs at scrape time
 // (the same assembled-at-scrape pattern as the cluster section), plus the
-// server-owned delta-invalidation counter and the WAL fsync latency
+// server-owned cache-invalidation counter and the WAL fsync latency
 // histogram (JSON carries its scalar summary, Prometheus the buckets).
 // Emitted only when Config.Ingest is on. Tags as on metricsDoc.
 type ingestMetricsDoc struct {
@@ -232,7 +221,7 @@ type ingestMetricsDoc struct {
 	WALRotations       uint64                `json:"wal_rotations" prom:"wlq_ingest_wal_rotations_total" help:"WAL segment rotations."`
 	WALSegments        int                   `json:"wal_segments" prom:"wlq_ingest_wal_segments" help:"Live WAL segment files across logs."`
 	WALTornBytes       int64                 `json:"wal_torn_bytes" prom:"wlq_ingest_wal_torn_bytes_total" help:"Bytes truncated as torn tails by recovery scans."`
-	CacheInvalidations uint64                `json:"cache_invalidations" prom:"wlq_ingest_cache_invalidations_total" help:"Cached results dropped by the per-append delta sweep."`
+	CacheInvalidations uint64                `json:"cache_invalidations" prom:"wlq_ingest_cache_invalidations_total" help:"Cached results dropped because a record appended since, or a rebase, can have changed them."`
 	FsyncCount         uint64                `json:"fsync_count"`
 	FsyncSumUS         int64                 `json:"fsync_sum_us"`
 	FsyncDuration      obs.HistogramSnapshot `json:"-" prom:"wlq_ingest_fsync_duration_seconds" help:"WAL fsync latency."`

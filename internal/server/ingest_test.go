@@ -516,3 +516,91 @@ func TestSlowReaderDoesNotStallAppends(t *testing.T) {
 		t.Errorf("blocked query: status %d: %s", w.Code, w.Body)
 	}
 }
+
+// twoLiveLogs serves Figure 3 twice as live logs, "a" and "b", reloading "a"
+// from loadA. stall starts a reload pass and returns once "a" is rebased and
+// the loader is stalled on "b"; finish lets the pass complete.
+func twoLiveLogs(t *testing.T, loadA func() *wlog.Log) (h http.Handler, stall func() (finish func())) {
+	t.Helper()
+	reached, release := make(chan struct{}), make(chan struct{})
+	s := New(Config{Ingest: true, WALDir: t.TempDir(), Loader: func(spec string) (*wlog.Log, error) {
+		if spec == "b" {
+			close(reached)
+			<-release
+			return wlq.ClinicFig3(), nil
+		}
+		return loadA(), nil
+	}})
+	t.Cleanup(func() { s.Close() })
+	for _, name := range []string{"a", "b"} {
+		if err := s.AddLog(name, name, wlq.ClinicFig3()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.Handler(), func() func() {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if _, err := s.ReloadLogs(); err != nil {
+				t.Error(err)
+			}
+		}()
+		<-reached
+		return func() {
+			close(release)
+			<-done
+		}
+	}
+}
+
+// countIn answers a count query on one log.
+func countIn(t *testing.T, h http.Handler, log, query string) queryResponse {
+	t.Helper()
+	var q queryResponse
+	body := `{"log":"` + log + `","query":"` + query + `","mode":"count"}`
+	if rec := postQuery(t, h, body, &q); rec.Code != http.StatusOK {
+		t.Fatalf("%s: status %d: %s", body, rec.Code, rec.Body)
+	}
+	return q
+}
+
+// TestReloadPassServesAcknowledgedAppends: while a reload pass is still
+// loading another log, an append to a log already rebased is acknowledged
+// and must be visible to the next query and inventory at once.
+func TestReloadPassServesAcknowledgedAppends(t *testing.T) {
+	h, stall := twoLiveLogs(t, wlq.ClinicFig3)
+	finish := stall()
+	defer finish()
+	if rec := postAppend(t, h, "a", `{"lsn":21,"wid":3,"seq":3,"act":"CheckIn"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("append: %d: %s", rec.Code, rec.Body)
+	}
+	if q := countIn(t, h, "a", "CheckIn"); q.Count != 3 {
+		t.Errorf("CheckIn count after an acknowledged append = %d, want 3", q.Count)
+	}
+	var logs logsResponse
+	getJSON(t, h, "/v1/logs", &logs)
+	for _, doc := range logs.Logs {
+		if doc.Name == "a" && (doc.Records != 21 || doc.IngestLSN != 21) {
+			t.Errorf("/v1/logs row of a: %d records beside ingest_lsn %d, want 21 and 21", doc.Records, doc.IngestLSN)
+		}
+	}
+}
+
+// TestReloadPassDropsPreRebaseCache: a reload whose snapshot the WAL can
+// follow but whose content differs must not answer from a result cached
+// before the rebase, even while the pass is still loading another log.
+func TestReloadPassDropsPreRebaseCache(t *testing.T) {
+	h, stall := twoLiveLogs(t, func() *wlog.Log {
+		recs := wlq.ClinicFig3().Records()
+		recs[10].Activity = "CheckIn" // wid 1's second SeeDoctor
+		return wlog.MustNew(recs)
+	})
+	if q := countIn(t, h, "a", "CheckIn"); q.Count != 2 {
+		t.Fatalf("CheckIn count before the reload = %d, want 2", q.Count)
+	}
+	finish := stall()
+	defer finish()
+	if q := countIn(t, h, "a", "CheckIn"); q.Count != 3 || q.Cached {
+		t.Errorf("CheckIn count after the rebase = %d (cached %v), want 3 from the new snapshot", q.Count, q.Cached)
+	}
+}

@@ -63,8 +63,8 @@ type metrics struct {
 
 	// Ingest counters owned by the server (the coordinator/WAL counters are
 	// merged in at scrape time, like the cluster section):
-	// ingestInvalidations counts cache entries dropped by the per-append
-	// delta sweep, and fsyncHist is the WAL fsync latency histogram.
+	// ingestInvalidations counts cache entries a live log's request found
+	// stale and dropped, and fsyncHist is the WAL fsync latency histogram.
 	ingestInvalidations atomic.Uint64
 	fsyncHist           *obs.Histogram
 
@@ -206,11 +206,10 @@ type latencyDoc struct {
 // same field — a counter when the family name ends in _total, a gauge
 // otherwise, a histogram for an obs.HistogramSnapshot. A field without a
 // prom tag is JSON-only; the few families derived from non-scalar fields
-// (backend, workers_lost, worker_health, worker_durations, ingest logs, the
+// (workers_lost, worker_health, worker_durations, ingest logs, the
 // per-operator maps) are rendered by hand in prometheus.go.
 type metricsDoc struct {
 	UptimeSeconds      float64 `json:"uptime_seconds" prom:"wlq_uptime_seconds" help:"Seconds since the service started."`
-	Backend            string  `json:"backend"`
 	LogsLoaded         int     `json:"logs_loaded" prom:"wlq_logs_loaded" help:"Workflow logs loaded and indexed."`
 	QueriesTotal       uint64  `json:"queries_total" prom:"wlq_queries_total" help:"Queries received on POST /v1/query."`
 	QueryErrors        uint64  `json:"query_errors" prom:"wlq_query_errors_total" help:"Queries rejected or failed."`
@@ -341,7 +340,6 @@ func (s *Server) metricsSnapshot() metricsDoc {
 	opComparisons, opOutputs := m.operatorTotals()
 	return metricsDoc{
 		UptimeSeconds:       time.Since(m.start).Seconds(),
-		Backend:             s.backendName(),
 		LogsLoaded:          logsLoaded,
 		QueriesTotal:        m.queriesTotal.Load(),
 		QueryErrors:         m.queryErrors.Load(),

@@ -118,18 +118,6 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	writeDeclared(w, reflect.ValueOf(doc))
 
-	one := func(on bool) string {
-		if on {
-			return "1"
-		}
-		return "0"
-	}
-	// Storage backend as a one-hot labeled gauge, so dashboards can select
-	// series by backend without string-valued metrics.
-	writeFamily(w, "wlq_storage_backend", "Active storage backend (one-hot).", "gauge",
-		promSample{label("backend", "row"), one(doc.Backend == "row")},
-		promSample{label("backend", "columnar"), one(doc.Backend == "columnar")})
-
 	// Per-operator Lemma 1 accounting, labeled by operator name.
 	var comps, outs []promSample
 	for _, op := range meteredOps {
@@ -148,7 +136,11 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 		if len(cl.WorkerHealth) > 0 {
 			var breakers []promSample
 			for _, wh := range cl.WorkerHealth {
-				breakers = append(breakers, promSample{label("worker", wh.Worker), one(wh.Breaker != "closed")})
+				open := "0"
+				if wh.Breaker != "closed" {
+					open = "1"
+				}
+				breakers = append(breakers, promSample{label("worker", wh.Worker), open})
 			}
 			writeFamily(w, "wlq_cluster_worker_breaker_open",
 				"Per-worker circuit breaker state (1 = open or half-open).", "gauge", breakers...)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"wlq/internal/cluster"
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
@@ -109,12 +110,13 @@ type queryTail struct {
 // made — so the request path never asks which tier it is on.
 type executor struct {
 	// goroutines is how many goroutines of this process evaluate one query
-	// that asked for the given parallelism (0 = no preference): what the
-	// query holds on the busy_workers gauge while it runs.
-	goroutines func(requested int) int
-	// run evaluates the plan and answers in the given shape; workers is
-	// goroutines' answer.
-	run func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) execution
+	// over the given number of instances that asked for the given parallelism
+	// (0 = no preference): what the query holds on the busy_workers gauge
+	// while it runs.
+	goroutines func(requested, instances int) int
+	// run evaluates the plan over the request's store version and answers
+	// in the given shape; workers is goroutines' answer.
+	run func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) execution
 }
 
 // execution is the one outcome type of the execute stage, whichever tier
@@ -142,12 +144,12 @@ func (s *Server) bindExecutor(e *logEntry) {
 		// failing the query. The failure domains are the workers, and nothing
 		// evaluates locally.
 		e.exec = executor{
-			goroutines: func(int) int { return 0 },
-			run: func(ctx context.Context, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
+			goroutines: func(int, int) int { return 0 },
+			run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.clusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
 				x.answer, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
-					WIDs:     e.ix.WIDs(),
+					WIDs:     src.WIDs(),
 					Strategy: opts.Strategy.String(),
 					Budget:   opts.Budget,
 				}, &x.stats)
@@ -163,15 +165,15 @@ func (s *Server) bindExecutor(e *logEntry) {
 		// Mirrors eval's worker resolution so the gauge matches what
 		// AnswerCtx actually spawns: the configured (or lower requested)
 		// count, capped by the instance count.
-		goroutines: func(requested int) int {
+		goroutines: func(requested, instances int) int {
 			w := s.cfg.Workers
 			if requested > 0 && requested < w {
 				w = requested
 			}
-			return max(min(w, len(e.ix.WIDs())), 1)
+			return max(min(w, instances), 1)
 		},
-		run: func(ctx context.Context, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
-			x.answer, x.err = eval.New(e.ix, opts).AnswerCtx(ctx, plan, e.ix.WIDs(), workers, shape, &x.stats)
+		run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
+			x.answer, x.err = eval.New(src, opts).AnswerCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
 			return x
 		},
 	}
@@ -280,6 +282,8 @@ type queryRun struct {
 	shape    eval.Shape
 	strategy eval.Strategy
 	entry    *logEntry
+	// at is the store version every later stage reads.
+	at *colstore.Store
 	// capture is the request's flight-recorder record, filled in as the
 	// stages learn things and recorded by finish on every exit path.
 	capture flightrec.Capture
@@ -312,31 +316,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	q := &queryRun{s: s, w: w, started: time.Now()}
 	defer q.finish()
-	if !q.decode(r) {
-		return
-	}
-	if q.answerFrozen(r.Context()) {
+	if q.decode(r) && q.plan() && (q.cached || q.execute(r.Context())) {
 		q.respond()
 	}
-}
-
-// answerFrozen runs plan and, on a cache miss, execute. A live log's backend
-// mutates under appends, so it is frozen for planning, evaluation AND the
-// cache put: holding the read lock across the put closes the stale-entry
-// race — an append can only take the write lock (and so run its delta
-// invalidation) after this request's result, computed from the pre-append
-// view, is already in the cache, where the invalidation sweep will find it.
-// The lock is gone before respond writes the body: the answer it reads is
-// immutable, and a client that stops reading must not hold up the appender
-// (and, queued behind the appender, every other query).
-func (q *queryRun) answerFrozen(ctx context.Context) bool {
-	if q.entry.live != nil {
-		mon := q.entry.live.Monitor()
-		mon.RLock()
-		defer mon.RUnlock()
-		q.capture.IngestLSN = mon.LastLSNLocked()
-	}
-	return q.plan() && (q.cached || q.execute(ctx))
 }
 
 // finish runs on EVERY exit path — parse errors, timeouts and evaluation
@@ -364,7 +346,6 @@ func (q *queryRun) finish() {
 	if s.flight != nil && q.req.Query != "" {
 		q.capture.Time = time.Now()
 		q.capture.Query = q.req.Query
-		q.capture.Backend = s.backendName()
 		q.capture.ElapsedUS = elapsed.Microseconds()
 		q.capture.Slow = slow
 		s.flight.Record(q.capture)
@@ -388,7 +369,8 @@ func (q *queryRun) reject(code int, format string, args ...any) bool {
 	return q.fail(flightrec.StatusError, code, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
-// decode reads and validates the request body and resolves the log.
+// decode reads and validates the request body, resolves the log and pins
+// its version.
 func (q *queryRun) decode(r *http.Request) bool {
 	s := q.s
 	r.Body = http.MaxBytesReader(q.w, r.Body, s.cfg.MaxBodyBytes)
@@ -430,6 +412,10 @@ func (q *queryRun) decode(r *http.Request) bool {
 	}
 	q.capture.Log = q.entry.name
 	q.capture.Generation = q.entry.gen
+	q.at = q.entry.pin()
+	if q.entry.live != nil {
+		q.capture.IngestLSN = q.at.LastLSN()
+	}
 	if q.req.Trace || s.flight != nil {
 		q.trace = obs.NewTrace("query")
 	}
@@ -465,7 +451,11 @@ func (q *queryRun) plan() bool {
 	if q.cacheable {
 		// An entry that holds less than the mode needs (a count, asked for
 		// its incidents) is a miss: execute replaces it with a richer one.
-		if e, ok := s.cache.get(q.cacheKey); ok && e.serves(q.shape) {
+		e, ok, stale := s.cache.get(q.cacheKey, q.at)
+		if stale {
+			s.metrics.ingestInvalidations.Add(1)
+		}
+		if ok && e.serves(q.shape) {
 			q.answer, q.cached = e, true
 			s.metrics.cacheHits.Add(1)
 			q.capture.Cached = true
@@ -482,21 +472,19 @@ func (q *queryRun) plan() bool {
 	if !q.req.NoOptimize {
 		sp = q.trace.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.Explain(p, entry.ix)
+		plan, rt = rewrite.Explain(p, q.at)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
-	// The log name and the plan's atoms tag the entry for delta
-	// invalidation under live ingestion: an append drops exactly the
-	// entries whose answers could include the new record.
-	q.answer = &cacheEntry{plan: plan, planText: plan.String(), shape: q.shape, log: entry.name, atoms: pattern.Atoms(plan)}
+	q.answer = &cacheEntry{plan: plan, planText: plan.String(), shape: q.shape, atoms: pattern.Atoms(plan),
+		origin: q.at.Origin(), lsn: q.at.LastLSN()}
 	q.capture.Plan = q.answer.planText
 
 	// Pre-flight admission: the cost model prices the plan the service
 	// will actually run, so queries predicted to blow past the ceiling
 	// are rejected before they consume a single worker.
 	if ceiling := s.cfg.MaxPredictedCost; ceiling > 0 {
-		if predicted := rewrite.NewEstimator(entry.ix).Cost(plan); predicted > ceiling {
+		if predicted := rewrite.NewEstimator(q.at).Cost(plan); predicted > ceiling {
 			s.metrics.costRejected.Add(1)
 			return q.fail(flightrec.StatusError, http.StatusUnprocessableEntity, errorDoc{
 				Error: fmt.Sprintf(
@@ -559,8 +547,9 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	ctx = obs.WithTrace(ctx, q.trace)
 
 	sp := q.trace.StartSpan("eval")
-	workers := entry.exec.goroutines(q.req.Workers)
-	x := s.execute(workers, func() execution { return entry.exec.run(ctx, plan, opts, workers, q.shape) })
+	src := q.at
+	workers := entry.exec.goroutines(q.req.Workers, len(src.WIDs()))
+	x := s.execute(workers, func() execution { return entry.exec.run(ctx, src, plan, opts, workers, q.shape) })
 	s.metrics.recordMeter(meter)
 	if ex := x.answer.Excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
@@ -572,7 +561,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 			for _, e := range ex {
 				s.recordPanic(e.Err, entry.name, q.req.Query)
 			}
-			x.comp = excludedCompleteness(entry.ix.WIDs(), ex)
+			x.comp = excludedCompleteness(src.WIDs(), ex)
 		}
 	}
 	// A partitioned run's coverage goes on the capture whatever the outcome.

@@ -140,9 +140,8 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 				continue
 			}
 			e.live = t.live
-			e.ix = t.live.Monitor().Source()
 		} else {
-			e.ix = colstore.Build(l)
+			e.store = colstore.Build(l)
 		}
 		// The executor is rebuilt with the backend, so it reads the new log.
 		s.bindExecutor(e)

@@ -1,6 +1,6 @@
 // Package server implements wlq-serve: a long-running HTTP query service
-// over workflow logs. It loads logs at startup, builds each one's backend —
-// the columnar store for a snapshot, the ingest monitor for a live log — and
+// over workflow logs. It loads logs at startup into colstore.Store — built
+// once for a snapshot, grown by the ingest monitor for a live log — and
 // serves pattern queries with plan/result caching.
 //
 // Endpoints:
@@ -14,12 +14,13 @@
 //	GET  /readyz      readiness probe (503 until a log is loaded)
 //	GET  /debug/pprof profiling handlers (Config.EnablePprof)
 //
-// A snapshot is immutable after load, so concurrent queries share it without
-// locks and its cached results stay valid until a reload starts a new
-// generation; a live log's cached results are dropped by the appends that
-// could change them. The result cache is an LRU keyed on (log, reload
-// generation, canonicalized pattern): queries equal modulo associativity and
-// commutativity (Theorems 2–3) share one entry.
+// Every store version is immutable, so a request pins one — a snapshot's, or
+// a live log's newest — and reads it without a lock from plan to response.
+// A cached result records the version it was computed from and is served to
+// a later version only while no record appended in between can have changed
+// it; a reload starts a new generation. The result cache is an LRU keyed on
+// (log, reload generation, canonicalized pattern): queries equal modulo
+// associativity and commutativity (Theorems 2–3) share one entry.
 package server
 
 import (
@@ -130,7 +131,7 @@ type Config struct {
 	ProbeInterval time.Duration
 	// Ingest enables durable live ingestion: every registered log accepts
 	// POST /v1/logs/{name}/append, each accepted record is written to a
-	// per-log write-ahead log before it touches the in-memory index, and
+	// per-log write-ahead log before it touches the in-memory store, and
 	// startup/reload replay the WAL so acknowledged records survive a
 	// process kill. Incompatible with WorkerMode and Cluster (a live log's
 	// contents would silently diverge across the fleet). See
@@ -175,29 +176,38 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// logEntry is one loaded (generation of a) log with its prebuilt backend:
-// the columnar store for an immutable snapshot, the ingest monitor's
-// appendable index for a live log (docs/STORAGE.md). An entry is
-// immutable: hot reload replaces the pointer wholesale, so in-flight
-// queries keep the consistent snapshot they resolved at lookup time.
+// logEntry is one loaded (generation of a) log (docs/STORAGE.md). An entry
+// is immutable: hot reload replaces the pointer wholesale, so in-flight
+// queries keep the entry they resolved at lookup time.
 type logEntry struct {
 	name   string
 	source string
-	ix     eval.Source
 	valid  bool
 	reason string // validation error text when !valid
 	gen    uint64 // reload generation; part of the result-cache key
-	// exec is how the entry's queries run (bindExecutor): chosen with the
-	// backend, once per log generation.
+	// exec is how the entry's queries run (bindExecutor), chosen once per
+	// log generation.
 	exec executor
+	// store is a snapshot's store (nil for a live log).
+	store *colstore.Store
 	// live is the log's durable ingest coordinator (nil unless
 	// Config.Ingest). Unlike the rest of the entry it is long-lived shared
 	// state: a hot reload rebases the SAME coordinator onto the fresh
 	// snapshot (replaying its WAL on top) instead of replacing it, so the
-	// WAL file handle and watermark survive reloads. For a live entry, ix is
-	// the coordinator's monitor backend, and the query path brackets every
-	// read of it with the monitor's RLock.
+	// WAL file handle and watermark survive reloads. Its monitor publishes
+	// the live log's versions.
 	live *ingest.Coordinator
+}
+
+// pin returns the store version a request reads, once, for all its
+// stages: the snapshot, or the live log's newest — an atomic load of the
+// coordinator's monitor and one of its store, neither of which waits on an
+// append.
+func (e *logEntry) pin() *colstore.Store {
+	if e.live == nil {
+		return e.store
+	}
+	return e.live.Monitor().Store()
 }
 
 // Server is the query service. Safe for concurrent use; logs are loaded
@@ -285,20 +295,10 @@ func (s *Server) StartClusterProbing(ctx context.Context) {
 	s.coord.StartProbing(ctx, s.cfg.ProbeInterval)
 }
 
-// backendName names the layout that serves this server's logs, for
-// captures and metrics: live logs are answered from the appendable row
-// index, immutable snapshots from the columnar store.
-func (s *Server) backendName() string {
-	if s.cfg.Ingest {
-		return "row"
-	}
-	return "columnar"
-}
-
-// AddLog registers a log under a name and builds its index. source is a
+// AddLog registers a log under a name and builds its store. source is a
 // human-readable origin (file path or generator spec) echoed by /v1/logs.
 // The log's Definition 2 validity is checked and reported, but even an
-// invalid log is served (the index tolerates it; /v1/logs flags it).
+// invalid log is served (the store tolerates it; /v1/logs flags it).
 func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 	if name == "" {
 		return errors.New("server: empty log name")
@@ -327,14 +327,13 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 			return fmt.Errorf("server: log %q: %w", name, err)
 		}
 		e.live = coord
-		e.ix = coord.Monitor().Source()
 		if s.cfg.Logger != nil && (rec.Records > 0 || rec.TornBytes > 0) {
 			s.cfg.Logger.Info("wal recovered", "log", name,
 				"records", rec.Records, "last_lsn", rec.LastLSN,
 				"segments", rec.Segments, "torn_bytes", rec.TornBytes)
 		}
 	} else {
-		e.ix = colstore.Build(l)
+		e.store = colstore.Build(l)
 	}
 	s.bindExecutor(e)
 	s.logs[name] = e
@@ -629,14 +628,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	// The estimator reads activity counts off the backend; freeze a live
-	// log's backend against appends for the duration.
-	if entry.live != nil {
-		mon := entry.live.Monitor()
-		mon.RLock()
-		defer mon.RUnlock()
-	}
-	opt, trace := rewrite.Explain(p, entry.ix)
+	opt, trace := rewrite.Explain(p, entry.pin())
 	steps := trace.Steps
 	if steps == nil {
 		steps = []string{}
@@ -713,26 +705,24 @@ func (s *Server) handleLogs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, logsResponse{Logs: docs})
 }
 
-// inventory fills in the counts of a /v1/logs row from the served index in
-// one pass over its instances — for a live log under the monitor's read
-// lock, so appended records are counted and the watermark matches them.
+// inventory fills in the counts of a /v1/logs row in one pass over the
+// instances of one pinned version, so a live log's watermark matches the
+// records counted.
 func (e *logEntry) inventory(doc *logDoc) {
+	src := e.pin()
 	if e.live != nil {
-		mon := e.live.Monitor()
-		mon.RLock()
-		defer mon.RUnlock()
 		doc.Live = true
-		doc.IngestLSN = mon.LastLSNLocked()
+		doc.IngestLSN = src.LastLSN()
 	}
-	wids := e.ix.WIDs()
+	wids := src.WIDs()
 	for _, wid := range wids {
-		if recs := e.ix.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
+		if recs := src.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
 			doc.CompleteInstances++
 		}
 	}
-	doc.Records = e.ix.TotalRecords()
+	doc.Records = src.TotalRecords()
 	doc.Instances = len(wids)
-	doc.Activities = len(e.ix.Activities())
+	doc.Activities = len(src.Activities())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -110,7 +110,8 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// This worker's part is the slice of its own ascending wid list inside
 	// the interval. The response echoes the member count so the coordinator
 	// can tell a copy of the log that differs from its own.
-	wids := entry.ix.WIDs()
+	src := entry.pin()
+	wids := src.WIDs()
 	lo, _ := slices.BinarySearch(wids, *req.WIDMin)
 	hi, found := slices.BinarySearch(wids, *req.WIDMax)
 	if found {
@@ -129,7 +130,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// query's parallelism. A worker answers all or nothing — an excluded
 	// instance fails its part, which the coordinator retries or reports lost.
 	x := s.execute(1, func() (x execution) {
-		x.answer, x.err = eval.New(entry.ix, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
+		x.answer, x.err = eval.New(src, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
 		x.err = x.answer.Strict(x.err)
 		return x
 	})

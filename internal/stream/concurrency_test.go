@@ -5,13 +5,16 @@ import (
 	"testing"
 
 	"wlq/internal/clinic"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/pattern"
+	"wlq/internal/wlog"
 )
 
 // The Monitor's concurrency contract under the race detector: one writer
-// ingesting a full clinic log while readers hammer Query, the accessors and
-// the RLock/Source window the server's query path uses. Answers read mid-
-// stream must be internally consistent (a frozen view), and the final state
-// must match a serial ingest of the same log.
+// ingesting a full clinic log while readers hammer Query and the accessors
+// and pin versions. A pinned version must be self-consistent and answer as
+// naive Algorithm 1 over the log's first LastLSN() records, and the final
+// state must match a serial ingest of the same log.
 func TestMonitorConcurrentIngestQuery(t *testing.T) {
 	l, err := clinic.Generate(80, 99)
 	if err != nil {
@@ -21,10 +24,11 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 	if err := m.Watch("refer", "GetRefer -> SeeDoctor"); err != nil {
 		t.Fatal(err)
 	}
+	p := pattern.MustParse("GetRefer -> PayTreatment")
+	records := l.Records()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	// Readers: ad-hoc queries, accessors, and the explicit RLock window.
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
@@ -43,14 +47,18 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 				_ = m.Records()
 				_ = m.LastLSN()
 				_ = m.FiredInstances("refer")
-				// The server's pattern: freeze the backend, read it twice;
-				// both reads must agree because appends are locked out.
-				m.RLock()
-				a := m.Source().TotalRecords()
-				b := m.Source().TotalRecords()
-				m.RUnlock()
-				if a != b {
-					t.Errorf("Source changed under RLock: %d then %d", a, b)
+				st := m.Store()
+				n := 0
+				for _, wid := range st.WIDs() {
+					n += st.InstanceLen(wid)
+				}
+				if n != st.TotalRecords() || uint64(n) != st.LastLSN() {
+					t.Errorf("pinned version: %d records over its instances, TotalRecords %d, LastLSN %d", n, st.TotalRecords(), st.LastLSN())
+					return
+				}
+				want := eval.New(eval.NewIndex(wlog.MustNew(records[:n])), eval.Options{Strategy: eval.StrategyNaive}).Eval(p)
+				if got := eval.New(st, eval.Options{}).Eval(p); !got.Equal(want) {
+					t.Errorf("pinned version at lsn %d: %s\noracle over its prefix: %s", n, got, want)
 					return
 				}
 			}
@@ -123,7 +131,7 @@ func TestMonitorValidateDoesNotMutate(t *testing.T) {
 	}
 }
 
-// NewMonitorOn over a pre-loaded backend must continue the lsn and seq
+// NewMonitorOn over a pre-loaded index must continue the lsn and seq
 // sequences where the snapshot ends — the startup path of live ingestion.
 func TestMonitorOnPreloadedBackend(t *testing.T) {
 	l, err := clinic.Generate(10, 3)
@@ -135,12 +143,8 @@ func TestMonitorOnPreloadedBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Preload a fresh backend with the same records, then resume.
-	pre := NewMonitor(nil)
-	if err := pre.IngestLog(l); err != nil {
-		t.Fatal(err)
-	}
-	resumed := NewMonitorOn(nil, pre.backend)
+	// Load an index with the same records, then resume.
+	resumed := NewMonitorOn(nil, eval.NewIndex(l))
 	if resumed.LastLSN() != serial.LastLSN() {
 		t.Fatalf("resumed lsn %d, want %d", resumed.LastLSN(), serial.LastLSN())
 	}

@@ -2,27 +2,28 @@
 // workflow log — the runtime-monitoring use of Figure 2 of the paper, where
 // the execution engine appends to the log while analysts' queries watch it.
 //
-// A Monitor ingests records one at a time (enforcing the Definition 2 log
-// discipline incrementally), maintains the Algorithm 2 index incrementally,
-// and re-evaluates registered watch patterns against only the workflow
-// instance each record extends. Because incidents never span instances
-// (Definition 4), that per-instance re-evaluation is exact: a new record
-// can only create incidents within its own instance.
+// A Monitor ingests records (enforcing the Definition 2 log discipline
+// incrementally), appends them to its colstore.Store copy on write, and
+// re-evaluates registered watch patterns against only the workflow instance
+// each record extends. Because incidents never span instances (Definition 4),
+// that per-instance re-evaluation is exact: a new record can only create
+// incidents within its own instance.
 //
-// Concurrency contract: a Monitor is safe for concurrent use. Ingest takes
-// the write lock; Query, Validate and every accessor take the read lock.
-// Callers that need a stable view across several calls (the server's query
-// path reads the Source for planning, then evaluates, then caches) bracket
-// them with RLock/RUnlock — the backend is immutable while the read lock is
-// held, which is exactly the immutability an eval.Evaluator requires of its
-// Source.
+// Concurrency contract: a Monitor is safe for concurrent use. Each Ingest
+// call publishes one new store version through an atomic pointer; readers —
+// Query, Records, LastLSN, Store — load the current version and read it
+// without a lock, and a version never changes once published, which is the
+// immutability an eval.Evaluator requires of its Source. Writer state (the
+// discipline's bookkeeping, watches and alerts) is under a mutex.
 package stream
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -52,7 +53,7 @@ func (a Alert) String() string {
 }
 
 // Handler receives alerts synchronously during Ingest, while the Monitor's
-// write lock is held; handlers must not call back into the Monitor.
+// writer lock is held; handlers must not call back into the Monitor.
 type Handler func(Alert)
 
 // Ingestion errors.
@@ -76,60 +77,56 @@ type watch struct {
 }
 
 // Monitor incrementally evaluates watches over an append-only log.
-// Safe for concurrent use; see the package comment for the lock contract.
+// Safe for concurrent use; see the package comment for the contract.
 type Monitor struct {
-	mu sync.RWMutex
-	// backend is the Algorithm 2 index, maintained one record at a time;
-	// Append is only called while the write lock is held.
-	backend *eval.Index
-	ev      *eval.Evaluator
+	// cur is the published version: every read loads it once.
+	cur atomic.Pointer[colstore.Store]
+
+	mu      sync.Mutex // writer state below
 	handler Handler
 	watches []*watch
-
 	nextLSN uint64
 	nextSeq map[uint64]uint64
 	ended   map[uint64]struct{}
 	alerts  int
 }
 
-// NewMonitor creates a Monitor over an empty index, delivering alerts to
-// handler (which may be nil when only the Alerts counter and
-// FiredInstances are wanted).
+// NewMonitor creates a Monitor over an empty log, delivering alerts to
+// handler (which may be nil when only the Alerts counter and FiredInstances
+// are wanted).
 func NewMonitor(handler Handler) *Monitor {
-	return NewMonitorOn(handler, eval.NewEmptyIndex())
+	return newMonitor(handler, new(colstore.Store))
 }
 
-// NewMonitorOn creates a Monitor over an existing index — typically one
-// pre-loaded from a base snapshot, so live appends continue where the
-// snapshot ends. nextLSN picks up after the index's newest record.
-func NewMonitorOn(handler Handler, backend *eval.Index) *Monitor {
-	next := uint64(1)
-	nextSeq := make(map[uint64]uint64)
-	ended := make(map[uint64]struct{})
-	for _, wid := range backend.WIDs() {
-		recs := backend.Instance(wid)
-		if len(recs) == 0 {
-			continue
-		}
-		last := recs[len(recs)-1]
-		nextSeq[wid] = last.Seq + 1
-		if last.IsEnd() {
-			ended[wid] = struct{}{}
-		}
-		for _, r := range recs {
-			if r.LSN >= next {
-				next = r.LSN + 1
-			}
-		}
+// NewMonitorOn creates a Monitor over an existing index's records, so live
+// appends continue where that log ends.
+func NewMonitorOn(handler Handler, ix *eval.Index) *Monitor {
+	var recs []wlog.Record
+	for _, wid := range ix.WIDs() {
+		recs = append(recs, ix.Instance(wid)...)
 	}
-	return &Monitor{
-		backend: backend,
-		ev:      eval.New(backend, eval.Options{}),
+	return newMonitor(handler, new(colstore.Store).Append(recs...))
+}
+
+// newMonitor publishes st and derives the discipline's bookkeeping from it:
+// the next lsn after its newest, and each instance's next is-lsn and END.
+func newMonitor(handler Handler, st *colstore.Store) *Monitor {
+	m := &Monitor{
 		handler: handler,
-		nextLSN: next,
-		nextSeq: nextSeq,
-		ended:   ended,
+		nextLSN: st.LastLSN() + 1,
+		nextSeq: make(map[uint64]uint64),
+		ended:   make(map[uint64]struct{}),
 	}
+	for _, wid := range st.WIDs() {
+		recs := st.Instance(wid)
+		last := recs[len(recs)-1]
+		m.nextSeq[wid] = last.Seq + 1
+		if last.IsEnd() {
+			m.ended[wid] = struct{}{}
+		}
+	}
+	m.cur.Store(st)
+	return m
 }
 
 // Watch registers a named pattern. Watches alert at most once per workflow
@@ -157,8 +154,8 @@ func (m *Monitor) Watch(name, query string) error {
 
 // WatchNames returns the registered watch names in registration order.
 func (m *Monitor) WatchNames() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	names := make([]string, len(m.watches))
 	for i, w := range m.watches {
 		names[i] = w.name
@@ -167,7 +164,7 @@ func (m *Monitor) WatchNames() []string {
 }
 
 // validateLocked checks r against the Definition 2 discipline without
-// mutating anything. Caller holds at least the read lock.
+// mutating anything. Caller holds the lock.
 func (m *Monitor) validateLocked(r wlog.Record) error {
 	if r.LSN != m.nextLSN {
 		return fmt.Errorf("%w: got %d, want %d", ErrBadLSN, r.LSN, m.nextLSN)
@@ -194,72 +191,89 @@ func (m *Monitor) validateLocked(r wlog.Record) error {
 // Validate and Ingest — so the ingest coordinator calls it while externally
 // serialized.
 func (m *Monitor) Validate(r wlog.Record) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.validateLocked(r)
 }
 
-// Ingest appends one record, enforcing the log discipline, and evaluates
-// every not-yet-fired watch against the record's instance.
-func (m *Monitor) Ingest(r wlog.Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.validateLocked(r); err != nil {
-		return err
-	}
-
-	m.backend.Append(r)
-	m.nextLSN++
-	m.nextSeq[r.WID] = r.Seq + 1
-	if r.IsEnd() {
-		m.ended[r.WID] = struct{}{}
-	}
-
-	for _, w := range m.watches {
-		if _, fired := w.firedIn[r.WID]; fired {
-			continue
-		}
-		set := m.ev.EvalInstance(w.p, r.WID)
-		if set.Len() == 0 {
-			continue
-		}
-		w.firedIn[r.WID] = struct{}{}
-		m.alerts++
-		if m.handler != nil {
-			m.handler(Alert{
-				Watch:    w.name,
-				Query:    w.query,
-				WID:      r.WID,
-				LSN:      r.LSN,
-				Incident: set.At(0),
-			})
-		}
-	}
-	return nil
+// Ingest appends records in order, enforcing the log discipline, evaluates
+// every not-yet-fired watch against each record's instance, and publishes
+// one new version. At the first record the discipline refuses it stops and
+// returns the refusal; the records before it stay ingested.
+func (m *Monitor) Ingest(recs ...wlog.Record) error {
+	_, err := m.ingest(recs)
+	return err
 }
 
 // IngestLog replays an entire log through the monitor.
 func (m *Monitor) IngestLog(l *wlog.Log) error {
-	for i := 0; i < l.Len(); i++ {
-		if err := m.Ingest(l.Record(i)); err != nil {
-			return fmt.Errorf("record %d: %w", i+1, err)
-		}
+	n, err := m.ingest(l.Records())
+	if err != nil {
+		return fmt.Errorf("record %d: %w", n+1, err)
 	}
 	return nil
 }
 
+// ingest is Ingest, reporting how many records it applied. Without watches
+// the accepted records are appended in one go, so loading a log is linear
+// in it; a watch needs the version after each record.
+func (m *Monitor) ingest(recs []wlog.Record) (int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	st := m.cur.Load()
+	n := 0
+	var err error
+	for ; n < len(recs); n++ {
+		r := recs[n]
+		if err = m.validateLocked(r); err != nil {
+			break
+		}
+		m.nextLSN++
+		m.nextSeq[r.WID] = r.Seq + 1
+		if r.IsEnd() {
+			m.ended[r.WID] = struct{}{}
+		}
+		if len(m.watches) == 0 {
+			continue
+		}
+		// A watch is evaluated over the version r completed, against r's
+		// instance only.
+		st = st.Append(r)
+		ev := eval.New(st, eval.Options{})
+		for _, w := range m.watches {
+			if _, fired := w.firedIn[r.WID]; fired {
+				continue
+			}
+			set := ev.EvalInstance(w.p, r.WID)
+			if set.Len() == 0 {
+				continue
+			}
+			w.firedIn[r.WID] = struct{}{}
+			m.alerts++
+			if m.handler != nil {
+				m.handler(Alert{Watch: w.name, Query: w.query, WID: r.WID, LSN: r.LSN, Incident: set.At(0)})
+			}
+		}
+	}
+	if len(m.watches) == 0 {
+		st = st.Append(recs[:n]...)
+	}
+	m.cur.Store(st)
+	return n, err
+}
+
 // Alerts returns how many alerts have been raised in total.
 func (m *Monitor) Alerts() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	return m.alerts
 }
 
 // FiredInstances returns how many instances the named watch has alerted
 // for (0 for unknown names).
 func (m *Monitor) FiredInstances(name string) int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, w := range m.watches {
 		if w.name == name {
 			return len(w.firedIn)
@@ -268,37 +282,15 @@ func (m *Monitor) FiredInstances(name string) int {
 	return 0
 }
 
+// Store returns the current version: everything ingested so far, immutable,
+// read without a lock however long the caller holds it.
+func (m *Monitor) Store() *colstore.Store { return m.cur.Load() }
+
 // Records returns the number of records ingested so far.
-func (m *Monitor) Records() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.backend.TotalRecords()
-}
+func (m *Monitor) Records() int { return m.Store().TotalRecords() }
 
 // LastLSN returns the lsn of the newest ingested record (0 when empty).
-func (m *Monitor) LastLSN() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.nextLSN - 1
-}
-
-// Source exposes the backend for read-only planning and evaluation. The
-// caller must hold the Monitor's read lock (RLock) for the whole time it
-// reads the Source — the lock is what makes the Source "immutable" in the
-// sense eval.Evaluator requires.
-func (m *Monitor) Source() eval.Source { return m.backend }
-
-// LastLSNLocked returns the watermark without acquiring the lock. The
-// caller must already hold RLock: re-acquiring the read lock while holding
-// it can deadlock behind a queued writer (sync.RWMutex is not reentrant).
-func (m *Monitor) LastLSNLocked() uint64 { return m.nextLSN - 1 }
-
-// RLock takes the Monitor's read lock, freezing the backend against
-// appends; pair with RUnlock.
-func (m *Monitor) RLock() { m.mu.RLock() }
-
-// RUnlock releases RLock.
-func (m *Monitor) RUnlock() { m.mu.RUnlock() }
+func (m *Monitor) LastLSN() uint64 { return m.Store().LastLSN() }
 
 // Query evaluates an ad-hoc pattern over everything ingested so far.
 func (m *Monitor) Query(query string) (*incident.Set, error) {
@@ -306,9 +298,7 @@ func (m *Monitor) Query(query string) (*incident.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.ev.Eval(p), nil
+	return eval.New(m.Store(), eval.Options{}).Eval(p), nil
 }
 
 // Unwatch removes a registered watch; it reports whether the name existed.

@@ -51,11 +51,9 @@ var allowed = map[string]string{
 	"wlq/internal/core/pattern.Choice":        "as Consecutive",
 	"wlq/internal/core/pattern.Parallel":      "as Consecutive",
 	// Accessors tests assert through.
-	"wlq/internal/colstore.Store.Symbols":     "the symbol table, for the out-of-range probe test",
-	"wlq/internal/colstore.SymbolTable.Name":  "symbol -> name, asserted by the interning tests",
-	"wlq/internal/colstore.SymbolTable.Len":   "as Name",
-	"wlq/internal/ingest.Coordinator.LastLSN": "what the crash-recovery tests compare after a reopen",
-	"wlq/internal/server.Server.Coordinator":  "the cluster tests read fan-out stats and drive probes through it",
+	"wlq/internal/colstore.SymbolTable.Name": "symbol -> name, asserted by the interning tests",
+	"wlq/internal/colstore.SymbolTable.Len":  "as Name",
+	"wlq/internal/server.Server.Coordinator": "the cluster tests read fan-out stats and drive probes through it",
 }
 
 type pkg struct {

@@ -275,9 +275,8 @@ func WithBudget(b Budget) Option {
 	return func(e *Engine) { e.budget = b }
 }
 
-// NewEngine indexes the log and returns a query engine. A Log is an
-// immutable snapshot, so it is served from the columnar store
-// (internal/colstore; see docs/STORAGE.md).
+// NewEngine indexes the log and returns a query engine, served from the
+// one store layout (internal/colstore; see docs/STORAGE.md).
 func NewEngine(l *Log, opts ...Option) *Engine {
 	e := &Engine{
 		log:      l,
