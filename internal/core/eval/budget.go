@@ -162,14 +162,14 @@ func SetEvalHook(h func(wid uint64)) {
 	evalHook.Store(&h)
 }
 
-// safeInstance evaluates one instance — counting it when handed a counter,
-// enumerating its incidents otherwise — under the worker isolation boundary:
+// safeInstance evaluates one instance — counting it when counted, enumerating
+// its incidents into sc otherwise — under the worker isolation boundary:
 // a budgetAbort panic becomes its typed *BudgetError, any other panic — a
 // genuine bug, or an injected fault — becomes a *resilience.PanicError with
 // an incident id and the captured stack. One poisoned instance evaluation
 // excludes that instance from one answer; the rest of the scan, the process,
 // and the other queries in flight keep going.
-func (e *Evaluator) safeInstance(prog program, vals [][]incident.Incident, ctr *counter, wid uint64, bs *budgetState) (n int, incs []incident.Incident, err error) {
+func (e *Evaluator) safeInstance(sc *scratch, counted bool, wid uint64, bs *budgetState) (n int, incs []incident.Incident, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -182,9 +182,9 @@ func (e *Evaluator) safeInstance(prog program, vals [][]incident.Incident, ctr *
 	if h := evalHook.Load(); h != nil {
 		(*h)(wid)
 	}
-	if ctr != nil {
-		return e.countInstance(ctr, wid, bs), nil, nil
+	if counted {
+		return e.countInstance(sc, wid, bs), nil, nil
 	}
-	incs = e.evalInstance(prog, vals, wid, bs)
+	incs = e.evalInstance(sc, wid, bs)
 	return len(incs), incs, nil
 }

@@ -122,44 +122,13 @@ type summary struct {
 	has   uint8
 }
 
-// counter is what one goroutine of a counting scan reuses from instance to
-// instance: a summary and its buffers per step, and the meter's counters as
-// plain integers, folded into the shared atomic ones once per chunk.
-type counter struct {
-	prog  program
-	steps []stepScratch
-}
-
-type stepScratch struct {
-	val   summary
-	pos   []uint64 // backs val.pos: a complement, a guarded atom's matches, a union
-	spans []span   // backs val.spans
-	// left and right are the operand summaries as span lists where they are
-	// not kept that way (positions; a repeated sub-pattern's richer spans);
-	// sums the running totals the join weighs one side by.
-	left, right []span
-	sums        []uint64
-	tally       nodeTally
-}
-
-func newCounter(prog program) *counter {
-	return &counter{prog: prog, steps: make([]stepScratch, len(prog))}
-}
-
-// flush adds the tallies to the meter.
-func (c *counter) flush() {
-	for i := range c.steps {
-		c.prog[i].nm.add(&c.steps[i].tally)
-	}
-}
-
 // countInstance is evalInstance for a countable program: one pass over the
 // steps, each left as a summary instead of a slice of incidents. It returns
 // the number of incidents of the plan in the instance. Summary joins tally
 // their probes and pair tests like the enumerating joins do, so the
 // comparison and wall-time budgets bound a pathological count; there is no
 // produced incident for the outputs and result-size budgets to bound.
-func (e *Evaluator) countInstance(c *counter, wid uint64, bs *budgetState) int {
+func (e *Evaluator) countInstance(c *scratch, wid uint64, bs *budgetState) int {
 	for i := range c.prog {
 		st, sc := &c.prog[i], &c.steps[i]
 		switch {
@@ -190,7 +159,7 @@ func (e *Evaluator) countInstance(c *counter, wid uint64, bs *budgetState) int {
 // apply counts one operator step from its operands' summaries into the
 // step's own (field by field: a summary is eight words, and this runs per
 // step per instance).
-func (c *counter) apply(i int, l, r *summary, cnt *opCount) {
+func (c *scratch) apply(i int, l, r *summary, cnt *opCount) {
 	st, sc := &c.prog[i], &c.steps[i]
 	v := &sc.val
 	v.n = 0
@@ -226,7 +195,7 @@ func (c *counter) apply(i int, l, r *summary, cnt *opCount) {
 // that a loop over the pairs; otherwise one side is weighed against running
 // totals of the other, found by binary search. The result is not normalized;
 // with nothing to report (need 0) it is one span holding the total.
-func (c *counter) orderedSpans(sc *stepScratch, st *step, l, r *summary, cnt *opCount) []span {
+func (c *scratch) orderedSpans(sc *stepScratch, st *step, l, r *summary, cnt *opCount) []span {
 	left, right, out := asSpans(l, &sc.left), asSpans(r, &sc.right), sc.spans[:0]
 	switch {
 	case st.need&needLast == 0:

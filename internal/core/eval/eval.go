@@ -185,64 +185,116 @@ func (e *Evaluator) compile(p pattern.Node) program {
 	return prog
 }
 
-// evalInstance is Algorithm 2 restricted to one workflow instance: one pass
-// over the program, each step's normalized incidents written to vals (one
-// slot per step, reused from instance to instance). It returns the root's.
-func (e *Evaluator) evalInstance(prog program, vals [][]incident.Incident, wid uint64, bs *budgetState) []incident.Incident {
-	for i := range prog {
-		st := &prog[i]
-		switch {
-		case st.alias >= 0:
-			st.nm.recordMemoHit()
-			vals[i] = vals[st.alias]
-		case st.atom != nil:
-			vals[i] = e.evalAtom(st, wid)
-		case st.nm == nil && bs == nil:
-			vals[i] = e.applyOp(st.op, vals[st.left], vals[st.right], nil)
-		default:
-			left, right := vals[st.left], vals[st.right]
-			cnt := opCount{bs: bs}
-			out := e.applyOp(st.op, left, right, &cnt)
-			st.nm.recordOp(len(left), len(right), cnt.comparisons, len(out))
-			// Budget checks come after the meter update so an abort's
-			// partial cost table includes every completed operator.
-			cnt.flushBudget()
-			bs.addOutputs(len(out))
-			vals[i] = out
-		}
-	}
-	return vals[len(prog)-1]
+// scratch is what one goroutine of a scan reuses from instance to instance:
+// per step, the incidents an enumerated instance leaves there or the summary
+// a counted one does (count.go), the buffers behind them, and the meter's
+// counters as plain integers, folded into the shared atomic ones once per
+// chunk; and the slab the joins carve is-lsn values from.
+//
+// Everything an enumerated instance writes here is dead once the next
+// instance starts, except what scan copies out of the root first: by
+// Definition 4 no incident spans two instances. The program is in post-order,
+// so an instance writes each step before a later step reads it, and every
+// buffer is refilled from its start — which also holds after an instance
+// whose evaluation panicked halfway.
+type scratch struct {
+	prog  program
+	steps []stepScratch
+	seqs  incident.Slab // reset as each enumerated instance starts
 }
 
-// applyOp dispatches OPERATOR-EVAL to the configured join family. cnt, when
-// non-nil, tallies the join's record-level comparison work.
-func (e *Evaluator) applyOp(op pattern.Op, left, right []incident.Incident, cnt *opCount) []incident.Incident {
+type stepScratch struct {
+	// incs is the step's incidents in an enumerated instance: the step's own
+	// buffer for an atom or an operator, its first occurrence's for an alias.
+	incs []incident.Incident
+	// val is the step's summary in a counted instance.
+	val   summary
+	pos   []uint64 // an atom's complement or guarded matches; backs val.pos for a union
+	spans []span   // backs val.spans
+	// left and right are the operand summaries as span lists where they are
+	// not kept that way (positions; a repeated sub-pattern's richer spans);
+	// sums the running totals the join weighs one side by.
+	left, right []span
+	sums        []uint64
+	tally       nodeTally
+}
+
+func newScratch(prog program) *scratch {
+	return &scratch{prog: prog, steps: make([]stepScratch, len(prog))}
+}
+
+// flush adds the tallies to the meter.
+func (sc *scratch) flush() {
+	for i := range sc.steps {
+		sc.prog[i].nm.add(&sc.steps[i].tally)
+	}
+}
+
+// evalInstance is Algorithm 2 restricted to one workflow instance: one pass
+// over the program, each step's normalized incidents written into its own
+// buffer in sc. It returns the root's, which live in sc and the source's
+// postings until the next instance starts.
+func (e *Evaluator) evalInstance(sc *scratch, wid uint64, bs *budgetState) []incident.Incident {
+	sc.seqs.Reset()
+	for i := range sc.prog {
+		st, ss := &sc.prog[i], &sc.steps[i]
+		switch {
+		case st.alias >= 0:
+			ss.incs = sc.steps[st.alias].incs
+			if st.nm != nil {
+				ss.tally.memoHits++
+			}
+		case st.atom != nil:
+			ss.incs = e.evalAtom(st, ss, wid)
+		default:
+			left, right := sc.steps[st.left].incs, sc.steps[st.right].incs
+			var cnt *opCount // nil: nothing to tally
+			if st.nm != nil || bs != nil {
+				cnt = &opCount{bs: bs}
+			}
+			ss.incs = e.applyOp(st.op, ss.incs[:0], left, right, &sc.seqs, cnt)
+			if st.nm != nil {
+				ss.tally.recordOp(st.nm, uint64(len(left)), uint64(len(right)), cnt.comparisons, uint64(len(ss.incs)))
+			}
+			// Budget checks come after the tally so an abort's partial cost
+			// table includes every completed operator.
+			cnt.flushBudget()
+			bs.addOutputs(len(ss.incs))
+		}
+	}
+	return sc.steps[len(sc.prog)-1].incs
+}
+
+// applyOp dispatches OPERATOR-EVAL to the configured join family, writing
+// into out. cnt, when non-nil, tallies the join's record-level comparison
+// work.
+func (e *Evaluator) applyOp(op pattern.Op, out, left, right []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	// Empty inputs: only choice can still produce incidents.
 	if op != pattern.OpChoice && (len(left) == 0 || len(right) == 0) {
-		return nil
+		return out
 	}
 	naive := e.opts.Strategy == StrategyNaive
 	switch op {
 	case pattern.OpConsecutive:
 		if naive {
-			return naiveConsecutive(left, right, cnt)
+			return naiveConsecutive(out, left, right, seqs, cnt)
 		}
-		return mergeConsecutive(left, right, cnt)
+		return mergeConsecutive(out, left, right, seqs, cnt)
 	case pattern.OpSequential:
 		if naive {
-			return naiveSequential(left, right, cnt)
+			return naiveSequential(out, left, right, seqs, cnt)
 		}
-		return mergeSequential(left, right, cnt)
+		return mergeSequential(out, left, right, seqs, cnt)
 	case pattern.OpChoice:
 		if naive {
-			return naiveChoice(left, right, cnt)
+			return naiveChoice(out, left, right, cnt)
 		}
-		return mergeChoice(left, right, cnt)
+		return mergeChoice(out, left, right, cnt)
 	case pattern.OpParallel:
 		if naive {
-			return naiveParallel(left, right, cnt)
+			return naiveParallel(out, left, right, seqs, cnt)
 		}
-		return mergeParallel(left, right, cnt)
+		return mergeParallel(out, left, right, seqs, cnt)
 	default:
 		panic(fmt.Sprintf("eval: unknown operator %v", op))
 	}
@@ -263,7 +315,8 @@ func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
 // merge, not a scan of record contents). Guards, when present, filter the
 // matching records (extension) — the only case that touches a record.
 // candidates is the number of positions the guards were put to. The list is
-// the backend's own slice or lives in *buf, which is reused.
+// the backend's own slice, which the evaluator's atom incidents are views of,
+// or lives in *buf, which is reused from instance to instance.
 func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64, candidates int) {
 	a := st.atom
 	seqs = e.postings(st, wid)
@@ -295,15 +348,18 @@ func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64
 	return seqs, candidates
 }
 
-// evalAtom wraps an atom's matching records as singleton incidents.
-func (e *Evaluator) evalAtom(st *step, wid uint64) []incident.Incident {
-	var buf []uint64
-	seqs, candidates := e.atomSeqs(st, wid, &buf)
-	out := make([]incident.Incident, len(seqs))
-	for i, s := range seqs {
-		out[i] = incident.Singleton(wid, s)
+// evalAtom answers an atom as singleton incidents into the step's buffer,
+// each a one-element view of atomSeqs' list: the source's posting list, or
+// the step's own buffer of matches.
+func (e *Evaluator) evalAtom(st *step, ss *stepScratch, wid uint64) []incident.Incident {
+	seqs, candidates := e.atomSeqs(st, wid, &ss.pos)
+	out := ss.incs[:0]
+	for k := range seqs {
+		out = append(out, incident.Adopt(wid, seqs[k:k+1:k+1]))
 	}
-	st.nm.recordAtom(candidates, len(out))
+	if st.nm != nil {
+		ss.tally.recordAtom(candidates, len(out))
+	}
 	return out
 }
 

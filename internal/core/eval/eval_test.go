@@ -69,7 +69,7 @@ func abab(t *testing.T) *wlog.Log {
 
 func TestAtomicPositive(t *testing.T) {
 	got := evalStr(t, abab(t), "A")
-	wantSet(t, got, incident.Singleton(1, 2), incident.Singleton(1, 4))
+	wantSet(t, got, incident.New(1, 2), incident.New(1, 4))
 }
 
 func TestAtomicNoMatch(t *testing.T) {
@@ -81,7 +81,7 @@ func TestAtomicNegated(t *testing.T) {
 	// !A matches START(1), B(3), B(5) — negation includes START records.
 	got := evalStr(t, abab(t), "!A")
 	wantSet(t, got,
-		incident.Singleton(1, 1), incident.Singleton(1, 3), incident.Singleton(1, 5))
+		incident.New(1, 1), incident.New(1, 3), incident.New(1, 5))
 }
 
 func TestConsecutive(t *testing.T) {
@@ -112,15 +112,15 @@ func TestSequentialNotCommutative(t *testing.T) {
 func TestChoice(t *testing.T) {
 	got := evalStr(t, abab(t), "A | B")
 	wantSet(t, got,
-		incident.Singleton(1, 2), incident.Singleton(1, 3),
-		incident.Singleton(1, 4), incident.Singleton(1, 5))
+		incident.New(1, 2), incident.New(1, 3),
+		incident.New(1, 4), incident.New(1, 5))
 }
 
 func TestChoiceDeduplicates(t *testing.T) {
 	// A | A must yield each incident of A exactly once (Definition 4 makes
 	// incident sets true sets; Section 3.1 discusses this duplicate check).
 	got := evalStr(t, abab(t), "A | A")
-	wantSet(t, got, incident.Singleton(1, 2), incident.Singleton(1, 4))
+	wantSet(t, got, incident.New(1, 2), incident.New(1, 4))
 }
 
 func TestParallel(t *testing.T) {
@@ -191,10 +191,10 @@ func TestGuardedAtom(t *testing.T) {
 	}
 	l := b.MustBuild()
 	got := evalStr(t, l, "GetRefer[balance>5000]")
-	wantSet(t, got, incident.Singleton(1, 3))
+	wantSet(t, got, incident.New(1, 3))
 
 	all := evalStr(t, l, "GetRefer")
-	wantSet(t, all, incident.Singleton(1, 2), incident.Singleton(1, 3))
+	wantSet(t, all, incident.New(1, 2), incident.New(1, 3))
 }
 
 func TestGuardedNegatedAtom(t *testing.T) {
@@ -209,7 +209,7 @@ func TestGuardedNegatedAtom(t *testing.T) {
 	l := b.MustBuild()
 	// Records that are not A and have x defined: only B.
 	got := evalStr(t, l, "!A[x?]")
-	wantSet(t, got, incident.Singleton(1, 3))
+	wantSet(t, got, incident.New(1, 3))
 }
 
 func TestExists(t *testing.T) {
@@ -346,7 +346,7 @@ func bruteForce(ix *Index, p pattern.Node, wid uint64) *incident.Set {
 				match = !match
 			}
 			if match {
-				out = append(out, incident.Singleton(wid, r.Seq))
+				out = append(out, incident.New(wid, r.Seq))
 			}
 		}
 		return incident.NewSet(out...)

@@ -1,0 +1,132 @@
+package eval_test
+
+import (
+	"context"
+	"math"
+	"slices"
+	"sync"
+	"testing"
+
+	"wlq/internal/clinic"
+	"wlq/internal/colstore"
+	"wlq/internal/core/eval"
+	"wlq/internal/core/pattern"
+	"wlq/internal/wlog"
+)
+
+// lifetimeQuery is enumerated (⊗ over sequences is uncountable) and mixes
+// what an incident's is-lsns can live in while an instance is evaluated:
+// posting-list views (the atoms), a negated atom's buffer, and join output.
+const lifetimeQuery = "(GetRefer -> SeeDoctor) | (SeeDoctor . !GetRefer)"
+
+// TestIncidentsAnswerOutlivesItsScan: an incidents answer is its own — it
+// reads the same after a second query on the same store, after an append to
+// the wids it covers, and after 8 queries run at once (the race detector
+// watches the last) — and it does not alias the source: overwriting every
+// posting list the evaluation was handed leaves it as it was.
+func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
+	ctx := context.Background()
+	l, err := clinic.Generate(300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	p := pattern.MustParse(lifetimeQuery)
+	for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+		e := eval.New(cs, eval.Options{Strategy: strat})
+		a, err := e.AnswerCtx(ctx, p, cs.WIDs(), 3, eval.ShapeIncidents, nil)
+		if err != nil || a.Set.Len() == 0 {
+			t.Fatalf("%v: %s = %+v, %v", strat, p, a, err)
+		}
+		want := a.Set.String()
+		unchanged := func(after string) {
+			t.Helper()
+			if got := a.Set.String(); got != want {
+				t.Fatalf("%v: the answer changed after %s", strat, after)
+			}
+		}
+
+		if _, err := e.AnswerCtx(ctx, pattern.MustParse("SeeDoctor & !PayTreatment"), cs.WIDs(), 3, eval.ShapeIncidents, nil); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("a second query on the same store")
+
+		var recs []wlog.Record
+		for i, wid := range cs.WIDs() {
+			recs = append(recs, wlog.Record{LSN: cs.LastLSN() + uint64(i) + 1, WID: wid, Seq: uint64(cs.InstanceLen(wid)) + 1, Activity: clinic.ActSeeDoctor})
+		}
+		grown := cs.Append(recs...)
+		if _, err := eval.New(grown, eval.Options{Strategy: strat}).AnswerCtx(ctx, p, grown.WIDs(), 3, eval.ShapeIncidents, nil); err != nil {
+			t.Fatal(err)
+		}
+		unchanged("an append to the same wids")
+
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				b, err := e.AnswerCtx(ctx, p, cs.WIDs(), 2, eval.ShapeIncidents, nil)
+				if err != nil || !b.Set.Equal(a.Set) {
+					t.Errorf("%v: a concurrent query answered %d incidents, %v; want %d", strat, b.Count, err, a.Count)
+				}
+			}()
+		}
+		wg.Wait()
+		unchanged("8 concurrent queries")
+
+		// Incidents built by joins, and atoms' views of the postings.
+		for _, q := range []string{lifetimeQuery, "SeeDoctor | GetRefer"} {
+			src := &scribbledSource{Source: cs}
+			b, err := eval.New(src, eval.Options{Strategy: strat}).AnswerCtx(ctx, pattern.MustParse(q), cs.WIDs(), 3, eval.ShapeIncidents, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := b.Set.String()
+			src.scribble()
+			if b.Set.String() != before {
+				t.Fatalf("%v: the answer to %s aliases the posting lists it was built from", strat, q)
+			}
+		}
+	}
+}
+
+// scribbledSource hands out every posting list as a copy it remembers, so a
+// test can overwrite all of them once the evaluation that read them is over.
+type scribbledSource struct {
+	eval.Source
+	mu     sync.Mutex
+	handed [][]uint64
+}
+
+func (s *scribbledSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
+	seqs := slices.Clone(s.Source.ActivitySeqsSym(wid, sym))
+	s.mu.Lock()
+	s.handed = append(s.handed, seqs)
+	s.mu.Unlock()
+	return seqs
+}
+
+func (s *scribbledSource) scribble() {
+	for _, seqs := range s.handed {
+		for i := range seqs {
+			seqs[i] = math.MaxUint64
+		}
+	}
+}
+
+// TestPoisonedInstanceKeepsNothing: in one goroutine's chunk, an instance
+// that panics halfway — after its atoms and first joins wrote the scratch —
+// between two healthy ones adds none of its incidents to the answer, and the
+// healthy ones after it answer as if it had not run.
+func TestPoisonedInstanceKeepsNothing(t *testing.T) {
+	l := traceLog(t,
+		[]string{"A", "B", "A", "B"},
+		[]string{"A", "B", "A", "B", "A", "B", "A"},
+		[]string{"B", "A", "B"})
+	for _, q := range []string{"A -> B", "(A -> B) & (A . B)", "(A -> B) | (B -> A)", "!A -> B"} {
+		p := pattern.MustParse(q)
+		want := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive}).Eval(p)
+		assertExclusions(t, l, p, want, l.WIDs()[1:2])
+	}
+}

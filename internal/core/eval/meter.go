@@ -21,8 +21,10 @@ import (
 // predicted cost table (surfaced by internal/obs and the query service).
 //
 // Counters are atomic: the meter is shared by the workers of a parallel
-// evaluation without locks. The overhead per operator application is a
-// handful of atomic adds, negligible next to the join.
+// evaluation without locks. A worker does not touch them per operator
+// application: it tallies each node's work in plain integers (nodeTally)
+// and adds the tallies to the counters once, when its chunk of instances
+// ends — also when the chunk ends in a failure.
 
 // Meter collects per-node evaluation metrics for one plan. Build it with
 // NewMeter over the exact pattern tree passed to the evaluator (a slot
@@ -99,50 +101,14 @@ func predictedBound(op pattern.Op, n1, n2 uint64, k1, k2 int) uint64 {
 	}
 }
 
-// recordOp accumulates one operator application over one instance. Like
-// the other record methods it is a no-op on a nil slot.
-func (nm *NodeMetrics) recordOp(n1, n2 int, comparisons uint64, outputs int) {
-	if nm == nil {
-		return
-	}
-	nm.evals.Add(1)
-	nm.leftInputs.Add(uint64(n1))
-	nm.rightInputs.Add(uint64(n2))
-	nm.comparisons.Add(comparisons)
-	nm.outputs.Add(uint64(outputs))
-	nm.predicted.Add(predictedBound(nm.op, uint64(n1), uint64(n2), nm.k1, nm.k2))
-}
-
-// recordAtom accumulates one atomic lookup over one instance: candidates is
-// the number of index positions examined (the linear materialization work,
-// which is also the predicted bound for an atom), outputs the matches kept
-// after guards.
-func (nm *NodeMetrics) recordAtom(candidates, outputs int) {
-	if nm == nil {
-		return
-	}
-	nm.evals.Add(1)
-	nm.comparisons.Add(uint64(candidates))
-	nm.outputs.Add(uint64(outputs))
-	nm.predicted.Add(uint64(candidates))
-}
-
-// recordMemoHit notes an evaluation answered from an earlier occurrence of
-// the same sub-pattern (no join work was performed; no other counter moves).
-func (nm *NodeMetrics) recordMemoHit() {
-	if nm != nil {
-		nm.memoHits.Add(1)
-	}
-}
-
 // nodeTally is a node's counters as plain integers: what one goroutine's
-// counted instances (count.go) add to the node, folded into the atomic
-// counters once per chunk instead of seven atomic adds per step per instance.
+// instances add to the node, folded into the atomic counters once per chunk
+// instead of a handful of atomic adds per step per instance.
 type nodeTally struct {
 	evals, memoHits, leftInputs, rightInputs, comparisons, outputs, predicted uint64
 }
 
-// recordOp is NodeMetrics.recordOp into the tally.
+// recordOp accumulates one operator application over one instance.
 func (t *nodeTally) recordOp(nm *NodeMetrics, n1, n2, comparisons, outputs uint64) {
 	t.evals++
 	t.leftInputs += n1
@@ -152,7 +118,10 @@ func (t *nodeTally) recordOp(nm *NodeMetrics, n1, n2, comparisons, outputs uint6
 	t.predicted += predictedBound(nm.op, n1, n2, nm.k1, nm.k2)
 }
 
-// recordAtom is NodeMetrics.recordAtom into the tally.
+// recordAtom accumulates one atomic lookup over one instance: candidates is
+// the number of index positions examined (the linear materialization work,
+// which is also the predicted bound for an atom), outputs the matches kept
+// after guards.
 func (t *nodeTally) recordAtom(candidates, outputs int) {
 	t.evals++
 	t.comparisons += uint64(candidates)

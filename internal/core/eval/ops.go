@@ -10,7 +10,9 @@ import (
 // The operator evaluation functions below work on the incidents of a single
 // workflow instance, sorted by first() as Section 3.1 assumes ("these sets
 // are further assumed to be sorted by the value of the first function").
-// Each returns a normalized (sorted, duplicate-free) slice.
+// Each returns a normalized (sorted, duplicate-free) slice, written into out
+// (the step's own buffer, handed over empty); the functions that build
+// incidents carve their is-lsn values from seqs, the instance's slab.
 //
 // Two families are provided:
 //
@@ -54,13 +56,12 @@ func minLen(o1, o2 incident.Incident) uint64 {
 
 // naiveConsecutive is CONSECUTIVE-EVAL of Algorithm 1: all pairs (o1, o2)
 // with last(o1)+1 = first(o2).
-func naiveConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func naiveConsecutive(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(1)
 			if o1.Last()+1 == o2.First() {
-				out = append(out, o1.Concat(o2))
+				out = append(out, seqs.Concat(o1, o2))
 			}
 		}
 	}
@@ -69,13 +70,12 @@ func naiveConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.I
 
 // naiveSequential is SEQUENTIAL-EVAL of Algorithm 1: all pairs (o1, o2)
 // with last(o1) < first(o2).
-func naiveSequential(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func naiveSequential(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(1)
 			if o1.Last() < o2.First() {
-				out = append(out, o1.Concat(o2))
+				out = append(out, seqs.Concat(o1, o2))
 			}
 		}
 	}
@@ -86,8 +86,7 @@ func naiveSequential(inc1, inc2 []incident.Incident, cnt *opCount) []incident.In
 // incident sets. The published algorithm performs a pairwise duplicate scan
 // (O(n1·n2·min(k1,k2))); we reproduce that join shape here for the ablation
 // benchmarks, with mergeChoice providing the linear merge.
-func naiveChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	out := make([]incident.Incident, 0, len(inc1)+len(inc2))
+func naiveChoice(out, inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	out = append(out, inc1...)
 	for _, o2 := range inc2 {
 		dup := false
@@ -107,12 +106,11 @@ func naiveChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incide
 
 // naiveParallel is PARALLEL-EVAL of Algorithm 1: all unions o1 ∪ o2 of
 // record-disjoint pairs.
-func naiveParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func naiveParallel(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(uint64(o1.Len() + o2.Len()))
-			if u, ok := o1.Union(o2); ok {
+			if u, ok := seqs.Union(o1, o2); ok {
 				out = append(out, u)
 			}
 		}
@@ -123,8 +121,7 @@ func naiveParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Inci
 // mergeConsecutive exploits sortedness: for each o1, the o2 candidates are
 // exactly the contiguous run of incidents with first(o2) = last(o1)+1,
 // located by binary search. O(n1·log n2 + output).
-func mergeConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func mergeConsecutive(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		want := o1.Last() + 1
 		i := sort.Search(len(inc2), func(i int) bool { cnt.add(1); return inc2[i].First() >= want })
@@ -133,7 +130,7 @@ func mergeConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.I
 			if inc2[i].First() != want {
 				break
 			}
-			out = append(out, o1.Concat(inc2[i]))
+			out = append(out, seqs.Concat(o1, inc2[i]))
 		}
 	}
 	return normalize(out)
@@ -142,21 +139,19 @@ func mergeConsecutive(inc1, inc2 []incident.Incident, cnt *opCount) []incident.I
 // mergeSequential exploits sortedness: for each o1, every o2 from the first
 // index with first(o2) > last(o1) onward qualifies. The scan cost is
 // O(n1·log n2) plus the (unavoidable) output size.
-func mergeSequential(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func mergeSequential(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		lo := o1.Last()
 		i := sort.Search(len(inc2), func(i int) bool { cnt.add(1); return inc2[i].First() > lo })
 		for ; i < len(inc2); i++ {
-			out = append(out, o1.Concat(inc2[i]))
+			out = append(out, seqs.Concat(o1, inc2[i]))
 		}
 	}
 	return normalize(out)
 }
 
 // mergeChoice unions two already-normalized lists with a linear merge.
-func mergeChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	out := make([]incident.Incident, 0, len(inc1)+len(inc2))
+func mergeChoice(out, inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
 	i, j := 0, 0
 	for i < len(inc1) && j < len(inc2) {
 		cnt.add(minLen(inc1[i], inc2[j]))
@@ -181,8 +176,7 @@ func mergeChoice(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incide
 // sort order) but skips the per-record disjointness scan whenever the two
 // incidents' [first, last] ranges do not overlap, which is the common case
 // on realistic logs.
-func mergeParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Incident {
-	var out []incident.Incident
+func mergeParallel(out, inc1, inc2 []incident.Incident, seqs *incident.Slab, cnt *opCount) []incident.Incident {
 	for _, o1 := range inc1 {
 		for _, o2 := range inc2 {
 			cnt.add(1)
@@ -190,14 +184,14 @@ func mergeParallel(inc1, inc2 []incident.Incident, cnt *opCount) []incident.Inci
 				// Ranges disjoint: union cannot overlap; concatenate cheaply.
 				var u incident.Incident
 				if o1.Last() < o2.First() {
-					u = o1.Concat(o2)
+					u = seqs.Concat(o1, o2)
 				} else {
-					u = o2.Concat(o1)
+					u = seqs.Concat(o2, o1)
 				}
 				out = append(out, u)
 			} else {
 				cnt.add(uint64(o1.Len() + o2.Len()))
-				u, ok := o1.Union(o2)
+				u, ok := seqs.Union(o1, o2)
 				if !ok {
 					continue
 				}

@@ -116,7 +116,7 @@ type QueryStats struct {
 }
 
 // EvalParallel computes incL(p) using up to workers goroutines (0 means
-// GOMAXPROCS). The Index is immutable, so workers share it without locks.
+// GOMAXPROCS). A Source is immutable, so workers share it without locks.
 func (e *Evaluator) EvalParallel(p pattern.Node, workers int) *incident.Set {
 	return must(e.EvalParallelCtx(context.Background(), p, workers, nil))
 }
@@ -146,28 +146,18 @@ func (e *Evaluator) EvalWIDsCtx(ctx context.Context, p pattern.Node, wids []uint
 // excludes.
 func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
 	var (
-		visit   func(i, n int, incs []incident.Incident) bool
-		results [][]incident.Incident // ShapeIncidents: per instance
-		hit     []bool                // ShapeInstances: per instance
+		visit func(i, n int) bool
+		hit   []bool // ShapeInstances: per instance
 	)
-	switch shape {
-	case ShapeIncidents:
-		results = make([][]incident.Incident, len(wids))
-		visit = func(i, _ int, incs []incident.Incident) bool { results[i] = incs; return true }
-	case ShapeInstances:
+	if shape == ShapeInstances {
 		hit = make([]bool, len(wids))
-		visit = func(i, n int, _ []incident.Incident) bool { hit[i] = n > 0; return true }
+		visit = func(i, n int) bool { hit[i] = n > 0; return true }
 	}
 	a, err := e.scan(ctx, p, wids, workers, shape, stats, visit)
 	if err != nil {
 		return Answer{}, err
 	}
-	switch shape {
-	case ShapeIncidents:
-		// Each instance's slice is normalized, so with ascending wids their
-		// concatenation is already canonical and MergeSorted only copies.
-		a.Set = incident.MergeSorted(results...)
-	case ShapeInstances:
+	if shape == ShapeInstances {
 		n := 0
 		for _, h := range hit {
 			if h {
@@ -215,7 +205,7 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int, _ []incident.Incident) bool { return n == 0 })
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int) bool { return n == 0 })
 	return a.Count > 0, a.Strict(err)
 }
 
@@ -230,16 +220,16 @@ func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error)
 // scan goes on with the next one; budget limits are checked inside the joins
 // at the resilience.CheckInterval stride and, with the result size, as each
 // instance's incidents are charged to the budget state the goroutines share.
-// visit, when non-nil, then receives the number of incidents of wids[i] and,
-// when they were enumerated, the incidents; it is called from every
-// goroutine (for distinct i), never for an excluded instance, and ends the
-// scan early, without error, by returning false. A budget trip or a
-// cancelled ctx stops every goroutine and fails the scan; when both happen,
-// the error returned is the higher-ranked (errRank), not whichever lost the
-// race. scan answers with the number of incidents of the instances it
-// covered and the instances it excluded, ascending; stats, when non-nil,
-// counts the covered instances too.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int, incs []incident.Incident) bool) (Answer, error) {
+// visit, when non-nil, then receives the number of incidents of wids[i]; it
+// is called from every goroutine (for distinct i), never for an excluded
+// instance, and ends the scan early, without error, by returning false. A
+// budget trip or a cancelled ctx stops every goroutine and fails the scan;
+// when both happen, the error returned is the higher-ranked (errRank), not
+// whichever lost the race. scan answers with the number of incidents of the
+// instances it covered and the instances it excluded, ascending, and under
+// ShapeIncidents with the incidents themselves (resultArena); stats, when
+// non-nil, counts the covered instances too.
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int) bool) (Answer, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -250,45 +240,34 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	ctxDone := ctx.Done()
 	var stop atomic.Bool
 
-	// chunk is what one goroutine did: instances covered, their incidents,
-	// the instances excluded, and the failure that ended it.
+	// chunk is what one goroutine did: instances covered, their incidents
+	// (counted, and kept under ShapeIncidents), the instances excluded, and
+	// the failure that ended it.
 	type chunk struct {
 		instances, incidents int
+		kept                 resultArena
 		excluded             []Exclusion
 		err                  error
 	}
-	one := func(vals [][]incident.Incident, ctr *counter, wid uint64) (int, []incident.Incident, error) {
+	one := func(sc *scratch, wid uint64) (int, []incident.Incident, error) {
 		select {
 		case <-ctxDone:
 			return 0, nil, ctx.Err()
 		default:
 		}
-		n, incs, err := e.safeInstance(prog, vals, ctr, wid, bs)
+		n, incs, err := e.safeInstance(sc, counted, wid, bs)
 		if err != nil {
 			return 0, nil, err
 		}
 		return n, incs, bs.addResult(incs)
 	}
 	run := func(lo, hi int) (c chunk) {
-		var (
-			vals [][]incident.Incident
-			ctr  *counter
-		)
-		if counted {
-			ctr = newCounter(prog)
-			// Also when the chunk ends in a failure: an abort's partial cost
-			// table includes every completed operator.
-			defer ctr.flush()
-		} else {
-			vals = make([][]incident.Incident, len(prog))
-		}
-		// After a panic the scratch (vals, ctr) holds whatever the excluded
-		// instance left in it. Nothing of that is read again: an instance's
-		// pass writes every step's value before a later step reads it (the
-		// program is in post-order), and the buffers behind the values are
-		// reused from their start.
+		sc := newScratch(prog)
+		// Also when the chunk ends in a failure: an abort's partial cost table
+		// includes every completed operator.
+		defer sc.flush()
 		for i := lo; i < hi && !stop.Load(); i++ {
-			n, incs, err := one(vals, ctr, wids[i])
+			n, incs, err := one(sc, wids[i])
 			if err != nil {
 				if pe, ok := err.(*resilience.PanicError); ok {
 					c.excluded = append(c.excluded, Exclusion{WID: wids[i], Err: pe})
@@ -300,7 +279,10 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 			}
 			c.instances++
 			c.incidents += n
-			if visit != nil && !visit(i, n, incs) {
+			if shape == ShapeIncidents {
+				c.kept.keep(incs)
+			}
+			if visit != nil && !visit(i, n) {
 				stop.Store(true)
 			}
 		}
@@ -325,12 +307,16 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		wg.Wait()
 	}
 
-	// Chunks are contiguous and in wid order, so their exclusions concatenate
-	// in wid order.
-	var total chunk
+	// Chunks are contiguous and in wid order, so their exclusions, and the
+	// blocks their incidents were kept in, concatenate in wid order.
+	var (
+		total  chunk
+		blocks [][]incident.Incident // ShapeIncidents: the answer
+	)
 	for _, c := range chunks {
 		total.instances += c.instances
 		total.incidents += c.incidents
+		blocks = append(blocks, c.kept.blocks...)
 		total.excluded = append(total.excluded, c.excluded...)
 		if c.err != nil && (total.err == nil || errRank(c.err) > errRank(total.err)) {
 			total.err = c.err
@@ -341,7 +327,42 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	return Answer{Count: total.incidents, Excluded: total.excluded}, total.err
+	a := Answer{Count: total.incidents, Excluded: total.excluded}
+	if shape == ShapeIncidents && total.err == nil {
+		// Each instance's incidents are normalized and the blocks follow the
+		// wids, so the concatenation is already canonical: MergeSorted only
+		// copies.
+		a.Set = incident.MergeSorted(blocks...)
+	}
+	return a, total.err
+}
+
+// resultArena is where one goroutine of an incidents scan keeps its share of
+// the answer: each instance's incidents, copied once out of the scratch (and
+// off the source's postings) after the instance succeeded, so an answer
+// never aliases either — a cached answer over a live log pins no old version
+// of the store. The is-lsn values go into a slab that is never reset, the
+// incidents into blocks of headerBlock, filled in wid order and never copied
+// to grow.
+type resultArena struct {
+	seqs   incident.Slab
+	blocks [][]incident.Incident // the last one is being filled
+}
+
+// headerBlock is how many incidents one block holds: 32 KiB, a small-object
+// size class.
+const headerBlock = 1024
+
+// keep copies one instance's incidents into the arena.
+func (r *resultArena) keep(incs []incident.Incident) {
+	for _, o := range incs {
+		n := len(r.blocks)
+		if n == 0 || len(r.blocks[n-1]) == headerBlock {
+			r.blocks = append(r.blocks, make([]incident.Incident, 0, headerBlock))
+			n++
+		}
+		r.blocks[n-1] = append(r.blocks[n-1], r.seqs.Copy(o))
+	}
 }
 
 // errRank orders the failures one scan can collect, so which one the caller

@@ -37,7 +37,10 @@ type Source interface {
 	ResolveActivity(name string) (sym int32, ok bool)
 	// ActivitySeqsSym returns the is-lsn values (ascending) of the instance's
 	// records whose activity has the symbol, which must come from
-	// ResolveActivity on the same source. Callers must not modify the result.
+	// ResolveActivity on the same source. Callers must not modify the result,
+	// and its values must not change while the source is read: the
+	// evaluator's atom incidents are capacity-clipped views of it, alive
+	// until their instance's evaluation ends.
 	ActivitySeqsSym(wid uint64, sym int32) []uint64
 	// ActivityCount returns the total number of records (across all
 	// instances) carrying the activity name (optimizer statistics).

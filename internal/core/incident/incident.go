@@ -60,10 +60,12 @@ func FromSorted(wid uint64, seqs []uint64) (Incident, error) {
 	return Incident{wid: wid, seqs: seqs}, nil
 }
 
-// Singleton builds the one-record incident for an atomic pattern match.
-func Singleton(wid, seq uint64) Incident {
-	return Incident{wid: wid, seqs: []uint64{seq}}
-}
+// Adopt builds an incident over seqs as they are: no copy, no sort, no
+// check. It is the evaluator's constructor, for seqs it knows to be non-empty
+// and strictly increasing and that nothing writes for as long as the
+// incident is read — a capacity-clipped view of a posting list, or values
+// carved from a Slab.
+func Adopt(wid uint64, seqs []uint64) Incident { return Incident{wid: wid, seqs: seqs} }
 
 // WID returns wid(o), the workflow instance all records belong to.
 func (o Incident) WID() uint64 { return o.wid }
@@ -174,23 +176,31 @@ func (o Incident) Union(p Incident) (Incident, bool) {
 	if o.wid != p.wid {
 		return Incident{}, false
 	}
-	merged := make([]uint64, 0, len(o.seqs)+len(p.seqs))
+	merged, ok := appendUnion(make([]uint64, 0, len(o.seqs)+len(p.seqs)), o.seqs, p.seqs)
+	if !ok {
+		return Incident{}, false
+	}
+	return Incident{wid: o.wid, seqs: merged}, true
+}
+
+// appendUnion appends the merge of two strictly increasing lists to dst; ok
+// is false, and dst's extension partial, when they share a value.
+func appendUnion(dst, a, b []uint64) (_ []uint64, ok bool) {
 	i, j := 0, 0
-	for i < len(o.seqs) && j < len(p.seqs) {
+	for i < len(a) && j < len(b) {
 		switch {
-		case o.seqs[i] == p.seqs[j]:
-			return Incident{}, false
-		case o.seqs[i] < p.seqs[j]:
-			merged = append(merged, o.seqs[i])
+		case a[i] == b[j]:
+			return dst, false
+		case a[i] < b[j]:
+			dst = append(dst, a[i])
 			i++
 		default:
-			merged = append(merged, p.seqs[j])
+			dst = append(dst, b[j])
 			j++
 		}
 	}
-	merged = append(merged, o.seqs[i:]...)
-	merged = append(merged, p.seqs[j:]...)
-	return Incident{wid: o.wid, seqs: merged}, true
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...), true
 }
 
 // Concat returns o ∪ p for the consecutive/sequential case where every
@@ -198,13 +208,16 @@ func (o Incident) Union(p Incident) (Incident, bool) {
 // violated (composition in internal/core/eval checks last(o) < first(p)
 // before calling).
 func (o Incident) Concat(p Incident) Incident {
+	mustPrecede(o, p)
+	return Incident{wid: o.wid, seqs: append(append(make([]uint64, 0, len(o.seqs)+len(p.seqs)), o.seqs...), p.seqs...)}
+}
+
+// mustPrecede panics unless every record of o precedes every record of p in
+// the same instance: Concat's precondition.
+func mustPrecede(o, p Incident) {
 	if o.wid != p.wid || o.Last() >= p.First() {
 		panic(fmt.Sprintf("incident.Concat: %v does not precede %v", o, p))
 	}
-	merged := make([]uint64, 0, len(o.seqs)+len(p.seqs))
-	merged = append(merged, o.seqs...)
-	merged = append(merged, p.seqs...)
-	return Incident{wid: o.wid, seqs: merged}
 }
 
 // String renders the incident as "wid=2:{5,9}".

@@ -71,7 +71,7 @@ func TestContains(t *testing.T) {
 
 func TestIsZero(t *testing.T) {
 	var zero Incident
-	if !zero.IsZero() || Singleton(1, 1).IsZero() {
+	if !zero.IsZero() || New(1, 1).IsZero() {
 		t.Error("IsZero wrong")
 	}
 }

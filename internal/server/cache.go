@@ -62,7 +62,7 @@ func (e *cacheEntry) instances() []uint64 {
 // response. Callers must not modify it.
 func (e *cacheEntry) incidentsJSON() []byte {
 	e.incidentsOnce.Do(func() {
-		e.incidents = cluster.AppendIncidents(nil, e.answer.Set.Incidents())
+		e.incidents = cluster.AppendIncidents(nil, e.answer.Set.View())
 		e.incidentsLen.Store(int64(len(e.incidents)))
 	})
 	return e.incidents

@@ -13,7 +13,7 @@ import (
 var snapshot = new(colstore.Store)
 
 func entry(n int) *cacheEntry {
-	return &cacheEntry{answer: eval.Answer{Count: 1, Set: incident.NewSet(incident.Singleton(uint64(n), 1))}}
+	return &cacheEntry{answer: eval.Answer{Count: 1, Set: incident.NewSet(incident.New(uint64(n), 1))}}
 }
 
 func TestLRUEviction(t *testing.T) {

@@ -678,7 +678,7 @@ func (q *queryRun) respond() {
 		n := head.Count
 		if q.req.MaxResults > 0 && n > q.req.MaxResults {
 			n, tail.Truncated = q.req.MaxResults, true
-			array = cluster.AppendIncidents(nil, answer.Set.Incidents()[:n])
+			array = cluster.AppendIncidents(nil, answer.Set.View()[:n])
 		} else {
 			array = q.answer.incidentsJSON()
 		}

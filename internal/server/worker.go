@@ -149,7 +149,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	switch shape {
 	case eval.ShapeIncidents:
-		key, array = "incidents", cluster.AppendIncidents(nil, x.answer.Set.Incidents())
+		key, array = "incidents", cluster.AppendIncidents(nil, x.answer.Set.View())
 	case eval.ShapeInstances:
 		key, array = "wids", appendUints(nil, x.answer.WIDs)
 	}
