@@ -69,8 +69,8 @@ examples:
 	$(GO) run ./examples/audit
 	$(GO) run ./examples/monitor
 
-# Short fuzzing pass over the parsers, the codecs, the columnar store and the
-# evaluator's entry points.
+# Short fuzzing pass over the parsers, the codecs, the worker reply reader,
+# the columnar store and the evaluator's entry points.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
 	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzStoreMatchesIndex -fuzztime=30s ./internal/colstore/
 	$(GO) test -fuzz=FuzzEntryPointsAgree -fuzztime=3s -run XXX ./internal/core/eval/
 	$(GO) test -fuzz=FuzzIncidentCodec -fuzztime=30s -run XXX ./internal/cluster/
+	$(GO) test -fuzz=FuzzWorkerReply -fuzztime=30s -run XXX ./internal/cluster/
 
 clean:
 	$(GO) clean ./...

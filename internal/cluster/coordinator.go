@@ -262,11 +262,29 @@ type ExecOptions struct {
 	Budget resilience.Budget
 }
 
+// Result is a distributed answer in the shape it was asked for: the count in
+// every shape, the wids having an incident in eval.ShapeInstances, and in
+// eval.ShapeIncidents the incidents themselves in wire form — the parts'
+// arrays, each checked where it arrived, concatenated in part order, which is
+// canonical order: the bytes AppendIncidents writes for the answer.
+type Result struct {
+	Count     int
+	WIDs      []uint64
+	Incidents []byte
+}
+
 // Execute evaluates the plan across the worker fleet and returns incL(p):
-// Answer in the eval.ShapeIncidents shape.
+// Answer in the eval.ShapeIncidents shape, decoded.
 func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *Completeness, Fanout, error) {
-	a, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
-	return a.Set, comp, fan, err
+	res, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
+	if err != nil {
+		return nil, comp, fan, err
+	}
+	incs, err := DecodeIncidents(res.Incidents)
+	if err != nil {
+		return nil, comp, fan, err
+	}
+	return incident.MergeSorted(incs), comp, fan, nil
 }
 
 // partResult is one part's terminal outcome within a query.
@@ -302,8 +320,10 @@ func (r partResult) status() string {
 // request carries the shape as its mode, every worker answers in it, and
 // the surviving answers add up and concatenate — parts being contiguous wid
 // ranges in ascending order, each answered in order — equal to a
-// single-node evaluation when every worker answers. qs, when non-nil,
-// receives the instances and incidents of the merged answer.
+// single-node evaluation when every worker answers. An incidents answer is
+// never decoded: each part's array is checked where it lies in the reply and
+// copied once into the concatenation. qs, when non-nil, receives the
+// instances and incidents of the merged answer.
 //
 // The returned error is non-nil only when the whole query is lost: the
 // context was cancelled, no part produced an answer, or a worker tripped
@@ -318,7 +338,7 @@ func (r partResult) status() string {
 // write), one transport span per attempt, and the backoff and breaker-skip
 // spans. The accepted reply's own span subtree is grafted under the
 // transport span that carried it.
-func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (eval.Answer, *Completeness, Fanout, error) {
+func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (Result, *Completeness, Fanout, error) {
 	c.fanouts.Add(1)
 	// Distributed tracing: a traced query's id travels on a traceparent
 	// header per request, and workers return their span trees and cost
@@ -369,12 +389,21 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	comp := &Completeness{Shards: len(parts)}
 	calls := make([]WorkerCall, len(parts))
 	var (
-		ans       eval.Answer
-		runs      [][]incident.Incident
+		ans       Result
+		lists     [][]byte
 		tables    [][]obs.CostRow
 		firstErr  error
 		budgetErr *resilience.BudgetError
 	)
+	if shape == eval.ShapeInstances {
+		n := 0
+		for _, r := range results {
+			if r.err == nil {
+				n += len(r.resp.WIDs)
+			}
+		}
+		ans.WIDs = make([]uint64, 0, n)
+	}
 	for i, r := range results {
 		p, worker := parts[i], c.workers[i].name
 		call := WorkerCall{Worker: worker, WIDs: len(p.WIDs), Status: r.status(),
@@ -385,8 +414,12 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			comp.Attempted++
 			comp.Succeeded++
 			ans.Count += r.count
-			ans.WIDs = append(ans.WIDs, r.resp.WIDs...)
-			runs = append(runs, r.resp.Incidents)
+			switch shape {
+			case eval.ShapeInstances:
+				ans.WIDs = append(ans.WIDs, r.resp.WIDs...)
+			case eval.ShapeIncidents:
+				lists = append(lists, r.resp.Incidents)
+			}
 			// Only merged answers feed the fleet table: a failed worker's
 			// partial measurements would skew the measured-vs-predicted
 			// comparison.
@@ -449,19 +482,19 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	case budgetErr != nil:
 		// A budget trip on one worker is a verdict on the query, not a lost
 		// part: the query fails with it, so a trip is never a shorter answer.
-		return eval.Answer{}, comp, fan, budgetErr
+		return Result{}, comp, fan, budgetErr
 	case ctx.Err() != nil:
-		return eval.Answer{}, comp, fan, ctx.Err()
+		return Result{}, comp, fan, ctx.Err()
 	case comp.Succeeded == 0 && len(parts) > 0:
 		if firstErr == nil {
 			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
 		}
-		return eval.Answer{}, comp, fan, firstErr
+		return Result{}, comp, fan, firstErr
 	}
 	if shape == eval.ShapeIncidents {
-		// Every part's answer is canonical on its own, so the union is a
-		// concatenation, not a sort.
-		ans.Set = incident.MergeSorted(runs...)
+		// Every part's answer is canonical on its own and lies inside its
+		// part's interval (checkReply), so the union is a concatenation.
+		ans.Incidents = joinLists(lists)
 	}
 	return ans, comp, fan, nil
 }
@@ -564,11 +597,11 @@ func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n i
 		header = obs.FormatTraceparent(traceID, spanID)
 	}
 	actx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-	resp, err = c.post(actx, c.workers[p.ID], body, header)
+	resp, sum, err := c.post(actx, c.workers[p.ID], shape, body, header)
 	cancel()
 	sp.End()
 	if err == nil {
-		if count, err = checkReply(p, shape, resp); err != nil {
+		if count, err = checkReply(p, shape, resp, sum); err != nil {
 			// Deterministic — the same request gets the same reply — so never
 			// retried.
 			err = nonRetryable(err)
@@ -592,56 +625,46 @@ func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n i
 }
 
 // checkReply cross-checks a reply against the part and the shape it
-// answers, and returns the number of incidents it reports. The member count
-// catches a worker whose copy of the log differs from the coordinator's
-// inside the interval: merging its answer would silently mis-cover the log.
-// A summary shape must come with its count — a worker from before the
-// request's mode field ignores it and sends incidents, which this
-// coordinator would have to decode and reduce for every part of every
-// query; its part is lost instead, so upgrade workers first. The two ends
-// of the answer list (incidents are in canonical order, the decoder saw to
-// that; wids must be ascending) catch answers from outside the interval,
-// which the merge's concatenation would otherwise put out of order.
-func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse) (count int, err error) {
+// answers, and returns the number of incidents it reports; sum is what
+// reading its answer array learned. The member count catches a worker whose
+// copy of the log differs from the coordinator's inside the interval: merging
+// its answer would silently mis-cover the log. A summary shape must come with
+// its count — a worker from before the request's mode field ignores it and
+// sends incidents, which this coordinator would have to decode and reduce
+// for every part of every query; its part is lost instead, so upgrade
+// workers first. The two ends of the answer array (incidents in canonical
+// order and wids ascending, the reader saw to that) catch answers from
+// outside the interval, which the merge's concatenation would otherwise put
+// out of order.
+func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSummary) (count int, err error) {
 	if resp.WIDsOwned != len(p.WIDs) {
 		return 0, fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
 			resp.WIDsOwned, p.MinWID, p.MaxWID, len(p.WIDs))
 	}
-	lo, hi := p.MinWID, p.MaxWID // an empty answer lies inside any interval
 	if shape == eval.ShapeIncidents {
-		count = len(resp.Incidents)
-		if count > 0 {
-			lo, hi = resp.Incidents[0].WID(), resp.Incidents[count-1].WID()
-		}
+		count = sum.n
 	} else {
 		if resp.Count == nil {
 			return 0, fmt.Errorf("mode mismatch: the reply to a %q request has no count (a worker from before the mode field?)", shape)
 		}
 		count = *resp.Count
-		for i, wid := range resp.WIDs {
-			if i > 0 && resp.WIDs[i-1] >= wid {
-				return 0, fmt.Errorf("%w: wids %d, %d not ascending", ErrMalformedIncidents, resp.WIDs[i-1], wid)
-			}
-		}
-		if n := len(resp.WIDs); n > 0 {
-			lo, hi = resp.WIDs[0], resp.WIDs[n-1]
-		}
-		if shape == eval.ShapeInstances && (count < len(resp.WIDs) || (count > 0) != (len(resp.WIDs) > 0)) {
-			return 0, fmt.Errorf("%w: %d incidents over %d wids", ErrMalformedIncidents, count, len(resp.WIDs))
+		if count < 0 || shape == eval.ShapeInstances && (count < sum.n || (count > 0) != (sum.n > 0)) {
+			return 0, fmt.Errorf("%w: %d incidents over %d wids", ErrMalformedIncidents, count, sum.n)
 		}
 	}
-	if lo < p.MinWID || hi > p.MaxWID {
+	// An empty answer lies inside any interval.
+	if sum.n > 0 && (sum.first < p.MinWID || sum.last > p.MaxWID) {
 		return 0, fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
-			ErrMalformedIncidents, lo, hi, p.MinWID, p.MaxWID)
+			ErrMalformedIncidents, sum.first, sum.last, p.MinWID, p.MaxWID)
 	}
 	return count, nil
 }
 
-// post issues one HTTP request to a worker and decodes the reply. The
-// traceparent value, when non-empty, propagates the distributed trace
-// context. Request duration feeds the per-worker latency histogram either
-// way.
-func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte, traceparent string) (_ *WorkerQueryResponse, err error) {
+// post issues one HTTP request to a worker and reads the reply to a request
+// of the given shape (readReply). The traceparent value, when non-empty,
+// propagates the distributed trace context. Request duration — the reply read
+// included — feeds the per-worker latency histogram either way.
+func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte, traceparent string) (_ *WorkerQueryResponse, _ listSummary, err error) {
 	c.workerRequests.Add(1)
 	start := time.Now()
 	defer func() {
@@ -653,7 +676,7 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		strings.TrimSuffix(worker.name, "/")+"/v1/worker/query", bytes.NewReader(body))
 	if err != nil {
-		return nil, err
+		return nil, listSummary{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if traceparent != "" {
@@ -661,7 +684,7 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte
 	}
 	httpResp, err := c.client.Do(req)
 	if err != nil {
-		return nil, err
+		return nil, listSummary{}, err
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
@@ -674,21 +697,11 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, body []byte
 		if httpResp.StatusCode == http.StatusUnprocessableEntity && ed.BudgetDimension != "" {
 			// The worker's budget trip, rebuilt: deterministic, and the verdict
 			// on the whole query (Answer).
-			return nil, nonRetryable(&resilience.BudgetError{Dimension: ed.BudgetDimension, Limit: ed.BudgetLimit, Measured: ed.BudgetMeasured})
+			return nil, listSummary{}, nonRetryable(&resilience.BudgetError{Dimension: ed.BudgetDimension, Limit: ed.BudgetLimit, Measured: ed.BudgetMeasured})
 		}
-		return nil, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
+		return nil, listSummary{}, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
 	}
-	var wr WorkerQueryResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&wr); err != nil {
-		err = fmt.Errorf("decode worker response: %w", err)
-		if errors.Is(err, ErrMalformedIncidents) {
-			// A complete reply that is not an incident list: asking again
-			// gets the same bytes.
-			err = nonRetryable(err)
-		}
-		return nil, err
-	}
-	return &wr, nil
+	return readReply(httpResp.Body, httpResp.ContentLength, shape)
 }
 
 // WorkerHTTPError is a worker reply with a non-200 status.

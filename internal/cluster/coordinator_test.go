@@ -136,24 +136,42 @@ func TestMalformedWorkerReplyLosesThePart(t *testing.T) {
 	}
 }
 
-// TestCoordinatorReadsAnIndentedReply: a worker one release behind still
-// indents its replies; the coordinator reads them all the same.
-func TestCoordinatorReadsAnIndentedReply(t *testing.T) {
+// TestCoordinatorLosesAnIndentedReply: the incidents array has one
+// spelling, the one the coordinator splices into its answer as it stands. A
+// worker that indents it sends the same incidents in other bytes; its part is
+// lost, named and not retried, like any other malformed reply, while an
+// envelope in any JSON spelling around a canonical array still reads.
+func TestCoordinatorLosesAnIndentedReply(t *testing.T) {
 	wids := testWIDs(16)
-	w, _ := fakeWorker(t, wids, func(owned []uint64) string {
+	indented, indentedServed := fakeWorker(t, wids, func(owned []uint64) string {
 		var buf bytes.Buffer
 		if err := json.Indent(&buf, []byte(oneIncidentPerWID(owned)), "  ", "  "); err != nil {
 			t.Error(err)
 		}
 		return buf.String()
 	})
-	c, err := New(Config{Workers: []string{w.URL}})
+	spaced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req WorkerQueryRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		owned := ownedWIDs(wids, req)
+		fmt.Fprintf(w, "{ \"instances\" : %d,\n \"worker\":%q ,\"incidents\":%s ,\n\t\"wids_owned\": %d }\n",
+			len(owned), req.Self, oneIncidentPerWID(owned), len(owned))
+	}))
+	t.Cleanup(spaced.Close)
+	c, err := New(Config{Workers: []string{spaced.URL, indented.URL}, MaxAttempts: 3, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
-	if err != nil || !comp.Complete || set.Len() != len(wids) {
-		t.Fatalf("set %v, completeness %+v, err %v", set, comp, err)
+	if err != nil || comp.Complete || comp.Failed != 1 || set.Len() != len(wids)/2 {
+		t.Fatalf("set %v, completeness %+v, err %v; want the spaced envelope's half and the indented part lost", set, comp, err)
+	}
+	lost := comp.Failures[0]
+	if lost.Worker != indented.URL || lost.Attempts != 1 || indentedServed.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+		t.Errorf("lost part %+v after %d requests, want the indented worker's, once, as malformed", lost, indentedServed.Load())
 	}
 }
 
@@ -298,7 +316,7 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 	for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
 		var qs eval.QueryStats
 		a, comp, fan, err := c.Answer(context.Background(), "log", plan, shape, ExecOptions{WIDs: wids}, &qs)
-		if err != nil || !comp.Complete || a.Count != len(wids) || a.Set != nil || qs.Incidents != len(wids) {
+		if err != nil || !comp.Complete || a.Count != len(wids) || a.Incidents != nil || qs.Incidents != len(wids) {
 			t.Fatalf("%v: answer %+v, completeness %+v, stats %+v, err %v", shape, a, comp, qs, err)
 		}
 		if shape == eval.ShapeInstances && !slices.Equal(a.WIDs, wids) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -281,15 +282,19 @@ func runScatterCase(t *testing.T, tc scatterCase, shape eval.Shape) {
 	}
 	switch shape {
 	case eval.ShapeIncidents:
-		if !slices.Equal(ans.Set.WIDs(), wantWIDs) || ans.Set.Len() != len(wantWIDs) {
-			t.Errorf("merged set %s, want one incident in each of %v", ans.Set, wantWIDs)
+		want := make([]incident.Incident, len(wantWIDs))
+		for i, wid := range wantWIDs {
+			want[i] = incident.New(wid, 1, 2)
+		}
+		if !bytes.Equal(ans.Incidents, AppendIncidents(nil, want)) || ans.WIDs != nil {
+			t.Errorf("merged incidents %s (wids %v), want one incident in each of %v", ans.Incidents, ans.WIDs, wantWIDs)
 		}
 	case eval.ShapeInstances:
-		if !slices.Equal(ans.WIDs, wantWIDs) || ans.Set != nil {
-			t.Errorf("merged wids %v (set %v), want %v", ans.WIDs, ans.Set, wantWIDs)
+		if !slices.Equal(ans.WIDs, wantWIDs) || ans.Incidents != nil {
+			t.Errorf("merged wids %v (incidents %s), want %v", ans.WIDs, ans.Incidents, wantWIDs)
 		}
 	default:
-		if ans.WIDs != nil || ans.Set != nil {
+		if ans.WIDs != nil || ans.Incidents != nil {
 			t.Errorf("a count came with %+v", ans)
 		}
 	}

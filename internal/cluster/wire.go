@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strconv"
 	"time"
 
+	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/obs"
 	"wlq/internal/resilience"
@@ -91,19 +94,22 @@ func (d BudgetDoc) Budget() resilience.Budget {
 	}
 }
 
-// WorkerQueryResponse is the POST /v1/worker/query success body as the
-// coordinator decodes it. A worker writes the same object in three pieces —
-// WorkerReplyHead, the answer array of the request's mode, WorkerReplyTail —
-// because an incidents array is nearly all of its reply and json.Marshal of
-// this struct, which re-scans what a Marshaler returns, takes six times as
-// long as the codec alone (BenchmarkIncidentCodec: document vs append).
+// WorkerQueryResponse is the POST /v1/worker/query success body. A worker
+// writes it in three pieces — WorkerReplyHead, the answer array of the
+// request's mode, WorkerReplyTail — because an incidents array is nearly all
+// of its reply and json.Marshal of this struct, which re-scans what a
+// Marshaler returns, takes six times as long as the codec alone
+// (BenchmarkIncidentCodec: document vs append). The coordinator reads it the
+// same way round (readReply): encoding/json decodes head and tail, and the
+// array is checked where it lies.
 type WorkerQueryResponse struct {
 	WorkerReplyHead
-	// Incidents, in mode "incidents", are the worker's wid-local answers in
-	// canonical order (AppendIncidents); WIDs, in mode "instances", the wids
-	// among its part that have one, ascending. Mode "count" has no array.
-	Incidents Incidents `json:"incidents"`
-	WIDs      []uint64  `json:"wids"`
+	// Incidents, in mode "incidents", is the worker's wid-local answer in wire
+	// form: its incidents in canonical order, exactly as AppendIncidents
+	// writes them. WIDs, in mode "instances", are the wids among its part that
+	// have one, ascending. Mode "count" has no array.
+	Incidents json.RawMessage `json:"incidents"`
+	WIDs      []uint64        `json:"wids"`
 	WorkerReplyTail
 }
 
@@ -150,6 +156,12 @@ type WorkerReplyTail struct {
 // (incident.Incident.Compare) — what encoding/json makes of
 // []struct{WID uint64 `json:"wid"`; Seqs []uint64 `json:"seqs"`}, byte for
 // byte, written and read without reflection or a per-incident copy.
+//
+// There is one spelling. The reader accepts exactly what AppendIncidents
+// writes — no whitespace, "wid" before "seqs", numbers in shortest decimal
+// form — so that a list that reads is the canonical bytes of its incidents,
+// and a coordinator that splices its workers' lists into one answer writes
+// what a single node would.
 
 // AppendIncidents appends the wire form of incs to dst.
 func AppendIncidents(dst []byte, incs []incident.Incident) []byte {
@@ -179,227 +191,450 @@ func AppendIncidents(dst []byte, incs []incident.Incident) []byte {
 	return append(dst, ']')
 }
 
-// ErrMalformedIncidents is wrapped by every DecodeIncidents error: the bytes
-// are not the wire form of a canonical incident list. It is deterministic —
-// the same reply decodes the same way — so a coordinator does not retry it.
+// ErrMalformedIncidents is wrapped by every error of the answer readers: the
+// bytes are not the one wire form of a canonical incident list (or, in a
+// worker reply, of an ascending wid list). It is deterministic — the same
+// reply reads the same way — so a coordinator does not retry it.
 var ErrMalformedIncidents = errors.New("malformed incidents")
 
-// DecodeIncidents reads the wire form back. It accepts what a JSON decoder
-// would — insignificant whitespace, the two keys in either order — and
-// nothing that is not an incident list: an unknown or repeated key, a number
-// that is not an unsigned 64-bit integer, an incident whose seqs are empty
-// or not strictly increasing, and incidents out of canonical order (or
-// repeated) are all errors wrapping ErrMalformedIncidents. The result never
-// aliases data.
+// DecodeIncidents reads the wire form back, the seqs carved from one
+// incident.Slab. Anything but the bytes AppendIncidents writes for a
+// canonical list — another spelling of the same JSON, an incident whose seqs
+// are empty or not strictly increasing, incidents out of canonical order or
+// repeated, anything after the list — is an error wrapping
+// ErrMalformedIncidents. The result never aliases data.
 func DecodeIncidents(data []byte) ([]incident.Incident, error) {
-	d := incidentDecoder{data: data}
-	incs, err := d.list()
-	if err != nil {
-		return nil, fmt.Errorf("%w at offset %d: %v", ErrMalformedIncidents, d.pos, err)
+	// Every incident opens one brace, so the count sizes the result exactly;
+	// the cap keeps bytes that are mostly braces from reserving 32 times
+	// their own size.
+	incs := make([]incident.Incident, 0, min(bytes.Count(data, []byte("{")), len(data)/len(`{"wid":0,"seqs":[0]}`)))
+	var slab incident.Slab
+	if _, err := scanIncidentList(data, func(wid uint64, seqs []uint64) {
+		incs = append(incs, slab.Copy(incident.Adopt(wid, seqs)))
+	}); err != nil {
+		return nil, err
 	}
 	return incs, nil
 }
 
-// Incidents is an incident list as a field of a JSON document: it marshals
-// through AppendIncidents and unmarshals through DecodeIncidents.
-type Incidents []incident.Incident
-
-// MarshalJSON implements json.Marshaler.
-func (l Incidents) MarshalJSON() ([]byte, error) { return AppendIncidents(nil, l), nil }
-
-// UnmarshalJSON implements json.Unmarshaler; null, as for any slice, leaves
-// the list as it is.
-func (l *Incidents) UnmarshalJSON(data []byte) error {
-	if string(data) == "null" {
-		return nil
-	}
-	incs, err := DecodeIncidents(data)
-	*l = incs
-	return err
+// IncidentWIDs returns the distinct wids of a wire-form list, ascending. The
+// list must have been read once already, as every answer array a coordinator
+// holds was; a list that does not read yields the wids before the fault.
+func IncidentWIDs(data []byte) []uint64 {
+	var wids []uint64
+	scanIncidentList(data, func(wid uint64, _ []uint64) {
+		if len(wids) == 0 || wids[len(wids)-1] != wid {
+			wids = append(wids, wid)
+		}
+	})
+	return wids
 }
 
-// incidentDecoder is DecodeIncidents' cursor over its input.
-type incidentDecoder struct {
+// CutIncidents returns the first n incidents of a wire-form list of at least
+// n as a list of their own, in a new slice. An incident is an object with no
+// object inside it, so the n-th closing brace ends the n-th incident.
+func CutIncidents(data []byte, n int) []byte {
+	end := 1
+	for ; n > 0; n-- {
+		end += bytes.IndexByte(data[end:], '}') + 1
+	}
+	return append(data[:end:end], ']')
+}
+
+// joinLists concatenates wire-form lists that follow one another in
+// canonical order into one list, copying each once into a new slice.
+func joinLists(lists [][]byte) []byte {
+	size := 2
+	for _, l := range lists {
+		size += len(l) - 1
+	}
+	out := append(make([]byte, 0, size), '[')
+	for _, l := range lists {
+		if len(l) <= len("[]") {
+			continue
+		}
+		if len(out) > 1 {
+			out = append(out, ',')
+		}
+		out = append(out, l[1:len(l)-1]...)
+	}
+	return append(out, ']')
+}
+
+// listSummary is what reading an answer array learns besides its elements:
+// how many there are, and the wids of the first and the last (zero when
+// there are none).
+type listSummary struct {
+	n           int
+	first, last uint64
+}
+
+// scanIncidentList reads data as one incident list and nothing after it,
+// calling emit, when non-nil, with each incident in order.
+func scanIncidentList(data []byte, emit func(wid uint64, seqs []uint64)) (listSummary, error) {
+	s := scanner{data: data}
+	sum, err := s.incidents(emit)
+	if err == nil && s.pos < len(data) {
+		err = errors.New("data after the closing bracket")
+	}
+	if err != nil {
+		return listSummary{}, s.malformed(err)
+	}
+	return sum, nil
+}
+
+// scanner is a cursor over bytes in the one wire grammar.
+type scanner struct {
 	data []byte
 	pos  int
-	// slab is the arena the decoded seqs are carved from: one allocation per
-	// seqSlab numbers instead of one per incident.
-	slab []uint64
 }
 
-// seqSlab is how many seqs one arena allocation holds.
-const seqSlab = 4096
-
-// skipSpace moves the cursor past JSON's insignificant whitespace.
-func (d *incidentDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
-		}
-	}
+// malformed places err at the cursor, under ErrMalformedIncidents.
+func (s *scanner) malformed(err error) error {
+	return fmt.Errorf("%w at offset %d: %v", ErrMalformedIncidents, s.pos, err)
 }
 
-// has consumes lit, after any whitespace, if that is what comes next.
-func (d *incidentDecoder) has(lit string) bool {
-	d.skipSpace()
-	if !bytes.HasPrefix(d.data[d.pos:], []byte(lit)) {
+// lit consumes lit if that is what comes next.
+func (s *scanner) lit(lit string) bool {
+	if len(s.data)-s.pos < len(lit) || string(s.data[s.pos:s.pos+len(lit)]) != lit {
 		return false
 	}
-	d.pos += len(lit)
+	s.pos += len(lit)
 	return true
 }
 
-// expect is has for a lit that must come next.
-func (d *incidentDecoder) expect(lit string) error {
-	if !d.has(lit) {
+// want is lit for what must come next.
+func (s *scanner) want(lit string) error {
+	if !s.lit(lit) {
 		return fmt.Errorf("want %q", lit)
 	}
 	return nil
 }
 
-// more is called after an element of an array or object closed by end: true
-// when a comma announces another, false when end was consumed.
-func (d *incidentDecoder) more(end string) (bool, error) {
-	switch {
-	case d.has(","):
-		return true, nil
-	case d.has(end):
-		return false, nil
-	}
-	return false, fmt.Errorf("want ',' or %q", end)
-}
-
-// uint reads a JSON number that is an unsigned 64-bit integer.
-func (d *incidentDecoder) uint() (uint64, error) {
-	d.skipSpace()
-	start := d.pos
-	var v uint64
-	for ; d.pos < len(d.data); d.pos++ {
-		c := d.data[d.pos] - '0'
+// uint reads an unsigned 64-bit integer in shortest decimal form.
+func (s *scanner) uint() (uint64, error) {
+	data, start := s.data, s.pos
+	i, v := start, uint64(0)
+	for ; i < len(data); i++ {
+		c := data[i] - '0'
 		if c > 9 {
 			break
 		}
-		if v > (math.MaxUint64-uint64(c))/10 {
+		// Nineteen digits cannot overflow; a twentieth may.
+		if i-start >= 19 && v > (math.MaxUint64-uint64(c))/10 {
+			s.pos = i
 			return 0, errors.New("number overflows uint64")
 		}
 		v = v*10 + uint64(c)
 	}
-	switch n := d.pos - start; {
+	s.pos = i
+	switch n := i - start; {
 	case n == 0:
 		return 0, errors.New("want an unsigned integer")
-	case n > 1 && d.data[start] == '0':
+	case n > 1 && data[start] == '0':
 		return 0, errors.New("number has a leading zero")
-	}
-	if d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case '.', 'e', 'E':
-			return 0, errors.New("want an unsigned integer")
-		}
 	}
 	return v, nil
 }
 
-// seqs reads one incident's seqs array into the arena.
-func (d *incidentDecoder) seqs() ([]uint64, error) {
-	if err := d.expect("["); err != nil {
-		return nil, err
+// incidents reads one incident list, checking Definition 4 (seqs non-empty
+// and strictly increasing) and the canonical order as it goes, and calls
+// emit, when non-nil, with each incident; seqs is valid only during the call.
+// The seqs of the incident before and of the one being read live in two
+// buffers that trade places, so a list of any length costs two small
+// allocations.
+func (s *scanner) incidents(emit func(wid uint64, seqs []uint64)) (sum listSummary, err error) {
+	if err := s.want("["); err != nil {
+		return sum, err
 	}
-	start := len(d.slab)
-	if d.has("]") {
-		return nil, nil
+	if s.lit("]") {
+		return sum, nil
 	}
+	// Room for incidents of up to eight records each, in one allocation.
+	seqs := make([]uint64, 16)
+	prev, cur := seqs[:0:8], seqs[8:8]
 	for {
-		v, err := d.uint()
-		if err != nil {
-			return nil, err
+		if err := s.want(`{"wid":`); err != nil {
+			return sum, err
 		}
-		if len(d.slab) == cap(d.slab) {
-			// A fresh slab, taking along what this incident has so far; the
-			// finished incidents keep the old one.
-			grown := make([]uint64, len(d.slab)-start, max(seqSlab, 2*(len(d.slab)-start)))
-			copy(grown, d.slab[start:])
-			d.slab, start = grown, 0
-		}
-		d.slab = append(d.slab, v)
-		if more, err := d.more("]"); err != nil {
-			return nil, err
-		} else if !more {
-			return d.slab[start:len(d.slab):len(d.slab)], nil
-		}
-	}
-}
-
-// incident reads one {"wid":…,"seqs":[…]} object.
-func (d *incidentDecoder) incident() (incident.Incident, error) {
-	if err := d.expect("{"); err != nil {
-		return incident.Incident{}, err
-	}
-	var (
-		wid              uint64
-		seqs             []uint64
-		haveWID, haveSeq bool
-	)
-	for more := true; more; {
-		var err error
-		switch {
-		case !haveWID && d.has(`"wid"`):
-			haveWID = true
-			if err = d.expect(":"); err == nil {
-				wid, err = d.uint()
-			}
-		case !haveSeq && d.has(`"seqs"`):
-			haveSeq = true
-			if err = d.expect(":"); err == nil {
-				seqs, err = d.seqs()
-			}
-		default:
-			err = errors.New(`want the key "wid" or "seqs", once each`)
+		wid, err := s.uint()
+		if err == nil {
+			err = s.want(`,"seqs":[`)
 		}
 		if err == nil {
-			more, err = d.more("}")
+			cur, err = s.seqs(cur[:0])
 		}
 		if err != nil {
-			return incident.Incident{}, err
+			return sum, err
 		}
+		// Canonical order is wid order first; only a wid's second incident
+		// needs the whole comparison.
+		if sum.n > 0 && wid <= sum.last {
+			if p, o := incident.Adopt(sum.last, prev), incident.Adopt(wid, cur); p.Compare(o) >= 0 {
+				return sum, fmt.Errorf("%v does not follow %v in canonical order", o, p)
+			}
+		}
+		if emit != nil {
+			emit(wid, cur)
+		}
+		if sum.n == 0 {
+			sum.first = wid
+		}
+		sum.n++
+		sum.last = wid
+		prev, cur = cur, prev
+		if s.lit(",") {
+			continue
+		}
+		if s.lit("]") {
+			return sum, nil
+		}
+		return sum, errors.New(`want ',' or "]"`)
 	}
-	if !haveWID || !haveSeq {
-		return incident.Incident{}, errors.New(`incident lacks "wid" or "seqs"`)
-	}
-	return incident.FromSorted(wid, seqs)
 }
 
-// list reads the whole array and requires nothing but whitespace after it.
-func (d *incidentDecoder) list() ([]incident.Incident, error) {
-	if err := d.expect("["); err != nil {
+// seqs reads an incident's is-lsns, from after its '[' through the closing
+// "]}", into dst.
+func (s *scanner) seqs(dst []uint64) ([]uint64, error) {
+	if len(s.data) > s.pos && s.data[s.pos] == ']' {
+		return nil, errors.New("empty incident")
+	}
+	for {
+		v, err := s.uint()
+		if err != nil {
+			return nil, err
+		}
+		if n := len(dst); n > 0 && v <= dst[n-1] {
+			return nil, fmt.Errorf("is-lsn %d after %d: not strictly increasing", v, dst[n-1])
+		}
+		dst = append(dst, v)
+		if s.lit(",") {
+			continue
+		}
+		if s.lit("]}") {
+			return dst, nil
+		}
+		return nil, errors.New(`want ',' or "]}"`)
+	}
+}
+
+// wids reads a wid list, strictly ascending, into a new slice.
+func (s *scanner) wids() ([]uint64, error) {
+	if err := s.want("["); err != nil {
 		return nil, err
 	}
-	// Every incident opens one brace, so the count sizes the result exactly;
-	// the cap keeps bytes that are mostly braces from reserving 32 times
-	// their own size.
-	incs := make([]incident.Incident, 0, min(bytes.Count(d.data, []byte("{")), len(d.data)/len(`{"wid":0,"seqs":[0]}`)))
-	if !d.has("]") {
-		for more := true; more; {
-			start := d.pos
-			inc, err := d.incident()
-			if err == nil && len(incs) > 0 && incs[len(incs)-1].Compare(inc) >= 0 {
-				d.pos, err = start, fmt.Errorf("%v does not follow %v in canonical order", inc, incs[len(incs)-1])
-			}
-			if err != nil {
-				return nil, err
-			}
-			incs = append(incs, inc)
-			if more, err = d.more("]"); err != nil {
-				return nil, err
-			}
+	if s.lit("]") {
+		return nil, nil
+	}
+	// The first ']' ends a list of numbers: size the result by its commas.
+	var dst []uint64
+	if end := bytes.IndexByte(s.data[s.pos:], ']'); end > 0 {
+		dst = make([]uint64, 0, bytes.Count(s.data[s.pos:s.pos+end], []byte(","))+1)
+	}
+	for {
+		v, err := s.uint()
+		if err != nil {
+			return nil, err
 		}
+		if n := len(dst); n > 0 && v <= dst[n-1] {
+			return nil, fmt.Errorf("wids %d, %d not ascending", dst[n-1], v)
+		}
+		dst = append(dst, v)
+		if s.lit(",") {
+			continue
+		}
+		if s.lit("]") {
+			return dst, nil
+		}
+		return nil, errors.New(`want ',' or "]"`)
 	}
-	if d.skipSpace(); d.pos < len(d.data) {
-		return nil, errors.New("data after the closing bracket")
+}
+
+// maxPresized bounds the buffer readReply reserves from a Content-Length
+// header, so that a header that lies cannot reserve memory its body never
+// sends; a longer body is read as it comes.
+const maxPresized = 64 << 20
+
+// readReply reads a worker's success body to a request of the given shape:
+// whole, into one buffer of the length its header announced (size <= 0: none,
+// or an empty body), then in place (parseReply). A body cut short is the
+// transport's failure and worth a retry; a whole body that does not read is
+// not — asking again gets the same bytes.
+func readReply(body io.Reader, size int64, shape eval.Shape) (*WorkerQueryResponse, listSummary, error) {
+	var (
+		buf []byte
+		err error
+	)
+	if size > 0 && size <= maxPresized {
+		buf = make([]byte, size)
+		_, err = io.ReadFull(body, buf)
+	} else {
+		buf, err = io.ReadAll(body)
 	}
-	return incs, nil
+	if err != nil {
+		return nil, listSummary{}, fmt.Errorf("read worker response: %w", err)
+	}
+	resp, sum, err := parseReply(buf, shape)
+	if err != nil {
+		return nil, listSummary{}, nonRetryable(err)
+	}
+	return resp, sum, nil
+}
+
+// Answer array members as they open in a reply.
+var (
+	incidentsKey = []byte(`"incidents":`)
+	widsKey      = []byte(`"wids":`)
+)
+
+// parseReply reads a worker's success body in place. The head (worker,
+// wids_owned, instances, count) has no nested value, so the first
+// `"incidents":` — or `"wids":`, by the shape — opens the answer array. The
+// scanner reads the array where it lies, and encoding/json decodes only the
+// members around it (decodeAround). The returned Incidents aliases body, and
+// the byte on each side of the array's member is overwritten.
+//
+// A reply reads if it is one JSON object whose answer array, when it has one,
+// is in the one wire spelling and is the object's only member of that name;
+// anything else is an error.
+func parseReply(body []byte, shape eval.Shape) (*WorkerQueryResponse, listSummary, error) {
+	var (
+		key []byte
+		env replyEnvelope
+		sum listSummary
+	)
+	switch shape {
+	case eval.ShapeIncidents:
+		key = incidentsKey
+	case eval.ShapeInstances:
+		key = widsKey
+	}
+	at := -1
+	if key != nil {
+		at = bytes.Index(body, key)
+	}
+	if at < 0 {
+		// No answer array: none in mode "count", and an empty one left out.
+		if err := json.Unmarshal(body, &env); err != nil {
+			return nil, sum, fmt.Errorf("decode worker response: %w", err)
+		}
+		if env.has(shape) {
+			return nil, sum, fmt.Errorf("%w: the answer array's key is not spelled %s", ErrMalformedIncidents, key)
+		}
+		return env.response(), sum, nil
+	}
+	s := scanner{data: body, pos: at + len(key)}
+	var (
+		incidents json.RawMessage
+		wids      []uint64
+		err       error
+	)
+	if shape == eval.ShapeIncidents {
+		if sum, err = s.incidents(nil); err == nil {
+			incidents = body[at+len(key) : s.pos : s.pos]
+		}
+	} else if wids, err = s.wids(); err == nil && len(wids) > 0 {
+		sum = listSummary{n: len(wids), first: wids[0], last: wids[len(wids)-1]}
+	}
+	if err != nil {
+		return nil, listSummary{}, s.malformed(err)
+	}
+	if err := decodeAround(body[:at], body[s.pos:], &env); err != nil {
+		return nil, listSummary{}, fmt.Errorf("decode worker response: %w", err)
+	}
+	if env.has(shape) {
+		return nil, listSummary{}, fmt.Errorf("%w: a second %s member", ErrMalformedIncidents, key)
+	}
+	resp := env.response()
+	resp.Incidents, resp.WIDs = incidents, wids
+	return resp, sum, nil
+}
+
+// replyEnvelope is what encoding/json reads of a reply. The answer arrays'
+// members only record that they were there: beside the array the scanner
+// read, one would be a second answer, and the other mode's is not read.
+type replyEnvelope struct {
+	WorkerReplyHead
+	Incidents present     `json:"incidents"`
+	WIDs      presentWIDs `json:"wids"`
+	WorkerReplyTail
+}
+
+// present records that an object member was there, whatever its value.
+type present bool
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *present) UnmarshalJSON([]byte) error {
+	*p = true
+	return nil
+}
+
+// presentWIDs is present for a member that must decode as a wid list, as it
+// would into a WorkerQueryResponse.
+type presentWIDs bool
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *presentWIDs) UnmarshalJSON(b []byte) error {
+	*p = true
+	var wids []uint64
+	return json.Unmarshal(b, &wids)
+}
+
+// has reports whether the envelope had a member of the shape's answer array.
+func (e *replyEnvelope) has(shape eval.Shape) bool {
+	switch shape {
+	case eval.ShapeIncidents:
+		return bool(e.Incidents)
+	case eval.ShapeInstances:
+		return bool(e.WIDs)
+	}
+	return false
+}
+
+// response is the envelope's head and tail as a reply with no answer array.
+func (e *replyEnvelope) response() *WorkerQueryResponse {
+	return &WorkerQueryResponse{WorkerReplyHead: e.WorkerReplyHead, WorkerReplyTail: e.WorkerReplyTail}
+}
+
+// jsonSpace is JSON's insignificant whitespace.
+const jsonSpace = " \t\r\n"
+
+// errPlace is decodeAround's error for bytes around the array that do not
+// make it a member of one object.
+var errPlace = errors.New("the answer array is not a member of the reply object")
+
+// decodeAround decodes into v the members of a JSON object before and after
+// one of its members: head runs up to that member's key, tail from just after
+// its value. Each side, closed into an object of its own by overwriting the
+// comma that joined it to the member, goes through encoding/json — head
+// first, so that of a repeated key the last is kept, as encoding/json keeps
+// it of the whole object.
+func decodeAround(head, tail []byte, v any) error {
+	head = bytes.TrimRight(head, jsonSpace)
+	tail = bytes.TrimLeft(tail, jsonSpace)
+	if len(head) == 0 || len(tail) == 0 {
+		return errPlace
+	}
+	switch last := len(head) - 1; {
+	case head[last] == ',' && !bytes.HasSuffix(bytes.TrimRight(head[:last], jsonSpace), []byte("{")):
+		head[last] = '}'
+		if err := json.Unmarshal(head, v); err != nil {
+			return err
+		}
+	case head[last] == '{' && len(bytes.TrimLeft(head, jsonSpace)) == 1:
+		// The array's member comes first.
+	default:
+		return errPlace
+	}
+	switch {
+	case tail[0] == ',' && !bytes.HasPrefix(bytes.TrimLeft(tail[1:], jsonSpace), []byte("}")):
+		tail[0] = '{'
+		return json.Unmarshal(tail, v)
+	case tail[0] == '}' && len(bytes.TrimRight(tail, jsonSpace)) == 1:
+		// The array's member comes last.
+		return nil
+	}
+	return errPlace
 }
 
 // WorkerErrorDoc is the worker's error envelope (any non-200 status).

@@ -398,19 +398,6 @@ func TestSetAlgebraProperty(t *testing.T) {
 	}
 }
 
-func TestFromSorted(t *testing.T) {
-	seqs := []uint64{2, 5, 9}
-	o, err := FromSorted(7, seqs)
-	if err != nil || !o.Equal(New(7, 9, 2, 5)) {
-		t.Fatalf("FromSorted = %v, %v", o, err)
-	}
-	for _, bad := range [][]uint64{nil, {}, {3, 3}, {5, 2}, {1, 2, 2}} {
-		if o, err := FromSorted(1, bad); err == nil {
-			t.Errorf("FromSorted(%v) = %v, want an error", bad, o)
-		}
-	}
-}
-
 // TestMergeSortedIsNewSet: however canonical runs are cut out of a set —
 // disjoint ranges (the precondition: they concatenate), interleaved wids or
 // overlapping copies (it is broken: the sort takes over), empty runs — their

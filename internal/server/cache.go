@@ -13,10 +13,12 @@ import (
 
 // cacheEntry is one cached query: the compiled plan (the optimized pattern)
 // and its answer in the richest shape a request has computed so far — the
-// count always, the instance list or the incident set only once a request
-// asked for them. An entry serves every request whose shape can be read off
-// what it holds (serves); a request it cannot serve is a miss, which
-// evaluates in the shape asked for and puts a richer entry in its place.
+// count always, the instance list or the incidents only once a request
+// asked for them. A local run's incidents are an incident set; a
+// coordinator's are the wire form its workers sent, and it never builds a
+// set. An entry serves every request whose shape can be read off what it
+// holds (serves); a request it cannot serve is a miss, which evaluates in
+// the shape asked for and puts a richer entry in its place.
 //
 // An entry also records the store version it was computed from: its origin
 // (a rebase starts a new one) and its lsn. A snapshot never gains a record,
@@ -37,9 +39,11 @@ type cacheEntry struct {
 	origin   *colstore.Origin
 	lsn      uint64
 
-	// incidents is the set in wire form (cluster.AppendIncidents), built by
-	// the first response that needs it and shared by every later one;
-	// incidentsLen is its length once built, for the cache_body_bytes gauge.
+	// incidents is the incidents answer in wire form (cluster.AppendIncidents'
+	// bytes): a coordinator's from the start (setIncidents), else built from
+	// the set by the first response that needs it. Every later response
+	// shares it; incidentsLen is its length once there, for the
+	// cache_body_bytes gauge.
 	incidentsOnce sync.Once
 	incidents     []byte
 	incidentsLen  atomic.Int64
@@ -52,20 +56,43 @@ func (e *cacheEntry) serves(shape eval.Shape) bool { return e.shape <= shape }
 
 // instances returns the wids with an incident, ascending.
 func (e *cacheEntry) instances() []uint64 {
-	if e.answer.Set != nil {
+	switch {
+	case e.answer.Set != nil:
 		return e.answer.Set.WIDs()
+	case e.shape == eval.ShapeIncidents:
+		return cluster.IncidentWIDs(e.incidentsJSON())
 	}
 	return e.answer.WIDs
 }
 
-// incidentsJSON returns the whole set as the "incidents" array of a query
+// setIncidents fills the entry's incidents with an answer that arrived in
+// wire form. It must come before the entry is shared.
+func (e *cacheEntry) setIncidents(wire []byte) {
+	e.incidentsOnce.Do(func() { e.keepIncidents(wire) })
+}
+
+// keepIncidents stores the wire form and its length.
+func (e *cacheEntry) keepIncidents(wire []byte) {
+	e.incidents = wire
+	e.incidentsLen.Store(int64(len(wire)))
+}
+
+// incidentsJSON returns the whole answer as the "incidents" array of a query
 // response. Callers must not modify it.
 func (e *cacheEntry) incidentsJSON() []byte {
-	e.incidentsOnce.Do(func() {
-		e.incidents = cluster.AppendIncidents(nil, e.answer.Set.View())
-		e.incidentsLen.Store(int64(len(e.incidents)))
-	})
+	e.incidentsOnce.Do(func() { e.keepIncidents(cluster.AppendIncidents(nil, e.answer.Set.View())) })
 	return e.incidents
+}
+
+// firstIncidents returns the answer's first n incidents as an "incidents"
+// array: encoded from the set when the entry has one — a truncated answer
+// encodes what it returns and no more — and cut from the wire form when it
+// has only that.
+func (e *cacheEntry) firstIncidents(n int) []byte {
+	if e.answer.Set != nil {
+		return cluster.AppendIncidents(nil, e.answer.Set.View()[:n])
+	}
+	return cluster.CutIncidents(e.incidentsJSON(), n)
 }
 
 // staleAt reports whether a record src holds beyond the entry's lsn can have

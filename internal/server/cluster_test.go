@@ -681,8 +681,9 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 		}
 		// A -> B matches every instance: the answer spans the interval, end to
 		// end, and stops there.
-		if n := len(resp.Incidents); n == 0 || resp.Incidents[0].WID() != 5 || resp.Incidents[n-1].WID() != 12 {
-			t.Fatalf("incidents %v do not span exactly wids 5–12", resp.Incidents)
+		incs, err := cluster.DecodeIncidents(resp.Incidents)
+		if n := len(incs); err != nil || n == 0 || incs[0].WID() != 5 || incs[n-1].WID() != 12 {
+			t.Fatalf("incidents %s (%v) do not span exactly wids 5–12", resp.Incidents, err)
 		}
 	})
 	t.Run("answers in the request's mode", func(t *testing.T) {
@@ -730,8 +731,9 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !incident.MergeSorted(resp.Incidents).Equal(want) {
-			t.Fatalf("worker answered %d incidents, naive Algorithm 1 has %d", len(resp.Incidents), want.Len())
+		incs, err := cluster.DecodeIncidents(resp.Incidents)
+		if err != nil || !incident.MergeSorted(incs).Equal(want) {
+			t.Fatalf("worker answered %d incidents (%v), naive Algorithm 1 has %d", len(incs), err, want.Len())
 		}
 	})
 	t.Run("an interval past the log is empty, not an error", func(t *testing.T) {
@@ -742,8 +744,8 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
 			t.Fatalf("status %d, err %v: %s", rec.Code, err, rec.Body)
 		}
-		if resp.WIDsOwned != 0 || len(resp.Incidents) != 0 {
-			t.Fatalf("WIDsOwned = %d with %d incidents, want none", resp.WIDsOwned, len(resp.Incidents))
+		if resp.WIDsOwned != 0 || string(resp.Incidents) != "[]" {
+			t.Fatalf("WIDsOwned = %d with incidents %s, want none", resp.WIDsOwned, resp.Incidents)
 		}
 	})
 	t.Run("unknown log is 404", func(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"wlq"
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
@@ -30,7 +31,8 @@ func oracleSet(l *wlog.Log, q string) *incident.Set {
 
 // assertAnswerMatches holds one decoded 200 or 206 response of the given mode
 // to want: an exact count and exists in every mode, the instance list and the
-// incidents in theirs, and no array in a mode that has none.
+// incidents in theirs — a truncated list the oracle's first incidents — and no
+// array in a mode that has none.
 func assertAnswerMatches(t *testing.T, q, mode string, got queryResponse, want *incident.Set) {
 	t.Helper()
 	if got.Mode != mode || got.Count != want.Len() || got.Exists != (want.Len() > 0) {
@@ -45,6 +47,16 @@ func assertAnswerMatches(t *testing.T, q, mode string, got queryResponse, want *
 		if want.Len() > 0 { // the wire form omits an empty list
 			wantIncidents = incidentDocs(want.Incidents())
 		}
+		if got.Truncated {
+			if len(got.Incidents) == 0 || len(got.Incidents) >= want.Len() {
+				t.Errorf("%q %s: truncated to %d of %d incidents", q, mode, len(got.Incidents), want.Len())
+			} else {
+				wantIncidents = wantIncidents[:len(got.Incidents)]
+			}
+		}
+	}
+	if got.Truncated && mode != "incidents" {
+		t.Errorf("%q %s: a %s answer truncated", q, mode, mode)
 	}
 	if !slices.Equal(got.Instances, wantWIDs) {
 		t.Errorf("%q %s: instances %v, want %v", q, mode, got.Instances, wantWIDs)
@@ -143,6 +155,12 @@ func TestServedModesMatchOracle(t *testing.T) {
 			"2 workers/cache off": {func() http.Handler {
 				return newClusterFixture(t, 2, "gen", l, nil, func(c *Config) { c.CacheSize = -1 }).coord.Handler()
 			}, ""},
+			// Truncation cuts the spliced array, off a cache entry that holds
+			// only the bytes, or off a miss.
+			"2 workers/max_results 1": {func() http.Handler { return newClusterFixture(t, 2, "gen", l, nil, nil).coord.Handler() }, `,"max_results":1`},
+			"2 workers/cache off/max_results 2": {func() http.Handler {
+				return newClusterFixture(t, 2, "gen", l, nil, func(c *Config) { c.CacheSize = -1 }).coord.Handler()
+			}, `,"max_results":2`},
 		}
 		for name, tier := range tiers {
 			t.Run(fmt.Sprintf("seed %d/%s", seed, name), func(t *testing.T) {
@@ -194,47 +212,119 @@ func splitLog(t *testing.T, l *wlog.Log) (*wlog.Log, string) {
 // TestCacheServesOnlyWhatItHolds: one entry per query, holding the richest
 // shape asked so far. A cheaper mode is read off it; a richer one is a miss
 // that evaluates and replaces it — a count-only entry never answers an
-// incidents request.
+// incidents request. On a coordinator an incidents entry holds only the
+// bytes its workers sent, and instances, counts and truncated answers are
+// read off those.
 func TestCacheServesOnlyWhatItHolds(t *testing.T) {
 	l, _ := generatedCase(t, 3)
 	const q = "Act00 -> Act01"
 	want := oracleSet(l, q)
-	if want.Len() == 0 {
-		t.Fatal("the query has no incident to tell the shapes apart")
+	if want.Len() < 2 {
+		t.Fatal("the query has too few incidents to tell the shapes apart")
 	}
 	type call struct {
 		mode   string
 		cached bool
+		// max is the request's max_results.
+		max int
 	}
-	for _, order := range [][]call{
-		{{"count", false}, {"incidents", false}, {"count", true}, {"instances", true}, {"exists", true}},
-		{{"incidents", false}, {"instances", true}, {"count", true}, {"incidents", true}},
-		{{"instances", false}, {"count", true}, {"exists", true}, {"instances", true}, {"incidents", false}, {"instances", true}},
-		{{"exists", false}, {"count", true}, {"instances", false}, {"exists", true}, {"incidents", false}, {"incidents", true}},
+	for name, handler := range map[string]func() http.Handler{
+		"single":    func() http.Handler { return serverOver(t, Config{}, "gen", l).Handler() },
+		"2 workers": func() http.Handler { return newClusterFixture(t, 2, "gen", l, nil, nil).coord.Handler() },
 	} {
-		s := serverOver(t, Config{}, "gen", l)
-		h := s.Handler()
-		misses := 0
-		for i, c := range order {
-			var got queryResponse
-			// Alternate spellings: the entry is keyed on the canonical form.
-			query := []string{q, "(Act00)->Act01"}[i%2]
-			if rec := postQuery(t, h, fmt.Sprintf(`{"query":%q,"mode":%q}`, query, c.mode), &got); rec.Code != http.StatusOK {
-				t.Fatalf("%v call %d: %d: %s", order, i, rec.Code, rec.Body)
+		t.Run(name, func(t *testing.T) {
+			for _, order := range [][]call{
+				{{"count", false, 0}, {"incidents", false, 0}, {"count", true, 0}, {"instances", true, 0}, {"exists", true, 0}, {"incidents", true, 1}},
+				{{"incidents", false, 0}, {"instances", true, 0}, {"count", true, 0}, {"incidents", true, want.Len() - 1}, {"incidents", true, 0}},
+				{{"instances", false, 0}, {"count", true, 0}, {"exists", true, 0}, {"instances", true, 0}, {"incidents", false, 1}, {"instances", true, 0}, {"incidents", true, 0}},
+				{{"exists", false, 0}, {"count", true, 0}, {"instances", false, 0}, {"exists", true, 0}, {"incidents", false, 0}, {"incidents", true, 2}},
+			} {
+				h := handler()
+				misses := 0
+				for i, c := range order {
+					var got queryResponse
+					// Alternate spellings: the entry is keyed on the canonical form.
+					query := []string{q, "(Act00)->Act01"}[i%2]
+					body := fmt.Sprintf(`{"query":%q,"mode":%q,"max_results":%d}`, query, c.mode, c.max)
+					if rec := postQuery(t, h, body, &got); rec.Code != http.StatusOK {
+						t.Fatalf("%v call %d: %d: %s", order, i, rec.Code, rec.Body)
+					}
+					if got.Cached != c.cached {
+						t.Errorf("%v call %d (%s): cached = %v, want %v", order, i, c.mode, got.Cached, c.cached)
+					}
+					if got.Truncated != (c.max > 0) || c.max > 0 && len(got.Incidents) != c.max {
+						t.Errorf("%v call %d: truncated %v to %d incidents, asked for %d", order, i, got.Truncated, len(got.Incidents), c.max)
+					}
+					if !c.cached {
+						misses++
+					}
+					assertAnswerMatches(t, q, c.mode, got, want)
+				}
+				var m metricsDoc
+				getJSON(t, h, "/metrics", &m)
+				if int(m.CacheMisses) != misses || int(m.CacheHits) != len(order)-misses || m.CacheEntries != 1 {
+					t.Errorf("%v: %d hits, %d misses, %d entries; want %d, %d, 1", order, m.CacheHits, m.CacheMisses, m.CacheEntries, len(order)-misses, misses)
+				}
 			}
-			if got.Cached != c.cached {
-				t.Errorf("%v call %d (%s): cached = %v, want %v", order, i, c.mode, got.Cached, c.cached)
+		})
+	}
+}
+
+// TestClusterResponsesEqualSingleNode: a coordinator splices its workers'
+// answer arrays into its response as they arrived, so what it writes — in
+// every mode, truncated anywhere, on a miss and on the hit after it — is a
+// single node's response byte for byte, once the completeness object only a
+// cluster answer carries is taken out and the one timing masked.
+func TestClusterResponsesEqualSingleNode(t *testing.T) {
+	clinic, err := wlq.ClinicLog(200, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := map[string]*wlog.Log{"clinic": clinic}
+	queries := map[string][]string{"clinic": hotMixQueries}
+	for seed := int64(1); seed <= 6; seed++ {
+		name := fmt.Sprintf("gen %d", seed)
+		logs[name], queries[name] = generatedCase(t, seed)
+	}
+	for name, l := range logs {
+		t.Run(name, func(t *testing.T) {
+			single := serverOver(t, Config{}, "log", l).Handler()
+			coord := newClusterFixture(t, 2, "log", l, nil, nil).coord.Handler()
+			for _, q := range queries[name] {
+				var bodies []string
+				for _, mode := range answerModes {
+					bodies = append(bodies, fmt.Sprintf(`{"query":%q,"mode":%q}`, q, mode))
+				}
+				n := oracleSet(l, q).Len()
+				for _, max := range []int{1, 2, n - 1} {
+					if max > 0 {
+						bodies = append(bodies, fmt.Sprintf(`{"query":%q,"max_results":%d}`, q, max))
+					}
+				}
+				// Twice over: misses, then hits on the entry the first round left.
+				for round := 0; round < 2; round++ {
+					for _, body := range bodies {
+						want, got := postQuery(t, single, body, nil), postQuery(t, coord, body, nil)
+						if want.Code != http.StatusOK || got.Code != http.StatusOK {
+							t.Fatalf("%s: single node %d, coordinator %d: %s", body, want.Code, got.Code, got.Body)
+						}
+						// An evaluation on the cluster says what it covered; a hit
+						// evaluated nothing.
+						reply, completeness, ok := bytes.Cut(got.Body.Bytes(), []byte(`,"completeness":`))
+						if ok != !bytes.Contains(reply, []byte(`"cached":true`)) || ok && !bytes.HasSuffix(completeness, []byte("}}\n")) ||
+							bytes.Contains(want.Body.Bytes(), []byte(`"completeness"`)) {
+							t.Fatalf("%s: completeness where it should not be:\ncoordinator: %s\nsingle node: %s", body, got.Body, want.Body)
+						}
+						if ok {
+							reply = append(reply, "}\n"...)
+						}
+						if masked := maskVolatile(reply); masked != maskVolatile(want.Body.Bytes()) {
+							t.Errorf("%s: the coordinator's response differs from a single node's\ncoordinator: %s\nsingle node: %s", body, masked, maskVolatile(want.Body.Bytes()))
+						}
+					}
+				}
 			}
-			if !c.cached {
-				misses++
-			}
-			assertAnswerMatches(t, q, c.mode, got, want)
-		}
-		var m metricsDoc
-		getJSON(t, h, "/metrics", &m)
-		if int(m.CacheMisses) != misses || int(m.CacheHits) != len(order)-misses || m.CacheEntries != 1 {
-			t.Errorf("%v: %d hits, %d misses, %d entries; want %d, %d, 1", order, m.CacheHits, m.CacheMisses, m.CacheEntries, len(order)-misses, misses)
-		}
+		})
 	}
 }
 

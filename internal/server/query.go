@@ -122,10 +122,14 @@ type executor struct {
 // execution is the one outcome type of the execute stage, whichever tier
 // ran the plan.
 type execution struct {
-	// answer is incL(plan) in the shape the run was asked for.
+	// answer is incL(plan) in the shape the run was asked for — on a cluster
+	// run without its Set: the incidents arrive as incidents, below.
 	answer eval.Answer
-	err    error
-	stats  eval.QueryStats
+	// incidents is a cluster run's incidents answer in wire form, as the
+	// coordinator spliced it from its workers' replies (nil otherwise).
+	incidents []byte
+	err       error
+	stats     eval.QueryStats
 	// comp is the coverage of a cluster run, or of a local one that excluded
 	// instances under "partial": true (nil otherwise).
 	comp *cluster.Completeness
@@ -148,11 +152,14 @@ func (s *Server) bindExecutor(e *logEntry) {
 			run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.clusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
-				x.answer, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
+				var res cluster.Result
+				res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
 					WIDs:     src.WIDs(),
 					Strategy: opts.Strategy.String(),
 					Budget:   opts.Budget,
 				}, &x.stats)
+				x.answer = eval.Answer{Count: res.Count, WIDs: res.WIDs}
+				x.incidents = res.Incidents
 				return x
 			},
 		}
@@ -632,6 +639,9 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		}
 	}
 	q.answer.answer = x.answer
+	if x.incidents != nil {
+		q.answer.setIncidents(x.incidents)
+	}
 	// A partial result is never cached: a later query must not be served an
 	// excluded wid range's absence as if it were evaluated truth (the fault
 	// may well be gone before the entry would age out).
@@ -643,8 +653,9 @@ func (q *queryRun) execute(ctx context.Context) bool {
 
 // respond writes the answer in the requested mode: head, answer array, tail
 // (see queryHead). An untruncated incidents array is the entry's shared
-// encoding — built by whichever response needs it first, the miss that
-// filled the entry or a later hit — so a cache hit encodes only the head.
+// encoding — spliced from the workers' replies on a coordinator, else built
+// by whichever response needs it first, the miss that filled the entry or a
+// later hit — so a cache hit encodes only the head.
 func (q *queryRun) respond() {
 	answer, comp := q.answer.answer, q.capture.Completeness
 	head := queryHead{
@@ -678,7 +689,7 @@ func (q *queryRun) respond() {
 		n := head.Count
 		if q.req.MaxResults > 0 && n > q.req.MaxResults {
 			n, tail.Truncated = q.req.MaxResults, true
-			array = cluster.AppendIncidents(nil, answer.Set.View()[:n])
+			array = q.answer.firstIncidents(n)
 		} else {
 			array = q.answer.incidentsJSON()
 		}

@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
 
 	"wlq"
+	"wlq/internal/cluster"
 	"wlq/internal/core/incident"
+	"wlq/internal/gen"
 )
 
 // queryResponse is the POST /v1/query document as a client decodes it, and
@@ -339,6 +343,82 @@ func TestSummaryMissAllocsDoNotGrowWithAnswer(t *testing.T) {
 				t.Errorf("%s %s: a miss on %d incidents allocates %.0f times, on %d incidents %.0f: it grows with the answer",
 					query, mode, nSmall, aSmall, nLarge, aLarge)
 			}
+		}
+	}
+}
+
+// cannedFleet is a worker fleet behind cluster.Config.Transport that answers
+// every request in mode incidents with one two-record incident per wid of
+// its interval, each worker's reply encoded once and then replayed, so that
+// what a query allocates is the coordinator's alone.
+type cannedFleet struct {
+	wids    []uint64
+	replies sync.Map // worker name -> reply body
+}
+
+func (f *cannedFleet) RoundTrip(r *http.Request) (*http.Response, error) {
+	var req cluster.WorkerQueryRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		return nil, err
+	}
+	body, ok := f.replies.Load(req.Self)
+	if !ok {
+		var incs []incident.Incident
+		for _, wid := range f.wids {
+			if wid >= *req.WIDMin && wid <= *req.WIDMax {
+				incs = append(incs, incident.New(wid, 1, 2))
+			}
+		}
+		reply := fmt.Appendf(nil, `{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":`, req.Self, len(incs), len(incs))
+		body, _ = f.replies.LoadOrStore(req.Self, append(cluster.AppendIncidents(reply, incs), `,"elapsed_us":1}`...))
+	}
+	b := body.([]byte)
+	return &http.Response{StatusCode: http.StatusOK, ContentLength: int64(len(b)), Header: make(http.Header),
+		Body: io.NopCloser(bytes.NewReader(b))}, nil
+}
+
+// TestClusterIncidentsAllocsDoNotGrowWithAnswer: a coordinator serves an
+// incidents answer as the bytes its workers sent — each part's array checked
+// where it lies, the arrays copied once into the answer, the answer written
+// as it stands. Nothing decodes an incident, so nothing builds an
+// incident.Set or calls AppendIncidents on one: a miss allocates as many
+// times for a thirty-fold answer as for a small one, and so does a truncated
+// one.
+func TestClusterIncidentsAllocsDoNotGrowWithAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("counts allocations exactly, which the race detector's sync.Pool does not allow")
+	}
+	allocs := func(instances int, body string) (float64, int) {
+		l := gen.MustRandomLog(gen.LogParams{Instances: instances, MeanLength: 2, Seed: 1})
+		s := New(Config{CacheSize: -1, FlightRecorderSize: -1, ProbeInterval: -1,
+			Cluster: &cluster.Config{Workers: []string{"http://w1", "http://w2"}, Transport: &cannedFleet{wids: l.WIDs()}}})
+		t.Cleanup(func() { s.Close() })
+		if err := s.AddLog("gen", "builtin:gen", l); err != nil {
+			t.Fatal(err)
+		}
+		h := s.Handler()
+		var doc queryResponse
+		if rec := postQuery(t, h, body, &doc); rec.Code != http.StatusOK || len(doc.Incidents) == 0 {
+			t.Fatalf("%d: %s", rec.Code, rec.Body)
+		}
+		w := &discardResponse{header: make(http.Header)}
+		// With the collector off, no cycle empties a sync.Pool that the
+		// next request would have to refill: what is counted is what the
+		// request allocates.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		return testing.AllocsPerRun(20, func() {
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+		}), doc.Count
+	}
+	for _, body := range []string{`{"query":"Act00"}`, `{"query":"Act00","max_results":3}`} {
+		// Both answers large enough that the counts the spans carry no longer
+		// fit the runtime's preallocated small integers.
+		aSmall, nSmall := allocs(1000, body)
+		aLarge, nLarge := allocs(30000, body)
+		t.Logf("%s: %d incidents %.0f allocs/miss, %d incidents %.0f allocs/miss", body, nSmall, aSmall, nLarge, aLarge)
+		// Decoding would allocate once per block of seqs at least: dozens more.
+		if nLarge < 20*nSmall || aLarge > aSmall+1 {
+			t.Errorf("%s: a miss on %d incidents allocates %.0f times, on %d incidents %.0f", body, nSmall, aSmall, nLarge, aLarge)
 		}
 	}
 }
