@@ -70,12 +70,13 @@ examples:
 	$(GO) run ./examples/monitor
 
 # Short fuzzing pass over the parsers, the codecs, the worker reply reader,
-# the columnar store and the evaluator's entry points.
+# the Definition 2 check, the columnar store and the evaluator's entry points.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
 	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/
+	$(GO) test -fuzz=FuzzCheck -fuzztime=30s ./internal/wlog/
 	$(GO) test -fuzz=FuzzStoreMatchesIndex -fuzztime=30s ./internal/colstore/
 	$(GO) test -fuzz=FuzzEntryPointsAgree -fuzztime=3s -run XXX ./internal/core/eval/
 	$(GO) test -fuzz=FuzzIncidentCodec -fuzztime=30s -run XXX ./internal/cluster/

@@ -79,6 +79,9 @@ const denseSlack = 32
 // optimizer's selectivity estimates.)
 var _ eval.Source = (*Store)(nil)
 
+// A live append is checked against the version it extends (wlog.Check).
+var _ wlog.Tail = (*Store)(nil)
+
 // Build constructs the store of a log. The log's records are copied; l is not
 // retained.
 func Build(l *wlog.Log) *Store { return new(Store).Append(l.Records()...) }

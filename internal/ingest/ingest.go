@@ -1,18 +1,19 @@
-// Package ingest coordinates durable live ingestion: every append is
-// serialized through a write-ahead log (internal/wal) before it touches the
-// in-memory store, so a record the server has acknowledged survives a
-// process kill and is replayed into the store on restart.
+// Package ingest coordinates durable live ingestion: every append batch is
+// checked, then logged through a write-ahead log (internal/wal) before it
+// touches the in-memory store, so a record the server has acknowledged
+// survives a process kill and is replayed into the store on restart.
 //
-// The ordering invariant is WAL-then-apply: a record reaches the
-// stream.Monitor only after its frame is in the WAL (and, under
-// wal.PolicyAlways, fsynced). A crash can therefore leave the WAL ahead of
-// the store — never behind — and recovery closes the gap by replaying the
-// WAL over the base snapshot, skipping records the snapshot already holds
-// (idempotent by lsn, which Definition 2 makes globally unique and dense).
+// There is one append path. A batch is checked once, by wlog.Check against
+// the store version it extends; its valid prefix is logged as one WAL write
+// (and, under wal.PolicyAlways, one fsync), then published as one new store
+// version. A crash can therefore leave the WAL ahead of the store — never
+// behind — and recovery closes the gap by checking the WAL's records beyond
+// the base snapshot the same way and publishing them as one version,
+// skipping records the snapshot already holds (idempotent by lsn, which
+// Definition 2 makes globally unique and dense).
 //
-// Validation happens before the WAL write: a record violating the
-// Definition 2 discipline is rejected with a *RejectError naming the
-// offending record and is never persisted, so the WAL only ever holds
+// A record violating Definition 2 is refused with wlog.Check's
+// *wlog.ValidationError and is never persisted, so the WAL only ever holds
 // records that were valid when written.
 package ingest
 
@@ -23,8 +24,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"wlq/internal/colstore"
 	"wlq/internal/resilience"
-	"wlq/internal/stream"
 	"wlq/internal/wal"
 	"wlq/internal/wlog"
 )
@@ -32,21 +33,6 @@ import (
 // ErrBusy reports apply-queue saturation: more appenders are waiting than
 // the configured queue depth. The HTTP layer maps it to 429 + Retry-After.
 var ErrBusy = errors.New("ingest: apply queue saturated")
-
-// RejectError reports a record that violates the Definition 2 log
-// discipline. It names the offending record so the HTTP 422 body can show
-// the client exactly what was refused and why.
-type RejectError struct {
-	// Record is the refused record; Err the monitor's validation error.
-	Record wlog.Record
-	Err    error
-}
-
-func (e *RejectError) Error() string {
-	return fmt.Sprintf("ingest: rejected record %s: %v", e.Record, e.Err)
-}
-
-func (e *RejectError) Unwrap() error { return e.Err }
 
 // Config configures Open.
 type Config struct {
@@ -70,8 +56,8 @@ type Config struct {
 // Stats is a snapshot of the coordinator's counters.
 type Stats struct {
 	// Accepted counts records durably appended and applied this process
-	// lifetime; Rejected the Definition 2 refusals; Shed the ErrBusy
-	// backpressure refusals.
+	// lifetime; Rejected the batches a Definition 2 refusal stopped; Shed
+	// the ErrBusy backpressure refusals.
 	Accepted uint64
 	Rejected uint64
 	Shed     uint64
@@ -89,16 +75,16 @@ type Stats struct {
 	QueueCapacity int
 }
 
-// Coordinator serializes appends through the WAL into a live Monitor.
-// Safe for concurrent use. Reads never wait on an append: the monitor is
+// Coordinator serializes appends through the WAL into a live store.
+// Safe for concurrent use. Reads never wait on an append: the store is
 // published through an atomic pointer, and the counters are atomic.
 type Coordinator struct {
 	cfg Config
 	adm *resilience.Admission
 
-	mu  sync.Mutex // serializes WAL-then-apply, and Rebase; held across both
+	mu  sync.Mutex // serializes check-log-publish, and Rebase; held across all three
 	w   *wal.WAL
-	mon atomic.Pointer[stream.Monitor]
+	cur atomic.Pointer[colstore.Store]
 
 	accepted atomic.Uint64
 	rejected atomic.Uint64
@@ -106,16 +92,13 @@ type Coordinator struct {
 	deduped  atomic.Uint64
 }
 
-// Open builds the live monitor from the base snapshot (which must satisfy
-// Definition 2 — the server validates before enabling ingestion), opens the
-// WAL, and replays any records the WAL holds beyond the snapshot. Recovery
-// semantics — torn tails truncated, corruption refused — are the WAL's; see
-// that package and docs/DURABILITY.md.
+// Open builds the live store from the base snapshot, opens the WAL, and
+// replays any records the WAL holds beyond the snapshot. base must satisfy
+// Definition 2 (nil is the empty log): the server checks it before enabling
+// ingestion, and it is not checked again. Recovery semantics — torn tails
+// truncated, corruption refused — are the WAL's; see that package and
+// docs/DURABILITY.md.
 func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
-	mon, err := newMonitor(base)
-	if err != nil {
-		return nil, wal.Recovery{}, err
-	}
 	w, rec, err := wal.Open(wal.Options{
 		Dir:           cfg.Dir,
 		Policy:        cfg.Policy,
@@ -132,40 +115,34 @@ func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
 	if cfg.Queue > 0 {
 		c.adm = resilience.NewAdmission(cfg.Queue)
 	}
-	applied, skipped, err := replayInto(mon, w)
-	if err != nil {
+	if err := c.replayOnto(build(base)); err != nil {
 		w.Close()
 		return nil, wal.Recovery{}, err
 	}
-	c.replayed.Store(applied)
-	c.deduped.Store(skipped)
-	c.mon.Store(mon)
 	return c, rec, nil
 }
 
-// newMonitor loads the base snapshot into a fresh monitor.
-func newMonitor(base *wlog.Log) (*stream.Monitor, error) {
-	mon := stream.NewMonitor(nil)
-	if base != nil {
-		if err := mon.IngestLog(base); err != nil {
-			return nil, fmt.Errorf("ingest: base snapshot violates the log discipline: %w", err)
-		}
+// build is the base snapshot's store; nil is the empty log.
+func build(base *wlog.Log) *colstore.Store {
+	if base == nil {
+		return new(colstore.Store)
 	}
-	return mon, nil
+	return colstore.Build(base)
 }
 
-// replayInto applies WAL records beyond the monitor's high-water lsn, as one
-// version. Records at or below it are duplicates of the snapshot (or of a
-// previous replay pass interrupted mid-apply) and are skipped — lsn
-// identifies a record globally, so (wid, lsn) dedup reduces to lsn dedup. A
-// WAL record past the watermark that the monitor refuses is a real conflict
-// (the base snapshot changed shape underneath the WAL); replay stops there
-// with an error naming the record.
-func replayInto(mon *stream.Monitor, w *wal.WAL) (applied, skipped uint64, err error) {
-	base := mon.LastLSN()
+// replayOnto publishes st, a base snapshot's store, with the WAL's records
+// beyond its high-water lsn appended, as one version. Records at or below it
+// are duplicates of the snapshot (or of a previous replay pass interrupted
+// mid-apply) and are skipped — lsn identifies a record globally, so (wid,
+// lsn) dedup reduces to lsn dedup. The rest are checked against the
+// snapshot like any append; a record the check refuses is a real conflict
+// (the base snapshot changed shape underneath the WAL), and replay publishes
+// nothing and returns an error naming it. Caller holds c.mu or owns c.
+func (c *Coordinator) replayOnto(st *colstore.Store) error {
 	var recs []wlog.Record
-	err = w.Replay(func(r wlog.Record) error {
-		if r.LSN <= base {
+	var skipped uint64
+	err := c.w.Replay(func(r wlog.Record) error {
+		if r.LSN <= st.LastLSN() {
 			skipped++
 		} else {
 			recs = append(recs, r)
@@ -173,22 +150,31 @@ func replayInto(mon *stream.Monitor, w *wal.WAL) (applied, skipped uint64, err e
 		return nil
 	})
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
-	if err := mon.Ingest(recs...); err != nil {
-		r := recs[mon.LastLSN()-base]
-		return 0, 0, fmt.Errorf("ingest: wal replay conflicts with base snapshot at record %s: %w", r, err)
+	if n, err := wlog.Check(st, recs); err != nil {
+		return fmt.Errorf("ingest: wal replay conflicts with base snapshot at record %s: %w", recs[n], err)
 	}
-	return uint64(len(recs)), skipped, nil
+	c.replayed.Store(uint64(len(recs)))
+	c.deduped.Store(skipped)
+	c.cur.Store(st.Append(recs...))
+	return nil
 }
 
-// Append validates, durably logs, and applies one record, returning its
-// assigned lsn. A zero r.LSN asks the server to assign the next lsn; a
-// non-zero lsn must be exactly the next (optimistic concurrency for clients
-// that track the watermark). Returns *RejectError for discipline
-// violations, ErrBusy under backpressure, and the WAL's error when
-// durability itself fails (the record is then NOT applied).
-func (c *Coordinator) Append(r wlog.Record) (uint64, error) {
+// Append checks, durably logs and publishes a batch of records, in order, and
+// returns how many of them it accepted. A zero lsn asks the coordinator to
+// assign the next one, which Append writes into recs in place; a non-zero
+// lsn must be exactly the next (optimistic concurrency for clients that
+// track the watermark).
+//
+// The batch is checked once, by wlog.Check against the pinned store version.
+// Its valid prefix is written to the WAL as one write and one fsync (under
+// wal.PolicyAlways) and published as one version, so an accepted record is
+// durable and visible together with the rest of its prefix. When the check
+// refuses a record the prefix before it is still accepted, recs[n] is the
+// refused record and the error is wlog.Check's *wlog.ValidationError. ErrBusy
+// (backpressure) and a WAL error (durability failed) accept nothing.
+func (c *Coordinator) Append(recs ...wlog.Record) (int, error) {
 	if c.adm != nil {
 		if !c.adm.TryAcquire() {
 			return 0, ErrBusy
@@ -197,58 +183,46 @@ func (c *Coordinator) Append(r wlog.Record) (uint64, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	mon := c.Monitor()
-	if r.LSN == 0 {
-		r.LSN = mon.LastLSN() + 1
+	st := c.cur.Load()
+	for i := range recs {
+		if recs[i].LSN == 0 {
+			recs[i].LSN = st.LastLSN() + uint64(i) + 1
+		}
 	}
-	if err := mon.Validate(r); err != nil {
+	n, invalid := wlog.Check(st, recs)
+	if n > 0 {
+		if err := c.w.Append(recs[:n]...); err != nil {
+			return 0, err
+		}
+		c.cur.Store(st.Append(recs[:n]...))
+		c.accepted.Add(uint64(n))
+	}
+	if invalid != nil {
 		c.rejected.Add(1)
-		return 0, &RejectError{Record: r, Err: err}
 	}
-	if err := c.w.Append(r); err != nil {
-		return 0, err
-	}
-	// The monitor re-validates inside Ingest; after Validate succeeded under
-	// the coordinator lock this cannot fail, but belt-and-braces: a failure
-	// here leaves the record in the WAL, where restart replay would apply
-	// it — so surface it loudly rather than silently diverge.
-	if err := mon.Ingest(r); err != nil {
-		return 0, fmt.Errorf("ingest: wal accepted but apply failed for %s: %w", r, err)
-	}
-	c.accepted.Add(1)
-	return r.LSN, nil
+	return n, invalid
 }
 
-// Rebase swaps in a monitor rebuilt from a freshly reloaded base snapshot
-// with the WAL replayed on top (dedup-skipping), publishing it with one
-// pointer store — the hot-reload-vs-append fix: durable appends survive a
-// reload instead of being silently dropped.
-// On conflict (the new snapshot is incompatible with the WAL's records) the
-// coordinator is left unchanged and the error names the first conflicting
-// record; the server quarantines the log in that case.
+// Rebase swaps in a store rebuilt from a freshly reloaded base snapshot with
+// the WAL replayed on top (dedup-skipping), publishing it with one pointer
+// store — the hot-reload-vs-append fix: durable appends survive a reload
+// instead of being silently dropped. base must satisfy Definition 2, as for
+// Open. On conflict (the new snapshot is incompatible with the WAL's
+// records) the coordinator is left unchanged and the error names the first
+// conflicting record; the server quarantines the log in that case.
 func (c *Coordinator) Rebase(base *wlog.Log) error {
-	mon, err := newMonitor(base)
-	if err != nil {
-		return err
-	}
+	st := build(base)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	applied, skipped, err := replayInto(mon, c.w)
-	if err != nil {
-		return err
-	}
-	c.replayed.Store(applied)
-	c.deduped.Store(skipped)
-	c.mon.Store(mon)
-	return nil
+	return c.replayOnto(st)
 }
 
-// Monitor returns the live monitor: one atomic load, which never waits on
-// an append in flight.
-func (c *Coordinator) Monitor() *stream.Monitor { return c.mon.Load() }
+// Store returns the live log's newest version: one atomic load, which never
+// waits on an append in flight.
+func (c *Coordinator) Store() *colstore.Store { return c.cur.Load() }
 
 // LastLSN returns the applied high-water mark.
-func (c *Coordinator) LastLSN() uint64 { return c.Monitor().LastLSN() }
+func (c *Coordinator) LastLSN() uint64 { return c.Store().LastLSN() }
 
 // Admission exposes the apply-queue limiter (nil when unlimited) so tests
 // can saturate it deterministically.
@@ -272,5 +246,5 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// Close syncs and closes the WAL. The monitor stays readable.
+// Close syncs and closes the WAL. The store stays readable.
 func (c *Coordinator) Close() error { return c.w.Close() }

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/gen"
-	"wlq/internal/stream"
 	"wlq/internal/wlog"
 )
 
@@ -30,6 +30,20 @@ func sampleStream() []wlog.Record {
 	}
 }
 
+// query answers q over the coordinator's newest version.
+func query(c *Coordinator, q string) *incident.Set {
+	return eval.New(c.Store(), eval.Options{}).Eval(pattern.MustParse(q))
+}
+
+// cond is the Definition 2 condition err reports, 0 when it reports none.
+func cond(err error) wlog.Condition {
+	var ve *wlog.ValidationError
+	if errors.As(err, &ve) {
+		return ve.Cond
+	}
+	return 0
+}
+
 func openEmpty(t *testing.T, dir string, cfg Config) *Coordinator {
 	t.Helper()
 	cfg.Dir = dir
@@ -41,7 +55,7 @@ func openEmpty(t *testing.T, dir string, cfg Config) *Coordinator {
 }
 
 // TestAppendAssignsAndAppliesLSN appends a generated log record by record
-// and requires the live monitor's answers — the incrementally maintained
+// and requires the live store's answers — the incrementally maintained
 // index — to equal naive Algorithm 1 over the index built in one shot.
 func TestAppendAssignsAndAppliesLSN(t *testing.T) {
 	c := openEmpty(t, t.TempDir(), Config{})
@@ -50,14 +64,14 @@ func TestAppendAssignsAndAppliesLSN(t *testing.T) {
 		Instances: 12, MeanLength: 12, Skew: 1.1, CompleteFraction: 0.6, Seed: 5,
 	})
 	for i := 0; i < l.Len(); i++ {
-		r := l.Record(i)
-		r.LSN = 0 // server-assigned
-		lsn, err := c.Append(r)
-		if err != nil {
-			t.Fatalf("Append %d: %v", i, err)
+		recs := []wlog.Record{l.Record(i)}
+		recs[0].LSN = 0 // server-assigned
+		n, err := c.Append(recs...)
+		if err != nil || n != 1 {
+			t.Fatalf("Append %d: %d accepted, %v", i, n, err)
 		}
-		if lsn != uint64(i+1) {
-			t.Fatalf("assigned lsn %d, want %d", lsn, i+1)
+		if recs[0].LSN != uint64(i+1) {
+			t.Fatalf("assigned lsn %d, want %d", recs[0].LSN, i+1)
 		}
 	}
 	oracle := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
@@ -69,10 +83,7 @@ func TestAppendAssignsAndAppliesLSN(t *testing.T) {
 		"START . Act00",
 		"Act00 -> END",
 	} {
-		got, err := c.Monitor().Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := query(c, q)
 		if want := oracle.Eval(pattern.MustParse(q)); !got.Equal(want) {
 			t.Errorf("%q over appended records:\ngot:  %s\nwant: %s", q, got, want)
 		}
@@ -90,12 +101,8 @@ func TestExplicitLSNOptimisticConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stale watermark: lsn 1 again must be refused as a discipline error.
-	var re *RejectError
-	if _, err := c.Append(mk(1, 1, 2, "A")); !errors.As(err, &re) {
-		t.Fatalf("stale lsn: %v, want *RejectError", err)
-	}
-	if !errors.Is(re, stream.ErrBadLSN) {
-		t.Fatalf("stale lsn wrapped %v, want ErrBadLSN", re.Err)
+	if n, err := c.Append(mk(1, 1, 2, "A")); n != 0 || cond(err) != wlog.CondDenseLSN {
+		t.Fatalf("stale lsn: %d accepted, %v; want 0 and a condition 1 violation", n, err)
 	}
 	// Exactly-next lsn is accepted.
 	if _, err := c.Append(mk(2, 1, 2, "A")); err != nil {
@@ -109,30 +116,25 @@ func TestRejectNamesOffendingRecord(t *testing.T) {
 	if _, err := c.Append(mk(1, 1, 1, "START")); err != nil {
 		t.Fatal(err)
 	}
-	// seq 3 skips seq 2: Definition 2 violation.
-	bad := mk(0, 1, 3, "CheckIn")
-	_, err := c.Append(bad)
-	var re *RejectError
-	if !errors.As(err, &re) {
-		t.Fatalf("got %v, want *RejectError", err)
+	// seq 3 skips seq 2: Definition 2 violation. The accepted count is the
+	// refused record's position, and the violation names its assigned lsn.
+	batch := []wlog.Record{mk(0, 2, 1, "START"), mk(0, 1, 3, "CheckIn")}
+	n, err := c.Append(batch...)
+	var ve *wlog.ValidationError
+	if n != 1 || !errors.As(err, &ve) || ve.Cond != wlog.CondConsecutiveSeq || ve.LSN != 3 || batch[n].WID != 1 {
+		t.Fatalf("Append = %d, %v; want 1 and a condition 3 violation at lsn 3 by wid 1", n, err)
 	}
-	if re.Record.WID != 1 || re.Record.Seq != 3 {
-		t.Fatalf("reject names wrong record: %+v", re.Record)
-	}
-	if !errors.Is(err, stream.ErrBadSeq) {
-		t.Fatalf("reject reason %v, want ErrBadSeq", err)
-	}
-	// The refused record must NOT be in the WAL: restart sees only lsn 1.
+	// The refused record must NOT be in the WAL: restart sees only lsn 1-2.
 	c.Close()
 	c2, _, err := Open(nil, Config{Dir: c.cfg.Dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.LastLSN() != 1 {
+	if c2.LastLSN() != 2 {
 		t.Fatalf("rejected record leaked into the WAL: lastLSN %d", c2.LastLSN())
 	}
-	if st := c2.Stats(); st.Replayed != 1 {
+	if st := c2.Stats(); st.Replayed != 2 {
 		t.Fatalf("restart replay: %+v", st)
 	}
 }
@@ -146,10 +148,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 		}
 	}
 	// Simulated kill -9: the coordinator is abandoned, never closed.
-	want, err := c.Monitor().Query("CheckIn -> SeeDoctor")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := query(c, "CheckIn -> SeeDoctor")
 
 	c2, rec, err := Open(nil, Config{Dir: dir})
 	if err != nil {
@@ -159,11 +158,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	if rec.Records != 7 || c2.LastLSN() != 7 {
 		t.Fatalf("recovered %d records, lastLSN %d", rec.Records, c2.LastLSN())
 	}
-	got, err := c2.Monitor().Query("CheckIn -> SeeDoctor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !want.Equal(got) {
+	if got := query(c2, "CheckIn -> SeeDoctor"); !want.Equal(got) {
 		t.Fatalf("post-recovery answers diverge:\nbefore: %s\nafter:  %s", want, got)
 	}
 	// Appends continue after the recovered watermark.
@@ -198,8 +193,8 @@ func TestReplayDedupAgainstBaseSnapshot(t *testing.T) {
 	if st.Replayed != 2 || st.Deduped != 5 {
 		t.Fatalf("dedup replay: %+v", st)
 	}
-	if c2.Monitor().Records() != 7 {
-		t.Fatalf("double-applied records: %d", c2.Monitor().Records())
+	if c2.Store().TotalRecords() != 7 {
+		t.Fatalf("double-applied records: %d", c2.Store().TotalRecords())
 	}
 }
 
@@ -226,9 +221,9 @@ func TestRebaseReplaysWALOverReload(t *testing.T) {
 		if err := c.Rebase(base); err != nil {
 			t.Fatalf("rebase pass %d: %v", pass, err)
 		}
-		if c.Monitor().Records() != 7 || c.LastLSN() != 7 {
+		if c.Store().TotalRecords() != 7 || c.LastLSN() != 7 {
 			t.Fatalf("rebase pass %d dropped appends: %d records, lsn %d",
-				pass, c.Monitor().Records(), c.LastLSN())
+				pass, c.Store().TotalRecords(), c.LastLSN())
 		}
 	}
 }
@@ -255,12 +250,12 @@ func TestRebaseConflictLeavesCoordinatorUntouched(t *testing.T) {
 	if err == nil {
 		t.Fatal("conflicting rebase accepted")
 	}
-	if !errors.Is(err, stream.ErrBadSeq) && !errors.Is(err, stream.ErrBadLSN) {
+	if cond(err) == 0 {
 		t.Fatalf("conflict error %v does not carry a discipline cause", err)
 	}
-	// The live monitor still answers from the pre-rebase state.
-	if c.Monitor().Records() != 7 {
-		t.Fatalf("failed rebase mutated the monitor: %d records", c.Monitor().Records())
+	// The live store still answers from the pre-rebase state.
+	if c.Store().TotalRecords() != 7 {
+		t.Fatalf("failed rebase mutated the live store: %d records", c.Store().TotalRecords())
 	}
 }
 
@@ -285,8 +280,8 @@ func TestBackpressureShedsWithErrBusy(t *testing.T) {
 }
 
 // TestReadsDoNotWaitOnFsync: while an append holds the coordinator's lock
-// in a stalled fsync, the watermark and a query over the monitor's pinned
-// store answer at once, from the version before the append.
+// in a stalled fsync, the watermark and a query over the pinned store answer
+// at once, from the version before the append.
 func TestReadsDoNotWaitOnFsync(t *testing.T) {
 	syncing, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -309,11 +304,7 @@ func TestReadsDoNotWaitOnFsync(t *testing.T) {
 	}
 	read := make(chan view, 1)
 	go func() {
-		set, err := c.Monitor().Query("START")
-		if err != nil {
-			t.Error(err)
-		}
-		read <- view{c.LastLSN(), set.Len()}
+		read <- view{c.LastLSN(), query(c, "START").Len()}
 	}()
 	waited := false
 	select {
@@ -367,5 +358,54 @@ func TestConcurrentAppendersSerialize(t *testing.T) {
 	defer c2.Close()
 	if rec.Records != n {
 		t.Fatalf("recovered %d records, want %d", rec.Records, n)
+	}
+}
+
+// TestAppendBatchIsOneFsyncAndOneVersion: a batch is checked once, logged
+// with one fsync and published as one version, so a reader sees none of it
+// while its fsync is in flight and all of it after. A refused record stops
+// the batch: the records before it are still logged (one more fsync) and
+// published, and a restart recovers exactly those.
+func TestAppendBatchIsOneFsyncAndOneVersion(t *testing.T) {
+	dir := t.TempDir()
+	var c *Coordinator
+	var seen []uint64 // the watermark a reader saw at each fsync
+	c = openEmpty(t, dir, Config{Hook: func(point string) {
+		if point == "sync:before" {
+			seen = append(seen, c.LastLSN())
+		}
+	}})
+	recs := sampleStream()
+	for i := range recs {
+		recs[i].LSN = 0
+	}
+	if n, err := c.Append(recs...); n != 7 || err != nil {
+		t.Fatalf("Append = %d, %v; want 7, nil", n, err)
+	}
+	for i, r := range recs {
+		if r.LSN != uint64(i+1) {
+			t.Fatalf("record %d assigned lsn %d", i, r.LSN)
+		}
+	}
+	if st := c.Stats(); len(seen) != 1 || seen[0] != 0 || st.LastLSN != 7 || st.WAL.Fsyncs != 1 || st.WAL.Appends != 7 || st.Accepted != 7 {
+		t.Fatalf("one batch: watermarks at fsync %v, stats %+v", seen, st)
+	}
+
+	batch := []wlog.Record{mk(0, 3, 1, "START"), mk(0, 3, 2, "A"), mk(0, 1, 5, "A"), mk(0, 3, 3, "B")}
+	n, err := c.Append(batch...)
+	if n != 2 || batch[n].WID != 1 || batch[n].LSN != 10 || cond(err) != wlog.CondEndLast {
+		t.Fatalf("Append = %d, %v; want 2 and wid 1's record after END refused at lsn 10", n, err)
+	}
+	if st := c.Stats(); len(seen) != 2 || seen[1] != 7 || st.LastLSN != 9 || st.WAL.Fsyncs != 2 || st.Rejected != 1 {
+		t.Fatalf("refused batch: watermarks at fsync %v, stats %+v", seen, st)
+	}
+	c.Close()
+	c2, _, err := Open(nil, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if c2.LastLSN() != 9 || query(c2, "A").Len() != 1 {
+		t.Fatalf("restart recovered lsn %d, %d A records; want 9 and 1", c2.LastLSN(), query(c2, "A").Len())
 	}
 }

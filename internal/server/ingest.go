@@ -79,11 +79,14 @@ type appendResponse struct {
 	LastLSN  uint64 `json:"last_lsn"`
 }
 
-// handleAppend is POST /v1/logs/{name}/append. Records are applied one at a
-// time in body order; each is durable before the next is read. On a mid-
-// batch failure the response names the offending record AND reports how
-// many earlier records were already accepted — those are durable and are
-// NOT rolled back (the WAL is append-only; clients resume from last_lsn).
+// handleAppend is POST /v1/logs/{name}/append. The body's records are one
+// batch: read in full, then checked, logged and published by one
+// ingest.Coordinator.Append — one WAL write, one fsync, one store version.
+// When the check refuses a record, or the body breaks off (malformed line,
+// over -max-body) after some records, the records before that point are
+// still appended: the response names the failure AND reports how many
+// records were accepted. Those are durable and are NOT rolled back (the WAL
+// is append-only; clients resume from last_lsn).
 func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	entry, err := s.lookup(r.PathValue("name"))
 	if err != nil {
@@ -96,57 +99,60 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	lr := logio.NewReader(r.Body, logio.FormatJSONL)
-	resp := appendResponse{Log: entry.name}
+	var recs []wlog.Record
+	var readErr error
 	for {
 		rec, err := lr.Read()
-		if errors.Is(err, io.EOF) {
+		if err != nil {
+			if !errors.Is(err, io.EOF) {
+				readErr = err
+			}
 			break
 		}
-		if err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				s.appendFailure(w, http.StatusRequestEntityTooLarge, resp, errorDoc{
-					Error:    fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
-					Accepted: resp.Appended,
-				})
-				return
-			}
-			s.appendFailure(w, http.StatusBadRequest, resp, errorDoc{
-				Error:    fmt.Sprintf("malformed record: %v", err),
-				Accepted: resp.Appended,
-			})
-			return
-		}
-		lsn, err := entry.live.Append(rec)
-		if err != nil {
-			s.writeAppendError(w, entry, resp, rec, err)
-			return
-		}
-		if resp.Appended == 0 {
-			resp.FirstLSN = lsn
-		}
-		resp.Appended++
-		resp.LastLSN = lsn
+		recs = append(recs, rec)
 	}
-	if resp.Appended == 0 {
+	if len(recs) == 0 && readErr == nil {
 		writeError(w, http.StatusBadRequest, "empty append: no records in request body")
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	resp := appendResponse{Log: entry.name}
+	if len(recs) > 0 {
+		n, err := entry.live.Append(recs...)
+		if n > 0 {
+			resp.Appended, resp.FirstLSN, resp.LastLSN = n, recs[0].LSN, recs[n-1].LSN
+		}
+		if err != nil {
+			s.writeAppendError(w, entry, resp, recs[n], err)
+			return
+		}
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(readErr, &tooBig):
+		s.appendFailure(w, http.StatusRequestEntityTooLarge, resp, errorDoc{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit),
+		})
+	case readErr != nil:
+		s.appendFailure(w, http.StatusBadRequest, resp, errorDoc{
+			Error: fmt.Sprintf("malformed record: %v", readErr),
+		})
+	default:
+		writeJSON(w, http.StatusOK, resp)
+	}
 }
 
 // writeAppendError maps a coordinator append failure to its HTTP shape:
-// 422 for a Definition 2 rejection (naming the refused record), 429 +
+// 422 for a Definition 2 rejection (naming rec, the refused record), 429 +
 // Retry-After under backpressure, 503 when durability itself failed (the
-// WAL could not persist the record; nothing was applied).
+// WAL could not persist the batch, whose first record rec is; nothing was
+// applied).
 func (s *Server) writeAppendError(w http.ResponseWriter, entry *logEntry, resp appendResponse, rec wlog.Record, err error) {
-	var re *ingest.RejectError
+	var invalid *wlog.ValidationError
 	switch {
-	case errors.As(err, &re):
+	case errors.As(err, &invalid):
 		s.appendFailure(w, http.StatusUnprocessableEntity, resp, errorDoc{
-			Error:    fmt.Sprintf("record rejected: %v", re.Err),
-			Record:   re.Record.String(),
-			Accepted: resp.Appended,
+			Error:  fmt.Sprintf("record rejected: %v", err),
+			Record: rec.String(),
 		})
 	case errors.Is(err, ingest.ErrBusy):
 		retry := retryAfterSeconds(entry.live.Admission().RetryAfter())
@@ -154,16 +160,14 @@ func (s *Server) writeAppendError(w http.ResponseWriter, entry *logEntry, resp a
 		s.appendFailure(w, http.StatusTooManyRequests, resp, errorDoc{
 			Error:             "ingest saturated: apply queue full",
 			RetryAfterSeconds: retry,
-			Accepted:          resp.Appended,
 		})
 	default:
-		// The WAL refused or broke: acknowledging the record would promise
+		// The WAL refused or broke: acknowledging the batch would promise
 		// durability the disk did not deliver. 503 — the condition is
 		// sticky until the operator intervenes (see docs/DURABILITY.md).
 		s.appendFailure(w, http.StatusServiceUnavailable, resp, errorDoc{
-			Error:    fmt.Sprintf("durability failure, record not accepted: %v", err),
-			Record:   rec.String(),
-			Accepted: resp.Appended,
+			Error:  fmt.Sprintf("durability failure, records not accepted: %v", err),
+			Record: rec.String(),
 		})
 	}
 }
@@ -171,6 +175,7 @@ func (s *Server) writeAppendError(w http.ResponseWriter, entry *logEntry, resp a
 // appendFailure writes an append error envelope. Records accepted before
 // the failure are durable; the doc's Accepted field says how many.
 func (s *Server) appendFailure(w http.ResponseWriter, code int, resp appendResponse, doc errorDoc) {
+	doc.Accepted = resp.Appended
 	if resp.Appended > 0 {
 		doc.LastLSN = resp.LastLSN
 	}

@@ -405,8 +405,8 @@ func TestIngestPrometheusExposition(t *testing.T) {
 }
 
 // TestConcurrentAppendAndQuery exercises the append path against concurrent
-// queries (run under -race in CI): the monitor's read lock freezes the
-// backend per query while appends mutate it in between.
+// queries (run under -race in CI): each query pins one store version while
+// appends publish new ones.
 func TestConcurrentAppendAndQuery(t *testing.T) {
 	s, _ := newIngestServer(t, Config{})
 	h := s.Handler()
@@ -473,10 +473,9 @@ func (w *blockedWriter) Write(p []byte) (int, error) {
 	return w.ResponseRecorder.Write(p)
 }
 
-// TestSlowReaderDoesNotStallAppends: the live monitor's read lock covers
-// planning, evaluation and the cache put, not the response write — while a
-// query's body is stuck on a client that is not reading, an append to the
-// same log is still acknowledged.
+// TestSlowReaderDoesNotStallAppends: a query reads the version it pinned
+// without a lock — while a query's body is stuck on a client that is not
+// reading, an append to the same log is still acknowledged.
 func TestSlowReaderDoesNotStallAppends(t *testing.T) {
 	s, _ := newIngestServer(t, Config{})
 	h := s.Handler()
@@ -602,5 +601,67 @@ func TestReloadPassDropsPreRebaseCache(t *testing.T) {
 	defer finish()
 	if q := countIn(t, h, "a", "CheckIn"); q.Count != 3 || q.Cached {
 		t.Errorf("CheckIn count after the rebase = %d (cached %v), want 3 from the new snapshot", q.Count, q.Cached)
+	}
+}
+
+// walCounters reads the ingest section's WAL record and fsync counters.
+func walCounters(t *testing.T, h http.Handler) (appends, fsyncs uint64) {
+	t.Helper()
+	var m metricsDoc
+	getJSON(t, h, "/metrics", &m)
+	if m.Ingest == nil {
+		t.Fatal("no ingest metrics section")
+	}
+	return m.Ingest.WALAppends, m.Ingest.WALFsyncs
+}
+
+// TestAppendBatchIsOneFsync: an append request's records are one batch —
+// one WAL write and one fsync under the default policy, however many
+// records the body holds.
+func TestAppendBatchIsOneFsync(t *testing.T) {
+	s, _ := newIngestServer(t, Config{})
+	h := s.Handler()
+	body := `{"wid":4,"seq":1,"act":"START"}` + "\n"
+	for seq := 2; seq <= 10; seq++ {
+		body += `{"wid":4,"seq":` + strconv.Itoa(seq) + `,"act":"SeeDoctor"}` + "\n"
+	}
+	appends0, fsyncs0 := walCounters(t, h)
+	var resp appendResponse
+	if rec := postAppend(t, h, "fig3", body, &resp); rec.Code != http.StatusOK {
+		t.Fatalf("append: status %d: %s", rec.Code, rec.Body)
+	}
+	if resp.Appended != 10 || resp.FirstLSN != 21 || resp.LastLSN != 30 {
+		t.Fatalf("append response: %+v", resp)
+	}
+	appends, fsyncs := walCounters(t, h)
+	if appends-appends0 != 10 || fsyncs-fsyncs0 != 1 {
+		t.Errorf("a 10-record append logged %d records with %d fsyncs, want 10 and 1", appends-appends0, fsyncs-fsyncs0)
+	}
+}
+
+// TestAppendBrokenBodyKeepsItsPrefix: a body that breaks off after some
+// well-formed records is a 400 that still appends those records, reports
+// them, and leaves them queryable — the same durable-prefix contract as a
+// 422.
+func TestAppendBrokenBodyKeepsItsPrefix(t *testing.T) {
+	s, _ := newIngestServer(t, Config{})
+	h := s.Handler()
+	rec := postAppend(t, h, "fig3", `{"lsn":21,"wid":3,"seq":3,"act":"CheckIn"}
+{"lsn":22,"wid":3,"seq":4,"act":"SeeDoctor"}
+{"lsn":23,"wid":`, nil)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
+	}
+	var doc errorDoc
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Accepted != 2 || doc.LastLSN != 22 {
+		t.Errorf("a broken body must report the records before the break: %+v", doc)
+	}
+	var logs logsResponse
+	getJSON(t, h, "/v1/logs", &logs)
+	if doc := logs.Logs[0]; doc.IngestLSN != 22 || doc.Records != 22 {
+		t.Errorf("after the prefix: ingest_lsn %d, %d records; want 22 and 22", doc.IngestLSN, doc.Records)
 	}
 }

@@ -130,7 +130,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		if t.live != nil {
 			// Reload-vs-append: the fresh snapshot alone would silently drop
 			// every durably acknowledged append since the last (re)load.
-			// Rebase rebuilds the live monitor from the snapshot and replays
+			// Rebase rebuilds the live store from the snapshot and replays
 			// the WAL on top (lsn-dedup keeps records the snapshot already
 			// absorbed). A conflicting snapshot — one the WAL's records
 			// cannot legally follow — quarantines the log; the coordinator

@@ -1,6 +1,6 @@
 // Package server implements wlq-serve: a long-running HTTP query service
 // over workflow logs. It loads logs at startup into colstore.Store — built
-// once for a snapshot, grown by the ingest monitor for a live log — and
+// once for a snapshot, grown by the ingest coordinator for a live log — and
 // serves pattern queries with plan/result caching.
 //
 // Endpoints:
@@ -194,20 +194,19 @@ type logEntry struct {
 	// Config.Ingest). Unlike the rest of the entry it is long-lived shared
 	// state: a hot reload rebases the SAME coordinator onto the fresh
 	// snapshot (replaying its WAL on top) instead of replacing it, so the
-	// WAL file handle and watermark survive reloads. Its monitor publishes
-	// the live log's versions.
+	// WAL file handle and watermark survive reloads. It publishes the live
+	// log's versions.
 	live *ingest.Coordinator
 }
 
 // pin returns the store version a request reads, once, for all its
-// stages: the snapshot, or the live log's newest — an atomic load of the
-// coordinator's monitor and one of its store, neither of which waits on an
-// append.
+// stages: the snapshot, or the live log's newest — one atomic load of the
+// coordinator's store, which never waits on an append.
 func (e *logEntry) pin() *colstore.Store {
 	if e.live == nil {
 		return e.store
 	}
-	return e.live.Monitor().Store()
+	return e.live.Store()
 }
 
 // Server is the query service. Safe for concurrent use; logs are loaded
@@ -317,8 +316,9 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 	}
 	if s.cfg.Ingest {
 		// A live log must start from a clean snapshot: the WAL replays on
-		// top of it and the monitor enforces Definition 2 from record one,
+		// top of it and every append is checked against what it extends,
 		// so the tolerate-and-flag posture of static serving does not apply.
+		// The check above is the only one the snapshot gets.
 		if !e.valid {
 			return fmt.Errorf("server: log %q cannot accept appends: %s", name, e.reason)
 		}

@@ -103,10 +103,10 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 	}
 }
 
-// Validate must be non-mutating: validating the same record repeatedly,
-// interleaved with ingests, never changes the accept/reject outcome the
-// subsequent Ingest sees.
-func TestMonitorValidateDoesNotMutate(t *testing.T) {
+// A refused Ingest must publish nothing: offering a wrong-lsn record, again
+// and again between real ingests, never changes what the next Ingest sees or
+// what readers see.
+func TestMonitorRefusalDoesNotMutate(t *testing.T) {
 	l, err := clinic.Generate(5, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -114,19 +114,19 @@ func TestMonitorValidateDoesNotMutate(t *testing.T) {
 	m := NewMonitor(nil)
 	for i := 0; i < l.Len(); i++ {
 		r := l.Record(i)
-		for k := 0; k < 3; k++ {
-			if err := m.Validate(r); err != nil {
-				t.Fatalf("Validate record %d (pass %d): %v", i, k, err)
-			}
-		}
-		// A wrong-lsn probe must reject without perturbing state.
 		bad := r
 		bad.LSN += 7
-		if err := m.Validate(bad); err == nil {
-			t.Fatalf("Validate accepted lsn gap at record %d", i)
+		before := m.Store()
+		for k := 0; k < 3; k++ {
+			if err := m.Ingest(bad); err == nil {
+				t.Fatalf("Ingest accepted lsn gap at record %d", i)
+			}
+		}
+		if got := m.Store(); got.LastLSN() != before.LastLSN() || got.TotalRecords() != before.TotalRecords() {
+			t.Fatalf("refused Ingest at record %d moved the store to lsn %d", i, got.LastLSN())
 		}
 		if err := m.Ingest(r); err != nil {
-			t.Fatalf("Ingest record %d after Validate: %v", i, err)
+			t.Fatalf("Ingest record %d after refusals: %v", i, err)
 		}
 	}
 }

@@ -2,19 +2,19 @@
 // workflow log — the runtime-monitoring use of Figure 2 of the paper, where
 // the execution engine appends to the log while analysts' queries watch it.
 //
-// A Monitor ingests records (enforcing the Definition 2 log discipline
-// incrementally), appends them to its colstore.Store copy on write, and
-// re-evaluates registered watch patterns against only the workflow instance
-// each record extends. Because incidents never span instances (Definition 4),
-// that per-instance re-evaluation is exact: a new record can only create
-// incidents within its own instance.
+// A Monitor ingests records (checking them with wlog.Check, the one
+// Definition 2 check, against the version they extend), appends them to its
+// colstore.Store copy on write, and re-evaluates registered watch patterns
+// against only the workflow instance each record extends. Because incidents
+// never span instances (Definition 4), that per-instance re-evaluation is
+// exact: a new record can only create incidents within its own instance.
 //
 // Concurrency contract: a Monitor is safe for concurrent use. Each Ingest
 // call publishes one new store version through an atomic pointer; readers —
 // Query, Records, LastLSN, Store — load the current version and read it
 // without a lock, and a version never changes once published, which is the
-// immutability an eval.Evaluator requires of its Source. Writer state (the
-// discipline's bookkeeping, watches and alerts) is under a mutex.
+// immutability an eval.Evaluator requires of its Source. Writer state
+// (watches and alerts) is under a mutex, which also serializes Ingest.
 package stream
 
 import (
@@ -56,16 +56,8 @@ func (a Alert) String() string {
 // writer lock is held; handlers must not call back into the Monitor.
 type Handler func(Alert)
 
-// Ingestion errors.
-var (
-	// ErrBadLSN is returned when a record's lsn is not the next in sequence.
-	ErrBadLSN = errors.New("stream: log sequence number not consecutive")
-	// ErrBadSeq is returned when a record violates the per-instance
-	// discipline of Definition 2 (START/is-lsn/END conditions).
-	ErrBadSeq = errors.New("stream: instance sequence violation")
-	// ErrDuplicateWatch is returned when a watch name is registered twice.
-	ErrDuplicateWatch = errors.New("stream: duplicate watch name")
-)
+// ErrDuplicateWatch is returned when a watch name is registered twice.
+var ErrDuplicateWatch = errors.New("stream: duplicate watch name")
 
 type watch struct {
 	name  string
@@ -85,9 +77,6 @@ type Monitor struct {
 	mu      sync.Mutex // writer state below
 	handler Handler
 	watches []*watch
-	nextLSN uint64
-	nextSeq map[uint64]uint64
-	ended   map[uint64]struct{}
 	alerts  int
 }
 
@@ -108,23 +97,10 @@ func NewMonitorOn(handler Handler, ix *eval.Index) *Monitor {
 	return newMonitor(handler, new(colstore.Store).Append(recs...))
 }
 
-// newMonitor publishes st and derives the discipline's bookkeeping from it:
-// the next lsn after its newest, and each instance's next is-lsn and END.
+// newMonitor publishes st. The store is all wlog.Check needs to check what
+// follows it: its newest lsn, and each instance's last record.
 func newMonitor(handler Handler, st *colstore.Store) *Monitor {
-	m := &Monitor{
-		handler: handler,
-		nextLSN: st.LastLSN() + 1,
-		nextSeq: make(map[uint64]uint64),
-		ended:   make(map[uint64]struct{}),
-	}
-	for _, wid := range st.WIDs() {
-		recs := st.Instance(wid)
-		last := recs[len(recs)-1]
-		m.nextSeq[wid] = last.Seq + 1
-		if last.IsEnd() {
-			m.ended[wid] = struct{}{}
-		}
-	}
+	m := &Monitor{handler: handler}
 	m.cur.Store(st)
 	return m
 }
@@ -163,43 +139,10 @@ func (m *Monitor) WatchNames() []string {
 	return names
 }
 
-// validateLocked checks r against the Definition 2 discipline without
-// mutating anything. Caller holds the lock.
-func (m *Monitor) validateLocked(r wlog.Record) error {
-	if r.LSN != m.nextLSN {
-		return fmt.Errorf("%w: got %d, want %d", ErrBadLSN, r.LSN, m.nextLSN)
-	}
-	if _, done := m.ended[r.WID]; done {
-		return fmt.Errorf("%w: record after END of wid %d", ErrBadSeq, r.WID)
-	}
-	wantSeq := m.nextSeq[r.WID]
-	if wantSeq == 0 {
-		wantSeq = 1
-	}
-	if r.Seq != wantSeq {
-		return fmt.Errorf("%w: wid %d got is-lsn %d, want %d", ErrBadSeq, r.WID, r.Seq, wantSeq)
-	}
-	if (r.Seq == 1) != r.IsStart() {
-		return fmt.Errorf("%w: wid %d activity %q at is-lsn %d (START iff is-lsn=1)",
-			ErrBadSeq, r.WID, r.Activity, r.Seq)
-	}
-	return nil
-}
-
-// Validate checks whether Ingest would accept r, without ingesting it. The
-// answer is advisory under concurrency — another Ingest may land between
-// Validate and Ingest — so the ingest coordinator calls it while externally
-// serialized.
-func (m *Monitor) Validate(r wlog.Record) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.validateLocked(r)
-}
-
-// Ingest appends records in order, enforcing the log discipline, evaluates
-// every not-yet-fired watch against each record's instance, and publishes
-// one new version. At the first record the discipline refuses it stops and
-// returns the refusal; the records before it stay ingested.
+// Ingest appends records in order, evaluates every not-yet-fired watch
+// against each record's instance, and publishes one new version. At the
+// first record wlog.Check refuses it stops and returns the refusal (a
+// *wlog.ValidationError); the records before it stay ingested.
 func (m *Monitor) Ingest(recs ...wlog.Record) error {
 	_, err := m.ingest(recs)
 	return err
@@ -221,21 +164,12 @@ func (m *Monitor) ingest(recs []wlog.Record) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	st := m.cur.Load()
-	n := 0
-	var err error
-	for ; n < len(recs); n++ {
-		r := recs[n]
-		if err = m.validateLocked(r); err != nil {
-			break
-		}
-		m.nextLSN++
-		m.nextSeq[r.WID] = r.Seq + 1
-		if r.IsEnd() {
-			m.ended[r.WID] = struct{}{}
-		}
-		if len(m.watches) == 0 {
-			continue
-		}
+	n, err := wlog.Check(st, recs)
+	if len(m.watches) == 0 {
+		m.cur.Store(st.Append(recs[:n]...))
+		return n, err
+	}
+	for _, r := range recs[:n] {
 		// A watch is evaluated over the version r completed, against r's
 		// instance only.
 		st = st.Append(r)
@@ -254,9 +188,6 @@ func (m *Monitor) ingest(recs []wlog.Record) (int, error) {
 				m.handler(Alert{Watch: w.name, Query: w.query, WID: r.WID, LSN: r.LSN, Incident: set.At(0)})
 			}
 		}
-	}
-	if len(m.watches) == 0 {
-		st = st.Append(recs[:n]...)
 	}
 	m.cur.Store(st)
 	return n, err

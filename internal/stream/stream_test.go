@@ -94,32 +94,32 @@ func TestIngestDiscipline(t *testing.T) {
 	tests := []struct {
 		name string
 		recs []wlog.Record
-		want error
+		want wlog.Condition
 	}{
 		{
 			name: "lsn gap",
 			recs: []wlog.Record{start, {LSN: 3, WID: 1, Seq: 2, Activity: "A"}},
-			want: ErrBadLSN,
+			want: wlog.CondDenseLSN,
 		},
 		{
 			name: "lsn restart",
 			recs: []wlog.Record{start, {LSN: 1, WID: 1, Seq: 2, Activity: "A"}},
-			want: ErrBadLSN,
+			want: wlog.CondDenseLSN,
 		},
 		{
 			name: "seq gap",
 			recs: []wlog.Record{start, {LSN: 2, WID: 1, Seq: 3, Activity: "A"}},
-			want: ErrBadSeq,
+			want: wlog.CondConsecutiveSeq,
 		},
 		{
 			name: "first record not START",
 			recs: []wlog.Record{{LSN: 1, WID: 1, Seq: 1, Activity: "A"}},
-			want: ErrBadSeq,
+			want: wlog.CondStartFirst,
 		},
 		{
 			name: "START mid-instance",
 			recs: []wlog.Record{start, {LSN: 2, WID: 1, Seq: 2, Activity: wlog.ActivityStart}},
-			want: ErrBadSeq,
+			want: wlog.CondStartFirst,
 		},
 		{
 			name: "record after END",
@@ -128,7 +128,7 @@ func TestIngestDiscipline(t *testing.T) {
 				{LSN: 2, WID: 1, Seq: 2, Activity: wlog.ActivityEnd},
 				{LSN: 3, WID: 1, Seq: 3, Activity: "A"},
 			},
-			want: ErrBadSeq,
+			want: wlog.CondEndLast,
 		},
 	}
 	for _, tt := range tests {
@@ -140,8 +140,9 @@ func TestIngestDiscipline(t *testing.T) {
 					break
 				}
 			}
-			if !errors.Is(err, tt.want) {
-				t.Errorf("err = %v, want %v", err, tt.want)
+			var ve *wlog.ValidationError
+			if !errors.As(err, &ve) || ve.Cond != tt.want {
+				t.Errorf("err = %v, want a violation of %v", err, tt.want)
 			}
 		})
 	}

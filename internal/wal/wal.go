@@ -414,16 +414,24 @@ func (w *WAL) hook(point string) {
 	}
 }
 
-// Append frames and writes one record, then syncs per the fsync policy.
-// When Append returns nil under PolicyAlways, the record is on disk. Records
-// must arrive with strictly ascending lsn (the ingest coordinator's
-// Definition 2 validation guarantees density; the WAL only asserts order).
+// Append frames recs and writes them with one write, then syncs once per
+// the fsync policy: a batch is one write and, under PolicyAlways, one fsync,
+// and when Append returns nil under PolicyAlways every record of it is on
+// disk. Records must arrive with strictly ascending lsn (the ingest
+// coordinator's Definition 2 check guarantees density; the WAL only asserts
+// order). A batch goes into one segment: rotation happens before it, never
+// inside it.
 //
 // A failed write leaves no partial frame behind when the filesystem
-// cooperates: the segment is truncated back to the last whole frame. If even
-// that fails the WAL goes sticky-broken and refuses further appends — the
-// recovery scan on restart is then the authority on what survived.
-func (w *WAL) Append(r wlog.Record) error {
+// cooperates: the segment is truncated back to the last whole frame before
+// the batch, so nothing of a failed batch is appended. If even that fails the
+// WAL goes sticky-broken and refuses further appends — the recovery scan on
+// restart is then the authority on what survived, which is a prefix of the
+// batch's frames.
+func (w *WAL) Append(recs ...wlog.Record) error {
+	if len(recs) == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.broken != nil {
@@ -432,42 +440,46 @@ func (w *WAL) Append(r wlog.Record) error {
 	if w.closed {
 		return errors.New("wal: closed")
 	}
-	if r.LSN <= w.lastLSN {
-		return fmt.Errorf("wal: lsn %d not ascending after %d", r.LSN, w.lastLSN)
+	var batch []byte
+	last := w.lastLSN
+	for _, r := range recs {
+		if r.LSN <= last {
+			return fmt.Errorf("wal: lsn %d not ascending after %d", r.LSN, last)
+		}
+		last = r.LSN
+		payload, err := encodePayload(r)
+		if err != nil {
+			return fmt.Errorf("wal: encode lsn=%d: %w", r.LSN, err)
+		}
+		batch = binary.LittleEndian.AppendUint32(batch, uint32(len(payload)))
+		batch = binary.LittleEndian.AppendUint32(batch, crc32.Checksum(payload, castagnoli))
+		batch = append(batch, payload...)
 	}
-	payload, err := encodePayload(r)
-	if err != nil {
-		return fmt.Errorf("wal: encode lsn=%d: %w", r.LSN, err)
-	}
-	frame := make([]byte, headerSize+len(payload))
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	copy(frame[headerSize:], payload)
 	w.hook("append:framed")
 
-	if w.f == nil || (w.size > 0 && w.size+int64(len(frame)) > w.opts.SegmentBytes) {
-		if err := w.rotateLocked(r.LSN); err != nil {
+	if w.f == nil || (w.size > 0 && w.size+int64(len(batch)) > w.opts.SegmentBytes) {
+		if err := w.rotateLocked(recs[0].LSN); err != nil {
 			return err
 		}
 	}
-	n, err := w.f.Write(frame)
-	if err != nil || n < len(frame) {
+	n, err := w.f.Write(batch)
+	if err != nil || n < len(batch) {
 		if err == nil {
 			err = io.ErrShortWrite
 		}
-		// Scrub the partial frame so the in-process view matches the disk;
+		// Scrub the partial batch so the in-process view matches the disk;
 		// if the truncate fails too, the WAL is broken and recovery decides.
 		if terr := w.f.Truncate(w.size); terr != nil {
 			w.broken = fmt.Errorf("wal: write failed (%v) and truncate failed (%v); wal is broken", err, terr)
 			return w.broken
 		}
-		return fmt.Errorf("wal: append lsn=%d: %w", r.LSN, err)
+		return fmt.Errorf("wal: append lsn=%d..%d: %w", recs[0].LSN, last, err)
 	}
 	w.hook("append:written")
-	w.size += int64(len(frame))
-	w.bytes += uint64(len(frame))
-	w.appends++
-	w.lastLSN = r.LSN
+	w.size += int64(len(batch))
+	w.bytes += uint64(len(batch))
+	w.appends += uint64(len(recs))
+	w.lastLSN = last
 	w.pending = true
 	if w.opts.Policy == PolicyAlways {
 		return w.syncLocked()

@@ -553,3 +553,104 @@ func TestWALIgnoresForeignFiles(t *testing.T) {
 		t.Fatalf("foreign files scanned: rc=%+v err=%v", rc, err)
 	}
 }
+
+// countingFile counts the writes and fsyncs a segment receives.
+type countingFile struct {
+	*os.File
+	writes, syncs int
+}
+
+func (f *countingFile) Write(p []byte) (int, error) { f.writes++; return f.File.Write(p) }
+func (f *countingFile) Sync() error                 { f.syncs++; return f.File.Sync() }
+
+// TestWALBatchIsOneWriteAndOneFsync: under PolicyAlways a batch reaches its
+// segment as one write and one fsync, its records are counted one by one and
+// replay one by one, and a batch whose lsns do not ascend writes nothing.
+func TestWALBatchIsOneWriteAndOneFsync(t *testing.T) {
+	dir := t.TempDir()
+	var cf *countingFile
+	w, _, err := Open(Options{Dir: dir, OpenFile: func(path string) (File, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		cf = &countingFile{File: f}
+		return cf, err
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := make([]wlog.Record, 10)
+	for i := range batch {
+		batch[i] = rec(uint64(i+1), 1, uint64(i+1), "A")
+	}
+	if err := w.Append(batch...); err != nil {
+		t.Fatal(err)
+	}
+	if cf.writes != 1 || cf.syncs != 1 {
+		t.Fatalf("a 10-record batch took %d writes and %d fsyncs, want 1 and 1", cf.writes, cf.syncs)
+	}
+	if st := w.Stats(); st.Appends != 10 || st.Fsyncs != 1 || st.LastLSN != 10 {
+		t.Fatalf("stats = %+v", st)
+	}
+	if err := w.Append(rec(11, 1, 11, "A"), rec(11, 1, 12, "A")); err == nil {
+		t.Fatal("a batch repeating an lsn was accepted")
+	}
+	if cf.writes != 1 || w.Stats().LastLSN != 10 {
+		t.Fatalf("a refused batch wrote: %d writes, lsn %d", cf.writes, w.Stats().LastLSN)
+	}
+	w.Close()
+	got, _ := replayAll(t, dir)
+	if len(got) != len(batch) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(batch))
+	}
+	for i := range got {
+		if !got[i].Equal(batch[i]) {
+			t.Fatalf("record %d replayed as %v, want %v", i, got[i], batch[i])
+		}
+	}
+}
+
+// TestWALTornBatchRecoversAPrefix: a crash that stops a batch's write at any
+// byte leaves every batch acknowledged before it whole, and of the torn
+// batch a prefix of its records: recovery never skips a record of a batch
+// and keeps one after it.
+func TestWALTornBatchRecoversAPrefix(t *testing.T) {
+	dir := t.TempDir()
+	w, _, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(lastSegment(t, dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	if err := w.Append(rec(1, 1, 1, "A"), rec(2, 2, 1, "A"), rec(3, 1, 2, "B")); err != nil {
+		t.Fatal(err)
+	}
+	acked := size()
+	if err := w.Append(rec(4, 2, 2, "B"), rec(5, 3, 1, "A"), rec(6, 3, 2, "C"), rec(7, 1, 3, "C")); err != nil {
+		t.Fatal(err)
+	}
+	whole := size()
+	w.Close()
+	seg := lastSegment(t, dir)
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := acked; cut < whole; cut++ {
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, _ := replayAll(t, dir)
+		if len(got) < 3 || len(got) > 6 {
+			t.Fatalf("cut at byte %d: recovered %d records, want 3 to 6", cut, len(got))
+		}
+		for i, r := range got {
+			if r.LSN != uint64(i+1) {
+				t.Fatalf("cut at byte %d: record %d has lsn %d: not a prefix", cut, i, r.LSN)
+			}
+		}
+	}
+}

@@ -195,73 +195,80 @@ func (l *Log) Append(more ...Record) (*Log, error) {
 
 // Validate checks the four conditions of Definition 2 and returns the first
 // violation found (as a *ValidationError wrapping ErrInvalidLog), or nil.
+// Records are kept sorted by lsn, so condition 1 — lsn values are a bijection
+// with 1..|L| — is the same ascending-by-one test Check makes.
 func (l *Log) Validate() error {
-	// Condition 1: lsn values are a bijection with 1..|L|. Records are kept
-	// sorted by lsn, so this reduces to records[i].LSN == i+1.
-	for i, r := range l.records {
-		if r.LSN != uint64(i+1) {
-			return &ValidationError{
-				Cond: CondDenseLSN,
-				LSN:  r.LSN,
-				Msg:  fmt.Sprintf("expected lsn %d at position %d", i+1, i),
-			}
-		}
-	}
+	_, err := Check(nil, l.records)
+	return err
+}
 
+// Tail is what Check reads of the log records are appended to: its newest
+// lsn, and an instance's records in is-lsn order (nil when the wid is
+// absent). colstore.Store satisfies it.
+type Tail interface {
+	LastLSN() uint64
+	Instance(wid uint64) []Record
+}
+
+// Check checks recs, in order, as the continuation of the log base ends (nil:
+// the empty log) against the four conditions of Definition 2, and returns how
+// many of them form a valid prefix. When that is not all of them, the error
+// is the first violation, a *ValidationError wrapping ErrInvalidLog, and
+// recs[n] is the record it names. It is the one Definition 2 check: Validate
+// is Check over the empty log, and a live append is checked by it against the
+// version it extends. Check reads base and recs and writes neither.
+func Check(base Tail, recs []Record) (int, error) {
 	type instState struct {
 		nextSeq uint64 // is-lsn the next record of this instance must carry
 		ended   bool
 	}
 	states := make(map[uint64]*instState)
-
-	for _, r := range l.records {
+	var lastLSN uint64
+	if base != nil {
+		lastLSN = base.LastLSN()
+	}
+	for n, r := range recs {
+		// Condition 1: lsns are dense, so each is the one after its
+		// predecessor's.
+		if r.LSN != lastLSN+1 {
+			return n, violation(CondDenseLSN, r, "expected lsn %d, found %d", lastLSN+1, r.LSN)
+		}
 		st := states[r.WID]
 		if st == nil {
 			st = &instState{nextSeq: 1}
+			if base != nil {
+				if inst := base.Instance(r.WID); len(inst) > 0 {
+					last := inst[len(inst)-1]
+					st = &instState{nextSeq: last.Seq + 1, ended: last.IsEnd()}
+				}
+			}
 			states[r.WID] = st
 		}
 		// Condition 4: nothing follows END within an instance.
 		if st.ended {
-			return &ValidationError{
-				Cond: CondEndLast,
-				LSN:  r.LSN,
-				Msg:  fmt.Sprintf("record for wid=%d after its END record", r.WID),
-			}
+			return n, violation(CondEndLast, r, "record for wid=%d after its END record", r.WID)
 		}
 		// Condition 2: is-lsn = 1 iff START.
 		if (r.Seq == 1) != r.IsStart() {
-			return &ValidationError{
-				Cond: CondStartFirst,
-				LSN:  r.LSN,
-				Msg: fmt.Sprintf("is-lsn=%d with activity %q (START iff is-lsn=1)",
-					r.Seq, r.Activity),
-			}
+			return n, violation(CondStartFirst, r, "is-lsn=%d with activity %q (START iff is-lsn=1)", r.Seq, r.Activity)
 		}
 		// Condition 3: is-lsn values are consecutive, in lsn order.
 		if r.Seq != st.nextSeq {
-			return &ValidationError{
-				Cond: CondConsecutiveSeq,
-				LSN:  r.LSN,
-				Msg: fmt.Sprintf("wid=%d expected is-lsn %d, found %d",
-					r.WID, st.nextSeq, r.Seq),
-			}
+			return n, violation(CondConsecutiveSeq, r, "wid=%d expected is-lsn %d, found %d", r.WID, st.nextSeq, r.Seq)
 		}
 		// START/END records must carry empty maps (Section 2).
-		if r.IsStart() || r.IsEnd() {
-			if len(r.In) != 0 || len(r.Out) != 0 {
-				return &ValidationError{
-					Cond: CondStartFirst,
-					LSN:  r.LSN,
-					Msg:  fmt.Sprintf("%s record with non-empty attribute maps", r.Activity),
-				}
-			}
+		if (r.IsStart() || r.IsEnd()) && (len(r.In) != 0 || len(r.Out) != 0) {
+			return n, violation(CondStartFirst, r, "%s record with non-empty attribute maps", r.Activity)
 		}
+		lastLSN = r.LSN
 		st.nextSeq++
-		if r.IsEnd() {
-			st.ended = true
-		}
+		st.ended = r.IsEnd()
 	}
-	return nil
+	return len(recs), nil
+}
+
+func violation(c Condition, r Record, format string, args ...any) error {
+	return &ValidationError{Cond: c, LSN: r.LSN, Msg: fmt.Sprintf(format, args...)}
 }
 
 // Equal reports whether two logs contain equal records in the same order.
