@@ -73,6 +73,7 @@ examples:
 # the Definition 2 check, the columnar store and the evaluator's entry points.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
+	$(GO) test -fuzz=FuzzPostfix -fuzztime=30s ./internal/core/pattern/
 	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
 	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/

@@ -61,11 +61,6 @@ const (
 	DefaultMaxAttempts = 2
 	// DefaultProbeInterval paces the background worker health probes.
 	DefaultProbeInterval = 5 * time.Second
-	// DefaultMaxTraceSpans caps the span subtree one worker may return on a
-	// traced query. Big enough for any realistic plan tree (spans mirror
-	// plan nodes, not instances), small enough that a fleet of subtrees
-	// cannot balloon a flight-recorder capture.
-	DefaultMaxTraceSpans = 2048
 )
 
 // Config tunes a coordinator. Workers is required; every other zero field
@@ -243,10 +238,8 @@ type WorkerCall struct {
 	// ElapsedUS is the worker-reported evaluation wall time (0 on failure).
 	ElapsedUS int64 `json:"elapsed_us"`
 	// Incidents is how many incidents the worker's part of the answer has
-	// (counted, not shipped, unless the query asked for incidents);
-	// TraceSpans how many spans its returned subtree carried.
-	Incidents  int `json:"incidents"`
-	TraceSpans int `json:"trace_spans,omitempty"`
+	// (counted, not shipped, unless the query asked for incidents).
+	Incidents int `json:"incidents"`
 	// Error is the terminal failure, when Status != "ok".
 	Error string `json:"error,omitempty"`
 }
@@ -342,7 +335,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	c.fanouts.Add(1)
 	// Distributed tracing: a traced query's id travels on a traceparent
 	// header per request, and workers return their span trees and cost
-	// tables; the request body only carries the enable flag and the cap.
+	// tables; the request body only carries the enable flag.
 	tr := obs.FromContext(ctx)
 	traceID := ""
 	if tr != nil {
@@ -363,10 +356,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		Mode:     shape.String(),
 		Strategy: opts.Strategy,
 		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
-	}
-	if traceID != "" {
-		req.Trace = true
-		req.MaxTraceSpans = DefaultMaxTraceSpans
+		Trace:    traceID != "",
 	}
 	// Each part's goroutine writes only its own slot.
 	results := make([]partResult, len(parts))
@@ -424,7 +414,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			// partial measurements would skew the measured-vs-predicted
 			// comparison.
 			tables = append(tables, r.resp.CostTable)
-			call.ElapsedUS, call.TraceSpans = r.resp.ElapsedUS, obs.CountSpans(r.resp.Spans)
+			call.ElapsedUS = r.resp.ElapsedUS
 			if qs != nil {
 				qs.Instances += r.resp.Instances
 				qs.Incidents += r.count

@@ -60,10 +60,6 @@ type WorkerQueryRequest struct {
 	// return the span tree plus Lemma 1 cost table in the response. The
 	// trace/parent-span ids travel separately, on the Traceparent header.
 	Trace bool `json:"trace,omitempty"`
-	// MaxTraceSpans caps the span subtree the worker may return (0 = the
-	// worker's default cap). Oversized trees are pruned pre-order and the
-	// subtree root annotated with truncated_spans.
-	MaxTraceSpans int `json:"max_trace_spans,omitempty"`
 }
 
 // BudgetDoc is resilience.Budget in wire form (wall time in milliseconds).

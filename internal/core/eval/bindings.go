@@ -10,112 +10,20 @@ import (
 // record it matched — atoms on choice branches the incident did not take
 // are absent from the map. ok is false when o is not an incident of p.
 //
-// Like Verify, Bindings searches Definition 4 decompositions directly (a
-// witnessing decomposition is found, not all of them); when several
-// decompositions exist — e.g. t ⊕ t over two t-records — one is returned
-// deterministically (the search prefers earlier records on left operands).
+// It runs Verify's Definition 4 search (a witnessing decomposition is
+// found, not all of them); when several decompositions exist — e.g. t ⊕ t
+// over two t-records — one is returned deterministically (the search
+// prefers earlier records on left operands).
 func (e *Evaluator) Bindings(p pattern.Node, o incident.Incident) (map[int]uint64, bool) {
-	return e.bind(p, o.WID(), o.Seqs(), 0)
-}
-
-// bind returns the atom → seq assignment for one witnessing decomposition,
-// or nil, false. base is the index of p's first atom in the whole pattern's
-// left-to-right atom order. Each call returns a fresh map so failed search
-// branches leave no residue.
-func (e *Evaluator) bind(p pattern.Node, wid uint64, seqs []uint64, base int) (map[int]uint64, bool) {
-	switch p := p.(type) {
-	case *pattern.Atom:
-		if len(seqs) != 1 || !e.verify(p, wid, seqs) {
-			return nil, false
-		}
-		return map[int]uint64{base: seqs[0]}, true
-	case *pattern.Binary:
-		leftAtoms := len(pattern.Atoms(p.Left))
-		switch p.Op {
-		case pattern.OpChoice:
-			if m, ok := e.bind(p.Left, wid, seqs, base); ok {
-				return m, true
-			}
-			return e.bind(p.Right, wid, seqs, base+leftAtoms)
-		case pattern.OpConsecutive, pattern.OpSequential:
-			for cut := 1; cut < len(seqs); cut++ {
-				left, right := seqs[:cut], seqs[cut:]
-				gapOK := left[cut-1] < right[0]
-				if p.Op == pattern.OpConsecutive {
-					gapOK = left[cut-1]+1 == right[0]
-				}
-				if !gapOK {
-					continue
-				}
-				lm, ok := e.bind(p.Left, wid, left, base)
-				if !ok {
-					continue
-				}
-				rm, ok := e.bind(p.Right, wid, right, base+leftAtoms)
-				if !ok {
-					continue
-				}
-				return merged(lm, rm), true
-			}
-			return nil, false
-		case pattern.OpParallel:
-			rightSizes := possibleSizes(p.Right)
-			for need := range possibleSizes(p.Left) {
-				if need < 1 || need >= len(seqs) {
-					continue
-				}
-				if _, ok := rightSizes[len(seqs)-need]; !ok {
-					continue
-				}
-				if m, ok := e.bindParallel(p, wid, seqs, need, nil, 0, base, leftAtoms); ok {
-					return m, true
-				}
-			}
-			return nil, false
-		default:
-			return nil, false
-		}
-	default:
+	w := make([]uint64, pattern.Operators(p)+1)
+	if !e.witness(p, o.WID(), o.Seqs(), w) {
 		return nil, false
 	}
-}
-
-func (e *Evaluator) bindParallel(p *pattern.Binary, wid uint64, seqs []uint64, need int, chosen []uint64, from, base, leftAtoms int) (map[int]uint64, bool) {
-	if len(chosen) == need {
-		rest := make([]uint64, 0, len(seqs)-need)
-		ci := 0
-		for _, s := range seqs {
-			if ci < len(chosen) && chosen[ci] == s {
-				ci++
-				continue
-			}
-			rest = append(rest, s)
-		}
-		lm, ok := e.bind(p.Left, wid, chosen, base)
-		if !ok {
-			return nil, false
-		}
-		rm, ok := e.bind(p.Right, wid, rest, base+leftAtoms)
-		if !ok {
-			return nil, false
-		}
-		return merged(lm, rm), true
-	}
-	for i := from; i <= len(seqs)-(need-len(chosen)); i++ {
-		if m, ok := e.bindParallel(p, wid, seqs, need, append(chosen, seqs[i]), i+1, base, leftAtoms); ok {
-			return m, true
+	m := make(map[int]uint64, len(w))
+	for i, seq := range w {
+		if seq != 0 {
+			m[i] = seq
 		}
 	}
-	return nil, false
-}
-
-func merged(a, b map[int]uint64) map[int]uint64 {
-	out := make(map[int]uint64, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
+	return m, true
 }

@@ -66,6 +66,18 @@ func TestBindingsBacktrackingAcrossFailedBranches(t *testing.T) {
 	}
 }
 
+// TestBindingsFailedCutLeavesNoChoiceResidue: the first cut binds the left
+// choice's !Z branch to B(2), then fails on the right; the cut that succeeds
+// takes the other branch, so atom 0 must not stay bound to B(2).
+func TestBindingsFailedCutLeavesNoChoiceResidue(t *testing.T) {
+	l := buildLog(t, []string{"B", "C", "D"}) // B=2 C=3 D=4
+	e := New(NewIndex(l), Options{})
+	got, ok := e.Bindings(pattern.MustParse("(!Z | (B . C)) -> D"), incident.New(1, 2, 3, 4))
+	if !ok || len(got) != 3 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
+		t.Errorf("bindings = %v, %v; want map[1:2 2:3 3:4]", got, ok)
+	}
+}
+
 // TestBindingsAgreeWithVerify: on random patterns and incidents from the
 // evaluator, Bindings succeeds exactly when Verify does, and the bound
 // records reassemble the incident (for patterns where every taken branch's

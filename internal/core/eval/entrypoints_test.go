@@ -468,7 +468,7 @@ func TestBenchPoolPlansAreCounted(t *testing.T) {
 	}
 	ix := eval.NewIndex(l)
 	for _, q := range benchPool {
-		plan, _ := rewrite.Explain(pattern.MustParse(q), ix)
+		plan, _ := rewrite.Optimize(pattern.MustParse(q), ix)
 		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
 			if !eval.Counted(plan, shape, eval.StrategyMerge) {
 				t.Errorf("%s (plan %s): %v answer is enumerated", q, plan, shape)
@@ -638,7 +638,7 @@ func BenchmarkCountShapes(b *testing.B) {
 	}
 	cs := colstore.Build(l)
 	for _, q := range benchPool {
-		plan, _ := rewrite.Explain(pattern.MustParse(q), cs)
+		plan, _ := rewrite.Optimize(pattern.MustParse(q), cs)
 		for _, c := range []struct {
 			name  string
 			shape eval.Shape

@@ -13,7 +13,7 @@ import (
 // it a soundness oracle for them in tests; its worst case is exponential in
 // o's size, so it is meant for verification, not evaluation.
 func (e *Evaluator) Verify(p pattern.Node, o incident.Incident) bool {
-	return e.verify(p, o.WID(), o.Seqs())
+	return e.witness(p, o.WID(), o.Seqs(), make([]uint64, pattern.Operators(p)+1))
 }
 
 // possibleSizes returns the set of record counts an incident of p can have.
@@ -48,9 +48,13 @@ func possibleSizes(p pattern.Node) map[int]struct{} {
 	}
 }
 
-// verify checks that the record set seqs (sorted is-lsn values of instance
-// wid) is an incident of p.
-func (e *Evaluator) verify(p pattern.Node, wid uint64, seqs []uint64) bool {
+// witness is the one Definition 4 search, behind Verify and Bindings: it
+// looks for a decomposition of seqs (sorted is-lsn values of instance wid)
+// into an incident of p and records it in w, indexed by p's atoms left to
+// right (a pattern of k operators has k+1 atoms). On success w[i] is the
+// is-lsn the i-th atom matched, 0 for an atom on a choice branch not taken
+// (is-lsns start at 1); on failure, and on entry, w is all 0.
+func (e *Evaluator) witness(p pattern.Node, wid uint64, seqs []uint64, w []uint64) bool {
 	switch p := p.(type) {
 	case *pattern.Atom:
 		if len(seqs) != 1 {
@@ -64,22 +68,27 @@ func (e *Evaluator) verify(p pattern.Node, wid uint64, seqs []uint64) bool {
 		if p.Negated {
 			match = !match
 		}
-		return match && predicate.MatchAll(p.Guards, rec)
+		if !match || !predicate.MatchAll(p.Guards, rec) {
+			return false
+		}
+		w[0] = seqs[0]
+		return true
 	case *pattern.Binary:
+		k := pattern.Operators(p.Left) + 1
+		wl, wr := w[:k], w[k:]
 		switch p.Op {
 		case pattern.OpChoice:
-			return e.verify(p.Left, wid, seqs) || e.verify(p.Right, wid, seqs)
+			return e.witness(p.Left, wid, seqs, wl) || e.witness(p.Right, wid, seqs, wr)
 		case pattern.OpConsecutive, pattern.OpSequential:
 			// The ordering constraint (all of o1 before all of o2) forces
 			// the split to be prefix/suffix of the sorted seqs; try every
 			// cut point with a compatible gap.
 			for cut := 1; cut < len(seqs); cut++ {
-				left, right := seqs[:cut], seqs[cut:]
-				gapOK := left[cut-1] < right[0]
+				gapOK := seqs[cut-1] < seqs[cut]
 				if p.Op == pattern.OpConsecutive {
-					gapOK = left[cut-1]+1 == right[0]
+					gapOK = seqs[cut-1]+1 == seqs[cut]
 				}
-				if gapOK && e.verify(p.Left, wid, left) && e.verify(p.Right, wid, right) {
+				if gapOK && e.split(p, wid, seqs[:cut], seqs[cut:], wl, wr) {
 					return true
 				}
 			}
@@ -95,23 +104,31 @@ func (e *Evaluator) verify(p pattern.Node, wid uint64, seqs []uint64) bool {
 				if _, ok := rightSizes[len(seqs)-need]; !ok {
 					continue
 				}
-				if e.verifyParallelSplit(p, wid, seqs, need, nil, 0) {
+				if e.parallelSplit(p, wid, seqs, need, nil, 0, wl, wr) {
 					return true
 				}
 			}
 			return false
-		default:
-			return false
 		}
-	default:
-		return false
 	}
+	return false
 }
 
-// verifyParallelSplit enumerates size-need subsets of seqs (starting at
-// index from, with the prefix already chosen), checking each split of seqs
-// into (chosen, rest) against (p.Left, p.Right).
-func (e *Evaluator) verifyParallelSplit(p *pattern.Binary, wid uint64, seqs []uint64, need int, chosen []uint64, from int) bool {
+// split tries one division of a binary pattern's records between its
+// operands. The left operand may match before the right one fails, so a
+// failed split zeroes the left operand's witness again.
+func (e *Evaluator) split(p *pattern.Binary, wid uint64, left, right, wl, wr []uint64) bool {
+	if e.witness(p.Left, wid, left, wl) && e.witness(p.Right, wid, right, wr) {
+		return true
+	}
+	clear(wl)
+	return false
+}
+
+// parallelSplit enumerates size-need subsets of seqs (starting at index
+// from, with the prefix already chosen), trying each split of seqs into
+// (chosen, rest) between p's operands.
+func (e *Evaluator) parallelSplit(p *pattern.Binary, wid uint64, seqs []uint64, need int, chosen []uint64, from int, wl, wr []uint64) bool {
 	if len(chosen) == need {
 		rest := make([]uint64, 0, len(seqs)-need)
 		ci := 0
@@ -122,10 +139,10 @@ func (e *Evaluator) verifyParallelSplit(p *pattern.Binary, wid uint64, seqs []ui
 			}
 			rest = append(rest, s)
 		}
-		return e.verify(p.Left, wid, chosen) && e.verify(p.Right, wid, rest)
+		return e.split(p, wid, chosen, rest, wl, wr)
 	}
 	for i := from; i <= len(seqs)-(need-len(chosen)); i++ {
-		if e.verifyParallelSplit(p, wid, seqs, need, append(chosen, seqs[i]), i+1) {
+		if e.parallelSplit(p, wid, seqs, need, append(chosen, seqs[i]), i+1, wl, wr) {
 			return true
 		}
 	}

@@ -74,10 +74,11 @@ func TestDetailsEmptyWhenNoChange(t *testing.T) {
 	}
 }
 
-// TestExplainTraceCarriesDetails: rewrite.Explain forwards the step list.
+// TestExplainTraceCarriesDetails: the trace of a run that rewrote carries
+// the step list.
 func TestExplainTraceCarriesDetails(t *testing.T) {
-	_, tr := Explain(pattern.MustParse("(A -> B) | (A -> C)"), UniformStats{})
+	_, tr := Optimize(pattern.MustParse("(A -> B) | (A -> C)"), UniformStats{})
 	if len(tr.Details) == 0 {
-		t.Error("Explain trace has no details")
+		t.Error("Optimize trace has no details")
 	}
 }

@@ -1,12 +1,16 @@
 package rewrite
 
-import "wlq/internal/core/pattern"
+import (
+	"fmt"
+	"strings"
 
-// Trace is the machine-readable account of one optimizer run, for EXPLAIN
-// surfaces (the CLI's -explain and the query service's /v1/explain): the
-// input and output patterns with their full cost-model estimates, and the
-// transformations applied. Explanation remains the compact human-readable
-// form; Trace carries the numbers it summarizes.
+	"wlq/internal/core/pattern"
+)
+
+// Trace is the account of one optimizer run, for EXPLAIN surfaces (the
+// CLI's -explain and the query service's /v1/explain) and the rewrite span:
+// the input and output patterns with their full cost-model estimates, and
+// the transformations applied. String is its compact human-readable form.
 type Trace struct {
 	// Input is the pattern as written; Output the pattern the evaluator
 	// will run (equal to Input when no rewrite fired).
@@ -28,20 +32,15 @@ type Trace struct {
 // Changed reports whether the optimizer produced a different pattern.
 func (t Trace) Changed() bool { return !pattern.Equal(t.Input, t.Output) }
 
-// Explain optimizes p exactly as Optimize does and returns the optimized
-// pattern together with the full trace.
-func Explain(p pattern.Node, stats Stats) (pattern.Node, Trace) {
-	est := NewEstimator(stats)
-	out, ex := Optimize(p, stats)
-	return out, Trace{
-		Input:         pattern.Clone(p),
-		Output:        out,
-		Before:        est.Estimate(p),
-		After:         est.Estimate(out),
-		Steps:         ex.Steps,
-		Details:       ex.Details,
-		Selectivities: est.sel,
+// String summarizes the run for CLI display.
+func (t Trace) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "estimated cost %.4g -> %.4g", t.Before.Cost, t.After.Cost)
+	if len(t.Steps) > 0 {
+		sb.WriteString(" via ")
+		sb.WriteString(strings.Join(t.Steps, ", "))
 	}
+	return sb.String()
 }
 
 // Selectivities exposes the cost model's assumed selectivity constants —

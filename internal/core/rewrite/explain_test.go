@@ -6,8 +6,12 @@ import (
 	"wlq/internal/core/pattern"
 )
 
+// TestExplainMatchesOptimize: the EXPLAIN trace Optimize returns describes
+// the plan it returns — its input and output patterns, their estimates, and
+// one detail per step.
 func TestExplainMatchesOptimize(t *testing.T) {
 	stats := UniformStats{}
+	est := NewEstimator(stats)
 	for _, q := range []string{
 		"A",
 		"A -> B",
@@ -16,17 +20,12 @@ func TestExplainMatchesOptimize(t *testing.T) {
 		"A & B & C | D",
 	} {
 		p := pattern.MustParse(q)
-		opt, ex := Optimize(p, stats)
-		got, tr := Explain(p, stats)
-		if !pattern.Equal(opt, got) {
-			t.Errorf("%q: Explain output %s differs from Optimize output %s", q, got, opt)
-		}
+		got, tr := Optimize(p, stats)
 		if !pattern.Equal(tr.Input, p) || !pattern.Equal(tr.Output, got) {
 			t.Errorf("%q: trace input/output mismatch", q)
 		}
-		if tr.Before.Cost != ex.Before || tr.After.Cost != ex.After {
-			t.Errorf("%q: trace costs (%g, %g) != explanation costs (%g, %g)",
-				q, tr.Before.Cost, tr.After.Cost, ex.Before, ex.After)
+		if tr.Before != est.Estimate(p) || tr.After != est.Estimate(got) {
+			t.Errorf("%q: trace estimates (%+v, %+v) are not the estimator's of input and output", q, tr.Before, tr.After)
 		}
 		if tr.After.Cost > tr.Before.Cost {
 			t.Errorf("%q: optimizer made the plan costlier: %g -> %g", q, tr.Before.Cost, tr.After.Cost)
@@ -34,15 +33,15 @@ func TestExplainMatchesOptimize(t *testing.T) {
 		if tr.Changed() != !pattern.Equal(p, got) {
 			t.Errorf("%q: Changed() = %v inconsistent with patterns", q, tr.Changed())
 		}
-		if len(tr.Steps) != len(ex.Steps) {
-			t.Errorf("%q: trace steps %v != explanation steps %v", q, tr.Steps, ex.Steps)
+		if len(tr.Steps) != len(tr.Details) {
+			t.Errorf("%q: trace steps %v do not match its details %+v", q, tr.Steps, tr.Details)
 		}
 	}
 }
 
 func TestExplainDoesNotAliasInput(t *testing.T) {
 	p := pattern.MustParse("A -> B")
-	_, tr := Explain(p, UniformStats{})
+	_, tr := Optimize(p, UniformStats{})
 	tr.Input.(*pattern.Binary).Left = pattern.NewAtom("X")
 	if p.String() != "A -> B" {
 		t.Fatalf("mutating the trace input changed the caller's pattern: %s", p)

@@ -4,21 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"wlq/internal/core/pattern"
 )
-
-// Explanation records what the optimizer did to a pattern.
-type Explanation struct {
-	// Before and After are the estimated Lemma 1 costs.
-	Before, After float64
-	// Steps names the transformations applied, in order.
-	Steps []string
-	// Details carries one structured entry per applied law, for EXPLAIN and
-	// tracing surfaces.
-	Details []Step
-}
 
 // Step is one applied Theorem 2–5 law with its estimated cost effect.
 // Before and After bracket the optimization pass that applied the law:
@@ -34,17 +22,6 @@ type Step struct {
 	Before, After float64
 }
 
-// String summarizes the explanation for CLI display.
-func (ex Explanation) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "estimated cost %.4g -> %.4g", ex.Before, ex.After)
-	if len(ex.Steps) > 0 {
-		sb.WriteString(" via ")
-		sb.WriteString(strings.Join(ex.Steps, ", "))
-	}
-	return sb.String()
-}
-
 // Optimize rewrites p into an equivalent pattern with lower estimated cost,
 // using only the Theorem 2–5 laws:
 //
@@ -54,8 +31,9 @@ func (ex Explanation) String() string {
 //     (Theorems 2 and 3), smallest estimated operand first.
 //
 // The result always satisfies incL(Optimize(p)) = incL(p). Optimize never
-// returns a pattern costlier than its input.
-func Optimize(p pattern.Node, stats Stats) (pattern.Node, Explanation) {
+// returns a pattern costlier than its input. The Trace is the run's one
+// report: both patterns with their estimates and the laws applied.
+func Optimize(p pattern.Node, stats Stats) (pattern.Node, Trace) {
 	return OptimizeWith(p, stats, ModelSelectivities())
 }
 
@@ -65,11 +43,13 @@ func Optimize(p pattern.Node, stats Stats) (pattern.Node, Explanation) {
 // order win. The rewrite laws applied are identical — only the ranking
 // differs. It is the seam the tests and the layer benchmark use to show the
 // ranking responds to its inputs.
-func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, Explanation) {
+func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node, Trace) {
 	est := NewEstimator(stats)
 	est.sel = sel.withDefaults()
-	ex := Explanation{Before: est.Cost(p)}
+	// No pass mutates its input, so the clone is both the trace's copy of
+	// the input and the starting plan.
 	out := pattern.Clone(p)
+	tr := Trace{Input: out, Before: est.Estimate(out), Selectivities: est.sel}
 
 	// Pass 1: factoring.
 	factored := out
@@ -95,8 +75,8 @@ func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node,
 		before := est.Cost(out)
 		out = factored
 		note := fmt.Sprintf("factored %d choice(s)", fired)
-		ex.Steps = append(ex.Steps, note)
-		ex.Details = append(ex.Details, Step{
+		tr.Steps = append(tr.Steps, note)
+		tr.Details = append(tr.Details, Step{
 			Law: note, Theorem: "Theorem 5", Before: before, After: est.Cost(out),
 		})
 	}
@@ -109,13 +89,13 @@ func OptimizeWith(p pattern.Node, stats Stats, sel Selectivities) (pattern.Node,
 		after := est.Cost(out)
 		for _, st := range steps {
 			st.Before, st.After = before, after
-			ex.Steps = append(ex.Steps, st.Law)
-			ex.Details = append(ex.Details, st)
+			tr.Steps = append(tr.Steps, st.Law)
+			tr.Details = append(tr.Details, st)
 		}
 	}
 
-	ex.After = est.Cost(out)
-	return out, ex
+	tr.Output, tr.After = out, est.Estimate(out)
+	return out, tr
 }
 
 // chainKind classifies an operator for chain flattening: ⊙ and ≺ form one

@@ -74,14 +74,14 @@ func TestOptimizeFactorsChoices(t *testing.T) {
 	if !pattern.Equal(out, want) {
 		t.Errorf("Optimize = %s, want %s", out, want)
 	}
-	if ex.After > ex.Before {
-		t.Errorf("cost increased: %g -> %g", ex.Before, ex.After)
+	if ex.After.Cost > ex.Before.Cost {
+		t.Errorf("cost increased: %g -> %g", ex.Before.Cost, ex.After.Cost)
 	}
 	if len(ex.Steps) == 0 || !strings.Contains(ex.Steps[0], "factored") {
 		t.Errorf("Steps = %v", ex.Steps)
 	}
 	if !strings.Contains(ex.String(), "estimated cost") {
-		t.Errorf("Explanation.String = %q", ex.String())
+		t.Errorf("Trace.String = %q", ex.String())
 	}
 }
 
@@ -95,8 +95,8 @@ func TestOptimizeRebracketsSkewedChain(t *testing.T) {
 	if est.Cost(out) > est.Cost(p) {
 		t.Errorf("optimizer increased cost: %g -> %g", est.Cost(p), est.Cost(out))
 	}
-	if ex.After > ex.Before {
-		t.Errorf("explanation disagrees: %g -> %g", ex.Before, ex.After)
+	if ex.After.Cost > ex.Before.Cost {
+		t.Errorf("explanation disagrees: %g -> %g", ex.Before.Cost, ex.After.Cost)
 	}
 }
 
@@ -125,9 +125,9 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 		ix := eval.NewIndex(l)
 		out, ex := Optimize(p, ix)
 		checkEquivalent(t, l, p, out, "Optimize")
-		if ex.After > ex.Before+1e-9 {
+		if ex.After.Cost > ex.Before.Cost+1e-9 {
 			t.Fatalf("trial %d: optimizer increased estimated cost %g -> %g for %s",
-				trial, ex.Before, ex.After, p)
+				trial, ex.Before.Cost, ex.After.Cost, p)
 		}
 	}
 }

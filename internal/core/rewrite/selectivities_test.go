@@ -99,10 +99,10 @@ func TestOptimizeWithPlanFlip(t *testing.T) {
 	}
 }
 
-// TestExplainWithReportsSelectivities: Explain's trace carries the
+// TestExplainWithReportsSelectivities: Optimize's trace carries the
 // selectivities the plan was ranked with — the model constants.
 func TestExplainWithReportsSelectivities(t *testing.T) {
-	_, tr := Explain(pattern.MustParse("A -> B"), UniformStats{})
+	_, tr := Optimize(pattern.MustParse("A -> B"), UniformStats{})
 	if tr.Selectivities != ModelSelectivities() {
 		t.Fatalf("trace selectivities = %+v, want the model constants", tr.Selectivities)
 	}

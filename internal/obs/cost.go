@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
@@ -104,54 +102,6 @@ func CostTable(m *eval.Meter) []CostRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// EvalSpans appends to parent a span subtree mirroring the metered plan's
-// incident tree, one span per node, annotated with the node's meter
-// counters. The spans are synthetic (built after evaluation, durations 0);
-// their value is the per-operator accounting, not wall-clock timing —
-// evaluation wall clock lives on the parent span.
-func EvalSpans(parent *Span, m *eval.Meter) {
-	if parent == nil || m == nil {
-		return
-	}
-	sel := rewrite.ModelSelectivities()
-	stats := m.Snapshot()
-	// rec consumes one subtree off the front of the pre-order stats.
-	var rec func(sp *Span)
-	rec = func(sp *Span) {
-		st := stats[0]
-		stats = stats[1:]
-		var label string
-		if st.Atom {
-			label = "atom " + st.Node.String()
-		} else {
-			label = fmt.Sprintf("%s %s", st.Op.Symbol(), st.Op.Name())
-		}
-		child := sp.StartChild(label)
-		child.SetAttr("node", st.Node.String())
-		child.SetAttr("evals", st.Evals)
-		child.SetAttr("comparisons", st.Comparisons)
-		child.SetAttr("outputs", st.Outputs)
-		child.SetAttr("predicted", st.Predicted)
-		if st.MemoHits > 0 {
-			child.SetAttr("memo_hits", st.MemoHits)
-		}
-		if !st.Atom {
-			child.SetAttr("n1", st.LeftInputs)
-			child.SetAttr("n2", st.RightInputs)
-			child.SetAttr("k1", st.K1)
-			child.SetAttr("k2", st.K2)
-			child.SetAttr("bound", boundFormula(st.Op))
-			if v := sel.ForOp(st.Op); v > 0 {
-				child.SetAttr("selectivity", v)
-			}
-			rec(child)
-			rec(child)
-		}
-		child.End()
-	}
-	rec(parent)
 }
 
 // RewriteSpans annotates sp with the optimizer trace: input/output forms

@@ -10,15 +10,15 @@ import (
 
 // Distributed tracing support: trace/span id minting in the W3C
 // traceparent shape, grafting of wire-decoded worker span subtrees into a
-// live coordinator trace, worker attribution stamping, subtree size caps,
-// and fleet-wide cost-table aggregation.
+// live coordinator trace, worker attribution stamping, and fleet-wide
+// cost-table aggregation.
 //
 // The coordinator mints a trace id once per query and sends
 // "00-<trace-id>-<span-id>-01" on every worker request (a fresh span id
 // per attempt, the same trace id throughout). Workers adopt the propagated
-// trace id, run their usual span tree under it, and return the serialized
-// tree; the coordinator grafts each returned subtree under the local span
-// that issued the accepted request.
+// trace id, run their span tree (worker → prepare, eval) under it, and
+// return the serialized tree; the coordinator grafts each returned subtree
+// under the local span that issued the accepted request.
 
 // TraceparentHeader is the HTTP header carrying the propagated trace
 // context on coordinator→worker requests.
@@ -106,59 +106,6 @@ func StampWorker(s *Span, worker string) {
 	for _, c := range s.Children {
 		StampWorker(c, worker)
 	}
-}
-
-// CountSpans reports the number of spans in the subtree rooted at s.
-func CountSpans(s *Span) int {
-	if s == nil {
-		return 0
-	}
-	n := 1
-	for _, c := range s.Children {
-		n += CountSpans(c)
-	}
-	return n
-}
-
-// CapSpans prunes the subtree to at most max spans, keeping spans in
-// pre-order (earlier siblings and their subtrees survive whole before
-// later ones are admitted). The root always survives, even when max < 1.
-// When anything is dropped the root is annotated with truncated_spans =
-// <dropped count>. Returns the number of spans dropped. Call only on
-// quiescent span trees (a finished worker trace, a not-yet-grafted wire
-// subtree).
-func CapSpans(root *Span, max int) int {
-	if root == nil {
-		return 0
-	}
-	total := CountSpans(root)
-	if max < 1 {
-		max = 1
-	}
-	if total <= max {
-		return 0
-	}
-	budget := max - 1
-	var prune func(s *Span)
-	prune = func(s *Span) {
-		kept := s.Children[:0]
-		for _, c := range s.Children {
-			if budget <= 0 {
-				break
-			}
-			budget--
-			kept = append(kept, c)
-			prune(c)
-		}
-		s.Children = kept
-	}
-	prune(root)
-	dropped := total - max
-	if root.Attrs == nil {
-		root.Attrs = make(map[string]any)
-	}
-	root.Attrs["truncated_spans"] = dropped
-	return dropped
 }
 
 // AggregateCostTables folds per-worker Lemma 1 cost tables into one

@@ -140,51 +140,6 @@ func TestStampWorkerFillsOnlyBlankAttribution(t *testing.T) {
 	StampWorker(nil, "x") // must not panic
 }
 
-func TestCapSpansPrunesPreOrderAndAnnotates(t *testing.T) {
-	build := func() *Span {
-		return wireTree(t, func(tr *Trace) {
-			for i := 0; i < 3; i++ {
-				sp := tr.StartSpan("stage")
-				sp.StartChild("inner").End()
-				sp.End()
-			}
-		})
-	}
-
-	// 7 spans (root + 3×(stage+inner)) capped to 4: the earliest subtrees
-	// survive whole, later ones drop.
-	root := build()
-	if got := CountSpans(root); got != 7 {
-		t.Fatalf("fixture has %d spans, want 7", got)
-	}
-	dropped := CapSpans(root, 4)
-	if dropped != 3 || CountSpans(root) != 4 {
-		t.Fatalf("dropped %d spans leaving %d, want 3 dropped leaving 4", dropped, CountSpans(root))
-	}
-	if got := root.Attrs["truncated_spans"]; got != 3 {
-		t.Fatalf("truncated_spans = %v, want 3", got)
-	}
-	if len(root.Children) == 0 || root.Children[0].Name != "stage" {
-		t.Fatal("pre-order prune did not keep the earliest child")
-	}
-
-	// A cap below 1 still keeps the root.
-	root = build()
-	CapSpans(root, 0)
-	if CountSpans(root) != 1 || len(root.Children) != 0 {
-		t.Fatalf("cap 0 left %d spans, want the root alone", CountSpans(root))
-	}
-
-	// A generous cap is a no-op: nothing dropped, no annotation.
-	root = build()
-	if dropped := CapSpans(root, 100); dropped != 0 {
-		t.Fatalf("cap 100 dropped %d spans", dropped)
-	}
-	if _, ok := root.Attrs["truncated_spans"]; ok {
-		t.Fatal("no-op cap annotated the root anyway")
-	}
-}
-
 func TestAggregateCostTablesSumsAlignedRows(t *testing.T) {
 	mk := func(scale uint64) []CostRow {
 		return []CostRow{

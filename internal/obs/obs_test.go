@@ -108,36 +108,6 @@ func TestCostTableShape(t *testing.T) {
 	}
 }
 
-func TestEvalSpansMirrorPlan(t *testing.T) {
-	p, m := traceFixture(t, "(A -> B) | (C & D)")
-	tr := NewTrace("q")
-	sp := tr.StartSpan("eval")
-	EvalSpans(sp, m)
-	sp.End()
-
-	var count func(s *Span) int
-	count = func(s *Span) int {
-		n := 1
-		for _, c := range s.Children {
-			n += count(c)
-		}
-		return n
-	}
-	// eval span + one span per plan node
-	if got, want := count(sp), 1+pattern.Size(p); got != want {
-		t.Fatalf("span count = %d, want %d", got, want)
-	}
-	root := sp.Children[0]
-	if root.Attrs["bound"] != "n1·n2·min(k1,k2)" {
-		t.Errorf("root bound attr = %v", root.Attrs["bound"])
-	}
-	for _, key := range []string{"node", "evals", "comparisons", "outputs", "predicted", "n1", "n2", "k1", "k2"} {
-		if _, ok := root.Attrs[key]; !ok {
-			t.Errorf("root span missing attr %q", key)
-		}
-	}
-}
-
 func TestRewriteSpansCarryTheorems(t *testing.T) {
 	tr := rewrite.Trace{
 		Input:  pattern.MustParse("A -> B"),
@@ -162,9 +132,7 @@ func TestRewriteSpansCarryTheorems(t *testing.T) {
 func TestQueryTraceJSONAndRender(t *testing.T) {
 	p, m := traceFixture(t, "A . B")
 	tr := NewTrace("q")
-	sp := tr.StartSpan("eval")
-	EvalSpans(sp, m)
-	sp.End()
+	tr.StartSpan("eval").End()
 	tr.End()
 	qt := &QueryTrace{
 		Query:     "A . B",

@@ -4,8 +4,9 @@
 // actually performed (eval.Meter) with the Lemma 1 predicted bounds.
 //
 // A *Trace is carried through the pipeline via context.Context (WithTrace /
-// FromContext); each stage opens spans on it and attaches attributes. The
-// assembled QueryTrace is rendered as an ASCII tree for the CLI (-trace)
+// FromContext); each stage opens spans on it and attaches attributes. A
+// span is a timed stage, never a plan node: the per-node numbers live once,
+// in the cost table. The assembled QueryTrace is rendered as an ASCII tree for the CLI (-trace)
 // and marshals to JSON for the query service (POST /v1/query with
 // "trace": true).
 //
@@ -98,7 +99,7 @@ type Span struct {
 	trace *Trace
 	ended bool
 
-	// Name identifies the stage ("parse", "rewrite", an operator label…).
+	// Name identifies the stage ("parse", "rewrite", "eval"…).
 	Name string `json:"name"`
 	// Worker attributes the span to the process that recorded it — a worker
 	// base URL on grafted subtrees, "coordinator" on locally recorded spans

@@ -870,3 +870,40 @@ func TestClusterMetrics(t *testing.T) {
 		t.Error("worker prometheus exposition missing wlq_worker_queries_total")
 	}
 }
+
+// TestClusterOperatorTotalsFromFleetTable: a coordinator evaluates nothing
+// itself, so its per-operator totals are folded from the fleet cost table
+// its workers returned — they equal the sum of that table's operator rows.
+func TestClusterOperatorTotalsFromFleetTable(t *testing.T) {
+	l := chaosLog(t, 16, 2)
+	f := newClusterFixture(t, 2, "chaos", l, nil, nil)
+	var resp queryResponse
+	body := `{"log":"chaos","query":"(A -> B) | (B & A)","trace":true}`
+	if rec := postQuery(t, f.coord.Handler(), body, &resp); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	if resp.Trace == nil || len(resp.Trace.CostTable) == 0 {
+		t.Fatal("no fleet cost table on a traced fan-out query")
+	}
+	comparisons, outputs := map[string]uint64{}, map[string]uint64{}
+	var total uint64
+	for _, row := range resp.Trace.CostTable {
+		if row.Op != "atom" {
+			comparisons[row.Op] += row.Comparisons
+			outputs[row.Op] += row.Outputs
+			total += row.Comparisons
+		}
+	}
+	if total == 0 {
+		t.Fatal("the fleet table measured no operator work")
+	}
+	var doc metricsDoc
+	getJSON(t, f.coord.Handler(), "/metrics", &doc)
+	for _, op := range meteredOps {
+		name := op.Name()
+		if doc.OperatorComparisons[name] != comparisons[name] || doc.OperatorOutputs[name] != outputs[name] {
+			t.Errorf("%s: coordinator totals %d comparisons / %d outputs, fleet table %d / %d",
+				name, doc.OperatorComparisons[name], doc.OperatorOutputs[name], comparisons[name], outputs[name])
+		}
+	}
+}

@@ -7,11 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"wlq/internal/cluster"
+	"wlq/internal/core/pattern"
 	"wlq/internal/faultinject"
 	"wlq/internal/flightrec"
 	"wlq/internal/obs"
@@ -288,42 +290,92 @@ func TestClusterTraceStaleWorkerExcluded(t *testing.T) {
 	}
 }
 
-// TestClusterTraceSubtreeCapEnforced: the span budget rides the worker
-// request, the worker prunes its tree to it, and the truncation is declared
-// on the subtree root rather than silently absorbed. A request without the
-// budget gets DefaultMaxTraceSpans, far above this plan's tree.
-func TestClusterTraceSubtreeCapEnforced(t *testing.T) {
-	s, _ := startWorker(t, "chaos", chaosLog(t, 16, 2))
-	lo, hi := uint64(1), uint64(16)
-	req := cluster.WorkerQueryRequest{
-		Log: "chaos", Plan: "(A -> B) | (B -> C)", WIDMin: &lo, WIDMax: &hi, Self: "http://w1", Trace: true,
+// TestClusterStitchedTraceShape: a span is a timed stage and the per-node
+// numbers live in the cost table alone. A single-node trace's eval span has
+// no children and its table one row per plan node; on a 2-worker fan-out the
+// coordinator's eval span has no children, each grafted worker subtree is
+// exactly worker → prepare, eval, and the fleet table is the row-wise sum of
+// the tables the workers return for their parts.
+func TestClusterStitchedTraceShape(t *testing.T) {
+	l := chaosLog(t, 16, 2)
+	const body = `{"log":"chaos","query":"(A -> B) | (B & A)","strategy":"naive","trace":true}`
+	evalSpanIsLeaf := func(t *testing.T, tr *obs.QueryTrace) {
+		t.Helper()
+		for _, c := range tr.Spans.Children {
+			if c.Name == "eval" && len(c.Children) != 0 {
+				t.Fatalf("eval span has %d children, want none", len(c.Children))
+			}
+		}
 	}
-	for _, max := range []int{3, 0} {
-		req.MaxTraceSpans = max
-		body, err := json.Marshal(req)
+
+	single := New(Config{})
+	if err := single.AddLog("chaos", "builtin:chaos", l); err != nil {
+		t.Fatal(err)
+	}
+	var one queryResponse
+	if rec := postQuery(t, single.Handler(), body, &one); rec.Code != http.StatusOK || one.Trace == nil {
+		t.Fatalf("single node: status %d: %s", rec.Code, rec.Body)
+	}
+	evalSpanIsLeaf(t, one.Trace)
+	if got, want := len(one.Trace.CostTable), pattern.Size(pattern.MustParse(one.Trace.Plan)); got != want {
+		t.Fatalf("single node: %d cost rows, want one per plan node (%d)", got, want)
+	}
+
+	f := newClusterFixture(t, 2, "chaos", l, nil, nil)
+	var fan queryResponse
+	if rec := postQuery(t, f.coord.Handler(), body, &fan); rec.Code != http.StatusOK || fan.Trace == nil {
+		t.Fatalf("fan-out: status %d: %s", rec.Code, rec.Body)
+	}
+	evalSpanIsLeaf(t, fan.Trace)
+	grafted := findSpans(fan.Trace.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" })
+	if len(grafted) != 2 {
+		t.Fatalf("%d grafted worker subtrees, want 2", len(grafted))
+	}
+	for _, g := range grafted {
+		if len(g.Children) != 2 || g.Children[0].Name != "prepare" || g.Children[1].Name != "eval" ||
+			len(g.Children[0].Children)+len(g.Children[1].Children) != 0 {
+			t.Fatalf("worker subtree of %s is not exactly worker → prepare, eval", g.Worker)
+		}
+	}
+
+	// Each worker's own table for its part, summed row by row.
+	var sum []obs.CostRow
+	for i, part := range cluster.Partition(l.WIDs(), 2) {
+		req := cluster.WorkerQueryRequest{Log: "chaos", Plan: fan.Trace.Plan, WIDMin: &part.MinWID, WIDMax: &part.MaxWID,
+			Self: f.urls[i], Strategy: "naive", Trace: true}
+		reqBody, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(string(body))))
+		f.wsrv[i].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(string(reqBody))))
 		var resp cluster.WorkerQueryResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("max_trace_spans %d: status %d, err %v: %s", max, rec.Code, err, rec.Body)
+			t.Fatalf("worker %d: status %d, err %v: %s", i, rec.Code, err, rec.Body)
 		}
-		n, truncated := obs.CountSpans(resp.Spans), resp.Spans.Attrs["truncated_spans"] != nil
-		if max > 0 && (n > max || !truncated) {
-			t.Fatalf("worker subtree has %d spans (truncation declared: %v), cap is %d", n, truncated, max)
+		if sum == nil {
+			sum = resp.CostTable
+			continue
 		}
-		if max == 0 && (n <= 3 || truncated) {
-			t.Fatalf("uncapped request: %d spans, truncation declared: %v; want the whole tree", n, truncated)
+		for j, row := range resp.CostTable {
+			sum[j].N1 += row.N1
+			sum[j].N2 += row.N2
+			sum[j].Comparisons += row.Comparisons
+			sum[j].Outputs += row.Outputs
+			sum[j].Predicted += row.Predicted
+			sum[j].Evals += row.Evals
+			sum[j].MemoHits += row.MemoHits
 		}
+	}
+	if !reflect.DeepEqual(fan.Trace.CostTable, sum) {
+		t.Fatalf("fleet cost table\n%+v\nis not the row-wise sum of the worker tables\n%+v", fan.Trace.CostTable, sum)
 	}
 }
 
 // TestClusterWorkerTraceEndpoint covers the worker side of propagation in
 // isolation: adopting the traceparent id, stamping its own attribution,
-// honoring the span cap, and minting a fresh id when the header is absent
-// or malformed.
+// returning its stages alone, and minting a fresh id when the header is
+// absent or malformed.
 func TestClusterWorkerTraceEndpoint(t *testing.T) {
 	l := chaosLog(t, 16, 2)
 	s, _ := startWorker(t, "chaos", l)
@@ -391,15 +443,15 @@ func TestClusterWorkerTraceEndpoint(t *testing.T) {
 			}
 		}
 	})
-	t.Run("enforces the span cap", func(t *testing.T) {
-		req := base
-		req.MaxTraceSpans = 2
-		resp := post(t, req, obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID()))
-		if n := obs.CountSpans(resp.Spans); n > 2 {
-			t.Fatalf("returned %d spans, cap is 2", n)
+	t.Run("returns its stages alone", func(t *testing.T) {
+		resp := post(t, base, obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID()))
+		var names []string
+		walkSpans(resp.Spans, func(sp *obs.Span) { names = append(names, sp.Name) })
+		if strings.Join(names, ",") != "worker,prepare,eval" {
+			t.Fatalf("worker span tree %v, want worker → prepare, eval", names)
 		}
-		if resp.Spans.Attrs["truncated_spans"] == nil {
-			t.Fatal("capped tree does not declare its truncation")
+		if got := pattern.Size(pattern.MustParse(base.Plan)); len(resp.CostTable) != got {
+			t.Fatalf("%d cost rows, want one per plan node (%d)", len(resp.CostTable), got)
 		}
 	})
 }
@@ -494,10 +546,10 @@ func TestClusterFlightWorkerFilter(t *testing.T) {
 	if capture.Trace == nil || capture.Trace.TraceID != capture.Workers.TraceID {
 		t.Fatal("capture trace and worker summary disagree on the trace id")
 	}
-	for _, d := range capture.Workers.PerWorker {
-		if d.Worker == contacted && d.TraceSpans == 0 {
-			t.Fatalf("contacted worker returned no trace spans: %+v", d)
-		}
+	if len(findSpans(capture.Trace.Spans, func(sp *obs.Span) bool {
+		return sp.Name == "worker" && sp.Worker == contacted
+	})) != 1 {
+		t.Fatal("the capture's trace has no subtree from the contacted worker")
 	}
 }
 

@@ -69,8 +69,9 @@ type metrics struct {
 	fsyncHist           *obs.Histogram
 
 	// Per-operator totals, indexed by pattern.Op (1..4), folded in from
-	// each evaluated query's eval.Meter: the measured record-level
-	// comparison work and incident outputs of every ⊙/≺/⊗/⊕ application.
+	// each evaluated query's eval.Meter (on a coordinator, from a fan-out
+	// run's fleet cost table): the measured record-level comparison work
+	// and incident outputs of every ⊙/≺/⊗/⊕ application.
 	opComparisons [5]atomic.Uint64
 	opOutputs     [5]atomic.Uint64
 
@@ -104,6 +105,20 @@ func (m *metrics) recordMeter(mt *eval.Meter) {
 		}
 		m.opComparisons[st.Op].Add(st.Comparisons)
 		m.opOutputs[st.Op].Add(st.Outputs)
+	}
+}
+
+// recordCostTable is recordMeter for a fan-out run: the coordinator's own
+// meter is empty, because its workers measured, so it folds the operator
+// rows of the fleet cost table they returned.
+func (m *metrics) recordCostTable(rows []obs.CostRow) {
+	for _, r := range rows {
+		for _, op := range meteredOps {
+			if r.Op == op.Name() {
+				m.opComparisons[op].Add(r.Comparisons)
+				m.opOutputs[op].Add(r.Outputs)
+			}
+		}
 	}
 }
 

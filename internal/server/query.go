@@ -479,7 +479,7 @@ func (q *queryRun) plan() bool {
 	if !q.req.NoOptimize {
 		sp = q.trace.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.Explain(p, q.at)
+		plan, rt = rewrite.Optimize(p, q.at)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
@@ -557,7 +557,11 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	src := q.at
 	workers := entry.exec.goroutines(q.req.Workers, len(src.WIDs()))
 	x := s.execute(workers, func() execution { return entry.exec.run(ctx, src, plan, opts, workers, q.shape) })
-	s.metrics.recordMeter(meter)
+	if x.fan != nil && len(x.fan.CostTable) > 0 {
+		s.metrics.recordCostTable(x.fan.CostTable)
+	} else {
+		s.metrics.recordMeter(meter)
+	}
 	if ex := x.answer.Excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
 		// the query (a 500, as any panic does); partial, the answer stands
@@ -584,7 +588,6 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("instances", x.stats.Instances)
 		sp.SetAttr("incidents", x.stats.Incidents)
 		sp.SetAttr("answer", answerPath(plan, q.shape, q.strategy))
-		obs.EvalSpans(sp, meter)
 	}
 	sp.End()
 	// The trace is assembled on success and failure alike: a failed

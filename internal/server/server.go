@@ -628,7 +628,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	opt, trace := rewrite.Explain(p, entry.pin())
+	opt, trace := rewrite.Optimize(p, entry.pin())
 	steps := trace.Steps
 	if steps == nil {
 		steps = []string{}

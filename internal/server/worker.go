@@ -158,18 +158,12 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
-		obs.EvalSpans(esp, meter)
 		esp.SetAttr("instances", x.stats.Instances)
 		esp.SetAttr("incidents", x.answer.Count)
 		esp.SetAttr("answer", answerPath(p, shape, strategy))
 		tr.End()
 		root := tr.Root()
 		obs.StampWorker(root, req.Self)
-		max := req.MaxTraceSpans
-		if max <= 0 {
-			max = cluster.DefaultMaxTraceSpans
-		}
-		obs.CapSpans(root, max)
 		tail.TraceID = tr.ID()
 		tail.Spans = root
 		tail.CostTable = obs.CostTable(meter)

@@ -528,7 +528,7 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	if e.optimize {
 		sp = tr.StartSpan("rewrite")
 		var rt rewrite.Trace
-		plan, rt = rewrite.Explain(p, e.src)
+		plan, rt = rewrite.Optimize(p, e.src)
 		obs.RewriteSpans(sp, rt)
 		sp.End()
 	}
@@ -547,7 +547,6 @@ func (e *Engine) QueryTraced(ctx context.Context, query string) (*IncidentSet, *
 	sp.SetAttr("workers", qs.Workers)
 	sp.SetAttr("instances", qs.Instances)
 	sp.SetAttr("incidents", qs.Incidents)
-	obs.EvalSpans(sp, meter)
 	sp.End()
 	tr.End()
 
