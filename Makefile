@@ -69,19 +69,25 @@ examples:
 	$(GO) run ./examples/audit
 	$(GO) run ./examples/monitor
 
-# Short fuzzing pass over the parsers, the codecs, the worker reply reader,
-# the Definition 2 check, the columnar store and the evaluator's entry points.
+# Fuzzing pass over every fuzz target: the parsers, the log importers, the
+# codecs, the worker reply reader, the Definition 2 check, the columnar store
+# and the evaluator's entry points, FUZZTIME each (CI: make fuzz FUZZTIME=3s).
+FUZZTIME ?= 30s
+
 fuzz:
-	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/core/pattern/
-	$(GO) test -fuzz=FuzzPostfix -fuzztime=30s ./internal/core/pattern/
-	$(GO) test -fuzz=FuzzDecodeText -fuzztime=30s ./internal/logio/
-	$(GO) test -fuzz=FuzzDecodeJSONL -fuzztime=30s ./internal/logio/
-	$(GO) test -fuzz=FuzzScanSegment -fuzztime=30s ./internal/wal/
-	$(GO) test -fuzz=FuzzCheck -fuzztime=30s ./internal/wlog/
-	$(GO) test -fuzz=FuzzStoreMatchesIndex -fuzztime=30s ./internal/colstore/
-	$(GO) test -fuzz=FuzzEntryPointsAgree -fuzztime=3s -run XXX ./internal/core/eval/
-	$(GO) test -fuzz=FuzzIncidentCodec -fuzztime=30s -run XXX ./internal/cluster/
-	$(GO) test -fuzz=FuzzWorkerReply -fuzztime=30s -run XXX ./internal/cluster/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/pattern/
+	$(GO) test -fuzz='^FuzzPostfix$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/pattern/
+	$(GO) test -fuzz='^FuzzDecodeText$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzDecodeJSONL$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzImportCSV$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzImportXES$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzParseValue$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzScanSegment$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wal/
+	$(GO) test -fuzz='^FuzzCheck$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wlog/
+	$(GO) test -fuzz='^FuzzStoreMatchesIndex$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/colstore/
+	$(GO) test -fuzz='^FuzzEntryPointsAgree$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/eval/
+	$(GO) test -fuzz='^FuzzIncidentCodec$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/cluster/
+	$(GO) test -fuzz='^FuzzWorkerReply$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/cluster/
 
 clean:
 	$(GO) clean ./...

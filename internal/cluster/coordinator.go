@@ -255,11 +255,13 @@ type ExecOptions struct {
 	Budget resilience.Budget
 }
 
-// Result is a distributed answer in the shape it was asked for: the count in
-// every shape, the wids having an incident in eval.ShapeInstances, and in
-// eval.ShapeIncidents the incidents themselves in wire form — the parts'
-// arrays, each checked where it arrived, concatenated in part order, which is
-// canonical order: the bytes AppendIncidents writes for the answer.
+// Result is an answer in the shape it was asked for, in the form the query
+// service serves it whichever tier evaluated it: the count in every shape,
+// the wids having an incident in eval.ShapeInstances, and in
+// eval.ShapeIncidents the incidents themselves in wire form, the bytes
+// AppendIncidents writes for the answer. A coordinator's are the parts'
+// arrays, each checked where it arrived, concatenated in part order, which
+// is canonical order.
 type Result struct {
 	Count     int
 	WIDs      []uint64

@@ -159,30 +159,38 @@ type WorkerReplyTail struct {
 // and a coordinator that splices its workers' lists into one answer writes
 // what a single node would.
 
-// AppendIncidents appends the wire form of incs to dst.
-func AppendIncidents(dst []byte, incs []incident.Incident) []byte {
-	seqs := 0
-	for _, inc := range incs {
-		seqs += inc.Len()
+// AppendIncidents appends to dst the wire form of the list the blocks
+// concatenate to (an evaluator's answer comes in blocks; one slice is a
+// list of one block).
+func AppendIncidents(dst []byte, blocks ...[]incident.Incident) []byte {
+	incs, seqs := 0, 0
+	for _, b := range blocks {
+		incs += len(b)
+		for _, inc := range b {
+			seqs += inc.Len()
+		}
 	}
 	// About what a clinic-sized answer needs (wids and is-lsns of up to four
 	// digits); larger numbers grow dst the usual way.
-	dst = slices.Grow(dst, 2+20*len(incs)+5*seqs)
+	dst = slices.Grow(dst, 2+20*incs+5*seqs)
 	dst = append(dst, '[')
-	for i, inc := range incs {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"wid":`...)
-		dst = strconv.AppendUint(dst, inc.WID(), 10)
-		dst = append(dst, `,"seqs":[`...)
-		for j, n := 0, inc.Len(); j < n; j++ {
-			if j > 0 {
+	open := len(dst)
+	for _, b := range blocks {
+		for _, inc := range b {
+			if len(dst) > open {
 				dst = append(dst, ',')
 			}
-			dst = strconv.AppendUint(dst, inc.Seq(j), 10)
+			dst = append(dst, `{"wid":`...)
+			dst = strconv.AppendUint(dst, inc.WID(), 10)
+			dst = append(dst, `,"seqs":[`...)
+			for j, n := 0, inc.Len(); j < n; j++ {
+				if j > 0 {
+					dst = append(dst, ',')
+				}
+				dst = strconv.AppendUint(dst, inc.Seq(j), 10)
+			}
+			dst = append(dst, "]}"...)
 		}
-		dst = append(dst, "]}"...)
 	}
 	return append(dst, ']')
 }
@@ -214,8 +222,9 @@ func DecodeIncidents(data []byte) ([]incident.Incident, error) {
 }
 
 // IncidentWIDs returns the distinct wids of a wire-form list, ascending. The
-// list must have been read once already, as every answer array a coordinator
-// holds was; a list that does not read yields the wids before the fault.
+// list must be AppendIncidents' bytes or have been read once already, as
+// every answer array the query service holds is or was; a list that does not
+// read yields the wids before the fault.
 func IncidentWIDs(data []byte) []uint64 {
 	var wids []uint64
 	scanIncidentList(data, func(wid uint64, _ []uint64) {

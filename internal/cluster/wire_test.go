@@ -282,8 +282,8 @@ func TestIncidentsInADocument(t *testing.T) {
 	}
 }
 
-// FuzzIncidentCodec: the encoder is encoding/json's, byte for byte; decode
-// inverts encode; and the decoder accepts a list exactly when its bytes are
+// FuzzIncidentCodec: the encoder is encoding/json's, byte for byte, whatever
+// blocks the list comes in; decode inverts encode; and the decoder accepts a list exactly when its bytes are
 // what AppendIncidents writes for the incidents encoding/json reads from
 // them, returning an error, never panicking, on anything else. The seeds are
 // testdata/fuzz/FuzzIncidentCodec: encoder inputs, both spellings of a
@@ -302,6 +302,17 @@ func FuzzIncidentCodec(f *testing.F) {
 		back, err := DecodeIncidents(enc)
 		if err != nil || !equalIncidents(back, incs) {
 			t.Fatalf("DecodeIncidents(%s) = %v, %v", enc, back, err)
+		}
+		// The same list in blocks, cut where the input's bytes say, empty
+		// blocks included: the bytes do not depend on the cuts.
+		var blocks [][]incident.Incident
+		rest := incs
+		for _, c := range b {
+			cut := min(int(c%8), len(rest))
+			blocks, rest = append(blocks, rest[:cut]), rest[cut:]
+		}
+		if inBlocks := AppendIncidents(nil, append(blocks, rest)...); !bytes.Equal(inBlocks, enc) {
+			t.Fatalf("AppendIncidents over %d blocks = %s, over one = %s", len(blocks)+1, inBlocks, enc)
 		}
 		// The raw input as a list: accepted iff it is the canonical bytes of
 		// a canonical list.

@@ -2,9 +2,11 @@ package colstore
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
 	"wlq/internal/gen"
@@ -109,8 +111,8 @@ func TestCrossBackendEquivalenceSharded(t *testing.T) {
 				if len(want.Excluded)+len(got.Excluded) != 0 {
 					t.Fatalf("instances excluded: row %v, columnar %v", want.Excluded, got.Excluded)
 				}
-				if !want.Set.Equal(got.Set) {
-					t.Fatalf("backends disagree over chunks:\nrow:      %s\ncolumnar: %s", want.Set, got.Set)
+				if !slices.EqualFunc(slices.Concat(want.Incidents...), slices.Concat(got.Incidents...), incident.Incident.Equal) {
+					t.Fatalf("backends disagree over chunks:\nrow:      %v\ncolumnar: %v", want.Incidents, got.Incidents)
 				}
 			})
 		}

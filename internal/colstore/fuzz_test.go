@@ -22,7 +22,7 @@ func assertAnswers(t *testing.T, name string, cs *Store, p pattern.Node, want *i
 		for _, shape := range []eval.Shape{eval.ShapeIncidents, eval.ShapeInstances, eval.ShapeCount} {
 			a, err := ev.AnswerCtx(context.Background(), p, cs.WIDs(), 2, shape, nil)
 			if err != nil || a.Count != want.Len() ||
-				shape == eval.ShapeIncidents && !a.Set.Equal(want) ||
+				shape == eval.ShapeIncidents && !slices.EqualFunc(slices.Concat(a.Incidents...), want.Incidents(), incident.Incident.Equal) ||
 				shape == eval.ShapeInstances && !slices.Equal(a.WIDs, want.WIDs()) {
 				t.Fatalf("%s/%v/%v: %s = %+v, %v\noracle: %s", name, strat, shape, p, a, err, want)
 			}

@@ -31,9 +31,9 @@ import (
 // Every entry point runs the same scan (parallel.go), so every one enforces
 // Options.Budget; those without an error result panic with the *BudgetError,
 // which is why a caller that sets a budget uses the error-returning forms
-// (AnswerCtx, EvalParallelCtx, EvalWIDsCtx, ExistsCtx, CountCtx). A counted
-// instance (count.go) produces no incident, so of the four dimensions the
-// comparisons its summary joins tally and the wall time bound it.
+// (AnswerCtx, EvalParallelCtx, ExistsCtx, CountCtx). A counted instance
+// (count.go) produces no incident, so of the four dimensions the comparisons
+// its summary joins tally and the wall time bound it.
 
 // budgetAbort is the internal panic payload carrying the typed error.
 type budgetAbort struct {

@@ -64,13 +64,13 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 				}
 				var thirds, single [][]incident.Incident
 				for lo := 0; lo < len(wids); lo += len(wids)/3 + 1 {
-					part, err := e.EvalWIDsCtx(ctx, p, wids[lo:min(lo+len(wids)/3+1, len(wids))], nil)
-					if err != nil {
-						t.Fatalf("%s/%v: EvalWIDsCtx(%s): %v", name, strat, p, err)
+					part, err := e.AnswerCtx(ctx, p, wids[lo:min(lo+len(wids)/3+1, len(wids))], 1, eval.ShapeIncidents, nil)
+					if err = part.Strict(err); err != nil {
+						t.Fatalf("%s/%v: AnswerCtx(%s): %v", name, strat, p, err)
 					}
-					thirds = append(thirds, part.Incidents())
+					thirds = append(thirds, part.Incidents...)
 				}
-				same("EvalWIDsCtx over a 3-way split", incident.MergeSorted(thirds...), nil)
+				same("AnswerCtx over a 3-way split", incident.MergeSorted(thirds...), nil)
 				for _, wid := range wids {
 					single = append(single, e.EvalInstance(p, wid).Incidents())
 				}
@@ -85,11 +85,11 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 				for _, workers := range []int{1, 3} {
 					var qs eval.QueryStats
 					a, err := e.AnswerCtx(ctx, p, wids, workers, eval.ShapeCount, &qs)
-					if err != nil || a.Count != want.Len() || a.WIDs != nil || a.Set != nil || qs.Instances != len(wids) || qs.Incidents != want.Len() {
+					if err != nil || a.Count != want.Len() || a.WIDs != nil || a.Incidents != nil || qs.Instances != len(wids) || qs.Incidents != want.Len() {
 						t.Fatalf("%s/%v/meter=%v: %d workers: count shape of %s = %+v, %v, stats %+v; oracle has %d", name, strat, metered, workers, p, a, err, qs, want.Len())
 					}
 					a, err = e.AnswerCtx(ctx, p, wids, workers, eval.ShapeInstances, nil)
-					if err != nil || a.Count != want.Len() || !slices.Equal(a.WIDs, want.WIDs()) || a.Set != nil {
+					if err != nil || a.Count != want.Len() || !slices.Equal(a.WIDs, want.WIDs()) || a.Incidents != nil {
 						t.Fatalf("%s/%v/meter=%v: %d workers: instances shape of %s = %+v, %v; oracle has %d over %v", name, strat, metered, workers, p, a, err, want.Len(), want.WIDs())
 					}
 				}
@@ -200,7 +200,7 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 						fail("%d workers, %v: excluded %v, err %v", workers, shape, excluded, err)
 					}
 					if a.Count != rest.Len() ||
-						shape == eval.ShapeIncidents && !a.Set.Equal(rest) ||
+						shape == eval.ShapeIncidents && !sameIncidents(a, rest) ||
 						shape == eval.ShapeInstances && !slices.Equal(a.WIDs, rest.WIDs()) {
 						fail("%d workers, %v: answer %+v; naive Algorithm 1 over the rest: %s", workers, shape, a, rest)
 					}
@@ -215,16 +215,13 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 			}
 			if len(poisoned) > 0 {
 				var pe *resilience.PanicError
-				if _, err := e.EvalWIDsCtx(ctx, p, src.WIDs(), nil); !errors.As(err, &pe) {
-					fail("EvalWIDsCtx: err = %v, want the panic", err)
-				}
 				if _, err := e.CountCtx(ctx, p); !errors.As(err, &pe) {
 					fail("CountCtx: err = %v, want the panic", err)
 				}
 				if ok, err := e.ExistsCtx(ctx, p); errors.As(err, &pe) != existsFails || err == nil && !ok {
 					fail("ExistsCtx = %v, %v; want the panic: %v", ok, err, existsFails)
 				}
-				for entry, call := range map[string]func(){"Eval": func() { e.Eval(p) }, "Count": func() { e.Count(p) }} {
+				for entry, call := range map[string]func(){"Eval": func() { e.Eval(p) }, "EvalInstance": func() { e.EvalInstance(p, poisoned[0]) }, "Count": func() { e.Count(p) }} {
 					func() {
 						defer func() {
 							if r, _ := recover().(*resilience.PanicError); r == nil {
@@ -508,10 +505,8 @@ func TestCountedAnswersBuildNoIncident(t *testing.T) {
 			}
 		})
 		seqs := 0
-		if a.Set != nil {
-			for _, o := range a.Set.View() {
-				seqs += o.Len()
-			}
+		for _, o := range slices.Concat(a.Incidents...) {
+			seqs += o.Len()
 		}
 		return perRun, a.Count, seqs
 	}

@@ -83,7 +83,7 @@ func (e *Evaluator) Eval(p pattern.Node) *incident.Set {
 // EvalInstance computes the incidents of p within a single workflow
 // instance.
 func (e *Evaluator) EvalInstance(p pattern.Node, wid uint64) *incident.Set {
-	return must(e.EvalWIDsCtx(context.Background(), p, []uint64{wid}, nil))
+	return must(e.evalSet(context.Background(), p, []uint64{wid}, 1, nil))
 }
 
 // must is how the entry points without an error result report a failed

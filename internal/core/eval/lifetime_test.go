@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"wlq/internal/clinic"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/wlog"
 )
@@ -35,13 +37,13 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 	for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
 		e := eval.New(cs, eval.Options{Strategy: strat})
 		a, err := e.AnswerCtx(ctx, p, cs.WIDs(), 3, eval.ShapeIncidents, nil)
-		if err != nil || a.Set.Len() == 0 {
+		if err != nil || a.Count == 0 {
 			t.Fatalf("%v: %s = %+v, %v", strat, p, a, err)
 		}
-		want := a.Set.String()
+		want := fmt.Sprint(a.Incidents)
 		unchanged := func(after string) {
 			t.Helper()
-			if got := a.Set.String(); got != want {
+			if got := fmt.Sprint(a.Incidents); got != want {
 				t.Fatalf("%v: the answer changed after %s", strat, after)
 			}
 		}
@@ -67,7 +69,7 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				b, err := e.AnswerCtx(ctx, p, cs.WIDs(), 2, eval.ShapeIncidents, nil)
-				if err != nil || !b.Set.Equal(a.Set) {
+				if err != nil || !slices.EqualFunc(slices.Concat(b.Incidents...), slices.Concat(a.Incidents...), incident.Incident.Equal) {
 					t.Errorf("%v: a concurrent query answered %d incidents, %v; want %d", strat, b.Count, err, a.Count)
 				}
 			}()
@@ -82,9 +84,9 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := b.Set.String()
+			before := fmt.Sprint(b.Incidents)
 			src.scribble()
-			if b.Set.String() != before {
+			if fmt.Sprint(b.Incidents) != before {
 				t.Fatalf("%v: the answer to %s aliases the posting lists it was built from", strat, q)
 			}
 		}

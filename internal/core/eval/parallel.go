@@ -17,10 +17,10 @@ import (
 // so incL(p) decomposes as a disjoint union over instances and the
 // per-instance evaluations are embarrassingly parallel. Every entry point is
 // a fold over one scan of the instances (scan, below), in the shape the
-// caller asked for: the incident set keeps each instance's incidents and
-// concatenates them, the instance list keeps the wids that had any, the
-// count only sums, and Exists stops at the first non-empty instance. The
-// answer does not depend on the number of goroutines.
+// caller asked for: the incidents shape keeps each instance's incidents in
+// wid order, the instance list keeps the wids that had any, the count only
+// sums, and Exists stops at the first non-empty instance. The answer does
+// not depend on the number of goroutines.
 //
 // The same decomposition makes each instance its own failure domain: an
 // instance whose evaluation panics is excluded and named in the answer, and
@@ -71,14 +71,17 @@ func ParseShape(name string) (Shape, error) {
 }
 
 // Answer is incL(p) in the shape asked for, restricted to the instances not
-// excluded. A cheaper shape can be read off a richer one (Set.WIDs,
-// len(WIDs) > 0), never the reverse.
+// excluded. A cheaper shape can be read off a richer one (the incidents'
+// wids, Count > 0), never the reverse.
 type Answer struct {
 	// Count is |incL(p)|, in every shape.
 	Count int
-	// WIDs is set under ShapeInstances; Set under ShapeIncidents.
+	// WIDs is set under ShapeInstances.
 	WIDs []uint64
-	Set  *incident.Set
+	// Incidents is set under ShapeIncidents: the blocks the scan kept the
+	// answer in (resultArena), which concatenate in canonical order and alias
+	// neither the source nor any scratch.
+	Incidents [][]incident.Incident
 	// Excluded are the instances whose evaluation panicked, ascending by wid:
 	// nothing of theirs is in the answer.
 	Excluded []Exclusion
@@ -130,14 +133,6 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 	return e.evalSet(ctx, p, e.src.WIDs(), workers, stats)
 }
 
-// EvalWIDsCtx evaluates p over exactly the given workflow instances with the
-// same cancellation, budget enforcement (a fresh budget state per call) and
-// panic isolation as EvalParallelCtx, serially. The returned set is exactly
-// the restriction of incL(p) to the given wids.
-func (e *Evaluator) EvalWIDsCtx(ctx context.Context, p pattern.Node, wids []uint64, stats *QueryStats) (*incident.Set, error) {
-	return e.evalSet(ctx, p, wids, 1, stats)
-}
-
 // AnswerCtx evaluates p over exactly the given workflow instances (ascending)
 // and answers in the given shape — the entry point of the query service and
 // of the cluster worker, and the one the others wrap. An instance whose
@@ -174,14 +169,15 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 	return a, nil
 }
 
-// evalSet is AnswerCtx in the incidents shape, all or nothing: what
-// EvalParallelCtx and EvalWIDsCtx return.
+// evalSet is AnswerCtx in the incidents shape, all or nothing, as an
+// incident.Set: what the library entry points return (Eval, EvalParallelCtx,
+// EvalInstance). It is the one place the evaluator builds a set.
 func (e *Evaluator) evalSet(ctx context.Context, p pattern.Node, wids []uint64, workers int, stats *QueryStats) (*incident.Set, error) {
 	a, err := e.AnswerCtx(ctx, p, wids, workers, ShapeIncidents, stats)
 	if err = a.Strict(err); err != nil {
 		return nil, err
 	}
-	return a.Set, nil
+	return incident.MergeSorted(a.Incidents...), nil
 }
 
 // Count returns |incL(p)|.
@@ -308,7 +304,9 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	}
 
 	// Chunks are contiguous and in wid order, so their exclusions, and the
-	// blocks their incidents were kept in, concatenate in wid order.
+	// blocks their incidents were kept in, concatenate in wid order; each
+	// instance's incidents are normalized, so the blocks' concatenation is
+	// the answer in canonical order.
 	var (
 		total  chunk
 		blocks [][]incident.Incident // ShapeIncidents: the answer
@@ -329,10 +327,7 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	}
 	a := Answer{Count: total.incidents, Excluded: total.excluded}
 	if shape == ShapeIncidents && total.err == nil {
-		// Each instance's incidents are normalized and the blocks follow the
-		// wids, so the concatenation is already canonical: MergeSorted only
-		// copies.
-		a.Set = incident.MergeSorted(blocks...)
+		a.Incidents = blocks
 	}
 	return a, total.err
 }

@@ -87,14 +87,6 @@ func (s *Set) Incidents() []Incident {
 	return out
 }
 
-// View returns the incidents in canonical order without copying them: the
-// set's own slice, for readers such as an encoder. Callers must not modify
-// it; Incidents is the copy a caller may keep and change.
-func (s *Set) View() []Incident {
-	s.Normalize()
-	return s.incidents
-}
-
 // IsEmpty reports whether the set has no incidents.
 func (s *Set) IsEmpty() bool { return s.Len() == 0 }
 

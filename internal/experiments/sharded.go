@@ -43,7 +43,7 @@ func runSharded(w io.Writer, quick bool) error {
 		func(v float64) (func(), map[string]float64) {
 			a, err := e.AnswerCtx(ctx, p, wids, int(v), eval.ShapeIncidents, nil)
 			same := 0.0
-			if err == nil && len(a.Excluded) == 0 && a.Set.Equal(serialSet) {
+			if err == nil && len(a.Excluded) == 0 && incident.MergeSorted(a.Incidents...).Equal(serialSet) {
 				same = 1
 			}
 			return func() { e.AnswerCtx(ctx, p, wids, int(v), eval.ShapeIncidents, nil) },
@@ -88,9 +88,9 @@ func runSharded(w io.Writer, quick bool) error {
 	rows := [][]string{
 		{"mode", "outcome", "incidents", "wids covered", "wids excluded", "equal"},
 		{"strict", strict, "0", fmt.Sprintf("0/%d", len(wids)), "-", "-"},
-		{"partial", fmt.Sprintf("partial (%d/%d)", covered, len(wids)), fmt.Sprint(a.Set.Len()),
+		{"partial", fmt.Sprintf("partial (%d/%d)", covered, len(wids)), fmt.Sprint(a.Count),
 			fmt.Sprintf("%d/%d", covered, len(wids)), fmt.Sprintf("%d (exact: %v)", len(a.Excluded), exact),
-			fmt.Sprint(a.Set.Equal(want))},
+			fmt.Sprint(incident.MergeSorted(a.Incidents...).Equal(want))},
 	}
 	fmt.Fprintf(w, "== fault isolation: persistent panic in wids ≥ %d ==\n", cut)
 	fmt.Fprint(w, benchkit.Align(rows))

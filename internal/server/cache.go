@@ -3,7 +3,6 @@ package server
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"wlq/internal/cluster"
 	"wlq/internal/colstore"
@@ -14,11 +13,12 @@ import (
 // cacheEntry is one cached query: the compiled plan (the optimized pattern)
 // and its answer in the richest shape a request has computed so far — the
 // count always, the instance list or the incidents only once a request
-// asked for them. A local run's incidents are an incident set; a
-// coordinator's are the wire form its workers sent, and it never builds a
-// set. An entry serves every request whose shape can be read off what it
-// holds (serves); a request it cannot serve is a miss, which evaluates in
-// the shape asked for and puts a richer entry in its place.
+// asked for them — in the form every tier serves it (cluster.Result): an
+// incidents answer is the bytes of its array, encoded once by the node that
+// evaluated it, or spliced from the workers' replies on a coordinator. An
+// entry serves every request whose shape can be read off what it holds
+// (serves); a request it cannot serve is a miss, which evaluates in the
+// shape asked for and puts a richer entry in its place.
 //
 // An entry also records the store version it was computed from: its origin
 // (a rebase starts a new one) and its lsn. A snapshot never gains a record,
@@ -27,26 +27,16 @@ import (
 // appended in between can match one of the plan's atoms (get).
 //
 // Entries are shared between concurrent readers and must be treated as
-// read-only: the answer, the plan and the encoded incidents are never
-// mutated after insert.
+// read-only: the answer and the plan are never mutated after insert.
 type cacheEntry struct {
 	plan pattern.Node
 	// planText is plan.String(), which every response and capture carries.
 	planText string
 	shape    eval.Shape
-	answer   eval.Answer
+	res      cluster.Result
 	atoms    []*pattern.Atom
 	origin   *colstore.Origin
 	lsn      uint64
-
-	// incidents is the incidents answer in wire form (cluster.AppendIncidents'
-	// bytes): a coordinator's from the start (setIncidents), else built from
-	// the set by the first response that needs it. Every later response
-	// shares it; incidentsLen is its length once there, for the
-	// cache_body_bytes gauge.
-	incidentsOnce sync.Once
-	incidents     []byte
-	incidentsLen  atomic.Int64
 }
 
 // serves reports whether the entry holds what a request of the given shape
@@ -56,43 +46,10 @@ func (e *cacheEntry) serves(shape eval.Shape) bool { return e.shape <= shape }
 
 // instances returns the wids with an incident, ascending.
 func (e *cacheEntry) instances() []uint64 {
-	switch {
-	case e.answer.Set != nil:
-		return e.answer.Set.WIDs()
-	case e.shape == eval.ShapeIncidents:
-		return cluster.IncidentWIDs(e.incidentsJSON())
+	if e.shape == eval.ShapeIncidents {
+		return cluster.IncidentWIDs(e.res.Incidents)
 	}
-	return e.answer.WIDs
-}
-
-// setIncidents fills the entry's incidents with an answer that arrived in
-// wire form. It must come before the entry is shared.
-func (e *cacheEntry) setIncidents(wire []byte) {
-	e.incidentsOnce.Do(func() { e.keepIncidents(wire) })
-}
-
-// keepIncidents stores the wire form and its length.
-func (e *cacheEntry) keepIncidents(wire []byte) {
-	e.incidents = wire
-	e.incidentsLen.Store(int64(len(wire)))
-}
-
-// incidentsJSON returns the whole answer as the "incidents" array of a query
-// response. Callers must not modify it.
-func (e *cacheEntry) incidentsJSON() []byte {
-	e.incidentsOnce.Do(func() { e.keepIncidents(cluster.AppendIncidents(nil, e.answer.Set.View())) })
-	return e.incidents
-}
-
-// firstIncidents returns the answer's first n incidents as an "incidents"
-// array: encoded from the set when the entry has one — a truncated answer
-// encodes what it returns and no more — and cut from the wire form when it
-// has only that.
-func (e *cacheEntry) firstIncidents(n int) []byte {
-	if e.answer.Set != nil {
-		return cluster.AppendIncidents(nil, e.answer.Set.View()[:n])
-	}
-	return cluster.CutIncidents(e.incidentsJSON(), n)
+	return e.res.WIDs
 }
 
 // staleAt reports whether a record src holds beyond the entry's lsn can have
@@ -201,7 +158,7 @@ func (c *lru) put(key string, e *cacheEntry) {
 }
 
 // bodyBytes returns the bytes of encoded incidents the resident entries hold
-// (entries no incidents-mode response has asked for yet hold none).
+// (an entry of a cheaper shape holds none).
 func (c *lru) bodyBytes() int64 {
 	if c == nil {
 		return 0
@@ -210,7 +167,7 @@ func (c *lru) bodyBytes() int64 {
 	defer c.mu.Unlock()
 	var n int64
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		n += el.Value.(*lruItem).entry.incidentsLen.Load()
+		n += int64(len(el.Value.(*lruItem).entry.res.Incidents))
 	}
 	return n
 }

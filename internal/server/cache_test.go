@@ -1,11 +1,14 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"testing"
 
+	"wlq"
+	"wlq/internal/cluster"
 	"wlq/internal/colstore"
-	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 )
 
@@ -13,7 +16,7 @@ import (
 var snapshot = new(colstore.Store)
 
 func entry(n int) *cacheEntry {
-	return &cacheEntry{answer: eval.Answer{Count: 1, Set: incident.NewSet(incident.New(uint64(n), 1))}}
+	return &cacheEntry{res: cluster.Result{Count: 1, Incidents: cluster.AppendIncidents(nil, []incident.Incident{incident.New(uint64(n), 1)})}}
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -50,7 +53,7 @@ func TestLRURefreshSameKey(t *testing.T) {
 		t.Fatalf("len = %d after double insert of one key, want 1", c.len())
 	}
 	e, ok, _ := c.get("a", snapshot)
-	if !ok || e.answer.Set.At(0).WID() != 2 {
+	if !ok || e.instances()[0] != 2 {
 		t.Fatal("refresh did not replace the entry")
 	}
 }
@@ -82,6 +85,61 @@ func TestLRUManyKeysBounded(t *testing.T) {
 	for i := 92; i < 100; i++ {
 		if _, ok, _ := c.get(fmt.Sprintf("k%d", i), snapshot); !ok {
 			t.Errorf("recent key k%d evicted", i)
+		}
+	}
+}
+
+// TestCacheBodyBytes: the cache_body_bytes gauge is the summed length of the
+// resident entries' incidents arrays — each the whole answer's array from
+// the miss that filled the entry, a truncated miss's too — on a single node
+// and on a coordinator alike. A count entry holds none, and an evicted entry
+// no longer counts.
+func TestCacheBodyBytes(t *testing.T) {
+	l, err := wlq.ClinicLog(300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// array is the length of a query's whole incidents array, as a server
+	// without a cache writes it.
+	ref := clinicServer(t, Config{CacheSize: -1}, 300)
+	array := func(query string) int64 {
+		var doc struct{ Incidents json.RawMessage }
+		if rec := postQuery(t, ref, fmt.Sprintf(`{"log":"clinic","query":%q}`, query), &doc); rec.Code != http.StatusOK || len(doc.Incidents) <= len("[]") {
+			t.Fatalf("%s: %d: %s", query, rec.Code, rec.Body)
+		}
+		return int64(len(doc.Incidents))
+	}
+	const (
+		full      = "GetRefer -> SeeDoctor"
+		truncated = "GetRefer | GetReimburse"
+		counted   = "SeeDoctor"
+		evicting  = "UpdateRefer & TakeTreatment"
+	)
+	steps := []struct {
+		name, body string
+		want       int64
+	}{
+		{"a full incidents miss", `{"log":"clinic","query":"` + full + `"}`, array(full)},
+		{"a max_results miss", `{"log":"clinic","query":"` + truncated + `","max_results":2}`, array(full) + array(truncated)},
+		{"a count miss", `{"log":"clinic","query":"` + counted + `","mode":"count"}`, array(full) + array(truncated)},
+		{"an eviction", `{"log":"clinic","query":"` + evicting + `"}`, array(truncated) + array(evicting)},
+	}
+	const entries = 3 // the fourth miss evicts the first
+	single := New(Config{CacheSize: entries})
+	if err := single.AddLog("clinic", "builtin:clinic", l); err != nil {
+		t.Fatal(err)
+	}
+	fleet := newClusterFixture(t, 2, "clinic", l, nil, func(c *Config) { c.CacheSize = entries })
+	for name, h := range map[string]http.Handler{"single node": single.Handler(), "coordinator": fleet.coord.Handler()} {
+		for _, st := range steps {
+			if rec := postQuery(t, h, st.body, nil); rec.Code != http.StatusOK {
+				t.Fatalf("%s, %s: %d: %s", name, st.name, rec.Code, rec.Body)
+			}
+			var m metricsDoc
+			getJSON(t, h, "/metrics", &m)
+			if m.CacheBodyBytes != st.want {
+				t.Errorf("%s, after %s: cache_body_bytes = %d, want %d", name, st.name, m.CacheBodyBytes, st.want)
+			}
 		}
 	}
 }

@@ -727,13 +727,12 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 			t.Fatalf("status %d, err %v: %s", rec.Code, err, rec.Body)
 		}
 		oracle := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive})
-		want, err := oracle.EvalWIDsCtx(context.Background(), pattern.MustParse("A -> B"), []uint64{5, 6, 7, 8, 9, 10, 11, 12}, nil)
-		if err != nil {
+		want, err := oracle.AnswerCtx(context.Background(), pattern.MustParse("A -> B"), []uint64{5, 6, 7, 8, 9, 10, 11, 12}, 1, eval.ShapeIncidents, nil)
+		if err = want.Strict(err); err != nil {
 			t.Fatal(err)
 		}
-		incs, err := cluster.DecodeIncidents(resp.Incidents)
-		if err != nil || !incident.MergeSorted(incs).Equal(want) {
-			t.Fatalf("worker answered %d incidents (%v), naive Algorithm 1 has %d", len(incs), err, want.Len())
+		if got := cluster.AppendIncidents(nil, want.Incidents...); string(resp.Incidents) != string(got) {
+			t.Fatalf("worker answered %s, naive Algorithm 1 has %d incidents: %s", resp.Incidents, want.Count, got)
 		}
 	})
 	t.Run("an interval past the log is empty, not an error", func(t *testing.T) {

@@ -122,14 +122,15 @@ type executor struct {
 // execution is the one outcome type of the execute stage, whichever tier
 // ran the plan.
 type execution struct {
-	// answer is incL(plan) in the shape the run was asked for — on a cluster
-	// run without its Set: the incidents arrive as incidents, below.
-	answer eval.Answer
-	// incidents is a cluster run's incidents answer in wire form, as the
-	// coordinator spliced it from its workers' replies (nil otherwise).
-	incidents []byte
-	err       error
-	stats     eval.QueryStats
+	// res is incL(plan) in the shape the run was asked for, as it is served:
+	// an incidents answer in wire form, encoded by the node that evaluated
+	// it (served) or spliced by the coordinator from its workers' replies.
+	res cluster.Result
+	// excluded are the instances a local run left out, ascending (nil on a
+	// cluster run, whose losses are in comp).
+	excluded []eval.Exclusion
+	err      error
+	stats    eval.QueryStats
 	// comp is the coverage of a cluster run, or of a local one that excluded
 	// instances under "partial": true (nil otherwise).
 	comp *cluster.Completeness
@@ -152,14 +153,11 @@ func (s *Server) bindExecutor(e *logEntry) {
 			run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.clusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
-				var res cluster.Result
-				res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
+				x.res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
 					WIDs:     src.WIDs(),
 					Strategy: opts.Strategy.String(),
 					Budget:   opts.Budget,
 				}, &x.stats)
-				x.answer = eval.Answer{Count: res.Count, WIDs: res.WIDs}
-				x.incidents = res.Incidents
 				return x
 			},
 		}
@@ -180,10 +178,23 @@ func (s *Server) bindExecutor(e *logEntry) {
 			return max(min(w, instances), 1)
 		},
 		run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
-			x.answer, x.err = eval.New(src, opts).AnswerCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
+			a, err := eval.New(src, opts).AnswerCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
+			x.res, x.excluded, x.err = served(a, shape), a.Excluded, err
 			return x
 		},
 	}
+}
+
+// served is an evaluated answer in the form every tier serves it: an
+// incidents answer encoded, once, into the array a response or a worker
+// reply carries ("[]" when it is empty), which a coordinator splices
+// unchanged.
+func served(a eval.Answer, shape eval.Shape) cluster.Result {
+	res := cluster.Result{Count: a.Count, WIDs: a.WIDs}
+	if shape == eval.ShapeIncidents {
+		res.Incidents = cluster.AppendIncidents(nil, a.Incidents...)
+	}
+	return res
 }
 
 // execute is the evaluation stage of both query endpoints: it holds the
@@ -562,7 +573,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	} else {
 		s.metrics.recordMeter(meter)
 	}
-	if ex := x.answer.Excluded; len(ex) > 0 && x.err == nil {
+	if ex := x.excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
 		// the query (a 500, as any panic does); partial, the answer stands
 		// over the rest and names exactly what it left out.
@@ -641,10 +652,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 			})
 		}
 	}
-	q.answer.answer = x.answer
-	if x.incidents != nil {
-		q.answer.setIncidents(x.incidents)
-	}
+	q.answer.res = x.res
 	// A partial result is never cached: a later query must not be served an
 	// excluded wid range's absence as if it were evaluated truth (the fault
 	// may well be gone before the entry would age out).
@@ -656,11 +664,10 @@ func (q *queryRun) execute(ctx context.Context) bool {
 
 // respond writes the answer in the requested mode: head, answer array, tail
 // (see queryHead). An untruncated incidents array is the entry's shared
-// encoding — spliced from the workers' replies on a coordinator, else built
-// by whichever response needs it first, the miss that filled the entry or a
-// later hit — so a cache hit encodes only the head.
+// encoding, written by the run that filled it, so a cache hit encodes only
+// the head; a truncated one is cut from it.
 func (q *queryRun) respond() {
-	answer, comp := q.answer.answer, q.capture.Completeness
+	answer, comp := q.answer.res, q.capture.Completeness
 	head := queryHead{
 		Log:       q.entry.name,
 		Query:     q.req.Query,
@@ -688,13 +695,11 @@ func (q *queryRun) respond() {
 	case q.mode == "instances":
 		key, array = "instances", appendUints(nil, q.answer.instances())
 	case q.mode == "incidents":
-		key = "incidents"
+		key, array = "incidents", answer.Incidents
 		n := head.Count
 		if q.req.MaxResults > 0 && n > q.req.MaxResults {
 			n, tail.Truncated = q.req.MaxResults, true
-			array = q.answer.firstIncidents(n)
-		} else {
-			array = q.answer.incidentsJSON()
+			array = cluster.CutIncidents(array, n)
 		}
 		q.s.metrics.incidentsReturned.Add(uint64(n))
 	}

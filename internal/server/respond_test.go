@@ -242,14 +242,13 @@ func serveQuery(h http.Handler, body string) *httptest.ResponseRecorder {
 
 var elapsedRE = regexp.MustCompile(`"elapsed_us":\d+`)
 
-// TestCacheHitsShareOneBody: concurrent hits on one entry race to build its
-// encoded incidents and all answer with the same bytes (run under -race).
+// TestCacheHitsShareOneBody: concurrent hits on one entry all answer with
+// the same bytes, the whole array its miss encoded (run under -race).
 func TestCacheHitsShareOneBody(t *testing.T) {
 	h := clinicServer(t, Config{}, 300)
 	body := `{"query":"GetRefer | GetReimburse"}`
-	// The miss answers truncated, which encodes only what it returns, so the
-	// entry is cached with its set but without the shared encoding and the
-	// hits below are the first to ask for it.
+	// The miss answers truncated, cut from the whole array it encoded, so
+	// the hits below are the first to write that array.
 	if rec := serveQuery(h, `{"query":"GetRefer | GetReimburse","max_results":1}`); rec.Code != http.StatusOK {
 		t.Fatalf("warm-up: %d: %s", rec.Code, rec.Body)
 	}

@@ -130,8 +130,8 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// query's parallelism. A worker answers all or nothing — an excluded
 	// instance fails its part, which the coordinator retries or reports lost.
 	x := s.execute(1, func() (x execution) {
-		x.answer, x.err = eval.New(src, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
-		x.err = x.answer.Strict(x.err)
+		a, err := eval.New(src, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
+		x.res, x.err = served(a, shape), a.Strict(err)
 		return x
 	})
 	esp.End()
@@ -149,17 +149,17 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	)
 	switch shape {
 	case eval.ShapeIncidents:
-		key, array = "incidents", cluster.AppendIncidents(nil, x.answer.Set.View())
+		key, array = "incidents", x.res.Incidents
 	case eval.ShapeInstances:
-		key, array = "wids", appendUints(nil, x.answer.WIDs)
+		key, array = "wids", appendUints(nil, x.res.WIDs)
 	}
 	if shape != eval.ShapeIncidents {
-		head.Count = &x.answer.Count
+		head.Count = &x.res.Count
 	}
 	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
 		esp.SetAttr("instances", x.stats.Instances)
-		esp.SetAttr("incidents", x.answer.Count)
+		esp.SetAttr("incidents", x.res.Count)
 		esp.SetAttr("answer", answerPath(p, shape, strategy))
 		tr.End()
 		root := tr.Root()
