@@ -54,6 +54,7 @@ import (
 
 	"wlq"
 	"wlq/internal/cluster"
+	"wlq/internal/colstore"
 	"wlq/internal/server"
 	"wlq/internal/wal"
 )
@@ -205,7 +206,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			MaxResultBytes: *maxResultBytes,
 		},
 		MaxPredictedCost: *maxCost,
-		Loader:           wlq.OpenLog,
+		Loader:           wlq.StreamLog,
 		WorkerMode:       *worker,
 		Cluster:          clusterCfg,
 		ProbeInterval:    *probeInterval,
@@ -234,15 +235,23 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	srv := server.New(cfg)
 	for _, arg := range logs {
 		name, spec := splitLogArg(arg)
-		l, err := wlq.OpenLog(spec)
+		// A log file's records go into the store as they are read, so the
+		// process never holds the decoded log; one that breaks Definition 2
+		// fails the start with its first violation.
+		var b colstore.Builder
+		err := wlq.StreamLog(spec, b.Add)
+		var st *colstore.Store
+		if err == nil {
+			st, err = b.Finish()
+		}
 		if err != nil {
 			return fmt.Errorf("load %q: %w", spec, err)
 		}
-		if err := srv.AddLog(name, spec, l); err != nil {
+		if err := srv.AddStore(name, spec, st, nil); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "loaded %q from %s: %d records, %d instances\n",
-			name, spec, l.Len(), len(l.WIDs()))
+			name, spec, st.TotalRecords(), len(st.WIDs()))
 	}
 
 	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)

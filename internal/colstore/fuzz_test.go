@@ -71,9 +71,9 @@ func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
 }
 
 // FuzzStoreMatchesIndex is the differential check behind serving every log
-// from the Store: a seed picks a random log and a random pattern (all four
-// operators, negated atoms), and every even seed also runs the Theorem 1
-// adversarial pair.
+// from the Store: a seed picks a random log, with attributes on its records,
+// and a random pattern (all four operators, negated and guarded atoms), and
+// every even seed also runs the Theorem 1 adversarial pair.
 func FuzzStoreMatchesIndex(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
@@ -98,7 +98,7 @@ func FuzzStoreMatchesIndex(f *testing.F) {
 			Alphabet:   append(alphabet, "NoSuchActivity", "START", "END"),
 			NegateProb: 0.25,
 		})
-		assertStoreMatchesOracle(t, l, p)
+		assertStoreMatchesOracle(t, withAttrs(rng, l), withGuards(rng, p))
 		if seed%2 == 0 {
 			assertStoreMatchesOracle(t, gen.WorstCaseLog(2+rng.Intn(8)), gen.WorstCasePattern(1+rng.Intn(3)))
 		}

@@ -1,35 +1,44 @@
 package colstore
 
 import (
-	"cmp"
-	"maps"
 	"slices"
 
 	"wlq/internal/core/eval"
+	"wlq/internal/predicate"
 	"wlq/internal/wlog"
 )
 
-// Store is the served log layout. Activity names are interned into dense
-// symbols; each workflow instance holds its records in is-lsn order and, per
-// symbol, the ascending is-lsn values of the records carrying it; a wid
-// directory reaches the instances.
+// Store is the served log layout. Activity and attribute names are interned
+// into dense symbols, and every record lives in flat, pointer-free columns:
+// its lsn, is-lsn and activity symbol, and an offset into a byte arena
+// holding its attribute maps (attrs.go). Per instance, the records are
+// contiguous in is-lsn order, and so are, per symbol, the ascending is-lsn
+// values of the records carrying it; a wid directory of integer offsets
+// reaches them.
 //
 // A Store is an immutable version of a log. Append returns a new version that
-// shares everything the appended records leave alone: it rebuilds only the
-// instances they extend, the directory when one of them opens a wid, and the
-// symbol table when one carries a new activity. So a reader that holds a
-// version reads it without a lock while a writer appends (copy on write), and
-// Build is the same construction over a whole log, carving each column of
-// every instance from one allocation.
+// shares everything the appended records leave alone: it lays the instances
+// they extend out again in one new chunk of columns, and rebuilds the
+// directory when one of them opens a wid and the symbol tables when one
+// carries a new name. So a reader that holds a version reads it without a
+// lock while a writer appends (copy on write), and a Builder is the same
+// construction over a whole log, in one chunk. The collector's work on a
+// store is a few pointers per chunk, whatever the number of records or
+// instances.
 //
 // The zero Store is the empty log.
 type Store struct {
-	syms    SymbolTable
-	names   []string // distinct activity names, sorted
-	widList []uint64 // ascending
+	syms    SymbolTable // activity names
+	keys    SymbolTable // attribute names
+	names   []string    // distinct activity names, sorted
+	widList []uint64    // ascending
 	widIdx  map[uint64]int32
-	insts   []*instance // parallel to widList
-	stats   []symStat   // indexed by symbol
+	dir     []loc // parallel to widList
+	// chunks hold the columns; a slot is nil once no instance of the
+	// version lies in it, and live counts each slot's records in use.
+	chunks  []*chunk
+	live    []int32
+	stats   []symStat // indexed by symbol
 	total   int
 	lastLSN uint64
 	origin  *Origin
@@ -51,25 +60,37 @@ type symStat struct {
 	lastLSN uint64
 }
 
-// instance is one workflow instance of a version: recs in is-lsn order, and
-// seqs, their is-lsn values grouped by activity symbol (ascending within a
-// group). The group bounds come in one of two layouts:
+// chunk is the columns of the instances one Build or Append laid out, each
+// instance's records contiguous in is-lsn order. Record k's attribute run is
+// arena[attr[k]:attr[k+1]]. post holds each instance's is-lsn values grouped
+// by activity symbol (ascending within a group), at the instance's record
+// positions; off holds each instance's group bounds, relative to its first
+// record, and rsyms the symbols of its sparse rows.
+type chunk struct {
+	lsn, seq []uint64
+	act      []int32
+	attr     []uint32 // len(lsn)+1
+	arena    []byte
+	post     []uint64
+	off      []int32
+	rsyms    []int32
+}
+
+// loc is where an instance lies in its chunk: records lo..lo+n-1, and its
+// offset row off..off+rows. The row comes in one of two layouts:
 //
-//   - dense (syms nil): off[sym]:off[sym+1] is symbol sym's group, for every
+//   - dense (syms < 0): row slot sym is symbol sym's group, for every
 //     symbol up to the instance's largest, so a probe is two loads.
-//   - sparse: syms lists the instance's distinct symbols, ascending, and
-//     off[i]:off[i+1] is syms[i]'s group; a probe binary-searches syms.
+//   - sparse: rsyms[syms:syms+rows] lists the instance's distinct symbols,
+//     ascending, and slot i is the i-th's group; a probe binary-searches it.
 //
 // An instance is dense while its largest symbol is below denseSlack plus
 // twice its record count, so its offsets cost at most 8 bytes per record and
 // a constant per instance whatever the size of the alphabet. Past that bound
 // (a huge alphabet) the sparse row is the only one whose size follows the
 // instance's own records.
-type instance struct {
-	recs []wlog.Record
-	seqs []uint64
-	off  []int32
-	syms []int32
+type loc struct {
+	chunk, lo, n, off, rows, syms int32
 }
 
 const denseSlack = 32
@@ -84,187 +105,135 @@ var _ wlog.Tail = (*Store)(nil)
 
 // Build constructs the store of a log. The log's records are copied; l is not
 // retained.
-func Build(l *wlog.Log) *Store { return new(Store).Append(l.Records()...) }
+func Build(l *wlog.Log) *Store {
+	s, _ := BuildChecked(l)
+	return s
+}
+
+// BuildChecked is Build, also returning the log's first Definition 2
+// violation (nil when it is valid). The store is built either way.
+func BuildChecked(l *wlog.Log) (*Store, error) {
+	var b Builder
+	b.AddLog(l)
+	return b.Finish()
+}
 
 // Append returns a new version holding the receiver's records and recs. The
 // receiver, and every slice it has handed out, stays as it is. Within an
 // instance recs follow its existing records in the order given; an instance
-// left out of is-lsn order (an unchecked log) is sorted, stably.
+// left out of is-lsn order (an unchecked log) is sorted, stably. recs are
+// not retained.
 func (s *Store) Append(recs ...wlog.Record) *Store {
 	if len(recs) == 0 {
 		return s
 	}
-	ns := *s
-	if ns.origin == nil {
-		ns.origin = new(Origin)
-	}
-	ns.total += len(recs)
-	ns.stats = slices.Clone(s.stats)
+	st := staging{base: s, syms: s.syms, keys: s.keys}
+	st.grow(len(recs))
 	for _, r := range recs {
-		sym, ok := ns.syms.Resolve(r.Activity)
-		if !ok {
-			if ns.syms.Len() == s.syms.Len() { // the first new activity: copy on write
-				ns.syms = SymbolTable{names: slices.Clip(s.syms.names), ids: maps.Clone(s.syms.ids)}
-			}
-			sym = ns.syms.Intern(r.Activity)
-			ns.stats = append(ns.stats, symStat{})
-		}
-		ns.stats[sym].count++
-		ns.stats[sym].lastLSN = max(ns.stats[sym].lastLSN, r.LSN)
-		ns.lastLSN = max(ns.lastLSN, r.LSN)
+		st.add(r)
 	}
-	if ns.syms.Len() > s.syms.Len() {
-		ns.names = slices.Clone(ns.syms.names)
-		slices.Sort(ns.names)
-	}
-
-	// Each touched instance is rebuilt once, from its old records followed
-	// by its new ones in the order given: all lays the instances side by
-	// side, bounds[i]:bounds[i+1] the i-th touched one's.
-	at := make(map[uint64]int) // wid -> position in touched
-	var touched []uint64
-	bounds := []int{0}
-	for _, r := range recs {
-		i, ok := at[r.WID]
-		if !ok {
-			i = len(touched)
-			at[r.WID] = i
-			touched = append(touched, r.WID)
-			bounds = append(bounds, s.InstanceLen(r.WID))
-		}
-		bounds[i+1]++
-	}
-	for i := 1; i < len(bounds); i++ {
-		bounds[i] += bounds[i-1]
-	}
-	all := make([]wlog.Record, bounds[len(touched)])
-	next := make([]int, len(touched))
-	for i, wid := range touched {
-		next[i] = bounds[i] + copy(all[bounds[i]:], s.Instance(wid))
-	}
-	for _, r := range recs {
-		i := at[r.WID]
-		all[next[i]] = r
-		next[i]++
-	}
-	built := ns.index(all, bounds)
-
-	// The directory: a copy with the touched instances in place; when a wid
-	// is new, the wid list and index are rebuilt too.
-	ns.widList = slices.Clip(s.widList)
-	for _, wid := range touched {
-		if _, ok := s.widIdx[wid]; !ok {
-			ns.widList = append(ns.widList, wid)
-		}
-	}
-	if len(ns.widList) == len(s.widList) {
-		ns.insts = slices.Clone(s.insts)
-	} else {
-		slices.Sort(ns.widList)
-		ns.widIdx = make(map[uint64]int32, len(ns.widList))
-		ns.insts = make([]*instance, len(ns.widList))
-		for w, wid := range ns.widList {
-			ns.widIdx[wid] = int32(w)
-			if old, ok := s.widIdx[wid]; ok {
-				ns.insts[w] = s.insts[old]
-			}
-		}
-	}
-	for i, wid := range touched {
-		ns.insts[ns.widIdx[wid]] = &built[i]
-	}
-	return &ns
+	return st.extend()
 }
-
-// index builds the instances whose records are all[bounds[i]:bounds[i+1]],
-// sorting any out of is-lsn order. Their records, is-lsn groups and offset
-// rows are carved from one allocation each.
-func (s *Store) index(all []wlog.Record, bounds []int) []instance {
-	built := make([]instance, len(bounds)-1)
-	sym := make([]int32, len(all)) // each record's activity symbol
-	rows, cells := make([]int, len(built)), 0
-	for i := range built {
-		lo, hi := bounds[i], bounds[i+1]
-		in, ys := &built[i], sym[lo:hi]
-		in.recs = all[lo:hi:hi]
-		if !slices.IsSortedFunc(in.recs, bySeq) {
-			slices.SortStableFunc(in.recs, bySeq)
-		}
-		for k, r := range in.recs {
-			ys[k], _ = s.syms.Resolve(r.Activity)
-		}
-		rows[i] = int(slices.Max(ys)) + 1
-		if s.sparse || rows[i] > denseSlack+2*len(ys) {
-			in.syms = slices.Clone(ys)
-			slices.Sort(in.syms)
-			in.syms = slices.Clip(slices.Compact(in.syms))
-			rows[i] = len(in.syms)
-		}
-		cells += rows[i] + 1
-	}
-	seqs, off := make([]uint64, len(all)), make([]int32, cells)
-	for i := range built {
-		lo, hi := bounds[i], bounds[i+1]
-		in, ys := &built[i], sym[lo:hi]
-		in.seqs = seqs[lo:hi:hi]
-		in.off, off = off[:rows[i]+1:rows[i]+1], off[rows[i]+1:]
-		// A counting sort by symbol: count each group into the slot after
-		// it, sum to group starts, place each is-lsn at its group's cursor
-		// (which leaves every cursor at the next group's start), shift back.
-		for _, y := range ys {
-			in.off[in.slot(y)+1]++
-		}
-		for j := 1; j < len(in.off); j++ {
-			in.off[j] += in.off[j-1]
-		}
-		for k, r := range in.recs {
-			j := in.slot(ys[k])
-			in.seqs[in.off[j]] = r.Seq
-			in.off[j]++
-		}
-		copy(in.off[1:], in.off)
-		in.off[0] = 0
-	}
-	return built
-}
-
-// slot is the row position of a symbol: for a sparse row, where it is or
-// would be.
-func (in *instance) slot(sym int32) int {
-	if in.syms == nil {
-		return int(sym)
-	}
-	i, _ := slices.BinarySearch(in.syms, sym)
-	return i
-}
-
-func bySeq(a, b wlog.Record) int { return cmp.Compare(a.Seq, b.Seq) }
 
 // WIDs returns the instance ids, ascending. Callers must not modify the
 // returned slice.
 func (s *Store) WIDs() []uint64 { return s.widList }
 
-// InstanceLen returns the number of records of the instance (0 when the wid
-// is absent).
-func (s *Store) InstanceLen(wid uint64) int { return len(s.Instance(wid)) }
-
-// Instance returns the instance's records in is-lsn order, nil when the wid
-// is absent. Callers must not modify it.
-func (s *Store) Instance(wid uint64) []wlog.Record {
-	if w, ok := s.widIdx[wid]; ok {
-		return s.insts[w].recs
+// find returns the instance's place and chunk.
+func (s *Store) find(wid uint64) (*loc, *chunk, bool) {
+	w, ok := s.widIdx[wid]
+	if !ok {
+		return nil, nil, false
 	}
-	return nil
+	l := &s.dir[w]
+	return l, s.chunks[l.chunk], true
 }
 
-// Record returns the instance's record with the given is-lsn.
+// at is the chunk position of the instance's record with the given is-lsn:
+// is-lsn k is the k-th record in a valid log, and is searched for otherwise.
+func (l *loc) at(c *chunk, seq uint64) (int, bool) {
+	seqs := c.seq[l.lo : l.lo+l.n]
+	if seq-1 < uint64(len(seqs)) && seqs[seq-1] == seq {
+		return int(l.lo) + int(seq-1), true
+	}
+	i, ok := slices.BinarySearch(seqs, seq)
+	return int(l.lo) + i, ok
+}
+
+// InstanceLen returns the number of records of the instance (0 when the wid
+// is absent).
+func (s *Store) InstanceLen(wid uint64) int {
+	if w, ok := s.widIdx[wid]; ok {
+		return int(s.dir[w].n)
+	}
+	return 0
+}
+
+// InstanceTail returns the is-lsn of the instance's last record and whether
+// that record is its END (0 and false when the wid is absent): what
+// wlog.Check reads of the version a batch extends.
+func (s *Store) InstanceTail(wid uint64) (lastSeq uint64, ended bool) {
+	l, c, ok := s.find(wid)
+	if !ok {
+		return 0, false
+	}
+	k := l.lo + l.n - 1
+	end, ok := s.syms.Resolve(wlog.ActivityEnd)
+	return c.seq[k], ok && c.act[k] == end
+}
+
+// Instance returns the instance's records in is-lsn order, decoded from the
+// columns into fresh records that share nothing with the store; nil when
+// the wid is absent.
+func (s *Store) Instance(wid uint64) []wlog.Record {
+	l, c, ok := s.find(wid)
+	if !ok {
+		return nil
+	}
+	out := make([]wlog.Record, l.n)
+	for i := range out {
+		out[i] = s.record(c, wid, int(l.lo)+i)
+	}
+	return out
+}
+
+// Record returns the instance's record with the given is-lsn, decoded as
+// Instance's are.
 func (s *Store) Record(wid, seq uint64) (wlog.Record, bool) {
-	inst := s.Instance(wid)
-	i, ok := slices.BinarySearchFunc(inst, seq, func(r wlog.Record, seq uint64) int { return cmp.Compare(r.Seq, seq) })
+	l, c, ok := s.find(wid)
 	if !ok {
 		return wlog.Record{}, false
 	}
-	return inst[i], true
+	k, ok := l.at(c, seq)
+	if !ok {
+		return wlog.Record{}, false
+	}
+	return s.record(c, wid, k), true
+}
+
+func (s *Store) record(c *chunk, wid uint64, k int) wlog.Record {
+	r := wlog.Record{LSN: c.lsn[k], WID: wid, Seq: c.seq[k], Activity: s.syms.Name(c.act[k])}
+	r.In, r.Out = decodeAttrs(c.arena[c.attr[k]:c.attr[k+1]], &s.keys)
+	return r
+}
+
+// ResolveAttr maps an attribute name to its interned key symbol.
+func (s *Store) ResolveAttr(name string) (int32, bool) { return s.keys.Resolve(name) }
+
+// Attr reads the value of the attribute with the key symbol on a side of the
+// instance's record with the given is-lsn, in place: ok is false when the
+// record does not carry it there. It allocates nothing; a string value
+// aliases the store.
+func (s *Store) Attr(wid, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
+	l, c, ok := s.find(wid)
+	if !ok {
+		return wlog.Value{}, false
+	}
+	k, ok := l.at(c, seq)
+	if !ok {
+		return wlog.Value{}, false
+	}
+	return lookupAttr(c.arena[c.attr[k]:c.attr[k+1]], key, side)
 }
 
 // ResolveActivity maps an activity name to its interned symbol.
@@ -273,20 +242,28 @@ func (s *Store) ResolveActivity(name string) (int32, bool) {
 }
 
 // ActivitySeqsSym returns the is-lsn values (ascending) of the instance's
-// records carrying the symbol: a zero-copy slice of its group, by two loads
-// in the dense layout and a binary search in the sparse one. Callers must not
-// modify it.
+// records carrying the symbol: a zero-copy, capacity-clipped slice of its
+// group, by two loads in the dense layout and a binary search in the sparse
+// one. Callers must not modify it.
 func (s *Store) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
 	w, ok := s.widIdx[wid]
 	if !ok {
 		return nil
 	}
-	in := s.insts[w]
-	i := in.slot(sym)
-	if uint(i) >= uint(len(in.off)-1) || in.syms != nil && in.syms[i] != sym {
+	l := &s.dir[w]
+	c := s.chunks[l.chunk]
+	i := int(sym)
+	if l.syms >= 0 {
+		if i, ok = slices.BinarySearch(c.rsyms[l.syms:l.syms+l.rows], sym); !ok {
+			return nil
+		}
+	}
+	if uint(i) >= uint(l.rows) {
 		return nil
 	}
-	return in.seqs[in.off[i]:in.off[i+1]]
+	off := c.off[int(l.off)+i:]
+	lo, hi := int(l.lo)+int(off[0]), int(l.lo)+int(off[1])
+	return c.post[lo:hi:hi]
 }
 
 // ActivityCount returns the total number of records (across all instances)

@@ -1,6 +1,7 @@
 package colstore
 
 import (
+	"math/bits"
 	"reflect"
 	"slices"
 	"strings"
@@ -244,8 +245,8 @@ func TestStoreOverImportedLogs(t *testing.T) {
 func TestSparsePostingLayout(t *testing.T) {
 	l := gen.MustRandomLog(gen.LogParams{Instances: 30, MeanLength: 25, Skew: 1.0, Seed: 13})
 	sparse := (&Store{sparse: true}).Append(l.Records()...)
-	for _, in := range sparse.insts {
-		if in.syms == nil {
+	for _, in := range sparse.dir {
+		if in.syms < 0 {
 			t.Fatal("dense row built in a store forced sparse")
 		}
 	}
@@ -262,18 +263,41 @@ func TestSparsePostingLayout(t *testing.T) {
 	wide := gen.MustRandomLog(gen.LogParams{Instances: 40, MeanLength: 3, Alphabet: gen.Alphabet(400), Seed: 17})
 	cs := Build(wide)
 	chose := 0
-	for _, in := range cs.insts {
-		if in.syms != nil {
-			if top := int(slices.Max(in.syms)); top < denseSlack+2*len(in.recs) {
-				t.Fatalf("sparse row for an instance of %d records whose largest symbol is %d", len(in.recs), top)
+	for _, in := range cs.dir {
+		if in.syms >= 0 {
+			row := cs.chunks[in.chunk].rsyms[in.syms : in.syms+in.rows]
+			if top := int(slices.Max(row)); top < denseSlack+2*int(in.n) {
+				t.Fatalf("sparse row for an instance of %d records whose largest symbol is %d", in.n, top)
 			}
 			chose++
-		} else if len(in.off) > denseSlack+2*len(in.recs)+1 {
-			t.Fatalf("dense row of %d offsets for an instance of %d records", len(in.off), len(in.recs))
+		} else if int(in.rows)+1 > denseSlack+2*int(in.n)+1 {
+			t.Fatalf("dense row of %d offsets for an instance of %d records", in.rows+1, in.n)
 		}
 	}
 	if chose == 0 {
 		t.Fatal("no instance of a 400-activity log chose the sparse layout")
 	}
 	assertSourcesAgree(t, eval.NewIndex(wide), cs, wide)
+}
+
+// TestAppendFoldsChunks: a store grown one record at a time, as a live log
+// is, keeps O(log n) chunks (small ones are folded into the next), and still
+// answers as the row index.
+func TestAppendFoldsChunks(t *testing.T) {
+	l := gen.MustRandomLog(gen.LogParams{Instances: 60, MeanLength: 20, CompleteFraction: 0.5, Seed: 3})
+	st := new(Store)
+	for _, r := range l.Records() {
+		st = st.Append(r)
+	}
+	used := 0
+	for _, c := range st.chunks {
+		if c != nil {
+			used++
+		}
+	}
+	if bound := 2*bits.Len(uint(l.Len())) + 2; used > bound || len(st.chunks) > bound {
+		t.Fatalf("%d records appended one at a time left %d chunks in %d slots, want at most %d", l.Len(), used, len(st.chunks), bound)
+	}
+	t.Logf("%d records appended one at a time: %d chunks in %d slots", l.Len(), used, len(st.chunks))
+	assertSourcesAgree(t, eval.NewIndex(l), st, l)
 }

@@ -1,9 +1,12 @@
-// Package colstore is the one served log layout: snapshots are built into it
-// in bulk at load (or reload) time, and live logs grow it one version per
-// append, copy on write, so readers never lock. Activity names are interned
-// into dense int32 symbols, and each workflow instance carries its records
-// and a sorted posting list per symbol, so an atomic pattern is answered
-// with zero allocation.
+// Package colstore is the one served log layout: a log is built into it
+// record by record, by a Builder that checks Definition 2 as it goes, at
+// load (or reload) time, and live logs grow it one version per append, copy
+// on write, so readers never lock. Activity and attribute names are
+// interned into dense int32 symbols, and every record lives in flat,
+// pointer-free columns with its attributes in a byte arena, so the
+// collector never scans the records, an atomic pattern is answered with
+// zero allocation from per-instance posting lists, and a guard reads one
+// attribute in place.
 //
 // The package implements eval.Source; the equivalence suite in this package
 // holds a store built in bulk and one appended record by record to naive
@@ -12,11 +15,11 @@
 // layout and its invariants.
 package colstore
 
-// SymbolTable interns activity names into dense int32 symbols. Symbols are
-// assigned in first-intern order, starting at 0; the zero table is empty. A
-// store's table is never interned into once the store is built: a version
-// that brings a new activity gets a copy, so lookups are safe for concurrent
-// use.
+// SymbolTable interns names (a store has one for activities and one for
+// attributes) into dense int32 symbols. Symbols are assigned in first-intern
+// order, starting at 0; the zero table is empty. A store's table is never
+// interned into once the store is built: a version that brings a new name
+// gets a copy, so lookups are safe for concurrent use.
 type SymbolTable struct {
 	names []string
 	ids   map[string]int32

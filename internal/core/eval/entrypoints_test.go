@@ -651,3 +651,54 @@ func BenchmarkCountShapes(b *testing.B) {
 		}
 	}
 }
+
+// guardedQueries read an int attribute (on αout, then αin) and a string one.
+var guardedQueries = []string{"GetReimburse[balance>2000]", `GetRefer[hospital="Union Hospital"]`}
+
+// TestGuardedProbeAllocatesNothingPerCandidate: a guard reads each candidate
+// record's attribute in place in the store, so a guarded atom's count over
+// the whole log allocates what it does over one instance.
+func TestGuardedProbeAllocatesNothingPerCandidate(t *testing.T) {
+	l, err := clinic.Generate(500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	ev := eval.New(cs, eval.Options{})
+	for _, q := range guardedQueries {
+		p := pattern.MustParse(q)
+		allocs := func(wids []uint64) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := ev.AnswerCtx(context.Background(), p, wids, 1, eval.ShapeCount, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if a, n := allocs(cs.WIDs()), eval.New(cs, eval.Options{}).Count(p); n == 0 || a > allocs(cs.WIDs()[:1]) {
+			t.Errorf("%s: %.0f allocations over %d instances (%d matches), more than over one", q, a, len(cs.WIDs()), n)
+		}
+	}
+}
+
+// BenchmarkGuardedAtom prices guarded atoms on the benchmark's log: every
+// candidate record's attribute is read in the store.
+func BenchmarkGuardedAtom(b *testing.B) {
+	l, err := clinic.Generate(5000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	for _, q := range guardedQueries {
+		p := pattern.MustParse(q)
+		b.Run(q, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				a, err := eval.New(cs, eval.Options{}).AnswerCtx(context.Background(), p, cs.WIDs(), 1, eval.ShapeIncidents, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sinkCount = a.Count
+			}
+		})
+	}
+}

@@ -7,8 +7,8 @@ import (
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
-	"wlq/internal/predicate"
 	"wlq/internal/resilience"
+	"wlq/internal/wlog"
 )
 
 // Strategy selects the operator join implementation.
@@ -118,7 +118,10 @@ type step struct {
 	// false when the activity never occurs in the log.
 	sym    int32
 	hasSym bool
-	nm     *NodeMetrics // the node's meter slot; nil when unmetered
+	// keys are the atom's guard attributes resolved the same way, one per
+	// guard; -1 for a name no record carries.
+	keys []int32
+	nm   *NodeMetrics // the node's meter slot; nil when unmetered
 	// class and need are the counter's view of the step (count.go): how its
 	// incidents in one instance are summarised, and which ends of them the
 	// steps that consume it read.
@@ -131,6 +134,13 @@ func (e *Evaluator) leaf(a *pattern.Atom) step {
 	st := step{atom: a, alias: -1}
 	if e.src != nil { // nil when Counted only classifies the plan
 		st.sym, st.hasSym = e.src.ResolveActivity(a.Activity)
+		for _, g := range a.Guards {
+			key, ok := e.src.ResolveAttr(g.Attr)
+			if !ok {
+				key = -1
+			}
+			st.keys = append(st.keys, key)
+		}
 	}
 	return st
 }
@@ -313,7 +323,8 @@ func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
 // activity's posting list; for a negated pattern its complement within the
 // instance (valid logs have dense is-lsn 1..n, so the complement is a linear
 // merge, not a scan of record contents). Guards, when present, filter the
-// matching records (extension) — the only case that touches a record.
+// matching records (extension) — the only case that reads a record's
+// attributes, in place (guarded).
 // candidates is the number of positions the guards were put to. The list is
 // the backend's own slice, which the evaluator's atom incidents are views of,
 // or lives in *buf, which is reused from instance to instance.
@@ -339,13 +350,30 @@ func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64
 		// passes the read index (and a buffer that holds it needs no growing).
 		kept := slices.Grow((*buf)[:0], len(seqs))
 		for _, s := range seqs {
-			if rec, ok := e.src.Record(wid, s); ok && predicate.MatchAll(a.Guards, rec) {
+			if e.guarded(st, wid, s) {
 				kept = append(kept, s)
 			}
 		}
 		seqs, *buf = kept, kept
 	}
 	return seqs, candidates
+}
+
+// guarded reports whether the instance's record with the given is-lsn
+// satisfies every guard of the step's atom, reading each attribute by its
+// key symbol without building the record.
+func (e *Evaluator) guarded(st *step, wid, seq uint64) bool {
+	for i, g := range st.atom.Guards {
+		var v wlog.Value
+		ok := false
+		if st.keys[i] >= 0 {
+			v, ok = e.src.Attr(wid, seq, st.keys[i], g.Side)
+		}
+		if !g.MatchValue(v, ok) {
+			return false
+		}
+	}
+	return true
 }
 
 // evalAtom answers an atom as singleton incidents into the step's buffer,

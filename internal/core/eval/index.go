@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 
+	"wlq/internal/predicate"
 	"wlq/internal/wlog"
 )
 
@@ -27,6 +28,7 @@ type Index struct {
 	actSeqs  map[uint64]map[string][]uint64
 	actCount map[string]int
 	names    []string // distinct activities, sorted; a symbol is a position
+	attrs    []string // distinct attribute names, sorted; a key is a position
 	total    int
 }
 
@@ -81,6 +83,20 @@ func (ix *Index) sortAll() {
 		ix.names = append(ix.names, name)
 	}
 	sort.Strings(ix.names)
+	seen := make(map[string]bool)
+	for _, recs := range ix.inst {
+		for _, r := range recs {
+			for _, m := range []wlog.AttrMap{r.In, r.Out} {
+				for name := range m {
+					if !seen[name] {
+						seen[name] = true
+						ix.attrs = append(ix.attrs, name)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(ix.attrs)
 }
 
 // WIDs returns the workflow instance ids present, in ascending order.
@@ -128,6 +144,22 @@ func (ix *Index) ActivitySeqs(wid uint64, act string) []uint64 {
 func (ix *Index) ResolveActivity(name string) (int32, bool) {
 	i := sort.SearchStrings(ix.names, name)
 	return int32(i), i < len(ix.names) && ix.names[i] == name
+}
+
+// ResolveAttr maps an attribute name to its position among the sorted
+// attribute names.
+func (ix *Index) ResolveAttr(name string) (int32, bool) {
+	i := sort.SearchStrings(ix.attrs, name)
+	return int32(i), i < len(ix.attrs) && ix.attrs[i] == name
+}
+
+// Attr looks the attribute with the key up in the record, by name.
+func (ix *Index) Attr(wid, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
+	r, ok := ix.Record(wid, seq)
+	if !ok {
+		return wlog.Value{}, false
+	}
+	return predicate.Lookup(r, side, ix.attrs[key])
 }
 
 // ActivitySeqsSym is ActivitySeqs of the activity with the symbol, answered

@@ -85,6 +85,20 @@ type Answer struct {
 	// Excluded are the instances whose evaluation panicked, ascending by wid:
 	// nothing of theirs is in the answer.
 	Excluded []Exclusion
+	// arenas hold Incidents' blocks, for Release.
+	arenas []*resultArena
+}
+
+// Release hands the memory Incidents lies in back for a later scan to
+// reuse, and clears Incidents. A caller that has copied the incidents out,
+// as the server does by encoding them, calls it once; one that keeps the
+// answer never does.
+func (a *Answer) Release() {
+	for _, r := range a.arenas {
+		r.reset()
+		arenaPool.Put(r)
+	}
+	a.arenas, a.Incidents = nil, nil
 }
 
 // Exclusion is one workflow instance left out of an answer, with the panic
@@ -241,7 +255,7 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	// the failure that ended it.
 	type chunk struct {
 		instances, incidents int
-		kept                 resultArena
+		kept                 *resultArena // under ShapeIncidents
 		excluded             []Exclusion
 		err                  error
 	}
@@ -258,6 +272,9 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		return n, incs, bs.addResult(incs)
 	}
 	run := func(lo, hi int) (c chunk) {
+		if shape == ShapeIncidents {
+			c.kept = arenaPool.Get().(*resultArena)
+		}
 		sc := newScratch(prog)
 		// Also when the chunk ends in a failure: an abort's partial cost table
 		// includes every completed operator.
@@ -310,11 +327,15 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	var (
 		total  chunk
 		blocks [][]incident.Incident // ShapeIncidents: the answer
+		arenas []*resultArena
 	)
 	for _, c := range chunks {
 		total.instances += c.instances
 		total.incidents += c.incidents
-		blocks = append(blocks, c.kept.blocks...)
+		if c.kept != nil {
+			blocks = append(blocks, c.kept.blocks[:c.kept.n]...)
+			arenas = append(arenas, c.kept)
+		}
 		total.excluded = append(total.excluded, c.excluded...)
 		if c.err != nil && (total.err == nil || errRank(c.err) > errRank(total.err)) {
 			total.err = c.err
@@ -325,7 +346,7 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	a := Answer{Count: total.incidents, Excluded: total.excluded}
+	a := Answer{Count: total.incidents, Excluded: total.excluded, arenas: arenas}
 	if shape == ShapeIncidents && total.err == nil {
 		a.Incidents = blocks
 	}
@@ -341,8 +362,12 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 // to grow.
 type resultArena struct {
 	seqs   incident.Slab
-	blocks [][]incident.Incident // the last one is being filled
+	blocks [][]incident.Incident // every block, in the order they fill
+	n      int                   // blocks in use; the last of them is being filled
 }
+
+// arenaPool keeps the arenas of released answers.
+var arenaPool = sync.Pool{New: func() any { return new(resultArena) }}
 
 // headerBlock is how many incidents one block holds: 32 KiB, a small-object
 // size class.
@@ -351,13 +376,24 @@ const headerBlock = 1024
 // keep copies one instance's incidents into the arena.
 func (r *resultArena) keep(incs []incident.Incident) {
 	for _, o := range incs {
-		n := len(r.blocks)
-		if n == 0 || len(r.blocks[n-1]) == headerBlock {
-			r.blocks = append(r.blocks, make([]incident.Incident, 0, headerBlock))
-			n++
+		if r.n == 0 || len(r.blocks[r.n-1]) == headerBlock {
+			if r.n == len(r.blocks) {
+				r.blocks = append(r.blocks, make([]incident.Incident, 0, headerBlock))
+			}
+			r.n++
 		}
-		r.blocks[n-1] = append(r.blocks[n-1], r.seqs.Copy(o))
+		r.blocks[r.n-1] = append(r.blocks[r.n-1], r.seqs.Copy(o))
 	}
+}
+
+// reset empties the arena, keeping its blocks. What it held referenced only
+// the arena's own memory, so nothing outside stays reachable through it.
+func (r *resultArena) reset() {
+	for i := range r.blocks[:r.n] {
+		r.blocks[i] = r.blocks[i][:0]
+	}
+	r.n = 0
+	r.seqs.Reset()
 }
 
 // errRank orders the failures one scan can collect, so which one the caller

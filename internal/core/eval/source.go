@@ -1,13 +1,17 @@
 package eval
 
-import "wlq/internal/wlog"
+import (
+	"wlq/internal/predicate"
+	"wlq/internal/wlog"
+)
 
 // Source is the log-access contract the evaluator runs over — the seam
 // between the query algorithms (Algorithms 1–3) and the physical storage
 // layout (docs/STORAGE.md). Two implementations exist:
 //
 //   - *colstore.Store serves every log, snapshot or live: interned activity
-//     symbols, and per instance its records and a posting list per symbol.
+//     and attribute symbols, and per instance its records as pointer-free
+//     columns, a posting list per symbol, and its attributes in a byte arena.
 //   - *Index (this package) is the access structure Algorithm 2 calls
 //     LogRecordsDict, per-instance records plus a per-(instance, activity) map
 //     of is-lsn lists. It serves nothing; it is the storage of the naive
@@ -24,12 +28,23 @@ type Source interface {
 	WIDs() []uint64
 	// InstanceLen returns the number of records of the instance.
 	InstanceLen(wid uint64) int
-	// Instance returns the records of the instance in is-lsn order.
-	// Callers must not modify the returned slice.
+	// Instance returns the records of the instance in is-lsn order, and
+	// Record the one with the given is-lsn (ok false when the instance or
+	// sequence number is unknown). They are for callers that want whole
+	// records (Verify, analytics, the library): the store decodes them on
+	// demand, so no query's evaluation calls either. Callers must not
+	// modify what they return.
 	Instance(wid uint64) []wlog.Record
-	// Record returns the record of the instance with the given is-lsn;
-	// ok is false when the instance or sequence number is unknown.
 	Record(wid, seq uint64) (wlog.Record, bool)
+	// ResolveAttr maps an attribute name to the source's key symbol for it,
+	// once per guard per query; ok is false when no record carries it.
+	ResolveAttr(name string) (key int32, ok bool)
+	// Attr reads the value of the attribute with the key symbol (from
+	// ResolveAttr on the same source) on a side of the instance's record
+	// with the given is-lsn, as predicate.Lookup does on the record; ok is
+	// false when the record does not carry it there. It is the guard probe,
+	// called once per candidate record and guard, and allocates nothing.
+	Attr(wid, seq uint64, key int32, side predicate.Side) (v wlog.Value, ok bool)
 	// ResolveActivity maps an activity name to the source's symbol for it,
 	// once per atom per query; ok is false when the name never occurs in the
 	// log (its incident set is empty for positive atoms, the full complement

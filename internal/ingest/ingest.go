@@ -92,13 +92,22 @@ type Coordinator struct {
 	deduped  atomic.Uint64
 }
 
-// Open builds the live store from the base snapshot, opens the WAL, and
-// replays any records the WAL holds beyond the snapshot. base must satisfy
-// Definition 2 (nil is the empty log): the server checks it before enabling
-// ingestion, and it is not checked again. Recovery semantics — torn tails
-// truncated, corruption refused — are the WAL's; see that package and
-// docs/DURABILITY.md.
+// Open is OpenStore over the store of a base log (nil is the empty log).
 func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
+	st := new(colstore.Store)
+	if base != nil {
+		st = colstore.Build(base)
+	}
+	return OpenStore(st, cfg)
+}
+
+// OpenStore opens the WAL and publishes the base snapshot's store with any
+// records the WAL holds beyond it replayed on top. base must satisfy
+// Definition 2: the server's builder checks it before enabling ingestion,
+// and it is not checked again. Recovery semantics — torn tails truncated,
+// corruption refused — are the WAL's; see that package and
+// docs/DURABILITY.md.
+func OpenStore(base *colstore.Store, cfg Config) (*Coordinator, wal.Recovery, error) {
 	w, rec, err := wal.Open(wal.Options{
 		Dir:           cfg.Dir,
 		Policy:        cfg.Policy,
@@ -115,19 +124,11 @@ func Open(base *wlog.Log, cfg Config) (*Coordinator, wal.Recovery, error) {
 	if cfg.Queue > 0 {
 		c.adm = resilience.NewAdmission(cfg.Queue)
 	}
-	if err := c.replayOnto(build(base)); err != nil {
+	if err := c.replayOnto(base); err != nil {
 		w.Close()
 		return nil, wal.Recovery{}, err
 	}
 	return c, rec, nil
-}
-
-// build is the base snapshot's store; nil is the empty log.
-func build(base *wlog.Log) *colstore.Store {
-	if base == nil {
-		return new(colstore.Store)
-	}
-	return colstore.Build(base)
 }
 
 // replayOnto publishes st, a base snapshot's store, with the WAL's records
@@ -203,18 +204,17 @@ func (c *Coordinator) Append(recs ...wlog.Record) (int, error) {
 	return n, invalid
 }
 
-// Rebase swaps in a store rebuilt from a freshly reloaded base snapshot with
-// the WAL replayed on top (dedup-skipping), publishing it with one pointer
-// store — the hot-reload-vs-append fix: durable appends survive a reload
-// instead of being silently dropped. base must satisfy Definition 2, as for
-// Open. On conflict (the new snapshot is incompatible with the WAL's
-// records) the coordinator is left unchanged and the error names the first
-// conflicting record; the server quarantines the log in that case.
-func (c *Coordinator) Rebase(base *wlog.Log) error {
-	st := build(base)
+// Rebase swaps in the store of a freshly reloaded base snapshot with the WAL
+// replayed on top (dedup-skipping), publishing it with one pointer store —
+// the hot-reload-vs-append fix: durable appends survive a reload instead of
+// being silently dropped. base must satisfy Definition 2, as for OpenStore.
+// On conflict (the new snapshot is incompatible with the WAL's records) the
+// coordinator is left unchanged and the error names the first conflicting
+// record; the server quarantines the log in that case.
+func (c *Coordinator) Rebase(base *colstore.Store) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.replayOnto(st)
+	return c.replayOnto(base)
 }
 
 // Store returns the live log's newest version: one atomic load, which never

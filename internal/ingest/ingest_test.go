@@ -2,14 +2,18 @@ package ingest
 
 import (
 	"errors"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/gen"
+	"wlq/internal/logio"
 	"wlq/internal/wlog"
 )
 
@@ -218,7 +222,7 @@ func TestRebaseReplaysWALOverReload(t *testing.T) {
 		}
 	}
 	for pass := 1; pass <= 2; pass++ {
-		if err := c.Rebase(base); err != nil {
+		if err := c.Rebase(colstore.Build(base)); err != nil {
 			t.Fatalf("rebase pass %d: %v", pass, err)
 		}
 		if c.Store().TotalRecords() != 7 || c.LastLSN() != 7 {
@@ -246,7 +250,7 @@ func TestRebaseConflictLeavesCoordinatorUntouched(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = c.Rebase(conflicting)
+	err = c.Rebase(colstore.Build(conflicting))
 	if err == nil {
 		t.Fatal("conflicting rebase accepted")
 	}
@@ -407,5 +411,67 @@ func TestAppendBatchIsOneFsyncAndOneVersion(t *testing.T) {
 	defer c2.Close()
 	if c2.LastLSN() != 9 || query(c2, "A").Len() != 1 {
 		t.Fatalf("restart recovered lsn %d, %d A records; want 9 and 1", c2.LastLSN(), query(c2, "A").Len())
+	}
+}
+
+// TestReplayOnStreamedBase: a live log whose base snapshot was streamed from
+// a file into a colstore.Builder, as wlq-serve loads it, replays its WAL into
+// the same store as one whose base was built from the decoded log.
+func TestReplayOnStreamedBase(t *testing.T) {
+	l := gen.MustRandomLog(gen.LogParams{Instances: 40, MeanLength: 8, CompleteFraction: 0.5, Seed: 21})
+	recs := l.Records()
+	cut := len(recs) * 2 / 3
+	base, err := wlog.New(recs[:cut])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, _, err := Open(base, Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Append(recs[cut:]...); err != nil || n != len(recs)-cut {
+		t.Fatalf("append: %d, %v", n, err)
+	}
+	c.Close()
+
+	path := filepath.Join(t.TempDir(), "base.jsonl")
+	if err := logio.WriteFile(path, base); err != nil {
+		t.Fatal(err)
+	}
+	var b colstore.Builder
+	if err := logio.ReadFileFunc(path, b.Add); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]*colstore.Store
+	for i, open := range []func() (*Coordinator, error){
+		func() (*Coordinator, error) { c, _, err := OpenStore(streamed, Config{Dir: dir}); return c, err },
+		func() (*Coordinator, error) { c, _, err := Open(base, Config{Dir: dir}); return c, err },
+	} {
+		c, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := c.Stats(); st.Replayed != uint64(len(recs)-cut) || st.Deduped != 0 {
+			t.Fatalf("replay %d: %+v", i, st)
+		}
+		got[i] = c.Store()
+		c.Close()
+	}
+	if got[0].TotalRecords() != l.Len() || !slices.Equal(got[0].WIDs(), got[1].WIDs()) {
+		t.Fatalf("streamed base replays to %d records, %d wids; built base to %d, %d",
+			got[0].TotalRecords(), len(got[0].WIDs()), got[1].TotalRecords(), len(got[1].WIDs()))
+	}
+	for _, wid := range got[1].WIDs() {
+		if !slices.EqualFunc(got[0].Instance(wid), got[1].Instance(wid), wlog.Record.Equal) {
+			t.Fatalf("instance %d: streamed base %v, built base %v", wid, got[0].Instance(wid), got[1].Instance(wid))
+		}
+		if !slices.EqualFunc(got[0].Instance(wid), l.Instance(wid), wlog.Record.Equal) {
+			t.Fatalf("instance %d: replayed %v, log %v", wid, got[0].Instance(wid), l.Instance(wid))
+		}
 	}
 }

@@ -12,6 +12,7 @@ package logio
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -326,11 +327,11 @@ func NewReader(r io.Reader, format Format) *Reader {
 func (r *Reader) Read() (wlog.Record, error) {
 	for r.sc.Scan() {
 		r.line++
-		line := strings.TrimRight(r.sc.Text(), "\r")
-		if strings.TrimSpace(line) == "" {
+		line := bytes.TrimRight(r.sc.Bytes(), "\r")
+		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		if r.format == FormatText && strings.HasPrefix(line, "#") {
+		if r.format == FormatText && line[0] == '#' {
 			continue
 		}
 		rec, err := r.decodeLine(line)
@@ -350,11 +351,28 @@ func (r *Reader) Read() (wlog.Record, error) {
 	return wlog.Record{}, io.EOF
 }
 
-func (r *Reader) decodeLine(line string) (wlog.Record, error) {
+// Each feeds the remaining records to fn in the order the source holds
+// them, each as soon as it is read, and returns the first read error. The
+// records are not validated or kept: a caller that checks or stores them as
+// they come never holds the log whole.
+func (r *Reader) Each(fn func(wlog.Record)) error {
+	for {
+		rec, err := r.Read()
+		if errors.Is(err, io.EOF) {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		fn(rec)
+	}
+}
+
+func (r *Reader) decodeLine(raw []byte) (wlog.Record, error) {
 	switch r.format {
 	case FormatJSONL:
 		var jr jsonRecord
-		if err := json.Unmarshal([]byte(line), &jr); err != nil {
+		if err := json.Unmarshal(raw, &jr); err != nil {
 			return wlog.Record{}, err
 		}
 		in, err := attrsFromWire(jr.In)
@@ -370,7 +388,7 @@ func (r *Reader) decodeLine(line string) (wlog.Record, error) {
 			In: in, Out: out,
 		}, nil
 	case FormatText:
-		fields := strings.Split(line, "\t")
+		fields := strings.Split(string(raw), "\t")
 		if len(fields) != 6 {
 			return wlog.Record{}, fmt.Errorf("want 6 tab-separated fields, got %d", len(fields))
 		}
@@ -410,15 +428,8 @@ func (r *Reader) decodeLine(line string) (wlog.Record, error) {
 // ReadAll consumes the remaining records and assembles a validated Log.
 func (r *Reader) ReadAll() (*wlog.Log, error) {
 	var records []wlog.Record
-	for {
-		rec, err := r.Read()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		records = append(records, rec)
+	if err := r.Each(func(rec wlog.Record) { records = append(records, rec) }); err != nil {
+		return nil, err
 	}
 	return wlog.New(records)
 }
@@ -483,14 +494,32 @@ func ReadFileAny(path string) (*wlog.Log, error) {
 // ReadFile reads a validated log from path, inferring the format from the
 // extension.
 func ReadFile(path string) (*wlog.Log, error) {
-	format, err := FormatForPath(path)
-	if err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
+	f, format, err := open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return Decode(f, format)
+}
+
+// ReadFileFunc is Reader.Each over the file at path, its format inferred
+// from the extension: the file's records go to fn one at a time, unchecked,
+// in file order.
+func ReadFileFunc(path string, fn func(wlog.Record)) error {
+	f, format, err := open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return NewReader(f, format).Each(fn)
+}
+
+// open opens a log file in a native format.
+func open(path string) (*os.File, Format, error) {
+	format, err := FormatForPath(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	f, err := os.Open(path)
+	return f, format, err
 }

@@ -92,7 +92,12 @@ type Guard struct {
 // missing or incomparable values are false (not errors): a record that does
 // not carry the attribute simply fails the guard.
 func (g Guard) Match(r wlog.Record) bool {
-	v, ok := g.lookup(r)
+	return g.MatchValue(Lookup(r, g.Side, g.Attr))
+}
+
+// MatchValue is Match given the guard's lookup of a record: the attribute's
+// value, and whether the record carries it on the guard's side.
+func (g Guard) MatchValue(v wlog.Value, ok bool) bool {
 	if g.Op == OpDefined {
 		return ok
 	}
@@ -123,25 +128,19 @@ func (g Guard) Match(r wlog.Record) bool {
 	}
 }
 
-func (g Guard) lookup(r wlog.Record) (wlog.Value, bool) {
-	switch g.Side {
-	case SideIn:
-		if r.In.Has(g.Attr) {
-			return r.In.Get(g.Attr), true
-		}
-	case SideOut:
-		if r.Out.Has(g.Attr) {
-			return r.Out.Get(g.Attr), true
-		}
-	default: // SideAny (and zero value)
-		if r.Out.Has(g.Attr) {
-			return r.Out.Get(g.Attr), true
-		}
-		if r.In.Has(g.Attr) {
-			return r.In.Get(g.Attr), true
+// Lookup reads the attribute a guard on the side inspects: αin or αout, and
+// for SideAny (or the zero Side) αout first, then αin. ok is false when the
+// record does not carry the attribute there.
+func Lookup(r wlog.Record, side Side, attr string) (v wlog.Value, ok bool) {
+	if side != SideOut {
+		v, ok = r.In[attr]
+	}
+	if side != SideIn {
+		if w, found := r.Out[attr]; found {
+			return w, true
 		}
 	}
-	return wlog.Value{}, false
+	return v, ok
 }
 
 // String renders the guard in the syntax accepted by Parse.

@@ -276,13 +276,13 @@ func TestChaosPreflightCostCeiling(t *testing.T) {
 func TestChaosReloadQuarantineKeepsLastGood(t *testing.T) {
 	goodLoads := 0
 	fail := false
-	cfg := Config{Loader: func(spec string) (*wlog.Log, error) {
+	cfg := Config{Loader: logLoader(func(spec string) (*wlog.Log, error) {
 		if fail {
 			return nil, fmt.Errorf("source unreadable: %w", faultinject.ErrInjected)
 		}
 		goodLoads++
 		return chaosLog(t, 2, 2), nil
-	}}
+	})}
 	s := New(cfg)
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 2, 2)); err != nil {
 		t.Fatal(err)
@@ -347,12 +347,12 @@ func TestChaosReloadInvalidatesCacheByGeneration(t *testing.T) {
 	// The served log changes across reloads; cached results from the old
 	// generation must not answer queries against the new one.
 	big := false
-	cfg := Config{Loader: func(spec string) (*wlog.Log, error) {
+	cfg := Config{Loader: logLoader(func(spec string) (*wlog.Log, error) {
 		if big {
 			return chaosLog(t, 4, 2), nil
 		}
 		return chaosLog(t, 2, 2), nil
-	}}
+	})}
 	s := New(cfg)
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 2, 2)); err != nil {
 		t.Fatal(err)

@@ -213,7 +213,7 @@ func TestFlightListValidation(t *testing.T) {
 }
 
 // fig3Loader reloads the built-in Figure 3 log, for hot-reload tests.
-func fig3Loader(string) (*wlog.Log, error) { return wlq.ClinicFig3(), nil }
+var fig3Loader = logLoader(func(string) (*wlog.Log, error) { return wlq.ClinicFig3(), nil })
 
 // TestFlightCaptureCarriesReloadGeneration: captures from before and after a
 // hot reload coexist in the recorder, told apart by their generation.

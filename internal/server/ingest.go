@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"wlq/internal/colstore"
 	"wlq/internal/ingest"
 	"wlq/internal/logio"
 	"wlq/internal/obs"
@@ -28,8 +29,8 @@ import (
 const DefaultIngestQueue = 256
 
 // openIngest builds one log's durable ingest coordinator over its WAL
-// directory. Called under s.mu from AddLog.
-func (s *Server) openIngest(name string, l *wlog.Log) (*ingest.Coordinator, wal.Recovery, error) {
+// directory. Called under s.mu from AddStore.
+func (s *Server) openIngest(name string, st *colstore.Store) (*ingest.Coordinator, wal.Recovery, error) {
 	if s.cfg.WALDir == "" {
 		return nil, wal.Recovery{}, errors.New("ingest enabled but Config.WALDir is empty")
 	}
@@ -37,7 +38,7 @@ func (s *Server) openIngest(name string, l *wlog.Log) (*ingest.Coordinator, wal.
 	if queue == 0 {
 		queue = DefaultIngestQueue
 	}
-	return ingest.Open(l, ingest.Config{
+	return ingest.OpenStore(st, ingest.Config{
 		Dir:           filepath.Join(s.cfg.WALDir, sanitizeWALName(name)),
 		Policy:        s.cfg.FsyncPolicy,
 		FsyncInterval: s.cfg.FsyncInterval,

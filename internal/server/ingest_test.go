@@ -301,7 +301,7 @@ func TestAppendRecovery(t *testing.T) {
 // replayed on top rather than silently dropped.
 func TestReloadReplaysWAL(t *testing.T) {
 	s, _ := newIngestServer(t, Config{
-		Loader: func(string) (*wlq.Log, error) { return wlq.ClinicFig3(), nil },
+		Loader: logLoader(func(string) (*wlq.Log, error) { return wlq.ClinicFig3(), nil }),
 	})
 	h := s.Handler()
 	rec := postAppend(t, h, "fig3", `{"lsn":21,"wid":3,"seq":3,"act":"CheckIn"}`, nil)
@@ -343,7 +343,7 @@ func TestReloadConflictQuarantinesLiveLog(t *testing.T) {
 	}
 	conflicting := wlog.MustNew(kept)
 	s, _ := newIngestServer(t, Config{
-		Loader: func(string) (*wlog.Log, error) { return conflicting, nil },
+		Loader: logLoader(func(string) (*wlog.Log, error) { return conflicting, nil }),
 	})
 	h := s.Handler()
 	rec := postAppend(t, h, "fig3", `{"lsn":21,"wid":3,"seq":3,"act":"CheckIn"}`, nil)
@@ -522,14 +522,14 @@ func TestSlowReaderDoesNotStallAppends(t *testing.T) {
 func twoLiveLogs(t *testing.T, loadA func() *wlog.Log) (h http.Handler, stall func() (finish func())) {
 	t.Helper()
 	reached, release := make(chan struct{}), make(chan struct{})
-	s := New(Config{Ingest: true, WALDir: t.TempDir(), Loader: func(spec string) (*wlog.Log, error) {
+	s := New(Config{Ingest: true, WALDir: t.TempDir(), Loader: logLoader(func(spec string) (*wlog.Log, error) {
 		if spec == "b" {
 			close(reached)
 			<-release
 			return wlq.ClinicFig3(), nil
 		}
 		return loadA(), nil
-	}})
+	})})
 	t.Cleanup(func() { s.Close() })
 	for _, name := range []string{"a", "b"} {
 		if err := s.AddLog(name, name, wlq.ClinicFig3()); err != nil {

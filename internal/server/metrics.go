@@ -3,6 +3,7 @@ package server
 import (
 	"math"
 	"runtime"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -248,6 +249,11 @@ type metricsDoc struct {
 	LogsQuarantined    int     `json:"logs_quarantined" prom:"wlq_logs_quarantined" help:"Logs serving a last-good snapshot after a failed reload."`
 	PartialResults     uint64  `json:"partial_results" prom:"wlq_partial_results_total" help:"Queries whose result excluded at least one instance or worker part."`
 	WIDsExcluded       uint64  `json:"wids_excluded" prom:"wlq_wids_excluded_total" help:"Workflow instances excluded from partial results."`
+	// Go runtime figures (runtime/metrics): the collector's CPU so far, and
+	// the heap it marks.
+	GoGCCPUSeconds  float64 `json:"go_gc_cpu_seconds" prom:"wlq_go_gc_cpu_seconds_total" help:"CPU seconds spent by the Go garbage collector (runtime estimate)."`
+	GoHeapLiveBytes uint64  `json:"go_heap_live_bytes" prom:"wlq_go_heap_live_bytes" help:"Heap bytes the last Go garbage collection marked live."`
+	GoHeapObjects   uint64  `json:"go_heap_objects" prom:"wlq_go_heap_objects" help:"Go heap objects allocated and not yet freed."`
 	// Cluster is the distributed-tier section (nil on a single-node server
 	// that is not in worker mode).
 	Cluster *clusterMetricsDoc `json:"cluster,omitempty"`
@@ -353,6 +359,12 @@ func (s *Server) metricsSnapshot() metricsDoc {
 		util = float64(busy) / float64(capacity)
 	}
 	opComparisons, opOutputs := m.operatorTotals()
+	rt := []rtmetrics.Sample{
+		{Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/heap/live:bytes"},
+		{Name: "/gc/heap/objects:objects"},
+	}
+	rtmetrics.Read(rt)
 	return metricsDoc{
 		UptimeSeconds:       time.Since(m.start).Seconds(),
 		LogsLoaded:          logsLoaded,
@@ -378,6 +390,9 @@ func (s *Server) metricsSnapshot() metricsDoc {
 		LogsQuarantined:     quarantined,
 		PartialResults:      m.partialResults.Load(),
 		WIDsExcluded:        m.widsExcluded.Load(),
+		GoGCCPUSeconds:      rt[0].Value.Float64(),
+		GoHeapLiveBytes:     rt[1].Value.Uint64(),
+		GoHeapObjects:       rt[2].Value.Uint64(),
 		Cluster:             s.clusterMetrics(),
 		Ingest:              s.ingestMetrics(),
 		AdmissionCapacity:   adm.Capacity(),

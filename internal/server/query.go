@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"wlq/internal/cluster"
@@ -192,9 +193,34 @@ func (s *Server) bindExecutor(e *logEntry) {
 func served(a eval.Answer, shape eval.Shape) cluster.Result {
 	res := cluster.Result{Count: a.Count, WIDs: a.WIDs}
 	if shape == eval.ShapeIncidents {
-		res.Incidents = cluster.AppendIncidents(nil, a.Incidents...)
+		res.Incidents = cluster.AppendIncidents(answerBuf(), a.Incidents...)
 	}
+	a.Release() // the bytes are the answer now
 	return res
+}
+
+// answerBufs holds the byte buffers of answers that were written and not
+// kept, for served to encode the next answers into: a local run's response
+// the cache did not take, a worker's reply.
+var answerBufs sync.Pool
+
+// maxRecycled is the largest buffer answerBufs keeps, so a rare huge answer
+// is not held on to.
+const maxRecycled = 2 << 20
+
+func answerBuf() []byte {
+	if b, ok := answerBufs.Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return nil
+}
+
+// recycleAnswer hands b to a later served. Its caller has written b and
+// holds no other reference to it.
+func recycleAnswer(b []byte) {
+	if cap(b) > 0 && cap(b) <= maxRecycled {
+		answerBufs.Put(&b)
+	}
 }
 
 // execute is the evaluation stage of both query endpoints: it holds the
@@ -320,6 +346,9 @@ type queryRun struct {
 	cacheable bool
 	answer    *cacheEntry
 	cached    bool
+	// spent is the answer's encoded incidents once nothing keeps them past
+	// the response: a local run's, not put in the cache.
+	spent []byte
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -337,6 +366,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.decode(r) && q.plan() && (q.cached || q.execute(r.Context())) {
 		q.respond()
 	}
+	recycleAnswer(q.spent)
 }
 
 // finish runs on EVERY exit path — parse errors, timeouts and evaluation
@@ -656,8 +686,10 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	// A partial result is never cached: a later query must not be served an
 	// excluded wid range's absence as if it were evaluated truth (the fault
 	// may well be gone before the entry would age out).
-	if complete && q.cacheable {
+	if complete && q.cacheable && s.cache != nil {
 		s.cache.put(q.cacheKey, q.answer)
+	} else if x.fan == nil {
+		q.spent = x.res.Incidents
 	}
 	return true
 }
@@ -748,6 +780,7 @@ func answerPath(plan pattern.Node, shape eval.Shape, strategy eval.Strategy) str
 
 // appendUints appends vs as a JSON array of numbers.
 func appendUints(dst []byte, vs []uint64) []byte {
+	dst = slices.Grow(dst, 2+6*len(vs)) // wids of up to five digits
 	dst = append(dst, '[')
 	for i, v := range vs {
 		if i > 0 {

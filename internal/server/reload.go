@@ -107,16 +107,17 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		}
 	}
 	for _, t := range targets {
-		l, err := s.cfg.Loader(t.source)
-		if err == nil && l == nil {
-			err = fmt.Errorf("loader returned no log")
-		}
+		// The loader feeds the records to a builder as it reads them, so
+		// no decoded copy of the log is held beside the store.
+		var b colstore.Builder
+		var st *colstore.Store
+		err := s.cfg.Loader(t.source, b.Add)
 		if err == nil {
 			// Definition 2 validation gates the swap: AddLog tolerates an
 			// invalid log at startup (the operator sees what they loaded),
 			// but a reload degrading a valid log to an invalid one is a
 			// fault to contain, not a state to adopt.
-			err = l.Validate()
+			st, err = b.Finish()
 		}
 		if err != nil {
 			quarantine(t, "log reload failed; serving last-good snapshot", err)
@@ -135,13 +136,13 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 			// absorbed). A conflicting snapshot — one the WAL's records
 			// cannot legally follow — quarantines the log; the coordinator
 			// and the served entry are left untouched.
-			if err := t.live.Rebase(l); err != nil {
+			if err := t.live.Rebase(st); err != nil {
 				quarantine(t, "log reload conflicts with its WAL; serving last-good state", err)
 				continue
 			}
 			e.live = t.live
 		} else {
-			e.store = colstore.Build(l)
+			e.store = st
 		}
 		// The executor is rebuilt with the backend, so it reads the new log.
 		s.bindExecutor(e)

@@ -9,6 +9,20 @@ import (
 	"wlq/internal/wlog"
 )
 
+// logLoader adapts a loader that returns a whole log to Config.Loader.
+func logLoader(load func(spec string) (*wlog.Log, error)) func(string, func(wlog.Record)) error {
+	return func(spec string, add func(wlog.Record)) error {
+		l, err := load(spec)
+		if err != nil {
+			return err
+		}
+		for _, r := range l.Records() {
+			add(r)
+		}
+		return nil
+	}
+}
+
 // TestChaosReloadSingleFlight: concurrent reload triggers (a SIGHUP landing
 // while POST /v1/reload is mid-pass, an operator mashing the endpoint) are
 // coalesced into ONE loader pass whose result every caller shares. Run under
@@ -16,11 +30,11 @@ import (
 func TestChaosReloadSingleFlight(t *testing.T) {
 	var loads atomic.Int64
 	gate := make(chan struct{}) // holds the first pass open inside the loader
-	cfg := Config{Loader: func(spec string) (*wlog.Log, error) {
+	cfg := Config{Loader: logLoader(func(spec string) (*wlog.Log, error) {
 		loads.Add(1)
 		<-gate
 		return chaosLog(t, 2, 2), nil
-	}}
+	})}
 	s := New(cfg)
 	if err := s.AddLog("chaos", "builtin:chaos", chaosLog(t, 2, 2)); err != nil {
 		t.Fatal(err)

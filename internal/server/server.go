@@ -105,9 +105,10 @@ type Config struct {
 	// dangerous, so the worst ones never consume a worker at all.
 	MaxPredictedCost float64
 	// Loader re-reads a log's source spec for hot reload (POST /v1/reload,
-	// and SIGHUP in cmd/wlq-serve). Nil disables reloading. The CLI passes
-	// wlq.OpenLog.
-	Loader func(spec string) (*wlog.Log, error)
+	// and SIGHUP in cmd/wlq-serve), feeding its records to add one at a
+	// time; the server builds and checks the store from them. Nil disables
+	// reloading. The CLI passes wlq.StreamLog.
+	Loader func(spec string, add func(wlog.Record)) error
 	// FlightRecorderSize is the query flight recorder's per-ring capacity:
 	// the recorder keeps that many recent executions plus that many notable
 	// (slow or failed) ones. 0 means DefaultFlightRecorderSize; negative
@@ -294,35 +295,44 @@ func (s *Server) StartClusterProbing(ctx context.Context) {
 	s.coord.StartProbing(ctx, s.cfg.ProbeInterval)
 }
 
-// AddLog registers a log under a name and builds its store. source is a
-// human-readable origin (file path or generator spec) echoed by /v1/logs.
-// The log's Definition 2 validity is checked and reported, but even an
-// invalid log is served (the store tolerates it; /v1/logs flags it).
+// AddLog registers a log under a name: AddStore of the store a
+// colstore.Builder builds from the log's records, with the first Definition
+// 2 violation it found.
 func (s *Server) AddLog(name, source string, l *wlog.Log) error {
-	if name == "" {
-		return errors.New("server: empty log name")
-	}
 	if l == nil {
 		return fmt.Errorf("server: nil log %q", name)
+	}
+	st, invalid := colstore.BuildChecked(l)
+	return s.AddStore(name, source, st, invalid)
+}
+
+// AddStore registers a store under a name. source is a human-readable origin
+// (file path or generator spec) echoed by /v1/logs, and invalid the first
+// Definition 2 violation the store's builder found (nil: a valid log). Even
+// an invalid log is served (the store tolerates it; /v1/logs flags it), but
+// it cannot accept appends.
+func (s *Server) AddStore(name, source string, st *colstore.Store, invalid error) error {
+	if name == "" {
+		return errors.New("server: empty log name")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.logs[name]; dup {
 		return fmt.Errorf("server: duplicate log name %q", name)
 	}
-	e := &logEntry{name: name, source: source, valid: true}
-	if err := l.Validate(); err != nil {
-		e.valid, e.reason = false, err.Error()
+	e := &logEntry{name: name, source: source, valid: invalid == nil}
+	if invalid != nil {
+		e.reason = invalid.Error()
 	}
 	if s.cfg.Ingest {
 		// A live log must start from a clean snapshot: the WAL replays on
 		// top of it and every append is checked against what it extends,
 		// so the tolerate-and-flag posture of static serving does not apply.
-		// The check above is the only one the snapshot gets.
+		// The builder's check is the only one the snapshot gets.
 		if !e.valid {
 			return fmt.Errorf("server: log %q cannot accept appends: %s", name, e.reason)
 		}
-		coord, rec, err := s.openIngest(name, l)
+		coord, rec, err := s.openIngest(name, st)
 		if err != nil {
 			return fmt.Errorf("server: log %q: %w", name, err)
 		}
@@ -333,7 +343,7 @@ func (s *Server) AddLog(name, source string, l *wlog.Log) error {
 				"segments", rec.Segments, "torn_bytes", rec.TornBytes)
 		}
 	} else {
-		e.store = colstore.Build(l)
+		e.store = st
 	}
 	s.bindExecutor(e)
 	s.logs[name] = e
@@ -716,7 +726,7 @@ func (e *logEntry) inventory(doc *logDoc) {
 	}
 	wids := src.WIDs()
 	for _, wid := range wids {
-		if recs := src.Instance(wid); len(recs) > 0 && recs[len(recs)-1].IsEnd() {
+		if _, ended := src.InstanceTail(wid); ended {
 			doc.CompleteInstances++
 		}
 	}

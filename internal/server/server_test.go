@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wlq"
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/gen"
 	"wlq/internal/wlog"
@@ -355,6 +356,40 @@ func TestLogsInventory(t *testing.T) {
 	clinic := resp.Logs[0]
 	if clinic.Instances != 5 || clinic.Activities == 0 {
 		t.Errorf("clinic inventory wrong: %+v", clinic)
+	}
+}
+
+// TestInvalidLogServedAndFlagged: a log that breaks Definition 2 is still
+// served, and /v1/logs flags it with the first violation its builder found;
+// a live log refuses it.
+func TestInvalidLogServedAndFlagged(t *testing.T) {
+	recs := wlq.ClinicFig3().Records()
+	recs[7].Seq += 3 // an is-lsn gap
+	var b colstore.Builder
+	for _, r := range recs {
+		b.Add(r)
+	}
+	st, invalid := b.Finish()
+	if invalid == nil {
+		t.Fatal("the builder accepted an is-lsn gap")
+	}
+	s := New(Config{})
+	if err := s.AddStore("bad", "builtin:bad", st, invalid); err != nil {
+		t.Fatal(err)
+	}
+	var resp logsResponse
+	getJSON(t, s.Handler(), "/v1/logs", &resp)
+	if row := resp.Logs[0]; row.Valid || row.Error != invalid.Error() || row.Records != len(recs) {
+		t.Errorf("inventory row %+v, want invalid with %q and %d records", row, invalid, len(recs))
+	}
+	var out queryResponse
+	if rec := postQuery(t, s.Handler(), `{"log":"bad","query":"GetRefer"}`, &out); rec.Code != http.StatusOK || out.Count == 0 {
+		t.Errorf("query over the invalid log: %d, %d incidents", rec.Code, out.Count)
+	}
+	live := New(Config{Ingest: true, WALDir: t.TempDir()})
+	t.Cleanup(func() { live.Close() })
+	if err := live.AddStore("bad", "builtin:bad", st, invalid); err == nil {
+		t.Error("a live log accepted an invalid snapshot")
 	}
 }
 

@@ -169,4 +169,5 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		tail.CostTable = obs.CostTable(meter)
 	}
 	writeSpliced(w, http.StatusOK, head, key, array, tail)
+	recycleAnswer(x.res.Incidents)
 }

@@ -18,14 +18,13 @@ func (t sliceTail) LastLSN() uint64 {
 	return t[len(t)-1].LSN
 }
 
-func (t sliceTail) Instance(wid uint64) []Record {
-	var out []Record
+func (t sliceTail) InstanceTail(wid uint64) (lastSeq uint64, ended bool) {
 	for _, r := range t {
 		if r.WID == wid {
-			out = append(out, r)
+			lastSeq, ended = r.Seq, r.IsEnd()
 		}
 	}
-	return out
+	return lastSeq, ended
 }
 
 // recordsFrom decodes fuzz bytes into a record stream: a valid interleaving

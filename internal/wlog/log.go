@@ -203,11 +203,12 @@ func (l *Log) Validate() error {
 }
 
 // Tail is what Check reads of the log records are appended to: its newest
-// lsn, and an instance's records in is-lsn order (nil when the wid is
-// absent). colstore.Store satisfies it.
+// lsn, and of an instance only its last record, as that record's is-lsn and
+// whether it is the instance's END (0 and false when the wid is absent).
+// colstore.Store and colstore.Builder satisfy it.
 type Tail interface {
 	LastLSN() uint64
-	Instance(wid uint64) []Record
+	InstanceTail(wid uint64) (lastSeq uint64, ended bool)
 }
 
 // Check checks recs, in order, as the continuation of the log base ends (nil:
@@ -222,7 +223,7 @@ func Check(base Tail, recs []Record) (int, error) {
 		nextSeq uint64 // is-lsn the next record of this instance must carry
 		ended   bool
 	}
-	states := make(map[uint64]*instState)
+	states := make(map[uint64]instState)
 	var lastLSN uint64
 	if base != nil {
 		lastLSN = base.LastLSN()
@@ -233,16 +234,13 @@ func Check(base Tail, recs []Record) (int, error) {
 		if r.LSN != lastLSN+1 {
 			return n, violation(CondDenseLSN, r, "expected lsn %d, found %d", lastLSN+1, r.LSN)
 		}
-		st := states[r.WID]
-		if st == nil {
-			st = &instState{nextSeq: 1}
+		st, ok := states[r.WID]
+		if !ok {
+			st = instState{nextSeq: 1}
 			if base != nil {
-				if inst := base.Instance(r.WID); len(inst) > 0 {
-					last := inst[len(inst)-1]
-					st = &instState{nextSeq: last.Seq + 1, ended: last.IsEnd()}
-				}
+				last, ended := base.InstanceTail(r.WID)
+				st = instState{nextSeq: last + 1, ended: ended}
 			}
-			states[r.WID] = st
 		}
 		// Condition 4: nothing follows END within an instance.
 		if st.ended {
@@ -261,8 +259,7 @@ func Check(base Tail, recs []Record) (int, error) {
 			return n, violation(CondStartFirst, r, "%s record with non-empty attribute maps", r.Activity)
 		}
 		lastLSN = r.LSN
-		st.nextSeq++
-		st.ended = r.IsEnd()
+		states[r.WID] = instState{nextSeq: st.nextSeq + 1, ended: r.IsEnd()}
 	}
 	return len(recs), nil
 }

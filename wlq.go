@@ -133,6 +133,9 @@ func LoadLog(path string) (*Log, error) { return logio.ReadFile(path) }
 //	                                (.jsonl/.json/.log/.txt/.tsv) plus the
 //	                                .csv and .xes import formats
 func OpenLog(spec string) (*Log, error) {
+	if native(spec) {
+		return logio.ReadFile(spec)
+	}
 	switch {
 	case spec == "fig3":
 		return ClinicFig3(), nil
@@ -171,6 +174,33 @@ func OpenLog(spec string) (*Log, error) {
 	default:
 		return logio.ReadFileAny(spec)
 	}
+}
+
+// native reports whether a spec names a log file in a native format.
+func native(spec string) bool {
+	if spec == "fig3" || strings.HasPrefix(spec, "clinic:") || strings.HasPrefix(spec, "model:") {
+		return false
+	}
+	_, err := logio.FormatForPath(spec)
+	return err == nil
+}
+
+// StreamLog feeds the records of the log a spec (as for OpenLog) names to
+// fn, unchecked. A native log file goes record by record as it is read, in
+// file order, so the log is never held whole; a generator spec or a .csv or
+// .xes import goes through the log OpenLog builds, in lsn order.
+func StreamLog(spec string, fn func(Record)) error {
+	if native(spec) {
+		return logio.ReadFileFunc(spec, fn)
+	}
+	l, err := OpenLog(spec)
+	if err != nil {
+		return err
+	}
+	for i := range l.Len() {
+		fn(l.Record(i))
+	}
+	return nil
 }
 
 // SaveLog writes a log to a file; the format is inferred from the extension.
