@@ -70,8 +70,8 @@ examples:
 	$(GO) run ./examples/monitor
 
 # Fuzzing pass over every fuzz target: the parsers, the log importers, the
-# codecs, the worker reply reader, the Definition 2 check, the columnar store
-# and the evaluator's entry points, FUZZTIME each (CI: make fuzz FUZZTIME=3s).
+# codecs, the worker reply reader, the Definition 2 check, the monitor's
+# batches, the columnar store and the evaluator's entry points, FUZZTIME each (CI: make fuzz FUZZTIME=3s).
 FUZZTIME ?= 30s
 
 fuzz:
@@ -84,6 +84,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParseValue$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
 	$(GO) test -fuzz='^FuzzScanSegment$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wal/
 	$(GO) test -fuzz='^FuzzCheck$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wlog/
+	$(GO) test -fuzz='^FuzzMonitorBatches$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/stream/
 	$(GO) test -fuzz='^FuzzStoreMatchesIndex$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/colstore/
 	$(GO) test -fuzz='^FuzzEntryPointsAgree$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/eval/
 	$(GO) test -fuzz='^FuzzIncidentCodec$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/cluster/

@@ -257,6 +257,13 @@ type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
 
+// monitorWatches are the watches the monitor benchmarks register.
+var monitorWatches = []string{
+	"GetReimburse -> UpdateRefer",
+	"SeeDoctor -> SeeDoctor -> SeeDoctor",
+	"UpdateRefer -> UpdateRefer",
+}
+
 // BenchmarkMonitorIngest is experiment E12's core cost: per-record
 // ingestion with three active watches, amortized.
 func BenchmarkMonitorIngest(b *testing.B) {
@@ -265,15 +272,10 @@ func BenchmarkMonitorIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	records := l.Records()
-	watches := []string{
-		"GetReimburse -> UpdateRefer",
-		"SeeDoctor -> SeeDoctor -> SeeDoctor",
-		"UpdateRefer -> UpdateRefer",
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := stream.NewMonitor(nil)
-		for j, q := range watches {
+		for j, q := range monitorWatches {
 			if err := m.Watch(fmt.Sprintf("w%d", j), q); err != nil {
 				b.Fatal(err)
 			}
@@ -285,6 +287,36 @@ func BenchmarkMonitorIngest(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(records)), "records/op")
+}
+
+// BenchmarkMonitorIngestLogWatched replays a whole log through IngestLog,
+// one batch, with BenchmarkMonitorIngest's three watches registered.
+func BenchmarkMonitorIngestLogWatched(b *testing.B) {
+	for _, n := range []int{1000, 5000} {
+		b.Run(fmt.Sprintf("instances=%d", n), func(b *testing.B) {
+			l, err := clinic.Generate(n, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var alerts int
+			for i := 0; i < b.N; i++ {
+				m := stream.NewMonitor(nil)
+				for j, q := range monitorWatches {
+					if err := m.Watch(fmt.Sprintf("w%d", j), q); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := m.IngestLog(l); err != nil {
+					b.Fatal(err)
+				}
+				alerts = m.Alerts()
+			}
+			b.ReportMetric(float64(l.Len()), "records/op")
+			b.ReportMetric(float64(alerts), "alerts/op")
+		})
+	}
 }
 
 // BenchmarkParallelEvaluation is experiment E11 as a testing.B series.

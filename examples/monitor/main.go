@@ -2,11 +2,12 @@
 // still writing the log — the "runtime execution monitoring" use the paper
 // contrasts with offline ETL analysis (Figure 2).
 //
-// The program simulates an engine by replaying a generated referral log
-// record by record into a wlq.Monitor. The monitor maintains the
-// Algorithm 2 index incrementally and re-evaluates each watch against only
-// the workflow instance a record extends, alerting at the exact record that
-// first completes an incident — once per watch per instance.
+// The program simulates an engine by handing a generated referral log to a
+// wlq.Monitor. The monitor appends each Ingest batch as one new version of
+// its store and evaluates each watch once on every workflow instance the
+// batch extends, alerting at the exact record that first completed an
+// incident — once per watch per instance, as if the records had arrived one
+// at a time.
 //
 //	go run ./examples/monitor
 package main
@@ -35,14 +36,14 @@ func main() {
 		}
 	})
 
-	watches := map[string]string{
-		"post-reimbursement update (possible fraud)": "GetReimburse -> UpdateRefer",
-		"three doctor visits in one referral":        "SeeDoctor -> SeeDoctor -> SeeDoctor",
-		"referral updated twice":                     "UpdateRefer -> UpdateRefer",
-		"reimbursement with no payment ever":         "CheckIn . SeeDoctor . GetReimburse",
+	watches := []struct{ name, query string }{
+		{"post-reimbursement update (possible fraud)", "GetReimburse -> UpdateRefer"},
+		{"three doctor visits in one referral", "SeeDoctor -> SeeDoctor -> SeeDoctor"},
+		{"referral updated twice", "UpdateRefer -> UpdateRefer"},
+		{"reimbursement with no payment ever", "CheckIn . SeeDoctor . GetReimburse"},
 	}
-	for name, q := range watches {
-		if err := monitor.Watch(name, q); err != nil {
+	for _, w := range watches {
+		if err := monitor.Watch(w.name, w.query); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -49,8 +49,9 @@ type Store struct {
 
 // Origin identifies a history of versions: Build, or the first Append to an
 // empty store, starts one, and every later Append continues its receiver's.
-// A writer that appends only to its newest version, as stream.Monitor does,
-// gives every lsn of a history one content.
+// A writer that appends each batch to its newest version, as
+// ingest.Coordinator and stream.Monitor do, gives every lsn of a history one
+// content.
 type Origin struct{ _ byte }
 
 // symStat is one symbol's share of the log: how many records carry it, and

@@ -72,9 +72,13 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 				}
 				same("AnswerCtx over a 3-way split", incident.MergeSorted(thirds...), nil)
 				for _, wid := range wids {
-					single = append(single, e.EvalInstance(p, wid).Incidents())
+					one, err := e.AnswerCtx(ctx, p, []uint64{wid}, 1, eval.ShapeIncidents, nil)
+					if err = one.Strict(err); err != nil {
+						t.Fatalf("%s/%v: AnswerCtx(%s) on wid %d: %v", name, strat, p, wid, err)
+					}
+					single = append(single, one.Incidents...)
 				}
-				same("EvalInstance per wid", incident.MergeSorted(single...), nil)
+				same("AnswerCtx per wid", incident.MergeSorted(single...), nil)
 
 				n, err := e.CountCtx(ctx, p)
 				if err != nil || n != want.Len() || e.Count(p) != n {
@@ -221,7 +225,7 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 				if ok, err := e.ExistsCtx(ctx, p); errors.As(err, &pe) != existsFails || err == nil && !ok {
 					fail("ExistsCtx = %v, %v; want the panic: %v", ok, err, existsFails)
 				}
-				for entry, call := range map[string]func(){"Eval": func() { e.Eval(p) }, "EvalInstance": func() { e.EvalInstance(p, poisoned[0]) }, "Count": func() { e.Count(p) }} {
+				for entry, call := range map[string]func(){"Eval": func() { e.Eval(p) }, "Count": func() { e.Count(p) }} {
 					func() {
 						defer func() {
 							if r, _ := recover().(*resilience.PanicError); r == nil {

@@ -50,8 +50,8 @@ type Options struct {
 	// produced incidents, wall time and result size; a tripped limit aborts
 	// with an error wrapping resilience.ErrBudgetExceeded. Every entry point
 	// enforces it; the ones without an error result (Eval, EvalParallel,
-	// EvalInstance, Exists, Count) panic with that error, so hand a budget
-	// to the error-returning forms. See budget.go for the check cadence.
+	// Exists, Count) panic with that error, so hand a budget to the
+	// error-returning forms. See budget.go for the check cadence.
 	Budget resilience.Budget
 }
 
@@ -78,12 +78,6 @@ func New(src Source, opts Options) *Evaluator {
 // Eval computes incL(p): every incident of the pattern in the log.
 func (e *Evaluator) Eval(p pattern.Node) *incident.Set {
 	return must(e.EvalParallelCtx(context.Background(), p, 1, nil))
-}
-
-// EvalInstance computes the incidents of p within a single workflow
-// instance.
-func (e *Evaluator) EvalInstance(p pattern.Node, wid uint64) *incident.Set {
-	return must(e.evalSet(context.Background(), p, []uint64{wid}, 1, nil))
 }
 
 // must is how the entry points without an error result report a failed

@@ -235,14 +235,6 @@ func TestCount(t *testing.T) {
 	}
 }
 
-func TestEvalInstance(t *testing.T) {
-	l := buildLog(t, []string{"A", "B"}, []string{"A", "B"})
-	ix := NewIndex(l)
-	e := New(ix, Options{})
-	got := e.EvalInstance(pattern.MustParse("A -> B"), 2)
-	wantSet(t, got, incident.New(2, 2, 3))
-}
-
 func TestEvalSetConvenience(t *testing.T) {
 	got := EvalSet(NewIndex(abab(t)), pattern.MustParse("A . B"))
 	wantSet(t, got, incident.New(1, 2, 3), incident.New(1, 4, 5))

@@ -184,8 +184,8 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 }
 
 // evalSet is AnswerCtx in the incidents shape, all or nothing, as an
-// incident.Set: what the library entry points return (Eval, EvalParallelCtx,
-// EvalInstance). It is the one place the evaluator builds a set.
+// incident.Set: what the library entry points return (Eval, EvalParallel,
+// EvalParallelCtx). It is the one place the evaluator builds a set.
 func (e *Evaluator) evalSet(ctx context.Context, p pattern.Node, wids []uint64, workers int, stats *QueryStats) (*incident.Set, error) {
 	a, err := e.AnswerCtx(ctx, p, wids, workers, ShapeIncidents, stats)
 	if err = a.Strict(err); err != nil {

@@ -2,12 +2,15 @@
 // workflow log — the runtime-monitoring use of Figure 2 of the paper, where
 // the execution engine appends to the log while analysts' queries watch it.
 //
-// A Monitor ingests records (checking them with wlog.Check, the one
-// Definition 2 check, against the version they extend), appends them to its
-// colstore.Store copy on write, and re-evaluates registered watch patterns
-// against only the workflow instance each record extends. Because incidents
-// never span instances (Definition 4), that per-instance re-evaluation is
-// exact: a new record can only create incidents within its own instance.
+// A Monitor ingests a batch of records by checking it once with wlog.Check,
+// the one Definition 2 check, against the version it extends, appending the
+// accepted prefix to its colstore.Store copy on write as one new version,
+// and then evaluating each registered watch once on each workflow instance
+// the batch extends, over that version. Because incidents never span
+// instances (Definition 4) and an append changes no earlier record, an
+// instance's incidents only grow, so that per-instance evaluation is exact:
+// the record that first completed an incident is the smallest last(o) over
+// the instance's incidents, whether it arrived alone or in a batch.
 //
 // Concurrency contract: a Monitor is safe for concurrent use. Each Ingest
 // call publishes one new store version through an atomic pointer; readers —
@@ -18,8 +21,11 @@
 package stream
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -40,16 +46,17 @@ type Alert struct {
 	// WID is the workflow instance the incident occurred in.
 	WID uint64
 	// LSN is the log sequence number of the record that completed the
-	// incident.
+	// instance's first incident: the record whose is-lsn is the smallest
+	// last(o) over the instance's incidents.
 	LSN uint64
-	// Incident is one witnessing incident (the canonical first).
+	// Incident is the canonical first of the incidents that record
+	// completed.
 	Incident incident.Incident
 }
 
 // String renders the alert for logs and CLIs.
 func (a Alert) String() string {
-	return fmt.Sprintf("watch %q fired at lsn=%d: %s (query %s)",
-		a.Watch, a.LSN, a.Incident, a.Query)
+	return fmt.Sprintf("watch %q fired at lsn=%d: %s (query %s)", a.Watch, a.LSN, a.Incident, a.Query)
 }
 
 // Handler receives alerts synchronously during Ingest, while the Monitor's
@@ -63,12 +70,10 @@ type watch struct {
 	name  string
 	query string
 	p     pattern.Node
-	// firedIn records instances already alerted, so each watch alerts at
-	// most once per instance.
-	firedIn map[uint64]struct{}
+	fired int // instances alerted for
 }
 
-// Monitor incrementally evaluates watches over an append-only log.
+// Monitor evaluates watches over an append-only log, batch by batch.
 // Safe for concurrent use; see the package comment for the contract.
 type Monitor struct {
 	// cur is the published version: every read loads it once.
@@ -84,47 +89,38 @@ type Monitor struct {
 // handler (which may be nil when only the Alerts counter and FiredInstances
 // are wanted).
 func NewMonitor(handler Handler) *Monitor {
-	return newMonitor(handler, new(colstore.Store))
+	m := &Monitor{handler: handler}
+	m.cur.Store(new(colstore.Store))
+	return m
 }
 
 // NewMonitorOn creates a Monitor over an existing index's records, so live
-// appends continue where that log ends.
+// appends continue where that log ends. The store is all wlog.Check needs to
+// check what follows it: its newest lsn, and each instance's last record.
 func NewMonitorOn(handler Handler, ix *eval.Index) *Monitor {
 	var recs []wlog.Record
 	for _, wid := range ix.WIDs() {
 		recs = append(recs, ix.Instance(wid)...)
 	}
-	return newMonitor(handler, new(colstore.Store).Append(recs...))
-}
-
-// newMonitor publishes st. The store is all wlog.Check needs to check what
-// follows it: its newest lsn, and each instance's last record.
-func newMonitor(handler Handler, st *colstore.Store) *Monitor {
-	m := &Monitor{handler: handler}
-	m.cur.Store(st)
+	m := NewMonitor(handler)
+	m.cur.Store(m.Store().Append(recs...))
 	return m
 }
 
-// Watch registers a named pattern. Watches alert at most once per workflow
-// instance, at the moment the instance first contains an incident.
+// Watch registers a named pattern. A watch alerts at most once per workflow
+// instance, at the moment the instance first contains an incident; an
+// instance that already held one when the watch was registered stays quiet.
 func (m *Monitor) Watch(name, query string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, w := range m.watches {
-		if w.name == name {
-			return fmt.Errorf("%w: %q", ErrDuplicateWatch, name)
-		}
+	if m.find(name) >= 0 {
+		return fmt.Errorf("%w: %q", ErrDuplicateWatch, name)
 	}
 	p, err := pattern.Parse(query)
 	if err != nil {
 		return err
 	}
-	m.watches = append(m.watches, &watch{
-		name:    name,
-		query:   query,
-		p:       p,
-		firedIn: make(map[uint64]struct{}),
-	})
+	m.watches = append(m.watches, &watch{name: name, query: query, p: p})
 	return nil
 }
 
@@ -139,59 +135,67 @@ func (m *Monitor) WatchNames() []string {
 	return names
 }
 
-// Ingest appends records in order, evaluates every not-yet-fired watch
-// against each record's instance, and publishes one new version. At the
-// first record wlog.Check refuses it stops and returns the refusal (a
+// Ingest appends records in order as one new version, then evaluates each
+// watch once on the instances they extend and delivers the alerts in lsn
+// order (ties in registration order), as ingesting them one per call would.
+// At the first record wlog.Check refuses it stops and returns the refusal (a
 // *wlog.ValidationError); the records before it stay ingested.
 func (m *Monitor) Ingest(recs ...wlog.Record) error {
-	_, err := m.ingest(recs)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	prev := m.cur.Load()
+	n, err := wlog.Check(prev, recs)
+	st := prev.Append(recs[:n]...)
+	m.cur.Store(st)
+	var wids []uint64 // the instances recs[:n] extend, each at its first record there
+	for _, r := range recs[:n] {
+		if len(m.watches) > 0 && r.Seq == uint64(prev.InstanceLen(r.WID))+1 {
+			wids = append(wids, r.WID)
+		}
+	}
+	slices.Sort(wids)
+	var alerts []Alert
+	for _, w := range m.watches {
+		alerts = w.fire(alerts, prev, st, wids)
+	}
+	slices.SortStableFunc(alerts, func(a, b Alert) int { return cmp.Compare(a.LSN, b.LSN) })
+	m.alerts += len(alerts)
+	for _, a := range alerts {
+		if m.handler != nil {
+			m.handler(a)
+		}
+	}
 	return err
 }
 
-// IngestLog replays an entire log through the monitor.
-func (m *Monitor) IngestLog(l *wlog.Log) error {
-	n, err := m.ingest(l.Records())
-	if err != nil {
-		return fmt.Errorf("record %d: %w", n+1, err)
+// fire evaluates w on the instances wids of version st and appends an alert
+// for each whose first incident came after prev. An instance's incidents
+// only grow, so that is the record completing the smallest last(o), and the
+// alert names the canonical first incident it completed.
+func (w *watch) fire(alerts []Alert, prev, st *colstore.Store, wids []uint64) []Alert {
+	a, err := eval.New(st, eval.Options{}).AnswerCtx(context.TODO(), w.p, wids, 1, eval.ShapeIncidents, nil)
+	if err = a.Strict(err); err != nil {
+		panic(err) // an instance panicked: no budget or cancel can fail the scan
 	}
-	return nil
+	defer a.Release()
+	incs := slices.Concat(a.Incidents...)
+	for i, j := 0, 0; i < len(incs); i = j {
+		// incs[i:j] are one instance's incidents, in canonical order.
+		for j = i; j < len(incs) && incs[j].WID() == incs[i].WID(); j++ {
+		}
+		o := slices.MinFunc(incs[i:j], func(x, y incident.Incident) int { return cmp.Compare(x.Last(), y.Last()) })
+		if o.Last() <= uint64(prev.InstanceLen(o.WID())) {
+			continue // completed before this batch: alerted, or not yet watched
+		}
+		done, _ := st.Record(o.WID(), o.Last())
+		w.fired++
+		alerts = append(alerts, Alert{Watch: w.name, Query: w.query, WID: o.WID(), LSN: done.LSN, Incident: incident.Adopt(o.WID(), o.Seqs())})
+	}
+	return alerts
 }
 
-// ingest is Ingest, reporting how many records it applied. Without watches
-// the accepted records are appended in one go, so loading a log is linear
-// in it; a watch needs the version after each record.
-func (m *Monitor) ingest(recs []wlog.Record) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.cur.Load()
-	n, err := wlog.Check(st, recs)
-	if len(m.watches) == 0 {
-		m.cur.Store(st.Append(recs[:n]...))
-		return n, err
-	}
-	for _, r := range recs[:n] {
-		// A watch is evaluated over the version r completed, against r's
-		// instance only.
-		st = st.Append(r)
-		ev := eval.New(st, eval.Options{})
-		for _, w := range m.watches {
-			if _, fired := w.firedIn[r.WID]; fired {
-				continue
-			}
-			set := ev.EvalInstance(w.p, r.WID)
-			if set.Len() == 0 {
-				continue
-			}
-			w.firedIn[r.WID] = struct{}{}
-			m.alerts++
-			if m.handler != nil {
-				m.handler(Alert{Watch: w.name, Query: w.query, WID: r.WID, LSN: r.LSN, Incident: set.At(0)})
-			}
-		}
-	}
-	m.cur.Store(st)
-	return n, err
-}
+// IngestLog replays an entire log through the monitor.
+func (m *Monitor) IngestLog(l *wlog.Log) error { return m.Ingest(l.Records()...) }
 
 // Alerts returns how many alerts have been raised in total.
 func (m *Monitor) Alerts() int {
@@ -205,10 +209,8 @@ func (m *Monitor) Alerts() int {
 func (m *Monitor) FiredInstances(name string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, w := range m.watches {
-		if w.name == name {
-			return len(w.firedIn)
-		}
+	if i := m.find(name); i >= 0 {
+		return m.watches[i].fired
 	}
 	return 0
 }
@@ -236,11 +238,14 @@ func (m *Monitor) Query(query string) (*incident.Set, error) {
 func (m *Monitor) Unwatch(name string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for i, w := range m.watches {
-		if w.name == name {
-			m.watches = append(m.watches[:i], m.watches[i+1:]...)
-			return true
-		}
+	i := m.find(name)
+	if i >= 0 {
+		m.watches = slices.Delete(m.watches, i, i+1)
 	}
-	return false
+	return i >= 0
+}
+
+// find returns the index of the named watch, or -1.
+func (m *Monitor) find(name string) int {
+	return slices.IndexFunc(m.watches, func(w *watch) bool { return w.name == name })
 }

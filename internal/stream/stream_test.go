@@ -89,6 +89,41 @@ func TestMonitorPerInstanceAlerts(t *testing.T) {
 	}
 }
 
+// TestLateWatchStaysQuietWhereAnIncidentCameFirst: a watch registered after
+// an instance already holds an incident never alerts for that instance,
+// because the moment it first held one came before the watch; an instance
+// that completes its first incident later alerts at the completing record.
+func TestLateWatchStaysQuietWhereAnIncidentCameFirst(t *testing.T) {
+	var alerts []Alert
+	m := NewMonitor(func(a Alert) { alerts = append(alerts, a) })
+	if err := m.Ingest(
+		wlog.Record{LSN: 1, WID: 1, Seq: 1, Activity: wlog.ActivityStart},
+		wlog.Record{LSN: 2, WID: 1, Seq: 2, Activity: "A"},
+		wlog.Record{LSN: 3, WID: 2, Seq: 1, Activity: wlog.ActivityStart},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Watch("late", "A"); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wlog.Record{
+		{LSN: 4, WID: 1, Seq: 3, Activity: "A"}, // wid 1 matched before the watch
+		{LSN: 5, WID: 2, Seq: 2, Activity: "B"},
+		{LSN: 6, WID: 2, Seq: 3, Activity: "A"}, // wid 2's first incident
+		{LSN: 7, WID: 1, Seq: 4, Activity: "B"},
+	} {
+		if err := m.Ingest(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(alerts) != 1 || alerts[0].WID != 2 || alerts[0].LSN != 6 {
+		t.Fatalf("alerts = %v, want one, for wid 2 at lsn 6", alerts)
+	}
+	if m.FiredInstances("late") != 1 || m.Alerts() != 1 {
+		t.Errorf("fired = %d, alerts = %d; want 1, 1", m.FiredInstances("late"), m.Alerts())
+	}
+}
+
 func TestIngestDiscipline(t *testing.T) {
 	start := wlog.Record{LSN: 1, WID: 1, Seq: 1, Activity: wlog.ActivityStart}
 	tests := []struct {
