@@ -117,7 +117,9 @@ type WorkerReplyHead struct {
 	// inside the requested interval — the coordinator cross-checks this
 	// against its own part.
 	WIDsOwned int `json:"wids_owned"`
-	// Instances is the number of workflow instances actually evaluated.
+	// Instances is the number of workflow instances the part's answer
+	// covers: every owned one but those excluded, whether the scan evaluated
+	// it or skipped it as one the plan cannot match (its share is empty).
 	Instances int `json:"instances"`
 	// Count is the number of incidents in the part, present in the modes
 	// "count" and "instances" (in "incidents" it is the array's length). Its

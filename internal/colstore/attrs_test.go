@@ -98,8 +98,8 @@ func TestAttrRoundTrip(t *testing.T) {
 					wv, wok := predicate.Lookup(want, side, attr)
 					var gv wlog.Value
 					gok := false
-					if known {
-						gv, gok = st.Attr(wid, want.Seq, key, side)
+					if pos, ok := st.Position(wid); known && ok {
+						gv, gok = st.AttrAt(pos, want.Seq, key, side)
 					}
 					if gok != wok || wok && !sameValue(gv, wv) {
 						t.Errorf("%s: Attr(seq %d, %q, %v) = %v, %v; want %v, %v", name, want.Seq, attr, side, gv, gok, wv, wok)

@@ -103,14 +103,14 @@ func (st *staging) extend() *Store {
 }
 
 // part is one instance of a new chunk: where it lay in the base version
-// (from nil for a new instance), its records and attribute bytes, and its
-// start in the chunk.
+// (from nil for a new instance), its records and attribute bytes, its
+// start in the chunk, and its position in the new version's wid list.
 type part struct {
 	old      loc
 	from     *chunk
 	recs     int32
 	bytes    int
-	lo       int32
+	lo, pos  int32
 	next, at int // layout's cursors: record and arena byte
 }
 
@@ -226,7 +226,10 @@ func (st *staging) layout(parts []part, inst []int32) *chunk {
 // place puts the chunk into s, a new version still sharing the base's
 // directory and chunk list: in a slot no instance uses any more, or a new
 // one, with its posting columns built and the parts' directory entries
-// pointing at it. The wid list and index are rebuilt only when a wid is new.
+// pointing at it. The wid list and index are rebuilt only when a wid is new,
+// and the instance postings copied only where they change: the lists of the
+// symbols a touched instance gains, or all of them, renumbered, when a new
+// wid lands before an old one and so moves its position.
 func (s *Store) place(c *chunk, parts []part, at map[uint64]int32) {
 	chunks, live := s.chunks, s.live // the base's
 	s.chunks, s.live = slices.Clone(chunks), slices.Clone(live)
@@ -259,22 +262,105 @@ func (s *Store) place(c *chunk, parts []part, at map[uint64]int32) {
 			s.widList = append(s.widList, wid)
 		}
 	}
+	var moved []int32 // the base's positions, renumbered
 	if len(s.widList) == len(widList) {
 		s.dir = slices.Clone(dir)
 	} else {
 		slices.Sort(s.widList)
 		s.widIdx = make(map[uint64]int32, len(s.widList))
 		s.dir = make([]loc, len(s.widList))
+		moved = make([]int32, len(widList))
 		for w, wid := range s.widList {
 			s.widIdx[wid] = int32(w)
 			if old, ok := widIdx[wid]; ok {
 				s.dir[w] = dir[old]
+				moved[old] = int32(w)
 			}
+		}
+		// The renumbering is increasing: it moves nothing when the last old
+		// position stays, as when every new wid follows the old ones.
+		if n := len(moved); n == 0 || moved[n-1] == int32(n-1) {
+			moved = nil
 		}
 	}
 	for wid, i := range at {
-		s.dir[s.widIdx[wid]] = locs[i]
+		parts[i].pos = s.widIdx[wid]
+		s.dir[parts[i].pos] = locs[i]
 	}
+	s.gain(c, parts, locs, moved)
+}
+
+// gain adds the position of each touched instance to the instance postings
+// of every symbol its new records carry and its old ones did not (every
+// symbol of a new instance), copying those lists; the others stay shared
+// with the base. When a new wid renumbered the base's positions (moved),
+// every list is copied renumbered.
+func (s *Store) gain(c *chunk, parts []part, locs []loc, moved []int32) {
+	each := func(f func(sym, pos int32)) {
+		var buf [64]int32
+		for i := range parts {
+			p := &parts[i]
+			if p.recs == p.old.n {
+				continue // folded in unchanged
+			}
+			for _, sym := range locs[i].appendSyms(buf[:0], c) {
+				if p.from == nil || len(p.old.postings(p.from, sym)) == 0 {
+					f(sym, p.pos)
+				}
+			}
+		}
+	}
+	// A counting placement: how many positions each symbol gains, then the
+	// positions in one allocation, grouped by symbol.
+	gains, total := make([]int, s.syms.Len()), 0
+	each(func(sym, _ int32) { gains[sym]++; total++ })
+	if total == 0 && moved == nil {
+		return
+	}
+	carriers := make([][]int32, s.syms.Len())
+	copy(carriers, s.carriers)
+	if moved != nil {
+		n := 0
+		for _, old := range carriers {
+			n += len(old)
+		}
+		flat := make([]int32, n)
+		for sym, old := range carriers {
+			renumbered := flat[:len(old):len(old)]
+			flat = flat[len(old):]
+			for k, pos := range old {
+				renumbered[k] = moved[pos]
+			}
+			carriers[sym] = renumbered
+		}
+	}
+	flat, added := make([]int32, total), make([][]int32, len(gains))
+	for sym, n := range gains {
+		added[sym], flat = flat[:0:n], flat[n:]
+	}
+	each(func(sym, pos int32) { added[sym] = append(added[sym], pos) })
+	for sym, add := range added {
+		old := carriers[sym]
+		slices.Sort(add)
+		switch {
+		case len(add) == 0:
+			continue
+		case len(old) == 0:
+			carriers[sym] = add
+			continue
+		}
+		merged := make([]int32, 0, len(old)+len(add))
+		i := 0
+		for _, pos := range add {
+			for i < len(old) && old[i] < pos {
+				merged = append(merged, old[i])
+				i++
+			}
+			merged = append(merged, pos)
+		}
+		carriers[sym] = append(merged, old[i:]...)
+	}
+	s.carriers = carriers
 }
 
 // sortRun puts records lo..hi-1 in is-lsn order, stably, when an unchecked

@@ -34,10 +34,13 @@ func assertAnswers(t *testing.T, name string, cs *Store, p pattern.Node, want *i
 }
 
 // assertStoreMatchesOracle holds every way of building a Store — in bulk,
-// appended record by record from empty, and appended onto a bulk-built
-// prefix, each in both posting layouts — to naive Algorithm 1 over the
-// oracle's index. The version taken half way must answer for the first half
-// while and after a writer appends the rest to it.
+// appended record by record from empty, appended onto a bulk-built prefix,
+// and every other instance appended record by record onto the rest (opening
+// wids before, between and after those there), each in both posting
+// layouts — to naive Algorithm 1 over the oracle's index, and its instance
+// postings to the index's and to a scan of its directory. The version taken
+// half way must answer for the first half while and after a writer appends
+// the rest to it.
 func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
 	t.Helper()
 	oracle := func(l *wlog.Log) *incident.Set {
@@ -46,6 +49,15 @@ func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
 	recs := l.Records()
 	mid := len(recs) / 2
 	want, wantMid := oracle(l), oracle(wlog.MustNew(recs[:mid]))
+	ix, ixMid := eval.NewIndex(l), eval.NewIndex(wlog.MustNew(recs[:mid]))
+	var odd, even []wlog.Record // by the instance's position in the log
+	for _, r := range recs {
+		if i, _ := slices.BinarySearch(l.WIDs(), r.WID); i%2 == 0 {
+			even = append(even, r)
+		} else {
+			odd = append(odd, r)
+		}
+	}
 	for layout, empty := range map[string]*Store{"dense": {}, "sparse": {sparse: true}} {
 		grown, half := empty, empty.Append(recs[:mid]...)
 		for _, r := range recs[:mid] {
@@ -62,12 +74,36 @@ func assertStoreMatchesOracle(t *testing.T, l *wlog.Log, p pattern.Node) {
 		}()
 		assertAnswers(t, layout+"/halfway", halfway, p, wantMid)
 		done := <-rest
-		assertAnswers(t, layout+"/bulk", empty.Append(recs...), p, want)
-		assertAnswers(t, layout+"/appended", done[0], p, want)
-		assertAnswers(t, layout+"/prefix+appended", done[1], p, want)
+		interleaved := empty.Append(odd...)
+		for _, r := range even {
+			interleaved = interleaved.Append(r)
+		}
+		for name, cs := range map[string]*Store{"bulk": empty.Append(recs...), "appended": done[0], "prefix+appended": done[1], "interleaved": interleaved} {
+			assertAnswers(t, layout+"/"+name, cs, p, want)
+			assertPostingsMatch(t, layout+"/"+name, cs, ix)
+		}
 		assertAnswers(t, layout+"/halfway after the rest", halfway, p, wantMid)
 		assertAnswers(t, layout+"/prefix after the rest", half, p, wantMid)
+		assertPostingsMatch(t, layout+"/halfway after the rest", halfway, ixMid)
+		assertPostingsMatch(t, layout+"/prefix after the rest", half, ixMid)
 	}
+}
+
+// assertPostingsMatch holds a store's instance postings to the index's,
+// activity by activity, and to a scan of its own directory.
+func assertPostingsMatch(t *testing.T, name string, cs *Store, ix *eval.Index) {
+	t.Helper()
+	if !slices.Equal(cs.WIDs(), ix.WIDs()) || !slices.Equal(cs.Activities(), ix.Activities()) {
+		t.Fatalf("%s: wids %v and activities %v, the index has %v and %v", name, cs.WIDs(), cs.Activities(), ix.WIDs(), ix.Activities())
+	}
+	for _, act := range ix.Activities() {
+		csym, _ := cs.ResolveActivity(act)
+		isym, _ := ix.ResolveActivity(act)
+		if got, want := cs.InstancesWith(csym), ix.InstancesWith(isym); !slices.Equal(got, want) {
+			t.Fatalf("%s: InstancesWith(%q) = %v, the index has %v", name, act, got, want)
+		}
+	}
+	assertInstancePostings(t, cs)
 }
 
 // FuzzStoreMatchesIndex is the differential check behind serving every log

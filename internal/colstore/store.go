@@ -14,13 +14,17 @@ import (
 // holding its attribute maps (attrs.go). Per instance, the records are
 // contiguous in is-lsn order, and so are, per symbol, the ascending is-lsn
 // values of the records carrying it; a wid directory of integer offsets
-// reaches them.
+// reaches them. An instance's position in the ascending wid list is the key
+// of every evaluator probe, and per symbol the store also keeps the
+// positions of the instances carrying it (the instance postings).
 //
 // A Store is an immutable version of a log. Append returns a new version that
 // shares everything the appended records leave alone: it lays the instances
-// they extend out again in one new chunk of columns, and rebuilds the
-// directory when one of them opens a wid and the symbol tables when one
-// carries a new name. So a reader that holds a version reads it without a
+// they extend out again in one new chunk of columns, rebuilds the directory
+// when one of them opens a wid and the symbol tables when one carries a new
+// name, and copies the instance postings of the symbols an instance gains
+// (all of them, renumbered, when a new wid moves old positions). So a
+// reader that holds a version reads it without a
 // lock while a writer appends (copy on write), and a Builder is the same
 // construction over a whole log, in one chunk. The collector's work on a
 // store is a few pointers per chunk, whatever the number of records or
@@ -34,6 +38,9 @@ type Store struct {
 	widList []uint64    // ascending
 	widIdx  map[uint64]int32
 	dir     []loc // parallel to widList
+	// carriers holds, per symbol, the positions in widList of the instances
+	// with a record carrying it, ascending.
+	carriers [][]int32
 	// chunks hold the columns; a slot is nil once no instance of the
 	// version lies in it, and live counts each slot's records in use.
 	chunks  []*chunk
@@ -161,14 +168,16 @@ func (l *loc) at(c *chunk, seq uint64) (int, bool) {
 	return int(l.lo) + i, ok
 }
 
-// InstanceLen returns the number of records of the instance (0 when the wid
-// is absent).
-func (s *Store) InstanceLen(wid uint64) int {
-	if w, ok := s.widIdx[wid]; ok {
-		return int(s.dir[w].n)
-	}
-	return 0
+// Position returns the instance's position in WIDs, the key of the
+// positional probes (ok false when the wid is absent).
+func (s *Store) Position(wid uint64) (int, bool) {
+	w, ok := s.widIdx[wid]
+	return int(w), ok
 }
+
+// InstanceLenAt returns the number of records of the instance at the
+// position.
+func (s *Store) InstanceLenAt(pos int) int { return int(s.dir[pos].n) }
 
 // InstanceTail returns the is-lsn of the instance's last record and whether
 // that record is its END (0 and false when the wid is absent): what
@@ -221,15 +230,13 @@ func (s *Store) record(c *chunk, wid uint64, k int) wlog.Record {
 // ResolveAttr maps an attribute name to its interned key symbol.
 func (s *Store) ResolveAttr(name string) (int32, bool) { return s.keys.Resolve(name) }
 
-// Attr reads the value of the attribute with the key symbol on a side of the
-// instance's record with the given is-lsn, in place: ok is false when the
-// record does not carry it there. It allocates nothing; a string value
-// aliases the store.
-func (s *Store) Attr(wid, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
-	l, c, ok := s.find(wid)
-	if !ok {
-		return wlog.Value{}, false
-	}
+// AttrAt reads the value of the attribute with the key symbol on a side of
+// the record with the given is-lsn of the instance at the position, in
+// place: ok is false when the record does not carry it there. It allocates
+// nothing; a string value aliases the store.
+func (s *Store) AttrAt(pos int, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
+	l := &s.dir[pos]
+	c := s.chunks[l.chunk]
 	k, ok := l.at(c, seq)
 	if !ok {
 		return wlog.Value{}, false
@@ -242,19 +249,20 @@ func (s *Store) ResolveActivity(name string) (int32, bool) {
 	return s.syms.Resolve(name)
 }
 
-// ActivitySeqsSym returns the is-lsn values (ascending) of the instance's
-// records carrying the symbol: a zero-copy, capacity-clipped slice of its
-// group, by two loads in the dense layout and a binary search in the sparse
-// one. Callers must not modify it.
-func (s *Store) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
-	w, ok := s.widIdx[wid]
-	if !ok {
-		return nil
-	}
-	l := &s.dir[w]
-	c := s.chunks[l.chunk]
+// PostingsAt returns the is-lsn values (ascending) of the records carrying
+// the symbol of the instance at the position: a zero-copy, capacity-clipped
+// slice of its group. Callers must not modify it.
+func (s *Store) PostingsAt(pos int, sym int32) []uint64 {
+	l := &s.dir[pos]
+	return l.postings(s.chunks[l.chunk], sym)
+}
+
+// postings is the instance's group of the symbol, by two loads in the dense
+// layout and a binary search in the sparse one; nil when it has none.
+func (l *loc) postings(c *chunk, sym int32) []uint64 {
 	i := int(sym)
 	if l.syms >= 0 {
+		var ok bool
 		if i, ok = slices.BinarySearch(c.rsyms[l.syms:l.syms+l.rows], sym); !ok {
 			return nil
 		}
@@ -265,6 +273,29 @@ func (s *Store) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
 	off := c.off[int(l.off)+i:]
 	lo, hi := int(l.lo)+int(off[0]), int(l.lo)+int(off[1])
 	return c.post[lo:hi:hi]
+}
+
+// appendSyms appends the symbols the instance's records carry, ascending.
+func (l *loc) appendSyms(dst []int32, c *chunk) []int32 {
+	if l.syms >= 0 {
+		return append(dst, c.rsyms[l.syms:l.syms+l.rows]...)
+	}
+	off := c.off[l.off : l.off+l.rows+1]
+	for i := range l.rows {
+		if off[i+1] > off[i] {
+			dst = append(dst, i)
+		}
+	}
+	return dst
+}
+
+// InstancesWith returns the positions, ascending, of the instances with a
+// record carrying the symbol. Callers must not modify the returned slice.
+func (s *Store) InstancesWith(sym int32) []int32 {
+	if uint(sym) >= uint(len(s.carriers)) {
+		return nil
+	}
+	return s.carriers[sym]
 }
 
 // ActivityCount returns the total number of records (across all instances)

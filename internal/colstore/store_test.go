@@ -118,8 +118,13 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 	}
 	probeWIDs := append(append([]uint64{}, ix.WIDs()...), 0, 1<<40) // absent wids included
 	for _, wid := range probeWIDs {
-		if rl, cl := ix.InstanceLen(wid), cs.InstanceLen(wid); rl != cl {
-			t.Errorf("InstanceLen(%d): row %d, columnar %d", wid, rl, cl)
+		rp, rok := ix.Position(wid)
+		cp, cok := cs.Position(wid)
+		if rok != cok || rok && rp != cp {
+			t.Errorf("Position(%d): row %d, %v; columnar %d, %v", wid, rp, rok, cp, cok)
+		}
+		if rok && cok && ix.InstanceLenAt(rp) != cs.InstanceLenAt(cp) {
+			t.Errorf("InstanceLenAt(%d): row %d, columnar %d", rp, ix.InstanceLenAt(rp), cs.InstanceLenAt(cp))
 		}
 		ri, ci := ix.Instance(wid), cs.Instance(wid)
 		if len(ri) != len(ci) {
@@ -143,6 +148,14 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 			}
 		}
 	}
+	for _, act := range ix.Activities() {
+		rs, _ := ix.ResolveActivity(act)
+		cs2, _ := cs.ResolveActivity(act)
+		if r, c := ix.InstancesWith(rs), cs.InstancesWith(cs2); !slices.Equal(r, c) {
+			t.Errorf("InstancesWith(%q): row %v, columnar %v", act, r, c)
+		}
+	}
+	assertInstancePostings(t, cs)
 	// The watermarks the result cache reads, against the log itself.
 	last := make(map[string]uint64)
 	for _, r := range l.Records() {
@@ -161,10 +174,37 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 // seqsOf is the source's posting list of the activity in the instance.
 func seqsOf(src eval.Source, wid uint64, act string) []uint64 {
 	sym, ok := src.ResolveActivity(act)
-	if !ok {
+	pos, in := src.Position(wid)
+	if !ok || !in {
 		return nil
 	}
-	return src.ActivitySeqsSym(wid, sym)
+	return src.PostingsAt(pos, sym)
+}
+
+// assertInstancePostings holds the store's instance postings, per symbol,
+// to a linear scan of its directory: the positions of the instances whose
+// decoded records carry the activity, ascending.
+func assertInstancePostings(t *testing.T, cs *Store) {
+	t.Helper()
+	want := make(map[string][]int32)
+	for pos, wid := range cs.WIDs() {
+		seen := make(map[string]bool)
+		for _, r := range cs.Instance(wid) {
+			if !seen[r.Activity] {
+				seen[r.Activity] = true
+				want[r.Activity] = append(want[r.Activity], int32(pos))
+			}
+		}
+	}
+	for _, act := range cs.Activities() {
+		sym, _ := cs.ResolveActivity(act)
+		if got := cs.InstancesWith(sym); !slices.Equal(got, want[act]) {
+			t.Errorf("InstancesWith(%q) = %v, a scan of the directory finds %v", act, got, want[act])
+		}
+	}
+	if got := cs.InstancesWith(int32(len(cs.Activities()))); got != nil {
+		t.Errorf("InstancesWith of an out-of-range symbol = %v, want nil", got)
+	}
 }
 
 func TestSymbolicLookups(t *testing.T) {
@@ -173,17 +213,27 @@ func TestSymbolicLookups(t *testing.T) {
 	if !ok {
 		t.Fatal("ResolveActivity(A) not found")
 	}
-	if got := cs.ActivitySeqsSym(1, sym); !reflect.DeepEqual(got, []uint64{2, 4, 5}) {
-		t.Errorf("ActivitySeqsSym(1, A) = %v, want [2 4 5]", got)
+	pos, ok := cs.Position(1)
+	if !ok {
+		t.Fatal("Position(1) not found")
 	}
-	if got := cs.ActivitySeqsSym(999, sym); got != nil {
-		t.Errorf("ActivitySeqsSym on absent wid = %v, want nil", got)
+	if got := cs.PostingsAt(pos, sym); !reflect.DeepEqual(got, []uint64{2, 4, 5}) {
+		t.Errorf("PostingsAt(1, A) = %v, want [2 4 5]", got)
 	}
-	if got := cs.ActivitySeqsSym(1, -1); got != nil {
-		t.Errorf("ActivitySeqsSym on negative symbol = %v, want nil", got)
+	if _, ok := cs.Position(999); ok {
+		t.Error("Position found an absent wid")
 	}
-	if got := cs.ActivitySeqsSym(1, int32(len(cs.Activities()))); got != nil {
-		t.Errorf("ActivitySeqsSym on out-of-range symbol = %v, want nil", got)
+	if got := cs.PostingsAt(pos, -1); got != nil {
+		t.Errorf("PostingsAt on negative symbol = %v, want nil", got)
+	}
+	if got := cs.PostingsAt(pos, int32(len(cs.Activities()))); got != nil {
+		t.Errorf("PostingsAt on out-of-range symbol = %v, want nil", got)
+	}
+	if got := cs.InstancesWith(sym); !reflect.DeepEqual(got, []int32{0, 1}) {
+		t.Errorf("InstancesWith(A) = %v, want [0 1]", got)
+	}
+	if got := cs.InstancesWith(-1); got != nil {
+		t.Errorf("InstancesWith on negative symbol = %v, want nil", got)
 	}
 	if _, ok := cs.ResolveActivity("Z"); ok {
 		t.Error("ResolveActivity of absent activity reported ok")
@@ -300,4 +350,59 @@ func TestAppendFoldsChunks(t *testing.T) {
 	}
 	t.Logf("%d records appended one at a time: %d chunks in %d slots", l.Len(), used, len(st.chunks))
 	assertSourcesAgree(t, eval.NewIndex(l), st, l)
+}
+
+// TestInstancePostingsAcrossAppends: an append copies the instance
+// postings of exactly the symbols a touched or new instance gains and
+// shares the rest with the version it extends, as long as every new wid
+// follows the old ones; one that opens a wid before or between them moves
+// positions and copies every list renumbered. No append changes a list an
+// older version handed out.
+func TestInstancePostingsAcrossAppends(t *testing.T) {
+	rec := func(lsn, wid, seq uint64, act string) wlog.Record {
+		return wlog.Record{LSN: lsn, WID: wid, Seq: seq, Activity: act}
+	}
+	base := new(Store).Append(rec(1, 2, 1, "A"), rec(2, 4, 1, "A"), rec(3, 4, 2, "B"))
+	postings := func(s *Store, act string) []int32 {
+		sym, ok := s.ResolveActivity(act)
+		if !ok {
+			return nil
+		}
+		return s.InstancesWith(sym)
+	}
+	baseA, baseB := postings(base, "A"), postings(base, "B")
+	if !slices.Equal(baseA, []int32{0, 1}) || !slices.Equal(baseB, []int32{1}) {
+		t.Fatalf("base: A at %v, B at %v; want [0 1] and [1]", baseA, baseB)
+	}
+	// wid 2 gains B, wid 4 another A, and wid 4 a new activity C.
+	gained := base.Append(rec(4, 2, 2, "B"), rec(5, 4, 3, "A"), rec(6, 4, 4, "C"))
+	if got := postings(gained, "B"); !slices.Equal(got, []int32{0, 1}) {
+		t.Errorf("after wid 2 gained B: B at %v, want [0 1]", got)
+	}
+	if got := postings(gained, "C"); !slices.Equal(got, []int32{1}) {
+		t.Errorf("after wid 4 gained C: C at %v, want [1]", got)
+	}
+	if got := postings(gained, "A"); &got[0] != &baseA[0] {
+		t.Error("A, which no touched instance gained, was copied")
+	}
+	assertInstancePostings(t, gained)
+	after := gained.Append(rec(7, 9, 1, "C"))
+	if got := postings(after, "C"); !slices.Equal(got, []int32{1, 2}) {
+		t.Errorf("after wid 9 opened: C at %v, want [1 2]", got)
+	}
+	if got := postings(after, "A"); &got[0] != &baseA[0] {
+		t.Error("A was copied when a wid opened after the others")
+	}
+	assertInstancePostings(t, after)
+	// wids 1, 3 and 5 open before, between and after 2 and 4.
+	opened := gained.Append(rec(7, 3, 1, "C"), rec(8, 1, 1, "B"), rec(9, 5, 1, "A"))
+	for act, want := range map[string][]int32{"A": {1, 3, 4}, "B": {0, 1, 3}, "C": {2, 3}} {
+		if got := postings(opened, act); !slices.Equal(got, want) {
+			t.Errorf("after wids 1, 3, 5 opened: %s at %v, want %v", act, got, want)
+		}
+	}
+	assertInstancePostings(t, opened)
+	if !slices.Equal(postings(base, "A"), []int32{0, 1}) || !slices.Equal(postings(base, "B"), []int32{1}) || postings(base, "C") != nil {
+		t.Errorf("the base version changed: A at %v, B at %v", postings(base, "A"), postings(base, "B"))
+	}
 }

@@ -169,7 +169,7 @@ func SetEvalHook(h func(wid uint64)) {
 // an incident id and the captured stack. One poisoned instance evaluation
 // excludes that instance from one answer; the rest of the scan, the process,
 // and the other queries in flight keep going.
-func (e *Evaluator) safeInstance(sc *scratch, counted bool, wid uint64, bs *budgetState) (n int, incs []incident.Incident, err error) {
+func (e *Evaluator) safeInstance(sc *scratch, counted bool, wid uint64, pos int, bs *budgetState) (n int, incs []incident.Incident, err error) {
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -183,8 +183,8 @@ func (e *Evaluator) safeInstance(sc *scratch, counted bool, wid uint64, bs *budg
 		(*h)(wid)
 	}
 	if counted {
-		return e.countInstance(sc, wid, bs), nil, nil
+		return e.countInstance(sc, pos, bs), nil, nil
 	}
-	incs = e.evalInstance(sc, wid, bs)
+	incs = e.evalInstance(sc, wid, pos, bs)
 	return len(incs), incs, nil
 }

@@ -128,7 +128,7 @@ type summary struct {
 // their probes and pair tests like the enumerating joins do, so the
 // comparison and wall-time budgets bound a pathological count; there is no
 // produced incident for the outputs and result-size budgets to bound.
-func (e *Evaluator) countInstance(c *scratch, wid uint64, bs *budgetState) int {
+func (e *Evaluator) countInstance(c *scratch, pos int, bs *budgetState) int {
 	for i := range c.prog {
 		st, sc := &c.prog[i], &c.steps[i]
 		switch {
@@ -138,7 +138,7 @@ func (e *Evaluator) countInstance(c *scratch, wid uint64, bs *budgetState) int {
 				sc.tally.memoHits++
 			}
 		case st.atom != nil:
-			seqs, candidates := e.atomSeqs(st, wid, &sc.pos)
+			seqs, candidates := e.atomSeqs(st, pos, &sc.pos)
 			sc.val.n, sc.val.pos = uint64(len(seqs)), seqs
 			if st.nm != nil {
 				sc.tally.recordAtom(candidates, len(seqs))

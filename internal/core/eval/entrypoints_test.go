@@ -25,8 +25,9 @@ import (
 // under both join strategies, with and without a meter, over the row index
 // and the columnar store — to one answer: naive Algorithm 1 over the row
 // index, every incident of which must also pass the independent
-// Definition 4 check. Then it poisons the given instances
-// (assertExclusions).
+// Definition 4 check. Then it poisons those of the given instances that a
+// scan evaluates under both strategies — the merge strategy skips the ones
+// the plan's required-atom formula rules out (assertExclusions).
 func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned []uint64) {
 	t.Helper()
 	ctx := context.Background()
@@ -38,6 +39,17 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 			t.Fatalf("%s: %v is not an incident by Definition 4", p, o)
 		}
 	}
+	read := evaluated(t, l, p)
+	if !isSubset(want.WIDs(), read) {
+		t.Fatalf("%s: the merge strategy evaluates %v, skipping an instance of %v", p, read, want.WIDs())
+	}
+	var injected []uint64
+	for _, wid := range poisoned {
+		if _, ok := slices.BinarySearch(read, wid); ok {
+			injected = append(injected, wid)
+		}
+	}
+	poisoned = injected
 	for name, src := range map[string]eval.Source{"index": ix, "colstore": colstore.Build(l)} {
 		for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
 			for _, metered := range []bool{false, true} {
@@ -79,6 +91,7 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 					single = append(single, one.Incidents...)
 				}
 				same("AnswerCtx per wid", incident.MergeSorted(single...), nil)
+				assertWIDListsAgree(t, e, p, wids, want)
 
 				n, err := e.CountCtx(ctx, p)
 				if err != nil || n != want.Len() || e.Count(p) != n {
@@ -107,6 +120,83 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 	assertExclusions(t, l, p, want, poisoned)
 }
 
+// assertWIDListsAgree: over each kind of wid list a scan is handed — a run
+// of the source's own list wids (a worker's owned interval), a copy of it,
+// and any other ascending list (the monitor's touched instances), absent
+// wids included — every shape answers the oracle restricted to the list,
+// and the statistics count every instance of the list as covered.
+func assertWIDListsAgree(t *testing.T, e *eval.Evaluator, p pattern.Node, wids []uint64, want *incident.Set) {
+	t.Helper()
+	var everyOther []uint64
+	for i := 0; i < len(wids); i += 2 {
+		everyOther = append(everyOther, wids[i])
+	}
+	lists := map[string][]uint64{
+		"a run":              wids[len(wids)/3 : len(wids)-len(wids)/3],
+		"a copy":             slices.Clone(wids),
+		"every other wid":    everyOther,
+		"absent wids around": append(append([]uint64{0}, everyOther...), 1<<40),
+	}
+	for name, list := range lists {
+		var kept []incident.Incident
+		for _, o := range want.Incidents() {
+			if _, ok := slices.BinarySearch(list, o.WID()); ok {
+				kept = append(kept, o)
+			}
+		}
+		rest := incident.NewSet(kept...)
+		for _, shape := range []eval.Shape{eval.ShapeIncidents, eval.ShapeInstances, eval.ShapeCount} {
+			for _, workers := range []int{1, 2} {
+				var qs eval.QueryStats
+				a, err := e.AnswerCtx(context.Background(), p, list, workers, shape, &qs)
+				if err = a.Strict(err); err != nil || a.Count != rest.Len() || qs.Instances != len(list) ||
+					shape == eval.ShapeIncidents && !sameIncidents(a, rest) ||
+					shape == eval.ShapeInstances && !slices.Equal(a.WIDs, rest.WIDs()) {
+					t.Fatalf("%s over %s %v, %v, %d workers: %+v, %v, stats %+v; the oracle restricted to it: %s", p, name, list, shape, workers, a, err, qs, rest)
+				}
+			}
+		}
+	}
+}
+
+// evaluated is the instances a StrategyMerge scan of the whole log
+// evaluates, by the fault hook, which must be the same over both backends:
+// those the plan's required-atom formula admits.
+func evaluated(t *testing.T, l *wlog.Log, p pattern.Node) []uint64 {
+	t.Helper()
+	defer eval.SetEvalHook(nil)
+	var read []uint64
+	for name, src := range backends(l) {
+		var got []uint64
+		eval.SetEvalHook(func(wid uint64) { got = append(got, wid) })
+		if _, err := eval.New(src, eval.Options{}).AnswerCtx(context.Background(), p, src.WIDs(), 1, eval.ShapeCount, nil); err != nil {
+			t.Fatal(err)
+		}
+		if read != nil && !slices.Equal(got, read) {
+			t.Fatalf("%s evaluates %v over %s, %v over the other backend", p, got, name, read)
+		}
+		read = got
+		if want := eval.Candidates(src, p, eval.StrategyMerge); len(got) != want {
+			t.Fatalf("%s: %d instances evaluated over %s, Candidates says %d", p, len(got), name, want)
+		}
+		if n := eval.Candidates(src, p, eval.StrategyNaive); n != len(src.WIDs()) {
+			t.Fatalf("%s: Candidates under the naive strategy is %d of %d instances", p, n, len(src.WIDs()))
+		}
+	}
+	return read
+}
+
+// isSubset reports whether every element of the ascending list a is in the
+// ascending list b.
+func isSubset(a, b []uint64) bool {
+	for _, x := range a {
+		if _, ok := slices.BinarySearch(b, x); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // poisonedSource makes the evaluation of chosen instances panic halfway:
 // at the k-th posting-list lookup of the instance, after the steps before it
 // have written their scratch. The eval fault hook, called once before each
@@ -119,11 +209,12 @@ type poisonedSource struct {
 	hook    map[uint64]bool          // the wids the hook itself poisons
 }
 
-func (s *poisonedSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
+func (s *poisonedSource) PostingsAt(pos int, sym int32) []uint64 {
+	wid := s.WIDs()[pos]
 	if n := s.lookups[wid].Add(1); n == s.panicAt[wid] {
 		panic(fmt.Sprintf("injected fault at lookup %d of wid %d", n, wid))
 	}
-	return s.Source.ActivitySeqsSym(wid, sym)
+	return s.Source.PostingsAt(pos, sym)
 }
 
 // evalHook is the fault hook the source needs installed.
@@ -412,6 +503,30 @@ var countedShapeQueries = []string{
 	"GetRefer[balance>2000] -> (CheckIn -> SeeDoctor[year>=2017])", "!SeeDoctor[receipt1?] -> END",
 }
 
+// TestEntryPointsAgreeOnSkippedInstances: plans whose required-atom
+// formula rules instances out — an absent activity, a rare one under ⊕ and
+// under ⊗, a negated-only plan that rules none out — on a log where R
+// occurs in two of six instances. assertEntryPointsAgree asks every shape,
+// exists included, over the whole list, runs of it and other lists.
+func TestEntryPointsAgreeOnSkippedInstances(t *testing.T) {
+	l := traceLog(t,
+		[]string{"A", "B", "C"}, []string{"A", "R", "B"}, []string{"C", "C"},
+		[]string{"B", "A"}, []string{"R", "A", "R", "C"}, []string{"A", "B", "A", "B"})
+	for q, candidates := range map[string]int{
+		"NoSuchActivity": 0, "NoSuchActivity -> A": 0, "A & (NoSuchActivity | R)": 2,
+		"R & A": 2, "(R & A) -> C": 1, "R & !A": 2, "R | C": 4, "(R | C) . B": 2, "(R -> B) | (C . C)": 4,
+		"!A -> !B": 6, "!R": 6, "!NoSuchActivity": 6, "R -> !R": 2,
+	} {
+		p := pattern.MustParse(q)
+		for name, src := range backends(l) {
+			if n := eval.Candidates(src, p, eval.StrategyMerge); n != candidates {
+				t.Errorf("%s over %s: %d candidate instances, want %d", q, name, n, candidates)
+			}
+		}
+		assertEntryPointsAgree(t, l, p, everyThird(l))
+	}
+}
+
 // TestCountedMeterMatchesEnumerated: a counted run meters every step with the
 // operand sizes, outputs and Lemma 1 bound the enumeration records — so cost
 // tables and operator counters mean the same in every mode — and with the
@@ -565,7 +680,9 @@ func TestAllocsPerInstance(t *testing.T) {
 // guarded scan as the context-aware entry points.
 func TestEveryEntryPointCallsTheFaultHook(t *testing.T) {
 	e := eval.New(eval.NewIndex(clinic.Fig3()), eval.Options{})
-	p := pattern.MustParse("GetReimburse -> GetRefer") // no incident: nothing stops the scan early
+	// No incident, so nothing stops the scan early, and every instance
+	// carries both activities, so none is skipped.
+	p := pattern.MustParse("GetRefer -> START")
 	calls := 0
 	eval.SetEvalHook(func(uint64) { calls++ })
 	defer eval.SetEvalHook(nil)
@@ -574,7 +691,7 @@ func TestEveryEntryPointCallsTheFaultHook(t *testing.T) {
 		t.Errorf("Exists called the hook %d times over 3 instances", calls)
 	}
 	calls = 0
-	e.Count(pattern.MustParse("GetReimburse -> GetRefer -> CheckIn")) // three atoms: the evaluating fallback
+	e.Count(pattern.MustParse("GetRefer -> START -> GetRefer")) // three atoms: a summarised chain
 	if calls != 3 {
 		t.Errorf("Count called the hook %d times over 3 instances", calls)
 	}

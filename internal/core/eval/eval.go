@@ -121,6 +121,9 @@ type step struct {
 	// steps that consume it read.
 	class class
 	need  uint8
+	// cand is the instances the step's required-atom formula admits
+	// (cover.go), under StrategyMerge.
+	cand candidates
 }
 
 // leaf is the step of an atomic pattern.
@@ -234,11 +237,12 @@ func (sc *scratch) flush() {
 	}
 }
 
-// evalInstance is Algorithm 2 restricted to one workflow instance: one pass
-// over the program, each step's normalized incidents written into its own
-// buffer in sc. It returns the root's, which live in sc and the source's
-// postings until the next instance starts.
-func (e *Evaluator) evalInstance(sc *scratch, wid uint64, bs *budgetState) []incident.Incident {
+// evalInstance is Algorithm 2 restricted to one workflow instance, the one
+// at the position pos of the source: one pass over the program, each step's
+// normalized incidents written into its own buffer in sc. It returns the
+// root's, which live in sc and the source's postings until the next instance
+// starts.
+func (e *Evaluator) evalInstance(sc *scratch, wid uint64, pos int, bs *budgetState) []incident.Incident {
 	sc.seqs.Reset()
 	for i := range sc.prog {
 		st, ss := &sc.prog[i], &sc.steps[i]
@@ -249,7 +253,7 @@ func (e *Evaluator) evalInstance(sc *scratch, wid uint64, bs *budgetState) []inc
 				ss.tally.memoHits++
 			}
 		case st.atom != nil:
-			ss.incs = e.evalAtom(st, ss, wid)
+			ss.incs = e.evalAtom(st, ss, wid, pos)
 		default:
 			left, right := sc.steps[st.left].incs, sc.steps[st.right].incs
 			var cnt *opCount // nil: nothing to tally
@@ -305,11 +309,11 @@ func (e *Evaluator) applyOp(op pattern.Op, out, left, right []incident.Incident,
 }
 
 // postings answers an atom's is-lsn list from the source, by symbol.
-func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
+func (e *Evaluator) postings(st *step, pos int) []uint64 {
 	if !st.hasSym {
 		return nil // activity absent from the log
 	}
-	return e.src.ActivitySeqsSym(wid, st.sym)
+	return e.src.PostingsAt(pos, st.sym)
 }
 
 // atomSeqs answers an atomic pattern from the backend as the ascending
@@ -322,11 +326,11 @@ func (e *Evaluator) postings(st *step, wid uint64) []uint64 {
 // candidates is the number of positions the guards were put to. The list is
 // the backend's own slice, which the evaluator's atom incidents are views of,
 // or lives in *buf, which is reused from instance to instance.
-func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64, candidates int) {
+func (e *Evaluator) atomSeqs(st *step, pos int, buf *[]uint64) (seqs []uint64, candidates int) {
 	a := st.atom
-	seqs = e.postings(st, wid)
+	seqs = e.postings(st, pos)
 	if a.Negated {
-		excluded, n := seqs, uint64(e.src.InstanceLen(wid))
+		excluded, n := seqs, uint64(e.src.InstanceLenAt(pos))
 		seqs = slices.Grow((*buf)[:0], int(n)-len(excluded))
 		j := 0
 		for s := uint64(1); s <= n; s++ {
@@ -344,7 +348,7 @@ func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64
 		// passes the read index (and a buffer that holds it needs no growing).
 		kept := slices.Grow((*buf)[:0], len(seqs))
 		for _, s := range seqs {
-			if e.guarded(st, wid, s) {
+			if e.guarded(st, pos, s) {
 				kept = append(kept, s)
 			}
 		}
@@ -353,15 +357,15 @@ func (e *Evaluator) atomSeqs(st *step, wid uint64, buf *[]uint64) (seqs []uint64
 	return seqs, candidates
 }
 
-// guarded reports whether the instance's record with the given is-lsn
-// satisfies every guard of the step's atom, reading each attribute by its
-// key symbol without building the record.
-func (e *Evaluator) guarded(st *step, wid, seq uint64) bool {
+// guarded reports whether the record with the given is-lsn of the instance
+// at the position satisfies every guard of the step's atom, reading each
+// attribute by its key symbol without building the record.
+func (e *Evaluator) guarded(st *step, pos int, seq uint64) bool {
 	for i, g := range st.atom.Guards {
 		var v wlog.Value
 		ok := false
 		if st.keys[i] >= 0 {
-			v, ok = e.src.Attr(wid, seq, st.keys[i], g.Side)
+			v, ok = e.src.AttrAt(pos, seq, st.keys[i], g.Side)
 		}
 		if !g.MatchValue(v, ok) {
 			return false
@@ -373,8 +377,8 @@ func (e *Evaluator) guarded(st *step, wid, seq uint64) bool {
 // evalAtom answers an atom as singleton incidents into the step's buffer,
 // each a one-element view of atomSeqs' list: the source's posting list, or
 // the step's own buffer of matches.
-func (e *Evaluator) evalAtom(st *step, ss *stepScratch, wid uint64) []incident.Incident {
-	seqs, candidates := e.atomSeqs(st, wid, &ss.pos)
+func (e *Evaluator) evalAtom(st *step, ss *stepScratch, wid uint64, pos int) []incident.Incident {
+	seqs, candidates := e.atomSeqs(st, pos, &ss.pos)
 	out := ss.incs[:0]
 	for k := range seqs {
 		out = append(out, incident.Adopt(wid, seqs[k:k+1:k+1]))

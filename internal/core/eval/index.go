@@ -27,8 +27,9 @@ type Index struct {
 	inst     map[uint64][]wlog.Record
 	actSeqs  map[uint64]map[string][]uint64
 	actCount map[string]int
-	names    []string // distinct activities, sorted; a symbol is a position
-	attrs    []string // distinct attribute names, sorted; a key is a position
+	names    []string  // distinct activities, sorted; a symbol is a position
+	attrs    []string  // distinct attribute names, sorted; a key is a position
+	carriers [][]int32 // per symbol, the positions of the instances carrying it
 	total    int
 }
 
@@ -83,6 +84,13 @@ func (ix *Index) sortAll() {
 		ix.names = append(ix.names, name)
 	}
 	sort.Strings(ix.names)
+	ix.carriers = make([][]int32, len(ix.names))
+	for pos, wid := range ix.wids {
+		for act := range ix.actSeqs[wid] {
+			sym, _ := ix.ResolveActivity(act)
+			ix.carriers[sym] = append(ix.carriers[sym], int32(pos))
+		}
+	}
 	seen := make(map[string]bool)
 	for _, recs := range ix.inst {
 		for _, r := range recs {
@@ -103,8 +111,14 @@ func (ix *Index) sortAll() {
 // Callers must not modify the returned slice.
 func (ix *Index) WIDs() []uint64 { return ix.wids }
 
-// InstanceLen returns the number of records of the instance.
-func (ix *Index) InstanceLen(wid uint64) int { return len(ix.inst[wid]) }
+// Position returns the instance's position in WIDs, by binary search.
+func (ix *Index) Position(wid uint64) (int, bool) {
+	return slices.BinarySearch(ix.wids, wid)
+}
+
+// InstanceLenAt returns the number of records of the instance at the
+// position.
+func (ix *Index) InstanceLenAt(pos int) int { return len(ix.inst[ix.wids[pos]]) }
 
 // Record returns the record of the instance with the given is-lsn.
 // ok is false when the instance or sequence number is unknown.
@@ -153,20 +167,24 @@ func (ix *Index) ResolveAttr(name string) (int32, bool) {
 	return int32(i), i < len(ix.attrs) && ix.attrs[i] == name
 }
 
-// Attr looks the attribute with the key up in the record, by name.
-func (ix *Index) Attr(wid, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
-	r, ok := ix.Record(wid, seq)
+// AttrAt looks the attribute with the key up in the record, by name.
+func (ix *Index) AttrAt(pos int, seq uint64, key int32, side predicate.Side) (wlog.Value, bool) {
+	r, ok := ix.Record(ix.wids[pos], seq)
 	if !ok {
 		return wlog.Value{}, false
 	}
 	return predicate.Lookup(r, side, ix.attrs[key])
 }
 
-// ActivitySeqsSym is ActivitySeqs of the activity with the symbol, answered
-// from the per-instance map by name.
-func (ix *Index) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
-	return ix.ActivitySeqs(wid, ix.names[sym])
+// PostingsAt is ActivitySeqs of the instance at the position and the
+// activity with the symbol, answered from the per-instance map by name.
+func (ix *Index) PostingsAt(pos int, sym int32) []uint64 {
+	return ix.ActivitySeqs(ix.wids[pos], ix.names[sym])
 }
+
+// InstancesWith returns the positions of the instances carrying the
+// activity with the symbol, ascending.
+func (ix *Index) InstancesWith(sym int32) []int32 { return ix.carriers[sym] }
 
 // ActivityCount returns the total number of records (across all instances)
 // carrying the activity name. Used by the optimizer's cost model.

@@ -17,11 +17,14 @@ func TestIndexBasics(t *testing.T) {
 	if ix.TotalRecords() != l.Len() {
 		t.Errorf("TotalRecords = %d, want %d", ix.TotalRecords(), l.Len())
 	}
-	if got := ix.InstanceLen(1); got != 4 { // START + 3 activities
-		t.Errorf("InstanceLen(1) = %d, want 4", got)
+	if pos, ok := ix.Position(1); !ok || pos != 0 {
+		t.Errorf("Position(1) = %d, %v; want 0, true", pos, ok)
 	}
-	if got := ix.InstanceLen(99); got != 0 {
-		t.Errorf("InstanceLen(99) = %d, want 0", got)
+	if got := ix.InstanceLenAt(0); got != 4 { // START + 3 activities
+		t.Errorf("InstanceLenAt(0) = %d, want 4", got)
+	}
+	if _, ok := ix.Position(99); ok {
+		t.Error("Position(99) found an absent wid")
 	}
 
 	seqs := ix.ActivitySeqs(1, "A")

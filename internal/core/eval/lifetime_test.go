@@ -55,7 +55,7 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 
 		var recs []wlog.Record
 		for i, wid := range cs.WIDs() {
-			recs = append(recs, wlog.Record{LSN: cs.LastLSN() + uint64(i) + 1, WID: wid, Seq: uint64(cs.InstanceLen(wid)) + 1, Activity: clinic.ActSeeDoctor})
+			recs = append(recs, wlog.Record{LSN: cs.LastLSN() + uint64(i) + 1, WID: wid, Seq: uint64(cs.InstanceLenAt(i)) + 1, Activity: clinic.ActSeeDoctor})
 		}
 		grown := cs.Append(recs...)
 		if _, err := eval.New(grown, eval.Options{Strategy: strat}).AnswerCtx(ctx, p, grown.WIDs(), 3, eval.ShapeIncidents, nil); err != nil {
@@ -101,8 +101,8 @@ type scribbledSource struct {
 	handed [][]uint64
 }
 
-func (s *scribbledSource) ActivitySeqsSym(wid uint64, sym int32) []uint64 {
-	seqs := slices.Clone(s.Source.ActivitySeqsSym(wid, sym))
+func (s *scribbledSource) PostingsAt(pos int, sym int32) []uint64 {
+	seqs := slices.Clone(s.Source.PostingsAt(pos, sym))
 	s.mu.Lock()
 	s.handed = append(s.handed, seqs)
 	s.mu.Unlock()

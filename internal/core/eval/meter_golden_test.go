@@ -31,8 +31,11 @@ var meterGoldenPlans = []string{
 // TestMeterSnapshotGolden pins the per-node accounting — evals, memo hits,
 // operand sizes, comparisons, outputs, the Lemma 1 prediction, in pre-order
 // — to what the evaluator reported before plan nodes were numbered at
-// compile time (the golden file was generated at that commit). Regenerate
-// with `go test ./internal/core/eval -run TestMeterSnapshotGolden -update`.
+// compile time (the golden file was generated at that commit). The merge
+// strategy's sections were regenerated when its scans began to skip the
+// instances the plan's required-atom formula rules out: they meter only the
+// instances evaluated, and with the skip disabled the file is unchanged.
+// Regenerate with `go test ./internal/core/eval -run TestMeterSnapshotGolden -update`.
 func TestMeterSnapshotGolden(t *testing.T) {
 	generated, err := clinic.Generate(50, 1)
 	if err != nil {

@@ -123,9 +123,11 @@ func (a Answer) Strict(err error) error {
 type QueryStats struct {
 	// Workers is the number of goroutines actually used (1 = serial path).
 	Workers int
-	// Instances is the number of workflow instances evaluated, excluded ones
-	// not included. On a cancelled query it counts the instances finished
-	// before the cancel.
+	// Instances is the number of workflow instances the answer covers,
+	// excluded ones not included: those evaluated, and those the scan skipped
+	// because the plan's required-atom formula rules them out, whose share
+	// of the answer is empty by Definition 4 (cover.go). On a cancelled
+	// query it counts the instances covered before the cancel.
 	Instances int
 	// Incidents is the number of incidents of the answer across all
 	// instances, whether they were produced or only counted.
@@ -220,9 +222,13 @@ func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error)
 }
 
 // scan is the one loop over workflow instances behind every entry point.
-// It compiles p, then evaluates it on the given wids in contiguous chunks,
-// one per goroutine, on up to workers goroutines (0 means GOMAXPROCS; one
-// runs on the caller's). Where the shape needs no incident and the program
+// It compiles p and resolves each of the given wids to its position in the
+// source once (cover.go), keeping, under StrategyMerge, only the instances
+// the plan's required-atom formula admits; every other instance is covered
+// with an empty share. It then evaluates the kept ones in contiguous,
+// wid-ordered chunks, one per goroutine, on up to workers goroutines (0
+// means GOMAXPROCS; one runs on the caller's). Where the shape needs no
+// incident and the program
 // is countable (count.go), an instance is counted; otherwise its incidents
 // are enumerated. Before each instance it checks ctx and calls the fault
 // hook; the evaluation runs under the safeInstance isolation boundary, so a
@@ -243,8 +249,9 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = max(1, min(workers, len(wids)))
 	prog := e.compile(p)
+	cv := e.cover(prog, wids)
+	workers = max(1, min(workers, cv.n))
 	counted := prog.counted(shape, e.opts.Strategy)
 	bs := newBudgetState(e.opts.Budget)
 	ctxDone := ctx.Done()
@@ -259,18 +266,20 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		excluded             []Exclusion
 		err                  error
 	}
-	one := func(sc *scratch, wid uint64) (int, []incident.Incident, error) {
+	one := func(sc *scratch, wid uint64, pos int) (int, []incident.Incident, error) {
 		select {
 		case <-ctxDone:
 			return 0, nil, ctx.Err()
 		default:
 		}
-		n, incs, err := e.safeInstance(sc, counted, wid, bs)
+		n, incs, err := e.safeInstance(sc, counted, wid, pos, bs)
 		if err != nil {
 			return 0, nil, err
 		}
 		return n, incs, bs.addResult(incs)
 	}
+	// run evaluates items lo..hi-1, and covers the instances from the first
+	// one's (from the list's start for the first chunk) to the next chunk's.
 	run := func(lo, hi int) (c chunk) {
 		if shape == ShapeIncidents {
 			c.kept = arenaPool.Get().(*resultArena)
@@ -279,8 +288,20 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		// Also when the chunk ends in a failure: an abort's partial cost table
 		// includes every completed operator.
 		defer sc.flush()
-		for i := lo; i < hi && !stop.Load(); i++ {
-			n, incs, err := one(sc, wids[i])
+		if lo == hi && len(wids) > 0 {
+			// Nothing to evaluate: a cancelled ctx still fails the scan.
+			if c.err = ctx.Err(); c.err != nil {
+				return c
+			}
+		}
+		from := 0
+		if lo > 0 {
+			from = cv.bound(lo)
+		}
+		j := lo
+		for ; j < hi && !stop.Load(); j++ {
+			i, pos := cv.item(j)
+			n, incs, err := one(sc, wids[i], pos)
 			if err != nil {
 				if pe, ok := err.(*resilience.PanicError); ok {
 					c.excluded = append(c.excluded, Exclusion{WID: wids[i], Err: pe})
@@ -290,7 +311,6 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 				stop.Store(true)
 				break
 			}
-			c.instances++
 			c.incidents += n
 			if shape == ShapeIncidents {
 				c.kept.keep(incs)
@@ -299,6 +319,8 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 				stop.Store(true)
 			}
 		}
+		// The instances covered are those below the first item not done.
+		c.instances = cv.bound(j) - from - len(c.excluded)
 		return c
 	}
 
@@ -306,15 +328,15 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	// so per-item handoff (a channel send per instance) would dominate.
 	chunks := make([]chunk, workers)
 	if workers == 1 {
-		chunks[0] = run(0, len(wids))
+		chunks[0] = run(0, cv.n)
 	} else {
 		var wg sync.WaitGroup
-		size := (len(wids) + workers - 1) / workers
-		for lo := 0; lo < len(wids); lo += size {
+		size := (cv.n + workers - 1) / workers
+		for lo := 0; lo < cv.n; lo += size {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				chunks[lo/size] = run(lo, min(lo+size, len(wids)))
+				chunks[lo/size] = run(lo, min(lo+size, cv.n))
 			}()
 		}
 		wg.Wait()

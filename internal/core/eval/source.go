@@ -22,12 +22,22 @@ import (
 //
 // A Source must be immutable while an Evaluator reads it — the same contract
 // EvalParallel and the result cache rely on.
+//
+// The probes a query's evaluation makes are positional: an instance is
+// named by its position in WIDs, which a scan resolves once per instance
+// (no lookup at all when it scans a run of WIDs), and the instance
+// postings name the instances a symbol occurs in by position too, so a scan
+// visits only the instances its plan can match (docs/STORAGE.md).
 type Source interface {
 	// WIDs returns the workflow instance ids present, ascending. Callers
 	// must not modify the returned slice.
 	WIDs() []uint64
-	// InstanceLen returns the number of records of the instance.
-	InstanceLen(wid uint64) int
+	// Position returns the position of the instance in WIDs, the key of the
+	// probes below; ok is false when the wid is absent.
+	Position(wid uint64) (pos int, ok bool)
+	// InstanceLenAt returns the number of records of the instance at the
+	// position.
+	InstanceLenAt(pos int) int
 	// Instance returns the records of the instance in is-lsn order, and
 	// Record the one with the given is-lsn (ok false when the instance or
 	// sequence number is unknown). They are for callers that want whole
@@ -39,24 +49,30 @@ type Source interface {
 	// ResolveAttr maps an attribute name to the source's key symbol for it,
 	// once per guard per query; ok is false when no record carries it.
 	ResolveAttr(name string) (key int32, ok bool)
-	// Attr reads the value of the attribute with the key symbol (from
-	// ResolveAttr on the same source) on a side of the instance's record
-	// with the given is-lsn, as predicate.Lookup does on the record; ok is
-	// false when the record does not carry it there. It is the guard probe,
-	// called once per candidate record and guard, and allocates nothing.
-	Attr(wid, seq uint64, key int32, side predicate.Side) (v wlog.Value, ok bool)
+	// AttrAt reads the value of the attribute with the key symbol (from
+	// ResolveAttr on the same source) on a side of the record with the
+	// given is-lsn of the instance at the position, as predicate.Lookup
+	// does on the record; ok is false when the record does not carry it
+	// there. It is the guard probe, called once per candidate record and
+	// guard, and allocates nothing.
+	AttrAt(pos int, seq uint64, key int32, side predicate.Side) (v wlog.Value, ok bool)
 	// ResolveActivity maps an activity name to the source's symbol for it,
 	// once per atom per query; ok is false when the name never occurs in the
 	// log (its incident set is empty for positive atoms, the full complement
 	// for negated ones).
 	ResolveActivity(name string) (sym int32, ok bool)
-	// ActivitySeqsSym returns the is-lsn values (ascending) of the instance's
-	// records whose activity has the symbol, which must come from
-	// ResolveActivity on the same source. Callers must not modify the result,
-	// and its values must not change while the source is read: the
-	// evaluator's atom incidents are capacity-clipped views of it, alive
+	// PostingsAt returns the is-lsn values (ascending) of the records of the
+	// instance at the position whose activity has the symbol, which must
+	// come from ResolveActivity on the same source. Callers must not modify
+	// the result, and its values must not change while the source is read:
+	// the evaluator's atom incidents are capacity-clipped views of it, alive
 	// until their instance's evaluation ends.
-	ActivitySeqsSym(wid uint64, sym int32) []uint64
+	PostingsAt(pos int, sym int32) []uint64
+	// InstancesWith returns the positions (ascending) of the instances with
+	// a record whose activity has the symbol: the instance postings, from
+	// which a scan derives the instances its plan can match. Callers must
+	// not modify the result.
+	InstancesWith(sym int32) []int32
 	// ActivityCount returns the total number of records (across all
 	// instances) carrying the activity name (optimizer statistics).
 	ActivityCount(act string) int

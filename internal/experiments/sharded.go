@@ -54,20 +54,31 @@ func runSharded(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "answer; the per-instance boundary (a deferred recover) stays cheap")
 	fmt.Fprintln(w)
 
-	// Fault isolation: poison the last eighth of the wid space with a
-	// persistent panic and read one evaluation both ways. Strict loses the
-	// query; partial keeps the other seven eighths and names the rest.
-	poisoned := wids[len(wids)-len(wids)/8:]
-	cut := poisoned[0]
+	// Fault isolation: poison an eighth of the instances with a persistent
+	// panic — the last ones the plan reads, those with a GetReimburse record
+	// (a scan skips the others, whose share of the answer is empty) — and
+	// read one evaluation both ways. Strict loses the query; partial keeps
+	// the other seven eighths and names the rest.
+	var reads []uint64
+	for _, wid := range wids {
+		if len(ix.ActivitySeqs(wid, clinic.ActGetReimburse)) > 0 {
+			reads = append(reads, wid)
+		}
+	}
+	poisoned := reads[len(reads)-len(wids)/8:]
+	isPoisoned := make(map[uint64]bool)
+	for _, wid := range poisoned {
+		isPoisoned[wid] = true
+	}
 	var kept []incident.Incident
 	for _, o := range serialSet.Incidents() {
-		if o.WID() < cut {
+		if !isPoisoned[o.WID()] {
 			kept = append(kept, o)
 		}
 	}
 	want := incident.NewSet(kept...)
 	eval.SetEvalHook(func(wid uint64) {
-		if wid >= cut {
+		if isPoisoned[wid] {
 			panic("injected fault")
 		}
 	})
@@ -92,7 +103,7 @@ func runSharded(w io.Writer, quick bool) error {
 			fmt.Sprintf("%d/%d", covered, len(wids)), fmt.Sprintf("%d (exact: %v)", len(a.Excluded), exact),
 			fmt.Sprint(incident.MergeSorted(a.Incidents...).Equal(want))},
 	}
-	fmt.Fprintf(w, "== fault isolation: persistent panic in wids ≥ %d ==\n", cut)
+	fmt.Fprintf(w, "== fault isolation: persistent panic in the last %d instances with a %s ==\n", len(poisoned), clinic.ActGetReimburse)
 	fmt.Fprint(w, benchkit.Align(rows))
 	fmt.Fprintln(w, "expected: strict loses the query outright; partial returns the other")
 	fmt.Fprintln(w, "instances' incidents (equal: the serial answer restricted to them) and")

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 
 	"wlq"
 	"wlq/internal/cluster"
+	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -337,10 +339,13 @@ func TestClusterResponsesEqualSingleNode(t *testing.T) {
 func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 	l, queries := generatedCase(t, 5)
 	base, rest := splitLog(t, l)
-	// The fault hook below is process-wide: the oracle runs before it is set.
+	// The fault hook below is process-wide: the oracle, and the scans that
+	// find which instances each query reads, run before it is set.
 	whole, prefix := make(map[string]*incident.Set), make(map[string]*incident.Set)
+	readWhole, readPrefix := make(map[string][]uint64), make(map[string][]uint64)
 	for _, q := range queries {
 		whole[q], prefix[q] = oracleSet(l, q), oracleSet(base, q)
+		readWhole[q], readPrefix[q] = evaluatedBy(t, l, q), evaluatedBy(t, base, q)
 	}
 	surviving := func(oracle *incident.Set, lost queryTail) *incident.Set {
 		var kept []incident.Incident
@@ -355,23 +360,68 @@ func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 		}
 		return incident.NewSet(kept...)
 	}
-	// check asks every query in every mode; failures is the number of
-	// excluded intervals each answer must name.
-	check := func(t *testing.T, h http.Handler, oracle map[string]*incident.Set, failures int) {
+	// A fault can only be injected into an instance a scan evaluates, so each
+	// query has its own poisoned instances: the second, third and last of
+	// those it reads in the prefix, and the last of those it reads in the
+	// whole log, so that the live log's append touches poisoned instances as
+	// well as clean ones. An answer names one failure per run of poisoned
+	// instances it reads, adjacent in the log it was asked of.
+	poisoned := make(map[string]map[uint64]bool)
+	for _, q := range queries {
+		poisoned[q] = make(map[uint64]bool)
+		for _, i := range []int{1, 2, len(readPrefix[q]) - 1} {
+			if i >= 0 && i < len(readPrefix[q]) {
+				poisoned[q][readPrefix[q][i]] = true
+			}
+		}
+		if n := len(readWhole[q]); n > 0 {
+			poisoned[q][readWhole[q][n-1]] = true
+		}
+	}
+	runs := func(q string, wids, read []uint64) (n int) {
+		lost := func(w uint64) bool {
+			_, ok := slices.BinarySearch(read, w)
+			return ok && poisoned[q][w]
+		}
+		for i, w := range wids {
+			if lost(w) && (i == 0 || !lost(wids[i-1])) {
+				n++
+			}
+		}
+		return n
+	}
+	// check asks every query in every mode, poisoning its instances when
+	// poison is set; failures is the number of excluded intervals its
+	// answers must name, and a query that loses none is answered in full.
+	check := func(t *testing.T, h http.Handler, oracle map[string]*incident.Set, poison bool, failures func(q string) int) {
 		t.Helper()
 		for _, q := range queries {
+			if poison {
+				eval.SetEvalHook(func(wid uint64) {
+					if poisoned[q][wid] {
+						panic("injected instance fault")
+					}
+				})
+			}
 			var completeness string
 			for _, mode := range answerModes {
 				var got queryResponse
 				body := fmt.Sprintf(`{"query":%q,"mode":%q,"partial":true}`, q, mode)
 				rec := postQuery(t, h, body, nil)
-				if rec.Code != http.StatusPartialContent {
-					t.Fatalf("%q %s: status %d, want 206: %s", q, mode, rec.Code, rec.Body)
-				}
 				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 					t.Fatal(err)
 				}
-				if !got.Partial || got.Completeness == nil || len(got.Completeness.Failures) != failures || got.Cached {
+				if failures(q) == 0 {
+					if rec.Code != http.StatusOK || got.Partial || got.Completeness != nil {
+						t.Fatalf("%q %s: no instance it reads is lost, yet status %d, partial=%v, completeness %+v", q, mode, rec.Code, got.Partial, got.Completeness)
+					}
+					assertAnswerMatches(t, q, mode, got, oracle[q])
+					continue
+				}
+				if rec.Code != http.StatusPartialContent {
+					t.Fatalf("%q %s: status %d, want 206: %s", q, mode, rec.Code, rec.Body)
+				}
+				if !got.Partial || got.Completeness == nil || len(got.Completeness.Failures) != failures(q) || got.Cached {
 					t.Fatalf("%q %s: partial=%v cached=%v completeness %+v", q, mode, got.Partial, got.Cached, got.Completeness)
 				}
 				assertAnswerMatches(t, q, mode, got, surviving(oracle[q], got.queryTail))
@@ -382,49 +432,48 @@ func TestPartialAnswersSumTheSurvivingParts(t *testing.T) {
 					t.Errorf("%q %s: completeness %s, the incidents answer's was %s", q, mode, doc, completeness)
 				}
 			}
+			eval.SetEvalHook(nil)
 		}
 	}
-	// Poison the prefix's second, third and last instances and the log's
-	// last one, so that the live log's append touches poisoned instances as
-	// well as clean ones. An answer names one failure per run of poisoned
-	// instances adjacent in the log it was asked of.
+	t.Cleanup(func() { eval.SetEvalHook(nil) })
 	bw, wids := base.WIDs(), l.WIDs()
-	poisoned := map[uint64]bool{bw[1]: true, bw[2]: true, bw[len(bw)-1]: true, wids[len(wids)-1]: true}
-	runs := func(wids []uint64) (n int) {
-		for i, w := range wids {
-			if poisoned[w] && (i == 0 || !poisoned[wids[i-1]]) {
-				n++
-			}
-		}
-		return n
-	}
-	poison := func(t *testing.T) {
-		eval.SetEvalHook(func(wid uint64) {
-			if poisoned[wid] {
-				panic("injected instance fault")
-			}
-		})
-		t.Cleanup(func() { eval.SetEvalHook(nil) })
+	wholeRuns := func(q string) int { return runs(q, wids, readWhole[q]) }
+	prefixRuns := func(q string) int { return runs(q, bw, readPrefix[q]) }
+	if n := wholeRuns(queries[0]); n == 0 {
+		t.Fatalf("%s loses no instance: the test poisons nothing it reads", queries[0])
 	}
 	t.Run("shards", func(t *testing.T) {
 		// A single node scanning in three chunks.
-		poison(t)
-		check(t, serverOver(t, Config{Workers: 3}, "gen", l).Handler(), whole, runs(wids))
+		check(t, serverOver(t, Config{Workers: 3}, "gen", l).Handler(), whole, true, wholeRuns)
 	})
 	t.Run("live", func(t *testing.T) {
 		h := serverOver(t, Config{Ingest: true, WALDir: t.TempDir()}, "gen", base).Handler()
-		poison(t)
-		check(t, h, prefix, runs(bw))
+		check(t, h, prefix, true, prefixRuns)
 		if rec := postAppend(t, h, "gen", rest, nil); rec.Code != http.StatusOK {
 			t.Fatalf("append: %d: %s", rec.Code, rec.Body)
 		}
-		check(t, h, whole, runs(wids))
+		check(t, h, whole, true, wholeRuns)
 	})
 	t.Run("workers", func(t *testing.T) {
 		// One attempt and a breaker that stays shut: every request meets the
 		// dead worker the same way.
 		f := newClusterFixture(t, 2, "gen", l, func(c *cluster.Config) { c.MaxAttempts, c.BreakerThreshold = 1, 1000 }, nil)
 		f.workers[1].Close()
-		check(t, f.coord.Handler(), whole, 1)
+		check(t, f.coord.Handler(), whole, false, func(string) int { return 1 })
 	})
+}
+
+// evaluatedBy is the instances a single node's scan of q over l evaluates,
+// ascending, by the fault hook: those the plan's required-atom formula
+// admits.
+func evaluatedBy(t *testing.T, l *wlog.Log, q string) []uint64 {
+	t.Helper()
+	var read []uint64
+	eval.SetEvalHook(func(wid uint64) { read = append(read, wid) })
+	defer eval.SetEvalHook(nil)
+	cs := colstore.Build(l)
+	if _, err := eval.New(cs, eval.Options{}).AnswerCtx(context.Background(), pattern.MustParse(q), cs.WIDs(), 1, eval.ShapeCount, nil); err != nil {
+		t.Fatal(err)
+	}
+	return read
 }

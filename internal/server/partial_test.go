@@ -2,11 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"wlq"
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 )
@@ -249,5 +252,44 @@ func TestChaosRetryAfterClamp(t *testing.T) {
 				t.Fatalf("retryAfterSeconds(%v) = %d, want in [%d, %d]", c.d, got, c.min, c.max)
 			}
 		}
+	}
+}
+
+// TestSkippedInstanceIsNeverEvaluated: a scan evaluates only the instances
+// its plan's required-atom formula admits. Figure 3's wid 3 has no
+// GetReimburse, so a fault injected into it never fires for a plan that
+// needs one, and the answer is complete, 200, in every mode, partial or
+// strict; a plan that reads wid 3 meets the fault.
+func TestSkippedInstanceIsNeverEvaluated(t *testing.T) {
+	h := newTestServer(t, Config{Workers: 2, CacheSize: -1}).Handler()
+	const q = "GetRefer -> GetReimburse"
+	want := oracleSet(wlq.ClinicFig3(), q) // before the process-wide hook is set
+	const skipped = 3
+	var fired atomic.Int32
+	eval.SetEvalHook(func(wid uint64) {
+		if wid == skipped {
+			fired.Add(1)
+			panic("injected instance fault")
+		}
+	})
+	t.Cleanup(func() { eval.SetEvalHook(nil) })
+	for _, mode := range answerModes {
+		for _, partial := range []bool{false, true} {
+			var got queryResponse
+			rec := postQuery(t, h, fmt.Sprintf(`{"log":"fig3","query":%q,"mode":%q,"partial":%v}`, q, mode, partial), nil)
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != http.StatusOK || got.Partial || got.Completeness != nil {
+				t.Fatalf("%s, partial %v: status %d, partial=%v, completeness %+v; want a complete 200", mode, partial, rec.Code, got.Partial, got.Completeness)
+			}
+			assertAnswerMatches(t, q, mode, got, want)
+		}
+	}
+	if n := fired.Load(); n != 0 {
+		t.Fatalf("the skipped instance was evaluated %d times", n)
+	}
+	if rec := postQuery(t, h, `{"log":"fig3","query":"GetRefer -> !GetReimburse","partial":true}`, nil); rec.Code != http.StatusPartialContent || fired.Load() == 0 {
+		t.Fatalf("a plan reading wid %d: status %d, fault fired %d times; want 206", skipped, rec.Code, fired.Load())
 	}
 }

@@ -604,7 +604,10 @@ type selectivityDoc struct {
 // explainResponse is the GET /v1/explain result. Answer is how a count,
 // exists or instances request for the plan is computed under Strategy:
 // "counted" from position lists, no incident built, or "enumerated" like an
-// incidents request (eval.Counted).
+// incidents request (eval.Counted). Candidates is how many instances a scan
+// of the plan evaluates (eval.Candidates): "k of n instances", or "none"
+// when its required-atom formula rules every instance out, as an atom whose
+// activity never occurs does.
 type explainResponse struct {
 	Log           string         `json:"log"`
 	Query         string         `json:"query"`
@@ -619,6 +622,7 @@ type explainResponse struct {
 	Strategy      string         `json:"strategy"`
 	Answer        string         `json:"answer"`
 	Workers       int            `json:"workers"`
+	Candidates    string         `json:"candidates"`
 	Selectivities selectivityDoc `json:"selectivities"`
 }
 
@@ -638,7 +642,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "parse error: %v", err)
 		return
 	}
-	opt, trace := rewrite.Optimize(p, entry.pin())
+	src := entry.pin()
+	opt, trace := rewrite.Optimize(p, src)
+	candidates := "none"
+	if n := eval.Candidates(src, opt, s.cfg.Strategy); n > 0 {
+		candidates = fmt.Sprintf("%d of %d instances", n, len(src.WIDs()))
+	}
 	steps := trace.Steps
 	if steps == nil {
 		steps = []string{}
@@ -657,6 +666,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Strategy:      s.cfg.Strategy.String(),
 		Answer:        answerPath(opt, eval.ShapeCount, s.cfg.Strategy),
 		Workers:       s.cfg.Workers,
+		Candidates:    candidates,
 		Selectivities: selectivityDoc(trace.Selectivities),
 	})
 }

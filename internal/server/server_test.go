@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -291,8 +292,8 @@ func TestQueryStrategiesAgree(t *testing.T) {
 func TestExplain(t *testing.T) {
 	s := newTestServer(t, Config{})
 	var resp explainResponse
-	url := "/v1/explain?log=fig3&q=" + "%28GetRefer%20-%3E%20CheckIn%29%20%7C%20%28GetRefer%20-%3E%20SeeDoctor%29"
-	rec := getJSON(t, s.Handler(), url, &resp)
+	factorable := "/v1/explain?log=fig3&q=" + "%28GetRefer%20-%3E%20CheckIn%29%20%7C%20%28GetRefer%20-%3E%20SeeDoctor%29"
+	rec := getJSON(t, s.Handler(), factorable, &resp)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -311,6 +312,21 @@ func TestExplain(t *testing.T) {
 	}
 	if resp.IncidentTree == "" || resp.PaperForm == "" {
 		t.Error("incident tree / paper form missing")
+	}
+	// The scan's candidate instances: every Figure 3 instance has a GetRefer,
+	// two a CheckIn or a SeeDoctor, two a GetReimburse, and none a
+	// NoSuchActivity.
+	for q, want := range map[string]string{
+		"GetRefer -> (CheckIn | SeeDoctor)":        "2 of 3 instances",
+		"GetRefer -> GetReimburse":                 "2 of 3 instances",
+		"NoSuchActivity -> SeeDoctor":              "none",
+		"(NoSuchActivity -> SeeDoctor) | GetRefer": "3 of 3 instances",
+		"!NoSuchActivity":                          "3 of 3 instances",
+	} {
+		var resp explainResponse
+		if rec := getJSON(t, s.Handler(), "/v1/explain?log=fig3&q="+url.QueryEscape(q), &resp); rec.Code != http.StatusOK || resp.Candidates != want {
+			t.Errorf("explain %s: status %d, candidates %q; want %q", q, rec.Code, resp.Candidates, want)
+		}
 	}
 }
 

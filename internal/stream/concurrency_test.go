@@ -49,8 +49,8 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 				_ = m.FiredInstances("refer")
 				st := m.Store()
 				n := 0
-				for _, wid := range st.WIDs() {
-					n += st.InstanceLen(wid)
+				for pos := range st.WIDs() {
+					n += st.InstanceLenAt(pos)
 				}
 				if n != st.TotalRecords() || uint64(n) != st.LastLSN() {
 					t.Errorf("pinned version: %d records over its instances, TotalRecords %d, LastLSN %d", n, st.TotalRecords(), st.LastLSN())

@@ -149,7 +149,7 @@ func (m *Monitor) Ingest(recs ...wlog.Record) error {
 	m.cur.Store(st)
 	var wids []uint64 // the instances recs[:n] extend, each at its first record there
 	for _, r := range recs[:n] {
-		if len(m.watches) > 0 && r.Seq == uint64(prev.InstanceLen(r.WID))+1 {
+		if last, _ := prev.InstanceTail(r.WID); len(m.watches) > 0 && r.Seq == last+1 {
 			wids = append(wids, r.WID)
 		}
 	}
@@ -184,7 +184,7 @@ func (w *watch) fire(alerts []Alert, prev, st *colstore.Store, wids []uint64) []
 		for j = i; j < len(incs) && incs[j].WID() == incs[i].WID(); j++ {
 		}
 		o := slices.MinFunc(incs[i:j], func(x, y incident.Incident) int { return cmp.Compare(x.Last(), y.Last()) })
-		if o.Last() <= uint64(prev.InstanceLen(o.WID())) {
+		if last, _ := prev.InstanceTail(o.WID()); o.Last() <= last {
 			continue // completed before this batch: alerted, or not yet watched
 		}
 		done, _ := st.Record(o.WID(), o.Last())
