@@ -120,35 +120,33 @@ type workerState struct {
 	probeErr string
 }
 
-// Stats is a snapshot of the coordinator's fan-out counters. The prom and
-// help tags declare each counter's Prometheus family for the server's
-// /metrics renderer, which embeds this struct in its metrics document.
+// Stats are the coordinator's fan-out counters, updated as queries run and
+// read live: the prom and help tags declare each counter's Prometheus family
+// for the server's /metrics renderers, whose cluster section embeds them
+// (see obs.Counter).
 type Stats struct {
 	// Fanouts counts distributed query executions.
-	Fanouts uint64 `json:"fanouts"`
+	Fanouts obs.Counter `json:"fanouts"`
 	// WorkerRequests counts HTTP requests issued to workers (retries
 	// included); WorkerFailures those that errored.
-	WorkerRequests uint64 `json:"worker_requests" prom:"wlq_cluster_worker_requests_total" help:"HTTP requests issued to workers (retries included)."`
-	WorkerFailures uint64 `json:"worker_failures" prom:"wlq_cluster_worker_failures_total" help:"Worker requests that failed (transport error or non-200)."`
+	WorkerRequests obs.Counter `json:"worker_requests" prom:"wlq_cluster_worker_requests_total" help:"HTTP requests issued to workers (retries included)."`
+	WorkerFailures obs.Counter `json:"worker_failures" prom:"wlq_cluster_worker_failures_total" help:"Worker requests that failed (transport error or non-200)."`
 	// WorkerRetries counts re-attempts after backoff.
-	WorkerRetries uint64 `json:"worker_retries" prom:"wlq_cluster_worker_retries_total" help:"Worker request re-attempts (after backoff)."`
+	WorkerRetries obs.Counter `json:"worker_retries" prom:"wlq_cluster_worker_retries_total" help:"Worker request re-attempts (after backoff)."`
 	// WorkersSkipped counts per-query worker exclusions by an open breaker.
-	WorkersSkipped uint64 `json:"workers_skipped" prom:"wlq_cluster_workers_skipped_total" help:"Per-query worker exclusions by an open circuit breaker."`
+	WorkersSkipped obs.Counter `json:"workers_skipped" prom:"wlq_cluster_workers_skipped_total" help:"Per-query worker exclusions by an open circuit breaker."`
 }
 
 // Coordinator fans queries out to the worker fleet and merges the answers.
 // It is safe for concurrent use and meant to be long-lived: per-worker
 // breakers and health state persist across queries.
 type Coordinator struct {
+	// Stats are the fan-out counters.
+	Stats Stats
+
 	cfg     Config
 	client  *http.Client
 	workers []*workerState
-
-	fanouts        atomic.Uint64
-	workerRequests atomic.Uint64
-	workerFailures atomic.Uint64
-	workerRetries  atomic.Uint64
-	workersSkipped atomic.Uint64
 }
 
 // New builds a coordinator over the configured workers.
@@ -183,17 +181,6 @@ func New(cfg Config) (*Coordinator, error) {
 		client:  &http.Client{Transport: cfg.Transport},
 		workers: workers,
 	}, nil
-}
-
-// Stats snapshots the fan-out counters.
-func (c *Coordinator) Stats() Stats {
-	return Stats{
-		Fanouts:        c.fanouts.Load(),
-		WorkerRequests: c.workerRequests.Load(),
-		WorkerFailures: c.workerFailures.Load(),
-		WorkerRetries:  c.workerRetries.Load(),
-		WorkersSkipped: c.workersSkipped.Load(),
-	}
 }
 
 // Fanout summarizes one distributed execution: the fleet-level counts plus
@@ -334,7 +321,7 @@ func (r partResult) status() string {
 // spans. The accepted reply's own span subtree is grafted under the
 // transport span that carried it.
 func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (Result, *Completeness, Fanout, error) {
-	c.fanouts.Add(1)
+	c.Stats.Fanouts.Add(1)
 	// Distributed tracing: a traced query's id travels on a traceparent
 	// header per request, and workers return their span trees and cost
 	// tables; the request body only carries the enable flag.
@@ -454,8 +441,8 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		// An empty log has no parts and is answered on the caller's goroutine.
 		qs.Workers = max(len(parts), 1)
 	}
-	c.workerRetries.Add(uint64(comp.Retries))
-	c.workersSkipped.Add(uint64(comp.Skipped))
+	c.Stats.WorkerRetries.Add(uint64(comp.Retries))
+	c.Stats.WorkersSkipped.Add(uint64(comp.Skipped))
 	fan := Fanout{
 		Workers:   len(parts),
 		Attempted: comp.Attempted,
@@ -657,12 +644,12 @@ func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSum
 // propagates the distributed trace context. Request duration — the reply read
 // included — feeds the per-worker latency histogram either way.
 func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte, traceparent string) (_ *WorkerQueryResponse, _ listSummary, err error) {
-	c.workerRequests.Add(1)
+	c.Stats.WorkerRequests.Add(1)
 	start := time.Now()
 	defer func() {
 		worker.hist.Observe(time.Since(start))
 		if err != nil {
-			c.workerFailures.Add(1)
+			c.Stats.WorkerFailures.Add(1)
 		}
 	}()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,

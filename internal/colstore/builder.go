@@ -136,7 +136,7 @@ func (st *staging) parts() (parts []part, at map[uint64]int32, inst []int32) {
 			i = int32(len(parts))
 			at[wid] = i
 			var p part
-			if w, ok := s.widIdx[wid]; ok {
+			if w, ok := s.Position(wid); ok {
 				p = moved(s.dir[w])
 			}
 			parts = append(parts, p)
@@ -226,10 +226,10 @@ func (st *staging) layout(parts []part, inst []int32) *chunk {
 // place puts the chunk into s, a new version still sharing the base's
 // directory and chunk list: in a slot no instance uses any more, or a new
 // one, with its posting columns built and the parts' directory entries
-// pointing at it. The wid list and index are rebuilt only when a wid is new,
-// and the instance postings copied only where they change: the lists of the
-// symbols a touched instance gains, or all of them, renumbered, when a new
-// wid lands before an old one and so moves its position.
+// pointing at it. The wid list and directory are merged anew only when a
+// wid is new, and the instance postings copied only where they change: the
+// lists of the symbols a touched instance gains, or all of them, renumbered,
+// when a new wid lands before an old one and so moves its position.
 func (s *Store) place(c *chunk, parts []part, at map[uint64]int32) {
 	chunks, live := s.chunks, s.live // the base's
 	s.chunks, s.live = slices.Clone(chunks), slices.Clone(live)
@@ -255,26 +255,31 @@ func (s *Store) place(c *chunk, parts []part, at map[uint64]int32) {
 	}
 	c.index(locs, s.sparse)
 
-	widList, widIdx, dir := s.widList, s.widIdx, s.dir // the base's
-	s.widList = slices.Clip(widList)
+	widList, dir := s.widList, s.dir // the base's
+	var opened []uint64
 	for wid, i := range at {
 		if parts[i].from == nil {
-			s.widList = append(s.widList, wid)
+			opened = append(opened, wid)
 		}
 	}
 	var moved []int32 // the base's positions, renumbered
-	if len(s.widList) == len(widList) {
+	if len(opened) == 0 {
 		s.dir = slices.Clone(dir)
 	} else {
-		slices.Sort(s.widList)
-		s.widIdx = make(map[uint64]int32, len(s.widList))
-		s.dir = make([]loc, len(s.widList))
-		moved = make([]int32, len(widList))
-		for w, wid := range s.widList {
-			s.widIdx[wid] = int32(w)
-			if old, ok := widIdx[wid]; ok {
-				s.dir[w] = dir[old]
-				moved[old] = int32(w)
+		// Merge the opened wids into the base's list, carrying each old
+		// instance's directory entry along to its new position.
+		slices.Sort(opened)
+		n := len(widList) + len(opened)
+		s.widList, s.dir, moved = make([]uint64, 0, n), make([]loc, n), make([]int32, len(widList))
+		for old := 0; len(s.widList) < n; {
+			if old < len(widList) && (len(opened) == 0 || widList[old] < opened[0]) {
+				moved[old] = int32(len(s.widList))
+				s.dir[len(s.widList)] = dir[old]
+				s.widList = append(s.widList, widList[old])
+				old++
+			} else {
+				s.widList = append(s.widList, opened[0])
+				opened = opened[1:]
 			}
 		}
 		// The renumbering is increasing: it moves nothing when the last old
@@ -284,8 +289,9 @@ func (s *Store) place(c *chunk, parts []part, at map[uint64]int32) {
 		}
 	}
 	for wid, i := range at {
-		parts[i].pos = s.widIdx[wid]
-		s.dir[parts[i].pos] = locs[i]
+		pos, _ := s.Position(wid)
+		parts[i].pos = int32(pos)
+		s.dir[pos] = locs[i]
 	}
 	s.gain(c, parts, locs, moved)
 }

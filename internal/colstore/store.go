@@ -35,9 +35,8 @@ type Store struct {
 	syms    SymbolTable // activity names
 	keys    SymbolTable // attribute names
 	names   []string    // distinct activity names, sorted
-	widList []uint64    // ascending
-	widIdx  map[uint64]int32
-	dir     []loc // parallel to widList
+	widList []uint64    // ascending: an instance's position is its directory key
+	dir     []loc       // parallel to widList
 	// carriers holds, per symbol, the positions in widList of the instances
 	// with a record carrying it, ascending.
 	carriers [][]int32
@@ -149,7 +148,7 @@ func (s *Store) WIDs() []uint64 { return s.widList }
 
 // find returns the instance's place and chunk.
 func (s *Store) find(wid uint64) (*loc, *chunk, bool) {
-	w, ok := s.widIdx[wid]
+	w, ok := s.Position(wid)
 	if !ok {
 		return nil, nil, false
 	}
@@ -169,10 +168,10 @@ func (l *loc) at(c *chunk, seq uint64) (int, bool) {
 }
 
 // Position returns the instance's position in WIDs, the key of the
-// positional probes (ok false when the wid is absent).
+// positional probes (ok false when the wid is absent): a binary search of
+// the wid list.
 func (s *Store) Position(wid uint64) (int, bool) {
-	w, ok := s.widIdx[wid]
-	return int(w), ok
+	return slices.BinarySearch(s.widList, wid)
 }
 
 // InstanceLenAt returns the number of records of the instance at the

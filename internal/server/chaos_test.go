@@ -267,9 +267,9 @@ func TestChaosPreflightCostCeiling(t *testing.T) {
 	if rec := getJSON(t, h, "/metrics", &m); rec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", rec.Code)
 	}
-	if m.CostRejected != 1 || m.BudgetAborts != 0 {
+	if m.CostRejected.Load() != 1 || m.BudgetAborts.Load() != 0 {
 		t.Fatalf("cost_rejected %d budget_aborts %d, want 1 and 0",
-			m.CostRejected, m.BudgetAborts)
+			m.CostRejected.Load(), m.BudgetAborts.Load())
 	}
 }
 
@@ -413,11 +413,11 @@ func TestChaosMetricsCountFaults(t *testing.T) {
 	if rec := getJSON(t, h, "/metrics", &m); rec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", rec.Code)
 	}
-	if m.PanicsRecovered != 1 {
-		t.Errorf("panics_recovered = %d, want 1", m.PanicsRecovered)
+	if m.PanicsRecovered.Load() != 1 {
+		t.Errorf("panics_recovered = %d, want 1", m.PanicsRecovered.Load())
 	}
-	if m.BudgetAborts != 1 {
-		t.Errorf("budget_aborts = %d, want 1", m.BudgetAborts)
+	if m.BudgetAborts.Load() != 1 {
+		t.Errorf("budget_aborts = %d, want 1", m.BudgetAborts.Load())
 	}
 	if m.AdmissionCapacity != DefaultMaxInFlight {
 		t.Errorf("admission_capacity = %d, want %d", m.AdmissionCapacity, DefaultMaxInFlight)

@@ -512,7 +512,7 @@ func TestClusterFaultTransportErrorRetried(t *testing.T) {
 	if resp.Completeness == nil || !resp.Completeness.Complete {
 		t.Fatalf("retried result not complete: %+v", resp.Completeness)
 	}
-	if got := f.coord.Coordinator().Stats().WorkerRetries; got != 1 {
+	if got := f.coord.Coordinator().Stats.WorkerRetries.Load(); got != 1 {
 		t.Fatalf("worker retries = %d, want exactly 1", got)
 	}
 	if resp.Completeness.Retries != 1 {
@@ -539,7 +539,7 @@ func TestClusterFaultTimedOutAttemptRetried(t *testing.T) {
 	if resp.Completeness == nil || !resp.Completeness.Complete || resp.Completeness.Retries != 1 {
 		t.Fatalf("completeness %+v, want complete after one retry", resp.Completeness)
 	}
-	if got := f.coord.Coordinator().Stats().WorkerRetries; got != 1 {
+	if got := f.coord.Coordinator().Stats.WorkerRetries.Load(); got != 1 {
 		t.Fatalf("worker retries = %d, want exactly 1", got)
 	}
 }
@@ -638,7 +638,7 @@ func TestClusterFaultStaleWorkerDetected(t *testing.T) {
 		t.Fatalf("failure %+v does not name the placement mismatch over wids 9–16", fo)
 	}
 	// Deterministic failure: one attempt, no retries burned on it.
-	if got := f.coord.Coordinator().Stats().WorkerRetries; got != 0 {
+	if got := f.coord.Coordinator().Stats.WorkerRetries.Load(); got != 0 {
 		t.Fatalf("stale worker was retried %d times; mismatches are deterministic", got)
 	}
 }
@@ -838,9 +838,9 @@ func TestClusterMetrics(t *testing.T) {
 	if doc.Cluster.Role != "coordinator" || doc.Cluster.Workers != 2 {
 		t.Fatalf("coordinator cluster section = %+v", doc.Cluster)
 	}
-	if doc.Cluster.ClusterQueries != 1 || doc.Cluster.Fanouts != 1 || doc.Cluster.WorkerRequests < 1 {
+	if cl := doc.Cluster; cl.ClusterQueries.Load() != 1 || cl.Fanouts.Load() != 1 || cl.WorkerRequests.Load() < 1 {
 		t.Fatalf("coordinator counters = queries=%d fanouts=%d requests=%d, want 1/1/>=1",
-			doc.Cluster.ClusterQueries, doc.Cluster.Fanouts, doc.Cluster.WorkerRequests)
+			cl.ClusterQueries.Load(), cl.Fanouts.Load(), cl.WorkerRequests.Load())
 	}
 	promBody := getJSON(t, f.coord.Handler(), "/metrics?format=prometheus", nil).Body.String()
 	for _, family := range []string{
@@ -861,7 +861,7 @@ func TestClusterMetrics(t *testing.T) {
 	if wdoc.Cluster == nil || wdoc.Cluster.Role != "worker" {
 		t.Fatalf("worker cluster section = %+v, want role worker", wdoc.Cluster)
 	}
-	if wdoc.Cluster.WorkerQueriesServed == 0 {
+	if wdoc.Cluster.WorkerQueriesServed.Load() == 0 {
 		t.Fatal("worker served no queries according to its metrics")
 	}
 	wprom := getJSON(t, f.wsrv[served].Handler(), "/metrics?format=prometheus", nil).Body.String()
@@ -898,11 +898,11 @@ func TestClusterOperatorTotalsFromFleetTable(t *testing.T) {
 	}
 	var doc metricsDoc
 	getJSON(t, f.coord.Handler(), "/metrics", &doc)
-	for _, op := range meteredOps {
+	for op := pattern.OpConsecutive; op <= pattern.OpParallel; op++ {
 		name := op.Name()
-		if doc.OperatorComparisons[name] != comparisons[name] || doc.OperatorOutputs[name] != outputs[name] {
+		if doc.OperatorComparisons[op].Load() != comparisons[name] || doc.OperatorOutputs[op].Load() != outputs[name] {
 			t.Errorf("%s: coordinator totals %d comparisons / %d outputs, fleet table %d / %d",
-				name, doc.OperatorComparisons[name], doc.OperatorOutputs[name], comparisons[name], outputs[name])
+				name, doc.OperatorComparisons[op].Load(), doc.OperatorOutputs[op].Load(), comparisons[name], outputs[name])
 		}
 	}
 }

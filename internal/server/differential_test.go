@@ -264,8 +264,8 @@ func TestCacheServesOnlyWhatItHolds(t *testing.T) {
 				}
 				var m metricsDoc
 				getJSON(t, h, "/metrics", &m)
-				if int(m.CacheMisses) != misses || int(m.CacheHits) != len(order)-misses || m.CacheEntries != 1 {
-					t.Errorf("%v: %d hits, %d misses, %d entries; want %d, %d, 1", order, m.CacheHits, m.CacheMisses, m.CacheEntries, len(order)-misses, misses)
+				if int(m.CacheMisses.Load()) != misses || int(m.CacheHits.Load()) != len(order)-misses || m.CacheEntries != 1 {
+					t.Errorf("%v: %d hits, %d misses, %d entries; want %d, %d, 1", order, m.CacheHits.Load(), m.CacheMisses.Load(), m.CacheEntries, len(order)-misses, misses)
 				}
 			}
 		})

@@ -471,7 +471,7 @@ func TestClusterDegradedRunDoesNotFeedStats(t *testing.T) {
 	partials := func() uint64 {
 		var m metricsDoc
 		getJSON(t, h, "/metrics", &m)
-		return m.PartialResults
+		return m.PartialResults.Load()
 	}
 
 	if rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","partial":true}`, nil); rec.Code != http.StatusOK {

@@ -174,8 +174,8 @@ func TestChaosFlightRecorderCapturesPartialAndKeepsRegistryClean(t *testing.T) {
 	}
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.PartialResults != 1 {
-		t.Fatalf("partial_results = %d, want 1", m.PartialResults)
+	if m.PartialResults.Load() != 1 {
+		t.Fatalf("partial_results = %d, want 1", m.PartialResults.Load())
 	}
 }
 

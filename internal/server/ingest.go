@@ -209,37 +209,39 @@ type ingestLogDoc struct {
 	Segments      int    `json:"wal_segments"`
 }
 
-// ingestMetricsDoc is the ingest section of the metrics document:
-// coordinator and WAL counters aggregated across live logs at scrape time
-// (the same assembled-at-scrape pattern as the cluster section), plus the
-// server-owned cache-invalidation counter and the WAL fsync latency
-// histogram (JSON carries its scalar summary, Prometheus the buckets).
-// Emitted only when Config.Ingest is on. Tags as on metricsDoc.
+// ingestMetricsDoc is the ingest section of the metrics document: the
+// server's live cache-invalidation counter and WAL fsync histogram beside
+// the totals filled in at scrape time. Present only with Config.Ingest.
+// Tags as on metricsDoc.
 type ingestMetricsDoc struct {
-	Accepted           uint64                `json:"accepted" prom:"wlq_ingest_appends_total" help:"Records durably appended and applied."`
-	Rejected           uint64                `json:"rejected" prom:"wlq_ingest_rejected_total" help:"Appends rejected for violating the log discipline (422)."`
-	Shed               uint64                `json:"shed" prom:"wlq_ingest_shed_total" help:"Appends shed by apply-queue backpressure (429)."`
-	Replayed           uint64                `json:"replayed" prom:"wlq_ingest_replayed_total" help:"WAL records replayed into the index at startup or reload."`
-	Deduped            uint64                `json:"deduped" prom:"wlq_ingest_deduped_total" help:"WAL records skipped on replay as already in the snapshot."`
-	WALAppends         uint64                `json:"wal_appends"`
-	WALBytes           uint64                `json:"wal_bytes" prom:"wlq_ingest_wal_bytes_total" help:"Framed bytes written to WAL segments."`
-	WALFsyncs          uint64                `json:"wal_fsyncs" prom:"wlq_ingest_wal_fsyncs_total" help:"Explicit WAL fsyncs issued."`
-	WALRotations       uint64                `json:"wal_rotations" prom:"wlq_ingest_wal_rotations_total" help:"WAL segment rotations."`
-	WALSegments        int                   `json:"wal_segments" prom:"wlq_ingest_wal_segments" help:"Live WAL segment files across logs."`
-	WALTornBytes       int64                 `json:"wal_torn_bytes" prom:"wlq_ingest_wal_torn_bytes_total" help:"Bytes truncated as torn tails by recovery scans."`
-	CacheInvalidations uint64                `json:"cache_invalidations" prom:"wlq_ingest_cache_invalidations_total" help:"Cached results dropped because a record appended since, or a rebase, can have changed them."`
-	FsyncCount         uint64                `json:"fsync_count"`
-	FsyncSumUS         int64                 `json:"fsync_sum_us"`
-	FsyncDuration      obs.HistogramSnapshot `json:"-" prom:"wlq_ingest_fsync_duration_seconds" help:"WAL fsync latency."`
-	Logs               []ingestLogDoc        `json:"logs,omitempty"`
+	ingestTotals
+	CacheInvalidations obs.Counter    `json:"cache_invalidations" prom:"wlq_ingest_cache_invalidations_total" help:"Cached results dropped because a record appended since, or a rebase, can have changed them."`
+	FsyncDuration      *obs.Histogram `json:"-" prom:"wlq_ingest_fsync_duration_seconds" help:"WAL fsync latency."`
 }
 
-// ingestMetrics assembles the ingest section, or nil when live ingestion is
-// disabled.
-func (s *Server) ingestMetrics() *ingestMetricsDoc {
-	if !s.cfg.Ingest {
-		return nil
-	}
+// ingestTotals are the ingest section's scrape-time fields: the coordinator
+// and WAL counters summed across live logs (the same pattern as the cluster
+// section), the fsync histogram's scalar summary for JSON, and the per-log
+// rows.
+type ingestTotals struct {
+	Accepted     uint64         `json:"accepted" prom:"wlq_ingest_appends_total" help:"Records durably appended and applied."`
+	Rejected     uint64         `json:"rejected" prom:"wlq_ingest_rejected_total" help:"Appends rejected for violating the log discipline (422)."`
+	Shed         uint64         `json:"shed" prom:"wlq_ingest_shed_total" help:"Appends shed by apply-queue backpressure (429)."`
+	Replayed     uint64         `json:"replayed" prom:"wlq_ingest_replayed_total" help:"WAL records replayed into the index at startup or reload."`
+	Deduped      uint64         `json:"deduped" prom:"wlq_ingest_deduped_total" help:"WAL records skipped on replay as already in the snapshot."`
+	WALAppends   uint64         `json:"wal_appends"`
+	WALBytes     uint64         `json:"wal_bytes" prom:"wlq_ingest_wal_bytes_total" help:"Framed bytes written to WAL segments."`
+	WALFsyncs    uint64         `json:"wal_fsyncs" prom:"wlq_ingest_wal_fsyncs_total" help:"Explicit WAL fsyncs issued."`
+	WALRotations uint64         `json:"wal_rotations" prom:"wlq_ingest_wal_rotations_total" help:"WAL segment rotations."`
+	WALSegments  int            `json:"wal_segments" prom:"wlq_ingest_wal_segments" help:"Live WAL segment files across logs."`
+	WALTornBytes int64          `json:"wal_torn_bytes" prom:"wlq_ingest_wal_torn_bytes_total" help:"Bytes truncated as torn tails by recovery scans."`
+	FsyncCount   uint64         `json:"fsync_count"`
+	FsyncSumUS   int64          `json:"fsync_sum_us"`
+	Logs         []ingestLogDoc `json:"logs,omitempty"`
+}
+
+// scrapeIngest fills the ingest section's scrape-time fields.
+func (s *Server) scrapeIngest(doc *ingestMetricsDoc) {
 	s.mu.RLock()
 	coords := make([]*logEntry, 0, len(s.names))
 	for _, name := range s.names {
@@ -248,25 +250,22 @@ func (s *Server) ingestMetrics() *ingestMetricsDoc {
 		}
 	}
 	s.mu.RUnlock()
-	doc := &ingestMetricsDoc{
-		CacheInvalidations: s.metrics.ingestInvalidations.Load(),
-	}
-	doc.FsyncDuration = s.metrics.fsyncHist.Snapshot()
-	doc.FsyncCount, doc.FsyncSumUS = doc.FsyncDuration.Count, doc.FsyncDuration.SumUS
+	fsync := doc.FsyncDuration.Snapshot()
+	t := ingestTotals{FsyncCount: fsync.Count, FsyncSumUS: fsync.SumUS}
 	for _, e := range coords {
 		st := e.live.Stats()
-		doc.Accepted += st.Accepted
-		doc.Rejected += st.Rejected
-		doc.Shed += st.Shed
-		doc.Replayed += st.Replayed
-		doc.Deduped += st.Deduped
-		doc.WALAppends += st.WAL.Appends
-		doc.WALBytes += st.WAL.Bytes
-		doc.WALFsyncs += st.WAL.Fsyncs
-		doc.WALRotations += st.WAL.Rotations
-		doc.WALSegments += st.WAL.Segments
-		doc.WALTornBytes += st.WAL.TornBytes
-		doc.Logs = append(doc.Logs, ingestLogDoc{
+		t.Accepted += st.Accepted
+		t.Rejected += st.Rejected
+		t.Shed += st.Shed
+		t.Replayed += st.Replayed
+		t.Deduped += st.Deduped
+		t.WALAppends += st.WAL.Appends
+		t.WALBytes += st.WAL.Bytes
+		t.WALFsyncs += st.WAL.Fsyncs
+		t.WALRotations += st.WAL.Rotations
+		t.WALSegments += st.WAL.Segments
+		t.WALTornBytes += st.WAL.TornBytes
+		t.Logs = append(t.Logs, ingestLogDoc{
 			Log:           e.name,
 			LastLSN:       st.LastLSN,
 			QueueDepth:    st.QueueDepth,
@@ -274,5 +273,5 @@ func (s *Server) ingestMetrics() *ingestMetricsDoc {
 			Segments:      st.WAL.Segments,
 		})
 	}
-	return doc
+	doc.ingestTotals = t
 }

@@ -203,7 +203,7 @@ func TestAppendDeltaInvalidation(t *testing.T) {
 	hits := func() uint64 {
 		var m metricsDoc
 		getJSON(t, h, "/metrics", &m)
-		return m.CacheHits
+		return m.CacheHits.Load()
 	}
 	base := hits()
 
@@ -248,7 +248,7 @@ func TestAppendDeltaInvalidation(t *testing.T) {
 
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.Ingest == nil || m.Ingest.CacheInvalidations == 0 {
+	if m.Ingest == nil || m.Ingest.CacheInvalidations.Load() == 0 {
 		t.Errorf("ingest metrics missing invalidations: %+v", m.Ingest)
 	}
 }

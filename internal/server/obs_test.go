@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"wlq"
+	"wlq/internal/core/pattern"
 )
 
 // TestQueryTraceResponse: "trace": true returns the span tree and a cost
@@ -213,7 +214,7 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.SlowQueries == 0 {
+	if m.SlowQueries.Load() == 0 {
 		t.Error("slow_queries counter not bumped")
 	}
 }
@@ -292,13 +293,13 @@ func TestConcurrentMetricsScrape(t *testing.T) {
 
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.QueriesTotal != 200 {
-		t.Errorf("queries_total = %d, want 200", m.QueriesTotal)
+	if m.QueriesTotal.Load() != 200 {
+		t.Errorf("queries_total = %d, want 200", m.QueriesTotal.Load())
 	}
 	if m.Latency.Count != 200 {
 		t.Errorf("latency count = %d, want 200 (every path observed)", m.Latency.Count)
 	}
-	if m.OperatorComparisons["sequential"] == 0 {
-		t.Errorf("no sequential comparisons recorded: %v", m.OperatorComparisons)
+	if m.OperatorComparisons[pattern.OpSequential].Load() == 0 {
+		t.Errorf("no sequential comparisons recorded: %s", getJSON(t, h, "/metrics", nil).Body)
 	}
 }

@@ -168,9 +168,9 @@ func TestChaosShardedMetricsCounters(t *testing.T) {
 	if rec := getJSON(t, s.Handler(), "/metrics", &doc); rec.Code != http.StatusOK {
 		t.Fatalf("metrics: %d", rec.Code)
 	}
-	if doc.PartialResults != 1 || doc.WIDsExcluded != 4 || doc.PanicsRecovered != 4 || doc.InstancesEvaluated != 12 {
+	if doc.PartialResults.Load() != 1 || doc.WIDsExcluded.Load() != 4 || doc.PanicsRecovered.Load() != 4 || doc.InstancesEvaluated.Load() != 12 {
 		t.Fatalf("counters = partial=%d excluded=%d panics=%d instances=%d, want 1/4/4/12",
-			doc.PartialResults, doc.WIDsExcluded, doc.PanicsRecovered, doc.InstancesEvaluated)
+			doc.PartialResults.Load(), doc.WIDsExcluded.Load(), doc.PanicsRecovered.Load(), doc.InstancesEvaluated.Load())
 	}
 	// The prometheus exposition carries the same families.
 	body := getJSON(t, s.Handler(), "/metrics?format=prometheus", nil).Body.String()

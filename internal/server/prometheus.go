@@ -16,27 +16,20 @@ import (
 // /metrics?format=prometheus. Hand-rolled on purpose: the service stays
 // dependency-free. The families are declared once, as prom/help tags on the
 // metrics document (metricsDoc and its sections) that the JSON renderer
-// encodes; writeDeclared walks that document, and only the families derived
-// from its non-scalar fields are written out by hand below. Metric names
-// follow the Prometheus conventions — `wlq_` prefix, `_total` suffix on
-// counters, base units (seconds).
-
-// promSample is one sample of a family: its rendered label list without
-// braces (`op="choice"`, empty for an unlabeled sample) and its value.
-type promSample struct {
-	labels string
-	value  string
-}
+// encodes; writeDeclared walks that document, and only the labeled rows
+// built at scrape time from several sources are written out by hand below.
+// Metric names follow the Prometheus conventions — `wlq_` prefix, `_total`
+// suffix on counters, base units (seconds).
 
 // writeFamily writes one metric family: HELP, TYPE, then each sample.
-func writeFamily(w io.Writer, name, help, typ string, samples ...promSample) {
+func writeFamily(w io.Writer, name, help, typ string, samples ...obs.Sample) {
 	fmt.Fprintf(w, "# HELP %s %s\n", name, help)
 	fmt.Fprintf(w, "# TYPE %s %s\n", name, typ)
 	for _, s := range samples {
-		if s.labels != "" {
-			s.labels = "{" + s.labels + "}"
+		if s.Labels != "" {
+			s.Labels = "{" + s.Labels + "}"
 		}
-		fmt.Fprintf(w, "%s%s %s\n", name, s.labels, s.value)
+		fmt.Fprintf(w, "%s%s %s\n", name, s.Labels, s.Value)
 	}
 }
 
@@ -73,13 +66,17 @@ func writeHistogram(w io.Writer, name, labels string, h obs.HistogramSnapshot) {
 
 // writeDeclared renders every family a metrics-document struct declares, in
 // field order: a field with a prom tag becomes a histogram when it is an
-// obs.HistogramSnapshot, otherwise a single-sample counter (`_total` suffix)
-// or gauge of its numeric value. Untagged sections — a nested or embedded
-// struct, or a non-nil pointer to one — are walked in place.
+// *obs.Histogram, otherwise a counter (`_total` suffix) or gauge of the
+// samples an obs metric renders, or of the field's numeric value. Untagged
+// sections — a nested or embedded struct, or a non-nil pointer to one — are
+// walked in place.
 func writeDeclared(w io.Writer, doc reflect.Value) {
 	for i := 0; i < doc.NumField(); i++ {
 		field, v := doc.Type().Field(i), doc.Field(i)
 		name, help := field.Tag.Get("prom"), field.Tag.Get("help")
+		if !field.IsExported() && !field.Anonymous {
+			continue
+		}
 		if name == "" {
 			if v.Kind() == reflect.Pointer && !v.IsNil() {
 				v = v.Elem()
@@ -89,58 +86,48 @@ func writeDeclared(w io.Writer, doc reflect.Value) {
 			}
 			continue
 		}
-		if h, ok := v.Interface().(obs.HistogramSnapshot); ok {
-			writeFamily(w, name, help, "histogram")
-			writeHistogram(w, name, "", h)
-			continue
-		}
 		typ := "gauge"
 		if strings.HasSuffix(name, "_total") {
 			typ = "counter"
 		}
-		var value string
-		switch v.Kind() {
-		case reflect.Float64:
-			value = strconv.FormatFloat(v.Float(), 'g', -1, 64)
-		case reflect.Int, reflect.Int64:
-			value = strconv.FormatInt(v.Int(), 10)
+		switch m := v.Addr().Interface().(type) {
+		case **obs.Histogram:
+			writeFamily(w, name, help, "histogram")
+			writeHistogram(w, name, "", (*m).Snapshot())
+		case interface{ Samples() []obs.Sample }:
+			writeFamily(w, name, help, typ, m.Samples()...)
 		default:
-			value = strconv.FormatUint(v.Uint(), 10)
+			var value string
+			switch v.Kind() {
+			case reflect.Float64:
+				value = strconv.FormatFloat(v.Float(), 'g', -1, 64)
+			case reflect.Int, reflect.Int64:
+				value = strconv.FormatInt(v.Int(), 10)
+			default:
+				value = strconv.FormatUint(v.Uint(), 10)
+			}
+			writeFamily(w, name, help, typ, obs.Sample{Value: value})
 		}
-		writeFamily(w, name, help, typ, promSample{value: value})
 	}
 }
 
 // writePrometheus emits the full exposition document: the declared families
-// of the same snapshot the JSON renderer encodes, then the derived ones.
-func (s *Server) writePrometheus(w http.ResponseWriter) {
-	doc := s.metricsSnapshot()
+// of the document the JSON renderer encodes, then the labeled rows.
+func writePrometheus(w http.ResponseWriter, doc *metricsDoc) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	writeDeclared(w, reflect.ValueOf(doc))
-
-	// Per-operator Lemma 1 accounting, labeled by operator name.
-	var comps, outs []promSample
-	for _, op := range meteredOps {
-		l := label("op", op.Name())
-		comps = append(comps, promSample{l, strconv.FormatUint(doc.OperatorComparisons[op.Name()], 10)})
-		outs = append(outs, promSample{l, strconv.FormatUint(doc.OperatorOutputs[op.Name()], 10)})
-	}
-	writeFamily(w, "wlq_operator_comparisons_total",
-		"Measured record-level comparisons per operator (Lemma 1 accounting).", "counter", comps...)
-	writeFamily(w, "wlq_operator_outputs_total",
-		"Incidents produced per operator.", "counter", outs...)
+	writeDeclared(w, reflect.ValueOf(doc).Elem())
 
 	if cl := doc.Cluster; cl != nil {
 		writeFamily(w, "wlq_cluster_workers_lost", "Workers currently probe-unhealthy or breaker-tripped.", "gauge",
-			promSample{value: strconv.Itoa(len(cl.WorkersLost))})
+			obs.Sample{Value: strconv.Itoa(len(cl.WorkersLost))})
 		if len(cl.WorkerHealth) > 0 {
-			var breakers []promSample
+			var breakers []obs.Sample
 			for _, wh := range cl.WorkerHealth {
 				open := "0"
 				if wh.Breaker != "closed" {
 					open = "1"
 				}
-				breakers = append(breakers, promSample{label("worker", wh.Worker), open})
+				breakers = append(breakers, obs.Sample{Labels: label("worker", wh.Worker), Value: open})
 			}
 			writeFamily(w, "wlq_cluster_worker_breaker_open",
 				"Per-worker circuit breaker state (1 = open or half-open).", "gauge", breakers...)
@@ -158,12 +145,12 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 
 	// Per-log watermark and apply-queue gauges.
 	if ing := doc.Ingest; ing != nil && len(ing.Logs) > 0 {
-		var lsns, depth, capacity []promSample
+		var lsns, depth, capacity []obs.Sample
 		for _, ld := range ing.Logs {
 			l := label("log", ld.Log)
-			lsns = append(lsns, promSample{l, strconv.FormatUint(ld.LastLSN, 10)})
-			depth = append(depth, promSample{l, strconv.Itoa(ld.QueueDepth)})
-			capacity = append(capacity, promSample{l, strconv.Itoa(ld.QueueCapacity)})
+			lsns = append(lsns, obs.Sample{Labels: l, Value: strconv.FormatUint(ld.LastLSN, 10)})
+			depth = append(depth, obs.Sample{Labels: l, Value: strconv.Itoa(ld.QueueDepth)})
+			capacity = append(capacity, obs.Sample{Labels: l, Value: strconv.Itoa(ld.QueueCapacity)})
 		}
 		writeFamily(w, "wlq_ingest_last_lsn", "Per-log applied high-water mark.", "gauge", lsns...)
 		writeFamily(w, "wlq_ingest_queue_depth", "Per-log append requests currently admitted.", "gauge", depth...)

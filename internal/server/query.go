@@ -152,7 +152,7 @@ func (s *Server) bindExecutor(e *logEntry) {
 		e.exec = executor{
 			goroutines: func(int, int) int { return 0 },
 			run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
-				s.metrics.clusterQueries.Add(1)
+				s.metrics.Cluster.ClusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
 				x.res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
 					WIDs:     src.WIDs(),
@@ -227,10 +227,10 @@ func recycleAnswer(b []byte) {
 // busy-worker gauge up by the run's local parallelism for as long as the
 // run evaluates, and accounts the instances it covered.
 func (s *Server) execute(local int, run func() execution) execution {
-	s.metrics.busyWorkers.Add(int64(local))
-	defer s.metrics.busyWorkers.Add(int64(-local))
+	s.metrics.BusyWorkers.Add(int64(local))
+	defer s.metrics.BusyWorkers.Add(int64(-local))
 	x := run()
-	s.metrics.instancesEvaluated.Add(uint64(x.stats.Instances))
+	s.metrics.InstancesEvaluated.Add(uint64(x.stats.Instances))
 	return x
 }
 
@@ -244,7 +244,7 @@ func (s *Server) admit(w http.ResponseWriter, who string) (errorDoc, bool) {
 	if s.admission.TryAcquire() {
 		return errorDoc{}, true
 	}
-	s.metrics.queriesShed.Add(1)
+	s.metrics.QueriesShed.Add(1)
 	retry := retryAfterSeconds(s.admission.RetryAfter())
 	w.Header().Set("Retry-After", strconv.Itoa(retry))
 	return errorDoc{
@@ -266,7 +266,7 @@ func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, l
 	switch {
 	case errors.As(err, &be):
 		// Deterministic: a coordinator must not retry a worker's 422.
-		s.metrics.budgetAborts.Add(1)
+		s.metrics.BudgetAborts.Add(1)
 		return flightrec.StatusBudget, http.StatusUnprocessableEntity, errorDoc{
 			Error:           fmt.Sprintf("query aborted: %v", be),
 			BudgetDimension: be.Dimension,
@@ -285,7 +285,7 @@ func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, l
 			Error: fmt.Sprintf("cluster evaluation failed: %v", err),
 		}
 	case errors.Is(err, context.DeadlineExceeded):
-		s.metrics.queryTimeouts.Add(1)
+		s.metrics.QueryTimeouts.Add(1)
 		return flightrec.StatusTimeout, http.StatusGatewayTimeout, errorDoc{
 			Error: fmt.Sprintf("query exceeded the %v evaluation timeout", timeout),
 		}
@@ -299,7 +299,7 @@ func (s *Server) evalFailure(err error, fleetLost bool, timeout time.Duration, l
 // recordPanic counts and logs a panic recovered in an evaluation, with the
 // stack its incident id correlates.
 func (s *Server) recordPanic(pe *resilience.PanicError, logName, query string) {
-	s.metrics.panicsRecovered.Add(1)
+	s.metrics.PanicsRecovered.Add(1)
 	if s.cfg.Logger != nil {
 		s.cfg.Logger.Error("panic recovered in evaluation",
 			"incident_id", pe.IncidentID,
@@ -352,14 +352,14 @@ type queryRun struct {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.queriesTotal.Add(1)
+	s.metrics.QueriesTotal.Add(1)
 	if doc, ok := s.admit(w, "server"); !ok {
 		writeJSON(w, http.StatusTooManyRequests, doc)
 		return
 	}
 	defer s.admission.Release()
-	s.metrics.inflight.Add(1)
-	defer s.metrics.inflight.Add(-1)
+	s.metrics.InflightQueries.Add(1)
+	defer s.metrics.InflightQueries.Add(-1)
 
 	q := &queryRun{s: s, w: w, started: time.Now()}
 	defer q.finish()
@@ -381,7 +381,7 @@ func (q *queryRun) finish() {
 	s.metrics.observeLatency(elapsed)
 	slow := s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery
 	if slow {
-		s.metrics.slowQueries.Add(1)
+		s.metrics.SlowQueries.Add(1)
 		if s.cfg.Logger != nil {
 			s.cfg.Logger.Warn("slow query",
 				"query", q.req.Query,
@@ -413,7 +413,7 @@ func (q *queryRun) fail(st flightrec.Status, code int, doc errorDoc) bool {
 
 // reject fails a request that cannot be evaluated as asked.
 func (q *queryRun) reject(code int, format string, args ...any) bool {
-	q.s.metrics.queryErrors.Add(1)
+	q.s.metrics.QueryErrors.Add(1)
 	return q.fail(flightrec.StatusError, code, errorDoc{Error: fmt.Sprintf(format, args...)})
 }
 
@@ -501,11 +501,13 @@ func (q *queryRun) plan() bool {
 		// its incidents) is a miss: execute replaces it with a richer one.
 		e, ok, stale := s.cache.get(q.cacheKey, q.at)
 		if stale {
-			s.metrics.ingestInvalidations.Add(1)
+			// Only a live log's entries go stale (a static log's store is
+			// fixed for the generation the key names), so Ingest is set.
+			s.metrics.Ingest.CacheInvalidations.Add(1)
 		}
 		if ok && e.serves(q.shape) {
 			q.answer, q.cached = e, true
-			s.metrics.cacheHits.Add(1)
+			s.metrics.CacheHits.Add(1)
 			q.capture.Cached = true
 			q.capture.Plan = q.answer.planText
 			// A cache hit ran no evaluation: the capture's trace carries the
@@ -513,7 +515,7 @@ func (q *queryRun) plan() bool {
 			q.capture.Trace = q.queryTrace(nil, "")
 			return true
 		}
-		s.metrics.cacheMisses.Add(1)
+		s.metrics.CacheMisses.Add(1)
 	}
 
 	plan := pattern.Node(p)
@@ -533,7 +535,7 @@ func (q *queryRun) plan() bool {
 	// are rejected before they consume a single worker.
 	if ceiling := s.cfg.MaxPredictedCost; ceiling > 0 {
 		if predicted := rewrite.NewEstimator(q.at).Cost(plan); predicted > ceiling {
-			s.metrics.costRejected.Add(1)
+			s.metrics.CostRejected.Add(1)
 			return q.fail(flightrec.StatusError, http.StatusUnprocessableEntity, errorDoc{
 				Error: fmt.Sprintf(
 					"query rejected before evaluation: predicted cost %.3g exceeds the ceiling %.3g (tighten the pattern, or raise -max-predicted-cost)",
@@ -598,11 +600,6 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	src := q.at
 	workers := entry.exec.goroutines(q.req.Workers, len(src.WIDs()))
 	x := s.execute(workers, func() execution { return entry.exec.run(ctx, src, plan, opts, workers, q.shape) })
-	if x.fan != nil && len(x.fan.CostTable) > 0 {
-		s.metrics.recordCostTable(x.fan.CostTable)
-	} else {
-		s.metrics.recordMeter(meter)
-	}
 	if ex := x.excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
 		// the query (a 500, as any panic does); partial, the answer stands
@@ -619,7 +616,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	// A partitioned run's coverage goes on the capture whatever the outcome.
 	q.capture.Completeness, q.capture.Workers = x.comp, x.fan
 	if x.comp != nil {
-		s.metrics.widsExcluded.Add(uint64(x.comp.ExcludedWIDs))
+		s.metrics.WIDsExcluded.Add(uint64(x.comp.ExcludedWIDs))
 	}
 	if x.err != nil {
 		sp.SetAttr("error", x.err.Error())
@@ -631,6 +628,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("answer", answerPath(plan, q.shape, q.strategy))
 	}
 	sp.End()
+	// The run's one cost table feeds the per-operator totals and the trace.
 	// The trace is assembled on success and failure alike: a failed
 	// evaluation's capture still carries the partial cost table — every
 	// operator that completed before the abort is accounted, which is
@@ -642,9 +640,10 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	if x.fan != nil {
 		costTable, traceID = x.fan.CostTable, x.fan.TraceID
 	}
-	if len(costTable) == 0 && q.trace != nil {
+	if len(costTable) == 0 {
 		costTable = obs.CostTable(meter)
 	}
+	s.metrics.recordCostTable(costTable)
 	q.capture.Trace = q.queryTrace(costTable, traceID)
 
 	// Every failure below returns before the cache put: a timeout, budget
@@ -655,9 +654,9 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		switch {
 		case st == flightrec.StatusBudget:
 			// The partial cost table shows the client where the budget went.
-			doc.CostTable = obs.CostTable(meter)
+			doc.CostTable = costTable
 		case st == flightrec.StatusError:
-			s.metrics.queryErrors.Add(1)
+			s.metrics.QueryErrors.Add(1)
 			if code == http.StatusBadGateway {
 				// The completeness names exactly what was lost.
 				doc.Completeness = x.comp
@@ -667,13 +666,13 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	}
 	complete := x.comp == nil || x.comp.Complete
 	if !complete {
-		s.metrics.partialResults.Add(1)
+		s.metrics.PartialResults.Add(1)
 		// Strict mode on a coordinator: an incomplete result the client did
 		// not opt into is a 502 (the upstream workers failed us), carrying the
 		// completeness object so the caller sees what degraded mode would have
 		// returned.
 		if !q.req.Partial {
-			s.metrics.queryErrors.Add(1)
+			s.metrics.QueryErrors.Add(1)
 			return q.fail(flightrec.StatusPartial, http.StatusBadGateway, errorDoc{
 				Error: fmt.Sprintf(
 					"partial result: %d of %d workers lost (%d wids excluded); set \"partial\": true to accept degraded results",
@@ -733,7 +732,7 @@ func (q *queryRun) respond() {
 			n, tail.Truncated = q.req.MaxResults, true
 			array = cluster.CutIncidents(array, n)
 		}
-		q.s.metrics.incidentsReturned.Add(uint64(n))
+		q.s.metrics.IncidentsReturned.Add(uint64(n))
 	}
 	head.ElapsedUS = time.Since(q.started).Microseconds()
 	q.capture.Status, q.capture.HTTPStatus = flightrec.StatusOK, http.StatusOK
@@ -742,7 +741,7 @@ func (q *queryRun) respond() {
 		// request's "partial": true accepted.
 		q.capture.Status, q.capture.HTTPStatus = flightrec.StatusPartial, http.StatusPartialContent
 	}
-	q.s.metrics.responseBytes.Add(uint64(writeSpliced(q.w, q.capture.HTTPStatus, head, key, array, tail)))
+	q.s.metrics.ResponseBytes.Add(uint64(writeSpliced(q.w, q.capture.HTTPStatus, head, key, array, tail)))
 }
 
 // excludedCompleteness is the coverage of a local answer that left the given

@@ -55,7 +55,7 @@ func (s *Server) ReloadLogs() (ReloadResult, error) {
 	if c := s.reloadCall; c != nil {
 		s.reloadMu.Unlock()
 		<-c.done
-		s.metrics.coalescedReloads.Add(1)
+		s.metrics.CoalescedReloads.Add(1)
 		res := c.res
 		res.Coalesced = true
 		return res, c.err
@@ -97,7 +97,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 	// quarantine records a failed reload; the log keeps serving its last-good
 	// state.
 	quarantine := func(t target, msg string, err error) {
-		s.metrics.logReloadFailures.Add(1)
+		s.metrics.LogReloadFailures.Add(1)
 		if res.Quarantined == nil {
 			res.Quarantined = make(map[string]string)
 		}
@@ -158,7 +158,7 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		}
 		s.logs[name] = e
 		delete(s.quarantine, name)
-		s.metrics.logReloads.Add(1)
+		s.metrics.LogReloads.Add(1)
 	}
 	for name, reason := range res.Quarantined {
 		s.quarantine[name] = reason

@@ -93,8 +93,8 @@ func TestChaosReloadSingleFlight(t *testing.T) {
 	}
 	var m metricsDoc
 	getJSON(t, s.Handler(), "/metrics", &m)
-	if m.CoalescedReloads != uint64(len(results)-1) {
-		t.Fatalf("coalesced_reloads = %d, want %d", m.CoalescedReloads, len(results)-1)
+	if m.CoalescedReloads.Load() != uint64(len(results)-1) {
+		t.Fatalf("coalesced_reloads = %d, want %d", m.CoalescedReloads.Load(), len(results)-1)
 	}
 
 	// The flight is over: a later caller starts a fresh pass, not a stale join.

@@ -220,7 +220,7 @@ type Server struct {
 	names      []string          // registration order, for stable /v1/logs listings
 	quarantine map[string]string // log name -> last reload error (entry kept at last-good)
 	cache      *lru
-	metrics    *metrics
+	metrics    *metricsDoc
 
 	// coord is the cluster coordinator (nil for single-node service). It is
 	// long-lived shared state: per-worker breakers and health verdicts
@@ -274,7 +274,7 @@ func New(cfg Config) *Server {
 		logs:       make(map[string]*logEntry),
 		quarantine: make(map[string]string),
 		cache:      newLRU(cfg.CacheSize),
-		metrics:    newMetrics(),
+		metrics:    newMetrics(cfg, coord),
 		coord:      coord,
 		flight:     flight,
 	}
@@ -421,7 +421,7 @@ func (s *Server) recoverPanics(next http.Handler) http.Handler {
 				panic(v)
 			}
 			pe := resilience.NewPanicError(v)
-			s.metrics.panicsRecovered.Add(1)
+			s.metrics.PanicsRecovered.Add(1)
 			if s.cfg.Logger != nil {
 				s.cfg.Logger.Error("panic recovered in handler",
 					"incident_id", pe.IncidentID,
@@ -746,15 +746,19 @@ func (e *logEntry) inventory(doc *logDoc) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-	case "prometheus":
-		s.writePrometheus(w)
-		return
-	default:
+	format := r.URL.Query().Get("format")
+	if format != "" && format != "json" && format != "prometheus" {
 		writeError(w, http.StatusBadRequest,
 			"unknown format %q (want json or prometheus)", format)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.metricsSnapshot())
+	m := s.metrics
+	m.scrape.Lock()
+	defer m.scrape.Unlock()
+	s.scrapeMetrics(m)
+	if format == "prometheus" {
+		writePrometheus(w, m)
+		return
+	}
+	writeJSON(w, http.StatusOK, m)
 }

@@ -192,8 +192,8 @@ func TestQueryTimeout(t *testing.T) {
 	}
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.QueryTimeouts != 1 {
-		t.Errorf("query_timeouts = %d, want 1", m.QueryTimeouts)
+	if m.QueryTimeouts.Load() != 1 {
+		t.Errorf("query_timeouts = %d, want 1", m.QueryTimeouts.Load())
 	}
 }
 
@@ -219,8 +219,8 @@ func TestQueryCacheHit(t *testing.T) {
 	}
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.CacheHits != 2 || m.CacheMisses != 1 {
-		t.Errorf("cache_hits=%d cache_misses=%d, want 2/1", m.CacheHits, m.CacheMisses)
+	if m.CacheHits.Load() != 2 || m.CacheMisses.Load() != 1 {
+		t.Errorf("cache_hits=%d cache_misses=%d, want 2/1", m.CacheHits.Load(), m.CacheMisses.Load())
 	}
 	if m.CacheEntries != 1 {
 		t.Errorf("cache_entries = %d, want 1", m.CacheEntries)
@@ -495,8 +495,8 @@ func TestMetricsDocument(t *testing.T) {
 	postQuery(t, h, `{"log":"fig3","query":"A -> "}`, nil) // parse error
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.QueriesTotal != 3 || m.QueryErrors != 1 {
-		t.Errorf("queries_total=%d query_errors=%d, want 3/1", m.QueriesTotal, m.QueryErrors)
+	if m.QueriesTotal.Load() != 3 || m.QueryErrors.Load() != 1 {
+		t.Errorf("queries_total=%d query_errors=%d, want 3/1", m.QueriesTotal.Load(), m.QueryErrors.Load())
 	}
 	if m.LogsLoaded != 1 || m.WorkersPerQuery != 2 {
 		t.Errorf("logs_loaded=%d workers=%d", m.LogsLoaded, m.WorkersPerQuery)
@@ -504,11 +504,11 @@ func TestMetricsDocument(t *testing.T) {
 	if m.Latency.Count != 3 {
 		t.Errorf("latency count %d, want 3 (error paths are latency samples too)", m.Latency.Count)
 	}
-	if m.IncidentsReturned == 0 || m.InstancesEvaluated == 0 {
-		t.Errorf("work counters empty: %+v", m)
+	if m.IncidentsReturned.Load() == 0 || m.InstancesEvaluated.Load() == 0 {
+		t.Errorf("work counters empty: %+v", &m)
 	}
 	if m.UptimeSeconds < 0 || m.WorkerCapacity <= 0 {
-		t.Errorf("gauges wrong: %+v", m)
+		t.Errorf("gauges wrong: %+v", &m)
 	}
 }
 
@@ -553,11 +553,11 @@ func TestConcurrentQueries(t *testing.T) {
 	wg.Wait()
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.QueriesTotal != 16*20 {
-		t.Errorf("queries_total = %d, want %d", m.QueriesTotal, 16*20)
+	if m.QueriesTotal.Load() != 16*20 {
+		t.Errorf("queries_total = %d, want %d", m.QueriesTotal.Load(), 16*20)
 	}
-	if m.InflightQueries != 0 || m.BusyWorkers != 0 {
-		t.Errorf("gauges did not drain: %+v", m)
+	if m.InflightQueries.Load() != 0 || m.BusyWorkers.Load() != 0 {
+		t.Errorf("gauges did not drain: %+v", &m)
 	}
 }
 
@@ -598,16 +598,16 @@ func TestShardedBusyWorkersGauge(t *testing.T) {
 	<-entered
 	var m metricsDoc
 	getJSON(t, h, "/metrics", &m)
-	if m.BusyWorkers != workers {
-		t.Errorf("busy_workers = %d while a query evaluates, want %d", m.BusyWorkers, workers)
+	if m.BusyWorkers.Load() != workers {
+		t.Errorf("busy_workers = %d while a query evaluates, want %d", m.BusyWorkers.Load(), workers)
 	}
 	close(release)
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("held query finished with %d", code)
 	}
 	getJSON(t, h, "/metrics", &m)
-	if m.BusyWorkers != 0 {
-		t.Errorf("busy_workers = %d after the query returned, want 0", m.BusyWorkers)
+	if m.BusyWorkers.Load() != 0 {
+		t.Errorf("busy_workers = %d after the query returned, want 0", m.BusyWorkers.Load())
 	}
 }
 

@@ -33,11 +33,11 @@ import (
 // decode and plan (the plan arrives optimized), then the shared execute
 // stage and error table.
 func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
-	s.metrics.workerQueries.Add(1)
+	s.metrics.Cluster.WorkerQueriesServed.Add(1)
 	// Every failure is a worker error envelope; the coordinator classifies a
 	// 5xx or 429 as retryable, anything else as deterministic.
 	fail := func(code int, doc errorDoc) {
-		s.metrics.workerQueryErrors.Add(1)
+		s.metrics.Cluster.WorkerQueryErrors.Add(1)
 		writeJSON(w, code, cluster.WorkerErrorDoc{
 			Error:           doc.Error,
 			BudgetDimension: doc.BudgetDimension,
