@@ -607,29 +607,22 @@ func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n i
 // answers, and returns the number of incidents it reports; sum is what
 // reading its answer array learned. The member count catches a worker whose
 // copy of the log differs from the coordinator's inside the interval: merging
-// its answer would silently mis-cover the log. A summary shape must come with
-// its count — a worker from before the request's mode field ignores it and
-// sends incidents, which this coordinator would have to decode and reduce
-// for every part of every query; its part is lost instead, so upgrade
-// workers first. The two ends of the answer array (incidents in canonical
-// order and wids ascending, the reader saw to that) catch answers from
-// outside the interval, which the merge's concatenation would otherwise put
-// out of order.
+// its answer would silently mis-cover the log. The count must agree with the
+// array: it is what the merge adds up. The two ends of the answer array
+// (incidents in canonical order and wids ascending, the reader saw to that)
+// catch answers from outside the interval, which the merge's concatenation
+// would otherwise put out of order.
 func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSummary) (count int, err error) {
 	if resp.WIDsOwned != len(p.WIDs) {
 		return 0, fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
 			resp.WIDsOwned, p.MinWID, p.MaxWID, len(p.WIDs))
 	}
-	if shape == eval.ShapeIncidents {
-		count = sum.n
-	} else {
-		if resp.Count == nil {
-			return 0, fmt.Errorf("mode mismatch: the reply to a %q request has no count (a worker from before the mode field?)", shape)
-		}
-		count = *resp.Count
-		if count < 0 || shape == eval.ShapeInstances && (count < sum.n || (count > 0) != (sum.n > 0)) {
-			return 0, fmt.Errorf("%w: %d incidents over %d wids", ErrMalformedIncidents, count, sum.n)
-		}
+	count = resp.Count
+	switch {
+	case count < 0,
+		shape == eval.ShapeIncidents && count != sum.n,
+		shape == eval.ShapeInstances && (count < sum.n || (count > 0) != (sum.n > 0)):
+		return 0, fmt.Errorf("%w: count %d for %d elements of the %v array", ErrMalformedIncidents, count, sum.n, shape)
 	}
 	// An empty answer lies inside any interval.
 	if sum.n > 0 && (sum.first < p.MinWID || sum.last > p.MaxWID) {

@@ -41,11 +41,12 @@ func ownedWIDs(wids []uint64, req WorkerQueryRequest) []uint64 {
 	return owned
 }
 
-// replyBody is a well-formed worker reply to an incidents-mode request,
-// around the given incidents array.
-func replyBody(req WorkerQueryRequest, owned int, incidents string) string {
-	return fmt.Sprintf(`{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":%s,"elapsed_us":1}`,
-		req.Self, owned, owned, incidents)
+// writeReply answers req with WriteReply around the given answer array,
+// under an honest member count and the given incident count. The envelope
+// has no trace and always encodes.
+func writeReply(w http.ResponseWriter, req WorkerQueryRequest, owned, count int, array string) {
+	shape, _ := eval.ParseShape(req.Mode)
+	WriteReply(w, shape, []byte(array), &WorkerReply{Worker: req.Self, WIDsOwned: owned, Instances: owned, Count: count, ElapsedUS: 1})
 }
 
 // shapedReplyBody is the reply in the request's mode: the incidents, or
@@ -56,17 +57,19 @@ func shapedReplyBody(req WorkerQueryRequest, owned int, incs []incident.Incident
 	case "count":
 	case "instances":
 		wids, _ := json.Marshal(append([]uint64{}, incident.MergeSorted(incs).WIDs()...))
-		array = `,"wids":` + string(wids)
+		array = string(wids)
 	default:
-		return replyBody(req, owned, string(AppendIncidents(nil, incs)))
+		array = string(AppendIncidents(nil, incs))
 	}
-	return fmt.Sprintf(`{"worker":%q,"wids_owned":%d,"instances":%d,"count":%d%s,"elapsed_us":1}`,
-		req.Self, owned, owned, len(incs), array)
+	rec := httptest.NewRecorder()
+	writeReply(rec, req, owned, len(incs), array)
+	return rec.Body.String()
 }
 
-// fakeWorker answers POST /v1/worker/query with a well-formed envelope —
-// the member count the coordinator cross-checks included — around whatever
-// incidents(owned) returns, and counts the requests it served.
+// fakeWorker answers POST /v1/worker/query in incidents mode with
+// incidents(owned) in a well-formed reply — the member count the coordinator
+// cross-checks included, and a count of one per incident the array opens —
+// and counts the requests it served.
 func fakeWorker(t *testing.T, wids []uint64, incidents func(owned []uint64) string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	var served atomic.Int64
@@ -78,7 +81,8 @@ func fakeWorker(t *testing.T, wids []uint64, incidents func(owned []uint64) stri
 			return
 		}
 		owned := ownedWIDs(wids, req)
-		io.WriteString(w, replyBody(req, len(owned), incidents(owned)))
+		array := incidents(owned)
+		writeReply(w, req, len(owned), strings.Count(array, "{"), array)
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &served
@@ -136,13 +140,15 @@ func TestMalformedWorkerReplyLosesThePart(t *testing.T) {
 	}
 }
 
-// TestCoordinatorLosesAnIndentedReply: the incidents array has one
-// spelling, the one the coordinator splices into its answer as it stands. A
-// worker that indents it sends the same incidents in other bytes; its part is
-// lost, named and not retried, like any other malformed reply, while an
-// envelope in any JSON spelling around a canonical array still reads.
+// TestCoordinatorLosesAnIndentedReply: a reply has one layout, and its
+// incidents array one spelling, the one the coordinator splices into its
+// answer as it stands. A worker that indents the array sends the same
+// incidents in other bytes, and one that spaces the envelope or puts the
+// array among its members sends the same document in another layout; each
+// part is lost, named and not retried, like any other malformed reply.
 func TestCoordinatorLosesAnIndentedReply(t *testing.T) {
-	wids := testWIDs(16)
+	wids := testWIDs(18)
+	good, _ := fakeWorker(t, wids, oneIncidentPerWID)
 	indented, indentedServed := fakeWorker(t, wids, func(owned []uint64) string {
 		var buf bytes.Buffer
 		if err := json.Indent(&buf, []byte(oneIncidentPerWID(owned)), "  ", "  "); err != nil {
@@ -150,28 +156,32 @@ func TestCoordinatorLosesAnIndentedReply(t *testing.T) {
 		}
 		return buf.String()
 	})
+	var spacedServed atomic.Int64
 	spaced := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		spacedServed.Add(1)
 		var req WorkerQueryRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		owned := ownedWIDs(wids, req)
-		fmt.Fprintf(w, "{ \"instances\" : %d,\n \"worker\":%q ,\"incidents\":%s ,\n\t\"wids_owned\": %d }\n",
-			len(owned), req.Self, oneIncidentPerWID(owned), len(owned))
+		fmt.Fprintf(w, "{ \"instances\" : %d,\n \"worker\":%q ,\"incidents\":%s ,\n\t\"wids_owned\": %d, \"count\": %d }\n",
+			len(owned), req.Self, oneIncidentPerWID(owned), len(owned), len(owned))
 	}))
 	t.Cleanup(spaced.Close)
-	c, err := New(Config{Workers: []string{spaced.URL, indented.URL}, MaxAttempts: 3, Sleep: func(time.Duration) {}})
+	c, err := New(Config{Workers: []string{good.URL, spaced.URL, indented.URL}, MaxAttempts: 3, Sleep: func(time.Duration) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
-	if err != nil || comp.Complete || comp.Failed != 1 || set.Len() != len(wids)/2 {
-		t.Fatalf("set %v, completeness %+v, err %v; want the spaced envelope's half and the indented part lost", set, comp, err)
+	if err != nil || comp.Complete || comp.Failed != 2 || set.Len() != len(wids)/3 {
+		t.Fatalf("set %v, completeness %+v, err %v; want the good worker's third and the other two parts lost", set, comp, err)
 	}
-	lost := comp.Failures[0]
-	if lost.Worker != indented.URL || lost.Attempts != 1 || indentedServed.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
-		t.Errorf("lost part %+v after %d requests, want the indented worker's, once, as malformed", lost, indentedServed.Load())
+	for i, lost := range comp.Failures {
+		worker, served := []string{spaced.URL, indented.URL}[i], []*atomic.Int64{&spacedServed, indentedServed}[i]
+		if lost.Worker != worker || lost.Attempts != 1 || served.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+			t.Errorf("lost part %+v after %d requests, want %s's, once, as malformed", lost, served.Load(), worker)
+		}
 	}
 }
 
@@ -340,51 +350,105 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 	}
 }
 
-// TestClusterReplyInAnotherModeLosesThePart: a worker from before the mode
-// field answers a count request with incidents and no count. Its part is
-// lost, unretried, under the completeness contract — never decoded into a
-// count the coordinator made up.
-func TestClusterReplyInAnotherModeLosesThePart(t *testing.T) {
+// TestClusterHeadFirstReplyLosesThePart: a worker from an older release
+// writes the answer array among the envelope's members — after some of them,
+// as the release before writes "incidents" and "instances" replies, or, from
+// before the request's mode field, as incidents with no count whatever the
+// mode. In every mode its part is lost, once and unretried, under the
+// completeness contract — never read into a count the coordinator made up.
+// (A count reply of the release before has no array and is this layout
+// already.)
+func TestClusterHeadFirstReplyLosesThePart(t *testing.T) {
 	wids := testWIDs(12)
-	old, oldServed := fakeWorker(t, wids, func(owned []uint64) string {
-		incs := make([]incident.Incident, len(owned))
-		for i, wid := range owned {
-			incs[i] = incident.New(wid, 1, 2)
-		}
-		return string(AppendIncidents(nil, incs))
-	})
-	current := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req WorkerQueryRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		owned := ownedWIDs(wids, req)
-		incs := make([]incident.Incident, len(owned))
-		for i, wid := range owned {
-			incs[i] = incident.New(wid, 1, 2)
-		}
-		io.WriteString(w, shapedReplyBody(req, len(owned), incs))
-	}))
-	t.Cleanup(current.Close)
-	c, err := New(Config{
-		Workers:     []string{current.URL, old.URL},
-		MaxAttempts: 3, Sleep: func(time.Duration) {},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for shape, headFirst := range map[eval.Shape]string{
+		eval.ShapeIncidents: `{"worker":%q,"wids_owned":%d,"instances":%[2]d,"incidents":%[3]s,"elapsed_us":1}`,
+		eval.ShapeInstances: `{"worker":%q,"wids_owned":%d,"instances":%[2]d,"count":%[2]d,"wids":%[4]s,"elapsed_us":1}`,
+		eval.ShapeCount:     `{"worker":%q,"wids_owned":%d,"instances":%[2]d,"incidents":%[3]s,"elapsed_us":1}`,
+	} {
+		t.Run(shape.String(), func(t *testing.T) {
+			current := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				var req WorkerQueryRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				owned := ownedWIDs(wids, req)
+				incs := make([]incident.Incident, len(owned))
+				for i, wid := range owned {
+					incs[i] = incident.New(wid, 1, 2)
+				}
+				io.WriteString(w, shapedReplyBody(req, len(owned), incs))
+			}))
+			t.Cleanup(current.Close)
+			var oldServed atomic.Int64
+			old := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				oldServed.Add(1)
+				var req WorkerQueryRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				owned := ownedWIDs(wids, req)
+				list, _ := json.Marshal(owned)
+				fmt.Fprintf(w, headFirst, req.Self, len(owned), oneIncidentPerWID(owned), list)
+			}))
+			t.Cleanup(old.Close)
+			c, err := New(Config{
+				Workers:     []string{current.URL, old.URL},
+				MaxAttempts: 3, Sleep: func(time.Duration) {},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, comp, _, err := c.Answer(context.Background(), "log", pattern.MustParse("A -> B"), shape, ExecOptions{WIDs: wids}, nil)
+			if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 {
+				t.Fatalf("answer %+v, completeness %+v, err %v; want the current worker's 6 and one part lost", a, comp, err)
+			}
+			if lost := comp.Failures[0]; lost.Worker != old.URL || lost.Attempts != 1 || oldServed.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+				t.Errorf("lost part %+v after %d requests, want the old worker's, once, as malformed", lost, oldServed.Load())
+			}
+		})
 	}
-	a, comp, _, err := c.Answer(context.Background(), "log", pattern.MustParse("A -> B"), eval.ShapeCount, ExecOptions{WIDs: wids}, nil)
-	if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 {
-		t.Fatalf("answer %+v, completeness %+v, err %v; want the current worker's 6 and one part lost", a, comp, err)
-	}
-	if lost := comp.Failures[0]; lost.Worker != old.URL || lost.Attempts != 1 || oldServed.Load() != 1 || !strings.Contains(lost.Cause, "mode") {
-		t.Errorf("lost part %+v after %d requests, want the old worker's, once, naming the mode", lost, oldServed.Load())
-	}
-	// The same fleet still answers an incidents request whole.
-	set, comp, _, err := c.Execute(context.Background(), "log", pattern.MustParse("A -> B"), ExecOptions{WIDs: wids}, nil)
-	if err != nil || !comp.Complete || set.Len() != len(wids) {
-		t.Fatalf("incidents: set %v, completeness %+v, err %v", set, comp, err)
+}
+
+// TestClusterReplyCountDisagreesLosesThePart: an incidents reply carries
+// its count beside the array, and the two must agree — a reply that says
+// more or fewer incidents than it holds is malformed, its part lost and not
+// retried, whichever of the two is wrong.
+func TestClusterReplyCountDisagreesLosesThePart(t *testing.T) {
+	wids := testWIDs(12)
+	for name, skew := range map[string]int{"more": 1, "fewer": -1} {
+		t.Run(name, func(t *testing.T) {
+			good, _ := fakeWorker(t, wids, oneIncidentPerWID)
+			var liarServed atomic.Int64
+			liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				liarServed.Add(1)
+				var req WorkerQueryRequest
+				if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+					http.Error(w, err.Error(), http.StatusBadRequest)
+					return
+				}
+				owned := ownedWIDs(wids, req)
+				writeReply(w, req, len(owned), len(owned)+skew, oneIncidentPerWID(owned))
+			}))
+			t.Cleanup(liar.Close)
+			c, err := New(Config{Workers: []string{good.URL, liar.URL}, MaxAttempts: 3, Sleep: func(time.Duration) {}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, comp, fan, err := c.Answer(context.Background(), "log", pattern.MustParse("A -> B"), eval.ShapeIncidents, ExecOptions{WIDs: wids}, nil)
+			if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 || strings.Count(string(a.Incidents), "{") != 6 {
+				t.Fatalf("answer %+v, completeness %+v, err %v; want the good worker's 6 and one part lost", a, comp, err)
+			}
+			lost := comp.Failures[0]
+			if lost.Worker != liar.URL || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+				t.Errorf("lost part %+v, want %s with a malformed-incidents cause", lost, liar.URL)
+			}
+			if lost.Attempts != 1 || liarServed.Load() != 1 || fan.Retries != 0 {
+				t.Errorf("a reply whose count disagrees was retried: attempts %d, requests served %d, retries %d",
+					lost.Attempts, liarServed.Load(), fan.Retries)
+			}
+		})
 	}
 }
 

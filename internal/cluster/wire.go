@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"slices"
 	"strconv"
 	"time"
@@ -90,27 +91,20 @@ func (d BudgetDoc) Budget() resilience.Budget {
 	}
 }
 
-// WorkerQueryResponse is the POST /v1/worker/query success body. A worker
-// writes it in three pieces — WorkerReplyHead, the answer array of the
-// request's mode, WorkerReplyTail — because an incidents array is nearly all
-// of its reply and json.Marshal of this struct, which re-scans what a
-// Marshaler returns, takes six times as long as the codec alone
-// (BenchmarkIncidentCodec: document vs append). The coordinator reads it the
-// same way round (readReply): encoding/json decodes head and tail, and the
-// array is checked where it lies.
+// WorkerQueryResponse is a worker's reply as the coordinator reads it: the
+// answer array of the request's mode, then the envelope. Incidents, in mode
+// "incidents", is the worker's wid-local answer in wire form: its incidents
+// in canonical order, exactly as AppendIncidents writes them. WIDs, in mode
+// "instances", are the wids among its part that have one, ascending. Mode
+// "count" has no array. The reply's one layout is WriteReply's.
 type WorkerQueryResponse struct {
-	WorkerReplyHead
-	// Incidents, in mode "incidents", is the worker's wid-local answer in wire
-	// form: its incidents in canonical order, exactly as AppendIncidents
-	// writes them. WIDs, in mode "instances", are the wids among its part that
-	// have one, ascending. Mode "count" has no array.
 	Incidents json.RawMessage `json:"incidents"`
 	WIDs      []uint64        `json:"wids"`
-	WorkerReplyTail
+	WorkerReply
 }
 
-// WorkerReplyHead is the part of the reply ahead of the answer array.
-type WorkerReplyHead struct {
+// WorkerReply is the envelope of a reply: everything but the answer array.
+type WorkerReply struct {
 	// Worker echoes the Self the worker evaluated as.
 	Worker string `json:"worker"`
 	// WIDsOwned is how many instances of the worker's copy of the log lie
@@ -121,15 +115,9 @@ type WorkerReplyHead struct {
 	// covers: every owned one but those excluded, whether the scan evaluated
 	// it or skipped it as one the plan cannot match (its share is empty).
 	Instances int `json:"instances"`
-	// Count is the number of incidents in the part, present in the modes
-	// "count" and "instances" (in "incidents" it is the array's length). Its
-	// absence is how a coordinator tells a worker that does not know the
-	// request's mode field and answered with incidents regardless.
-	Count *int `json:"count,omitempty"`
-}
-
-// WorkerReplyTail is the part of the reply after the incidents.
-type WorkerReplyTail struct {
+	// Count is the number of incidents in the part, in every mode; the
+	// coordinator cross-checks it against the answer array.
+	Count int `json:"count"`
 	// ElapsedUS is the worker-side evaluation wall time.
 	ElapsedUS int64 `json:"elapsed_us"`
 	// TraceID echoes the propagated trace id (from the Traceparent request
@@ -143,6 +131,47 @@ type WorkerReplyTail struct {
 	// CostTable is the worker's per-operator Lemma 1 measured-vs-predicted
 	// table, which the coordinator aggregates fleet-wide.
 	CostTable []obs.CostRow `json:"cost_table,omitempty"`
+}
+
+// A worker reply has one layout: the answer array's member first, its bytes
+// as they stand, then the envelope's members — or, in mode "count", the
+// envelope alone:
+//
+//	{"incidents":[{"wid":2,"seqs":[5,9]}],"worker":"w","wids_owned":1,…,"count":1,…}
+//	{"wids":[2],"worker":"w",…}
+//	{"worker":"w",…,"count":1,…}
+//
+// The array comes first because it is nearly all of an incidents reply:
+// the worker writes it without encoding it again, and the coordinator checks
+// it where it lies and hands the rest to encoding/json in one piece.
+
+// replyOpen is how a reply to a request of the shape opens, up to its answer
+// array; mode "count" has none.
+var replyOpen = map[eval.Shape]string{eval.ShapeIncidents: `{"incidents":`, eval.ShapeInstances: `{"wids":`}
+
+// WriteReply answers a worker request of the given shape with a 200 in the
+// one layout. array is the answer — AppendIncidents' bytes in mode
+// "incidents", the wids as a compact JSON array in mode "instances", nil in
+// mode "count" — and is written as it stands. When the envelope does not
+// encode, WriteReply writes nothing and returns the error.
+func WriteReply(w http.ResponseWriter, shape eval.Shape, array []byte, r *WorkerReply) error {
+	env, err := json.Marshal(r)
+	if err != nil {
+		return err
+	}
+	env = append(env, '\n')
+	open := replyOpen[shape]
+	if open != "" {
+		env[0] = ',' // the envelope's members follow the array
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(open)+len(array)+len(env)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write is a coordinator that went away.
+	io.WriteString(w, open)
+	w.Write(array)
+	w.Write(env)
+	return nil
 }
 
 // The incident codec: the one way incidents cross a wire, whether to a
@@ -488,160 +517,60 @@ func readReply(body io.Reader, size int64, shape eval.Shape) (*WorkerQueryRespon
 	return resp, sum, nil
 }
 
-// Answer array members as they open in a reply.
-var (
-	incidentsKey = []byte(`"incidents":`)
-	widsKey      = []byte(`"wids":`)
-)
-
-// parseReply reads a worker's success body in place. The head (worker,
-// wids_owned, instances, count) has no nested value, so the first
-// `"incidents":` — or `"wids":`, by the shape — opens the answer array. The
-// scanner reads the array where it lies, and encoding/json decodes only the
-// members around it (decodeAround). The returned Incidents aliases body, and
-// the byte on each side of the array's member is overwritten.
+// parseReply reads a worker's success body in place: the shape's opening
+// (replyOpen), the answer array by the scanner, where it lies, and the comma
+// after it, overwritten with '{' so that the envelope's members go through
+// encoding/json as one object. The returned Incidents aliases body.
 //
-// A reply reads if it is one JSON object whose answer array, when it has one,
-// is in the one wire spelling and is the object's only member of that name;
-// anything else is an error.
+// A reply reads if it is one JSON object in the one layout whose answer
+// array is in the one wire spelling; an answer member inside the envelope —
+// a second array, or one in mode "count" — is an error.
 func parseReply(body []byte, shape eval.Shape) (*WorkerQueryResponse, listSummary, error) {
 	var (
-		key []byte
-		env replyEnvelope
-		sum listSummary
+		resp WorkerQueryResponse
+		sum  listSummary
 	)
-	switch shape {
-	case eval.ShapeIncidents:
-		key = incidentsKey
-	case eval.ShapeInstances:
-		key = widsKey
-	}
-	at := -1
-	if key != nil {
-		at = bytes.Index(body, key)
-	}
-	if at < 0 {
-		// No answer array: none in mode "count", and an empty one left out.
-		if err := json.Unmarshal(body, &env); err != nil {
-			return nil, sum, fmt.Errorf("decode worker response: %w", err)
+	env := body
+	if open := replyOpen[shape]; open != "" {
+		s := scanner{data: body}
+		if !s.lit(open) {
+			return nil, sum, fmt.Errorf("%w: the reply does not open with %s (a worker from an older release?)", ErrMalformedIncidents, open)
 		}
-		if env.has(shape) {
-			return nil, sum, fmt.Errorf("%w: the answer array's key is not spelled %s", ErrMalformedIncidents, key)
+		var err error
+		if shape == eval.ShapeIncidents {
+			sum, err = s.incidents(nil)
+			resp.Incidents = body[len(open):s.pos:s.pos]
+		} else if resp.WIDs, err = s.wids(); len(resp.WIDs) > 0 {
+			sum = listSummary{n: len(resp.WIDs), first: resp.WIDs[0], last: resp.WIDs[len(resp.WIDs)-1]}
 		}
-		return env.response(), sum, nil
-	}
-	s := scanner{data: body, pos: at + len(key)}
-	var (
-		incidents json.RawMessage
-		wids      []uint64
-		err       error
-	)
-	if shape == eval.ShapeIncidents {
-		if sum, err = s.incidents(nil); err == nil {
-			incidents = body[at+len(key) : s.pos : s.pos]
+		if err == nil {
+			// The envelope's first member follows at once.
+			err = s.want(`,"`)
 		}
-	} else if wids, err = s.wids(); err == nil && len(wids) > 0 {
-		sum = listSummary{n: len(wids), first: wids[0], last: wids[len(wids)-1]}
+		if err != nil {
+			return nil, listSummary{}, s.malformed(err)
+		}
+		env = body[s.pos-2:]
+		env[0] = '{'
 	}
-	if err != nil {
-		return nil, listSummary{}, s.malformed(err)
-	}
-	if err := decodeAround(body[:at], body[s.pos:], &env); err != nil {
+	var e replyEnvelope
+	if err := json.Unmarshal(env, &e); err != nil {
 		return nil, listSummary{}, fmt.Errorf("decode worker response: %w", err)
 	}
-	if env.has(shape) {
-		return nil, listSummary{}, fmt.Errorf("%w: a second %s member", ErrMalformedIncidents, key)
+	if e.Incidents != nil || e.WIDs != nil {
+		return nil, listSummary{}, fmt.Errorf("%w: an answer member in the envelope", ErrMalformedIncidents)
 	}
-	resp := env.response()
-	resp.Incidents, resp.WIDs = incidents, wids
-	return resp, sum, nil
+	resp.WorkerReply = e.WorkerReply
+	return &resp, sum, nil
 }
 
-// replyEnvelope is what encoding/json reads of a reply. The answer arrays'
-// members only record that they were there: beside the array the scanner
-// read, one would be a second answer, and the other mode's is not read.
+// replyEnvelope is what encoding/json reads of a reply. Its answer-array
+// members catch one inside the envelope, under any name encoding/json would
+// read into a WorkerQueryResponse's array.
 type replyEnvelope struct {
-	WorkerReplyHead
-	Incidents present     `json:"incidents"`
-	WIDs      presentWIDs `json:"wids"`
-	WorkerReplyTail
-}
-
-// present records that an object member was there, whatever its value.
-type present bool
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *present) UnmarshalJSON([]byte) error {
-	*p = true
-	return nil
-}
-
-// presentWIDs is present for a member that must decode as a wid list, as it
-// would into a WorkerQueryResponse.
-type presentWIDs bool
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (p *presentWIDs) UnmarshalJSON(b []byte) error {
-	*p = true
-	var wids []uint64
-	return json.Unmarshal(b, &wids)
-}
-
-// has reports whether the envelope had a member of the shape's answer array.
-func (e *replyEnvelope) has(shape eval.Shape) bool {
-	switch shape {
-	case eval.ShapeIncidents:
-		return bool(e.Incidents)
-	case eval.ShapeInstances:
-		return bool(e.WIDs)
-	}
-	return false
-}
-
-// response is the envelope's head and tail as a reply with no answer array.
-func (e *replyEnvelope) response() *WorkerQueryResponse {
-	return &WorkerQueryResponse{WorkerReplyHead: e.WorkerReplyHead, WorkerReplyTail: e.WorkerReplyTail}
-}
-
-// jsonSpace is JSON's insignificant whitespace.
-const jsonSpace = " \t\r\n"
-
-// errPlace is decodeAround's error for bytes around the array that do not
-// make it a member of one object.
-var errPlace = errors.New("the answer array is not a member of the reply object")
-
-// decodeAround decodes into v the members of a JSON object before and after
-// one of its members: head runs up to that member's key, tail from just after
-// its value. Each side, closed into an object of its own by overwriting the
-// comma that joined it to the member, goes through encoding/json — head
-// first, so that of a repeated key the last is kept, as encoding/json keeps
-// it of the whole object.
-func decodeAround(head, tail []byte, v any) error {
-	head = bytes.TrimRight(head, jsonSpace)
-	tail = bytes.TrimLeft(tail, jsonSpace)
-	if len(head) == 0 || len(tail) == 0 {
-		return errPlace
-	}
-	switch last := len(head) - 1; {
-	case head[last] == ',' && !bytes.HasSuffix(bytes.TrimRight(head[:last], jsonSpace), []byte("{")):
-		head[last] = '}'
-		if err := json.Unmarshal(head, v); err != nil {
-			return err
-		}
-	case head[last] == '{' && len(bytes.TrimLeft(head, jsonSpace)) == 1:
-		// The array's member comes first.
-	default:
-		return errPlace
-	}
-	switch {
-	case tail[0] == ',' && !bytes.HasPrefix(bytes.TrimLeft(tail[1:], jsonSpace), []byte("}")):
-		tail[0] = '{'
-		return json.Unmarshal(tail, v)
-	case tail[0] == '}' && len(bytes.TrimRight(tail, jsonSpace)) == 1:
-		// The array's member comes last.
-		return nil
-	}
-	return errPlace
+	Incidents json.RawMessage `json:"incidents"`
+	WIDs      json.RawMessage `json:"wids"`
+	WorkerReply
 }
 
 // WorkerErrorDoc is the worker's error envelope (any non-200 status).

@@ -231,53 +231,66 @@ func TestCutAndJoinLists(t *testing.T) {
 	}
 }
 
-// TestIncidentsInADocument: a reply's incidents array is read where it lies
-// in the document — kept as the bytes it arrived as, not decoded — and a
-// malformed one surfaces as ErrMalformedIncidents, whatever the envelope.
+// TestIncidentsInADocument: a reply is read in its one layout — the answer
+// array first, kept as the bytes it arrived as (incidents) and not decoded
+// by encoding/json, then the envelope — and anything else, a malformed array
+// or an answer member in the envelope included, is an error.
 func TestIncidentsInADocument(t *testing.T) {
-	array := `[{"wid":2,"seqs":[5,9]}]`
-	for _, body := range []string{
-		`{"worker":"w","wids_owned":1,"instances":1,"incidents":` + array + `,"elapsed_us":3}`,
-		`{"incidents":` + array + `,"worker":"w","wids_owned":1,"elapsed_us":3,"instances":1}`,
-		` { "worker" : "w" ,"wids_owned":1, "instances":1, "elapsed_us":3,` + "\n" + `"incidents":` + array + "\t}\n",
+	const env = `"worker":"w","wids_owned":1,"instances":1,"count":1,"elapsed_us":3}` + "\n"
+	for _, c := range []struct {
+		shape eval.Shape
+		body  string
+	}{
+		{eval.ShapeIncidents, `{"incidents":[{"wid":2,"seqs":[5,9]}],` + env},
+		{eval.ShapeInstances, `{"wids":[2],` + env},
+		{eval.ShapeCount, `{` + env},
 	} {
-		resp, sum, err := parseReply([]byte(body), eval.ShapeIncidents)
+		resp, sum, err := parseReply([]byte(c.body), c.shape)
 		if err != nil {
-			t.Fatalf("%s: %v", body, err)
+			t.Fatalf("%s: %v", c.body, err)
 		}
-		if string(resp.Incidents) != array || resp.Worker != "w" || resp.WIDsOwned != 1 || resp.Instances != 1 || resp.ElapsedUS != 3 ||
-			sum != (listSummary{n: 1, first: 2, last: 2}) {
-			t.Errorf("%s: read %+v, %+v", body, resp, sum)
+		want := listSummary{n: 1, first: 2, last: 2}
+		if c.shape == eval.ShapeCount {
+			want = listSummary{}
+		}
+		if !reflect.DeepEqual(resp.WorkerReply, WorkerReply{Worker: "w", WIDsOwned: 1, Instances: 1, Count: 1, ElapsedUS: 3}) || sum != want ||
+			(c.shape == eval.ShapeIncidents) != (string(resp.Incidents) == `[{"wid":2,"seqs":[5,9]}]`) ||
+			(c.shape == eval.ShapeInstances) != slices.Equal(resp.WIDs, []uint64{2}) {
+			t.Errorf("%s: read %+v, %+v", c.body, resp, sum)
 		}
 	}
-	for body, why := range map[string]string{
-		`{"worker":"w","incidents":[{"wid":1,"seqs":[]}]}`:                          ErrMalformedIncidents.Error(),
-		`{"worker":"w","incidents": []}`:                                            ErrMalformedIncidents.Error(),
-		`{"worker":"w","incidents" :[]}`:                                            ErrMalformedIncidents.Error(),
-		`{"worker":"w","incidents":[],"Incidents":[]}`:                              "second",
-		`{"INCIDENTS":[],"worker":"w","incidents":[]}`:                              "second",
-		`{"worker":"w","spans":{"name":"x","start_us":0,"attrs":{"incidents":[]}}}`: "not a member",
-		`{"worker":"w","incidents":[],}`:                                            "not a member",
-		`{,"incidents":[]}`:                                                         "not a member",
-		`{"worker":"w" "incidents":[]}`:                                             "not a member",
-		`{"worker":"w","incidents":[]`:                                              "not a member",
-		`{"worker":"w","incidents":[]} {}`:                                          "decode worker response",
-		`["incidents":[]]`:                                                          "not a member",
-		`{"worker":"w","incid`:                                                      "decode worker response",
-		`{"worker":7,"incidents":[]}`:                                               "decode worker response",
-		`{"worker":"w","wids":"x","incidents":[]}`:                                  "decode worker response",
-		`{"a":{"b":1,"incidents":[],"c":2}}`:                                        "decode worker response",
-		`{"worker":"a,"incidents":[]}`:                                              "decode worker response",
-		`{"worker":"w","x\"incidents":[]}`:                                          "not a member",
-		`{"worker":"w","incidents":[{"wid":1,"seqs":[1]},{"wid":1,"seqs":[1]}]}`:    "canonical order",
-		`{"worker":"w","incidents":[{"wid":1,"seqs":[1]}],"elapsed_us":1.5}`:        "decode worker response",
-		`{"worker":"w","incidents":[{"wid":1,"seqs":[1]}]` + "\x00}":                "not a member",
-		"{\"worker\":\"w\",\"incidents\":[{\"wid\":1,\"seqs\":[1]}]}\n\x00":         "decode worker response",
-		`{"worker":"w","incidents":[{"wid":1,"seqs":[1]}],"elapsed_us":1,"x":[1,2]`: "decode worker response",
+	for _, c := range []struct {
+		shape     eval.Shape
+		body, why string
+	}{
+		{eval.ShapeIncidents, `{"incidents":[{"wid":1,"seqs":[]}],"worker":"w"}`, "empty incident"},
+		{eval.ShapeIncidents, `{"incidents":[{"wid":1,"seqs":[1]},{"wid":1,"seqs":[1]}],"worker":"w"}`, "canonical order"},
+		{eval.ShapeIncidents, `{"worker":"w","incidents":[]}`, "does not open with"},
+		{eval.ShapeIncidents, `{"incidents": [],"worker":"w"}`, `want "["`},
+		{eval.ShapeIncidents, ` {"incidents":[],"worker":"w"}`, "does not open with"},
+		{eval.ShapeIncidents, `{"wids":[],"worker":"w"}`, "does not open with"},
+		{eval.ShapeIncidents, `{"incidents":[]}`, ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[],}`, ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[], "worker":"w"}`, ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","Incidents":[]}`, "envelope"},
+		{eval.ShapeIncidents, `{"incidents":[],"INCIDENTS":null,"worker":"w"}`, "envelope"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","wids":[1]}`, "envelope"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w"`, "decode worker response"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w"} {}`, "decode worker response"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":7}`, "decode worker response"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","elapsed_us":1.5}`, "decode worker response"},
+		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","count":null,"x":[1,2]`, "decode worker response"},
+		{eval.ShapeIncidents, "{\"incidents\":[{\"wid\":1,\"seqs\":[1]}],\"worker\":\"w\"}\n\x00", "decode worker response"},
+		{eval.ShapeInstances, `{"worker":"w","count":1,"wids":[2]}`, "does not open with"},
+		{eval.ShapeInstances, `{"wids":[3,2],"worker":"w"}`, "not ascending"},
+		{eval.ShapeInstances, `{"wids":[2],"worker":"w","WIDS":[2]}`, "envelope"},
+		{eval.ShapeCount, `{"worker":"w","incidents":[{"wid":1,"seqs":[1]}]}`, "envelope"},
+		{eval.ShapeCount, `{"worker":"w","count":1,"wids":[]}`, "envelope"},
+		{eval.ShapeCount, `{"worker":"w","count":"1"}`, "decode worker response"},
 	} {
-		_, _, err := parseReply([]byte(body), eval.ShapeIncidents)
-		if err == nil || !strings.Contains(err.Error(), why) {
-			t.Errorf("parseReply(%s): %v, want an error mentioning %q", body, err, why)
+		_, _, err := parseReply([]byte(c.body), c.shape)
+		if err == nil || !strings.Contains(err.Error(), c.why) {
+			t.Errorf("%v: parseReply(%s): %v, want an error mentioning %q", c.shape, c.body, err, c.why)
 		}
 	}
 }
@@ -362,9 +375,8 @@ func FuzzWorkerReply(f *testing.F) {
 		if err := json.Unmarshal(body, &ref); err != nil {
 			t.Fatalf("%v: read %q, encoding/json does not: %v", shape, body, err)
 		}
-		if !reflect.DeepEqual(resp.WorkerReplyHead, ref.WorkerReplyHead) || !reflect.DeepEqual(resp.WorkerReplyTail, ref.WorkerReplyTail) {
-			t.Fatalf("%v: %q: envelope %+v %+v, encoding/json %+v %+v", shape, body,
-				resp.WorkerReplyHead, resp.WorkerReplyTail, ref.WorkerReplyHead, ref.WorkerReplyTail)
+		if !reflect.DeepEqual(resp.WorkerReply, ref.WorkerReply) {
+			t.Fatalf("%v: %q: envelope %+v, encoding/json %+v", shape, body, resp.WorkerReply, ref.WorkerReply)
 		}
 		var want listSummary
 		switch shape {
@@ -415,9 +427,9 @@ func replyOf(n int) (incs []incident.Incident, reply []byte) {
 	for i := range incs {
 		incs[i] = incident.New(uint64(i/2+1), uint64(i%2+1), uint64(i%2+7))
 	}
-	reply = fmt.Appendf(nil, `{"worker":"http://w1","wids_owned":%d,"instances":%d,"incidents":`, n/2, n/2)
-	reply = AppendIncidents(reply, incs)
-	return incs, fmt.Appendf(reply, `,"elapsed_us":1234,"trace_id":"%032x","cost_table":[{"node":"A","operator":"atom","outputs":%d}]}`, 1, n)
+	reply = AppendIncidents([]byte(`{"incidents":`), incs)
+	return incs, fmt.Appendf(reply, `,"worker":"http://w1","wids_owned":%d,"instances":%d,"count":%d,"elapsed_us":1234,"trace_id":"%032x","cost_table":[{"node":"A","operator":"atom","outputs":%d}]}`,
+		n/2, n/2, n, 1, n)
 }
 
 // TestReadReplyAllocsDoNotGrowWithAnswer: reading a reply costs the buffer,
@@ -436,11 +448,11 @@ func TestReadReplyAllocsDoNotGrowWithAnswer(t *testing.T) {
 	}
 	small, large := allocs(100), allocs(10000)
 	t.Logf("allocations per reply read: %.0f for 100 incidents, %.0f for 10000", small, large)
-	// Measured on Go 1.24: 21 either way — the reader, the buffer, the reply,
+	// Measured on Go 1.24: 16 either way — the reader, the buffer, the reply,
 	// the scanner's seqs buffers, and encoding/json's decoder state, strings
-	// and cost row for the envelope's two sides. The bound leaves room for
-	// another Go release's encoding/json.
-	const bound = 24
+	// and cost row for the envelope, decoded in one piece. The bound leaves
+	// room for another Go release's encoding/json.
+	const bound = 19
 	if large != small || large > bound {
 		t.Errorf("reading a reply allocates %.0f times for 100 incidents, %.0f for 10000; want the same, at most %d", small, large, bound)
 	}

@@ -16,6 +16,7 @@ import (
 
 	"wlq"
 	"wlq/internal/cluster"
+	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 	"wlq/internal/gen"
 )
@@ -368,8 +369,12 @@ func (f *cannedFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 				incs = append(incs, incident.New(wid, 1, 2))
 			}
 		}
-		reply := fmt.Appendf(nil, `{"worker":%q,"wids_owned":%d,"instances":%d,"incidents":`, req.Self, len(incs), len(incs))
-		body, _ = f.replies.LoadOrStore(req.Self, append(cluster.AppendIncidents(reply, incs), `,"elapsed_us":1}`...))
+		rec := httptest.NewRecorder()
+		reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(incs), Instances: len(incs), Count: len(incs), ElapsedUS: 1}
+		if err := cluster.WriteReply(rec, eval.ShapeIncidents, cluster.AppendIncidents(nil, incs), &reply); err != nil {
+			return nil, err
+		}
+		body, _ = f.replies.LoadOrStore(req.Self, rec.Body.Bytes())
 	}
 	b := body.([]byte)
 	return &http.Response{StatusCode: http.StatusOK, ContentLength: int64(len(b)), Header: make(http.Header),

@@ -115,9 +115,10 @@ type Config struct {
 	// disables the recorder (and its GET /v1/queries endpoints).
 	FlightRecorderSize int
 	// WorkerMode serves the cluster worker endpoint (POST /v1/worker/query):
-	// this instance evaluates coordinator-shipped plans against the wid set
-	// its ring view assigns it. Worker traffic bypasses rewrite, caching and
-	// the flight recorder — the coordinator owns the query lifecycle.
+	// this instance evaluates coordinator-shipped plans against the closed
+	// wid interval each request names. Worker traffic bypasses rewrite,
+	// caching and the flight recorder — the coordinator owns the query
+	// lifecycle.
 	WorkerMode bool
 	// Cluster, when non-nil, runs this server as a cluster coordinator:
 	// every query fans out over HTTP to the configured workers and the

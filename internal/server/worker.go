@@ -140,23 +140,16 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(code, doc)
 		return
 	}
-	// The answer array of the mode; a count has none, and says so in the head
-	// (as does an instance list — see cluster.WorkerReplyHead.Count).
-	head := cluster.WorkerReplyHead{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances}
-	var (
-		key   string
-		array []byte
-	)
+	reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances,
+		Count: x.res.Count, ElapsedUS: time.Since(started).Microseconds()}
+	// The answer array of the mode; a count has none.
+	var array []byte
 	switch shape {
 	case eval.ShapeIncidents:
-		key, array = "incidents", x.res.Incidents
+		array = x.res.Incidents
 	case eval.ShapeInstances:
-		key, array = "wids", appendUints(nil, x.res.WIDs)
+		array = appendUints(nil, x.res.WIDs)
 	}
-	if shape != eval.ShapeIncidents {
-		head.Count = &x.res.Count
-	}
-	tail := cluster.WorkerReplyTail{ElapsedUS: time.Since(started).Microseconds()}
 	if tr != nil {
 		esp.SetAttr("instances", x.stats.Instances)
 		esp.SetAttr("incidents", x.res.Count)
@@ -164,10 +157,12 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		tr.End()
 		root := tr.Root()
 		obs.StampWorker(root, req.Self)
-		tail.TraceID = tr.ID()
-		tail.Spans = root
-		tail.CostTable = obs.CostTable(meter)
+		reply.TraceID = tr.ID()
+		reply.Spans = root
+		reply.CostTable = obs.CostTable(meter)
 	}
-	writeSpliced(w, http.StatusOK, head, key, array, tail)
+	if err := cluster.WriteReply(w, shape, array, &reply); err != nil {
+		fail(http.StatusInternalServerError, errorDoc{Error: "encode response: " + err.Error()})
+	}
 	recycleAnswer(x.res.Incidents)
 }
