@@ -1,8 +1,8 @@
 package eval
 
 import (
+	"errors"
 	"sync/atomic"
-	"time"
 
 	"wlq/internal/core/incident"
 	"wlq/internal/resilience"
@@ -14,19 +14,23 @@ import (
 //
 //   - comparisons: the opCount every join tallies into flushes to a shared
 //     atomic total every resilience.CheckInterval comparisons, where the
-//     MaxComparisons and MaxWallTime limits are checked. A query therefore
-//     overruns MaxComparisons by at most one interval per concurrent worker
-//     before aborting — the same counters eval.Meter reports, so budget
-//     accounting and the cost table agree.
+//     MaxComparisons limit is checked. A query therefore overruns
+//     MaxComparisons by at most one interval per concurrent worker before
+//     aborting — the same counters eval.Meter reports, so budget accounting
+//     and the cost table agree.
 //   - outputs: checked after every operator application (MaxOutputs bounds
 //     the Theorem 1 incident blowup, intermediate results included).
-//   - result bytes and wall time: checked between workflow instances as
-//     each instance's incidents are produced.
+//   - result bytes: checked between workflow instances as each instance's
+//     incidents are produced.
+//   - wall time: a deadline on the scan's context (cause errWallTime), the
+//     one clock the evaluator reads. The context is polled between
+//     instances and, at the same CheckInterval stride, inside every join;
+//     scan reports a stop with that cause as the wall-time *BudgetError.
 //
 // Deep inside a join there is no error return path (Algorithm 1's loops
-// produce slices, not errors), so a tripped limit aborts by panicking with
-// a budgetAbort, which safeInstance converts back into the *BudgetError at
-// the instance boundary. The panic never escapes the evaluator.
+// produce slices, not errors), so a tripped limit or a done context aborts
+// by panicking with a budgetAbort, which safeInstance converts back into its
+// error at the instance boundary. The panic never escapes the evaluator.
 //
 // Every entry point runs the same scan (parallel.go), so every one enforces
 // Options.Budget; those without an error result panic with the *BudgetError,
@@ -35,56 +39,40 @@ import (
 // (count.go) produces no incident, so of the four dimensions the comparisons
 // its summary joins tally and the wall time bound it.
 
-// budgetAbort is the internal panic payload carrying the typed error.
+// budgetAbort is the internal panic payload carrying the error a join stops
+// with: a *BudgetError, or the cause of the scan's done context.
 type budgetAbort struct {
-	err *resilience.BudgetError
+	err error
 }
 
-// budgetState is the shared, per-evaluation enforcement state. All workers
-// of a parallel evaluation share one; counters are atomic. A nil
-// *budgetState disables enforcement everywhere it is passed.
+// errWallTime is the cause of a scan's context that its wall-time budget
+// ended; scan turns it into the wall-time *BudgetError.
+var errWallTime = errors.New("eval: wall-time budget exceeded")
+
+// budgetState is the shared, per-evaluation enforcement state of the work
+// limits. All workers of a parallel evaluation share one; counters are
+// atomic. A nil *budgetState disables enforcement everywhere it is passed.
 type budgetState struct {
-	b        resilience.Budget
-	started  time.Time
-	deadline time.Time // zero when MaxWallTime is unset
+	b resilience.Budget
 
 	comparisons atomic.Uint64
 	outputs     atomic.Uint64
 	resultBytes atomic.Uint64
 }
 
-// newBudgetState starts enforcement for one evaluation; a zero budget
-// returns nil (no overhead on any path).
+// newBudgetState starts enforcement for one evaluation; a budget without a
+// work limit returns nil (no overhead on any path): its wall time, if any,
+// is the scan context's deadline.
 func newBudgetState(b resilience.Budget) *budgetState {
-	if b.IsZero() {
+	if b.MaxWallTime = 0; b.IsZero() {
 		return nil
 	}
-	bs := &budgetState{b: b, started: resilience.Now()}
-	if b.MaxWallTime > 0 {
-		bs.deadline = bs.started.Add(b.MaxWallTime)
-	}
-	return bs
-}
-
-// wallTimeErr returns the wall-time violation, or nil while within budget.
-func (bs *budgetState) wallTimeErr() *resilience.BudgetError {
-	if bs == nil || bs.deadline.IsZero() {
-		return nil
-	}
-	now := resilience.Now()
-	if now.Before(bs.deadline) {
-		return nil
-	}
-	return &resilience.BudgetError{
-		Dimension: resilience.DimWallTime,
-		Limit:     uint64(bs.b.MaxWallTime),
-		Measured:  uint64(now.Sub(bs.started)),
-	}
+	return &budgetState{b: b}
 }
 
 // addComparisons folds a flushed comparison delta into the shared total and
-// checks the comparison and wall-time limits, panicking with budgetAbort on
-// a violation (this is the mid-join check; there is no error return path).
+// checks the comparison limit, panicking with budgetAbort on a violation
+// (this is the mid-join check; there is no error return path).
 func (bs *budgetState) addComparisons(delta uint64) {
 	if bs == nil {
 		return
@@ -94,9 +82,6 @@ func (bs *budgetState) addComparisons(delta uint64) {
 		panic(budgetAbort{&resilience.BudgetError{
 			Dimension: resilience.DimComparisons, Limit: max, Measured: total,
 		}})
-	}
-	if err := bs.wallTimeErr(); err != nil {
-		panic(budgetAbort{err})
 	}
 }
 
@@ -122,8 +107,8 @@ func incidentBytes(o incident.Incident) uint64 {
 }
 
 // addResult accounts one finished instance's incidents against the
-// result-size budget and re-checks wall time. Called at the instance
-// boundary, where an error return exists — no panic needed.
+// result-size budget. Called at the instance boundary, where an error return
+// exists — no panic needed.
 func (bs *budgetState) addResult(incs []incident.Incident) error {
 	if bs == nil {
 		return nil
@@ -137,9 +122,6 @@ func (bs *budgetState) addResult(incs []incident.Incident) error {
 		return &resilience.BudgetError{
 			Dimension: resilience.DimResultBytes, Limit: max, Measured: total,
 		}
-	}
-	if err := bs.wallTimeErr(); err != nil {
-		return err
 	}
 	return nil
 }
@@ -164,7 +146,7 @@ func SetEvalHook(h func(wid uint64)) {
 
 // safeInstance evaluates one instance — counting it when counted, enumerating
 // its incidents into sc otherwise — under the worker isolation boundary:
-// a budgetAbort panic becomes its typed *BudgetError, any other panic — a
+// a budgetAbort panic becomes the error it carries, any other panic — a
 // genuine bug, or an injected fault — becomes a *resilience.PanicError with
 // an incident id and the captured stack. One poisoned instance evaluation
 // excludes that instance from one answer; the rest of the scan, the process,

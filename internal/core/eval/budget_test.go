@@ -80,25 +80,16 @@ func TestBudgetMaxResultBytesAborts(t *testing.T) {
 }
 
 func TestBudgetMaxWallTimeAbortsDeterministically(t *testing.T) {
-	// A skewed clock makes the wall-time budget trip on the first check
-	// without any real waiting: the second Now() call reports one hour
-	// later than the first.
-	base := time.Date(2026, 8, 6, 9, 0, 0, 0, time.UTC)
-	calls := 0
-	resilience.SetClock(func() time.Time {
-		calls++
-		if calls == 1 {
-			return base
-		}
-		return base.Add(time.Hour)
-	})
-	defer resilience.SetClock(nil)
-
+	// A one-nanosecond budget is a deadline the scan's context has passed
+	// before the first instance, so the trip needs no waiting and no clock.
 	l := heavyLog(t, 2, 100)
-	_, _, err := budgetEval(t, l, "A -> B", 1, resilience.Budget{MaxWallTime: time.Second})
+	_, _, err := budgetEval(t, l, "A -> B", 1, resilience.Budget{MaxWallTime: time.Nanosecond})
 	var be *resilience.BudgetError
 	if !errors.As(err, &be) || be.Dimension != resilience.DimWallTime {
 		t.Fatalf("err = %v, want wall-time budget error", err)
+	}
+	if be.Limit != uint64(time.Nanosecond) || be.Measured < be.Limit {
+		t.Fatalf("limit %d, measured %d: want the 1ns limit and at least that much measured", be.Limit, be.Measured)
 	}
 }
 

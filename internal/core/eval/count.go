@@ -125,9 +125,11 @@ type summary struct {
 // countInstance is evalInstance for a countable program: one pass over the
 // steps, each left as a summary instead of a slice of incidents. It returns
 // the number of incidents of the plan in the instance. Summary joins tally
-// their probes and pair tests like the enumerating joins do, so the
-// comparison and wall-time budgets bound a pathological count; there is no
-// produced incident for the outputs and result-size budgets to bound.
+// their probes and pair tests like the enumerating joins do, and poll the
+// scan's context at the same stride, so the comparison budget, the
+// wall-time budget and the caller's deadline bound a pathological count;
+// there is no produced incident for the outputs and result-size budgets to
+// bound.
 func (e *Evaluator) countInstance(c *scratch, pos int, bs *budgetState) int {
 	for i := range c.prog {
 		st, sc := &c.prog[i], &c.steps[i]
@@ -145,12 +147,14 @@ func (e *Evaluator) countInstance(c *scratch, pos int, bs *budgetState) int {
 			}
 		default:
 			l, r := &c.steps[st.left].val, &c.steps[st.right].val
-			cnt := opCount{bs: bs}
+			cnt := opCount{bs: bs, ctx: c.ctx, done: c.done}
 			c.apply(i, l, r, &cnt)
 			if st.nm != nil {
 				sc.tally.recordOp(st.nm, l.n, r.n, cnt.comparisons, sc.val.n)
 			}
-			cnt.flushBudget()
+			if bs != nil {
+				cnt.flush()
+			}
 		}
 	}
 	return int(c.steps[len(c.prog)-1].val.n)

@@ -208,6 +208,10 @@ type scratch struct {
 	prog  program
 	steps []stepScratch
 	seqs  incident.Slab // reset as each enumerated instance starts
+	// ctx is the scan's, which every join polls (opCount); done is its
+	// Done(), nil when it is never done.
+	ctx  context.Context
+	done <-chan struct{}
 }
 
 type stepScratch struct {
@@ -226,8 +230,8 @@ type stepScratch struct {
 	tally       nodeTally
 }
 
-func newScratch(prog program) *scratch {
-	return &scratch{prog: prog, steps: make([]stepScratch, len(prog))}
+func newScratch(ctx context.Context, prog program) *scratch {
+	return &scratch{prog: prog, steps: make([]stepScratch, len(prog)), ctx: ctx, done: ctx.Done()}
 }
 
 // flush adds the tallies to the meter.
@@ -256,9 +260,9 @@ func (e *Evaluator) evalInstance(sc *scratch, wid uint64, pos int, bs *budgetSta
 			ss.incs = e.evalAtom(st, ss, wid, pos)
 		default:
 			left, right := sc.steps[st.left].incs, sc.steps[st.right].incs
-			var cnt *opCount // nil: nothing to tally
-			if st.nm != nil || bs != nil {
-				cnt = &opCount{bs: bs}
+			var cnt *opCount // nil: nothing to tally or poll
+			if st.nm != nil || bs != nil || sc.done != nil {
+				cnt = &opCount{bs: bs, ctx: sc.ctx, done: sc.done}
 			}
 			ss.incs = e.applyOp(st.op, ss.incs[:0], left, right, &sc.seqs, cnt)
 			if st.nm != nil {
@@ -266,8 +270,10 @@ func (e *Evaluator) evalInstance(sc *scratch, wid uint64, pos int, bs *budgetSta
 			}
 			// Budget checks come after the tally so an abort's partial cost
 			// table includes every completed operator.
-			cnt.flushBudget()
-			bs.addOutputs(len(ss.incs))
+			if bs != nil {
+				cnt.flush()
+				bs.addOutputs(len(ss.incs))
+			}
 		}
 	}
 	return sc.steps[len(sc.prog)-1].incs

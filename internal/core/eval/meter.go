@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"sync/atomic"
 
 	"wlq/internal/core/pattern"
@@ -211,15 +212,18 @@ func (m *Meter) TotalComparisons() uint64 {
 // receiver is valid and makes add a no-op, so unmetered evaluation pays
 // only a predictable branch per comparison.
 //
-// When bs is non-nil the tally also drives budget enforcement: every
-// resilience.CheckInterval comparisons the local count is flushed into the
-// shared budget state, where the comparison and wall-time limits are
-// checked (and may abort the join by panicking; see budget.go). The flush
-// cadence keeps the hot loop free of atomics.
+// Every resilience.CheckInterval comparisons the tally polls done, the
+// scan's context, and aborts the join with the context's cause when it is
+// done; then it flushes the local count into bs, the shared budget state
+// (when non-nil), where the comparison limit is checked. Both may abort by
+// panicking (see budget.go). The stride keeps the hot loop free of atomics
+// and channel operations.
 type opCount struct {
 	comparisons uint64
+	flushed     uint64 // comparisons at the last check
 	bs          *budgetState
-	flushed     uint64 // comparisons already folded into bs
+	ctx         context.Context
+	done        <-chan struct{} // ctx.Done(), nil when ctx is never done
 }
 
 func (c *opCount) add(n uint64) {
@@ -227,18 +231,27 @@ func (c *opCount) add(n uint64) {
 		return
 	}
 	c.comparisons += n
-	if c.bs != nil && c.comparisons-c.flushed >= resilience.CheckInterval {
-		c.flushBudget()
+	if c.comparisons-c.flushed >= resilience.CheckInterval {
+		c.check()
 	}
 }
 
-// flushBudget folds the not-yet-flushed comparisons into the shared budget
-// state. Called from add at the check interval and once per operator
-// application for the remainder.
-func (c *opCount) flushBudget() {
-	if c == nil || c.bs == nil || c.comparisons == c.flushed {
-		return
+// check is add's stride: it aborts the join when the scan's context is
+// done, and flushes the tally. It is apart from add so that add inlines.
+func (c *opCount) check() {
+	select {
+	case <-c.done:
+		panic(budgetAbort{context.Cause(c.ctx)})
+	default:
 	}
+	c.flush()
+}
+
+// flush folds the comparisons not yet flushed into the shared budget state
+// (a no-op on a nil one). add calls it at the check interval, and the
+// evaluator once per operator application under a budget, for the
+// remainder.
+func (c *opCount) flush() {
 	delta := c.comparisons - c.flushed
 	c.flushed = c.comparisons
 	c.bs.addComparisons(delta)

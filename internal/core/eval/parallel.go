@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
@@ -228,14 +229,17 @@ func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error)
 // with an empty share. It then evaluates the kept ones in contiguous,
 // wid-ordered chunks, one per goroutine, on up to workers goroutines (0
 // means GOMAXPROCS; one runs on the caller's). Where the shape needs no
-// incident and the program
-// is countable (count.go), an instance is counted; otherwise its incidents
-// are enumerated. Before each instance it checks ctx and calls the fault
-// hook; the evaluation runs under the safeInstance isolation boundary, so a
-// panic becomes a *resilience.PanicError that excludes the instance, and the
-// scan goes on with the next one; budget limits are checked inside the joins
-// at the resilience.CheckInterval stride and, with the result size, as each
-// instance's incidents are charged to the budget state the goroutines share.
+// incident and the program is countable (count.go), an instance is counted;
+// otherwise its incidents are enumerated. ctx is the scan's one clock: the
+// budget's MaxWallTime is a deadline on it (cause errWallTime, reported as
+// the wall-time *BudgetError), and it is polled before each instance and
+// inside the joins every resilience.CheckInterval comparisons. Before each
+// instance scan also calls the fault hook; the evaluation runs under the
+// safeInstance isolation boundary, so a panic becomes a
+// *resilience.PanicError that excludes the instance, and the scan goes on
+// with the next one; the work limits are checked inside the joins at the
+// same stride and, with the result size, as each instance's incidents are
+// charged to the budget state the goroutines share.
 // visit, when non-nil, then receives the number of incidents of wids[i]; it
 // is called from every goroutine (for distinct i), never for an excluded
 // instance, and ends the scan early, without error, by returning false. A
@@ -254,7 +258,13 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	workers = max(1, min(workers, cv.n))
 	counted := prog.counted(shape, e.opts.Strategy)
 	bs := newBudgetState(e.opts.Budget)
-	ctxDone := ctx.Done()
+	var started time.Time // when the wall-time budget started
+	if limit := e.opts.Budget.MaxWallTime; limit > 0 {
+		started = time.Now()
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadlineCause(ctx, started.Add(limit), errWallTime)
+		defer cancel()
+	}
 	var stop atomic.Bool
 
 	// chunk is what one goroutine did: instances covered, their incidents
@@ -268,8 +278,8 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	}
 	one := func(sc *scratch, wid uint64, pos int) (int, []incident.Incident, error) {
 		select {
-		case <-ctxDone:
-			return 0, nil, ctx.Err()
+		case <-sc.done:
+			return 0, nil, context.Cause(ctx)
 		default:
 		}
 		n, incs, err := e.safeInstance(sc, counted, wid, pos, bs)
@@ -284,13 +294,13 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		if shape == ShapeIncidents {
 			c.kept = arenaPool.Get().(*resultArena)
 		}
-		sc := newScratch(prog)
+		sc := newScratch(ctx, prog)
 		// Also when the chunk ends in a failure: an abort's partial cost table
 		// includes every completed operator.
 		defer sc.flush()
 		if lo == hi && len(wids) > 0 {
 			// Nothing to evaluate: a cancelled ctx still fails the scan.
-			if c.err = ctx.Err(); c.err != nil {
+			if c.err = context.Cause(ctx); c.err != nil {
 				return c
 			}
 		}
@@ -359,6 +369,10 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 			arenas = append(arenas, c.kept)
 		}
 		total.excluded = append(total.excluded, c.excluded...)
+		if errors.Is(c.err, errWallTime) {
+			c.err = &resilience.BudgetError{Dimension: resilience.DimWallTime,
+				Limit: uint64(e.opts.Budget.MaxWallTime), Measured: uint64(time.Since(started))}
+		}
 		if c.err != nil && (total.err == nil || errRank(c.err) > errRank(total.err)) {
 			total.err = c.err
 		}

@@ -6,8 +6,9 @@ import (
 	"wlq/internal/core/pattern"
 )
 
-// Stats is the slice of log statistics the cost model consumes.
-// *eval.Index satisfies it.
+// Stats is the slice of log statistics the cost model consumes. The served
+// store, *colstore.Store, is what answers it in the query service and the
+// library engine; *eval.Index satisfies it too.
 type Stats interface {
 	// ActivityCount returns how many records carry the activity name.
 	ActivityCount(act string) int

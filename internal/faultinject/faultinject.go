@@ -1,14 +1,14 @@
 // Package faultinject provides deterministic fault injection for the chaos
 // test suites. Every fault is seedable and repeatable: an injection point
 // fires on an exact call ordinal (NthCall), a reader fails at an exact byte
-// offset (ErrorReader), a clock skews by an exact duration (SkewClock) — no
-// randomness, no sleeps, no timing races, so a chaos test that fails once
-// fails every time under the same seed.
+// offset (ErrorReader), a round trip, a file write or a crash point fails
+// at an exact call — no randomness, no sleeps, no timing races, so a chaos
+// test that fails once fails every time under the same seed.
 //
 // The package is imported ONLY from tests. Production code exposes the
-// seams — eval.SetEvalHook, resilience.SetClock, io.Reader wrapping — and
-// this package supplies deterministic faults to plug into them. Nothing
-// here touches global state by itself.
+// seams — eval.SetEvalHook, io.Reader wrapping, cluster.Config.Transport,
+// wal.File and wal.Options.Hook — and this package supplies deterministic
+// faults to plug into them. Nothing here touches global state by itself.
 package faultinject
 
 import (
@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
-	"time"
 )
 
 // ErrInjected is the sentinel wrapped by every injected I/O failure, so
@@ -117,18 +116,4 @@ func (s *slowReader) Read(p []byte) (int, error) {
 		p = p[:s.chunk]
 	}
 	return s.r.Read(p)
-}
-
-// SkewClock returns a clock function for resilience.SetClock that reports
-// base on its first call and base+skew on every later call: a wall-time
-// budget or timeout sees its whole allowance consumed between two
-// observations, deterministically and without sleeping.
-func SkewClock(base time.Time, skew time.Duration) func() time.Time {
-	var calls atomic.Uint64
-	return func() time.Time {
-		if calls.Add(1) == 1 {
-			return base
-		}
-		return base.Add(skew)
-	}
 }

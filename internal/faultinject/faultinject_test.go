@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestOnNthCallFiresExactlyOnce(t *testing.T) {
@@ -97,18 +96,5 @@ func TestSlowReaderPreservesContent(t *testing.T) {
 	}
 	if string(data) != text {
 		t.Fatalf("content mangled: %q", data)
-	}
-}
-
-func TestSkewClock(t *testing.T) {
-	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	clock := SkewClock(base, time.Hour)
-	if got := clock(); !got.Equal(base) {
-		t.Fatalf("first call = %v, want base", got)
-	}
-	for i := 0; i < 3; i++ {
-		if got := clock(); !got.Equal(base.Add(time.Hour)) {
-			t.Fatalf("later call = %v, want base+1h", got)
-		}
 	}
 }

@@ -101,7 +101,7 @@ func attrsFromWire(m map[string]string) (wlog.AttrMap, error) {
 
 // EncodeRecord renders one record as a single FormatJSONL line without the
 // trailing newline — the wire form of the live-append API and the payload of
-// a WAL frame. It is the single-record counterpart of Writer.Write.
+// a WAL frame, and what Writer.Write writes a FormatJSONL line as.
 func EncodeRecord(r wlog.Record) ([]byte, error) {
 	line, err := json.Marshal(jsonRecord{
 		LSN: r.LSN, WID: r.WID, Seq: r.Seq, Act: r.Activity,
@@ -116,17 +116,27 @@ func EncodeRecord(r wlog.Record) ([]byte, error) {
 // DecodeRecord inverts EncodeRecord: one FormatJSONL line (surrounding
 // whitespace tolerated) back to a record.
 func DecodeRecord(line []byte) (wlog.Record, error) {
+	r, err := decodeRecord(line)
+	if err != nil {
+		return wlog.Record{}, fmt.Errorf("logio: %w", err)
+	}
+	return r, nil
+}
+
+// decodeRecord is DecodeRecord with its errors unprefixed, for the reader,
+// which prefixes them with the line.
+func decodeRecord(line []byte) (wlog.Record, error) {
 	var jr jsonRecord
 	if err := json.Unmarshal(line, &jr); err != nil {
-		return wlog.Record{}, fmt.Errorf("logio: %w", err)
+		return wlog.Record{}, err
 	}
 	in, err := attrsFromWire(jr.In)
 	if err != nil {
-		return wlog.Record{}, fmt.Errorf("logio: %w", err)
+		return wlog.Record{}, err
 	}
 	out, err := attrsFromWire(jr.Out)
 	if err != nil {
-		return wlog.Record{}, fmt.Errorf("logio: %w", err)
+		return wlog.Record{}, err
 	}
 	return wlog.Record{
 		LSN: jr.LSN, WID: jr.WID, Seq: jr.Seq, Activity: jr.Act,
@@ -150,12 +160,9 @@ func NewWriter(w io.Writer, format Format) *Writer {
 func (w *Writer) Write(r wlog.Record) error {
 	switch w.format {
 	case FormatJSONL:
-		line, err := json.Marshal(jsonRecord{
-			LSN: r.LSN, WID: r.WID, Seq: r.Seq, Act: r.Activity,
-			In: attrsToWire(r.In), Out: attrsToWire(r.Out),
-		})
+		line, err := EncodeRecord(r)
 		if err != nil {
-			return fmt.Errorf("logio: marshal lsn=%d: %w", r.LSN, err)
+			return err
 		}
 		if _, err := w.w.Write(line); err != nil {
 			return err
@@ -371,22 +378,7 @@ func (r *Reader) Each(fn func(wlog.Record)) error {
 func (r *Reader) decodeLine(raw []byte) (wlog.Record, error) {
 	switch r.format {
 	case FormatJSONL:
-		var jr jsonRecord
-		if err := json.Unmarshal(raw, &jr); err != nil {
-			return wlog.Record{}, err
-		}
-		in, err := attrsFromWire(jr.In)
-		if err != nil {
-			return wlog.Record{}, err
-		}
-		out, err := attrsFromWire(jr.Out)
-		if err != nil {
-			return wlog.Record{}, err
-		}
-		return wlog.Record{
-			LSN: jr.LSN, WID: jr.WID, Seq: jr.Seq, Activity: jr.Act,
-			In: in, Out: out,
-		}, nil
+		return decodeRecord(raw)
 	case FormatText:
 		fields := strings.Split(string(raw), "\t")
 		if len(fields) != 6 {

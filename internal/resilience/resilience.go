@@ -35,11 +35,12 @@ import (
 	"time"
 )
 
-// CheckInterval is the number of record-level comparisons between budget
-// checks inside the evaluator's join loops. Checks cost one atomic add and
-// a couple of loads, so the interval trades abort latency against overhead:
-// a query can overrun MaxComparisons by at most one interval per concurrent
-// worker before aborting.
+// CheckInterval is the number of record-level comparisons between checks
+// inside the evaluator's join loops: a non-blocking receive on the
+// evaluation context's Done channel and, under a work budget, one atomic
+// add and a couple of loads. The interval trades abort latency against
+// overhead: a query can overrun MaxComparisons by at most one interval per
+// concurrent worker before aborting.
 const CheckInterval = 4096
 
 // Budget caps the resources one query evaluation may consume. The zero
@@ -55,9 +56,10 @@ type Budget struct {
 	// applications (intermediate results included), bounding the Theorem 1
 	// blowup before it exhausts memory. Checked per operator application.
 	MaxOutputs uint64
-	// MaxWallTime caps evaluation wall clock. Checked at the comparison
-	// stride and between workflow instances; independent of (and typically
-	// tighter than) any context deadline.
+	// MaxWallTime caps evaluation wall clock: a deadline on the
+	// evaluation's context, which the evaluator polls between workflow
+	// instances and at the comparison stride. When the caller's own
+	// deadline comes first, that one stops the evaluation instead.
 	MaxWallTime time.Duration
 	// MaxResultBytes caps the approximate in-memory size of the final
 	// result set, checked as each workflow instance's incidents are
@@ -128,10 +130,9 @@ func (e *BudgetError) Error() string {
 // Unwrap makes errors.Is(err, ErrBudgetExceeded) hold.
 func (e *BudgetError) Unwrap() error { return ErrBudgetExceeded }
 
-// nowFn is the clock used for wall-time budget checks, replaceable for
-// deterministic fault injection (internal/faultinject supplies a skewable
-// clock). Stored atomically so tests swapping it race-cleanly with running
-// evaluations.
+// nowFn is the clock the cluster's circuit breakers read their cooldowns
+// from, replaceable so tests can step past a cooldown without sleeping.
+// Stored atomically so tests swapping it race-cleanly with running queries.
 var nowFn atomic.Pointer[func() time.Time]
 
 // Now returns the current time from the configured clock.
@@ -143,7 +144,7 @@ func Now() time.Time {
 }
 
 // SetClock replaces the clock used by Now; nil restores time.Now. Intended
-// for tests only (clock-skew fault injection).
+// for tests only (deterministic breaker cooldowns).
 func SetClock(f func() time.Time) {
 	if f == nil {
 		nowFn.Store(nil)

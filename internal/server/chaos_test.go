@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,12 +13,13 @@ import (
 
 	"wlq/internal/core/eval"
 	"wlq/internal/faultinject"
+	"wlq/internal/gen"
 	"wlq/internal/resilience"
 	"wlq/internal/wlog"
 )
 
 // Chaos suite: deterministic faults injected through the production seams
-// (eval.SetEvalHook, resilience.SetClock, Config.Loader), asserting graceful
+// (eval.SetEvalHook, Config.Loader), asserting graceful
 // degradation — the right status code, a live health probe, and a clean
 // cache — rather than mere survival. Run with the race detector; the CI
 // chaos steps (.github/workflows/ci.yml) select these tests by the Chaos and
@@ -153,19 +155,79 @@ func TestChaosBudgetAbortReturns422WithCostTable(t *testing.T) {
 }
 
 func TestChaosWallTimeBudgetDeterministic(t *testing.T) {
-	base := time.Date(2026, 8, 6, 9, 0, 0, 0, time.UTC)
-	resilience.SetClock(faultinject.SkewClock(base, time.Hour))
-	defer resilience.SetClock(nil)
-
+	// A one-nanosecond budget is a deadline the evaluation's context has
+	// passed before the first instance: the trip needs no waiting and no clock.
 	h := newChaosServer(t, Config{
-		Budget: resilience.Budget{MaxWallTime: time.Second},
+		Budget: resilience.Budget{MaxWallTime: time.Nanosecond},
 	}, 2, 100)
 	rec := postQuery(t, h, `{"log":"chaos","query":"A -> B","workers":1}`, nil)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("status %d, want 422: %s", rec.Code, rec.Body)
 	}
-	if doc := decodeError(t, rec); doc.BudgetDimension != resilience.DimWallTime {
-		t.Fatalf("budget_dimension %q, want %q", doc.BudgetDimension, resilience.DimWallTime)
+	if doc := decodeError(t, rec); doc.BudgetDimension != resilience.DimWallTime || len(doc.CostTable) == 0 {
+		t.Fatalf("want a wall_time trip with the partial cost table: %s", rec.Body)
+	}
+
+	// Through a worker. The budget travels in milliseconds, so it meets a
+	// join that runs for seconds: one Theorem 1 instance.
+	f := newClusterFixture(t, 1, "adversary", gen.WorstCaseLog(64), nil, func(c *Config) {
+		c.Budget = resilience.Budget{MaxWallTime: time.Millisecond}
+	})
+	rec = postQuery(t, f.coord.Handler(), `{"log":"adversary","query":"t & t & t & t","mode":"count"}`, nil)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("through a worker: status %d, want 422: %s", rec.Code, rec.Body)
+	}
+	if doc := decodeError(t, rec); doc.BudgetDimension != resilience.DimWallTime || len(doc.CostTable) == 0 {
+		t.Fatalf("through a worker: want a wall_time trip with the partial cost table: %s", rec.Body)
+	}
+}
+
+// TestChaosDeadlineStopsAJoin: one Theorem 1 instance (m = 64, "t & t & t &
+// t") holds its query inside the joins for seconds. The request's deadline
+// and its client's disconnect both reach into the join: a 50 ms timeout
+// answers 504 within a second, and a client that goes away mid-join frees
+// its admission slot within a second.
+func TestChaosDeadlineStopsAJoin(t *testing.T) {
+	s := New(Config{CacheSize: -1})
+	if err := s.AddLog("adversary", "builtin:worst-case", gen.WorstCaseLog(64)); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const query = `"log":"adversary","query":"t & t & t & t","mode":"count","workers":1`
+
+	start := time.Now()
+	rec := postQuery(t, h, `{`+query+`,"timeout_ms":50}`, nil)
+	if took := time.Since(start); rec.Code != http.StatusGatewayTimeout || took > time.Second {
+		t.Fatalf("timeout_ms 50: status %d after %v, want 504 within 1s: %s", rec.Code, took, rec.Body)
+	}
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	entered := make(chan struct{})
+	var once sync.Once
+	eval.SetEvalHook(func(uint64) { once.Do(func() { close(entered) }) })
+	defer eval.SetEvalHook(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/query", strings.NewReader(`{`+query+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := srv.Client().Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	<-entered // past the per-instance check: only the join can see the cancel
+	cancel()
+	<-done
+	gone := time.Now()
+	for s.admission.InFlight() != 0 {
+		if time.Since(gone) > time.Second {
+			t.Fatalf("admission_in_flight %d a second after the client left", s.admission.InFlight())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

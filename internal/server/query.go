@@ -106,18 +106,21 @@ type queryTail struct {
 	Completeness *cluster.Completeness `json:"completeness,omitempty"`
 }
 
-// executor is how one log's queries are evaluated. bindExecutor picks it
-// once per log generation — the only place the cluster / local decision is
-// made — so the request path never asks which tier it is on.
+// executor is how the server's queries are evaluated. New picks it once —
+// the only place the cluster / local decision is made — so the request path
+// never asks which tier it is on.
 type executor struct {
-	// goroutines is how many goroutines of this process evaluate one query
-	// over the given number of instances that asked for the given parallelism
-	// (0 = no preference): what the query holds on the busy_workers gauge
-	// while it runs.
+	// goroutines is an upper bound on how many goroutines of this process
+	// evaluate one query over the given number of instances that asked for
+	// the given parallelism (0 = no preference): what the query holds on the
+	// busy_workers gauge while it runs. The scan caps its goroutines by the
+	// plan's candidate instances, which only it knows, so a plan with at
+	// most one candidate holds the configured workers on the gauge and runs
+	// one goroutine.
 	goroutines func(requested, instances int) int
-	// run evaluates the plan over the request's store version and answers
-	// in the given shape; workers is goroutines' answer.
-	run func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) execution
+	// run evaluates the plan over the request's version of the named log and
+	// answers in the given shape; workers is goroutines' answer.
+	run func(ctx context.Context, log string, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) execution
 }
 
 // execution is the one outcome type of the execute stage, whichever tier
@@ -141,20 +144,20 @@ type execution struct {
 	fan *cluster.Fanout
 }
 
-// bindExecutor builds the entry's executor from the server config.
-func (s *Server) bindExecutor(e *logEntry) {
+// newExecutor builds the server's executor from its config.
+func (s *Server) newExecutor() executor {
 	if s.coord != nil {
 		// Distributed execution: the coordinator fans the optimized plan out
 		// to the workers, one contiguous wid interval each, and merges their
 		// answers; a lost worker degrades the result to a partial instead of
 		// failing the query. The failure domains are the workers, and nothing
 		// evaluates locally.
-		e.exec = executor{
+		return executor{
 			goroutines: func(int, int) int { return 0 },
-			run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
+			run: func(ctx context.Context, log string, src *colstore.Store, plan pattern.Node, opts eval.Options, _ int, shape eval.Shape) (x execution) {
 				s.metrics.Cluster.ClusterQueries.Add(1)
 				x.fan = new(cluster.Fanout)
-				x.res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, e.name, plan, shape, cluster.ExecOptions{
+				x.res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, log, plan, shape, cluster.ExecOptions{
 					WIDs:     src.WIDs(),
 					Strategy: opts.Strategy.String(),
 					Budget:   opts.Budget,
@@ -162,15 +165,11 @@ func (s *Server) bindExecutor(e *logEntry) {
 				return x
 			},
 		}
-		return
 	}
 	// Local execution: every instance is its own failure domain, and the
 	// answer names the ones a panic excluded (execute settles whether that
 	// is a partial answer or a failure).
-	e.exec = executor{
-		// Mirrors eval's worker resolution so the gauge matches what
-		// AnswerCtx actually spawns: the configured (or lower requested)
-		// count, capped by the instance count.
+	return executor{
 		goroutines: func(requested, instances int) int {
 			w := s.cfg.Workers
 			if requested > 0 && requested < w {
@@ -178,7 +177,7 @@ func (s *Server) bindExecutor(e *logEntry) {
 			}
 			return max(min(w, instances), 1)
 		},
-		run: func(ctx context.Context, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
+		run: func(ctx context.Context, _ string, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
 			a, err := eval.New(src, opts).AnswerCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
 			x.res, x.excluded, x.err = served(a, shape), a.Excluded, err
 			return x
@@ -598,8 +597,8 @@ func (q *queryRun) execute(ctx context.Context) bool {
 
 	sp := q.trace.StartSpan("eval")
 	src := q.at
-	workers := entry.exec.goroutines(q.req.Workers, len(src.WIDs()))
-	x := s.execute(workers, func() execution { return entry.exec.run(ctx, src, plan, opts, workers, q.shape) })
+	workers := s.exec.goroutines(q.req.Workers, len(src.WIDs()))
+	x := s.execute(workers, func() execution { return s.exec.run(ctx, entry.name, src, plan, opts, workers, q.shape) })
 	if ex := x.excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
 		// the query (a 500, as any panic does); partial, the answer stands

@@ -144,8 +144,6 @@ func (s *Server) reloadLogsLocked() (ReloadResult, error) {
 		} else {
 			e.store = st
 		}
-		// The executor is rebuilt with the backend, so it reads the new log.
-		s.bindExecutor(e)
 		fresh[t.name] = e
 		res.Reloaded = append(res.Reloaded, t.name)
 	}

@@ -187,9 +187,6 @@ type logEntry struct {
 	valid  bool
 	reason string // validation error text when !valid
 	gen    uint64 // reload generation; part of the result-cache key
-	// exec is how the entry's queries run (bindExecutor), chosen once per
-	// log generation.
-	exec executor
 	// store is a snapshot's store (nil for a live log).
 	store *colstore.Store
 	// live is the log's durable ingest coordinator (nil unless
@@ -222,6 +219,9 @@ type Server struct {
 	quarantine map[string]string // log name -> last reload error (entry kept at last-good)
 	cache      *lru
 	metrics    *metricsDoc
+
+	// exec is how every log's queries run (newExecutor), chosen once.
+	exec executor
 
 	// coord is the cluster coordinator (nil for single-node service). It is
 	// long-lived shared state: per-worker breakers and health verdicts
@@ -269,7 +269,7 @@ func New(cfg Config) *Server {
 	if cfg.Ingest && (cfg.WorkerMode || cfg.Cluster != nil) {
 		panic("server: Config.Ingest is incompatible with WorkerMode and Cluster")
 	}
-	return &Server{
+	s := &Server{
 		cfg:        cfg,
 		admission:  resilience.NewAdmission(capacity), // nil (unlimited) when negative
 		logs:       make(map[string]*logEntry),
@@ -279,6 +279,8 @@ func New(cfg Config) *Server {
 		coord:      coord,
 		flight:     flight,
 	}
+	s.exec = s.newExecutor()
+	return s
 }
 
 // Coordinator returns the cluster coordinator, or nil for a single-node
@@ -346,7 +348,6 @@ func (s *Server) AddStore(name, source string, st *colstore.Store, invalid error
 	} else {
 		e.store = st
 	}
-	s.bindExecutor(e)
 	s.logs[name] = e
 	s.names = append(s.names, name)
 	return nil
@@ -447,7 +448,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe: 200 once at least one log is loaded
-// and indexed (AddLog builds the index synchronously, so a registered log
+// (AddStore registers a store that is already built, so a registered log
 // is a queryable log), 503 before that — load balancers keep the instance
 // out of rotation until it can actually answer queries.
 // A quarantined log (a reload that failed validation or loading; the

@@ -42,7 +42,7 @@ import (
 // a method), each with the reason.
 var allowed = map[string]string{
 	"wlq/internal/faultinject":                "fault-injection seams: the chaos and crash-recovery tests are the callers",
-	"wlq/internal/resilience.SetClock":        "test seam: deterministic wall-time budgets",
+	"wlq/internal/resilience.SetClock":        "test seam: deterministic breaker cooldowns",
 	"wlq/internal/core/rewrite.UniformStats":  "the reference cost model the rewrite tests hold the optimizer to",
 	"wlq/internal/core/eval.Evaluator.Verify": "Definition 4 re-checked on an answer: the independent oracle of the differential tests",
 	"wlq/internal/core/pattern.FromPostfix":   "PAPER_MAP: the inverse of Algorithm 3's post-order numbering",
