@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzPostfix$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/pattern/
 	$(GO) test -fuzz='^FuzzDecodeText$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
 	$(GO) test -fuzz='^FuzzDecodeJSONL$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
+	$(GO) test -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
 	$(GO) test -fuzz='^FuzzImportCSV$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
 	$(GO) test -fuzz='^FuzzImportXES$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
 	$(GO) test -fuzz='^FuzzParseValue$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/

@@ -6,9 +6,13 @@
 package wlq_test
 
 import (
+	"bytes"
 	"fmt"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"wlq"
 	"wlq/internal/analytics"
 	"wlq/internal/clinic"
 	"wlq/internal/core/eval"
@@ -235,7 +239,9 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-// BenchmarkLogIO measures the serialization substrate.
+// BenchmarkLogIO measures the serialization substrate: encoding, reading
+// JSONL records, and loading a JSONL file into a store as wlq-serve loads a
+// -log file. The read and load series report allocations per record.
 func BenchmarkLogIO(b *testing.B) {
 	l, err := clinic.Generate(500, 3)
 	if err != nil {
@@ -250,6 +256,38 @@ func BenchmarkLogIO(b *testing.B) {
 			}
 		})
 	}
+	var jsonl bytes.Buffer
+	if err := logio.Encode(&jsonl, l, logio.FormatJSONL); err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "clinic.jsonl")
+	if err := wlq.SaveLog(path, l); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode/jsonl", func(b *testing.B) {
+		perRecord(b, l.Len(), func() error {
+			return logio.NewReader(bytes.NewReader(jsonl.Bytes()), logio.FormatJSONL).Each(func(wlog.Record) {})
+		})
+	})
+	b.Run("load/jsonl", func(b *testing.B) {
+		perRecord(b, l.Len(), func() error {
+			_, err := loadJSONL(path)
+			return err
+		})
+	})
+}
+
+// perRecord times fn and reports its heap allocations per record.
+func perRecord(b *testing.B, records int, fn func() error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		if err := fn(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*records), "allocs/record")
 }
 
 // discard is a no-op writer (io.Discard without importing io for one use).

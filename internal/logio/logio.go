@@ -8,6 +8,13 @@
 // Both formats round-trip exactly: Decode(Encode(L)) equals L, including
 // attribute value kinds. Readers and writers are streaming, so logs larger
 // than memory can be processed record by record.
+//
+// A FormatJSONL line is read by one scanner, in a single pass without
+// reflection, on every path that turns bytes into records: file loads,
+// append bodies and WAL replay. A line it does not read goes to
+// encoding/json, which gives the same record or the error it always gave;
+// FuzzDecodeRecord holds the two paths together. A Reader keeps one string
+// per distinct activity and attribute name it has read.
 package logio
 
 import (
@@ -114,9 +121,13 @@ func EncodeRecord(r wlog.Record) ([]byte, error) {
 }
 
 // DecodeRecord inverts EncodeRecord: one FormatJSONL line (surrounding
-// whitespace tolerated) back to a record.
+// whitespace tolerated) back to a record. The line is read by one scanner
+// (scanRecord), without reflection; a line it does not read, such as one
+// with a \u escape, a key in other case or a malformed value, goes to
+// encoding/json, which gives the same record or the error. FuzzDecodeRecord
+// holds the two paths together.
 func DecodeRecord(line []byte) (wlog.Record, error) {
-	r, err := decodeRecord(line)
+	r, err := decodeRecord(line, nil)
 	if err != nil {
 		return wlog.Record{}, fmt.Errorf("logio: %w", err)
 	}
@@ -124,8 +135,18 @@ func DecodeRecord(line []byte) (wlog.Record, error) {
 }
 
 // decodeRecord is DecodeRecord with its errors unprefixed, for the reader,
-// which prefixes them with the line.
-func decodeRecord(line []byte) (wlog.Record, error) {
+// which prefixes them with the line, and names interned in names (nil:
+// none).
+func decodeRecord(line []byte, names nameTable) (wlog.Record, error) {
+	if r, ok := scanRecord(line, names); ok {
+		return r, nil
+	}
+	return unmarshalRecord(line)
+}
+
+// unmarshalRecord reads a line through encoding/json: the reader of every
+// line scanRecord does not read, and the reference it is held to.
+func unmarshalRecord(line []byte) (wlog.Record, error) {
 	var jr jsonRecord
 	if err := json.Unmarshal(line, &jr); err != nil {
 		return wlog.Record{}, err
@@ -320,13 +341,14 @@ type Reader struct {
 	sc     *bufio.Scanner
 	format Format
 	line   int
+	names  nameTable
 }
 
 // NewReader creates a streaming log reader.
 func NewReader(r io.Reader, format Format) *Reader {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &Reader{sc: sc, format: format}
+	return &Reader{sc: sc, format: format, names: make(nameTable)}
 }
 
 // Read returns the next record, or io.EOF after the last one. Blank lines
@@ -378,7 +400,7 @@ func (r *Reader) Each(fn func(wlog.Record)) error {
 func (r *Reader) decodeLine(raw []byte) (wlog.Record, error) {
 	switch r.format {
 	case FormatJSONL:
-		return decodeRecord(raw)
+		return decodeRecord(raw, r.names)
 	case FormatText:
 		fields := strings.Split(string(raw), "\t")
 		if len(fields) != 6 {

@@ -148,6 +148,43 @@ func TestDecodeErrors(t *testing.T) {
 			}
 		})
 	}
+
+	// JSONL lines whose error texts are pinned, as encoding/json words them:
+	// Decode's names the line, DecodeRecord's does not. "" is no error.
+	pinned := []struct{ name, line, err string }{
+		{"malformed json", `{not json`,
+			`invalid character 'n' looking for beginning of object key string`},
+		{"trailing garbage", `{"lsn":1,"wid":1,"seq":1,"act":"START"}x`,
+			`invalid character 'x' after top-level value`},
+		{"negative lsn", `{"lsn":-1,"wid":1,"seq":1,"act":"START"}`,
+			`json: cannot unmarshal number -1 into Go struct field jsonRecord.lsn of type uint64`},
+		{"fractional lsn", `{"lsn":1.5,"wid":1,"seq":1,"act":"START"}`,
+			`json: cannot unmarshal number 1.5 into Go struct field jsonRecord.lsn of type uint64`},
+		{"overflowing lsn", `{"lsn":18446744073709551616,"wid":1,"seq":1,"act":"START"}`,
+			`json: cannot unmarshal number 18446744073709551616 into Go struct field jsonRecord.lsn of type uint64`},
+		{"bad quoted value", `{"lsn":1,"wid":1,"seq":1,"act":"START","out":{"h":"\"oops"}}`,
+			`attribute "h": wlog: malformed quoted value "\"oops": invalid syntax`},
+		{"null map", `{"lsn":1,"wid":1,"seq":1,"act":"START","in":null}`, ""},
+	}
+	for _, p := range pinned {
+		t.Run(p.name, func(t *testing.T) {
+			_, err := Decode(strings.NewReader(p.line+"\n"), FormatJSONL)
+			wantErr(t, "Decode", err, "logio: line 1: ", p.err)
+			_, err = DecodeRecord([]byte(p.line))
+			wantErr(t, "DecodeRecord", err, "logio: ", p.err)
+		})
+	}
+}
+
+// wantErr checks that err reads prefix+text, or is nil when text is "".
+func wantErr(t *testing.T, call string, err error, prefix, text string) {
+	t.Helper()
+	switch {
+	case text == "" && err != nil:
+		t.Errorf("%s: %v, want no error", call, err)
+	case text != "" && (err == nil || err.Error() != prefix+text):
+		t.Errorf("%s: %v\nwant %s%s", call, err, prefix, text)
+	}
 }
 
 func TestDecodeValidatesLog(t *testing.T) {

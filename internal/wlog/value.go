@@ -10,6 +10,7 @@ package wlog
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -115,6 +116,7 @@ func (v Value) Numeric() (float64, bool) {
 // different kinds are never equal, with one exception: an int and a float
 // representing the same real number are equal (so Int(5) == Float(5.0)),
 // which keeps round-tripping through text formats from changing semantics.
+// A float NaN equals a float NaN, as Compare orders them.
 func (v Value) Equal(w Value) bool {
 	if v.Kind() == w.Kind() {
 		switch v.Kind() {
@@ -125,7 +127,7 @@ func (v Value) Equal(w Value) bool {
 		case KindInt:
 			return v.num == w.num
 		case KindFloat:
-			return v.flt == w.flt
+			return v.flt == w.flt || math.IsNaN(v.flt) && math.IsNaN(w.flt)
 		case KindBool:
 			return v.b == w.b
 		}
@@ -248,6 +250,9 @@ func ParseValue(s string) (Value, error) {
 		}
 		return String(unq), nil
 	}
+	if !mayBeNumber(s) {
+		return String(s), nil
+	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return Int(i), nil
 	}
@@ -255,4 +260,22 @@ func ParseValue(s string) (Value, error) {
 		return Float(f), nil
 	}
 	return String(s), nil
+}
+
+// mayBeNumber reports whether strconv.ParseInt or ParseFloat could read s:
+// both want an optional sign, then a digit, a '.', or the first letter of
+// "inf", "infinity" or "nan" in any case. A token that fails this is a bare
+// string, found without the error value a failed parse allocates.
+func mayBeNumber(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }

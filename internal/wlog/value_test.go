@@ -1,6 +1,7 @@
 package wlog
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +90,8 @@ func TestValueEqual(t *testing.T) {
 		{"undefined vs zero int", Undefined(), Int(0), false},
 		{"bools", Bool(true), Bool(true), true},
 		{"bool vs int", Bool(true), Int(1), false},
+		{"NaN vs NaN", Float(math.NaN()), Float(math.NaN()), true},
+		{"NaN vs float", Float(math.NaN()), Float(0), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wlq"
+	"wlq/internal/colstore"
 )
 
 func TestOpenLogSpecs(t *testing.T) {
@@ -54,5 +55,39 @@ func TestOpenLogErrors(t *testing.T) {
 		if _, err := wlq.OpenLog(spec); err == nil {
 			t.Errorf("OpenLog(%q) succeeded, want error", spec)
 		}
+	}
+}
+
+// loadJSONL loads a log file into a store as wlq-serve loads a -log file:
+// StreamLog into a colstore.Builder.
+func loadJSONL(path string) (*colstore.Store, error) {
+	var b colstore.Builder
+	if err := wlq.StreamLog(path, b.Add); err != nil {
+		return nil, err
+	}
+	return b.Finish()
+}
+
+// TestLoadAllocsPerRecord holds that load to at most 10 heap allocations
+// per record on the benchmark's log, ClinicLog(5000): a line is read by the
+// JSONL scanner, and a file's names are allocated once.
+func TestLoadAllocsPerRecord(t *testing.T) {
+	l, err := wlq.ClinicLog(5000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "clinic.jsonl")
+	if err := wlq.SaveLog(path, l); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := loadJSONL(path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perRecord := allocs / float64(l.Len())
+	t.Logf("%d records: %.1f allocations per record", l.Len(), perRecord)
+	if perRecord > 10 {
+		t.Fatalf("load takes %.1f allocations per record, want ≤ 10", perRecord)
 	}
 }
