@@ -71,25 +71,35 @@ examples:
 
 # Fuzzing pass over every fuzz target: the parsers, the log importers, the
 # codecs, the worker reply reader, the Definition 2 check, the monitor's
-# batches, the columnar store and the evaluator's entry points, FUZZTIME each (CI: make fuzz FUZZTIME=3s).
+# batches, the columnar store and the evaluator's entry points, FUZZTIME each
+# (CI: make fuzz FUZZTIME=3s). Every target runs; the pass then fails, naming
+# each target that failed.
 FUZZTIME ?= 30s
 
+FUZZ_TARGETS = \
+	./internal/core/pattern/:FuzzParse \
+	./internal/core/pattern/:FuzzPostfix \
+	./internal/logio/:FuzzDecodeText \
+	./internal/logio/:FuzzDecodeJSONL \
+	./internal/logio/:FuzzDecodeRecord \
+	./internal/logio/:FuzzImportCSV \
+	./internal/logio/:FuzzImportXES \
+	./internal/logio/:FuzzParseValue \
+	./internal/wal/:FuzzScanSegment \
+	./internal/wlog/:FuzzCheck \
+	./internal/stream/:FuzzMonitorBatches \
+	./internal/colstore/:FuzzStoreMatchesIndex \
+	./internal/core/eval/:FuzzEntryPointsAgree \
+	./internal/cluster/:FuzzIncidentCodec \
+	./internal/cluster/:FuzzWorkerReply
+
 fuzz:
-	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/pattern/
-	$(GO) test -fuzz='^FuzzPostfix$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/pattern/
-	$(GO) test -fuzz='^FuzzDecodeText$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzDecodeJSONL$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzDecodeRecord$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzImportCSV$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzImportXES$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzParseValue$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/logio/
-	$(GO) test -fuzz='^FuzzScanSegment$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wal/
-	$(GO) test -fuzz='^FuzzCheck$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/wlog/
-	$(GO) test -fuzz='^FuzzMonitorBatches$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/stream/
-	$(GO) test -fuzz='^FuzzStoreMatchesIndex$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/colstore/
-	$(GO) test -fuzz='^FuzzEntryPointsAgree$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/core/eval/
-	$(GO) test -fuzz='^FuzzIncidentCodec$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/cluster/
-	$(GO) test -fuzz='^FuzzWorkerReply$$' -fuzztime=$(FUZZTIME) -run XXX ./internal/cluster/
+	@failed=; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name in $$pkg"; \
+		$(GO) test -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) -run XXX $$pkg || failed="$$failed $$pkg:$$name"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "make fuzz: failed:$$failed"; exit 1; fi
 
 clean:
 	$(GO) clean ./...

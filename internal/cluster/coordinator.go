@@ -246,7 +246,7 @@ type ExecOptions struct {
 // service serves it whichever tier evaluated it: the count in every shape,
 // the wids having an incident in eval.ShapeInstances, and in
 // eval.ShapeIncidents the incidents themselves in wire form, the bytes
-// AppendIncidents writes for the answer. A coordinator's are the parts'
+// incident.AppendWire writes for the answer. A coordinator's are the parts'
 // arrays, each checked where it arrived, concatenated in part order, which
 // is canonical order.
 type Result struct {

@@ -59,7 +59,7 @@ func shapedReplyBody(req WorkerQueryRequest, owned int, incs []incident.Incident
 		wids, _ := json.Marshal(append([]uint64{}, incident.MergeSorted(incs).WIDs()...))
 		array = string(wids)
 	default:
-		array = string(AppendIncidents(nil, incs))
+		array = string(appendIncidents(nil, incs))
 	}
 	rec := httptest.NewRecorder()
 	writeReply(rec, req, owned, len(incs), array)
@@ -94,7 +94,7 @@ func oneIncidentPerWID(owned []uint64) string {
 	for i, wid := range owned {
 		incs[i] = incident.New(wid, 1, 2)
 	}
-	return string(AppendIncidents(nil, incs))
+	return string(appendIncidents(nil, incs))
 }
 
 // TestMalformedWorkerReplyLosesThePart: anything can answer on a worker

@@ -286,7 +286,7 @@ func runScatterCase(t *testing.T, tc scatterCase, shape eval.Shape) {
 		for i, wid := range wantWIDs {
 			want[i] = incident.New(wid, 1, 2)
 		}
-		if !bytes.Equal(ans.Incidents, AppendIncidents(nil, want)) || ans.WIDs != nil {
+		if !bytes.Equal(ans.Incidents, appendIncidents(nil, want)) || ans.WIDs != nil {
 			t.Errorf("merged incidents %s (wids %v), want one incident in each of %v", ans.Incidents, ans.WIDs, wantWIDs)
 		}
 	case eval.ShapeInstances:

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
 	"time"
 
@@ -94,7 +93,7 @@ func (d BudgetDoc) Budget() resilience.Budget {
 // WorkerQueryResponse is a worker's reply as the coordinator reads it: the
 // answer array of the request's mode, then the envelope. Incidents, in mode
 // "incidents", is the worker's wid-local answer in wire form: its incidents
-// in canonical order, exactly as AppendIncidents writes them. WIDs, in mode
+// in canonical order, exactly as incident.AppendWire writes them. WIDs, in mode
 // "instances", are the wids among its part that have one, ascending. Mode
 // "count" has no array. The reply's one layout is WriteReply's.
 type WorkerQueryResponse struct {
@@ -150,7 +149,7 @@ type WorkerReply struct {
 var replyOpen = map[eval.Shape]string{eval.ShapeIncidents: `{"incidents":`, eval.ShapeInstances: `{"wids":`}
 
 // WriteReply answers a worker request of the given shape with a 200 in the
-// one layout. array is the answer — AppendIncidents' bytes in mode
+// one layout. array is the answer — a wire-form incident list in mode
 // "incidents", the wids as a compact JSON array in mode "instances", nil in
 // mode "count" — and is written as it stands. When the envelope does not
 // encode, WriteReply writes nothing and returns the error.
@@ -182,49 +181,15 @@ func WriteReply(w http.ResponseWriter, shape eval.Shape, array []byte, r *Worker
 // and a list of them a compact JSON array in canonical order
 // (incident.Incident.Compare) — what encoding/json makes of
 // []struct{WID uint64 `json:"wid"`; Seqs []uint64 `json:"seqs"`}, byte for
-// byte, written and read without reflection or a per-incident copy.
+// byte, written and read without reflection or a per-incident copy. The
+// writer is incident.AppendWire, which a served scan calls as each instance
+// succeeds (eval.Evaluator.ServeCtx); the reader is below.
 //
-// There is one spelling. The reader accepts exactly what AppendIncidents
+// There is one spelling. The reader accepts exactly what AppendWire
 // writes — no whitespace, "wid" before "seqs", numbers in shortest decimal
 // form — so that a list that reads is the canonical bytes of its incidents,
 // and a coordinator that splices its workers' lists into one answer writes
 // what a single node would.
-
-// AppendIncidents appends to dst the wire form of the list the blocks
-// concatenate to (an evaluator's answer comes in blocks; one slice is a
-// list of one block).
-func AppendIncidents(dst []byte, blocks ...[]incident.Incident) []byte {
-	incs, seqs := 0, 0
-	for _, b := range blocks {
-		incs += len(b)
-		for _, inc := range b {
-			seqs += inc.Len()
-		}
-	}
-	// About what a clinic-sized answer needs (wids and is-lsns of up to four
-	// digits); larger numbers grow dst the usual way.
-	dst = slices.Grow(dst, 2+20*incs+5*seqs)
-	dst = append(dst, '[')
-	open := len(dst)
-	for _, b := range blocks {
-		for _, inc := range b {
-			if len(dst) > open {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"wid":`...)
-			dst = strconv.AppendUint(dst, inc.WID(), 10)
-			dst = append(dst, `,"seqs":[`...)
-			for j, n := 0, inc.Len(); j < n; j++ {
-				if j > 0 {
-					dst = append(dst, ',')
-				}
-				dst = strconv.AppendUint(dst, inc.Seq(j), 10)
-			}
-			dst = append(dst, "]}"...)
-		}
-	}
-	return append(dst, ']')
-}
 
 // ErrMalformedIncidents is wrapped by every error of the answer readers: the
 // bytes are not the one wire form of a canonical incident list (or, in a
@@ -233,7 +198,7 @@ func AppendIncidents(dst []byte, blocks ...[]incident.Incident) []byte {
 var ErrMalformedIncidents = errors.New("malformed incidents")
 
 // DecodeIncidents reads the wire form back, the seqs carved from one
-// incident.Slab. Anything but the bytes AppendIncidents writes for a
+// incident.Slab. Anything but the bytes AppendWire writes for a
 // canonical list — another spelling of the same JSON, an incident whose seqs
 // are empty or not strictly increasing, incidents out of canonical order or
 // repeated, anything after the list — is an error wrapping
@@ -253,7 +218,7 @@ func DecodeIncidents(data []byte) ([]incident.Incident, error) {
 }
 
 // IncidentWIDs returns the distinct wids of a wire-form list, ascending. The
-// list must be AppendIncidents' bytes or have been read once already, as
+// list must be AppendWire's bytes or have been read once already, as
 // every answer array the query service holds is or was; a list that does not
 // read yields the wids before the fault.
 func IncidentWIDs(data []byte) []uint64 {

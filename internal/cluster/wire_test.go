@@ -15,8 +15,19 @@ import (
 	"wlq/internal/core/incident"
 )
 
+// appendIncidents appends to dst the wire-form list the blocks concatenate
+// to, as a served scan writes one: the list's brackets around
+// incident.AppendWire over each block in turn.
+func appendIncidents(dst []byte, blocks ...[]incident.Incident) []byte {
+	dst = append(dst, '[')
+	for _, b := range blocks {
+		dst = incident.AppendWire(dst, b)
+	}
+	return append(dst, ']')
+}
+
 // incidentDoc is what the codec replaced: the reflect-encoded wire form of
-// one incident. The tests hold AppendIncidents to it byte for byte.
+// one incident. The tests hold incident.AppendWire to it byte for byte.
 type incidentDoc struct {
 	WID  uint64   `json:"wid"`
 	Seqs []uint64 `json:"seqs"`
@@ -72,6 +83,7 @@ func TestAppendIncidentsMatchesEncodingJSON(t *testing.T) {
 		"nil":    nil,
 		"one":    {incident.New(2, 5, 9)},
 		"widest": {incident.New(0, 0), incident.New(1<<64-1, 1, 1<<64-1)},
+		"digits": {incident.New(99, 0, 1, 9, 10, 11, 42, 90, 99, 100, 101, 999), incident.New(100, 100)},
 		"several": incident.NewSet(
 			incident.New(7, 3), incident.New(7, 1, 2), incident.New(1, 10, 20, 30), incident.New(300, 4, 1000),
 		).Incidents(),
@@ -80,12 +92,12 @@ func TestAppendIncidentsMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := AppendIncidents(nil, incs)
+		got := appendIncidents(nil, incs)
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: AppendIncidents = %s, encoding/json = %s", name, got, want)
+			t.Errorf("%s: AppendWire = %s, encoding/json = %s", name, got, want)
 		}
-		if withPrefix := AppendIncidents([]byte("x"), incs); string(withPrefix) != "x"+string(want) {
-			t.Errorf("%s: AppendIncidents does not append: %s", name, withPrefix)
+		if withPrefix := appendIncidents([]byte("x"), incs); string(withPrefix) != "x"+string(want) {
+			t.Errorf("%s: AppendWire does not append: %s", name, withPrefix)
 		}
 		back, err := DecodeIncidents(got)
 		if err != nil || !equalIncidents(back, incs) {
@@ -99,7 +111,7 @@ func TestAppendIncidentsMatchesEncodingJSON(t *testing.T) {
 // keys the other way round, space anywhere — is not the wire form, so it
 // does not read: a coordinator splices what it reads as it stands.
 func TestDecodeIncidentsRejectsOtherSpellings(t *testing.T) {
-	canonical := AppendIncidents(nil, []incident.Incident{incident.New(1, 2, 3), incident.New(2, 5)})
+	canonical := appendIncidents(nil, []incident.Incident{incident.New(1, 2, 3), incident.New(2, 5)})
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, canonical, "", "  "); err != nil {
 		t.Fatal(err)
@@ -194,7 +206,7 @@ func TestDecodeIncidentsSlabs(t *testing.T) {
 		}
 	}
 	incs = incident.NewSet(incs...).Incidents()
-	got, err := DecodeIncidents(AppendIncidents(nil, incs))
+	got, err := DecodeIncidents(appendIncidents(nil, incs))
 	if err != nil || !equalIncidents(got, incs) {
 		t.Fatalf("round trip across slab boundaries failed: %v", err)
 	}
@@ -205,9 +217,9 @@ func TestDecodeIncidentsSlabs(t *testing.T) {
 // parts — equal encoding the incidents that result.
 func TestCutAndJoinLists(t *testing.T) {
 	incs := []incident.Incident{incident.New(1, 2), incident.New(1, 3, 4), incident.New(5, 1), incident.New(9, 7, 8, 9)}
-	whole := AppendIncidents(nil, incs)
+	whole := appendIncidents(nil, incs)
 	for n := 0; n <= len(incs); n++ {
-		if got, want := CutIncidents(whole, n), AppendIncidents(nil, incs[:n]); !bytes.Equal(got, want) {
+		if got, want := CutIncidents(whole, n), appendIncidents(nil, incs[:n]); !bytes.Equal(got, want) {
 			t.Errorf("CutIncidents(%d) = %s, want %s", n, got, want)
 		}
 	}
@@ -220,7 +232,7 @@ func TestCutAndJoinLists(t *testing.T) {
 	for _, split := range [][]int{{0, 4}, {0, 2, 4}, {0, 1, 1, 3, 4, 4}} {
 		var lists [][]byte
 		for i := 1; i < len(split); i++ {
-			lists = append(lists, AppendIncidents(nil, incs[split[i-1]:split[i]]))
+			lists = append(lists, appendIncidents(nil, incs[split[i-1]:split[i]]))
 		}
 		if got := joinLists(lists); !bytes.Equal(got, whole) {
 			t.Errorf("joinLists at %v = %s, want %s", split, got, whole)
@@ -297,7 +309,7 @@ func TestIncidentsInADocument(t *testing.T) {
 
 // FuzzIncidentCodec: the encoder is encoding/json's, byte for byte, whatever
 // blocks the list comes in; decode inverts encode; and the decoder accepts a list exactly when its bytes are
-// what AppendIncidents writes for the incidents encoding/json reads from
+// what AppendWire writes for the incidents encoding/json reads from
 // them, returning an error, never panicking, on anything else. The seeds are
 // testdata/fuzz/FuzzIncidentCodec: encoder inputs, both spellings of a
 // well-formed reply, and every kind of malformed one.
@@ -308,9 +320,9 @@ func FuzzIncidentCodec(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := AppendIncidents(nil, incs)
+		enc := appendIncidents(nil, incs)
 		if !bytes.Equal(enc, want) {
-			t.Fatalf("AppendIncidents = %s, encoding/json = %s", enc, want)
+			t.Fatalf("AppendWire = %s, encoding/json = %s", enc, want)
 		}
 		back, err := DecodeIncidents(enc)
 		if err != nil || !equalIncidents(back, incs) {
@@ -324,8 +336,8 @@ func FuzzIncidentCodec(f *testing.F) {
 			cut := min(int(c%8), len(rest))
 			blocks, rest = append(blocks, rest[:cut]), rest[cut:]
 		}
-		if inBlocks := AppendIncidents(nil, append(blocks, rest)...); !bytes.Equal(inBlocks, enc) {
-			t.Fatalf("AppendIncidents over %d blocks = %s, over one = %s", len(blocks)+1, inBlocks, enc)
+		if inBlocks := appendIncidents(nil, append(blocks, rest)...); !bytes.Equal(inBlocks, enc) {
+			t.Fatalf("AppendWire over %d blocks = %s, over one = %s", len(blocks)+1, inBlocks, enc)
 		}
 		// The raw input as a list: accepted iff it is the canonical bytes of
 		// a canonical list.
@@ -338,7 +350,7 @@ func FuzzIncidentCodec(f *testing.F) {
 		if (err == nil) != canonical {
 			t.Fatalf("DecodeIncidents(%q) = %v, %v; canonical wire form: %v", b, got, err, canonical)
 		}
-		if err == nil && !bytes.Equal(AppendIncidents(nil, got), b) {
+		if err == nil && !bytes.Equal(appendIncidents(nil, got), b) {
 			t.Fatalf("DecodeIncidents(%q) = %v, which encodes otherwise", b, got)
 		}
 	})
@@ -427,7 +439,7 @@ func replyOf(n int) (incs []incident.Incident, reply []byte) {
 	for i := range incs {
 		incs[i] = incident.New(uint64(i/2+1), uint64(i%2+1), uint64(i%2+7))
 	}
-	reply = AppendIncidents([]byte(`{"incidents":`), incs)
+	reply = appendIncidents([]byte(`{"incidents":`), incs)
 	return incs, fmt.Appendf(reply, `,"worker":"http://w1","wids_owned":%d,"instances":%d,"count":%d,"elapsed_us":1234,"trace_id":"%032x","cost_table":[{"node":"A","operator":"atom","outputs":%d}]}`,
 		n/2, n/2, n, 1, n)
 }
@@ -464,12 +476,12 @@ func TestReadReplyAllocsDoNotGrowWithAnswer(t *testing.T) {
 // coordinator's read of a worker's reply that carries them.
 func BenchmarkIncidentCodec(b *testing.B) {
 	incs, reply := replyOf(10000)
-	enc := AppendIncidents(nil, incs)
+	enc := appendIncidents(nil, incs)
 	doc := mustMarshalB(b, WorkerQueryResponse{Incidents: enc})
 	b.Run("append", func(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
 		for i := 0; i < b.N; i++ {
-			AppendIncidents(nil, incs)
+			appendIncidents(nil, incs)
 		}
 	})
 	b.Run("reflect", func(b *testing.B) {

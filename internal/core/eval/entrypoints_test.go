@@ -2,6 +2,7 @@ package eval_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"wlq/internal/clinic"
+	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
@@ -25,9 +27,11 @@ import (
 // under both join strategies, with and without a meter, over the row index
 // and the columnar store — to one answer: naive Algorithm 1 over the row
 // index, every incident of which must also pass the independent
-// Definition 4 check. Then it poisons those of the given instances that a
-// scan evaluates under both strategies — the merge strategy skips the ones
-// the plan's required-atom formula rules out (assertExclusions).
+// Definition 4 check. ServeCtx's bytes must be what encoding/json writes for
+// that answer, on 1, 2, 3 and 7 goroutines. Then it poisons those of the
+// given instances that a scan evaluates under both strategies — the merge
+// strategy skips the ones the plan's required-atom formula rules out
+// (assertExclusions).
 func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned []uint64) {
 	t.Helper()
 	ctx := context.Background()
@@ -39,6 +43,7 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 			t.Fatalf("%s: %v is not an incident by Definition 4", p, o)
 		}
 	}
+	wantWire := wireJSON(t, want.Incidents())
 	read := evaluated(t, l, p)
 	if !isSubset(want.WIDs(), read) {
 		t.Fatalf("%s: the merge strategy evaluates %v, skipping an instance of %v", p, read, want.WIDs())
@@ -72,6 +77,17 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 					same("EvalParallelCtx", got, err)
 					if qs.Instances != len(wids) || qs.Incidents != want.Len() {
 						t.Fatalf("%s/%v: %d workers: stats %+v, want %d instances, %d incidents", name, strat, workers, qs, len(wids), want.Len())
+					}
+				}
+				for _, workers := range []int{1, 2, 3, 7} {
+					var qs eval.QueryStats
+					a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeIncidents, []byte("x"), &qs)
+					if err = a.Strict(err); err != nil || string(a.Wire) != "x"+wantWire || a.Incidents != nil ||
+						a.Count != want.Len() || qs.Instances != len(wids) {
+						t.Fatalf("%s/%v/meter=%v: %d workers: ServeCtx(%s) = %s, %+v, %v; oracle: %s", name, strat, metered, workers, p, a.Wire, qs, err, want)
+					}
+					if a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeInstances, []byte("x"), nil); err != nil || a.Wire != nil || !slices.Equal(a.WIDs, want.WIDs()) {
+						t.Fatalf("%s/%v: %d workers: instances shape of ServeCtx(%s) = %+v, %v", name, strat, workers, p, a, err)
 					}
 				}
 				var thirds, single [][]incident.Incident
@@ -252,8 +268,10 @@ func poison(t *testing.T, src eval.Source, strategy eval.Strategy, p pattern.Nod
 // AnswerCtx — both strategies, both backends, one goroutine or three —
 // excludes exactly them and answers naive Algorithm 1 restricted to the
 // others, so no excluded instance's half-written scratch leaks into the next
-// instance's answer; every all-or-nothing entry point fails with the panic;
-// and a cancelled context still fails the evaluation instead of excluding.
+// instance's answer; ServeCtx's list holds no byte of theirs and reads back,
+// with the coordinator's reader, as the others' incidents; every
+// all-or-nothing entry point fails with the panic; and a cancelled context
+// still fails the evaluation instead of excluding.
 func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.Set, poisoned []uint64) {
 	t.Helper()
 	ctx := context.Background()
@@ -268,6 +286,7 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 		}
 	}
 	rest := incident.NewSet(kept...)
+	restWire := wireJSON(t, rest.Incidents())
 	// ExistsCtx stops at the first instance with an incident: it fails only
 	// when a poisoned instance comes first.
 	existsFails := len(poisoned) > 0 && (want.Len() == 0 || poisoned[0] <= want.Incidents()[0].WID())
@@ -299,6 +318,13 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 						shape == eval.ShapeInstances && !slices.Equal(a.WIDs, rest.WIDs()) {
 						fail("%d workers, %v: answer %+v; naive Algorithm 1 over the rest: %s", workers, shape, a, rest)
 					}
+				}
+				a, err := e.ServeCtx(ctx, p, src.WIDs(), workers, eval.ShapeIncidents, nil, nil)
+				back, readErr := cluster.DecodeIncidents(a.Wire)
+				if err != nil || len(a.Excluded) != len(poisoned) || string(a.Wire) != restWire ||
+					readErr != nil || !slices.EqualFunc(back, rest.Incidents(), incident.Incident.Equal) {
+					fail("%d workers: ServeCtx = %s, excluded %d, %v; read back %v, %v; naive Algorithm 1 over the rest: %s",
+						workers, a.Wire, len(a.Excluded), err, back, readErr, rest)
 				}
 				if len(poisoned) == 0 {
 					continue
@@ -335,6 +361,25 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 			eval.SetEvalHook(nil)
 		}
 	}
+}
+
+// wireJSON is the wire form of an incident list as encoding/json writes it,
+// which shares no code with incident.AppendWire.
+func wireJSON(t *testing.T, incs []incident.Incident) string {
+	t.Helper()
+	type doc struct {
+		WID  uint64   `json:"wid"`
+		Seqs []uint64 `json:"seqs"`
+	}
+	docs := make([]doc, len(incs))
+	for i, o := range incs {
+		docs[i] = doc{o.WID(), o.Seqs()}
+	}
+	b, err := json.Marshal(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // everyThird is a poisoned subset for the fixed tests: the instances at

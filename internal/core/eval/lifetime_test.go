@@ -25,7 +25,10 @@ const lifetimeQuery = "(GetRefer -> SeeDoctor) | (SeeDoctor . !GetRefer)"
 // reads the same after a second query on the same store, after an append to
 // the wids it covers, and after 8 queries run at once (the race detector
 // watches the last) — and it does not alias the source: overwriting every
-// posting list the evaluation was handed leaves it as it was.
+// posting list the evaluation was handed leaves it as it was. A served
+// answer's bytes are its own too: later served queries, whose goroutines
+// write into the chunk buffers earlier ones left in the pool, and 8 at once
+// leave them as they were.
 func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 	ctx := context.Background()
 	l, err := clinic.Generate(300, 1)
@@ -77,6 +80,40 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 		wg.Wait()
 		unchanged("8 concurrent queries")
 
+		// Served answers, each kept with a copy of its bytes: two patterns in
+		// turn, on one goroutine and on three, so that every query after the
+		// first writes into chunk buffers an earlier one left in the pool.
+		type kept struct {
+			wire []byte
+			was  string
+		}
+		var answers []kept
+		for i := 0; i < 4; i++ {
+			for _, q := range []string{lifetimeQuery, "SeeDoctor | GetRefer"} {
+				b, err := e.ServeCtx(ctx, pattern.MustParse(q), cs.WIDs(), 1+2*(i%2), eval.ShapeIncidents, nil, nil)
+				if err != nil || b.Count == 0 {
+					t.Fatalf("%v: ServeCtx(%s) = %d incidents, %v", strat, q, b.Count, err)
+				}
+				answers = append(answers, kept{b.Wire, string(b.Wire)})
+			}
+		}
+		wire := answers[0].was
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if b, err := e.ServeCtx(ctx, p, cs.WIDs(), 2, eval.ShapeIncidents, nil, nil); err != nil || string(b.Wire) != wire {
+					t.Errorf("%v: a concurrent served query answered %d incidents, %v; want %d", strat, b.Count, err, a.Count)
+				}
+			}()
+		}
+		wg.Wait()
+		for i, k := range answers {
+			if string(k.wire) != k.was {
+				t.Fatalf("%v: the bytes of served answer %d changed after later served queries", strat, i)
+			}
+		}
+
 		// Incidents built by joins, and atoms' views of the postings.
 		for _, q := range []string{lifetimeQuery, "SeeDoctor | GetRefer"} {
 			src := &scribbledSource{Source: cs}
@@ -119,8 +156,10 @@ func (s *scribbledSource) scribble() {
 
 // TestPoisonedInstanceKeepsNothing: in one goroutine's chunk, an instance
 // that panics halfway — after its atoms and first joins wrote the scratch —
-// between two healthy ones adds none of its incidents to the answer, and the
-// healthy ones after it answer as if it had not run.
+// between two healthy ones adds none of its incidents to the answer, nor a
+// byte of them to a served answer, which still reads as a list with the
+// coordinator's reader (assertExclusions); and the healthy ones after it
+// answer as if it had not run.
 func TestPoisonedInstanceKeepsNothing(t *testing.T) {
 	l := traceLog(t,
 		[]string{"A", "B", "A", "B"},

@@ -79,27 +79,17 @@ type Answer struct {
 	Count int
 	// WIDs is set under ShapeInstances.
 	WIDs []uint64
-	// Incidents is set under ShapeIncidents: the blocks the scan kept the
-	// answer in (resultArena), which concatenate in canonical order and alias
-	// neither the source nor any scratch.
+	// Incidents is set by AnswerCtx under ShapeIncidents: the blocks the scan
+	// kept the answer in (resultArena), which concatenate in canonical order
+	// and alias neither the source nor any scratch.
 	Incidents [][]incident.Incident
+	// Wire is set by ServeCtx under ShapeIncidents instead: the answer as one
+	// wire-form list (incident.AppendWire), appended to the buffer the caller
+	// handed in.
+	Wire []byte
 	// Excluded are the instances whose evaluation panicked, ascending by wid:
 	// nothing of theirs is in the answer.
 	Excluded []Exclusion
-	// arenas hold Incidents' blocks, for Release.
-	arenas []*resultArena
-}
-
-// Release hands the memory Incidents lies in back for a later scan to
-// reuse, and clears Incidents. A caller that has copied the incidents out,
-// as the server does by encoding them, calls it once; one that keeps the
-// answer never does.
-func (a *Answer) Release() {
-	for _, r := range a.arenas {
-		r.reset()
-		arenaPool.Put(r)
-	}
-	a.arenas, a.Incidents = nil, nil
 }
 
 // Exclusion is one workflow instance left out of an answer, with the panic
@@ -151,12 +141,27 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 }
 
 // AnswerCtx evaluates p over exactly the given workflow instances (ascending)
-// and answers in the given shape — the entry point of the query service and
-// of the cluster worker, and the one the others wrap. An instance whose
-// evaluation panics is excluded (Answer.Excluded) and the scan goes on; a
-// cancelled ctx or a tripped budget fails the whole evaluation, never
-// excludes.
+// and answers in the given shape — the entry point the library's others
+// wrap. An instance whose evaluation panics is excluded (Answer.Excluded) and
+// the scan goes on; a cancelled ctx or a tripped budget fails the whole
+// evaluation, never excludes.
 func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
+	return e.answer(ctx, p, wids, workers, shape, nil, stats)
+}
+
+// ServeCtx is AnswerCtx for a caller that serves the answer as bytes: the
+// entry point of the query service and of the cluster worker. Under
+// ShapeIncidents no incident is kept. Each scan goroutine writes its
+// instances' incidents in wire form as each instance succeeds, and the
+// goroutines' chunks are joined once, in wid order, into one list appended
+// to dst: Answer.Wire ("[]" when empty). The other shapes answer as under
+// AnswerCtx and leave dst unused.
+func (e *Evaluator) ServeCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, dst []byte, stats *QueryStats) (Answer, error) {
+	return e.answer(ctx, p, wids, workers, shape, &dst, stats)
+}
+
+// answer is AnswerCtx, and with wire non-nil ServeCtx.
+func (e *Evaluator) answer(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats) (Answer, error) {
 	var (
 		visit func(i, n int) bool
 		hit   []bool // ShapeInstances: per instance
@@ -165,7 +170,7 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 		hit = make([]bool, len(wids))
 		visit = func(i, n int) bool { hit[i] = n > 0; return true }
 	}
-	a, err := e.scan(ctx, p, wids, workers, shape, stats, visit)
+	a, err := e.scan(ctx, p, wids, workers, shape, wire, stats, visit)
 	if err != nil {
 		return Answer{}, err
 	}
@@ -204,7 +209,7 @@ func (e *Evaluator) Count(p pattern.Node) int {
 
 // CountCtx is Count under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil)
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, nil)
 	return a.Count, a.Strict(err)
 }
 
@@ -218,7 +223,7 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, func(_, n int) bool { return n == 0 })
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, func(_, n int) bool { return n == 0 })
 	return a.Count > 0, a.Strict(err)
 }
 
@@ -247,9 +252,10 @@ func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error)
 // when both happen, the error returned is the higher-ranked (errRank), not
 // whichever lost the race. scan answers with the number of incidents of the
 // instances it covered and the instances it excluded, ascending, and under
-// ShapeIncidents with the incidents themselves (resultArena); stats, when
+// ShapeIncidents with the incidents themselves: kept (resultArena), or, when
+// wire is non-nil, written as a wire-form list appended to *wire; stats, when
 // non-nil, counts the covered instances too.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats, visit func(i, n int) bool) (Answer, error) {
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats, visit func(i, n int) bool) (Answer, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -268,11 +274,15 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	var stop atomic.Bool
 
 	// chunk is what one goroutine did: instances covered, their incidents
-	// (counted, and kept under ShapeIncidents), the instances excluded, and
-	// the failure that ended it.
+	// (counted, and under ShapeIncidents kept or written), the instances
+	// excluded, and the failure that ended it. The first chunk writes into
+	// the caller's buffer, after the list's opening bracket; every other one
+	// into a pooled buffer (buf) that the join copies it out of.
 	type chunk struct {
 		instances, incidents int
-		kept                 *resultArena // under ShapeIncidents
+		kept                 *resultArena // under ShapeIncidents, wire nil
+		wire                 []byte       // under ShapeIncidents, wire non-nil
+		buf                  *[]byte
 		excluded             []Exclusion
 		err                  error
 	}
@@ -292,7 +302,15 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	// one's (from the list's start for the first chunk) to the next chunk's.
 	run := func(lo, hi int) (c chunk) {
 		if shape == ShapeIncidents {
-			c.kept = arenaPool.Get().(*resultArena)
+			switch {
+			case wire == nil:
+				c.kept = new(resultArena)
+			case lo == 0:
+				c.wire = append(*wire, '[')
+			default:
+				c.buf = wireBufs.Get().(*[]byte)
+				c.wire = (*c.buf)[:0]
+			}
 		}
 		sc := newScratch(ctx, prog)
 		// Also when the chunk ends in a failure: an abort's partial cost table
@@ -323,7 +341,11 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 			}
 			c.incidents += n
 			if shape == ShapeIncidents {
-				c.kept.keep(incs)
+				if c.kept != nil {
+					c.kept.keep(incs)
+				} else {
+					c.wire = incident.AppendWire(c.wire, incs)
+				}
 			}
 			if visit != nil && !visit(i, n) {
 				stop.Store(true)
@@ -353,20 +375,29 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 	}
 
 	// Chunks are contiguous and in wid order, so their exclusions, and the
-	// blocks their incidents were kept in, concatenate in wid order; each
-	// instance's incidents are normalized, so the blocks' concatenation is
-	// the answer in canonical order.
+	// blocks or bytes their incidents were kept or written in, concatenate in
+	// wid order; each instance's incidents are normalized, so the
+	// concatenation is the answer in canonical order.
 	var (
 		total  chunk
 		blocks [][]incident.Incident // ShapeIncidents: the answer
-		arenas []*resultArena
+		list   = chunks[0].wire      // ShapeIncidents, wire non-nil: the answer
 	)
-	for _, c := range chunks {
+	for i, c := range chunks {
 		total.instances += c.instances
 		total.incidents += c.incidents
 		if c.kept != nil {
 			blocks = append(blocks, c.kept.blocks[:c.kept.n]...)
-			arenas = append(arenas, c.kept)
+		}
+		if i > 0 && len(c.wire) > 0 {
+			if list[len(list)-1] != '[' {
+				list = append(list, ',')
+			}
+			list = append(list, c.wire...)
+		}
+		if c.buf != nil && cap(c.wire) <= maxPooledChunk {
+			*c.buf = c.wire[:0]
+			wireBufs.Put(c.buf)
 		}
 		total.excluded = append(total.excluded, c.excluded...)
 		if errors.Is(c.err, errWallTime) {
@@ -382,28 +413,37 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	a := Answer{Count: total.incidents, Excluded: total.excluded, arenas: arenas}
+	a := Answer{Count: total.incidents, Excluded: total.excluded}
 	if shape == ShapeIncidents && total.err == nil {
-		a.Incidents = blocks
+		if wire == nil {
+			a.Incidents = blocks
+		} else {
+			a.Wire = append(list, ']')
+		}
 	}
 	return a, total.err
 }
 
-// resultArena is where one goroutine of an incidents scan keeps its share of
-// the answer: each instance's incidents, copied once out of the scratch (and
-// off the source's postings) after the instance succeeded, so an answer
-// never aliases either — a cached answer over a live log pins no old version
-// of the store. The is-lsn values go into a slab that is never reset, the
-// incidents into blocks of headerBlock, filled in wid order and never copied
-// to grow.
+// wireBufs keeps the buffers a served scan's goroutines after the first
+// write their chunks into. The join copies each chunk out, so its buffer is
+// free again once the scan returns; one larger than maxPooledChunk is
+// dropped, so a rare huge answer is not held on to.
+var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledChunk = 1 << 20
+
+// resultArena is where one goroutine of a library incidents scan keeps its
+// share of the answer: each instance's incidents, copied once out of the
+// scratch (and off the source's postings) after the instance succeeded, so
+// an answer never aliases either — a kept answer over a live log pins no old
+// version of the store. The is-lsn values go into a slab that is never
+// reset, the incidents into blocks of headerBlock, filled in wid order and
+// never copied to grow.
 type resultArena struct {
 	seqs   incident.Slab
 	blocks [][]incident.Incident // every block, in the order they fill
 	n      int                   // blocks in use; the last of them is being filled
 }
-
-// arenaPool keeps the arenas of released answers.
-var arenaPool = sync.Pool{New: func() any { return new(resultArena) }}
 
 // headerBlock is how many incidents one block holds: 32 KiB, a small-object
 // size class.
@@ -420,16 +460,6 @@ func (r *resultArena) keep(incs []incident.Incident) {
 		}
 		r.blocks[r.n-1] = append(r.blocks[r.n-1], r.seqs.Copy(o))
 	}
-}
-
-// reset empties the arena, keeping its blocks. What it held referenced only
-// the arena's own memory, so nothing outside stays reachable through it.
-func (r *resultArena) reset() {
-	for i := range r.blocks[:r.n] {
-		r.blocks[i] = r.blocks[i][:0]
-	}
-	r.n = 0
-	r.seqs.Reset()
 }
 
 // errRank orders the failures one scan can collect, so which one the caller

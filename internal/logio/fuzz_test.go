@@ -222,7 +222,8 @@ func FuzzDecodeRecord(f *testing.F) {
 // parseValueRef, which tries strconv on every token.
 func FuzzParseValue(f *testing.F) {
 	for _, s := range []string{"_|_", "123", "-4.5", "true", `"quoted"`, "bare", `"\x"`, `"`,
-		"nAn", "+Inf", "-infinity", ".5", "+.5e3", "0x1p-2", "1_000", "_1", "+", "-", "", "+x", "n"} {
+		"nAn", "+Inf", "-infinity", ".5", "+.5e3", "0x1p-2", "1_000", "_1", "+", "-", "", "+x", "n",
+		"1cf1a", "419db", "12e45", "1e", "1e+", "0X1F", "0x", "1_0e5", "9-9"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, input string) {

@@ -731,7 +731,7 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 		if err = want.Strict(err); err != nil {
 			t.Fatal(err)
 		}
-		if got := cluster.AppendIncidents(nil, want.Incidents...); string(resp.Incidents) != string(got) {
+		if got := wireList(want.Incidents...); string(resp.Incidents) != string(got) {
 			t.Fatalf("worker answered %s, naive Algorithm 1 has %d incidents: %s", resp.Incidents, want.Count, got)
 		}
 	})

@@ -127,7 +127,7 @@ type executor struct {
 // ran the plan.
 type execution struct {
 	// res is incL(plan) in the shape the run was asked for, as it is served:
-	// an incidents answer in wire form, encoded by the node that evaluated
+	// an incidents answer in wire form, written by the scan that evaluated
 	// it (served) or spliced by the coordinator from its workers' replies.
 	res cluster.Result
 	// excluded are the instances a local run left out, ascending (nil on a
@@ -178,43 +178,42 @@ func (s *Server) newExecutor() executor {
 			return max(min(w, instances), 1)
 		},
 		run: func(ctx context.Context, _ string, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
-			a, err := eval.New(src, opts).AnswerCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
-			x.res, x.excluded, x.err = served(a, shape), a.Excluded, err
+			a, err := eval.New(src, opts).ServeCtx(ctx, plan, src.WIDs(), workers, shape, answerBuf(shape), &x.stats)
+			x.res, x.excluded, x.err = served(a), a.Excluded, err
 			return x
 		},
 	}
 }
 
-// served is an evaluated answer in the form every tier serves it: an
-// incidents answer encoded, once, into the array a response or a worker
-// reply carries ("[]" when it is empty), which a coordinator splices
-// unchanged.
-func served(a eval.Answer, shape eval.Shape) cluster.Result {
-	res := cluster.Result{Count: a.Count, WIDs: a.WIDs}
-	if shape == eval.ShapeIncidents {
-		res.Incidents = cluster.AppendIncidents(answerBuf(), a.Incidents...)
-	}
-	a.Release() // the bytes are the answer now
-	return res
+// served is an answer of ServeCtx in the form every tier serves it: an
+// incidents answer is the array a response or a worker reply carries, as
+// the scan wrote it, which a coordinator splices unchanged.
+func served(a eval.Answer) cluster.Result {
+	return cluster.Result{Count: a.Count, WIDs: a.WIDs, Incidents: a.Wire}
 }
 
 // answerBufs holds the byte buffers of answers that were written and not
-// kept, for served to encode the next answers into: a local run's response
-// the cache did not take, a worker's reply.
+// kept, for the next scans to write their answers into: a local run's
+// response the cache did not take, a worker's reply.
 var answerBufs sync.Pool
 
 // maxRecycled is the largest buffer answerBufs keeps, so a rare huge answer
 // is not held on to.
 const maxRecycled = 2 << 20
 
-func answerBuf() []byte {
+// answerBuf is the buffer for an answer of the shape to be written into: an
+// empty one a written answer left, when the shape has an incidents array.
+func answerBuf(shape eval.Shape) []byte {
+	if shape != eval.ShapeIncidents {
+		return nil
+	}
 	if b, ok := answerBufs.Get().(*[]byte); ok {
 		return (*b)[:0]
 	}
 	return nil
 }
 
-// recycleAnswer hands b to a later served. Its caller has written b and
+// recycleAnswer hands b to a later scan. Its caller has written b and
 // holds no other reference to it.
 func recycleAnswer(b []byte) {
 	if cap(b) > 0 && cap(b) <= maxRecycled {

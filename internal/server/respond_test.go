@@ -347,6 +347,57 @@ func TestSummaryMissAllocsDoNotGrowWithAnswer(t *testing.T) {
 	}
 }
 
+// TestIncidentsMissAllocsDoNotGrowWithAnswer: an incidents miss is written
+// as bytes by the scan that evaluates it — each goroutine into a pooled
+// buffer, the join into the buffer the last answer written left — so, with
+// the collector off and the pools kept, what it allocates (the request, the
+// plan, each goroutine's scratch) does not scale with the answer: ten times
+// the log, ten times the incidents, about the same allocations.
+func TestIncidentsMissAllocsDoNotGrowWithAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("evaluates three queries over a 5000-instance log")
+	}
+	if raceEnabled {
+		t.Skip("counts allocations, which the race detector's sync.Pool does not allow")
+	}
+	cfg := Config{CacheSize: -1, FlightRecorderSize: -1}
+	small, large := clinicServer(t, cfg, 500), clinicServer(t, cfg, 5000)
+	for _, query := range []string{"SeeDoctor -> PayTreatment", "UpdateRefer & TakeTreatment", "(SeeDoctor -> PayTreatment) | (SeeDoctor -> UpdateRefer)"} {
+		body := fmt.Sprintf(`{"query":%q}`, query)
+		allocs := func(h http.Handler) (float64, int) {
+			var doc queryResponse
+			if rec := postQuery(t, h, body, &doc); rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d: %s", query, rec.Code, rec.Body)
+			}
+			w := &discardResponse{header: make(http.Header)}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			return testing.AllocsPerRun(20, func() {
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body)))
+			}), doc.Count
+		}
+		aSmall, nSmall := allocs(small)
+		aLarge, nLarge := allocs(large)
+		if nLarge < 5*nSmall {
+			t.Fatalf("%s: answers of %d and %d incidents do not tell growth apart", query, nSmall, nLarge)
+		}
+		t.Logf("%s: %d incidents %.0f allocs/miss, %d incidents %.0f allocs/miss", query, nSmall, aSmall, nLarge, aLarge)
+		if aLarge > aSmall*1.1 {
+			t.Errorf("%s: a miss on %d incidents allocates %.0f times, on %d incidents %.0f: it grows with the answer",
+				query, nSmall, aSmall, nLarge, aLarge)
+		}
+	}
+}
+
+// wireList is the wire-form list the blocks concatenate to: the brackets
+// around incident.AppendWire over each block in turn.
+func wireList(blocks ...[]incident.Incident) []byte {
+	b := []byte{'['}
+	for _, incs := range blocks {
+		b = incident.AppendWire(b, incs)
+	}
+	return append(b, ']')
+}
+
 // cannedFleet is a worker fleet behind cluster.Config.Transport that answers
 // every request in mode incidents with one two-record incident per wid of
 // its interval, each worker's reply encoded once and then replayed, so that
@@ -371,7 +422,7 @@ func (f *cannedFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 		}
 		rec := httptest.NewRecorder()
 		reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(incs), Instances: len(incs), Count: len(incs), ElapsedUS: 1}
-		if err := cluster.WriteReply(rec, eval.ShapeIncidents, cluster.AppendIncidents(nil, incs), &reply); err != nil {
+		if err := cluster.WriteReply(rec, eval.ShapeIncidents, wireList(incs), &reply); err != nil {
 			return nil, err
 		}
 		body, _ = f.replies.LoadOrStore(req.Self, rec.Body.Bytes())
@@ -385,7 +436,7 @@ func (f *cannedFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 // incidents answer as the bytes its workers sent — each part's array checked
 // where it lies, the arrays copied once into the answer, the answer written
 // as it stands. Nothing decodes an incident, so nothing builds an
-// incident.Set or calls AppendIncidents on one: a miss allocates as many
+// incident.Set or writes one as bytes: a miss allocates as many
 // times for a thirty-fold answer as for a small one, and so does a truncated
 // one.
 func TestClusterIncidentsAllocsDoNotGrowWithAnswer(t *testing.T) {

@@ -130,8 +130,8 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// query's parallelism. A worker answers all or nothing — an excluded
 	// instance fails its part, which the coordinator retries or reports lost.
 	x := s.execute(1, func() (x execution) {
-		a, err := eval.New(src, opts).AnswerCtx(ctx, p, owned, 1, shape, &x.stats)
-		x.res, x.err = served(a, shape), a.Strict(err)
+		a, err := eval.New(src, opts).ServeCtx(ctx, p, owned, 1, shape, answerBuf(shape), &x.stats)
+		x.res, x.err = served(a), a.Strict(err)
 		return x
 	})
 	esp.End()

@@ -177,7 +177,6 @@ func (w *watch) fire(alerts []Alert, prev, st *colstore.Store, wids []uint64) []
 	if err = a.Strict(err); err != nil {
 		panic(err) // an instance panicked: no budget or cancel can fail the scan
 	}
-	defer a.Release()
 	incs := slices.Concat(a.Incidents...)
 	for i, j := 0, 0; i < len(incs); i = j {
 		// incs[i:j] are one instance's incidents, in canonical order.

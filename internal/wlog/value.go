@@ -219,8 +219,10 @@ func needsQuoting(s string) bool {
 	if s == "" || s == "_|_" || s == "true" || s == "false" {
 		return true
 	}
-	if _, err := strconv.ParseFloat(s, 64); err == nil {
-		return true
+	if mayBeNumber(s) {
+		if _, err := strconv.ParseFloat(s, 64); err == nil {
+			return true
+		}
 	}
 	for _, r := range s {
 		switch r {
@@ -262,10 +264,13 @@ func ParseValue(s string) (Value, error) {
 	return String(s), nil
 }
 
-// mayBeNumber reports whether strconv.ParseInt or ParseFloat could read s:
-// both want an optional sign, then a digit, a '.', or the first letter of
-// "inf", "infinity" or "nan" in any case. A token that fails this is a bare
-// string, found without the error value a failed parse allocates.
+// mayBeNumber reports whether strconv.ParseInt or ParseFloat could read s.
+// Both want an optional sign, then a digit, a '.', or the first letter of
+// "inf", "infinity" or "nan" in any case. After a digit or a '.', only a hex
+// float ("0x…") has letters other than an exponent's 'e': a decimal number
+// is digits, '.', '_', 'e' or 'E' and an exponent's sign. A token that fails
+// this, such as the hex-like id 1cf1a, is a bare string, found without the
+// error value a failed parse allocates.
 func mayBeNumber(s string) bool {
 	if s != "" && (s[0] == '+' || s[0] == '-') {
 		s = s[1:]
@@ -274,8 +279,19 @@ func mayBeNumber(s string) bool {
 		return false
 	}
 	switch c := s[0]; {
-	case '0' <= c && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	case c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	case c != '.' && (c < '0' || c > '9'):
+		return false
+	case len(s) > 1 && c == '0' && (s[1] == 'x' || s[1] == 'X'):
 		return true
 	}
-	return false
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case '0' <= c && c <= '9', c == '.', c == '_', c == 'e', c == 'E', c == '+', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
 }

@@ -195,6 +195,30 @@ func TestParseValueBare(t *testing.T) {
 	}
 }
 
+// TestNonNumericTokensSkipStrconv: a token no strconv parser reads — a
+// hex-like id such as the clinic's referId, a word — is read as a string
+// and printed bare without the error value a failed parse allocates; one
+// that may be a number still goes to strconv.
+func TestNonNumericTokensSkipStrconv(t *testing.T) {
+	for _, tok := range []string{"1cf1a", "034d1", "9f", ".x", "Public"} {
+		if mayBeNumber(tok) {
+			t.Errorf("mayBeNumber(%q) = true", tok)
+		}
+		if n := testing.AllocsPerRun(100, func() { ParseValue(tok) }); n != 0 {
+			t.Errorf("ParseValue(%q) allocates %.0f times", tok, n)
+		}
+		v := String(tok)
+		if n := testing.AllocsPerRun(100, func() { _ = v.String() }); n != 0 {
+			t.Errorf("String(%q).String() allocates %.0f times", tok, n)
+		}
+	}
+	for _, tok := range []string{"12", "-1.5e+3", "1_000", "0x1p-2", "0X1F", ".5", "Inf", "+nan", "12e45", "1e"} {
+		if !mayBeNumber(tok) {
+			t.Errorf("mayBeNumber(%q) = false", tok)
+		}
+	}
+}
+
 // Property: round-tripping any string through String/ParseValue preserves it.
 func TestValueStringRoundTripProperty(t *testing.T) {
 	f := func(s string) bool {

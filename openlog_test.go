@@ -68,9 +68,10 @@ func loadJSONL(path string) (*colstore.Store, error) {
 	return b.Finish()
 }
 
-// TestLoadAllocsPerRecord holds that load to at most 10 heap allocations
+// TestLoadAllocsPerRecord holds that load to at most 7 heap allocations
 // per record on the benchmark's log, ClinicLog(5000): a line is read by the
-// JSONL scanner, and a file's names are allocated once.
+// JSONL scanner, a file's names are allocated once, and a hex-like id is a
+// string without a failed strconv parse.
 func TestLoadAllocsPerRecord(t *testing.T) {
 	l, err := wlq.ClinicLog(5000, 1)
 	if err != nil {
@@ -87,7 +88,7 @@ func TestLoadAllocsPerRecord(t *testing.T) {
 	})
 	perRecord := allocs / float64(l.Len())
 	t.Logf("%d records: %.1f allocations per record", l.Len(), perRecord)
-	if perRecord > 10 {
-		t.Fatalf("load takes %.1f allocations per record, want ≤ 10", perRecord)
+	if perRecord > 7 {
+		t.Fatalf("load takes %.1f allocations per record, want ≤ 7", perRecord)
 	}
 }
