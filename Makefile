@@ -73,7 +73,8 @@ examples:
 # codecs, the worker reply reader, the Definition 2 check, the monitor's
 # batches, the columnar store and the evaluator's entry points, FUZZTIME each
 # (CI: make fuzz FUZZTIME=3s). Every target runs; the pass then fails, naming
-# each target that failed.
+# each target that failed. A target its package does not define is a failure
+# too: `go test -fuzz` finds nothing to fuzz there and passes.
 FUZZTIME ?= 30s
 
 FUZZ_TARGETS = \
@@ -97,6 +98,9 @@ fuzz:
 	@failed=; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; name=$${t##*:}; \
 		echo "fuzz $$name in $$pkg"; \
+		if ! $(GO) test -list "^$$name\$$" $$pkg | grep -qx "$$name"; then \
+			echo "no fuzz target $$name in $$pkg"; failed="$$failed $$pkg:$$name"; continue; \
+		fi; \
 		$(GO) test -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) -run XXX $$pkg || failed="$$failed $$pkg:$$name"; \
 	done; \
 	if [ -n "$$failed" ]; then echo "make fuzz: failed:$$failed"; exit 1; fi

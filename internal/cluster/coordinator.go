@@ -198,15 +198,12 @@ type Fanout struct {
 	Skipped   int `json:"skipped,omitempty"`
 	// Retries counts re-attempts.
 	Retries int `json:"retries,omitempty"`
-	// TraceID is the propagated cross-process trace id ("" when the query
-	// was untraced).
+	// TraceID is the query's trace id, stamped on every worker subtree of
+	// its stitched trace ("" when the query was untraced).
 	TraceID string `json:"trace_id,omitempty"`
 	// PerWorker details every worker contacted (or breaker-skipped) this
 	// query, in fleet order.
 	PerWorker []WorkerCall `json:"per_worker,omitempty"`
-	// CostTable is the fleet-wide Lemma 1 table: the per-worker tables of
-	// every merged answer summed row-by-row (nil when untraced).
-	CostTable []obs.CostRow `json:"-"`
 }
 
 // WorkerCall is one worker's outcome within a single distributed query.
@@ -236,10 +233,14 @@ type ExecOptions struct {
 	// WIDs is the full ascending wid list of the log (the coordinator's
 	// local backend supplies it; placement partitions it over the fleet).
 	WIDs []uint64
-	// Strategy optionally names the join implementation for the workers.
-	Strategy string
+	// Strategy optionally names the join implementation for the workers
+	// (zero: each worker's default).
+	Strategy eval.Strategy
 	// Budget is the whole query's budget; it is sliced per active worker.
 	Budget resilience.Budget
+	// Meter, when non-nil, is a meter over the plan: the per-node counters of
+	// every merged reply are added into it, which makes it the fleet's.
+	Meter *eval.Meter
 }
 
 // Result is an answer in the shape it was asked for, in the form the query
@@ -318,21 +319,23 @@ func (r partResult) status() string {
 // Everything done for a worker is recorded under its "worker <url>" span:
 // a queue-wait span (launch + admission + marshal before the first transport
 // write), one transport span per attempt, and the backoff and breaker-skip
-// spans. The accepted reply's own span subtree is grafted under the
-// transport span that carried it.
+// spans. Under the transport span that carried the accepted reply, the
+// worker's own stages are built from the reply's timings (stitch).
 func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (Result, *Completeness, Fanout, error) {
 	c.Stats.Fanouts.Add(1)
-	// Distributed tracing: a traced query's id travels on a traceparent
-	// header per request, and workers return their span trees and cost
-	// tables; the request body only carries the enable flag.
+	// Distributed tracing happens here alone: nothing of the trace goes to
+	// the workers, whose replies carry counters and timings in every case.
 	tr := obs.FromContext(ctx)
-	traceID := ""
+	var st *stitch
 	if tr != nil {
-		traceID = tr.ID()
+		st = &stitch{traceID: tr.ID(), answer: "enumerated"}
+		if eval.Counted(plan, shape, opts.Strategy) {
+			st.answer = "counted"
+		}
 	}
 	scatter := tr.StartSpan("scatter")
-	if traceID != "" {
-		scatter.SetAttr("trace_id", traceID)
+	if st != nil {
+		scatter.SetAttr("trace_id", st.traceID)
 	}
 
 	// Part i goes to worker i. A log with fewer wids than workers leaves the
@@ -340,12 +343,13 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	parts := Partition(opts.WIDs, len(c.workers))
 	scatter.SetAttr("workers", len(parts))
 	req := WorkerQueryRequest{
-		Log:      logName,
-		Plan:     plan.String(),
-		Mode:     shape.String(),
-		Strategy: opts.Strategy,
-		Budget:   ToBudgetDoc(opts.Budget.Slice(len(parts))),
-		Trace:    traceID != "",
+		Log:    logName,
+		Plan:   plan.String(),
+		Mode:   shape.String(),
+		Budget: ToBudgetDoc(opts.Budget.Slice(len(parts))),
+	}
+	if opts.Strategy != 0 {
+		req.Strategy = opts.Strategy.String()
 	}
 	// Each part's goroutine writes only its own slot.
 	results := make([]partResult, len(parts))
@@ -357,7 +361,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = c.runPart(ctx, parts[i], shape, req, traceID, wsp, queueWait)
+			results[i] = c.runPart(ctx, parts[i], shape, req, st, wsp, queueWait)
 		}(i)
 	}
 	wg.Wait()
@@ -370,7 +374,6 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	var (
 		ans       Result
 		lists     [][]byte
-		tables    [][]obs.CostRow
 		firstErr  error
 		budgetErr *resilience.BudgetError
 	)
@@ -399,10 +402,11 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			case eval.ShapeIncidents:
 				lists = append(lists, r.resp.Incidents)
 			}
-			// Only merged answers feed the fleet table: a failed worker's
+			// Only merged answers feed the fleet meter: a failed worker's
 			// partial measurements would skew the measured-vs-predicted
-			// comparison.
-			tables = append(tables, r.resp.CostTable)
+			// comparison. Counters of another plan's length (a worker
+			// mid-rollout) are left out rather than mis-added.
+			opts.Meter.AddOps(r.resp.Ops)
 			call.ElapsedUS = r.resp.ElapsedUS
 			if qs != nil {
 				qs.Instances += r.resp.Instances
@@ -450,9 +454,10 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		Failed:    comp.Failed,
 		Skipped:   comp.Skipped,
 		Retries:   comp.Retries,
-		TraceID:   traceID,
 		PerWorker: calls,
-		CostTable: obs.AggregateCostTables(tables...),
+	}
+	if st != nil {
+		fan.TraceID = st.traceID
 	}
 	msp.SetAttr("workers_merged", comp.Succeeded)
 	msp.SetAttr("incidents", ans.Count)
@@ -482,7 +487,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 // attempts, with a backed-off retry after each retryable failure while
 // attempts remain and the breaker still admits. It stamps the outcome on
 // wsp, the part's span, and ends it.
-func (c *Coordinator) runPart(ctx context.Context, p Part, shape eval.Shape, req WorkerQueryRequest, traceID string, wsp, queueWait *obs.Span) (r partResult) {
+func (c *Coordinator) runPart(ctx context.Context, p Part, shape eval.Shape, req WorkerQueryRequest, st *stitch, wsp, queueWait *obs.Span) (r partResult) {
 	w := c.workers[p.ID]
 	defer func() {
 		wsp.SetAttr("status", r.status())
@@ -506,7 +511,7 @@ func (c *Coordinator) runPart(ctx context.Context, p Part, shape eval.Shape, req
 	}
 	for n := 1; ; n++ {
 		r.attempts = n
-		r.resp, r.count, r.err = c.attempt(ctx, p, shape, n, traceID, body, wsp)
+		r.resp, r.count, r.err = c.attempt(ctx, p, shape, n, st, body, wsp)
 		// A budget trip is an answer too: the worker is healthy, the query is
 		// over budget, and no retry would change that.
 		var be *resilience.BudgetError
@@ -563,20 +568,20 @@ func delay(attempt int, u float64) time.Duration {
 
 // attempt sends attempt n of the part's request to its worker under the
 // per-attempt timeout, with one transport span under wsp, then runs the
-// shape, placement and trace-id cross-checks on the reply and grafts the
-// reply's span subtree under the transport span. count is the number of
-// incidents the reply stands for.
-func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n int, traceID string, body []byte, wsp *obs.Span) (resp *WorkerQueryResponse, count int, err error) {
+// shape and placement cross-checks on the reply and, on a traced query,
+// builds the worker's subtree under the transport span. count is the number
+// of incidents the reply stands for.
+func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n int, st *stitch, body []byte, wsp *obs.Span) (resp *WorkerQueryResponse, count int, err error) {
 	sp := wsp.StartChild("transport")
 	sp.SetAttr("attempt", n)
-	header := ""
-	if traceID != "" {
-		spanID := obs.NewSpanID()
+	spanID := ""
+	if st != nil {
+		spanID = obs.NewSpanID()
 		sp.SetAttr("span_id", spanID)
-		header = obs.FormatTraceparent(traceID, spanID)
 	}
+	w := c.workers[p.ID]
 	actx, cancel := context.WithTimeout(ctx, c.cfg.WorkerTimeout)
-	resp, sum, err := c.post(actx, c.workers[p.ID], shape, body, header)
+	resp, sum, err := c.post(actx, w, shape, body)
 	cancel()
 	sp.End()
 	if err == nil {
@@ -591,16 +596,36 @@ func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n i
 		return nil, 0, err
 	}
 	sp.SetAttr("incidents", count)
-	if traceID != "" {
-		if resp.TraceID != "" && resp.TraceID != traceID {
-			// Same spirit as the WIDsOwned echo: the worker answered under
-			// a different trace context than we sent. Annotate, keep the
-			// answer (trace skew is an observability fault, not a data one).
-			sp.SetAttr("trace_id_mismatch", resp.TraceID)
-		}
-		obs.Graft(sp, resp.Spans, sp.StartUS)
-	}
+	st.subtree(sp, spanID, w.name, resp, count)
 	return resp, count, nil
+}
+
+// stitch is what a traced fan-out stamps on each worker subtree: the
+// query's trace id, and how the plan is answered in the query's shape
+// (eval.Counted), the same on every worker.
+type stitch struct {
+	traceID, answer string
+}
+
+// subtree records an accepted reply's worker → prepare, eval stages under
+// sp, the transport span that carried it (its span id spanID), from the
+// timings the reply reports, stamped with the worker's URL. The stages start
+// where sp does: the worker's clock is not the coordinator's, and its stages
+// lie inside the request.
+func (st *stitch) subtree(sp *obs.Span, spanID, worker string, resp *WorkerQueryResponse, count int) {
+	if st == nil {
+		return
+	}
+	root := sp.AddChild("worker", sp.StartUS, resp.ElapsedUS)
+	root.SetAttr("trace_id", st.traceID)
+	root.SetAttr("parent_span_id", spanID)
+	prep := root.AddChild("prepare", sp.StartUS, resp.PrepareUS)
+	prep.SetAttr("wids_owned", resp.WIDsOwned)
+	ev := root.AddChild("eval", sp.StartUS+resp.PrepareUS, resp.EvalUS)
+	ev.SetAttr("instances", resp.Instances)
+	ev.SetAttr("incidents", count)
+	ev.SetAttr("answer", st.answer)
+	obs.StampWorker(root, worker)
 }
 
 // checkReply cross-checks a reply against the part and the shape it
@@ -633,10 +658,9 @@ func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSum
 }
 
 // post issues one HTTP request to a worker and reads the reply to a request
-// of the given shape (readReply). The traceparent value, when non-empty,
-// propagates the distributed trace context. Request duration — the reply read
+// of the given shape (readReply). Request duration — the reply read
 // included — feeds the per-worker latency histogram either way.
-func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte, traceparent string) (_ *WorkerQueryResponse, _ listSummary, err error) {
+func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte) (_ *WorkerQueryResponse, _ listSummary, err error) {
 	c.Stats.WorkerRequests.Add(1)
 	start := time.Now()
 	defer func() {
@@ -651,9 +675,6 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.
 		return nil, listSummary{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if traceparent != "" {
-		req.Header.Set(obs.TraceparentHeader, traceparent)
-	}
 	httpResp, err := c.client.Do(req)
 	if err != nil {
 		return nil, listSummary{}, err

@@ -43,7 +43,7 @@ func ownedWIDs(wids []uint64, req WorkerQueryRequest) []uint64 {
 
 // writeReply answers req with WriteReply around the given answer array,
 // under an honest member count and the given incident count. The envelope
-// has no trace and always encodes.
+// carries no counters and always encodes.
 func writeReply(w http.ResponseWriter, req WorkerQueryRequest, owned, count int, array string) {
 	shape, _ := eval.ParseShape(req.Mode)
 	WriteReply(w, shape, []byte(array), &WorkerReply{Worker: req.Self, WIDsOwned: owned, Instances: owned, Count: count, ElapsedUS: 1})
@@ -494,5 +494,40 @@ func TestClusterNewValidation(t *testing.T) {
 	}
 	if got := len(c.Health()); got != 2 {
 		t.Fatalf("fleet has %d workers, want 2", got)
+	}
+}
+
+// TestClusterFleetMeterAddsMatchingOps: the fleet meter is the sum of the
+// merged replies' counters. A reply whose ops have another length than the
+// plan has nodes — metered over another plan — is merged as an answer, but
+// its counters are left out rather than mis-added.
+func TestClusterFleetMeterAddsMatchingOps(t *testing.T) {
+	wids := testWIDs(8)
+	plan := pattern.MustParse("A -> B")
+	worker := func(ops []eval.NodeOps) string {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req WorkerQueryRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			owned := len(ownedWIDs(wids, req))
+			WriteReply(w, eval.ShapeCount, nil, &WorkerReply{Worker: req.Self, WIDsOwned: owned, Instances: owned, Ops: ops})
+		}))
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	row := eval.NodeOps{4, 0, 4, 4, 16, 8, 16}
+	c, err := New(Config{Workers: []string{worker([]eval.NodeOps{row, row, row}), worker([]eval.NodeOps{row})}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meter := eval.NewMeter(plan)
+	_, comp, _, err := c.Answer(context.Background(), "l", plan, eval.ShapeCount, ExecOptions{WIDs: wids, Meter: meter}, nil)
+	if err != nil || !comp.Complete {
+		t.Fatalf("answer: %v, completeness %+v", err, comp)
+	}
+	if got := meter.Ops(); !slices.Equal(got, []eval.NodeOps{row, row, row}) {
+		t.Fatalf("fleet meter %v, want the matching reply's counters alone", got)
 	}
 }

@@ -13,7 +13,6 @@ import (
 
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
-	"wlq/internal/obs"
 	"wlq/internal/resilience"
 )
 
@@ -45,7 +44,7 @@ type WorkerQueryRequest struct {
 	WIDMin *uint64 `json:"wid_min"`
 	WIDMax *uint64 `json:"wid_max"`
 	// Self is the receiving worker's own name (its base URL), echoed in the
-	// reply and stamped on its trace spans.
+	// reply.
 	Self string `json:"self"`
 	// Mode is the shape of the answer wanted (eval.Shape by name): "count"
 	// for the number of incidents alone, "instances" for that and the wids
@@ -56,10 +55,6 @@ type WorkerQueryRequest struct {
 	Strategy string `json:"strategy,omitempty"`
 	// Budget is this worker's slice of the query budget.
 	Budget BudgetDoc `json:"budget,omitempty"`
-	// Trace asks the worker to run its evaluation under an obs.Trace and
-	// return the span tree plus Lemma 1 cost table in the response. The
-	// trace/parent-span ids travel separately, on the Traceparent header.
-	Trace bool `json:"trace,omitempty"`
 }
 
 // BudgetDoc is resilience.Budget in wire form (wall time in milliseconds).
@@ -117,19 +112,17 @@ type WorkerReply struct {
 	// Count is the number of incidents in the part, in every mode; the
 	// coordinator cross-checks it against the answer array.
 	Count int `json:"count"`
-	// ElapsedUS is the worker-side evaluation wall time.
+	// ElapsedUS is the worker-side wall time of the request, from admission
+	// to the reply; PrepareUS and EvalUS are its two stages, resolving the
+	// log, plan and part, then the scan. The coordinator times a traced
+	// query's worker → prepare, eval subtree by them.
 	ElapsedUS int64 `json:"elapsed_us"`
-	// TraceID echoes the propagated trace id (from the Traceparent request
-	// header) when the worker traced; the coordinator cross-checks it the
-	// same way WIDsOwned cross-checks placement.
-	TraceID string `json:"trace_id,omitempty"`
-	// Spans is the worker's span tree for this evaluation, offsets on the
-	// worker's own clock; the coordinator grafts it into the query trace.
-	// Present only when the request asked for tracing.
-	Spans *obs.Span `json:"spans,omitempty"`
-	// CostTable is the worker's per-operator Lemma 1 measured-vs-predicted
-	// table, which the coordinator aggregates fleet-wide.
-	CostTable []obs.CostRow `json:"cost_table,omitempty"`
+	PrepareUS int64 `json:"prepare_us"`
+	EvalUS    int64 `json:"eval_us"`
+	// Ops are the scan's per-node Lemma 1 counters in pre-order of the plan
+	// (eval.Meter.Ops), one row per plan node whatever the mode: the
+	// coordinator adds every merged reply's into one meter, the fleet's.
+	Ops []eval.NodeOps `json:"ops"`
 }
 
 // A worker reply has one layout: the answer array's member first, its bytes

@@ -440,8 +440,8 @@ func replyOf(n int) (incs []incident.Incident, reply []byte) {
 		incs[i] = incident.New(uint64(i/2+1), uint64(i%2+1), uint64(i%2+7))
 	}
 	reply = appendIncidents([]byte(`{"incidents":`), incs)
-	return incs, fmt.Appendf(reply, `,"worker":"http://w1","wids_owned":%d,"instances":%d,"count":%d,"elapsed_us":1234,"trace_id":"%032x","cost_table":[{"node":"A","operator":"atom","outputs":%d}]}`,
-		n/2, n/2, n, 1, n)
+	return incs, fmt.Appendf(reply, `,"worker":"http://w1","wids_owned":%d,"instances":%d,"count":%d,"elapsed_us":1234,"prepare_us":34,"eval_us":1100,"ops":[[%d,0,0,0,%d,%d,%d]]}`,
+		n/2, n/2, n, n/2, n, n, n)
 }
 
 // TestReadReplyAllocsDoNotGrowWithAnswer: reading a reply costs the buffer,
@@ -453,18 +453,18 @@ func TestReadReplyAllocsDoNotGrowWithAnswer(t *testing.T) {
 		_, reply := replyOf(n)
 		return testing.AllocsPerRun(50, func() {
 			resp, sum, err := readReply(bytes.NewReader(reply), int64(len(reply)), eval.ShapeIncidents)
-			if err != nil || sum.n != n || len(resp.CostTable) != 1 {
+			if err != nil || sum.n != n || len(resp.Ops) != 1 {
 				t.Fatalf("read %d: %+v, %v", n, sum, err)
 			}
 		})
 	}
 	small, large := allocs(100), allocs(10000)
 	t.Logf("allocations per reply read: %.0f for 100 incidents, %.0f for 10000", small, large)
-	// Measured on Go 1.24: 16 either way — the reader, the buffer, the reply,
+	// Measured on Go 1.24: 14 either way — the reader, the buffer, the reply,
 	// the scanner's seqs buffers, and encoding/json's decoder state, strings
-	// and cost row for the envelope, decoded in one piece. The bound leaves
+	// and ops rows for the envelope, decoded in one piece. The bound leaves
 	// room for another Go release's encoding/json.
-	const bound = 19
+	const bound = 17
 	if large != small || large > bound {
 		t.Errorf("reading a reply allocates %.0f times for 100 incidents, %.0f for 10000; want the same, at most %d", small, large, bound)
 	}

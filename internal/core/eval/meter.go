@@ -196,6 +196,38 @@ func (m *Meter) Snapshot() []NodeStats {
 	return out
 }
 
+// NodeOps is one plan node's counters as they cross a wire: evals, memo
+// hits, Σ n1, Σ n2, comparisons, outputs and predicted, in that order.
+type NodeOps [7]uint64
+
+// Ops exports the per-node counters in pre-order of the metered plan, for a
+// meter over the same plan elsewhere to add in (AddOps).
+func (m *Meter) Ops() []NodeOps {
+	if m == nil {
+		return nil
+	}
+	ops := make([]NodeOps, len(m.slots))
+	for i := range m.slots {
+		nm := &m.slots[i]
+		ops[i] = NodeOps{nm.evals.Load(), nm.memoHits.Load(), nm.leftInputs.Load(), nm.rightInputs.Load(),
+			nm.comparisons.Load(), nm.outputs.Load(), nm.predicted.Load()}
+	}
+	return ops
+}
+
+// AddOps adds counters Ops exported from a meter over the same plan, and
+// reports whether it did: ops with another number of rows than the plan has
+// nodes were metered over another plan, and add nothing.
+func (m *Meter) AddOps(ops []NodeOps) bool {
+	if m == nil || len(ops) != len(m.slots) {
+		return false
+	}
+	for i, o := range ops {
+		m.slots[i].add(&nodeTally{o[0], o[1], o[2], o[3], o[4], o[5], o[6]})
+	}
+	return true
+}
+
 // TotalComparisons sums measured comparisons over all operator nodes.
 func (m *Meter) TotalComparisons() uint64 {
 	var total uint64

@@ -2,10 +2,12 @@ package eval_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"wlq/internal/clinic"
@@ -76,5 +78,53 @@ func TestMeterSnapshotGolden(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("meter snapshot differs from %s\ngot:\n%s", path, got.Bytes())
+	}
+}
+
+// TestMeterOpsAddUpOverDisjointParts: a cluster coordinator's cost table is
+// its workers' counters added into one meter, each worker's over its own part
+// of the instances. A meter over the whole log equals the AddOps sum of
+// meters over two disjoint halves of its instances, under both strategies,
+// in a counted and an enumerated shape; counters from another plan add
+// nothing.
+func TestMeterOpsAddUpOverDisjointParts(t *testing.T) {
+	generated, err := clinic.Generate(50, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := eval.NewIndex(generated)
+	wids := ix.WIDs()
+	halves := [][]uint64{wids[:len(wids)/2], wids[len(wids)/2:]}
+	metered := func(p pattern.Node, strat eval.Strategy, shape eval.Shape, wids []uint64) *eval.Meter {
+		m := eval.NewMeter(p)
+		if _, err := eval.New(ix, eval.Options{Strategy: strat, Meter: m}).ServeCtx(context.Background(), p, wids, 1, shape, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	answers := map[bool]int{}
+	for _, strat := range []eval.Strategy{eval.StrategyNaive, eval.StrategyMerge} {
+		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeIncidents} {
+			for _, q := range meterGoldenPlans {
+				p := pattern.MustParse(q)
+				answers[eval.Counted(p, shape, strat)]++
+				sum := eval.NewMeter(p)
+				for _, half := range halves {
+					if !sum.AddOps(metered(p, strat, shape, half).Ops()) {
+						t.Fatalf("%v %v %s: a meter over the same plan refused the counters", strat, shape, q)
+					}
+				}
+				if whole, parts := metered(p, strat, shape, wids).Ops(), sum.Ops(); !slices.Equal(whole, parts) {
+					t.Errorf("%v %v %s: whole log %v, sum of the halves %v", strat, shape, q, whole, parts)
+				}
+			}
+		}
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Fatalf("counted/enumerated cases %v: want both", answers)
+	}
+	other := eval.NewMeter(pattern.MustParse("A -> B"))
+	if other.AddOps(eval.NewMeter(pattern.MustParse(meterGoldenPlans[1])).Ops()) || other.Ops()[0] != (eval.NodeOps{}) {
+		t.Fatal("counters of another plan were added")
 	}
 }

@@ -138,8 +138,8 @@ type QueryTrace struct {
 	Plan  string `json:"plan"`
 	// Strategy is the join family that produced the measurements.
 	Strategy string `json:"strategy"`
-	// TraceID is the cross-process trace id (set on distributed traces,
-	// where it was propagated to every worker on a traceparent header).
+	// TraceID is the cross-process trace id (set on distributed traces, and
+	// stamped on every worker subtree of them).
 	TraceID string `json:"trace_id,omitempty"`
 	// Spans is the root of the span tree.
 	Spans *Span `json:"spans"`

@@ -11,9 +11,15 @@
 // "trace": true).
 //
 // The package is stdlib-only and allocation-light: tracing a query costs a
-// few span allocations plus the meter's atomic counters; untraced queries
-// pay nothing (a nil *Trace and nil *Span are valid receivers everywhere
-// and make every method a no-op).
+// few span allocations; an untraced query opens no spans (a nil *Trace and
+// nil *Span are valid receivers everywhere and make every method a no-op).
+// The per-node counters of eval.Meter run traced or not: they feed the
+// service's per-operator totals as well as the cost table.
+//
+// A cluster query's trace is built in one process: the coordinator adds
+// each worker's worker → prepare, eval stages under the transport span that
+// carried its reply, from the timings the reply reports (Span.AddChild), and
+// its cost table is the workers' counters added into one meter.
 package obs
 
 import (
@@ -39,9 +45,8 @@ func NewTrace(name string) *Trace {
 	return t
 }
 
-// ID returns the trace id, minting one on first use. Minted ids are 16
-// random bytes in lowercase hex — the W3C trace-id shape — so they can be
-// propagated on a traceparent header as-is.
+// ID returns the trace id, minting one on first use: 16 random bytes in
+// lowercase hex, the W3C trace-id shape.
 func (t *Trace) ID() string {
 	if t == nil {
 		return ""
@@ -52,16 +57,6 @@ func (t *Trace) ID() string {
 		t.id = NewTraceID()
 	}
 	return t.id
-}
-
-// SetID pins the trace id — used by workers adopting a propagated id.
-func (t *Trace) SetID(id string) {
-	if t == nil || id == "" {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.id = id
 }
 
 // Root returns the root span (nil for a nil trace).
@@ -101,8 +96,8 @@ type Span struct {
 
 	// Name identifies the stage ("parse", "rewrite", "eval"…).
 	Name string `json:"name"`
-	// Worker attributes the span to the process that recorded it — a worker
-	// base URL on grafted subtrees, "coordinator" on locally recorded spans
+	// Worker attributes the span to the process whose stage it times — a
+	// worker base URL on a worker subtree, "coordinator" on the other spans
 	// of a stitched distributed trace, empty on single-node traces.
 	Worker string `json:"worker,omitempty"`
 	// StartUS is the span's start offset from the trace start, µs.
@@ -124,6 +119,21 @@ func (s *Span) StartChild(name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c := &Span{trace: t, Name: name, StartUS: t.sinceUS()}
+	s.Children = append(s.Children, c)
+	return c
+}
+
+// AddChild attaches a finished span for a stage timed elsewhere — a worker's,
+// from its reply: startUS is its offset on this trace's clock, durationUS its
+// length. Valid on a nil receiver (returns nil).
+func (s *Span) AddChild(name string, startUS, durationUS int64) *Span {
+	if s == nil {
+		return nil
+	}
+	t := s.trace
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	c := &Span{trace: t, ended: true, Name: name, StartUS: startUS, DurationUS: durationUS}
 	s.Children = append(s.Children, c)
 	return c
 }

@@ -871,14 +871,16 @@ func TestClusterMetrics(t *testing.T) {
 }
 
 // TestClusterOperatorTotalsFromFleetTable: a coordinator evaluates nothing
-// itself, so its per-operator totals are folded from the fleet cost table
-// its workers returned — they equal the sum of that table's operator rows.
+// itself, so its per-operator totals are folded from the fleet cost table —
+// its workers' counters, which every reply carries. They equal the sum of
+// that table's operator rows, traced or not: an untraced query on a
+// coordinator with the flight recorder off moves them as much.
 func TestClusterOperatorTotalsFromFleetTable(t *testing.T) {
 	l := chaosLog(t, 16, 2)
+	const query = `"log":"chaos","query":"(A -> B) | (B & A)"`
 	f := newClusterFixture(t, 2, "chaos", l, nil, nil)
 	var resp queryResponse
-	body := `{"log":"chaos","query":"(A -> B) | (B & A)","trace":true}`
-	if rec := postQuery(t, f.coord.Handler(), body, &resp); rec.Code != http.StatusOK {
+	if rec := postQuery(t, f.coord.Handler(), `{`+query+`,"trace":true}`, &resp); rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
 	if resp.Trace == nil || len(resp.Trace.CostTable) == 0 {
@@ -896,13 +898,20 @@ func TestClusterOperatorTotalsFromFleetTable(t *testing.T) {
 	if total == 0 {
 		t.Fatal("the fleet table measured no operator work")
 	}
-	var doc metricsDoc
-	getJSON(t, f.coord.Handler(), "/metrics", &doc)
-	for op := pattern.OpConsecutive; op <= pattern.OpParallel; op++ {
-		name := op.Name()
-		if doc.OperatorComparisons[op].Load() != comparisons[name] || doc.OperatorOutputs[op].Load() != outputs[name] {
-			t.Errorf("%s: coordinator totals %d comparisons / %d outputs, fleet table %d / %d",
-				name, doc.OperatorComparisons[op].Load(), doc.OperatorOutputs[op].Load(), comparisons[name], outputs[name])
+	untraced := newClusterFixture(t, 2, "chaos", l, nil, func(c *Config) { c.FlightRecorderSize = -1 })
+	if rec := postQuery(t, untraced.coord.Handler(), `{`+query+`}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("untraced: status %d: %s", rec.Code, rec.Body)
+	}
+	for name, coord := range map[string]*Server{"traced": f.coord, "untraced, recorder off": untraced.coord} {
+		var doc metricsDoc
+		getJSON(t, coord.Handler(), "/metrics", &doc)
+		for op := pattern.OpConsecutive; op <= pattern.OpParallel; op++ {
+			if got, want := doc.OperatorComparisons[op].Load(), comparisons[op.Name()]; got != want {
+				t.Errorf("%s: %s: coordinator totals %d comparisons, fleet table %d", name, op.Name(), got, want)
+			}
+			if got, want := doc.OperatorOutputs[op].Load(), outputs[op.Name()]; got != want {
+				t.Errorf("%s: %s: coordinator totals %d outputs, fleet table %d", name, op.Name(), got, want)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -13,16 +14,17 @@ import (
 	"time"
 
 	"wlq/internal/cluster"
+	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
 	"wlq/internal/faultinject"
 	"wlq/internal/flightrec"
 	"wlq/internal/obs"
 )
 
-// Distributed tracing suite: the coordinator mints one trace id per query,
-// propagates it to every worker on a traceparent header, and stitches the
-// returned span subtrees into one cross-process trace. Named with the
-// Cluster prefix so the CI chaos step (-race) covers it.
+// Distributed tracing suite: the coordinator mints one trace id per query
+// and stitches a subtree per worker, built from the counters and timings of
+// its reply, into one cross-process trace. Named with the Cluster prefix so
+// the CI chaos step (-race) covers it.
 
 // walkSpans visits every span of the tree in pre-order.
 func walkSpans(s *obs.Span, fn func(*obs.Span)) {
@@ -235,6 +237,66 @@ func TestClusterTraceTimedOutAttemptSiblingSpans(t *testing.T) {
 	}
 }
 
+// TestClusterNotableCaptureOnAStraggler: a worker whose first request is
+// blackholed holds the query past the slow-query threshold until its retry
+// answers. The notable capture of that query — untraced, the flight
+// recorder's own trace — carries both workers' worker → prepare, eval
+// subtrees, the straggler's under its second transport span, and the fleet
+// cost table with both workers' counters in it.
+func TestClusterNotableCaptureOnAStraggler(t *testing.T) {
+	l := chaosLog(t, 16, 2)
+	var straggler string
+	f := newClusterFixture(t, 2, "chaos", l, func(c *cluster.Config) {
+		straggler = c.Workers[1]
+		c.Transport = &faultinject.FlakyRoundTripper{Match: straggler, BlackholeOn: faultinject.OnNthCall(1)}
+		c.WorkerTimeout = 100 * time.Millisecond
+		c.MaxAttempts = 2
+	}, func(c *Config) { c.SlowQuery = 50 * time.Millisecond })
+	if rec := postQuery(t, f.coord.Handler(), `{"log":"chaos","query":"(A -> B) | (B & A)"}`, nil); rec.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200 after the retry: %s", rec.Code, rec.Body)
+	}
+	notable := f.coord.flight.List(flightrec.Filter{SlowOnly: true})
+	if len(notable) != 1 || notable[0].Trace == nil {
+		t.Fatalf("%d slow captures, want 1 with a trace", len(notable))
+	}
+	tr := notable[0].Trace
+	for _, url := range f.urls {
+		wspans := findSpans(tr.Spans, func(sp *obs.Span) bool { return sp.Name == "worker "+url })
+		if len(wspans) != 1 {
+			t.Fatalf("%d spans for %s, want 1", len(wspans), url)
+		}
+		var transports []*obs.Span
+		for _, sp := range wspans[0].Children {
+			if sp.Name == "transport" {
+				transports = append(transports, sp)
+			}
+		}
+		if want := map[bool]int{false: 1, true: 2}[url == straggler]; len(transports) != want {
+			t.Fatalf("%s: %d transport spans, want %d", url, len(transports), want)
+		}
+		for i, sp := range transports {
+			subtrees := findSpans(sp, func(sp *obs.Span) bool { return sp.Name == "worker" })
+			if i < len(transports)-1 {
+				if len(subtrees) != 0 {
+					t.Fatalf("%s: a subtree under the failed attempt %d", url, i+1)
+				}
+				continue
+			}
+			if len(subtrees) != 1 || subtrees[0].Worker != url || len(subtrees[0].Children) != 2 ||
+				subtrees[0].Children[0].Name != "prepare" || subtrees[0].Children[1].Name != "eval" {
+				t.Fatalf("%s: no worker → prepare, eval subtree stamped with its URL under the accepted attempt", url)
+			}
+			if subtrees[0].Attrs["parent_span_id"] != sp.Attrs["span_id"] || subtrees[0].Attrs["trace_id"] != tr.TraceID {
+				t.Fatalf("%s: subtree ids %v, want the transport span's and the trace's", url, subtrees[0].Attrs)
+			}
+		}
+	}
+	// Every instance of both parts is in the root row of the fleet table.
+	if len(tr.CostTable) == 0 || tr.CostTable[0].Evals != uint64(len(l.WIDs())) {
+		t.Fatalf("fleet cost table %+v: want the root evaluated on all %d instances", tr.CostTable, len(l.WIDs()))
+	}
+}
+
 // TestClusterTraceStaleWorkerExcluded: a stale worker (its copy of the log
 // is short of the coordinator's inside its interval) is excluded from the
 // merge, but the trace survives — same trace id, surviving workers' subtrees
@@ -293,9 +355,9 @@ func TestClusterTraceStaleWorkerExcluded(t *testing.T) {
 // TestClusterStitchedTraceShape: a span is a timed stage and the per-node
 // numbers live in the cost table alone. A single-node trace's eval span has
 // no children and its table one row per plan node; on a 2-worker fan-out the
-// coordinator's eval span has no children, each grafted worker subtree is
-// exactly worker → prepare, eval, and the fleet table is the row-wise sum of
-// the tables the workers return for their parts.
+// coordinator's eval span has no children, each worker subtree is exactly
+// worker → prepare, eval, and the fleet table — the workers' counters added
+// into one meter — equals the single node's, column for column.
 func TestClusterStitchedTraceShape(t *testing.T) {
 	l := chaosLog(t, 16, 2)
 	const body = `{"log":"chaos","query":"(A -> B) | (B & A)","strategy":"naive","trace":true}`
@@ -329,7 +391,7 @@ func TestClusterStitchedTraceShape(t *testing.T) {
 	evalSpanIsLeaf(t, fan.Trace)
 	grafted := findSpans(fan.Trace.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" })
 	if len(grafted) != 2 {
-		t.Fatalf("%d grafted worker subtrees, want 2", len(grafted))
+		t.Fatalf("%d worker subtrees, want 2", len(grafted))
 	}
 	for _, g := range grafted {
 		if len(g.Children) != 2 || g.Children[0].Name != "prepare" || g.Children[1].Name != "eval" ||
@@ -337,121 +399,134 @@ func TestClusterStitchedTraceShape(t *testing.T) {
 			t.Fatalf("worker subtree of %s is not exactly worker → prepare, eval", g.Worker)
 		}
 	}
-
-	// Each worker's own table for its part, summed row by row.
-	var sum []obs.CostRow
-	for i, part := range cluster.Partition(l.WIDs(), 2) {
-		req := cluster.WorkerQueryRequest{Log: "chaos", Plan: fan.Trace.Plan, WIDMin: &part.MinWID, WIDMax: &part.MaxWID,
-			Self: f.urls[i], Strategy: "naive", Trace: true}
-		reqBody, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		f.wsrv[i].Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(string(reqBody))))
-		var resp cluster.WorkerQueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
-			t.Fatalf("worker %d: status %d, err %v: %s", i, rec.Code, err, rec.Body)
-		}
-		if sum == nil {
-			sum = resp.CostTable
-			continue
-		}
-		for j, row := range resp.CostTable {
-			sum[j].N1 += row.N1
-			sum[j].N2 += row.N2
-			sum[j].Comparisons += row.Comparisons
-			sum[j].Outputs += row.Outputs
-			sum[j].Predicted += row.Predicted
-			sum[j].Evals += row.Evals
-			sum[j].MemoHits += row.MemoHits
-		}
-	}
-	if !reflect.DeepEqual(fan.Trace.CostTable, sum) {
-		t.Fatalf("fleet cost table\n%+v\nis not the row-wise sum of the worker tables\n%+v", fan.Trace.CostTable, sum)
+	if !reflect.DeepEqual(fan.Trace.CostTable, one.Trace.CostTable) {
+		t.Fatalf("fleet cost table\n%+v\nis not the single node's\n%+v", fan.Trace.CostTable, one.Trace.CostTable)
 	}
 }
 
-// TestClusterWorkerTraceEndpoint covers the worker side of propagation in
-// isolation: adopting the traceparent id, stamping its own attribution,
-// returning its stages alone, and minting a fresh id when the header is
-// absent or malformed.
+// TestClusterWorkerTraceEndpoint covers the worker's side of a traced
+// fan-out. The worker returns its own two stages' timings and the scan's
+// counters, nothing of a trace, whatever a request from a coordinator of
+// before counters carried (a "trace" flag and a traceparent header); the
+// coordinator puts each reply's stages under the trace id it minted for the
+// query and the transport span that carried it, attributed to the worker.
 func TestClusterWorkerTraceEndpoint(t *testing.T) {
 	l := chaosLog(t, 16, 2)
-	s, _ := startWorker(t, "chaos", l)
-	h := s.Handler()
-	const self = "http://w1"
-	lo, hi := uint64(1), uint64(8)
-	base := cluster.WorkerQueryRequest{
-		Log: "chaos", Plan: "A -> B", WIDMin: &lo, WIDMax: &hi,
-		Self: self, Strategy: "naive", Trace: true,
-	}
-	post := func(t *testing.T, req cluster.WorkerQueryRequest, traceparent string) cluster.WorkerQueryResponse {
-		t.Helper()
-		body, err := json.Marshal(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(string(body)))
-		if traceparent != "" {
-			r.Header.Set(obs.TraceparentHeader, traceparent)
-		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, r)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rec.Code, rec.Body)
-		}
-		var resp cluster.WorkerQueryResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	const plan = "(A -> B) | (B & A)"
+	p := pattern.MustParse(plan)
 
 	t.Run("adopts the propagated trace id", func(t *testing.T) {
-		tid, sid := obs.NewTraceID(), obs.NewSpanID()
-		resp := post(t, base, obs.FormatTraceparent(tid, sid))
-		if resp.TraceID != tid {
-			t.Fatalf("worker answered under trace %q, sent %q", resp.TraceID, tid)
+		f := newClusterFixture(t, 2, "chaos", l, nil, nil)
+		var got queryResponse
+		body := fmt.Sprintf(`{"log":"chaos","query":%q,"strategy":"naive","trace":true}`, plan)
+		if rec := postQuery(t, f.coord.Handler(), body, &got); rec.Code != http.StatusOK || got.Trace == nil {
+			t.Fatalf("status %d, want 200 with a trace: %s", rec.Code, rec.Body)
 		}
-		if resp.Spans == nil {
-			t.Fatal("no span tree in the response")
-		}
-		if resp.Spans.Attrs["parent_span_id"] != sid {
-			t.Fatalf("parent_span_id = %v, sent %q", resp.Spans.Attrs["parent_span_id"], sid)
-		}
-		walkSpans(resp.Spans, func(sp *obs.Span) {
-			if sp.Worker != self {
-				t.Fatalf("span %q attributed to %q, want %q", sp.Name, sp.Worker, self)
+		tr := got.Trace
+		for _, url := range f.urls {
+			transports := findSpans(tr.Spans, func(sp *obs.Span) bool {
+				return sp.Name == "transport" && len(findSpans(sp, func(c *obs.Span) bool { return c.Name == "worker" && c.Worker == url })) == 1
+			})
+			if len(transports) != 1 {
+				t.Fatalf("%s: %d transport spans carrying its subtree, want 1", url, len(transports))
 			}
-		})
-		if len(resp.CostTable) == 0 {
-			t.Fatal("no cost table on a traced worker response")
-		}
-		for _, row := range resp.CostTable {
-			if row.Op != "atom" && row.Comparisons > row.Predicted {
-				t.Errorf("%s: worker measured %d > predicted %d under naive",
-					row.Node, row.Comparisons, row.Predicted)
+			sub := transports[0].Children[0]
+			if sub.Attrs["trace_id"] != tr.TraceID {
+				t.Fatalf("%s: subtree under trace %v, the query's is %s", url, sub.Attrs["trace_id"], tr.TraceID)
 			}
+			if sid := transports[0].Attrs["span_id"]; sid == nil || sub.Attrs["parent_span_id"] != sid {
+				t.Fatalf("%s: parent_span_id = %v, the transport span's id is %v", url, sub.Attrs["parent_span_id"], sid)
+			}
+			walkSpans(sub, func(sp *obs.Span) {
+				if sp.Worker != url {
+					t.Fatalf("span %q attributed to %q, want %q", sp.Name, sp.Worker, url)
+				}
+			})
 		}
 	})
 	t.Run("mints a fresh id on a malformed header", func(t *testing.T) {
-		for _, header := range []string{"", "not-a-traceparent"} {
-			resp := post(t, base, header)
-			if len(resp.TraceID) != 32 {
-				t.Fatalf("header %q: trace id %q, want a freshly minted 32-hex id", header, resp.TraceID)
+		f := newClusterFixture(t, 2, "chaos", l, nil, nil)
+		seen := make(map[string]bool)
+		for _, header := range []string{"", "not-a-traceparent", "00-" + obs.NewTraceID() + "-" + obs.NewSpanID() + "-01"} {
+			body := fmt.Sprintf(`{"log":"chaos","query":%q,"trace":true}`, plan)
+			r := httptest.NewRequest(http.MethodPost, "/v1/query", strings.NewReader(body))
+			if header != "" {
+				r.Header.Set("Traceparent", header)
+			}
+			rec := httptest.NewRecorder()
+			f.coord.Handler().ServeHTTP(rec, r)
+			var got queryResponse
+			if rec.Code != http.StatusOK {
+				t.Fatalf("header %q: status %d: %s", header, rec.Code, rec.Body)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.Trace == nil {
+				t.Fatalf("header %q: no trace (%v): %s", header, err, rec.Body)
+			}
+			id := got.Trace.TraceID
+			if len(id) != 32 || seen[id] || (header != "" && strings.Contains(header, id)) {
+				t.Fatalf("header %q: trace id %q, want a freshly minted 32-hex id", header, id)
+			}
+			seen[id] = true
+			for _, sub := range findSpans(got.Trace.Spans, func(sp *obs.Span) bool { return sp.Name == "worker" }) {
+				if sub.Attrs["trace_id"] != id {
+					t.Fatalf("header %q: worker subtree under trace %v, want %s", header, sub.Attrs["trace_id"], id)
+				}
 			}
 		}
 	})
 	t.Run("returns its stages alone", func(t *testing.T) {
-		resp := post(t, base, obs.FormatTraceparent(obs.NewTraceID(), obs.NewSpanID()))
-		var names []string
-		walkSpans(resp.Spans, func(sp *obs.Span) { names = append(names, sp.Name) })
-		if strings.Join(names, ",") != "worker,prepare,eval" {
-			t.Fatalf("worker span tree %v, want worker → prepare, eval", names)
+		s, _ := startWorker(t, "chaos", l)
+		lo, hi := uint64(1), uint64(8)
+		entry, err := s.lookup("chaos")
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := pattern.Size(pattern.MustParse(base.Plan)); len(resp.CostTable) != got {
-			t.Fatalf("%d cost rows, want one per plan node (%d)", len(resp.CostTable), got)
+		src := entry.pin()
+		var owned []uint64
+		for _, wid := range src.WIDs() {
+			if wid >= lo && wid <= hi {
+				owned = append(owned, wid)
+			}
+		}
+		for _, mode := range []string{"incidents", "instances", "count"} {
+			shape, err := eval.ParseShape(mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meter := eval.NewMeter(p)
+			if _, err := eval.New(src, eval.Options{Strategy: eval.StrategyNaive, Meter: meter}).ServeCtx(context.Background(), p, owned, 1, shape, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, old := range []bool{false, true} {
+				body := fmt.Sprintf(`{"log":"chaos","plan":%q,"wid_min":%d,"wid_max":%d,"self":"http://w1","mode":%q,"strategy":"naive"`, plan, lo, hi, mode)
+				if old {
+					body += `,"trace":true`
+				}
+				r := httptest.NewRequest(http.MethodPost, "/v1/worker/query", strings.NewReader(body+`}`))
+				if old {
+					r.Header.Set("Traceparent", "00-"+obs.NewTraceID()+"-"+obs.NewSpanID()+"-01")
+				}
+				rec := httptest.NewRecorder()
+				s.Handler().ServeHTTP(rec, r)
+				if rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d: %s", mode, rec.Code, rec.Body)
+				}
+				for _, gone := range []string{`"trace_id"`, `"spans"`, `"cost_table"`} {
+					if strings.Contains(rec.Body.String(), gone) {
+						t.Fatalf("%s: the reply carries %s: %s", mode, gone, rec.Body)
+					}
+				}
+				var resp cluster.WorkerQueryResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Ops) != pattern.Size(p) || !reflect.DeepEqual(resp.Ops, meter.Ops()) {
+					t.Fatalf("%s: ops %v, want a local meter's over the same wids, one row per plan node: %v", mode, resp.Ops, meter.Ops())
+				}
+				if resp.PrepareUS < 0 || resp.EvalUS < 0 || resp.PrepareUS > resp.ElapsedUS || resp.EvalUS > resp.ElapsedUS {
+					t.Fatalf("%s: prepare %dµs, eval %dµs, elapsed %dµs: want each within [0, elapsed]", mode, resp.PrepareUS, resp.EvalUS, resp.ElapsedUS)
+				}
+			}
 		}
 	})
 }

@@ -20,12 +20,17 @@ import (
 // the answer came about. Regenerate with
 // `go test ./internal/server -run Golden -update`.
 
-// elapsedRE (respond_test.go) masks the one timing in a response; an
-// excluded instance's cause names a random incident id.
-var incidentIDRE = regexp.MustCompile(`incident [0-9A-Za-z-]+`)
+// elapsedRE (respond_test.go) masks the one timing in a response, and
+// stageRE a worker reply's two stage timings besides; an excluded instance's
+// cause names a random incident id.
+var (
+	stageRE      = regexp.MustCompile(`"(prepare|eval)_us":\d+`)
+	incidentIDRE = regexp.MustCompile(`incident [0-9A-Za-z-]+`)
+)
 
 func maskVolatile(body []byte) string {
 	body = elapsedRE.ReplaceAll(body, []byte(`"elapsed_us":0`))
+	body = stageRE.ReplaceAll(body, []byte(`"${1}_us":0`))
 	return string(incidentIDRE.ReplaceAll(body, []byte("incident ID")))
 }
 

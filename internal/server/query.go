@@ -139,8 +139,7 @@ type execution struct {
 	// instances under "partial": true (nil otherwise).
 	comp *cluster.Completeness
 	// fan is a distributed run's fan-out (nil for a local one): the
-	// per-worker summary, the fleet-aggregated Lemma 1 table (workers
-	// measured, coordinator summed) and the propagated trace id.
+	// per-worker summary and the trace id of its stitched subtrees.
 	fan *cluster.Fanout
 }
 
@@ -159,8 +158,9 @@ func (s *Server) newExecutor() executor {
 				x.fan = new(cluster.Fanout)
 				x.res, x.comp, *x.fan, x.err = s.coord.Answer(ctx, log, plan, shape, cluster.ExecOptions{
 					WIDs:     src.WIDs(),
-					Strategy: opts.Strategy.String(),
+					Strategy: opts.Strategy,
 					Budget:   opts.Budget,
+					Meter:    opts.Meter,
 				}, &x.stats)
 				return x
 			},
@@ -631,16 +631,13 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	// evaluation's capture still carries the partial cost table — every
 	// operator that completed before the abort is accounted, which is
 	// usually exactly what explains the failure. On a distributed run the
-	// workers measured and the local meter is empty, so the fleet table
-	// stands in (it reflects only merged, complete worker answers).
-	var costTable []obs.CostRow
+	// workers measured and the coordinator added their counters into meter:
+	// it is the fleet's, over the merged worker answers alone.
 	traceID := ""
 	if x.fan != nil {
-		costTable, traceID = x.fan.CostTable, x.fan.TraceID
+		traceID = x.fan.TraceID
 	}
-	if len(costTable) == 0 {
-		costTable = obs.CostTable(meter)
-	}
+	costTable := obs.CostTable(meter)
 	s.metrics.recordCostTable(costTable)
 	q.capture.Trace = q.queryTrace(costTable, traceID)
 

@@ -10,7 +10,6 @@ import (
 	"wlq/internal/cluster"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/pattern"
-	"wlq/internal/obs"
 )
 
 // The worker side of the cluster tier (Config.WorkerMode): one endpoint,
@@ -20,13 +19,13 @@ import (
 // evaluating the coordinator's already-optimized plan verbatim against the
 // wids of its local backend inside the interval the request names, and
 // answering in the request's mode: the incidents, the wids that have one, or
-// only how many there are. Workers do not rewrite, cache, record flights, or
-// flush statistics for coordinator traffic — the coordinator owns the query
-// lifecycle; a worker is a remote failure domain with an evaluator,
-// deliberately thin. When the request asks for tracing the worker does run
-// an obs.Trace (under the coordinator's propagated trace id) and ships the
-// span tree and cost table back, but the measurements are the coordinator's
-// to act on.
+// only how many there are. Workers do not rewrite, cache, record flights,
+// trace, or flush statistics for coordinator traffic — the coordinator owns
+// the query lifecycle; a worker is a remote failure domain with an evaluator,
+// deliberately thin. Every reply carries the same small envelope whatever was
+// asked: the scan's per-node counters and the request's stage timings, from
+// which the coordinator builds the fleet cost table and, on a traced query,
+// the worker's subtree.
 
 // handleWorkerQuery serves one worker's part of a distributed
 // query: the query pipeline's admit stage, a prepare stage in place of
@@ -63,22 +62,6 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, errorDoc{Error: "malformed worker request: " + err.Error()})
 		return
 	}
-	// Distributed tracing: when the coordinator asks, run the evaluation
-	// under an obs.Trace adopting the propagated trace id and return the
-	// span tree + Lemma 1 cost table in the response.
-	var (
-		tr    *obs.Trace
-		meter *eval.Meter
-	)
-	if req.Trace {
-		tr = obs.NewTrace("worker")
-		if tid, psid, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-			tr.SetID(tid)
-			tr.Root().SetAttr("parent_span_id", psid)
-		}
-		tr.Root().SetAttr("trace_id", tr.ID())
-	}
-	prep := tr.StartSpan("prepare")
 	entry, err := s.lookup(req.Log)
 	if err != nil {
 		fail(http.StatusNotFound, errorDoc{Error: err.Error()})
@@ -99,9 +82,6 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		fail(http.StatusBadRequest, errorDoc{Error: err.Error()})
 		return
 	}
-	if tr != nil {
-		meter = eval.NewMeter(p)
-	}
 	// A request without its interval must not read as "evaluate everything".
 	if req.WIDMin == nil || req.WIDMax == nil || *req.WIDMin > *req.WIDMax {
 		fail(http.StatusBadRequest, errorDoc{Error: "worker request needs wid_min <= wid_max"})
@@ -118,14 +98,12 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		hi++
 	}
 	owned := wids[lo:hi]
-	prep.SetAttr("wids_owned", len(owned))
-	prep.End()
 
+	prepared := time.Now()
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	ctx = obs.WithTrace(ctx, tr)
+	meter := eval.NewMeter(p)
 	opts := eval.Options{Strategy: strategy, Meter: meter, Budget: req.Budget.Budget()}
-	esp := tr.StartSpan("eval")
 	// One goroutine evaluates the owned wids serially: the fleet is the
 	// query's parallelism. A worker answers all or nothing — an excluded
 	// instance fails its part, which the coordinator retries or reports lost.
@@ -134,14 +112,15 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		x.res, x.err = served(a), a.Strict(err)
 		return x
 	})
-	esp.End()
+	evaluated := time.Now()
 	if x.err != nil {
 		_, code, doc := s.evalFailure(x.err, false, s.cfg.Timeout, entry.name, req.Plan)
 		fail(code, doc)
 		return
 	}
 	reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances,
-		Count: x.res.Count, ElapsedUS: time.Since(started).Microseconds()}
+		Count: x.res.Count, ElapsedUS: time.Since(started).Microseconds(),
+		PrepareUS: prepared.Sub(started).Microseconds(), EvalUS: evaluated.Sub(prepared).Microseconds(), Ops: meter.Ops()}
 	// The answer array of the mode; a count has none.
 	var array []byte
 	switch shape {
@@ -149,17 +128,6 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 		array = x.res.Incidents
 	case eval.ShapeInstances:
 		array = appendUints(nil, x.res.WIDs)
-	}
-	if tr != nil {
-		esp.SetAttr("instances", x.stats.Instances)
-		esp.SetAttr("incidents", x.res.Count)
-		esp.SetAttr("answer", answerPath(p, shape, strategy))
-		tr.End()
-		root := tr.Root()
-		obs.StampWorker(root, req.Self)
-		reply.TraceID = tr.ID()
-		reply.Spans = root
-		reply.CostTable = obs.CostTable(meter)
 	}
 	if err := cluster.WriteReply(w, shape, array, &reply); err != nil {
 		fail(http.StatusInternalServerError, errorDoc{Error: "encode response: " + err.Error()})
