@@ -174,9 +174,13 @@ func (s *Store) Position(wid uint64) (int, bool) {
 	return slices.BinarySearch(s.widList, wid)
 }
 
-// InstanceLenAt returns the number of records of the instance at the
-// position.
-func (s *Store) InstanceLenAt(pos int) int { return int(s.dir[pos].n) }
+// Row returns the posting row of the instance at the position: zero-copy,
+// capacity-clipped slices of its chunk's columns. Callers must not modify
+// it.
+func (s *Store) Row(pos int) eval.Row {
+	l := &s.dir[pos]
+	return l.row(s.chunks[l.chunk])
+}
 
 // InstanceTail returns the is-lsn of the instance's last record and whether
 // that record is its END (0 and false when the wid is absent): what
@@ -248,30 +252,21 @@ func (s *Store) ResolveActivity(name string) (int32, bool) {
 	return s.syms.Resolve(name)
 }
 
-// PostingsAt returns the is-lsn values (ascending) of the records carrying
-// the symbol of the instance at the position: a zero-copy, capacity-clipped
-// slice of its group. Callers must not modify it.
-func (s *Store) PostingsAt(pos int, sym int32) []uint64 {
-	l := &s.dir[pos]
-	return l.postings(s.chunks[l.chunk], sym)
+// row is the instance's posting row in its chunk: its records' slice of
+// post, its offset row, and in the sparse layout its symbols.
+func (l *loc) row(c *chunk) eval.Row {
+	lo, hi := int(l.lo), int(l.lo+l.n)
+	r := eval.Row{Post: c.post[lo:hi:hi], Off: c.off[l.off : l.off+l.rows+1 : l.off+l.rows+1]}
+	if l.syms >= 0 {
+		r.Syms = c.rsyms[l.syms : l.syms+l.rows : l.syms+l.rows]
+	}
+	return r
 }
 
-// postings is the instance's group of the symbol, by two loads in the dense
-// layout and a binary search in the sparse one; nil when it has none.
+// postings is the instance's group of the symbol; nil when it has none.
 func (l *loc) postings(c *chunk, sym int32) []uint64 {
-	i := int(sym)
-	if l.syms >= 0 {
-		var ok bool
-		if i, ok = slices.BinarySearch(c.rsyms[l.syms:l.syms+l.rows], sym); !ok {
-			return nil
-		}
-	}
-	if uint(i) >= uint(l.rows) {
-		return nil
-	}
-	off := c.off[int(l.off)+i:]
-	lo, hi := int(l.lo)+int(off[0]), int(l.lo)+int(off[1])
-	return c.post[lo:hi:hi]
+	r := l.row(c)
+	return r.Postings(sym)
 }
 
 // appendSyms appends the symbols the instance's records carry, ascending.

@@ -123,10 +123,12 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 		if rok != cok || rok && rp != cp {
 			t.Errorf("Position(%d): row %d, %v; columnar %d, %v", wid, rp, rok, cp, cok)
 		}
-		if rok && cok && ix.InstanceLenAt(rp) != cs.InstanceLenAt(cp) {
-			t.Errorf("InstanceLenAt(%d): row %d, columnar %d", rp, ix.InstanceLenAt(rp), cs.InstanceLenAt(cp))
-		}
 		ri, ci := ix.Instance(wid), cs.Instance(wid)
+		if rok && cok {
+			if rr, cr := ix.Row(rp), cs.Row(cp); rr.Len() != len(ri) || cr.Len() != len(ri) {
+				t.Errorf("Row(%d).Len(): row %d, columnar %d; the instance has %d records", rp, rr.Len(), cr.Len(), len(ri))
+			}
+		}
 		if len(ri) != len(ci) {
 			t.Fatalf("Instance(%d): row %d records, columnar %d", wid, len(ri), len(ci))
 		}
@@ -142,9 +144,17 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 				t.Errorf("Record(%d,%d): row (%v,%v), columnar (%v,%v)", wid, seq, rr, rok, cr, cok)
 			}
 		}
+		// Each row's posting list of an activity is the is-lsns of the
+		// instance's records carrying it, read off the decoded records.
 		for _, act := range acts {
-			if rs, css := seqsOf(ix, wid, act), seqsOf(cs, wid, act); len(rs) != len(css) || (len(rs) > 0 && !reflect.DeepEqual(rs, css)) {
-				t.Errorf("postings(%d,%q): row %v, columnar %v", wid, act, rs, css)
+			var want []uint64
+			for _, r := range ri {
+				if r.Activity == act {
+					want = append(want, r.Seq)
+				}
+			}
+			if rs, css := seqsOf(ix, wid, act), seqsOf(cs, wid, act); !slices.Equal(rs, want) || !slices.Equal(css, want) {
+				t.Errorf("postings(%d,%q): row %v, columnar %v; the records say %v", wid, act, rs, css, want)
 			}
 		}
 	}
@@ -171,14 +181,16 @@ func assertSourcesAgree(t *testing.T, ix *eval.Index, cs *Store, l *wlog.Log) {
 	}
 }
 
-// seqsOf is the source's posting list of the activity in the instance.
+// seqsOf is the source's posting list of the activity in the instance,
+// read from the instance's row.
 func seqsOf(src eval.Source, wid uint64, act string) []uint64 {
 	sym, ok := src.ResolveActivity(act)
 	pos, in := src.Position(wid)
 	if !ok || !in {
 		return nil
 	}
-	return src.PostingsAt(pos, sym)
+	row := src.Row(pos)
+	return row.Postings(sym)
 }
 
 // assertInstancePostings holds the store's instance postings, per symbol,
@@ -217,17 +229,18 @@ func TestSymbolicLookups(t *testing.T) {
 	if !ok {
 		t.Fatal("Position(1) not found")
 	}
-	if got := cs.PostingsAt(pos, sym); !reflect.DeepEqual(got, []uint64{2, 4, 5}) {
-		t.Errorf("PostingsAt(1, A) = %v, want [2 4 5]", got)
+	row := cs.Row(pos)
+	if got := row.Postings(sym); !reflect.DeepEqual(got, []uint64{2, 4, 5}) {
+		t.Errorf("Row(1).Postings(A) = %v, want [2 4 5]", got)
 	}
 	if _, ok := cs.Position(999); ok {
 		t.Error("Position found an absent wid")
 	}
-	if got := cs.PostingsAt(pos, -1); got != nil {
-		t.Errorf("PostingsAt on negative symbol = %v, want nil", got)
+	if got := row.Postings(-1); got != nil {
+		t.Errorf("Postings on negative symbol = %v, want nil", got)
 	}
-	if got := cs.PostingsAt(pos, int32(len(cs.Activities()))); got != nil {
-		t.Errorf("PostingsAt on out-of-range symbol = %v, want nil", got)
+	if got := row.Postings(int32(len(cs.Activities()))); got != nil {
+		t.Errorf("Postings on out-of-range symbol = %v, want nil", got)
 	}
 	if got := cs.InstancesWith(sym); !reflect.DeepEqual(got, []int32{0, 1}) {
 		t.Errorf("InstancesWith(A) = %v, want [0 1]", got)

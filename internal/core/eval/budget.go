@@ -23,14 +23,15 @@ import (
 //   - result bytes: checked between workflow instances as each instance's
 //     incidents are produced.
 //   - wall time: a deadline on the scan's context (cause errWallTime), the
-//     one clock the evaluator reads. The context is polled between
-//     instances and, at the same CheckInterval stride, inside every join;
-//     scan reports a stop with that cause as the wall-time *BudgetError.
+//     one clock the evaluator reads. Its end sets the scan's stop flag,
+//     read between instances, and it is polled at the same CheckInterval
+//     stride inside every join; scan reports a stop with that cause as the
+//     wall-time *BudgetError.
 //
 // Deep inside a join there is no error return path (Algorithm 1's loops
 // produce slices, not errors), so a tripped limit or a done context aborts
-// by panicking with a budgetAbort, which safeInstance converts back into its
-// error at the instance boundary. The panic never escapes the evaluator.
+// by panicking with a budgetAbort, which the run's recover (scan) converts
+// back into its error. The panic never escapes the evaluator.
 //
 // Every entry point runs the same scan (parallel.go), so every one enforces
 // Options.Budget; those without an error result panic with the *BudgetError,
@@ -127,11 +128,12 @@ func (bs *budgetState) addResult(incs []incident.Incident) error {
 }
 
 // evalHook, when set, is called once per instance evaluation, before any
-// join work for that instance. It is a
+// join work for that instance, inside the run's recover. It is a
 // deterministic fault-injection seam: internal/faultinject builds hooks
 // that panic on the Nth call or stall, and the chaos tests assert the
-// service degrades instead of dying. Production code never sets it; the
-// cost when unset is one atomic load per instance.
+// service degrades instead of dying. A scan loads it once per run; an
+// answer from the statistics (fromStatistics) evaluates no instance and
+// calls it for none. Production code never sets it.
 var evalHook atomic.Pointer[func(wid uint64)]
 
 // SetEvalHook installs (or, with nil, removes) the per-instance evaluation
@@ -142,31 +144,4 @@ func SetEvalHook(h func(wid uint64)) {
 		return
 	}
 	evalHook.Store(&h)
-}
-
-// safeInstance evaluates one instance — counting it when counted, enumerating
-// its incidents into sc otherwise — under the worker isolation boundary:
-// a budgetAbort panic becomes the error it carries, any other panic — a
-// genuine bug, or an injected fault — becomes a *resilience.PanicError with
-// an incident id and the captured stack. One poisoned instance evaluation
-// excludes that instance from one answer; the rest of the scan, the process,
-// and the other queries in flight keep going.
-func (e *Evaluator) safeInstance(sc *scratch, counted bool, wid uint64, pos int, bs *budgetState) (n int, incs []incident.Incident, err error) {
-	defer func() {
-		switch r := recover().(type) {
-		case nil:
-		case budgetAbort:
-			n, incs, err = 0, nil, r.err
-		default:
-			n, incs, err = 0, nil, resilience.NewPanicError(r)
-		}
-	}()
-	if h := evalHook.Load(); h != nil {
-		(*h)(wid)
-	}
-	if counted {
-		return e.countInstance(sc, pos, bs), nil, nil
-	}
-	incs = e.evalInstance(sc, wid, pos, bs)
-	return len(incs), incs, nil
 }

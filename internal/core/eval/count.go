@@ -93,6 +93,69 @@ func (prog program) counted(shape Shape, strategy Strategy) bool {
 	return shape != ShapeIncidents && strategy != StrategyNaive && prog[len(prog)-1].class != uncountable
 }
 
+// fromStatistics reports whether a scan of the program over wids is
+// answered from the source's statistics, reading no instance: a lone
+// unguarded atom, counted, over the source's whole wid list, not stopping
+// at the first hit. By Definition 4 each of its records is one incident, so
+// its count is ActivityCount (TotalRecords less that when negated) and its
+// instances are instance postings. A guard reads attributes, any other
+// list (a worker's interval, the monitor's touched wids) has no statistic,
+// and neither has an operator's Lemma 1 prediction, so those scan.
+func (e *Evaluator) fromStatistics(prog program, wids []uint64, counted, first bool) bool {
+	all := e.src.WIDs()
+	return counted && !first && len(prog) == 1 && len(prog[0].atom.Guards) == 0 &&
+		len(wids) == len(all) && len(all) > 0 && &wids[0] == &all[0]
+}
+
+// statistics is the answer of the lone atom st over the source's whole wid
+// list (fromStatistics), as the chunk of a one-goroutine scan: its count,
+// and under ShapeInstances the instances with a matching record. A
+// positive atom's are its instance postings; a negated atom's those with a
+// record of another activity, the union of every other activity's. The
+// meter is filled as the scan would fill it: an atom's every counter is
+// linear, so its evaluations are the candidate instances and its
+// comparisons, outputs and prediction the count.
+func (e *Evaluator) statistics(st *step, wids []uint64, shape Shape) (c chunk) {
+	a := st.atom
+	n := e.src.ActivityCount(a.Activity)
+	c.instances = len(wids)
+	evals := len(wids)
+	if !a.Negated {
+		var at []int32
+		if st.hasSym {
+			at = e.src.InstancesWith(st.sym)
+		}
+		c.incidents, evals = n, len(at)
+		if shape == ShapeInstances {
+			c.wids = make([]uint64, len(at))
+			for k, pos := range at {
+				c.wids[k] = wids[pos]
+			}
+		}
+	} else {
+		c.incidents = e.src.TotalRecords() - n
+		if shape == ShapeInstances {
+			hit := make([]uint64, (len(wids)+63)/64) // a bit per position
+			for _, name := range e.src.Activities() {
+				if sym, _ := e.src.ResolveActivity(name); name != a.Activity {
+					for _, pos := range e.src.InstancesWith(sym) {
+						hit[pos/64] |= 1 << (pos % 64)
+					}
+				}
+			}
+			c.wids = make([]uint64, 0, len(wids))
+			for pos, wid := range wids {
+				if hit[pos/64]&(1<<(pos%64)) != 0 {
+					c.wids = append(c.wids, wid)
+				}
+			}
+		}
+	}
+	k := uint64(c.incidents)
+	st.nm.add(&nodeTally{evals: uint64(evals), comparisons: k, outputs: k, predicted: k})
+	return c
+}
+
 // Counted reports whether the evaluator answers the plan in the given shape
 // without building an incident (see the classification above) — what the
 // query service puts on its eval span and in /v1/explain.
@@ -130,7 +193,7 @@ type summary struct {
 // wall-time budget and the caller's deadline bound a pathological count;
 // there is no produced incident for the outputs and result-size budgets to
 // bound.
-func (e *Evaluator) countInstance(c *scratch, pos int, bs *budgetState) int {
+func (e *Evaluator) countInstance(c *scratch, row *Row, pos int, bs *budgetState) int {
 	for i := range c.prog {
 		st, sc := &c.prog[i], &c.steps[i]
 		switch {
@@ -140,7 +203,7 @@ func (e *Evaluator) countInstance(c *scratch, pos int, bs *budgetState) int {
 				sc.tally.memoHits++
 			}
 		case st.atom != nil:
-			seqs, candidates := e.atomSeqs(st, pos, &sc.pos)
+			seqs, candidates := e.atomSeqs(st, row, pos, &sc.pos)
 			sc.val.n, sc.val.pos = uint64(len(seqs)), seqs
 			if st.nm != nil {
 				sc.tally.recordAtom(candidates, len(seqs))

@@ -242,11 +242,12 @@ func (sc *scratch) flush() {
 }
 
 // evalInstance is Algorithm 2 restricted to one workflow instance, the one
-// at the position pos of the source: one pass over the program, each step's
+// at the position pos of the source, whose posting row every atom reads:
+// one pass over the program, each step's
 // normalized incidents written into its own buffer in sc. It returns the
 // root's, which live in sc and the source's postings until the next instance
 // starts.
-func (e *Evaluator) evalInstance(sc *scratch, wid uint64, pos int, bs *budgetState) []incident.Incident {
+func (e *Evaluator) evalInstance(sc *scratch, row *Row, wid uint64, pos int, bs *budgetState) []incident.Incident {
 	sc.seqs.Reset()
 	for i := range sc.prog {
 		st, ss := &sc.prog[i], &sc.steps[i]
@@ -257,7 +258,7 @@ func (e *Evaluator) evalInstance(sc *scratch, wid uint64, pos int, bs *budgetSta
 				ss.tally.memoHits++
 			}
 		case st.atom != nil:
-			ss.incs = e.evalAtom(st, ss, wid, pos)
+			ss.incs = e.evalAtom(st, ss, row, wid, pos)
 		default:
 			left, right := sc.steps[st.left].incs, sc.steps[st.right].incs
 			var cnt *opCount // nil: nothing to tally or poll
@@ -314,29 +315,23 @@ func (e *Evaluator) applyOp(op pattern.Op, out, left, right []incident.Incident,
 	}
 }
 
-// postings answers an atom's is-lsn list from the source, by symbol.
-func (e *Evaluator) postings(st *step, pos int) []uint64 {
-	if !st.hasSym {
-		return nil // activity absent from the log
-	}
-	return e.src.PostingsAt(pos, st.sym)
-}
-
-// atomSeqs answers an atomic pattern from the backend as the ascending
-// is-lsn list of the instance's matching records: for a positive pattern the
-// activity's posting list; for a negated pattern its complement within the
-// instance (valid logs have dense is-lsn 1..n, so the complement is a linear
-// merge, not a scan of record contents). Guards, when present, filter the
-// matching records (extension) — the only case that reads a record's
-// attributes, in place (guarded).
-// candidates is the number of positions the guards were put to. The list is
-// the backend's own slice, which the evaluator's atom incidents are views of,
-// or lives in *buf, which is reused from instance to instance.
-func (e *Evaluator) atomSeqs(st *step, pos int, buf *[]uint64) (seqs []uint64, candidates int) {
+// atomSeqs answers an atomic pattern from the instance's posting row as the
+// ascending is-lsn list of the instance's matching records: for a positive
+// pattern the activity's posting list; for a negated pattern its complement
+// within the instance (valid logs have dense is-lsn 1..n, so the complement
+// is a linear merge, not a scan of record contents). Guards, when present,
+// filter the matching records (extension) — the only case that reads a
+// record's attributes, in place (guarded), from the instance at the
+// position. candidates is the number of positions the guards were put to.
+// The list is the row's own slice, which the evaluator's atom incidents are
+// views of, or lives in *buf, which is reused from instance to instance.
+func (e *Evaluator) atomSeqs(st *step, row *Row, pos int, buf *[]uint64) (seqs []uint64, candidates int) {
 	a := st.atom
-	seqs = e.postings(st, pos)
+	if st.hasSym {
+		seqs = row.Postings(st.sym)
+	}
 	if a.Negated {
-		excluded, n := seqs, uint64(e.src.InstanceLenAt(pos))
+		excluded, n := seqs, uint64(row.Len())
 		seqs = slices.Grow((*buf)[:0], int(n)-len(excluded))
 		j := 0
 		for s := uint64(1); s <= n; s++ {
@@ -381,10 +376,10 @@ func (e *Evaluator) guarded(st *step, pos int, seq uint64) bool {
 }
 
 // evalAtom answers an atom as singleton incidents into the step's buffer,
-// each a one-element view of atomSeqs' list: the source's posting list, or
-// the step's own buffer of matches.
-func (e *Evaluator) evalAtom(st *step, ss *stepScratch, wid uint64, pos int) []incident.Incident {
-	seqs, candidates := e.atomSeqs(st, pos, &ss.pos)
+// each a one-element view of atomSeqs' list: the row's posting list, or the
+// step's own buffer of matches.
+func (e *Evaluator) evalAtom(st *step, ss *stepScratch, row *Row, wid uint64, pos int) []incident.Incident {
+	seqs, candidates := e.atomSeqs(st, row, pos, &ss.pos)
 	out := ss.incs[:0]
 	for k := range seqs {
 		out = append(out, incident.Adopt(wid, seqs[k:k+1:k+1]))

@@ -15,17 +15,17 @@ import (
 
 // Index is the access structure Algorithm 2 calls LogRecordsDict: per
 // workflow instance, the records in is-lsn order, plus a per-(instance,
-// activity) list of is-lsn values so atomic patterns are answered without
-// scanning (the "index structure for each workflow id and activity" of
-// Section 3.2). It also keeps global activity frequencies for the
-// cost-based optimizer.
+// activity) list of is-lsn values, kept as the instance's sparse Row, so
+// atomic patterns are answered without scanning (the "index structure for
+// each workflow id and activity" of Section 3.2). It also keeps global
+// activity frequencies for the cost-based optimizer.
 //
 // An Index is immutable once built and safe for concurrent readers. It is
 // the naive oracle's storage: nothing is served from it.
 type Index struct {
 	wids     []uint64
 	inst     map[uint64][]wlog.Record
-	actSeqs  map[uint64]map[string][]uint64
+	rows     []Row // per position, sparse
 	actCount map[string]int
 	names    []string  // distinct activities, sorted; a symbol is a position
 	attrs    []string  // distinct attribute names, sorted; a key is a position
@@ -35,11 +35,7 @@ type Index struct {
 
 // NewEmptyIndex creates an index with no records.
 func NewEmptyIndex() *Index {
-	return &Index{
-		inst:     make(map[uint64][]wlog.Record),
-		actSeqs:  make(map[uint64]map[string][]uint64),
-		actCount: make(map[string]int),
-	}
+	return &Index{inst: make(map[uint64][]wlog.Record), actCount: make(map[string]int)}
 }
 
 // NewIndex builds the index in one pass over the log.
@@ -47,49 +43,48 @@ func NewIndex(l *wlog.Log) *Index {
 	ix := NewEmptyIndex()
 	for i := 0; i < l.Len(); i++ {
 		r := l.Record(i)
-		ix.append(r)
+		if len(ix.inst[r.WID]) == 0 {
+			ix.wids = append(ix.wids, r.WID)
+		}
+		ix.inst[r.WID] = append(ix.inst[r.WID], r)
+		ix.actCount[r.Activity]++
+		ix.total++
 	}
 	ix.sortAll()
 	return ix
 }
 
-// append adds a record without maintaining sort invariants (bulk load).
-func (ix *Index) append(r wlog.Record) {
-	if len(ix.inst[r.WID]) == 0 {
-		ix.wids = append(ix.wids, r.WID)
-	}
-	ix.inst[r.WID] = append(ix.inst[r.WID], r)
-	byAct := ix.actSeqs[r.WID]
-	if byAct == nil {
-		byAct = make(map[string][]uint64)
-		ix.actSeqs[r.WID] = byAct
-	}
-	byAct[r.Activity] = append(byAct[r.Activity], r.Seq)
-	ix.actCount[r.Activity]++
-	ix.total++
-}
-
-// sortAll establishes the order invariants after bulk loading.
+// sortAll establishes the order invariants after bulk loading, and lays
+// out each instance's row and the instance postings.
 func (ix *Index) sortAll() {
 	sort.Slice(ix.wids, func(i, j int) bool { return ix.wids[i] < ix.wids[j] })
 	for _, recs := range ix.inst {
 		sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	}
-	for _, byAct := range ix.actSeqs {
-		for _, seqs := range byAct {
-			sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-		}
-	}
 	for name := range ix.actCount {
 		ix.names = append(ix.names, name)
 	}
 	sort.Strings(ix.names)
+	ix.rows = make([]Row, len(ix.wids))
 	ix.carriers = make([][]int32, len(ix.names))
 	for pos, wid := range ix.wids {
-		for act := range ix.actSeqs[wid] {
-			sym, _ := ix.ResolveActivity(act)
+		bySym := make(map[int32][]uint64)
+		row := &ix.rows[pos]
+		for _, r := range ix.inst[wid] {
+			sym, _ := ix.ResolveActivity(r.Activity)
+			if bySym[sym] == nil {
+				row.Syms = append(row.Syms, sym)
+			}
+			bySym[sym] = append(bySym[sym], r.Seq)
+		}
+		slices.Sort(row.Syms)
+		row.Off = []int32{0}
+		for _, sym := range row.Syms {
+			row.Post = append(row.Post, bySym[sym]...)
+			row.Off = append(row.Off, int32(len(row.Post)))
 			ix.carriers[sym] = append(ix.carriers[sym], int32(pos))
 		}
+		row.Post = slices.Clip(row.Post)
 	}
 	seen := make(map[string]bool)
 	for _, recs := range ix.inst {
@@ -116,9 +111,8 @@ func (ix *Index) Position(wid uint64) (int, bool) {
 	return slices.BinarySearch(ix.wids, wid)
 }
 
-// InstanceLenAt returns the number of records of the instance at the
-// position.
-func (ix *Index) InstanceLenAt(pos int) int { return len(ix.inst[ix.wids[pos]]) }
+// Row returns the instance's row, in the sparse layout.
+func (ix *Index) Row(pos int) Row { return ix.rows[pos] }
 
 // Record returns the record of the instance with the given is-lsn.
 // ok is false when the instance or sequence number is unknown.
@@ -146,11 +140,12 @@ func (ix *Index) Instance(wid uint64) []wlog.Record { return ix.inst[wid] }
 // ActivitySeqs returns the is-lsn values (ascending) of the instance's
 // records whose activity is act. Callers must not modify the result.
 func (ix *Index) ActivitySeqs(wid uint64, act string) []uint64 {
-	byAct := ix.actSeqs[wid]
-	if byAct == nil {
+	pos, ok := ix.Position(wid)
+	sym, known := ix.ResolveActivity(act)
+	if !ok || !known {
 		return nil
 	}
-	return byAct[act]
+	return ix.rows[pos].Postings(sym)
 }
 
 // ResolveActivity maps an activity name to its position among the sorted
@@ -174,12 +169,6 @@ func (ix *Index) AttrAt(pos int, seq uint64, key int32, side predicate.Side) (wl
 		return wlog.Value{}, false
 	}
 	return predicate.Lookup(r, side, ix.attrs[key])
-}
-
-// PostingsAt is ActivitySeqs of the instance at the position and the
-// activity with the symbol, answered from the per-instance map by name.
-func (ix *Index) PostingsAt(pos int, sym int32) []uint64 {
-	return ix.ActivitySeqs(ix.wids[pos], ix.names[sym])
 }
 
 // InstancesWith returns the positions of the instances carrying the

@@ -20,8 +20,8 @@ func TestIndexBasics(t *testing.T) {
 	if pos, ok := ix.Position(1); !ok || pos != 0 {
 		t.Errorf("Position(1) = %d, %v; want 0, true", pos, ok)
 	}
-	if got := ix.InstanceLenAt(0); got != 4 { // START + 3 activities
-		t.Errorf("InstanceLenAt(0) = %d, want 4", got)
+	if row := ix.Row(0); row.Len() != 4 { // START + 3 activities
+		t.Errorf("Row(0).Len() = %d, want 4", row.Len())
 	}
 	if _, ok := ix.Position(99); ok {
 		t.Error("Position(99) found an absent wid")

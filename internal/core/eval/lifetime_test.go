@@ -58,7 +58,7 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 
 		var recs []wlog.Record
 		for i, wid := range cs.WIDs() {
-			recs = append(recs, wlog.Record{LSN: cs.LastLSN() + uint64(i) + 1, WID: wid, Seq: uint64(cs.InstanceLenAt(i)) + 1, Activity: clinic.ActSeeDoctor})
+			recs = append(recs, wlog.Record{LSN: cs.LastLSN() + uint64(i) + 1, WID: wid, Seq: uint64(len(cs.Row(i).Post)) + 1, Activity: clinic.ActSeeDoctor})
 		}
 		grown := cs.Append(recs...)
 		if _, err := eval.New(grown, eval.Options{Strategy: strat}).AnswerCtx(ctx, p, grown.WIDs(), 3, eval.ShapeIncidents, nil); err != nil {
@@ -130,20 +130,22 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 	}
 }
 
-// scribbledSource hands out every posting list as a copy it remembers, so a
-// test can overwrite all of them once the evaluation that read them is over.
+// scribbledSource hands out every posting row with a copy of its posting
+// lists it remembers, so a test can overwrite all of them once the
+// evaluation that read them is over.
 type scribbledSource struct {
 	eval.Source
 	mu     sync.Mutex
 	handed [][]uint64
 }
 
-func (s *scribbledSource) PostingsAt(pos int, sym int32) []uint64 {
-	seqs := slices.Clone(s.Source.PostingsAt(pos, sym))
+func (s *scribbledSource) Row(pos int) eval.Row {
+	row := s.Source.Row(pos)
+	row.Post = slices.Clone(row.Post)
 	s.mu.Lock()
-	s.handed = append(s.handed, seqs)
+	s.handed = append(s.handed, row.Post)
 	s.mu.Unlock()
-	return seqs
+	return row
 }
 
 func (s *scribbledSource) scribble() {

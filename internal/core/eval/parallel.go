@@ -146,7 +146,7 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 // the scan goes on; a cancelled ctx or a tripped budget fails the whole
 // evaluation, never excludes.
 func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
-	return e.answer(ctx, p, wids, workers, shape, nil, stats)
+	return e.scan(ctx, p, wids, workers, shape, nil, stats, false)
 }
 
 // ServeCtx is AnswerCtx for a caller that serves the answer as bytes: the
@@ -157,38 +157,7 @@ func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64
 // to dst: Answer.Wire ("[]" when empty). The other shapes answer as under
 // AnswerCtx and leave dst unused.
 func (e *Evaluator) ServeCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, dst []byte, stats *QueryStats) (Answer, error) {
-	return e.answer(ctx, p, wids, workers, shape, &dst, stats)
-}
-
-// answer is AnswerCtx, and with wire non-nil ServeCtx.
-func (e *Evaluator) answer(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats) (Answer, error) {
-	var (
-		visit func(i, n int) bool
-		hit   []bool // ShapeInstances: per instance
-	)
-	if shape == ShapeInstances {
-		hit = make([]bool, len(wids))
-		visit = func(i, n int) bool { hit[i] = n > 0; return true }
-	}
-	a, err := e.scan(ctx, p, wids, workers, shape, wire, stats, visit)
-	if err != nil {
-		return Answer{}, err
-	}
-	if shape == ShapeInstances {
-		n := 0
-		for _, h := range hit {
-			if h {
-				n++
-			}
-		}
-		a.WIDs = make([]uint64, 0, n)
-		for i, h := range hit {
-			if h {
-				a.WIDs = append(a.WIDs, wids[i])
-			}
-		}
-	}
-	return a, nil
+	return e.scan(ctx, p, wids, workers, shape, &dst, stats, false)
 }
 
 // evalSet is AnswerCtx in the incidents shape, all or nothing, as an
@@ -209,7 +178,7 @@ func (e *Evaluator) Count(p pattern.Node) int {
 
 // CountCtx is Count under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, nil)
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, false)
 	return a.Count, a.Strict(err)
 }
 
@@ -223,47 +192,68 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, func(_, n int) bool { return n == 0 })
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, true)
 	return a.Count > 0, a.Strict(err)
 }
 
+// chunk is what one goroutine of a scan did: instances covered, their
+// incidents (counted, and under ShapeIncidents kept or written), under
+// ShapeInstances the wids of those with an incident, the instances
+// excluded, and the failure that ended it. The first chunk writes into the
+// caller's buffer, after the list's opening bracket; every other one into a
+// pooled buffer (buf) that the join copies it out of.
+type chunk struct {
+	instances, incidents int
+	kept                 *resultArena // under ShapeIncidents, wire nil
+	wire                 []byte       // under ShapeIncidents, wire non-nil
+	buf                  *[]byte
+	wids                 []uint64 // under ShapeInstances
+	excluded             []Exclusion
+	err                  error
+}
+
 // scan is the one loop over workflow instances behind every entry point.
-// It compiles p and resolves each of the given wids to its position in the
-// source once (cover.go), keeping, under StrategyMerge, only the instances
-// the plan's required-atom formula admits; every other instance is covered
-// with an empty share. It then evaluates the kept ones in contiguous,
-// wid-ordered chunks, one per goroutine, on up to workers goroutines (0
-// means GOMAXPROCS; one runs on the caller's). Where the shape needs no
-// incident and the program is countable (count.go), an instance is counted;
-// otherwise its incidents are enumerated. ctx is the scan's one clock: the
-// budget's MaxWallTime is a deadline on it (cause errWallTime, reported as
-// the wall-time *BudgetError), and it is polled before each instance and
-// inside the joins every resilience.CheckInterval comparisons. Before each
-// instance scan also calls the fault hook; the evaluation runs under the
-// safeInstance isolation boundary, so a panic becomes a
-// *resilience.PanicError that excludes the instance, and the scan goes on
-// with the next one; the work limits are checked inside the joins at the
-// same stride and, with the result size, as each instance's incidents are
-// charged to the budget state the goroutines share.
-// visit, when non-nil, then receives the number of incidents of wids[i]; it
-// is called from every goroutine (for distinct i), never for an excluded
-// instance, and ends the scan early, without error, by returning false. A
-// budget trip or a cancelled ctx stops every goroutine and fails the scan;
-// when both happen, the error returned is the higher-ranked (errRank), not
-// whichever lost the race. scan answers with the number of incidents of the
-// instances it covered and the instances it excluded, ascending, and under
-// ShapeIncidents with the incidents themselves: kept (resultArena), or, when
-// wire is non-nil, written as a wire-form list appended to *wire; stats, when
-// non-nil, counts the covered instances too.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats, visit func(i, n int) bool) (Answer, error) {
+// It compiles p. A lone unguarded atom counted over the source's whole wid
+// list is answered from the source's statistics (fromStatistics), reading
+// no instance. Otherwise scan resolves each of the given wids to its
+// position in the source once (cover.go), keeping, under StrategyMerge,
+// only the instances the plan's required-atom formula admits; every other
+// instance is covered with an empty share. It then evaluates the kept ones
+// in contiguous, wid-ordered runs, one per goroutine, on up to workers
+// goroutines (0 means GOMAXPROCS; one runs on the caller's), each
+// instance's atoms reading one posting row (Source.Row). Where the shape
+// needs no incident and the program is countable (count.go), an instance is
+// counted; otherwise its incidents are enumerated.
+//
+// ctx is the scan's one clock: the budget's MaxWallTime is a deadline on it
+// (cause errWallTime, reported as the wall-time *BudgetError). Its end sets
+// the scan's stop flag, which each run reads before each instance; the
+// joins poll it every resilience.CheckInterval comparisons; and each run
+// reads ctx once as it ends, so a done ctx fails the scan with its cause.
+//
+// Each run evaluates its instances under one recover, and calls the fault
+// hook, loaded once per run, before each. A panic becomes a
+// *resilience.PanicError that excludes the instance being evaluated, and
+// the run resumes at the next one under a fresh recover; the work limits
+// are checked inside the joins at the CheckInterval stride and, with the
+// result size, as each instance's incidents are charged to the budget state
+// the goroutines share. With first set, the scan stops, without error, at
+// the first instance with an incident (ExistsCtx). A budget trip or a done
+// ctx stops every goroutine and fails the scan; when both happen, the error
+// returned is the higher-ranked (errRank), not whichever lost the race.
+// A failed scan answers nothing. Otherwise it answers with the number of
+// incidents of the instances it covered and the instances it excluded,
+// ascending; under ShapeInstances with the wids
+// of those that had any, ascending; and under ShapeIncidents with the
+// incidents themselves: kept (resultArena), or, when wire is non-nil,
+// written as a wire-form list appended to *wire. stats, when non-nil,
+// counts the covered instances too.
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats, first bool) (Answer, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	prog := e.compile(p)
-	cv := e.cover(prog, wids)
-	workers = max(1, min(workers, cv.n))
 	counted := prog.counted(shape, e.opts.Strategy)
-	bs := newBudgetState(e.opts.Budget)
 	var started time.Time // when the wall-time budget started
 	if limit := e.opts.Budget.MaxWallTime; limit > 0 {
 		started = time.Now()
@@ -271,117 +261,28 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		ctx, cancel = context.WithDeadlineCause(ctx, started.Add(limit), errWallTime)
 		defer cancel()
 	}
-	var stop atomic.Bool
 
-	// chunk is what one goroutine did: instances covered, their incidents
-	// (counted, and under ShapeIncidents kept or written), the instances
-	// excluded, and the failure that ended it. The first chunk writes into
-	// the caller's buffer, after the list's opening bracket; every other one
-	// into a pooled buffer (buf) that the join copies it out of.
-	type chunk struct {
-		instances, incidents int
-		kept                 *resultArena // under ShapeIncidents, wire nil
-		wire                 []byte       // under ShapeIncidents, wire non-nil
-		buf                  *[]byte
-		excluded             []Exclusion
-		err                  error
-	}
-	one := func(sc *scratch, wid uint64, pos int) (int, []incident.Incident, error) {
-		select {
-		case <-sc.done:
-			return 0, nil, context.Cause(ctx)
-		default:
-		}
-		n, incs, err := e.safeInstance(sc, counted, wid, pos, bs)
-		if err != nil {
-			return 0, nil, err
-		}
-		return n, incs, bs.addResult(incs)
-	}
-	// run evaluates items lo..hi-1, and covers the instances from the first
-	// one's (from the list's start for the first chunk) to the next chunk's.
-	run := func(lo, hi int) (c chunk) {
-		if shape == ShapeIncidents {
-			switch {
-			case wire == nil:
-				c.kept = new(resultArena)
-			case lo == 0:
-				c.wire = append(*wire, '[')
-			default:
-				c.buf = wireBufs.Get().(*[]byte)
-				c.wire = (*c.buf)[:0]
-			}
-		}
-		sc := newScratch(ctx, prog)
-		// Also when the chunk ends in a failure: an abort's partial cost table
-		// includes every completed operator.
-		defer sc.flush()
-		if lo == hi && len(wids) > 0 {
-			// Nothing to evaluate: a cancelled ctx still fails the scan.
-			if c.err = context.Cause(ctx); c.err != nil {
-				return c
-			}
-		}
-		from := 0
-		if lo > 0 {
-			from = cv.bound(lo)
-		}
-		j := lo
-		for ; j < hi && !stop.Load(); j++ {
-			i, pos := cv.item(j)
-			n, incs, err := one(sc, wids[i], pos)
-			if err != nil {
-				if pe, ok := err.(*resilience.PanicError); ok {
-					c.excluded = append(c.excluded, Exclusion{WID: wids[i], Err: pe})
-					continue
-				}
-				c.err = err
-				stop.Store(true)
-				break
-			}
-			c.incidents += n
-			if shape == ShapeIncidents {
-				if c.kept != nil {
-					c.kept.keep(incs)
-				} else {
-					c.wire = incident.AppendWire(c.wire, incs)
-				}
-			}
-			if visit != nil && !visit(i, n) {
-				stop.Store(true)
-			}
-		}
-		// The instances covered are those below the first item not done.
-		c.instances = cv.bound(j) - from - len(c.excluded)
-		return c
-	}
-
-	// Contiguous chunks, one per goroutine: per-instance work is often tiny,
-	// so per-item handoff (a channel send per instance) would dominate.
-	chunks := make([]chunk, workers)
-	if workers == 1 {
-		chunks[0] = run(0, cv.n)
+	var chunks []chunk
+	if e.fromStatistics(prog, wids, counted, first) {
+		workers = 1
+		chunks = []chunk{e.statistics(&prog[0], wids, shape)}
+		chunks[0].err = context.Cause(ctx)
 	} else {
-		var wg sync.WaitGroup
-		size := (cv.n + workers - 1) / workers
-		for lo := 0; lo < cv.n; lo += size {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				chunks[lo/size] = run(lo, min(lo+size, cv.n))
-			}()
-		}
-		wg.Wait()
+		cv := e.cover(prog, wids)
+		workers = max(1, min(workers, cv.n))
+		chunks = make([]chunk, workers)
+		e.runs(ctx, prog, wids, cv, counted, shape, wire, first, chunks)
 	}
 
-	// Chunks are contiguous and in wid order, so their exclusions, and the
-	// blocks or bytes their incidents were kept or written in, concatenate in
-	// wid order; each instance's incidents are normalized, so the
-	// concatenation is the answer in canonical order.
+	// Chunks are contiguous and in wid order, so their exclusions, hits, and
+	// the blocks or bytes their incidents were kept or written in,
+	// concatenate in wid order; each instance's incidents are normalized, so
+	// the concatenation is the answer in canonical order.
 	var (
 		total  chunk
 		blocks [][]incident.Incident // ShapeIncidents: the answer
 		list   = chunks[0].wire      // ShapeIncidents, wire non-nil: the answer
+		hits   = chunks[0].wids      // ShapeInstances: the answer
 	)
 	for i, c := range chunks {
 		total.instances += c.instances
@@ -399,6 +300,9 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 			*c.buf = c.wire[:0]
 			wireBufs.Put(c.buf)
 		}
+		if i > 0 {
+			hits = append(hits, c.wids...)
+		}
 		total.excluded = append(total.excluded, c.excluded...)
 		if errors.Is(c.err, errWallTime) {
 			c.err = &resilience.BudgetError{Dimension: resilience.DimWallTime,
@@ -413,15 +317,146 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		stats.Instances = total.instances
 		stats.Incidents = total.incidents
 	}
-	a := Answer{Count: total.incidents, Excluded: total.excluded}
-	if shape == ShapeIncidents && total.err == nil {
-		if wire == nil {
-			a.Incidents = blocks
-		} else {
-			a.Wire = append(list, ']')
-		}
+	if total.err != nil {
+		return Answer{}, total.err
 	}
-	return a, total.err
+	a := Answer{Count: total.incidents, Excluded: total.excluded}
+	switch {
+	case shape == ShapeInstances:
+		a.WIDs = hits
+		if hits == nil {
+			a.WIDs = []uint64{}
+		}
+	case shape == ShapeIncidents && wire == nil:
+		a.Incidents = blocks
+	case shape == ShapeIncidents:
+		a.Wire = append(list, ']')
+	}
+	return a, nil
+}
+
+// runs evaluates the items of cv in len(chunks) contiguous runs, one per
+// goroutine, the first on the caller's, each into its chunk (scan).
+func (e *Evaluator) runs(ctx context.Context, prog program, wids []uint64, cv cover, counted bool, shape Shape, wire *[]byte, first bool, chunks []chunk) {
+	bs := newBudgetState(e.opts.Budget)
+	// The stop flag: set by a run that fails or, with first, finds an
+	// incident, and by the end of ctx.
+	var stop atomic.Bool
+	if ctx.Done() != nil {
+		if ctx.Err() != nil {
+			stop.Store(true)
+		}
+		defer context.AfterFunc(ctx, func() { stop.Store(true) })()
+	}
+
+	// run evaluates items lo..hi-1, and covers the instances from the first
+	// one's (from the list's start for the first chunk) to the next chunk's.
+	run := func(lo, hi int) (c chunk) {
+		switch {
+		case shape == ShapeInstances:
+			c.wids = make([]uint64, 0, hi-lo)
+		case shape != ShapeIncidents:
+		case wire == nil:
+			c.kept = new(resultArena)
+		case lo == 0:
+			c.wire = append(*wire, '[')
+		default:
+			c.buf = wireBufs.Get().(*[]byte)
+			c.wire = (*c.buf)[:0]
+		}
+		sc := newScratch(ctx, prog)
+		// Also when the chunk ends in a failure: an abort's partial cost table
+		// includes every completed operator.
+		defer sc.flush()
+		hook := evalHook.Load()
+		from := 0
+		if lo > 0 {
+			from = cv.bound(lo)
+		}
+		j := lo // the first item not done
+		// items evaluates items from j on under one recover, until the run
+		// ends or an item panics: then the item is excluded, and the run
+		// resumes at the next. Every scratch buffer is refilled from its start
+		// by the next instance, so what the excluded one left there is dead.
+		items := func() {
+			defer func() {
+				switch r := recover().(type) {
+				case nil:
+				case budgetAbort:
+					c.err = r.err
+					stop.Store(true)
+				default:
+					i, _ := cv.item(j)
+					c.excluded = append(c.excluded, Exclusion{WID: wids[i], Err: resilience.NewPanicError(r)})
+					j++
+				}
+			}()
+			for ; j < hi && !stop.Load(); j++ {
+				i, pos := cv.item(j)
+				wid := wids[i]
+				if hook != nil {
+					(*hook)(wid)
+				}
+				row := e.src.Row(pos)
+				var (
+					n    int
+					incs []incident.Incident
+				)
+				if counted {
+					n = e.countInstance(sc, &row, pos, bs)
+				} else {
+					incs = e.evalInstance(sc, &row, wid, pos, bs)
+					n = len(incs)
+				}
+				if err := bs.addResult(incs); err != nil {
+					c.err = err
+					stop.Store(true)
+					return
+				}
+				c.incidents += n
+				switch {
+				case shape == ShapeInstances:
+					if n > 0 {
+						c.wids = append(c.wids, wid)
+					}
+				case shape != ShapeIncidents:
+				case c.kept != nil:
+					c.kept.keep(incs)
+				default:
+					c.wire = incident.AppendWire(c.wire, incs)
+				}
+				if first && n > 0 {
+					stop.Store(true)
+				}
+			}
+		}
+		for j < hi && c.err == nil && !stop.Load() {
+			items()
+		}
+		if c.err == nil && len(wids) > 0 && ctx.Err() != nil {
+			c.err = context.Cause(ctx)
+		}
+		// The instances covered are those below the first item not done.
+		c.instances = cv.bound(j) - from - len(c.excluded)
+		return c
+	}
+
+	// Contiguous runs, one per goroutine: per-instance work is often tiny,
+	// so per-item handoff (a channel send per instance) would dominate.
+	if len(chunks) == 1 {
+		chunks[0] = run(0, cv.n)
+		return
+	}
+	var wg sync.WaitGroup
+	size := (cv.n + len(chunks) - 1) / len(chunks)
+	for lo := 0; lo < cv.n; lo += size {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chunks[lo/size] = run(lo, min(lo+size, cv.n))
+		}()
+	}
+	wg.Wait()
 }
 
 // wireBufs keeps the buffers a served scan's goroutines after the first

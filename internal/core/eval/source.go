@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+
 	"wlq/internal/predicate"
 	"wlq/internal/wlog"
 )
@@ -27,7 +29,9 @@ import (
 // named by its position in WIDs, which a scan resolves once per instance
 // (no lookup at all when it scans a run of WIDs), and the instance
 // postings name the instances a symbol occurs in by position too, so a scan
-// visits only the instances its plan can match (docs/STORAGE.md).
+// visits only the instances its plan can match (docs/STORAGE.md). An
+// evaluated instance costs one interface call, Row; its atoms then read
+// their posting lists from the row.
 type Source interface {
 	// WIDs returns the workflow instance ids present, ascending. Callers
 	// must not modify the returned slice.
@@ -35,9 +39,12 @@ type Source interface {
 	// Position returns the position of the instance in WIDs, the key of the
 	// probes below; ok is false when the wid is absent.
 	Position(wid uint64) (pos int, ok bool)
-	// InstanceLenAt returns the number of records of the instance at the
-	// position.
-	InstanceLenAt(pos int) int
+	// Row returns the posting row of the instance at the position: every
+	// posting list of the instance, which the scan resolves once per
+	// instance. Its slices must not change while the source is read: the
+	// evaluator's atom incidents are capacity-clipped views of them, alive
+	// until their instance's evaluation ends.
+	Row(pos int) Row
 	// Instance returns the records of the instance in is-lsn order, and
 	// Record the one with the given is-lsn (ok false when the instance or
 	// sequence number is unknown). They are for callers that want whole
@@ -61,13 +68,6 @@ type Source interface {
 	// log (its incident set is empty for positive atoms, the full complement
 	// for negated ones).
 	ResolveActivity(name string) (sym int32, ok bool)
-	// PostingsAt returns the is-lsn values (ascending) of the records of the
-	// instance at the position whose activity has the symbol, which must
-	// come from ResolveActivity on the same source. Callers must not modify
-	// the result, and its values must not change while the source is read:
-	// the evaluator's atom incidents are capacity-clipped views of it, alive
-	// until their instance's evaluation ends.
-	PostingsAt(pos int, sym int32) []uint64
 	// InstancesWith returns the positions (ascending) of the instances with
 	// a record whose activity has the symbol: the instance postings, from
 	// which a scan derives the instances its plan can match. Callers must
@@ -85,3 +85,41 @@ type Source interface {
 // The oracle's storage satisfies the seam (the store's assertion lives in
 // internal/colstore to keep the dependency one-directional).
 var _ Source = (*Index)(nil)
+
+// Row is one instance's records' is-lsn values grouped by activity symbol:
+// group i is Post[Off[i]:Off[i+1]], ascending. Post holds one value per
+// record of the instance. A row comes in one of two layouts:
+//
+//   - dense (Syms nil): group i is symbol i's, for every symbol up to the
+//     instance's largest, so a probe is two loads.
+//   - sparse: Syms lists the instance's distinct symbols, ascending, and
+//     group i is the i-th's; a probe binary-searches it.
+//
+// Callers must not modify a row's slices.
+type Row struct {
+	Post []uint64
+	Off  []int32
+	Syms []int32
+}
+
+// Postings returns the is-lsn values (ascending) of the instance's records
+// whose activity has the symbol, which must come from ResolveActivity on
+// the row's source: a capacity-clipped view of the row, nil when it has
+// none.
+func (r *Row) Postings(sym int32) []uint64 {
+	i := int(sym)
+	if r.Syms != nil {
+		var ok bool
+		if i, ok = slices.BinarySearch(r.Syms, sym); !ok {
+			return nil
+		}
+	}
+	if i < 0 || i >= len(r.Off)-1 {
+		return nil
+	}
+	lo, hi := r.Off[i], r.Off[i+1]
+	return r.Post[lo:hi:hi]
+}
+
+// Len returns the number of records of the instance.
+func (r *Row) Len() int { return len(r.Post) }

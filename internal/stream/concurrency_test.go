@@ -50,7 +50,7 @@ func TestMonitorConcurrentIngestQuery(t *testing.T) {
 				st := m.Store()
 				n := 0
 				for pos := range st.WIDs() {
-					n += st.InstanceLenAt(pos)
+					n += len(st.Row(pos).Post)
 				}
 				if n != st.TotalRecords() || uint64(n) != st.LastLSN() {
 					t.Errorf("pinned version: %d records over its instances, TotalRecords %d, LastLSN %d", n, st.TotalRecords(), st.LastLSN())
