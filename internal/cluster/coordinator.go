@@ -246,14 +246,16 @@ type ExecOptions struct {
 // Result is an answer in the shape it was asked for, in the form the query
 // service serves it whichever tier evaluated it: the count in every shape,
 // the wids having an incident in eval.ShapeInstances, and in
-// eval.ShapeIncidents the incidents themselves in wire form, the bytes
-// incident.AppendWire writes for the answer. A coordinator's are the parts'
-// arrays, each checked where it arrived, concatenated in part order, which
-// is canonical order.
+// eval.ShapeIncidents the incidents themselves in wire form, as lists in
+// canonical order one after another. A single node's or a worker's answer is
+// one list, the bytes incident.AppendWire writes for it. A coordinator's are
+// its parts' lists in part order, each the bytes its worker sent, checked
+// where they arrived and not copied again: AppendArray writes them as one
+// list, CutIncidents and IncidentWIDs read them as one.
 type Result struct {
 	Count     int
 	WIDs      []uint64
-	Incidents []byte
+	Incidents [][]byte
 }
 
 // Execute evaluates the plan across the worker fleet and returns incL(p):
@@ -263,11 +265,13 @@ func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.
 	if err != nil {
 		return nil, comp, fan, err
 	}
-	incs, err := DecodeIncidents(res.Incidents)
-	if err != nil {
-		return nil, comp, fan, err
+	runs := make([][]incident.Incident, len(res.Incidents))
+	for i, l := range res.Incidents {
+		if runs[i], err = DecodeIncidents(l); err != nil {
+			return nil, comp, fan, err
+		}
 	}
-	return incident.MergeSorted(incs), comp, fan, nil
+	return incident.MergeSorted(runs...), comp, fan, nil
 }
 
 // partResult is one part's terminal outcome within a query.
@@ -304,9 +308,10 @@ func (r partResult) status() string {
 // the surviving answers add up and concatenate — parts being contiguous wid
 // ranges in ascending order, each answered in order — equal to a
 // single-node evaluation when every worker answers. An incidents answer is
-// never decoded: each part's array is checked where it lies in the reply and
-// copied once into the concatenation. qs, when non-nil, receives the
-// instances and incidents of the merged answer.
+// never decoded or joined: each part's array is checked where it lies in the
+// reply, the one copy the coordinator makes of it, and the Result holds the
+// arrays in part order. qs, when non-nil, receives the instances and
+// incidents of the merged answer.
 //
 // The returned error is non-nil only when the whole query is lost: the
 // context was cancelled, no part produced an answer, or a worker tripped
@@ -326,10 +331,17 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	// Distributed tracing happens here alone: nothing of the trace goes to
 	// the workers, whose replies carry counters and timings in every case.
 	tr := obs.FromContext(ctx)
+	// Part i goes to worker i. A log with fewer wids than workers leaves the
+	// tail of the fleet idle: not contacted, not counted as shards.
+	parts := Partition(opts.WIDs, len(c.workers))
 	var st *stitch
 	if tr != nil {
 		st = &stitch{traceID: tr.ID(), answer: "enumerated"}
-		if eval.Counted(plan, shape, opts.Strategy) {
+		switch {
+		case len(parts) == 1 && eval.FromStatistics(plan, shape, opts.Strategy):
+			// One part is the worker's whole log.
+			st.answer = "statistics"
+		case eval.Counted(plan, shape, opts.Strategy):
 			st.answer = "counted"
 		}
 	}
@@ -337,10 +349,6 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	if st != nil {
 		scatter.SetAttr("trace_id", st.traceID)
 	}
-
-	// Part i goes to worker i. A log with fewer wids than workers leaves the
-	// tail of the fleet idle: not contacted, not counted as shards.
-	parts := Partition(opts.WIDs, len(c.workers))
 	scatter.SetAttr("workers", len(parts))
 	req := WorkerQueryRequest{
 		Log:    logName,
@@ -373,11 +381,11 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	calls := make([]WorkerCall, len(parts))
 	var (
 		ans       Result
-		lists     [][]byte
 		firstErr  error
 		budgetErr *resilience.BudgetError
 	)
-	if shape == eval.ShapeInstances {
+	switch shape {
+	case eval.ShapeInstances:
 		n := 0
 		for _, r := range results {
 			if r.err == nil {
@@ -385,6 +393,8 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			}
 		}
 		ans.WIDs = make([]uint64, 0, n)
+	case eval.ShapeIncidents:
+		ans.Incidents = make([][]byte, 0, len(parts))
 	}
 	for i, r := range results {
 		p, worker := parts[i], c.workers[i].name
@@ -400,7 +410,10 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			case eval.ShapeInstances:
 				ans.WIDs = append(ans.WIDs, r.resp.WIDs...)
 			case eval.ShapeIncidents:
-				lists = append(lists, r.resp.Incidents)
+				// Every part's answer is canonical on its own and lies inside
+				// its part's interval (checkReply), so the parts' lists in
+				// part order are the answer's.
+				ans.Incidents = append(ans.Incidents, r.resp.Incidents)
 			}
 			// Only merged answers feed the fleet meter: a failed worker's
 			// partial measurements would skew the measured-vs-predicted
@@ -474,11 +487,6 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
 		}
 		return Result{}, comp, fan, firstErr
-	}
-	if shape == eval.ShapeIncidents {
-		// Every part's answer is canonical on its own and lies inside its
-		// part's interval (checkReply), so the union is a concatenation.
-		ans.Incidents = joinLists(lists)
 	}
 	return ans, comp, fan, nil
 }
@@ -602,7 +610,7 @@ func (c *Coordinator) attempt(ctx context.Context, p Part, shape eval.Shape, n i
 
 // stitch is what a traced fan-out stamps on each worker subtree: the
 // query's trace id, and how the plan is answered in the query's shape
-// (eval.Counted), the same on every worker.
+// (eval.FromStatistics, eval.Counted), the same on every worker.
 type stitch struct {
 	traceID, answer string
 }

@@ -286,8 +286,8 @@ func runScatterCase(t *testing.T, tc scatterCase, shape eval.Shape) {
 		for i, wid := range wantWIDs {
 			want[i] = incident.New(wid, 1, 2)
 		}
-		if !bytes.Equal(ans.Incidents, appendIncidents(nil, want)) || ans.WIDs != nil {
-			t.Errorf("merged incidents %s (wids %v), want one incident in each of %v", ans.Incidents, ans.WIDs, wantWIDs)
+		if got := joined(ans.Incidents); !bytes.Equal(got, appendIncidents(nil, want)) || ans.WIDs != nil {
+			t.Errorf("merged incidents %s (wids %v), want one incident in each of %v", got, ans.WIDs, wantWIDs)
 		}
 	case eval.ShapeInstances:
 		if !slices.Equal(ans.WIDs, wantWIDs) || ans.Incidents != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -181,8 +182,11 @@ func WriteReply(w http.ResponseWriter, shape eval.Shape, array []byte, r *Worker
 // There is one spelling. The reader accepts exactly what AppendWire
 // writes — no whitespace, "wid" before "seqs", numbers in shortest decimal
 // form — so that a list that reads is the canonical bytes of its incidents,
-// and a coordinator that splices its workers' lists into one answer writes
-// what a single node would.
+// and a coordinator that writes its workers' lists as one answer
+// (AppendArray) writes what a single node would. The reader is one scanner
+// (scanner.incidents), which DecodeIncidents, IncidentWIDs and the reply
+// reader all go through. It checks every byte and every incident of every
+// worker's answer; nothing is sampled or trusted.
 
 // ErrMalformedIncidents is wrapped by every error of the answer readers: the
 // bytes are not the one wire form of a canonical incident list (or, in a
@@ -210,50 +214,70 @@ func DecodeIncidents(data []byte) ([]incident.Incident, error) {
 	return incs, nil
 }
 
-// IncidentWIDs returns the distinct wids of a wire-form list, ascending. The
-// list must be AppendWire's bytes or have been read once already, as
-// every answer array the query service holds is or was; a list that does not
-// read yields the wids before the fault.
-func IncidentWIDs(data []byte) []uint64 {
+// An answer's incidents in wire form are its parts' lists, in canonical
+// order one after another (Result.Incidents): one list on a node that
+// evaluated the whole answer, one per part on a coordinator, each the bytes
+// its worker sent. Nothing joins them into one slice; AppendArray writes
+// them as one list.
+
+// IncidentWIDs returns the distinct wids of an answer's lists, ascending.
+// Each list must be AppendWire's bytes or have been read once already, as
+// every answer array the query service holds is or was; a list that does
+// not read yields the wids before the fault.
+func IncidentWIDs(lists [][]byte) []uint64 {
 	var wids []uint64
-	scanIncidentList(data, func(wid uint64, _ []uint64) {
-		if len(wids) == 0 || wids[len(wids)-1] != wid {
-			wids = append(wids, wid)
-		}
-	})
+	for _, l := range lists {
+		scanIncidentList(l, func(wid uint64, _ []uint64) {
+			if len(wids) == 0 || wids[len(wids)-1] != wid {
+				wids = append(wids, wid)
+			}
+		})
+	}
 	return wids
 }
 
-// CutIncidents returns the first n incidents of a wire-form list of at least
-// n as a list of their own, in a new slice. An incident is an object with no
-// object inside it, so the n-th closing brace ends the n-th incident.
-func CutIncidents(data []byte, n int) []byte {
-	end := 1
-	for ; n > 0; n-- {
-		end += bytes.IndexByte(data[end:], '}') + 1
+// CutIncidents returns the first n incidents of an answer's lists, which
+// hold at least n: the lists before the one the n-th incident ends in, as
+// they stand, then that one's first incidents as a list of its own, in a new
+// slice. An incident is an object with no object inside it, so a list's
+// closing braces count its incidents.
+func CutIncidents(lists [][]byte, n int) [][]byte {
+	for i, l := range lists {
+		end := 1
+		for ; n > 0; n-- {
+			k := bytes.IndexByte(l[end:], '}')
+			if k < 0 {
+				break
+			}
+			end += k + 1
+		}
+		if n == 0 {
+			return append(lists[:i:i], append(l[:end:end], ']'))
+		}
 	}
-	return append(data[:end:end], ']')
+	return lists
 }
 
-// joinLists concatenates wire-form lists that follow one another in
-// canonical order into one list, copying each once into a new slice.
-func joinLists(lists [][]byte) []byte {
-	size := 2
-	for _, l := range lists {
-		size += len(l) - 1
-	}
-	out := append(make([]byte, 0, size), '[')
+// AppendArray appends to pieces the byte slices that, written in order,
+// are the answer's lists as one: '[', each non-empty list's elements with a
+// comma between lists, then ']'. The elements are not copied.
+func AppendArray(pieces, lists [][]byte) [][]byte {
+	pieces = append(pieces, listOpen)
+	sep := false
 	for _, l := range lists {
 		if len(l) <= len("[]") {
 			continue
 		}
-		if len(out) > 1 {
-			out = append(out, ',')
+		if sep {
+			pieces = append(pieces, listSep)
 		}
-		out = append(out, l[1:len(l)-1]...)
+		pieces, sep = append(pieces, l[1:len(l)-1]), true
 	}
-	return append(out, ']')
+	return append(pieces, listClose)
 }
+
+// The punctuation AppendArray writes around and between an answer's lists.
+var listOpen, listSep, listClose = []byte("["), []byte(","), []byte("]")
 
 // listSummary is what reading an answer array learns besides its elements:
 // how many there are, and the wids of the first and the last (zero when
@@ -305,30 +329,49 @@ func (s *scanner) want(lit string) error {
 	return nil
 }
 
-// uint reads an unsigned 64-bit integer in shortest decimal form.
-func (s *scanner) uint() (uint64, error) {
-	data, start := s.data, s.pos
-	i, v := start, uint64(0)
-	for ; i < len(data); i++ {
+// The eight-byte words the incident reader compares in one load: an
+// incident's opening with the byte before it — the list's '[' before the
+// first, a ',' before every other — and the seqs member's key with the comma
+// before it, which its '[' follows.
+var (
+	wordFirst = binary.LittleEndian.Uint64([]byte(`[{"wid":`))
+	wordNext  = binary.LittleEndian.Uint64([]byte(`,{"wid":`))
+	wordSeqs  = binary.LittleEndian.Uint64([]byte(`,"seqs":`))
+)
+
+// number reads an unsigned 64-bit integer in shortest decimal form at
+// data[i:], returning it and the index after its digits, or the error and
+// the index it lies at.
+func number(data []byte, i int) (uint64, int, error) {
+	start, v := i, uint64(0)
+	// Nineteen digits cannot overflow, so they are summed with no test.
+	for end := min(len(data), i+19); i < end; i++ {
 		c := data[i] - '0'
 		if c > 9 {
 			break
 		}
-		// Nineteen digits cannot overflow; a twentieth may.
-		if i-start >= 19 && v > (math.MaxUint64-uint64(c))/10 {
-			s.pos = i
-			return 0, errors.New("number overflows uint64")
-		}
 		v = v*10 + uint64(c)
 	}
-	s.pos = i
+	if i-start == 19 {
+		// A twentieth digit may overflow, and so may every one after it.
+		for ; i < len(data); i++ {
+			c := data[i] - '0'
+			if c > 9 {
+				break
+			}
+			if v > (math.MaxUint64-uint64(c))/10 {
+				return 0, i, errors.New("number overflows uint64")
+			}
+			v = v*10 + uint64(c)
+		}
+	}
 	switch n := i - start; {
 	case n == 0:
-		return 0, errors.New("want an unsigned integer")
+		return 0, i, errors.New("want an unsigned integer")
 	case n > 1 && data[start] == '0':
-		return 0, errors.New("number has a leading zero")
+		return 0, i, errors.New("number has a leading zero")
 	}
-	return v, nil
+	return v, i, nil
 }
 
 // incidents reads one incident list, checking Definition 4 (seqs non-empty
@@ -337,35 +380,77 @@ func (s *scanner) uint() (uint64, error) {
 // The seqs of the incident before and of the one being read live in two
 // buffers that trade places, so a list of any length costs two small
 // allocations.
+//
+// It is one loop over a local cursor: an incident's opening and its seqs key
+// are each one word compared (and a '[' after the key), and every other
+// token is one byte. It reads the grammar the literals below spell, and on a
+// mismatch names the literal it wanted.
 func (s *scanner) incidents(emit func(wid uint64, seqs []uint64)) (sum listSummary, err error) {
-	if err := s.want("["); err != nil {
+	data, pos := s.data, s.pos
+	if len(data)-pos < 8 || binary.LittleEndian.Uint64(data[pos:]) != wordFirst {
+		// No first incident: the list is empty, or is no list.
+		switch {
+		case pos == len(data) || data[pos] != '[':
+			err = errors.New(`want "["`)
+		case pos+1 < len(data) && data[pos+1] == ']':
+			pos += len("[]")
+		default:
+			pos, err = pos+1, errors.New(`want "{\"wid\":"`)
+		}
+		s.pos = pos
 		return sum, err
 	}
-	if s.lit("]") {
-		return sum, nil
-	}
+	pos += len(`[{"wid":`)
 	// Room for incidents of up to eight records each, in one allocation.
 	seqs := make([]uint64, 16)
 	prev, cur := seqs[:0:8], seqs[8:8]
 	for {
-		if err := s.want(`{"wid":`); err != nil {
-			return sum, err
+		// An incident, from after its `{"wid":`.
+		var wid uint64
+		if wid, pos, err = number(data, pos); err != nil {
+			break
 		}
-		wid, err := s.uint()
-		if err == nil {
-			err = s.want(`,"seqs":[`)
+		if len(data)-pos < len(`,"seqs":[`) || binary.LittleEndian.Uint64(data[pos:]) != wordSeqs || data[pos+8] != '[' {
+			err = errors.New(`want ",\"seqs\":["`)
+			break
 		}
-		if err == nil {
-			cur, err = s.seqs(cur[:0])
+		pos += len(`,"seqs":[`)
+		if pos < len(data) && data[pos] == ']' {
+			err = errors.New("empty incident")
+			break
+		}
+		cur = cur[:0]
+		for {
+			var v uint64
+			if v, pos, err = number(data, pos); err != nil {
+				break
+			}
+			if n := len(cur); n > 0 && v <= cur[n-1] {
+				err = fmt.Errorf("is-lsn %d after %d: not strictly increasing", v, cur[n-1])
+				break
+			}
+			cur = append(cur, v)
+			if pos < len(data) && data[pos] == ',' {
+				pos++
+				continue
+			}
+			if len(data)-pos < len("]}") || data[pos] != ']' || data[pos+1] != '}' {
+				err = errors.New(`want ',' or "]}"`)
+				break
+			}
+			pos += len("]}")
+			break
 		}
 		if err != nil {
-			return sum, err
+			break
 		}
-		// Canonical order is wid order first; only a wid's second incident
-		// needs the whole comparison.
-		if sum.n > 0 && wid <= sum.last {
+		// Canonical order is wid order first, then first record: only a
+		// wid's second incident that does not start later needs the whole
+		// comparison.
+		if sum.n > 0 && wid <= sum.last && (wid < sum.last || cur[0] <= prev[0]) {
 			if p, o := incident.Adopt(sum.last, prev), incident.Adopt(wid, cur); p.Compare(o) >= 0 {
-				return sum, fmt.Errorf("%v does not follow %v in canonical order", o, p)
+				err = fmt.Errorf("%v does not follow %v in canonical order", o, p)
+				break
 			}
 		}
 		if emit != nil {
@@ -377,39 +462,22 @@ func (s *scanner) incidents(emit func(wid uint64, seqs []uint64)) (sum listSumma
 		sum.n++
 		sum.last = wid
 		prev, cur = cur, prev
-		if s.lit(",") {
+		if len(data)-pos >= 8 && binary.LittleEndian.Uint64(data[pos:]) == wordNext {
+			pos += len(`,{"wid":`)
 			continue
 		}
-		if s.lit("]") {
-			return sum, nil
+		switch {
+		case pos < len(data) && data[pos] == ']':
+			pos++
+		case pos < len(data) && data[pos] == ',':
+			pos, err = pos+1, errors.New(`want "{\"wid\":"`)
+		default:
+			err = errors.New(`want ',' or "]"`)
 		}
-		return sum, errors.New(`want ',' or "]"`)
+		break
 	}
-}
-
-// seqs reads an incident's is-lsns, from after its '[' through the closing
-// "]}", into dst.
-func (s *scanner) seqs(dst []uint64) ([]uint64, error) {
-	if len(s.data) > s.pos && s.data[s.pos] == ']' {
-		return nil, errors.New("empty incident")
-	}
-	for {
-		v, err := s.uint()
-		if err != nil {
-			return nil, err
-		}
-		if n := len(dst); n > 0 && v <= dst[n-1] {
-			return nil, fmt.Errorf("is-lsn %d after %d: not strictly increasing", v, dst[n-1])
-		}
-		dst = append(dst, v)
-		if s.lit(",") {
-			continue
-		}
-		if s.lit("]}") {
-			return dst, nil
-		}
-		return nil, errors.New(`want ',' or "]}"`)
-	}
+	s.pos = pos
+	return sum, err
 }
 
 // wids reads a wid list, strictly ascending, into a new slice.
@@ -426,7 +494,8 @@ func (s *scanner) wids() ([]uint64, error) {
 		dst = make([]uint64, 0, bytes.Count(s.data[s.pos:s.pos+end], []byte(","))+1)
 	}
 	for {
-		v, err := s.uint()
+		v, pos, err := number(s.data, s.pos)
+		s.pos = pos
 		if err != nil {
 			return nil, err
 		}
@@ -451,9 +520,11 @@ const maxPresized = 64 << 20
 
 // readReply reads a worker's success body to a request of the given shape:
 // whole, into one buffer of the length its header announced (size <= 0: none,
-// or an empty body), then in place (parseReply). A body cut short is the
-// transport's failure and worth a retry; a whole body that does not read is
-// not — asking again gets the same bytes.
+// or an empty body), then in place (parseReply). The buffer is the one copy
+// the coordinator makes of the answer array, which the reply's Incidents
+// alias and an answer's Result keeps; it is not pooled. A body cut short is
+// the transport's failure and worth a retry; a whole body that does not read
+// is not — asking again gets the same bytes.
 func readReply(body io.Reader, size int64, shape eval.Shape) (*WorkerQueryResponse, listSummary, error) {
 	var (
 		buf []byte

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http/httptest"
 	"reflect"
 	"slices"
 	"strings"
@@ -212,34 +213,115 @@ func TestDecodeIncidentsSlabs(t *testing.T) {
 	}
 }
 
-// TestCutAndJoinLists: the byte operations the coordinator and its cache do
-// on wire-form lists — cut after the n-th incident, list the wids, join the
-// parts — equal encoding the incidents that result.
+// TestIncidentListPrefixesAreRejected: the reader compares eight bytes in one
+// load, and a load near the end of the bytes is where such a reader breaks.
+// Every proper prefix of a canonical list — numbers of 19 and 20 digits in
+// both positions — and of a worker reply in each mode is refused and never
+// panics: a cut inside the answer array under ErrMalformedIncidents, a cut in
+// the envelope by encoding/json. A number past uint64 is refused in either
+// position.
+func TestIncidentListPrefixesAreRejected(t *testing.T) {
+	const (
+		d19 = "1234567890123456789"
+		d20 = "18446744073709551615" // the largest uint64
+	)
+	list := `[{"wid":` + d19 + `,"seqs":[1,` + d20 + `]},{"wid":` + d20 + `,"seqs":[` + d19 + `]},{"wid":` + d20 + `,"seqs":[` + d20 + `]}]`
+	incs := []incident.Incident{incident.New(1234567890123456789, 1, 1<<64-1), incident.New(1<<64-1, 1234567890123456789), incident.New(1<<64-1, 1<<64-1)}
+	if got, err := DecodeIncidents([]byte(list)); err != nil || !equalIncidents(got, incs) || string(appendIncidents(nil, incs)) != list {
+		t.Fatalf("DecodeIncidents(%s) = %v, %v", list, got, err)
+	}
+	for n := range len(list) {
+		// The cut-off bytes stay in the slice's capacity.
+		if got, err := DecodeIncidents([]byte(list)[:n]); !errors.Is(err, ErrMalformedIncidents) {
+			t.Errorf("DecodeIncidents(%s) = %v, %v; want ErrMalformedIncidents", list[:n], got, err)
+		}
+		if _, err := scanIncidentList([]byte(list)[:n], nil); !errors.Is(err, ErrMalformedIncidents) {
+			t.Errorf("scanIncidentList(%s): %v; want ErrMalformedIncidents", list[:n], err)
+		}
+	}
+
+	reply := &WorkerReply{Worker: "w", WIDsOwned: 3, Instances: 2, Count: 3, ElapsedUS: 1, Ops: []eval.NodeOps{{1, 0, 1, 1, 3, 3, 3}}}
+	for _, c := range []struct {
+		shape eval.Shape
+		array string
+	}{
+		{eval.ShapeIncidents, list},
+		{eval.ShapeInstances, "[" + d19 + "," + d20 + "]"},
+		{eval.ShapeCount, ""},
+	} {
+		rec := httptest.NewRecorder()
+		if err := WriteReply(rec, c.shape, []byte(c.array), reply); err != nil {
+			t.Fatal(err)
+		}
+		body := strings.TrimSuffix(rec.Body.String(), "\n")
+		if _, _, err := parseReply([]byte(body), c.shape); err != nil {
+			t.Fatalf("%v: parseReply(%s): %v", c.shape, body, err)
+		}
+		// The array and the comma and quote that open the envelope are the
+		// scanner's to read.
+		scanned := 0
+		if c.array != "" {
+			scanned = len(replyOpen[c.shape]) + len(c.array) + len(`,"`)
+		}
+		for n := range len(body) {
+			_, _, err := parseReply([]byte(body)[:n], c.shape)
+			if n < scanned && !errors.Is(err, ErrMalformedIncidents) || n >= scanned && (err == nil || !strings.Contains(err.Error(), "decode worker response")) {
+				t.Errorf("%v: parseReply(%s): %v", c.shape, body[:n], err)
+			}
+		}
+	}
+
+	for _, x := range []string{"18446744073709551616", "123456789012345678901"} {
+		for _, in := range []string{`[{"wid":` + x + `,"seqs":[1]}]`, `[{"wid":1,"seqs":[1,` + x + `]}]`} {
+			if got, err := DecodeIncidents([]byte(in)); !errors.Is(err, ErrMalformedIncidents) || !strings.Contains(err.Error(), "overflows") {
+				t.Errorf("DecodeIncidents(%s) = %v, %v; want an overflow", in, got, err)
+			}
+		}
+	}
+	// Twenty-one digits that a leading zero keeps inside uint64.
+	if got, err := DecodeIncidents([]byte(`[{"wid":000000000000000000001,"seqs":[1]}]`)); err == nil || !strings.Contains(err.Error(), "leading zero") {
+		t.Errorf("a wid with leading zeros: %v, %v", got, err)
+	}
+}
+
+// joined is an answer's lists as AppendArray writes them: one list.
+func joined(lists [][]byte) []byte {
+	return bytes.Join(AppendArray(nil, lists), nil)
+}
+
+// TestCutAndJoinLists: the byte operations the coordinator, its cache and
+// the response writer do on an answer held as its parts' lists — cut after
+// the n-th incident, list the wids, write the parts as one list — equal
+// encoding the incidents that result, wherever the parts split the answer
+// and whichever of them are empty.
 func TestCutAndJoinLists(t *testing.T) {
 	incs := []incident.Incident{incident.New(1, 2), incident.New(1, 3, 4), incident.New(5, 1), incident.New(9, 7, 8, 9)}
 	whole := appendIncidents(nil, incs)
-	for n := 0; n <= len(incs); n++ {
-		if got, want := CutIncidents(whole, n), appendIncidents(nil, incs[:n]); !bytes.Equal(got, want) {
-			t.Errorf("CutIncidents(%d) = %s, want %s", n, got, want)
-		}
-	}
-	if got := CutIncidents(whole, 1); &got[0] == &whole[0] {
-		t.Error("CutIncidents aliases the list it cut")
-	}
-	if got := IncidentWIDs(whole); !slices.Equal(got, []uint64{1, 5, 9}) {
-		t.Errorf("IncidentWIDs = %v", got)
-	}
-	for _, split := range [][]int{{0, 4}, {0, 2, 4}, {0, 1, 1, 3, 4, 4}} {
+	for _, split := range [][]int{{0, 4}, {0, 2, 4}, {0, 1, 1, 3, 4, 4}, {0, 0, 4}, {0, 4, 4}} {
 		var lists [][]byte
 		for i := 1; i < len(split); i++ {
 			lists = append(lists, appendIncidents(nil, incs[split[i-1]:split[i]]))
 		}
-		if got := joinLists(lists); !bytes.Equal(got, whole) {
-			t.Errorf("joinLists at %v = %s, want %s", split, got, whole)
+		if got := joined(lists); !bytes.Equal(got, whole) {
+			t.Errorf("AppendArray at %v = %s, want %s", split, got, whole)
+		}
+		if got := IncidentWIDs(lists); !slices.Equal(got, []uint64{1, 5, 9}) {
+			t.Errorf("IncidentWIDs at %v = %v", split, got)
+		}
+		for n := 0; n <= len(incs); n++ {
+			cut := CutIncidents(lists, n)
+			if got, want := joined(cut), appendIncidents(nil, incs[:n]); !bytes.Equal(got, want) {
+				t.Errorf("CutIncidents(%v, %d) = %s, want %s", split, n, got, want)
+			}
+			for i, l := range cut {
+				if i < len(lists) && &l[0] == &lists[i][0] && len(l) != len(lists[i]) {
+					t.Errorf("CutIncidents(%v, %d) aliases the list it cut", split, n)
+				}
+			}
 		}
 	}
-	if got := joinLists(nil); string(got) != "[]" {
-		t.Errorf("joinLists() = %s", got)
+	if got := joined(nil); string(got) != "[]" {
+		t.Errorf("AppendArray() = %s", got)
 	}
 }
 

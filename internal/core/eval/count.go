@@ -103,8 +103,24 @@ func (prog program) counted(shape Shape, strategy Strategy) bool {
 // and neither has an operator's Lemma 1 prediction, so those scan.
 func (e *Evaluator) fromStatistics(prog program, wids []uint64, counted, first bool) bool {
 	all := e.src.WIDs()
-	return counted && !first && len(prog) == 1 && len(prog[0].atom.Guards) == 0 &&
-		len(wids) == len(all) && len(all) > 0 && &wids[0] == &all[0]
+	return prog.statistical(counted) && !first && len(wids) == len(all) && len(all) > 0 && &wids[0] == &all[0]
+}
+
+// statistical reports whether the source's statistics answer the program
+// over a whole wid list: a lone unguarded atom, counted.
+func (prog program) statistical(counted bool) bool {
+	return counted && len(prog) == 1 && len(prog[0].atom.Guards) == 0
+}
+
+// FromStatistics reports whether a scan of the plan in the given shape over
+// a source's whole wid list is answered from the source's statistics,
+// reading no instance (fromStatistics) — what the query service calls the
+// answer "statistics" on its eval span and in /v1/explain. Over any other
+// wid list the plan is scanned, counted (Counted) or not.
+func FromStatistics(p pattern.Node, shape Shape, strategy Strategy) bool {
+	e := Evaluator{opts: Options{Strategy: strategy}}
+	prog := e.compile(p)
+	return prog.statistical(prog.counted(shape, strategy))
 }
 
 // statistics is the answer of the lone atom st over the source's whole wid

@@ -52,6 +52,21 @@ func (e *cacheEntry) instances() []uint64 {
 	return e.res.WIDs
 }
 
+// arrayBytes is the length of the incidents array the entry's lists are
+// written as (cluster.AppendArray), 0 for an entry of a cheaper shape.
+func (e *cacheEntry) arrayBytes() int64 {
+	if e.res.Incidents == nil {
+		return 0
+	}
+	n, sep := int64(len("[]")), int64(0)
+	for _, l := range e.res.Incidents {
+		if len(l) > len("[]") {
+			n, sep = n+sep+int64(len(l)-len("[]")), 1
+		}
+	}
+	return n
+}
+
 // staleAt reports whether a record src holds beyond the entry's lsn can have
 // changed its answer: whether one of them carries an activity that
 // staleForActivity finds relevant.
@@ -157,8 +172,8 @@ func (c *lru) put(key string, e *cacheEntry) {
 	}
 }
 
-// bodyBytes returns the bytes of encoded incidents the resident entries hold
-// (an entry of a cheaper shape holds none).
+// bodyBytes returns the summed length of the incidents arrays the resident
+// entries answer with (an entry of a cheaper shape has none).
 func (c *lru) bodyBytes() int64 {
 	if c == nil {
 		return 0
@@ -167,7 +182,7 @@ func (c *lru) bodyBytes() int64 {
 	defer c.mu.Unlock()
 	var n int64
 	for el := c.ll.Front(); el != nil; el = el.Next() {
-		n += int64(len(el.Value.(*lruItem).entry.res.Incidents))
+		n += el.Value.(*lruItem).entry.arrayBytes()
 	}
 	return n
 }

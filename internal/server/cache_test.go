@@ -16,7 +16,7 @@ import (
 var snapshot = new(colstore.Store)
 
 func entry(n int) *cacheEntry {
-	return &cacheEntry{res: cluster.Result{Count: 1, Incidents: wireList([]incident.Incident{incident.New(uint64(n), 1)})}}
+	return &cacheEntry{res: cluster.Result{Count: 1, Incidents: [][]byte{wireList([]incident.Incident{incident.New(uint64(n), 1)})}}}
 }
 
 func TestLRUEviction(t *testing.T) {

@@ -306,27 +306,86 @@ func TestClusterResponsesEqualSingleNode(t *testing.T) {
 				// Twice over: misses, then hits on the entry the first round left.
 				for round := 0; round < 2; round++ {
 					for _, body := range bodies {
-						want, got := postQuery(t, single, body, nil), postQuery(t, coord, body, nil)
-						if want.Code != http.StatusOK || got.Code != http.StatusOK {
-							t.Fatalf("%s: single node %d, coordinator %d: %s", body, want.Code, got.Code, got.Body)
-						}
-						// An evaluation on the cluster says what it covered; a hit
-						// evaluated nothing.
-						reply, completeness, ok := bytes.Cut(got.Body.Bytes(), []byte(`,"completeness":`))
-						if ok != !bytes.Contains(reply, []byte(`"cached":true`)) || ok && !bytes.HasSuffix(completeness, []byte("}}\n")) ||
-							bytes.Contains(want.Body.Bytes(), []byte(`"completeness"`)) {
-							t.Fatalf("%s: completeness where it should not be:\ncoordinator: %s\nsingle node: %s", body, got.Body, want.Body)
-						}
-						if ok {
-							reply = append(reply, "}\n"...)
-						}
-						if masked := maskVolatile(reply); masked != maskVolatile(want.Body.Bytes()) {
-							t.Errorf("%s: the coordinator's response differs from a single node's\ncoordinator: %s\nsingle node: %s", body, masked, maskVolatile(want.Body.Bytes()))
-						}
+						assertSameAsSingleNode(t, single, coord, body)
 					}
 				}
 			}
 		})
+	}
+}
+
+// assertSameAsSingleNode posts body to a single node and to a coordinator
+// and requires a 200 from both and the coordinator's response byte for byte,
+// once the completeness object only a cluster answer carries is taken out
+// and the one timing masked.
+func assertSameAsSingleNode(t *testing.T, single, coord http.Handler, body string) {
+	t.Helper()
+	want, got := postQuery(t, single, body, nil), postQuery(t, coord, body, nil)
+	if want.Code != http.StatusOK || got.Code != http.StatusOK {
+		t.Fatalf("%s: single node %d, coordinator %d: %s", body, want.Code, got.Code, got.Body)
+	}
+	// An evaluation on the cluster says what it covered; a hit evaluated
+	// nothing.
+	reply, completeness, ok := bytes.Cut(got.Body.Bytes(), []byte(`,"completeness":`))
+	if ok != !bytes.Contains(reply, []byte(`"cached":true`)) || ok && !bytes.HasSuffix(completeness, []byte("}}\n")) ||
+		bytes.Contains(want.Body.Bytes(), []byte(`"completeness"`)) {
+		t.Fatalf("%s: completeness where it should not be:\ncoordinator: %s\nsingle node: %s", body, got.Body, want.Body)
+	}
+	if ok {
+		reply = append(reply, "}\n"...)
+	}
+	if masked := maskVolatile(reply); masked != maskVolatile(want.Body.Bytes()) {
+		t.Errorf("%s: the coordinator's response differs from a single node's\ncoordinator: %s\nsingle node: %s", body, masked, maskVolatile(want.Body.Bytes()))
+	}
+}
+
+// TestClusterTruncationAcrossThePartBoundary: a coordinator holds an answer
+// as its two parts' lists and cuts a truncated one from them, so every cut —
+// each max_results from 1 to the count, inside the first part, at its end,
+// inside the second — is a single node's response byte for byte, on a miss
+// with the cache off and on the hits of the entry with it on; and so is
+// every cut of an answer whose first part is empty.
+func TestClusterTruncationAcrossThePartBoundary(t *testing.T) {
+	// Instances 1–5, the first part of two, have no Late record.
+	var b wlog.Builder
+	for wid := uint64(1); wid <= 10; wid++ {
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(b.StartWID(wid))
+		must(b.Emit(wid, "A", nil, nil))
+		if wid > 5 {
+			must(b.Emit(wid, "Late", nil, nil))
+			must(b.Emit(wid, "Late", nil, nil))
+		}
+		must(b.End(wid))
+	}
+	late := b.MustBuild()
+	if parts := cluster.Partition(late.WIDs(), 2); parts[0].MaxWID != 5 {
+		t.Fatalf("the first part ends at wid %d, want 5", parts[0].MaxWID)
+	}
+	generated, queries := generatedCase(t, 2)
+	cases := map[string]struct {
+		l       *wlog.Log
+		queries []string
+	}{
+		"generated":        {generated, queries},
+		"first part empty": {late, []string{"A -> Late", "Late", "Late | A"}},
+	}
+	for name, c := range cases {
+		for cacheName, cache := range map[string]int{"cache on": 0, "cache off": -1} {
+			t.Run(name+"/"+cacheName, func(t *testing.T) {
+				single := serverOver(t, Config{CacheSize: cache}, "log", c.l).Handler()
+				coord := newClusterFixture(t, 2, "log", c.l, nil, func(cfg *Config) { cfg.CacheSize = cache }).coord.Handler()
+				for _, q := range c.queries {
+					for max := 1; max <= oracleSet(c.l, q).Len(); max++ {
+						assertSameAsSingleNode(t, single, coord, fmt.Sprintf(`{"query":%q,"max_results":%d}`, q, max))
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -186,10 +186,14 @@ func (s *Server) newExecutor() executor {
 }
 
 // served is an answer of ServeCtx in the form every tier serves it: an
-// incidents answer is the array a response or a worker reply carries, as
-// the scan wrote it, which a coordinator splices unchanged.
+// incidents answer is one list, the array a response or a worker reply
+// carries, as the scan wrote it, which a coordinator splices unchanged.
 func served(a eval.Answer) cluster.Result {
-	return cluster.Result{Count: a.Count, WIDs: a.WIDs, Incidents: a.Wire}
+	r := cluster.Result{Count: a.Count, WIDs: a.WIDs}
+	if a.Wire != nil {
+		r.Incidents = [][]byte{a.Wire}
+	}
+	return r
 }
 
 // answerBufs holds the byte buffers of answers that were written and not
@@ -213,11 +217,13 @@ func answerBuf(shape eval.Shape) []byte {
 	return nil
 }
 
-// recycleAnswer hands b to a later scan. Its caller has written b and
-// holds no other reference to it.
-func recycleAnswer(b []byte) {
-	if cap(b) > 0 && cap(b) <= maxRecycled {
-		answerBufs.Put(&b)
+// recycleAnswer hands an answer's lists to later scans. Its caller has
+// written them and holds no other reference to them.
+func recycleAnswer(lists [][]byte) {
+	for _, b := range lists {
+		if cap(b) > 0 && cap(b) <= maxRecycled {
+			answerBufs.Put(&b)
+		}
 	}
 }
 
@@ -346,7 +352,7 @@ type queryRun struct {
 	cached    bool
 	// spent is the answer's encoded incidents once nothing keeps them past
 	// the response: a local run's, not put in the cache.
-	spent []byte
+	spent [][]byte
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -623,7 +629,8 @@ func (q *queryRun) execute(ctx context.Context) bool {
 		sp.SetAttr("workers", x.stats.Workers)
 		sp.SetAttr("instances", x.stats.Instances)
 		sp.SetAttr("incidents", x.stats.Incidents)
-		sp.SetAttr("answer", answerPath(plan, q.shape, q.strategy))
+		// A fleet of one worker scans the whole log on it.
+		sp.SetAttr("answer", answerPath(plan, q.shape, q.strategy, x.fan == nil || x.fan.Workers == 1))
 	}
 	sp.End()
 	// The run's one cost table feeds the per-operator totals and the trace.
@@ -713,13 +720,13 @@ func (q *queryRun) respond() {
 	}
 	var (
 		key   string
-		array []byte
+		array [][]byte
 	)
 	switch {
 	case head.Count == 0:
 		// An empty answer has no array in either mode.
 	case q.mode == "instances":
-		key, array = "instances", appendUints(nil, q.answer.instances())
+		key, array = "instances", [][]byte{appendUints(nil, q.answer.instances())}
 	case q.mode == "incidents":
 		key, array = "incidents", answer.Incidents
 		n := head.Count
@@ -763,10 +770,15 @@ func excludedCompleteness(wids []uint64, ex []eval.Exclusion) *cluster.Completen
 	return c
 }
 
-// answerPath names how the evaluator arrives at an answer of the shape: by
-// counting from position lists, or by enumerating incidents.
-func answerPath(plan pattern.Node, shape eval.Shape, strategy eval.Strategy) string {
-	if eval.Counted(plan, shape, strategy) {
+// answerPath names how the evaluator arrives at an answer of the shape:
+// from the store's statistics, reading no instance, when one scan covers the
+// log's whole wid list (whole) and the plan is one they answer; by counting
+// from position lists; or by enumerating incidents.
+func answerPath(plan pattern.Node, shape eval.Shape, strategy eval.Strategy, whole bool) string {
+	switch {
+	case whole && eval.FromStatistics(plan, shape, strategy):
+		return "statistics"
+	case eval.Counted(plan, shape, strategy):
 		return "counted"
 	}
 	return "enumerated"

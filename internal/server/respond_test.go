@@ -195,7 +195,7 @@ func TestWriteJSONEncodesBeforeCommitting(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	writeSpliced(rec, http.StatusOK, queryHead{}, "incidents", []byte("[]"), map[string]float64{"x": math.NaN()})
+	writeSpliced(rec, http.StatusOK, queryHead{}, "incidents", [][]byte{[]byte("[]")}, map[string]float64{"x": math.NaN()})
 	if rec.Code != http.StatusInternalServerError || !strings.Contains(decodeError(t, rec).Error, "encode response") {
 		t.Fatalf("spliced: status %d: %s", rec.Code, rec.Body)
 	}

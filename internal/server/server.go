@@ -535,11 +535,11 @@ func encodeFailure(err error) []byte {
 
 // writeSpliced answers with the JSON object made of head's members, then
 // "key": array, then tail's members — the document encoding/json writes for
-// a struct declaring them in that order, except that array is already JSON
-// and is written as it stands, not encoded again. head must have members;
-// an empty key (and a nil array) leaves the array out. It returns the
-// body's length.
-func writeSpliced(w http.ResponseWriter, code int, head any, key string, array []byte, tail any) int {
+// a struct declaring them in that order, except that array is already JSON,
+// as lists of one array's elements in order (cluster.AppendArray), and is
+// written as it stands, not encoded or joined again. head must have members;
+// an empty key leaves the array out. It returns the body's length.
+func writeSpliced(w http.ResponseWriter, code int, head any, key string, array [][]byte, tail any) int {
 	h, err := json.Marshal(head)
 	var t []byte
 	if err == nil {
@@ -549,15 +549,18 @@ func writeSpliced(w http.ResponseWriter, code int, head any, key string, array [
 		return writeBody(w, http.StatusInternalServerError, append(encodeFailure(err), '\n'))
 	}
 	h = h[:len(h)-1] // reopen the object
+	pieces := make([][]byte, 1, 2*len(array)+4)
 	if key != "" {
 		h = append(append(append(h, `,"`...), key...), `":`...)
+		pieces = cluster.AppendArray(pieces, array)
 	}
+	pieces[0] = h
 	if len(t) > len("{}") {
 		t[0] = ',' // tail's members follow
 	} else {
 		t = t[1:]
 	}
-	return writeBody(w, code, h, array, append(t, '\n'))
+	return writeBody(w, code, append(pieces, append(t, '\n'))...)
 }
 
 // writeBody commits a response: the status, the Content-Length of the
@@ -605,8 +608,9 @@ type selectivityDoc struct {
 
 // explainResponse is the GET /v1/explain result. Answer is how a count,
 // exists or instances request for the plan is computed under Strategy:
-// "counted" from position lists, no incident built, or "enumerated" like an
-// incidents request (eval.Counted). Candidates is how many instances a scan
+// "statistics" from the store's statistics, no instance read
+// (eval.FromStatistics), "counted" from position lists, no incident built
+// (eval.Counted), or "enumerated" like an incidents request. Candidates is how many instances a scan
 // of the plan evaluates (eval.Candidates): "k of n instances", or "none"
 // when its required-atom formula rules every instance out, as an atom whose
 // activity never occurs does.
@@ -666,7 +670,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		Before:        toEstimateDoc(trace.Before),
 		After:         toEstimateDoc(trace.After),
 		Strategy:      s.cfg.Strategy.String(),
-		Answer:        answerPath(opt, eval.ShapeCount, s.cfg.Strategy),
+		Answer:        answerPath(opt, eval.ShapeCount, s.cfg.Strategy, s.coord == nil || len(s.cfg.Cluster.Workers) == 1),
 		Workers:       s.cfg.Workers,
 		Candidates:    candidates,
 		Selectivities: selectivityDoc(trace.Selectivities),

@@ -16,6 +16,7 @@ import (
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/gen"
+	"wlq/internal/obs"
 	"wlq/internal/wlog"
 )
 
@@ -326,6 +327,61 @@ func TestExplain(t *testing.T) {
 		var resp explainResponse
 		if rec := getJSON(t, s.Handler(), "/v1/explain?log=fig3&q="+url.QueryEscape(q), &resp); rec.Code != http.StatusOK || resp.Candidates != want {
 			t.Errorf("explain %s: status %d, candidates %q; want %q", q, rec.Code, resp.Candidates, want)
+		}
+	}
+}
+
+// TestStatisticsAnswerIsNamed: a lone unguarded atom counted over the whole
+// log is answered from the store's statistics, reading no instance, and
+// /v1/explain and the eval span of a served count say so; a guard or an
+// operator is counted from the instances' position lists, and so is the
+// atom on a fleet of two, whose workers each scan an interval, but not on a
+// fleet of one.
+func TestStatisticsAnswerIsNamed(t *testing.T) {
+	l, err := wlq.ClinicLog(60, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := New(Config{})
+	t.Cleanup(func() { single.Close() })
+	if err := single.AddLog("clinic", "builtin:clinic", l); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		h    http.Handler
+		want map[string]string
+	}{
+		{"single node", single.Handler(), map[string]string{
+			"SeeDoctor":                 "statistics",
+			"SeeDoctor[year>=2017]":     "counted",
+			"SeeDoctor -> PayTreatment": "counted",
+		}},
+		{"2 workers", newClusterFixture(t, 2, "clinic", l, nil, nil).coord.Handler(), map[string]string{
+			"SeeDoctor": "counted",
+		}},
+		// One worker's part is the whole log.
+		{"1 worker", newClusterFixture(t, 1, "clinic", l, nil, nil).coord.Handler(), map[string]string{
+			"SeeDoctor":                 "statistics",
+			"SeeDoctor -> PayTreatment": "counted",
+		}},
+	} {
+		for q, want := range c.want {
+			var ex explainResponse
+			if rec := getJSON(t, c.h, "/v1/explain?log=clinic&q="+url.QueryEscape(q), &ex); rec.Code != http.StatusOK || ex.Answer != want {
+				t.Errorf("%s: explain %s: status %d, answer %q; want %q", c.name, q, rec.Code, ex.Answer, want)
+			}
+			var resp queryResponse
+			body := fmt.Sprintf(`{"log":"clinic","query":%q,"mode":"count","trace":true}`, q)
+			if rec := postQuery(t, c.h, body, &resp); rec.Code != http.StatusOK || resp.Trace == nil {
+				t.Fatalf("%s: %s: status %d: %s", c.name, q, rec.Code, rec.Body)
+			}
+			evals := findSpans(resp.Trace.Spans, func(sp *obs.Span) bool {
+				return sp.Name == "eval" && sp.Worker == "coordinator" || sp.Name == "eval" && sp.Worker == ""
+			})
+			if len(evals) != 1 || evals[0].Attrs["answer"] != want {
+				t.Errorf("%s: a served count of %s: eval spans %v; want one saying answer %q", c.name, q, evals, want)
+			}
 		}
 	}
 }

@@ -125,7 +125,7 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	var array []byte
 	switch shape {
 	case eval.ShapeIncidents:
-		array = x.res.Incidents
+		array = x.res.Incidents[0] // one list: served
 	case eval.ShapeInstances:
 		array = appendUints(nil, x.res.WIDs)
 	}
