@@ -91,7 +91,7 @@ FUZZ_TARGETS = \
 	./internal/stream/:FuzzMonitorBatches \
 	./internal/colstore/:FuzzStoreMatchesIndex \
 	./internal/core/eval/:FuzzEntryPointsAgree \
-	./internal/cluster/:FuzzIncidentCodec \
+	./internal/core/incident/:FuzzIncidentCodec \
 	./internal/cluster/:FuzzWorkerReply
 
 fuzz:

@@ -243,31 +243,16 @@ type ExecOptions struct {
 	Meter *eval.Meter
 }
 
-// Result is an answer in the shape it was asked for, in the form the query
-// service serves it whichever tier evaluated it: the count in every shape,
-// the wids having an incident in eval.ShapeInstances, and in
-// eval.ShapeIncidents the incidents themselves in wire form, as lists in
-// canonical order one after another. A single node's or a worker's answer is
-// one list, the bytes incident.AppendWire writes for it. A coordinator's are
-// its parts' lists in part order, each the bytes its worker sent, checked
-// where they arrived and not copied again: AppendArray writes them as one
-// list, CutIncidents and IncidentWIDs read them as one.
-type Result struct {
-	Count     int
-	WIDs      []uint64
-	Incidents [][]byte
-}
-
 // Execute evaluates the plan across the worker fleet and returns incL(p):
 // Answer in the eval.ShapeIncidents shape, decoded.
 func (c *Coordinator) Execute(ctx context.Context, logName string, plan pattern.Node, opts ExecOptions, qs *eval.QueryStats) (*incident.Set, *Completeness, Fanout, error) {
-	res, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
+	a, comp, fan, err := c.Answer(ctx, logName, plan, eval.ShapeIncidents, opts, qs)
 	if err != nil {
 		return nil, comp, fan, err
 	}
-	runs := make([][]incident.Incident, len(res.Incidents))
-	for i, l := range res.Incidents {
-		if runs[i], err = DecodeIncidents(l); err != nil {
+	runs := make([][]incident.Incident, len(a.Wire))
+	for i, l := range a.Wire {
+		if runs[i], err = incident.DecodeIncidents(l); err != nil {
 			return nil, comp, fan, err
 		}
 	}
@@ -309,8 +294,10 @@ func (r partResult) status() string {
 // ranges in ascending order, each answered in order — equal to a
 // single-node evaluation when every worker answers. An incidents answer is
 // never decoded or joined: each part's array is checked where it lies in the
-// reply, the one copy the coordinator makes of it, and the Result holds the
-// arrays in part order. qs, when non-nil, receives the instances and
+// reply, the one copy the coordinator makes of it, and the answer's Wire
+// holds the arrays in part order, as a single node's holds its scan
+// goroutines' lists. The answer excludes no instance: a lost part is named
+// in the Completeness. qs, when non-nil, receives the instances and
 // incidents of the merged answer.
 //
 // The returned error is non-nil only when the whole query is lost: the
@@ -326,7 +313,7 @@ func (r partResult) status() string {
 // write), one transport span per attempt, and the backoff and breaker-skip
 // spans. Under the transport span that carried the accepted reply, the
 // worker's own stages are built from the reply's timings (stitch).
-func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (Result, *Completeness, Fanout, error) {
+func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.Node, shape eval.Shape, opts ExecOptions, qs *eval.QueryStats) (eval.Answer, *Completeness, Fanout, error) {
 	c.Stats.Fanouts.Add(1)
 	// Distributed tracing happens here alone: nothing of the trace goes to
 	// the workers, whose replies carry counters and timings in every case.
@@ -380,7 +367,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	comp := &Completeness{Shards: len(parts)}
 	calls := make([]WorkerCall, len(parts))
 	var (
-		ans       Result
+		ans       eval.Answer
 		firstErr  error
 		budgetErr *resilience.BudgetError
 	)
@@ -394,7 +381,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 		}
 		ans.WIDs = make([]uint64, 0, n)
 	case eval.ShapeIncidents:
-		ans.Incidents = make([][]byte, 0, len(parts))
+		ans.Wire = make([][]byte, 0, len(parts))
 	}
 	for i, r := range results {
 		p, worker := parts[i], c.workers[i].name
@@ -413,7 +400,7 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 				// Every part's answer is canonical on its own and lies inside
 				// its part's interval (checkReply), so the parts' lists in
 				// part order are the answer's.
-				ans.Incidents = append(ans.Incidents, r.resp.Incidents)
+				ans.Wire = append(ans.Wire, r.resp.Incidents)
 			}
 			// Only merged answers feed the fleet meter: a failed worker's
 			// partial measurements would skew the measured-vs-predicted
@@ -479,14 +466,14 @@ func (c *Coordinator) Answer(ctx context.Context, logName string, plan pattern.N
 	case budgetErr != nil:
 		// A budget trip on one worker is a verdict on the query, not a lost
 		// part: the query fails with it, so a trip is never a shorter answer.
-		return Result{}, comp, fan, budgetErr
+		return eval.Answer{}, comp, fan, budgetErr
 	case ctx.Err() != nil:
-		return Result{}, comp, fan, ctx.Err()
+		return eval.Answer{}, comp, fan, ctx.Err()
 	case comp.Succeeded == 0 && len(parts) > 0:
 		if firstErr == nil {
 			firstErr = fmt.Errorf("all %d workers skipped by open circuit breakers", comp.Shards)
 		}
-		return Result{}, comp, fan, firstErr
+		return eval.Answer{}, comp, fan, firstErr
 	}
 	return ans, comp, fan, nil
 }
@@ -645,7 +632,7 @@ func (st *stitch) subtree(sp *obs.Span, spanID, worker string, resp *WorkerQuery
 // (incidents in canonical order and wids ascending, the reader saw to that)
 // catch answers from outside the interval, which the merge's concatenation
 // would otherwise put out of order.
-func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSummary) (count int, err error) {
+func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum incident.ListSummary) (count int, err error) {
 	if resp.WIDsOwned != len(p.WIDs) {
 		return 0, fmt.Errorf("placement mismatch: worker holds %d wids in %d–%d, coordinator %d (stale copy of the log)",
 			resp.WIDsOwned, p.MinWID, p.MaxWID, len(p.WIDs))
@@ -653,14 +640,14 @@ func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSum
 	count = resp.Count
 	switch {
 	case count < 0,
-		shape == eval.ShapeIncidents && count != sum.n,
-		shape == eval.ShapeInstances && (count < sum.n || (count > 0) != (sum.n > 0)):
-		return 0, fmt.Errorf("%w: count %d for %d elements of the %v array", ErrMalformedIncidents, count, sum.n, shape)
+		shape == eval.ShapeIncidents && count != sum.N,
+		shape == eval.ShapeInstances && (count < sum.N || (count > 0) != (sum.N > 0)):
+		return 0, fmt.Errorf("%w: count %d for %d elements of the %v array", incident.ErrMalformedIncidents, count, sum.N, shape)
 	}
 	// An empty answer lies inside any interval.
-	if sum.n > 0 && (sum.first < p.MinWID || sum.last > p.MaxWID) {
+	if sum.N > 0 && (sum.First < p.MinWID || sum.Last > p.MaxWID) {
 		return 0, fmt.Errorf("%w: wids %d–%d outside the part's interval %d–%d",
-			ErrMalformedIncidents, sum.first, sum.last, p.MinWID, p.MaxWID)
+			incident.ErrMalformedIncidents, sum.First, sum.Last, p.MinWID, p.MaxWID)
 	}
 	return count, nil
 }
@@ -668,7 +655,7 @@ func checkReply(p Part, shape eval.Shape, resp *WorkerQueryResponse, sum listSum
 // post issues one HTTP request to a worker and reads the reply to a request
 // of the given shape (readReply). Request duration — the reply read
 // included — feeds the per-worker latency histogram either way.
-func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte) (_ *WorkerQueryResponse, _ listSummary, err error) {
+func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.Shape, body []byte) (_ *WorkerQueryResponse, _ incident.ListSummary, err error) {
 	c.Stats.WorkerRequests.Add(1)
 	start := time.Now()
 	defer func() {
@@ -680,12 +667,12 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		strings.TrimSuffix(worker.name, "/")+"/v1/worker/query", bytes.NewReader(body))
 	if err != nil {
-		return nil, listSummary{}, err
+		return nil, incident.ListSummary{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	httpResp, err := c.client.Do(req)
 	if err != nil {
-		return nil, listSummary{}, err
+		return nil, incident.ListSummary{}, err
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
@@ -698,9 +685,9 @@ func (c *Coordinator) post(ctx context.Context, worker *workerState, shape eval.
 		if httpResp.StatusCode == http.StatusUnprocessableEntity && ed.BudgetDimension != "" {
 			// The worker's budget trip, rebuilt: deterministic, and the verdict
 			// on the whole query (Answer).
-			return nil, listSummary{}, nonRetryable(&resilience.BudgetError{Dimension: ed.BudgetDimension, Limit: ed.BudgetLimit, Measured: ed.BudgetMeasured})
+			return nil, incident.ListSummary{}, nonRetryable(&resilience.BudgetError{Dimension: ed.BudgetDimension, Limit: ed.BudgetLimit, Measured: ed.BudgetMeasured})
 		}
-		return nil, listSummary{}, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
+		return nil, incident.ListSummary{}, &WorkerHTTPError{Status: httpResp.StatusCode, Msg: msg}
 	}
 	return readReply(httpResp.Body, httpResp.ContentLength, shape)
 }

@@ -48,7 +48,7 @@ func ownedWIDs(wids []uint64, req WorkerQueryRequest) []uint64 {
 // carries no counters and always encodes.
 func writeReply(w http.ResponseWriter, req WorkerQueryRequest, owned, count int, array string) {
 	shape, _ := eval.ParseShape(req.Mode)
-	WriteReply(w, shape, []byte(array), &WorkerReply{Worker: req.Self, WIDsOwned: owned, Instances: owned, Count: count, ElapsedUS: 1})
+	WriteReply(w, shape, [][]byte{[]byte(array)}, &WorkerReply{Worker: req.Self, WIDsOwned: owned, Instances: owned, Count: count, ElapsedUS: 1})
 }
 
 // shapedReplyBody is the reply in the request's mode: the incidents, or
@@ -61,7 +61,7 @@ func shapedReplyBody(req WorkerQueryRequest, owned int, incs []incident.Incident
 		wids, _ := json.Marshal(append([]uint64{}, incident.MergeSorted(incs).WIDs()...))
 		array = string(wids)
 	default:
-		array = string(appendIncidents(nil, incs))
+		array = string(incident.AppendWire(nil, incs))
 	}
 	rec := httptest.NewRecorder()
 	writeReply(rec, req, owned, len(incs), array)
@@ -96,7 +96,7 @@ func oneIncidentPerWID(owned []uint64) string {
 	for i, wid := range owned {
 		incs[i] = incident.New(wid, 1, 2)
 	}
-	return string(appendIncidents(nil, incs))
+	return string(incident.AppendWire(nil, incs))
 }
 
 // TestMalformedWorkerReplyLosesThePart: anything can answer on a worker
@@ -131,7 +131,7 @@ func TestMalformedWorkerReplyLosesThePart(t *testing.T) {
 				t.Fatalf("completeness = %+v, want exactly the bad worker's %d wids lost", comp, len(asn[1].WIDs))
 			}
 			lost := comp.Failures[0]
-			if lost.Worker != bad.URL || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+			if lost.Worker != bad.URL || !strings.Contains(lost.Cause, incident.ErrMalformedIncidents.Error()) {
 				t.Errorf("lost part = %+v, want %s with a malformed-incidents cause", lost, bad.URL)
 			}
 			if lost.Attempts != 1 || badServed.Load() != 1 || fan.Retries != 0 {
@@ -181,7 +181,7 @@ func TestCoordinatorLosesAnIndentedReply(t *testing.T) {
 	}
 	for i, lost := range comp.Failures {
 		worker, served := []string{spaced.URL, indented.URL}[i], []*atomic.Int64{&spacedServed, indentedServed}[i]
-		if lost.Worker != worker || lost.Attempts != 1 || served.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+		if lost.Worker != worker || lost.Attempts != 1 || served.Load() != 1 || !strings.Contains(lost.Cause, incident.ErrMalformedIncidents.Error()) {
 			t.Errorf("lost part %+v after %d requests, want %s's, once, as malformed", lost, served.Load(), worker)
 		}
 	}
@@ -265,7 +265,7 @@ func TestClusterReplyOutsideIntervalLosesThePart(t *testing.T) {
 			if lost.Worker != bad || lost.WIDMin != part.MinWID || lost.WIDMax != part.MaxWID || lost.WIDs != len(part.WIDs) {
 				t.Errorf("lost part = %+v, want %s with wids %d–%d", lost, bad, part.MinWID, part.MaxWID)
 			}
-			if !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+			if !strings.Contains(lost.Cause, incident.ErrMalformedIncidents.Error()) {
 				t.Errorf("cause %q does not call the reply malformed", lost.Cause)
 			}
 			if lost.Attempts != 1 || badServed.Load() != 1 || fan.Retries != 0 {
@@ -328,7 +328,7 @@ func TestClusterWorkerRequestCarriesTheInterval(t *testing.T) {
 	for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
 		var qs eval.QueryStats
 		a, comp, fan, err := c.Answer(context.Background(), "log", plan, shape, ExecOptions{WIDs: wids}, &qs)
-		if err != nil || !comp.Complete || a.Count != len(wids) || a.Incidents != nil || qs.Incidents != len(wids) {
+		if err != nil || !comp.Complete || a.Count != len(wids) || a.Wire != nil || qs.Incidents != len(wids) {
 			t.Fatalf("%v: answer %+v, completeness %+v, stats %+v, err %v", shape, a, comp, qs, err)
 		}
 		if shape == eval.ShapeInstances && !slices.Equal(a.WIDs, wids) {
@@ -406,7 +406,7 @@ func TestClusterHeadFirstReplyLosesThePart(t *testing.T) {
 			if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 {
 				t.Fatalf("answer %+v, completeness %+v, err %v; want the current worker's 6 and one part lost", a, comp, err)
 			}
-			if lost := comp.Failures[0]; lost.Worker != old.URL || lost.Attempts != 1 || oldServed.Load() != 1 || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+			if lost := comp.Failures[0]; lost.Worker != old.URL || lost.Attempts != 1 || oldServed.Load() != 1 || !strings.Contains(lost.Cause, incident.ErrMalformedIncidents.Error()) {
 				t.Errorf("lost part %+v after %d requests, want the old worker's, once, as malformed", lost, oldServed.Load())
 			}
 		})
@@ -439,11 +439,11 @@ func TestClusterReplyCountDisagreesLosesThePart(t *testing.T) {
 				t.Fatal(err)
 			}
 			a, comp, fan, err := c.Answer(context.Background(), "log", pattern.MustParse("A -> B"), eval.ShapeIncidents, ExecOptions{WIDs: wids}, nil)
-			if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 || bytes.Count(joined(a.Incidents), []byte("{")) != 6 {
+			if err != nil || comp.Complete || comp.Failed != 1 || a.Count != 6 || bytes.Count(joined(a.Wire), []byte("{")) != 6 {
 				t.Fatalf("answer %+v, completeness %+v, err %v; want the good worker's 6 and one part lost", a, comp, err)
 			}
 			lost := comp.Failures[0]
-			if lost.Worker != liar.URL || !strings.Contains(lost.Cause, ErrMalformedIncidents.Error()) {
+			if lost.Worker != liar.URL || !strings.Contains(lost.Cause, incident.ErrMalformedIncidents.Error()) {
 				t.Errorf("lost part %+v, want %s with a malformed-incidents cause", lost, liar.URL)
 			}
 			if lost.Attempts != 1 || liarServed.Load() != 1 || fan.Retries != 0 {
@@ -556,7 +556,7 @@ func answerFleet(tb testing.TB, n int) (*Coordinator, []uint64, int) {
 		}))
 		tb.Cleanup(ts.Close)
 		rec := httptest.NewRecorder()
-		if err := WriteReply(rec, eval.ShapeIncidents, appendIncidents(nil, incs), &WorkerReply{
+		if err := WriteReply(rec, eval.ShapeIncidents, [][]byte{incident.AppendWire(nil, incs)}, &WorkerReply{
 			Worker: ts.URL, WIDsOwned: len(p.WIDs), Instances: len(p.WIDs), Count: len(incs)}); err != nil {
 			tb.Fatal(err)
 		}
@@ -580,10 +580,10 @@ func TestCoordinatorAnswerCopiesOnce(t *testing.T) {
 	const n = 5000
 	c, wids, size := answerFleet(t, n)
 	plan := pattern.MustParse("A -> B")
-	answer := func() Result {
+	answer := func() eval.Answer {
 		res, comp, _, err := c.Answer(context.Background(), "log", plan, eval.ShapeIncidents, ExecOptions{WIDs: wids}, nil)
-		if err != nil || !comp.Complete || res.Count != 2*n || len(res.Incidents) != 2 {
-			t.Fatalf("answer of %d in %d lists, completeness %+v, err %v", res.Count, len(res.Incidents), comp, err)
+		if err != nil || !comp.Complete || res.Count != 2*n || len(res.Wire) != 2 {
+			t.Fatalf("answer of %d in %d lists, completeness %+v, err %v", res.Count, len(res.Wire), comp, err)
 		}
 		return res
 	}
@@ -591,7 +591,7 @@ func TestCoordinatorAnswerCopiesOnce(t *testing.T) {
 	for i, wid := range wids {
 		want[i] = incident.New(wid, 1, 7)
 	}
-	if got := joined(answer().Incidents); !bytes.Equal(got, appendIncidents(nil, want)) {
+	if got := joined(answer().Wire); !bytes.Equal(got, incident.AppendWire(nil, want)) {
 		t.Fatalf("the answer's lists write as %.80s…, want one incident per wid", got)
 	}
 	// The least of single runs: under the race detector sync.Pool drops

@@ -286,15 +286,15 @@ func runScatterCase(t *testing.T, tc scatterCase, shape eval.Shape) {
 		for i, wid := range wantWIDs {
 			want[i] = incident.New(wid, 1, 2)
 		}
-		if got := joined(ans.Incidents); !bytes.Equal(got, appendIncidents(nil, want)) || ans.WIDs != nil {
+		if got := joined(ans.Wire); !bytes.Equal(got, incident.AppendWire(nil, want)) || ans.WIDs != nil {
 			t.Errorf("merged incidents %s (wids %v), want one incident in each of %v", got, ans.WIDs, wantWIDs)
 		}
 	case eval.ShapeInstances:
-		if !slices.Equal(ans.WIDs, wantWIDs) || ans.Incidents != nil {
-			t.Errorf("merged wids %v (incidents %s), want %v", ans.WIDs, ans.Incidents, wantWIDs)
+		if !slices.Equal(ans.WIDs, wantWIDs) || ans.Wire != nil {
+			t.Errorf("merged wids %v (incidents %s), want %v", ans.WIDs, ans.Wire, wantWIDs)
 		}
 	default:
-		if ans.WIDs != nil || ans.Incidents != nil {
+		if ans.WIDs != nil || ans.Wire != nil {
 			t.Errorf("a count came with %+v", ans)
 		}
 	}

@@ -2,13 +2,14 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -16,19 +17,25 @@ import (
 	"wlq/internal/core/incident"
 )
 
+// joined is an answer's lists as incident.AppendArray writes them: one list.
+func joined(lists [][]byte) []byte {
+	return bytes.Join(incident.AppendArray(nil, lists), nil)
+}
+
 // appendIncidents appends to dst the wire-form list the blocks concatenate
-// to, as a served scan writes one: the list's brackets around
-// incident.AppendWire over each block in turn.
+// to, written as a served scan writes one: incident.AppendWire over each
+// block in turn, after an empty list.
 func appendIncidents(dst []byte, blocks ...[]incident.Incident) []byte {
-	dst = append(dst, '[')
+	dst = incident.AppendWire(dst, nil)
 	for _, b := range blocks {
 		dst = incident.AppendWire(dst, b)
 	}
-	return append(dst, ']')
+	return dst
 }
 
 // incidentDoc is what the codec replaced: the reflect-encoded wire form of
-// one incident. The tests hold incident.AppendWire to it byte for byte.
+// one incident. The tests hold incident.AppendWire to it byte for byte, and
+// the reply reader to it.
 type incidentDoc struct {
 	WID  uint64   `json:"wid"`
 	Seqs []uint64 `json:"seqs"`
@@ -40,31 +47,6 @@ func fromIncidents(incs []incident.Incident) []incidentDoc {
 		out[i] = incidentDoc{WID: inc.WID(), Seqs: inc.Seqs()}
 	}
 	return out
-}
-
-// incidentsFromBytes derives a canonical incident list from fuzz input:
-// groups of one wid byte, one length byte and that many 16-bit seqs; a group
-// New would reject (duplicate seqs) is dropped.
-func incidentsFromBytes(b []byte) []incident.Incident {
-	var incs []incident.Incident
-	for len(b) >= 2 {
-		wid, n := uint64(b[0]), int(b[1]%5)+1
-		b = b[2:]
-		if len(b) < 2*n {
-			break
-		}
-		seqs := make([]uint64, n)
-		seen := make(map[uint64]bool, n)
-		for i := range seqs {
-			seqs[i] = uint64(binary.LittleEndian.Uint16(b[2*i:]))
-			seen[seqs[i]] = true
-		}
-		b = b[2*n:]
-		if len(seen) == n {
-			incs = append(incs, incident.New(wid<<56|wid, seqs...))
-		}
-	}
-	return incident.NewSet(incs...).Incidents()
 }
 
 func equalIncidents(a, b []incident.Incident) bool {
@@ -100,9 +82,9 @@ func TestAppendIncidentsMatchesEncodingJSON(t *testing.T) {
 		if withPrefix := appendIncidents([]byte("x"), incs); string(withPrefix) != "x"+string(want) {
 			t.Errorf("%s: AppendWire does not append: %s", name, withPrefix)
 		}
-		back, err := DecodeIncidents(got)
+		back, err := incident.DecodeIncidents(got)
 		if err != nil || !equalIncidents(back, incs) {
-			t.Errorf("%s: DecodeIncidents(%s) = %v, %v", name, got, back, err)
+			t.Errorf("%s: incident.DecodeIncidents(%s) = %v, %v", name, got, back, err)
 		}
 	}
 }
@@ -132,16 +114,16 @@ func TestDecodeIncidentsRejectsOtherSpellings(t *testing.T) {
 		if err := json.Unmarshal([]byte(in), &docs); err != nil {
 			t.Fatalf("%q is not JSON at all: %v", in, err)
 		}
-		got, err := DecodeIncidents([]byte(in))
+		got, err := incident.DecodeIncidents([]byte(in))
 		if err == nil {
-			t.Errorf("DecodeIncidents(%q) = %v, want an error", in, got)
+			t.Errorf("incident.DecodeIncidents(%q) = %v, want an error", in, got)
 			continue
 		}
-		if !errors.Is(err, ErrMalformedIncidents) || !strings.Contains(err.Error(), why) {
-			t.Errorf("DecodeIncidents(%q): %v, want ErrMalformedIncidents mentioning %q", in, err, why)
+		if !errors.Is(err, incident.ErrMalformedIncidents) || !strings.Contains(err.Error(), why) {
+			t.Errorf("incident.DecodeIncidents(%q): %v, want ErrMalformedIncidents mentioning %q", in, err, why)
 		}
 	}
-	if got, err := DecodeIncidents([]byte("[]")); err != nil || len(got) != 0 {
+	if got, err := incident.DecodeIncidents([]byte("[]")); err != nil || len(got) != 0 {
 		t.Errorf("empty list: %v, %v", got, err)
 	}
 }
@@ -175,16 +157,16 @@ func TestDecodeIncidentsRejects(t *testing.T) {
 		`[{"wid":2,"seqs":[1]},{"wid":1,"seqs":[1]}]`: "canonical order",
 		`[{"wid":1,"seqs":[1]},{"wid":1,"seqs":[1]}]`: "canonical order",
 	} {
-		got, err := DecodeIncidents([]byte(in))
+		got, err := incident.DecodeIncidents([]byte(in))
 		if err == nil {
-			t.Errorf("DecodeIncidents(%s) = %v, want an error", in, got)
+			t.Errorf("incident.DecodeIncidents(%s) = %v, want an error", in, got)
 			continue
 		}
-		if !errors.Is(err, ErrMalformedIncidents) || !strings.Contains(err.Error(), why) {
-			t.Errorf("DecodeIncidents(%s): %v, want ErrMalformedIncidents mentioning %q", in, err, why)
+		if !errors.Is(err, incident.ErrMalformedIncidents) || !strings.Contains(err.Error(), why) {
+			t.Errorf("incident.DecodeIncidents(%s): %v, want ErrMalformedIncidents mentioning %q", in, err, why)
 		}
 	}
-	if got, err := DecodeIncidents([]byte(`[{"wid":18446744073709551615,"seqs":[0,18446744073709551615]}]`)); err != nil ||
+	if got, err := incident.DecodeIncidents([]byte(`[{"wid":18446744073709551615,"seqs":[0,18446744073709551615]}]`)); err != nil ||
 		len(got) != 1 || got[0].WID() != 1<<64-1 || got[0].Last() != 1<<64-1 {
 		t.Errorf("the widest numbers: %v, %v", got, err)
 	}
@@ -207,39 +189,24 @@ func TestDecodeIncidentsSlabs(t *testing.T) {
 		}
 	}
 	incs = incident.NewSet(incs...).Incidents()
-	got, err := DecodeIncidents(appendIncidents(nil, incs))
+	got, err := incident.DecodeIncidents(appendIncidents(nil, incs))
 	if err != nil || !equalIncidents(got, incs) {
 		t.Fatalf("round trip across slab boundaries failed: %v", err)
 	}
 }
 
-// TestIncidentListPrefixesAreRejected: the reader compares eight bytes in one
-// load, and a load near the end of the bytes is where such a reader breaks.
-// Every proper prefix of a canonical list — numbers of 19 and 20 digits in
-// both positions — and of a worker reply in each mode is refused and never
-// panics: a cut inside the answer array under ErrMalformedIncidents, a cut in
-// the envelope by encoding/json. A number past uint64 is refused in either
-// position.
+// TestIncidentListPrefixesAreRejected: the answer array's reader compares
+// eight bytes in one load, and a load near the end of the bytes is where
+// such a reader breaks. Every proper prefix of a worker reply in each mode,
+// around numbers of 19 and 20 digits, is refused and never panics: a cut
+// inside the answer array under ErrMalformedIncidents, a cut in the envelope
+// by encoding/json.
 func TestIncidentListPrefixesAreRejected(t *testing.T) {
 	const (
 		d19 = "1234567890123456789"
 		d20 = "18446744073709551615" // the largest uint64
 	)
 	list := `[{"wid":` + d19 + `,"seqs":[1,` + d20 + `]},{"wid":` + d20 + `,"seqs":[` + d19 + `]},{"wid":` + d20 + `,"seqs":[` + d20 + `]}]`
-	incs := []incident.Incident{incident.New(1234567890123456789, 1, 1<<64-1), incident.New(1<<64-1, 1234567890123456789), incident.New(1<<64-1, 1<<64-1)}
-	if got, err := DecodeIncidents([]byte(list)); err != nil || !equalIncidents(got, incs) || string(appendIncidents(nil, incs)) != list {
-		t.Fatalf("DecodeIncidents(%s) = %v, %v", list, got, err)
-	}
-	for n := range len(list) {
-		// The cut-off bytes stay in the slice's capacity.
-		if got, err := DecodeIncidents([]byte(list)[:n]); !errors.Is(err, ErrMalformedIncidents) {
-			t.Errorf("DecodeIncidents(%s) = %v, %v; want ErrMalformedIncidents", list[:n], got, err)
-		}
-		if _, err := scanIncidentList([]byte(list)[:n], nil); !errors.Is(err, ErrMalformedIncidents) {
-			t.Errorf("scanIncidentList(%s): %v; want ErrMalformedIncidents", list[:n], err)
-		}
-	}
-
 	reply := &WorkerReply{Worker: "w", WIDsOwned: 3, Instances: 2, Count: 3, ElapsedUS: 1, Ops: []eval.NodeOps{{1, 0, 1, 1, 3, 3, 3}}}
 	for _, c := range []struct {
 		shape eval.Shape
@@ -250,7 +217,7 @@ func TestIncidentListPrefixesAreRejected(t *testing.T) {
 		{eval.ShapeCount, ""},
 	} {
 		rec := httptest.NewRecorder()
-		if err := WriteReply(rec, c.shape, []byte(c.array), reply); err != nil {
+		if err := WriteReply(rec, c.shape, [][]byte{[]byte(c.array)}, reply); err != nil {
 			t.Fatal(err)
 		}
 		body := strings.TrimSuffix(rec.Body.String(), "\n")
@@ -265,35 +232,19 @@ func TestIncidentListPrefixesAreRejected(t *testing.T) {
 		}
 		for n := range len(body) {
 			_, _, err := parseReply([]byte(body)[:n], c.shape)
-			if n < scanned && !errors.Is(err, ErrMalformedIncidents) || n >= scanned && (err == nil || !strings.Contains(err.Error(), "decode worker response")) {
+			if n < scanned && !errors.Is(err, incident.ErrMalformedIncidents) || n >= scanned && (err == nil || !strings.Contains(err.Error(), "decode worker response")) {
 				t.Errorf("%v: parseReply(%s): %v", c.shape, body[:n], err)
 			}
 		}
 	}
 
-	for _, x := range []string{"18446744073709551616", "123456789012345678901"} {
-		for _, in := range []string{`[{"wid":` + x + `,"seqs":[1]}]`, `[{"wid":1,"seqs":[1,` + x + `]}]`} {
-			if got, err := DecodeIncidents([]byte(in)); !errors.Is(err, ErrMalformedIncidents) || !strings.Contains(err.Error(), "overflows") {
-				t.Errorf("DecodeIncidents(%s) = %v, %v; want an overflow", in, got, err)
-			}
-		}
-	}
-	// Twenty-one digits that a leading zero keeps inside uint64.
-	if got, err := DecodeIncidents([]byte(`[{"wid":000000000000000000001,"seqs":[1]}]`)); err == nil || !strings.Contains(err.Error(), "leading zero") {
-		t.Errorf("a wid with leading zeros: %v, %v", got, err)
-	}
 }
 
-// joined is an answer's lists as AppendArray writes them: one list.
-func joined(lists [][]byte) []byte {
-	return bytes.Join(AppendArray(nil, lists), nil)
-}
-
-// TestCutAndJoinLists: the byte operations the coordinator, its cache and
-// the response writer do on an answer held as its parts' lists — cut after
-// the n-th incident, list the wids, write the parts as one list — equal
-// encoding the incidents that result, wherever the parts split the answer
-// and whichever of them are empty.
+// TestCutAndJoinLists: the byte operations the query service does on an
+// answer held as lists — a coordinator's parts', a single node's scan
+// goroutines' — cut after the n-th incident, list the wids, write the lists
+// as one and measure it, equal encoding the incidents that result, wherever
+// the lists split the answer and whichever of them are empty.
 func TestCutAndJoinLists(t *testing.T) {
 	incs := []incident.Incident{incident.New(1, 2), incident.New(1, 3, 4), incident.New(5, 1), incident.New(9, 7, 8, 9)}
 	whole := appendIncidents(nil, incs)
@@ -302,26 +253,26 @@ func TestCutAndJoinLists(t *testing.T) {
 		for i := 1; i < len(split); i++ {
 			lists = append(lists, appendIncidents(nil, incs[split[i-1]:split[i]]))
 		}
-		if got := joined(lists); !bytes.Equal(got, whole) {
-			t.Errorf("AppendArray at %v = %s, want %s", split, got, whole)
+		if got := joined(lists); !bytes.Equal(got, whole) || incident.ArrayLen(lists) != len(whole) {
+			t.Errorf("AppendArray at %v = %s (ArrayLen %d), want %s", split, got, incident.ArrayLen(lists), whole)
 		}
-		if got := IncidentWIDs(lists); !slices.Equal(got, []uint64{1, 5, 9}) {
+		if got := incident.IncidentWIDs(lists); !slices.Equal(got, []uint64{1, 5, 9}) {
 			t.Errorf("IncidentWIDs at %v = %v", split, got)
 		}
 		for n := 0; n <= len(incs); n++ {
-			cut := CutIncidents(lists, n)
+			cut := incident.CutIncidents(lists, n)
 			if got, want := joined(cut), appendIncidents(nil, incs[:n]); !bytes.Equal(got, want) {
-				t.Errorf("CutIncidents(%v, %d) = %s, want %s", split, n, got, want)
+				t.Errorf("incident.CutIncidents(%v, %d) = %s, want %s", split, n, got, want)
 			}
 			for i, l := range cut {
 				if i < len(lists) && &l[0] == &lists[i][0] && len(l) != len(lists[i]) {
-					t.Errorf("CutIncidents(%v, %d) aliases the list it cut", split, n)
+					t.Errorf("incident.CutIncidents(%v, %d) aliases the list it cut", split, n)
 				}
 			}
 		}
 	}
 	if got := joined(nil); string(got) != "[]" {
-		t.Errorf("AppendArray() = %s", got)
+		t.Errorf("incident.AppendArray() = %s", got)
 	}
 }
 
@@ -343,9 +294,9 @@ func TestIncidentsInADocument(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.body, err)
 		}
-		want := listSummary{n: 1, first: 2, last: 2}
+		want := incident.ListSummary{N: 1, First: 2, Last: 2}
 		if c.shape == eval.ShapeCount {
-			want = listSummary{}
+			want = incident.ListSummary{}
 		}
 		if !reflect.DeepEqual(resp.WorkerReply, WorkerReply{Worker: "w", WIDsOwned: 1, Instances: 1, Count: 1, ElapsedUS: 3}) || sum != want ||
 			(c.shape == eval.ShapeIncidents) != (string(resp.Incidents) == `[{"wid":2,"seqs":[5,9]}]`) ||
@@ -363,9 +314,9 @@ func TestIncidentsInADocument(t *testing.T) {
 		{eval.ShapeIncidents, `{"incidents": [],"worker":"w"}`, `want "["`},
 		{eval.ShapeIncidents, ` {"incidents":[],"worker":"w"}`, "does not open with"},
 		{eval.ShapeIncidents, `{"wids":[],"worker":"w"}`, "does not open with"},
-		{eval.ShapeIncidents, `{"incidents":[]}`, ErrMalformedIncidents.Error()},
-		{eval.ShapeIncidents, `{"incidents":[],}`, ErrMalformedIncidents.Error()},
-		{eval.ShapeIncidents, `{"incidents":[], "worker":"w"}`, ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[]}`, incident.ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[],}`, incident.ErrMalformedIncidents.Error()},
+		{eval.ShapeIncidents, `{"incidents":[], "worker":"w"}`, incident.ErrMalformedIncidents.Error()},
 		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","Incidents":[]}`, "envelope"},
 		{eval.ShapeIncidents, `{"incidents":[],"INCIDENTS":null,"worker":"w"}`, "envelope"},
 		{eval.ShapeIncidents, `{"incidents":[],"worker":"w","wids":[1]}`, "envelope"},
@@ -389,53 +340,41 @@ func TestIncidentsInADocument(t *testing.T) {
 	}
 }
 
-// FuzzIncidentCodec: the encoder is encoding/json's, byte for byte, whatever
-// blocks the list comes in; decode inverts encode; and the decoder accepts a list exactly when its bytes are
-// what AppendWire writes for the incidents encoding/json reads from
-// them, returning an error, never panicking, on anything else. The seeds are
-// testdata/fuzz/FuzzIncidentCodec: encoder inputs, both spellings of a
-// well-formed reply, and every kind of malformed one.
-func FuzzIncidentCodec(f *testing.F) {
-	f.Fuzz(func(t *testing.T, b []byte) {
-		incs := incidentsFromBytes(b)
-		want, err := json.Marshal(fromIncidents(incs))
-		if err != nil {
+// TestWorkerReplyFromLists: a worker writes its answer as the lists its scan
+// left — one per goroutine, some of them empty — and the reply is the bytes
+// of the one-list write, which the coordinator reads back as the same
+// answer: the same array, summary and envelope. FuzzWorkerReply's seed
+// incidents_three_lists is that reply.
+func TestWorkerReplyFromLists(t *testing.T) {
+	incs := []incident.Incident{incident.New(2, 1, 5), incident.New(2, 3, 4), incident.New(7, 9), incident.New(9, 1)}
+	reply := &WorkerReply{Worker: "w", WIDsOwned: 9, Instances: 9, Count: len(incs), ElapsedUS: 1, Ops: []eval.NodeOps{{1, 0, 1, 1, 4, 4, 4}}}
+	write := func(lists ...[]byte) []byte {
+		rec := httptest.NewRecorder()
+		if err := WriteReply(rec, eval.ShapeIncidents, lists, reply); err != nil {
 			t.Fatal(err)
 		}
-		enc := appendIncidents(nil, incs)
-		if !bytes.Equal(enc, want) {
-			t.Fatalf("AppendWire = %s, encoding/json = %s", enc, want)
+		if n := rec.Header().Get("Content-Length"); n != fmt.Sprint(rec.Body.Len()) {
+			t.Fatalf("Content-Length %s for a body of %d bytes", n, rec.Body.Len())
 		}
-		back, err := DecodeIncidents(enc)
-		if err != nil || !equalIncidents(back, incs) {
-			t.Fatalf("DecodeIncidents(%s) = %v, %v", enc, back, err)
-		}
-		// The same list in blocks, cut where the input's bytes say, empty
-		// blocks included: the bytes do not depend on the cuts.
-		var blocks [][]incident.Incident
-		rest := incs
-		for _, c := range b {
-			cut := min(int(c%8), len(rest))
-			blocks, rest = append(blocks, rest[:cut]), rest[cut:]
-		}
-		if inBlocks := appendIncidents(nil, append(blocks, rest)...); !bytes.Equal(inBlocks, enc) {
-			t.Fatalf("AppendWire over %d blocks = %s, over one = %s", len(blocks)+1, inBlocks, enc)
-		}
-		// The raw input as a list: accepted iff it is the canonical bytes of
-		// a canonical list.
-		got, err := DecodeIncidents(b)
-		if err != nil && !errors.Is(err, ErrMalformedIncidents) {
-			t.Fatalf("DecodeIncidents(%q): %v does not wrap ErrMalformedIncidents", b, err)
-		}
-		var docs []incidentDoc
-		canonical := json.Unmarshal(b, &docs) == nil && docs != nil && bytes.Equal(b, mustMarshal(t, docs)) && isCanonical(docs)
-		if (err == nil) != canonical {
-			t.Fatalf("DecodeIncidents(%q) = %v, %v; canonical wire form: %v", b, got, err, canonical)
-		}
-		if err == nil && !bytes.Equal(appendIncidents(nil, got), b) {
-			t.Fatalf("DecodeIncidents(%q) = %v, which encodes otherwise", b, got)
-		}
-	})
+		return rec.Body.Bytes()
+	}
+	one := write(incident.AppendWire(nil, incs))
+	three := write(incident.AppendWire(nil, incs[:2]), incident.AppendWire(nil, nil), incident.AppendWire(nil, incs[2:]))
+	if !bytes.Equal(three, one) {
+		t.Fatalf("a reply from three lists is\n%s\nfrom one\n%s", three, one)
+	}
+	seed, err := os.ReadFile("testdata/fuzz/FuzzWorkerReply/incidents_three_lists")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasSuffix(string(seed), "[]byte("+strconv.Quote(string(three))+")\n") {
+		t.Errorf("the seed incidents_three_lists is\n%s\nnot the reply\n%s", seed, three)
+	}
+	resp, sum, err := parseReply(bytes.Clone(three), eval.ShapeIncidents)
+	if err != nil || sum != (incident.ListSummary{N: 4, First: 2, Last: 9}) || !bytes.Equal(resp.Incidents, incident.AppendWire(nil, incs)) ||
+		!reflect.DeepEqual(resp.WorkerReply, *reply) {
+		t.Errorf("read back %+v, %+v, %v", resp, sum, err)
+	}
 }
 
 // isCanonical reports whether docs satisfy Definition 4 and come in
@@ -472,7 +411,7 @@ func FuzzWorkerReply(f *testing.F) {
 		if !reflect.DeepEqual(resp.WorkerReply, ref.WorkerReply) {
 			t.Fatalf("%v: %q: envelope %+v, encoding/json %+v", shape, body, resp.WorkerReply, ref.WorkerReply)
 		}
-		var want listSummary
+		var want incident.ListSummary
 		switch shape {
 		case eval.ShapeIncidents:
 			if !bytes.Equal(resp.Incidents, ref.Incidents) || resp.WIDs != nil {
@@ -484,7 +423,7 @@ func FuzzWorkerReply(f *testing.F) {
 					t.Fatalf("%q: accepted incidents %s that are not the canonical wire form (%v)", body, resp.Incidents, err)
 				}
 				if n := len(docs); n > 0 {
-					want = listSummary{n: n, first: docs[0].WID, last: docs[n-1].WID}
+					want = incident.ListSummary{N: n, First: docs[0].WID, Last: docs[n-1].WID}
 				}
 			}
 		case eval.ShapeInstances:
@@ -492,7 +431,7 @@ func FuzzWorkerReply(f *testing.F) {
 				t.Fatalf("%q: wids %v (incidents %s), encoding/json %v", body, resp.WIDs, resp.Incidents, ref.WIDs)
 			}
 			if n := len(resp.WIDs); n > 0 {
-				want = listSummary{n: n, first: resp.WIDs[0], last: resp.WIDs[n-1]}
+				want = incident.ListSummary{N: n, First: resp.WIDs[0], Last: resp.WIDs[n-1]}
 			}
 		default:
 			if resp.Incidents != nil || resp.WIDs != nil {
@@ -521,7 +460,7 @@ func replyOf(n int) (incs []incident.Incident, reply []byte) {
 	for i := range incs {
 		incs[i] = incident.New(uint64(i/2+1), uint64(i%2+1), uint64(i%2+7))
 	}
-	reply = appendIncidents([]byte(`{"incidents":`), incs)
+	reply = incident.AppendWire([]byte(`{"incidents":`), incs)
 	return incs, fmt.Appendf(reply, `,"worker":"http://w1","wids_owned":%d,"instances":%d,"count":%d,"elapsed_us":1234,"prepare_us":34,"eval_us":1100,"ops":[[%d,0,0,0,%d,%d,%d]]}`,
 		n/2, n/2, n, n/2, n, n, n)
 }
@@ -535,7 +474,7 @@ func TestReadReplyAllocsDoNotGrowWithAnswer(t *testing.T) {
 		_, reply := replyOf(n)
 		return testing.AllocsPerRun(50, func() {
 			resp, sum, err := readReply(bytes.NewReader(reply), int64(len(reply)), eval.ShapeIncidents)
-			if err != nil || sum.n != n || len(resp.Ops) != 1 {
+			if err != nil || sum.N != n || len(resp.Ops) != 1 {
 				t.Fatalf("read %d: %+v, %v", n, sum, err)
 			}
 		})
@@ -552,55 +491,17 @@ func TestReadReplyAllocsDoNotGrowWithAnswer(t *testing.T) {
 	}
 }
 
-// BenchmarkIncidentCodec prices the codec on a clinic-sized answer (10k
-// incidents of two records), beside the reflect encoding it replaced and
-// beside the same bytes travelling as a field of a document — and the
-// coordinator's read of a worker's reply that carries them.
-func BenchmarkIncidentCodec(b *testing.B) {
+// BenchmarkReadReply prices the coordinator's read of a worker's reply
+// around a clinic-sized answer (10k incidents of two records), beside the
+// same array travelling as a field of a document encoding/json writes.
+func BenchmarkReadReply(b *testing.B) {
 	incs, reply := replyOf(10000)
-	enc := appendIncidents(nil, incs)
+	enc := incident.AppendWire(nil, incs)
 	doc := mustMarshalB(b, WorkerQueryResponse{Incidents: enc})
-	b.Run("append", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		for i := 0; i < b.N; i++ {
-			appendIncidents(nil, incs)
-		}
-	})
-	b.Run("reflect", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		for i := 0; i < b.N; i++ {
-			mustMarshalB(b, fromIncidents(incs))
-		}
-	})
 	b.Run("document", func(b *testing.B) {
 		b.SetBytes(int64(len(doc)))
 		for i := 0; i < b.N; i++ {
 			mustMarshalB(b, WorkerQueryResponse{Incidents: enc})
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		for i := 0; i < b.N; i++ {
-			if _, err := DecodeIncidents(enc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		for i := 0; i < b.N; i++ {
-			if _, err := scanIncidentList(enc, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode-reflect", func(b *testing.B) {
-		b.SetBytes(int64(len(enc)))
-		for i := 0; i < b.N; i++ {
-			var docs []incidentDoc
-			if err := json.Unmarshal(enc, &docs); err != nil {
-				b.Fatal(err)
-			}
 		}
 	})
 	b.Run("read-reply", func(b *testing.B) {

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,7 +12,6 @@ import (
 	"time"
 
 	"wlq/internal/clinic"
-	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
@@ -81,12 +81,17 @@ func assertEntryPointsAgree(t *testing.T, l *wlog.Log, p pattern.Node, poisoned 
 				}
 				for _, workers := range []int{1, 2, 3, 7} {
 					var qs eval.QueryStats
-					a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeIncidents, []byte("x"), &qs)
-					if err = a.Strict(err); err != nil || string(a.Wire) != "x"+wantWire || a.Incidents != nil ||
-						a.Count != want.Len() || qs.Instances != len(wids) {
+					a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeIncidents, &qs)
+					if err = a.Strict(err); err != nil || wireOf(a.Wire) != wantWire || a.Incidents != nil ||
+						a.Count != want.Len() || qs.Instances != len(wids) || len(a.Wire) > workers {
 						t.Fatalf("%s/%v/meter=%v: %d workers: ServeCtx(%s) = %s, %+v, %v; oracle: %s", name, strat, metered, workers, p, a.Wire, qs, err, want)
 					}
-					if a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeInstances, []byte("x"), nil); err != nil || a.Wire != nil || !slices.Equal(a.WIDs, want.WIDs()) {
+					for _, l := range a.Wire {
+						if _, err := incident.DecodeIncidents(l); err != nil {
+							t.Fatalf("%s/%v: %d workers: ServeCtx(%s) wrote the list %s: %v", name, strat, workers, p, l, err)
+						}
+					}
+					if a, err := e.ServeCtx(ctx, p, wids, workers, eval.ShapeInstances, nil); err != nil || a.Wire != nil || !slices.Equal(a.WIDs, want.WIDs()) {
 						t.Fatalf("%s/%v: %d workers: instances shape of ServeCtx(%s) = %+v, %v", name, strat, workers, p, a, err)
 					}
 				}
@@ -345,9 +350,9 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 						fail("%d workers, %v: answer %+v; naive Algorithm 1 over the rest: %s", workers, shape, a, wantRest)
 					}
 				}
-				a, err := e.ServeCtx(ctx, p, src.WIDs(), workers, eval.ShapeIncidents, nil, nil)
-				back, readErr := cluster.DecodeIncidents(a.Wire)
-				if err != nil || len(a.Excluded) != len(poisoned) || string(a.Wire) != restWire ||
+				a, err := e.ServeCtx(ctx, p, src.WIDs(), workers, eval.ShapeIncidents, nil)
+				back, readErr := incident.DecodeIncidents([]byte(wireOf(a.Wire)))
+				if err != nil || len(a.Excluded) != len(poisoned) || wireOf(a.Wire) != restWire ||
 					readErr != nil || !slices.EqualFunc(back, rest.Incidents(), incident.Incident.Equal) {
 					fail("%d workers: ServeCtx = %s, excluded %d, %v; read back %v, %v; naive Algorithm 1 over the rest: %s",
 						workers, a.Wire, len(a.Excluded), err, back, readErr, rest)
@@ -392,6 +397,11 @@ func assertExclusions(t *testing.T, l *wlog.Log, p pattern.Node, want *incident.
 			eval.SetEvalHook(nil)
 		}
 	}
+}
+
+// wireOf is a served answer's lists as one list (incident.AppendArray).
+func wireOf(lists [][]byte) string {
+	return string(bytes.Join(incident.AppendArray(nil, lists), nil))
 }
 
 // wireJSON is the wire form of an incident list as encoding/json writes it,
@@ -873,7 +883,6 @@ func BenchmarkServeEvalMix(b *testing.B) {
 	for _, q := range []string{"SeeDoctor -> PayTreatment", "NoSuchActivity -> SeeDoctor", "GetReimburse", "UpdateRefer & TakeTreatment"} {
 		counted = append(counted, request{q, eval.ShapeCount})
 	}
-	var buf []byte
 	for _, mix := range []struct {
 		name string
 		reqs []request
@@ -884,14 +893,12 @@ func BenchmarkServeEvalMix(b *testing.B) {
 				for _, r := range mix.reqs {
 					plan, _ := rewrite.Optimize(pattern.MustParse(r.q), cs)
 					ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-					a, err := eval.New(cs, eval.Options{Meter: eval.NewMeter(plan)}).ServeCtx(ctx, plan, cs.WIDs(), 1, r.shape, buf[:0], nil)
+					a, err := eval.New(cs, eval.Options{Meter: eval.NewMeter(plan)}).ServeCtx(ctx, plan, cs.WIDs(), 1, r.shape, nil)
 					cancel()
 					if err != nil {
 						b.Fatal(err)
 					}
-					if a.Wire != nil {
-						buf = a.Wire
-					}
+					eval.Recycle(a.Wire)
 				}
 			}
 		})

@@ -390,7 +390,7 @@ func (e *Evaluator) evalAtom(st *step, ss *stepScratch, row *Row, wid uint64, po
 	return out
 }
 
-// EvalSet computes incL(p) for a pattern over a freshly indexed log; a
+// EvalSet computes incL(p) for a pattern over src with default options; a
 // convenience for one-shot queries.
 func EvalSet(src Source, p pattern.Node) *incident.Set {
 	return New(src, Options{}).Eval(p)

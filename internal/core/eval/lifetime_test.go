@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -27,8 +28,8 @@ const lifetimeQuery = "(GetRefer -> SeeDoctor) | (SeeDoctor . !GetRefer)"
 // watches the last) — and it does not alias the source: overwriting every
 // posting list the evaluation was handed leaves it as it was. A served
 // answer's bytes are its own too: later served queries, whose goroutines
-// write into the chunk buffers earlier ones left in the pool, and 8 at once
-// leave them as they were.
+// write into the buffers of answers handed back to the pool (eval.Recycle),
+// and 8 at once leave them as they were.
 func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 	ctx := context.Background()
 	l, err := clinic.Generate(300, 1)
@@ -81,20 +82,26 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 		unchanged("8 concurrent queries")
 
 		// Served answers, each kept with a copy of its bytes: two patterns in
-		// turn, on one goroutine and on three, so that every query after the
-		// first writes into chunk buffers an earlier one left in the pool.
+		// turn, on one goroutine and on three, each followed by a query whose
+		// answer goes back to the pool, so that every query after the first
+		// writes into buffers an earlier one left there.
 		type kept struct {
-			wire []byte
+			wire [][]byte
 			was  string
 		}
 		var answers []kept
 		for i := 0; i < 4; i++ {
 			for _, q := range []string{lifetimeQuery, "SeeDoctor | GetRefer"} {
-				b, err := e.ServeCtx(ctx, pattern.MustParse(q), cs.WIDs(), 1+2*(i%2), eval.ShapeIncidents, nil, nil)
+				b, err := e.ServeCtx(ctx, pattern.MustParse(q), cs.WIDs(), 1+2*(i%2), eval.ShapeIncidents, nil)
 				if err != nil || b.Count == 0 {
 					t.Fatalf("%v: ServeCtx(%s) = %d incidents, %v", strat, q, b.Count, err)
 				}
-				answers = append(answers, kept{b.Wire, string(b.Wire)})
+				answers = append(answers, kept{b.Wire, wireOf(b.Wire)})
+				spent, err := e.ServeCtx(ctx, p, cs.WIDs(), 3, eval.ShapeIncidents, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				eval.Recycle(spent.Wire)
 			}
 		}
 		wire := answers[0].was
@@ -102,14 +109,16 @@ func TestIncidentsAnswerOutlivesItsScan(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if b, err := e.ServeCtx(ctx, p, cs.WIDs(), 2, eval.ShapeIncidents, nil, nil); err != nil || string(b.Wire) != wire {
+				b, err := e.ServeCtx(ctx, p, cs.WIDs(), 2, eval.ShapeIncidents, nil)
+				if err != nil || wireOf(b.Wire) != wire {
 					t.Errorf("%v: a concurrent served query answered %d incidents, %v; want %d", strat, b.Count, err, a.Count)
 				}
+				eval.Recycle(b.Wire)
 			}()
 		}
 		wg.Wait()
 		for i, k := range answers {
-			if string(k.wire) != k.was {
+			if wireOf(k.wire) != k.was {
 				t.Fatalf("%v: the bytes of served answer %d changed after later served queries", strat, i)
 			}
 		}
@@ -171,5 +180,66 @@ func TestPoisonedInstanceKeepsNothing(t *testing.T) {
 		p := pattern.MustParse(q)
 		want := eval.New(eval.NewIndex(l), eval.Options{Strategy: eval.StrategyNaive}).Eval(p)
 		assertExclusions(t, l, p, want, l.WIDs()[1:2])
+	}
+}
+
+// TestServedScanCopiesOnce: a served scan writes each byte of its answer
+// once, in the goroutine that evaluated the instance, into a buffer from the
+// pool written answers go back to (eval.Recycle), and answers with the
+// goroutines' lists as they stand. So once the pool holds a buffer per
+// goroutine, as it does when the query service runs, an incidents ServeCtx
+// on 1, 2 or 3 goroutines allocates its scratch and none of its answer's
+// bytes. A join of the lists would copy them again: into fresh memory, about
+// the answer's bytes; into the first list's buffer, all but its own share
+// and then some, as the buffer grows. Either is over the bound, which is a
+// quarter of the answer's bytes.
+func TestServedScanCopiesOnce(t *testing.T) {
+	l, err := clinic.Generate(4000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := colstore.Build(l)
+	p := pattern.MustParse("GetRefer | SeeDoctor")
+	e := eval.New(cs, eval.Options{})
+	for workers := 1; workers <= 3; workers++ {
+		serve := func() eval.Answer {
+			a, err := e.ServeCtx(context.Background(), p, cs.WIDs(), workers, eval.ShapeIncidents, nil)
+			if err != nil || len(a.Wire) != workers {
+				t.Fatalf("%d goroutines: %d incidents in %d lists, %v", workers, a.Count, len(a.Wire), err)
+			}
+			return a
+		}
+		size := len(wireOf(serve().Wire))
+		// Room for a goroutine's even share of the answer and a quarter more:
+		// the clinic log spreads its incidents evenly enough.
+		share := size / workers * 5 / 4
+		// The least of single runs: under the race detector sync.Pool drops
+		// items at random, which costs a run a buffer now and then.
+		perAnswer := math.Inf(1)
+		for range 21 {
+			// Empty the pool, then fill it as written answers do: a buffer of a
+			// share for each goroutine, and one more, since a goroutine on
+			// another processor cannot take the buffer that went into this
+			// one's private slot.
+			runtime.GC()
+			runtime.GC()
+			bufs := make([][]byte, workers+1)
+			for i := range bufs {
+				bufs[i] = make([]byte, 0, share)
+			}
+			eval.Recycle(bufs)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			a := serve()
+			runtime.ReadMemStats(&after)
+			perAnswer = min(perAnswer, float64(after.TotalAlloc-before.TotalAlloc))
+			if got := wireOf(a.Wire); len(got) != size {
+				t.Fatalf("%d goroutines: an answer of %d bytes, then of %d", workers, size, len(got))
+			}
+		}
+		t.Logf("%d goroutines: an answer of %d bytes allocates %.0f bytes (%.2f×)", workers, size, perAnswer, perAnswer/float64(size))
+		if perAnswer > 0.25*float64(size) {
+			t.Errorf("%d goroutines: an answer of %d bytes allocates %.0f bytes, over a quarter of the answer: its bytes are copied again", workers, size, perAnswer)
+		}
 	}
 }

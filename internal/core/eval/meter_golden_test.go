@@ -97,7 +97,7 @@ func TestMeterOpsAddUpOverDisjointParts(t *testing.T) {
 	halves := [][]uint64{wids[:len(wids)/2], wids[len(wids)/2:]}
 	metered := func(p pattern.Node, strat eval.Strategy, shape eval.Shape, wids []uint64) *eval.Meter {
 		m := eval.NewMeter(p)
-		if _, err := eval.New(ix, eval.Options{Strategy: strat, Meter: m}).ServeCtx(context.Background(), p, wids, 1, shape, nil, nil); err != nil {
+		if _, err := eval.New(ix, eval.Options{Strategy: strat, Meter: m}).ServeCtx(context.Background(), p, wids, 1, shape, nil); err != nil {
 			t.Fatal(err)
 		}
 		return m

@@ -83,10 +83,14 @@ type Answer struct {
 	// kept the answer in (resultArena), which concatenate in canonical order
 	// and alias neither the source nor any scratch.
 	Incidents [][]incident.Incident
-	// Wire is set by ServeCtx under ShapeIncidents instead: the answer as one
-	// wire-form list (incident.AppendWire), appended to the buffer the caller
-	// handed in.
-	Wire []byte
+	// Wire is set by ServeCtx under ShapeIncidents instead: the answer in
+	// wire form, as lists in canonical order one after another, each the
+	// bytes incident.AppendWire wrote — one per scan goroutine ("[]" when it
+	// found none), or, answered by a coordinator, one per part as its worker
+	// sent it. Nothing joins them: incident.AppendArray writes them as one
+	// list, incident.CutIncidents and incident.IncidentWIDs read them as one.
+	// Recycle hands a served answer's buffers to later scans.
+	Wire [][]byte
 	// Excluded are the instances whose evaluation panicked, ascending by wid:
 	// nothing of theirs is in the answer.
 	Excluded []Exclusion
@@ -146,18 +150,18 @@ func (e *Evaluator) EvalParallelCtx(ctx context.Context, p pattern.Node, workers
 // the scan goes on; a cancelled ctx or a tripped budget fails the whole
 // evaluation, never excludes.
 func (e *Evaluator) AnswerCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
-	return e.scan(ctx, p, wids, workers, shape, nil, stats, false)
+	return e.scan(ctx, p, wids, workers, shape, false, stats, false)
 }
 
 // ServeCtx is AnswerCtx for a caller that serves the answer as bytes: the
 // entry point of the query service and of the cluster worker. Under
 // ShapeIncidents no incident is kept. Each scan goroutine writes its
-// instances' incidents in wire form as each instance succeeds, and the
-// goroutines' chunks are joined once, in wid order, into one list appended
-// to dst: Answer.Wire ("[]" when empty). The other shapes answer as under
-// AnswerCtx and leave dst unused.
-func (e *Evaluator) ServeCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, dst []byte, stats *QueryStats) (Answer, error) {
-	return e.scan(ctx, p, wids, workers, shape, &dst, stats, false)
+// instances' incidents as each instance succeeds into one complete
+// wire-form list, in a buffer from the pool Recycle fills, and the answer is
+// those lists in wid order (Answer.Wire), as they were written. The other
+// shapes answer as under AnswerCtx.
+func (e *Evaluator) ServeCtx(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, stats *QueryStats) (Answer, error) {
+	return e.scan(ctx, p, wids, workers, shape, true, stats, false)
 }
 
 // evalSet is AnswerCtx in the incidents shape, all or nothing, as an
@@ -178,7 +182,7 @@ func (e *Evaluator) Count(p pattern.Node) int {
 
 // CountCtx is Count under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) CountCtx(ctx context.Context, p pattern.Node) (int, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, false)
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, false, nil, false)
 	return a.Count, a.Strict(err)
 }
 
@@ -192,22 +196,19 @@ func (e *Evaluator) Exists(p pattern.Node) bool {
 
 // ExistsCtx is Exists under ctx, Options.Budget and panic isolation.
 func (e *Evaluator) ExistsCtx(ctx context.Context, p pattern.Node) (bool, error) {
-	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, nil, nil, true)
+	a, err := e.scan(ctx, p, e.src.WIDs(), 1, ShapeCount, false, nil, true)
 	return a.Count > 0, a.Strict(err)
 }
 
 // chunk is what one goroutine of a scan did: instances covered, their
 // incidents (counted, and under ShapeIncidents kept or written), under
 // ShapeInstances the wids of those with an incident, the instances
-// excluded, and the failure that ended it. The first chunk writes into the
-// caller's buffer, after the list's opening bracket; every other one into a
-// pooled buffer (buf) that the join copies it out of.
+// excluded, and the failure that ended it.
 type chunk struct {
 	instances, incidents int
-	kept                 *resultArena // under ShapeIncidents, wire nil
-	wire                 []byte       // under ShapeIncidents, wire non-nil
-	buf                  *[]byte
-	wids                 []uint64 // under ShapeInstances
+	kept                 *resultArena // under ShapeIncidents, unless served
+	wire                 []byte       // under ShapeIncidents, served: the chunk's list
+	wids                 []uint64     // under ShapeInstances
 	excluded             []Exclusion
 	err                  error
 }
@@ -245,10 +246,10 @@ type chunk struct {
 // incidents of the instances it covered and the instances it excluded,
 // ascending; under ShapeInstances with the wids
 // of those that had any, ascending; and under ShapeIncidents with the
-// incidents themselves: kept (resultArena), or, when wire is non-nil,
-// written as a wire-form list appended to *wire. stats, when non-nil,
-// counts the covered instances too.
-func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, wire *[]byte, stats *QueryStats, first bool) (Answer, error) {
+// incidents themselves: kept (resultArena), or, served, as each
+// goroutine's wire-form list. stats, when non-nil, counts the covered
+// instances too.
+func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, workers int, shape Shape, served bool, stats *QueryStats, first bool) (Answer, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -271,17 +272,17 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		cv := e.cover(prog, wids)
 		workers = max(1, min(workers, cv.n))
 		chunks = make([]chunk, workers)
-		e.runs(ctx, prog, wids, cv, counted, shape, wire, first, chunks)
+		e.runs(ctx, prog, wids, cv, counted, shape, served, first, chunks)
 	}
 
 	// Chunks are contiguous and in wid order, so their exclusions, hits, and
-	// the blocks or bytes their incidents were kept or written in,
+	// the blocks or lists their incidents were kept or written in,
 	// concatenate in wid order; each instance's incidents are normalized, so
 	// the concatenation is the answer in canonical order.
 	var (
 		total  chunk
 		blocks [][]incident.Incident // ShapeIncidents: the answer
-		list   = chunks[0].wire      // ShapeIncidents, wire non-nil: the answer
+		lists  [][]byte              // ShapeIncidents, served: the answer
 		hits   = chunks[0].wids      // ShapeInstances: the answer
 	)
 	for i, c := range chunks {
@@ -290,15 +291,8 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		if c.kept != nil {
 			blocks = append(blocks, c.kept.blocks[:c.kept.n]...)
 		}
-		if i > 0 && len(c.wire) > 0 {
-			if list[len(list)-1] != '[' {
-				list = append(list, ',')
-			}
-			list = append(list, c.wire...)
-		}
-		if c.buf != nil && cap(c.wire) <= maxPooledChunk {
-			*c.buf = c.wire[:0]
-			wireBufs.Put(c.buf)
+		if c.wire != nil {
+			lists = append(lists, c.wire)
 		}
 		if i > 0 {
 			hits = append(hits, c.wids...)
@@ -327,17 +321,17 @@ func (e *Evaluator) scan(ctx context.Context, p pattern.Node, wids []uint64, wor
 		if hits == nil {
 			a.WIDs = []uint64{}
 		}
-	case shape == ShapeIncidents && wire == nil:
-		a.Incidents = blocks
+	case shape == ShapeIncidents && served:
+		a.Wire = lists
 	case shape == ShapeIncidents:
-		a.Wire = append(list, ']')
+		a.Incidents = blocks
 	}
 	return a, nil
 }
 
 // runs evaluates the items of cv in len(chunks) contiguous runs, one per
 // goroutine, the first on the caller's, each into its chunk (scan).
-func (e *Evaluator) runs(ctx context.Context, prog program, wids []uint64, cv cover, counted bool, shape Shape, wire *[]byte, first bool, chunks []chunk) {
+func (e *Evaluator) runs(ctx context.Context, prog program, wids []uint64, cv cover, counted bool, shape Shape, served bool, first bool, chunks []chunk) {
 	bs := newBudgetState(e.opts.Budget)
 	// The stop flag: set by a run that fails or, with first, finds an
 	// incident, and by the end of ctx.
@@ -356,13 +350,10 @@ func (e *Evaluator) runs(ctx context.Context, prog program, wids []uint64, cv co
 		case shape == ShapeInstances:
 			c.wids = make([]uint64, 0, hi-lo)
 		case shape != ShapeIncidents:
-		case wire == nil:
-			c.kept = new(resultArena)
-		case lo == 0:
-			c.wire = append(*wire, '[')
+		case served:
+			c.wire = incident.AppendWire((*wireBufs.Get().(*[]byte))[:0], nil)
 		default:
-			c.buf = wireBufs.Get().(*[]byte)
-			c.wire = (*c.buf)[:0]
+			c.kept = new(resultArena)
 		}
 		sc := newScratch(ctx, prog)
 		// Also when the chunk ends in a failure: an abort's partial cost table
@@ -459,13 +450,25 @@ func (e *Evaluator) runs(ctx context.Context, prog program, wids []uint64, cv co
 	wg.Wait()
 }
 
-// wireBufs keeps the buffers a served scan's goroutines after the first
-// write their chunks into. The join copies each chunk out, so its buffer is
-// free again once the scan returns; one larger than maxPooledChunk is
-// dropped, so a rare huge answer is not held on to.
+// wireBufs holds the buffers of served answers that were written and not
+// kept (Recycle), for the goroutines of later served scans to write their
+// lists into.
 var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-const maxPooledChunk = 1 << 20
+// maxPooled is the largest buffer wireBufs keeps, so a rare huge answer is
+// not held on to.
+const maxPooled = 2 << 20
+
+// Recycle hands the buffers of a served answer's lists (Answer.Wire) to
+// later scans. Its caller has written them and holds no other reference to
+// them.
+func Recycle(wire [][]byte) {
+	for _, b := range wire {
+		if cap(b) > 0 && cap(b) <= maxPooled {
+			wireBufs.Put(&b)
+		}
+	}
+}
 
 // resultArena is where one goroutine of a library incidents scan keeps its
 // share of the answer: each instance's incidents, copied once out of the

@@ -77,7 +77,7 @@ func TestPanicMidRunExcludesOneInstance(t *testing.T) {
 								err error
 							)
 							if served {
-								a, err = e.ServeCtx(ctx, p, src.WIDs(), workers, shape, nil, &qs)
+								a, err = e.ServeCtx(ctx, p, src.WIDs(), workers, shape, &qs)
 							} else {
 								a, err = e.AnswerCtx(ctx, p, src.WIDs(), workers, shape, &qs)
 							}
@@ -91,7 +91,7 @@ func TestPanicMidRunExcludesOneInstance(t *testing.T) {
 							case shape == eval.ShapeInstances:
 								ok = ok && slices.Equal(a.WIDs, rest.WIDs())
 							case shape == eval.ShapeIncidents && served:
-								ok = ok && string(a.Wire) == wireJSON(t, rest.Incidents())
+								ok = ok && wireOf(a.Wire) == wireJSON(t, rest.Incidents())
 							case shape == eval.ShapeIncidents:
 								ok = ok && sameIncidents(a, rest)
 							}
@@ -158,7 +158,7 @@ func TestSingleAtomAnswersFromStatistics(t *testing.T) {
 				for _, workers := range []int{1, 3} {
 					m := eval.NewMeter(p)
 					var qs eval.QueryStats
-					a, err := eval.New(cs, eval.Options{Meter: m}).ServeCtx(ctx, p, list, workers, shape, nil, &qs)
+					a, err := eval.New(cs, eval.Options{Meter: m}).ServeCtx(ctx, p, list, workers, shape, &qs)
 					if err != nil || a.Count != want.Len() || qs.Instances != len(list) || qs.Incidents != want.Len() ||
 						shape == eval.ShapeInstances && !slices.Equal(a.WIDs, want.WIDs()) {
 						t.Errorf("%s over %s, %v, %d workers: %+v, %v, stats %+v; naive Algorithm 1: %d incidents over %v", q, name, shape, workers, a, err, qs, want.Len(), want.WIDs())
@@ -190,7 +190,7 @@ func TestStatisticsAnswerCallsNoFaultHook(t *testing.T) {
 		guarded := len(p.(*pattern.Atom).Guards) > 0
 		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
 			calls.Store(0)
-			a, err := eval.New(cs, eval.Options{}).ServeCtx(context.Background(), p, cs.WIDs(), 2, shape, nil, nil)
+			a, err := eval.New(cs, eval.Options{}).ServeCtx(context.Background(), p, cs.WIDs(), 2, shape, nil)
 			if err != nil || len(a.Excluded) > 0 || guarded != (calls.Load() > 0) {
 				t.Errorf("%s, %v: %d hook calls, %+v, %v; want calls only for the guarded atom", q, shape, calls.Load(), a, err)
 			}
@@ -200,7 +200,7 @@ func TestStatisticsAnswerCallsNoFaultHook(t *testing.T) {
 				t.Errorf("%s: CountCtx made %d hook calls, %v", q, calls.Load(), err)
 			}
 			calls.Store(0)
-			if _, err := e.ServeCtx(context.Background(), p, cs.WIDs()[1:], 1, shape, nil, nil); err != nil || q != "NoSuchActivity" && calls.Load() == 0 {
+			if _, err := e.ServeCtx(context.Background(), p, cs.WIDs()[1:], 1, shape, nil); err != nil || q != "NoSuchActivity" && calls.Load() == 0 {
 				t.Errorf("%s over a sub-list, %v: %d hook calls, %v; want a scan", q, shape, calls.Load(), err)
 			}
 		}
@@ -218,13 +218,13 @@ func TestStatisticsAnswerFailsOnAnExpiredDeadline(t *testing.T) {
 	for _, q := range statisticsQueries[:4] {
 		p := pattern.MustParse(q)
 		for _, shape := range []eval.Shape{eval.ShapeCount, eval.ShapeInstances} {
-			a, err := eval.New(cs, eval.Options{}).ServeCtx(expired, p, cs.WIDs(), 1, shape, nil, nil)
+			a, err := eval.New(cs, eval.Options{}).ServeCtx(expired, p, cs.WIDs(), 1, shape, nil)
 			if !errors.Is(err, context.DeadlineExceeded) || a.Count != 0 || a.WIDs != nil {
 				t.Errorf("%s, %v, expired deadline: %+v, %v; want context.DeadlineExceeded and no answer", q, shape, a, err)
 			}
 			e := eval.New(cs, eval.Options{Budget: resilience.Budget{MaxWallTime: time.Nanosecond}})
 			var be *resilience.BudgetError
-			if a, err := e.ServeCtx(context.Background(), p, cs.WIDs(), 1, shape, nil, nil); !errors.As(err, &be) || be.Dimension != resilience.DimWallTime {
+			if a, err := e.ServeCtx(context.Background(), p, cs.WIDs(), 1, shape, nil); !errors.As(err, &be) || be.Dimension != resilience.DimWallTime {
 				t.Errorf("%s, %v, 1ns wall time: %+v, %v; want the wall-time budget error", q, shape, a, err)
 			}
 		}

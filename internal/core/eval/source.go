@@ -15,9 +15,10 @@ import (
 //     and attribute symbols, and per instance its records as pointer-free
 //     columns, a posting list per symbol, and its attributes in a byte arena.
 //   - *Index (this package) is the access structure Algorithm 2 calls
-//     LogRecordsDict, per-instance records plus a per-(instance, activity) map
-//     of is-lsn lists. It serves nothing; it is the storage of the naive
-//     oracle the store is checked against, kept separate from what it checks.
+//     LogRecordsDict: per instance its records and one sparse Row of is-lsn
+//     lists, one per activity it carries. It serves nothing; it is the
+//     storage of the naive oracle the store is checked against, kept
+//     separate from what it checks.
 //
 // Both answer every method identically for the same log (the equivalence
 // suite in internal/colstore enforces this).

@@ -4,18 +4,19 @@ import (
 	"container/list"
 	"sync"
 
-	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 )
 
 // cacheEntry is one cached query: the compiled plan (the optimized pattern)
 // and its answer in the richest shape a request has computed so far — the
 // count always, the instance list or the incidents only once a request
-// asked for them — in the form every tier serves it (cluster.Result): an
-// incidents answer is the bytes of its array, encoded once by the node that
-// evaluated it, or spliced from the workers' replies on a coordinator. An
+// asked for them — in the form every tier serves it (eval.Answer): an
+// incidents answer is the lists of its array, each written once by the scan
+// goroutine that evaluated it, or a coordinator's workers' arrays as they
+// arrived, which no tier joins (incident.AppendArray writes them as one). An
 // entry serves every request whose shape can be read off what it holds
 // (serves); a request it cannot serve is a miss, which evaluates in the
 // shape asked for and puts a richer entry in its place.
@@ -33,7 +34,7 @@ type cacheEntry struct {
 	// planText is plan.String(), which every response and capture carries.
 	planText string
 	shape    eval.Shape
-	res      cluster.Result
+	res      eval.Answer
 	atoms    []*pattern.Atom
 	origin   *colstore.Origin
 	lsn      uint64
@@ -47,24 +48,18 @@ func (e *cacheEntry) serves(shape eval.Shape) bool { return e.shape <= shape }
 // instances returns the wids with an incident, ascending.
 func (e *cacheEntry) instances() []uint64 {
 	if e.shape == eval.ShapeIncidents {
-		return cluster.IncidentWIDs(e.res.Incidents)
+		return incident.IncidentWIDs(e.res.Wire)
 	}
 	return e.res.WIDs
 }
 
 // arrayBytes is the length of the incidents array the entry's lists are
-// written as (cluster.AppendArray), 0 for an entry of a cheaper shape.
+// written as, 0 for an entry of a cheaper shape.
 func (e *cacheEntry) arrayBytes() int64 {
-	if e.res.Incidents == nil {
+	if e.shape != eval.ShapeIncidents {
 		return 0
 	}
-	n, sep := int64(len("[]")), int64(0)
-	for _, l := range e.res.Incidents {
-		if len(l) > len("[]") {
-			n, sep = n+sep+int64(len(l)-len("[]")), 1
-		}
-	}
-	return n
+	return int64(incident.ArrayLen(e.res.Wire))
 }
 
 // staleAt reports whether a record src holds beyond the entry's lsn can have

@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"wlq"
-	"wlq/internal/cluster"
 	"wlq/internal/colstore"
+	"wlq/internal/core/eval"
 	"wlq/internal/core/incident"
 )
 
@@ -16,7 +16,7 @@ import (
 var snapshot = new(colstore.Store)
 
 func entry(n int) *cacheEntry {
-	return &cacheEntry{res: cluster.Result{Count: 1, Incidents: [][]byte{wireList([]incident.Incident{incident.New(uint64(n), 1)})}}}
+	return &cacheEntry{res: eval.Answer{Count: 1, Wire: [][]byte{wireList([]incident.Incident{incident.New(uint64(n), 1)})}}}
 }
 
 func TestLRUEviction(t *testing.T) {

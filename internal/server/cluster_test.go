@@ -681,7 +681,7 @@ func TestClusterWorkerEndpoint(t *testing.T) {
 		}
 		// A -> B matches every instance: the answer spans the interval, end to
 		// end, and stops there.
-		incs, err := cluster.DecodeIncidents(resp.Incidents)
+		incs, err := incident.DecodeIncidents(resp.Incidents)
 		if n := len(incs); err != nil || n == 0 || incs[0].WID() != 5 || incs[n-1].WID() != 12 {
 			t.Fatalf("incidents %s (%v) do not span exactly wids 5–12", resp.Incidents, err)
 		}

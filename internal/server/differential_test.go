@@ -346,23 +346,7 @@ func assertSameAsSingleNode(t *testing.T, single, coord http.Handler, body strin
 // with the cache off and on the hits of the entry with it on; and so is
 // every cut of an answer whose first part is empty.
 func TestClusterTruncationAcrossThePartBoundary(t *testing.T) {
-	// Instances 1–5, the first part of two, have no Late record.
-	var b wlog.Builder
-	for wid := uint64(1); wid <= 10; wid++ {
-		must := func(err error) {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		must(b.StartWID(wid))
-		must(b.Emit(wid, "A", nil, nil))
-		if wid > 5 {
-			must(b.Emit(wid, "Late", nil, nil))
-			must(b.Emit(wid, "Late", nil, nil))
-		}
-		must(b.End(wid))
-	}
-	late := b.MustBuild()
+	late := lateLog(t)
 	if parts := cluster.Partition(late.WIDs(), 2); parts[0].MaxWID != 5 {
 		t.Fatalf("the first part ends at wid %d, want 5", parts[0].MaxWID)
 	}
@@ -385,6 +369,84 @@ func TestClusterTruncationAcrossThePartBoundary(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// lateLog is ten instances of which the first five, the first half and
+// part, have no Late record.
+func lateLog(t *testing.T) *wlog.Log {
+	t.Helper()
+	var b wlog.Builder
+	for wid := uint64(1); wid <= 10; wid++ {
+		must := func(err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(b.StartWID(wid))
+		must(b.Emit(wid, "A", nil, nil))
+		if wid > 5 {
+			must(b.Emit(wid, "Late", nil, nil))
+			must(b.Emit(wid, "Late", nil, nil))
+		}
+		must(b.End(wid))
+	}
+	return b.MustBuild()
+}
+
+// TestTruncationAcrossScanLists: a single node holds an incidents answer as
+// its scan goroutines' lists, one each, and cuts a truncated one from them,
+// so every cut — each max_results from 1 to the count — on 1, 2 or 3
+// goroutines is the one-goroutine response byte for byte, on a miss with the
+// cache off and on the hits of the entry the first miss left with it on; and
+// so is every cut of an answer whose first list is empty. An instances
+// request read off such an entry (its lists' wids) is a fresh instances
+// answer; a query with no incident leaves no entry to read it off.
+func TestTruncationAcrossScanLists(t *testing.T) {
+	generated, queries := generatedCase(t, 2)
+	cases := map[string]struct {
+		l       *wlog.Log
+		queries []string
+	}{
+		"generated":        {generated, queries},
+		"first list empty": {lateLog(t), []string{"A -> Late", "Late", "Late | A"}},
+	}
+	for name, c := range cases {
+		for cacheName, cache := range map[string]int{"cache on": 0, "cache off": -1} {
+			for workers := 1; workers <= 3; workers++ {
+				t.Run(fmt.Sprintf("%s/%s/%d goroutines", name, cacheName, workers), func(t *testing.T) {
+					one := serverOver(t, Config{CacheSize: cache, Workers: 1}, "log", c.l).Handler()
+					s := serverOver(t, Config{CacheSize: cache, Workers: 3}, "log", c.l)
+					fresh := serverOver(t, Config{CacheSize: -1}, "log", c.l).Handler()
+					for _, q := range c.queries {
+						n := oracleSet(c.l, q).Len()
+						for max := 1; max <= n; max++ {
+							body := fmt.Sprintf(`{"query":%q,"max_results":%d,"workers":%d}`, q, max, workers)
+							want, got := postQuery(t, one, body, nil), postQuery(t, s.Handler(), body, nil)
+							if want.Code != http.StatusOK || got.Code != http.StatusOK || maskVolatile(got.Body.Bytes()) != maskVolatile(want.Body.Bytes()) {
+								t.Fatalf("%s: %d goroutines answered %d\n%s\none goroutine %d\n%s", body, workers, got.Code, got.Body, want.Code, want.Body)
+							}
+						}
+						var cached, want queryResponse
+						body := fmt.Sprintf(`{"query":%q,"mode":"instances"}`, q)
+						postQuery(t, s.Handler(), body, &cached)
+						postQuery(t, fresh, body, &want)
+						if cached.Cached != (cache == 0 && n > 0) || cached.Count != want.Count || !slices.Equal(cached.Instances, want.Instances) {
+							t.Errorf("%s: instances %v (count %d, cached %v), fresh %v (count %d)", q, cached.Instances, cached.Count, cached.Cached, want.Instances, want.Count)
+						}
+					}
+					if cache == 0 {
+						widest := 0
+						for el := s.cache.ll.Front(); el != nil; el = el.Next() {
+							widest = max(widest, len(el.Value.(*lruItem).entry.res.Wire))
+						}
+						if widest != workers {
+							t.Errorf("the entries hold up to %d lists, want %d", widest, workers)
+						}
+					}
+				})
+			}
 		}
 	}
 }

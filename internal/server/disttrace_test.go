@@ -494,7 +494,7 @@ func TestClusterWorkerTraceEndpoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			meter := eval.NewMeter(p)
-			if _, err := eval.New(src, eval.Options{Strategy: eval.StrategyNaive, Meter: meter}).ServeCtx(context.Background(), p, owned, 1, shape, nil, nil); err != nil {
+			if _, err := eval.New(src, eval.Options{Strategy: eval.StrategyNaive, Meter: meter}).ServeCtx(context.Background(), p, owned, 1, shape, nil); err != nil {
 				t.Fatal(err)
 			}
 			for _, old := range []bool{false, true} {

@@ -10,12 +10,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
 	"wlq/internal/flightrec"
@@ -127,14 +127,13 @@ type executor struct {
 // ran the plan.
 type execution struct {
 	// res is incL(plan) in the shape the run was asked for, as it is served:
-	// an incidents answer in wire form, written by the scan that evaluated
-	// it (served) or spliced by the coordinator from its workers' replies.
-	res cluster.Result
-	// excluded are the instances a local run left out, ascending (nil on a
-	// cluster run, whose losses are in comp).
-	excluded []eval.Exclusion
-	err      error
-	stats    eval.QueryStats
+	// an incidents answer in wire form, written by the scan goroutines that
+	// evaluated it (eval.Evaluator.ServeCtx) or the coordinator's workers'
+	// arrays as they arrived. A local run's names the instances it left out
+	// (Excluded); a cluster run's losses are in comp.
+	res   eval.Answer
+	err   error
+	stats eval.QueryStats
 	// comp is the coverage of a cluster run, or of a local one that excluded
 	// instances under "partial": true (nil otherwise).
 	comp *cluster.Completeness
@@ -178,52 +177,9 @@ func (s *Server) newExecutor() executor {
 			return max(min(w, instances), 1)
 		},
 		run: func(ctx context.Context, _ string, src *colstore.Store, plan pattern.Node, opts eval.Options, workers int, shape eval.Shape) (x execution) {
-			a, err := eval.New(src, opts).ServeCtx(ctx, plan, src.WIDs(), workers, shape, answerBuf(shape), &x.stats)
-			x.res, x.excluded, x.err = served(a), a.Excluded, err
+			x.res, x.err = eval.New(src, opts).ServeCtx(ctx, plan, src.WIDs(), workers, shape, &x.stats)
 			return x
 		},
-	}
-}
-
-// served is an answer of ServeCtx in the form every tier serves it: an
-// incidents answer is one list, the array a response or a worker reply
-// carries, as the scan wrote it, which a coordinator splices unchanged.
-func served(a eval.Answer) cluster.Result {
-	r := cluster.Result{Count: a.Count, WIDs: a.WIDs}
-	if a.Wire != nil {
-		r.Incidents = [][]byte{a.Wire}
-	}
-	return r
-}
-
-// answerBufs holds the byte buffers of answers that were written and not
-// kept, for the next scans to write their answers into: a local run's
-// response the cache did not take, a worker's reply.
-var answerBufs sync.Pool
-
-// maxRecycled is the largest buffer answerBufs keeps, so a rare huge answer
-// is not held on to.
-const maxRecycled = 2 << 20
-
-// answerBuf is the buffer for an answer of the shape to be written into: an
-// empty one a written answer left, when the shape has an incidents array.
-func answerBuf(shape eval.Shape) []byte {
-	if shape != eval.ShapeIncidents {
-		return nil
-	}
-	if b, ok := answerBufs.Get().(*[]byte); ok {
-		return (*b)[:0]
-	}
-	return nil
-}
-
-// recycleAnswer hands an answer's lists to later scans. Its caller has
-// written them and holds no other reference to them.
-func recycleAnswer(lists [][]byte) {
-	for _, b := range lists {
-		if cap(b) > 0 && cap(b) <= maxRecycled {
-			answerBufs.Put(&b)
-		}
 	}
 }
 
@@ -350,8 +306,8 @@ type queryRun struct {
 	cacheable bool
 	answer    *cacheEntry
 	cached    bool
-	// spent is the answer's encoded incidents once nothing keeps them past
-	// the response: a local run's, not put in the cache.
+	// spent is the answer's lists once nothing keeps them past the response:
+	// a local run's, not put in the cache (eval.Recycle).
 	spent [][]byte
 }
 
@@ -370,7 +326,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if q.decode(r) && q.plan() && (q.cached || q.execute(r.Context())) {
 		q.respond()
 	}
-	recycleAnswer(q.spent)
+	eval.Recycle(q.spent)
 }
 
 // finish runs on EVERY exit path — parse errors, timeouts and evaluation
@@ -604,7 +560,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	src := q.at
 	workers := s.exec.goroutines(q.req.Workers, len(src.WIDs()))
 	x := s.execute(workers, func() execution { return s.exec.run(ctx, entry.name, src, plan, opts, workers, q.shape) })
-	if ex := x.excluded; len(ex) > 0 && x.err == nil {
+	if ex := x.res.Excluded; len(ex) > 0 && x.err == nil {
 		// A local run excluded instances. Strict, the first one's panic fails
 		// the query (a 500, as any panic does); partial, the answer stands
 		// over the rest and names exactly what it left out.
@@ -690,7 +646,7 @@ func (q *queryRun) execute(ctx context.Context) bool {
 	if complete && q.cacheable && s.cache != nil {
 		s.cache.put(q.cacheKey, q.answer)
 	} else if x.fan == nil {
-		q.spent = x.res.Incidents
+		q.spent = x.res.Wire
 	}
 	return true
 }
@@ -728,11 +684,11 @@ func (q *queryRun) respond() {
 	case q.mode == "instances":
 		key, array = "instances", [][]byte{appendUints(nil, q.answer.instances())}
 	case q.mode == "incidents":
-		key, array = "incidents", answer.Incidents
+		key, array = "incidents", answer.Wire
 		n := head.Count
 		if q.req.MaxResults > 0 && n > q.req.MaxResults {
 			n, tail.Truncated = q.req.MaxResults, true
-			array = cluster.CutIncidents(array, n)
+			array = incident.CutIncidents(array, n)
 		}
 		q.s.metrics.IncidentsReturned.Add(uint64(n))
 	}

@@ -388,14 +388,14 @@ func TestIncidentsMissAllocsDoNotGrowWithAnswer(t *testing.T) {
 	}
 }
 
-// wireList is the wire-form list the blocks concatenate to: the brackets
-// around incident.AppendWire over each block in turn.
+// wireList is the wire-form list the blocks concatenate to:
+// incident.AppendWire over each block in turn, after an empty list.
 func wireList(blocks ...[]incident.Incident) []byte {
-	b := []byte{'['}
+	b := incident.AppendWire(nil, nil)
 	for _, incs := range blocks {
 		b = incident.AppendWire(b, incs)
 	}
-	return append(b, ']')
+	return b
 }
 
 // cannedFleet is a worker fleet behind cluster.Config.Transport that answers
@@ -422,7 +422,7 @@ func (f *cannedFleet) RoundTrip(r *http.Request) (*http.Response, error) {
 		}
 		rec := httptest.NewRecorder()
 		reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(incs), Instances: len(incs), Count: len(incs), ElapsedUS: 1}
-		if err := cluster.WriteReply(rec, eval.ShapeIncidents, wireList(incs), &reply); err != nil {
+		if err := cluster.WriteReply(rec, eval.ShapeIncidents, [][]byte{wireList(incs)}, &reply); err != nil {
 			return nil, err
 		}
 		body, _ = f.replies.LoadOrStore(req.Self, rec.Body.Bytes())

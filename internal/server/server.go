@@ -40,6 +40,7 @@ import (
 	"wlq/internal/cluster"
 	"wlq/internal/colstore"
 	"wlq/internal/core/eval"
+	"wlq/internal/core/incident"
 	"wlq/internal/core/pattern"
 	"wlq/internal/core/rewrite"
 	"wlq/internal/flightrec"
@@ -536,9 +537,10 @@ func encodeFailure(err error) []byte {
 // writeSpliced answers with the JSON object made of head's members, then
 // "key": array, then tail's members — the document encoding/json writes for
 // a struct declaring them in that order, except that array is already JSON,
-// as lists of one array's elements in order (cluster.AppendArray), and is
-// written as it stands, not encoded or joined again. head must have members;
-// an empty key leaves the array out. It returns the body's length.
+// as lists of one array's elements in order — a scan goroutine's each, or a
+// worker's — and is written as it stands, not encoded or joined again
+// (incident.AppendArray). head must have members; an empty key leaves the
+// array out. It returns the body's length.
 func writeSpliced(w http.ResponseWriter, code int, head any, key string, array [][]byte, tail any) int {
 	h, err := json.Marshal(head)
 	var t []byte
@@ -552,7 +554,7 @@ func writeSpliced(w http.ResponseWriter, code int, head any, key string, array [
 	pieces := make([][]byte, 1, 2*len(array)+4)
 	if key != "" {
 		h = append(append(append(h, `,"`...), key...), `":`...)
-		pieces = cluster.AppendArray(pieces, array)
+		pieces = incident.AppendArray(pieces, array)
 	}
 	pieces[0] = h
 	if len(t) > len("{}") {

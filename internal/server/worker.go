@@ -108,8 +108,8 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	// query's parallelism. A worker answers all or nothing — an excluded
 	// instance fails its part, which the coordinator retries or reports lost.
 	x := s.execute(1, func() (x execution) {
-		a, err := eval.New(src, opts).ServeCtx(ctx, p, owned, 1, shape, answerBuf(shape), &x.stats)
-		x.res, x.err = served(a), a.Strict(err)
+		x.res, x.err = eval.New(src, opts).ServeCtx(ctx, p, owned, 1, shape, &x.stats)
+		x.err = x.res.Strict(x.err)
 		return x
 	})
 	evaluated := time.Now()
@@ -121,16 +121,13 @@ func (s *Server) handleWorkerQuery(w http.ResponseWriter, r *http.Request) {
 	reply := cluster.WorkerReply{Worker: req.Self, WIDsOwned: len(owned), Instances: x.stats.Instances,
 		Count: x.res.Count, ElapsedUS: time.Since(started).Microseconds(),
 		PrepareUS: prepared.Sub(started).Microseconds(), EvalUS: evaluated.Sub(prepared).Microseconds(), Ops: meter.Ops()}
-	// The answer array of the mode; a count has none.
-	var array []byte
-	switch shape {
-	case eval.ShapeIncidents:
-		array = x.res.Incidents[0] // one list: served
-	case eval.ShapeInstances:
-		array = appendUints(nil, x.res.WIDs)
+	// The answer array of the mode as lists; a count has none.
+	lists := x.res.Wire
+	if shape == eval.ShapeInstances {
+		lists = [][]byte{appendUints(nil, x.res.WIDs)}
 	}
-	if err := cluster.WriteReply(w, shape, array, &reply); err != nil {
+	if err := cluster.WriteReply(w, shape, lists, &reply); err != nil {
 		fail(http.StatusInternalServerError, errorDoc{Error: "encode response: " + err.Error()})
 	}
-	recycleAnswer(x.res.Incidents)
+	eval.Recycle(x.res.Wire)
 }

@@ -1,5 +1,5 @@
 // Package shard holds only the Executor the benchmark harness
-// (bench/layers.go) prices, until ROADMAP item 1(h) deletes it: a thin
+// (bench/layers.go) prices, until ROADMAP item 1(e) deletes it: a thin
 // wrapper over eval's one scan, where every instance is already its own
 // failure domain. The partition loop it once held — placement, retries,
 // breakers, the merge — is the cluster coordinator's (internal/cluster).
